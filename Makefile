@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-smoke clean
+.PHONY: all build vet lint test race fuzz bench bench-smoke bench-check clean
 
 all: build vet test
 
@@ -39,11 +39,14 @@ race:
 # invocation, as the go tool requires): the job-file and fault-plan
 # parsers must never crash on arbitrary input, and the indexed Timeline
 # must stay bit-identical to its naive reference on any op sequence,
-# and the WAL decoder must recover an intact prefix from any bytes.
+# the GAC's bounded scan must answer and bill exactly as probing every
+# node does, and the WAL decoder must recover an intact prefix from any
+# bytes.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
 	$(GO) test -fuzz=FuzzTimelineEquivalence -fuzztime=10s -timeout 5m ./internal/qos
+	$(GO) test -fuzz=FuzzGACEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -timeout 5m ./internal/qos
 
 # bench runs the hot-path benchmark suite with allocation stats and
@@ -51,9 +54,9 @@ fuzz:
 bench:
 	scripts/bench.sh
 
-# bench-smoke compiles and runs the timeline admission, cluster
-# dispatch, event-horizon steady-state, and controller-tick benches
-# once each (-benchtime=1x): a CI guard that the O(log n) structures,
+# bench-smoke compiles and runs the timeline admission, GAC submit,
+# cluster dispatch, event-horizon steady-state, and controller-tick
+# benches once each (-benchtime=1x): a CI guard that the O(log n) structures,
 # the fast-forward path, the control plane, and their benchmarks keep
 # building and running — timings are meaningless here. It also runs
 # the two closed-loop gates: the feedback smoke (pid must not break
@@ -61,10 +64,16 @@ bench:
 # static golden identity (the nil controller reproduces the open-loop
 # pipeline byte for byte).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkControllerTick' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkControllerTick' -benchtime=1x -timeout 10m .
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
 	$(GO) test -run 'TestRegistryGolden' -count=1 ./internal/experiments
+
+# bench-check runs the smoke tests of the repository benchmark (bench/ is
+# its own module, so `make test` never sees it): every workload for a
+# fraction of a second, with its correctness checks on.
+bench-check:
+	cd bench && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -56,6 +56,8 @@ type (
 	AdmissionController = qos.LAC
 	// Cluster is the Global Admission Controller over several nodes.
 	Cluster = qos.GAC
+	// ClusterStats is Cluster.Stats(): the placement work behind Submit.
+	ClusterStats = qos.GACStats
 	// Timeline is the resource reservation timeline.
 	Timeline = qos.Timeline
 )

@@ -14,8 +14,10 @@ package cmpqos
 
 import (
 	"bytes"
+	"container/heap"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -393,6 +395,82 @@ func BenchmarkLACAdmit(b *testing.B) {
 		if i%64 == 63 {
 			l.Complete(i-32, qos.Strict(), int64(i)*tw)
 		}
+	}
+}
+
+// gacGrant is a live grant of BenchmarkGACSubmit; grantHeap orders them
+// by completion instant.
+type gacGrant struct {
+	due      int64
+	id, node int
+}
+
+type grantHeap []gacGrant
+
+func (h grantHeap) Len() int           { return len(h) }
+func (h grantHeap) Less(i, j int) bool { return h[i].due < h[j].due }
+func (h grantHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *grantHeap) Push(x any)        { *h = append(*h, x.(gacGrant)) }
+func (h *grantHeap) Pop() any {
+	old := *h
+	g := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return g
+}
+
+// BenchmarkGACSubmit measures one reserving admission through the GAC on
+// a saturated fleet: Poisson arrivals offering twice the fleet's cache
+// ways, 1 core and 2–7 ways for 0.5–1.5 Gcycles, deadlines 1.2/2/3x the
+// wall-clock, every grant completed straight on its LAC late in its
+// slot (the shape of bench/'s admit tape). At 4 nodes the scan is the
+// old probe-everyone loop; at 750 the learned bounds decide how many
+// nodes are really asked, which probes/op and peeks/op report next to
+// the charged/op a probe-all sweep would have paid.
+func BenchmarkGACSubmit(b *testing.B) {
+	const twMean = int64(1_000_000_000)
+	for _, n := range []int{4, 64, 750} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			lacs := make([]*qos.LAC, n)
+			for i := range lacs {
+				lacs[i] = qos.NewLAC(qos.ResourceVector{Cores: 4, CacheWays: 16})
+			}
+			g := qos.NewGAC(lacs...)
+			rng := rand.New(rand.NewSource(1))
+			gap := float64(twMean) * 4.5 / (16 * float64(n) * 2)
+			var live grantHeap
+			clock, id := 0.0, 0
+			submit := func() {
+				clock += rng.ExpFloat64()*gap + 1
+				now := int64(clock)
+				for len(live) > 0 && live[0].due <= now {
+					d := heap.Pop(&live).(gacGrant)
+					lacs[d.node].Complete(d.id, qos.Strict(), d.due)
+				}
+				id++
+				tw := twMean/2 + rng.Int63n(twMean)
+				rum := qos.RUM{
+					Resources:    qos.ResourceVector{Cores: 1, CacheWays: 2 + rng.Intn(6)},
+					MaxWallClock: tw,
+					Deadline:     now + tw*int64([]int{12, 12, 12, 12, 12, 20, 20, 20, 30, 30}[rng.Intn(10)])/10,
+				}
+				if node, d := g.Submit(qos.Request{JobID: id, Target: &rum, Mode: qos.Strict(), Arrival: now}); d.Accepted {
+					heap.Push(&live, gacGrant{due: d.Start + tw*(7+int64(rng.Intn(4)))/10, id: id, node: node})
+				}
+			}
+			for clock < 1.3*float64(twMean) {
+				submit() // warm to a stationary live set
+			}
+			base := g.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				submit()
+			}
+			st := g.Stats()
+			b.ReportMetric(float64(st.Charged-base.Charged)/float64(b.N), "charged/op")
+			b.ReportMetric(float64(st.Probes-base.Probes)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(st.LearningPeeks-base.LearningPeeks)/float64(b.N), "peeks/op")
+		})
 	}
 }
 

@@ -75,6 +75,12 @@ type LAC struct {
 	// request's own vector — headroom inflates only the feasibility
 	// probe, never what the job holds.
 	headroomWays int
+	// gen counts the changes that can move an earliest feasible start
+	// EARLIER (Complete, SetCapacity, ShrinkReservation, SetHeadroom).
+	// Admissions never do, so a cache of earliest starts (the GAC's
+	// bounds table) stays a valid lower bound for as long as gen stands
+	// still — however the change reached the LAC.
+	gen uint64
 
 	// Modeled controller occupancy (§7.5): the LAC is a user-level
 	// program whose admission tests and scheduling cost cycles
@@ -116,7 +122,10 @@ func (l *LAC) SetHeadroom(ways int) {
 	if ways < 0 {
 		ways = 0
 	}
-	l.headroomWays = ways
+	if ways != l.headroomWays {
+		l.headroomWays = ways
+		l.gen++
+	}
 }
 
 // Headroom returns the current admission headroom in cache ways.
@@ -272,18 +281,7 @@ func (l *LAC) reserveSlot(req Request, vec ResourceVector, dur, deadline int64, 
 	if dur == 0 {
 		dur = foreverCycles
 	}
-	// Admission headroom: the feasibility probe asks for extra ways on
-	// top of the demand (capped so a legal request can never exceed the
-	// node's capacity outright), but the reservation made below is the
-	// original vector. With headroom 0 effVec == vec and the decision is
-	// bit-identical to a headroomless LAC.
-	effVec := vec
-	if h := l.headroomWays; h > 0 {
-		if m := l.timeline.Capacity().CacheWays - vec.CacheWays; h > m {
-			h = m
-		}
-		effVec.CacheWays += h
-	}
+	effVec := l.probeVec(vec)
 	// Devirtualize the default policy: admission probes hit this path
 	// hundreds of times per tw window, and the concrete EarliestFit call
 	// inlines down to Timeline.EarliestFit where the interface dispatch
@@ -308,6 +306,41 @@ func (l *LAC) reserveSlot(req Request, vec ResourceVector, dur, deadline int64, 
 	return d
 }
 
+// probeVec applies the admission headroom: the feasibility probe asks
+// for extra ways on top of the demand (capped so a legal request can
+// never exceed the node's capacity outright), but the reservation made
+// is the original vector. With headroom 0 the result is vec and the
+// decision is bit-identical to a headroomless LAC.
+func (l *LAC) probeVec(vec ResourceVector) ResourceVector {
+	if h := l.headroomWays; h > 0 {
+		if m := l.timeline.Capacity().CacheWays - vec.CacheWays; h > m {
+			h = m
+		}
+		vec.CacheWays += h
+	}
+	return vec
+}
+
+// earliestFit reports whether every reserved-mode placement on this node
+// is Timeline.EarliestFit — the precondition for caching lower bounds on
+// its starts. Auto-downgrading nodes place some Strict jobs latest-fit,
+// and a custom AdmissionPolicy may place anywhere.
+func (l *LAC) earliestFit() bool {
+	_, fcfs := l.place.(EarliestFit)
+	return fcfs && !l.autoDowngrade
+}
+
+// earliestStart is the uncharged placement question behind a reserved
+// admission on an earliestFit node: the first start ≥ ta where vec (plus
+// headroom) fits for dur cycles, with no deadline. ok is false only when
+// vec can never fit this node.
+func (l *LAC) earliestStart(vec ResourceVector, ta, dur int64) (start int64, ok bool) {
+	if !vec.Fits(l.timeline.Capacity()) {
+		return 0, false
+	}
+	return l.timeline.EarliestFit(l.probeVec(vec), ta, dur, 0)
+}
+
 // foreverCycles stands in for an unbounded reservation; at 2 GHz it is
 // about 52 days — far beyond any simulated horizon.
 const foreverCycles = int64(1) << 53
@@ -325,6 +358,7 @@ func (l *LAC) reserve(jobID int, vec ResourceVector, start, dur int64) int {
 // here and the evictions are returned so the caller can re-admit,
 // downgrade, or terminate the affected jobs.
 func (l *LAC) SetCapacity(capacity ResourceVector, now int64) []Reservation {
+	l.gen++
 	evicted := l.timeline.SetCapacity(capacity, now)
 	for _, ev := range evicted {
 		ids := l.resByJob[ev.JobID]
@@ -374,6 +408,7 @@ func (l *LAC) AdmitAutoDowngrade(req Request) Decision {
 // way-shedding under cache faults). It reports whether the reservation
 // exists and the new vector is no larger than the old.
 func (l *LAC) ShrinkReservation(id int, vec ResourceVector) bool {
+	l.gen++
 	return l.timeline.ShrinkVec(id, vec)
 }
 
@@ -381,6 +416,7 @@ func (l *LAC) ShrinkReservation(id int, vec ResourceVector) bool {
 // reservations are truncated (reclaimed) so future jobs can be accepted
 // earlier, and opportunistic bookkeeping is released.
 func (l *LAC) Complete(jobID int, mode Mode, now int64) {
+	l.gen++
 	if mode.Kind == KindOpportunistic {
 		if l.oppLive > 0 {
 			l.oppLive--
@@ -391,169 +427,4 @@ func (l *LAC) Complete(jobID int, mode Mode, now int64) {
 	}
 	delete(l.resByJob, jobID)
 	l.timeline.Prune(now)
-}
-
-// GAC is the Global Admission Controller of §3.1: it probes each CMP
-// node's LAC and admits the job at the node offering the earliest start,
-// rejecting (or letting the caller negotiate) when no node can satisfy
-// the target.
-type GAC struct {
-	nodes    []*LAC
-	strategy gacStrategy
-}
-
-// gacStrategy selects how Submit picks among willing nodes. The names
-// mirror the sim layer's dispatcher registry; the GAC keeps its own tiny
-// enum because the qos package cannot depend on sim.
-type gacStrategy int
-
-const (
-	gacBestFit gacStrategy = iota
-	gacWorstFit
-	gacOversub
-	gacLocality
-)
-
-// localityWindow is how many consecutive nodes a locality dispatch scans
-// around the job's home node before falling back to a full sweep.
-const localityWindow = 16
-
-// NewGAC builds a GAC over the given nodes.
-func NewGAC(nodes ...*LAC) *GAC {
-	if len(nodes) == 0 {
-		panic("qos: GAC needs at least one node")
-	}
-	return &GAC{nodes: nodes}
-}
-
-// Nodes returns the number of managed nodes.
-func (g *GAC) Nodes() int { return len(g.nodes) }
-
-// SetStrategy selects the dispatch strategy by name: "bestfit" (default,
-// earliest feasible start), "worstfit" (emptiest willing node, spreading
-// load), "oversub" (bestfit, then retry rejected work Opportunistically),
-// or "locality" (prefer a window of nodes around the job's hash-derived
-// home, falling back to bestfit). Unknown names are an error and leave
-// the strategy unchanged.
-func (g *GAC) SetStrategy(name string) error {
-	switch name {
-	case "", "bestfit":
-		g.strategy = gacBestFit
-	case "worstfit":
-		g.strategy = gacWorstFit
-	case "oversub":
-		g.strategy = gacOversub
-	case "locality":
-		g.strategy = gacLocality
-	default:
-		return fmt.Errorf("qos: unknown dispatch strategy %q (want bestfit, worstfit, oversub, or locality)", name)
-	}
-	return nil
-}
-
-// Submit probes nodes per the configured strategy and admits the request
-// at the winner. It returns the chosen node index and the decision;
-// node == -1 on global rejection.
-func (g *GAC) Submit(req Request) (node int, dec Decision) {
-	switch g.strategy {
-	case gacWorstFit:
-		return g.submitWorstFit(req)
-	case gacOversub:
-		if n, d := g.submitBestFit(req); d.Accepted || req.Mode.Kind == KindOpportunistic {
-			return n, d
-		}
-		// Oversubscribe: the reserved-mode request fits nowhere, but the
-		// fleet may still have unreserved cores — run it Opportunistically
-		// rather than bouncing it.
-		r := req
-		r.Mode = Opportunistic()
-		return g.submitBestFit(r)
-	case gacLocality:
-		home := int(mix64(uint64(req.JobID)) % uint64(len(g.nodes)))
-		best := -1
-		var bestDec Decision
-		for k := 0; k < localityWindow && k < len(g.nodes); k++ {
-			i := (home + k) % len(g.nodes)
-			if d := g.nodes[i].Probe(req); d.Accepted {
-				if best == -1 || d.Start < bestDec.Start {
-					best, bestDec = i, d
-				}
-			}
-		}
-		if best != -1 {
-			return best, g.nodes[best].Admit(req)
-		}
-		// Nothing near home: fall back to the full sweep so locality never
-		// rejects a job bestfit would have placed.
-		return g.submitBestFit(req)
-	default:
-		return g.submitBestFit(req)
-	}
-}
-
-func (g *GAC) submitBestFit(req Request) (node int, dec Decision) {
-	best := -1
-	var bestDec Decision
-	for i, lac := range g.nodes {
-		d := lac.Probe(req)
-		if !d.Accepted {
-			continue
-		}
-		if best == -1 || d.Start < bestDec.Start {
-			best, bestDec = i, d
-		}
-	}
-	if best == -1 {
-		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
-	}
-	return best, g.nodes[best].Admit(req)
-}
-
-func (g *GAC) submitWorstFit(req Request) (node int, dec Decision) {
-	best := -1
-	bestLen := 0
-	for i, lac := range g.nodes {
-		if d := lac.Probe(req); !d.Accepted {
-			continue
-		}
-		if n := lac.timeline.Len(); best == -1 || n < bestLen {
-			best, bestLen = i, n
-		}
-	}
-	if best == -1 {
-		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
-	}
-	return best, g.nodes[best].Admit(req)
-}
-
-// mix64 is the stateless SplitMix64 finalizer step: a cheap, well-mixed
-// hash used for locality homes (the stateful splitmix64 in profile.go is
-// a stream generator, not a hash).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// SubmitOrNegotiate is Submit plus the §3.1 negotiation loop: when the
-// requested mode is rejected everywhere, it retries with progressively
-// weaker modes (Strict → Elastic(maxSlack) → Opportunistic) and reports
-// the mode that was finally accepted.
-func (g *GAC) SubmitOrNegotiate(req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
-	modes := []Mode{req.Mode}
-	if req.Mode.Kind == KindStrict && maxSlack > 0 {
-		modes = append(modes, Elastic(maxSlack))
-	}
-	if req.Mode.Kind != KindOpportunistic {
-		modes = append(modes, Opportunistic())
-	}
-	for _, m := range modes {
-		r := req
-		r.Mode = m
-		if n, d := g.Submit(r); d.Accepted {
-			return n, m, d
-		}
-	}
-	return -1, req.Mode, Decision{Reason: "qos: negotiation exhausted all modes"}
 }

@@ -1,0 +1,364 @@
+package qos
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
+
+// GAC is the Global Admission Controller of §3.1: it admits each job at
+// the node its strategy prefers — by default the one offering the
+// earliest start — rejecting (or letting the caller negotiate) when no
+// node can satisfy the target.
+//
+// The paper's GAC "probes each CMP node's LAC", and every node is still
+// billed one admission test per sweep, exactly as if it had been (the
+// modeled §7.5 occupancy and the probe counters are durable state). The
+// placement search itself asks only the nodes that could still win: the
+// GAC keeps a derived, never-persisted table of lower bounds on each
+// node's earliest feasible start per request shape, and a node whose
+// bound already proves it infeasible or beaten is skipped without a
+// timeline descent. The bounds change how much work a Submit does, never
+// its answer (DESIGN §12 has the soundness argument; the differential
+// suite in gac_equivalence_test.go holds it to a probe-every-node oracle). A GAC is
+// not safe for concurrent use.
+type GAC struct {
+	nodes    []*LAC
+	strategy gacStrategy
+
+	// rows[c][i] packs node i's bound for shape c as bound<<1 | fresh.
+	// Zero is "unknown". fresh means the bound was the node's exact
+	// earliest start for the shape's floor duration when learned and the
+	// GAC has admitted nothing there since; a bound that is not fresh, or
+	// that the arrival clock has passed, is worth re-learning before it
+	// costs a full probe. One exactly-sized row per shape keeps the table
+	// at shapes × nodes words.
+	rows   [][]int64
+	shapes []shape // shapes[c] keys rows[c]
+	// seen[i] is nodes[i].gen as of the bounds held for node i.
+	seen        []uint64
+	lastArrival int64
+	stats       GACStats
+}
+
+// shape is a bounds-table key: a demand vector and the octave of a
+// reservation length. A bound learned for (vec, 1<<oct) holds for every
+// request of that vec whose length is in [1<<oct, 2<<oct), because
+// Timeline.EarliestFit is monotone in vec, dur and the arrival time.
+type shape struct {
+	vec ResourceVector
+	oct uint8
+}
+
+// dominates reports whether a bound learned for o also bounds s.
+func (s shape) dominates(o shape) bool {
+	return o.oct <= s.oct &&
+		o.vec.Cores <= s.vec.Cores && o.vec.CacheWays <= s.vec.CacheWays &&
+		o.vec.MemoryMB <= s.vec.MemoryMB && o.vec.BandwidthMBps <= s.vec.BandwidthMBps
+}
+
+const (
+	// maxShapes bounds the table's memory. Past it an unseen shape
+	// borrows the row of a shape it dominates, read-only.
+	maxShapes = 64
+	// boundHorizon guards the packed arithmetic: arrival and deadline
+	// stamps are client-supplied, and a request stamped outside
+	// [0, boundHorizon) is placed without the table.
+	boundHorizon = int64(1) << 60
+	// neverFits is the bound of a node the shape's vector exceeds.
+	neverFits = math.MaxInt64 >> 1
+)
+
+// GACStats counts the placement work behind Submit since the GAC was
+// built. Charged − Probes − LearningPeeks is the number of timeline
+// searches the bounds table saved over probing every node.
+type GACStats struct {
+	// Charged is how many admission tests sweeps billed to nodes: what
+	// probing every node costs, and what the occupancy model records.
+	Charged int64 `json:"charged"`
+	// Probes is how many nodes were really asked for a decision.
+	Probes int64 `json:"probes"`
+	// LearningPeeks is how many floor-duration searches refreshed a bound.
+	LearningPeeks int64 `json:"learning_peeks"`
+	// PrunedInfeasible counts nodes skipped because their bound ruled out
+	// a start before the deadline; PrunedBeaten, because it could not
+	// beat the best candidate already in hand.
+	PrunedInfeasible int64 `json:"pruned_infeasible"`
+	PrunedBeaten     int64 `json:"pruned_beaten"`
+	// Resets counts whole-table clears (an arrival stamp ran backwards).
+	Resets int64 `json:"resets"`
+	// Shapes is the number of request shapes holding a row.
+	Shapes int `json:"shapes"`
+}
+
+// gacStrategy selects how Submit picks among willing nodes. The names
+// mirror the sim layer's dispatcher registry; the GAC keeps its own tiny
+// enum because the qos package cannot depend on sim.
+type gacStrategy int
+
+const (
+	gacBestFit gacStrategy = iota
+	gacWorstFit
+	gacOversub
+	gacLocality
+)
+
+// localityWindow is how many consecutive nodes a locality dispatch scans
+// around the job's home node before falling back to a full sweep.
+const localityWindow = 16
+
+// NewGAC builds a GAC over the given nodes.
+func NewGAC(nodes ...*LAC) *GAC {
+	if len(nodes) == 0 {
+		panic("qos: GAC needs at least one node")
+	}
+	return &GAC{nodes: nodes, seen: make([]uint64, len(nodes))}
+}
+
+// Nodes returns the number of managed nodes.
+func (g *GAC) Nodes() int { return len(g.nodes) }
+
+// Stats returns the placement counters.
+func (g *GAC) Stats() GACStats {
+	st := g.stats
+	st.Shapes = len(g.rows)
+	return st
+}
+
+// SetStrategy selects the dispatch strategy by name: "bestfit" (default,
+// earliest feasible start), "worstfit" (emptiest willing node, spreading
+// load), "oversub" (bestfit, then retry rejected work Opportunistically),
+// or "locality" (prefer a window of nodes around the job's hash-derived
+// home, falling back to bestfit). Unknown names are an error and leave
+// the strategy unchanged.
+func (g *GAC) SetStrategy(name string) error {
+	switch name {
+	case "", "bestfit":
+		g.strategy = gacBestFit
+	case "worstfit":
+		g.strategy = gacWorstFit
+	case "oversub":
+		g.strategy = gacOversub
+	case "locality":
+		g.strategy = gacLocality
+	default:
+		return fmt.Errorf("qos: unknown dispatch strategy %q (want bestfit, worstfit, oversub, or locality)", name)
+	}
+	return nil
+}
+
+// Submit sweeps the nodes per the configured strategy and admits the
+// request at the winner. It returns the chosen node index and the
+// decision; node == -1 on global rejection.
+func (g *GAC) Submit(req Request) (node int, dec Decision) {
+	if req.Arrival < g.lastArrival {
+		// A bound learned at a later arrival says nothing about an
+		// earlier one. Stamps are client-supplied, so this can happen.
+		for _, row := range g.rows {
+			clear(row)
+		}
+		g.stats.Resets++
+	}
+	g.lastArrival = req.Arrival
+
+	n := len(g.nodes)
+	node = -1
+	if g.strategy == gacLocality {
+		home := int(mix64(uint64(req.JobID)) % uint64(n))
+		node = g.scan(req, home, min(localityWindow, n))
+	}
+	if node == -1 {
+		// For locality: nothing near home, so fall back to the full sweep
+		// and never reject a job bestfit would have placed.
+		node = g.scan(req, 0, n)
+	}
+	if node == -1 && g.strategy == gacOversub && req.Mode.Kind != KindOpportunistic {
+		// Oversubscribe: the reserved-mode request fits nowhere, but the
+		// fleet may still have unreserved cores — run it Opportunistically
+		// rather than bouncing it.
+		req.Mode = Opportunistic()
+		node = g.scan(req, 0, n)
+	}
+	if node == -1 {
+		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
+	}
+	dec = g.nodes[node].Admit(req)
+	if dec.ReservationID != 0 {
+		// The new reservation may have pushed this node's starts later:
+		// its bounds still hold but are no longer exact.
+		for _, row := range g.rows {
+			row[node] &^= 1
+		}
+	}
+	return node, dec
+}
+
+// scan sweeps n nodes from first (wrapping) and returns the one Submit
+// should admit at, or -1: the willing node with the earliest start, or
+// under worstfit the fewest live reservations, ties to the node swept
+// first. Every node is charged one admission test. It is asked for a
+// decision only while the earliest start it could offer — its arrival,
+// or its learned bound if later — still meets the deadline and beats the
+// best start in hand. Nodes that do not place earliest-fit have no bound
+// and are asked until a start at the arrival itself settles the sweep,
+// which is also how an Opportunistic request (it starts on arrival
+// wherever it lands) stops at the first willing node.
+func (g *GAC) scan(req Request, first, n int) int {
+	row, vec, floor, limit, learn := g.boundsFor(req)
+	ta := req.Arrival
+	byLoad := g.strategy == gacWorstFit
+	best, bestStart, bestLen := -1, int64(0), 0
+	for k := 0; k < n; k++ {
+		i := first + k
+		if i >= len(g.nodes) {
+			i -= len(g.nodes)
+		}
+		lac := g.nodes[i]
+		lac.charge()
+		g.stats.Charged++
+		if byLoad && best != -1 && lac.timeline.Len() >= bestLen {
+			g.stats.PrunedBeaten++
+			continue
+		}
+		byStart := !byLoad && best != -1
+		lb := ta
+		if row != nil && lac.earliestFit() {
+			if lac.gen != g.seen[i] {
+				// Something behind the GAC's back (a completion, a fault,
+				// a controller) may have moved this node's starts earlier.
+				for _, r := range g.rows {
+					r[i] = 0
+				}
+				g.seen[i] = lac.gen
+			}
+			e := row[i]
+			lb = max(lb, e>>1)
+			stale := e&1 == 0 || e>>1 < ta
+			if stale && learn && lb <= limit && !(byStart && lb >= bestStart) {
+				// The bound does not rule the node out but may be loose:
+				// tighten it before paying for a full decision.
+				s, ok := lac.earliestStart(vec, ta, floor)
+				if s = min(s, neverFits-1); !ok {
+					s = neverFits
+				}
+				g.stats.LearningPeeks++
+				row[i] = s<<1 | 1
+				lb = s
+			}
+		}
+		if lb > limit {
+			g.stats.PrunedInfeasible++
+			continue
+		}
+		if byStart && lb >= bestStart {
+			g.stats.PrunedBeaten++
+			continue
+		}
+		g.stats.Probes++
+		d := lac.Peek(req)
+		switch {
+		case !d.Accepted:
+		case byLoad:
+			best, bestLen = i, lac.timeline.Len()
+		case best == -1 || d.Start < bestStart:
+			best, bestStart = i, d.Start
+		}
+	}
+	return best
+}
+
+// boundsFor resolves a request to its row of the bounds table. row is nil
+// when the request has no earliest-fit placement to bound (Opportunistic,
+// malformed, or stamped past boundHorizon); every node is then asked.
+// Otherwise vec and floor are what a learning peek searches for, limit is
+// the last start that meets the deadline, and learn is whether the row
+// may be written (false for a borrowed row).
+func (g *GAC) boundsFor(req Request) (row []int64, vec ResourceVector, floor, limit int64, learn bool) {
+	limit = math.MaxInt64
+	rum, ok := AsRUM(req.Target)
+	if !ok || req.Arrival < 0 || req.Arrival >= boundHorizon || rum.Deadline < 0 || rum.Deadline >= boundHorizon {
+		return nil, vec, 0, limit, false
+	}
+	// The reservation length LAC.decide will ask its timeline for.
+	var dur int64
+	switch req.Mode.Kind {
+	case KindStrict:
+		if dur = rum.MaxWallClock; dur == 0 {
+			dur = foreverCycles
+		}
+	case KindElastic:
+		dur = req.Mode.ReservationLength(rum.MaxWallClock)
+	}
+	if dur <= 0 {
+		return nil, vec, 0, limit, false
+	}
+	limit = neverFits - 1
+	if rum.Deadline != 0 {
+		limit = rum.Deadline - dur
+	}
+	key := shape{vec: rum.Resources, oct: uint8(bits.Len64(uint64(dur)) - 1)}
+	// One pass over the (at most maxShapes) known shapes finds the
+	// request's own row or, once the table is full, a maximal shape it
+	// dominates.
+	full := len(g.shapes) == maxShapes
+	c, own := -1, false
+	for j, s := range g.shapes {
+		if s == key {
+			c, own = j, true
+			break
+		}
+		if full && key.dominates(s) && (c == -1 || s.dominates(g.shapes[c])) {
+			c = j
+		}
+	}
+	switch {
+	case own:
+	case !full:
+		c, own = len(g.rows), true
+		g.shapes = append(g.shapes, key)
+		g.rows = append(g.rows, make([]int64, len(g.nodes)))
+	case c == -1:
+		return nil, vec, 0, limit, false
+	default:
+		key = g.shapes[c] // borrowed, read-only
+	}
+	return g.rows[c], key.vec, int64(1) << key.oct, limit, own
+}
+
+// mix64 is the stateless SplitMix64 finalizer step: a cheap, well-mixed
+// hash used for locality homes (the stateful splitmix64 in profile.go is
+// a stream generator, not a hash).
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// SubmitOrNegotiate is Submit plus the §3.1 negotiation loop: when the
+// requested mode is rejected everywhere, it retries with progressively
+// weaker modes (Strict → Elastic(maxSlack) → Opportunistic) and reports
+// the mode that was finally accepted.
+func (g *GAC) SubmitOrNegotiate(req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
+	return negotiate(g.Submit, req, maxSlack)
+}
+
+// negotiate walks the mode ladder over any Submit (the GAC's, or the
+// test oracle's).
+func negotiate(submit func(Request) (int, Decision), req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
+	modes := []Mode{req.Mode}
+	if req.Mode.Kind == KindStrict && maxSlack > 0 {
+		modes = append(modes, Elastic(maxSlack))
+	}
+	if req.Mode.Kind != KindOpportunistic {
+		modes = append(modes, Opportunistic())
+	}
+	for _, m := range modes {
+		r := req
+		r.Mode = m
+		if n, d := submit(r); d.Accepted {
+			return n, m, d
+		}
+	}
+	return -1, req.Mode, Decision{Reason: "qos: negotiation exhausted all modes"}
+}

@@ -1,0 +1,82 @@
+package qos
+
+// naiveGAC is the dispatcher GAC.Submit replaced: it probes every node's
+// LAC on every submission, one private loop per strategy. It survives
+// only as the reference the differential suite (gac_equivalence_test.go)
+// holds the bounded scan to — node, decision and every LAC's charged
+// occupancy must match it exactly.
+type naiveGAC struct {
+	nodes    []*LAC
+	strategy gacStrategy
+}
+
+func (g *naiveGAC) Submit(req Request) (node int, dec Decision) {
+	switch g.strategy {
+	case gacWorstFit:
+		return g.submitWorstFit(req)
+	case gacOversub:
+		if n, d := g.submitBestFit(req); d.Accepted || req.Mode.Kind == KindOpportunistic {
+			return n, d
+		}
+		r := req
+		r.Mode = Opportunistic()
+		return g.submitBestFit(r)
+	case gacLocality:
+		home := int(mix64(uint64(req.JobID)) % uint64(len(g.nodes)))
+		best := -1
+		var bestDec Decision
+		for k := 0; k < localityWindow && k < len(g.nodes); k++ {
+			i := (home + k) % len(g.nodes)
+			if d := g.nodes[i].Probe(req); d.Accepted {
+				if best == -1 || d.Start < bestDec.Start {
+					best, bestDec = i, d
+				}
+			}
+		}
+		if best != -1 {
+			return best, g.nodes[best].Admit(req)
+		}
+		return g.submitBestFit(req)
+	default:
+		return g.submitBestFit(req)
+	}
+}
+
+func (g *naiveGAC) submitBestFit(req Request) (node int, dec Decision) {
+	best := -1
+	var bestDec Decision
+	for i, lac := range g.nodes {
+		d := lac.Probe(req)
+		if !d.Accepted {
+			continue
+		}
+		if best == -1 || d.Start < bestDec.Start {
+			best, bestDec = i, d
+		}
+	}
+	if best == -1 {
+		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
+	}
+	return best, g.nodes[best].Admit(req)
+}
+
+func (g *naiveGAC) submitWorstFit(req Request) (node int, dec Decision) {
+	best := -1
+	bestLen := 0
+	for i, lac := range g.nodes {
+		if d := lac.Probe(req); !d.Accepted {
+			continue
+		}
+		if n := lac.timeline.Len(); best == -1 || n < bestLen {
+			best, bestLen = i, n
+		}
+	}
+	if best == -1 {
+		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
+	}
+	return best, g.nodes[best].Admit(req)
+}
+
+func (g *naiveGAC) SubmitOrNegotiate(req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
+	return negotiate(g.Submit, req, maxSlack)
+}

@@ -108,6 +108,15 @@ type Health struct {
 	Shed       int64  `json:"shed"`
 	Degraded   int64  `json:"degraded"`
 	Cancelled  int64  `json:"cancelled"`
+	// SnapshotFailures counts periodic snapshots that could not be
+	// written (admissions continue from the WAL, which then stops
+	// compacting); LastSnapshotError is the most recent failure.
+	SnapshotFailures  int64  `json:"snapshot_failures"`
+	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
+	// Placement is the GAC's work since this process started: how many
+	// nodes each sweep billed, how many it really asked, and why the
+	// rest were skipped.
+	Placement qos.GACStats `json:"placement"`
 }
 
 // Handler returns the daemon's HTTP surface.
@@ -491,6 +500,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	seq := s.seq
 	jobs := len(s.jobs)
+	snapFailures, lastSnapErr := s.snapFailures, s.lastSnapErr
+	placement := s.gac.Stats()
 	s.mu.Unlock()
 	h := Health{
 		Status:     "ok",
@@ -506,6 +517,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Shed:       s.nShed.Load(),
 		Degraded:   s.nDegraded.Load(),
 		Cancelled:  s.nCancelled.Load(),
+
+		SnapshotFailures:  snapFailures,
+		LastSnapshotError: lastSnapErr,
+		Placement:         placement,
 	}
 	status := http.StatusOK
 	if h.Draining {

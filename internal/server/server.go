@@ -136,13 +136,19 @@ type Server struct {
 	wal   *qos.WALWriter
 	seq   int64 // last appended record
 	since int   // records since last snapshot
+	// Periodic snapshots that failed, and the last failure's text: the
+	// admission path carries on from the WAL, so healthz is where an
+	// operator learns the log has stopped compacting.
+	snapFailures int64
+	lastSnapErr  string
 
 	// Virtual clock: cycles = clockBase + elapsed·Hz. maxCycle tracks
 	// the largest cycle ever stamped into an operation, is persisted,
 	// and seeds clockBase on restart so time never runs backwards
-	// across a crash.
+	// across a crash. Written under mu; atomic because now() stamps
+	// requests before they take the lock.
 	clockBase int64
-	maxCycle  int64
+	maxCycle  atomic.Int64
 	started   time.Time
 
 	sem      chan struct{}
@@ -232,7 +238,7 @@ func (s *Server) recover() error {
 		}
 		walSeq = env.WALSeq
 		s.clockBase = env.Clock
-		s.maxCycle = env.Clock
+		s.maxCycle.Store(env.Clock)
 	} else if !os.IsNotExist(err) {
 		return err
 	} else {
@@ -327,16 +333,16 @@ func (s *Server) decide(jobID int, rum qos.RUM, mode qos.Mode, arrival int64, ne
 
 // noteCycle advances the persisted clock high-water mark.
 func (s *Server) noteCycle(c int64) {
-	if c > s.maxCycle {
-		s.maxCycle = c
+	if c > s.maxCycle.Load() {
+		s.maxCycle.Store(c)
 	}
 }
 
 // now returns the daemon's current virtual time in cycles.
 func (s *Server) now() int64 {
 	c := s.clockBase + int64(time.Since(s.started).Seconds()*s.cfg.ClockHz)
-	if c < s.maxCycle {
-		c = s.maxCycle
+	if m := s.maxCycle.Load(); c < m {
+		c = m
 	}
 	return c
 }
@@ -363,13 +369,16 @@ func (s *Server) appendLocked(rec *qos.WALRecord) error {
 // missing, and replay (which skips by sequence number) would silently
 // drop it. Snapshot failures are not fatal to the admission path: the
 // WAL still has everything, and since keeps growing so the next record
-// retries.
+// retries; they are counted for healthz.
 func (s *Server) maybeSnapshotLocked() {
 	if s.since < s.cfg.SnapshotEvery &&
 		!(s.cfg.WALMaxBytes > 0 && s.since > 0 && s.wal.Size() >= s.cfg.WALMaxBytes) {
 		return
 	}
-	_ = s.persistSnapshotLocked()
+	if err := s.persistSnapshotLocked(); err != nil {
+		s.snapFailures++
+		s.lastSnapErr = err.Error()
+	}
 }
 
 // encodeStateLocked renders the full durable state deterministically
@@ -379,7 +388,7 @@ func (s *Server) encodeStateLocked() ([]byte, error) {
 	env := snapEnvelope{
 		Version: envelopeVersion,
 		WALSeq:  s.seq,
-		Clock:   s.maxCycle,
+		Clock:   s.maxCycle.Load(),
 		Jobs:    s.jobs,
 	}
 	for _, lac := range s.nodes {
