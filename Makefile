@@ -40,14 +40,17 @@ race:
 # parsers must never crash on arbitrary input, and the indexed Timeline
 # must stay bit-identical to its naive reference on any op sequence,
 # the GAC's bounded scan must answer and bill exactly as probing every
-# node does, and the WAL decoder must recover an intact prefix from any
-# bytes.
+# node does, the WAL decoder must recover an intact prefix from any
+# bytes, and the hand-written snapshot encoder must write encoding/json's
+# bytes for any LAC (internal/qos) and any daemon state (internal/server).
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
 	$(GO) test -fuzz=FuzzTimelineEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzGACEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -timeout 5m ./internal/qos
+	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/qos
+	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/server
 
 # bench runs the hot-path benchmark suite with allocation stats and
 # records the results in BENCH_<date>.json (see scripts/bench.sh).
@@ -55,16 +58,18 @@ bench:
 	scripts/bench.sh
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,
-# cluster dispatch, event-horizon steady-state, and controller-tick
-# benches once each (-benchtime=1x): a CI guard that the O(log n) structures,
-# the fast-forward path, the control plane, and their benchmarks keep
-# building and running — timings are meaningless here. It also runs
+# cluster dispatch, event-horizon steady-state, controller-tick, and
+# daemon snapshot benches once each (-benchtime=1x): a CI guard that the
+# O(log n) structures, the fast-forward path, the control plane, the
+# streaming snapshot writer, and their benchmarks keep building and
+# running — timings are meaningless here. It also runs
 # the two closed-loop gates: the feedback smoke (pid must not break
 # more promises than static under the same storms) and the -ctrl
 # static golden identity (the nil controller reproduces the open-loop
 # pipeline byte for byte).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkControllerTick' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPersist' -benchtime=1x -benchmem -timeout 10m ./internal/server
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
 	$(GO) test -run 'TestRegistryGolden' -count=1 ./internal/experiments

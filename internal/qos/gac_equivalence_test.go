@@ -28,6 +28,7 @@ type gacPair struct {
 	jobs       []gacJob
 	clock      int64
 	nextJob    int
+	sparseIDs  bool
 	stepShift  uint
 	waysMod    int
 	octMod     int
@@ -38,6 +39,7 @@ func newGACPair(t *testing.T, h [4]byte) *gacPair {
 	p := &gacPair{
 		t:         t,
 		nextJob:   1,
+		sparseIDs: h[0]&0x80 != 0,
 		stepShift: uint(h[2] % 12),
 		waysMod:   1 + int(h[3]%8),
 		octMod:    1 + int(h[3]>>3)%12,
@@ -98,12 +100,25 @@ func (p *gacPair) request(op []byte) Request {
 	case m >= 6:
 		mode = Elastic(0.05 + float64(op[4]%7)/16)
 	}
-	req := Request{JobID: p.nextJob, Target: rum, Mode: mode, Arrival: p.clock}
-	p.nextJob++
+	req := Request{JobID: p.jobID(), Target: rum, Mode: mode, Arrival: p.clock}
 	if op[2] == 0xfe {
 		req.Target = OPM{IPC: 1} // not convertible: every node refuses
 	}
 	return req
+}
+
+// jobID issues the next job id: 1, 2, 3, … or, on sparse fleets, ids of
+// both signs and one to seven digits with every fourth submission reusing
+// its predecessor's — a job holding several reservations, and map keys
+// whose string order is not their numeric order.
+func (p *gacPair) jobID() int {
+	n := p.nextJob
+	p.nextJob++
+	if !p.sparseIDs {
+		return n
+	}
+	n -= n % 4 / 3
+	return (n%7 - 3) * [4]int{1, 13, 977, 40009}[n%4] * (1 + n/28)
 }
 
 func (p *gacPair) admitted(req Request, node int, mode Mode, dec Decision) {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"cmpqos/internal/jsonenc"
 )
 
 // Snapshotting lets a user-level admission controller (§5) survive a
@@ -15,6 +17,10 @@ import (
 // (wal.go) plays the same role for the log records between snapshots.
 const snapshotVersion = 1
 
+// lacSnapshot is the wire layout, and what RestoreLAC decodes into.
+// EncodeSnapshot writes the same fields in the same order by hand;
+// snapshot_oracle_test.go holds it to encoding/json's rendering of this
+// struct.
 type lacSnapshot struct {
 	Version  int            `json:"version"`
 	Capacity ResourceVector `json:"capacity"`
@@ -28,23 +34,77 @@ type lacSnapshot struct {
 	Overhead int64          `json:"overhead_cycles"`
 }
 
-// Snapshot serializes the controller's durable state.
+// Snapshot serializes the controller's durable state, newline-terminated.
 func (l *LAC) Snapshot(w io.Writer) error {
-	snap := lacSnapshot{
-		Version:  snapshotVersion,
-		Capacity: l.timeline.capacity,
-		NextID:   l.timeline.nextID,
-		Res:      l.timeline.Reservations(),
-		ResByJob: l.resByJob,
-		OppLive:  l.oppLive,
-		Probes:   l.probes,
-		Admits:   l.admits,
-		Rejects:  l.rejects,
-		Overhead: l.overheadCycles,
+	e := jsonenc.New(w)
+	l.EncodeSnapshot(e)
+	e.Line()
+	return e.Flush()
+}
+
+// EncodeSnapshot renders the controller's durable state as the encoder's
+// current value, at whatever depth the encoder stands — the daemon nests
+// one per node inside its envelope. The reservations are written by
+// walking the index in place, in (Start, ID) order; nothing is copied.
+func (l *LAC) EncodeSnapshot(e *jsonenc.Encoder) {
+	e.Object()
+	e.IntField("version", snapshotVersion)
+	e.Key("capacity")
+	encodeVec(e, l.timeline.capacity)
+	e.IntField("next_reservation_id", int64(l.timeline.nextID))
+	e.Key("reservations")
+	e.Array()
+	encodeReservations(e, l.timeline.idx.root)
+	e.EndArray()
+	e.Key("reservations_by_job")
+	e.Object()
+	for _, job := range jsonenc.IntKeys(e, l.resByJob) {
+		e.IntKey(job)
+		ids := l.resByJob[job]
+		if ids == nil { // only a hand-edited snapshot restores one
+			e.Null()
+			continue
+		}
+		e.Array()
+		for _, id := range ids {
+			e.Elem()
+			e.Int(int64(id))
+		}
+		e.EndArray()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	e.EndObject()
+	e.IntField("opportunistic_live", int64(l.oppLive))
+	e.IntField("probes", l.probes)
+	e.IntField("admits", l.admits)
+	e.IntField("rejects", l.rejects)
+	e.IntField("overhead_cycles", l.overheadCycles)
+	e.EndObject()
+}
+
+func encodeVec(e *jsonenc.Encoder, v ResourceVector) {
+	e.Object()
+	e.IntField("Cores", int64(v.Cores))
+	e.IntField("CacheWays", int64(v.CacheWays))
+	e.IntField("MemoryMB", int64(v.MemoryMB))
+	e.IntField("BandwidthMBps", int64(v.BandwidthMBps))
+	e.EndObject()
+}
+
+func encodeReservations(e *jsonenc.Encoder, n *resNode) {
+	if n == nil {
+		return
+	}
+	encodeReservations(e, n.left)
+	e.Elem()
+	e.Object()
+	e.IntField("ID", int64(n.res.ID))
+	e.IntField("JobID", int64(n.res.JobID))
+	e.Key("Vec")
+	encodeVec(e, n.res.Vec)
+	e.IntField("Start", n.res.Start)
+	e.IntField("End", n.res.End)
+	e.EndObject()
+	encodeReservations(e, n.right)
 }
 
 // RestoreLAC rebuilds a controller from a snapshot. Options (auto

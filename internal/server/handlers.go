@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -113,6 +114,13 @@ type Health struct {
 	// compacting); LastSnapshotError is the most recent failure.
 	SnapshotFailures  int64  `json:"snapshot_failures"`
 	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
+	// Snapshots counts the snapshots that were written (periodic, on
+	// request, on drain); LastSnapshotMS is how long the most recent one
+	// held the admission lock — encode, fsyncs and WAL rotation — and
+	// LastSnapshotBytes the size of the file it wrote.
+	Snapshots         int64   `json:"snapshots"`
+	LastSnapshotMS    float64 `json:"last_snapshot_ms"`
+	LastSnapshotBytes int64   `json:"last_snapshot_bytes"`
 	// Placement is the GAC's work since this process started: how many
 	// nodes each sweep billed, how many it really asked, and why the
 	// rest were skipped.
@@ -454,15 +462,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	persist := r.URL.Query().Get("persist") != ""
 	alloc := r.URL.Query().Get("alloc") != ""
 	now := s.now()
+	// One transient image is rendered under the lock — teed off the
+	// rendering that goes to disk when persisting — and written to the
+	// client only after the lock is dropped.
+	var data []byte
+	var err error
 	s.mu.Lock()
 	if persist {
-		if err := s.persistSnapshotLocked(); err != nil {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
+		var img bytes.Buffer
+		err = s.persistSnapshotLocked(&img)
+		data = img.Bytes()
+	} else {
+		data, err = s.encodeStateLocked()
 	}
-	data, err := s.encodeStateLocked()
 	var view AllocView
 	if err == nil && alloc {
 		view = AllocView{State: data, Now: now, Jobs: len(s.jobs)}
@@ -501,6 +513,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	seq := s.seq
 	jobs := len(s.jobs)
 	snapFailures, lastSnapErr := s.snapFailures, s.lastSnapErr
+	snapshots, lastSnapDur, lastSnapBytes := s.snapshots, s.lastSnapDur, s.lastSnapBytes
 	placement := s.gac.Stats()
 	s.mu.Unlock()
 	h := Health{
@@ -520,6 +533,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 		SnapshotFailures:  snapFailures,
 		LastSnapshotError: lastSnapErr,
+		Snapshots:         snapshots,
+		LastSnapshotMS:    float64(lastSnapDur.Microseconds()) / 1e3,
+		LastSnapshotBytes: lastSnapBytes,
 		Placement:         placement,
 	}
 	status := http.StatusOK

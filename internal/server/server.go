@@ -29,12 +29,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cmpqos/internal/jsonenc"
 	"cmpqos/internal/qos"
 )
 
@@ -138,9 +140,17 @@ type Server struct {
 	since int   // records since last snapshot
 	// Periodic snapshots that failed, and the last failure's text: the
 	// admission path carries on from the WAL, so healthz is where an
-	// operator learns the log has stopped compacting.
-	snapFailures int64
-	lastSnapErr  string
+	// operator learns the log has stopped compacting. Beside them, what
+	// the snapshots that did land cost: every one stalls admissions for
+	// its whole duration.
+	snapFailures  int64
+	lastSnapErr   string
+	snapshots     int64
+	lastSnapDur   time.Duration
+	lastSnapBytes int64
+	// enc renders every snapshot; it is kept so its buffer and key
+	// scratch are allocated once, not per snapshot.
+	enc *jsonenc.Encoder
 
 	// Virtual clock: cycles = clockBase + elapsed·Hz. maxCycle tracks
 	// the largest cycle ever stamped into an operation, is persisted,
@@ -162,6 +172,9 @@ type Server struct {
 	// holdAdmission, when set (tests only), runs while an admission
 	// slot is held, letting tests create real queue pressure.
 	holdAdmission func()
+	// failStep, when set (tests only), is asked before each step of
+	// persistSnapshotLocked and fails the step by returning an error.
+	failStep func(step string) error
 }
 
 // New opens (creating or recovering) a daemon over the state directory
@@ -178,6 +191,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		jobs:    map[int]jobEntry{},
 		started: time.Now(),
+		enc:     jsonenc.New(nil),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		drained: make(chan struct{}),
 	}
@@ -199,7 +213,8 @@ func (s *Server) lacOpts() []qos.LACOption {
 
 // snapEnvelope is the daemon's durable snapshot: the WAL high-water
 // mark it covers, the persisted clock, the per-node qos snapshots, and
-// the job table.
+// the job table. Recovery decodes into it; encodeLocked writes the same
+// fields in the same order by hand.
 type snapEnvelope struct {
 	Version int               `json:"version"`
 	WALSeq  int64             `json:"wal_seq"`
@@ -375,89 +390,157 @@ func (s *Server) maybeSnapshotLocked() {
 		!(s.cfg.WALMaxBytes > 0 && s.since > 0 && s.wal.Size() >= s.cfg.WALMaxBytes) {
 		return
 	}
-	if err := s.persistSnapshotLocked(); err != nil {
+	if err := s.persistSnapshotLocked(nil); err != nil {
 		s.snapFailures++
 		s.lastSnapErr = err.Error()
 	}
 }
 
-// encodeStateLocked renders the full durable state deterministically
-// (mu held). Byte-for-byte equality of two encodings means identical
+// encodeLocked renders the full durable state deterministically into w
+// (mu held), streamed through the encoder's fixed buffer: exactly the
+// bytes json.MarshalIndent renders a snapEnvelope as, which is what every
+// snapshot on disk holds and recovery decodes (snapshot_test.go holds it
+// to them). Byte-for-byte equality of two encodings means identical
 // admission state; the crash-recovery tests compare exactly this.
-func (s *Server) encodeStateLocked() ([]byte, error) {
-	env := snapEnvelope{
-		Version: envelopeVersion,
-		WALSeq:  s.seq,
-		Clock:   s.maxCycle.Load(),
-		Jobs:    s.jobs,
-	}
+func (s *Server) encodeLocked(w io.Writer) error {
+	e := s.enc
+	e.Reset(w)
+	e.Object()
+	e.IntField("version", envelopeVersion)
+	e.IntField("wal_seq", s.seq)
+	e.IntField("clock", s.maxCycle.Load())
+	e.Key("nodes")
+	e.Array()
 	for _, lac := range s.nodes {
-		var buf bytes.Buffer
-		if err := lac.Snapshot(&buf); err != nil {
-			return nil, err
-		}
-		env.Nodes = append(env.Nodes, json.RawMessage(buf.Bytes()))
+		e.Elem()
+		lac.EncodeSnapshot(e)
 	}
-	return json.MarshalIndent(&env, "", "  ")
+	e.EndArray()
+	e.Key("jobs")
+	e.Object()
+	for _, id := range jsonenc.IntKeys(e, s.jobs) {
+		j := s.jobs[id]
+		e.IntKey(id)
+		e.Object()
+		e.IntField("node", int64(j.Node))
+		e.Key("mode")
+		e.Object()
+		e.IntField("Kind", int64(j.Mode.Kind))
+		e.Key("Slack")
+		e.Float(j.Mode.Slack)
+		e.EndObject()
+		e.IntField("res_id", int64(j.ResID))
+		e.EndObject()
+	}
+	e.EndObject()
+	e.EndObject()
+	return e.Flush()
 }
 
-// persistSnapshotLocked writes the state atomically (tmp + fsync +
-// rename) and starts a fresh WAL whose records begin after the
-// snapshot's high-water mark. Crash windows are all safe: before the
-// rename the old snapshot + full WAL recover; between the rename and
-// the WAL rotation the new snapshot simply skips already-covered
-// records by sequence number.
-func (s *Server) persistSnapshotLocked() error {
-	data, err := s.encodeStateLocked()
+// encodeStateLocked materialises one image of the state (mu held) for a
+// reader that must be answered after the lock is dropped.
+func (s *Server) encodeStateLocked() ([]byte, error) {
+	var img bytes.Buffer
+	if err := s.encodeLocked(&img); err != nil {
+		return nil, err
+	}
+	return img.Bytes(), nil
+}
+
+// The steps of persistSnapshotLocked, as failStep names them.
+const (
+	stepSnapWrite  = "snapshot-write"
+	stepSnapRename = "snapshot-rename"
+	stepSnapSync   = "snapshot-dirsync"
+	stepWALCreate  = "wal-create"
+	stepWALRename  = "wal-rename"
+	stepWALSync    = "wal-dirsync"
+)
+
+// step runs one step of persistSnapshotLocked, unless a test fails it
+// first.
+func (s *Server) step(name string, do func() error) error {
+	if s.failStep != nil {
+		if err := s.failStep(name); err != nil {
+			return err
+		}
+	}
+	return do()
+}
+
+// persistSnapshotLocked streams the state into snapshot.json atomically
+// (tmp + fsync + rename + dir sync) and then rotates the WAL so its
+// records begin after the snapshot's high-water mark; tee, when non-nil,
+// receives the same bytes. The live WAL writer is replaced only once its
+// successor is open, durable and renamed into place, and is closed last:
+// a failure at any step leaves s.wal open on the file named wal.log, so
+// admissions carry on and the next record retries. Every crash window is
+// safe (DESIGN §12.2): until the snapshot rename lands, the old snapshot
+// and the full WAL recover; from then on the new snapshot skips, by
+// sequence number, whatever the log still holds.
+func (s *Server) persistSnapshotLocked(tee io.Writer) error {
+	start := time.Now()
+	dir := s.cfg.Dir
+	snapPath := filepath.Join(dir, snapName)
+	snapTmp := snapPath + ".tmp"
+	err := s.step(stepSnapWrite, func() error { return s.writeSnapshotLocked(snapTmp, tee) })
+	if err == nil {
+		err = s.step(stepSnapRename, func() error { return os.Rename(snapTmp, snapPath) })
+	}
 	if err != nil {
+		os.Remove(snapTmp)
 		return err
 	}
-	snapPath := filepath.Join(s.cfg.Dir, snapName)
-	tmp := snapPath + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, snapPath); err != nil {
-		return err
-	}
-	if err := syncDir(s.cfg.Dir); err != nil {
+	if err := s.step(stepSnapSync, func() error { return syncDir(dir) }); err != nil {
 		return err
 	}
 
-	// Rotate the WAL: build the fresh header file first, close the old
-	// writer, then atomically swap.
-	walPath := filepath.Join(s.cfg.Dir, walName)
-	nw, err := qos.CreateWAL(walPath+".tmp", !s.cfg.NoSync)
+	walPath := filepath.Join(dir, walName)
+	walTmp := walPath + ".tmp"
+	var nw *qos.WALWriter
+	err = s.step(stepWALCreate, func() (err error) {
+		nw, err = createWALSynced(walTmp, !s.cfg.NoSync)
+		return err
+	})
+	if err == nil {
+		if err = s.step(stepWALRename, func() error { return os.Rename(walTmp, walPath) }); err != nil {
+			nw.Close()
+		}
+	}
+	if err != nil {
+		os.Remove(walTmp)
+		return err
+	}
+	// wal.log now names the new file — the log a restart will read — so
+	// it takes every record from here on, whatever happens below.
+	old := s.wal
+	s.wal = nw
+	err = s.step(stepWALSync, func() error { return syncDir(dir) })
+	// The old log is unlinked and every record in it is covered by the
+	// snapshot made durable above; nothing depends on how it closes.
+	_ = old.Close()
 	if err != nil {
 		return err
 	}
-	if err := nw.Close(); err != nil {
-		return err
-	}
-	if err := s.wal.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(walPath+".tmp", walPath); err != nil {
-		return err
-	}
-	if err := syncDir(s.cfg.Dir); err != nil {
-		return err
-	}
-	w, err := qos.AppendWAL(walPath, !s.cfg.NoSync)
-	if err != nil {
-		return err
-	}
-	s.wal = w
 	s.since = 0
+	s.snapshots++
+	s.lastSnapDur = time.Since(start)
+	s.lastSnapBytes = s.enc.Written()
 	return nil
 }
 
-func writeFileSync(path string, data []byte) error {
+// writeSnapshotLocked streams the state into a fresh file at path (and
+// into tee) and makes the file durable.
+func (s *Server) writeSnapshotLocked(path string, tee io.Writer) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	var w io.Writer = f
+	if tee != nil {
+		w = io.MultiWriter(f, tee)
+	}
+	if err := s.encodeLocked(w); err != nil {
 		f.Close()
 		return err
 	}
@@ -466,6 +549,23 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// createWALSynced creates a log at path whose header is durable even
+// when per-record syncing is off, and leaves it open: a rotation must
+// never rename a log into place that a crash could leave headerless.
+func createWALSynced(path string, syncEach bool) (*qos.WALWriter, error) {
+	w, err := qos.CreateWAL(path, syncEach)
+	if err != nil {
+		return nil, err
+	}
+	if !syncEach {
+		if err := w.Sync(); err != nil {
+			w.Close()
+			return nil, err
+		}
+	}
+	return w, nil
 }
 
 func syncDir(dir string) error {
@@ -506,7 +606,7 @@ func (s *Server) beginDrain() error {
 		}()
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if err := s.persistSnapshotLocked(); err != nil {
+		if err := s.persistSnapshotLocked(nil); err != nil {
 			ferr = err
 		}
 		if err := s.wal.Close(); err != nil && ferr == nil {
