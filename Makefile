@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-smoke bench-check clean
+.PHONY: all build vet lint test race fuzz bench-smoke bench-check clean
 
 all: build vet test
 
@@ -52,23 +52,19 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/server
 
-# bench runs the hot-path benchmark suite with allocation stats and
-# records the results in BENCH_<date>.json (see scripts/bench.sh).
-bench:
-	scripts/bench.sh
-
 # bench-smoke compiles and runs the timeline admission, GAC submit,
-# cluster dispatch, event-horizon steady-state, controller-tick, and
-# daemon snapshot benches once each (-benchtime=1x): a CI guard that the
-# O(log n) structures, the fast-forward path, the control plane, the
+# cluster dispatch, and daemon snapshot benches once each
+# (-benchtime=1x): a CI guard that the O(log n) structures, the
 # streaming snapshot writer, and their benchmarks keep building and
-# running — timings are meaningless here. It also runs
+# running — timings are meaningless here. (The fast-forward path and
+# the control plane are run by bench-check: sim-node's paper and pid
+# classes, sim-fleet.) It also runs
 # the two closed-loop gates: the feedback smoke (pid must not break
 # more promises than static under the same storms) and the -ctrl
 # static golden identity (the nil controller reproduces the open-loop
 # pipeline byte for byte).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch|BenchmarkSimSteadyState|BenchmarkClusterSteadyFleet|BenchmarkControllerTick' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch' -benchtime=1x -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPersist' -benchtime=1x -benchmem -timeout 10m ./internal/server
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim

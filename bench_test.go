@@ -3,8 +3,10 @@ package cmpqos
 // The benchmark harness: one testing.B benchmark per paper table and
 // figure (regenerating the experiment and reporting its headline numbers
 // as custom metrics), plus microarchitecture benches for the substrate
-// pieces (cache access paths, shadow tags, admission tests) and the
-// ablations DESIGN.md calls out. Run with:
+// pieces (cache access paths, admission tests) and the ablations
+// DESIGN.md calls out. Whatever bench/ prices as a per-layer metric
+// (BENCHMARK.json) is measured there and has no benchmark here. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -16,10 +18,7 @@ import (
 	"bytes"
 	"container/heap"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,17 +27,16 @@ import (
 	"cmpqos/internal/experiments"
 	"cmpqos/internal/jobfile"
 	"cmpqos/internal/qos"
-	"cmpqos/internal/server"
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
 )
 
 // benchOpts are the scaled experiment options used by the figure
-// benches. The cross-experiment run cache is disabled so every
-// iteration measures real simulation work — with the (default) cache
-// on, iterations after the first would only measure map hits.
+// benches. Every call — one per b.N iteration — gets its own empty run
+// cache, so each iteration measures real simulation work; a cache shared
+// across iterations would measure map lookups after the first.
 func benchOpts() experiments.Options {
-	return experiments.Options{JobInstr: 20_000_000, DisableRunCache: true}
+	return experiments.Options{JobInstr: 20_000_000, Cache: sim.NewRunCache()}
 }
 
 func BenchmarkFig1(b *testing.B) {
@@ -192,13 +190,6 @@ func BenchmarkCacheLRU(b *testing.B) {
 	benchCacheAccesses(b, cache.NewLRU(cache.PaperL2()))
 }
 
-func BenchmarkCachePartitioned(b *testing.B) {
-	c := cache.NewPartitioned(cache.PaperL2())
-	c.SetTarget(0, 7)
-	c.SetClass(0, cache.ClassReserved)
-	benchCacheAccesses(b, c)
-}
-
 func BenchmarkCacheGlobalPartition(b *testing.B) {
 	c := cache.NewGlobal(cache.PaperL2())
 	c.SetTargetWays(0, 7)
@@ -234,7 +225,8 @@ func BenchmarkVictimPolicy(b *testing.B) {
 // One 16-way curve at the paper L2 geometry, 50k warmup + 50k measured
 // accesses: the replay path runs the stream through 16 fresh caches
 // (1.6 M accesses), the single-pass stack-distance profiler traverses
-// it once (100 k accesses), and the sampled variant skips 7/8 of those.
+// it once (100 k accesses; priced by bench/ as cache.misscurve_ms), and
+// the sampled variant skips 7/8 of those.
 
 func curveBenchCfg() cache.Config {
 	return cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
@@ -249,37 +241,12 @@ func BenchmarkMissCurveReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkMissCurveSinglePass(b *testing.B) {
-	p := workload.MustByName("bzip2")
-	cfg := curveBenchCfg()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.SinglePassMissCurve(cfg, p.NewStream(42, 0), 50_000, 50_000)
-	}
-}
-
 func BenchmarkMissCurveSinglePassSampled(b *testing.B) {
 	p := workload.MustByName("bzip2")
 	cfg := curveBenchCfg()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache.SinglePassMissCurveSampled(cfg, p.NewStream(42, 0), 50_000, 50_000, 8)
-	}
-}
-
-func BenchmarkShadowTagsObserve(b *testing.B) {
-	cfg := cache.PaperL2()
-	main := cache.NewPartitioned(cfg)
-	main.SetTarget(0, 3)
-	main.SetClass(0, cache.ClassReserved)
-	st := cache.NewShadowTags(cfg, 8)
-	st.SetTarget(0, 7)
-	st.SetClass(0, cache.ClassReserved)
-	stream := workload.MustByName("bzip2").NewStream(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := stream.Next()
-		st.Observe(0, a, main.Access(0, a))
 	}
 }
 
@@ -381,23 +348,6 @@ func BenchmarkTimelineAvailability(b *testing.B) {
 	}
 }
 
-func BenchmarkLACAdmit(b *testing.B) {
-	l := qos.NewLAC(qos.ResourceVector{Cores: 4, CacheWays: 16})
-	tw := int64(1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Admit(qos.Request{
-			JobID:   i,
-			Target:  qos.RUM{Resources: qos.PresetMedium(), MaxWallClock: tw, Deadline: int64(i)*tw + 100*tw},
-			Mode:    qos.Strict(),
-			Arrival: int64(i) * tw,
-		})
-		if i%64 == 63 {
-			l.Complete(i-32, qos.Strict(), int64(i)*tw)
-		}
-	}
-}
-
 // gacGrant is a live grant of BenchmarkGACSubmit; grantHeap orders them
 // by completion instant.
 type gacGrant struct {
@@ -474,214 +424,6 @@ func BenchmarkGACSubmit(b *testing.B) {
 	}
 }
 
-// ---- Whole-simulation benches (one per engine) ----
-
-func BenchmarkSimTableEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
-		cfg.JobInstr = 10_000_000
-		cfg.StealIntervalInstr = 100_000
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkControllerTick prices the closed loop (DESIGN §13): the
-// identical table-engine run with the pid controller retuning every 8
-// epochs, so the delta against a static run of the same config is the
-// control plane's whole overhead — progress sampling, the tick, boost
-// application on every plan rebuild, and the steady windows the tick
-// grid caps. Reports how many retunes one run absorbs.
-func BenchmarkControllerTick(b *testing.B) {
-	var retunes int64
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.AllStrict, workload.Single("bzip2"))
-		cfg.JobInstr = 10_000_000
-		cfg.StealIntervalInstr = 100_000
-		cfg.EnforceWallClock = true
-		cfg.RequestWays = 6
-		cfg.Controller = "pid"
-		cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := r.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		retunes += rep.CtrlRetunes
-	}
-	b.ReportMetric(float64(retunes)/float64(b.N), "retunes/op")
-}
-
-// BenchmarkSimTableEngineNoPlanCache is the ablation pair of
-// BenchmarkSimTableEngine: the identical simulation with the epoch-plan
-// cache disabled, so the two together report the steady-state win of
-// reusing the plan between QoS events.
-func BenchmarkSimTableEngineNoPlanCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
-		cfg.JobInstr = 10_000_000
-		cfg.StealIntervalInstr = 100_000
-		cfg.DisablePlanCache = true
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimTableEngineNoEventSkip completes the ablation triple:
-// plan cache on but the event-horizon fast-forward off. At this bench's
-// deliberately event-dense scale (10M-instruction jobs) the two run
-// near parity — the plan cache already makes steady epochs cheap and
-// most windows end at a real QoS event — which is itself the claim
-// worth pinning: the fast-forward's proof obligations do not tax
-// event-dense runs. The steady-state win is measured by the
-// SimSteadyState and ClusterSteadyFleet pairs below.
-func BenchmarkSimTableEngineNoEventSkip(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
-		cfg.JobInstr = 10_000_000
-		cfg.StealIntervalInstr = 100_000
-		cfg.DisableEventSkip = true
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSteadyNode runs one node at the paper's own scale — ten
-// 200M-instruction jobs, 250k-cycle epochs — where the run is a handful
-// of QoS events separated by hundreds of thousands of steady epochs.
-// This is the regime the event-horizon fast-forward targets: with it on,
-// ~90% of epochs advance in closed form.
-func benchSteadyNode(b *testing.B, disableSkip bool) {
-	skipped, total := int64(0), int64(0)
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
-		cfg.DisableEventSkip = disableSkip
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := r.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		skipped += rep.EpochsSkipped
-		total += rep.EpochsStepped + rep.EpochsSkipped
-	}
-	b.ReportMetric(float64(skipped)/float64(total), "skipped-frac")
-}
-
-// BenchmarkSimSteadyState measures the paper-scale single-node run with
-// the event-horizon fast-forward on; its NoEventSkip pair is the same
-// simulation stepped epoch by epoch. Reports byte-identical either way.
-func BenchmarkSimSteadyState(b *testing.B)            { benchSteadyNode(b, false) }
-func BenchmarkSimSteadyStateNoEventSkip(b *testing.B) { benchSteadyNode(b, true) }
-
-// benchSteadyFleet is the fleet-scale version of the steady-state pair:
-// 1000 paper-scale nodes draining two jobs each. With event skip on the
-// calendar only touches nodes at their next QoS event, so fleet cost
-// scales with events rather than epochs × nodes — the acceptance target
-// is a ≥3x win for the skip-on variant over its pair.
-func benchSteadyFleet(b *testing.B, disableSkip bool) {
-	skipped, total := int64(0), int64(0)
-	for i := 0; i < b.N; i++ {
-		node := sim.DefaultConfig(sim.Hybrid2, workload.Single("bzip2"))
-		node.DisableEventSkip = disableSkip
-		cfg := sim.ClusterConfig{Nodes: 1000, Node: node, AcceptTarget: 2000}
-		cr, err := sim.NewCluster(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := cr.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		skipped += rep.EpochsSkipped
-		total += rep.EpochsStepped + rep.EpochsSkipped
-	}
-	b.ReportMetric(float64(skipped)/float64(total), "skipped-frac")
-}
-
-func BenchmarkClusterSteadyFleet(b *testing.B)            { benchSteadyFleet(b, false) }
-func BenchmarkClusterSteadyFleetNoEventSkip(b *testing.B) { benchSteadyFleet(b, true) }
-
-// BenchmarkExperimentPairRunCacheOff/On measure the end-to-end win of
-// the cross-experiment run cache on a real repeated workload: Figure 6
-// studies the same policy×bzip2 configurations Figure 5 already ran, so
-// with a shared (fresh per iteration) cache the whole second experiment
-// is served from memoized reports.
-func benchExperimentPair(b *testing.B, o experiments.Options) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(o); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.Fig6(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentPairRunCacheOff(b *testing.B) {
-	benchExperimentPair(b, experiments.Options{JobInstr: 20_000_000, DisableRunCache: true})
-}
-
-func BenchmarkExperimentPairRunCacheOn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := experiments.Options{JobInstr: 20_000_000, Cache: sim.NewRunCache()}
-		if _, err := experiments.Fig5(o); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.Fig6(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimTraceEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.TraceConfig(sim.Hybrid2, workload.Single("bzip2"))
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExperimentRenderAll measures the full CLI sweep end to end.
-func BenchmarkExperimentRenderAll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Registry() {
-			if r.Name == "ablation-partition" || r.Name == "ablation-sampling" {
-				continue // covered by their own benches; too slow here
-			}
-			if err := r.Run(benchOpts(), io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // ---- Extension/validation benches ----
 
 func BenchmarkRelatedComparison(b *testing.B) {
@@ -706,7 +448,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 }
 
 // BenchmarkClusterDispatch measures the GAC fleet at datacenter node
-// counts: a full streaming run (bestfit dispatch, skip-idle stepping)
+// counts: a full streaming run (bestfit dispatch, calendar stepping)
 // with four jobs per node, reporting wall time per arrival. The
 // per-arrival cost growing far slower than the node count is the
 // O(log N) dispatch property.
@@ -781,23 +523,6 @@ job name=scav  bench=milc  mode=opportunistic ways=4 tw=200ms
 	}
 }
 
-func BenchmarkNegotiate(b *testing.B) {
-	l := qos.NewLAC(qos.ResourceVector{Cores: 4, CacheWays: 16})
-	tw := int64(1000)
-	for i := 1; i <= 2; i++ {
-		l.Admit(qos.Request{JobID: i,
-			Target: qos.RUM{Resources: qos.PresetMedium(), MaxWallClock: tw, Deadline: 3 * tw},
-			Mode:   qos.Strict()})
-	}
-	req := qos.Request{JobID: 9,
-		Target: qos.RUM{Resources: qos.PresetMedium(), MaxWallClock: tw, Deadline: tw + tw/20},
-		Mode:   qos.Strict()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Negotiate(req)
-	}
-}
-
 func BenchmarkTraceFileRoundTrip(b *testing.B) {
 	st := workload.MustByName("bzip2").NewStream(1, 0)
 	var buf bytes.Buffer
@@ -828,66 +553,5 @@ func BenchmarkSimFullHierarchy(b *testing.B) {
 		if _, err := r.Run(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkWALAppend measures the daemon's durability hot path: one
-// length-prefixed, CRC-framed admission record appended to the
-// write-ahead log (sync disabled — this isolates the encode+write cost;
-// with -sync each op adds an fsync, which the device, not the code,
-// dominates).
-func BenchmarkWALAppend(b *testing.B) {
-	w, err := qos.CreateWAL(filepath.Join(b.TempDir(), "wal.log"), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	rec := qos.WALRecord{
-		Op:      qos.WALAdmit,
-		JobID:   1,
-		Mode:    qos.Strict(),
-		RUM:     qos.RUM{Resources: qos.PresetMedium(), MaxWallClock: 1000, Deadline: 5000},
-		Arrival: 1,
-		Dec:     qos.Decision{Accepted: true, Start: 1, ReservationID: 1},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.Seq = int64(i + 1)
-		rec.JobID = i
-		if err := w.Append(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDaemonSubmit measures a full qosd admission round trip over
-// loopback HTTP: submit (opportunistic — no timeline churn between
-// iterations) followed by cancel, both write-ahead logged (sync
-// disabled so the numbers isolate daemon cost from device fsync).
-func BenchmarkDaemonSubmit(b *testing.B) {
-	s, err := server.New(server.Config{Dir: b.TempDir(), NoSync: true, SnapshotEvery: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
-	post := func(path string, body string) {
-		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := i + 1
-		post("/v1/submit", fmt.Sprintf(`{"job_id": %d, "mode": "opportunistic", "cores": 1, "ways": 2}`, id))
-		post("/v1/cancel", fmt.Sprintf(`{"job_id": %d}`, id))
 	}
 }

@@ -40,8 +40,6 @@ func main() {
 		instr     = flag.Int64("instr", 20_000_000, "instructions per job when simulating")
 		seeds     = flag.Int("seeds", 1, "with -simulate: run this many seeds of the job file")
 		parallel  = flag.Int("parallel", 1, "with -simulate: worker bound for the seed runs (0 = one per CPU)")
-		runCache  = flag.Bool("runcache", true, "with -simulate: memoize repeated simulation configs")
-		eventSkip = flag.Bool("eventskip", true, "with -simulate: fast-forward steady-state epochs in closed form (bit-identical either way)")
 		faults    = flag.String("faults", "", "with -simulate: fault plan file, or a fault rate (events per gigacycle) to generate one; merged with the job file's fault directives")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for a generated -faults rate plan")
 		sched     = flag.String("sched", "", "with -simulate: core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
@@ -81,7 +79,7 @@ func main() {
 		if err != nil {
 			cli.Fail(prog, err)
 		}
-		runSimulation(spec, *instr, *seeds, *parallel, *runCache, !*eventSkip, plan, *timeout,
+		runSimulation(spec, *instr, *seeds, *parallel, plan, *timeout,
 			pipelineNames{*sched, *alloc, *admit, *ctrl})
 		return
 	}
@@ -162,7 +160,7 @@ type pipelineNames struct {
 	scheduler, allocator, admission, controller string
 }
 
-func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, useCache, noSkip bool, plan fault.Plan, timeout time.Duration, pipe pipelineNames) {
+func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, plan fault.Plan, timeout time.Duration, pipe pipelineNames) {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -186,17 +184,12 @@ func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, useCache
 		cfg.Allocator = pipe.allocator
 		cfg.Admission = pipe.admission
 		cfg.Controller = pipe.controller
-		cfg.DisableEventSkip = noSkip
 		cfg.Seed += int64(s)
 		cfgs = append(cfgs, cfg)
 	}
-	cache := sim.DefaultRunCache
-	if !useCache {
-		cache = nil
-	}
 	ctx, cancel := cli.Context(timeout)
 	defer cancel()
-	reps, err := sim.RunAllCached(ctx, workers, cache, cfgs)
+	reps, err := sim.RunAll(ctx, workers, cfgs)
 	if err != nil {
 		cli.Fail(prog, err)
 	}

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,7 +30,11 @@ import (
 
 const prog = "qossim"
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind its deferred profile writers: it returns the exit
+// code instead of exiting, so a failed experiment still flushes them.
+func run() int {
 	var (
 		exp       = flag.String("exp", "", "experiment to run (see -list), or 'all'")
 		engine    = flag.String("engine", "table", "execution engine: table or trace")
@@ -39,9 +44,6 @@ func main() {
 		list      = flag.Bool("list", false, "list available experiments")
 		asCSV     = flag.Bool("csv", false, "emit machine-readable CSV instead of text tables")
 		html      = flag.String("html", "", "write a single-file HTML report of ALL experiments to this path")
-		runCache  = flag.Bool("runcache", true, "memoize repeated simulation configs across experiments")
-		planCach  = flag.Bool("plancache", true, "reuse the epoch plan between QoS events inside the sim engine")
-		eventSkip = flag.Bool("eventskip", true, "fast-forward steady-state epochs in closed form (bit-identical either way)")
 		faultRate = flag.Float64("faults", 0, "fault rate in events per gigacycle for the faults experiment (0 = its default sweep)")
 		faultSeed = flag.Int64("fault-seed", 0, "fault plan generator seed for the faults experiment (0 = default)")
 		sched     = flag.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
@@ -72,30 +74,27 @@ func main() {
 			fmt.Printf("  %-20s %s\n", r.Name, r.Paper)
 		}
 		if *exp == "" && *html == "" {
-			os.Exit(cli.ExitUsage)
+			return cli.ExitUsage
 		}
-		return
+		return cli.ExitOK
 	}
 
 	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
 	opts := experiments.Options{
-		Context:          ctx,
-		JobInstr:         *instr,
-		Seed:             *seed,
-		Workers:          *parallel,
-		DisableRunCache:  !*runCache,
-		DisablePlanCache: !*planCach,
-		DisableEventSkip: !*eventSkip,
-		FaultRate:        *faultRate,
-		FaultSeed:        *faultSeed,
-		Scheduler:        *sched,
-		Allocator:        *alloc,
-		Admission:        *admit,
-		Controller:       *ctrl,
-		ClusterNodes:     *nodes,
-		ClusterJobs:      *jobs,
-		Dispatch:         *dispatch,
+		Context:      ctx,
+		JobInstr:     *instr,
+		Seed:         *seed,
+		Workers:      *parallel,
+		FaultRate:    *faultRate,
+		FaultSeed:    *faultSeed,
+		Scheduler:    *sched,
+		Allocator:    *alloc,
+		Admission:    *admit,
+		Controller:   *ctrl,
+		ClusterNodes: *nodes,
+		ClusterJobs:  *jobs,
+		Dispatch:     *dispatch,
 	}
 	if *parallel == 0 {
 		opts.Workers = -1 // flag value 0 means "all CPUs"
@@ -144,7 +143,7 @@ func main() {
 			cli.Fail(prog, err)
 		}
 		fmt.Printf("wrote %s\n", *html)
-		return
+		return cli.ExitOK
 	}
 
 	if *asCSV {
@@ -158,7 +157,7 @@ func main() {
 		if err := experiments.WriteCSV(os.Stdout, tab); err != nil {
 			cli.Fail(prog, err)
 		}
-		return
+		return cli.ExitOK
 	}
 
 	var runners []experiments.Runner
@@ -171,16 +170,35 @@ func main() {
 		}
 		runners = []experiments.Runner{r}
 	}
+	failed := runExperiments(runners, opts, os.Stdout)
+	for _, err := range failed {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	}
+	if len(failed) > 0 {
+		return cli.ExitFailure
+	}
+	return cli.ExitOK
+}
+
+// runExperiments runs every runner in order and returns the failures,
+// each prefixed with its experiment's name. A failure is also printed
+// where the experiment's table would have been and the sweep carries
+// on: under -exp all one experiment that rejects the options (the trace
+// engine, say) must not hide the ones listed after it.
+func runExperiments(runners []experiments.Runner, opts experiments.Options, w io.Writer) (failed []error) {
 	for i, r := range runners {
 		if i > 0 {
-			fmt.Println("\n" + divider)
+			fmt.Fprintln(w, "\n"+divider)
 		}
 		start := time.Now()
-		if err := r.Run(opts, os.Stdout); err != nil {
-			cli.Fail(prog, fmt.Errorf("%s: %w", r.Name, err))
+		if err := r.Run(opts, w); err != nil {
+			fmt.Fprintf(w, "[%s failed: %v]\n", r.Name, err)
+			failed = append(failed, fmt.Errorf("%s: %w", r.Name, err))
+			continue
 		}
-		fmt.Printf("[%s completed in %v]\n", r.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "[%s completed in %v]\n", r.Name, time.Since(start).Round(time.Millisecond))
 	}
+	return failed
 }
 
 const divider = "────────────────────────────────────────────────────────────────────"

@@ -56,8 +56,8 @@ type ClusterResult struct {
 // Cluster sweeps 1, 2, and 4 nodes with 10 jobs per node (the legacy
 // scaling table), or — when Options.ClusterNodes is set — runs the
 // fleet dispatcher sweep at that node count. The nodes of one cluster
-// advance in lock-step behind a shared GAC, so a single run cannot be
-// split across configurations; in fleet mode the workers instead shard
+// share a clock behind one GAC, so a single run cannot be split across
+// configurations; in fleet mode the workers instead shard
 // the per-epoch node stepping inside each run.
 func Cluster(o Options) (*ClusterResult, error) {
 	if o.ClusterNodes > 0 {

@@ -34,25 +34,11 @@ type Options struct {
 	// built in the same order as the historical serial loops, and reports
 	// are collected in submission order.
 	Workers int
-	// DisableRunCache turns off the cross-experiment run memoization:
-	// every simulation executes fresh instead of reusing the memoized
-	// report of an identical earlier configuration. Outputs are identical
-	// either way; disabling only costs time.
-	DisableRunCache bool
-	// Cache overrides the run cache consulted by the experiments; nil
-	// selects sim.DefaultRunCache. Tests inject private caches here to
-	// observe hit counts without cross-test interference.
+	// Cache overrides the run cache every simulation resolves through
+	// (DESIGN §7.4); nil selects sim.DefaultRunCache. Tests and benchmarks
+	// inject a private cache to observe hit counts, or a fresh one per
+	// call to make every run execute.
 	Cache *sim.RunCache
-	// DisablePlanCache turns off the sim engine's epoch-plan cache for
-	// every configuration this experiment builds (forwarded to
-	// sim.Config.DisablePlanCache); used by the byte-identity tests and
-	// benchmarks.
-	DisablePlanCache bool
-	// DisableEventSkip turns off the engine's event-horizon fast-forward
-	// (forwarded to sim.Config.DisableEventSkip), executing every
-	// steady-state epoch individually. Results are bit-identical either
-	// way; used by the differential tests and benchmarks.
-	DisableEventSkip bool
 	// FaultRate and FaultSeed parameterize the faults experiment: events
 	// per gigacycle and the plan generator seed. Zero rate means the
 	// experiment sweeps its default rate grid.
@@ -89,13 +75,9 @@ func (o Options) ctx() context.Context {
 	return o.Context
 }
 
-// cache resolves the run cache these options select: nil (uncached) when
-// disabled, the injected cache when set, the process-wide default
-// otherwise.
+// cache resolves the run cache these options select: the injected cache
+// when set, the process-wide default otherwise.
 func (o Options) cache() *sim.RunCache {
-	if o.DisableRunCache {
-		return nil
-	}
 	if o.Cache != nil {
 		return o.Cache
 	}
@@ -121,8 +103,6 @@ func (o Options) config(p sim.Policy, w workload.Composition) sim.Config {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	cfg.DisablePlanCache = o.DisablePlanCache
-	cfg.DisableEventSkip = o.DisableEventSkip
 	cfg.Scheduler = o.Scheduler
 	cfg.Allocator = o.Allocator
 	cfg.Admission = o.Admission

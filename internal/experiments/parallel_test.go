@@ -32,12 +32,12 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 		names = append(names, "seeds") // runs the fig5 grid five times
 	}
 	for _, name := range names {
-		// The run cache is disabled so the workers=8 pass really recomputes
-		// every simulation instead of reading the serial pass's memoized
-		// reports (cache-on identity is pinned by the golden sweep).
-		serial := Options{JobInstr: 5_000_000, Workers: 1, DisableRunCache: true}
-		par := serial
-		par.Workers = 8
+		// Each pass gets its own empty run cache so the workers=8 pass
+		// really recomputes every simulation instead of reading the serial
+		// pass's memoized reports (warm-cache identity is pinned by the
+		// golden sweep).
+		serial := Options{JobInstr: 5_000_000, Workers: 1, Cache: sim.NewRunCache()}
+		par := Options{JobInstr: 5_000_000, Workers: 8, Cache: sim.NewRunCache()}
 		a, b := render(name, serial), render(name, par)
 		if a != b {
 			t.Errorf("%s: rendered table differs between 1 and 8 workers\n--- serial ---\n%s\n--- workers=8 ---\n%s", name, a, b)
@@ -101,7 +101,7 @@ func TestTraceTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		t.Helper()
 		workload.DefaultCurveStore.Reset()
-		r, err := Engines(Options{JobInstr: 5_000_000, Workers: workers, DisableRunCache: true})
+		r, err := Engines(Options{JobInstr: 5_000_000, Workers: workers, Cache: sim.NewRunCache()})
 		if err != nil {
 			t.Fatalf("engines (workers=%d): %v", workers, err)
 		}

@@ -44,12 +44,6 @@ type ClusterConfig struct {
 	// historical probe-all placements exactly at O(log N) probes per
 	// arrival.
 	Dispatcher string
-	// SeedDerivation picks how per-node seeds derive from Node.Seed:
-	// "mix" (the default) runs each node id through the SplitMix64
-	// finalizer, giving statistically independent streams; "legacy" keeps
-	// the historical Seed + 101·i lattice, whose low bits correlate
-	// across nodes.
-	SeedDerivation string
 	// TopK, when positive, sizes the report's worst-nodes digest: the K
 	// nodes with the most deadline violations, without retaining
 	// per-node reports for the whole fleet.
@@ -64,11 +58,10 @@ func (c ClusterConfig) dispatcherName() string {
 	return "bestfit"
 }
 
-// nodeSeed derives node i's seed from the shared base seed.
+// nodeSeed derives node i's seed from the shared base seed through the
+// SplitMix64 finalizer, so the per-node streams are statistically
+// independent.
 func (c ClusterConfig) nodeSeed(i int) int64 {
-	if c.SeedDerivation == "legacy" {
-		return c.Node.Seed + int64(i)*101
-	}
 	return int64(mix64(uint64(c.Node.Seed) + uint64(i)))
 }
 
@@ -92,11 +85,6 @@ func (c ClusterConfig) Validate() error {
 	}
 	if _, ok := dispatchers[c.dispatcherName()]; !ok {
 		return fmt.Errorf("sim: unknown dispatcher %q (have %v)", c.dispatcherName(), DispatcherNames())
-	}
-	switch c.SeedDerivation {
-	case "", "mix", "legacy":
-	default:
-		return fmt.Errorf("sim: unknown seed derivation %q (have [legacy mix])", c.SeedDerivation)
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("sim: negative worst-nodes digest size")
@@ -132,8 +120,10 @@ type ClusterReport struct {
 	LACProbes       int64
 	// EpochsStepped/EpochsSkipped sum the per-node engine counters: how
 	// many node-epochs executed individually vs. fast-forwarded in
-	// closed form (DESIGN §11). Idle epochs skipped by the calendar
-	// never touch a node and appear in neither counter.
+	// closed form (DESIGN §11) — the latter including the idle epochs a
+	// retired node replays in O(1) when a later arrival wakes it. Only
+	// idle epochs no arrival follows (the tail after a node's last job, a
+	// node never used) are not replayed and appear in neither counter.
 	EpochsStepped int64
 	EpochsSkipped int64
 	// CtrlRetunes sums the per-node feedback-controller ticks (zero for
@@ -147,10 +137,9 @@ type ClusterReport struct {
 // the per-epoch node stepping fans out across workers (each node owns
 // all of its mutable state), and completions are observed serially in
 // ascending node order after the step barrier — so the run is
-// bit-identical at any worker count. Nodes with no live jobs leave the
-// active set entirely and fast-forward their idle epochs in O(1) when
-// the next job lands on them, which is what lets a 5,000-node fleet
-// run at the cost of its busy nodes.
+// bit-identical at any worker count. An epoch touches only the nodes
+// that are due at it (the calendar below), which is what lets a
+// 5,000-node fleet run at the cost of its QoS events.
 type ClusterRunner struct {
 	cfg      ClusterConfig
 	nodes    []*Runner
@@ -164,27 +153,27 @@ type ClusterRunner struct {
 	disp Dispatcher
 	idx  *dispatchIndex // nil unless an indexed dispatcher asked for it
 
-	// Skip-idle bookkeeping. Fault plans disable it: fault events must
-	// apply at their configured cycles even on idle nodes.
-	skipIdle bool
-	active   []int32 // node ids with live jobs, ascending
-	inActive []bool
-	lastFin  []int // finished-job count last observed per node
+	// lastFin holds each node's finished-job count as last observed and
+	// finished is their sum: the run is over once the accept target is
+	// met and every accepted job has been seen to finish.
+	lastFin  []int
+	finished int
 
-	// Event-horizon calendar (DESIGN §11): when the nodes can
-	// fast-forward (skipIdle and the node config's skipOK gate), active
-	// nodes that proved their next epochs steady sleep in a min-heap
-	// keyed by the absolute cycle their horizon expires, and an epoch
-	// touches only the nodes that are due — woken by an arrival or by
-	// horizon expiry. A sleeping node's clock lags the cluster's; it
-	// catches up (bit-identically, via the same closed form it proved)
-	// before anything observes or mutates it.
-	eventMode bool
-	cal       *nodeHeap // sleeping active nodes, key {horizonEnd, id, 0}
-	due       []int32   // nodes that must execute the current epoch
-	inDue     []bool
-	dueDirty  bool    // due gained out-of-order entries since last sort
-	horizons  []int64 // per-due-slot horizon scratch, reused every epoch
+	// Event-horizon calendar (DESIGN §11.4). A node is in exactly one of
+	// three places: due (it executes the current epoch), cal (it proved
+	// its next epochs steady and sleeps in a min-heap keyed by the
+	// absolute cycle that horizon expires), or retired (neither: no live
+	// jobs and no pending fault points, so nothing can happen on it until
+	// an arrival lands). A node that cannot fast-forward — trace engine,
+	// round-robin quantum — answers nextHorizon() == now and simply stays
+	// due while it has work. A sleeping or retired node's clock lags the
+	// cluster's; it catches up (bit-identically, via the same closed form
+	// it proved, or fastForwardIdle) before anything mutates it.
+	cal      *nodeHeap // sleeping nodes, key {horizonEnd, id, 0}
+	due      []int32   // nodes that must execute the current epoch
+	inDue    []bool
+	dueDirty bool    // due gained out-of-order entries since last sort
+	horizons []int64 // per-due-slot horizon scratch, reused every epoch
 }
 
 // NewCluster builds the cluster runner.
@@ -195,9 +184,10 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 	cr := &ClusterRunner{
 		cfg:      cfg,
 		dlmix:    workload.NewDeadlineStream(cfg.Node.Seed),
-		skipIdle: cfg.Node.Faults.Empty(),
-		inActive: make([]bool, cfg.Nodes),
 		lastFin:  make([]int, cfg.Nodes),
+		cal:      newNodeHeap(cfg.Nodes),
+		inDue:    make([]bool, cfg.Nodes),
+		horizons: make([]int64, cfg.Nodes),
 	}
 	cr.nodes = make([]*Runner, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -214,6 +204,12 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		}
 		n.external = true
 		cr.nodes = append(cr.nodes, n)
+		if len(n.faultPts) > 0 {
+			// Fault transitions fire at their configured cycles even on a
+			// node that never receives a job: it starts due, and its proved
+			// windows (capped at the next fault point) carry it from there.
+			cr.markDue(i)
+		}
 	}
 	// The shared arrival process scales with the node count, as the
 	// paper's 4×128-per-tw pressure scales with its server size. The
@@ -224,11 +220,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		cfg.Node.ProbesPerTw*float64(cfg.Nodes), ref)
 	cr.nextArr = cr.arrivals.Next()
 	cr.disp = dispatchers[cfg.dispatcherName()](cr)
-	if cr.eventMode = cr.skipIdle && cr.nodes[0].skipOK; cr.eventMode {
-		cr.cal = newNodeHeap(cfg.Nodes)
-		cr.inDue = make([]bool, cfg.Nodes)
-		cr.horizons = make([]int64, cfg.Nodes)
-	}
 	return cr, nil
 }
 
@@ -237,40 +228,16 @@ func (cr *ClusterRunner) Run() (*ClusterReport, error) {
 	return cr.RunParallel(context.Background(), 1)
 }
 
-// RunParallel executes the cluster to completion, stepping active nodes
-// on up to `workers` goroutines per epoch. Results are bit-identical
-// for any worker count.
+// RunParallel executes the cluster to completion, stepping due nodes on
+// up to `workers` goroutines per epoch. Every epoch it executes touches
+// at least one due node or arrival; between events the cluster clock
+// jumps straight to the earliest sleeping horizon or the next arrival's
+// epoch. A node popped after sleeping replays its slept epochs through
+// the same closed form it proved before sleeping, so the run is
+// bit-identical to stepping every node every epoch (runLockStep, the
+// oracle in cluster_test.go) at any worker count.
 func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*ClusterReport, error) {
 	pool := parallel.New(workers)
-	if cr.eventMode {
-		return cr.runEvents(ctx, pool)
-	}
-	for !cr.done() {
-		if cr.now > cr.cfg.Node.MaxCycles {
-			return nil, fmt.Errorf("sim: cluster exceeded safety horizon with %d/%d accepted",
-				cr.accepted, cr.cfg.AcceptTarget)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		epochEnd := cr.now + cr.cfg.Node.EpochCycles
-		cr.placeArrivals(epochEnd)
-		if err := cr.stepEpoch(ctx, pool); err != nil {
-			return nil, err
-		}
-		cr.observeCompletions()
-		cr.now = epochEnd
-	}
-	return cr.report(), nil
-}
-
-// runEvents is the event-horizon main loop (DESIGN §11). Every epoch it
-// executes touches at least one due node or arrival; between events the
-// cluster clock jumps straight to the earliest sleeping horizon or the
-// next arrival's epoch. A node popped after sleeping replays its slept
-// epochs through the same closed form it proved before sleeping, so the
-// run is bit-identical to the epoch-by-epoch loop at any worker count.
-func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*ClusterReport, error) {
 	E := cr.cfg.Node.EpochCycles
 	for !cr.done() {
 		if cr.now > cr.cfg.Node.MaxCycles {
@@ -306,26 +273,32 @@ func (cr *ClusterRunner) runEvents(ctx context.Context, pool *parallel.Pool) (*C
 			return nil, err
 		}
 		// Serial completion observation in ascending id order — the same
-		// subsequence the epoch-by-epoch scan would produce, since
-		// non-due nodes cannot complete jobs while sleeping — then
-		// re-arm each node: one due again at the very next epoch carries
-		// over in the (still sorted) due list, bypassing the calendar —
-		// event-dense fleets would otherwise pay two O(log N) heap moves
-		// per node per epoch for nothing — while a node with a further
-		// horizon goes to sleep in the calendar.
+		// subsequence a scan of every node would produce, since non-due
+		// nodes cannot complete jobs while sleeping — then re-arm each
+		// node: one due again at the very next epoch carries over in the
+		// (still sorted) due list, bypassing the calendar — event-dense
+		// fleets would otherwise pay two O(log N) heap moves per node per
+		// epoch for nothing — while a node with a further horizon goes to
+		// sleep in the calendar. The serial ascending order is what keeps
+		// the dispatch index, and so every later placement, independent of
+		// the worker count.
 		kept := cr.due[:0]
 		for i, id := range due {
 			n := cr.nodes[id]
 			if fin := n.finishedCount(); fin > cr.lastFin[id] {
+				cr.finished += fin - cr.lastFin[id]
 				cr.lastFin[id] = fin
 				if cr.idx != nil {
 					cr.idx.noteFinished(int(id))
 				}
 			}
 			switch {
-			case n.idle():
+			case n.idle() && n.faultPos == len(n.faultPts):
+				// Retire: with no live job and no fault transition left,
+				// the node's LAC, load and capacity are constant until an
+				// arrival wakes it. An idle node with fault points pending
+				// falls through and sleeps up to the next one instead.
 				cr.inDue[id] = false
-				cr.inActive[id] = false
 			case horizons[i] <= epochEnd:
 				kept = append(kept, id)
 			default:
@@ -368,21 +341,7 @@ func (cr *ClusterRunner) markDue(id int) {
 }
 
 func (cr *ClusterRunner) done() bool {
-	if cr.accepted < cr.cfg.AcceptTarget {
-		return false
-	}
-	if cr.eventMode {
-		return cr.cal.len() == 0 && len(cr.due) == 0
-	}
-	if cr.skipIdle {
-		return len(cr.active) == 0
-	}
-	for _, n := range cr.nodes {
-		if !n.idle() {
-			return false
-		}
-	}
-	return true
+	return cr.accepted >= cr.cfg.AcceptTarget && cr.finished == cr.accepted
 }
 
 // placeArrivals runs the GAC loop for every arrival inside the epoch:
@@ -427,85 +386,20 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 	}
 }
 
-// wake brings an idle node back into the active set, fast-forwarding
-// its clock through the epochs it slept. In event mode it also rouses
-// calendar sleepers: the submission that follows reads and mutates
-// admission state at the cluster clock, so the node replays its slept
-// epochs first and executes the current epoch with everyone else.
+// wake brings a node to the cluster clock ahead of a submission, which
+// reads and mutates admission state at that clock: a calendar sleeper
+// replays its slept epochs, a retired node fast-forwards through the
+// idle ones, and either then executes the current epoch with everyone
+// else.
 func (cr *ClusterRunner) wake(id int) {
-	if cr.eventMode {
-		if !cr.inActive[id] {
-			cr.nodes[id].fastForwardIdle(cr.now)
-			cr.inActive[id] = true
-		} else if cr.cal.contains(id) {
-			cr.cal.remove(id)
-			cr.nodes[id].catchUp(cr.now)
-		}
-		cr.markDue(id)
-		return
+	switch {
+	case cr.cal.contains(id):
+		cr.cal.remove(id)
+		cr.nodes[id].catchUp(cr.now)
+	case !cr.inDue[id]:
+		cr.nodes[id].fastForwardIdle(cr.now)
 	}
-	if !cr.skipIdle || cr.inActive[id] {
-		return
-	}
-	cr.nodes[id].fastForwardIdle(cr.now)
-	cr.inActive[id] = true
-	pos := sort.Search(len(cr.active), func(i int) bool { return cr.active[i] >= int32(id) })
-	cr.active = append(cr.active, 0)
-	copy(cr.active[pos+1:], cr.active[pos:])
-	cr.active[pos] = int32(id)
-}
-
-// stepEpoch advances every active node one epoch, fanning out across
-// workers. Nodes share no mutable state, so the fan-out is safe; the
-// parallel.Map barrier restores the serial epoch structure.
-func (cr *ClusterRunner) stepEpoch(ctx context.Context, pool *parallel.Pool) error {
-	if cr.skipIdle {
-		_, err := parallel.Map(ctx, pool, len(cr.active), func(i int) (struct{}, error) {
-			cr.nodes[cr.active[i]].step()
-			return struct{}{}, nil
-		})
-		return err
-	}
-	_, err := parallel.Map(ctx, pool, len(cr.nodes), func(i int) (struct{}, error) {
-		cr.nodes[i].step()
-		return struct{}{}, nil
-	})
-	return err
-}
-
-// observeCompletions scans the active nodes in ascending id order after
-// the step barrier, feeding observed completions into the dispatch
-// index and retiring nodes that went idle from the active set. The
-// serial ascending order is what keeps the index — and therefore every
-// subsequent placement — independent of the worker count.
-func (cr *ClusterRunner) observeCompletions() {
-	if cr.skipIdle {
-		kept := cr.active[:0]
-		for _, id := range cr.active {
-			n := cr.nodes[id]
-			if fin := n.finishedCount(); fin > cr.lastFin[id] {
-				cr.lastFin[id] = fin
-				if cr.idx != nil {
-					cr.idx.noteFinished(int(id))
-				}
-			}
-			if n.idle() {
-				cr.inActive[id] = false
-			} else {
-				kept = append(kept, id)
-			}
-		}
-		cr.active = kept
-		return
-	}
-	for id, n := range cr.nodes {
-		if fin := n.finishedCount(); fin > cr.lastFin[id] {
-			cr.lastFin[id] = fin
-			if cr.idx != nil {
-				cr.idx.noteFinished(id)
-			}
-		}
-	}
+	cr.markDue(id)
 }
 
 // report folds the per-node streaming reports into the fleet report,

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"cmpqos/internal/fault"
 	"cmpqos/internal/workload"
 )
 
@@ -112,5 +116,210 @@ func TestClusterSingleNodeMatchesRunnerShape(t *testing.T) {
 	}
 	if rep.Accepted != 10 || rep.DeadlineHitRate != 1.0 {
 		t.Errorf("accepted=%d hit=%v", rep.Accepted, rep.DeadlineHitRate)
+	}
+}
+
+// runLockStep is the fleet oracle: the paper's environment advanced the
+// obvious way — place the epoch's arrivals, step every node, observe
+// every node in id order, move the clock one epoch — with no calendar,
+// no retirement and no closed-form window (it never calls steadyWindow,
+// so it is the event-skip-off reference too). It returns the fleet
+// report and every node's own report.
+func runLockStep(t *testing.T, cfg ClusterConfig) (*ClusterReport, []*Report) {
+	t.Helper()
+	cr, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allIdle := func() bool {
+		for _, n := range cr.nodes {
+			if !n.idle() {
+				return false
+			}
+		}
+		return true
+	}
+	for cr.accepted < cfg.AcceptTarget || !allIdle() {
+		if cr.now > cfg.Node.MaxCycles {
+			t.Fatalf("lock-step oracle exceeded the safety horizon with %d/%d accepted", cr.accepted, cfg.AcceptTarget)
+		}
+		epochEnd := cr.now + cfg.Node.EpochCycles
+		cr.placeArrivals(epochEnd) // wake is a no-op: every node's clock is the cluster's
+		for _, n := range cr.nodes {
+			n.step()
+		}
+		for id, n := range cr.nodes {
+			if fin := n.finishedCount(); fin > cr.lastFin[id] {
+				cr.lastFin[id] = fin
+				if cr.idx != nil {
+					cr.idx.noteFinished(id)
+				}
+			}
+		}
+		cr.now = epochEnd
+	}
+	return cr.report(), nodeReports(cr)
+}
+
+func nodeReports(cr *ClusterRunner) []*Report {
+	reps := make([]*Report, len(cr.nodes))
+	for i, n := range cr.nodes {
+		reps[i] = n.report()
+	}
+	return reps
+}
+
+// TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
+// event calendar, with fault plans as calendar entries and nodes that
+// cannot fast-forward simply staying due — to the lock-step oracle, on
+// the fleet report and on every node's report, at workers 1 and 4. The
+// oracle steps idle tails the calendar never replays, so the epoch
+// counters and the fragmentation ratios (whose denominator is the epoch
+// count) are the only fields masked.
+func TestClusterMatchesLockStepOracle(t *testing.T) {
+	type fleetCase struct {
+		name string
+		cfg  ClusterConfig
+		// What the case must demonstrably exercise, so it cannot go
+		// vacuous: fault transitions firing inside the run, closed-form
+		// skipping on the calendar side, controller retunes.
+		faults, skips, retunes bool
+	}
+	var cases []fleetCase
+	storm := func(seed int64, rate float64) fault.Plan {
+		return fault.Generate(seed, rate, 40_000_000, 4, 16)
+	}
+	for _, disp := range DispatcherNames() {
+		cfg := clusterSkipCfg()
+		cfg.Dispatcher = disp
+		cases = append(cases, fleetCase{name: disp, cfg: cfg, skips: true})
+		for seed := int64(1); seed <= 6; seed++ {
+			for _, rate := range []float64{100, 400, 1500} {
+				cfg := cfg
+				cfg.Node.Faults = storm(seed, rate)
+				// One cell is compared but cannot fire: oversub rejects
+				// nothing, drains the fleet in 22 Mcycles and is done before
+				// seed 5's only rate-100 event (28.7 Mcycles).
+				fires := !(disp == "oversub" && seed == 5 && rate == 100)
+				cases = append(cases, fleetCase{
+					name: fmt.Sprintf("%s/faults-seed%d-rate%v", disp, seed, rate),
+					cfg:  cfg, faults: fires, skips: true,
+				})
+			}
+		}
+	}
+	for _, ctrl := range []string{"pid", "aimd"} {
+		cfg := clusterSkipCfg()
+		cfg.Node.Policy = AllStrict
+		cfg.Node.EnforceWallClock = true
+		cfg.Node.RequestWays = 6
+		cfg.Node.Controller = ctrl
+		cfg.Node.CtrlIntervalCycles = 4 * cfg.Node.EpochCycles
+		cases = append(cases, fleetCase{name: ctrl, cfg: cfg, skips: true, retunes: true})
+		cfg.Node.Faults = storm(3, 400)
+		cases = append(cases, fleetCase{name: ctrl + "/faults", cfg: cfg, faults: true, skips: true, retunes: true})
+	}
+	{
+		cfg := clusterSkipCfg()
+		cfg.Node.Policy = AllStrictAutoDown
+		cfg.Node.Workload = workload.Mix1()
+		cases = append(cases, fleetCase{name: "autodown-mix1", cfg: cfg, skips: true})
+		cfg.Node.Faults = storm(2, 400)
+		cases = append(cases, fleetCase{name: "autodown-mix1/faults", cfg: cfg, faults: true, skips: true})
+	}
+	{
+		// Round-robin time-slicing: the nodes cannot fast-forward, answer
+		// nextHorizon() == now and stay due while they hold work.
+		cfg := clusterSkipCfg()
+		cfg.Node.SchedQuantumCycles = 50_000
+		cfg.Node.SwitchPenaltyCycles = 2_000
+		cases = append(cases, fleetCase{name: "quantum", cfg: cfg})
+		cfg.Node.Faults = storm(4, 400)
+		cases = append(cases, fleetCase{name: "quantum/faults", cfg: cfg, faults: true})
+	}
+	{
+		node := TraceConfig(Hybrid2, workload.Single("bzip2"))
+		node.JobInstr = 1_000_000
+		node.StealIntervalInstr = 50_000
+		cfg := ClusterConfig{Nodes: 3, Node: node, AcceptTarget: 9}
+		cases = append(cases, fleetCase{name: "trace-engine", cfg: cfg})
+		// Way faults need the table engine; cores and latency do not.
+		cfg.Node.Faults = fault.Plan{Events: []fault.Event{
+			{Kind: fault.CoreFail, At: 5_000_000, Duration: 8_000_000, Core: 1},
+			{Kind: fault.LatencySpike, At: 12_000_000, Duration: 5_000_000, Factor: 2},
+			{Kind: fault.CoreFail, At: 20_000_000, Core: 3},
+		}}
+		cases = append(cases, fleetCase{name: "trace-engine/faults", cfg: cfg, faults: true})
+	}
+
+	maskFleet := func(rep *ClusterReport) ClusterReport {
+		cp := *rep
+		cp.EpochsStepped, cp.EpochsSkipped = 0, 0
+		return cp
+	}
+	maskNode := func(rep *Report) Report {
+		cp := *rep
+		cp.EpochsStepped, cp.EpochsSkipped, cp.Frag = 0, 0, Fragmentation{}
+		return cp
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantFleet, wantNodes := runLockStep(t, tc.cfg)
+			for i, n := range wantNodes {
+				if n.EpochsSkipped != 0 || n.EpochsStepped != wantNodes[0].EpochsStepped {
+					t.Errorf("oracle node %d stepped %d and skipped %d epochs, node 0 stepped %d; lock-step steps every node every epoch",
+						i, n.EpochsStepped, n.EpochsSkipped, wantNodes[0].EpochsStepped)
+					break
+				}
+			}
+			var w1Fleet *ClusterReport
+			var w1Nodes []*Report
+			for _, workers := range []int{1, 4} {
+				cr, err := NewCluster(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fleet, err := cr.RunParallel(context.Background(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := nodeReports(cr)
+				if workers == 1 {
+					w1Fleet, w1Nodes = fleet, nodes
+				} else if !reflect.DeepEqual(fleet, w1Fleet) || !reflect.DeepEqual(nodes, w1Nodes) {
+					t.Errorf("workers=%d differs from workers=1:\nw1: %+v\nw%d: %+v", workers, w1Fleet, workers, fleet)
+				}
+				if got, want := maskFleet(fleet), maskFleet(wantFleet); !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d: fleet report differs from lock-step\ngot:  %+v\nwant: %+v", workers, got, want)
+				}
+				for i := range nodes {
+					if got, want := maskNode(nodes[i]), maskNode(wantNodes[i]); !reflect.DeepEqual(got, want) {
+						t.Errorf("workers=%d: node %d report differs from lock-step (later nodes not shown)\ngot:  %+v\nwant: %+v", workers, i, got, want)
+						break
+					}
+				}
+			}
+			fired, terminated := 0, 0
+			for _, n := range w1Nodes {
+				fired += n.Faults.CoreFails + n.Faults.WayFaults + n.Faults.LatencySpikes
+				terminated += n.Terminated
+			}
+			if tc.faults && fired == 0 {
+				t.Error("no fault transition fired inside the run; the case does not exercise a fault fleet")
+			}
+			if tc.skips && w1Fleet.EpochsSkipped == 0 {
+				t.Error("the calendar never fast-forwarded a node epoch; the identity proves nothing")
+			}
+			if tc.skips && w1Fleet.EpochsStepped >= wantFleet.EpochsStepped {
+				t.Errorf("the calendar stepped %d node-epochs, lock-step %d; it saves nothing",
+					w1Fleet.EpochsStepped, wantFleet.EpochsStepped)
+			}
+			if tc.retunes && w1Fleet.CtrlRetunes == 0 {
+				t.Error("the controller never ticked")
+			}
+			t.Logf("accepted %d, rejected probes %d, faults fired %d, terminated %d, node-epochs stepped %d (lock-step %d) skipped %d",
+				w1Fleet.Accepted, w1Fleet.RejectedProbes, fired, terminated,
+				w1Fleet.EpochsStepped, wantFleet.EpochsStepped, w1Fleet.EpochsSkipped)
+		})
 	}
 }

@@ -223,21 +223,6 @@ type Config struct {
 	// controller is active, so the cadence bounds how much skipping a
 	// closed-loop run can do.
 	CtrlIntervalCycles int64
-	// DisablePlanCache forces the engine to rebuild the epoch plan
-	// (core/way assignment) every epoch instead of reusing it between QoS
-	// events. Results are bit-identical either way — the cache only skips
-	// recomputation whose inputs have not changed — so this exists for
-	// verification and benchmarking, not semantics.
-	DisablePlanCache bool
-	// DisableEventSkip forces the engine to execute every steady-state
-	// epoch individually instead of advancing across provably-eventless
-	// windows in closed form (the event-horizon fast-forward, DESIGN
-	// §11). Results are bit-identical either way — a window is skipped
-	// only when every per-epoch quantity is proven constant across it —
-	// so this exists for verification and benchmarking, not semantics.
-	// The fast-forward also requires the plan cache, so
-	// DisablePlanCache implies it.
-	DisableEventSkip bool
 	// RecordSeries enables per-epoch telemetry sampling (running jobs,
 	// reserved ways, bus utilization) in the Report, at one sample per
 	// SeriesStride epochs (default 16 when enabled).

@@ -183,18 +183,6 @@ func TestClusterValidationModern(t *testing.T) {
 		t.Error("unknown dispatcher accepted")
 	}
 
-	seed := base
-	seed.SeedDerivation = "nope"
-	if err := seed.Validate(); err == nil {
-		t.Error("unknown seed derivation accepted")
-	}
-	for _, d := range []string{"", "mix", "legacy"} {
-		seed.SeedDerivation = d
-		if err := seed.Validate(); err != nil {
-			t.Errorf("seed derivation %q rejected: %v", d, err)
-		}
-	}
-
 	topk := base
 	topk.TopK = -1
 	if err := topk.Validate(); err == nil {
@@ -205,15 +193,9 @@ func TestClusterValidationModern(t *testing.T) {
 func TestNodeSeedDerivation(t *testing.T) {
 	cfg := clusterCfg(4, 10)
 	cfg.Node.Seed = 1
-	// Legacy seeds form the historical arithmetic lattice.
-	cfg.SeedDerivation = "legacy"
-	for i := 0; i < 4; i++ {
-		if got := cfg.nodeSeed(i); got != 1+int64(i)*101 {
-			t.Errorf("legacy seed %d = %d, want %d", i, got, 1+int64(i)*101)
-		}
-	}
-	// Mixed seeds must be distinct and not form that lattice.
-	cfg.SeedDerivation = "mix"
+	// Per-node seeds must be distinct and not form the arithmetic lattice
+	// (Seed + 101·i) the first cluster layer used, whose low bits
+	// correlate across nodes.
 	seen := map[int64]bool{}
 	lattice := 0
 	for i := 0; i < 64; i++ {
@@ -228,38 +210,6 @@ func TestNodeSeedDerivation(t *testing.T) {
 	}
 	if lattice > 1 {
 		t.Errorf("%d consecutive mixed seeds differ by 101 — not mixed", lattice)
-	}
-}
-
-func TestClusterSkipIdleMatchesLockStep(t *testing.T) {
-	// Skip-idle fast-forwarding is an optimization, not a semantic: a
-	// fleet with a (never-firing) fault plan steps every node every
-	// epoch, and must produce the same aggregates as the skip-idle run.
-	cfg := clusterCfg(4, 32)
-	crFast, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crFast.skipIdle {
-		t.Fatal("fault-free cluster should skip idle nodes")
-	}
-	fast, err := crFast.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slow := cfg
-	slowCr, err := NewCluster(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowCr.skipIdle = false
-	lock, err := slowCr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fast, lock) {
-		t.Errorf("skip-idle diverged from lock-step:\nfast %+v\nlock %+v", fast, lock)
 	}
 }
 

@@ -66,6 +66,11 @@ type Runner struct {
 	planOK        bool
 	planWaysDirty bool
 	planWake      int64
+	// rebuildPlans is set only by this package's differential tests: it
+	// makes buildPlan leave planOK clear, so every epoch is stepped on a
+	// plan rebuilt from scratch — the reference the cached plan and the
+	// fast-forward (which needs planOK) are held to.
+	rebuildPlans bool
 
 	// Event-horizon fast-forward (§11): when the cached plan holds and
 	// every per-epoch quantity is provably constant until the next
@@ -215,9 +220,8 @@ func New(cfg Config) (*Runner, error) {
 	// The fast-forward requires closed-form per-epoch deltas: the table
 	// model under processor sharing (round-robin time-slicing positions
 	// work inside the epoch, and the trace engine draws fresh RNG per
-	// epoch), a valid plan cache, and no per-epoch telemetry.
-	r.skipOK = !cfg.DisableEventSkip && !cfg.DisablePlanCache &&
-		cfg.Engine != EngineTrace && cfg.SchedQuantumCycles == 0 && !cfg.RecordSeries
+	// epoch) and no per-epoch telemetry.
+	r.skipOK = cfg.Engine != EngineTrace && cfg.SchedQuantumCycles == 0 && !cfg.RecordSeries
 	r.coreSched = make([]coreSchedState, cfg.Cores)
 	r.sc.byCore = make([][]*Job, cfg.Cores)
 	r.sc.load = make([]int, cfg.Cores)
@@ -408,9 +412,10 @@ func (r *Runner) finishedCount() int { return r.acceptedN - r.liveCount() }
 // skipped epochs contribute k empty-node fragmentation deltas and one
 // rolled-up bus window (zero misses yield zero utilization for any
 // window length, so one Roll(k·epoch) is exactly k Roll(epoch) calls).
-// The cluster layer calls this for nodes it stopped stepping; it is
-// only sound with no fault plan, no telemetry series, and no attached
-// sinks — the cluster's Validate enforces all three.
+// The cluster layer calls this for nodes it retired; it is only sound
+// with no fault point pending (capacity and latency factor constant —
+// the retire rule), no telemetry series (the cluster's Validate) and no
+// attached sinks (cluster nodes are never handed out).
 func (r *Runner) fastForwardIdle(to int64) {
 	k := (to - r.now) / r.cfg.EpochCycles
 	if k <= 0 {
@@ -430,7 +435,7 @@ func (r *Runner) fastForwardIdle(to int64) {
 // forces a rebuild. Event-driven invalidation (arrival, completion,
 // steal) clears planOK at the event site.
 func (r *Runner) buildPlan(byCore [][]*Job) {
-	if r.cfg.DisablePlanCache {
+	if r.rebuildPlans {
 		r.planOK = false
 		return
 	}

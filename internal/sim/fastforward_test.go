@@ -12,16 +12,21 @@ import (
 	"cmpqos/internal/workload"
 )
 
-// runWithEventSkip executes cfg with the event-horizon fast-forward
-// forced on or off and returns the canonical JSON rendering, the full
-// event trace, and the report (for the skip counters).
-func runWithEventSkip(t *testing.T, cfg Config, disable bool) ([]byte, []trace.Event, *Report) {
+// runEngine executes cfg on the production path or on one of the two
+// reference paths the differential tests compare it with — stepped:
+// every epoch executed, none fast-forwarded; rebuild: additionally the
+// epoch plan rebuilt from scratch every epoch — and returns the canonical
+// JSON rendering, the full event trace, and the report.
+func runEngine(t *testing.T, cfg Config, stepped, rebuild bool) ([]byte, []trace.Event, *Report) {
 	t.Helper()
-	cfg.DisableEventSkip = disable
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stepped {
+		r.skipOK = false
+	}
+	r.rebuildPlans = rebuild
 	rep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -31,6 +36,13 @@ func runWithEventSkip(t *testing.T, cfg Config, disable bool) ([]byte, []trace.E
 		t.Fatal(err)
 	}
 	return buf.Bytes(), rep.Recorder.Events(), rep
+}
+
+// runWithEventSkip runs cfg with the event-horizon fast-forward on or,
+// with disable set, every epoch stepped (the plan cache stays on).
+func runWithEventSkip(t *testing.T, cfg Config, disable bool) ([]byte, []trace.Event, *Report) {
+	t.Helper()
+	return runEngine(t, cfg, disable, false)
 }
 
 // TestEventSkipByteIdentity verifies the tentpole invariant: with the
@@ -158,12 +170,11 @@ func TestEventSkipFaultStorm(t *testing.T) {
 
 // clusterSkipCfg is the shared fleet scenario for the differential
 // cluster tests: big enough that nodes sleep and wake across arrivals,
-// small enough to run four configurations in test time.
-func clusterSkipCfg(disableSkip bool) ClusterConfig {
+// small enough to run many configurations in test time.
+func clusterSkipCfg() ClusterConfig {
 	node := DefaultConfig(Hybrid2, workload.Single("bzip2"))
 	node.JobInstr = 5_000_000
 	node.StealIntervalInstr = 100_000
-	node.DisableEventSkip = disableSkip
 	return ClusterConfig{
 		Nodes:        32,
 		Node:         node,
@@ -171,101 +182,38 @@ func clusterSkipCfg(disableSkip bool) ClusterConfig {
 	}
 }
 
-// TestClusterEventModeByteIdentity verifies the calendar layer: the
-// event-horizon fleet loop must produce a ClusterReport identical to the
-// epoch-by-epoch loop (skip counters aside) at any worker count.
-func TestClusterEventModeByteIdentity(t *testing.T) {
-	normalize := func(rep *ClusterReport) *ClusterReport {
-		cp := *rep
-		cp.EpochsStepped, cp.EpochsSkipped = 0, 0
-		return &cp
-	}
-	run := func(disableSkip bool, workers int) *ClusterReport {
-		t.Helper()
-		cr, err := NewCluster(clusterSkipCfg(disableSkip))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if disableSkip && cr.eventMode {
-			t.Fatal("eventMode held with DisableEventSkip set")
-		}
-		if !disableSkip && !cr.eventMode {
-			t.Fatal("fleet scenario did not enter event mode")
-		}
-		rep, err := cr.RunParallel(context.Background(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	baseline := run(true, 1)
-	onW1 := run(false, 1)
-	onW4 := run(false, 4)
-	if !reflect.DeepEqual(normalize(onW1), normalize(baseline)) {
-		t.Errorf("event-mode fleet (workers=1) differs from epoch-by-epoch:\non:  %+v\noff: %+v",
-			onW1, baseline)
-	}
-	if !reflect.DeepEqual(onW1, onW4) {
-		t.Errorf("event-mode fleet differs across worker counts:\nw1: %+v\nw4: %+v", onW1, onW4)
-	}
-	if onW1.EpochsSkipped == 0 {
-		t.Error("event-mode fleet never fast-forwarded a node epoch")
-	}
-	if onW1.EpochsStepped >= baseline.EpochsStepped {
-		t.Errorf("event mode stepped %d node-epochs, epoch-by-epoch stepped %d; the calendar saves nothing",
-			onW1.EpochsStepped, baseline.EpochsStepped)
-	}
-}
+// TestClusterCancellation is the regression for the fleet loop's
+// context handling: a canceled context must abort the run — both before
+// the first epoch and mid-fleet — rather than surviving to the next
+// multiple-of-256 poll as the legacy loop allowed.
+func TestClusterCancellation(t *testing.T) {
+	cfg := clusterSkipCfg()
+	cfg.AcceptTarget = 10_000 // long enough that cancellation races the run, not the finish
 
-// TestClusterFaultPlanDisablesEventMode pins the fallback: fault plans
-// must keep the legacy all-nodes stepping (fault events apply at their
-// configured cycles even on idle nodes).
-func TestClusterFaultPlanDisablesEventMode(t *testing.T) {
-	cfg := clusterSkipCfg(false)
-	cfg.Node.Faults = fault.Generate(1, 4, fault.DefaultHorizon, 4, 16)
 	cr, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.eventMode {
-		t.Fatal("event mode engaged under a fault plan")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cr.RunParallel(ctx, 2); err == nil {
+		t.Error("pre-canceled context did not abort the fleet")
 	}
-}
 
-// TestClusterCancellation is the satellite regression for the fleet
-// loop's context handling: a canceled context must abort the run — both
-// before the first epoch and mid-fleet — rather than surviving to the
-// next multiple-of-256 poll as the legacy loop allowed.
-func TestClusterCancellation(t *testing.T) {
-	for _, disableSkip := range []bool{false, true} {
-		cfg := clusterSkipCfg(disableSkip)
-		cfg.AcceptTarget = 10_000 // long enough that cancellation races the run, not the finish
-
-		cr, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
+	cr, err = NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
 		cancel()
-		if _, err := cr.RunParallel(ctx, 2); err == nil {
-			t.Errorf("disableSkip=%v: pre-canceled context did not abort the fleet", disableSkip)
-		}
-
-		cr, err = NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel = context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		if _, err := cr.RunParallel(ctx, 2); err == nil {
-			t.Errorf("disableSkip=%v: mid-run cancel did not abort the fleet", disableSkip)
-		} else if waited := time.Since(start); waited > 5*time.Second {
-			t.Errorf("disableSkip=%v: cancellation took %v to land", disableSkip, waited)
-		}
+	}()
+	start := time.Now()
+	if _, err := cr.RunParallel(ctx, 2); err == nil {
+		t.Error("mid-run cancel did not abort the fleet")
+	} else if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("cancellation took %v to land", waited)
 	}
 }
 
@@ -273,17 +221,16 @@ func TestClusterCancellation(t *testing.T) {
 // must land both on the stepped path and inside the closed-form advance
 // loop.
 func TestRunContextCancellation(t *testing.T) {
-	for _, disableSkip := range []bool{false, true} {
-		cfg := planCacheCfg(Hybrid2, "bzip2")
-		cfg.DisableEventSkip = disableSkip
-		r, err := New(cfg)
+	for _, stepped := range []bool{false, true} {
+		r, err := New(planCacheCfg(Hybrid2, "bzip2"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.skipOK = !stepped
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := r.RunContext(ctx); err == nil {
-			t.Errorf("disableSkip=%v: pre-canceled context did not abort the run", disableSkip)
+			t.Errorf("stepped=%v: pre-canceled context did not abort the run", stepped)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,25 +20,13 @@ func planCacheCfg(pol Policy, bench string) Config {
 	return cfg
 }
 
-// runWithPlanCache executes cfg with the epoch-plan cache forced on or
-// off and returns the canonical JSON rendering plus the full event
-// trace.
+// runWithPlanCache runs cfg on the production path or, with disable set,
+// stepped with the plan rebuilt every epoch, and returns the canonical
+// JSON rendering plus the full event trace.
 func runWithPlanCache(t *testing.T, cfg Config, disable bool) ([]byte, []trace.Event) {
 	t.Helper()
-	cfg.DisablePlanCache = disable
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), rep.Recorder.Events()
+	js, events, _ := runEngine(t, cfg, disable, disable)
+	return js, events
 }
 
 // TestPlanCacheByteIdentity verifies the tentpole invariant: with the
@@ -49,11 +38,12 @@ func runWithPlanCache(t *testing.T, cfg Config, disable bool) ([]byte, []trace.E
 // and wall-clock termination — plus the no-admission policies whose
 // plans only change on arrival/completion.
 func TestPlanCacheByteIdentity(t *testing.T) {
-	cases := []struct {
+	type planCase struct {
 		name   string
 		cfg    Config
 		events []trace.EventKind // kinds that must occur for the scenario to count
-	}{
+	}
+	cases := []planCase{
 		{
 			name: "arrivals-completions-steals-rollbacks",
 			cfg:  planCacheCfg(Hybrid2, "bzip2"),
@@ -97,6 +87,39 @@ func TestPlanCacheByteIdentity(t *testing.T) {
 			events: []trace.EventKind{trace.Accepted, trace.Completed},
 		},
 	}
+	// Config shapes the experiment registry runs and the scenarios above
+	// do not: the geometry sweep's other L2 sizes, the policies sweep's
+	// scheduler×allocator pairs on Mix-1, the feedback experiment's
+	// closed-loop cells (fault storm and scripted bursts), the trace
+	// engine.
+	for _, g := range []struct{ mb, ways int }{{1, 8}, {4, 32}} {
+		cfg := planCacheCfg(Hybrid2, "bzip2")
+		cfg.L2.SizeBytes, cfg.L2.Ways, cfg.RequestWays = g.mb<<20, g.ways, g.ways*7/16
+		cases = append(cases, planCase{
+			name: fmt.Sprintf("geometry-%dMB-%dway", g.mb, g.ways), cfg: cfg,
+			events: []trace.EventKind{trace.Accepted, trace.Completed, trace.StealWay},
+		})
+	}
+	for _, g := range []struct{ sched, alloc string }{{"reserved", "ucp"}, {"packed", "reserved"}, {"packed", "ucp"}} {
+		cfg := fastConfig(Hybrid2, workload.Mix1())
+		cfg.Scheduler, cfg.Allocator = g.sched, g.alloc
+		cases = append(cases, planCase{
+			name: "pipeline-" + g.sched + "-" + g.alloc, cfg: cfg,
+			events: []trace.EventKind{trace.Accepted, trace.Completed},
+		})
+	}
+	for _, ctrl := range []string{"pid", "aimd"} {
+		cases = append(cases,
+			planCase{name: ctrl + "-fault-storm", cfg: ctrlStormCfg(ctrl),
+				events: []trace.EventKind{trace.WayFault, trace.CoreFail, trace.Completed}},
+			planCase{name: ctrl + "-bursty-arrivals", cfg: ctrlBurstCfg(ctrl),
+				events: []trace.EventKind{trace.Accepted, trace.Completed}})
+	}
+	traced := TraceConfig(Hybrid2, workload.Single("bzip2"))
+	traced.JobInstr = 1_000_000
+	traced.StealIntervalInstr = 50_000
+	cases = append(cases, planCase{name: "trace-engine", cfg: traced,
+		events: []trace.EventKind{trace.Accepted, trace.Completed}})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cachedJSON, cachedEvents := runWithPlanCache(t, tc.cfg, false)
@@ -147,19 +170,19 @@ func TestPlanCacheReusesPlans(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabledRebuildsEveryEpoch pins the control knob: with
-// DisablePlanCache set, planOK must never hold.
+// TestPlanCacheDisabledRebuildsEveryEpoch pins the reference switch the
+// differential tests lean on: with rebuildPlans set, planOK must never
+// hold.
 func TestPlanCacheDisabledRebuildsEveryEpoch(t *testing.T) {
-	cfg := planCacheCfg(Hybrid2, "bzip2")
-	cfg.DisablePlanCache = true
-	r, err := New(cfg)
+	r, err := New(planCacheCfg(Hybrid2, "bzip2"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.rebuildPlans = true
 	for !r.done() {
 		r.step()
 		if r.planOK {
-			t.Fatal("planOK held with DisablePlanCache set")
+			t.Fatal("planOK held with rebuildPlans set")
 		}
 	}
 }

@@ -185,7 +185,6 @@ func TestFoldViolationAccounting(t *testing.T) {
 // sampled job — the signal the feedback controller steers on.
 func TestShadowSlowdownUnderDarkWays(t *testing.T) {
 	cfg := fastConfig(Hybrid2, workload.Single("bzip2"))
-	cfg.DisableEventSkip = true
 	faultAt := 20 * cfg.EpochCycles
 	cfg.Faults = fault.Plan{Events: []fault.Event{
 		{Kind: fault.WayFault, At: faultAt, Ways: cfg.L2.Ways / 2},

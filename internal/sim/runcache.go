@@ -10,7 +10,8 @@ import (
 
 // CacheKey canonically serializes the configuration for run memoization.
 // Config is a plain value: every field is a scalar, string, struct, or
-// slice thereof — no pointers, maps, or functions — so the %#v rendering
+// slice thereof — no pointers, maps, or functions, which
+// TestConfigIsPlainValue checks field by field — so the %#v rendering
 // is deterministic, and Go's shortest-round-trip float formatting makes
 // distinct float64 values render distinctly. Two configs with equal keys
 // therefore describe bit-identical simulations.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,7 +59,7 @@ func TestRunCacheDistinguishesConfigs(t *testing.T) {
 		func(cfg *Config) { cfg.Seed++ },
 		func(cfg *Config) { cfg.ElasticSlack += 0.001 },
 		func(cfg *Config) { cfg.Policy = AllStrict },
-		func(cfg *Config) { cfg.DisablePlanCache = true },
+		func(cfg *Config) { cfg.L2.Ways = 32 },
 	}
 	if _, err := c.Run(base); err != nil {
 		t.Fatal(err)
@@ -76,16 +77,27 @@ func TestRunCacheDistinguishesConfigs(t *testing.T) {
 	if got, want := c.Computes(), int64(1+len(variants)); got != want {
 		t.Errorf("Computes() = %d, want %d (every variant must run fresh)", got, want)
 	}
-	// DisablePlanCache on vs off must still agree on results even though
-	// the keys differ.
-	rep1, _ := c.Run(base)
-	cfg := base
-	cfg.DisablePlanCache = true
-	rep2, _ := c.Run(cfg)
-	if rep1.TotalCycles != rep2.TotalCycles || rep1.Rejected != rep2.Rejected {
-		t.Errorf("plan cache changed results: cycles %d vs %d, rejected %d vs %d",
-			rep1.TotalCycles, rep2.TotalCycles, rep1.Rejected, rep2.Rejected)
+}
+
+// TestConfigIsPlainValue checks the invariant CacheKey's %#v rendering
+// rests on: no field of Config, at any depth, is a pointer, map, func,
+// chan, interface or unsafe pointer — kinds that render as an address
+// (two equal configs get two keys) or in no fixed order.
+func TestConfigIsPlainValue(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Ptr, reflect.Map, reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: Config.CacheKey would no longer be canonical", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Slice, reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
 	}
+	walk("Config", reflect.TypeOf(Config{}))
 }
 
 // TestRunCacheNilRunsFresh: a nil cache is the documented off switch —
