@@ -27,7 +27,7 @@ func main() {
 		width     = flag.Int("width", 80, "gantt width in columns")
 		instr     = flag.Int64("instr", 20_000_000, "instructions per job")
 		seed      = flag.Int64("seed", 1, "random seed")
-		events    = flag.Bool("events", false, "also dump the raw event log")
+		events    = flag.Bool("events", false, "attach the event log to the run and dump it (every probe, lifecycle and fault event)")
 		series    = flag.Bool("series", false, "also print per-epoch telemetry")
 		asJSON    = flag.Bool("json", false, "emit the full report as JSON instead of text")
 		faults    = flag.String("faults", "", "fault plan file, or a fault rate (events per gigacycle) to generate one")
@@ -66,6 +66,10 @@ func main() {
 	if err != nil {
 		cli.Fail(prog, err)
 	}
+	var log sim.EventLog
+	if *events {
+		r.AddSink(&log)
+	}
 	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
 	rep, err := r.RunContext(ctx)
@@ -83,7 +87,7 @@ func main() {
 	fmt.Print(rep.Gantt(*width))
 	if *events {
 		fmt.Println("\nevent log:")
-		for _, e := range rep.Recorder.Events() {
+		for _, e := range log.Events() {
 			fmt.Printf("%14d  job %-5d %s\n", e.Cycle, e.JobID, e.Kind)
 		}
 	}

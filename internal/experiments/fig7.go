@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cmpqos/internal/sim"
-	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
 
@@ -51,7 +50,6 @@ func Fig7(o Options) (*Fig7Result, error) {
 			}
 		}
 	}
-	_ = trace.Submitted // package retained for documentation linkage
 	return res, nil
 }
 

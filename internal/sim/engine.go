@@ -6,26 +6,24 @@ import (
 
 	"cmpqos/internal/mem"
 	"cmpqos/internal/qos"
-	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
 
 // Runner executes one simulation configuration to completion. The
 // epoch loop lives here; the policy decisions it sequences — core
 // assignment, way allocation, admission placement — are the registered
-// pipeline stages resolved at construction (registry.go), and every
-// consumer of the run observes it through the sink stream (sink.go).
+// pipeline stages resolved at construction (registry.go); what consumes
+// the run, built in or attached, is in sink.go.
 type Runner struct {
 	cfg      Config
 	lac      *qos.LAC
 	bus      *mem.Bus
-	rec      *trace.Recorder
 	model    model
 	sched    Scheduler
 	wayAlloc WayAllocator
-	// sinks holds AddSink observers only; the built-in consumers (rec,
-	// frag, seriesS) are concrete fields so emit and endEpoch reach them
-	// without dynamic dispatch on the hot path (see sink.go).
+	// sinks holds AddSink observers only; the built-in consumers (frag,
+	// seriesS) are concrete fields so step reaches them without dynamic
+	// dispatch on the hot path (see sink.go).
 	sinks   []Sink
 	frag    *fragSink
 	seriesS *seriesSink
@@ -156,7 +154,6 @@ func New(cfg Config) (*Runner, error) {
 	r := &Runner{
 		cfg:       cfg,
 		bus:       mem.NewBus(cfg.Mem),
-		rec:       &trace.Recorder{},
 		dlmix:     workload.NewDeadlineMix(cfg.Seed),
 		twByBench: map[string]int64{},
 		profByKey: map[string]workload.Profile{},
@@ -194,9 +191,8 @@ func New(cfg Config) (*Runner, error) {
 	// would otherwise materialize one arrival tape per node.
 	if cfg.FoldCompleted {
 		// Streaming mode: per-job outcomes fold into aggregates at
-		// completion and the event trace is not retained, so memory stays
-		// O(live jobs) regardless of how many jobs the run admits.
-		r.rec = nil
+		// completion, so memory stays O(live jobs) regardless of how many
+		// jobs the run admits.
 		r.fold = newJobFold()
 	}
 
@@ -235,9 +231,6 @@ func New(cfg Config) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// Recorder exposes the event recorder (populated during Run).
-func (r *Runner) Recorder() *trace.Recorder { return r.rec }
 
 // Config returns the run's configuration. Pipeline implementations
 // registered from outside this package read geometry and policy
@@ -370,8 +363,8 @@ func (r *Runner) step() {
 		IdleCores: idleCores, IdleWays: idleWays, InternalWays: internal,
 	}
 	r.frag.EpochEnd(st)
-	if r.seriesS != nil || len(r.sinks) != 0 {
-		r.endEpochSlow(st)
+	if r.seriesS != nil {
+		r.seriesS.EpochEnd(st)
 	}
 	r.now = epochEnd
 	r.epochIdx++
@@ -414,8 +407,7 @@ func (r *Runner) finishedCount() int { return r.acceptedN - r.liveCount() }
 // window length, so one Roll(k·epoch) is exactly k Roll(epoch) calls).
 // The cluster layer calls this for nodes it retired; it is only sound
 // with no fault point pending (capacity and latency factor constant —
-// the retire rule), no telemetry series (the cluster's Validate) and no
-// attached sinks (cluster nodes are never handed out).
+// the retire rule) and no telemetry series (the cluster's Validate).
 func (r *Runner) fastForwardIdle(to int64) {
 	k := (to - r.now) / r.cfg.EpochCycles
 	if k <= 0 {

@@ -172,7 +172,7 @@ func (r *Runner) steadyWindow(maxK int64) int64 {
 // steadyAttempt is steadyWindow's proof body, separated so the backoff
 // above can meter how often it runs.
 func (r *Runner) steadyAttempt(maxK int64) int64 {
-	if !r.skipOK || !r.planOK || r.planWaysDirty || r.seriesS != nil || len(r.sinks) != 0 {
+	if !r.skipOK || !r.planOK || r.planWaysDirty || r.seriesS != nil {
 		return 0
 	}
 	E := r.cfg.EpochCycles

@@ -27,6 +27,8 @@ func runEngine(t *testing.T, cfg Config, stepped, rebuild bool) ([]byte, []trace
 		r.skipOK = false
 	}
 	r.rebuildPlans = rebuild
+	log := &EventLog{}
+	r.AddSink(log)
 	rep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +37,7 @@ func runEngine(t *testing.T, cfg Config, stepped, rebuild bool) ([]byte, []trace
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), rep.Recorder.Events(), rep
+	return buf.Bytes(), log.Events(), rep
 }
 
 // runWithEventSkip runs cfg with the event-horizon fast-forward on or,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -86,14 +85,10 @@ func TestFaultViolation(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.WayFault, At: 300_000_000, Duration: 2_000_000_000, Ways: 14},
 	}}
-	rep := runFaulted(t, faultCfg(AllStrict, plan))
+	rep, rec := mustRunLogged(t, faultCfg(AllStrict, plan))
 	if rep.Faults.Violations == 0 {
 		t.Errorf("14 dark ways produced no violation (evictions=%d readmitted=%d)",
 			rep.Faults.Evictions, rep.Faults.Readmitted)
-	}
-	rec := &trace.Recorder{}
-	for _, e := range rep.Recorder.Events() {
-		rec.Record(e)
 	}
 	if rec.Count(trace.QoSViolation) != rep.Faults.Violations {
 		t.Errorf("trace has %d QoSViolation events, stats say %d",
@@ -108,14 +103,10 @@ func TestFaultCoreFailRecover(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.CoreFail, At: 200_000_000, Duration: 400_000_000, Core: 1},
 	}}
-	rep := runFaulted(t, faultCfg(Hybrid2, plan))
+	rep, rec := mustRunLogged(t, faultCfg(Hybrid2, plan))
 	f := rep.Faults
 	if f.CoreFails != 1 || f.CoreRecovers != 1 {
 		t.Fatalf("CoreFails=%d CoreRecovers=%d, want 1/1", f.CoreFails, f.CoreRecovers)
-	}
-	rec := &trace.Recorder{}
-	for _, e := range rep.Recorder.Events() {
-		rec.Record(e)
 	}
 	if rec.Count(trace.CoreFail) != 1 || rec.Count(trace.CoreRecover) != 1 {
 		t.Errorf("trace CoreFail/CoreRecover = %d/%d, want 1/1",
@@ -227,17 +218,14 @@ func TestFaultSeedByteIdentityAcrossWorkers(t *testing.T) {
 		}
 	}
 	render := func(workers int) [][]byte {
-		reps, err := RunAll(context.Background(), workers, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reps, logs := runAllLogged(t, workers, cfgs)
 		out := make([][]byte, len(reps))
 		for i, rep := range reps {
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range rep.Recorder.Events() {
+			for _, e := range logs[i].Events() {
 				fmt.Fprintf(&buf, "%d %d %d %d %v\n", e.Cycle, e.JobID, e.Kind, e.Detail, e.DeadlineMet)
 			}
 			out[i] = buf.Bytes()
@@ -286,11 +274,11 @@ func TestRunCacheKeyIncludesFaultPlan(t *testing.T) {
 // nothing: an empty plan produces no fault trace events and no fault
 // stats, so fault-free runs stay byte-compatible with pre-fault output.
 func TestNoFaultPlanIsFreeOfFaultEvents(t *testing.T) {
-	rep := runFaulted(t, faultCfg(Hybrid2, fault.Plan{}))
+	rep, log := mustRunLogged(t, faultCfg(Hybrid2, fault.Plan{}))
 	if rep.Faults != (FaultStats{}) {
 		t.Errorf("empty plan produced fault stats: %+v", rep.Faults)
 	}
-	for _, e := range rep.Recorder.Events() {
+	for _, e := range log.Events() {
 		switch e.Kind {
 		case trace.CoreFail, trace.CoreRecover, trace.WayFault, trace.WayRecover,
 			trace.LatencySpike, trace.AutoDowngrade, trace.QoSViolation:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cmpqos/internal/qos"
+	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
 
@@ -87,26 +88,17 @@ func TestStealingPausesUnderSaturation(t *testing.T) {
 	// bus it steals freely. Compare steal-event counts.
 	base := fastConfig(Hybrid2, workload.Single("mcf"))
 	base.TwMargin = 2.0 // contention headroom so jobs still admit/finish
-	normal := mustRun(t, base)
+	normal, normalLog := mustRunLogged(t, base)
 
 	sat := base
 	sat.Mem.PeakBytesPerS = 0.4e9 // mcf alone exceeds this: permanent saturation
 	// tw must budget the saturated miss penalty (capped at 4x base).
 	sat.TwMargin = 4.5
-	satRep := mustRun(t, sat)
+	satRep, satLog := mustRunLogged(t, sat)
 
-	countSteals := func(rep *Report) int {
-		n := 0
-		for _, e := range rep.Recorder.Events() {
-			if e.Kind.String() == "steal-way" {
-				n++
-			}
-		}
-		return n
-	}
-	if countSteals(satRep) >= countSteals(normal) && countSteals(normal) > 0 {
-		t.Errorf("saturated bus should suppress stealing: %d vs %d",
-			countSteals(satRep), countSteals(normal))
+	satSteals, steals := satLog.Count(trace.StealWay), normalLog.Count(trace.StealWay)
+	if satSteals >= steals && steals > 0 {
+		t.Errorf("saturated bus should suppress stealing: %d vs %d", satSteals, steals)
 	}
 	// Deadlines still hold in both (tw was budgeted with margin).
 	if normal.DeadlineHitRate != 1.0 || satRep.DeadlineHitRate != 1.0 {
@@ -167,6 +159,10 @@ func TestReportInternalConsistency(t *testing.T) {
 	for _, pol := range Policies() {
 		rep := mustRun(t, fastConfig(pol, workload.Single("hmmer")))
 		var maxDone int64
+		deadlines := map[int]int64{}
+		for _, l := range rep.Lanes {
+			deadlines[l.JobID] = l.Deadline
+		}
 		for _, j := range rep.Jobs {
 			if j.Completed > maxDone {
 				maxDone = j.Completed
@@ -175,8 +171,8 @@ func TestReportInternalConsistency(t *testing.T) {
 				t.Errorf("%v job %d: times out of order (%d/%d/%d)",
 					pol, j.ID, j.Arrival, j.Started, j.Completed)
 			}
-			if _, ok := rep.Deadlines[j.ID]; !ok {
-				t.Errorf("%v job %d missing from deadline map", pol, j.ID)
+			if d, ok := deadlines[j.ID]; !ok || d != j.Deadline {
+				t.Errorf("%v job %d: lane deadline %d (present %v), want %d", pol, j.ID, d, ok, j.Deadline)
 			}
 		}
 		if rep.TotalCycles != maxDone {

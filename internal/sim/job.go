@@ -61,7 +61,11 @@ type Job struct {
 	StartAt   int64 // when the job becomes eligible to run
 	Started   int64
 	Completed int64
-	switched  bool // auto-downgraded job has reverted to Strict
+	// The rest of the job's Figure-7 lane (Report.Lanes; the others are
+	// Completed, Deadline, AutoDowngraded and MetDeadline), written where
+	// the Started and SwitchedBack events are emitted.
+	firstStart int64 // Started is overwritten when a fault suspends and restarts the job
+	switchedAt int64 // cycle of the last switch-back, 0 = never
 
 	// Execution progress.
 	InstrTotal int64
@@ -77,8 +81,11 @@ type Job struct {
 	// ways above the reservation, never shrink below it.
 	ctrlBoost int
 
-	// Automatic downgrade state (§3.4).
+	// Automatic downgrade state (§3.4). The flags share one word: a Job
+	// is allocated per accepted job and fills its 448-byte size class.
 	AutoDowngraded bool
+	switched       bool  // auto-downgraded job has reverted to Strict
+	started        bool  // the job has run: firstStart is set
 	SwitchBack     int64 // cycle at which the job reverts to Strict
 	ReservationID  int
 

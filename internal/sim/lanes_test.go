@@ -1,0 +1,213 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"cmpqos/internal/fault"
+	"cmpqos/internal/trace"
+	"cmpqos/internal/workload"
+)
+
+// fig3Cfg rebuilds fig3's scenario configuration (internal/experiments
+// cannot be imported here); fig7's two are the defaults on bzip2.
+func fig3Cfg(p Policy) Config {
+	comp := workload.Composition{Name: "fig3"}
+	for i := 0; i < 6; i++ {
+		hint := workload.HintStrict
+		switch i {
+		case 2, 5:
+			hint = workload.HintOpportunistic
+		case 1, 4:
+			hint = workload.HintElastic
+		}
+		comp.Jobs = append(comp.Jobs, workload.JobTemplate{Benchmark: "bzip2", Hint: hint})
+	}
+	cfg := DefaultConfig(p, comp)
+	cfg.AcceptTarget = 6
+	cfg.RequestWays = 6
+	cfg.DeadlineFactor = 1.5
+	return cfg
+}
+
+// TestLanesMatchEventReplay holds the lanes the runner keeps on its job
+// rows to the reference fold: trace.Recorder.Lanes replayed over the
+// attached event log of the same run must equal Report.Lanes. The grid
+// is every policy on the paper's three workloads (fig7's two scenarios
+// among them), fig3's three, a wall-clock termination (a terminated job
+// draws no lane), and seeded fault storms — which must, between them,
+// suspend and restart a job that later completes (Job.Started is
+// overwritten, the lane keeps the first start), downgrade one a second
+// time, and switch one back twice (the lane keeps the last). It also
+// pins that the attached log is the log the runner used to keep for
+// itself: every submission is there, answered by exactly one Accepted
+// or Rejected.
+func TestLanesMatchEventReplay(t *testing.T) {
+	type laneCase struct {
+		name string
+		cfg  Config
+	}
+	var cases []laneCase
+	for _, w := range []workload.Composition{workload.Single("bzip2"), workload.Mix1(), workload.Mix2()} {
+		for _, p := range append(Policies(), UCPPart) {
+			cases = append(cases, laneCase{p.String() + "/" + w.Name, DefaultConfig(p, w)})
+		}
+	}
+	for _, p := range []Policy{AllStrict, Hybrid1, Hybrid2} {
+		cases = append(cases, laneCase{"fig3/" + p.String(), fig3Cfg(p)})
+	}
+	overrun := planCacheCfg(Hybrid2, "bzip2")
+	overrun.EnforceWallClock, overrun.OverrunFactor, overrun.OverrunJobSlot = true, 3, 0
+	cases = append(cases, laneCase{"wallclock-termination", overrun})
+	for _, rate := range []float64{4, 8, 16} {
+		for _, p := range []Policy{AllStrict, AllStrictAutoDown, Hybrid2} {
+			for seed := int64(1); seed <= 8; seed++ {
+				cases = append(cases, laneCase{
+					name: fmt.Sprintf("%v/storm-rate%v-seed%d", p, rate, seed),
+					cfg:  faultCfg(p, fault.Generate(seed, rate, fault.DefaultHorizon, 4, 16)),
+				})
+			}
+		}
+	}
+
+	var restarted, redowngraded, reswitched, laneless int
+	for _, tc := range cases {
+		rep, log := mustRunLogged(t, tc.cfg)
+		deadlines := make(map[int]int64, len(rep.Jobs))
+		for _, j := range rep.Jobs {
+			deadlines[j.ID] = j.Deadline
+		}
+		if want := log.Lanes(deadlines); len(want) != len(rep.Lanes) || len(want) > 0 && !reflect.DeepEqual(rep.Lanes, want) {
+			t.Errorf("%s: Report.Lanes differ from the event-log replay\n got: %+v\nwant: %+v", tc.name, rep.Lanes, want)
+		}
+		sub, acc, rej := log.Count(trace.Submitted), log.Count(trace.Accepted), log.Count(trace.Rejected)
+		if rej != rep.Rejected || acc != rep.AcceptedJobs || sub != acc+rej || sub == 0 {
+			t.Errorf("%s: log holds %d Submitted, %d Accepted, %d Rejected; report counts %d accepted, %d rejected",
+				tc.name, sub, acc, rej, rep.AcceptedJobs, rep.Rejected)
+		}
+		laneless += len(rep.Jobs) - len(rep.Lanes)
+		type key struct {
+			id   int
+			kind trace.EventKind
+		}
+		n := map[key]int{}
+		for _, e := range log.Events() {
+			n[key{e.JobID, e.Kind}]++
+		}
+		for _, l := range rep.Lanes {
+			if n[key{l.JobID, trace.Started}] > 1 {
+				restarted++
+			}
+			if n[key{l.JobID, trace.Downgraded}] > 1 {
+				redowngraded++
+			}
+			if n[key{l.JobID, trace.SwitchedBack}] > 1 {
+				reswitched++
+			}
+		}
+	}
+	if restarted == 0 || redowngraded == 0 || reswitched == 0 || laneless == 0 {
+		t.Errorf("grid too tame: %d restarted, %d re-downgraded, %d twice-switched-back lanes, %d jobs without one; each must occur",
+			restarted, redowngraded, reswitched, laneless)
+	}
+}
+
+// TestRejectedSubmitAllocatesNothing pins the rejection path of the
+// default pipeline (no sink attached): under the paper's arrival
+// pressure rejected probes outnumber accepted jobs ~80:1, so a probe
+// that allocates is the run's allocation profile. Bytes are counted, not
+// mallocs: a log that grows by 16k-event blocks allocates in so few
+// mallocs that testing.AllocsPerRun's integer division reads zero.
+// TotalAlloc is process-wide, so the quietest of a few rounds is the
+// reading — a stray runtime allocation lands in one round, a per-probe
+// one in all of them.
+func TestRejectedSubmitAllocatesNothing(t *testing.T) {
+	tmpl := workload.JobTemplate{Benchmark: "bzip2"} // Strict under every policy
+	for _, p := range []Policy{AllStrict, Hybrid2, AllStrictAutoDown} {
+		r, err := New(DefaultConfig(p, workload.Single("bzip2")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+			if r.acceptedN > 64 {
+				t.Fatalf("%v: node never fills", p)
+			}
+		}
+		const rounds, probes = 5, 10_000
+		quietest := ^uint64(0)
+		for round := 0; round < rounds; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < probes; i++ {
+				if r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+					t.Fatalf("%v: a full node accepted probe %d", p, i)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got < quietest {
+				quietest = got
+			}
+		}
+		if quietest != 0 {
+			t.Errorf("%v: %d rejected probes allocated %d bytes, want 0", p, probes, quietest)
+		}
+		if r.rejected < rounds*probes {
+			t.Errorf("%v: rejected counter %d after %d rejected probes", p, r.rejected, rounds*probes)
+		}
+	}
+}
+
+// TestFoldCompletedReportRenders pins the two report accessors that
+// assumed per-job rows: a streaming (FoldCompleted) report has neither
+// rows nor lanes, so its Gantt is the empty chart — it used to
+// dereference the nil recorder — and its Throughput is computed from the
+// accepted-job count, equal to the batch report's on the same config
+// (it used to divide len(Jobs) == 0).
+func TestFoldCompletedReportRenders(t *testing.T) {
+	cfg := fastConfig(Hybrid2, workload.Single("bzip2"))
+	batch := mustRun(t, cfg)
+	cfg.FoldCompleted = true
+	fold := mustRun(t, cfg)
+	if len(fold.Jobs) != 0 || len(fold.Lanes) != 0 {
+		t.Fatalf("fold-mode report carries %d rows, %d lanes", len(fold.Jobs), len(fold.Lanes))
+	}
+	if got := fold.Gantt(40); got != "(no completed jobs)\n" {
+		t.Errorf("fold-mode Gantt = %q", got)
+	}
+	if len(batch.Lanes) == 0 {
+		t.Error("batch-mode report draws no lanes")
+	}
+	if bt, ft := batch.Throughput(), fold.Throughput(); bt <= 0 || ft != bt {
+		t.Errorf("throughput: batch %v, fold %v; want equal and positive", bt, ft)
+	}
+}
+
+// BenchmarkRunEventLog prices the attached event log on one paper-scale
+// run (DESIGN §9 quotes it): the same configuration with no sink and
+// with an EventLog, -benchmem for the bytes.
+func BenchmarkRunEventLog(b *testing.B) {
+	cfg := DefaultConfig(AllStrict, workload.Single("bzip2"))
+	for _, attach := range []bool{false, true} {
+		name := "detached"
+		if attach {
+			name = "attached"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if attach {
+					r.AddSink(&EventLog{})
+				}
+				if _, err := r.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -64,7 +64,10 @@ type Report struct {
 	Engine   Engine
 	Workload string
 
-	Jobs     []JobResult // the accepted jobs, in acceptance order
+	Jobs []JobResult // the accepted jobs, in acceptance order
+	// Lanes holds the Figure 7 lane of every job in Jobs that ran to
+	// completion (terminated jobs draw none), in acceptance order.
+	Lanes    []trace.Lane
 	Rejected int
 	// Terminated counts accepted jobs killed for exceeding their
 	// reserved wall-clock budget (EnforceWallClock).
@@ -109,10 +112,6 @@ type Report struct {
 	// automatic mode downgrade (§5).
 	AutoDowngradedJobs int
 
-	// Recorder holds the full event trace; Deadlines maps job ID to its
-	// absolute deadline for Gantt rendering.
-	Recorder  *trace.Recorder
-	Deadlines map[int]int64
 	// Series holds the per-epoch telemetry when RecordSeries is set.
 	Series []SeriesSample
 	// Frag is the run's resource-fragmentation accounting.
@@ -245,24 +244,29 @@ func (r *Runner) foldJob(j *Job) {
 // report assembles the Report after the run loop terminates.
 func (r *Runner) report() *Report {
 	rep := &Report{
-		Policy:    r.cfg.Policy,
-		Engine:    r.cfg.Engine,
-		Workload:  r.cfg.Workload.Name,
-		Rejected:  r.rejected,
-		Recorder:  r.rec,
-		Deadlines: map[int]int64{},
+		Policy:   r.cfg.Policy,
+		Engine:   r.cfg.Engine,
+		Workload: r.cfg.Workload.Name,
+		Rejected: r.rejected,
 	}
 	f := r.fold
 	if f == nil {
 		// Batch mode: every accepted job is still in the slice; fold them
 		// in acceptance order (the historical accumulation order) while
-		// materializing the per-job rows.
+		// materializing the per-job rows and lanes.
 		f = newJobFold()
+		rep.Jobs = make([]JobResult, 0, len(r.accepted))
+		rep.Lanes = make([]trace.Lane, 0, len(r.accepted))
 		for _, j := range r.accepted {
 			res := r.jobResult(j)
 			f.add(r, j, res)
 			rep.Jobs = append(rep.Jobs, res)
-			rep.Deadlines[j.ID] = j.Deadline
+			if j.State == StateDone {
+				rep.Lanes = append(rep.Lanes, trace.Lane{
+					JobID: j.ID, Start: j.firstStart, End: j.Completed, Deadline: j.Deadline,
+					SwitchBack: j.switchedAt, Downgraded: j.AutoDowngraded, Met: res.Met,
+				})
+			}
 		}
 	}
 	rep.AcceptedJobs = f.jobs
@@ -306,7 +310,7 @@ func (r *Runner) report() *Report {
 
 // Gantt renders the run as a Figure 7 style execution trace.
 func (rep *Report) Gantt(width int) string {
-	return trace.Gantt(rep.Recorder.Lanes(rep.Deadlines), width)
+	return trace.Gantt(rep.Lanes, width)
 }
 
 // Throughput returns jobs per gigacycle — a convenience inverse of
@@ -315,7 +319,7 @@ func (rep *Report) Throughput() float64 {
 	if rep.TotalCycles == 0 {
 		return 0
 	}
-	return float64(len(rep.Jobs)) / (float64(rep.TotalCycles) / 1e9)
+	return float64(rep.AcceptedJobs) / (float64(rep.TotalCycles) / 1e9)
 }
 
 // Speedup returns this report's throughput relative to a baseline run

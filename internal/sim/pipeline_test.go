@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -91,9 +90,9 @@ func pipelineGrid() []Config {
 	return cfgs
 }
 
-func fingerprint(rep *Report) string {
+func fingerprint(rep *Report, log *EventLog) string {
 	return fmt.Sprintf("%s|%+v|rej=%d|term=%d|events=%d",
-		rep.Summary(), rep.Frag, rep.Rejected, rep.Terminated, len(rep.Recorder.Events()))
+		rep.Summary(), rep.Frag, rep.Rejected, rep.Terminated, len(log.Events()))
 }
 
 // TestPipelineCombinationsDeterministic runs every registered
@@ -103,24 +102,14 @@ func fingerprint(rep *Report) string {
 // exercises in -race runs) reproduces the serial results byte for byte.
 func TestPipelineCombinationsDeterministic(t *testing.T) {
 	cfgs := pipelineGrid()
-	ctx := context.Background()
 
-	serial1, err := RunAllCached(ctx, 1, nil, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial2, err := RunAllCached(ctx, 1, nil, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers4, err := RunAllCached(ctx, 4, nil, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial1, log1 := runAllLogged(t, 1, cfgs)
+	serial2, log2 := runAllLogged(t, 1, cfgs)
+	workers4, log4 := runAllLogged(t, 4, cfgs)
 	for i, cfg := range cfgs {
 		s, a, _ := cfg.PipelineNames()
 		name := s + "/" + a
-		f1, f2, f4 := fingerprint(serial1[i]), fingerprint(serial2[i]), fingerprint(workers4[i])
+		f1, f2, f4 := fingerprint(serial1[i], log1[i]), fingerprint(serial2[i], log2[i]), fingerprint(workers4[i], log4[i])
 		if f1 != f2 {
 			t.Errorf("%s: serial reruns differ:\n%s\n%s", name, f1, f2)
 		}

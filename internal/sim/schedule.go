@@ -24,6 +24,9 @@ func (r *Runner) startJobs() {
 		}
 		j.State = StateRunning
 		j.Started = r.now
+		if !j.started {
+			j.started, j.firstStart = true, r.now
+		}
 		if j.Mode.Kind == qos.KindElastic && !r.cfg.DisableStealing {
 			j.Stealer = steal.New(j.Mode.Slack, j.WaysReserved, 1)
 			// Curve lookups at the fixed original allocation, reused by
@@ -44,6 +47,7 @@ func (r *Runner) switchBacks() {
 	for _, j := range r.accepted {
 		if j.State == StateRunning && j.AutoDowngraded && !j.switched && r.now >= j.SwitchBack {
 			j.switched = true
+			j.switchedAt = r.now
 			r.emit(trace.Event{Cycle: r.now, JobID: j.ID, Kind: trace.SwitchedBack})
 		}
 	}

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
+	"cmpqos/internal/parallel"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/workload"
 )
@@ -29,6 +31,41 @@ func mustRun(t *testing.T, cfg Config) *Report {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// mustRunLogged is mustRun with the event log attached.
+func mustRunLogged(t *testing.T, cfg Config) (*Report, *EventLog) {
+	t.Helper()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &EventLog{}
+	r.AddSink(log)
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, log
+}
+
+// runAllLogged is RunAll with an event log attached to every run.
+func runAllLogged(t *testing.T, workers int, cfgs []Config) ([]*Report, []*EventLog) {
+	t.Helper()
+	logs := make([]*EventLog, len(cfgs))
+	reps, err := parallel.Map(context.Background(), parallel.New(workers), len(cfgs), func(i int) (*Report, error) {
+		r, err := New(cfgs[i])
+		if err != nil {
+			return nil, err
+		}
+		logs[i] = &EventLog{}
+		r.AddSink(logs[i])
+		return r.Run()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps, logs
 }
 
 func TestConfigValidation(t *testing.T) {

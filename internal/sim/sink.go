@@ -1,13 +1,15 @@
-// Sink stage of the policy pipeline: every consumer of the run — the
-// event trace, the fragmentation accounting, the telemetry series —
-// observes the same stream of trace events and end-of-epoch states
-// instead of being hard-wired into the epoch loop.
+// Sink stage of the policy pipeline: the consumers of a run. Two are
+// built in and fed by step() — the fragmentation accounting and, when
+// Config.RecordSeries is set, the telemetry series — and the Figure-7
+// lanes ride on the Job rows (Report.Lanes). The full event log is not
+// built in: it is an EventLog, attached with AddSink by the callers
+// that read it.
 package sim
 
 import "cmpqos/internal/trace"
 
-// EpochState is the end-of-epoch observation delivered to every sink:
-// the epoch just advanced and its fragmentation deltas (§3.4), in
+// EpochState is the end-of-epoch observation the built-in consumers
+// take: the epoch just advanced and its fragmentation deltas (§3.4), in
 // resource-epochs.
 type EpochState struct {
 	Cycle        int64 // first cycle of the epoch that just ended
@@ -17,48 +19,35 @@ type EpochState struct {
 	InternalWays float64
 }
 
-// Sink observes a run. Event delivers every trace event at the cycle it
-// happens; EpochEnd delivers the per-epoch state after the epoch's work
-// has been retired (the memory bus window has rolled, so bus telemetry
-// read from the runner reflects the finished epoch). Sinks must not
-// mutate simulation state.
+// Sink observes a run: Event delivers every trace event at the cycle it
+// happens. Sinks must not mutate simulation state. Events only — no
+// event fires inside a fast-forwarded window (DESIGN §11), so an
+// attached sink sees the same stream whether or not epochs are skipped
+// and never turns the skip off.
 type Sink interface {
 	Event(ev trace.Event)
-	EpochEnd(st EpochState)
 }
 
-// AddSink attaches an additional observer. Call before Run; the
-// built-in consumers (trace recorder, fragmentation accounting, and —
-// when Config.RecordSeries is set — the telemetry series) always
-// observe first.
+// EventLog is the full event log as an attachable Sink: every
+// Submitted/Rejected probe, every lifecycle and fault event, in the
+// order they happen. Nothing on the default path keeps one — under the
+// paper's arrival pressure ~95% of a run's events are rejected probes,
+// and recording them cost 3.5× the bytes of the simulation itself
+// (DESIGN §9) — so attach it only to read the log.
+type EventLog struct{ trace.Recorder }
+
+// Event records ev.
+func (l *EventLog) Event(ev trace.Event) { l.Record(ev) }
+
+// AddSink attaches an observer. Call before Run.
 func (r *Runner) AddSink(s Sink) { r.sinks = append(r.sinks, s) }
 
-// emit delivers one trace event to the recorder and every added sink.
-// The built-in recorder is called directly (not through the Sink
-// interface) because probe-heavy admission windows emit thousands of
-// events per run and the inlined Record is measurably cheaper than a
-// dynamic dispatch; r.sinks is empty unless AddSink was used, so the
-// observer loop costs one length check on the default pipeline.
+// emit delivers one trace event to every attached sink; with none
+// attached — the default pipeline — it is one length check, which is
+// all a rejected probe costs here.
 func (r *Runner) emit(ev trace.Event) {
-	if r.rec != nil { // nil in streaming (FoldCompleted) mode
-		r.rec.Record(ev)
-	}
 	for _, s := range r.sinks {
 		s.Event(ev)
-	}
-}
-
-// endEpochSlow delivers the end-of-epoch state to the optional
-// telemetry series and any added observers. step() delivers to the
-// built-in fragmentation sink inline (the epoch loop is the hot loop
-// of the whole simulator) and only calls here when a series or an
-// observer is actually attached.
-func (r *Runner) endEpochSlow(st EpochState) {
-	if r.seriesS != nil {
-		r.seriesS.EpochEnd(st)
-	}
-	for _, s := range r.sinks {
-		s.EpochEnd(st)
 	}
 }
 
@@ -123,8 +112,6 @@ type fragSink struct {
 	internal  float64
 }
 
-func (*fragSink) Event(trace.Event) {}
-
 func (s *fragSink) EpochEnd(st EpochState) {
 	s.idleCores += st.IdleCores
 	s.idleWays += st.IdleWays
@@ -148,8 +135,6 @@ func newSeriesSink(r *Runner) *seriesSink {
 	}
 	return &seriesSink{r: r, stride: stride}
 }
-
-func (*seriesSink) Event(trace.Event) {}
 
 func (s *seriesSink) EpochEnd(st EpochState) {
 	if st.Epoch%s.stride != 0 {

@@ -1,8 +1,11 @@
-// Package trace records job-lifecycle events during a simulation and
-// renders them as the execution timelines of paper Figure 7: one lane per
-// accepted job, a solid box from start to completion, a dashed tail to
-// the deadline, darker shading for periods spent automatically
-// downgraded, and a marker at the switch-back point.
+// Package trace defines the job-lifecycle events of a simulation, the
+// Recorder that logs them when a caller attaches one (sim.EventLog), and
+// the execution timelines of paper Figure 7: one lane per accepted job,
+// a solid box from start to completion, a dashed tail to the deadline,
+// darker shading for periods spent automatically downgraded, and a
+// marker at the switch-back point. The simulator keeps each job's lane
+// on the job itself (sim.Report.Lanes); Recorder.Lanes, the same fold
+// over a recorded log, is the reference its tests hold that to.
 package trace
 
 import (
@@ -12,8 +15,8 @@ import (
 )
 
 // EventKind enumerates recorded events. The narrow underlying type
-// keeps Event at 32 bytes — recording is on the simulator's hot path
-// and the event log dominates its steady-state memory traffic.
+// keeps Event at 32 bytes: a paper-scale run emits one to three thousand
+// of them, and an attached log stores every one.
 type EventKind uint8
 
 const (
@@ -165,7 +168,7 @@ func (r *Recorder) Count(kind EventKind) int {
 	return n
 }
 
-// Lane is one job's rendered interval set, assembled from its events.
+// Lane is one job's rendered interval set.
 type Lane struct {
 	JobID      int
 	Start      int64 // execution start
