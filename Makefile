@@ -41,8 +41,10 @@ race:
 # must stay bit-identical to its naive reference on any op sequence,
 # the GAC's bounded scan must answer and bill exactly as probing every
 # node does, the WAL decoder must recover an intact prefix from any
-# bytes, and the hand-written snapshot encoder must write encoding/json's
-# bytes for any LAC (internal/qos) and any daemon state (internal/server).
+# bytes, the hand-written snapshot encoder must write encoding/json's
+# bytes for any LAC (internal/qos) and any daemon state (internal/server),
+# and the fast-forward's closed-form float accumulation must leave the
+# bits the stepped additions leave for any accumulator and addends.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/server
+	$(GO) test -fuzz=FuzzRepeatAdd -fuzztime=10s -timeout 5m ./internal/sim
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,
 # cluster dispatch, and daemon snapshot benches once each
@@ -58,7 +61,8 @@ fuzz:
 # streaming snapshot writer, and their benchmarks keep building and
 # running — timings are meaningless here. (The fast-forward path and
 # the control plane are run by bench-check: sim-node's paper and pid
-# classes, sim-fleet.) It also runs
+# classes, sim-fleet; of the fast-forward only the repeatAdd kernel has
+# a package benchmark, the evidence for its cut-over constant.) It also runs
 # the two closed-loop gates: the feedback smoke (pid must not break
 # more promises than static under the same storms) and the -ctrl
 # static golden identity (the nil controller reproduces the open-loop
@@ -66,6 +70,7 @@ fuzz:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch' -benchtime=1x -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPersist' -benchtime=1x -benchmem -timeout 10m ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkRepeatAdd' -benchtime=1x -timeout 10m ./internal/sim
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
 	$(GO) test -run 'TestRegistryGolden' -count=1 ./internal/experiments

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"cmpqos/internal/experiments"
+	"cmpqos/internal/sim"
 )
 
 // TestRunExperimentsRunsPastAFailure drives the -exp all loop over a
@@ -48,5 +50,48 @@ func TestRunExperimentsRunsPastAFailure(t *testing.T) {
 	}
 	if n := strings.Count(got, divider); n != len(runners)-1 {
 		t.Errorf("%d dividers for %d experiments:\n%s", n, len(runners), got)
+	}
+}
+
+// TestResultsFileMatchesRun pins RESULTS.txt to what `qossim -exp all`
+// prints today, at the paper's 200M-instruction scale: the run's text is
+// byte-stable across runs, binaries and -parallel apart from the
+// `[name completed in d]` lines, so with those dropped from both sides
+// the checked-in file is a diffable golden for every number the
+// documents quote. To regenerate: go run ./cmd/qossim -exp all > RESULTS.txt
+func TestResultsFileMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at paper scale (~5 s)")
+	}
+	want, err := os.ReadFile("../../RESULTS.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	opts := experiments.Options{Engine: sim.EngineTable, Workers: 1} // the flag defaults
+	if failed := runExperiments(experiments.Registry(), opts, &out); len(failed) > 0 {
+		t.Fatalf("experiments failed: %v", failed)
+	}
+	untimed := func(text []byte) []string {
+		var lines []string
+		for _, l := range strings.Split(string(text), "\n") {
+			if !(strings.HasPrefix(l, "[") && strings.Contains(l, " completed in ")) {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	got, exp := untimed(out.Bytes()), untimed(want)
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of text>"
+	}
+	for i := 0; i < max(len(got), len(exp)); i++ {
+		if g, e := line(got, i), line(exp, i); g != e {
+			t.Fatalf("`qossim -exp all` and RESULTS.txt part at line %d (timing lines dropped; %d vs %d lines)\nrun:  %q\nfile: %q",
+				i+1, len(got), len(exp), g, e)
+		}
 	}
 }

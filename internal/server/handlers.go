@@ -15,8 +15,10 @@ import (
 // them at 1 MB and answer JSON throughout. Status codes: 200 carries an
 // admission answer (accepted or rejected — a rejection is a valid
 // answer, not a failure), 503 means the daemon refused to answer
-// (overload shed or draining; retryable), 409 a duplicate job id, 404
-// an unknown job, 400 a malformed request.
+// (overload shed, draining, or the WAL poisoned by an append error;
+// retryable), 500 that the answer could not be logged and was taken
+// back, 409 a duplicate job id, 404 an unknown job, 400 a malformed
+// request.
 
 const maxBody = 1 << 20
 
@@ -121,6 +123,12 @@ type Health struct {
 	Snapshots         int64   `json:"snapshots"`
 	LastSnapshotMS    float64 `json:"last_snapshot_ms"`
 	LastSnapshotBytes int64   `json:"last_snapshot_bytes"`
+	// WALDegraded is set from a WAL append error until the snapshot +
+	// rotation that re-anchors disk to memory lands; submit, negotiate
+	// and cancel answer 503 meanwhile. LastWALError is the most recent
+	// append error, kept after the log has recovered.
+	WALDegraded  bool   `json:"wal_degraded"`
+	LastWALError string `json:"last_wal_error,omitempty"`
 	// Placement is the GAC's work since this process started: how many
 	// nodes each sweep billed, how many it really asked, and why the
 	// rest were skipped.
@@ -148,6 +156,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func shed(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable, ShedResponse{Shed: true, Reason: reason})
+}
+
+// lockForDecision takes mu for a request that is about to decide and
+// log. After an append error the log may not take a record until a
+// snapshot + rotation lands (appendLocked), so every request that finds
+// it poisoned retries one — the daemon recovers with its disk — and,
+// while that fails, is refused: answered 503, mu released, false
+// returned. healthz carries the error itself.
+func (s *Server) lockForDecision(w http.ResponseWriter) bool {
+	s.mu.Lock()
+	if s.walDegraded {
+		s.snapshotLocked()
+	}
+	if !s.walDegraded {
+		return true
+	}
+	s.mu.Unlock()
+	shed(w, "write-ahead log degraded: refusing to decide what cannot be logged")
+	return false
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -277,7 +304,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
+	if !s.lockForDecision(w) {
+		return
+	}
 	if _, live := s.jobs[req.JobID]; live {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusConflict, map[string]string{
@@ -302,6 +331,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if dec.Accepted {
 			s.nodes[node].Complete(req.JobID, finalMode, arrival)
 		}
+		s.snapshotLocked()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
@@ -348,7 +378,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if now == 0 {
 		now = s.now()
 	}
-	s.mu.Lock()
+	if !s.lockForDecision(w) {
+		return
+	}
 	e, ok := s.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
@@ -358,6 +390,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := qos.WALRecord{Op: qos.WALCancel, JobID: req.JobID, Now: now}
 	if err := s.appendLocked(&rec); err != nil {
+		s.snapshotLocked()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
@@ -392,7 +425,9 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	}
 	qreq := qos.Request{JobID: req.JobID, Target: rum, Mode: mode, Arrival: arrival}
 	var offers []OfferJSON
-	s.mu.Lock()
+	if !s.lockForDecision(w) {
+		return // an offer is worth what a submit can then make of it
+	}
 	for i, lac := range s.nodes {
 		for _, off := range lac.Negotiate(qreq) {
 			offers = append(offers, OfferJSON{
@@ -514,6 +549,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	jobs := len(s.jobs)
 	snapFailures, lastSnapErr := s.snapFailures, s.lastSnapErr
 	snapshots, lastSnapDur, lastSnapBytes := s.snapshots, s.lastSnapDur, s.lastSnapBytes
+	walDegraded, lastWALErr := s.walDegraded, s.lastWALErr
 	placement := s.gac.Stats()
 	s.mu.Unlock()
 	h := Health{
@@ -536,11 +572,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Snapshots:         snapshots,
 		LastSnapshotMS:    float64(lastSnapDur.Microseconds()) / 1e3,
 		LastSnapshotBytes: lastSnapBytes,
+		WALDegraded:       walDegraded,
+		LastWALError:      lastWALErr,
 		Placement:         placement,
 	}
 	status := http.StatusOK
-	if h.Draining {
+	switch {
+	case h.Draining:
 		h.Status = "draining"
+		status = http.StatusServiceUnavailable
+	case h.WALDegraded:
+		h.Status = "wal-degraded"
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, h)

@@ -148,6 +148,12 @@ type Server struct {
 	snapshots     int64
 	lastSnapDur   time.Duration
 	lastSnapBytes int64
+	// walDegraded is set by any append error and cleared by the next
+	// snapshot + rotation that lands; while it is set nothing may be
+	// logged, so nothing may be decided (lockForDecision). lastWALErr
+	// keeps the error's text for healthz.
+	walDegraded bool
+	lastWALErr  string
 	// enc renders every snapshot; it is kept so its buffer and key
 	// scratch are allocated once, not per snapshot.
 	enc *jsonenc.Encoder
@@ -173,7 +179,8 @@ type Server struct {
 	// slot is held, letting tests create real queue pressure.
 	holdAdmission func()
 	// failStep, when set (tests only), is asked before each step of
-	// persistSnapshotLocked and fails the step by returning an error.
+	// persistSnapshotLocked and before each WAL append, and fails the
+	// step by returning an error.
 	failStep func(step string) error
 }
 
@@ -363,11 +370,25 @@ func (s *Server) now() int64 {
 }
 
 // appendLocked logs one record (mu held). On append failure the caller
-// must roll its state change back before answering the client: an
-// unlogged mutation would not survive recovery.
+// must roll its state change back before answering the client — an
+// unlogged mutation would not survive recovery — and then call
+// snapshotLocked: the error has poisoned the log. A rolled-back decision
+// is not an undone one (LAC.Complete gives back neither the reservation
+// id nor the probes and overhead the sweep billed), and the file may end
+// in a torn frame, so what snapshot + log replay to is no longer what
+// memory holds; a grant acked on top of that would make the directory
+// unrecoverable. Only a snapshot of memory and a fresh log re-anchor it.
 func (s *Server) appendLocked(rec *qos.WALRecord) error {
 	rec.Seq = s.seq + 1
-	if err := s.wal.Append(*rec); err != nil {
+	var err error
+	if s.failStep != nil {
+		err = s.failStep(stepWALAppend)
+	}
+	if err == nil {
+		err = s.wal.Append(*rec)
+	}
+	if err != nil {
+		s.walDegraded, s.lastWALErr = true, err.Error()
 		return err
 	}
 	s.seq = rec.Seq
@@ -390,6 +411,12 @@ func (s *Server) maybeSnapshotLocked() {
 		!(s.cfg.WALMaxBytes > 0 && s.since > 0 && s.wal.Size() >= s.cfg.WALMaxBytes) {
 		return
 	}
+	s.snapshotLocked()
+}
+
+// snapshotLocked snapshots and rotates on the daemon's own initiative
+// (mu held), counting a failure for healthz instead of returning it.
+func (s *Server) snapshotLocked() {
 	if err := s.persistSnapshotLocked(nil); err != nil {
 		s.snapFailures++
 		s.lastSnapErr = err.Error()
@@ -455,6 +482,9 @@ const (
 	stepWALCreate  = "wal-create"
 	stepWALRename  = "wal-rename"
 	stepWALSync    = "wal-dirsync"
+	// stepWALAppend is not one of them: appendLocked asks before every
+	// record.
+	stepWALAppend = "wal-append"
 )
 
 // step runs one step of persistSnapshotLocked, unless a test fails it
@@ -523,6 +553,7 @@ func (s *Server) persistSnapshotLocked(tee io.Writer) error {
 		return err
 	}
 	s.since = 0
+	s.walDegraded = false // disk is memory again, on a log with no failed append in it
 	s.snapshots++
 	s.lastSnapDur = time.Since(start)
 	s.lastSnapBytes = s.enc.Written()

@@ -28,15 +28,17 @@ import (
 	"cmpqos/internal/steal"
 )
 
-// ffChunkEpochs caps one applySteady call so cancellation (and the
-// cluster's catch-up loop) stays responsive even when a steady window
-// covers millions of epochs; chunking is exact because applySteady(a)
-// followed by applySteady(b) performs the same per-accumulator
-// operation sequences as applySteady(a+b).
+// ffChunkEpochs caps one proved window: it bounds k·E and the cluster's
+// calendar key, and it is how often cancellation (and the cluster's
+// catch-up loop) is polled when a steady stretch covers millions of
+// epochs. Chunking is exact because applySteady(a) followed by
+// applySteady(b) leaves every accumulator as applySteady(a+b) does —
+// integers trivially, floats because repeatAdd returns what the stepped
+// additions leave however a window is split (TestRepeatAddLargeK).
 const ffChunkEpochs = int64(1) << 20
 
 // jobDelta is one planned job's per-epoch advance, captured by
-// steadyWindow and replayed k times by applySteady.
+// steadyWindow and applied k-fold by applySteady.
 type jobDelta struct {
 	j        *Job
 	instr    int64   // instructions retired per epoch
@@ -506,14 +508,14 @@ func phaseIndexAt(j *Job, done int64) int {
 
 // applySteady advances the run by k provably-steady epochs using the
 // deltas the immediately preceding steadyWindow captured. Integer
-// accumulators advance by k·delta (exact); float accumulators replay k
-// identical additions, because IEEE-754 repeated addition is not
-// multiplication and byte-identity with the stepped path is the
-// contract. Per-accumulator operation sequences match the stepped
-// path's exactly; accumulators are independent, so the epoch-major vs
-// job-major interleaving difference is unobservable. For a period-2
-// window (k even) the two parities alternate: float replays interleave
-// the parity addends in stepped order, and the bus folds m windows of
+// accumulators advance by k·delta (exact); float accumulators advance
+// through repeatAdd, which returns the bits k stepped additions leave
+// without performing them — byte-identity with the stepped path is the
+// contract, and x + k·d is not it. Per-accumulator operation sequences
+// match the stepped path's exactly; accumulators are independent, so
+// the epoch-major vs job-major interleaving difference is unobservable.
+// For a period-2 window (k even) the two parities alternate: the float
+// addends alternate in stepped order, and the bus folds m windows of
 // each parity's traffic — the second parity last, handing back the
 // cycle's starting utilization.
 func (r *Runner) applySteady(k int64) {
@@ -528,10 +530,7 @@ func (r *Runner) applySteady(k int64) {
 			j.ActualCycles += m * (d0.consumed + d1.consumed)
 			j.MainMisses += m * (d0.misses + d1.misses)
 			j.ShadowMisses += m * (d0.shadow + d1.shadow)
-			for t := int64(0); t < m; t++ {
-				j.BaselineCycles += d0.base
-				j.BaselineCycles += d1.base
-			}
+			j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
 			if j.Stealer != nil && j.State == StateRunning {
 				// Every crossing in the window Held (stealHorizonPair
 				// proved it), so the interval clock just wraps.
@@ -544,41 +543,29 @@ func (r *Runner) applySteady(k int64) {
 		}
 		r.bus.FastForward(miss0, wb0, E, m)
 		r.bus.FastForward(miss1, wb1, E, m)
-		for t := int64(0); t < k; t++ {
-			r.frag.idleCores += r.planIdleCores
-			r.frag.idleWays += r.planIdleWays
-			r.frag.internal += r.planInternal
+	} else {
+		var epochMisses, epochWB int64
+		for i := range r.ffDeltas {
+			d := &r.ffDeltas[i]
+			j := d.j
+			j.InstrDone += k * d.instr
+			j.ActualCycles += k * d.consumed
+			j.MainMisses += k * d.misses
+			j.ShadowMisses += k * d.shadow
+			j.BaselineCycles = repeatAdd(j.BaselineCycles, d.base, 0, k)
+			if j.Stealer != nil && j.State == StateRunning {
+				// Every crossing in the window Held (stealHorizon proved
+				// it), so the interval clock just wraps.
+				j.instrLastSteal = (j.instrLastSteal + k*d.instr) % r.cfg.StealIntervalInstr
+			}
+			epochMisses += d.misses
+			epochWB += d.wb
 		}
-		r.now += k * E
-		r.epochIdx += k
-		r.nSkipped += k
-		return
+		r.bus.FastForward(epochMisses, epochWB, E, k)
 	}
-	var epochMisses, epochWB int64
-	for i := range r.ffDeltas {
-		d := &r.ffDeltas[i]
-		j := d.j
-		j.InstrDone += k * d.instr
-		j.ActualCycles += k * d.consumed
-		j.MainMisses += k * d.misses
-		j.ShadowMisses += k * d.shadow
-		for t := int64(0); t < k; t++ {
-			j.BaselineCycles += d.base
-		}
-		if j.Stealer != nil && j.State == StateRunning {
-			// Every crossing in the window Held (stealHorizon proved
-			// it), so the interval clock just wraps.
-			j.instrLastSteal = (j.instrLastSteal + k*d.instr) % r.cfg.StealIntervalInstr
-		}
-		epochMisses += d.misses
-		epochWB += d.wb
-	}
-	r.bus.FastForward(epochMisses, epochWB, E, k)
-	for t := int64(0); t < k; t++ {
-		r.frag.idleCores += r.planIdleCores
-		r.frag.idleWays += r.planIdleWays
-		r.frag.internal += r.planInternal
-	}
+	r.frag.idleCores = repeatAdd(r.frag.idleCores, r.planIdleCores, 0, k)
+	r.frag.idleWays = repeatAdd(r.frag.idleWays, r.planIdleWays, 0, k)
+	r.frag.internal = repeatAdd(r.frag.internal, r.planInternal, 0, k)
 	r.now += k * E
 	r.epochIdx += k
 	r.nSkipped += k

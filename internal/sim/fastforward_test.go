@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -167,6 +168,95 @@ func TestEventSkipFaultStorm(t *testing.T) {
 	}
 	if !skippedSomewhere {
 		t.Error("no fault-storm run skipped a single epoch; the fault horizon is over-conservative")
+	}
+}
+
+// TestEventSkipByteIdentityPaperScale is the stepped-vs-skipped identity
+// at the scale the document quotes: 200M-instruction jobs, where windows
+// run to thousands of epochs and every float accumulator goes through
+// repeatAdd's closed form instead of its short-window loop (the
+// scenarios above mostly stay under the cut-over). Every policy × the
+// three paper workloads × seeds 1–3, plus the benchmark tape's Hybrid-2
+// fault storm and its two controller runs.
+func TestEventSkipByteIdentityPaperScale(t *testing.T) {
+	check := func(name string, cfg Config, minSkipped float64) {
+		t.Helper()
+		onJSON, onEvents, onRep := runWithEventSkip(t, cfg, false)
+		offJSON, offEvents, offRep := runWithEventSkip(t, cfg, true)
+		if !bytes.Equal(onJSON, offJSON) {
+			t.Errorf("%s: report JSON differs between event skip on and off\non:  %s\noff: %s", name, onJSON, offJSON)
+		}
+		if !reflect.DeepEqual(onEvents, offEvents) {
+			t.Errorf("%s: event traces differ: %d events with skip vs %d without", name, len(onEvents), len(offEvents))
+		}
+		total := onRep.EpochsStepped + onRep.EpochsSkipped
+		if want := offRep.EpochsStepped + offRep.EpochsSkipped; total != want {
+			t.Errorf("%s: epoch count %d with skip != %d without", name, total, want)
+		}
+		if frac := float64(onRep.EpochsSkipped) / float64(total); frac <= minSkipped {
+			t.Errorf("%s: fast-forward absorbed %d/%d epochs (%.0f%%), want over %.0f%%; the identity proves little",
+				name, onRep.EpochsSkipped, total, 100*frac, 100*minSkipped)
+		}
+	}
+	bzip2 := workload.Single("bzip2")
+	for _, w := range []workload.Composition{bzip2, workload.Mix1(), workload.Mix2()} {
+		for _, p := range Policies() {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := DefaultConfig(p, w)
+				cfg.Seed = seed
+				check(fmt.Sprintf("%s/%s/seed=%d", p, w.Name, seed), cfg, 0.80)
+			}
+		}
+	}
+	storm := DefaultConfig(Hybrid2, bzip2)
+	storm.Faults = fault.Generate(1000, 4, fault.DefaultHorizon, storm.Cores, storm.L2.Ways)
+	check("fault-storm", storm, 0)
+	for _, ctrl := range []string{"pid", "aimd"} {
+		cfg := DefaultConfig(AllStrict, bzip2)
+		cfg.JobInstr = 10_000_000
+		cfg.StealIntervalInstr = 100_000
+		cfg.EnforceWallClock = true
+		cfg.RequestWays = 6
+		cfg.Controller = ctrl
+		cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
+		check(ctrl, cfg, 0)
+	}
+}
+
+// TestApplySteadyFloatAccumulators pins what applySteady hands
+// repeatAdd — which accumulator takes which addend, how many rounds, and
+// the period-2 alternation in stepped order — on values where each
+// choice shows in the bits: at 2^53 an addition of 1 is absorbed and one
+// of 1.5 rounds to 2, so (s+1)+1.5 and (s+1.5)+1 differ, and no multiple
+// of an addend equals its repeated sum.
+func TestApplySteadyFloatAccumulators(t *testing.T) {
+	const s, k = 1 << 53, 6
+	for _, period := range []int64{1, 2} {
+		r, err := New(DefaultConfig(Hybrid2, workload.Single("bzip2")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &Job{BaselineCycles: s}
+		r.ffPeriod = period
+		r.ffDeltas = []jobDelta{{j: j, base: 1}}
+		r.ffDeltas2 = []jobDelta{{j: j, base: 1.5}}
+		*r.frag = fragSink{idleCores: s, idleWays: s, internal: s}
+		r.planIdleCores, r.planIdleWays, r.planInternal = 1.5, 2.5, 3
+		r.applySteady(k)
+		want := repeatAddLoop(s, 1, 0, k)
+		if period == 2 {
+			want = repeatAddLoop(s, 1, 1.5, k/2)
+		}
+		if j.BaselineCycles != want {
+			t.Errorf("period %d: BaselineCycles = %v, %d stepped epochs leave %v", period, j.BaselineCycles, k, want)
+		}
+		if got, want := *r.frag, (fragSink{
+			idleCores: repeatAddLoop(s, 1.5, 0, k),
+			idleWays:  repeatAddLoop(s, 2.5, 0, k),
+			internal:  repeatAddLoop(s, 3, 0, k),
+		}); got != want {
+			t.Errorf("period %d: frag pools = %+v, %d stepped epochs leave %+v", period, got, k, want)
+		}
 	}
 }
 
