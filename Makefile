@@ -7,11 +7,17 @@ GO ?= go
 
 all: build vet test
 
+# build and vet also cover bench/ (its own module, `replace`d onto this
+# one, so offline-safe): a deletion under internal/ that breaks the
+# benchmark's imports fails here, not in bench-check at the end. Its one
+# package is a main, which a bare `go build ./...` would write into bench/.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # lint is the static-analysis gate: vet, canonical formatting, and —
 # when installed — staticcheck. staticcheck stays optional locally so

@@ -223,27 +223,13 @@ func BenchmarkVictimPolicy(b *testing.B) {
 // ---- Miss-curve profiler benches ----
 //
 // One 16-way curve at the paper L2 geometry, 50k warmup + 50k measured
-// accesses: the replay path runs the stream through 16 fresh caches
-// (1.6 M accesses), the single-pass stack-distance profiler traverses
-// it once (100 k accesses; priced by bench/ as cache.misscurve_ms), and
+// accesses: the single-pass stack-distance profiler traverses the stream
+// once (100 k accesses; priced by bench/ as cache.misscurve_ms), and
 // the sampled variant skips 7/8 of those.
-
-func curveBenchCfg() cache.Config {
-	return cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-}
-
-func BenchmarkMissCurveReplay(b *testing.B) {
-	p := workload.MustByName("bzip2")
-	cfg := curveBenchCfg()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.ProbeMissCurve(cfg, func() cache.AddrStream { return p.NewStream(42, 0) }, 50_000, 50_000)
-	}
-}
 
 func BenchmarkMissCurveSinglePassSampled(b *testing.B) {
 	p := workload.MustByName("bzip2")
-	cfg := curveBenchCfg()
+	cfg := cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache.SinglePassMissCurveSampled(cfg, p.NewStream(42, 0), 50_000, 50_000, 8)

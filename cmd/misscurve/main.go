@@ -2,22 +2,18 @@
 // profiles, through the real partitioned cache model (synthetic trace)
 // and/or from the calibrated tables, and prints them side by side.
 //
-// Two profilers are available for the measured curves:
-//
-//   - single-pass (default): the one-pass Mattson stack-distance
-//     profiler — a single stream traversal yields the exact curve at
-//     every way allocation (bit-exact with replay under LRU, ~W× less
-//     work). -sample-every=N profiles every Nth set only (the paper's
-//     §4.3 sampling; N a power of two), multiplying the saving again.
-//   - replay: the legacy path — one full stream replay through a fresh
-//     partitioned cache per way allocation.
+// The measured curves come from the one-pass Mattson stack-distance
+// profiler: a single stream traversal yields the exact curve at every
+// way allocation (internal/cache's tests hold it bit-exact against one
+// stream replay per allocation). -sample-every=N profiles every Nth set
+// only (the paper's §4.3 sampling; N a power of two), dividing the work
+// again.
 //
 // Usage:
 //
 //	misscurve                 # all fifteen benchmarks, calibrated curves
 //	misscurve -bench bzip2 -trace
-//	misscurve -bench bzip2 -trace -profiler replay      # legacy W-pass probe
-//	misscurve -bench bzip2 -trace -sample-every 8       # sampled single-pass
+//	misscurve -bench bzip2 -trace -sample-every 8       # sampled
 package main
 
 import (
@@ -34,36 +30,20 @@ const prog = "misscurve"
 
 func main() {
 	var (
-		bench    = flag.String("bench", "", "benchmark to probe (default: all)")
-		doTrace  = flag.Bool("trace", false, "also measure through the real cache model")
-		warmup   = flag.Int("warmup", 250_000, "trace warmup accesses per allocation")
-		measure  = flag.Int("measure", 250_000, "trace measured accesses per allocation")
-		profiler = flag.String("profiler", "single-pass", "curve profiler: single-pass (one-pass stack-distance) or replay (one stream replay per way allocation)")
-		every    = flag.Int("sample-every", 1, "profile every Nth cache set (power of two dividing the set count; 1 = all sets; single-pass only)")
-		dump     = flag.String("dump", "", "record the benchmark's synthetic trace to this file and exit")
-		dumpN    = flag.Int("dump-n", 1_000_000, "accesses to record with -dump")
-		replay   = flag.String("replay", "", "probe a recorded trace file instead of a benchmark")
+		bench   = flag.String("bench", "", "benchmark to probe (default: all)")
+		doTrace = flag.Bool("trace", false, "also measure through the real cache model")
+		warmup  = flag.Int("warmup", 250_000, "trace warmup accesses")
+		measure = flag.Int("measure", 250_000, "trace measured accesses")
+		every   = flag.Int("sample-every", 1, "profile every Nth cache set (power of two dividing the set count; 1 = all sets)")
+		dump    = flag.String("dump", "", "record the benchmark's synthetic trace to this file and exit")
+		dumpN   = flag.Int("dump-n", 1_000_000, "accesses to record with -dump")
+		replay  = flag.String("replay", "", "probe a recorded trace file instead of a benchmark")
 	)
 	flag.Parse()
 
-	switch *profiler {
-	case "single-pass", "replay":
-	default:
-		cli.Usage(prog, "unknown -profiler %q (want single-pass or replay)", *profiler)
-	}
-	if *profiler == "replay" && *every != 1 {
-		cli.Usage(prog, "-sample-every needs -profiler single-pass")
-	}
-
 	cfg := cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-	// probe measures one curve with the selected profiler; mk must
-	// return a fresh, deterministic stream per call (the replay profiler
-	// calls it once per way allocation, single-pass exactly once).
-	probe := func(mk func() cache.AddrStream) cache.MissCurve {
-		if *profiler == "replay" {
-			return cache.ProbeMissCurve(cfg, mk, *warmup, *measure)
-		}
-		return cache.SinglePassMissCurveSampled(cfg, mk(), *warmup, *measure, *every)
+	probe := func(st cache.AddrStream) cache.MissCurve {
+		return cache.SinglePassMissCurveSampled(cfg, st, *warmup, *measure, *every)
 	}
 	if *replay != "" {
 		f, err := os.Open(*replay)
@@ -75,10 +55,8 @@ func main() {
 		if err != nil {
 			cli.Fail(prog, err)
 		}
-		curve := probe(func() cache.AddrStream {
-			return workload.NewReplay(addrs)
-		})
-		fmt.Printf("replayed %s (%d accesses, %s profiler)\n  ways:  ", *replay, len(addrs), *profiler)
+		curve := probe(workload.NewReplay(addrs))
+		fmt.Printf("replayed %s (%d accesses, single-pass profiler)\n  ways:  ", *replay, len(addrs))
 		for w := 1; w <= 16; w++ {
 			fmt.Printf("%6d", w)
 		}
@@ -132,8 +110,7 @@ func main() {
 		}
 		fmt.Println()
 		if *doTrace {
-			p := p
-			curve := probe(func() cache.AddrStream { return p.NewStream(42, 0) })
+			curve := probe(p.NewStream(42, 0))
 			label := "trace:     "
 			if *every > 1 {
 				label = fmt.Sprintf("trace/%-4d", *every)

@@ -83,7 +83,7 @@ func main() {
 		return
 	}
 	fmt.Printf("%s / %s — %d accepted jobs complete in %d cycles, hit rate %.0f%%\n\n",
-		rep.Policy, rep.Workload, len(rep.Jobs), rep.TotalCycles, rep.DeadlineHitRate*100)
+		rep.Policy, rep.Workload, rep.AcceptedJobs, rep.TotalCycles, rep.DeadlineHitRate*100)
 	fmt.Print(rep.Gantt(*width))
 	if *events {
 		fmt.Println("\nevent log:")

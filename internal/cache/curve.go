@@ -45,46 +45,3 @@ func (m MissCurve) Monotonic() MissCurve {
 	}
 	return m
 }
-
-// ProbeMissRatio measures the steady-state miss ratio of one stream at a
-// single way allocation: `warmup` accesses to populate a fresh
-// single-owner partitioned cache, then `measure` accesses counted.
-func ProbeMissRatio(cfg Config, st AddrStream, ways, warmup, measure int) float64 {
-	c := NewPartitioned(cfg)
-	c.SetTarget(0, ways)
-	c.SetClass(0, ClassReserved)
-	for i := 0; i < warmup; i++ {
-		c.Access(0, st.Next())
-	}
-	c.ResetStats()
-	for i := 0; i < measure; i++ {
-		c.Access(0, st.Next())
-	}
-	return c.MissRatio(0)
-}
-
-// ProbeMissCurve measures the miss ratio of the stream produced by mk at
-// every way allocation from 1 to cfg.Ways, by running a fresh
-// single-owner partitioned cache per allocation: `warmup` accesses to
-// populate, then `measure` accesses counted. mk must return a fresh,
-// deterministic stream each call so allocations are compared on the same
-// access sequence.
-func ProbeMissCurve(cfg Config, mk func() AddrStream, warmup, measure int) MissCurve {
-	curve := MissCurve{Ratio: make([]float64, cfg.Ways+1)}
-	curve.Ratio[0] = 1
-	for w := 1; w <= cfg.Ways; w++ {
-		c := NewPartitioned(cfg)
-		c.SetTarget(0, w)
-		c.SetClass(0, ClassReserved)
-		st := mk()
-		for i := 0; i < warmup; i++ {
-			c.Access(0, st.Next())
-		}
-		c.ResetStats()
-		for i := 0; i < measure; i++ {
-			c.Access(0, st.Next())
-		}
-		curve.Ratio[w] = c.MissRatio(0)
-	}
-	return curve.Monotonic()
-}

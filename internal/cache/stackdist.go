@@ -4,8 +4,8 @@ import "fmt"
 
 // StackProfiler is a one-pass Mattson stack-distance miss-curve profiler.
 //
-// ProbeMissCurve measures the miss ratio at every way allocation 1..W by
-// replaying the whole address stream through W fresh caches — W complete
+// The direct way to measure the miss ratio at every way allocation 1..W
+// replays the whole address stream through W fresh caches — W complete
 // stream passes for one curve. For LRU victim selection that is W times
 // more work than necessary: LRU has the stack (inclusion) property, so
 // the contents of a w-way set are always the w most-recently-used blocks
@@ -14,8 +14,9 @@ import "fmt"
 // once: an access whose block sits at depth d (0-based) in its set's
 // stack hits in every cache with more than d ways and misses in the
 // rest. Recording a histogram of depths over a single traversal yields
-// exact hit/miss counts — bit-exact with ProbeMissCurve's replays — at
-// every allocation simultaneously.
+// exact hit/miss counts at every allocation simultaneously — bit-exact
+// with the replays, which survive as the reference the profiler is held
+// to (ProbeMissCurve in stackdist_test.go).
 //
 // The profiler optionally samples every Nth set, reusing the paper's
 // §4.3 shadow-tag set-sampling discipline (the paper samples every 8th
@@ -27,10 +28,9 @@ import "fmt"
 // absolute miss ratio of the exact curve (the regression test bounds it
 // at ±0.05, mirroring the shadow-tag accuracy ablation).
 //
-// The equivalence with ProbeMissCurve holds for the single-owner LRU
-// probes both functions model. Non-LRU victim policies (multi-owner
-// partition contention, the Global scheme) have no stack property and
-// must keep the replay path.
+// The equivalence holds for the single-owner LRU probe the profiler
+// models. Non-LRU victim policies (multi-owner partition contention,
+// the Global scheme) have no stack property and no single-pass curve.
 type StackProfiler struct {
 	cfg        Config
 	every      int
@@ -45,12 +45,6 @@ type StackProfiler struct {
 	cold       int64    // measured accesses missing at every allocation
 	total      int64    // measured accesses on sampled sets
 	counting   bool
-}
-
-// NewStackProfiler builds an exact (all-sets) single-pass profiler for
-// the geometry.
-func NewStackProfiler(cfg Config) *StackProfiler {
-	return NewSampledStackProfiler(cfg, 1)
 }
 
 // NewSampledStackProfiler builds a profiler covering every `every`-th
@@ -127,7 +121,7 @@ func (p *StackProfiler) Record(addr Addr) {
 
 // StartMeasure ends the warmup phase: stack contents are kept, counters
 // are zeroed, and subsequent Record calls are counted — the single-pass
-// analogue of ProbeMissCurve's post-warmup ResetStats.
+// analogue of a cache's post-warmup ResetStats.
 func (p *StackProfiler) StartMeasure() {
 	p.counting = true
 	for i := range p.hist {
@@ -154,7 +148,7 @@ func (p *StackProfiler) Curve() MissCurve {
 	curve := MissCurve{Ratio: make([]float64, p.cfg.Ways+1)}
 	curve.Ratio[0] = 1
 	if p.total == 0 {
-		// Matches MissRatio's 0-accesses convention in ProbeMissCurve.
+		// Matches Partitioned.MissRatio's 0-accesses convention.
 		return curve
 	}
 	hits := int64(0)
@@ -168,8 +162,8 @@ func (p *StackProfiler) Curve() MissCurve {
 // SinglePassMissCurve measures the stream's miss ratio at every way
 // allocation 1..cfg.Ways in one traversal: `warmup` accesses populate
 // the stacks, then `measure` accesses are counted. For the single-owner
-// LRU probe this is bit-exact with ProbeMissCurve over the same stream,
-// at 1/W of the work.
+// LRU probe this is bit-exact with one replay per allocation over the
+// same stream, at 1/W of the work.
 func SinglePassMissCurve(cfg Config, st AddrStream, warmup, measure int) MissCurve {
 	return SinglePassMissCurveSampled(cfg, st, warmup, measure, 1)
 }

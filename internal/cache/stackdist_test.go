@@ -52,6 +52,36 @@ func (s *synthStream) Next() Addr {
 	return Addr(a)
 }
 
+// ProbeMissRatio is the reference the single-pass profiler is held to:
+// the steady-state miss ratio of one stream at one way allocation,
+// measured through the real cache — `warmup` accesses populate a fresh
+// single-owner partitioned cache, then `measure` accesses are counted.
+func ProbeMissRatio(cfg Config, st AddrStream, ways, warmup, measure int) float64 {
+	c := NewPartitioned(cfg)
+	c.SetTarget(0, ways)
+	c.SetClass(0, ClassReserved)
+	for i := 0; i < warmup; i++ {
+		c.Access(0, st.Next())
+	}
+	c.ResetStats()
+	for i := 0; i < measure; i++ {
+		c.Access(0, st.Next())
+	}
+	return c.MissRatio(0)
+}
+
+// ProbeMissCurve is the whole reference curve: one ProbeMissRatio replay
+// per way allocation 1..cfg.Ways. mk must return a fresh, deterministic
+// stream each call so allocations are compared on the same accesses.
+func ProbeMissCurve(cfg Config, mk func() AddrStream, warmup, measure int) MissCurve {
+	curve := MissCurve{Ratio: make([]float64, cfg.Ways+1)}
+	curve.Ratio[0] = 1
+	for w := 1; w <= cfg.Ways; w++ {
+		curve.Ratio[w] = ProbeMissRatio(cfg, mk(), w, warmup, measure)
+	}
+	return curve.Monotonic()
+}
+
 // TestSinglePassBitExactAcrossGeometries pins the tentpole claim: the
 // one-pass stack-distance profiler reproduces ProbeMissCurve bit for
 // bit under LRU, across every geometry the geometry experiment sweeps

@@ -1,5 +1,5 @@
-// Package cpu models the in-order processor cores of the paper's 4-core
-// CMP and the additive CPI model the paper builds its resource-stealing
+// Package cpu holds the timing parameters of the paper's in-order cores
+// and the additive CPI model the paper builds its resource-stealing
 // criteria on (§4.2, after Luo):
 //
 //	CPI = CPI_{L1∞} + h₂·t₂ + h_m·t_m
@@ -9,7 +9,8 @@
 // and t_m the L2 miss (memory) penalty. The additive structure is what
 // guarantees that an X% increase in h_m produces a *less than* X%
 // increase in CPI — the safety argument behind using the L2 miss rate as
-// the stealing guard.
+// the stealing guard. That is the whole core model: pipelines are not
+// simulated, the CPI model subsumes them, as it does in the paper.
 package cpu
 
 import "fmt"
@@ -69,68 +70,3 @@ func (p Params) Seconds(cycles int64) float64 { return float64(cycles) / p.Clock
 
 // Cycles converts wall-clock seconds to cycles.
 func (p Params) Cycles(seconds float64) int64 { return int64(seconds*p.ClockHz + 0.5) }
-
-// Core is one in-order core's retirement bookkeeping: instructions
-// retired, cycles consumed, and the derived IPC. Cores do not model
-// pipelines — the CPI model subsumes them, as it does in the paper.
-type Core struct {
-	ID      int
-	params  Params
-	instr   int64
-	cycles  int64
-	busy    bool
-	jobName string
-}
-
-// NewCore builds a core with the given ID and timing parameters.
-func NewCore(id int, p Params) *Core {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return &Core{ID: id, params: p}
-}
-
-// Params returns the core's timing parameters.
-func (c *Core) Params() Params { return c.params }
-
-// Advance retires instr instructions at the given CPI and returns the
-// cycles that took.
-func (c *Core) Advance(instr int64, cpi float64) int64 {
-	cy := c.params.CyclesFor(instr, cpi)
-	c.instr += instr
-	c.cycles += cy
-	return cy
-}
-
-// Retired returns total instructions retired on this core.
-func (c *Core) Retired() int64 { return c.instr }
-
-// Cycles returns total busy cycles consumed on this core.
-func (c *Core) Cycles() int64 { return c.cycles }
-
-// IPC returns the core's lifetime average IPC (0 when idle so far).
-func (c *Core) IPC() float64 {
-	if c.cycles == 0 {
-		return 0
-	}
-	return float64(c.instr) / float64(c.cycles)
-}
-
-// Assign marks the core busy with a named job; Release frees it. The
-// scheduler uses these to track external core fragmentation.
-func (c *Core) Assign(job string) {
-	c.busy = true
-	c.jobName = job
-}
-
-// Release marks the core idle.
-func (c *Core) Release() {
-	c.busy = false
-	c.jobName = ""
-}
-
-// Busy reports whether a job is pinned to the core.
-func (c *Core) Busy() bool { return c.busy }
-
-// Job returns the name of the job pinned to the core ("" when idle).
-func (c *Core) Job() string { return c.jobName }

@@ -87,52 +87,3 @@ func TestCyclesSecondsRoundTrip(t *testing.T) {
 		t.Errorf("Cycles(0.5) = %d, want 1e9", got)
 	}
 }
-
-func TestCoreAdvance(t *testing.T) {
-	c := NewCore(2, PaperParams())
-	cy := c.Advance(1000, 2.0)
-	if cy != 2000 {
-		t.Fatalf("Advance cycles = %d, want 2000", cy)
-	}
-	c.Advance(1000, 4.0)
-	if c.Retired() != 2000 {
-		t.Errorf("retired = %d, want 2000", c.Retired())
-	}
-	if c.Cycles() != 6000 {
-		t.Errorf("cycles = %d, want 6000", c.Cycles())
-	}
-	if ipc := c.IPC(); math.Abs(ipc-1.0/3.0) > 1e-12 {
-		t.Errorf("IPC = %v, want 1/3", ipc)
-	}
-}
-
-func TestCoreAssignRelease(t *testing.T) {
-	c := NewCore(0, PaperParams())
-	if c.Busy() {
-		t.Fatal("new core should be idle")
-	}
-	c.Assign("job-7")
-	if !c.Busy() || c.Job() != "job-7" {
-		t.Errorf("assign failed: busy=%v job=%q", c.Busy(), c.Job())
-	}
-	c.Release()
-	if c.Busy() || c.Job() != "" {
-		t.Error("release failed")
-	}
-}
-
-func TestNewCorePanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewCore with invalid params did not panic")
-		}
-	}()
-	NewCore(0, Params{})
-}
-
-func TestIdleCoreIPCZero(t *testing.T) {
-	c := NewCore(0, PaperParams())
-	if c.IPC() != 0 {
-		t.Errorf("idle IPC = %v, want 0", c.IPC())
-	}
-}

@@ -154,52 +154,3 @@ func (r *RelatedResult) Table() [][]string {
 	}
 	return rows
 }
-
-// CSVResult runs a named experiment and returns its tabular form, or
-// nil when the experiment has no tabular export (fig3/fig7 are traces,
-// the ablations are prose).
-func CSVResult(name string, o Options) (Tabular, error) {
-	switch name {
-	case "fig1":
-		return Fig1(o)
-	case "fig4":
-		return Fig4(o)
-	case "table1":
-		return Table1(o)
-	case "fig5":
-		return Fig5(o)
-	case "fig6":
-		return Fig6(o)
-	case "fig8":
-		return Fig8(o)
-	case "fig9":
-		return Fig9(o)
-	case "lac":
-		return LAC(o)
-	case "cluster":
-		return Cluster(o)
-	case "related":
-		return Related(o)
-	case "frag":
-		return Frag(o)
-	case "sweep-slack":
-		return SweepSlack(o)
-	case "sweep-pressure":
-		return SweepPressure(o)
-	case "ablation-interval":
-		return Interval(o)
-	case "engines":
-		return Engines(o)
-	case "seeds":
-		return Seeds(o)
-	case "faults":
-		return Faults(o)
-	case "feedback":
-		return Feedback(o)
-	case "geometry":
-		return Geometry(o)
-	case "policies":
-		return PoliciesExp(o)
-	}
-	return nil, fmt.Errorf("experiments: %q has no CSV export", name)
-}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
@@ -127,197 +126,65 @@ type Runner struct {
 	Name  string
 	Paper string // which table/figure it regenerates
 	Run   func(o Options, w io.Writer) error
+	// table runs the experiment for its CSV rows; nil when the result
+	// has no tabular form.
+	table func(o Options) (Tabular, error)
+}
+
+// entry adapts one experiment function to a registry row. CSV support
+// is derived, not listed: a row can export a table exactly when its
+// result type implements Tabular.
+func entry[R interface{ Render(io.Writer) }](name, paper string, run func(Options) (R, error)) Runner {
+	r := Runner{Name: name, Paper: paper, Run: func(o Options, w io.Writer) error {
+		res, err := run(o)
+		if err != nil {
+			return err
+		}
+		res.Render(w)
+		return nil
+	}}
+	var zero R
+	if _, ok := any(zero).(Tabular); ok {
+		r.table = func(o Options) (Tabular, error) {
+			res, err := run(o)
+			return any(res).(Tabular), err
+		}
+	}
+	return r
+}
+
+// infallible lifts an experiment that cannot fail to entry's signature.
+func infallible[R any](run func(Options) R) func(Options) (R, error) {
+	return func(o Options) (R, error) { return run(o), nil }
 }
 
 // Registry lists every experiment in paper order.
 func Registry() []Runner {
 	return []Runner{
-		{"fig1", "Figure 1: bzip2 instances vs IPC target", func(o Options, w io.Writer) error {
-			r, err := Fig1(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig3", "Figure 3: manual mode downgrade illustration", func(o Options, w io.Writer) error {
-			r, err := Fig3(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig4", "Figure 4: cache sensitivity classification", func(o Options, w io.Writer) error {
-			r, err := Fig4(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"table1", "Table 1: representative benchmark operating points", func(o Options, w io.Writer) error {
-			r, err := Table1(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig5", "Figure 5: deadline hit rate and throughput (single-benchmark)", func(o Options, w io.Writer) error {
-			r, err := Fig5(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig6", "Figure 6: wall-clock time per mode (bzip2)", func(o Options, w io.Writer) error {
-			r, err := Fig6(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig7", "Figure 7: execution trace All-Strict vs AutoDown (bzip2)", func(o Options, w io.Writer) error {
-			r, err := Fig7(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig8", "Figure 8: resource stealing slack sweep", func(o Options, w io.Writer) error {
-			r, err := Fig8(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig9", "Figure 9: mixed-benchmark workloads", func(o Options, w io.Writer) error {
-			r, err := Fig9(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"lac", "§7.5: LAC characterization", func(o Options, w io.Writer) error {
-			r, err := LAC(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"cluster", "Figure 2 environment: GAC scaling over CMP nodes", func(o Options, w io.Writer) error {
-			r, err := Cluster(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"frag", "§7.1 decomposition: external vs internal fragmentation", func(o Options, w io.Writer) error {
-			r, err := Frag(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"related", "§2 comparison: UCP/Fair optimizers vs QoS reservation", func(o Options, w io.Writer) error {
-			r, err := Related(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"geometry", "Extension: L2 geometry sensitivity sweep", func(o Options, w io.Writer) error {
-			r, err := Geometry(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"faults", "Robustness: QoS degradation under injected resource faults", func(o Options, w io.Writer) error {
-			r, err := Faults(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"seeds", "Robustness: Figure 5 metrics across five seeds", func(o Options, w io.Writer) error {
-			r, err := Seeds(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"engines", "Validation: table vs trace engine agreement", func(o Options, w io.Writer) error {
-			r, err := Engines(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"sweep-slack", "Extension: Mix-1 slack sweep (favourable donor)", func(o Options, w io.Writer) error {
-			r, err := SweepSlack(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"sweep-pressure", "Extension: arrival-pressure robustness sweep", func(o Options, w io.Writer) error {
-			r, err := SweepPressure(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"policies", "Extension: pluggable pipeline scheduler×allocator sweep", func(o Options, w io.Writer) error {
-			r, err := PoliciesExp(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"ablation-interval", "Ablation: resource-stealing repartitioning interval", func(o Options, w io.Writer) error {
-			r, err := Interval(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"ablation-partition", "Ablation: per-set vs global partitioning variance (§4.1)", func(o Options, w io.Writer) error {
-			r := AblationPartition(o)
-			r.Render(w)
-			return nil
-		}},
-		{"ablation-sampling", "Ablation: shadow-tag set-sampling accuracy (§4.3)", func(o Options, w io.Writer) error {
-			r := AblationSampling(o)
-			r.Render(w)
-			return nil
-		}},
-		{"feedback", "Extension: closed-loop SLO control vs the static pipeline", func(o Options, w io.Writer) error {
-			r, err := Feedback(o)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
+		entry("fig1", "Figure 1: bzip2 instances vs IPC target", Fig1),
+		entry("fig3", "Figure 3: manual mode downgrade illustration", Fig3),
+		entry("fig4", "Figure 4: cache sensitivity classification", Fig4),
+		entry("table1", "Table 1: representative benchmark operating points", Table1),
+		entry("fig5", "Figure 5: deadline hit rate and throughput (single-benchmark)", Fig5),
+		entry("fig6", "Figure 6: wall-clock time per mode (bzip2)", Fig6),
+		entry("fig7", "Figure 7: execution trace All-Strict vs AutoDown (bzip2)", Fig7),
+		entry("fig8", "Figure 8: resource stealing slack sweep", Fig8),
+		entry("fig9", "Figure 9: mixed-benchmark workloads", Fig9),
+		entry("lac", "§7.5: LAC characterization", LAC),
+		entry("cluster", "Figure 2 environment: GAC scaling over CMP nodes", Cluster),
+		entry("frag", "§7.1 decomposition: external vs internal fragmentation", Frag),
+		entry("related", "§2 comparison: UCP/Fair optimizers vs QoS reservation", Related),
+		entry("geometry", "Extension: L2 geometry sensitivity sweep", Geometry),
+		entry("faults", "Robustness: QoS degradation under injected resource faults", Faults),
+		entry("seeds", "Robustness: Figure 5 metrics across five seeds", Seeds),
+		entry("engines", "Validation: table vs trace engine agreement", Engines),
+		entry("sweep-slack", "Extension: Mix-1 slack sweep (favourable donor)", SweepSlack),
+		entry("sweep-pressure", "Extension: arrival-pressure robustness sweep", SweepPressure),
+		entry("policies", "Extension: pluggable pipeline scheduler×allocator sweep", PoliciesExp),
+		entry("ablation-interval", "Ablation: resource-stealing repartitioning interval", Interval),
+		entry("ablation-partition", "Ablation: per-set vs global partitioning variance (§4.1)", infallible(AblationPartition)),
+		entry("ablation-sampling", "Ablation: shadow-tag set-sampling accuracy (§4.3)", infallible(AblationSampling)),
+		entry("feedback", "Extension: closed-loop SLO control vs the static pipeline", Feedback),
 	}
 }
 
@@ -331,14 +198,14 @@ func Lookup(name string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// Names returns all experiment names, sorted.
-func Names() []string {
-	var out []string
-	for _, r := range Registry() {
-		out = append(out, r.Name)
+// CSVResult runs a named experiment and returns its tabular form, or
+// an error when the experiment has no tabular export (fig3/fig7 are
+// traces, the ablations are prose).
+func CSVResult(name string, o Options) (Tabular, error) {
+	if r, ok := Lookup(name); ok && r.table != nil {
+		return r.table(o)
 	}
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("experiments: %q has no CSV export", name)
 }
 
 // pct formats a ratio as a percentage.

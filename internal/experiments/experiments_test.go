@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,8 +27,8 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := Lookup("nonesuch"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != len(want) {
-		t.Errorf("registry has %d entries, want %d", len(Names()), len(want))
+	if n := len(Registry()); n != len(want) {
+		t.Errorf("registry has %d entries, want %d", n, len(want))
 	}
 }
 
@@ -579,12 +580,45 @@ func TestOptionsConfig(t *testing.T) {
 	}
 }
 
+// TestCSVExports drives every row of the experiment table through both
+// front-ends of its adaptor: the text rendering, and the CSV export for
+// exactly the rows whose result implements Tabular. The set is spelled
+// out so that a result losing its Table method is loud.
 func TestCSVExports(t *testing.T) {
 	if testing.Short() {
-		t.Skip("csv sweep runs several experiments")
+		t.Skip("runs every experiment")
 	}
-	for _, name := range []string{"fig1", "fig4", "table1", "fig5", "fig6", "fig8", "fig9", "lac", "cluster", "related", "frag", "sweep-slack", "sweep-pressure"} {
+	tabular := map[string]bool{}
+	for _, name := range []string{"fig1", "fig4", "table1", "fig5", "fig6", "fig8", "fig9", "lac",
+		"cluster", "related", "frag", "sweep-slack", "sweep-pressure", "ablation-interval",
+		"engines", "seeds", "faults", "feedback", "geometry", "policies"} {
+		tabular[name] = true
+	}
+	for _, listed := range Registry() {
+		name := listed.Name
+		r, ok := Lookup(name)
+		if !ok {
+			t.Errorf("%s: listed but not found", name)
+			continue
+		}
+		// The two cache-level ablations ignore Options and cost 3 s between
+		// them; TestWriteHTML already renders them through the same adaptor.
+		if name != "ablation-partition" && name != "ablation-sampling" {
+			var text bytes.Buffer
+			if err := r.Run(fast(), &text); err != nil {
+				t.Errorf("%s: %v", name, err)
+			} else if text.Len() == 0 {
+				t.Errorf("%s: rendered nothing", name)
+			}
+		}
 		tab, err := CSVResult(name, fast())
+		if !tabular[name] {
+			if want := fmt.Sprintf("experiments: %q has no CSV export", name); err == nil || err.Error() != want {
+				t.Errorf("%s: CSVResult error = %v, want %s", name, err, want)
+			}
+			continue
+		}
+		delete(tabular, name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -605,8 +639,11 @@ func TestCSVExports(t *testing.T) {
 			t.Errorf("%s: write: %v", name, err)
 		}
 	}
-	if _, err := CSVResult("fig3", fast()); err == nil {
-		t.Error("fig3 should have no CSV export")
+	for name := range tabular {
+		t.Errorf("%s: expected a CSV export, not in the registry", name)
+	}
+	if _, err := CSVResult("nonesuch", fast()); err == nil || err.Error() != `experiments: "nonesuch" has no CSV export` {
+		t.Errorf("CSVResult(nonesuch) error = %v", err)
 	}
 }
 

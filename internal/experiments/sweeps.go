@@ -121,7 +121,7 @@ func SweepPressure(o Options) (*SweepPressureResult, error) {
 		rep := reps[i]
 		res.Rows = append(res.Rows, SweepPressureRow{
 			ProbesPerTw: probes,
-			Submissions: len(rep.Jobs) + rep.Rejected,
+			Submissions: rep.AcceptedJobs + rep.Rejected,
 			HitRate:     rep.DeadlineHitRate,
 			Total:       rep.TotalCycles,
 			Occupancy:   rep.LACOccupancy,

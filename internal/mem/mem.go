@@ -88,14 +88,7 @@ func (b *Bus) TotalWriteBacks() int64 { return b.totalWriteBacks }
 // number of core cycles, computing its utilization and starting a fresh
 // window. Zero-length windows leave utilization unchanged.
 func (b *Bus) Roll(windowCycles int64) {
-	if windowCycles > 0 {
-		seconds := float64(windowCycles) / b.cfg.ClockHz
-		demand := float64(b.windowMisses) * float64(b.cfg.BlockBytes)
-		b.utilization = demand / (b.cfg.PeakBytesPerS * seconds)
-		if b.utilization > 1 {
-			b.utilization = 1
-		}
-	}
+	b.utilization = b.WindowUtilization(b.windowMisses, windowCycles)
 	b.windowMisses = 0
 }
 
@@ -104,9 +97,9 @@ func (b *Bus) Roll(windowCycles int64) {
 func (b *Bus) Utilization() float64 { return b.utilization }
 
 // WindowUtilization returns the utilization a window of `transfers`
-// block transfers over windowCycles core cycles would yield — Roll's
-// exact formula (including the cap at 1) without mutating the bus. The
-// event-horizon fast-forward uses it as its fixed-point test: a steady
+// block transfers over windowCycles core cycles yields, capped at 1,
+// without mutating the bus: what Roll stores, and what the
+// event-horizon fast-forward uses as its fixed-point test — a steady
 // epoch may be skipped only when the utilization the next window would
 // compute is bit-identical to the current one, so every contention
 // penalty in the skipped epochs is bit-identical too.
@@ -164,17 +157,10 @@ func (p Priority) String() string {
 	return "reserved"
 }
 
-// queuePenalty is the shared M/M/1-flavoured queueing term, scaled by
-// weight: penalty = base·(1 + weight·ρ/(1−ρ)), capped at 4× base so a
-// fully saturated bus degrades rather than deadlocks the simulation.
-func (b *Bus) queuePenalty(weight float64) float64 {
-	return b.queuePenaltyAt(weight, b.utilization)
-}
-
-// queuePenaltyAt evaluates the queueing term at an explicit utilization
-// — bit-identical to queuePenalty when rho equals the live utilization.
-// The event-horizon fast-forward uses it to price the epochs of a bus
-// limit cycle without mutating the bus.
+// queuePenaltyAt is the shared M/M/1-flavoured queueing term at
+// utilization rho, scaled by weight: penalty = base·(1 + weight·ρ/(1−ρ)),
+// capped at 4× base so a fully saturated bus degrades rather than
+// deadlocks the simulation.
 func (b *Bus) queuePenaltyAt(weight, rho float64) float64 {
 	base := float64(b.cfg.BaseCycles)
 	if rho <= 0 {
@@ -194,9 +180,11 @@ func (b *Bus) queuePenaltyAt(weight, rho float64) float64 {
 // without priority scheduling: the unloaded latency plus a queueing term
 // that, per the paper's observation, stays roughly flat below saturation
 // (at ρ=0.5 it is +25%, at ρ=0.85 +142%) and grows sharply at it.
-func (b *Bus) MissPenalty() float64 { return b.queuePenalty(0.25) }
+func (b *Bus) MissPenalty() float64 { return b.MissPenaltyAt(b.utilization) }
 
-// MissPenaltyAt is MissPenalty evaluated at an explicit utilization.
+// MissPenaltyAt is MissPenalty evaluated at an explicit utilization: the
+// event-horizon fast-forward prices the epochs of a bus limit cycle with
+// it without mutating the bus.
 func (b *Bus) MissPenaltyAt(rho float64) float64 { return b.queuePenaltyAt(0.25, rho) }
 
 // SaturatedAt is Saturated evaluated at an explicit utilization.
@@ -208,12 +196,7 @@ func (b *Bus) SaturatedAt(rho float64) bool { return rho >= b.cfg.SatThreshold }
 // opportunistic requests absorb the queueing the reserved ones skipped.
 // The weights are chosen so the class-blended penalty roughly matches
 // the unprioritized MissPenalty at a 50/50 traffic split.
-func (b *Bus) MissPenaltyFor(p Priority) float64 {
-	if p == PrioReserved {
-		return b.queuePenalty(0.08)
-	}
-	return b.queuePenalty(0.42)
-}
+func (b *Bus) MissPenaltyFor(p Priority) float64 { return b.MissPenaltyForAt(p, b.utilization) }
 
 // MissPenaltyForAt is MissPenaltyFor evaluated at an explicit
 // utilization.

@@ -38,16 +38,12 @@ const (
 )
 
 // uvec is the profile's internal usage vector: one int64 per dimension
-// so prefix sums and ±sentinel arithmetic never overflow int ranges.
+// so prefix sums and sentinel arithmetic never overflow int ranges.
 type uvec [nDims]int64
 
-// Sentinels for empty-subtree aggregates and unconstrained limits.
+// unconstrained is the limit of a dimension the node does not bound.
 // Quarter-range keeps base+aggregate arithmetic overflow-free.
-const (
-	unconstrained = int64(math.MaxInt64) / 4
-	negInfPrefix  = int64(math.MinInt64) / 4
-	posInfPrefix  = int64(math.MaxInt64) / 4
-)
+const unconstrained = int64(math.MaxInt64) / 4
 
 func toUvec(v ResourceVector) uvec {
 	return uvec{int64(v.Cores), int64(v.CacheWays), int64(v.MemoryMB), int64(v.BandwidthMBps)}

@@ -315,7 +315,7 @@ func (r *Runner) buildTwTable(cfg Config, reqWays int) {
 				accesses = 20_000
 			}
 			// Served from the memoized single-pass curve (bit-exact with
-			// the historical ProbeMissRatio replay): repeated Runner
+			// a replay through the cache at reqWays): repeated Runner
 			// constructions across an experiment grid probe each
 			// (benchmark, geometry, window) once, not once per run.
 			mr = p.ProbeRatio(singleOwner, cfg.Seed, 0, reqWays, 0, accesses)

@@ -6,7 +6,6 @@ package sim
 
 import (
 	"cmpqos/internal/mem"
-	"cmpqos/internal/qos"
 	"cmpqos/internal/steal"
 	"cmpqos/internal/trace"
 )
@@ -104,38 +103,32 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
 	}
 }
 
-// penaltyFor returns the job's contention-adjusted memory penalty,
-// honoring the reserved-over-opportunistic bus prioritization when the
-// configuration enables it (§4.2 footnote 2).
+// penaltyFor returns the job's contention-adjusted memory penalty at
+// the live bus utilization.
 func (r *Runner) penaltyFor(j *Job) float64 {
+	return r.penaltyForAt(j, r.bus.Utilization())
+}
+
+// penaltyForAt prices the penalty at an explicit bus utilization (the
+// second parity of a limit-cycle window is priced before the bus gets
+// there), honoring the reserved-over-opportunistic bus prioritization
+// when the configuration enables it (§4.2 footnote 2).
+func (r *Runner) penaltyForAt(j *Job, u float64) float64 {
 	// latFactor is exactly 1.0 outside latency-spike windows, and x*1.0
 	// is the IEEE-754 identity, so fault-free runs stay bit-identical.
 	if !r.cfg.PrioritizeBus || r.cfg.Policy.noAdmission() {
-		return r.bus.MissPenalty() * r.latFactor
+		return r.bus.MissPenaltyAt(u) * r.latFactor
 	}
 	if j.ReservedRunning(r.now) {
-		return r.bus.MissPenaltyFor(mem.PrioReserved) * r.latFactor
+		return r.bus.MissPenaltyForAt(mem.PrioReserved, u) * r.latFactor
 	}
-	return r.bus.MissPenaltyFor(mem.PrioOpportunistic) * r.latFactor
+	return r.bus.MissPenaltyForAt(mem.PrioOpportunistic, u) * r.latFactor
 }
 
 // overBudget reports whether a reserved-running job has exhausted its
-// reserved wall-clock budget: tw for Strict, tw·(1+X) for Elastic, and
-// the deadline for auto-downgraded jobs (whose reservation ends there).
+// reserved wall-clock budget.
 func (r *Runner) overBudget(j *Job) bool {
-	if j.State != StateRunning || !j.ReservedRunning(r.now) {
-		return false
-	}
-	var budgetEnd int64
-	switch {
-	case j.AutoDowngraded:
-		budgetEnd = j.Deadline
-	case j.Mode.Kind == qos.KindElastic:
-		budgetEnd = j.Started + j.Mode.ReservationLength(j.TW)
-	default:
-		budgetEnd = j.Started + j.TW
-	}
-	return r.now >= budgetEnd
+	return j.ReservedRunning(r.now) && r.now >= j.budgetEnd()
 }
 
 // runStealing advances the Elastic job's repartitioning interval clock

@@ -22,11 +22,7 @@
 // state equal across both (so pause inputs stay constant).
 package sim
 
-import (
-	"cmpqos/internal/mem"
-	"cmpqos/internal/qos"
-	"cmpqos/internal/steal"
-)
+import "cmpqos/internal/steal"
 
 // ffChunkEpochs caps one proved window: it bounds k·E and the cluster's
 // calendar key, and it is how often cancellation (and the cluster's
@@ -47,19 +43,6 @@ type jobDelta struct {
 	shadow   int64   // shadow-tag misses per epoch
 	wb       int64   // write-back transfers per epoch
 	base     float64 // BaselineCycles addend per epoch
-}
-
-// penaltyForAt is penaltyFor evaluated at an explicit bus utilization —
-// bit-identical to penaltyFor when u is the live utilization. The
-// second parity of a limit-cycle window prices its epochs with it.
-func (r *Runner) penaltyForAt(j *Job, u float64) float64 {
-	if !r.cfg.PrioritizeBus || r.cfg.Policy.noAdmission() {
-		return r.bus.MissPenaltyAt(u) * r.latFactor
-	}
-	if j.ReservedRunning(r.now) {
-		return r.bus.MissPenaltyForAt(mem.PrioReserved, u) * r.latFactor
-	}
-	return r.bus.MissPenaltyForAt(mem.PrioOpportunistic, u) * r.latFactor
 }
 
 // epochDeltas prices one steady epoch at bus utilization u, filling dst
@@ -274,17 +257,9 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 			k = kc
 		}
 		if r.cfg.EnforceWallClock && j.ReservedRunning(N) {
-			// Replicates overBudget's budget end; the window must close
-			// before the first epoch whose start reaches it.
-			var budgetEnd int64
-			switch {
-			case j.AutoDowngraded:
-				budgetEnd = j.Deadline
-			case j.Mode.Kind == qos.KindElastic:
-				budgetEnd = j.Started + j.Mode.ReservationLength(j.TW)
-			default:
-				budgetEnd = j.Started + j.TW
-			}
+			// The window must close before the first epoch whose start
+			// reaches the budget end overBudget terminates at.
+			budgetEnd := j.budgetEnd()
 			if budgetEnd <= N {
 				return 0 // terminates this epoch
 			}

@@ -173,6 +173,21 @@ func (j *Job) ReservedRunning(now int64) bool {
 	return true
 }
 
+// budgetEnd returns the cycle at which a reserved-running job's
+// wall-clock budget runs out: started + tw for Strict, started +
+// tw·(1+X) for Elastic, and the deadline for auto-downgraded jobs (whose
+// reservation ends there).
+func (j *Job) budgetEnd() int64 {
+	switch {
+	case j.AutoDowngraded:
+		return j.Deadline
+	case j.Mode.Kind == qos.KindElastic:
+		return j.Started + j.Mode.ReservationLength(j.TW)
+	default:
+		return j.Started + j.TW
+	}
+}
+
 // Opportunistic reports whether the job currently scavenges rather than
 // owns resources.
 func (j *Job) Opportunistic(now int64) bool {

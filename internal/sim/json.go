@@ -84,7 +84,7 @@ func (rep *Report) WriteJSON(w io.Writer) error {
 		Policy:     rep.Policy.String(),
 		Engine:     rep.Engine.String(),
 		Workload:   rep.Workload,
-		Accepted:   len(rep.Jobs),
+		Accepted:   rep.AcceptedJobs,
 		Rejected:   rep.Rejected,
 		Terminated: rep.Terminated,
 		Total:      rep.TotalCycles,

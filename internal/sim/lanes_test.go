@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cmpqos/internal/fault"
@@ -181,6 +184,29 @@ func TestFoldCompletedReportRenders(t *testing.T) {
 	}
 	if bt, ft := batch.Throughput(), fold.Throughput(); bt <= 0 || ft != bt {
 		t.Errorf("throughput: batch %v, fold %v; want equal and positive", bt, ft)
+	}
+	// The accepted count is a scalar of the run, not the length of the
+	// rows fold mode drops: the summary's head and the JSON agree.
+	head := func(rep *Report) string {
+		lines := strings.SplitN(rep.Summary(), "\n", 3)
+		return lines[0] + "\n" + lines[1]
+	}
+	if bh, fh := head(batch), head(fold); fh != bh {
+		t.Errorf("summary: batch %q, fold %q", bh, fh)
+	}
+	accepted := func(rep *Report) int {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Accepted int }
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Accepted
+	}
+	if ba, fa := accepted(batch), accepted(fold); ba != len(batch.Jobs) || fa != ba {
+		t.Errorf("JSON accepted: batch %d (%d rows), fold %d", ba, len(batch.Jobs), fa)
 	}
 }
 

@@ -336,7 +336,7 @@ func (rep *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s / %s (engine=%s)\n", rep.Policy, rep.Workload, rep.Engine)
 	fmt.Fprintf(&b, "  accepted %d jobs (%d rejected probes), completed in %d cycles\n",
-		len(rep.Jobs), rep.Rejected, rep.TotalCycles)
+		rep.AcceptedJobs, rep.Rejected, rep.TotalCycles)
 	fmt.Fprintf(&b, "  deadline hit rate %.0f%%\n", rep.DeadlineHitRate*100)
 	keys := make([]string, 0, len(rep.WallClockByMode))
 	for k := range rep.WallClockByMode {

@@ -70,24 +70,19 @@ func (m *tableModel) cpiFor(j *Job, memPenalty float64) float64 {
 		j.mpifCur*scale, memPenalty)
 }
 
+// advance applies what steadyDeltas previews, so the stepped epoch and
+// the fast-forward that multiplies it out share one arithmetic.
 func (m *tableModel) advance(j *Job, instr int64) (int64, int64) {
-	scale := phaseScale(j)
-	misses := int64(float64(instr) * j.mpifCur * scale)
+	misses, shadow, writeBacks, _ := m.steadyDeltas(j, instr)
 	j.MainMisses += misses
-	if j.Stealer != nil {
-		j.ShadowMisses += int64(float64(instr) * j.mpiRes * scale)
-	} else {
-		j.ShadowMisses += misses
-	}
-	// Steady state: dirty evictions track the store fraction of fills.
-	return misses, int64(float64(misses) * workload.WriteFraction)
+	j.ShadowMisses += shadow
+	return misses, writeBacks
 }
 
-// steadyDeltas mirrors advance arithmetic exactly, term for term: while
-// the plan holds, phaseScale, mpifCur, and mpiRes are all fixed, so the
-// quantities advance would add are the same every epoch. Any change to
-// advance above must be mirrored here (fastforward_test locks the two
-// together with skip-on/skip-off byte-identity).
+// steadyDeltas: while the plan holds, phaseScale, mpifCur, and mpiRes are
+// all fixed, so the quantities are the same every epoch. The shadow
+// count of a job that may have ways stolen accrues at its reserved
+// allocation's rate.
 func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, bool) {
 	scale := phaseScale(j)
 	misses := int64(float64(instr) * j.mpifCur * scale)
@@ -95,6 +90,7 @@ func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, boo
 	if j.Stealer != nil {
 		shadow = int64(float64(instr) * j.mpiRes * scale)
 	}
+	// Steady state: dirty evictions track the store fraction of fills.
 	return misses, shadow, int64(float64(misses) * workload.WriteFraction), true
 }
 

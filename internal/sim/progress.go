@@ -19,10 +19,7 @@
 // the default pipeline byte-identical to the open-loop engine.
 package sim
 
-import (
-	"cmpqos/internal/qos"
-	"cmpqos/internal/steal"
-)
+import "cmpqos/internal/steal"
 
 // ctrlDefaultIntervalEpochs is the controller cadence when
 // Config.CtrlIntervalCycles is zero, in epochs.
@@ -119,17 +116,8 @@ func (r *Runner) progressSamples() []ProgressSample {
 		}
 		// Promised progress is budget burn-down over the same reserved
 		// wall-clock budget overBudget enforces.
-		var budgetEnd int64
-		switch {
-		case j.AutoDowngraded:
-			budgetEnd = j.Deadline
-		case j.Mode.Kind == qos.KindElastic:
-			budgetEnd = j.Started + j.Mode.ReservationLength(j.TW)
-		default:
-			budgetEnd = j.Started + j.TW
-		}
 		elapsed := r.now - j.Started
-		budget := budgetEnd - j.Started
+		budget := j.budgetEnd() - j.Started
 		if elapsed <= 0 || budget <= 0 || j.InstrTotal <= 0 {
 			continue
 		}

@@ -1,9 +1,9 @@
-// Package stats provides the small statistical primitives used throughout
-// the simulator: running summaries, histograms, counters, and rate
-// trackers. Everything is allocation-light.
+// Package stats provides the one statistical primitive the simulator
+// and the experiments share: Summary, a running summary of a sample
+// stream that allocates nothing.
 //
-// Concurrency contract: none of the types are internally synchronized.
-// Every tracker belongs to exactly one simulation run (one sim.Runner),
+// Concurrency contract: a Summary is not internally synchronized.
+// Every one belongs to exactly one simulation run (one sim.Runner),
 // and a run executes on a single goroutine. Cross-run parallelism lives
 // one layer up — internal/parallel fans complete, independent runs
 // across workers — so no stats value is ever shared between goroutines.
@@ -15,7 +15,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a running summary of a stream of float64 samples:
@@ -131,193 +130,4 @@ func (s *Summary) CoV() float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g",
 		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
-}
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi). Samples below Lo
-// land in an underflow bucket and samples at or above Hi in an overflow
-// bucket. Use NewHistogram to construct one.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	buckets   []int64
-	underflow int64
-	overflow  int64
-	summary   Summary
-}
-
-// NewHistogram creates a histogram with n equal-width buckets spanning
-// [lo, hi). It rejects n <= 0 and hi <= lo with an error so callers fed
-// from configuration or computed ranges surface the bad geometry
-// instead of crashing.
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bucket, got %d", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{
-		lo:      lo,
-		hi:      hi,
-		width:   (hi - lo) / float64(n),
-		buckets: make([]int64, n),
-	}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.summary.Add(x)
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) { // guard against float rounding at hi
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of samples, including under/overflow.
-func (h *Histogram) Count() int64 { return h.summary.Count() }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.underflow }
-
-// Overflow returns the count of samples at or above the upper bound.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Summary returns the running summary of all samples.
-func (h *Histogram) Summary() Summary { return h.summary }
-
-// Quantile returns an approximation of the q-quantile (0 <= q <= 1) from
-// the bucket midpoints. Out-of-range samples are clamped to the bounds.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	seen := h.underflow
-	if target < seen {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		seen += c
-		if target < seen {
-			return h.lo + (float64(i)+0.5)*h.width
-		}
-	}
-	return h.hi
-}
-
-// Counter is a named monotonically increasing counter.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc increments the counter by 1.
-func (c *Counter) Inc() { c.Value++ }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) { c.Value += delta }
-
-// Ratio returns c.Value / d.Value, or 0 when d is zero. It is the helper
-// used for miss-rate style derived metrics.
-func Ratio(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// Percentile computes the p-th percentile (0..100) of a sample slice by
-// linear interpolation. The input is copied, not mutated.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(samples))
-	copy(cp, samples)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// GeoMean returns the geometric mean of the samples; zero or negative
-// samples make the result 0 (they indicate a metric error upstream).
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range samples {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(samples)))
-}
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]: larger alpha weighs recent samples more. The zero
-// value is invalid; use NewEWMA.
-type EWMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA builds an EWMA; it rejects an out-of-range alpha with an
-// error.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("stats: EWMA alpha %v out of (0,1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Add folds one sample in; the first sample primes the average.
-func (e *EWMA) Add(x float64) {
-	if !e.primed {
-		e.value = x
-		e.primed = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average (0 before any sample).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one sample arrived.
-func (e *EWMA) Primed() bool { return e.primed }
-
-// Set forces the average to a value (used to seed from an estimate).
-func (e *EWMA) Set(x float64) {
-	e.value = x
-	e.primed = true
 }

@@ -113,117 +113,6 @@ func TestSummaryMeanWithinBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(11) // overflow
-	h.Add(10) // exactly hi -> overflow
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	if h.Underflow() != 1 {
-		t.Errorf("underflow = %d, want 1", h.Underflow())
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.Count() != 13 {
-		t.Errorf("count = %d, want 13", h.Count())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, err := NewHistogram(0, 100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median = %v, want ~50", med)
-	}
-	if q := h.Quantile(0); q > 5 {
-		t.Errorf("q0 = %v, want ~0", q)
-	}
-	if q := h.Quantile(1); q < 95 {
-		t.Errorf("q1 = %v, want ~100", q)
-	}
-}
-
-func TestHistogramRejectsBadGeometry(t *testing.T) {
-	for _, tc := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 10, 0}, {0, 10, -1}, {10, 10, 5}, {10, 5, 5}} {
-		if h, err := NewHistogram(tc.lo, tc.hi, tc.n); err == nil || h != nil {
-			t.Errorf("NewHistogram(%v,%v,%d) = (%v, %v), want error", tc.lo, tc.hi, tc.n, h, err)
-		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "misses"}
-	c.Inc()
-	c.Add(4)
-	if c.Value != 5 {
-		t.Errorf("counter = %d, want 5", c.Value)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Error("ratio with zero denominator should be 0")
-	}
-	if Ratio(3, 4) != 0.75 {
-		t.Errorf("ratio = %v, want 0.75", Ratio(3, 4))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v, want 1", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v, want 5", p)
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v, want 3", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Errorf("p25 = %v, want 2", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("empty percentile = %v, want 0", p)
-	}
-	// input must not be mutated
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); !almostEq(g, 4, 1e-12) {
-		t.Errorf("geomean = %v, want 4", g)
-	}
-	if g := GeoMean([]float64{1, 0, 5}); g != 0 {
-		t.Errorf("geomean with zero = %v, want 0", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("geomean of nothing = %v, want 0", g)
-	}
-}
-
 func TestCoV(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{10, 10, 10} {
@@ -237,61 +126,5 @@ func TestCoV(t *testing.T) {
 	z.Add(1)
 	if z.CoV() != 0 {
 		t.Errorf("CoV with zero mean = %v, want 0 (guarded)", z.CoV())
-	}
-}
-
-func TestQuantileEmpty(t *testing.T) {
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Quantile(0.5) != 0 {
-		t.Error("quantile of empty histogram should be 0")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Primed() || e.Value() != 0 {
-		t.Fatal("fresh EWMA should be unprimed and zero")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first sample should prime: %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Errorf("value = %v, want 15", e.Value())
-	}
-	e.Set(100)
-	if e.Value() != 100 {
-		t.Error("Set failed")
-	}
-	for _, bad := range []float64{0, -0.5, 1.5} {
-		if e, err := NewEWMA(bad); err == nil || e != nil {
-			t.Errorf("NewEWMA(%v) = (%v, %v), want error", bad, e, err)
-		}
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	// Property: feeding a constant converges to it regardless of start.
-	f := func(start, target uint16, alphaRaw uint8) bool {
-		alpha := 0.05 + float64(alphaRaw)/255*0.9
-		e, err := NewEWMA(alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Set(float64(start))
-		for i := 0; i < 400; i++ {
-			e.Add(float64(target))
-		}
-		return math.Abs(e.Value()-float64(target)) < 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

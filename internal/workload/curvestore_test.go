@@ -7,16 +7,37 @@ import (
 	"cmpqos/internal/cache"
 )
 
+// replayRatio is the reference the memoized single-pass curves are held
+// to (internal/cache's tests keep the same one as ProbeMissRatio): the
+// stream through a fresh single-owner partitioned cache at one way
+// allocation, `warmup` accesses to populate, `measure` counted.
+func replayRatio(cfg cache.Config, st cache.AddrStream, ways, warmup, measure int) float64 {
+	c := cache.NewPartitioned(cfg)
+	c.SetTarget(0, ways)
+	c.SetClass(0, cache.ClassReserved)
+	for i := 0; i < warmup; i++ {
+		c.Access(0, st.Next())
+	}
+	c.ResetStats()
+	for i := 0; i < measure; i++ {
+		c.Access(0, st.Next())
+	}
+	return c.MissRatio(0)
+}
+
 // TestProbeCurveMatchesReplayPath pins the rewiring: the memoized
-// single-pass ProbeCurve must be bit-exact with the historical
-// cache.ProbeMissCurve replays over the real synthetic streams.
+// single-pass ProbeCurve must be bit-exact with one replay per way
+// allocation over the real synthetic streams.
 func TestProbeCurveMatchesReplayPath(t *testing.T) {
 	cfg := probeCfg()
 	for _, name := range []string{"bzip2", "gobmk", "libquantum"} {
 		p := MustByName(name)
-		replay := cache.ProbeMissCurve(cfg, func() cache.AddrStream {
-			return p.NewStream(42, 0)
-		}, 60_000, 90_000)
+		replay := cache.MissCurve{Ratio: make([]float64, cfg.Ways+1)}
+		replay.Ratio[0] = 1
+		for w := 1; w <= cfg.Ways; w++ {
+			replay.Ratio[w] = replayRatio(cfg, p.NewStream(42, 0), w, 60_000, 90_000)
+		}
+		replay.Monotonic()
 		single := p.ProbeCurve(cfg, 60_000, 90_000)
 		for w := range replay.Ratio {
 			if replay.Ratio[w] != single.Ratio[w] {
@@ -28,15 +49,15 @@ func TestProbeCurveMatchesReplayPath(t *testing.T) {
 }
 
 // TestProbeRatioMatchesProbeMissRatio pins the sim-engine rewiring: the
-// tw-probe path must see exactly the value the legacy per-allocation
-// probe produced.
+// tw-probe path must see exactly the value the per-allocation replay
+// produces.
 func TestProbeRatioMatchesProbeMissRatio(t *testing.T) {
 	cfg := probeCfg()
 	p := MustByName("bzip2")
 	for _, ways := range []int{1, 7, 16} {
-		want := cache.ProbeMissRatio(cfg, p.NewStream(5, 0), ways, 0, 50_000)
+		want := replayRatio(cfg, p.NewStream(5, 0), ways, 0, 50_000)
 		if got := p.ProbeRatio(cfg, 5, 0, ways, 0, 50_000); got != want {
-			t.Errorf("ways=%d: ProbeRatio %v != ProbeMissRatio %v", ways, got, want)
+			t.Errorf("ways=%d: ProbeRatio %v != replay %v", ways, got, want)
 		}
 	}
 }

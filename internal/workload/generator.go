@@ -161,7 +161,8 @@ func (p Profile) probeCurve(cfg cache.Config, seed int64, jobID, warmup, measure
 // served from the memoized full curve — the single-pass profiler makes
 // the whole curve cost the same as one allocation's replay, so the
 // other fifteen points come free for later callers — and is bit-exact
-// with cache.ProbeMissRatio over the same stream and window.
+// with that replay over the same stream and window
+// (TestProbeRatioMatchesProbeMissRatio).
 func (p Profile) ProbeRatio(cfg cache.Config, seed int64, jobID, ways, warmup, measure int) float64 {
 	return p.ProbeCurveSeeded(cfg, seed, jobID, warmup, measure).At(ways)
 }
