@@ -65,7 +65,9 @@ fuzz:
 # cluster dispatch, and daemon snapshot benches once each
 # (-benchtime=1x): a CI guard that the O(log n) structures, the
 # streaming snapshot writer, and their benchmarks keep building and
-# running — timings are meaningless here. (The fast-forward path and
+# running — timings are meaningless here; the cluster line's B/op
+# (-benchmem) is not: it puts fleet dispatch's allocation in the CI
+# log. (The fast-forward path and
 # the control plane are run by bench-check: sim-node's paper and pid
 # classes, sim-fleet; of the fast-forward only the repeatAdd kernel has
 # a package benchmark, the evidence for its cut-over constant.) It also runs
@@ -74,7 +76,8 @@ fuzz:
 # static golden identity (the nil controller reproduces the open-loop
 # pipeline byte for byte).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit|BenchmarkClusterDispatch' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit' -benchtime=1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterDispatch' -benchtime=1x -benchmem -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPersist' -benchtime=1x -benchmem -timeout 10m ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRepeatAdd' -benchtime=1x -timeout 10m ./internal/sim
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments

@@ -23,6 +23,9 @@ func init() {
 // workload's accept target is reached (Poisson mode) or the script is
 // exhausted (scripted mode).
 func (r *Runner) processArrivals(epochEnd int64) {
+	if r.dlmix == nil {
+		r.dlmix = workload.NewDeadlineMix(r.seed)
+	}
 	if len(r.cfg.Script) > 0 {
 		for r.scriptPos < len(r.cfg.Script) && r.cfg.Script[r.scriptPos].Arrival < epochEnd {
 			sj := r.cfg.Script[r.scriptPos]
@@ -31,23 +34,21 @@ func (r *Runner) processArrivals(epochEnd int64) {
 			if ta < r.now {
 				ta = r.now
 			}
-			dl := r.dlmix.Next()
-			save := r.cfg.DeadlineFactor
-			saveInstr := r.cfg.JobInstr
-			if sj.DeadlineFactor > 0 {
-				r.cfg.DeadlineFactor = sj.DeadlineFactor
-			}
+			// Scripted per-job overrides ride down the submit path as
+			// arguments: the (possibly fleet-shared) Config is never written.
+			instr, factor := r.cfg.JobInstr, r.cfg.DeadlineFactor
 			if sj.Instr > 0 {
-				r.cfg.JobInstr = sj.Instr
+				instr = sj.Instr
 			}
-			r.submitTemplate(sj.Template, dl, ta)
-			r.cfg.DeadlineFactor = save
-			r.cfg.JobInstr = saveInstr
+			if sj.DeadlineFactor > 0 {
+				factor = sj.DeadlineFactor
+			}
+			r.admit(sj.Template, r.dlmix.Next(), ta, r.modeFor(sj.Template.Hint), instr, factor)
 		}
 		return
 	}
 	if r.arrivals == nil {
-		r.arrivals = workload.NewArrivals(r.cfg.Seed+1, r.cfg.ProbesPerTw, r.refTW)
+		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
 		r.nextArr = r.arrivals.Next()
 	}
 	for r.nextArr < epochEnd && r.acceptedN < r.cfg.AcceptTarget {
@@ -55,19 +56,14 @@ func (r *Runner) processArrivals(epochEnd int64) {
 		if ta < r.now {
 			ta = r.now
 		}
-		r.submit(ta)
+		// The workload composition describes the *accepted* jobs (Table 2's
+		// percentages and Table 3's mixes are over the ten-job workload):
+		// slot k of the composition is retried on every submission until a
+		// job is accepted into it.
+		tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
+		r.submitTemplate(tmpl, r.dlmix.Next(), ta)
 		r.nextArr = r.arrivals.Next()
 	}
-}
-
-func (r *Runner) submit(ta int64) {
-	// The workload composition describes the *accepted* jobs (Table 2's
-	// percentages and Table 3's mixes are over the ten-job workload):
-	// slot k of the composition is retried on every submission until a
-	// job is accepted into it.
-	tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
-	dl := r.dlmix.Next()
-	r.submitTemplate(tmpl, dl, ta)
 }
 
 // admitRequest fills the runner's scratch RUM for one admission attempt
@@ -85,12 +81,13 @@ func (r *Runner) admitRequest(id, ways int, tw, deadline, arrival int64, mode qo
 	return qos.Request{JobID: id, Target: &r.rum, Mode: mode, Arrival: arrival}
 }
 
-// deadlineFor derives a template's absolute deadline from its class
-// (or the configured override).
-func (r *Runner) deadlineFor(dl workload.DeadlineClass, ta, tw int64) int64 {
+// deadlineFor derives a template's absolute deadline from its class, or
+// from override when positive (Config.DeadlineFactor, or a scripted
+// job's own).
+func deadlineFor(override float64, dl workload.DeadlineClass, ta, tw int64) int64 {
 	factor := dl.Factor()
-	if r.cfg.DeadlineFactor > 0 {
-		factor = r.cfg.DeadlineFactor
+	if override > 0 {
+		factor = override
 	}
 	return ta + int64(factor*float64(tw))
 }
@@ -103,8 +100,8 @@ func (r *Runner) probeTemplate(tmpl workload.JobTemplate, dl workload.DeadlineCl
 	if r.lac == nil {
 		return ta, true
 	}
-	tw := r.twFor(twKey(tmpl))
-	d := r.lac.Probe(r.admitRequest(-1, r.reqWays, tw, r.deadlineFor(dl, ta, tw), ta, r.modeFor(tmpl.Hint)))
+	tw := r.twFor(tmpl).tw
+	d := r.lac.Probe(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, r.modeFor(tmpl.Hint)))
 	return d.Start, d.Accepted
 }
 
@@ -117,8 +114,8 @@ func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.Deadlin
 	if r.lac == nil {
 		return ta, true
 	}
-	tw := r.twFor(twKey(tmpl))
-	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, r.deadlineFor(dl, ta, tw), ta, mode))
+	tw := r.twFor(tmpl).tw
+	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, mode))
 	return d.Start, d.Accepted
 }
 
@@ -136,8 +133,7 @@ func (r *Runner) peekEarliestMode(tmpl workload.JobTemplate, ta int64, mode qos.
 	if r.lac == nil {
 		return ta, true
 	}
-	tw := r.twFor(twKey(tmpl))
-	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, 0, ta, mode))
+	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, r.twFor(tmpl).tw, 0, ta, mode))
 	return d.Start, d.Accepted
 }
 
@@ -147,24 +143,29 @@ func (r *Runner) submitTemplate(tmpl workload.JobTemplate, dl workload.DeadlineC
 	return r.submitTemplateAs(tmpl, dl, ta, r.modeFor(tmpl.Hint))
 }
 
-// submitTemplateAs runs one admission attempt with an explicit mode
-// (the oversub dispatcher re-submits rejected reserved work
-// Opportunistically) and returns whether the job was accepted. Under
+// submitTemplateAs is submitTemplate with an explicit mode (the oversub
+// dispatcher re-submits rejected reserved work Opportunistically).
+func (r *Runner) submitTemplateAs(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) bool {
+	return r.admit(tmpl, dl, ta, mode, r.cfg.JobInstr, r.cfg.DeadlineFactor)
+}
+
+// admit runs one admission attempt for a job of instr instructions whose
+// deadline factor is dlFactor when positive (the configured values, or a
+// scripted job's overrides) and returns whether it was accepted. Under
 // the paper's arrival pressure (4×128 probes per tw) rejections
 // outnumber acceptances ~80:1, so the rejection path records its two
-// events and touches nothing else: the Job object, its resolved
-// profile, and the deadline bookkeeping are built only after
-// acceptance.
-func (r *Runner) submitTemplateAs(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) bool {
+// events and touches nothing else: the Job object and the deadline
+// bookkeeping are built only after acceptance.
+func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode, instr int64, dlFactor float64) bool {
 	r.submitIdx++
 	id := r.submitIdx
-	key := twKey(tmpl)
-	tw := r.twFor(key)
-	if r.cfg.JobInstr != r.twInstr {
+	e := r.twFor(tmpl)
+	tw := e.tw
+	if instr != r.cfg.JobInstr {
 		// Scripted per-job instruction override: tw scales with length.
-		tw = int64(float64(tw) * float64(r.cfg.JobInstr) / float64(r.twInstr))
+		tw = int64(float64(tw) * float64(instr) / float64(r.cfg.JobInstr))
 	}
-	td := r.deadlineFor(dl, ta, tw)
+	td := deadlineFor(dlFactor, dl, ta, tw)
 	r.emit(trace.Event{Cycle: ta, JobID: id, Kind: trace.Submitted})
 
 	var dec qos.Decision
@@ -177,14 +178,13 @@ func (r *Runner) submitTemplateAs(tmpl workload.JobTemplate, dl workload.Deadlin
 		}
 	}
 
-	instr := r.cfg.JobInstr
 	if r.cfg.OverrunFactor > 1 && r.acceptedN == r.cfg.OverrunJobSlot {
 		// Failure injection: this job's user underspecified tw.
 		instr = int64(float64(instr) * r.cfg.OverrunFactor)
 	}
 	j := &Job{
 		ID:           id,
-		Profile:      r.resolveTemplate(key, tmpl),
+		Profile:      e.prof,
 		Hint:         tmpl.Hint,
 		Mode:         mode,
 		DlClass:      dl,
@@ -276,29 +276,32 @@ func (r *Runner) refitTW(j *Job, ways int) int64 {
 // overspecification margin. The table engine reads the calibrated
 // curve; the trace engine profiles the benchmark through the real cache
 // first (the paper likewise derives requests from profiled behaviour).
-func (r *Runner) buildTwTable(cfg Config, reqWays int) {
+func (sh *nodeShared) buildTwTable() {
+	cfg, reqWays := sh.cfg, sh.reqWays
+	budget := func(key string, p *workload.Profile, h2, misses float64) {
+		cpi := cfg.CPU.CPI(p.CPIL1Inf, h2, misses*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
+		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
+		sh.tmpl[key] = tmplEntry{tw: tw, prof: p}
+		if tw > sh.refTW {
+			sh.refTW = tw
+		}
+	}
 	twJobs := cfg.Workload.Jobs
 	for _, sj := range cfg.Script {
 		twJobs = append(twJobs[:len(twJobs):len(twJobs)], sj.Template)
 	}
 	for _, jt := range twJobs {
 		key := twKey(jt)
-		if _, ok := r.twByBench[key]; ok {
+		if _, ok := sh.tmpl[key]; ok {
 			continue
 		}
-		p := resolveProfile(jt)
-		r.profByKey[key] = p
+		p := resolveProfile(jt) // one per iteration: the table keeps &p
 		var mr float64
 		if cfg.Engine == EngineTrace && cfg.ModelL1 {
 			// Cold hierarchy profile: measure the post-L1 operating
 			// point this job length actually sees.
 			h2m, mrm := probeHierarchy(cfg, p, reqWays)
-			cpi := cfg.CPU.CPI(p.CPIL1Inf, h2m, h2m*mrm*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
-			tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
-			r.twByBench[key] = tw
-			if tw > r.refTW {
-				r.refTW = tw
-			}
+			budget(key, &p, h2m, h2m*mrm)
 			continue
 		}
 		if cfg.Engine == EngineTrace {
@@ -324,12 +327,7 @@ func (r *Runner) buildTwTable(cfg Config, reqWays int) {
 		}
 		// The maximum wall-clock request budgets the worst phase (§3.1's
 		// dynamic behaviour): calmer phases become internal fragmentation.
-		cpi := cfg.CPU.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
-		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
-		r.twByBench[key] = tw
-		if tw > r.refTW {
-			r.refTW = tw
-		}
+		budget(key, &p, p.L2APA, p.L2APA*mr)
 	}
 }
 
@@ -389,28 +387,23 @@ func resolveProfile(jt workload.JobTemplate) workload.Profile {
 	return p
 }
 
-// twFor returns the template's tw budget with a single-entry memo in
-// front of the map: successive arrivals overwhelmingly draw the same
-// benchmark, and comparing an interned key string is cheaper than
-// hashing it.
-func (r *Runner) twFor(key string) int64 {
-	if key == r.lastTWKey && key != "" {
-		return r.lastTW
+// twFor returns the template's tw budget and profile with a single-entry
+// memo in front of the table: successive arrivals overwhelmingly draw
+// the same template, and recognizing it by benchmark and phase-slice
+// identity spares a phased template the key formatting on every
+// submission, rejected probes included. A template New did not budget
+// (none of the configuration's) has no budget to scale: tw 0.
+func (r *Runner) twFor(jt workload.JobTemplate) tmplEntry {
+	last := &r.lastTmpl
+	if jt.Benchmark == last.Benchmark && len(jt.Phases) == len(last.Phases) &&
+		(len(jt.Phases) == 0 || &jt.Phases[0] == &last.Phases[0]) && r.lastEntry.prof != nil {
+		return r.lastEntry
 	}
-	tw := r.twByBench[key]
-	r.lastTWKey, r.lastTW = key, tw
-	return tw
-}
-
-// resolveTemplate returns the template's materialized profile, memoized
-// per tw key (the key pins benchmark and phase overrides, the only
-// inputs of resolveProfile). New pre-populates the map for every
-// template it budgets, so submissions never re-resolve.
-func (r *Runner) resolveTemplate(key string, tmpl workload.JobTemplate) workload.Profile {
-	if p, ok := r.profByKey[key]; ok {
-		return p
+	e, ok := r.tmpl[twKey(jt)]
+	if !ok {
+		p := resolveProfile(jt)
+		e.prof = &p
 	}
-	p := resolveProfile(tmpl)
-	r.profByKey[key] = p
-	return p
+	r.lastTmpl, r.lastEntry = jt, e
+	return e
 }

@@ -85,7 +85,7 @@ func (ucpAllocator) Allocate(r *Runner, byCore [][]*Job) {
 				best = j.Profile
 			}
 		}
-		demands = append(demands, alloc.Demand{Profile: best})
+		demands = append(demands, alloc.Demand{Profile: *best})
 		cores = append(cores, c)
 	}
 	if len(demands) == 0 {

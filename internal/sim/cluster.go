@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cmpqos/internal/parallel"
@@ -10,12 +11,13 @@ import (
 	"cmpqos/internal/workload"
 )
 
-// The node cap is a memory bound, not a policy: a quiescent node runner
-// (timeline, model state, dispatch-index slots) costs on the order of
-// 64 KiB, and the fleet must fit comfortably in one machine's memory,
-// so the cap is the node count that fits a 16 GiB budget. Deriving it
-// by division keeps the arithmetic overflow-free however the budget is
-// tuned.
+// The node cap is a memory bound, not a policy: the fleet must fit
+// comfortably in one machine's memory, so the cap is the node count that
+// fits a 16 GiB budget at 64 KiB a node. That figure is a deliberate
+// ceiling, not a measurement: a node measures 2.4 KB at construction and
+// 1.2 KB per job it accepts (TestFleetAllocBudget), and 64 KiB leaves
+// room for a loaded timeline and a few dozen live jobs. Deriving the cap
+// by division keeps the arithmetic overflow-free however it is tuned.
 const (
 	nodeFootprintBytes  = int64(64) << 10
 	clusterMemoryBudget = int64(16) << 30
@@ -190,15 +192,27 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		horizons: make([]int64, cfg.Nodes),
 	}
 	cr.nodes = make([]*Runner, 0, cfg.Nodes)
+	nodeCfg := cfg.Node
+	// Per-node accept targets are moot; the cluster decides.
+	nodeCfg.AcceptTarget = cfg.AcceptTarget
+	// Nodes stream finished jobs into their report aggregates so fleet
+	// memory tracks live jobs, not total admitted jobs.
+	nodeCfg.FoldCompleted = true
+	var sh *nodeShared
 	for i := 0; i < cfg.Nodes; i++ {
-		nodeCfg := cfg.Node
-		nodeCfg.Seed = cfg.nodeSeed(i)
-		// Per-node accept targets are moot; the cluster decides.
-		nodeCfg.AcceptTarget = cfg.AcceptTarget
-		// Nodes stream finished jobs into their report aggregates so fleet
-		// memory tracks live jobs, not total admitted jobs.
-		nodeCfg.FoldCompleted = true
-		n, err := New(nodeCfg)
+		seed := cfg.nodeSeed(i)
+		if trace := nodeCfg.Engine == EngineTrace; i == 0 || trace {
+			// Identical nodes share their immutable half; the trace engine
+			// profiles its tw table under the node's seed.
+			if trace {
+				nodeCfg.Seed = seed
+			}
+			var err error
+			if sh, err = newShared(nodeCfg); err != nil {
+				return nil, err
+			}
+		}
+		n, err := newNode(sh, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -239,6 +253,15 @@ func (cr *ClusterRunner) Run() (*ClusterReport, error) {
 func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*ClusterReport, error) {
 	pool := parallel.New(workers)
 	E := cr.cfg.Node.EpochCycles
+	// One closure for the run, not one per epoch: cr.due and cr.horizons
+	// are not reassigned while a Map is in flight.
+	stepDue := func(i int) (struct{}, error) {
+		n := cr.nodes[cr.due[i]]
+		n.catchUp(cr.now)
+		n.step()
+		cr.horizons[i] = n.nextHorizon()
+		return struct{}{}, nil
+	}
 	for !cr.done() {
 		if cr.now > cr.cfg.Node.MaxCycles {
 			return nil, fmt.Errorf("sim: cluster exceeded safety horizon with %d/%d accepted",
@@ -259,17 +282,11 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 			cr.markDue(id)
 		}
 		if cr.dueDirty {
-			sort.Slice(cr.due, func(a, b int) bool { return cr.due[a] < cr.due[b] })
+			slices.Sort(cr.due)
 			cr.dueDirty = false
 		}
 		due, horizons := cr.due, cr.horizons
-		if _, err := parallel.Map(ctx, pool, len(due), func(i int) (struct{}, error) {
-			n := cr.nodes[due[i]]
-			n.catchUp(cr.now)
-			n.step()
-			horizons[i] = n.nextHorizon()
-			return struct{}{}, nil
-		}); err != nil {
+		if _, err := parallel.Map(ctx, pool, len(due), stepDue); err != nil {
 			return nil, err
 		}
 		// Serial completion observation in ascending id order — the same
@@ -413,8 +430,9 @@ func (cr *ClusterRunner) report() *ClusterReport {
 	}
 	hits, den := 0, 0
 	var digests []NodeDigest
+	var nr Report // one for the whole fold: a node's report is read and dropped
 	for i, n := range cr.nodes {
-		nr := n.report()
+		n.reportInto(&nr)
 		if nr.TotalCycles > rep.TotalCycles {
 			rep.TotalCycles = nr.TotalCycles
 		}

@@ -108,9 +108,9 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 	if mode.Kind == qos.KindOpportunistic {
 		return mode, 0, 0
 	}
-	tw := n.twFor(twKey(a.Tmpl))
+	tw := n.twFor(a.Tmpl).tw
 	dur = mode.ReservationLength(tw)
-	cutoff = n.deadlineFor(a.DL, a.TA, tw) - dur
+	cutoff = deadlineFor(n.cfg.DeadlineFactor, a.DL, a.TA, tw) - dur
 	return mode, dur, cutoff
 }
 

@@ -15,7 +15,8 @@ import (
 // pipeline stages resolved at construction (registry.go); what consumes
 // the run, built in or attached, is in sink.go.
 type Runner struct {
-	cfg      Config
+	*nodeShared
+	seed     int64
 	lac      *qos.LAC
 	bus      *mem.Bus
 	model    model
@@ -40,11 +41,6 @@ type Runner struct {
 	nextArr   int64
 	submitIdx int
 
-	twByBench map[string]int64
-	profByKey map[string]workload.Profile // resolved template profiles
-	twInstr   int64                       // instruction count the tw table was computed at
-	refTW     int64
-	reqWays   int
 	external  bool // arrivals are injected by a ClusterRunner
 	epochIdx  int64
 	coreSched []coreSchedState
@@ -73,13 +69,12 @@ type Runner struct {
 	// Event-horizon fast-forward (§11): when the cached plan holds and
 	// every per-epoch quantity is provably constant until the next
 	// event, steadyWindow computes how many epochs can be advanced in
-	// closed form and applySteady advances them (fastforward.go).
-	// skipOK is the static gate computed at construction; nStepped and
+	// closed form and applySteady advances them (fastforward.go), behind
+	// the static gate nodeShared.skipOK; nStepped and
 	// nSkipped are the observable epoch counters (Report.EpochsStepped
 	// / EpochsSkipped); ffDeltas/ffDeltas2 are steadyWindow's per-job
 	// delta scratch — one slice per parity of the bus cycle it proved
 	// (ffPeriod 1 or 2) — consumed by the applySteady that follows it.
-	skipOK    bool
 	nStepped  int64
 	nSkipped  int64
 	ffPeriod  int64
@@ -90,27 +85,22 @@ type Runner struct {
 	ffPriced  bool  // last attempt reached the O(jobs) delta pricing
 
 	// Closed-loop control plane (progress.go): the registered feedback
-	// controller (nil = "static", the open-loop default), its tick
-	// cadence in cycles, the reusable sample scratch, and the tick
-	// counter the Report exposes as CtrlRetunes.
-	ctrl         Controller
-	ctrlInterval int64
-	ctrlSamples  []ProgressSample
-	ctrlGrants   []ctrlGrant
-	ctrlTicks    int64
+	// controller (nil = "static", the open-loop default), the reusable
+	// sample scratch, and the tick counter the Report exposes as
+	// CtrlRetunes (the tick cadence is nodeShared.ctrlInterval).
+	ctrl        Controller
+	ctrlSamples []ProgressSample
+	ctrlGrants  []ctrlGrant
+	ctrlTicks   int64
 
 	// Admission scratch: one reusable RUM passed by pointer so the ~400
 	// probes per tw window don't each box a fresh value into the Request
 	// interface (the LAC copies what it needs and never retains the
-	// pointer), plus a single-entry tw memo for the common case of every
-	// arrival drawing the same benchmark.
-	rum       qos.RUM
-	lastTWKey string
-	lastTW    int64
-	// modeByHint memoizes Config.ModeForHint per hint: the mapping is
-	// fixed for a run, and recomputing it per arrival copies the whole
-	// Config (value receiver) on the hottest path.
-	modeByHint    [workload.NumModeHints]qos.Mode
+	// pointer), plus a single-entry template memo for the common case of
+	// every arrival drawing the same template (twFor).
+	rum           qos.RUM
+	lastTmpl      workload.JobTemplate
+	lastEntry     tmplEntry
 	planIdleCores float64 // memoized fragDeltas of the plan's state
 	planIdleWays  float64
 	planInternal  float64
@@ -146,18 +136,74 @@ type epochScratch struct {
 	live       []*Job
 }
 
-// New builds a runner for the configuration.
-func New(cfg Config) (*Runner, error) {
+// nodeShared is the immutable half of a Runner: what New derives from the
+// Config alone. A table-engine fleet builds one for all its nodes and
+// its worker goroutines read it concurrently; nothing writes it after
+// newShared returns. A node's seed lives on the Runner (cfg.Seed here is
+// the constructor's — read Runner.seed); the trace engine profiles its
+// tw table under that seed, so its nodes each build their own.
+type nodeShared struct {
+	cfg Config
+	// tmpl is the tw budget and resolved profile of every template the
+	// configuration can submit, by twKey; refTW is the largest budget.
+	tmpl    map[string]tmplEntry
+	refTW   int64
+	reqWays int
+	// modeByHint memoizes Config.ModeForHint per hint: recomputing it per
+	// arrival copies the whole Config (value receiver) on the hottest path.
+	modeByHint   [workload.NumModeHints]qos.Mode
+	ctrlInterval int64 // feedback-controller tick cadence in cycles
+	// skipOK gates the fast-forward statically: closed-form per-epoch
+	// deltas need the table model under processor sharing (round-robin
+	// positions work inside the epoch, the trace engine draws fresh RNG
+	// per epoch) and no per-epoch telemetry.
+	skipOK bool
+}
+
+type tmplEntry struct {
+	tw   int64
+	prof *workload.Profile
+}
+
+func newShared(cfg Config) (*nodeShared, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{
-		cfg:       cfg,
-		bus:       mem.NewBus(cfg.Mem),
-		dlmix:     workload.NewDeadlineMix(cfg.Seed),
-		twByBench: map[string]int64{},
-		profByKey: map[string]workload.Profile{},
+	sh := &nodeShared{
+		cfg:          cfg,
+		tmpl:         map[string]tmplEntry{},
+		reqWays:      cfg.RequestWays,
+		ctrlInterval: cfg.CtrlIntervalCycles,
+		skipOK:       cfg.Engine != EngineTrace && cfg.SchedQuantumCycles == 0 && !cfg.RecordSeries,
 	}
+	if sh.ctrlInterval == 0 {
+		sh.ctrlInterval = ctrlDefaultIntervalEpochs * cfg.EpochCycles
+	}
+	for h := workload.ModeHint(0); h < workload.NumModeHints; h++ {
+		sh.modeByHint[h] = cfg.ModeForHint(h)
+	}
+	if sh.reqWays == 0 {
+		sh.reqWays = qos.PresetMedium().CacheWays
+	}
+	sh.buildTwTable()
+	return sh, nil
+}
+
+// New builds a runner for the configuration.
+func New(cfg Config) (*Runner, error) {
+	sh, err := newShared(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newNode(sh, cfg.Seed)
+}
+
+// newNode builds the mutable half. The arrival and deadline cursors are
+// created lazily by processArrivals: cluster nodes never draw from them,
+// and each would pin a tape per node seed in the process-wide store.
+func newNode(sh *nodeShared, seed int64) (*Runner, error) {
+	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem)}
+	cfg := r.Config()
 	var err error
 	if r.sched, err = newScheduler(cfg); err != nil {
 		return nil, err
@@ -172,28 +218,11 @@ func New(cfg Config) (*Runner, error) {
 	if r.ctrl, err = newController(cfg); err != nil {
 		return nil, err
 	}
-	r.ctrlInterval = cfg.CtrlIntervalCycles
-	if r.ctrlInterval == 0 {
-		r.ctrlInterval = ctrlDefaultIntervalEpochs * cfg.EpochCycles
-	}
-	for h := workload.ModeHint(0); h < workload.NumModeHints; h++ {
-		r.modeByHint[h] = cfg.ModeForHint(h)
-	}
-	reqWays := cfg.RequestWays
-	if reqWays == 0 {
-		reqWays = qos.PresetMedium().CacheWays
-	}
-	r.reqWays = reqWays
-	r.buildTwTable(cfg, reqWays)
-	r.twInstr = cfg.JobInstr
-	// The arrival cursor is created lazily by processArrivals: scripted
-	// runs never draw from it, and cluster nodes (external arrivals)
-	// would otherwise materialize one arrival tape per node.
 	if cfg.FoldCompleted {
 		// Streaming mode: per-job outcomes fold into aggregates at
 		// completion, so memory stays O(live jobs) regardless of how many
 		// jobs the run admits.
-		r.fold = newJobFold()
+		r.fold = &jobFold{}
 	}
 
 	if !cfg.Policy.noAdmission() {
@@ -213,11 +242,6 @@ func New(cfg Config) (*Runner, error) {
 	default:
 		r.model = newTableModel(cfg.CPU)
 	}
-	// The fast-forward requires closed-form per-epoch deltas: the table
-	// model under processor sharing (round-robin time-slicing positions
-	// work inside the epoch, and the trace engine draws fresh RNG per
-	// epoch) and no per-epoch telemetry.
-	r.skipOK = cfg.Engine != EngineTrace && cfg.SchedQuantumCycles == 0 && !cfg.RecordSeries
 	r.coreSched = make([]coreSchedState, cfg.Cores)
 	r.sc.byCore = make([][]*Job, cfg.Cores)
 	r.sc.load = make([]int, cfg.Cores)
@@ -235,7 +259,11 @@ func New(cfg Config) (*Runner, error) {
 // Config returns the run's configuration. Pipeline implementations
 // registered from outside this package read geometry and policy
 // parameters through it.
-func (r *Runner) Config() Config { return r.cfg }
+func (r *Runner) Config() Config {
+	cfg := r.cfg
+	cfg.Seed = r.seed
+	return cfg
+}
 
 // Now returns the current simulation cycle (the start of the epoch
 // being planned or advanced).

@@ -53,6 +53,11 @@ type jobDelta struct {
 // preceding epoch. Returns ok=false when any job would hit its
 // Remaining clamp or the model cannot guarantee constant deltas.
 func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss, wb int64, ok bool) {
+	if cap(*dst) == 0 {
+		// A job per core to start with, not append's 1, 2, 4: a filling
+		// node reallocated its scratch at each.
+		*dst = make([]jobDelta, 0, len(r.sc.byCore))
+	}
 	*dst = (*dst)[:0]
 	E := r.cfg.EpochCycles
 	idx := 0

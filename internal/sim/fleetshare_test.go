@@ -1,0 +1,112 @@
+package sim
+
+import (
+	"context"
+	"testing"
+	"unsafe"
+
+	"cmpqos/internal/workload"
+)
+
+// TestFleetAllocBudget pins what a fleet costs in bytes: a node at
+// construction, and a whole run per node and per accepted job. The
+// budgets sit 5% above what the code measured when they were set
+// (DESIGN §10 has the before/after); a change that makes a node or a job
+// fatter fails here, not in a benchmark ledger three PRs later.
+func TestFleetAllocBudget(t *testing.T) {
+	const nodes, jobs = 64, 256
+	// The sim-fleet benchmark's cluster, smaller.
+	cfg := ClusterConfig{Nodes: nodes, Node: DefaultConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: jobs}
+	if _, err := NewCluster(cfg); err != nil { // warm the tape store
+		t.Fatal(err)
+	}
+	build := quietestAlloc(func() {
+		if _, err := NewCluster(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perNode := build / nodes; perNode > 2500 {
+		t.Errorf("NewCluster allocated %d B per node, budget 2500", perNode)
+	}
+	run := quietestAlloc(func() {
+		cr, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := cr.Run(); err != nil || rep.Accepted != jobs {
+			t.Fatalf("run: %v, %+v", err, rep)
+		}
+	})
+	// Measured 473,880 B: 2,443 per node at construction, 1,240 per
+	// accepted job for everything after it (parent: 833,128 = 3,802, 2,304).
+	const perNodeBudget, perJobBudget = 2565, 1302
+	if budget := uint64(nodes*perNodeBudget + jobs*perJobBudget); run > budget {
+		t.Errorf("a %d-node, %d-job fleet run allocated %d B, budget %d (%d/node + %d/job); construction was %d",
+			nodes, jobs, run, budget, perNodeBudget, perJobBudget, build)
+	}
+}
+
+// TestJobAndRunnerSize pins the two structs a fleet allocates by the
+// thousand to their malloc size classes: a field added to either is a
+// decision, not an accident.
+func TestJobAndRunnerSize(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got > 288 {
+		t.Errorf("Job is %d bytes, over the 288-byte size class", got)
+	}
+	if got := unsafe.Sizeof(Runner{}); got > 1152 {
+		t.Errorf("Runner is %d bytes, over the 1152-byte size class", got)
+	}
+}
+
+// TestFleetSharesImmutableHalf: the nodes of a table-engine fleet point
+// at one nodeShared, the nodes of a trace-engine fleet — whose tw tables
+// are profiled under the node's seed — do not, and either way a node
+// reports its own seed. The table fleet then runs on four workers, so
+// `go test -race` sees every worker read the shared struct.
+func TestFleetSharesImmutableHalf(t *testing.T) {
+	for _, engine := range []Engine{EngineTable, EngineTrace} {
+		cfg := clusterCfg(6, 24)
+		cfg.Node.Engine = engine
+		cr, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range cr.nodes {
+			if got, want := n.Config().Seed, cfg.nodeSeed(i); got != want {
+				t.Errorf("%v: node %d reports seed %d, want %d", engine, i, got, want)
+			}
+			if c := n.Config(); c.AcceptTarget != cfg.AcceptTarget || !c.FoldCompleted {
+				t.Errorf("%v: node %d config lost the cluster's overrides", engine, i)
+			}
+			if shared := n.nodeShared == cr.nodes[0].nodeShared; i > 0 && shared != (engine == EngineTable) {
+				t.Errorf("%v: node %d shares node 0's immutable half: %v", engine, i, shared)
+			}
+		}
+		if engine == EngineTrace {
+			continue
+		}
+		if rep, err := cr.RunParallel(context.Background(), 4); err != nil || rep.Accepted != 24 {
+			t.Fatalf("run: %v, %+v", err, rep)
+		}
+	}
+}
+
+// TestFleetNodesDrawNoTapes: a cluster node's arrivals and deadline
+// classes come from the cluster's streams, so it must never create its
+// own cursors — each registers a tape under the node's seed in the
+// process-wide tape store, which is never emptied (500 nodes pinned
+// 2.7 MB per base seed).
+func TestFleetNodesDrawNoTapes(t *testing.T) {
+	cr, err := NewCluster(clusterCfg(64, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range cr.nodes {
+		if n.dlmix != nil || n.arrivals != nil {
+			t.Fatalf("node %d of a finished fleet holds its own cursors: dlmix %v, arrivals %v", i, n.dlmix != nil, n.arrivals != nil)
+		}
+	}
+}

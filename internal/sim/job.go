@@ -43,10 +43,12 @@ func (s JobState) String() string {
 }
 
 // Job is one unit of aperiodic computation with its own QoS target
-// (§3.1): here, one instance of a single-threaded benchmark.
+// (§3.1): here, one instance of a single-threaded benchmark. One is
+// allocated per accepted job: 280 bytes, inside the 288-byte size class
+// (TestJobAndRunnerSize).
 type Job struct {
 	ID      int
-	Profile workload.Profile
+	Profile *workload.Profile // into the runner's template table: shared, read-only
 	Hint    workload.ModeHint
 	Mode    qos.Mode
 	DlClass workload.DeadlineClass
@@ -81,8 +83,7 @@ type Job struct {
 	// ways above the reservation, never shrink below it.
 	ctrlBoost int
 
-	// Automatic downgrade state (§3.4). The flags share one word: a Job
-	// is allocated per accepted job and fills its 448-byte size class.
+	// Automatic downgrade state (§3.4). The flags share one word.
 	AutoDowngraded bool
 	switched       bool  // auto-downgraded job has reverted to Strict
 	started        bool  // the job has run: firstStart is set
@@ -111,24 +112,28 @@ type Job struct {
 	mpifRes float64 // Profile.MPIF(WaysReserved), set at Stealer creation
 	mpiRes  float64 // Profile.MPI(WaysReserved), set at Stealer creation
 
-	// Trace-engine state.
+	tr *traceState // allocated by the trace engine when the job first runs
+}
+
+// traceState is a job's trace-engine state.
+type traceState struct {
 	stream        *workload.Stream
 	memStream     *workload.MemStream // full-hierarchy mode
 	lastMissRatio float64
 	lastH2        float64 // measured L2 accesses/instr (full-hierarchy mode)
-	seeded        bool
-	writeLCG      uint64 // deterministic store/load decision stream
+	writeLCG      uint64  // deterministic store/load decision stream
 }
 
 // nextWrite decides whether the next trace access is a store, using a
 // cheap per-job LCG so the stream is deterministic and independent of
 // the address generator.
 func (j *Job) nextWrite() bool {
-	if j.writeLCG == 0 {
-		j.writeLCG = uint64(j.ID)*2862933555777941757 + 3037000493
+	t := j.tr
+	if t.writeLCG == 0 {
+		t.writeLCG = uint64(j.ID)*2862933555777941757 + 3037000493
 	}
-	j.writeLCG = j.writeLCG*6364136223846793005 + 1442695040888963407
-	return float64(j.writeLCG>>40)/float64(1<<24) < workload.WriteFraction
+	t.writeLCG = t.writeLCG*6364136223846793005 + 1442695040888963407
+	return float64(t.writeLCG>>40)/float64(1<<24) < workload.WriteFraction
 }
 
 // setWaysF sets the job's effective way allocation for the epoch and

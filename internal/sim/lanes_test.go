@@ -117,47 +117,72 @@ func TestLanesMatchEventReplay(t *testing.T) {
 	}
 }
 
+// quietestAlloc returns the smallest TotalAlloc delta of allocRounds
+// calls of fn. TotalAlloc is process-wide, so the quietest of a few
+// rounds is the reading — a stray runtime allocation lands in one round,
+// one that fn makes in all of them.
+func quietestAlloc(fn func()) uint64 {
+	quietest := ^uint64(0)
+	for round := 0; round < allocRounds; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < quietest {
+			quietest = got
+		}
+	}
+	return quietest
+}
+
+const allocRounds = 5
+
 // TestRejectedSubmitAllocatesNothing pins the rejection path of the
 // default pipeline (no sink attached): under the paper's arrival
 // pressure rejected probes outnumber accepted jobs ~80:1, so a probe
 // that allocates is the run's allocation profile. Bytes are counted, not
 // mallocs: a log that grows by 16k-event blocks allocates in so few
 // mallocs that testing.AllocsPerRun's integer division reads zero.
-// TotalAlloc is process-wide, so the quietest of a few rounds is the
-// reading — a stray runtime allocation lands in one round, a per-probe
-// one in all of them.
 func TestRejectedSubmitAllocatesNothing(t *testing.T) {
-	tmpl := workload.JobTemplate{Benchmark: "bzip2"} // Strict under every policy
-	for _, p := range []Policy{AllStrict, Hybrid2, AllStrictAutoDown} {
-		r, err := New(DefaultConfig(p, workload.Single("bzip2")))
-		if err != nil {
-			t.Fatal(err)
+	// Strict under every policy; the phased one (as examples/phases builds
+	// it) has a formatted tw key, which a probe must not format again.
+	plain := workload.JobTemplate{Benchmark: "bzip2"}
+	phased := workload.JobTemplate{Benchmark: "bzip2", Phases: []workload.Phase{
+		{Until: 0.5, MPIScale: 0.5}, {Until: 1.0, MPIScale: 1.0},
+	}}
+	for _, w := range []workload.Composition{
+		workload.Single("bzip2"),
+		{Name: "phased", Jobs: []workload.JobTemplate{phased}},
+	} {
+		tmpl := plain
+		if w.Name == "phased" {
+			tmpl = phased
 		}
-		for r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
-			if r.acceptedN > 64 {
-				t.Fatalf("%v: node never fills", p)
+		for _, p := range []Policy{AllStrict, Hybrid2, AllStrictAutoDown} {
+			name := fmt.Sprintf("%v/%s", p, w.Name)
+			r, err := New(DefaultConfig(p, w))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		const rounds, probes = 5, 10_000
-		quietest := ^uint64(0)
-		for round := 0; round < rounds; round++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < probes; i++ {
-				if r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
-					t.Fatalf("%v: a full node accepted probe %d", p, i)
+			for r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+				if r.acceptedN > 64 {
+					t.Fatalf("%s: node never fills", name)
 				}
 			}
-			runtime.ReadMemStats(&after)
-			if got := after.TotalAlloc - before.TotalAlloc; got < quietest {
-				quietest = got
+			const probes = 10_000
+			quietest := quietestAlloc(func() {
+				for i := 0; i < probes; i++ {
+					if r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+						t.Fatalf("%s: a full node accepted probe %d", name, i)
+					}
+				}
+			})
+			if quietest != 0 {
+				t.Errorf("%s: %d rejected probes allocated %d bytes, want 0", name, probes, quietest)
 			}
-		}
-		if quietest != 0 {
-			t.Errorf("%v: %d rejected probes allocated %d bytes, want 0", p, probes, quietest)
-		}
-		if r.rejected < rounds*probes {
-			t.Errorf("%v: rejected counter %d after %d rejected probes", p, r.rejected, rounds*probes)
+			if r.rejected < allocRounds*probes {
+				t.Errorf("%s: rejected counter %d after %d rejected probes", name, r.rejected, allocRounds*probes)
+			}
 		}
 	}
 }

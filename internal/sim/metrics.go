@@ -174,13 +174,18 @@ type jobFold struct {
 	elasticMiss float64
 	elasticCPI  float64
 	elasticN    int
-	wcByMode    map[string]*stats.Summary
+	// wcByMode is Report.WallClockByMode before report renders its keys:
+	// one class per (mode, auto-downgraded) the run met — a handful,
+	// scanned — so folding a job formats and hashes nothing.
+	wcByMode    []wcClass
 	oppWC       stats.Summary
 	faultMisses int
 }
 
-func newJobFold() *jobFold {
-	return &jobFold{wcByMode: map[string]*stats.Summary{}}
+type wcClass struct {
+	mode     qos.Mode // zero when autoDown, and without admission control
+	autoDown bool
+	s        stats.Summary
 }
 
 // add folds one finished job's outcome.
@@ -201,18 +206,20 @@ func (f *jobFold) add(r *Runner, j *Job, res JobResult) {
 		f.totalCycles = res.Completed
 	}
 	f.cpuCycles += j.ActualCycles
-	modeKey := res.Mode.String()
+	mode, autoDown := res.Mode, false
 	if r.cfg.Policy.noAdmission() {
-		modeKey = r.cfg.Policy.String()
+		mode = qos.Mode{} // one class, named after the policy
 	} else if res.AutoDowngraded {
-		modeKey = "AutoDown"
+		mode, autoDown = qos.Mode{}, true
 	}
-	s, ok := f.wcByMode[modeKey]
-	if !ok {
-		s = &stats.Summary{}
-		f.wcByMode[modeKey] = s
+	c := 0
+	for c < len(f.wcByMode) && (f.wcByMode[c].mode != mode || f.wcByMode[c].autoDown != autoDown) {
+		c++
 	}
-	s.Add(float64(res.WallClock))
+	if c == len(f.wcByMode) {
+		f.wcByMode = append(f.wcByMode, wcClass{mode: mode, autoDown: autoDown})
+	}
+	f.wcByMode[c].s.Add(float64(res.WallClock))
 	if res.Mode.Kind == qos.KindOpportunistic {
 		f.oppWC.Add(float64(res.WallClock))
 	} else {
@@ -243,7 +250,29 @@ func (r *Runner) foldJob(j *Job) {
 
 // report assembles the Report after the run loop terminates.
 func (r *Runner) report() *Report {
-	rep := &Report{
+	rep := &Report{}
+	f := r.reportInto(rep)
+	rep.WallClockByMode = make(map[string]*stats.Summary, len(f.wcByMode))
+	for _, c := range f.wcByMode {
+		key := c.mode.String()
+		if r.cfg.Policy.noAdmission() {
+			key = r.cfg.Policy.String()
+		} else if c.autoDown {
+			key = "AutoDown"
+		}
+		if rep.WallClockByMode[key] == nil {
+			rep.WallClockByMode[key] = &stats.Summary{}
+		}
+		rep.WallClockByMode[key].Merge(c.s) // a copy, unless two Elastic slacks print alike
+	}
+	return rep
+}
+
+// reportInto overwrites *rep with everything of the run's report but
+// WallClockByMode and returns the fold it read, from which report
+// renders that map; the fleet fold passes one Report for every node.
+func (r *Runner) reportInto(rep *Report) *jobFold {
+	*rep = Report{
 		Policy:   r.cfg.Policy,
 		Engine:   r.cfg.Engine,
 		Workload: r.cfg.Workload.Name,
@@ -254,7 +283,7 @@ func (r *Runner) report() *Report {
 		// Batch mode: every accepted job is still in the slice; fold them
 		// in acceptance order (the historical accumulation order) while
 		// materializing the per-job rows and lanes.
-		f = newJobFold()
+		f = &jobFold{}
 		rep.Jobs = make([]JobResult, 0, len(r.accepted))
 		rep.Lanes = make([]trace.Lane, 0, len(r.accepted))
 		for _, j := range r.accepted {
@@ -274,7 +303,6 @@ func (r *Runner) report() *Report {
 	rep.Terminated = f.terminated
 	rep.TotalCycles = f.totalCycles
 	rep.CPUCycles = f.cpuCycles
-	rep.WallClockByMode = f.wcByMode
 	rep.OppWallClock = f.oppWC
 	rep.DeadlineHits, rep.DeadlineJobs = f.hits, f.den
 	rep.GuaranteedHits, rep.GuaranteedJobs = f.gHits, f.gDen
@@ -305,7 +333,7 @@ func (r *Runner) report() *Report {
 			InternalWays:  r.frag.internal / (den * float64(r.cfg.L2.Ways)),
 		}
 	}
-	return rep
+	return f
 }
 
 // Gantt renders the run as a Figure 7 style execution trace.

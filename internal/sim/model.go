@@ -128,18 +128,18 @@ func newTraceModel(cfg Config) *traceModel {
 }
 
 func (m *traceModel) jobStarted(j *Job) {
-	if !j.seeded {
+	if j.tr == nil {
+		j.tr = &traceState{}
 		if m.cfg.ModelL1 {
-			j.memStream = j.Profile.NewMemStream(m.cfg.Seed, j.ID)
+			j.tr.memStream = j.Profile.NewMemStream(m.cfg.Seed, j.ID)
 		} else {
-			j.stream = j.Profile.NewStream(m.cfg.Seed, j.ID)
+			j.tr.stream = j.Profile.NewStream(m.cfg.Seed, j.ID)
 		}
-		j.seeded = true
 	}
-	j.lastH2 = j.Profile.L2APA
+	j.tr.lastH2 = j.Profile.L2APA
 	// Initial CPI estimate from the calibrated curve until the first
 	// epoch's measurement lands.
-	j.lastMissRatio = j.Profile.MissRatioF(j.WaysF)
+	j.tr.lastMissRatio = j.Profile.MissRatioF(j.WaysF)
 	if j.Stealer != nil && j.Core >= 0 {
 		// Fresh Elastic job on this core: clear its duplicate-tag miss
 		// streams; the frozen shadow target is (re)established by the
@@ -236,9 +236,9 @@ func (m *traceModel) applyPartition(jobsByCore [][]*Job, now int64) {
 func (m *traceModel) cpiFor(j *Job, memPenalty float64) float64 {
 	h2 := j.Profile.L2APA
 	if m.cfg.ModelL1 {
-		h2 = j.lastH2
+		h2 = j.tr.lastH2
 	}
-	return m.params.CPI(j.Profile.CPIL1Inf, h2, h2*j.lastMissRatio, memPenalty)
+	return m.params.CPI(j.Profile.CPIL1Inf, h2, h2*j.tr.lastMissRatio, memPenalty)
 }
 
 func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
@@ -252,14 +252,14 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	if nAcc <= 0 {
 		// Too few accesses to sample this epoch; fall back to the last
 		// measured ratio for the miss estimate.
-		misses := int64(float64(instr) * j.Profile.L2APA * j.lastMissRatio)
+		misses := int64(float64(instr) * j.Profile.L2APA * j.tr.lastMissRatio)
 		j.MainMisses += misses
 		j.ShadowMisses += misses
 		return misses, int64(float64(misses) * workload.WriteFraction)
 	}
 	var missCount, wbCount int64
 	for i := int64(0); i < nAcc; i++ {
-		addr := j.stream.Next()
+		addr := j.tr.stream.Next()
 		var res cache.Result
 		if j.nextWrite() {
 			res = m.l2.Write(j.Core, addr)
@@ -277,7 +277,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	ratio := float64(missCount) / float64(nAcc)
 	// EWMA smoothing keeps epoch-to-epoch CPI stable against sampling
 	// noise.
-	j.lastMissRatio = 0.5*j.lastMissRatio + 0.5*ratio
+	j.tr.lastMissRatio = 0.5*j.tr.lastMissRatio + 0.5*ratio
 	misses := missCount << m.cfg.TraceAccessShift
 	if j.Stealer != nil {
 		// The stealing guard compares the sampled-set counters, exactly
@@ -311,14 +311,14 @@ func (m *traceModel) steadyDeltas(*Job, int64) (int64, int64, int64, bool) {
 func (m *traceModel) advanceHierarchy(j *Job, instr int64) (int64, int64) {
 	nMem := int64(float64(instr)*workload.MemRefsPerInstr) >> m.cfg.TraceAccessShift
 	if nMem <= 0 {
-		misses := int64(float64(instr) * j.lastH2 * j.lastMissRatio)
+		misses := int64(float64(instr) * j.tr.lastH2 * j.tr.lastMissRatio)
 		j.MainMisses += misses
 		j.ShadowMisses += misses
 		return misses, int64(float64(misses) * workload.WriteFraction)
 	}
 	var l2Acc, l2Miss, l2WB int64
 	for i := int64(0); i < nMem; i++ {
-		addr := j.memStream.Next()
+		addr := j.tr.memStream.Next()
 		ar := m.hier.Access(j.Core, addr)
 		if ar.L1Hit {
 			continue
@@ -333,9 +333,9 @@ func (m *traceModel) advanceHierarchy(j *Job, instr int64) (int64, int64) {
 		}
 	}
 	scaledInstr := float64(nMem) / workload.MemRefsPerInstr
-	j.lastH2 = 0.5*j.lastH2 + 0.5*float64(l2Acc)/scaledInstr
+	j.tr.lastH2 = 0.5*j.tr.lastH2 + 0.5*float64(l2Acc)/scaledInstr
 	if l2Acc > 0 {
-		j.lastMissRatio = 0.5*j.lastMissRatio + 0.5*float64(l2Miss)/float64(l2Acc)
+		j.tr.lastMissRatio = 0.5*j.tr.lastMissRatio + 0.5*float64(l2Miss)/float64(l2Acc)
 	}
 	misses := l2Miss << m.cfg.TraceAccessShift
 	if j.Stealer != nil {
