@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench-smoke bench-check clean
+.PHONY: all build vet surface lint test race fuzz bench-smoke bench-check clean
 
 all: build vet test
 
@@ -19,11 +19,17 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 
-# lint is the static-analysis gate: vet, canonical formatting, and —
-# when installed — staticcheck. staticcheck stays optional locally so
-# the target works in offline dev containers; CI installs it and runs
-# the full gate.
-lint: vet
+# surface runs the three whole-tree gates of tier-1 by one name (≈3 s,
+# DESIGN §3.1): nothing under internal/ that no program reaches, no
+# option field no program sets, no document citing a test that is gone.
+surface:
+	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations' .
+
+# lint is the static-analysis gate: vet, the surface gates, canonical
+# formatting, and — when installed — staticcheck. staticcheck stays
+# optional locally so the target works in offline dev containers; CI
+# installs it and runs the full gate.
+lint: vet surface
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -1,12 +1,11 @@
 package cmpqos
 
 // The benchmark harness: one testing.B benchmark per paper table and
-// figure (regenerating the experiment and reporting its headline numbers
-// as custom metrics), plus microarchitecture benches for the substrate
-// pieces (cache access paths, admission tests) and the ablations
-// DESIGN.md calls out. Whatever bench/ prices as a per-layer metric
-// (BENCHMARK.json) is measured there and has no benchmark here. Run
-// with:
+// figure DESIGN §4 indexes (regenerating the experiment and reporting its
+// headline numbers as custom metrics), the ablations it calls out, and
+// the admission and dispatch benches `make bench-smoke` runs. Whatever
+// bench/ prices as a per-layer metric (BENCHMARK.json) is measured there
+// and has no benchmark here. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,17 +14,13 @@ package cmpqos
 // paper's 200 M scale.
 
 import (
-	"bytes"
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"cmpqos/internal/alloc"
 	"cmpqos/internal/cache"
 	"cmpqos/internal/experiments"
-	"cmpqos/internal/jobfile"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
@@ -47,19 +42,6 @@ func BenchmarkFig1(b *testing.B) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(r.AloneIPC, "alone-IPC")
-		}
-	}
-}
-
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			gain := 1 - float64(r.Scenarios[2].TotalCycles)/float64(r.Scenarios[0].TotalCycles)
-			b.ReportMetric(gain*100, "downgrade-gain-%")
 		}
 	}
 }
@@ -175,26 +157,6 @@ func BenchmarkShadowSampling(b *testing.B) {
 }
 
 // ---- Microarchitecture benches ----
-
-func benchCacheAccesses(b *testing.B, c cache.Interface) {
-	b.Helper()
-	p := workload.MustByName("bzip2")
-	st := p.NewStream(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(0, st.Next())
-	}
-}
-
-func BenchmarkCacheLRU(b *testing.B) {
-	benchCacheAccesses(b, cache.NewLRU(cache.PaperL2()))
-}
-
-func BenchmarkCacheGlobalPartition(b *testing.B) {
-	c := cache.NewGlobal(cache.PaperL2())
-	c.SetTargetWays(0, 7)
-	benchCacheAccesses(b, c)
-}
 
 // BenchmarkVictimPolicy stresses the QoS-aware victim selection: four
 // owners with mixed classes contending in every set.
@@ -410,29 +372,6 @@ func BenchmarkGACSubmit(b *testing.B) {
 	}
 }
 
-// ---- Extension/validation benches ----
-
-func BenchmarkRelatedComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Related(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClusterScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Cluster(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			last := r.Rows[len(r.Rows)-1]
-			b.ReportMetric(last.JobsPerGcycle, "jobs-per-Gcyc-at-4-nodes")
-		}
-	}
-}
-
 // BenchmarkClusterDispatch measures the GAC fleet at datacenter node
 // counts: a full streaming run (bestfit dispatch, calendar stepping)
 // with four jobs per node, reporting wall time per arrival. The
@@ -460,84 +399,5 @@ func BenchmarkClusterDispatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
 		})
-	}
-}
-
-func BenchmarkFragDecomposition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Frag(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHierarchyAccess(b *testing.B) {
-	h := cache.NewHierarchy(1, cache.PaperL1(), cache.PaperL2())
-	h.L2().SetTarget(0, 7)
-	h.L2().SetClass(0, cache.ClassReserved)
-	ms := workload.MustByName("bzip2").NewMemStream(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(0, ms.Next())
-	}
-}
-
-func BenchmarkUCPAllocation(b *testing.B) {
-	demands := []alloc.Demand{
-		{Profile: workload.MustByName("bzip2")},
-		{Profile: workload.MustByName("mcf")},
-		{Profile: workload.MustByName("gobmk")},
-		{Profile: workload.MustByName("hmmer")},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alloc.UCP(demands, 16)
-	}
-}
-
-func BenchmarkJobfileParse(b *testing.B) {
-	src := `node count=2 cores=4 ways=16
-job name=db    bench=bzip2 mode=strict preset=medium tw=500ms deadline=2.0
-job name=batch bench=gobmk mode=elastic slack=5% ways=7 tw=300ms deadline=3.0
-job name=scav  bench=milc  mode=opportunistic ways=4 tw=200ms
-`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := jobfile.Parse(strings.NewReader(src)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTraceFileRoundTrip(b *testing.B) {
-	st := workload.MustByName("bzip2").NewStream(1, 0)
-	var buf bytes.Buffer
-	if err := workload.WriteTrace(&buf, st, 100_000); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.ReadTrace(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimFullHierarchy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.TraceConfig(sim.AllStrict, workload.Single("gobmk"))
-		cfg.ModelL1 = true
-		cfg.JobInstr = 2_000_000
-		cfg.StealIntervalInstr = 100_000
-		cfg.TwMargin = 1.35
-		r, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

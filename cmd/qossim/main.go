@@ -51,8 +51,8 @@ func run() int {
 		admit     = flag.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
 		ctrl      = flag.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static, the open loop)")
 		nodes     = flag.Int("nodes", 0, "cluster experiment: fleet mode at this node count (0 = legacy 1/2/4 scaling sweep)")
-		jobs      = flag.Int("jobs", 0, "cluster fleet mode: total accepted jobs (0 = 10 per node)")
-		dispatch  = flag.String("dispatch", "", "cluster dispatch policy: "+cli.PolicyList(sim.DispatcherNames())+" (empty = sweep all in fleet mode, bestfit otherwise)")
+		jobs      = flag.Int("jobs", 0, "cluster fleet mode (needs -nodes): total accepted jobs (0 = 10 per node)")
+		dispatch  = flag.String("dispatch", "", "cluster dispatch policy: "+cli.PolicyList(sim.DispatcherNames())+" (fleet mode, needs -nodes; empty = sweep all)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 2m; 0 = no limit)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this path")
 		memProf   = flag.String("memprofile", "", "write a heap profile (taken at exit) to this path")
@@ -66,6 +66,9 @@ func run() int {
 	}
 	if err := sim.ValidateControllerName(*ctrl); err != nil {
 		cli.Usage(prog, "%v", err)
+	}
+	if *nodes == 0 && (*jobs != 0 || *dispatch != "") {
+		cli.Usage(prog, "-jobs and -dispatch select within fleet mode: they need -nodes (the 1/2/4-node scaling table reads neither)")
 	}
 
 	if *list || (*exp == "" && *html == "") {

@@ -6,12 +6,45 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
+	"cmpqos/internal/cli"
 	"cmpqos/internal/experiments"
 	"cmpqos/internal/sim"
 )
+
+// TestMain lets the test binary stand in for the command: re-executed
+// with QOSSIM_AS_MAIN set it runs main on its arguments, so a test can
+// observe the exit status and stderr of a usage error.
+func TestMain(m *testing.M) {
+	if os.Getenv("QOSSIM_AS_MAIN") != "" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// TestFleetFlagsNeedNodes: -jobs and -dispatch are read by fleet mode
+// only, so without -nodes they are a usage error, not a silently printed
+// 1/2/4-node table.
+func TestFleetFlagsNeedNodes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "cluster", "-dispatch", "worstfit"},
+		{"-exp", "cluster", "-jobs", "40"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "QOSSIM_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != cli.ExitUsage {
+			t.Errorf("qossim %v: err = %v, want exit status %d\n%s", args, err, cli.ExitUsage, out)
+		}
+		if !strings.Contains(string(out), "need -nodes") {
+			t.Errorf("qossim %v does not name the missing flag:\n%s", args, out)
+		}
+	}
+}
 
 // TestRunExperimentsRunsPastAFailure drives the -exp all loop over a
 // registry slice with a failing runner in the middle: the runners after

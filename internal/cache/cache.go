@@ -86,12 +86,6 @@ func PaperL2() Config {
 	return Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 4, HitCycles: 10}
 }
 
-// PaperL1 returns the paper's private L1 geometry: 32 KB, 4-way, 64 B
-// blocks, 2-cycle access, single owner.
-func PaperL1() Config {
-	return Config{SizeBytes: 32 << 10, Ways: 4, BlockSize: 64, Owners: 1, HitCycles: 2}
-}
-
 // Result reports the outcome of one access.
 type Result struct {
 	Hit         bool
@@ -136,8 +130,6 @@ type baseCache struct {
 	setMask    uint64
 	ownerAcc   []int64
 	ownerMiss  []int64
-	totalAcc   int64
-	totalMiss  int64
 	occupancy  [][]int16 // occupancy[set][owner]: valid blocks owned per set
 	globalOcc  []int64   // blocks owned per owner across all sets
 	freeInSet  []int16   // invalid lines per set
@@ -281,10 +273,8 @@ func (b *baseCache) WriteBacks() int64 { return b.writeBacks }
 // record updates per-owner counters.
 func (b *baseCache) record(owner int, miss bool) {
 	b.ownerAcc[owner]++
-	b.totalAcc++
 	if miss {
 		b.ownerMiss[owner]++
-		b.totalMiss++
 	}
 }
 
@@ -293,16 +283,9 @@ func (b *baseCache) Stats(owner int) (accesses, misses int64) {
 	return b.ownerAcc[owner], b.ownerMiss[owner]
 }
 
-// TotalStats returns cumulative accesses and misses across all owners.
-func (b *baseCache) TotalStats() (accesses, misses int64) {
-	return b.totalAcc, b.totalMiss
-}
-
 // ResetOwnerStats zeroes one owner's access/miss counters; contents and
-// the aggregate counters of other owners are untouched.
+// the counters of other owners are untouched.
 func (b *baseCache) ResetOwnerStats(owner int) {
-	b.totalAcc -= b.ownerAcc[owner]
-	b.totalMiss -= b.ownerMiss[owner]
 	b.ownerAcc[owner] = 0
 	b.ownerMiss[owner] = 0
 }
@@ -342,8 +325,6 @@ func (b *baseCache) ResetStats() {
 		b.ownerAcc[i] = 0
 		b.ownerMiss[i] = 0
 	}
-	b.totalAcc = 0
-	b.totalMiss = 0
 }
 
 // MissRatio returns misses/accesses for owner (0 when idle).
@@ -362,48 +343,3 @@ func (b *baseCache) Sets() int { return len(b.sets) }
 
 // Config returns the cache geometry.
 func (b *baseCache) Config() Config { return b.cfg }
-
-// LRU is a plain (unpartitioned) set-associative LRU cache. It models the
-// private L1 caches and serves as the unmanaged-L2 reference point.
-type LRU struct {
-	*baseCache
-}
-
-// NewLRU builds a plain LRU cache with the given geometry.
-func NewLRU(cfg Config) *LRU {
-	return &LRU{newBase(cfg)}
-}
-
-// Access performs one read access.
-func (c *LRU) Access(owner int, addr Addr) Result {
-	return c.access(owner, addr, false)
-}
-
-// Write performs one write access (write-allocate, write-back).
-func (c *LRU) Write(owner int, addr Addr) Result {
-	return c.access(owner, addr, true)
-}
-
-func (c *LRU) access(owner int, addr Addr, write bool) Result {
-	set, tag := c.index(addr)
-	if w := c.lookup(set, tag); w >= 0 {
-		c.touch(set, w)
-		if write {
-			c.markDirty(set, w)
-		}
-		c.record(owner, false)
-		return Result{Hit: true, Set: set, VictimOwner: -1}
-	}
-	c.record(owner, true)
-	w := c.freeWay(set)
-	if w < 0 {
-		w = c.lruWay(set, nil)
-	}
-	vo, ev, wb := c.install(set, w, tag, owner)
-	if write {
-		c.markDirty(set, w)
-	}
-	return Result{Set: set, VictimOwner: vo, Evicted: ev, WriteBack: wb}
-}
-
-var _ Interface = (*LRU)(nil)

@@ -48,13 +48,6 @@ func TestPaperGeometries(t *testing.T) {
 	if l2.Sets() != 2048 {
 		t.Errorf("paper L2 sets = %d, want 2048", l2.Sets())
 	}
-	l1 := PaperL1()
-	if err := l1.Validate(); err != nil {
-		t.Fatalf("paper L1 invalid: %v", err)
-	}
-	if l1.Sets() != 128 {
-		t.Errorf("paper L1 sets = %d, want 128", l1.Sets())
-	}
 }
 
 func TestLRUHitMiss(t *testing.T) {
@@ -377,13 +370,13 @@ func TestWriteBackSemantics(t *testing.T) {
 }
 
 // sweepGeometries returns every geometry the experiments exercise: the
-// paper's L1 and L2 plus the geometry-sweep L2s (1 MB/8-way, 2 MB/16-way,
+// paper's L2 plus the geometry-sweep L2s (1 MB/8-way, 2 MB/16-way,
 // 4 MB/32-way).
 func sweepGeometries() []Config {
 	mk := func(sizeMB, ways int) Config {
 		return Config{SizeBytes: sizeMB << 20, Ways: ways, BlockSize: 64, Owners: 4, HitCycles: 10}
 	}
-	return []Config{PaperL1(), PaperL2(), mk(1, 8), mk(2, 16), mk(4, 32)}
+	return []Config{PaperL2(), mk(1, 8), mk(2, 16), mk(4, 32)}
 }
 
 // TestIndexDecomposition pins the set/tag split against an arithmetic

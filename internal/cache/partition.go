@@ -52,9 +52,6 @@ func (c *Partitioned) SetTarget(owner, ways int) {
 	}
 }
 
-// Target returns owner's current target way count.
-func (c *Partitioned) Target(owner int) int { return int(c.target[owner]) }
-
 func (c *Partitioned) targetSum() int {
 	s := 0
 	for _, t := range c.target {
@@ -69,9 +66,6 @@ func (c *Partitioned) UnallocatedWays() int { return c.cfg.Ways - c.targetSum() 
 // SetClass sets the QoS class of the job on owner's core, which steers
 // victim selection priority.
 func (c *Partitioned) SetClass(owner int, cl Class) { c.class[owner] = cl }
-
-// ClassOf returns owner's QoS class.
-func (c *Partitioned) ClassOf(owner int) Class { return c.class[owner] }
 
 // Access performs one read access by owner.
 func (c *Partitioned) Access(owner int, addr Addr) Result {

@@ -55,9 +55,6 @@ func (st *ShadowTags) UnallocatedWays() int { return st.shadow.UnallocatedWays()
 // shadow array.
 func (st *ShadowTags) Sampled(mainSet int) bool { return mainSet%st.every == 0 }
 
-// SamplingInterval returns the every-Nth-set interval.
-func (st *ShadowTags) SamplingInterval() int { return st.every }
-
 // Observe feeds one main-cache access into the shadow array. The caller
 // provides the main-cache Result so the shadow can keep a parallel count
 // of main-tag misses on sampled sets. Accesses to unsampled sets are

@@ -42,7 +42,6 @@ type StackProfiler struct {
 	stacks     []uint64 // per sampled set: ways tags in recency order (0 = MRU)
 	depth      []int16  // valid stack entries per sampled set
 	hist       []int64  // hist[d]: measured accesses found at stack depth d
-	cold       int64    // measured accesses missing at every allocation
 	total      int64    // measured accesses on sampled sets
 	counting   bool
 }
@@ -77,9 +76,6 @@ func NewSampledStackProfiler(cfg Config, every int) *StackProfiler {
 	}
 }
 
-// SamplingInterval returns the every-Nth-set interval (1 = exact).
-func (p *StackProfiler) SamplingInterval() int { return p.every }
-
 // Record feeds one access into the profiler. Accesses to unsampled sets
 // are ignored, exactly as the sampling hardware would.
 func (p *StackProfiler) Record(addr Addr) {
@@ -106,7 +102,6 @@ func (p *StackProfiler) Record(addr Addr) {
 	// depth W would be evicted even from the widest cache, so the stack
 	// is truncated at W entries; its re-access correctly lands here.
 	if p.counting {
-		p.cold++
 		p.total++
 	}
 	keep := n
@@ -127,17 +122,12 @@ func (p *StackProfiler) StartMeasure() {
 	for i := range p.hist {
 		p.hist[i] = 0
 	}
-	p.cold = 0
 	p.total = 0
 }
 
 // SampledAccesses returns the measured accesses that landed on sampled
 // sets (equal to the measure count when every == 1).
 func (p *StackProfiler) SampledAccesses() int64 { return p.total }
-
-// ColdMisses returns the measured accesses that miss at every
-// allocation (compulsory misses plus re-accesses beyond depth W).
-func (p *StackProfiler) ColdMisses() int64 { return p.cold }
 
 // Curve converts the depth histogram into the miss-ratio curve: the
 // hits at allocation w are the accesses with depth < w, so one

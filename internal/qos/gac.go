@@ -115,9 +115,6 @@ func NewGAC(nodes ...*LAC) *GAC {
 	return &GAC{nodes: nodes, seen: make([]uint64, len(nodes))}
 }
 
-// Nodes returns the number of managed nodes.
-func (g *GAC) Nodes() int { return len(g.nodes) }
-
 // Stats returns the placement counters.
 func (g *GAC) Stats() GACStats {
 	st := g.stats

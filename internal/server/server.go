@@ -615,9 +615,6 @@ func syncDir(dir string) error {
 // stop serving.
 func (s *Server) Drained() <-chan struct{} { return s.drained }
 
-// Draining reports whether the daemon has stopped accepting new work.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // beginDrain stops admissions, waits for in-flight requests to clear,
 // persists a final snapshot, and closes Drained. Idempotent; every
 // caller observes the same completed drain.

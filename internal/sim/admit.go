@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 
-	"cmpqos/internal/cache"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
@@ -97,9 +96,6 @@ func deadlineFor(override float64, dl workload.DeadlineClass, ta, tw int64) int6
 // cluster simulation uses this; the probe is charged to the modeled
 // controller occupancy like any admission test.
 func (r *Runner) probeTemplate(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64) (start int64, ok bool) {
-	if r.lac == nil {
-		return ta, true
-	}
 	tw := r.twFor(tmpl).tw
 	d := r.lac.Probe(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, r.modeFor(tmpl.Hint)))
 	return d.Start, d.Accepted
@@ -111,9 +107,6 @@ func (r *Runner) probeTemplate(tmpl workload.JobTemplate, dl workload.DeadlineCl
 // tests, so these lookups must not inflate the §7.5 occupancy model —
 // only the admitting node's Admit is billed.
 func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) (start int64, ok bool) {
-	if r.lac == nil {
-		return ta, true
-	}
 	tw := r.twFor(tmpl).tw
 	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, mode))
 	return d.Start, d.Accepted
@@ -130,9 +123,6 @@ func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.Deadlin
 // a later deadline reaches it or a completion resets it, so fleet-wide
 // rejections cost O(1).
 func (r *Runner) peekEarliestMode(tmpl workload.JobTemplate, ta int64, mode qos.Mode) (start int64, ok bool) {
-	if r.lac == nil {
-		return ta, true
-	}
 	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, r.twFor(tmpl).tw, 0, ta, mode))
 	return d.Start, d.Accepted
 }
@@ -178,9 +168,9 @@ func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta 
 		}
 	}
 
-	if r.cfg.OverrunFactor > 1 && r.acceptedN == r.cfg.OverrunJobSlot {
+	if r.cfg.overrunFactor > 1 && r.acceptedN == r.cfg.overrunJobSlot {
 		// Failure injection: this job's user underspecified tw.
-		instr = int64(float64(instr) * r.cfg.OverrunFactor)
+		instr = int64(float64(instr) * r.cfg.overrunFactor)
 	}
 	j := &Job{
 		ID:           id,
@@ -278,14 +268,6 @@ func (r *Runner) refitTW(j *Job, ways int) int64 {
 // first (the paper likewise derives requests from profiled behaviour).
 func (sh *nodeShared) buildTwTable() {
 	cfg, reqWays := sh.cfg, sh.reqWays
-	budget := func(key string, p *workload.Profile, h2, misses float64) {
-		cpi := cfg.CPU.CPI(p.CPIL1Inf, h2, misses*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
-		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
-		sh.tmpl[key] = tmplEntry{tw: tw, prof: p}
-		if tw > sh.refTW {
-			sh.refTW = tw
-		}
-	}
 	twJobs := cfg.Workload.Jobs
 	for _, sj := range cfg.Script {
 		twJobs = append(twJobs[:len(twJobs):len(twJobs)], sj.Template)
@@ -297,13 +279,6 @@ func (sh *nodeShared) buildTwTable() {
 		}
 		p := resolveProfile(jt) // one per iteration: the table keeps &p
 		var mr float64
-		if cfg.Engine == EngineTrace && cfg.ModelL1 {
-			// Cold hierarchy profile: measure the post-L1 operating
-			// point this job length actually sees.
-			h2m, mrm := probeHierarchy(cfg, p, reqWays)
-			budget(key, &p, h2m, h2m*mrm)
-			continue
-		}
 		if cfg.Engine == EngineTrace {
 			// Cold-start profile over the job's own access count: short
 			// trace jobs pay a compulsory-miss fraction a steady-state
@@ -327,36 +302,13 @@ func (sh *nodeShared) buildTwTable() {
 		}
 		// The maximum wall-clock request budgets the worst phase (§3.1's
 		// dynamic behaviour): calmer phases become internal fragmentation.
-		budget(key, &p, p.L2APA, p.L2APA*mr)
+		cpi := cfg.CPU.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
+		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
+		sh.tmpl[key] = tmplEntry{tw: tw, prof: &p}
+		if tw > sh.refTW {
+			sh.refTW = tw
+		}
 	}
-}
-
-// probeHierarchy cold-measures a profile's post-L1 h2 and L2 miss ratio
-// over the job's own reference count, at the requested way allocation.
-func probeHierarchy(cfg Config, p workload.Profile, ways int) (h2, missRatio float64) {
-	l2 := cfg.L2
-	l2.Owners = 1
-	h := cache.NewHierarchy(1, cfg.L1, l2)
-	h.L2().SetTarget(0, ways)
-	h.L2().SetClass(0, cache.ClassReserved)
-	ms := p.NewMemStream(cfg.Seed, 0)
-	n := int(float64(cfg.JobInstr) * workload.MemRefsPerInstr)
-	if n > 1_000_000 {
-		n = 1_000_000
-	}
-	if n < 50_000 {
-		n = 50_000
-	}
-	for i := 0; i < n; i++ {
-		h.Access(0, ms.Next())
-	}
-	refs, l1m, l2m := h.Stats(0)
-	instr := float64(refs) / workload.MemRefsPerInstr
-	h2 = float64(l1m) / instr
-	if l1m > 0 {
-		missRatio = float64(l2m) / float64(l1m)
-	}
-	return h2, missRatio
 }
 
 // modeFor resolves a hint through the per-run memo table, falling back

@@ -15,27 +15,22 @@ import (
 // repartitioning intervals, and completes jobs.
 func (r *Runner) advanceAll(byCore [][]*Job) {
 	epoch := r.cfg.EpochCycles
-	for core, jobs := range byCore {
-		switch {
-		case len(jobs) == 0:
+	for _, jobs := range byCore {
+		if len(jobs) == 0 {
 			continue
-		case len(jobs) > 1 && r.cfg.SchedQuantumCycles > 0:
-			r.advanceCoreRR(core, jobs, epoch)
-		default:
-			// Processor sharing: every job gets an equal slice of the
-			// epoch (the default idealization of a fair scheduler).
-			share := epoch / int64(len(jobs))
-			for _, j := range jobs {
-				r.advanceJob(j, share, int64(len(jobs)), 0)
-			}
+		}
+		// Processor sharing: every job gets an equal slice of the epoch
+		// (the idealization of a fair scheduler).
+		share := epoch / int64(len(jobs))
+		for _, j := range jobs {
+			r.advanceJob(j, share, int64(len(jobs)))
 		}
 	}
 }
 
 // advanceJob retires up to shareCycles worth of work for one job.
-// sharers is the processor-sharing degree (wall-clock per consumed cycle);
-// offset positions the work inside the epoch for completion timestamps.
-func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
+// sharers is the processor-sharing degree (wall-clock per consumed cycle).
+func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 	epoch := r.cfg.EpochCycles
 	pen := r.penaltyFor(j)
 	cpi := r.model.cpiFor(j, pen)
@@ -61,10 +56,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
 	}
 	r.runStealing(j, instr)
 	if r.cfg.EnforceWallClock && r.overBudget(j) {
-		j.Completed = r.now + offset + shareCycles
-		if j.Completed > r.now+epoch {
-			j.Completed = r.now + epoch
-		}
+		j.Completed = r.now + shareCycles
 		j.State = StateTerminated
 		j.Core = -1
 		j.ctrlBoost = 0 // finished jobs leave the controller's view
@@ -80,7 +72,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers, offset int64) {
 		return
 	}
 	if j.Remaining() == 0 {
-		wall := offset + consumed*sharers
+		wall := consumed * sharers
 		if wall > epoch {
 			wall = epoch
 		}

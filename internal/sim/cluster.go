@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"cmpqos/internal/parallel"
 	"cmpqos/internal/qos"
@@ -46,10 +45,6 @@ type ClusterConfig struct {
 	// historical probe-all placements exactly at O(log N) probes per
 	// arrival.
 	Dispatcher string
-	// TopK, when positive, sizes the report's worst-nodes digest: the K
-	// nodes with the most deadline violations, without retaining
-	// per-node reports for the whole fleet.
-	TopK int
 }
 
 // dispatcherName resolves the configured dispatcher.
@@ -79,8 +74,8 @@ func (c ClusterConfig) Validate() error {
 	if c.AcceptTarget <= 0 {
 		return fmt.Errorf("sim: cluster accept target must be positive")
 	}
-	if c.Node.Policy == EqualPart {
-		return fmt.Errorf("sim: the cluster layer requires admission control (not EqualPart)")
+	if c.Node.Policy.noAdmission() {
+		return fmt.Errorf("sim: the cluster layer requires admission control (not %v)", c.Node.Policy)
 	}
 	if c.Node.RecordSeries {
 		return fmt.Errorf("sim: cluster nodes stream their reports (RecordSeries is node-level only)")
@@ -88,24 +83,12 @@ func (c ClusterConfig) Validate() error {
 	if _, ok := dispatchers[c.dispatcherName()]; !ok {
 		return fmt.Errorf("sim: unknown dispatcher %q (have %v)", c.dispatcherName(), DispatcherNames())
 	}
-	if c.TopK < 0 {
-		return fmt.Errorf("sim: negative worst-nodes digest size")
-	}
 	return c.Node.Validate()
-}
-
-// NodeDigest is one entry of the report's worst-nodes digest.
-type NodeDigest struct {
-	Node       int
-	Accepted   int
-	Violations int // guaranteed jobs that missed their deadline
-	Terminated int
 }
 
 // ClusterReport aggregates a cluster run. It carries fleet-level
 // aggregates only — per-node reports are folded in one at a time and
-// discarded, so report size is independent of the node count (the
-// optional WorstNodes digest is bounded by ClusterConfig.TopK).
+// discarded, so report size is independent of the node count.
 type ClusterReport struct {
 	Nodes           int
 	Dispatcher      string
@@ -131,7 +114,6 @@ type ClusterReport struct {
 	// CtrlRetunes sums the per-node feedback-controller ticks (zero for
 	// the open-loop "static" default).
 	CtrlRetunes int64
-	WorstNodes  []NodeDigest
 }
 
 // ClusterRunner simulates the GAC-fronted multi-node environment. The
@@ -166,9 +148,9 @@ type ClusterRunner struct {
 	// its next epochs steady and sleeps in a min-heap keyed by the
 	// absolute cycle that horizon expires), or retired (neither: no live
 	// jobs and no pending fault points, so nothing can happen on it until
-	// an arrival lands). A node that cannot fast-forward — trace engine,
-	// round-robin quantum — answers nextHorizon() == now and simply stays
-	// due while it has work. A sleeping or retired node's clock lags the
+	// an arrival lands). A node that cannot fast-forward — the trace
+	// engine — answers nextHorizon() == now and simply stays due while it
+	// has work. A sleeping or retired node's clock lags the
 	// cluster's; it catches up (bit-identically, via the same closed form
 	// it proved, or fastForwardIdle) before anything mutates it.
 	cal      *nodeHeap // sleeping nodes, key {horizonEnd, id, 0}
@@ -429,9 +411,8 @@ func (cr *ClusterRunner) report() *ClusterReport {
 		RejectedProbes: cr.rejected,
 	}
 	hits, den := 0, 0
-	var digests []NodeDigest
 	var nr Report // one for the whole fold: a node's report is read and dropped
-	for i, n := range cr.nodes {
+	for _, n := range cr.nodes {
 		n.reportInto(&nr)
 		if nr.TotalCycles > rep.TotalCycles {
 			rep.TotalCycles = nr.TotalCycles
@@ -445,14 +426,6 @@ func (cr *ClusterRunner) report() *ClusterReport {
 		rep.CtrlRetunes += nr.CtrlRetunes
 		hits += nr.GuaranteedHits
 		den += nr.GuaranteedJobs
-		if cr.cfg.TopK > 0 {
-			digests = append(digests, NodeDigest{
-				Node:       i,
-				Accepted:   nr.AcceptedJobs,
-				Violations: nr.GuaranteedJobs - nr.GuaranteedHits,
-				Terminated: nr.Terminated,
-			})
-		}
 	}
 	rep.GuaranteedJobs = den
 	rep.Violations = den - hits
@@ -462,18 +435,6 @@ func (cr *ClusterRunner) report() *ClusterReport {
 	if rep.TotalCycles > 0 {
 		rep.Utilization = float64(rep.CPUCycles) /
 			(float64(len(cr.nodes)) * float64(cr.cfg.Node.Cores) * float64(rep.TotalCycles))
-	}
-	if k := cr.cfg.TopK; k > 0 {
-		sort.Slice(digests, func(a, b int) bool {
-			if digests[a].Violations != digests[b].Violations {
-				return digests[a].Violations > digests[b].Violations
-			}
-			return digests[a].Node < digests[b].Node
-		})
-		if len(digests) > k {
-			digests = digests[:k]
-		}
-		rep.WorstNodes = digests
 	}
 	return rep
 }

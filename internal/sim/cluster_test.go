@@ -55,24 +55,17 @@ func TestClusterRunsAndGuarantees(t *testing.T) {
 }
 
 func TestClusterBalancesPlacement(t *testing.T) {
-	// The GAC balances: both nodes should carry a meaningful share. The
-	// worst-nodes digest carries the per-node accept counts.
-	cfg := clusterCfg(2, 20)
-	cfg.TopK = 2
-	cr, err := NewCluster(cfg)
+	// The GAC balances: both nodes should carry a meaningful share.
+	cr, err := NewCluster(clusterCfg(2, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cr.Run()
-	if err != nil {
+	if _, err := cr.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.WorstNodes) != 2 {
-		t.Fatalf("digest size = %d, want 2", len(rep.WorstNodes))
-	}
-	for _, d := range rep.WorstNodes {
-		if d.Accepted < 5 {
-			t.Errorf("node %d carries only %d jobs — placement unbalanced", d.Node, d.Accepted)
+	for i, n := range nodeReports(cr) {
+		if n.AcceptedJobs < 5 {
+			t.Errorf("node %d carries only %d jobs — placement unbalanced", i, n.AcceptedJobs)
 		}
 	}
 }
@@ -226,16 +219,6 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 		cases = append(cases, fleetCase{name: "autodown-mix1", cfg: cfg, skips: true})
 		cfg.Node.Faults = storm(2, 400)
 		cases = append(cases, fleetCase{name: "autodown-mix1/faults", cfg: cfg, faults: true, skips: true})
-	}
-	{
-		// Round-robin time-slicing: the nodes cannot fast-forward, answer
-		// nextHorizon() == now and stay due while they hold work.
-		cfg := clusterSkipCfg()
-		cfg.Node.SchedQuantumCycles = 50_000
-		cfg.Node.SwitchPenaltyCycles = 2_000
-		cases = append(cases, fleetCase{name: "quantum", cfg: cfg})
-		cfg.Node.Faults = storm(4, 400)
-		cases = append(cases, fleetCase{name: "quantum/faults", cfg: cfg, faults: true})
 	}
 	{
 		node := TraceConfig(Hybrid2, workload.Single("bzip2"))

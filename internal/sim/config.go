@@ -146,13 +146,6 @@ type Config struct {
 	// TraceAccessShift right-shifts the number of simulated L2 accesses
 	// per epoch in trace mode (access sampling); 0 = every access.
 	TraceAccessShift uint
-	// ModelL1 makes the trace engine simulate the full hierarchy: each
-	// job's CPU-level reference stream filters through a private 32 KB
-	// L1 before reaching the shared L2 (paper §6's memory system),
-	// instead of replaying the post-L1 stream directly. Trace engine
-	// only; substantially slower.
-	ModelL1 bool
-	L1      cache.Config
 	// OppPerCore caps Opportunistic pins per unreserved core.
 	OppPerCore int
 	// AutoDownMinSlack is the minimum relative deadline slack for
@@ -171,12 +164,12 @@ type Config struct {
 	// for auto-downgraded jobs) — the batch-system semantics embedded in
 	// the maximum wall-clock time (§3.2).
 	EnforceWallClock bool
-	// OverrunJobSlot/OverrunFactor inject a misbehaving job for failure
-	// testing: the job accepted into the given composition slot gets
-	// OverrunFactor× the configured instruction count, i.e. the user
-	// underspecified tw. Factor 0 or <1 disables the injection.
-	OverrunJobSlot int
-	OverrunFactor  float64
+	// overrunJobSlot/overrunFactor are this package's test hook for a
+	// misbehaving job: the job accepted into the given composition slot
+	// gets overrunFactor× the configured instruction count, i.e. the user
+	// underspecified tw. Factor 0 or <1 injects nothing.
+	overrunJobSlot int
+	overrunFactor  float64
 	// RequestWays overrides the per-job cache-way request (0 = the
 	// paper's 7-way medium preset). Figure 3's illustration uses 40% of
 	// the cache.
@@ -185,13 +178,6 @@ type Config struct {
 	// ta + factor·tw instead of drawing the 50/30/20 mix (Figure 3
 	// uses 1.5).
 	DeadlineFactor float64
-	// SchedQuantumCycles, when positive, replaces the idealized
-	// processor-sharing model on timeshared cores with quantum-based
-	// round-robin scheduling; SwitchPenaltyCycles is charged at each
-	// involuntary switch (register state + cold-cache warmup). Zero (the
-	// default) keeps the idealized model.
-	SchedQuantumCycles  int64
-	SwitchPenaltyCycles int64
 	// Script, when non-empty, replaces the Poisson arrival process with
 	// an explicit submission list (one admission attempt per entry, no
 	// retries); AcceptTarget is ignored and the run ends when every
@@ -225,9 +211,8 @@ type Config struct {
 	CtrlIntervalCycles int64
 	// RecordSeries enables per-epoch telemetry sampling (running jobs,
 	// reserved ways, bus utilization) in the Report, at one sample per
-	// SeriesStride epochs (default 16 when enabled).
+	// 16 epochs (seriesStride).
 	RecordSeries bool
-	SeriesStride int
 	// FoldCompleted streams finished jobs into the report aggregates at
 	// completion time and periodically compacts them out of the live job
 	// slice, keeping the runner's memory independent of how many jobs the
@@ -258,7 +243,6 @@ func DefaultConfig(policy Policy, w workload.Composition) Config {
 		Workload:           w,
 		Engine:             EngineTable,
 		Cores:              4,
-		L1:                 cache.PaperL1(),
 		L2:                 cache.PaperL2(),
 		CPU:                cpu.PaperParams(),
 		Mem:                mem.PaperConfig(),
@@ -341,14 +325,6 @@ func (c Config) Validate() error {
 			if e.Kind == fault.WayFault {
 				return fmt.Errorf("sim: way-fault events require the table engine")
 			}
-		}
-	}
-	if c.ModelL1 {
-		if c.Engine != EngineTrace {
-			return fmt.Errorf("sim: ModelL1 requires the trace engine")
-		}
-		if err := c.L1.Validate(); err != nil {
-			return err
 		}
 	}
 	if c.RequestWays < 0 || c.RequestWays > c.L2.Ways {

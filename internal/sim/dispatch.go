@@ -410,12 +410,6 @@ func (x *dispatchIndex) noteFinished(id int) {
 // beat the best verified candidate.
 func (x *dispatchIndex) placeBest(a Arrival, mode qos.Mode, dur, cutoff int64) int {
 	cr := x.cr
-	if cr.nodes[0].lac == nil {
-		// No admission control: every node answers (ta, true), so the
-		// least-loaded node wins outright.
-		id, _, _ := x.loadH.top()
-		return id
-	}
 	if mode.Kind == qos.KindOpportunistic {
 		return x.placeOpp(a, mode)
 	}
@@ -555,11 +549,7 @@ func (x *dispatchIndex) placeOppScan(a Arrival, mode qos.Mode) int {
 // the earliest instant its reservation schedule could admit one more
 // opportunistic job, clamped past the probe's own arrival.
 func (x *dispatchIndex) oppBound(id int, ta int64) int64 {
-	n := x.cr.nodes[id]
-	if n.lac == nil {
-		return ta + 1 // unreachable: admissionless nodes accept any probe
-	}
-	s, ok := n.lac.EarliestOpportunistic(ta)
+	s, ok := x.cr.nodes[id].lac.EarliestOpportunistic(ta)
 	if !ok {
 		return neverBound
 	}
@@ -575,10 +565,6 @@ func (x *dispatchIndex) oppBound(id int, ta int64) int64 {
 // fleet-wide infeasible arrival rejects in O(1).
 func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, indexed bool) int {
 	cr := x.cr
-	if cr.nodes[0].lac == nil {
-		id, _, _ := x.loadH.top()
-		return id
-	}
 	if mode.Kind == qos.KindOpportunistic {
 		return x.placeOpp(a, mode)
 	}

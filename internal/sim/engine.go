@@ -41,9 +41,8 @@ type Runner struct {
 	nextArr   int64
 	submitIdx int
 
-	external  bool // arrivals are injected by a ClusterRunner
-	epochIdx  int64
-	coreSched []coreSchedState
+	external bool // arrivals are injected by a ClusterRunner
+	epochIdx int64
 
 	// Epoch-plan cache (§7.4): the paper's framework re-evaluates
 	// admission and partitioning only at QoS events, so between events the
@@ -133,7 +132,6 @@ type epochScratch struct {
 	unplaced   []*Job
 	oppJobs    []*Job
 	freeCores  []int
-	live       []*Job
 }
 
 // nodeShared is the immutable half of a Runner: what New derives from the
@@ -154,9 +152,8 @@ type nodeShared struct {
 	modeByHint   [workload.NumModeHints]qos.Mode
 	ctrlInterval int64 // feedback-controller tick cadence in cycles
 	// skipOK gates the fast-forward statically: closed-form per-epoch
-	// deltas need the table model under processor sharing (round-robin
-	// positions work inside the epoch, the trace engine draws fresh RNG
-	// per epoch) and no per-epoch telemetry.
+	// deltas need the table model (the trace engine draws fresh RNG per
+	// epoch) and no per-epoch telemetry.
 	skipOK bool
 }
 
@@ -174,7 +171,7 @@ func newShared(cfg Config) (*nodeShared, error) {
 		tmpl:         map[string]tmplEntry{},
 		reqWays:      cfg.RequestWays,
 		ctrlInterval: cfg.CtrlIntervalCycles,
-		skipOK:       cfg.Engine != EngineTrace && cfg.SchedQuantumCycles == 0 && !cfg.RecordSeries,
+		skipOK:       cfg.Engine != EngineTrace && !cfg.RecordSeries,
 	}
 	if sh.ctrlInterval == 0 {
 		sh.ctrlInterval = ctrlDefaultIntervalEpochs * cfg.EpochCycles
@@ -242,7 +239,6 @@ func newNode(sh *nodeShared, seed int64) (*Runner, error) {
 	default:
 		r.model = newTableModel(cfg.CPU)
 	}
-	r.coreSched = make([]coreSchedState, cfg.Cores)
 	r.sc.byCore = make([][]*Job, cfg.Cores)
 	r.sc.load = make([]int, cfg.Cores)
 	r.sc.reservedOn = make([]*Job, cfg.Cores)
@@ -251,14 +247,13 @@ func newNode(sh *nodeShared, seed int64) (*Runner, error) {
 	r.latFactor = 1.0
 	r.frag = &fragSink{}
 	if cfg.RecordSeries {
-		r.seriesS = newSeriesSink(r)
+		r.seriesS = &seriesSink{r: r}
 	}
 	return r, nil
 }
 
-// Config returns the run's configuration. Pipeline implementations
-// registered from outside this package read geometry and policy
-// parameters through it.
+// Config returns the run's configuration, with the node's own seed in
+// place of the one the shared value carries.
 func (r *Runner) Config() Config {
 	cfg := r.cfg
 	cfg.Seed = r.seed
@@ -268,23 +263,6 @@ func (r *Runner) Config() Config {
 // Now returns the current simulation cycle (the start of the epoch
 // being planned or advanced).
 func (r *Runner) Now() int64 { return r.now }
-
-// Jobs returns the accepted jobs in acceptance order, including
-// finished ones. Pipeline implementations must not reorder or retain
-// the slice.
-func (r *Runner) Jobs() []*Job { return r.accepted }
-
-// CoreFailed reports whether core c is currently failed by fault
-// injection; schedulers must not place jobs on failed cores.
-func (r *Runner) CoreFailed(c int) bool { return r.coreDown[c] }
-
-// FaultedWays returns how many L2 ways are currently dark from fault
-// injection; allocators must partition Config().L2.Ways minus this.
-func (r *Runner) FaultedWays() int { return r.waysDown }
-
-// JobPlaced notifies the execution model that a job landed on a new
-// core. Schedulers must call it for every placement they make.
-func (r *Runner) JobPlaced(j *Job) { r.model.jobStarted(j) }
 
 // Run executes the simulation and returns its report.
 func (r *Runner) Run() (*Report, error) {

@@ -66,8 +66,7 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 		if n == 0 {
 			continue
 		}
-		// Processor sharing, exactly as advanceAll splits the epoch
-		// (the skipOK gate excludes round-robin time-slicing).
+		// Processor sharing, exactly as advanceAll splits the epoch.
 		share := E / n
 		for _, j := range jobs {
 			var off int64

@@ -90,8 +90,8 @@ func TestEventSkipByteIdentity(t *testing.T) {
 		{"wallclock-termination", func() Config {
 			cfg := planCacheCfg(Hybrid2, "bzip2")
 			cfg.EnforceWallClock = true
-			cfg.OverrunFactor = 3
-			cfg.OverrunJobSlot = 0
+			cfg.overrunFactor = 3
+			cfg.overrunJobSlot = 0
 			return cfg
 		}(), true},
 		{"equalpart", planCacheCfg(EqualPart, "gobmk"), true},

@@ -105,7 +105,6 @@ func (r *Runner) injectFault(ev fault.Event) {
 		r.fstats.CoreFails++
 		r.coreDown[ev.Core] = true
 		r.downCores++
-		r.coreSched[ev.Core] = coreSchedState{}
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreFail,
 			Detail: int64(ev.Core)})
 		// Displace whatever was running there; assignCores re-places
@@ -138,7 +137,6 @@ func (r *Runner) recoverFault(ev fault.Event) {
 		r.fstats.CoreRecovers++
 		r.coreDown[ev.Core] = false
 		r.downCores--
-		r.coreSched[ev.Core] = coreSchedState{}
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreRecover,
 			Detail: int64(ev.Core)})
 		r.refitReservations() // growth: re-admits capacity, evicts nothing

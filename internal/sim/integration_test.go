@@ -59,8 +59,8 @@ func TestEnforcementCoversElasticBudget(t *testing.T) {
 		}
 		cfg := fastConfig(Hybrid2, w)
 		cfg.EnforceWallClock = true
-		cfg.OverrunJobSlot = 0
-		cfg.OverrunFactor = 3
+		cfg.overrunJobSlot = 0
+		cfg.overrunFactor = 3
 		return cfg
 	}
 	strictRep := mustRun(t, mk(workload.HintStrict))
@@ -130,7 +130,6 @@ func TestFragmentationFractionsBounded(t *testing.T) {
 func TestSeriesRecording(t *testing.T) {
 	cfg := fastConfig(Hybrid2, workload.Single("bzip2"))
 	cfg.RecordSeries = true
-	cfg.SeriesStride = 8
 	rep := mustRun(t, cfg)
 	if len(rep.Series) == 0 {
 		t.Fatal("no series recorded")

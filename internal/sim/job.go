@@ -118,10 +118,8 @@ type Job struct {
 // traceState is a job's trace-engine state.
 type traceState struct {
 	stream        *workload.Stream
-	memStream     *workload.MemStream // full-hierarchy mode
 	lastMissRatio float64
-	lastH2        float64 // measured L2 accesses/instr (full-hierarchy mode)
-	writeLCG      uint64  // deterministic store/load decision stream
+	writeLCG      uint64 // deterministic store/load decision stream
 }
 
 // nextWrite decides whether the next trace access is a store, using a
@@ -143,10 +141,6 @@ func (j *Job) setWaysF(w float64) {
 	j.WaysF = w
 	j.mpifCur = j.Profile.MPIF(w)
 }
-
-// SetWays is the exported allocation setter for WayAllocator
-// implementations registered from outside this package.
-func (j *Job) SetWays(w float64) { j.setWaysF(w) }
 
 // SetCtrlBoost sets the controller's standing way grant for this job
 // (clamped to ≥ 0 — boosts only ever add ways above the negotiated

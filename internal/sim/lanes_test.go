@@ -62,7 +62,7 @@ func TestLanesMatchEventReplay(t *testing.T) {
 		cases = append(cases, laneCase{"fig3/" + p.String(), fig3Cfg(p)})
 	}
 	overrun := planCacheCfg(Hybrid2, "bzip2")
-	overrun.EnforceWallClock, overrun.OverrunFactor, overrun.OverrunJobSlot = true, 3, 0
+	overrun.EnforceWallClock, overrun.overrunFactor, overrun.overrunJobSlot = true, 3, 0
 	cases = append(cases, laneCase{"wallclock-termination", overrun})
 	for _, rate := range []float64{4, 8, 16} {
 		for _, p := range []Policy{AllStrict, AllStrictAutoDown, Hybrid2} {

@@ -104,22 +104,16 @@ type traceModel struct {
 	params  cpu.Params
 	l2      *cache.Partitioned
 	shadow  *cache.ShadowTags
-	hier    *cache.Hierarchy // full L1+L2 hierarchy when ModelL1 is set
 }
 
 func newTraceModel(cfg Config) *traceModel {
 	m := &traceModel{
 		cfg:     cfg,
 		params:  cfg.CPU,
+		l2:      cache.NewPartitioned(cfg.L2),
 		shadow:  cache.NewShadowTags(cfg.L2, cfg.SampleEvery),
 		frozen:  make([]int, cfg.Cores),
 		elastic: make([]int, cfg.Cores),
-	}
-	if cfg.ModelL1 {
-		m.hier = cache.NewHierarchy(cfg.Cores, cfg.L1, cfg.L2)
-		m.l2 = m.hier.L2()
-	} else {
-		m.l2 = cache.NewPartitioned(cfg.L2)
 	}
 	for i := range m.frozen {
 		m.frozen[i] = -1
@@ -129,14 +123,8 @@ func newTraceModel(cfg Config) *traceModel {
 
 func (m *traceModel) jobStarted(j *Job) {
 	if j.tr == nil {
-		j.tr = &traceState{}
-		if m.cfg.ModelL1 {
-			j.tr.memStream = j.Profile.NewMemStream(m.cfg.Seed, j.ID)
-		} else {
-			j.tr.stream = j.Profile.NewStream(m.cfg.Seed, j.ID)
-		}
+		j.tr = &traceState{stream: j.Profile.NewStream(m.cfg.Seed, j.ID)}
 	}
-	j.tr.lastH2 = j.Profile.L2APA
 	// Initial CPI estimate from the calibrated curve until the first
 	// epoch's measurement lands.
 	j.tr.lastMissRatio = j.Profile.MissRatioF(j.WaysF)
@@ -235,18 +223,12 @@ func (m *traceModel) applyPartition(jobsByCore [][]*Job, now int64) {
 
 func (m *traceModel) cpiFor(j *Job, memPenalty float64) float64 {
 	h2 := j.Profile.L2APA
-	if m.cfg.ModelL1 {
-		h2 = j.tr.lastH2
-	}
 	return m.params.CPI(j.Profile.CPIL1Inf, h2, h2*j.tr.lastMissRatio, memPenalty)
 }
 
 func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	if j.Core < 0 {
 		return 0, 0
-	}
-	if m.cfg.ModelL1 {
-		return m.advanceHierarchy(j, instr)
 	}
 	nAcc := int64(float64(instr)*j.Profile.L2APA) >> m.cfg.TraceAccessShift
 	if nAcc <= 0 {
@@ -302,48 +284,4 @@ func (m *traceModel) stealReady(j *Job) bool {
 // never fast-forwards (the skipOK gate also excludes it statically).
 func (m *traceModel) steadyDeltas(*Job, int64) (int64, int64, int64, bool) {
 	return 0, 0, 0, false
-}
-
-// advanceHierarchy retires instr instructions through the full L1+L2
-// hierarchy: the job's CPU-level reference stream is filtered by its
-// private L1; only L1 misses reach (and are observed by) the shared L2
-// and the duplicate tags.
-func (m *traceModel) advanceHierarchy(j *Job, instr int64) (int64, int64) {
-	nMem := int64(float64(instr)*workload.MemRefsPerInstr) >> m.cfg.TraceAccessShift
-	if nMem <= 0 {
-		misses := int64(float64(instr) * j.tr.lastH2 * j.tr.lastMissRatio)
-		j.MainMisses += misses
-		j.ShadowMisses += misses
-		return misses, int64(float64(misses) * workload.WriteFraction)
-	}
-	var l2Acc, l2Miss, l2WB int64
-	for i := int64(0); i < nMem; i++ {
-		addr := j.tr.memStream.Next()
-		ar := m.hier.Access(j.Core, addr)
-		if ar.L1Hit {
-			continue
-		}
-		l2Acc++
-		m.shadow.Observe(j.Core, addr, ar.L2)
-		if !ar.L2.Hit {
-			l2Miss++
-		}
-		if ar.L2.WriteBack {
-			l2WB++
-		}
-	}
-	scaledInstr := float64(nMem) / workload.MemRefsPerInstr
-	j.tr.lastH2 = 0.5*j.tr.lastH2 + 0.5*float64(l2Acc)/scaledInstr
-	if l2Acc > 0 {
-		j.tr.lastMissRatio = 0.5*j.tr.lastMissRatio + 0.5*float64(l2Miss)/float64(l2Acc)
-	}
-	misses := l2Miss << m.cfg.TraceAccessShift
-	if j.Stealer != nil {
-		j.MainMisses = m.shadow.MainMisses(j.Core)
-		j.ShadowMisses = m.shadow.ShadowMisses(j.Core)
-	} else {
-		j.MainMisses += misses
-		j.ShadowMisses += misses
-	}
-	return misses, l2WB << m.cfg.TraceAccessShift
 }

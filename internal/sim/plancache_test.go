@@ -60,8 +60,8 @@ func TestPlanCacheByteIdentity(t *testing.T) {
 			cfg: func() Config {
 				cfg := planCacheCfg(Hybrid2, "bzip2")
 				cfg.EnforceWallClock = true
-				cfg.OverrunFactor = 3
-				cfg.OverrunJobSlot = 0
+				cfg.overrunFactor = 3
+				cfg.overrunJobSlot = 0
 				return cfg
 			}(),
 			events: []trace.EventKind{trace.Terminated, trace.Completed},
@@ -81,7 +81,6 @@ func TestPlanCacheByteIdentity(t *testing.T) {
 			cfg: func() Config {
 				cfg := planCacheCfg(Hybrid2, "bzip2")
 				cfg.RecordSeries = true
-				cfg.SeriesStride = 4
 				return cfg
 			}(),
 			events: []trace.EventKind{trace.Accepted, trace.Completed},

@@ -200,14 +200,6 @@ func (r *Runner) SetAdmissionHeadroom(ways int) {
 	}
 }
 
-// AdmissionHeadroom returns the LAC's current admission headroom.
-func (r *Runner) AdmissionHeadroom() int {
-	if r.lac == nil {
-		return 0
-	}
-	return r.lac.Headroom()
-}
-
 // pidController is a proportional-integral controller on the aggregate
 // progress deficit: each behind job's boost scales with its own error,
 // and the admission headroom scales with the node-wide error plus its

@@ -1,6 +1,6 @@
 // Core-assignment stage of the policy pipeline: the registered
-// Scheduler implementations, the timed job-state transitions that feed
-// them, and the quantum-based round-robin advance for timeshared cores.
+// Scheduler implementations and the timed job-state transitions that feed
+// them.
 package sim
 
 import (
@@ -223,51 +223,4 @@ func (sharedScheduler) Assign(r *Runner) [][]*Job {
 		}
 	}
 	return byCore
-}
-
-// coreSchedState is one core's round-robin scheduler state.
-type coreSchedState struct {
-	rrIndex     int
-	quantumLeft int64
-}
-
-// advanceCoreRR timeshares one core's jobs with a quantum-based
-// round-robin scheduler, charging a context-switch penalty (register
-// state plus cold-cache warmup) whenever the running job changes — the
-// OS-realism model for the EqualPart baseline and for Opportunistic
-// pile-ups.
-func (r *Runner) advanceCoreRR(core int, jobs []*Job, epoch int64) {
-	st := &r.coreSched[core]
-	remaining := epoch
-	offset := int64(0)
-	for remaining > 0 {
-		live := liveJobs(r.sc.live[:0], jobs)
-		r.sc.live = live
-		if len(live) == 0 {
-			return
-		}
-		j := live[st.rrIndex%len(live)]
-		if st.quantumLeft <= 0 {
-			st.quantumLeft = r.cfg.SchedQuantumCycles
-		}
-		run := st.quantumLeft
-		if run > remaining {
-			run = remaining
-		}
-		r.advanceJob(j, run, 1, offset)
-		offset += run
-		remaining -= run
-		st.quantumLeft -= run
-		if st.quantumLeft <= 0 && len(live) > 1 {
-			st.rrIndex++
-			// Context-switch penalty comes out of the epoch budget.
-			if pen := r.cfg.SwitchPenaltyCycles; pen > 0 {
-				if pen > remaining {
-					pen = remaining
-				}
-				offset += pen
-				remaining -= pen
-			}
-		}
-	}
 }

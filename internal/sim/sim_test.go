@@ -412,8 +412,8 @@ func TestWallClockEnforcementTerminatesOverrunner(t *testing.T) {
 	// deadline — the reservation system contains the damage.
 	cfg := fastConfig(AllStrict, workload.Single("bzip2"))
 	cfg.EnforceWallClock = true
-	cfg.OverrunJobSlot = 0
-	cfg.OverrunFactor = 3.0
+	cfg.overrunJobSlot = 0
+	cfg.overrunFactor = 3.0
 	rep := mustRun(t, cfg)
 	if rep.Terminated != 1 {
 		t.Fatalf("terminated = %d, want exactly the injected overrunner", rep.Terminated)
@@ -440,8 +440,8 @@ func TestWallClockEnforcementTerminatesOverrunner(t *testing.T) {
 
 func TestNoEnforcementLetsOverrunnerFinish(t *testing.T) {
 	cfg := fastConfig(AllStrict, workload.Single("bzip2"))
-	cfg.OverrunJobSlot = 0
-	cfg.OverrunFactor = 2.0
+	cfg.overrunJobSlot = 0
+	cfg.overrunFactor = 2.0
 	rep := mustRun(t, cfg)
 	if rep.Terminated != 0 {
 		t.Fatal("no enforcement, no terminations")
@@ -523,65 +523,6 @@ func TestPhasedJobsStillGuaranteed(t *testing.T) {
 	uw := uniform.WallClockByMode["Strict"].Mean()
 	if pw >= uw {
 		t.Errorf("phased wall-clock %v should undercut uniform %v", pw, uw)
-	}
-}
-
-func TestFullHierarchyTraceMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-hierarchy trace is slow")
-	}
-	cfg := TraceConfig(AllStrict, workload.Single("gobmk"))
-	cfg.ModelL1 = true
-	cfg.JobInstr = 3_000_000
-	cfg.StealIntervalInstr = 150_000
-	cfg.TwMargin = 1.35 // hierarchy measurement noise needs extra budget
-	rep := mustRun(t, cfg)
-	if len(rep.Jobs) != 10 {
-		t.Fatalf("accepted %d jobs", len(rep.Jobs))
-	}
-	if rep.DeadlineHitRate != 1.0 {
-		t.Errorf("full-hierarchy hit rate = %v, want 1.0", rep.DeadlineHitRate)
-	}
-}
-
-func TestModelL1RequiresTraceEngine(t *testing.T) {
-	cfg := fastConfig(AllStrict, workload.Single("bzip2"))
-	cfg.ModelL1 = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("ModelL1 with the table engine must be rejected")
-	}
-}
-
-func TestQuantumSchedulerOverhead(t *testing.T) {
-	// The OS-realism model: smaller quanta mean more context switches,
-	// so with a fixed switch penalty EqualPart's makespan grows as the
-	// quantum shrinks; with no penalty, quantum scheduling stays close
-	// to the idealized processor-sharing result.
-	base := fastConfig(EqualPart, workload.Single("bzip2"))
-	ideal := mustRun(t, base)
-
-	free := base
-	free.SchedQuantumCycles = 2_000_000 // 1 ms at 2 GHz
-	free.SwitchPenaltyCycles = 0
-	freeRep := mustRun(t, free)
-	if rel := float64(freeRep.TotalCycles)/float64(ideal.TotalCycles) - 1; rel > 0.05 || rel < -0.05 {
-		t.Errorf("penalty-free quantum scheduling deviates %.1f%% from processor sharing", rel*100)
-	}
-
-	coarse := base
-	coarse.SchedQuantumCycles = 2_000_000
-	coarse.SwitchPenaltyCycles = 50_000
-	coarseRep := mustRun(t, coarse)
-	fine := base
-	fine.SchedQuantumCycles = 200_000 // 0.1 ms: 10x the switches
-	fine.SwitchPenaltyCycles = 50_000
-	fineRep := mustRun(t, fine)
-	if fineRep.TotalCycles <= coarseRep.TotalCycles {
-		t.Errorf("fine quanta (%d) should cost more than coarse (%d) under a switch penalty",
-			fineRep.TotalCycles, coarseRep.TotalCycles)
-	}
-	if coarseRep.TotalCycles < ideal.TotalCycles {
-		t.Error("switch penalties cannot beat the idealized scheduler")
 	}
 }
 

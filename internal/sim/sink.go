@@ -118,31 +118,25 @@ func (s *fragSink) EpochEnd(st EpochState) {
 	s.internal += st.InternalWays
 }
 
-// seriesSink samples the node's telemetry every SeriesStride epochs. It
+// seriesStride is the telemetry sampling period in epochs.
+const seriesStride = 16
+
+// seriesSink samples the node's telemetry every seriesStride epochs. It
 // keeps the runner to census job states and read the (just rolled) bus
 // window — the per-epoch cost stays gated on Config.RecordSeries
 // because the sink is only installed when that is set.
 type seriesSink struct {
 	r      *Runner
-	stride int64
 	series []SeriesSample
 }
 
-func newSeriesSink(r *Runner) *seriesSink {
-	stride := int64(r.cfg.SeriesStride)
-	if stride <= 0 {
-		stride = 16
-	}
-	return &seriesSink{r: r, stride: stride}
-}
-
 func (s *seriesSink) EpochEnd(st EpochState) {
-	if st.Epoch%s.stride != 0 {
+	if st.Epoch%seriesStride != 0 {
 		return
 	}
 	if s.series == nil {
-		// Sized for a typical run (samples every `stride` epochs); longer
-		// runs grow from here instead of from a 1-element slice.
+		// Sized for a typical run; longer runs grow from here instead of
+		// from a 1-element slice.
 		s.series = make([]SeriesSample, 0, 128)
 	}
 	r := s.r

@@ -13,17 +13,6 @@ func minIndex(xs []int) int {
 	return best
 }
 
-// liveJobs appends a core list's still-running jobs to dst (completion
-// inside the epoch removes them from rotation).
-func liveJobs(dst []*Job, jobs []*Job) []*Job {
-	for _, j := range jobs {
-		if j.State == StateRunning {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
 // usefulWays is the smallest allocation beyond which the profile's miss
 // curve is nearly flat.
 func usefulWays(p workload.Profile) float64 {

@@ -169,19 +169,3 @@ func (c *Controller) Shed(n int) int {
 	}
 	return shed
 }
-
-// Grow raises the reservation back by up to n ways, never above limit —
-// the fault-recovery path undoing an earlier Shed. The current
-// allocation grows with it (recovered ways belong to the Elastic job
-// until stolen again). Returns how many ways were restored.
-func (c *Controller) Grow(n, limit int) int {
-	if n <= 0 || limit <= c.origWays {
-		return 0
-	}
-	if c.origWays+n > limit {
-		n = limit - c.origWays
-	}
-	c.origWays += n
-	c.curWays += n
-	return n
-}

@@ -76,54 +76,6 @@ func (s *Stream) Next() cache.Addr {
 
 var _ cache.AddrStream = (*Stream)(nil)
 
-// MemStream is the CPU-level (pre-L1) address stream: every memory
-// reference the core issues, of which the L1 filters most. It composes a
-// small L1-resident hot window with the profile's L2-level stream so
-// that after filtering through the paper's 32 KB L1, the L2 sees
-// approximately the profile's calibrated h₂ accesses per instruction.
-type MemStream struct {
-	inner    *Stream
-	rng      *rand.Rand
-	hotBase  uint64
-	hotBlks  int
-	missFrac float64 // fraction of references sent past the hot window
-}
-
-// MemRefsPerInstr is the modeled memory-reference density (loads+stores
-// per instruction) shared by all profiles; SPEC integer codes cluster
-// near this value.
-const MemRefsPerInstr = 0.35
-
-// NewMemStream builds the CPU-level stream for this profile. The target
-// L1 miss fraction is h₂ / MemRefsPerInstr — the filtering the paper's
-// private L1 performs.
-func (p Profile) NewMemStream(seed int64, jobID int) *MemStream {
-	inner := p.NewStream(seed, jobID)
-	frac := p.L2APA / MemRefsPerInstr
-	if frac > 1 {
-		frac = 1
-	}
-	const blockSize = 64
-	return &MemStream{
-		inner:    inner,
-		rng:      rand.New(rand.NewSource(seed ^ (int64(jobID)+77)*0x5851f42d4c957f2d)),
-		hotBase:  uint64(jobID+1)<<jobSpaceBits | 1<<(jobSpaceBits-1), // disjoint from regions
-		hotBlks:  (8 << 10) / blockSize,                               // 8 KB: always L1-resident
-		missFrac: frac,
-	}
-}
-
-// Next produces the next CPU-level address.
-func (m *MemStream) Next() cache.Addr {
-	if m.rng.Float64() < m.missFrac {
-		return m.inner.Next()
-	}
-	blk := m.rng.Intn(m.hotBlks)
-	return cache.Addr(m.hotBase + uint64(blk)*64)
-}
-
-var _ cache.AddrStream = (*MemStream)(nil)
-
 // ProbeCurve measures this profile's miss-ratio-vs-ways curve from the
 // synthetic stream. It is the measurement behind Figure 4 and Table 1
 // in trace mode. Since PR 2 it runs the one-pass stack-distance

@@ -86,49 +86,6 @@ func TestTraceCurvesReproduceGroups(t *testing.T) {
 	}
 }
 
-func TestMemStreamFiltersToCalibratedH2(t *testing.T) {
-	// The full-hierarchy path: the CPU-level stream, filtered through
-	// the paper's 32 KB L1, must deliver roughly the profile's
-	// calibrated h₂ accesses-per-instruction to the L2.
-	if testing.Short() {
-		t.Skip("hierarchy probe is slow")
-	}
-	for _, name := range []string{"bzip2", "gobmk"} {
-		p := MustByName(name)
-		h := cache.NewHierarchy(1, cache.PaperL1(),
-			cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10})
-		h.L2().SetTarget(0, 7)
-		h.L2().SetClass(0, cache.ClassReserved)
-		ms := p.NewMemStream(3, 0)
-		const warm, meas = 200_000, 400_000
-		for i := 0; i < warm; i++ {
-			h.Access(0, ms.Next())
-		}
-		h.ResetStats()
-		for i := 0; i < meas; i++ {
-			h.Access(0, ms.Next())
-		}
-		refs, l1m, _ := h.Stats(0)
-		// L2 accesses per instruction = L1 misses / (refs / MemRefsPerInstr).
-		instr := float64(refs) / MemRefsPerInstr
-		h2 := float64(l1m) / instr
-		if rel := (h2 - p.L2APA) / p.L2APA; rel > 0.35 || rel < -0.35 {
-			t.Errorf("%s: hierarchy-measured h2 = %v, calibrated %v (rel %.2f)",
-				name, h2, p.L2APA, rel)
-		}
-	}
-}
-
-func TestMemStreamDeterminism(t *testing.T) {
-	p := MustByName("bzip2")
-	a, b := p.NewMemStream(9, 2), p.NewMemStream(9, 2)
-	for i := 0; i < 500; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("same-seed mem streams diverged")
-		}
-	}
-}
-
 func TestStreamingNeverRehits(t *testing.T) {
 	// A pure-streaming profile must keep missing: probe libquantum and
 	// check the measured curve stays high at full allocation.

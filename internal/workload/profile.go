@@ -166,11 +166,6 @@ func (p Profile) MissRatioF(ways float64) float64 {
 // MPIF is MPI at a fractional way allocation.
 func (p Profile) MPIF(ways float64) float64 { return p.L2APA * p.MissRatioF(ways) }
 
-// CPIF evaluates the CPI model at a fractional way allocation.
-func (p Profile) CPIF(params cpu.Params, ways float64, memCycles float64) float64 {
-	return params.CPI(p.CPIL1Inf, p.L2APA, p.MPIF(ways), memCycles)
-}
-
 // CPI evaluates the paper's additive CPI model for this profile at the
 // given way allocation and (possibly contention-adjusted) memory penalty.
 func (p Profile) CPI(params cpu.Params, ways int, memCycles float64) float64 {

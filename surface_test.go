@@ -1,8 +1,8 @@
 package cmpqos
 
-// The two whole-tree gates of tier-1 (DESIGN §3.1): nothing under
-// internal/ that no program can reach, and no document citing a test
-// that does not exist.
+// The three whole-tree gates of tier-1 (DESIGN §3.1): nothing under
+// internal/ that no program can reach, no option no program sets, and no
+// document citing a test that does not exist.
 
 import (
 	"fmt"
@@ -19,6 +19,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,53 +34,91 @@ var surfaceAllow = map[string]string{
 	"cmpqos/internal/qos.ElasticEquivalent": "paper §3.3 definition",
 }
 
+// knobAllow names the option fields no program writes that stay.
+var knobAllow = map[string]string{
+	"cmpqos/internal/experiments.Options.Cache": "the private-run-cache seam tests substitute",
+}
+
+// moduleTree type-checks the repository once for both gates.
+var moduleTree = sync.OnceValues(func() (*tree, error) { return loadTree(".", "cmpqos", surfaceRoots) })
+
 func TestInternalSurface(t *testing.T) {
-	dead, err := unreachableDecls(".", "cmpqos", surfaceRoots)
+	tr, err := moduleTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := map[string]bool{}
-	for _, name := range dead {
-		found[name] = true
-		if _, ok := surfaceAllow[name]; !ok {
-			t.Errorf("%s: no non-test code reaches it from %v — delete it, move it to a _test.go file, or use it", name, surfaceRoots)
+	checkAllowed(t, tr.unreachableDecls(), surfaceAllow,
+		fmt.Sprintf("no non-test code reaches it from %v — delete it, move it to a _test.go file, or use it", surfaceRoots),
+		"reachable or gone")
+}
+
+// TestConfigKnobs is the option axis of the surface gate: an exported
+// field of a …Config, …Options or …Params struct under internal/ that no
+// non-test file writes has one value in every program, so it is a
+// constant and the branch it selects is dead.
+func TestConfigKnobs(t *testing.T) {
+	tr, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowed(t, tr.unwrittenKnobs(), knobAllow,
+		"no non-test code sets it — make it a constant and delete the branch it selects",
+		"written or gone")
+}
+
+// checkAllowed fails for every found name outside the allow-list and for
+// every allow-list entry not found.
+func checkAllowed(t *testing.T, found []string, allow map[string]string, advice, stale string) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, name := range found {
+		seen[name] = true
+		if _, ok := allow[name]; !ok {
+			t.Errorf("%s: %s", name, advice)
 		}
 	}
-	for name, reason := range surfaceAllow {
-		if !found[name] {
-			t.Errorf("%s: allow-listed (%s) but reachable or gone — drop the stale entry", name, reason)
+	for name, reason := range allow {
+		if !seen[name] {
+			t.Errorf("%s: allow-listed (%s) but %s — drop the stale entry", name, reason, stale)
 		}
 	}
 }
 
-// TestInternalSurfaceFixture runs the same pass over a planted tree: a
+// TestInternalSurfaceFixture runs the same passes over a planted tree: a
 // gate that reports nothing must not pass silently.
 func TestInternalSurfaceFixture(t *testing.T) {
-	dead, err := unreachableDecls("testdata/surface", "fixture", []string{"cmd/*"})
+	tr, err := loadTree("testdata/surface", "fixture", []string{"cmd/*"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"fixture/internal/lib.Dead"}; !reflect.DeepEqual(dead, want) {
-		t.Fatalf("unreachable declarations in the fixture = %v, want %v", dead, want)
+	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead"}; !reflect.DeepEqual(dead, want) {
+		t.Errorf("unreachable declarations in the fixture = %v, want %v", dead, want)
+	}
+	if knobs, want := tr.unwrittenKnobs(), []string{"fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
+		t.Errorf("unwritten option fields in the fixture = %v, want %v", knobs, want)
 	}
 }
 
-// unreachableDecls type-checks the non-test files of the module rooted
-// at dir (import path mod) and returns, sorted, every package-level
-// declaration under internal/ that no root package reaches. Nodes are
-// package-level declarations named "import/path.Name"; a method's body
-// and a struct's fields belong to their type's node, so a live type
-// keeps everything its methods mention. Every identifier a root
-// package uses is reached, as is whatever the init functions and `var _`
-// declarations of the packages the roots link in use.
-func unreachableDecls(dir, mod string, roots []string) ([]string, error) {
+// A tree is the type-checked non-test code of one module: the packages
+// the root patterns match, what they import, and every package under
+// internal/.
+type tree struct {
+	mod    string
+	pkgs   []*pkg // in import order
+	isRoot map[*pkg]bool
+	linked int // pkgs[:linked] are in some root's import closure
+}
+
+// loadTree type-checks the non-test files of the module rooted at dir
+// (import path mod).
+func loadTree(dir, mod string, roots []string) (*tree, error) {
 	l, err := newLoader(dir, mod)
 	if err != nil {
 		return nil, err
 	}
 	defer l.close()
 
-	g := graph{mod: mod, isRoot: map[*pkg]bool{}, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{}}
+	tr := &tree{mod: mod, isRoot: map[*pkg]bool{}}
 	for _, pat := range roots {
 		dirs, err := filepath.Glob(filepath.Join(dir, pat))
 		if err != nil {
@@ -91,11 +130,11 @@ func unreachableDecls(dir, mod string, roots []string) ([]string, error) {
 				return nil, err
 			}
 			if p != nil {
-				g.addRoot(p)
+				tr.isRoot[p] = true
 			}
 		}
 	}
-	linked := len(l.order) // every package loaded so far is in some root's import closure
+	tr.linked = len(l.order)
 	err = filepath.WalkDir(filepath.Join(dir, "internal"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -106,24 +145,136 @@ func unreachableDecls(dir, mod string, roots []string) ([]string, error) {
 		_, err = l.load(l.importPath(path))
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range l.order {
-		if !g.isRoot[p] {
-			g.addPackage(p, i < linked)
+	tr.pkgs = l.order
+	return tr, err
+}
+
+// unreachableDecls returns, sorted, every package-level declaration
+// under internal/ that no root package reaches. Nodes are
+// package-level declarations named "import/path.Name"; a method's body
+// and a struct's fields belong to their type's node, so a live type
+// keeps everything its methods mention. Every identifier a root
+// package uses is reached, as is whatever the init functions and `var _`
+// declarations of the packages the roots link in use.
+func (tr *tree) unreachableDecls() []string {
+	g := graph{mod: tr.mod, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{}}
+	for i, p := range tr.pkgs {
+		if tr.isRoot[p] {
+			g.addRoot(p)
+		} else {
+			g.addPackage(p, i < tr.linked)
 		}
 	}
 	g.flood()
 
 	dead := []string{}
 	for name := range g.declared {
-		if strings.HasPrefix(name, mod+"/internal/") && !g.reached[name] {
+		if strings.HasPrefix(name, tr.mod+"/internal/") && !g.reached[name] {
 			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
-	return dead, nil
+	return dead
+}
+
+var knobStruct = regexp.MustCompile(`(Config|Options|Params)$`)
+
+// unwrittenKnobs returns, sorted as "import/path.Type.Field", every
+// exported field of a struct under internal/ named …Config, …Options or
+// …Params that no file of the tree writes. A write is a key of a
+// composite literal (any element of an unkeyed one), a field on the left
+// of an assignment or under ++/--, or a field whose address is taken; a
+// field with a json tag is written by whatever decodes it. Default
+// constructors are files of the tree like any other.
+func (tr *tree) unwrittenKnobs() []string {
+	written := map[types.Object]bool{}
+	// lhs marks every field selected on the way to an assigned location:
+	// cfg.L2.Ways = 8 sets Ways and, through it, L2.
+	var lhs func(p *pkg, e ast.Expr)
+	lhs = func(p *pkg, e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			written[p.info.Uses[e.Sel]] = true
+			lhs(p, e.X)
+		case *ast.IndexExpr:
+			lhs(p, e.X)
+		case *ast.StarExpr:
+			lhs(p, e.X)
+		case *ast.ParenExpr:
+			lhs(p, e.X)
+		}
+	}
+	for _, p := range tr.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st := structOf(p.info.Types[n].Type)
+					if st == nil {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[p.info.Uses[kv.Key.(*ast.Ident)]] = true
+						} else {
+							written[st.Field(i)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs(p, e)
+					}
+				case *ast.IncDecStmt:
+					lhs(p, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						lhs(p, n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	knobs := []string{}
+	for _, p := range tr.pkgs {
+		if !strings.HasPrefix(p.types.Path(), tr.mod+"/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !knobStruct.MatchString(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				_, decoded := reflect.StructTag(st.Tag(i)).Lookup("json")
+				if f.Exported() && !written[f] && !decoded {
+					knobs = append(knobs, p.types.Path()+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(knobs)
+	return knobs
+}
+
+// structOf is the struct a composite literal of type t (or *t, for an
+// elided &T{…} element) fills in, nil for slices, maps and arrays.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 // A pkg is one type-checked directory of the module.
@@ -198,7 +349,11 @@ func (l *loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pkg{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	p := &pkg{info: &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, // composite literals only are read (unwrittenKnobs)
+	}}
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -225,7 +380,6 @@ func (l *loader) load(path string) (*pkg, error) {
 // graph is the reachability relation over declaration names.
 type graph struct {
 	mod      string
-	isRoot   map[*pkg]bool
 	declared map[string]bool
 	edges    map[string][]string
 	reached  map[string]bool
@@ -251,7 +405,6 @@ func (g *graph) flood() {
 
 // addRoot reaches everything a root package mentions.
 func (g *graph) addRoot(p *pkg) {
-	g.isRoot[p] = true
 	for _, obj := range p.info.Uses {
 		g.reach(g.name(obj))
 	}

@@ -4,4 +4,13 @@ package main
 
 import "fixture/internal/lib"
 
-func main() { lib.NewLive().Run() }
+func main() {
+	cfg := lib.DefaultConfig()
+	cfg.Assigned = 2
+	cfg.Nested.Depth++
+	grow(&cfg.Addressed)
+	_ = cfg.Unset
+	lib.NewLive(cfg, lib.Params{3}).Run()
+}
+
+func grow(n *int) { *n *= 2 }

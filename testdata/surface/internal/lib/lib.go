@@ -1,5 +1,6 @@
-// Package lib holds one declaration no root reaches, Dead, among the
-// shapes the gate must not report.
+// Package lib holds one declaration no root reaches, Dead, and one option
+// field no file writes, Config.Unset, among the shapes the gates must not
+// report.
 package lib
 
 import "fmt"
@@ -12,7 +13,24 @@ type step int
 
 const first step = 1
 
-func NewLive() *Live { return &Live{n: first} }
+func NewLive(c Config, p Params) *Live { return &Live{n: first + step(c.Unset+p.Positional)} }
+
+// Config has one field per way of being written, and Unset, which is
+// only read.
+type Config struct {
+	Keyed     int // key of DefaultConfig's literal
+	Assigned  int
+	Addressed int
+	Nested    struct{ Depth int } // written through: cfg.Nested.Depth++
+	Decoded   int                 `json:"decoded"`
+	Unset     int
+	private   int // not an option: unexported
+}
+
+func DefaultConfig() Config { return Config{Keyed: 1} }
+
+// Params is written by an unkeyed literal.
+type Params struct{ Positional int }
 
 func (l *Live) Run() { registry[l.String()]++ }
 
