@@ -36,7 +36,7 @@ func main() {
 	var (
 		negotiate = flag.Bool("negotiate", false, "retry rejected Strict jobs with weaker modes")
 		clock     = flag.String("clock", "2GHz", "node clock frequency (e.g. 2GHz, 1.5GHz)")
-		simulate  = flag.Bool("simulate", false, "run the jobs through the CMP simulator end to end")
+		simulate  = flag.Bool("simulate", false, "run the jobs through the CMP simulator end to end (runs on one node)")
 		instr     = flag.Int64("instr", 20_000_000, "instructions per job when simulating")
 		seeds     = flag.Int("seeds", 1, "with -simulate: run this many seeds of the job file")
 		parallel  = flag.Int("parallel", 1, "with -simulate: worker bound for the seed runs (0 = one per CPU)")
@@ -46,15 +46,15 @@ func main() {
 		alloc     = flag.String("alloc", "", "with -simulate: L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
 		admit     = flag.String("admit", "", "with -simulate: admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
 		ctrl      = flag.String("ctrl", "", "with -simulate: feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static)")
-		dispatch  = flag.String("dispatch", "", "GAC placement strategy: bestfit|worstfit|oversub|locality (empty = bestfit)")
+		dispatch  = flag.String("dispatch", "", "GAC placement strategy: "+cli.PolicyList(qos.StrategyNames())+" (empty = bestfit; not with -simulate)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30s; 0 = no limit)")
 	)
 	flag.Parse()
-	if err := sim.ValidatePolicyNames(*sched, *alloc, *admit); err != nil {
+	if err := sim.ValidateNames(*sched, *alloc, *admit, *ctrl, *dispatch); err != nil {
 		cli.Usage(prog, "%v", err)
 	}
-	if err := sim.ValidateControllerName(*ctrl); err != nil {
-		cli.Usage(prog, "%v", err)
+	if *simulate && *dispatch != "" {
+		cli.Usage(prog, "-dispatch places across nodes; -simulate runs on one node")
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qosctl [-negotiate] [-clock 2GHz] <jobfile>")

@@ -1,0 +1,66 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"cmpqos/internal/cli"
+)
+
+// TestMain lets the test binary stand in for the command: re-executed
+// with QOSCTL_AS_MAIN set it runs main on its arguments, so a test can
+// observe the exit status and stderr of a usage error.
+func TestMain(m *testing.M) {
+	if os.Getenv("QOSCTL_AS_MAIN") != "" {
+		main()
+		os.Exit(cli.ExitOK)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain re-executes the test binary as qosctl on args and returns its
+// combined output and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "QOSCTL_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), cli.ExitOK
+	case errors.As(err, &exit):
+		return string(out), exit.ExitCode()
+	}
+	t.Fatalf("qosctl %v: %v", args, err)
+	return "", 0
+}
+
+// TestDispatchWithSimulate: -simulate runs the job file on one node, so
+// a placement strategy across nodes is a usage error there rather than
+// silently ignored; without -simulate the strategy places the file.
+func TestDispatchWithSimulate(t *testing.T) {
+	jobs := filepath.Join(t.TempDir(), "jobs.qos")
+	spec := "node count=2 cores=4 ways=16\n" +
+		"job name=db bench=bzip2 mode=strict preset=medium tw=500ms deadline=2.0\n"
+	if err := os.WriteFile(jobs, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out, code := runMain(t, "-simulate", "-dispatch", "worstfit", jobs)
+	if code != cli.ExitUsage || !strings.Contains(out, "qosctl: -dispatch places across nodes; -simulate runs on one node") {
+		t.Errorf("-simulate -dispatch: exit %d, want %d and the usage message:\n%s", code, cli.ExitUsage, out)
+	}
+	out, code = runMain(t, "-dispatch", "nope", jobs)
+	if code != cli.ExitUsage || !strings.Contains(out, `unknown dispatcher "nope"`) {
+		t.Errorf("-dispatch nope: exit %d, want %d naming the dispatcher:\n%s", code, cli.ExitUsage, out)
+	}
+	out, code = runMain(t, "-dispatch", "worstfit", jobs)
+	if code != cli.ExitOK || !strings.Contains(out, "1 accepted, 0 rejected") {
+		t.Errorf("-dispatch worstfit: exit %d, want %d and the schedule:\n%s", code, cli.ExitOK, out)
+	}
+}

@@ -25,6 +25,7 @@ import (
 
 	"cmpqos/internal/cli"
 	"cmpqos/internal/experiments"
+	"cmpqos/internal/qos"
 	"cmpqos/internal/sim"
 )
 
@@ -50,25 +51,16 @@ func run() int {
 		alloc     = flag.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
 		admit     = flag.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
 		ctrl      = flag.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static, the open loop)")
-		nodes     = flag.Int("nodes", 0, "cluster experiment: fleet mode at this node count (0 = legacy 1/2/4 scaling sweep)")
-		jobs      = flag.Int("jobs", 0, "cluster fleet mode (needs -nodes): total accepted jobs (0 = 10 per node)")
-		dispatch  = flag.String("dispatch", "", "cluster dispatch policy: "+cli.PolicyList(sim.DispatcherNames())+" (fleet mode, needs -nodes; empty = sweep all)")
+		nodes     = flag.Int("nodes", 0, "cluster experiment: every dispatcher at this node count (0 = bestfit at 1, 2 and 4 nodes)")
+		jobs      = flag.Int("jobs", 0, "cluster experiment: accepted jobs per fleet (0 = 10 per node)")
+		dispatch  = flag.String("dispatch", "", "cluster experiment: only this dispatch strategy: "+cli.PolicyList(qos.StrategyNames()))
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 2m; 0 = no limit)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this path")
 		memProf   = flag.String("memprofile", "", "write a heap profile (taken at exit) to this path")
 	)
 	flag.Parse()
-	if err := sim.ValidatePolicyNames(*sched, *alloc, *admit); err != nil {
+	if err := sim.ValidateNames(*sched, *alloc, *admit, *ctrl, *dispatch); err != nil {
 		cli.Usage(prog, "%v", err)
-	}
-	if err := sim.ValidateDispatcherName(*dispatch); err != nil {
-		cli.Usage(prog, "%v", err)
-	}
-	if err := sim.ValidateControllerName(*ctrl); err != nil {
-		cli.Usage(prog, "%v", err)
-	}
-	if *nodes == 0 && (*jobs != 0 || *dispatch != "") {
-		cli.Usage(prog, "-jobs and -dispatch select within fleet mode: they need -nodes (the 1/2/4-node scaling table reads neither)")
 	}
 
 	if *list || (*exp == "" && *html == "") {

@@ -25,24 +25,39 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFleetFlagsNeedNodes: -jobs and -dispatch are read by fleet mode
-// only, so without -nodes they are a usage error, not a silently printed
-// 1/2/4-node table.
-func TestFleetFlagsNeedNodes(t *testing.T) {
-	for _, args := range [][]string{
-		{"-exp", "cluster", "-dispatch", "worstfit"},
-		{"-exp", "cluster", "-jobs", "40"},
-	} {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "QOSSIM_AS_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != cli.ExitUsage {
-			t.Errorf("qossim %v: err = %v, want exit status %d\n%s", args, err, cli.ExitUsage, out)
-		}
-		if !strings.Contains(string(out), "need -nodes") {
-			t.Errorf("qossim %v does not name the missing flag:\n%s", args, out)
-		}
+// runMain re-executes the test binary as qossim on args and returns its
+// combined output and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "QOSSIM_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), cli.ExitOK
+	case errors.As(err, &exit):
+		return string(out), exit.ExitCode()
+	}
+	t.Fatalf("qossim %v: %v", args, err)
+	return "", 0
+}
+
+// TestFleetFlagsWithoutNodes: -dispatch and -jobs narrow the default
+// 1/2/4-node table as they narrow a -nodes sweep, and probeall is not a
+// dispatcher a user can select.
+func TestFleetFlagsWithoutNodes(t *testing.T) {
+	out, code := runMain(t, "-exp", "cluster", "-dispatch", "worstfit")
+	if code != cli.ExitOK || strings.Count(out, "  worstfit  ") != 3 || strings.Contains(out, "bestfit") {
+		t.Errorf("-dispatch worstfit: exit %d, want %d and three worstfit rows:\n%s", code, cli.ExitOK, out)
+	}
+	out, code = runMain(t, "-exp", "cluster", "-jobs", "40")
+	if code != cli.ExitOK || strings.Count(out, "  bestfit            40  ") != 3 {
+		t.Errorf("-jobs 40: exit %d, want %d and three 40-job rows:\n%s", code, cli.ExitOK, out)
+	}
+	out, code = runMain(t, "-exp", "cluster", "-nodes", "4", "-dispatch", "probeall")
+	if code != cli.ExitUsage || !strings.Contains(out, `unknown dispatcher "probeall"`) {
+		t.Errorf("-dispatch probeall: exit %d, want %d naming the dispatcher:\n%s", code, cli.ExitUsage, out)
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30s; 0 = no limit)")
 	)
 	flag.Parse()
-	if err := sim.ValidatePolicyNames(*sched, *alloc, *admit); err != nil {
+	if err := sim.ValidateNames(*sched, *alloc, *admit, "", ""); err != nil {
 		cli.Usage(prog, "%v", err)
 	}
 

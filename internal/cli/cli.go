@@ -107,7 +107,7 @@ func ParseClock(s string) (float64, error) {
 	return f * mult, nil
 }
 
-// PolicyList renders a registered-policy name list for flag help text.
+// PolicyList renders a policy name list for flag help text.
 func PolicyList(names []string) string {
 	return strings.Join(names, "|")
 }

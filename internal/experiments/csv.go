@@ -116,28 +116,16 @@ func (r *LACResult) Table() [][]string {
 	return rows
 }
 
-// Table exports the cluster scaling sweep, or the fleet dispatcher
-// sweep in fleet mode.
+// Table exports the cluster fleet table.
 func (r *ClusterResult) Table() [][]string {
-	if len(r.Fleet) > 0 {
-		rows := [][]string{{"dispatcher", "nodes", "jobs", "accepted", "rejected", "terminated",
-			"violations", "hit_rate", "utilization", "makespan_cycles", "jobs_per_gcycle"}}
-		for _, row := range r.Fleet {
-			rows = append(rows, []string{
-				row.Dispatcher, strconv.Itoa(row.Nodes), strconv.Itoa(row.Jobs),
-				strconv.Itoa(row.Accepted), strconv.Itoa(row.Rejected), strconv.Itoa(row.Terminated),
-				strconv.Itoa(row.Violations), ftoa(row.HitRate), ftoa(row.Utilization),
-				itoa(row.Makespan), ftoa(row.JobsPerGcycle),
-			})
-		}
-		return rows
-	}
-	rows := [][]string{{"nodes", "jobs", "accepted", "rejected_probes", "makespan_cycles", "hit_rate", "jobs_per_gcycle"}}
-	for _, row := range r.Rows {
+	rows := [][]string{{"dispatcher", "nodes", "jobs", "accepted", "rejected", "terminated",
+		"violations", "hit_rate", "utilization", "makespan_cycles", "jobs_per_gcycle"}}
+	for _, row := range r.Fleet {
 		rows = append(rows, []string{
-			strconv.Itoa(row.Nodes), strconv.Itoa(row.Jobs), strconv.Itoa(row.Accepted),
-			strconv.Itoa(row.RejectedProbes), itoa(row.Makespan), ftoa(row.HitRate),
-			ftoa(row.JobsPerGcycle),
+			row.Dispatcher, strconv.Itoa(row.Nodes), strconv.Itoa(row.Jobs),
+			strconv.Itoa(row.Accepted), strconv.Itoa(row.Rejected), strconv.Itoa(row.Terminated),
+			strconv.Itoa(row.Violations), ftoa(row.HitRate), ftoa(row.Utilization),
+			itoa(row.Makespan), ftoa(row.JobsPerGcycle),
 		})
 	}
 	return rows

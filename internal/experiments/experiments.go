@@ -43,11 +43,11 @@ type Options struct {
 	// experiment sweeps its default rate grid.
 	FaultRate float64
 	FaultSeed int64
-	// Scheduler, Allocator, and Admission select registered sim pipeline
-	// policies by name for every configuration the experiments build
-	// (empty strings keep the policy-appropriate defaults). The CLIs wire
-	// their -sched/-alloc/-admit flags here; see sim.SchedulerNames,
-	// sim.AllocatorNames, and sim.AdmissionNames for the registry.
+	// Scheduler, Allocator, and Admission select sim pipeline policies by
+	// name for every configuration the experiments build (empty strings
+	// keep the policy-appropriate defaults). The CLIs wire their
+	// -sched/-alloc/-admit flags here; sim.SchedulerNames,
+	// sim.AllocatorNames, and sim.AdmissionNames list the names.
 	Scheduler string
 	Allocator string
 	Admission string
@@ -55,12 +55,11 @@ type Options struct {
 	// closing the loop over measured progress; empty keeps the static
 	// open-loop default. The CLIs wire their -ctrl flags here.
 	Controller string
-	// ClusterNodes switches the cluster experiment into fleet mode: a
-	// dispatcher sweep at this node count instead of the legacy 1/2/4-node
-	// scaling table. ClusterJobs is the fleet accept target (0 = 10 jobs
-	// per node); Dispatch restricts the sweep to one registered dispatcher
-	// (empty sweeps them all). The qossim -nodes/-jobs/-dispatch flags
-	// wire here.
+	// ClusterNodes runs the cluster experiment at this node count under
+	// every dispatch strategy instead of at 1, 2 and 4 nodes under
+	// bestfit. ClusterJobs is every fleet's accept target (0 = 10 jobs
+	// per node); Dispatch narrows the dispatchers to one qos.Strategy
+	// name. The qossim -nodes/-jobs/-dispatch flags wire here.
 	ClusterNodes int
 	ClusterJobs  int
 	Dispatch     string

@@ -331,10 +331,10 @@ func TestClusterScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(r.Rows))
+	if len(r.Fleet) != 3 {
+		t.Fatalf("rows = %d, want 3", len(r.Fleet))
 	}
-	for _, row := range r.Rows {
+	for _, row := range r.Fleet {
 		if row.Accepted != row.Jobs {
 			t.Errorf("%d nodes: accepted %d of %d", row.Nodes, row.Accepted, row.Jobs)
 		}
@@ -343,7 +343,7 @@ func TestClusterScaling(t *testing.T) {
 		}
 	}
 	// Throughput scales: 4 nodes deliver at least 2.5x the jobs/Gcyc of 1.
-	if scale := r.Rows[2].JobsPerGcycle / r.Rows[0].JobsPerGcycle; scale < 2.5 {
+	if scale := r.Fleet[2].JobsPerGcycle / r.Fleet[0].JobsPerGcycle; scale < 2.5 {
 		t.Errorf("scaling 1→4 nodes = %v, want >= 2.5", scale)
 	}
 }

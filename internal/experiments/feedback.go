@@ -69,7 +69,7 @@ type FeedbackResult struct {
 }
 
 // feedbackControllers is the comparison axis: the open loop first, then
-// the registered feedback controllers.
+// the feedback controllers.
 var feedbackControllers = []string{"static", "pid", "aimd"}
 
 // feedbackBurstScript builds the bursty arrival tape: three waves of

@@ -24,7 +24,7 @@ type PoliciesRow struct {
 	Terminated int
 }
 
-// PoliciesResult compares registered pipeline combinations on the same
+// PoliciesResult compares pipeline combinations on the same
 // admission-controlled workload: how much of the QoS framework's
 // behaviour is the *policy* choice rather than the framework. The
 // reserved/reserved row is the paper's configuration; packed scheduling
@@ -48,7 +48,7 @@ var policyGrid = []struct{ sched, alloc string }{
 	{"packed", "ucp"},
 }
 
-// PoliciesExp sweeps the registered scheduler×allocator combinations
+// PoliciesExp sweeps every scheduler×allocator combination
 // under Hybrid-2 on the Mix-1 workload (the configuration with all
 // three execution modes live, so every pipeline stage matters).
 func PoliciesExp(o Options) (*PoliciesResult, error) {

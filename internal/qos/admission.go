@@ -128,6 +128,11 @@ func (l *LAC) SetHeadroom(ways int) {
 	}
 }
 
+// Gen returns the count of changes that can move an earliest feasible
+// start earlier: a cache of starts learned while it stood still is
+// still a valid lower bound.
+func (l *LAC) Gen() uint64 { return l.gen }
+
 // Headroom returns the current admission headroom in cache ways.
 func (l *LAC) Headroom() int { return l.headroomWays }
 

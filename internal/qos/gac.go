@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // GAC is the Global Admission Controller of §3.1: it admits each job at
@@ -24,7 +25,7 @@ import (
 // not safe for concurrent use.
 type GAC struct {
 	nodes    []*LAC
-	strategy gacStrategy
+	strategy Strategy
 
 	// rows[c][i] packs node i's bound for shape c as bound<<1 | fresh.
 	// Zero is "unknown". fresh means the bound was the node's exact
@@ -91,17 +92,48 @@ type GACStats struct {
 	Shapes int `json:"shapes"`
 }
 
-// gacStrategy selects how Submit picks among willing nodes. The names
-// mirror the sim layer's dispatcher registry; the GAC keeps its own tiny
-// enum because the qos package cannot depend on sim.
-type gacStrategy int
+// Strategy selects how a dispatcher picks among willing nodes. The GAC
+// and the cluster simulator's dispatcher (internal/sim) both select by
+// it, so one name means one placement rule in either.
+type Strategy uint8
 
 const (
-	gacBestFit gacStrategy = iota
-	gacWorstFit
-	gacOversub
-	gacLocality
+	// BestFit admits at the node offering the earliest start.
+	BestFit Strategy = iota
+	// WorstFit admits at the emptiest willing node, spreading load.
+	WorstFit
+	// Oversub is BestFit, then retries rejected reserved-mode work
+	// Opportunistically instead of bouncing it.
+	Oversub
+	// Locality prefers a window of nodes around the job's hash-derived
+	// home, falling back to BestFit.
+	Locality
 )
+
+var strategyNames = [...]string{BestFit: "bestfit", WorstFit: "worstfit", Oversub: "oversub", Locality: "locality"}
+
+// String returns the strategy's name.
+func (s Strategy) String() string { return strategyNames[s] }
+
+// StrategyNames lists the strategy names, sorted.
+func StrategyNames() []string {
+	names := slices.Clone(strategyNames[:])
+	slices.Sort(names)
+	return names
+}
+
+// ParseStrategy resolves a strategy name; empty selects BestFit.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return BestFit, nil
+	}
+	for s, n := range strategyNames {
+		if n == name {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("qos: unknown dispatch strategy %q (have %v)", name, StrategyNames())
+}
 
 // localityWindow is how many consecutive nodes a locality dispatch scans
 // around the job's home node before falling back to a full sweep.
@@ -122,25 +154,15 @@ func (g *GAC) Stats() GACStats {
 	return st
 }
 
-// SetStrategy selects the dispatch strategy by name: "bestfit" (default,
-// earliest feasible start), "worstfit" (emptiest willing node, spreading
-// load), "oversub" (bestfit, then retry rejected work Opportunistically),
-// or "locality" (prefer a window of nodes around the job's hash-derived
-// home, falling back to bestfit). Unknown names are an error and leave
-// the strategy unchanged.
+// SetStrategy selects the dispatch strategy by name (ParseStrategy;
+// empty is BestFit). Unknown names are an error and leave the strategy
+// unchanged.
 func (g *GAC) SetStrategy(name string) error {
-	switch name {
-	case "", "bestfit":
-		g.strategy = gacBestFit
-	case "worstfit":
-		g.strategy = gacWorstFit
-	case "oversub":
-		g.strategy = gacOversub
-	case "locality":
-		g.strategy = gacLocality
-	default:
-		return fmt.Errorf("qos: unknown dispatch strategy %q (want bestfit, worstfit, oversub, or locality)", name)
+	s, err := ParseStrategy(name)
+	if err != nil {
+		return err
 	}
+	g.strategy = s
 	return nil
 }
 
@@ -160,7 +182,7 @@ func (g *GAC) Submit(req Request) (node int, dec Decision) {
 
 	n := len(g.nodes)
 	node = -1
-	if g.strategy == gacLocality {
+	if g.strategy == Locality {
 		home := int(mix64(uint64(req.JobID)) % uint64(n))
 		node = g.scan(req, home, min(localityWindow, n))
 	}
@@ -169,7 +191,7 @@ func (g *GAC) Submit(req Request) (node int, dec Decision) {
 		// and never reject a job bestfit would have placed.
 		node = g.scan(req, 0, n)
 	}
-	if node == -1 && g.strategy == gacOversub && req.Mode.Kind != KindOpportunistic {
+	if node == -1 && g.strategy == Oversub && req.Mode.Kind != KindOpportunistic {
 		// Oversubscribe: the reserved-mode request fits nowhere, but the
 		// fleet may still have unreserved cores — run it Opportunistically
 		// rather than bouncing it.
@@ -203,7 +225,7 @@ func (g *GAC) Submit(req Request) (node int, dec Decision) {
 func (g *GAC) scan(req Request, first, n int) int {
 	row, vec, floor, limit, learn := g.boundsFor(req)
 	ta := req.Arrival
-	byLoad := g.strategy == gacWorstFit
+	byLoad := g.strategy == WorstFit
 	best, bestStart, bestLen := -1, int64(0), 0
 	for k := 0; k < n; k++ {
 		i := first + k

@@ -69,7 +69,7 @@ func newGACPair(t *testing.T, h [4]byte) *gacPair {
 		p.naiveNodes = append(p.naiveNodes, naive)
 	}
 	p.fast = NewGAC(p.fastNodes...)
-	p.fast.strategy = gacStrategy(h[0] % 4)
+	p.fast.strategy = Strategy(h[0] % 4)
 	p.naive = &naiveGAC{nodes: p.naiveNodes, strategy: p.fast.strategy}
 	return p
 }
@@ -141,7 +141,7 @@ func (p *gacPair) step(op []byte) {
 			p.t.Fatalf("Submit(%+v) = node %d %+v, probe-all node %d %+v", req, fn, fd, nn, nd)
 		}
 		mode := req.Mode
-		if p.fast.strategy == gacOversub && fd.Accepted && fd.ReservationID == 0 {
+		if p.fast.strategy == Oversub && fd.Accepted && fd.ReservationID == 0 {
 			mode = Opportunistic() // the oversub retry may have landed it
 		}
 		p.admitted(req, fn, mode, fd)

@@ -7,21 +7,21 @@ package qos
 // occupancy must match it exactly.
 type naiveGAC struct {
 	nodes    []*LAC
-	strategy gacStrategy
+	strategy Strategy
 }
 
 func (g *naiveGAC) Submit(req Request) (node int, dec Decision) {
 	switch g.strategy {
-	case gacWorstFit:
+	case WorstFit:
 		return g.submitWorstFit(req)
-	case gacOversub:
+	case Oversub:
 		if n, d := g.submitBestFit(req); d.Accepted || req.Mode.Kind == KindOpportunistic {
 			return n, d
 		}
 		r := req
 		r.Mode = Opportunistic()
 		return g.submitBestFit(r)
-	case gacLocality:
+	case Locality:
 		home := int(mix64(uint64(req.JobID)) % uint64(len(g.nodes)))
 		best := -1
 		var bestDec Decision

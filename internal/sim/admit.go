@@ -1,7 +1,7 @@
 // Admission stage of the policy pipeline: arrival processing, the
 // single probe/submit/renegotiate code path against the LAC, and the
 // tw budgeting that turns job templates into RUM requests. The actual
-// timeslot placement strategy is the registered qos.AdmissionPolicy
+// timeslot placement strategy is the configured qos.AdmissionPolicy
 // the runner's LAC was built with (fcfs earliest-fit by default).
 package sim
 
@@ -12,11 +12,6 @@ import (
 	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
-
-func init() {
-	RegisterAdmission("fcfs", func(Config) qos.AdmissionPolicy { return qos.EarliestFit{} })
-	RegisterAdmission("latest", func(Config) qos.AdmissionPolicy { return qos.LatestFit{} })
-}
 
 // processArrivals submits every job arriving before epochEnd, until the
 // workload's accept target is reached (Poisson mode) or the script is
@@ -120,7 +115,7 @@ func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.Deadlin
 // next arrival's slightly-later deadline invalidates, and a saturated
 // fleet re-probes every node per rejection — probe-all in disguise.
 // With the true start on file a node stays filed under it until either
-// a later deadline reaches it or a completion resets it, so fleet-wide
+// a later deadline reaches it or a LAC.gen move resets it, so fleet-wide
 // rejections cost O(1).
 func (r *Runner) peekEarliestMode(tmpl workload.JobTemplate, ta int64, mode qos.Mode) (start int64, ok bool) {
 	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, r.twFor(tmpl).tw, 0, ta, mode))

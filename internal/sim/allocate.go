@@ -1,15 +1,9 @@
-// Way-allocation stage of the policy pipeline: the registered
-// WayAllocator implementations splitting the shared L2 among the
+// Way-allocation stage of the policy pipeline: the WayAllocator
+// implementations splitting the shared L2 among the
 // scheduler's core assignment.
 package sim
 
 import "cmpqos/internal/alloc"
-
-func init() {
-	RegisterAllocator("reserved", func(Config) WayAllocator { return reservedAllocator{} })
-	RegisterAllocator("equal", func(Config) WayAllocator { return equalAllocator{} })
-	RegisterAllocator("ucp", func(Config) WayAllocator { return ucpAllocator{} })
-}
 
 // reservedAllocator honors the admission-time reservations: reserved
 // jobs get their (possibly stolen-from) reservation; Opportunistic jobs

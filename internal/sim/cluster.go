@@ -40,19 +40,10 @@ type ClusterConfig struct {
 	// AcceptTarget is the total number of accepted jobs across the
 	// cluster that constitutes the workload.
 	AcceptTarget int
-	// Dispatcher selects the registered GAC dispatch policy by name (see
-	// dispatch.go); empty resolves to "bestfit", which reproduces the
-	// historical probe-all placements exactly at O(log N) probes per
-	// arrival.
+	// Dispatcher names the qos.Strategy the GAC places by (see
+	// dispatch.go); empty resolves to "bestfit", which places exactly as
+	// probing every node would, at O(log N) probes per arrival.
 	Dispatcher string
-}
-
-// dispatcherName resolves the configured dispatcher.
-func (c ClusterConfig) dispatcherName() string {
-	if c.Dispatcher != "" {
-		return c.Dispatcher
-	}
-	return "bestfit"
 }
 
 // nodeSeed derives node i's seed from the shared base seed through the
@@ -80,8 +71,8 @@ func (c ClusterConfig) Validate() error {
 	if c.Node.RecordSeries {
 		return fmt.Errorf("sim: cluster nodes stream their reports (RecordSeries is node-level only)")
 	}
-	if _, ok := dispatchers[c.dispatcherName()]; !ok {
-		return fmt.Errorf("sim: unknown dispatcher %q (have %v)", c.dispatcherName(), DispatcherNames())
+	if _, err := qos.ParseStrategy(c.Dispatcher); err != nil {
+		return err
 	}
 	return c.Node.Validate()
 }
@@ -135,13 +126,16 @@ type ClusterRunner struct {
 	rejected int
 
 	disp Dispatcher
-	idx  *dispatchIndex // nil unless an indexed dispatcher asked for it
+	idx  *dispatchIndex
 
 	// lastFin holds each node's finished-job count as last observed and
 	// finished is their sum: the run is over once the accept target is
-	// met and every accepted job has been seen to finish.
+	// met and every accepted job has been seen to finish. lastGen holds
+	// each node's LAC.gen as last observed: a move resets the node's
+	// bounds in the dispatch index.
 	lastFin  []int
 	finished int
+	lastGen  []uint64
 
 	// Event-horizon calendar (DESIGN §11.4). A node is in exactly one of
 	// three places: due (it executes the current epoch), cal (it proved
@@ -169,6 +163,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		cfg:      cfg,
 		dlmix:    workload.NewDeadlineStream(cfg.Node.Seed),
 		lastFin:  make([]int, cfg.Nodes),
+		lastGen:  make([]uint64, cfg.Nodes),
 		cal:      newNodeHeap(cfg.Nodes),
 		inDue:    make([]bool, cfg.Nodes),
 		horizons: make([]int64, cfg.Nodes),
@@ -194,10 +189,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 				return nil, err
 			}
 		}
-		n, err := newNode(sh, seed)
-		if err != nil {
-			return nil, err
-		}
+		n := newNode(sh, seed)
 		n.external = true
 		cr.nodes = append(cr.nodes, n)
 		if len(n.faultPts) > 0 {
@@ -215,7 +207,9 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 	cr.arrivals = workload.NewArrivalStream(cfg.Node.Seed+1,
 		cfg.Node.ProbesPerTw*float64(cfg.Nodes), ref)
 	cr.nextArr = cr.arrivals.Next()
-	cr.disp = dispatchers[cfg.dispatcherName()](cr)
+	cr.idx = newDispatchIndex(cr)
+	strategy, _ := qos.ParseStrategy(cfg.Dispatcher) // checked by Validate
+	cr.disp = strategyDispatch{cr: cr, strategy: strategy}
 	return cr, nil
 }
 
@@ -271,10 +265,10 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		if _, err := parallel.Map(ctx, pool, len(due), stepDue); err != nil {
 			return nil, err
 		}
-		// Serial completion observation in ascending id order — the same
-		// subsequence a scan of every node would produce, since non-due
-		// nodes cannot complete jobs while sleeping — then re-arm each
-		// node: one due again at the very next epoch carries over in the
+		// Serial observation in ascending id order — the same subsequence
+		// a scan of every node would produce, since non-due nodes cannot
+		// complete jobs or move their LAC.gen while sleeping — then re-arm
+		// each node: one due again at the very next epoch carries over in the
 		// (still sorted) due list, bypassing the calendar — event-dense
 		// fleets would otherwise pay two O(log N) heap moves per node per
 		// epoch for nothing — while a node with a further horizon goes to
@@ -283,14 +277,8 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		// the worker count.
 		kept := cr.due[:0]
 		for i, id := range due {
+			cr.observe(int(id))
 			n := cr.nodes[id]
-			if fin := n.finishedCount(); fin > cr.lastFin[id] {
-				cr.finished += fin - cr.lastFin[id]
-				cr.lastFin[id] = fin
-				if cr.idx != nil {
-					cr.idx.noteFinished(int(id))
-				}
-			}
 			switch {
 			case n.idle() && n.faultPos == len(n.faultPts):
 				// Retire: with no live job and no fault transition left,
@@ -327,6 +315,22 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		}
 	}
 	return cr.report(), nil
+}
+
+// observe takes in what node id's last epoch changed: finished jobs
+// count toward the run's end, and a LAC.gen move — every completion
+// bumps it, as do fault capacity changes and controller retunes — resets
+// the node's start bounds in the dispatch index.
+func (cr *ClusterRunner) observe(id int) {
+	n := cr.nodes[id]
+	if fin := n.finishedCount(); fin > cr.lastFin[id] {
+		cr.finished += fin - cr.lastFin[id]
+		cr.lastFin[id] = fin
+	}
+	if gen := n.lac.Gen(); gen != cr.lastGen[id] {
+		cr.lastGen[id] = gen
+		cr.idx.noteGen(id)
+	}
 }
 
 // markDue queues a node for execution at the cluster's current epoch.
@@ -373,9 +377,7 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 			}
 			if ok {
 				cr.accepted++
-				if cr.idx != nil {
-					cr.idx.noteAdmit(p.Node)
-				}
+				cr.idx.noteAdmit(p.Node)
 			} else {
 				// Probe raced completion bookkeeping; count as rejection.
 				cr.rejected++

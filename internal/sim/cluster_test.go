@@ -120,10 +120,7 @@ func TestClusterSingleNodeMatchesRunnerShape(t *testing.T) {
 // report and every node's own report.
 func runLockStep(t *testing.T, cfg ClusterConfig) (*ClusterReport, []*Report) {
 	t.Helper()
-	cr, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := newTestCluster(t, cfg)
 	allIdle := func() bool {
 		for _, n := range cr.nodes {
 			if !n.idle() {
@@ -141,13 +138,8 @@ func runLockStep(t *testing.T, cfg ClusterConfig) (*ClusterReport, []*Report) {
 		for _, n := range cr.nodes {
 			n.step()
 		}
-		for id, n := range cr.nodes {
-			if fin := n.finishedCount(); fin > cr.lastFin[id] {
-				cr.lastFin[id] = fin
-				if cr.idx != nil {
-					cr.idx.noteFinished(id)
-				}
-			}
+		for id := range cr.nodes {
+			cr.observe(id)
 		}
 		cr.now = epochEnd
 	}
@@ -182,7 +174,7 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 	storm := func(seed int64, rate float64) fault.Plan {
 		return fault.Generate(seed, rate, 40_000_000, 4, 16)
 	}
-	for _, disp := range DispatcherNames() {
+	for _, disp := range testDispatchers() {
 		cfg := clusterSkipCfg()
 		cfg.Dispatcher = disp
 		cases = append(cases, fleetCase{name: disp, cfg: cfg, skips: true})
@@ -258,10 +250,7 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 			var w1Fleet *ClusterReport
 			var w1Nodes []*Report
 			for _, workers := range []int{1, 4} {
-				cr, err := NewCluster(tc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				cr := newTestCluster(t, tc.cfg)
 				fleet, err := cr.RunParallel(context.Background(), workers)
 				if err != nil {
 					t.Fatal(err)

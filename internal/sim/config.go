@@ -184,8 +184,8 @@ type Config struct {
 	// scripted job has been resolved and all accepted ones finished.
 	// This is how jobfile-described workloads run end to end.
 	Script []ScriptedJob
-	// Scheduler, Allocator, and Admission select registered pipeline
-	// policies by name (see registry.go): the core-assignment scheduler,
+	// Scheduler, Allocator, and Admission select pipeline policies by
+	// name (see registry.go): the core-assignment scheduler,
 	// the L2 way allocator, and the reservation placement policy of the
 	// admission controller. Empty strings resolve to the
 	// Policy-appropriate defaults ("reserved"/"shared",
@@ -195,7 +195,7 @@ type Config struct {
 	Scheduler string
 	Allocator string
 	Admission string
-	// Controller selects the registered feedback controller that closes
+	// Controller selects the feedback controller that closes
 	// the loop between measured progress and the allocation/admission
 	// knobs (progress.go): "static" (the default) is the open-loop
 	// pipeline, bit-identical to the pre-controller engine; "pid" and
@@ -336,17 +336,8 @@ func (c Config) Validate() error {
 	if c.FoldCompleted && c.RecordSeries {
 		return fmt.Errorf("sim: FoldCompleted is incompatible with RecordSeries")
 	}
-	if _, ok := schedulers[c.schedulerName()]; !ok {
-		return fmt.Errorf("sim: unknown scheduler %q (have %v)", c.schedulerName(), SchedulerNames())
-	}
-	if _, ok := allocators[c.allocatorName()]; !ok {
-		return fmt.Errorf("sim: unknown allocator %q (have %v)", c.allocatorName(), AllocatorNames())
-	}
-	if _, ok := admissions[c.admissionName()]; !ok {
-		return fmt.Errorf("sim: unknown admission policy %q (have %v)", c.admissionName(), AdmissionNames())
-	}
-	if _, ok := controllers[c.controllerName()]; !ok {
-		return fmt.Errorf("sim: unknown controller %q (have %v)", c.controllerName(), ControllerNames())
+	if err := ValidateNames(c.Scheduler, c.Allocator, c.Admission, c.Controller, ""); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.CtrlIntervalCycles < 0 {
 		return fmt.Errorf("sim: negative controller interval")

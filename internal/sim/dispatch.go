@@ -1,33 +1,34 @@
 // Cluster dispatch stage: how the Global Admission Controller picks a
-// node for each arriving job. Dispatchers are registered by name like
-// the scheduler/allocator/admission stages (registry.go), selected via
-// ClusterConfig.Dispatcher, and default to "bestfit" — an incrementally
-// maintained node index that reproduces the historical probe-all loop's
-// placements exactly while probing O(log N) candidate nodes per arrival
-// instead of N.
+// node for each arriving job. ClusterConfig.Dispatcher names a
+// qos.Strategy — the names, and the placement rules, of qos.GAC — and
+// defaults to bestfit. Every strategy places through an incrementally
+// maintained node index that probes O(log N) candidate nodes per arrival
+// instead of N, and bestfit's placements are exactly those of probing
+// every node.
 //
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible
 // start later (so a previously measured start stays a valid *lower
-// bound* under admissions), and only completions/truncations pull it
-// earlier (so bounds are reset when the cluster observes a node finish
-// jobs). A probe that fails teaches the node's true unconstrained
-// earliest start (one extra uncharged peek with the deadline lifted),
-// so a saturated fleet rejects later arrivals in O(1) instead of
-// re-probing every node as soon as the deadline cutoff advances;
-// opportunistic arrivals get the same treatment through a bound pool
-// fed by LAC.EarliestOpportunistic. Bounds are kept per distinct
-// reservation duration — a handful, one per (template, mode) pair —
-// each as two heaps: nodes whose bound has been reached by the arrival
-// clock (ordered by live load, the tie-break) and nodes whose bound is
-// still in the future (ordered by bound). A placement pops candidates
-// in optimistic-key order, verifies them with an uncharged LAC peek,
-// and stops as soon as the best verified key is provably minimal.
+// bound* under admissions), and only the changes that bump the node's
+// LAC.gen — completions, fault capacity changes and evictions,
+// controller headroom — pull it earlier (so the cluster runner resets a
+// node's bounds whenever it observes that counter move, the rule
+// qos.GAC's bounds table invalidates by). A probe that fails teaches the
+// node's true unconstrained earliest start (one extra uncharged peek
+// with the deadline lifted), so a saturated fleet rejects later arrivals
+// in O(1) instead of re-probing every node as soon as the deadline
+// cutoff advances; opportunistic arrivals get the same treatment through
+// a bound pool fed by LAC.EarliestOpportunistic. Bounds are kept per
+// distinct reservation duration — a handful, one per (template, mode)
+// pair — each as two heaps: nodes whose bound has been reached by the
+// arrival clock (ordered by live load, the tie-break) and nodes whose
+// bound is still in the future (ordered by bound). A placement pops
+// candidates in optimistic-key order, verifies them with an uncharged
+// LAC peek, and stops as soon as the best verified key is provably
+// minimal.
 package sim
 
 import (
-	"fmt"
-
 	"cmpqos/internal/qos"
 	"cmpqos/internal/workload"
 )
@@ -50,53 +51,57 @@ type Placement struct {
 
 // Dispatcher places arrivals onto cluster nodes. Place must not mutate
 // node state other than through the dispatch index; the cluster runner
-// performs the actual admission and feeds the admit/finish hooks back.
+// performs the actual admission and feeds the admit/gen hooks back.
 type Dispatcher interface {
 	Name() string
 	Place(a Arrival) Placement
 }
 
-var dispatchers = map[string]func(*ClusterRunner) Dispatcher{}
-
-// RegisterDispatcher registers a named cluster dispatch policy. It
-// panics on a duplicate or empty name (init-time contract, like the
-// other pipeline registries).
-func RegisterDispatcher(name string, build func(*ClusterRunner) Dispatcher) {
-	registerPolicy(dispatchers, "dispatcher", name, build)
+// strategyDispatch places arrivals by one qos.Strategy.
+type strategyDispatch struct {
+	cr       *ClusterRunner
+	strategy qos.Strategy
 }
 
-// DispatcherNames lists the registered dispatchers, sorted.
-func DispatcherNames() []string { return policyNames(dispatchers) }
+func (d strategyDispatch) Name() string { return d.strategy.String() }
 
-// ValidateDispatcherName checks an explicitly selected dispatcher name
-// (empty selects the default and is always valid). CLIs call it at
-// flag-parse time.
-func ValidateDispatcherName(name string) error {
-	if _, ok := dispatchers[name]; name != "" && !ok {
-		return fmt.Errorf("unknown dispatcher %q (have %v)", name, DispatcherNames())
+func (d strategyDispatch) Place(a Arrival) Placement {
+	cr := d.cr
+	switch d.strategy {
+	case qos.WorstFit:
+		// The feasible node with the fewest live jobs (lowest index on
+		// ties) — the load-spreading counterpoint to bestfit's packing.
+		mode, dur, cutoff := cr.arrivalShape(a)
+		return Placement{Node: cr.idx.placeWorst(a, mode, dur, cutoff, cr.indexable())}
+	case qos.Oversub:
+		// bestfit, then a reserved request no node can fit before its
+		// deadline is re-dispatched Opportunistically (§5 allows several
+		// Opportunistic jobs per core): the fleet trades the guarantee for
+		// utilization instead of bouncing the job.
+		node := cr.bestfit(a)
+		if node >= 0 || cr.nodes[0].modeFor(a.Tmpl.Hint).Kind == qos.KindOpportunistic {
+			return Placement{Node: node}
+		}
+		node = cr.idx.placeOpp(a, qos.Opportunistic())
+		return Placement{Node: node, Opportunistic: node >= 0}
+	case qos.Locality:
+		// The best (start, load) node within a small window around a home
+		// hashed from the admission slot — the data-locality heuristic of
+		// real cluster schedulers, with job groups standing in for data
+		// placement. When nothing near home is feasible it falls back to
+		// bestfit, so its rejection set is bestfit's.
+		home := int(mix64(uint64(a.Seq)) % uint64(len(cr.nodes)))
+		if node := cr.probeRange(a, home, min(dispatchLocalityWindow, len(cr.nodes))); node >= 0 {
+			return Placement{Node: node}
+		}
 	}
-	return nil
+	return Placement{Node: cr.bestfit(a)}
 }
 
-func init() {
-	RegisterDispatcher("probeall", func(cr *ClusterRunner) Dispatcher { return &probeallDispatch{cr: cr} })
-	RegisterDispatcher("bestfit", func(cr *ClusterRunner) Dispatcher {
-		cr.ensureIndex()
-		return &bestfitDispatch{cr: cr}
-	})
-	RegisterDispatcher("worstfit", func(cr *ClusterRunner) Dispatcher {
-		cr.ensureIndex()
-		return &worstfitDispatch{cr: cr}
-	})
-	RegisterDispatcher("oversub", func(cr *ClusterRunner) Dispatcher {
-		cr.ensureIndex()
-		return &oversubDispatch{cr: cr}
-	})
-	RegisterDispatcher("locality", func(cr *ClusterRunner) Dispatcher {
-		cr.ensureIndex()
-		return &localityDispatch{cr: cr}
-	})
-}
+// dispatchLocalityWindow is how many consecutive nodes the locality
+// dispatcher scans around an arrival's home before falling back to
+// bestfit.
+const dispatchLocalityWindow = 16
 
 // arrivalShape resolves the per-arrival quantities every dispatcher
 // needs: the execution mode, the reservation duration the LAC will
@@ -114,136 +119,30 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 	return mode, dur, cutoff
 }
 
-// indexable reports whether the lazy lower-bound index is sound for
-// this cluster: automatic downgrade and the "latest" admission policy
-// place via LatestFit (not monotone under admissions), fault plans
-// evict reservations mid-epoch (which pulls starts earlier without a
-// completion to observe), and a feedback controller retunes admission
-// headroom (dropping it pulls starts earlier the same way), so all
-// four fall back to exhaustive probing.
+// indexable reports whether the start bounds are sound for this
+// cluster's reserved placements: automatic downgrade and the "latest"
+// admission policy place via LatestFit, which is not monotone under
+// admissions, so both fall back to probing every node.
 func (cr *ClusterRunner) indexable() bool {
-	return cr.cfg.Node.Policy != AllStrictAutoDown &&
-		cr.cfg.Node.admissionName() == "fcfs" &&
-		cr.cfg.Node.Faults.Empty() &&
-		cr.cfg.Node.controllerName() == "static"
+	return cr.cfg.Node.Policy != AllStrictAutoDown && cr.cfg.Node.admissionName() == "fcfs"
 }
 
-// --- probeall: the historical GAC loop ---------------------------------
-
-// probeallDispatch probes every node's LAC (charged, as §3.1's GAC
-// would) and picks the lexicographically least (start, load, node):
-// earliest feasible start wins; ties break toward the node with the
-// fewest live jobs, then the lowest index.
-type probeallDispatch struct{ cr *ClusterRunner }
-
-func (d *probeallDispatch) Name() string { return "probeall" }
-
-func (d *probeallDispatch) Place(a Arrival) Placement {
-	cr := d.cr
-	best, bestStart, bestLoad := -1, int64(0), 0
-	for i, n := range cr.nodes {
-		if start, ok := n.probeTemplate(a.Tmpl, a.DL, a.TA); ok {
-			load := n.liveCount()
-			if best == -1 || start < bestStart || (start == bestStart && load < bestLoad) {
-				best, bestStart, bestLoad = i, start, load
-			}
-		}
-	}
-	return Placement{Node: best}
-}
-
-// --- bestfit: probeall's placements at O(log N) probes -----------------
-
-type bestfitDispatch struct{ cr *ClusterRunner }
-
-func (d *bestfitDispatch) Name() string { return "bestfit" }
-
-func (d *bestfitDispatch) Place(a Arrival) Placement {
-	cr := d.cr
+// bestfit returns the least (start, load, id) feasible node, -1 if none.
+func (cr *ClusterRunner) bestfit(a Arrival) int {
 	if !cr.indexable() {
-		return (&probeallDispatch{cr: cr}).Place(a)
+		return cr.probeRange(a, 0, len(cr.nodes))
 	}
 	mode, dur, cutoff := cr.arrivalShape(a)
-	return Placement{Node: cr.idx.placeBest(a, mode, dur, cutoff)}
+	return cr.idx.placeBest(a, mode, dur, cutoff)
 }
 
-// --- worstfit: spread load across the emptiest willing nodes -----------
-
-// worstfitDispatch admits at the feasible node with the fewest live
-// jobs (lowest index on ties) — the load-spreading counterpoint to
-// bestfit's packing. It scans nodes in load order, pruning candidates
-// whose start bound already exceeds the arrival's cutoff, so saturated
-// sweeps reject in O(1) and typical placements verify one node.
-type worstfitDispatch struct{ cr *ClusterRunner }
-
-func (d *worstfitDispatch) Name() string { return "worstfit" }
-
-func (d *worstfitDispatch) Place(a Arrival) Placement {
-	cr := d.cr
-	mode, dur, cutoff := cr.arrivalShape(a)
-	return Placement{Node: cr.idx.placeWorst(a, mode, dur, cutoff, cr.indexable())}
-}
-
-// --- oversub: bestfit, then scavenge instead of rejecting --------------
-
-// oversubDispatch is bestfit with an oversubscription retry: a reserved
-// request no node can fit before its deadline is re-dispatched
-// Opportunistically (§5 allows several Opportunistic jobs per core), so
-// the fleet trades the guarantee for utilization instead of bouncing
-// the job.
-type oversubDispatch struct{ cr *ClusterRunner }
-
-func (d *oversubDispatch) Name() string { return "oversub" }
-
-func (d *oversubDispatch) Place(a Arrival) Placement {
-	cr := d.cr
-	var node int
-	if cr.indexable() {
-		mode, dur, cutoff := cr.arrivalShape(a)
-		node = cr.idx.placeBest(a, mode, dur, cutoff)
-		if node >= 0 || mode.Kind == qos.KindOpportunistic {
-			return Placement{Node: node}
-		}
-	} else {
-		if p := (&probeallDispatch{cr: cr}).Place(a); p.Node >= 0 {
-			return p
-		}
-		if cr.nodes[0].modeFor(a.Tmpl.Hint).Kind == qos.KindOpportunistic {
-			return Placement{Node: -1}
-		}
-	}
-	node = cr.idx.placeOpp(a, qos.Opportunistic())
-	return Placement{Node: node, Opportunistic: node >= 0}
-}
-
-// --- locality: keep related jobs near a home node ----------------------
-
-// dispatchLocalityWindow is how many consecutive nodes the locality
-// dispatcher scans around an arrival's home before falling back to
-// bestfit.
-const dispatchLocalityWindow = 16
-
-// localityDispatch hashes the arrival's admission slot to a home node
-// and places at the best (start, load) node within a small window
-// around it — the data-locality heuristic of real cluster schedulers,
-// here with job groups standing in for data placement. When nothing
-// near home is feasible it falls back to bestfit, so its rejection set
-// is identical to bestfit's.
-type localityDispatch struct{ cr *ClusterRunner }
-
-func (d *localityDispatch) Name() string { return "locality" }
-
-func (d *localityDispatch) Place(a Arrival) Placement {
-	cr := d.cr
-	n := len(cr.nodes)
-	home := int(mix64(uint64(a.Seq)) % uint64(n))
+// probeRange probes n nodes' LACs from first (wrapping), charged as
+// §3.1's GAC would, and returns the feasible node with the least
+// (start, load), ties to the node probed first; -1 if none is feasible.
+func (cr *ClusterRunner) probeRange(a Arrival, first, n int) int {
 	best, bestStart, bestLoad := -1, int64(0), 0
-	w := dispatchLocalityWindow
-	if w > n {
-		w = n
-	}
-	for k := 0; k < w; k++ {
-		i := (home + k) % n
+	for k := 0; k < n; k++ {
+		i := (first + k) % len(cr.nodes)
 		if start, ok := cr.nodes[i].probeTemplate(a.Tmpl, a.DL, a.TA); ok {
 			load := cr.nodes[i].liveCount()
 			if best == -1 || start < bestStart || (start == bestStart && load < bestLoad) {
@@ -251,31 +150,23 @@ func (d *localityDispatch) Place(a Arrival) Placement {
 			}
 		}
 	}
-	if best >= 0 {
-		return Placement{Node: best}
-	}
-	return (&bestfitDispatch{cr: cr}).Place(a)
+	return best
 }
 
 // --- the dispatch index ------------------------------------------------
 
-// dispatchIndex is the incrementally maintained node summary behind the
-// indexed dispatchers. loadH orders every node by (live load, id);
-// durs holds one lazy lower-bound structure per distinct reservation
-// duration. The cluster runner feeds it every admission and every
-// observed completion, strictly serially, so its state is deterministic
-// regardless of how node stepping is sharded.
+// dispatchIndex is the incrementally maintained node summary behind
+// every strategy. loadH orders every node by (live load, id); durs holds
+// one lazy lower-bound structure per distinct reservation duration. The
+// cluster runner feeds it every admission and every observed LAC.gen
+// move, strictly serially, so its state is deterministic regardless of
+// how node stepping is sharded.
 type dispatchIndex struct {
-	cr    *ClusterRunner
-	loadH *nodeHeap
-	durs  map[int64]*durIndex
-	opp   *durIndex // opportunistic feasibility bounds (dur 0)
-	// oppSound is whether the opportunistic bounds are trustworthy:
-	// fault plans evict reservations early, which frees cores without a
-	// completion to observe, so faulted clusters fall back to the
-	// exhaustive load-order scan.
-	oppSound bool
-	popped   []int32 // search scratch, reused across arrivals
+	cr     *ClusterRunner
+	loadH  *nodeHeap
+	durs   map[int64]*durIndex
+	opp    *durIndex // opportunistic feasibility bounds (dur 0)
+	popped []int32   // search scratch, reused across arrivals
 }
 
 // durIndex tracks, for one reservation duration, a lower bound per node
@@ -283,7 +174,7 @@ type dispatchIndex struct {
 // has reached sit in avail keyed (load, id) — their optimistic start is
 // "now", so only the tie-break orders them; the rest sit in future
 // keyed (bound, load, id). Bound 0 means unknown (reset by a
-// completion); arrival times never decrease, so nodes migrate from
+// LAC.gen move); arrival times never decrease, so nodes migrate from
 // future to avail monotonically between resets.
 type durIndex struct {
 	dur    int64
@@ -292,22 +183,18 @@ type durIndex struct {
 	future *nodeHeap
 }
 
-func (cr *ClusterRunner) ensureIndex() {
-	if cr.idx != nil {
-		return
-	}
+func newDispatchIndex(cr *ClusterRunner) *dispatchIndex {
 	n := len(cr.nodes)
 	x := &dispatchIndex{
-		cr:       cr,
-		loadH:    newNodeHeap(n),
-		durs:     map[int64]*durIndex{},
-		oppSound: cr.cfg.Node.Faults.Empty(),
+		cr:    cr,
+		loadH: newNodeHeap(n),
+		durs:  map[int64]*durIndex{},
 	}
 	for i := 0; i < n; i++ {
 		x.loadH.fix(i, nodeKey{0, int64(i), 0})
 	}
 	x.opp = x.newDurIndex(0)
-	cr.idx = x
+	return x
 }
 
 func (x *dispatchIndex) loadOf(id int) int64 {
@@ -391,12 +278,11 @@ func (x *dispatchIndex) noteAdmit(id int) {
 	x.opp.rekey(id, load)
 }
 
-// noteFinished resets node id after observed completions: its live
-// load shrank, its timeline freed capacity, and any opportunistic
-// finisher lowered the pin cap's demand, so every bound it had learned
-// is stale. The node returns to every avail pool with an unknown
-// (zero) bound.
-func (x *dispatchIndex) noteFinished(id int) {
+// noteGen resets node id after its LAC.gen moved: a completion, a fault
+// or a controller may have freed capacity, shrunk its live load or
+// lowered the pin cap's demand, so every bound it had learned is stale.
+// The node returns to every avail pool with an unknown (zero) bound.
+func (x *dispatchIndex) noteGen(id int) {
 	load := x.loadOf(id)
 	x.loadH.fix(id, nodeKey{load, int64(id), 0})
 	for _, di := range x.durs {
@@ -405,9 +291,9 @@ func (x *dispatchIndex) noteFinished(id int) {
 	x.opp.reset(id, load)
 }
 
-// placeBest returns probeall's winner — least (start, load, id) among
-// feasible nodes — probing only nodes whose optimistic key could still
-// beat the best verified candidate.
+// placeBest returns the least (start, load, id) feasible node — what
+// probing every node would pick — probing only nodes whose optimistic
+// key could still beat the best verified candidate.
 func (x *dispatchIndex) placeBest(a Arrival, mode qos.Mode, dur, cutoff int64) int {
 	cr := x.cr
 	if mode.Kind == qos.KindOpportunistic {
@@ -419,7 +305,7 @@ func (x *dispatchIndex) placeBest(a Arrival, mode qos.Mode, dur, cutoff int64) i
 		}
 		// Degenerate duration (tw resolved to zero): the LAC would hold
 		// the reservation forever; stay exact via exhaustive probing.
-		return (&probeallDispatch{cr: cr}).Place(a).Node
+		return cr.probeRange(a, 0, len(cr.nodes))
 	}
 	di := x.durFor(dur)
 	di.migrate(a.TA, x)
@@ -494,9 +380,6 @@ func (x *dispatchIndex) earliestBound(a Arrival, mode qos.Mode, cutoff int64, id
 // clock reaches it — without that, a fully core-booked fleet re-scans
 // all N nodes for every opportunistic arrival.
 func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
-	if !x.oppSound {
-		return x.placeOppScan(a, mode)
-	}
 	cr := x.cr
 	di := x.opp
 	di.migrate(a.TA, x)
@@ -521,30 +404,6 @@ func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
 	return best
 }
 
-// placeOppScan is the exhaustive load-order scan, kept for clusters
-// whose opportunistic bounds cannot be trusted (active fault plans).
-func (x *dispatchIndex) placeOppScan(a Arrival, mode qos.Mode) int {
-	cr := x.cr
-	best := -1
-	popped := x.popped[:0]
-	for {
-		id, _, ok := x.loadH.pop()
-		if !ok {
-			break
-		}
-		popped = append(popped, int32(id))
-		if _, feasible := cr.nodes[id].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode); feasible {
-			best = id
-			break
-		}
-	}
-	for _, id := range popped {
-		x.loadH.fix(int(id), nodeKey{x.loadOf(int(id)), int64(id), 0})
-	}
-	x.popped = popped[:0]
-	return best
-}
-
 // oppBound is what a failed opportunistic probe teaches about node id:
 // the earliest instant its reservation schedule could admit one more
 // opportunistic job, clamped past the probe's own arrival.
@@ -560,9 +419,10 @@ func (x *dispatchIndex) oppBound(id int, ta int64) int64 {
 }
 
 // placeWorst scans nodes in (load, id) order and admits at the first
-// feasible one. With a sound index (indexed true) candidates whose
-// start bound exceeds the cutoff are skipped without probing, and a
-// fleet-wide infeasible arrival rejects in O(1).
+// feasible one, so typical placements verify one node. With sound start
+// bounds (indexed true) candidates whose bound exceeds the cutoff are
+// skipped without probing, and a fleet-wide infeasible arrival rejects
+// in O(1).
 func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, indexed bool) int {
 	cr := x.cr
 	if mode.Kind == qos.KindOpportunistic {

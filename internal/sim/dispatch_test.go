@@ -2,10 +2,13 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
+	"cmpqos/internal/fault"
+	"cmpqos/internal/qos"
 	"cmpqos/internal/workload"
 )
 
@@ -25,14 +28,45 @@ func (d *recordingDispatch) Place(a Arrival) Placement {
 	return p
 }
 
-// runRecorded runs a cluster with the named dispatcher, returning the
-// report and the per-arrival placement log.
-func runRecorded(t *testing.T, cfg ClusterConfig, dispatcher string) (*ClusterReport, []Placement) {
+// probeallDispatch is the charged probe-every-node loop bestfit falls
+// back to where its bounds are unsound, as a dispatcher of its own: no
+// configuration selects it, so tests inject it (newTestCluster).
+type probeallDispatch struct{ cr *ClusterRunner }
+
+func (d probeallDispatch) Name() string { return "probeall" }
+
+func (d probeallDispatch) Place(a Arrival) Placement {
+	return Placement{Node: d.cr.probeRange(a, 0, len(d.cr.nodes))}
+}
+
+// testDispatchers is every strategy plus the injected probeall loop.
+func testDispatchers() []string { return append(qos.StrategyNames(), "probeall") }
+
+// newTestCluster is NewCluster that also accepts Dispatcher "probeall".
+func newTestCluster(t *testing.T, cfg ClusterConfig) *ClusterRunner {
 	t.Helper()
-	cfg.Dispatcher = dispatcher
+	probeAll := cfg.Dispatcher == "probeall"
+	if probeAll {
+		cfg.Dispatcher = ""
+	}
 	cr, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if probeAll {
+		cr.disp = probeallDispatch{cr}
+	}
+	return cr
+}
+
+// runRecorded runs a cluster under disp (when non-nil, in place of the
+// configured dispatcher), returning the report and the per-arrival
+// placement log.
+func runRecorded(t *testing.T, cfg ClusterConfig, disp func(*ClusterRunner) Dispatcher) (*ClusterReport, []Placement) {
+	t.Helper()
+	cr := newTestCluster(t, cfg)
+	if disp != nil {
+		cr.disp = disp(cr)
 	}
 	rec := &recordingDispatch{inner: cr.disp}
 	cr.disp = rec
@@ -43,10 +77,49 @@ func runRecorded(t *testing.T, cfg ClusterConfig, dispatcher string) (*ClusterRe
 	return rep, rec.log
 }
 
+// samePlacements fails the test unless two runs placed every arrival
+// alike and their reports agree apart from the dispatcher's name and
+// LACProbes (the charged probe count, which an oracle may bill
+// differently).
+func samePlacements(t *testing.T, oracle string, repA *ClusterReport, logA []Placement, repB *ClusterReport, logB []Placement) {
+	t.Helper()
+	if !reflect.DeepEqual(logA, logB) {
+		for i := range logA {
+			if i < len(logB) && logA[i] != logB[i] {
+				t.Fatalf("placement %d diverged: %s %+v, %s %+v", i, oracle, logA[i], repB.Dispatcher, logB[i])
+			}
+		}
+		t.Fatalf("placement logs differ in length: %d vs %d", len(logA), len(logB))
+	}
+	a, b := *repA, *repB
+	a.Dispatcher, b.Dispatcher = "", ""
+	a.LACProbes, b.LACProbes = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("reports diverged:\n%s %+v\n%s %+v", oracle, repA, repB.Dispatcher, repB)
+	}
+}
+
 // TestBestfitMatchesProbeall is the differential check behind the
-// golden pin: the indexed bestfit dispatcher must reproduce the legacy
-// probe-all loop's placement sequence decision for decision.
+// golden pin: bestfit must reproduce the charged probe-all loop's
+// placement sequence decision for decision — through its bounds where
+// they are sound (fault storms and controllers included, which it sees
+// through LAC.gen), and by falling back to that loop where they are not
+// (AutoDown and "latest" admission place via LatestFit).
 func TestBestfitMatchesProbeall(t *testing.T) {
+	storm := clusterCfg(4, 40)
+	storm.Node.Faults = fault.Generate(3, 400, 40_000_000, 4, 16)
+	ctrl := func(name string) ClusterConfig {
+		cfg := clusterCfg(4, 40)
+		cfg.Node.Policy = AllStrict
+		cfg.Node.EnforceWallClock = true
+		cfg.Node.RequestWays = 6
+		cfg.Node.Controller = name
+		cfg.Node.CtrlIntervalCycles = 4 * cfg.Node.EpochCycles
+		cfg.Node.Faults = fault.Generate(2, 400, 40_000_000, 4, 16)
+		return cfg
+	}
+	latest := ClusterConfig{Nodes: 3, Node: fastConfig(Hybrid2, workload.Mix1()), AcceptTarget: 24}
+	latest.Node.Admission = "latest"
 	cases := []struct {
 		name string
 		cfg  ClusterConfig
@@ -61,38 +134,140 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 		{"allstrict", ClusterConfig{
 			Nodes: 4, Node: fastConfig(AllStrict, workload.Single("mcf")), AcceptTarget: 32,
 		}},
-		// AutoDown places via LatestFit, where the index is unsound;
-		// bestfit must detect that and fall back to exhaustive probing.
+		{"fault-storm", storm},
+		{"pid", ctrl("pid")},
+		{"aimd", ctrl("aimd")},
 		{"autodown-fallback", ClusterConfig{
 			Nodes: 3, Node: fastConfig(AllStrictAutoDown, workload.Single("bzip2")), AcceptTarget: 24,
 		}},
+		{"latest-fallback", latest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			repA, logA := runRecorded(t, tc.cfg, "probeall")
-			repB, logB := runRecorded(t, tc.cfg, "bestfit")
-			if !reflect.DeepEqual(logA, logB) {
-				for i := range logA {
-					if i < len(logB) && logA[i] != logB[i] {
-						t.Fatalf("placement %d diverged: probeall %+v, bestfit %+v", i, logA[i], logB[i])
-					}
-				}
-				t.Fatalf("placement logs differ in length: %d vs %d", len(logA), len(logB))
-			}
-			repA.Dispatcher, repB.Dispatcher = "", ""
-			repA.LACProbes, repB.LACProbes = 0, 0 // charged vs uncharged probing
-			if !reflect.DeepEqual(repA, repB) {
-				t.Errorf("reports diverged:\nprobeall %+v\nbestfit  %+v", repA, repB)
-			}
+			cfg := tc.cfg
+			cfg.Dispatcher = "probeall"
+			repA, logA := runRecorded(t, cfg, nil)
+			cfg.Dispatcher = "bestfit"
+			repB, logB := runRecorded(t, cfg, nil)
+			samePlacements(t, "probeall", repA, logA, repB, logB)
 		})
 	}
+}
+
+// peekallDispatch is the dispatch index's oracle: it peeks every node —
+// uncharged, as the index does — and applies the strategy's rule with
+// the sim tie-break: bestfit takes the least (start, load, id), worstfit
+// the least (load, id), and oversub retries a reserved request no node
+// takes Opportunistically at the least (load, id) willing node.
+type peekallDispatch struct {
+	cr       *ClusterRunner
+	strategy qos.Strategy
+}
+
+func (d peekallDispatch) Name() string { return "peekall-" + d.strategy.String() }
+
+func (d peekallDispatch) Place(a Arrival) Placement {
+	mode := d.cr.nodes[0].modeFor(a.Tmpl.Hint)
+	if d.strategy == qos.WorstFit {
+		return Placement{Node: d.least(a, mode, true)}
+	}
+	node := d.least(a, mode, false)
+	if node >= 0 || d.strategy != qos.Oversub || mode.Kind == qos.KindOpportunistic {
+		return Placement{Node: node}
+	}
+	node = d.least(a, qos.Opportunistic(), true)
+	return Placement{Node: node, Opportunistic: node >= 0}
+}
+
+// least returns the feasible node with the least (start, load, id), or
+// with byLoad the least (load, id); -1 if no node takes the arrival.
+func (d peekallDispatch) least(a Arrival, mode qos.Mode, byLoad bool) int {
+	best, bestKey := -1, nodeKey{}
+	for i, n := range d.cr.nodes {
+		start, ok := n.peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+		if !ok {
+			continue
+		}
+		k := nodeKey{start, int64(n.liveCount()), int64(i)}
+		if byLoad {
+			k = nodeKey{int64(n.liveCount()), int64(i), 0}
+		}
+		if best == -1 || keyLess(k, bestKey) {
+			best, bestKey = i, k
+		}
+	}
+	return best
+}
+
+// indexOracleFleets are the fleets whose LACs move earliest starts
+// earlier behind the dispatcher's back — fault storms, feedback
+// controllers, both — where the index stays sound only by resetting a
+// node's bounds when its LAC.gen moves.
+func indexOracleFleets() []struct {
+	name string
+	cfg  ClusterConfig
+} {
+	type fleet = struct {
+		name string
+		cfg  ClusterConfig
+	}
+	var fleets []fleet
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, rate := range []float64{100, 400, 1500} {
+			cfg := clusterSkipCfg()
+			cfg.Node.Faults = fault.Generate(seed, rate, 40_000_000, 4, 16)
+			fleets = append(fleets, fleet{fmt.Sprintf("faults-seed%d-rate%v", seed, rate), cfg})
+		}
+	}
+	for _, ctrl := range []string{"pid", "aimd"} {
+		cfg := clusterSkipCfg()
+		cfg.Node.Policy = AllStrict
+		cfg.Node.EnforceWallClock = true
+		cfg.Node.RequestWays = 6
+		cfg.Node.Controller = ctrl
+		cfg.Node.CtrlIntervalCycles = 4 * cfg.Node.EpochCycles
+		fleets = append(fleets, fleet{ctrl, cfg})
+		cfg.Node.Faults = fault.Generate(3, 400, 40_000_000, 4, 16)
+		fleets = append(fleets, fleet{ctrl + "/faults", cfg})
+	}
+	cfg := clusterSkipCfg()
+	cfg.Nodes = 4
+	cfg.Node.Workload = workload.Mix1()
+	cfg.Node.Controller = "pid"
+	cfg.Node.Faults = fault.Generate(4, 1500, 40_000_000, 4, 16)
+	return append(fleets, fleet{"hybrid2-mix1-pid/faults", cfg})
+}
+
+// TestIndexMatchesPeekAll holds bestfit, worstfit and oversub to
+// peekallDispatch on every fleet of indexOracleFleets: placement logs
+// equal, reports equal apart from the dispatcher's name and LACProbes.
+func TestIndexMatchesPeekAll(t *testing.T) {
+	placed, terminated := 0, 0
+	for _, s := range []qos.Strategy{qos.BestFit, qos.WorstFit, qos.Oversub} {
+		for _, f := range indexOracleFleets() {
+			t.Run(s.String()+"/"+f.name, func(t *testing.T) {
+				cfg := f.cfg
+				cfg.Dispatcher = s.String()
+				repA, logA := runRecorded(t, cfg, func(cr *ClusterRunner) Dispatcher { return peekallDispatch{cr, s} })
+				repB, logB := runRecorded(t, cfg, nil)
+				samePlacements(t, "peekall", repA, logA, repB, logB)
+				for _, p := range logB {
+					if p.Node >= 0 {
+						placed++
+					}
+				}
+				terminated += repB.Terminated
+			})
+		}
+	}
+	t.Logf("%d placements, %d terminated jobs", placed, terminated)
 }
 
 // TestClusterWorkerCountInvariance pins the sharded-stepping
 // determinism contract: every dispatcher must produce an identical
 // report at any worker count.
 func TestClusterWorkerCountInvariance(t *testing.T) {
-	for _, name := range DispatcherNames() {
+	for _, name := range testDispatchers() {
 		t.Run(name, func(t *testing.T) {
 			cfg := ClusterConfig{
 				Nodes:        6,
@@ -102,10 +277,7 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 			}
 			var base *ClusterReport
 			for _, workers := range []int{1, 4, 8} {
-				cr, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				cr := newTestCluster(t, cfg)
 				rep, err := cr.RunParallel(context.Background(), workers)
 				if err != nil {
 					t.Fatal(err)
@@ -177,9 +349,11 @@ func TestClusterValidationModern(t *testing.T) {
 	}
 
 	bad := base
-	bad.Dispatcher = "nope"
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown dispatcher accepted")
+	for _, name := range []string{"nope", "probeall"} {
+		bad.Dispatcher = name
+		if err := bad.Validate(); err == nil {
+			t.Errorf("unknown dispatcher %q accepted", name)
+		}
 	}
 
 	ucp := base

@@ -11,8 +11,8 @@ import (
 
 // Runner executes one simulation configuration to completion. The
 // epoch loop lives here; the policy decisions it sequences — core
-// assignment, way allocation, admission placement — are the registered
-// pipeline stages resolved at construction (registry.go); what consumes
+// assignment, way allocation, admission placement — are the pipeline
+// stages Config names, resolved at construction (registry.go); what consumes
 // the run, built in or attached, is in sink.go.
 type Runner struct {
 	*nodeShared
@@ -54,7 +54,7 @@ type Runner struct {
 	// and rollbacks change only way counts — never job states or core
 	// placement — so they set planWaysDirty instead, and the next epoch
 	// redoes just the way split on the cached core assignment. Soundness
-	// rests on the registry contract that Assign/Allocate are
+	// rests on the pipeline contract that Assign/Allocate are
 	// deterministic pure functions of the runner's job/fault state.
 	planOK        bool
 	planWaysDirty bool
@@ -83,7 +83,7 @@ type Runner struct {
 	ffDefer   int64 // steps left before the next window proof attempt
 	ffPriced  bool  // last attempt reached the O(jobs) delta pricing
 
-	// Closed-loop control plane (progress.go): the registered feedback
+	// Closed-loop control plane (progress.go): the configured feedback
 	// controller (nil = "static", the open-loop default), the reusable
 	// sample scratch, and the tick counter the Report exposes as
 	// CtrlRetunes (the tick cadence is nodeShared.ctrlInterval).
@@ -192,29 +192,18 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newNode(sh, cfg.Seed)
+	return newNode(sh, cfg.Seed), nil
 }
 
 // newNode builds the mutable half. The arrival and deadline cursors are
 // created lazily by processArrivals: cluster nodes never draw from them,
 // and each would pin a tape per node seed in the process-wide store.
-func newNode(sh *nodeShared, seed int64) (*Runner, error) {
+func newNode(sh *nodeShared, seed int64) *Runner {
 	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem)}
 	cfg := r.Config()
-	var err error
-	if r.sched, err = newScheduler(cfg); err != nil {
-		return nil, err
-	}
-	if r.wayAlloc, err = newAllocator(cfg); err != nil {
-		return nil, err
-	}
-	admission, err := newAdmission(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if r.ctrl, err = newController(cfg); err != nil {
-		return nil, err
-	}
+	r.sched = newScheduler(cfg)
+	r.wayAlloc = newAllocator(cfg)
+	r.ctrl = newController(cfg)
 	if cfg.FoldCompleted {
 		// Streaming mode: per-job outcomes fold into aggregates at
 		// completion, so memory stays O(live jobs) regardless of how many
@@ -225,7 +214,7 @@ func newNode(sh *nodeShared, seed int64) (*Runner, error) {
 	if !cfg.Policy.noAdmission() {
 		opts := []qos.LACOption{
 			qos.WithOpportunisticPerCore(cfg.OppPerCore),
-			qos.WithPlacement(admission),
+			qos.WithPlacement(newAdmission(cfg)),
 		}
 		if cfg.Policy == AllStrictAutoDown {
 			opts = append(opts, qos.WithAutoDowngrade(),
@@ -249,7 +238,7 @@ func newNode(sh *nodeShared, seed int64) (*Runner, error) {
 	if cfg.RecordSeries {
 		r.seriesS = &seriesSink{r: r}
 	}
-	return r, nil
+	return r
 }
 
 // Config returns the run's configuration, with the node's own seed in

@@ -50,15 +50,6 @@ func TestRegistryContents(t *testing.T) {
 	}
 }
 
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate scheduler registration did not panic")
-		}
-	}()
-	RegisterScheduler("reserved", func(Config) Scheduler { return sharedScheduler{} })
-}
-
 func TestUnknownPolicyNamesRejected(t *testing.T) {
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.Scheduler = "nope" },

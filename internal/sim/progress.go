@@ -5,7 +5,7 @@
 // on a fixed cadence the runner samples every reserved running job's
 // measured-vs-promised progress — budget burn-down against instruction
 // retirement, with the shadow-tag slowdown as a contention signal — and
-// hands the samples to the registered Controller, which may retune two
+// hands the samples to the configured Controller, which may retune two
 // knobs: per-job way boosts drawn from the epoch's idle way pool
 // (never below a job's negotiated envelope — boosts only add), and the
 // LAC's admission headroom (extra ways a probe must find free, a brake
@@ -65,18 +65,6 @@ type ProgressSample struct {
 type Controller interface {
 	Name() string
 	Tick(r *Runner, now int64, samples []ProgressSample)
-}
-
-func init() {
-	// "static" is the open-loop default: no controller object at all, so
-	// the engine's hot path is bit-identical to the pre-controller code.
-	RegisterController("static", func(Config) Controller { return nil })
-	RegisterController("pid", func(c Config) Controller {
-		return &pidController{maxBoost: c.L2.Ways / 4, maxHeadroom: c.L2.Ways / 4}
-	})
-	RegisterController("aimd", func(c Config) Controller {
-		return &aimdController{maxBoost: c.L2.Ways / 4, maxHeadroom: c.L2.Ways / 4}
-	})
 }
 
 // nextCtrlTickAt returns the first controller tick instant ≥ n: ticks

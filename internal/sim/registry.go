@@ -7,17 +7,16 @@ import (
 	"cmpqos/internal/qos"
 )
 
-// The policy registries turn the engine into a pluggable pipeline: a
+// The policy tables turn the engine into a pluggable pipeline: a
 // Scheduler assigns running jobs to cores, a WayAllocator splits the L2
-// among them, and a qos.AdmissionPolicy places reserved timeslots on
-// the LAC timeline. Each stage is selected by name through Config
-// (empty names resolve to the Policy-appropriate defaults, preserving
-// the paper's behaviour bit for bit), so a new policy — the next
-// coordinated-management or SLO paper — is a registered constructor
-// plus an implementation, not another branch inside the epoch loop.
-//
-// Registration is expected at package init time; the maps are read-only
-// afterwards, which keeps concurrent runs (sim.RunAll) lock-free.
+// among them, a qos.AdmissionPolicy places reserved timeslots on the LAC
+// timeline, and a Controller closes the loop over measured progress.
+// Each stage is selected by name through Config (empty names resolve to
+// the Policy-appropriate defaults, preserving the paper's behaviour bit
+// for bit), so a new policy — the next coordinated-management or SLO
+// paper — is a table entry plus an implementation, not another branch
+// inside the epoch loop. The tables are read-only, which keeps
+// concurrent runs (sim.RunAll) lock-free.
 
 // Scheduler assigns running jobs to cores for one epoch. Assign returns
 // the per-core job lists (the runner's reusable scratch; nothing may
@@ -39,56 +38,44 @@ type WayAllocator interface {
 }
 
 var (
-	schedulers  = map[string]func(Config) Scheduler{}
-	allocators  = map[string]func(Config) WayAllocator{}
-	admissions  = map[string]func(Config) qos.AdmissionPolicy{}
-	controllers = map[string]func(Config) Controller{}
+	schedulers = map[string]func(Config) Scheduler{
+		"reserved": func(Config) Scheduler { return &reservedScheduler{} },
+		"packed":   func(Config) Scheduler { return &reservedScheduler{packOpp: true} },
+		"shared":   func(Config) Scheduler { return sharedScheduler{} },
+	}
+	allocators = map[string]func(Config) WayAllocator{
+		"reserved": func(Config) WayAllocator { return reservedAllocator{} },
+		"equal":    func(Config) WayAllocator { return equalAllocator{} },
+		"ucp":      func(Config) WayAllocator { return ucpAllocator{} },
+	}
+	admissions = map[string]func(Config) qos.AdmissionPolicy{
+		"fcfs":   func(Config) qos.AdmissionPolicy { return qos.EarliestFit{} },
+		"latest": func(Config) qos.AdmissionPolicy { return qos.LatestFit{} },
+	}
+	// A controller constructor may return nil: "static", the open-loop
+	// default, has no controller object at all, so the engine runs no
+	// controller code.
+	controllers = map[string]func(Config) Controller{
+		"static": func(Config) Controller { return nil },
+		"pid": func(c Config) Controller {
+			return &pidController{maxBoost: c.L2.Ways / 4, maxHeadroom: c.L2.Ways / 4}
+		},
+		"aimd": func(c Config) Controller {
+			return &aimdController{maxBoost: c.L2.Ways / 4, maxHeadroom: c.L2.Ways / 4}
+		},
+	}
 )
 
-// RegisterScheduler registers a named core-assignment policy. It panics
-// on a duplicate or empty name (registration is an init-time contract).
-func RegisterScheduler(name string, build func(Config) Scheduler) {
-	registerPolicy(schedulers, "scheduler", name, build)
-}
-
-// RegisterAllocator registers a named way-allocation policy.
-func RegisterAllocator(name string, build func(Config) WayAllocator) {
-	registerPolicy(allocators, "allocator", name, build)
-}
-
-// RegisterAdmission registers a named admission placement policy.
-func RegisterAdmission(name string, build func(Config) qos.AdmissionPolicy) {
-	registerPolicy(admissions, "admission", name, build)
-}
-
-// RegisterController registers a named feedback controller (the SLO
-// control plane of progress.go). A constructor may return nil to mean
-// "no controller" — the open-loop engine, which is what the default
-// "static" name does.
-func RegisterController(name string, build func(Config) Controller) {
-	registerPolicy(controllers, "controller", name, build)
-}
-
-func registerPolicy[C, T any](m map[string]func(C) T, kind, name string, build func(C) T) {
-	if name == "" || build == nil {
-		panic(fmt.Sprintf("sim: %s registration needs a name and constructor", kind))
-	}
-	if _, dup := m[name]; dup {
-		panic(fmt.Sprintf("sim: duplicate %s %q", kind, name))
-	}
-	m[name] = build
-}
-
-// SchedulerNames lists the registered schedulers, sorted.
+// SchedulerNames lists the schedulers, sorted.
 func SchedulerNames() []string { return policyNames(schedulers) }
 
-// AllocatorNames lists the registered way allocators, sorted.
+// AllocatorNames lists the way allocators, sorted.
 func AllocatorNames() []string { return policyNames(allocators) }
 
-// AdmissionNames lists the registered admission policies, sorted.
+// AdmissionNames lists the admission policies, sorted.
 func AdmissionNames() []string { return policyNames(admissions) }
 
-// ControllerNames lists the registered feedback controllers, sorted.
+// ControllerNames lists the feedback controllers, sorted.
 func ControllerNames() []string { return policyNames(controllers) }
 
 func policyNames[C, T any](m map[string]func(C) T) []string {
@@ -146,42 +133,15 @@ func (c Config) controllerName() string {
 	return "static"
 }
 
-// newScheduler builds the configuration's scheduler.
-func newScheduler(cfg Config) (Scheduler, error) {
-	build, ok := schedulers[cfg.schedulerName()]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown scheduler %q (have %v)", cfg.schedulerName(), SchedulerNames())
-	}
-	return build(cfg), nil
-}
+// newScheduler, newAllocator, newAdmission and newController build the
+// configuration's pipeline stages; Config.Validate has checked the names.
+func newScheduler(cfg Config) Scheduler { return schedulers[cfg.schedulerName()](cfg) }
 
-// newAllocator builds the configuration's way allocator.
-func newAllocator(cfg Config) (WayAllocator, error) {
-	build, ok := allocators[cfg.allocatorName()]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown allocator %q (have %v)", cfg.allocatorName(), AllocatorNames())
-	}
-	return build(cfg), nil
-}
+func newAllocator(cfg Config) WayAllocator { return allocators[cfg.allocatorName()](cfg) }
 
-// newAdmission builds the configuration's admission placement policy.
-func newAdmission(cfg Config) (qos.AdmissionPolicy, error) {
-	build, ok := admissions[cfg.admissionName()]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown admission policy %q (have %v)", cfg.admissionName(), AdmissionNames())
-	}
-	return build(cfg), nil
-}
+func newAdmission(cfg Config) qos.AdmissionPolicy { return admissions[cfg.admissionName()](cfg) }
 
-// newController builds the configuration's feedback controller (nil
-// for the open-loop "static" default).
-func newController(cfg Config) (Controller, error) {
-	build, ok := controllers[cfg.controllerName()]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown controller %q (have %v)", cfg.controllerName(), ControllerNames())
-	}
-	return build(cfg), nil
-}
+func newController(cfg Config) Controller { return controllers[cfg.controllerName()](cfg) }
 
 // PipelineNames returns the resolved (scheduler, allocator, admission)
 // names this configuration will run — the policy triple the run-cache
@@ -190,22 +150,11 @@ func (c Config) PipelineNames() (scheduler, allocator, admission string) {
 	return c.schedulerName(), c.allocatorName(), c.admissionName()
 }
 
-// ValidateControllerName checks an explicitly selected controller name
-// against the registry (empty selects the "static" default and is
-// always valid) — the CLI flag-parse counterpart of
-// ValidateDispatcherName.
-func ValidateControllerName(name string) error {
-	if _, ok := controllers[name]; name != "" && !ok {
-		return fmt.Errorf("unknown controller %q (have %v)", name, ControllerNames())
-	}
-	return nil
-}
-
-// ValidatePolicyNames checks explicitly selected pipeline names against
-// the registries (empty selects the policy default and is always
-// valid). CLIs call it at flag-parse time so a typo is a usage error,
-// not a mid-run failure.
-func ValidatePolicyNames(scheduler, allocator, admission string) error {
+// ValidateNames checks explicitly selected names — the pipeline stages,
+// the feedback controller and the cluster dispatcher — against their
+// tables (empty selects the default and is always valid). CLIs call it
+// at flag-parse time so a typo is a usage error, not a mid-run failure.
+func ValidateNames(scheduler, allocator, admission, controller, dispatcher string) error {
 	if _, ok := schedulers[scheduler]; scheduler != "" && !ok {
 		return fmt.Errorf("unknown scheduler %q (have %v)", scheduler, SchedulerNames())
 	}
@@ -214,6 +163,12 @@ func ValidatePolicyNames(scheduler, allocator, admission string) error {
 	}
 	if _, ok := admissions[admission]; admission != "" && !ok {
 		return fmt.Errorf("unknown admission policy %q (have %v)", admission, AdmissionNames())
+	}
+	if _, ok := controllers[controller]; controller != "" && !ok {
+		return fmt.Errorf("unknown controller %q (have %v)", controller, ControllerNames())
+	}
+	if _, err := qos.ParseStrategy(dispatcher); err != nil {
+		return fmt.Errorf("unknown dispatcher %q (have %v)", dispatcher, qos.StrategyNames())
 	}
 	return nil
 }

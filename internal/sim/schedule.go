@@ -1,5 +1,5 @@
-// Core-assignment stage of the policy pipeline: the registered
-// Scheduler implementations and the timed job-state transitions that feed
+// Core-assignment stage of the policy pipeline: the Scheduler
+// implementations and the timed job-state transitions that feed
 // them.
 package sim
 
@@ -8,12 +8,6 @@ import (
 	"cmpqos/internal/steal"
 	"cmpqos/internal/trace"
 )
-
-func init() {
-	RegisterScheduler("reserved", func(Config) Scheduler { return &reservedScheduler{} })
-	RegisterScheduler("packed", func(Config) Scheduler { return &reservedScheduler{packOpp: true} })
-	RegisterScheduler("shared", func(Config) Scheduler { return sharedScheduler{} })
-}
 
 // startJobs moves waiting jobs whose start time has come into the
 // running state.

@@ -135,8 +135,7 @@ func NewArrivalStream(seed int64, probesPerTw float64, twCycles int64) *ArrivalS
 // Next returns the cycle timestamp of the next arrival; timestamps are
 // strictly non-decreasing.
 func (s *ArrivalStream) Next() int64 {
-	// Exponential inter-arrival with mean 1/rate cycles — the exact draw
-	// sequence the arrival tape produces.
+	// Exponential inter-arrival with mean 1/rate cycles.
 	gap := -math.Log(1-s.rng.Float64()) / s.rate
 	s.now += gap
 	return int64(s.now)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 )
@@ -29,13 +28,12 @@ type arrivalKey struct {
 	rate float64
 }
 
-// arrivalTape lazily materializes one arrival stream.
+// arrivalTape lazily materializes one arrival stream: the timestamps
+// its ArrivalStream has drawn so far.
 type arrivalTape struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	rate  float64
-	now   float64
-	times []int64
+	mu     sync.Mutex
+	stream ArrivalStream
+	times  []int64
 }
 
 // prefix returns a snapshot holding at least n timestamps. Snapshots are
@@ -45,20 +43,16 @@ func (t *arrivalTape) prefix(n int) []int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.times) < n {
-		// Exponential inter-arrival with mean 1/rate cycles — the exact
-		// draw sequence NewArrivals historically produced.
-		gap := -math.Log(1-t.rng.Float64()) / t.rate
-		t.now += gap
-		t.times = append(t.times, int64(t.now))
+		t.times = append(t.times, t.stream.Next())
 	}
 	return t.times[:len(t.times):len(t.times)]
 }
 
-// deadlineTape lazily materializes one deadline-class stream: shuffled
-// blocks of ten with exactly 5 tight, 3 moderate, and 2 relaxed classes.
+// deadlineTape lazily materializes one deadline-class stream: the classes
+// its DeadlineStream has drawn so far.
 type deadlineTape struct {
 	mu      sync.Mutex
-	rng     *rand.Rand
+	stream  DeadlineStream
 	classes []DeadlineClass
 }
 
@@ -67,15 +61,7 @@ func (t *deadlineTape) prefix(n int) []DeadlineClass {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.classes) < n {
-		block := [...]DeadlineClass{
-			DeadlineTight, DeadlineTight, DeadlineTight, DeadlineTight, DeadlineTight,
-			DeadlineModerate, DeadlineModerate, DeadlineModerate,
-			DeadlineRelaxed, DeadlineRelaxed,
-		}
-		t.rng.Shuffle(len(block), func(i, j int) {
-			block[i], block[j] = block[j], block[i]
-		})
-		t.classes = append(t.classes, block[:]...)
+		t.classes = append(t.classes, t.stream.Next())
 	}
 	return t.classes[:len(t.classes):len(t.classes)]
 }
@@ -100,7 +86,7 @@ func (s *tapeStore) arrival(seed int64, rate float64) *arrivalTape {
 	k := arrivalKey{seed: seed, rate: rate}
 	t := s.arr[k]
 	if t == nil {
-		t = &arrivalTape{rng: rand.New(rand.NewSource(seed)), rate: rate}
+		t = &arrivalTape{stream: ArrivalStream{rng: rand.New(rand.NewSource(seed)), rate: rate}}
 		s.arr[k] = t
 	}
 	return t
@@ -111,7 +97,7 @@ func (s *tapeStore) deadline(seed int64) *deadlineTape {
 	defer s.mu.Unlock()
 	t := s.dl[seed]
 	if t == nil {
-		t = &deadlineTape{rng: rand.New(rand.NewSource(seed))}
+		t = &deadlineTape{stream: *NewDeadlineStream(seed)}
 		s.dl[seed] = t
 	}
 	return t
