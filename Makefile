@@ -53,18 +53,26 @@ race:
 # must stay bit-identical to its naive reference on any op sequence,
 # the GAC's bounded scan must answer and bill exactly as probing every
 # node does, the WAL decoder must recover an intact prefix from any
-# bytes, the hand-written snapshot encoder must write encoding/json's
-# bytes for any LAC (internal/qos) and any daemon state (internal/server),
-# and the fast-forward's closed-form float accumulation must leave the
-# bits the stepped additions leave for any accumulator and addends.
+# bytes, the WAL record appender must write json.Marshal's bytes (and
+# refuse what it refuses) for any record, the hand-written snapshot
+# encoder must write encoding/json's bytes for any LAC (internal/qos)
+# and any daemon state (internal/server), the request scanner must
+# accept only what encoding/json accepts and decode it to the same
+# request, the appended submit/cancel answers must be writeJSON's
+# bytes and header, and the fast-forward's closed-form float
+# accumulation must leave the bits the stepped additions leave for any
+# accumulator and addends.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
 	$(GO) test -fuzz=FuzzTimelineEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzGACEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -timeout 5m ./internal/qos
+	$(GO) test -fuzz=FuzzWALRecordEncoding -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/qos
 	$(GO) test -fuzz=FuzzSnapshotEncodeEquivalence -fuzztime=10s -timeout 5m ./internal/server
+	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -timeout 5m ./internal/server
+	$(GO) test -fuzz=FuzzResponseEncode -fuzztime=10s -timeout 5m ./internal/server
 	$(GO) test -fuzz=FuzzRepeatAdd -fuzztime=10s -timeout 5m ./internal/sim
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,

@@ -14,6 +14,12 @@
 // snapshot already on disk compare or decode them; the differential
 // tests in this package, internal/qos and internal/server hold the
 // output to encoding/json's.
+//
+// AppendFloat and AppendString are the scalar half of the same dialect
+// in compact form, for callers that append a small fixed-schema record
+// into a reused buffer: the WAL's records and the daemon's admit
+// responses. Encoder.Float formats through AppendFloat, so there is one
+// float formatter for all three.
 package jsonenc
 
 import (
@@ -24,6 +30,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"unicode/utf8"
 )
 
 const (
@@ -154,10 +161,8 @@ func (e *Encoder) IntField(name string, v int64) {
 // Null writes null (a nil slice or map).
 func (e *Encoder) Null() { e.buf = append(e.buf, "null"...) }
 
-// Float writes v as encoding/json does: the shortest decimal that
-// round-trips, in exponent form only below 1e-6 or from 1e21 up, with a
-// two-digit exponent's leading zero dropped. NaN and ±Inf fail the
-// document with encoding/json's own error.
+// Float writes v as AppendFloat does. NaN and ±Inf fail the document
+// with encoding/json's own error.
 func (e *Encoder) Float(v float64) {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		if e.err == nil {
@@ -165,18 +170,89 @@ func (e *Encoder) Float(v float64) {
 		}
 		return
 	}
+	e.buf = AppendFloat(e.buf, v)
+}
+
+// AppendFloat appends finite v as encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form only below 1e-6
+// or from 1e21 up, with a two-digit negative exponent's leading zero
+// dropped. encoding/json refuses NaN and ±Inf, so callers check for
+// them first; what this appends for them is not JSON.
+func AppendFloat(dst []byte, v float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	e.buf = strconv.AppendFloat(e.buf, v, format, -1, 64)
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
 	if format == 'e' {
 		// e-09 → e-9
-		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && (e.buf[n-3] == '-' || e.buf[n-3] == '+') && e.buf[n-2] == '0' {
-			e.buf[n-2] = e.buf[n-1]
-			e.buf = e.buf[:n-1]
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
+	return dst
+}
+
+const (
+	hexDigits = "0123456789abcdef"
+	lineSep   = 0x2028 // U+2028 LINE SEPARATOR
+	paraSep   = 0x2029 // U+2029 PARAGRAPH SEPARATOR
+)
+
+// AppendString appends s as a compact JSON string exactly as
+// encoding/json.Marshal writes it: `"` and `\` backslash-escaped; \b,
+// \f, \n, \r and \t by name; every other control byte and the
+// HTML-sensitive <, > and & as a six-character \u00XX escape; each
+// byte of invalid UTF-8 as the escape of U+FFFD; U+2028 and U+2029 as
+// their escapes. Everything else is copied as is.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+		case c == lineSep || c == paraSep:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Line ends the document with the newline json.Encoder.Encode appends.

@@ -128,6 +128,69 @@ func TestMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// randString mixes what AppendString must escape — quotes, backslashes,
+// every control byte, <, > and &, U+2028/2029, invalid UTF-8 (lone
+// continuation bytes, truncated sequences, surrogates, overlongs) — with
+// plain ASCII and valid multi-byte runes.
+func randString(rng *rand.Rand) string {
+	pieces := []string{"a", "job", " ", `"`, `\`, "<", ">", "&", "\u2028", "\u2029", "\u00e9", "\u65e5\u672c", "\U0001F600",
+		"\x7f", "\x80", "\xbf", "\xc3", "\xe2\x80", "\xed\xa0\x80", "\xc0\xaf", "\xff", "\ufffd"}
+	var b []byte
+	for n := rng.Intn(12); n > 0; n-- {
+		switch rng.Intn(3) {
+		case 0:
+			b = append(b, byte(rng.Intn(0x20)))
+		case 1:
+			b = append(b, byte(rng.Intn(256)))
+		default:
+			b = append(b, pieces[rng.Intn(len(pieces))]...)
+		}
+	}
+	return string(b)
+}
+
+// TestAppendStringMatchesMarshal holds AppendString to json.Marshal on
+// every byte alone and on random strings, invalid UTF-8 included.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	var cases []string
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}), "x"+string([]byte{byte(c)})+"y")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, randString(rng))
+	}
+	for _, s := range cases {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("prefix"), s); !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("AppendString(%q) = %s, json.Marshal %s", s, got[len("prefix"):], want)
+		}
+	}
+}
+
+// TestAppendFloatMatchesMarshal holds AppendFloat to json.Marshal on
+// random bit patterns and on both sides of the exponent-form cut-offs.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+		-1e-7, 5e-324, math.MaxFloat64, 0.05, 1.0 / 3, 1e-10, 1e100}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 20000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			continue // NaN, ±Inf: callers check before appending
+		}
+		if got := AppendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("AppendFloat(%v) = %s, json.Marshal %s", v, got, want)
+		}
+	}
+}
+
 type chunkWriter struct {
 	bytes.Buffer
 	largest, failAfter int

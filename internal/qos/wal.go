@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
+	"strconv"
+
+	"cmpqos/internal/jsonenc"
 )
 
 // The write-ahead log complements snapshots (snapshot.go) for a
@@ -89,6 +93,87 @@ type WALRecord struct {
 	Now int64 `json:"now,omitempty"`
 }
 
+// appendWALRecord appends rec's JSON payload to dst: byte for byte what
+// json.Marshal(rec) writes (FuzzWALRecordEncoding holds it there), with
+// no reflection and no allocation beyond dst's growth. ok is false, and
+// dst unusable, when a slack is NaN or infinite — a record encoding/json
+// refuses to write.
+func appendWALRecord(dst []byte, rec *WALRecord) (_ []byte, ok bool) {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, rec.Seq, 10)
+	dst = append(dst, `,"op":`...)
+	dst = jsonenc.AppendString(dst, string(rec.Op))
+	dst = append(dst, `,"job":`...)
+	dst = strconv.AppendInt(dst, int64(rec.JobID), 10)
+	dst = append(dst, `,"mode":`...)
+	if dst, ok = appendMode(dst, rec.Mode); !ok {
+		return dst, false
+	}
+	dst = append(dst, `,"rum":{"Resources":{"Cores":`...)
+	r := &rec.RUM
+	dst = strconv.AppendInt(dst, int64(r.Resources.Cores), 10)
+	dst = append(dst, `,"CacheWays":`...)
+	dst = strconv.AppendInt(dst, int64(r.Resources.CacheWays), 10)
+	dst = append(dst, `,"MemoryMB":`...)
+	dst = strconv.AppendInt(dst, int64(r.Resources.MemoryMB), 10)
+	dst = append(dst, `,"BandwidthMBps":`...)
+	dst = strconv.AppendInt(dst, int64(r.Resources.BandwidthMBps), 10)
+	dst = append(dst, `},"MaxWallClock":`...)
+	dst = strconv.AppendInt(dst, r.MaxWallClock, 10)
+	dst = append(dst, `,"Deadline":`...)
+	dst = strconv.AppendInt(dst, r.Deadline, 10)
+	dst = append(dst, `},"arrival":`...)
+	dst = strconv.AppendInt(dst, rec.Arrival, 10)
+	if rec.Negotiate {
+		dst = append(dst, `,"negotiate":true`...)
+	}
+	if rec.MaxSlack != 0 {
+		if !finite(rec.MaxSlack) {
+			return dst, false
+		}
+		dst = append(dst, `,"max_slack":`...)
+		dst = jsonenc.AppendFloat(dst, rec.MaxSlack)
+	}
+	dst = append(dst, `,"node":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Node), 10)
+	dst = append(dst, `,"final_mode":`...)
+	if dst, ok = appendMode(dst, rec.FinalMode); !ok {
+		return dst, false
+	}
+	d := &rec.Dec
+	dst = append(dst, `,"dec":{"Accepted":`...)
+	dst = strconv.AppendBool(dst, d.Accepted)
+	dst = append(dst, `,"Start":`...)
+	dst = strconv.AppendInt(dst, d.Start, 10)
+	dst = append(dst, `,"ReservationID":`...)
+	dst = strconv.AppendInt(dst, int64(d.ReservationID), 10)
+	dst = append(dst, `,"AutoDowngraded":`...)
+	dst = strconv.AppendBool(dst, d.AutoDowngraded)
+	dst = append(dst, `,"SwitchBack":`...)
+	dst = strconv.AppendInt(dst, d.SwitchBack, 10)
+	dst = append(dst, `,"Reason":`...)
+	dst = jsonenc.AppendString(dst, d.Reason)
+	dst = append(dst, '}')
+	if rec.Now != 0 {
+		dst = append(dst, `,"now":`...)
+		dst = strconv.AppendInt(dst, rec.Now, 10)
+	}
+	return append(dst, '}'), true
+}
+
+func appendMode(dst []byte, m Mode) ([]byte, bool) {
+	if !finite(m.Slack) {
+		return dst, false
+	}
+	dst = append(dst, `{"Kind":`...)
+	dst = strconv.AppendInt(dst, int64(m.Kind), 10)
+	dst = append(dst, `,"Slack":`...)
+	dst = jsonenc.AppendFloat(dst, m.Slack)
+	return append(dst, '}'), true
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // WALWriter appends records to a log file. With syncEach set, every
 // append is fsynced before returning, so an acknowledged record
 // survives kill -9; without it, durability is best-effort until Sync.
@@ -140,25 +225,25 @@ func AppendWAL(path string, syncEach bool) (*WALWriter, error) {
 }
 
 // Append frames and writes one record. The frame is assembled into one
-// buffer and issued as a single write so a crash can only tear the
-// record's tail, never interleave two records.
+// buffer — the payload appended straight after the 8-byte header — and
+// issued as a single write so a crash can only tear the record's tail,
+// never interleave two records.
 func (w *WALWriter) Append(rec WALRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	b, ok := appendWALRecord(append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), &rec)
+	if !ok {
+		// A NaN or infinite slack: encoding/json refuses it, and its
+		// refusal is the error.
+		_, err := json.Marshal(rec)
 		return fmt.Errorf("qos: encoding wal record %d: %w", rec.Seq, err)
 	}
-	need := 8 + len(payload)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	b := w.buf[:need]
+	w.buf = b
+	payload := b[8:]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	copy(b[8:], payload)
 	if _, err := w.f.Write(b); err != nil {
 		return err
 	}
-	w.size += int64(need)
+	w.size += int64(len(b))
 	if w.syncEach {
 		return w.f.Sync()
 	}

@@ -1,10 +1,13 @@
 package qos
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -293,4 +296,62 @@ func crcCheck(t *testing.T, data []byte) {
 		}
 		off += 8 + n
 	}
+}
+
+// FuzzWALRecordEncoding holds the record appender to json.Marshal, the
+// encoder every log on disk was written with: equal bytes for every
+// record, and a refusal — through WALWriter.Append, as encoding/json's
+// own error — exactly when a slack is NaN or infinite.
+func FuzzWALRecordEncoding(f *testing.F) {
+	f.Add(int64(1), "admit", 7, uint8(0), uint64(0), 1, 7, 0, 0, int64(1000), int64(5000), int64(10), false, uint64(0),
+		3, uint8(1), math.Float64bits(0.05), true, int64(40), 2, false, int64(0), "", int64(0))
+	f.Add(int64(9), "cancel", -3, uint8(0), uint64(0), 0, 0, 0, 0, int64(0), int64(0), int64(0), false, uint64(0),
+		0, uint8(0), uint64(0), false, int64(0), 0, false, int64(0), "", int64(123))
+	f.Add(int64(1<<40), "a<b>&\"c\"", 1<<40, uint8(2), math.Float64bits(1e-7), 4, 16, 512, 1000, int64(-1), int64(1<<62), int64(-5), true, math.Float64bits(1e21),
+		-1, uint8(1), math.Float64bits(1.0/3), true, int64(-9), -4, true, int64(77), "no fit\n\t\u2028\u2029\xff\x01", int64(-1))
+	f.Add(int64(2), "admit", 1, uint8(1), math.Float64bits(math.NaN()), 1, 1, 0, 0, int64(1), int64(2), int64(3), true, math.Float64bits(0.05),
+		0, uint8(1), math.Float64bits(0.05), false, int64(0), 0, false, int64(0), "", int64(0))
+	f.Add(int64(3), "admit", 1, uint8(0), uint64(0), 1, 1, 0, 0, int64(1), int64(2), int64(3), true, math.Float64bits(math.Inf(-1)),
+		0, uint8(1), math.Float64bits(0.05), false, int64(0), 0, false, int64(0), "", int64(0))
+	f.Add(int64(4), "admit", 1, uint8(1), math.Float64bits(0.05), 1, 1, 0, 0, int64(1), int64(2), int64(3), false, uint64(0),
+		0, uint8(1), math.Float64bits(math.Inf(1)), false, int64(0), 0, false, int64(0), "", int64(0))
+	w, err := CreateWAL(filepath.Join(f.TempDir(), "wal.log"), false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer w.Close()
+	f.Fuzz(func(t *testing.T, seq int64, op string, job int, kind uint8, slack uint64,
+		cores, ways, mem, bw int, tw, deadline, arrival int64, negotiate bool, maxSlack uint64,
+		node int, finalKind uint8, finalSlack uint64,
+		accepted bool, start int64, resID int, autoDown bool, switchBack int64, reason string, now int64) {
+		rec := WALRecord{
+			Seq: seq, Op: WALOp(op), JobID: job,
+			Mode:      Mode{Kind: Kind(kind % 4), Slack: math.Float64frombits(slack)},
+			RUM:       RUM{Resources: ResourceVector{Cores: cores, CacheWays: ways, MemoryMB: mem, BandwidthMBps: bw}, MaxWallClock: tw, Deadline: deadline},
+			Arrival:   arrival,
+			Negotiate: negotiate,
+			MaxSlack:  math.Float64frombits(maxSlack),
+			Node:      node,
+			FinalMode: Mode{Kind: Kind(finalKind % 4), Slack: math.Float64frombits(finalSlack)},
+			Dec:       Decision{Accepted: accepted, Start: start, ReservationID: resID, AutoDowngraded: autoDown, SwitchBack: switchBack, Reason: reason},
+			Now:       now,
+		}
+		want, wantErr := json.Marshal(rec)
+		got, ok := appendWALRecord([]byte("hdr"), &rec)
+		if ok != (wantErr == nil) {
+			t.Fatalf("appender ok=%v, json.Marshal error %v", ok, wantErr)
+		}
+		if err := w.Append(rec); (err != nil) != (wantErr != nil) {
+			t.Fatalf("Append error %v, json.Marshal error %v", err, wantErr)
+		} else if err != nil {
+			var uv *json.UnsupportedValueError
+			if !errors.As(err, &uv) {
+				t.Fatalf("Append error %T %v, want encoding/json's *UnsupportedValueError", err, err)
+			}
+			return
+		}
+		if !bytes.Equal(got[len("hdr"):], want) {
+			t.Fatalf("appender:\n%s\njson.Marshal:\n%s", got[len("hdr"):], want)
+		}
+	})
 }

@@ -17,8 +17,9 @@ import (
 // answer, not a failure), 503 means the daemon refused to answer
 // (overload shed, draining, or the WAL poisoned by an append error;
 // retryable), 500 that the answer could not be logged and was taken
-// back, 409 a duplicate job id, 404 an unknown job, 400 a malformed
-// request.
+// back, 409 a duplicate job id, 404 an unknown job, 413 a body over the
+// cap, 400 a malformed request — one that is not exactly one JSON object
+// of the request's declared fields (codec.go).
 
 const maxBody = 1 << 20
 
@@ -153,6 +154,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
 func shed(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable, ShedResponse{Shed: true, Reason: reason})
@@ -175,16 +180,6 @@ func (s *Server) lockForDecision(w http.ResponseWriter) bool {
 	s.mu.Unlock()
 	shed(w, "write-ahead log degraded: refusing to decide what cannot be logged")
 	return false
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return false
-	}
-	return true
 }
 
 func parseMode(name string, slack float64) (qos.Mode, error) {
@@ -260,12 +255,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeSubmit(w, r, &req) {
 		return
 	}
 	mode, err := parseMode(req.Mode, req.Slack)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.nSubmit.Add(1)
@@ -300,7 +295,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	rum, arrival, err := s.rumFromRequest(&req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -309,8 +304,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if _, live := s.jobs[req.JobID]; live {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]string{
-			"error": fmt.Sprintf("job %d is already admitted", req.JobID)})
+		writeError(w, http.StatusConflict, fmt.Errorf("job %d is already admitted", req.JobID))
 		return
 	}
 	node, finalMode, dec := s.decide(req.JobID, rum, mode, arrival, negotiate, s.cfg.MaxSlack)
@@ -333,7 +327,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.snapshotLocked()
 		s.mu.Unlock()
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if dec.Accepted {
@@ -352,7 +346,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		s.nDegraded.Add(1)
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{
+	bp := getBuf()
+	*bp = SubmitResponse{
 		Accepted:       dec.Accepted,
 		JobID:          req.JobID,
 		Node:           node,
@@ -364,12 +359,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Degraded:       degraded,
 		Reason:         dec.Reason,
 		Seq:            rec.Seq,
-	})
+	}.appendJSON((*bp)[:0])
+	writeOK(w, bp)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req CancelRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeCancel(w, r, &req) {
 		return
 	}
 	// Cancels release resources, so they are admitted even while
@@ -384,15 +380,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.jobs[req.JobID]
 	if !ok {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("job %d is not admitted", req.JobID)})
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %d is not admitted", req.JobID))
 		return
 	}
 	rec := qos.WALRecord{Op: qos.WALCancel, JobID: req.JobID, Now: now}
 	if err := s.appendLocked(&rec); err != nil {
 		s.snapshotLocked()
 		s.mu.Unlock()
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.nodes[e.Node].Complete(req.JobID, e.Mode, now)
@@ -401,7 +396,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.maybeSnapshotLocked()
 	s.mu.Unlock()
 	s.nCancelled.Add(1)
-	writeJSON(w, http.StatusOK, CancelResponse{Cancelled: true, JobID: req.JobID, Node: e.Node, Seq: rec.Seq})
+	bp := getBuf()
+	*bp = CancelResponse{Cancelled: true, JobID: req.JobID, Node: e.Node, Seq: rec.Seq}.appendJSON((*bp)[:0])
+	writeOK(w, bp)
 }
 
 func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
@@ -410,17 +407,17 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeSubmit(w, r, &req) {
 		return
 	}
 	mode, err := parseMode(req.Mode, req.Slack)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	rum, arrival, err := s.rumFromRequest(&req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	qreq := qos.Request{JobID: req.JobID, Target: rum, Mode: mode, Arrival: arrival}
@@ -529,7 +526,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// The bare body stays byte-identical to the persisted snapshot (the
@@ -590,7 +587,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if err := s.beginDrain(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.mu.Lock()
