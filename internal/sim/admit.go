@@ -142,6 +142,7 @@ func (r *Runner) submitTemplateAs(tmpl workload.JobTemplate, dl workload.Deadlin
 // events and touches nothing else: the Job object and the deadline
 // bookkeeping are built only after acceptance.
 func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode, instr int64, dlFactor float64) bool {
+	r.ffProvedK = 0 // an acceptance changes the plan the window was priced on
 	r.submitIdx++
 	id := r.submitIdx
 	e := r.twFor(tmpl)

@@ -139,15 +139,15 @@ type ClusterRunner struct {
 
 	// Event-horizon calendar (DESIGN §11.4). A node is in exactly one of
 	// three places: due (it executes the current epoch), cal (it proved
-	// its next epochs steady and sleeps in a min-heap keyed by the
-	// absolute cycle that horizon expires), or retired (neither: no live
+	// its next epochs steady and sleeps in the bucket of the absolute
+	// cycle that horizon expires), or retired (neither: no live
 	// jobs and no pending fault points, so nothing can happen on it until
 	// an arrival lands). A node that cannot fast-forward — the trace
 	// engine — answers nextHorizon() == now and simply stays due while it
 	// has work. A sleeping or retired node's clock lags the
 	// cluster's; it catches up (bit-identically, via the same closed form
 	// it proved, or fastForwardIdle) before anything mutates it.
-	cal      *nodeHeap // sleeping nodes, key {horizonEnd, id, 0}
+	cal      *calendar // sleeping nodes by horizon
 	due      []int32   // nodes that must execute the current epoch
 	inDue    []bool
 	dueDirty bool    // due gained out-of-order entries since last sort
@@ -164,7 +164,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		dlmix:    workload.NewDeadlineStream(cfg.Node.Seed),
 		lastFin:  make([]int, cfg.Nodes),
 		lastGen:  make([]uint64, cfg.Nodes),
-		cal:      newNodeHeap(cfg.Nodes),
+		cal:      newCalendar(cfg.Nodes),
 		inDue:    make([]bool, cfg.Nodes),
 		horizons: make([]int64, cfg.Nodes),
 	}
@@ -248,14 +248,13 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		}
 		epochEnd := cr.now + E
 		cr.placeArrivals(epochEnd)
-		// Pop every sleeper whose horizon expires at this epoch.
-		for {
-			id, key, ok := cr.cal.top()
-			if !ok || key[0] > cr.now {
-				break
-			}
-			cr.cal.remove(id)
-			cr.markDue(id)
+		// Pop every sleeper whose horizon expires at this epoch. None is
+		// due already: wake takes a node out of the calendar first.
+		n0 := len(cr.due)
+		cr.due = cr.cal.popDue(cr.now, cr.due)
+		for _, id := range cr.due[n0:] {
+			cr.inDue[id] = true
+			cr.dueDirty = true
 		}
 		if cr.dueDirty {
 			slices.Sort(cr.due)
@@ -270,9 +269,9 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		// complete jobs or move their LAC.gen while sleeping — then re-arm
 		// each node: one due again at the very next epoch carries over in the
 		// (still sorted) due list, bypassing the calendar — event-dense
-		// fleets would otherwise pay two O(log N) heap moves per node per
-		// epoch for nothing — while a node with a further horizon goes to
-		// sleep in the calendar. The serial ascending order is what keeps
+		// fleets would otherwise file and pop every node every epoch for
+		// nothing — while a node with a further horizon goes to sleep in
+		// the calendar. The serial ascending order is what keeps
 		// the dispatch index, and so every later placement, independent of
 		// the worker count.
 		kept := cr.due[:0]
@@ -290,7 +289,7 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 				kept = append(kept, id)
 			default:
 				cr.inDue[id] = false
-				cr.cal.fix(int(id), nodeKey{horizons[i], int64(id), 0})
+				cr.cal.insert(int(id), horizons[i])
 			}
 		}
 		cr.due = kept
@@ -302,8 +301,8 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		// sleeping horizon, or the epoch holding the next arrival while
 		// arrivals still count toward the target.
 		next := int64(-1)
-		if _, key, ok := cr.cal.top(); ok {
-			next = key[0]
+		if h, ok := cr.cal.top(); ok {
+			next = h
 		}
 		if cr.accepted < cr.cfg.AcceptTarget {
 			if arrEpoch := cr.nextArr - cr.nextArr%E; next < 0 || arrEpoch < next {

@@ -154,22 +154,20 @@ func nodeReports(cr *ClusterRunner) []*Report {
 	return reps
 }
 
-// TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
-// event calendar, with fault plans as calendar entries and nodes that
-// cannot fast-forward simply staying due — to the lock-step oracle, on
-// the fleet report and on every node's report, at workers 1 and 4. The
-// oracle steps idle tails the calendar never replays, so the epoch
-// counters and the fragmentation ratios (whose denominator is the epoch
-// count) are the only fields masked.
-func TestClusterMatchesLockStepOracle(t *testing.T) {
-	type fleetCase struct {
-		name string
-		cfg  ClusterConfig
-		// What the case must demonstrably exercise, so it cannot go
-		// vacuous: fault transitions firing inside the run, closed-form
-		// skipping on the calendar side, controller retunes.
-		faults, skips, retunes bool
-	}
+// fleetCase is one fleet of the lock-step oracle's table.
+type fleetCase struct {
+	name string
+	cfg  ClusterConfig
+	// What the case must demonstrably exercise, so it cannot go
+	// vacuous: fault transitions firing inside the run, closed-form
+	// skipping on the calendar side, controller retunes.
+	faults, skips, retunes bool
+}
+
+// oracleFleets is the table TestClusterMatchesLockStepOracle runs: every
+// dispatcher clean and under seeded fault storms, pid/aimd with and
+// without faults, AutoDown on Mix-1, and a trace-engine fleet.
+func oracleFleets() []fleetCase {
 	var cases []fleetCase
 	storm := func(seed int64, rate float64) fault.Plan {
 		return fault.Generate(seed, rate, 40_000_000, 4, 16)
@@ -226,7 +224,17 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 		}}
 		cases = append(cases, fleetCase{name: "trace-engine/faults", cfg: cfg, faults: true})
 	}
+	return cases
+}
 
+// TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
+// event calendar, with fault plans as calendar entries and nodes that
+// cannot fast-forward simply staying due — to the lock-step oracle, on
+// the fleet report and on every node's report, at workers 1 and 4. The
+// oracle steps idle tails the calendar never replays, so the epoch
+// counters and the fragmentation ratios (whose denominator is the epoch
+// count) are the only fields masked.
+func TestClusterMatchesLockStepOracle(t *testing.T) {
 	maskFleet := func(rep *ClusterReport) ClusterReport {
 		cp := *rep
 		cp.EpochsStepped, cp.EpochsSkipped = 0, 0
@@ -237,7 +245,7 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 		cp.EpochsStepped, cp.EpochsSkipped, cp.Frag = 0, 0, Fragmentation{}
 		return cp
 	}
-	for _, tc := range cases {
+	for _, tc := range oracleFleets() {
 		t.Run(tc.name, func(t *testing.T) {
 			wantFleet, wantNodes := runLockStep(t, tc.cfg)
 			for i, n := range wantNodes {
@@ -293,5 +301,45 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 				w1Fleet.Accepted, w1Fleet.RejectedProbes, fired, terminated,
 				w1Fleet.EpochsStepped, wantFleet.EpochsStepped, w1Fleet.EpochsSkipped)
 		})
+	}
+}
+
+// TestFleetEpochCountersPinned pins which windows a fleet proves: the
+// oracle masks the epoch counters, so without this only the benchmark's
+// digest would notice a change in how many node-epochs the calendar
+// steps or skips. The literals are the counts of catchUp re-proving
+// every window: reusing the proved one must not change them.
+func TestFleetEpochCountersPinned(t *testing.T) {
+	// name → {EpochsStepped, EpochsSkipped, RejectedProbes, LACProbes}
+	want := map[string][4]int64{
+		"bestfit":                      {1126, 1719, 7, 96},
+		"locality":                     {989, 1854, 7, 1744},
+		"oversub":                      {1065, 1756, 0, 96},
+		"worstfit":                     {1190, 1731, 1, 96},
+		"probeall":                     {1126, 1719, 7, 3392},
+		"bestfit/faults-seed1-rate400": {1304, 3618, 7, 116},
+		"pid/faults":                   {2373, 3259, 29, 403},
+		"autodown-mix1":                {388, 1647, 0, 3168},
+	}
+	ran := 0
+	for _, tc := range oracleFleets() {
+		w, ok := want[tc.name]
+		if !ok {
+			continue
+		}
+		ran++
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := newTestCluster(t, tc.cfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [4]int64{rep.EpochsStepped, rep.EpochsSkipped, int64(rep.RejectedProbes), rep.LACProbes}
+			if got != w {
+				t.Errorf("{stepped, skipped, rejected probes, LAC probes} = %v, pinned %v", got, w)
+			}
+		})
+	}
+	if ran != len(want) {
+		t.Errorf("ran %d of the %d pinned fleets; a case was renamed", ran, len(want))
 	}
 }

@@ -74,14 +74,24 @@ type Runner struct {
 	// / EpochsSkipped); ffDeltas/ffDeltas2 are steadyWindow's per-job
 	// delta scratch — one slice per parity of the bus cycle it proved
 	// (ffPeriod 1 or 2) — consumed by the applySteady that follows it.
-	nStepped  int64
-	nSkipped  int64
-	ffPeriod  int64
-	ffDeltas  []jobDelta
-	ffDeltas2 []jobDelta
-	ffFails   int64 // consecutive priced failed proofs (backoff input)
-	ffDefer   int64 // steps left before the next window proof attempt
-	ffPriced  bool  // last attempt reached the O(jobs) delta pricing
+	// ffProvedK is the window nextHorizon proved at cycle ffProvedAt,
+	// still priced in that scratch: catchUp applies it instead of proving
+	// it again while the node's clock still reads ffProvedAt and step or
+	// admit has not dropped it (fastforward.go).
+	nStepped   int64
+	nSkipped   int64
+	ffPeriod   int64
+	ffDeltas   []jobDelta
+	ffDeltas2  []jobDelta
+	ffFails    int64 // consecutive priced failed proofs (backoff input)
+	ffDefer    int64 // steps left before the next window proof attempt
+	ffProvedAt int64
+	ffProvedK  int64
+	ffPriced   bool // last attempt reached the O(jobs) delta pricing
+	// reproveCatchUp is set only by this package's differential tests: it
+	// makes catchUp ignore the recorded window and prove it again — the
+	// reference the memo is held to.
+	reproveCatchUp bool
 
 	// Closed-loop control plane (progress.go): the configured feedback
 	// controller (nil = "static", the open-loop default), the reusable
@@ -306,6 +316,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Report, error) {
 // byte-for-byte the one a full rebuild would produce, because every
 // input of Assign/Allocate is unchanged between events.
 func (r *Runner) step() {
+	r.ffProvedK = 0
 	epochEnd := r.now + r.cfg.EpochCycles
 	r.applyFaults(epochEnd)
 	if !r.external {

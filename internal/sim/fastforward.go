@@ -555,7 +555,26 @@ func (r *Runner) applySteady(k int64) {
 // whenever steadyWindow cannot prove the next one steady. Either path
 // is the exact legacy epoch sequence, so a node that slept on a stale
 // horizon still replays bit-identically.
+//
+// The first window is the one nextHorizon proved before the node went
+// to sleep, when that record still holds: nothing since has moved the
+// clock or mutated the node, so steadyWindow(need) would re-derive
+// min(k, need) rounded down to the bus period — every cap it takes is
+// min(k, C) with C independent of maxK — from the very deltas still in
+// the scratch, and leave the backoff meter where it is (a proof that
+// succeeded ran with ffDefer 0 and left ffFails 0). When the rounding
+// leaves nothing (a period-2 window woken after an odd number of
+// epochs), the loop below takes the priced failure and the step that
+// re-proving would.
 func (r *Runner) catchUp(to int64) {
+	if k := r.ffProvedK; k > 0 && r.ffProvedAt == r.now && !r.reproveCatchUp {
+		if need := (to - r.now) / r.cfg.EpochCycles; need < k {
+			k = need
+		}
+		if k -= k % r.ffPeriod; k > 0 {
+			r.applySteady(k)
+		}
+	}
 	for r.now < to {
 		need := (to - r.now) / r.cfg.EpochCycles
 		if need > ffChunkEpochs {
@@ -570,7 +589,10 @@ func (r *Runner) catchUp(to int64) {
 }
 
 // nextHorizon returns the absolute cycle at which this node next needs
-// to execute an epoch — the cluster calendar key after a step.
+// to execute an epoch — the cluster calendar key after a step — and
+// records the window it proved for catchUp.
 func (r *Runner) nextHorizon() int64 {
-	return r.now + r.steadyWindow(ffChunkEpochs)*r.cfg.EpochCycles
+	k := r.steadyWindow(ffChunkEpochs)
+	r.ffProvedAt, r.ffProvedK = r.now, k
+	return r.now + k*r.cfg.EpochCycles
 }

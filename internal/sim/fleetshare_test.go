@@ -48,13 +48,14 @@ func TestFleetAllocBudget(t *testing.T) {
 
 // TestJobAndRunnerSize pins the two structs a fleet allocates by the
 // thousand to their malloc size classes: a field added to either is a
-// decision, not an accident.
+// decision, not an accident. Runner measures 992 bytes (976 before the
+// catch-up memo's two fields), in the 1024-byte class.
 func TestJobAndRunnerSize(t *testing.T) {
 	if got := unsafe.Sizeof(Job{}); got > 288 {
 		t.Errorf("Job is %d bytes, over the 288-byte size class", got)
 	}
-	if got := unsafe.Sizeof(Runner{}); got > 1152 {
-		t.Errorf("Runner is %d bytes, over the 1152-byte size class", got)
+	if got := unsafe.Sizeof(Runner{}); got > 1024 {
+		t.Errorf("Runner is %d bytes, over the 1024-byte size class", got)
 	}
 }
 
