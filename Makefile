@@ -52,8 +52,9 @@ race:
 # parsers must never crash on arbitrary input, and the indexed Timeline
 # must stay bit-identical to its naive reference on any op sequence,
 # the GAC's bounded scan must answer and bill exactly as probing every
-# node does, the WAL decoder must recover an intact prefix from any
-# bytes, the WAL record appender must write json.Marshal's bytes (and
+# node does (and a plan that is never committed bills nothing), the WAL
+# decoder must recover an intact prefix from any bytes, the WAL record
+# appender must write json.Marshal's bytes (and
 # refuse what it refuses) for any record, the hand-written snapshot
 # encoder must write encoding/json's bytes for any LAC (internal/qos)
 # and any daemon state (internal/server), the request scanner must

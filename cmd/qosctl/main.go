@@ -101,15 +101,15 @@ func main() {
 		if name == "" {
 			name = fmt.Sprintf("job-%d", req.JobID)
 		}
-		var node int
-		var mode qos.Mode
-		var dec qos.Decision
+		var p qos.Placement
 		if *negotiate {
-			node, mode, dec = gac.SubmitOrNegotiate(req, 0.05)
+			p = gac.PlanOrNegotiate(req, 0.05)
 		} else {
-			mode = req.Mode
-			node, dec = gac.Submit(req)
+			p = gac.Plan(req)
 		}
+		// The admitted mode, which the oversub retry and the ladder may
+		// have weakened.
+		node, mode, dec := p.Node, p.Mode, gac.Commit(p)
 		if !dec.Accepted {
 			rejected++
 			fmt.Printf("%-10s %-15s %4s  %9s  %12s      REJECTED: %s\n",
@@ -125,8 +125,10 @@ func main() {
 		outcome := "accepted"
 		if dec.AutoDowngraded {
 			outcome = "accepted (auto-downgraded)"
-		} else if mode != req.Mode {
+		} else if mode != req.Mode && *negotiate {
 			outcome = "accepted (negotiated)"
+		} else if mode != req.Mode {
+			outcome = "accepted (oversubscribed)"
 		}
 		fmt.Printf("%-10s %-15s %4d  %9.1f  %12s      %s\n",
 			name, mode.String(), node, float64(dec.Start)/hz*1e3, resv, outcome)

@@ -64,3 +64,34 @@ func TestDispatchWithSimulate(t *testing.T) {
 		t.Errorf("-dispatch worstfit: exit %d, want %d and the schedule:\n%s", code, cli.ExitOK, out)
 	}
 }
+
+// TestOversubPrintsAdmittedMode: a Strict job that fits nowhere is
+// admitted Opportunistically under oversub, and its line says so — the
+// mode it runs in and no reserved length — with or without -negotiate.
+func TestOversubPrintsAdmittedMode(t *testing.T) {
+	jobs := filepath.Join(t.TempDir(), "jobs.qos")
+	spec := "node count=1 cores=4 ways=16\n" +
+		"job name=a bench=bzip2 mode=strict preset=medium tw=500ms deadline=1.1\n" +
+		"job name=b bench=bzip2 mode=strict preset=medium tw=500ms deadline=1.1\n" +
+		"job name=c bench=bzip2 mode=strict preset=medium tw=500ms deadline=1.1\n"
+	if err := os.WriteFile(jobs, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ flag, outcome string }{
+		{"-negotiate=false", "accepted (oversubscribed)"},
+		{"-negotiate", "accepted (negotiated)"},
+	} {
+		out, code := runMain(t, "-dispatch", "oversub", c.flag, jobs)
+		var line string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "c ") {
+				line = l
+			}
+		}
+		f := strings.Fields(line)
+		if code != cli.ExitOK || len(f) < 5 || f[1] != "Opportunistic" || f[4] != "-" || !strings.HasSuffix(line, c.outcome) {
+			t.Errorf("-dispatch oversub %s: exit %d, job c's line %q; want it Opportunistic, no reserved length, %q:\n%s",
+				c.flag, code, line, c.outcome, out)
+		}
+	}
+}

@@ -12,17 +12,20 @@ import (
 // earliest start — rejecting (or letting the caller negotiate) when no
 // node can satisfy the target.
 //
-// The paper's GAC "probes each CMP node's LAC", and every node is still
-// billed one admission test per sweep, exactly as if it had been (the
-// modeled §7.5 occupancy and the probe counters are durable state). The
-// placement search itself asks only the nodes that could still win: the
-// GAC keeps a derived, never-persisted table of lower bounds on each
-// node's earliest feasible start per request shape, and a node whose
-// bound already proves it infeasible or beaten is skipped without a
-// timeline descent. The bounds change how much work a Submit does, never
-// its answer (DESIGN §12 has the soundness argument; the differential
-// suite in gac_equivalence_test.go holds it to a probe-every-node oracle). A GAC is
-// not safe for concurrent use.
+// Placement is two steps: Plan decides without changing any node, and
+// Commit applies the decision, so a caller can make it durable in between
+// (internal/server logs it first). The paper's GAC "probes each CMP
+// node's LAC", and Commit still bills every swept node one admission
+// test, exactly as if it had been (the modeled §7.5 occupancy and the
+// probe counters are durable state). The placement search itself asks
+// only the nodes that could still win: the GAC keeps a derived,
+// never-persisted table of lower bounds on each node's earliest feasible
+// start per request shape, and a node whose bound already proves it
+// infeasible or beaten is skipped without a timeline descent. The bounds
+// change how much work a Plan does, never its answer (DESIGN §12 has the
+// soundness argument; the differential suite in gac_equivalence_test.go
+// holds it to a probe-every-node oracle). A GAC is not safe for
+// concurrent use.
 type GAC struct {
 	nodes    []*LAC
 	strategy Strategy
@@ -75,7 +78,8 @@ const (
 // searches the bounds table saved over probing every node.
 type GACStats struct {
 	// Charged is how many admission tests sweeps billed to nodes: what
-	// probing every node costs, and what the occupancy model records.
+	// probing every node costs, and what the occupancy model records once
+	// the placement is committed.
 	Charged int64 `json:"charged"`
 	// Probes is how many nodes were really asked for a decision.
 	Probes int64 `json:"probes"`
@@ -166,10 +170,81 @@ func (g *GAC) SetStrategy(name string) error {
 	return nil
 }
 
+// Placement is a planned admission: the answer a GAC sweep reached and
+// the sweeps that reached it. Plan and PlanOrNegotiate compute one
+// without changing any node; Commit applies it. A placement describes the
+// nodes as they stood when it was planned, so nothing may change a node
+// between the two. A placement that is never committed leaves no trace
+// in any node.
+type Placement struct {
+	// Node is the node the job is admitted at, -1 on rejection.
+	Node int
+	// Mode is the mode the job is admitted in: the asked mode, or the
+	// weaker one the oversub retry or the negotiation ladder landed it in.
+	// On rejection it is the asked mode.
+	Mode Mode
+	// Dec is the decision Commit returns, reservation id included.
+	Dec Decision
+
+	req    Request // what Commit admits at Node
+	sweeps [6]sweep
+	nsweep int
+}
+
+// sweep is n nodes from first, wrapping; Commit bills each one admission
+// test. A ladder rung sweeps at most twice (the locality window and the
+// full sweep, or the full sweep and the oversub retry), and there are at
+// most three rungs.
+type sweep struct{ first, n int }
+
 // Submit sweeps the nodes per the configured strategy and admits the
-// request at the winner. It returns the chosen node index and the
-// decision; node == -1 on global rejection.
+// request at the winner: Commit(Plan(req)). It returns the chosen node
+// index and the decision; node == -1 on global rejection.
 func (g *GAC) Submit(req Request) (node int, dec Decision) {
+	p := g.Plan(req)
+	return p.Node, g.Commit(p)
+}
+
+// Plan decides where Submit would admit the request without changing any
+// node: only the derived bounds table and the counters move.
+func (g *GAC) Plan(req Request) Placement {
+	var p Placement
+	g.plan(&p, req)
+	return p
+}
+
+// Commit applies a placement planned against the nodes as they still
+// stand: it bills every swept node one admission test, admits the job at
+// the winner and returns the planned decision.
+func (g *GAC) Commit(p Placement) Decision {
+	for _, s := range p.sweeps[:p.nsweep] {
+		end := s.first + s.n
+		for _, lac := range g.nodes[s.first:min(end, len(g.nodes))] {
+			lac.charge()
+		}
+		for _, lac := range g.nodes[:max(end-len(g.nodes), 0)] {
+			lac.charge()
+		}
+	}
+	if p.Node == -1 {
+		return p.Dec
+	}
+	if dec := g.nodes[p.Node].Admit(p.req); dec != p.Dec {
+		panic(fmt.Sprintf("qos: node %d admitted %+v, planned %+v: a node changed between Plan and Commit", p.Node, dec, p.Dec))
+	}
+	if p.Dec.ReservationID != 0 {
+		// The new reservation may have pushed this node's starts later:
+		// its bounds still hold but are no longer exact.
+		for _, row := range g.rows {
+			row[p.Node] &^= 1
+		}
+	}
+	return p.Dec
+}
+
+// plan runs one rung's sweeps into p: its answer replaces p's, its
+// sweeps join those of the rungs before it.
+func (g *GAC) plan(p *Placement, req Request) {
 	if req.Arrival < g.lastArrival {
 		// A bound learned at a later arrival says nothing about an
 		// earlier one. Stamps are client-supplied, so this can happen.
@@ -180,61 +255,62 @@ func (g *GAC) Submit(req Request) (node int, dec Decision) {
 	}
 	g.lastArrival = req.Arrival
 
+	asked := req.Mode
 	n := len(g.nodes)
-	node = -1
+	node, dec := -1, Decision{}
 	if g.strategy == Locality {
 		home := int(mix64(uint64(req.JobID)) % uint64(n))
-		node = g.scan(req, home, min(localityWindow, n))
+		node, dec = g.scan(p, req, home, min(localityWindow, n))
 	}
 	if node == -1 {
 		// For locality: nothing near home, so fall back to the full sweep
 		// and never reject a job bestfit would have placed.
-		node = g.scan(req, 0, n)
+		node, dec = g.scan(p, req, 0, n)
 	}
 	if node == -1 && g.strategy == Oversub && req.Mode.Kind != KindOpportunistic {
 		// Oversubscribe: the reserved-mode request fits nowhere, but the
 		// fleet may still have unreserved cores — run it Opportunistically
 		// rather than bouncing it.
 		req.Mode = Opportunistic()
-		node = g.scan(req, 0, n)
+		node, dec = g.scan(p, req, 0, n)
 	}
 	if node == -1 {
-		return -1, Decision{Reason: "qos: no node can satisfy the QoS target"}
+		p.Node, p.Mode, p.Dec = -1, asked, Decision{Reason: "qos: no node can satisfy the QoS target"}
+		return
 	}
-	dec = g.nodes[node].Admit(req)
-	if dec.ReservationID != 0 {
-		// The new reservation may have pushed this node's starts later:
-		// its bounds still hold but are no longer exact.
-		for _, row := range g.rows {
-			row[node] &^= 1
-		}
+	if req.Mode.Kind != KindOpportunistic {
+		// Peek answers as Admit does but reserves nothing; Admit's
+		// reservation takes the timeline's next id.
+		dec.ReservationID = g.nodes[node].timeline.nextID
 	}
-	return node, dec
+	p.Node, p.Mode, p.Dec, p.req = node, req.Mode, dec, req
 }
 
-// scan sweeps n nodes from first (wrapping) and returns the one Submit
-// should admit at, or -1: the willing node with the earliest start, or
-// under worstfit the fewest live reservations, ties to the node swept
-// first. Every node is charged one admission test. It is asked for a
+// scan sweeps n nodes from first (wrapping), records the sweep in p, and
+// returns the node Submit should admit at with its Peek answer, or -1:
+// the willing node with the earliest start, or under worstfit the fewest
+// live reservations, ties to the node swept first. Every node swept is
+// billed one admission test when p is committed. It is asked for a
 // decision only while the earliest start it could offer — its arrival,
 // or its learned bound if later — still meets the deadline and beats the
 // best start in hand. Nodes that do not place earliest-fit have no bound
 // and are asked until a start at the arrival itself settles the sweep,
 // which is also how an Opportunistic request (it starts on arrival
 // wherever it lands) stops at the first willing node.
-func (g *GAC) scan(req Request, first, n int) int {
+func (g *GAC) scan(p *Placement, req Request, first, n int) (best int, bestDec Decision) {
+	p.sweeps[p.nsweep] = sweep{first, n}
+	p.nsweep++
+	g.stats.Charged += int64(n)
 	row, vec, floor, limit, learn := g.boundsFor(req)
 	ta := req.Arrival
 	byLoad := g.strategy == WorstFit
-	best, bestStart, bestLen := -1, int64(0), 0
+	best, bestLen := -1, 0
 	for k := 0; k < n; k++ {
 		i := first + k
 		if i >= len(g.nodes) {
 			i -= len(g.nodes)
 		}
 		lac := g.nodes[i]
-		lac.charge()
-		g.stats.Charged++
 		if byLoad && best != -1 && lac.timeline.Len() >= bestLen {
 			g.stats.PrunedBeaten++
 			continue
@@ -253,7 +329,7 @@ func (g *GAC) scan(req Request, first, n int) int {
 			e := row[i]
 			lb = max(lb, e>>1)
 			stale := e&1 == 0 || e>>1 < ta
-			if stale && learn && lb <= limit && !(byStart && lb >= bestStart) {
+			if stale && learn && lb <= limit && !(byStart && lb >= bestDec.Start) {
 				// The bound does not rule the node out but may be loose:
 				// tighten it before paying for a full decision.
 				s, ok := lac.earliestStart(vec, ta, floor)
@@ -269,7 +345,7 @@ func (g *GAC) scan(req Request, first, n int) int {
 			g.stats.PrunedInfeasible++
 			continue
 		}
-		if byStart && lb >= bestStart {
+		if byStart && lb >= bestDec.Start {
 			g.stats.PrunedBeaten++
 			continue
 		}
@@ -278,12 +354,12 @@ func (g *GAC) scan(req Request, first, n int) int {
 		switch {
 		case !d.Accepted:
 		case byLoad:
-			best, bestLen = i, lac.timeline.Len()
-		case best == -1 || d.Start < bestStart:
-			best, bestStart = i, d.Start
+			best, bestDec, bestLen = i, d, lac.timeline.Len()
+		case best == -1 || d.Start < bestDec.Start:
+			best, bestDec = i, d
 		}
 	}
-	return best
+	return best, bestDec
 }
 
 // boundsFor resolves a request to its row of the bounds table. row is nil
@@ -354,18 +430,32 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// SubmitOrNegotiate is Submit plus the §3.1 negotiation loop: when the
-// requested mode is rejected everywhere, it retries with progressively
-// weaker modes (Strict → Elastic(maxSlack) → Opportunistic) and reports
-// the mode that was finally accepted.
+// SubmitOrNegotiate is Submit plus the §3.1 negotiation loop:
+// Commit(PlanOrNegotiate(req, maxSlack)). It reports the mode the job
+// was finally admitted in.
 func (g *GAC) SubmitOrNegotiate(req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
-	return negotiate(g.Submit, req, maxSlack)
+	p := g.PlanOrNegotiate(req, maxSlack)
+	return p.Node, p.Mode, g.Commit(p)
 }
 
-// negotiate walks the mode ladder over any Submit (the GAC's, or the
-// test oracle's).
-func negotiate(submit func(Request) (int, Decision), req Request, maxSlack float64) (node int, finalMode Mode, dec Decision) {
-	modes := []Mode{req.Mode}
+// PlanOrNegotiate is Plan plus the §3.1 negotiation loop: when the
+// requested mode is rejected everywhere, it retries with progressively
+// weaker modes (Strict → Elastic(maxSlack) → Opportunistic). The
+// placement bills the sweeps of every rung it tried.
+func (g *GAC) PlanOrNegotiate(req Request, maxSlack float64) Placement {
+	var p Placement
+	p.Node, p.Mode, p.Dec = negotiate(func(r Request) (int, Mode, Decision) {
+		g.plan(&p, r)
+		return p.Node, p.Mode, p.Dec
+	}, req, maxSlack)
+	return p
+}
+
+// negotiate walks the mode ladder over any placement step (the GAC's
+// plan, or the test oracle's submit), which answers the node, the mode it
+// admitted in and the decision.
+func negotiate(try func(Request) (int, Mode, Decision), req Request, maxSlack float64) (node int, mode Mode, dec Decision) {
+	modes := append(make([]Mode, 0, 3), req.Mode)
 	if req.Mode.Kind == KindStrict && maxSlack > 0 {
 		modes = append(modes, Elastic(maxSlack))
 	}
@@ -375,8 +465,8 @@ func negotiate(submit func(Request) (int, Decision), req Request, maxSlack float
 	for _, m := range modes {
 		r := req
 		r.Mode = m
-		if n, d := submit(r); d.Accepted {
-			return n, m, d
+		if n, am, d := try(r); d.Accepted {
+			return n, am, d
 		}
 	}
 	return -1, req.Mode, Decision{Reason: "qos: negotiation exhausted all modes"}

@@ -7,12 +7,14 @@ import (
 )
 
 // Differential testing of the GAC's bounded scan: whatever the bounds
-// table has learned, pruned or forgotten, GAC.Submit must answer exactly
-// as the probe-every-node reference does — same node, same Decision —
-// and leave every LAC in byte-identical durable state (the charged
-// probes and occupancy cycles are in the snapshot). The harness reads
-// raw bytes as a fleet description plus an op stream, applies it to two
-// identical fleets in lock-step, and fails on the first divergence.
+// table has learned, pruned or forgotten, a committed GAC.Plan must
+// answer exactly as the probe-every-node reference does — same node,
+// same admitted mode, same Decision — and leave every LAC in
+// byte-identical durable state (the charged probes and occupancy cycles
+// are in the snapshot). A plan that is dropped instead of committed must
+// leave no trace at all. The harness reads raw bytes as a fleet
+// description plus an op stream, applies it to two identical fleets in
+// lock-step, and fails on the first divergence.
 
 type gacJob struct {
 	id, node, resID int
@@ -121,6 +123,15 @@ func (p *gacPair) jobID() int {
 	return (n%7 - 3) * [4]int{1, 13, 977, 40009}[n%4] * (1 + n/28)
 }
 
+// plan plans a submission on the fast fleet, through the negotiation
+// ladder or not.
+func (p *gacPair) plan(req Request, negotiate bool) Placement {
+	if negotiate {
+		return p.fast.PlanOrNegotiate(req, 0.1)
+	}
+	return p.fast.Plan(req)
+}
+
 func (p *gacPair) admitted(req Request, node int, mode Mode, dec Decision) {
 	if dec.Accepted {
 		p.jobs = append(p.jobs, gacJob{id: req.JobID, node: node, resID: dec.ReservationID, mode: mode})
@@ -133,26 +144,29 @@ func (p *gacPair) step(op []byte) {
 	p.clock += int64(op[5]) << p.stepShift >> 8
 	n := len(p.fastNodes)
 	switch kind := op[0] % 16; {
-	case kind <= 7:
-		req := p.request(op)
-		fn, fd := p.fast.Submit(req)
-		nn, nd := p.naive.Submit(req)
-		if fn != nn || fd != nd {
-			p.t.Fatalf("Submit(%+v) = node %d %+v, probe-all node %d %+v", req, fn, fd, nn, nd)
+	case kind <= 8:
+		req, negotiate := p.request(op), kind == 8
+		if op[0]&0x80 != 0 {
+			// Plan on the fast fleet only and drop the plan, as the daemon
+			// does when its log refuses the record: the byte comparison
+			// at the end of the stream shows whatever it left behind.
+			p.plan(req, negotiate)
 		}
-		mode := req.Mode
-		if p.fast.strategy == Oversub && fd.Accepted && fd.ReservationID == 0 {
-			mode = Opportunistic() // the oversub retry may have landed it
+		fp := p.plan(req, negotiate)
+		fd := p.fast.Commit(fp)
+		var nn int
+		var nm Mode
+		var nd Decision
+		if negotiate {
+			nn, nm, nd = p.naive.SubmitOrNegotiate(req, 0.1)
+		} else {
+			nn, nm, nd = p.naive.Submit(req)
 		}
-		p.admitted(req, fn, mode, fd)
-	case kind == 8:
-		req := p.request(op)
-		fn, fm, fd := p.fast.SubmitOrNegotiate(req, 0.1)
-		nn, nm, nd := p.naive.SubmitOrNegotiate(req, 0.1)
-		if fn != nn || fm != nm || fd != nd {
-			p.t.Fatalf("SubmitOrNegotiate(%+v) = node %d %v %+v, probe-all node %d %v %+v", req, fn, fm, fd, nn, nm, nd)
+		if fp.Node != nn || fp.Mode != nm || fd != nd {
+			p.t.Fatalf("negotiate=%v %+v: node %d %v %+v, probe-all node %d %v %+v",
+				negotiate, req, fp.Node, fp.Mode, fd, nn, nm, nd)
 		}
-		p.admitted(req, fn, fm, fd)
+		p.admitted(req, fp.Node, fp.Mode, fd)
 	case kind == 9: // an admission the GAC never sees
 		req, i := p.request(op), int(op[0]>>4)%n
 		fd, nd := p.fastNodes[i].Admit(req), p.naiveNodes[i].Admit(req)
@@ -354,7 +368,8 @@ func TestGACBoundsPrune(t *testing.T) {
 }
 
 // TestGACSubmitZeroAlloc pins the admit path: once a shape has its row,
-// the scan and its counters allocate nothing beyond what LAC.Admit does.
+// the scan, the placement and its counters allocate nothing beyond what
+// LAC.Admit does — a plan dropped before its commit included.
 func TestGACSubmitZeroAlloc(t *testing.T) {
 	g := NewGAC(NewLAC(nodeCap()), NewLAC(nodeCap()), NewLAC(nodeCap()))
 	rum := &RUM{Resources: PresetMedium(), MaxWallClock: 1000, Deadline: 1500}
@@ -363,12 +378,16 @@ func TestGACSubmitZeroAlloc(t *testing.T) {
 		g.Submit(req) // fills the fleet: 2 per node
 	}
 	allocs := testing.AllocsPerRun(100, func() {
+		g.Plan(req) // dropped, as when the daemon's log refuses the record
+		if d := g.Commit(g.Plan(req)); d.Accepted {
+			t.Fatal("a full fleet accepted")
+		}
 		if _, d := g.Submit(req); d.Accepted {
 			t.Fatal("a full fleet accepted")
 		}
 		g.Stats()
 	})
 	if allocs != 0 {
-		t.Errorf("rejecting Submit allocated %.1f times per call, want 0", allocs)
+		t.Errorf("rejecting Plan, Plan+Commit and Submit allocated %.1f times per call, want 0", allocs)
 	}
 }

@@ -10,17 +10,21 @@ type naiveGAC struct {
 	strategy Strategy
 }
 
-func (g *naiveGAC) Submit(req Request) (node int, dec Decision) {
+// Submit admits the request and answers the node, the mode it was
+// admitted in (the asked mode on rejection) and the decision.
+func (g *naiveGAC) Submit(req Request) (node int, mode Mode, dec Decision) {
 	switch g.strategy {
 	case WorstFit:
-		return g.submitWorstFit(req)
+		node, dec = g.submitWorstFit(req)
 	case Oversub:
-		if n, d := g.submitBestFit(req); d.Accepted || req.Mode.Kind == KindOpportunistic {
-			return n, d
+		if node, dec = g.submitBestFit(req); dec.Accepted || req.Mode.Kind == KindOpportunistic {
+			break
 		}
 		r := req
 		r.Mode = Opportunistic()
-		return g.submitBestFit(r)
+		if node, dec = g.submitBestFit(r); dec.Accepted {
+			return node, r.Mode, dec
+		}
 	case Locality:
 		home := int(mix64(uint64(req.JobID)) % uint64(len(g.nodes)))
 		best := -1
@@ -34,12 +38,14 @@ func (g *naiveGAC) Submit(req Request) (node int, dec Decision) {
 			}
 		}
 		if best != -1 {
-			return best, g.nodes[best].Admit(req)
+			node, dec = best, g.nodes[best].Admit(req)
+		} else {
+			node, dec = g.submitBestFit(req)
 		}
-		return g.submitBestFit(req)
 	default:
-		return g.submitBestFit(req)
+		node, dec = g.submitBestFit(req)
 	}
+	return node, req.Mode, dec
 }
 
 func (g *naiveGAC) submitBestFit(req Request) (node int, dec Decision) {

@@ -1,5 +1,7 @@
 package qos
 
+import "cmp"
+
 // Negotiation (§3.1): when no timeslot satisfies a job's QoS target, the
 // admission controller can propose an alternative target instead of a
 // bare rejection — the user decides whether the alternative is
@@ -117,13 +119,13 @@ func (l *LAC) Negotiate(req Request) []Offer {
 }
 
 // NegotiateBest probes every node for counter-offers and returns the
-// globally best one per kind (earliest start; most ways for the
-// fewer-ways kind), with the node that made it.
+// first in CompareOffers order, with the node that made it (the lowest
+// such node on a tie).
 func (g *GAC) NegotiateBest(req Request) (node int, best Offer, ok bool) {
 	node = -1
 	for i, lac := range g.nodes {
 		for _, off := range lac.Negotiate(req) {
-			if !ok || betterOffer(off, best) {
+			if !ok || CompareOffers(off, best) < 0 {
 				node, best, ok = i, off, true
 			}
 		}
@@ -131,14 +133,12 @@ func (g *GAC) NegotiateBest(req Request) (node int, best Offer, ok bool) {
 	return node, best, ok
 }
 
-// betterOffer orders offers: fewer-concession kinds first, then earlier
-// starts, then more ways.
-func betterOffer(a, b Offer) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.Resources.CacheWays > b.Resources.CacheWays
+// CompareOffers orders offers by preference, in the form slices.SortFunc
+// takes: fewer-concession kinds first, then earlier starts, then more
+// ways.
+func CompareOffers(a, b Offer) int {
+	return cmp.Or(
+		cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Start, b.Start),
+		cmp.Compare(b.Resources.CacheWays, a.Resources.CacheWays))
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"cmpqos/internal/qos"
@@ -15,11 +15,11 @@ import (
 // them at 1 MB and answer JSON throughout. Status codes: 200 carries an
 // admission answer (accepted or rejected — a rejection is a valid
 // answer, not a failure), 503 means the daemon refused to answer
-// (overload shed, draining, or the WAL poisoned by an append error;
-// retryable), 500 that the answer could not be logged and was taken
-// back, 409 a duplicate job id, 404 an unknown job, 413 a body over the
-// cap, 400 a malformed request — one that is not exactly one JSON object
-// of the request's declared fields (codec.go).
+// (overload shed, draining or drained, or the WAL poisoned by an append
+// error; retryable), 500 that the answer could not be logged and so was
+// never applied, 409 a duplicate job id, 404 an unknown job, 413 a body
+// over the cap, 400 a malformed request — one that is not exactly one
+// JSON object of the request's declared fields (codec.go).
 
 const maxBody = 1 << 20
 
@@ -89,6 +89,9 @@ type OfferJSON struct {
 	Mode     string `json:"mode"`
 	Start    int64  `json:"start"`
 	Deadline int64  `json:"deadline"`
+	// offer is the offer the fields above render, kept to order the list
+	// by; encoding/json skips it.
+	offer qos.Offer
 }
 
 // ShedResponse is the 503 body: the daemon refused to decide.
@@ -164,13 +167,22 @@ func shed(w http.ResponseWriter, reason string) {
 }
 
 // lockForDecision takes mu for a request that is about to decide and
-// log. After an append error the log may not take a record until a
-// snapshot + rotation lands (appendLocked), so every request that finds
-// it poisoned retries one — the daemon recovers with its disk — and,
-// while that fails, is refused: answered 503, mu released, false
-// returned. healthz carries the error itself.
+// log, or refuses it: answered 503, mu released, false returned. A
+// drained daemon has written its final snapshot and closed its log, so it
+// decides nothing more. After an append error the log may not take a
+// record until a snapshot + rotation lands (appendLocked), so every
+// request that finds it poisoned retries one — the daemon recovers with
+// its disk — and is refused while that fails. healthz carries the error
+// itself.
 func (s *Server) lockForDecision(w http.ResponseWriter) bool {
 	s.mu.Lock()
+	select {
+	case <-s.drained:
+		s.mu.Unlock()
+		shed(w, "drained")
+		return false
+	default:
+	}
 	if s.walDegraded {
 		s.snapshotLocked()
 	}
@@ -307,7 +319,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %d is already admitted", req.JobID))
 		return
 	}
-	node, finalMode, dec := s.decide(req.JobID, rum, mode, arrival, negotiate, s.cfg.MaxSlack)
+	// Decide, log, then apply: nothing changes until the record is in
+	// the log, so a refused append leaves nothing to undo.
 	rec := qos.WALRecord{
 		Op:        qos.WALAdmit,
 		JobID:     req.JobID,
@@ -316,33 +329,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Arrival:   arrival,
 		Negotiate: negotiate,
 		MaxSlack:  s.cfg.MaxSlack,
-		Node:      node,
-		FinalMode: finalMode,
-		Dec:       dec,
 	}
+	p := s.plan(&rec)
 	if err := s.appendLocked(&rec); err != nil {
-		// The mutation cannot be made durable; roll it back and refuse.
-		if dec.Accepted {
-			s.nodes[node].Complete(req.JobID, finalMode, arrival)
-		}
-		s.snapshotLocked()
 		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if dec.Accepted {
-		s.jobs[req.JobID] = jobEntry{Node: node, Mode: finalMode, ResID: dec.ReservationID}
-	}
-	s.noteCycle(arrival)
+	s.commit(&rec, p)
 	s.maybeSnapshotLocked()
 	s.mu.Unlock()
 
+	dec := rec.Dec
 	if dec.Accepted {
 		s.nAccepted.Add(1)
 	} else {
 		s.nRejected.Add(1)
 	}
-	degraded := dec.Accepted && degradeForced && finalMode != mode
+	degraded := dec.Accepted && degradeForced && rec.FinalMode != mode
 	if degraded {
 		s.nDegraded.Add(1)
 	}
@@ -350,8 +354,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	*bp = SubmitResponse{
 		Accepted:       dec.Accepted,
 		JobID:          req.JobID,
-		Node:           node,
-		Mode:           modeName(finalMode),
+		Node:           rec.Node,
+		Mode:           modeName(rec.FinalMode),
 		Start:          dec.Start,
 		ReservationID:  dec.ReservationID,
 		AutoDowngraded: dec.AutoDowngraded,
@@ -368,8 +372,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !decodeCancel(w, r, &req) {
 		return
 	}
-	// Cancels release resources, so they are admitted even while
-	// draining and do not consume an admission slot.
+	// Cancels release resources, so they are admitted while a drain is
+	// under way (not once it is done) and do not consume an admission
+	// slot.
 	now := req.Now
 	if now == 0 {
 		now = s.now()
@@ -385,7 +390,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := qos.WALRecord{Op: qos.WALCancel, JobID: req.JobID, Now: now}
 	if err := s.appendLocked(&rec); err != nil {
-		s.snapshotLocked()
 		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -435,34 +439,15 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 				Mode:     modeName(off.Mode),
 				Start:    off.Start,
 				Deadline: off.Deadline,
+				offer:    off,
 			})
 		}
 	}
 	s.mu.Unlock()
-	// Best offer first: fewest-concession kind, then earliest start,
-	// then widest — the qos package's preference order.
-	sort.SliceStable(offers, func(i, j int) bool {
-		if offers[i].Kind != offers[j].Kind {
-			return offerRank(offers[i].Kind) < offerRank(offers[j].Kind)
-		}
-		if offers[i].Start != offers[j].Start {
-			return offers[i].Start < offers[j].Start
-		}
-		return offers[i].Ways > offers[j].Ways
-	})
+	// Best offer first, in the qos package's preference order; a tie
+	// keeps node order.
+	slices.SortStableFunc(offers, func(a, b OfferJSON) int { return qos.CompareOffers(a.offer, b.offer) })
 	writeJSON(w, http.StatusOK, map[string]any{"offers": offers})
-}
-
-func offerRank(kind string) int {
-	switch kind {
-	case qos.OfferLaterDeadline.String():
-		return 0
-	case qos.OfferFewerWays.String():
-		return 1
-	case qos.OfferOpportunistic.String():
-		return 2
-	}
-	return 3
 }
 
 // AllocNode is one node's derived allocation state in the ?alloc=1

@@ -3,9 +3,9 @@
 // live yes/no QoS promises over HTTP/JSON, with robustness as the
 // design headline.
 //
-// Durability: every committed admission decision and cancellation is
-// appended to a write-ahead log (internal/qos WAL) and fsynced before
-// the client sees the answer, and the full controller state is
+// Durability: every admission decision and cancellation is appended to a
+// write-ahead log (internal/qos WAL) and fsynced before it is applied
+// and before the client sees the answer, and the full controller state is
 // periodically snapshotted; recovery loads the last snapshot and
 // replays the log tail, re-running each recorded operation and
 // verifying it reproduces the logged outcome, so a kill -9 restarts to
@@ -124,10 +124,11 @@ type jobEntry struct {
 	ResID int      `json:"res_id"`
 }
 
-// Server is one daemon instance. All admission state is guarded by mu;
-// WAL append happens inside the same critical section as the state
-// mutation so log order always equals application order (replay relies
-// on this).
+// Server is one daemon instance. All admission state is guarded by mu.
+// A decision is planned, appended to the WAL and only then applied, all
+// inside one critical section, so log order always equals application
+// order (replay relies on this) and a record the log refused was never
+// applied.
 type Server struct {
 	cfg Config
 
@@ -311,21 +312,20 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// applyRecord replays one WAL record against the restored state and
-// verifies the recorded outcome reproduces — the daemon's defense
-// against silently diverged recovery.
+// applyRecord replays one WAL record against the restored state. An
+// admission is planned again and committed only if the plan reproduces
+// the logged outcome — the daemon's defense against silently diverged
+// recovery.
 func (s *Server) applyRecord(rec qos.WALRecord) error {
 	switch rec.Op {
 	case qos.WALAdmit:
-		node, mode, dec := s.decide(rec.JobID, rec.RUM, rec.Mode, rec.Arrival, rec.Negotiate, rec.MaxSlack)
-		if node != rec.Node || mode != rec.FinalMode || dec != rec.Dec {
+		got := rec
+		p := s.plan(&got)
+		if got.Node != rec.Node || got.FinalMode != rec.FinalMode || got.Dec != rec.Dec {
 			return fmt.Errorf("server: wal replay divergence at seq %d: got node %d mode %v dec %+v, logged node %d mode %v dec %+v",
-				rec.Seq, node, mode, dec, rec.Node, rec.FinalMode, rec.Dec)
+				rec.Seq, got.Node, got.FinalMode, got.Dec, rec.Node, rec.FinalMode, rec.Dec)
 		}
-		if dec.Accepted {
-			s.jobs[rec.JobID] = jobEntry{Node: node, Mode: mode, ResID: dec.ReservationID}
-		}
-		s.noteCycle(rec.Arrival)
+		s.commit(&rec, p)
 	case qos.WALCancel:
 		e, ok := s.jobs[rec.JobID]
 		if !ok {
@@ -340,17 +340,30 @@ func (s *Server) applyRecord(rec qos.WALRecord) error {
 	return nil
 }
 
-// decide runs one submission through the GAC — the plain path or the
-// renegotiation ladder — and returns the placement. It is the single
-// choke point shared by live requests and WAL replay, so both take
-// exactly the same code path.
-func (s *Server) decide(jobID int, rum qos.RUM, mode qos.Mode, arrival int64, negotiate bool, maxSlack float64) (node int, finalMode qos.Mode, dec qos.Decision) {
-	req := qos.Request{JobID: jobID, Target: rum, Mode: mode, Arrival: arrival}
-	if negotiate {
-		return s.gac.SubmitOrNegotiate(req, maxSlack)
+// plan decides an admission record from its inputs — the plain path or
+// the renegotiation ladder — and fills in its outcome (Node, FinalMode,
+// Dec), changing no node. Live requests and WAL replay both decide here
+// and apply through commit, so both take exactly the same code path.
+func (s *Server) plan(rec *qos.WALRecord) qos.Placement {
+	req := qos.Request{JobID: rec.JobID, Target: rec.RUM, Mode: rec.Mode, Arrival: rec.Arrival}
+	var p qos.Placement
+	if rec.Negotiate {
+		p = s.gac.PlanOrNegotiate(req, rec.MaxSlack)
+	} else {
+		p = s.gac.Plan(req)
 	}
-	node, dec = s.gac.Submit(req)
-	return node, mode, dec
+	rec.Node, rec.FinalMode, rec.Dec = p.Node, p.Mode, p.Dec
+	return p
+}
+
+// commit applies a logged admission: the planned placement on the nodes,
+// the job table, the clock.
+func (s *Server) commit(rec *qos.WALRecord, p qos.Placement) {
+	s.gac.Commit(p)
+	if rec.Dec.Accepted {
+		s.jobs[rec.JobID] = jobEntry{Node: rec.Node, Mode: rec.FinalMode, ResID: rec.Dec.ReservationID}
+	}
+	s.noteCycle(rec.Arrival)
 }
 
 // noteCycle advances the persisted clock high-water mark.
@@ -369,15 +382,14 @@ func (s *Server) now() int64 {
 	return c
 }
 
-// appendLocked logs one record (mu held). On append failure the caller
-// must roll its state change back before answering the client — an
-// unlogged mutation would not survive recovery — and then call
-// snapshotLocked: the error has poisoned the log. A rolled-back decision
-// is not an undone one (LAC.Complete gives back neither the reservation
-// id nor the probes and overhead the sweep billed), and the file may end
-// in a torn frame, so what snapshot + log replay to is no longer what
-// memory holds; a grant acked on top of that would make the directory
-// unrecoverable. Only a snapshot of memory and a fresh log re-anchor it.
+// appendLocked logs one record (mu held) before its change is applied.
+// On failure the caller applies nothing and answers 500, and memory is
+// still the state before the request. The file is not: it may end in a
+// torn frame, or hold a frame for the failed sequence number that did
+// land, and a later record appended after it would replay on top of it.
+// So the error poisons the log (walDegraded) until a snapshot of memory
+// and a fresh log re-anchor disk to it, tried here at once and again by
+// every request lockForDecision refuses.
 func (s *Server) appendLocked(rec *qos.WALRecord) error {
 	rec.Seq = s.seq + 1
 	var err error
@@ -389,6 +401,7 @@ func (s *Server) appendLocked(rec *qos.WALRecord) error {
 	}
 	if err != nil {
 		s.walDegraded, s.lastWALErr = true, err.Error()
+		s.snapshotLocked()
 		return err
 	}
 	s.seq = rec.Seq

@@ -137,8 +137,11 @@ func TestSubmitCancelLifecycle(t *testing.T) {
 	}
 }
 
+// TestNegotiateOffers pins the offer list: every node's counter-offers,
+// best first in qos.CompareOffers order, so the first one is the offer
+// GAC.NegotiateBest picks.
 func TestNegotiateOffers(t *testing.T) {
-	_, ts := newTestServer(t, testConfig(t.TempDir()))
+	s, ts := newTestServer(t, testConfig(t.TempDir()))
 	// Fill the ways so a wide request must concede something.
 	for i := 0; i < 2; i++ {
 		req := SubmitRequest{JobID: 100 + i, Mode: "strict", Cores: 1, Ways: 8, TW: 10000, DeadlineIn: 10000, Arrival: 1}
@@ -154,8 +157,34 @@ func TestNegotiateOffers(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/negotiate", req, &out); code != http.StatusOK {
 		t.Fatalf("negotiate: status %d", code)
 	}
-	if len(out.Offers) == 0 {
-		t.Fatal("no offers for a constrained request")
+	if len(out.Offers) < 2 {
+		t.Fatalf("%d offers for a constrained request on two nodes, want several: %+v", len(out.Offers), out.Offers)
+	}
+	kinds := map[string]qos.OfferKind{}
+	for _, k := range []qos.OfferKind{qos.OfferLaterDeadline, qos.OfferFewerWays, qos.OfferOpportunistic} {
+		kinds[k.String()] = k
+	}
+	offer := func(o OfferJSON) qos.Offer {
+		k, ok := kinds[o.Kind]
+		if !ok {
+			t.Fatalf("unknown offer kind %q", o.Kind)
+		}
+		return qos.Offer{Kind: k, Start: o.Start, Resources: qos.ResourceVector{Cores: o.Cores, CacheWays: o.Ways}}
+	}
+	for i := 1; i < len(out.Offers); i++ {
+		a, b := out.Offers[i-1], out.Offers[i]
+		if c := qos.CompareOffers(offer(a), offer(b)); c > 0 || c == 0 && a.Node > b.Node {
+			t.Errorf("offers %d and %d out of order: %+v before %+v", i-1, i, a, b)
+		}
+	}
+	rum := qos.RUM{Resources: qos.ResourceVector{Cores: 1, CacheWays: 9}, MaxWallClock: 5000, Deadline: 5002}
+	s.mu.Lock()
+	node, best, ok := s.gac.NegotiateBest(qos.Request{JobID: 200, Target: rum, Mode: qos.Strict(), Arrival: 2})
+	s.mu.Unlock()
+	want := OfferJSON{Node: node, Kind: best.Kind.String(), Cores: best.Resources.Cores, Ways: best.Resources.CacheWays,
+		Mode: modeName(best.Mode), Start: best.Start, Deadline: best.Deadline}
+	if !ok || out.Offers[0] != want {
+		t.Errorf("first offer %+v, GAC.NegotiateBest's %+v", out.Offers[0], want)
 	}
 }
 
@@ -494,6 +523,25 @@ func TestDrain(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/submit", SubmitRequest{JobID: 1, Mode: "opportunistic", Cores: 1, Ways: 1}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while drained: status %d, want 503", code)
+	}
+	// The drain wrote the final snapshot and closed the log: a cancel
+	// after it writes nothing, and neither does a second one.
+	s.mu.Lock()
+	victim, jobs := -1, len(s.jobs)
+	for id := range s.jobs {
+		victim = id
+		break
+	}
+	s.mu.Unlock()
+	snapshots := getHealth(t, ts.URL).Snapshots
+	for i := 0; i < 2; i++ {
+		var shed ShedResponse
+		if code := postJSON(t, ts.URL+"/v1/cancel", CancelRequest{JobID: victim, Now: 10_000}, &shed); code != http.StatusServiceUnavailable || shed.Reason != "drained" {
+			t.Fatalf("cancel %d of job %d after the drain: status %d %+v, want 503 drained", i+1, victim, code, shed)
+		}
+	}
+	if h := getHealth(t, ts.URL); h.Snapshots != snapshots || h.Jobs != jobs {
+		t.Fatalf("cancels after the drain moved the state: snapshots %d → %d, %+v", snapshots, h.Snapshots, h)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -87,12 +87,12 @@ func runSnapshotStream(data []byte) *Server {
 			if mode.Kind == qos.KindOpportunistic {
 				rum.MaxWallClock, rum.Deadline = 0, 0
 			}
-			node, final, dec := s.decide(id, rum, mode, clock, op[0]&0x10 != 0, snapSlacks[int(op[3]>>2)%len(snapSlacks)])
-			if dec.Accepted {
-				s.jobs[id] = jobEntry{Node: node, Mode: final, ResID: dec.ReservationID}
+			rec := qos.WALRecord{JobID: id, Mode: mode, RUM: rum, Arrival: clock,
+				Negotiate: op[0]&0x10 != 0, MaxSlack: snapSlacks[int(op[3]>>2)%len(snapSlacks)]}
+			s.commit(&rec, s.plan(&rec))
+			if rec.Dec.Accepted {
 				live = append(live, id)
 			}
-			s.noteCycle(clock)
 		case kind <= 6:
 			if len(live) == 0 {
 				continue

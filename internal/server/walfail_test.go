@@ -8,17 +8,17 @@ import (
 	"testing"
 )
 
-// TestAppendFailureFailsClosed is the WAL-failure contract. A failed
-// append rolls the decision back, but LAC.Complete does not rewind the
-// timeline's next reservation id (nor the probes and overhead the sweep
-// billed), so memory has moved past what snapshot + log replay to: every
-// grant acked on that node afterwards would make the state directory
-// unrecoverable ("wal replay divergence"). The daemon therefore poisons
-// the log on any append error and refuses submit, negotiate and cancel
-// until a snapshot + rotation has re-anchored disk to memory — tried at
-// once, and again on every refused request. Two crashes check it: one
-// after a transient error the immediate re-anchor absorbed, one after a
-// degraded interval, a late re-anchor and further acked operations.
+// TestAppendFailureFailsClosed is the WAL-failure contract. The daemon
+// decides, logs, then applies, so a failed append leaves memory exactly
+// as it was before the request: the state bytes do not move, and the
+// next grant takes the reservation id the failed one would have. The
+// file may still end in a torn or half-durable frame for the failed
+// sequence number, so the daemon poisons the log on any append error and
+// refuses submit, negotiate and cancel until a snapshot + rotation has
+// re-anchored disk to memory — tried at once, and again on every refused
+// request. Two crashes check it: one after a transient error the
+// immediate re-anchor absorbed, one after a degraded interval, a late
+// re-anchor and further acked operations.
 func TestAppendFailureFailsClosed(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Nodes = 1
@@ -69,15 +69,26 @@ func TestAppendFailureFailsClosed(t *testing.T) {
 		return s2, ts2.URL
 	}
 
-	// One transient append error: the request it hit answers 500, the
-	// re-anchor lands at once, and the next grant is acked — with the id
-	// the rolled-back decision did not give back.
+	// unchanged requires the state bytes to be what they were before a
+	// request that failed.
+	unchanged := func(base, what string, before []byte) {
+		t.Helper()
+		if after := getBytes(t, base+"/v1/snapshot"); !bytes.Equal(before, after) {
+			t.Fatalf("%s left a trace in the state:\nbefore: %s\nafter:  %s", what, before, after)
+		}
+	}
+
+	// One transient append error: the request it hit answers 500 and
+	// changed nothing, the re-anchor lands at once, and the next grant is
+	// acked with the id the failed one would have taken.
 	mustAdmit(ts.URL, 1, 1)
+	before := getBytes(t, ts.URL+"/v1/snapshot")
 	inject(s, 1, false)
 	if code, _ := submit(ts.URL, 2); code != http.StatusInternalServerError {
 		t.Fatalf("submit 2 on a failing append: status %d, want 500", code)
 	}
-	mustAdmit(ts.URL, 3, 3)
+	unchanged(ts.URL, "a submit whose append failed", before)
+	mustAdmit(ts.URL, 3, 2)
 	h := getHealth(t, ts.URL)
 	s, base := crash(ts.URL)
 	if h.WALDegraded || !strings.Contains(h.LastWALError, "injected append failure") || h.Snapshots != 1 {
@@ -87,10 +98,12 @@ func TestAppendFailureFailsClosed(t *testing.T) {
 	// An append error on a disk that cannot take the snapshot either: the
 	// log stays poisoned and every mutating endpoint refuses, retrying the
 	// re-anchor each time.
+	before = getBytes(t, base+"/v1/snapshot")
 	inject(s, 1, true)
 	if code := postJSON(t, base+"/v1/cancel", CancelRequest{JobID: 1, Now: 50}, nil); code != http.StatusInternalServerError {
 		t.Fatalf("cancel on a failing append: status %d, want 500", code)
 	}
+	unchanged(base, "a cancel whose append failed", before)
 	for name, refused := range map[string]func() int{
 		"submit": func() int { code, _ := submit(base, 4); return code },
 		"negotiate": func() int {
@@ -103,6 +116,7 @@ func TestAppendFailureFailsClosed(t *testing.T) {
 			t.Errorf("%s while the log is poisoned: status %d, want 503", name, code)
 		}
 	}
+	unchanged(base, "requests refused while the log is poisoned", before)
 	h = getHealth(t, base)
 	if !h.WALDegraded || !strings.Contains(h.LastWALError, "injected append failure") ||
 		h.SnapshotFailures < 4 || h.Snapshots != 0 || h.Jobs != 2 {
@@ -110,16 +124,17 @@ func TestAppendFailureFailsClosed(t *testing.T) {
 	}
 
 	// The disk heals: the next request's re-anchor succeeds and the same
-	// request is decided and acked. Nothing refused left a trace — job 1
-	// is still there to cancel, jobs 2 and 4 are not duplicates.
+	// request is decided and acked, with the next id the node has. Nothing
+	// refused left a trace — job 1 is still there to cancel, jobs 2 and 4
+	// are not duplicates.
 	inject(s, 0, false)
-	mustAdmit(base, 4, 4)
+	mustAdmit(base, 4, 3)
 	if h = getHealth(t, base); h.WALDegraded || h.Snapshots != 1 {
 		t.Fatalf("after the re-anchor: %+v", h)
 	}
 	if code := postJSON(t, base+"/v1/cancel", CancelRequest{JobID: 1, Now: 60}, nil); code != http.StatusOK {
 		t.Fatalf("cancel after the re-anchor: status %d", code)
 	}
-	mustAdmit(base, 2, 5)
+	mustAdmit(base, 2, 4)
 	crash(base)
 }
