@@ -19,11 +19,12 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 
-# surface runs the three whole-tree gates of tier-1 by one name (≈3 s,
+# surface runs the four whole-tree gates of tier-1 by one name (≈3 s,
 # DESIGN §3.1): nothing under internal/ that no program reaches, no
-# option field no program sets, no document citing a test that is gone.
+# option field no program sets, no document citing a test that is gone,
+# no package-scope name shadowing a predeclared one.
 surface:
-	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations' .
+	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations|TestNoShadowedBuiltins' .
 
 # lint is the static-analysis gate: vet, the surface gates, canonical
 # formatting, and — when installed — staticcheck. staticcheck stays
@@ -78,9 +79,10 @@ fuzz:
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,
 # cluster dispatch, and daemon snapshot benches once each
-# (-benchtime=1x): a CI guard that the O(log n) structures, the
-# streaming snapshot writer, and their benchmarks keep building and
-# running — timings are meaningless here; the cluster line's B/op
+# (-benchtime=1x): a CI guard that the O(log n) timeline, the bound rows
+# the GAC and the fleet dispatcher scan, the streaming snapshot writer,
+# and their benchmarks keep building and running — timings are
+# meaningless here; the cluster line's B/op
 # (-benchmem) is not: it puts fleet dispatch's allocation in the CI
 # log. (The fast-forward path and
 # the control plane are run by bench-check: sim-node's paper and pid

@@ -362,10 +362,3 @@ func auditGrants(base string, grants []load.Grant) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -3,31 +3,9 @@ package fault
 import (
 	"math"
 	"time"
+
+	"cmpqos/internal/splitmix"
 )
-
-// rng is a splitmix64 generator: tiny, seedable, and independent of
-// math/rand so generated plans can never drift with the standard
-// library. The same (seed, rate, horizon, machine) tuple yields the
-// same plan on every platform and at any worker count.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
-// intn returns a uniform draw in [0, n).
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint64(n))
-}
 
 // DefaultHorizon is the fault-generation window used when the caller
 // has no better estimate of the run length: 4 Gcycles covers the
@@ -41,29 +19,31 @@ const DefaultHorizon = int64(4_000_000_000)
 // Pass ways <= 1 to suppress way faults (e.g. for engines that cannot
 // model them). The result always passes Validate(cores, ways): events
 // that would take the last core or the last way down are dropped rather
-// than emitted.
+// than emitted. The draws come from a SplitMix64 stream, so the same
+// (seed, rate, horizon, machine) tuple yields the same plan on every
+// platform and at any worker count.
 func Generate(seed int64, rate float64, horizon int64, cores, ways int) Plan {
 	var p Plan
 	if rate <= 0 || horizon <= 0 || cores < 1 {
 		return p
 	}
-	r := rng{state: uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
+	r := splitmix.New(uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
 	lambda := rate / 1e9 // events per cycle
 	at := int64(0)
 	for {
-		gap := -math.Log(1-r.float64()) / lambda
+		gap := -math.Log(1-r.Float64()) / lambda
 		at += int64(gap) + 1
 		if at >= horizon {
 			return p
 		}
 		var e Event
-		switch pick := r.float64(); {
+		switch pick := r.Float64(); {
 		case pick < 0.40 && cores > 1:
 			e = Event{
 				Kind:     CoreFail,
 				At:       at,
-				Duration: horizon/32 + int64(r.float64()*float64(horizon/8)),
-				Core:     r.intn(cores),
+				Duration: horizon/32 + int64(r.Float64()*float64(horizon/8)),
+				Core:     r.Intn(cores),
 			}
 			// Never leave zero cores: move to a healthy core, or drop.
 			// Feasibility is checked against the WHOLE plan — adding an
@@ -84,8 +64,8 @@ func Generate(seed int64, rate float64, horizon int64, cores, ways int) Plan {
 			e = Event{
 				Kind:     WayFault,
 				At:       at,
-				Duration: horizon/16 + int64(r.float64()*float64(horizon/8)),
-				Ways:     1 + r.intn(min(4, ways-1)),
+				Duration: horizon/16 + int64(r.Float64()*float64(horizon/8)),
+				Ways:     1 + r.Intn(min(4, ways-1)),
 			}
 			// Shrink to what the concurrent-darkness budget allows.
 			for e.Ways >= 1 && !p.admits(e, cores, ways) {
@@ -98,8 +78,8 @@ func Generate(seed int64, rate float64, horizon int64, cores, ways int) Plan {
 			e = Event{
 				Kind:     LatencySpike,
 				At:       at,
-				Duration: horizon/64 + int64(r.float64()*float64(horizon/16)),
-				Factor:   1.5 + 2.5*r.float64(),
+				Duration: horizon/64 + int64(r.Float64()*float64(horizon/16)),
+				Factor:   1.5 + 2.5*r.Float64(),
 			}
 		}
 		p.Events = append(p.Events, e)
@@ -117,11 +97,11 @@ func KillTimes(seed int64, n int, horizon time.Duration) []time.Duration {
 	if n <= 0 || horizon <= 0 {
 		return nil
 	}
-	r := rng{state: uint64(seed)*0x9e3779b97f4a7c15 + 0x1d8e4e27c47d124f}
+	r := splitmix.New(uint64(seed)*0x9e3779b97f4a7c15 + 0x1d8e4e27c47d124f)
 	slice := float64(horizon) / float64(n)
 	out := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		at := time.Duration((float64(i) + r.float64()) * slice)
+		at := time.Duration((float64(i) + r.Float64()) * slice)
 		if at <= 0 {
 			at = 1
 		}
@@ -134,11 +114,4 @@ func KillTimes(seed int64, n int, horizon time.Duration) []time.Duration {
 func (p Plan) admits(e Event, cores, ways int) bool {
 	t := Plan{Events: append(p.Events[:len(p.Events):len(p.Events)], e)}
 	return t.Validate(cores, ways) == nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

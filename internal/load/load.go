@@ -19,6 +19,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cmpqos/internal/splitmix"
 )
 
 // Case is one request shape in the mix. Cases are assigned round-robin
@@ -126,31 +128,15 @@ type Report struct {
 	Grants      []Grant       `json:"-"`
 }
 
-// splitmix64 mirrors internal/fault's generator so jitter is seedable
-// and platform-independent without importing math/rand.
-type splitmix struct{ state uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitmix) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
 // backoff computes the delay before retry `try` (0-based): exponential
 // doubling capped at BackoffCap, with half-magnitude jitter so
 // concurrent clients do not retry in lockstep.
-func backoff(cfg Config, try int, r *splitmix) time.Duration {
+func backoff(cfg Config, try int, r *splitmix.Rand) time.Duration {
 	d := cfg.BackoffBase << uint(try)
 	if d > cfg.BackoffCap || d <= 0 {
 		d = cfg.BackoffCap
 	}
-	return d/2 + time.Duration(r.float64()*float64(d/2))
+	return d/2 + time.Duration(r.Float64()*float64(d/2))
 }
 
 // submitWire mirrors the daemon's SubmitRequest (kept local so the
@@ -215,7 +201,7 @@ func Run(ctx context.Context, cases []Case, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := splitmix{state: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1)}
+			r := splitmix.New(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1))
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= cfg.Requests || ctx.Err() != nil {
@@ -286,7 +272,7 @@ func Run(ctx context.Context, cases []Case, cfg Config) (*Report, error) {
 
 // runOne pushes one submission (and its optional cancel) through the
 // retry loop.
-func runOne(ctx context.Context, client *http.Client, cases []Case, cfg Config, i int, r *splitmix) outcome {
+func runOne(ctx context.Context, client *http.Client, cases []Case, cfg Config, i int, r *splitmix.Rand) outcome {
 	c := cases[i%len(cases)]
 	o := outcome{caseIdx: i % len(cases)}
 	req := submitWire{

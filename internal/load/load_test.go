@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cmpqos/internal/server"
+	"cmpqos/internal/splitmix"
 )
 
 func TestRunAgainstDaemon(t *testing.T) {
@@ -101,8 +102,8 @@ func TestRunUnreachableDaemon(t *testing.T) {
 // with jitter in [d/2, d), deterministic per seed.
 func TestBackoffShape(t *testing.T) {
 	cfg := Config{BackoffBase: 4 * time.Millisecond, BackoffCap: 16 * time.Millisecond}
-	r1 := splitmix{state: 42}
-	r2 := splitmix{state: 42}
+	r1 := splitmix.New(42)
+	r2 := splitmix.New(42)
 	for try := 0; try < 6; try++ {
 		d := cfg.BackoffBase << uint(try)
 		if d > cfg.BackoffCap || d <= 0 {

@@ -168,8 +168,8 @@ func (l *LAC) Probe(req Request) Decision {
 
 // Peek answers Probe's question without charging the modeled controller
 // occupancy or touching any counter: the pure placement answer for this
-// node's current timeline. Dispatch indexes (the cluster layer's O(log N)
-// GAC) use it to maintain per-node earliest-feasible-start summaries —
+// node's current timeline. Dispatch indexes (GAC.scan and the cluster
+// simulator's dispatcher) use it to maintain per-node earliest-start bounds —
 // bookkeeping lookups the real controller would not bill as admission
 // tests, so they must not inflate the §7.5 occupancy model.
 func (l *LAC) Peek(req Request) Decision {

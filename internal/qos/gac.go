@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"cmpqos/internal/splitmix"
 )
 
 // GAC is the Global Admission Controller of §3.1: it admits each job at
@@ -259,7 +261,7 @@ func (g *GAC) plan(p *Placement, req Request) {
 	n := len(g.nodes)
 	node, dec := -1, Decision{}
 	if g.strategy == Locality {
-		home := int(mix64(uint64(req.JobID)) % uint64(n))
+		home := int(splitmix.Mix(uint64(req.JobID)) % uint64(n))
 		node, dec = g.scan(p, req, home, min(localityWindow, n))
 	}
 	if node == -1 {
@@ -418,16 +420,6 @@ func (g *GAC) boundsFor(req Request) (row []int64, vec ResourceVector, floor, li
 		key = g.shapes[c] // borrowed, read-only
 	}
 	return g.rows[c], key.vec, int64(1) << key.oct, limit, own
-}
-
-// mix64 is the stateless SplitMix64 finalizer step: a cheap, well-mixed
-// hash used for locality homes (the stateful splitmix64 in profile.go is
-// a stream generator, not a hash).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // SubmitOrNegotiate is Submit plus the §3.1 negotiation loop:

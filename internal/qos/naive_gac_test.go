@@ -1,5 +1,7 @@
 package qos
 
+import "cmpqos/internal/splitmix"
+
 // naiveGAC is the dispatcher GAC.Submit replaced: it probes every node's
 // LAC on every submission, one private loop per strategy. It survives
 // only as the reference the differential suite (gac_equivalence_test.go)
@@ -26,7 +28,7 @@ func (g *naiveGAC) Submit(req Request) (node int, mode Mode, dec Decision) {
 			return node, r.Mode, dec
 		}
 	case Locality:
-		home := int(mix64(uint64(req.JobID)) % uint64(len(g.nodes)))
+		home := int(splitmix.Mix(uint64(req.JobID)) % uint64(len(g.nodes)))
 		best := -1
 		var bestDec Decision
 		for k := 0; k < localityWindow && k < len(g.nodes); k++ {

@@ -1,6 +1,10 @@
 package qos
 
-import "math"
+import (
+	"math"
+
+	"cmpqos/internal/splitmix"
+)
 
 // The usage profile: the incrementally-maintained dual of the
 // reservation list. Instead of re-summing every reservation per query
@@ -173,21 +177,10 @@ func mayExceed(base uvec, sub *profNode, limit uvec) bool {
 }
 
 // profile is the treap of boundary nodes plus the deterministic
-// priority stream (splitmix64) that keeps its shape reproducible.
+// priority stream (SplitMix64) that keeps its shape reproducible.
 type profile struct {
 	root *profNode
-	rng  uint64
-}
-
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	rng  splitmix.Rand
 }
 
 // update applies one edge mutation at key: delta += d, refs += dref.
@@ -202,7 +195,7 @@ func (p *profile) upd(n *profNode, key int64, d uvec, dref int32) *profNode {
 		if dref <= 0 {
 			panic("qos: usage-profile edge underflow (release of an unknown boundary)")
 		}
-		nn := &profNode{key: key, prio: splitmix64(&p.rng), refs: dref, delta: d}
+		nn := &profNode{key: key, prio: p.rng.Uint64(), refs: dref, delta: d}
 		nn.pull()
 		return nn
 	}

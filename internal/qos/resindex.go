@@ -1,6 +1,10 @@
 package qos
 
-import "math"
+import (
+	"math"
+
+	"cmpqos/internal/splitmix"
+)
 
 // The reservation index: a treap over live reservations keyed by
 // (Start, ID), with per-subtree End aggregates. It is the profile's
@@ -67,7 +71,7 @@ func (n *resNode) pull() {
 // resIndex is the treap plus its deterministic priority stream.
 type resIndex struct {
 	root *resNode
-	rng  uint64
+	rng  splitmix.Rand
 }
 
 // insert attaches nn (a fresh or detached node) into the treap. The
@@ -75,7 +79,7 @@ type resIndex struct {
 func (ix *resIndex) insert(nn *resNode) {
 	nn.left, nn.right = nil, nil
 	if nn.prio == 0 {
-		nn.prio = splitmix64(&ix.rng)
+		nn.prio = ix.rng.Uint64()
 	}
 	ix.root = resIns(ix.root, nn)
 }

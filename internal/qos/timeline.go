@@ -3,6 +3,8 @@ package qos
 import (
 	"fmt"
 	"math"
+
+	"cmpqos/internal/splitmix"
 )
 
 // Reservation is one job's hold on resources over a time interval
@@ -47,8 +49,8 @@ func NewTimeline(capacity ResourceVector) *Timeline {
 		nextID:   1,
 		// Distinct deterministic seeds keep the two treap shapes
 		// independent yet reproducible run to run.
-		prof: profile{rng: 0x9e3779b97f4a7c15},
-		idx:  resIndex{rng: 0xd1b54a32d192ed03},
+		prof: profile{rng: splitmix.New(0x9e3779b97f4a7c15)},
+		idx:  resIndex{rng: splitmix.New(0xd1b54a32d192ed03)},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"cmpqos/internal/parallel"
 	"cmpqos/internal/qos"
+	"cmpqos/internal/splitmix"
 	"cmpqos/internal/workload"
 )
 
@@ -42,7 +43,7 @@ type ClusterConfig struct {
 	AcceptTarget int
 	// Dispatcher names the qos.Strategy the GAC places by (see
 	// dispatch.go); empty resolves to "bestfit", which places exactly as
-	// probing every node would, at O(log N) probes per arrival.
+	// probing every node would, asking only the nodes that could win.
 	Dispatcher string
 }
 
@@ -50,7 +51,7 @@ type ClusterConfig struct {
 // SplitMix64 finalizer, so the per-node streams are statistically
 // independent.
 func (c ClusterConfig) nodeSeed(i int) int64 {
-	return int64(mix64(uint64(c.Node.Seed) + uint64(i)))
+	return int64(splitmix.Mix(uint64(c.Node.Seed) + uint64(i)))
 }
 
 // Validate checks the configuration.

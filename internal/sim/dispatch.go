@@ -1,10 +1,10 @@
 // Cluster dispatch stage: how the Global Admission Controller picks a
 // node for each arriving job. ClusterConfig.Dispatcher names a
 // qos.Strategy — the names, and the placement rules, of qos.GAC — and
-// defaults to bestfit. Every strategy places through an incrementally
-// maintained node index that probes O(log N) candidate nodes per arrival
-// instead of N, and bestfit's placements are exactly those of probing
-// every node.
+// defaults to bestfit. Every strategy places through a node index in
+// qos.GAC's shape — rows of per-node lower bounds, scanned in node order
+// — that asks only the nodes that could still win, and bestfit's
+// placements are exactly those of probing every node.
 //
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible
@@ -15,21 +15,20 @@
 // node's bounds whenever it observes that counter move, the rule
 // qos.GAC's bounds table invalidates by). A probe that fails teaches the
 // node's true unconstrained earliest start (one extra uncharged peek
-// with the deadline lifted), so a saturated fleet rejects later arrivals
-// in O(1) instead of re-probing every node as soon as the deadline
-// cutoff advances; opportunistic arrivals get the same treatment through
-// a bound pool fed by LAC.EarliestOpportunistic. Bounds are kept per
-// distinct reservation duration — a handful, one per (template, mode)
-// pair — each as two heaps: nodes whose bound has been reached by the
-// arrival clock (ordered by live load, the tie-break) and nodes whose
-// bound is still in the future (ordered by bound). A placement pops
-// candidates in optimistic-key order, verifies them with an uncharged
-// LAC peek, and stops as soon as the best verified key is provably
-// minimal.
+// with the deadline lifted), so later arrivals skip the node without
+// asking it until a deadline can reach that start; opportunistic
+// arrivals get the same treatment through a row fed by
+// LAC.EarliestOpportunistic. Bounds are kept per distinct reservation
+// length — a handful, one per (template, mode) pair — and each row
+// carries a floor, the least bound of its last complete scan, so a
+// saturated fleet rejects an arrival without asking any node.
 package sim
 
 import (
+	"math"
+
 	"cmpqos/internal/qos"
+	"cmpqos/internal/splitmix"
 	"cmpqos/internal/workload"
 )
 
@@ -90,7 +89,7 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 		// real cluster schedulers, with job groups standing in for data
 		// placement. When nothing near home is feasible it falls back to
 		// bestfit, so its rejection set is bestfit's.
-		home := int(mix64(uint64(a.Seq)) % uint64(len(cr.nodes)))
+		home := int(splitmix.Mix(uint64(a.Seq)) % uint64(len(cr.nodes)))
 		if node := cr.probeRange(a, home, min(dispatchLocalityWindow, len(cr.nodes))); node >= 0 {
 			return Placement{Node: node}
 		}
@@ -106,7 +105,9 @@ const dispatchLocalityWindow = 16
 // arrivalShape resolves the per-arrival quantities every dispatcher
 // needs: the execution mode, the reservation duration the LAC will
 // place (0 for Opportunistic), and the latest feasible start (cutoff).
-// All nodes share one Config, so node 0 answers for the fleet.
+// Node 0 answers for the fleet: the mode is the shared Config's, and
+// the duration and cutoff, which rest on node 0's tw, are used only
+// where indexable() holds, i.e. where every node shares that tw.
 func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int64) {
 	n := cr.nodes[0]
 	mode = n.modeFor(a.Tmpl.Hint)
@@ -120,11 +121,14 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 }
 
 // indexable reports whether the start bounds are sound for this
-// cluster's reserved placements: automatic downgrade and the "latest"
+// cluster's reserved placements. Automatic downgrade and the "latest"
 // admission policy place via LatestFit, which is not monotone under
-// admissions, so both fall back to probing every node.
+// admissions; the trace engine profiles each node's tw under the node's
+// own seed, so node 0's duration and cutoff do not price the others.
+// All three fall back to asking every node.
 func (cr *ClusterRunner) indexable() bool {
-	return cr.cfg.Node.Policy != AllStrictAutoDown && cr.cfg.Node.admissionName() == "fcfs"
+	node := &cr.cfg.Node
+	return node.Policy != AllStrictAutoDown && node.admissionName() == "fcfs" && node.Engine != EngineTrace
 }
 
 // bestfit returns the least (start, load, id) feasible node, -1 if none.
@@ -155,329 +159,183 @@ func (cr *ClusterRunner) probeRange(a Arrival, first, n int) int {
 
 // --- the dispatch index ------------------------------------------------
 
-// dispatchIndex is the incrementally maintained node summary behind
-// every strategy. loadH orders every node by (live load, id); durs holds
-// one lazy lower-bound structure per distinct reservation duration. The
-// cluster runner feeds it every admission and every observed LAC.gen
-// move, strictly serially, so its state is deterministic regardless of
-// how node stepping is sharded.
+// dispatchIndex is the node summary behind every strategy: one row of
+// start bounds per reservation length, one of opportunistic bounds and
+// one of live loads, each indexed by node id. The cluster runner feeds
+// it every admission and every observed LAC.gen move, strictly serially,
+// so its state is deterministic regardless of how node stepping is
+// sharded.
 type dispatchIndex struct {
-	cr     *ClusterRunner
-	loadH  *nodeHeap
-	durs   map[int64]*durIndex
-	opp    *durIndex // opportunistic feasibility bounds (dur 0)
-	popped []int32   // search scratch, reused across arrivals
+	cr   *ClusterRunner
+	load []int      // live jobs per node
+	rows []boundRow // one per reservation length, in order of first use
+	opp  boundRow   // opportunistic feasibility (length 0)
 }
 
-// durIndex tracks, for one reservation duration, a lower bound per node
-// on the earliest feasible start. Nodes whose bound the arrival clock
-// has reached sit in avail keyed (load, id) — their optimistic start is
-// "now", so only the tie-break orders them; the rest sit in future
-// keyed (bound, load, id). Bound 0 means unknown (reset by a
-// LAC.gen move); arrival times never decrease, so nodes migrate from
-// future to avail monotonically between resets.
-type durIndex struct {
-	dur    int64
-	bound  []int64
-	avail  *nodeHeap
-	future *nodeHeap
+// boundRow holds, for one reservation length, a lower bound per node on
+// its earliest feasible start, 0 when unknown (reset by a LAC.gen move).
+// No bound in the row is below floor: a scan that visits every node
+// records their least bound there, and since bounds only rise between
+// resets it stays true until noteGen zeroes it.
+type boundRow struct {
+	dur   int64
+	bound []int64
+	floor int64
 }
 
 func newDispatchIndex(cr *ClusterRunner) *dispatchIndex {
 	n := len(cr.nodes)
-	x := &dispatchIndex{
-		cr:    cr,
-		loadH: newNodeHeap(n),
-		durs:  map[int64]*durIndex{},
-	}
-	for i := 0; i < n; i++ {
-		x.loadH.fix(i, nodeKey{0, int64(i), 0})
-	}
-	x.opp = x.newDurIndex(0)
-	return x
+	return &dispatchIndex{cr: cr, load: make([]int, n), opp: boundRow{bound: make([]int64, n)}}
 }
 
-func (x *dispatchIndex) loadOf(id int) int64 {
-	return int64(x.cr.nodes[id].liveCount())
-}
-
-func (x *dispatchIndex) newDurIndex(dur int64) *durIndex {
-	n := len(x.cr.nodes)
-	di := &durIndex{
-		dur:    dur,
-		bound:  make([]int64, n),
-		avail:  newNodeHeap(n),
-		future: newNodeHeap(n),
-	}
-	for i := 0; i < n; i++ {
-		di.avail.fix(i, nodeKey{x.loadOf(i), int64(i), 0})
-	}
-	return di
-}
-
-func (x *dispatchIndex) durFor(dur int64) *durIndex {
-	di, ok := x.durs[dur]
-	if !ok {
-		di = x.newDurIndex(dur)
-		x.durs[dur] = di
-	}
-	return di
-}
-
-// migrate moves nodes whose bound the arrival clock has reached from
-// future to avail. Arrival times are non-decreasing, so each node
-// migrates at most once per bound it learns.
-func (di *durIndex) migrate(ta int64, x *dispatchIndex) {
-	for {
-		id, key, ok := di.future.top()
-		if !ok || key[0] > ta {
-			return
+// rowFor returns the row of one reservation length, adding it on first
+// use. The pointer is good until the next row is added.
+func (x *dispatchIndex) rowFor(dur int64) *boundRow {
+	for r := range x.rows {
+		if x.rows[r].dur == dur {
+			return &x.rows[r]
 		}
-		di.future.remove(id)
-		di.avail.fix(id, nodeKey{x.loadOf(id), int64(id), 0})
 	}
+	x.rows = append(x.rows, boundRow{dur: dur, bound: make([]int64, len(x.load))})
+	return &x.rows[len(x.rows)-1]
 }
 
-// settle re-files a node under its current bound and load.
-func (di *durIndex) settle(id int, ta int64, x *dispatchIndex) {
-	load := x.loadOf(id)
-	if b := di.bound[id]; b > ta {
-		di.avail.remove(id)
-		di.future.fix(id, nodeKey{b, load, int64(id)})
-	} else {
-		di.future.remove(id)
-		di.avail.fix(id, nodeKey{load, int64(id), 0})
-	}
-}
-
-// rekey re-files node id under a new load without touching its bound.
-func (di *durIndex) rekey(id int, load int64) {
-	if di.avail.contains(id) {
-		di.avail.fix(id, nodeKey{load, int64(id), 0})
-	} else {
-		di.future.fix(id, nodeKey{di.bound[id], load, int64(id)})
-	}
-}
-
-// reset clears node id's bound and returns it to the avail pool.
-func (di *durIndex) reset(id int, load int64) {
-	di.bound[id] = 0
-	di.future.remove(id)
-	di.avail.fix(id, nodeKey{load, int64(id), 0})
-}
-
-// noteAdmit re-keys node id after an admission (its live load grew;
-// bounds stay valid — reservations only push starts later, and one
-// more live opportunistic job only raises the pin cap's demand).
+// noteAdmit records node id's new live load after an admission. Its
+// bounds stay valid: reservations only push starts later, and one more
+// live opportunistic job only raises the pin cap's demand.
 func (x *dispatchIndex) noteAdmit(id int) {
-	load := x.loadOf(id)
-	x.loadH.fix(id, nodeKey{load, int64(id), 0})
-	for _, di := range x.durs {
-		di.rekey(id, load)
-	}
-	x.opp.rekey(id, load)
+	x.load[id] = x.cr.nodes[id].liveCount()
 }
 
 // noteGen resets node id after its LAC.gen moved: a completion, a fault
 // or a controller may have freed capacity, shrunk its live load or
-// lowered the pin cap's demand, so every bound it had learned is stale.
-// The node returns to every avail pool with an unknown (zero) bound.
+// lowered the pin cap's demand, so every bound it had learned is stale,
+// and so is every floor.
 func (x *dispatchIndex) noteGen(id int) {
-	load := x.loadOf(id)
-	x.loadH.fix(id, nodeKey{load, int64(id), 0})
-	for _, di := range x.durs {
-		di.reset(id, load)
+	x.noteAdmit(id)
+	x.opp.bound[id], x.opp.floor = 0, 0
+	for r := range x.rows {
+		x.rows[r].bound[id], x.rows[r].floor = 0, 0
 	}
-	x.opp.reset(id, load)
 }
 
 // placeBest returns the least (start, load, id) feasible node — what
-// probing every node would pick — probing only nodes whose optimistic
-// key could still beat the best verified candidate.
+// probing every node would pick.
 func (x *dispatchIndex) placeBest(a Arrival, mode qos.Mode, dur, cutoff int64) int {
-	cr := x.cr
-	if mode.Kind == qos.KindOpportunistic {
+	switch {
+	case mode.Kind == qos.KindOpportunistic:
 		return x.placeOpp(a, mode)
-	}
-	if dur <= 0 || a.TA > cutoff {
-		if dur > 0 {
-			return -1 // no start in [ta, cutoff] exists anywhere
-		}
+	case dur <= 0:
 		// Degenerate duration (tw resolved to zero): the LAC would hold
 		// the reservation forever; stay exact via exhaustive probing.
-		return cr.probeRange(a, 0, len(cr.nodes))
+		return x.cr.probeRange(a, 0, len(x.cr.nodes))
 	}
-	di := x.durFor(dur)
-	di.migrate(a.TA, x)
-	best := -1
-	var bestKey nodeKey
-	popped := x.popped[:0]
-	for {
-		cand, opt, ok := -1, nodeKey{}, false
-		if id, key, has := di.avail.top(); has {
-			cand, opt, ok = id, nodeKey{a.TA, key[0], key[1]}, true
+	return x.scan(a, mode, x.rowFor(dur), cutoff, false)
+}
+
+// placeWorst returns the least (load, id) feasible node. With sound
+// start bounds (indexed true) nodes whose bound exceeds the cutoff are
+// skipped without asking; without them every node that could still win
+// is asked, and nothing is pruned by node 0's cutoff.
+func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, indexed bool) int {
+	switch {
+	case mode.Kind == qos.KindOpportunistic:
+		return x.placeOpp(a, mode)
+	case !indexed || dur <= 0:
+		return x.scan(a, mode, nil, math.MaxInt64, true)
+	}
+	return x.scan(a, mode, x.rowFor(dur), cutoff, true)
+}
+
+// placeOpp places an Opportunistic arrival: every feasible node starts
+// it at ta, so the least (load, id) feasible node wins. Feasibility is
+// node-state dependent (a core free of reservations now, room under the
+// pin cap), so a node is skipped only while its opportunistic bound lies
+// past the arrival — without that row, a fully core-booked fleet would
+// ask all N nodes for every opportunistic arrival.
+func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
+	return x.scan(a, mode, &x.opp, a.TA, true)
+}
+
+// scan visits the nodes in id order and returns the feasible one with
+// the least (start, load, id) — with byLoad the least (load, id) — or
+// -1. A node is asked, through the uncharged peek, only while its
+// optimistic key (max(ta, bound), load, id) could beat the best answer
+// verified so far and its bound is at most limit, the latest start the
+// arrival accepts; row nil means no bounds at all. A failed peek teaches
+// the node's bound (earliestBound). The scan stops at the first verified
+// node with start ta and load 0, which nothing later can beat; only a
+// scan that visits every node records the row's floor, and a floor past
+// limit rejects without asking any node.
+func (x *dispatchIndex) scan(a Arrival, mode qos.Mode, row *boundRow, limit int64, byLoad bool) int {
+	if row != nil && max(a.TA, row.floor) > limit {
+		return -1
+	}
+	best, bestStart, bestLoad := -1, int64(0), 0
+	floor := neverBound
+	for i, load := range x.load {
+		var b int64
+		if row != nil {
+			b = row.bound[i]
 		}
-		if id, key, has := di.future.top(); has && (!ok || keyLess(key, opt)) {
-			cand, opt, ok = id, key, true
-		}
-		if !ok || opt[0] > cutoff {
-			break // heap order ⇒ every remaining optimistic start is later
-		}
-		if best != -1 && !keyLess(opt, bestKey) {
-			break // best's verified key is minimal
-		}
-		if di.avail.contains(cand) {
-			di.avail.remove(cand)
-		} else {
-			di.future.remove(cand)
-		}
-		popped = append(popped, int32(cand))
-		if s, feasible := cr.nodes[cand].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode); feasible {
-			di.bound[cand] = s
-			k := nodeKey{s, x.loadOf(cand), int64(cand)}
-			if best == -1 || keyLess(k, bestKey) {
-				best, bestKey = cand, k
+		if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
+			s, ok := x.cr.nodes[i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+			if row != nil {
+				b = s
+				if !ok {
+					b = x.earliestBound(a, mode, limit, i)
+				}
+				row.bound[i] = b
 			}
-		} else {
-			di.bound[cand] = x.earliestBound(a, mode, cutoff, cand)
+			if ok && (best == -1 || beats(byLoad, s, load, bestStart, bestLoad)) {
+				best, bestStart, bestLoad = i, s, load
+				if load == 0 && (byLoad || s == a.TA) {
+					return best
+				}
+			}
 		}
+		floor = min(floor, b)
 	}
-	for _, id := range popped {
-		di.settle(int(id), a.TA, x)
+	if row != nil {
+		row.floor = floor
 	}
-	x.popped = popped[:0]
 	return best
+}
+
+// beats reports whether a node later in id order with start s and load l
+// takes the place of the best (bestStart, bestLoad) so far: bestfit
+// orders by (start, load, id), worstfit by (load, id).
+func beats(byLoad bool, s int64, l int, bestStart int64, bestLoad int) bool {
+	if byLoad || s == bestStart {
+		return l < bestLoad
+	}
+	return s < bestStart
 }
 
 // neverBound files a node no start will ever fit (a dimension never
 // frees up) far past any horizon until a completion resets it.
 const neverBound = int64(1) << 53
 
-// earliestBound is what a failed constrained probe teaches about node
-// id: its true unconstrained earliest start (one extra uncharged peek),
-// clamped below by cutoff+1 — the constrained probe already proved
-// nothing starts by the cutoff. Learning the true start instead of just
-// cutoff+1 keeps saturated-fleet rejections O(1): the node stays filed
-// in the future heap past every deadline that cannot reach it, instead
-// of being re-probed as soon as the next arrival's cutoff advances.
-func (x *dispatchIndex) earliestBound(a Arrival, mode qos.Mode, cutoff int64, id int) int64 {
-	s, ok := x.cr.nodes[id].peekEarliestMode(a.Tmpl, a.TA, mode)
-	if !ok {
-		return neverBound
-	}
-	if s <= cutoff {
-		return cutoff + 1
-	}
-	return s
-}
-
-// placeOpp places an Opportunistic arrival: every feasible node starts
-// it at ta, so the least (load, id) feasible node wins. Feasibility is
-// node-state dependent (a core free of reservations now, room under the
-// pin cap), so candidates are verified in load order. A failed probe
-// teaches the node's earliest opportunistically feasible instant
-// (LAC.EarliestOpportunistic) and files it in the future heap until the
-// clock reaches it — without that, a fully core-booked fleet re-scans
-// all N nodes for every opportunistic arrival.
-func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
-	cr := x.cr
-	di := x.opp
-	di.migrate(a.TA, x)
-	best := -1
-	popped := x.popped[:0]
-	for {
-		id, _, ok := di.avail.pop()
-		if !ok {
-			break
-		}
-		popped = append(popped, int32(id))
-		if _, feasible := cr.nodes[id].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode); feasible {
-			best = id
-			break
-		}
-		di.bound[id] = x.oppBound(id, a.TA)
-	}
-	for _, id := range popped {
-		di.settle(int(id), a.TA, x)
-	}
-	x.popped = popped[:0]
-	return best
-}
-
-// oppBound is what a failed opportunistic probe teaches about node id:
-// the earliest instant its reservation schedule could admit one more
-// opportunistic job, clamped past the probe's own arrival.
-func (x *dispatchIndex) oppBound(id int, ta int64) int64 {
-	s, ok := x.cr.nodes[id].lac.EarliestOpportunistic(ta)
-	if !ok {
-		return neverBound
-	}
-	if s <= ta {
-		return ta + 1
-	}
-	return s
-}
-
-// placeWorst scans nodes in (load, id) order and admits at the first
-// feasible one, so typical placements verify one node. With sound start
-// bounds (indexed true) candidates whose bound exceeds the cutoff are
-// skipped without probing, and a fleet-wide infeasible arrival rejects
-// in O(1).
-func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, indexed bool) int {
-	cr := x.cr
+// earliestBound is what a failed peek teaches about node id, clamped
+// below by limit+1 — the peek already proved nothing starts by then. For
+// a reserved mode it is the node's true unconstrained earliest start
+// (one extra uncharged peek with the deadline lifted); learning that
+// instead of just limit+1 keeps saturated-fleet rejections cheap, since
+// the next arrival's slightly later cutoff would invalidate limit+1 at
+// once. For Opportunistic it is the earliest instant the node's
+// reservation schedule could admit one more opportunistic job
+// (LAC.EarliestOpportunistic).
+func (x *dispatchIndex) earliestBound(a Arrival, mode qos.Mode, limit int64, id int) int64 {
+	n := x.cr.nodes[id]
+	var s int64
+	var ok bool
 	if mode.Kind == qos.KindOpportunistic {
-		return x.placeOpp(a, mode)
+		s, ok = n.lac.EarliestOpportunistic(a.TA)
+	} else {
+		s, ok = n.peekEarliestMode(a.Tmpl, a.TA, mode)
 	}
-	if a.TA > cutoff {
-		return -1
+	if !ok {
+		return neverBound
 	}
-	var di *durIndex
-	if indexed && dur > 0 {
-		di = x.durFor(dur)
-		di.migrate(a.TA, x)
-		if di.avail.len() == 0 {
-			if _, key, ok := di.future.top(); !ok || key[0] > cutoff {
-				return -1 // every node's bound already exceeds the cutoff
-			}
-		}
-	}
-	best := -1
-	popped := x.popped[:0]
-	for {
-		id, _, ok := x.loadH.pop()
-		if !ok {
-			break
-		}
-		popped = append(popped, int32(id))
-		if di != nil && di.bound[id] > cutoff {
-			continue // provably infeasible, skip the probe
-		}
-		s, feasible := cr.nodes[id].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
-		if feasible {
-			if di != nil {
-				di.bound[id] = s
-				di.settle(id, a.TA, x)
-			}
-			best = id
-			break
-		}
-		if di != nil {
-			di.bound[id] = x.earliestBound(a, mode, cutoff, id)
-			di.settle(id, a.TA, x)
-		}
-	}
-	for _, id := range popped {
-		x.loadH.fix(int(id), nodeKey{x.loadOf(int(id)), int64(id), 0})
-	}
-	x.popped = popped[:0]
-	return best
-}
-
-// mix64 is the stateless SplitMix64 finalizer, used for locality homes
-// and per-node seed derivation.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return max(s, limit+1)
 }

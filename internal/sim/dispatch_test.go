@@ -104,7 +104,8 @@ func samePlacements(t *testing.T, oracle string, repA *ClusterReport, logA []Pla
 // placement sequence decision for decision — through its bounds where
 // they are sound (fault storms and controllers included, which it sees
 // through LAC.gen), and by falling back to that loop where they are not
-// (AutoDown and "latest" admission place via LatestFit).
+// (AutoDown and "latest" admission place via LatestFit; trace-engine
+// nodes each have their own tw).
 func TestBestfitMatchesProbeall(t *testing.T) {
 	storm := clusterCfg(4, 40)
 	storm.Node.Faults = fault.Generate(3, 400, 40_000_000, 4, 16)
@@ -120,6 +121,8 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 	}
 	latest := ClusterConfig{Nodes: 3, Node: fastConfig(Hybrid2, workload.Mix1()), AcceptTarget: 24}
 	latest.Node.Admission = "latest"
+	trace := ClusterConfig{Nodes: 4, Node: TraceConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: 32}
+	trace.Node.Seed = 2
 	cases := []struct {
 		name string
 		cfg  ClusterConfig
@@ -141,6 +144,10 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 			Nodes: 3, Node: fastConfig(AllStrictAutoDown, workload.Single("bzip2")), AcceptTarget: 24,
 		}},
 		{"latest-fallback", latest},
+		// Each trace-engine node profiles its tw under its own seed, so
+		// node 0's cutoff prices no other node: pruning by it rejects
+		// placement 113, which node 1 takes.
+		{"trace-fallback", trace},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,6 +186,20 @@ func (d peekallDispatch) Place(a Arrival) Placement {
 	return Placement{Node: node, Opportunistic: node >= 0}
 }
 
+// nodeKey orders the oracle's candidates lexicographically: (start,
+// load, id) for bestfit, (load, id, 0) for the least-loaded pick.
+type nodeKey [3]int64
+
+func keyLess(a, b nodeKey) bool {
+	if a[0] != b[0] {
+		return a[0] < b[0]
+	}
+	if a[1] != b[1] {
+		return a[1] < b[1]
+	}
+	return a[2] < b[2]
+}
+
 // least returns the feasible node with the least (start, load, id), or
 // with byLoad the least (load, id); -1 if no node takes the arrival.
 func (d peekallDispatch) least(a Arrival, mode qos.Mode, byLoad bool) int {
@@ -202,7 +223,9 @@ func (d peekallDispatch) least(a Arrival, mode qos.Mode, byLoad bool) int {
 // indexOracleFleets are the fleets whose LACs move earliest starts
 // earlier behind the dispatcher's back — fault storms, feedback
 // controllers, both — where the index stays sound only by resetting a
-// node's bounds when its LAC.gen moves.
+// node's bounds when its LAC.gen moves, and a trace-engine fleet, whose
+// nodes' tw differ, where it stays exact only by pricing no node with
+// node 0's cutoff.
 func indexOracleFleets() []struct {
 	name string
 	cfg  ClusterConfig
@@ -235,7 +258,12 @@ func indexOracleFleets() []struct {
 	cfg.Node.Workload = workload.Mix1()
 	cfg.Node.Controller = "pid"
 	cfg.Node.Faults = fault.Generate(4, 1500, 40_000_000, 4, 16)
-	return append(fleets, fleet{"hybrid2-mix1-pid/faults", cfg})
+	fleets = append(fleets, fleet{"hybrid2-mix1-pid/faults", cfg})
+	trace := TraceConfig(Hybrid2, workload.Single("bzip2"))
+	trace.JobInstr = 1_000_000
+	trace.StealIntervalInstr = 50_000
+	trace.Seed = 6
+	return append(fleets, fleet{"trace-engine", ClusterConfig{Nodes: 4, Node: trace, AcceptTarget: 32}})
 }
 
 // TestIndexMatchesPeekAll holds bestfit, worstfit and oversub to
@@ -261,6 +289,76 @@ func TestIndexMatchesPeekAll(t *testing.T) {
 		}
 	}
 	t.Logf("%d placements, %d terminated jobs", placed, terminated)
+}
+
+// rowCheck wraps a dispatcher and, before every placement, holds the
+// dispatch index to what its pruning rests on: no bound in a row is
+// below the row's floor, no bound of a reserved length exceeds the
+// node's true earliest start for that length (peeked with the deadline
+// lifted), and a node the opportunistic row skips refuses the arrival.
+type rowCheck struct {
+	t      *testing.T
+	cr     *ClusterRunner
+	inner  Dispatcher
+	shapes map[int64]Arrival // an arrival of each reserved length seen
+	placed int
+}
+
+func (d *rowCheck) Name() string { return d.inner.Name() }
+
+func (d *rowCheck) Place(a Arrival) Placement {
+	x := d.cr.idx
+	for _, r := range append([]boundRow{x.opp}, x.rows...) {
+		for i, b := range r.bound {
+			if b < r.floor {
+				d.t.Fatalf("placement %d: node %d's bound %d in the length-%d row is below its floor %d", d.placed, i, b, r.dur, r.floor)
+			}
+			n := d.cr.nodes[i]
+			if r.dur == 0 {
+				if _, ok := n.peekTemplateMode(a.Tmpl, a.DL, a.TA, qos.Opportunistic()); ok && b > a.TA {
+					d.t.Fatalf("placement %d: node %d takes opportunistic work at %d, its bound says not before %d", d.placed, i, a.TA, b)
+				}
+				continue
+			}
+			shape := d.shapes[r.dur]
+			mode, _, _ := d.cr.arrivalShape(shape)
+			if s, ok := n.peekEarliestMode(shape.Tmpl, a.TA, mode); ok && b > s {
+				d.t.Fatalf("placement %d: node %d's bound %d in the length-%d row is past its earliest start %d", d.placed, i, b, r.dur, s)
+			}
+		}
+	}
+	if mode, dur, _ := d.cr.arrivalShape(a); mode.Kind != qos.KindOpportunistic {
+		if _, ok := d.shapes[dur]; !ok {
+			d.shapes[dur] = a
+		}
+	}
+	d.placed++
+	return d.inner.Place(a)
+}
+
+// TestDispatchRowsStayLowerBounds runs bestfit, worstfit and oversub on
+// the fleets of indexOracleFleets under rowCheck. It catches a broken
+// floor rule before any placement changes: a floor recorded by a scan
+// that stopped early (its unvisited nodes may hold lower bounds), or one
+// kept across a LAC.gen move, and a bound kept across one.
+func TestDispatchRowsStayLowerBounds(t *testing.T) {
+	placed := 0
+	for _, s := range []qos.Strategy{qos.BestFit, qos.WorstFit, qos.Oversub} {
+		for _, f := range indexOracleFleets() {
+			t.Run(s.String()+"/"+f.name, func(t *testing.T) {
+				cfg := f.cfg
+				cfg.Dispatcher = s.String()
+				cr := newTestCluster(t, cfg)
+				check := &rowCheck{t: t, cr: cr, inner: cr.disp, shapes: map[int64]Arrival{}}
+				cr.disp = check
+				if _, err := cr.Run(); err != nil {
+					t.Fatal(err)
+				}
+				placed += check.placed
+			})
+		}
+	}
+	t.Logf("%d placements checked", placed)
 }
 
 // TestClusterWorkerCountInvariance pins the sharded-stepping

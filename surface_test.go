@@ -1,8 +1,9 @@
 package cmpqos
 
-// The three whole-tree gates of tier-1 (DESIGN §3.1): nothing under
-// internal/ that no program can reach, no option no program sets, and no
-// document citing a test that does not exist.
+// The four whole-tree gates of tier-1 (DESIGN §3.1): nothing under
+// internal/ that no program can reach, no option no program sets, no
+// document citing a test that does not exist, and no package-scope name
+// shadowing a predeclared one.
 
 import (
 	"fmt"
@@ -66,6 +67,19 @@ func TestConfigKnobs(t *testing.T) {
 		"written or gone")
 }
 
+// TestNoShadowedBuiltins: a package-scope name that is also a predeclared
+// one (a hand-written min or max from before Go 1.21, an error type)
+// silently changes what the name means in every file of its package.
+func TestNoShadowedBuiltins(t *testing.T) {
+	tr, err := moduleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tr.shadowedBuiltins() {
+		t.Errorf("%s shadows the predeclared identifier — delete it or rename it", name)
+	}
+}
+
 // checkAllowed fails for every found name outside the allow-list and for
 // every allow-list entry not found.
 func checkAllowed(t *testing.T, found []string, allow map[string]string, advice, stale string) {
@@ -96,6 +110,9 @@ func TestInternalSurfaceFixture(t *testing.T) {
 	}
 	if knobs, want := tr.unwrittenKnobs(), []string{"fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
 		t.Errorf("unwritten option fields in the fixture = %v, want %v", knobs, want)
+	}
+	if shadows, want := tr.shadowedBuiltins(), []string{"fixture/cmd/app.max"}; !reflect.DeepEqual(shadows, want) {
+		t.Errorf("shadowed builtins in the fixture = %v, want %v", shadows, want)
 	}
 }
 
@@ -262,6 +279,21 @@ func (tr *tree) unwrittenKnobs() []string {
 	}
 	sort.Strings(knobs)
 	return knobs
+}
+
+// shadowedBuiltins returns, sorted as "import/path.Name", every
+// package-scope name of the tree that types.Universe also declares.
+func (tr *tree) shadowedBuiltins() []string {
+	shadows := []string{}
+	for _, p := range tr.pkgs {
+		for _, name := range p.types.Scope().Names() {
+			if types.Universe.Lookup(name) != nil {
+				shadows = append(shadows, p.types.Path()+"."+name)
+			}
+		}
+	}
+	sort.Strings(shadows)
+	return shadows
 }
 
 // structOf is the struct a composite literal of type t (or *t, for an

@@ -1,5 +1,6 @@
 // Command app is the only root of the reachability fixture
-// (TestInternalSurfaceFixture in the repository root).
+// (TestInternalSurfaceFixture in the repository root). Its max is the
+// planted shadow of a predeclared identifier.
 package main
 
 import "fixture/internal/lib"
@@ -10,7 +11,14 @@ func main() {
 	cfg.Nested.Depth++
 	grow(&cfg.Addressed)
 	_ = cfg.Unset
-	lib.NewLive(cfg, lib.Params{3}).Run()
+	lib.NewLive(cfg, lib.Params{max(3, 1)}).Run()
 }
 
 func grow(n *int) { *n *= 2 }
+
+func max(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
