@@ -121,20 +121,19 @@ type line struct {
 
 // baseCache holds the storage shared by every cache model.
 type baseCache struct {
-	cfg        Config
-	sets       [][]line
-	tags       [][]uint64 // tags[set][way], parallel to sets
-	clock      uint64     // global LRU stamp source
-	setShift   uint
-	tagShift   uint // precomputed setShift + log2(sets); see index
-	setMask    uint64
-	ownerAcc   []int64
-	ownerMiss  []int64
-	occupancy  [][]int16 // occupancy[set][owner]: valid blocks owned per set
-	globalOcc  []int64   // blocks owned per owner across all sets
-	freeInSet  []int16   // invalid lines per set
-	freeHint   []int16   // per set: every way below the hint is valid
-	writeBacks int64     // dirty evictions (write-back transfers)
+	cfg       Config
+	sets      [][]line
+	tags      [][]uint64 // tags[set][way], parallel to sets
+	clock     uint64     // global LRU stamp source
+	setShift  uint
+	tagShift  uint // precomputed setShift + log2(sets); see index
+	setMask   uint64
+	ownerAcc  []int64
+	ownerMiss []int64
+	occupancy [][]int16 // occupancy[set][owner]: valid blocks owned per set
+	globalOcc []int64   // blocks owned per owner across all sets
+	freeInSet []int16   // invalid lines per set
+	freeHint  []int16   // per set: every way below the hint is valid
 }
 
 func newBase(cfg Config) *baseCache {
@@ -241,9 +240,6 @@ func (b *baseCache) install(set, way int, tag uint64, owner int) (victimOwner in
 		victimOwner = int(ln.owner)
 		evicted = true
 		writeBack = ln.dirty
-		if ln.dirty {
-			b.writeBacks++
-		}
 		b.occupancy[set][ln.owner]--
 		b.globalOcc[ln.owner]--
 	} else {
@@ -266,9 +262,6 @@ func (b *baseCache) install(set, way int, tag uint64, owner int) (victimOwner in
 // markDirty sets a resident way's dirty bit (a write hit or a write
 // fill under write-allocate).
 func (b *baseCache) markDirty(set, way int) { b.sets[set][way].dirty = true }
-
-// WriteBacks returns the lifetime count of dirty evictions.
-func (b *baseCache) WriteBacks() int64 { return b.writeBacks }
 
 // record updates per-owner counters.
 func (b *baseCache) record(owner int, miss bool) {
@@ -304,7 +297,6 @@ func (b *baseCache) Flush(owner int) (blocks, writeBacks int64) {
 			blocks++
 			if ln.dirty {
 				writeBacks++
-				b.writeBacks++
 			}
 			ln.valid = false
 			ln.dirty = false

@@ -15,7 +15,6 @@ type ShadowTags struct {
 	shadow   *Partitioned
 	every    int
 	mainMiss []int64 // main-tag misses on sampled sets, per owner
-	mainAcc  []int64 // main-tag accesses on sampled sets, per owner
 }
 
 // NewShadowTags builds a shadow tag array for a main cache with geometry
@@ -36,7 +35,6 @@ func NewShadowTags(cfg Config, every int) *ShadowTags {
 		shadow:   NewPartitioned(shadowCfg),
 		every:    every,
 		mainMiss: make([]int64, cfg.Owners),
-		mainAcc:  make([]int64, cfg.Owners),
 	}
 	return st
 }
@@ -63,7 +61,6 @@ func (st *ShadowTags) Observe(owner int, addr Addr, main Result) {
 	if !st.Sampled(main.Set) {
 		return
 	}
-	st.mainAcc[owner]++
 	if !main.Hit {
 		st.mainMiss[owner]++
 	}
@@ -89,10 +86,6 @@ func trailingZeros(n int) int {
 // MainMisses returns the cumulative main-tag misses by owner on sampled
 // sets since the last Reset.
 func (st *ShadowTags) MainMisses(owner int) int64 { return st.mainMiss[owner] }
-
-// MainAccesses returns the cumulative main-tag accesses by owner on
-// sampled sets since the last Reset.
-func (st *ShadowTags) MainAccesses(owner int) int64 { return st.mainAcc[owner] }
 
 // ShadowMisses returns the cumulative shadow-tag misses by owner since
 // the last Reset — the misses the job would have had without stealing.
@@ -125,7 +118,6 @@ func (st *ShadowTags) ExcessMissRatio(owner int) float64 {
 // is installed on a core while another core's job is still tracked.
 func (st *ShadowTags) ResetOwner(owner int) {
 	st.mainMiss[owner] = 0
-	st.mainAcc[owner] = 0
 	st.shadow.ResetOwnerStats(owner)
 }
 
@@ -141,10 +133,7 @@ func (st *ShadowTags) Reset() {
 	st.shadow = NewPartitioned(cfg)
 	copy(st.shadow.target, targets)
 	copy(st.shadow.class, classes)
-	for i := range st.mainMiss {
-		st.mainMiss[i] = 0
-		st.mainAcc[i] = 0
-	}
+	clear(st.mainMiss)
 }
 
 // accessSetTag is the low-level access path used by ShadowTags, which

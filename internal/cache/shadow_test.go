@@ -85,20 +85,22 @@ func TestShadowSamplingOnlySampledSets(t *testing.T) {
 	main := NewPartitioned(cfg)
 	main.SetTarget(0, 2)
 	main.SetClass(0, ClassReserved)
-	// Access only unsampled sets: shadow must see nothing.
+	// Access only unsampled sets, every access a miss: shadow must see
+	// nothing, and no main-tag miss is counted.
 	for i := 0; i < 100; i++ {
 		a := blockAddr(cfg, 3, uint64(i)) // set 3: unsampled
 		st.Observe(0, a, main.Access(0, a))
 	}
-	if st.ShadowAccesses(0) != 0 || st.MainAccesses(0) != 0 {
+	if st.ShadowAccesses(0) != 0 || st.MainMisses(0) != 0 {
 		t.Fatal("shadow observed accesses to unsampled sets")
 	}
-	// Set 8 is sampled (8 % 8 == 0).
+	// Set 8 is sampled (8 % 8 == 0): a cold miss, then a hit.
 	a := blockAddr(cfg, 8, 1)
 	st.Observe(0, a, main.Access(0, a))
-	if st.ShadowAccesses(0) != 1 || st.MainAccesses(0) != 1 {
-		t.Fatalf("sampled access not observed: shadow=%d main=%d",
-			st.ShadowAccesses(0), st.MainAccesses(0))
+	st.Observe(0, a, main.Access(0, a))
+	if st.ShadowAccesses(0) != 2 || st.MainMisses(0) != 1 {
+		t.Fatalf("sampled accesses not observed: shadow accesses=%d main misses=%d",
+			st.ShadowAccesses(0), st.MainMisses(0))
 	}
 }
 

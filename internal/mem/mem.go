@@ -47,12 +47,9 @@ func (c Config) Validate() error {
 // (epochs): the simulator calls AddMisses during an epoch and Roll at its
 // end with the epoch's cycle length.
 type Bus struct {
-	cfg             Config
-	windowMisses    int64
-	utilization     float64 // utilization of the last completed window
-	totalMisses     int64
-	totalWriteBacks int64
-	totalBytes      int64
+	cfg          Config
+	windowMisses int64
+	utilization  float64 // utilization of the last completed window
 }
 
 // NewBus builds a bus model.
@@ -67,22 +64,11 @@ func NewBus(cfg Config) *Bus {
 func (b *Bus) Config() Config { return b.cfg }
 
 // AddMisses records n L2 misses' worth of traffic in the current window.
-func (b *Bus) AddMisses(n int64) {
-	b.windowMisses += n
-	b.totalMisses += n
-	b.totalBytes += n * int64(b.cfg.BlockBytes)
-}
+func (b *Bus) AddMisses(n int64) { b.windowMisses += n }
 
 // AddWriteBacks records n dirty-eviction transfers: each moves one block
 // to memory, consuming the same bus bandwidth as a fill.
-func (b *Bus) AddWriteBacks(n int64) {
-	b.windowMisses += n
-	b.totalWriteBacks += n
-	b.totalBytes += n * int64(b.cfg.BlockBytes)
-}
-
-// TotalWriteBacks returns lifetime write-back transfers.
-func (b *Bus) TotalWriteBacks() int64 { return b.totalWriteBacks }
+func (b *Bus) AddWriteBacks(n int64) { b.windowMisses += n }
 
 // Roll closes the current measurement window, which spanned the given
 // number of core cycles, computing its utilization and starting a fresh
@@ -99,10 +85,11 @@ func (b *Bus) Utilization() float64 { return b.utilization }
 // WindowUtilization returns the utilization a window of `transfers`
 // block transfers over windowCycles core cycles yields, capped at 1,
 // without mutating the bus: what Roll stores, and what the
-// event-horizon fast-forward uses as its fixed-point test — a steady
-// epoch may be skipped only when the utilization the next window would
-// compute is bit-identical to the current one, so every contention
-// penalty in the skipped epochs is bit-identical too.
+// event-horizon fast-forward uses as its fixed-point test — steady
+// epochs may be skipped only when their traffic hands back the current
+// utilization bit for bit, so every contention penalty in the skipped
+// epochs is bit-identical too and the bus ends the window where it
+// began.
 func (b *Bus) WindowUtilization(transfers, windowCycles int64) float64 {
 	if windowCycles <= 0 {
 		return b.utilization
@@ -114,21 +101,6 @@ func (b *Bus) WindowUtilization(transfers, windowCycles int64) float64 {
 		u = 1
 	}
 	return u
-}
-
-// FastForward replays k identical measurement windows, each carrying
-// `misses` fill transfers and `writeBacks` dirty-eviction transfers over
-// windowCycles cycles, in closed form: the lifetime totals advance by
-// k windows' worth and the last-window utilization becomes that of one
-// such window. The caller must be at a window boundary (just after
-// Roll) and must have verified the fixed point via WindowUtilization;
-// the totals are integer sums, so k windows folded at once are exact.
-func (b *Bus) FastForward(misses, writeBacks, windowCycles, k int64) {
-	b.totalMisses += k * misses
-	b.totalWriteBacks += k * writeBacks
-	b.totalBytes += k * (misses + writeBacks) * int64(b.cfg.BlockBytes)
-	b.utilization = b.WindowUtilization(misses+writeBacks, windowCycles)
-	b.windowMisses = 0
 }
 
 // Saturated reports whether the last window's utilization crossed the
@@ -206,9 +178,3 @@ func (b *Bus) MissPenaltyForAt(p Priority, rho float64) float64 {
 	}
 	return b.queuePenaltyAt(0.42, rho)
 }
-
-// TotalMisses returns lifetime misses routed through the bus.
-func (b *Bus) TotalMisses() int64 { return b.totalMisses }
-
-// TotalBytes returns lifetime bytes transferred.
-func (b *Bus) TotalBytes() int64 { return b.totalBytes }

@@ -145,16 +145,19 @@ func TestPriorityScheduling(t *testing.T) {
 	}
 }
 
-func TestLifetimeCounters(t *testing.T) {
+// TestWindowAccumulatesUntilRoll: every transfer added inside a window
+// counts toward that window's utilization, and Roll starts the next
+// window empty.
+func TestWindowAccumulatesUntilRoll(t *testing.T) {
 	b := NewBus(PaperConfig())
 	b.AddMisses(10)
 	b.Roll(1000)
 	b.AddMisses(5)
-	if b.TotalMisses() != 15 {
-		t.Errorf("total misses = %d, want 15", b.TotalMisses())
-	}
-	if b.TotalBytes() != 15*64 {
-		t.Errorf("total bytes = %d, want %d", b.TotalBytes(), 15*64)
+	b.AddMisses(10)
+	b.Roll(1000)
+	// 1000 cycles at 2 GHz carry at most 50 blocks of 64 B at 6.4 GB/s.
+	if got := b.Utilization(); got != 0.3 {
+		t.Errorf("utilization = %v, want 15 of 50 blocks = 0.3", got)
 	}
 }
 
@@ -182,15 +185,14 @@ func TestWriteBackTraffic(t *testing.T) {
 	b := NewBus(PaperConfig())
 	b.AddMisses(10)
 	b.AddWriteBacks(5)
-	if b.TotalWriteBacks() != 5 {
-		t.Errorf("write-backs = %d, want 5", b.TotalWriteBacks())
+	// Write-backs consume bandwidth like fills: 15 of 50 blocks.
+	b.Roll(1000)
+	if got := b.Utilization(); got != 0.3 {
+		t.Errorf("utilization = %v, want 15 transfers' 0.3", got)
 	}
-	if b.TotalBytes() != 15*64 {
-		t.Errorf("bytes = %d, want %d (write-backs consume bandwidth)", b.TotalBytes(), 15*64)
-	}
-	// Write-backs contribute to window utilization like fills.
-	b.Roll(2_000_000)
-	if b.Utilization() <= 0 {
-		t.Error("write-back traffic should register utilization")
+	b.AddWriteBacks(5)
+	b.Roll(1000)
+	if got := b.Utilization(); got != 0.1 {
+		t.Errorf("write-backs alone: utilization = %v, want 0.1", got)
 	}
 }

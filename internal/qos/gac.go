@@ -141,9 +141,14 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("qos: unknown dispatch strategy %q (have %v)", name, StrategyNames())
 }
 
-// localityWindow is how many consecutive nodes a locality dispatch scans
-// around the job's home node before falling back to a full sweep.
-const localityWindow = 16
+// LocalityWindow is where the locality strategy looks first for job id
+// among n nodes: size consecutive nodes from first, wrapping — the job's
+// home, SplitMix64(id) mod n, and the 15 nodes after it (all n when
+// fewer). The GAC and the cluster simulator both sweep it before falling
+// back to bestfit's full sweep.
+func LocalityWindow(id, n int) (first, size int) {
+	return int(splitmix.Mix(uint64(id)) % uint64(n)), min(16, n)
+}
 
 // NewGAC builds a GAC over the given nodes.
 func NewGAC(nodes ...*LAC) *GAC {
@@ -261,8 +266,8 @@ func (g *GAC) plan(p *Placement, req Request) {
 	n := len(g.nodes)
 	node, dec := -1, Decision{}
 	if g.strategy == Locality {
-		home := int(splitmix.Mix(uint64(req.JobID)) % uint64(n))
-		node, dec = g.scan(p, req, home, min(localityWindow, n))
+		first, size := LocalityWindow(req.JobID, n)
+		node, dec = g.scan(p, req, first, size)
 	}
 	if node == -1 {
 		// For locality: nothing near home, so fall back to the full sweep

@@ -28,10 +28,12 @@ func (g *naiveGAC) Submit(req Request) (node int, mode Mode, dec Decision) {
 			return node, r.Mode, dec
 		}
 	case Locality:
+		// The 16 nodes from the job's hashed home, worked out here rather
+		// than by LocalityWindow so the oracle does not share its code.
 		home := int(splitmix.Mix(uint64(req.JobID)) % uint64(len(g.nodes)))
 		best := -1
 		var bestDec Decision
-		for k := 0; k < localityWindow && k < len(g.nodes); k++ {
+		for k := 0; k < 16 && k < len(g.nodes); k++ {
 			i := (home + k) % len(g.nodes)
 			if d := g.nodes[i].Probe(req); d.Accepted {
 				if best == -1 || d.Start < bestDec.Start {

@@ -86,21 +86,12 @@ func deadlineFor(override float64, dl workload.DeadlineClass, ta, tw int64) int6
 	return ta + int64(factor*float64(tw))
 }
 
-// probeTemplate asks this node's LAC, without side effects, whether it
-// could accept the job and when it would start. The GAC layer of the
-// cluster simulation uses this; the probe is charged to the modeled
-// controller occupancy like any admission test.
-func (r *Runner) probeTemplate(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64) (start int64, ok bool) {
-	tw := r.twFor(tmpl).tw
-	d := r.lac.Probe(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, r.modeFor(tmpl.Hint)))
-	return d.Start, d.Accepted
-}
-
-// peekTemplateMode is probeTemplate with an explicit mode and no
-// occupancy charge: the dispatch index's node-summary refresh. An
-// indexed GAC maintains its summaries as bookkeeping, not as admission
-// tests, so these lookups must not inflate the §7.5 occupancy model —
-// only the admitting node's Admit is billed.
+// peekTemplateMode asks this node's LAC, without side effects, whether
+// it could accept the job in the given mode and when it would start:
+// every question the cluster's dispatcher asks a node. It goes through
+// the uncharged Peek — the dispatcher's lookups are bookkeeping, not
+// admission tests, so they must not inflate the §7.5 occupancy model —
+// and only the admitting node's Admit is billed.
 func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) (start int64, ok bool) {
 	tw := r.twFor(tmpl).tw
 	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, mode))

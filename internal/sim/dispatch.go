@@ -1,10 +1,14 @@
 // Cluster dispatch stage: how the Global Admission Controller picks a
 // node for each arriving job. ClusterConfig.Dispatcher names a
 // qos.Strategy — the names, and the placement rules, of qos.GAC — and
-// defaults to bestfit. Every strategy places through a node index in
-// qos.GAC's shape — rows of per-node lower bounds, scanned in node order
-// — that asks only the nodes that could still win, and bestfit's
-// placements are exactly those of probing every node.
+// defaults to bestfit. Every strategy places through one scan of a node
+// index in qos.GAC's shape — rows of per-node lower bounds, swept in
+// node order — that asks only the nodes that could still win, and
+// bestfit's placements are exactly those of probing every node. Where
+// no bound is sound (AutoDown, "latest" admission, the trace engine, a
+// zero reservation length) and over locality's window, the same scan
+// runs without a row. Every question is an uncharged LAC.Peek, so a
+// node's probe counter counts only the admission tests it ran.
 //
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible
@@ -13,7 +17,7 @@
 // LAC.gen — completions, fault capacity changes and evictions,
 // controller headroom — pull it earlier (so the cluster runner resets a
 // node's bounds whenever it observes that counter move, the rule
-// qos.GAC's bounds table invalidates by). A probe that fails teaches the
+// qos.GAC's bounds table invalidates by). A peek that fails teaches the
 // node's true unconstrained earliest start (one extra uncharged peek
 // with the deadline lifted), so later arrivals skip the node without
 // asking it until a deadline can reach that start; opportunistic
@@ -28,7 +32,6 @@ import (
 	"math"
 
 	"cmpqos/internal/qos"
-	"cmpqos/internal/splitmix"
 	"cmpqos/internal/workload"
 )
 
@@ -70,14 +73,13 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 	case qos.WorstFit:
 		// The feasible node with the fewest live jobs (lowest index on
 		// ties) — the load-spreading counterpoint to bestfit's packing.
-		mode, dur, cutoff := cr.arrivalShape(a)
-		return Placement{Node: cr.idx.placeWorst(a, mode, dur, cutoff, cr.indexable())}
+		return Placement{Node: cr.place(a, true)}
 	case qos.Oversub:
 		// bestfit, then a reserved request no node can fit before its
 		// deadline is re-dispatched Opportunistically (§5 allows several
 		// Opportunistic jobs per core): the fleet trades the guarantee for
 		// utilization instead of bouncing the job.
-		node := cr.bestfit(a)
+		node := cr.place(a, false)
 		if node >= 0 || cr.nodes[0].modeFor(a.Tmpl.Hint).Kind == qos.KindOpportunistic {
 			return Placement{Node: node}
 		}
@@ -89,18 +91,14 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 		// real cluster schedulers, with job groups standing in for data
 		// placement. When nothing near home is feasible it falls back to
 		// bestfit, so its rejection set is bestfit's.
-		home := int(splitmix.Mix(uint64(a.Seq)) % uint64(len(cr.nodes)))
-		if node := cr.probeRange(a, home, min(dispatchLocalityWindow, len(cr.nodes))); node >= 0 {
+		first, size := qos.LocalityWindow(a.Seq, len(cr.nodes))
+		mode := cr.nodes[0].modeFor(a.Tmpl.Hint)
+		if node := cr.idx.scan(a, mode, nil, math.MaxInt64, false, first, size); node >= 0 {
 			return Placement{Node: node}
 		}
 	}
-	return Placement{Node: cr.bestfit(a)}
+	return Placement{Node: cr.place(a, false)}
 }
-
-// dispatchLocalityWindow is how many consecutive nodes the locality
-// dispatcher scans around an arrival's home before falling back to
-// bestfit.
-const dispatchLocalityWindow = 16
 
 // arrivalShape resolves the per-arrival quantities every dispatcher
 // needs: the execution mode, the reservation duration the LAC will
@@ -125,36 +123,30 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 // admission policy place via LatestFit, which is not monotone under
 // admissions; the trace engine profiles each node's tw under the node's
 // own seed, so node 0's duration and cutoff do not price the others.
-// All three fall back to asking every node.
+// All three are placed by a scan without bounds.
 func (cr *ClusterRunner) indexable() bool {
 	node := &cr.cfg.Node
 	return node.Policy != AllStrictAutoDown && node.admissionName() == "fcfs" && node.Engine != EngineTrace
 }
 
-// bestfit returns the least (start, load, id) feasible node, -1 if none.
-func (cr *ClusterRunner) bestfit(a Arrival) int {
-	if !cr.indexable() {
-		return cr.probeRange(a, 0, len(cr.nodes))
-	}
+// place returns the feasible node with the least (start, load, id) —
+// with byLoad the least (load, id) — or -1: what peeking every node
+// would pick. Where the start bounds are sound it scans the row of the
+// arrival's reservation length, skipping without asking the nodes whose
+// bound exceeds the cutoff. Where they are not, or for a zero length (a
+// reservation the LAC would hold forever), it scans without bounds:
+// every node that could still win is asked, and nothing is pruned by
+// node 0's cutoff.
+func (cr *ClusterRunner) place(a Arrival, byLoad bool) int {
+	x := cr.idx
 	mode, dur, cutoff := cr.arrivalShape(a)
-	return cr.idx.placeBest(a, mode, dur, cutoff)
-}
-
-// probeRange probes n nodes' LACs from first (wrapping), charged as
-// §3.1's GAC would, and returns the feasible node with the least
-// (start, load), ties to the node probed first; -1 if none is feasible.
-func (cr *ClusterRunner) probeRange(a Arrival, first, n int) int {
-	best, bestStart, bestLoad := -1, int64(0), 0
-	for k := 0; k < n; k++ {
-		i := (first + k) % len(cr.nodes)
-		if start, ok := cr.nodes[i].probeTemplate(a.Tmpl, a.DL, a.TA); ok {
-			load := cr.nodes[i].liveCount()
-			if best == -1 || start < bestStart || (start == bestStart && load < bestLoad) {
-				best, bestStart, bestLoad = i, start, load
-			}
-		}
+	switch {
+	case mode.Kind == qos.KindOpportunistic:
+		return x.placeOpp(a, mode)
+	case !cr.indexable() || dur <= 0:
+		return x.scan(a, mode, nil, math.MaxInt64, byLoad, 0, len(x.load))
 	}
-	return best
+	return x.scan(a, mode, x.rowFor(dur), cutoff, byLoad, 0, len(x.load))
 }
 
 // --- the dispatch index ------------------------------------------------
@@ -219,34 +211,6 @@ func (x *dispatchIndex) noteGen(id int) {
 	}
 }
 
-// placeBest returns the least (start, load, id) feasible node — what
-// probing every node would pick.
-func (x *dispatchIndex) placeBest(a Arrival, mode qos.Mode, dur, cutoff int64) int {
-	switch {
-	case mode.Kind == qos.KindOpportunistic:
-		return x.placeOpp(a, mode)
-	case dur <= 0:
-		// Degenerate duration (tw resolved to zero): the LAC would hold
-		// the reservation forever; stay exact via exhaustive probing.
-		return x.cr.probeRange(a, 0, len(x.cr.nodes))
-	}
-	return x.scan(a, mode, x.rowFor(dur), cutoff, false)
-}
-
-// placeWorst returns the least (load, id) feasible node. With sound
-// start bounds (indexed true) nodes whose bound exceeds the cutoff are
-// skipped without asking; without them every node that could still win
-// is asked, and nothing is pruned by node 0's cutoff.
-func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, indexed bool) int {
-	switch {
-	case mode.Kind == qos.KindOpportunistic:
-		return x.placeOpp(a, mode)
-	case !indexed || dur <= 0:
-		return x.scan(a, mode, nil, math.MaxInt64, true)
-	}
-	return x.scan(a, mode, x.rowFor(dur), cutoff, true)
-}
-
 // placeOpp places an Opportunistic arrival: every feasible node starts
 // it at ta, so the least (load, id) feasible node wins. Feasibility is
 // node-state dependent (a core free of reservations now, room under the
@@ -254,57 +218,69 @@ func (x *dispatchIndex) placeWorst(a Arrival, mode qos.Mode, dur, cutoff int64, 
 // past the arrival — without that row, a fully core-booked fleet would
 // ask all N nodes for every opportunistic arrival.
 func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
-	return x.scan(a, mode, &x.opp, a.TA, true)
+	return x.scan(a, mode, &x.opp, a.TA, true, 0, len(x.load))
 }
 
-// scan visits the nodes in id order and returns the feasible one with
-// the least (start, load, id) — with byLoad the least (load, id) — or
-// -1. A node is asked, through the uncharged peek, only while its
-// optimistic key (max(ta, bound), load, id) could beat the best answer
-// verified so far and its bound is at most limit, the latest start the
-// arrival accepts; row nil means no bounds at all. A failed peek teaches
-// the node's bound (earliestBound). The scan stops at the first verified
-// node with start ta and load 0, which nothing later can beat; only a
-// scan that visits every node records the row's floor, and a floor past
-// limit rejects without asking any node.
-func (x *dispatchIndex) scan(a Arrival, mode qos.Mode, row *boundRow, limit int64, byLoad bool) int {
+// scan sweeps n nodes from first, wrapping, and returns the feasible one
+// with the least (start, load) — with byLoad the least load — ties to
+// the node swept first, or -1. A node is asked, through the uncharged
+// peek, only while its optimistic key (max(ta, bound), load) could beat
+// the best answer verified so far and its bound is at most limit, the
+// latest start the arrival accepts; row nil means no bounds at all. A
+// failed peek teaches the node's bound (earliestBound). The sweep stops
+// at the first verified node with start ta and load 0, which nothing
+// later can beat; only a sweep that visits every node records the row's
+// floor, and a floor past limit rejects without asking any node.
+func (x *dispatchIndex) scan(a Arrival, mode qos.Mode, row *boundRow, limit int64, byLoad bool, first, n int) int {
 	if row != nil && max(a.TA, row.floor) > limit {
 		return -1
 	}
 	best, bestStart, bestLoad := -1, int64(0), 0
 	floor := neverBound
-	for i, load := range x.load {
-		var b int64
+	// At most two runs of node ids: from first to the fleet's end, then
+	// the part that wraps around to 0. Indexing each run's prefix of the
+	// rows keeps the walk as tight as one range loop.
+	for lo, end := first, first+n; lo < end; lo, end = 0, end-len(x.load) {
+		loads := x.load[:min(end, len(x.load))]
+		var bounds []int64
 		if row != nil {
-			b = row.bound[i]
+			bounds = row.bound[:len(loads)]
 		}
-		if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
-			s, ok := x.cr.nodes[i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+		for i := lo; i < len(loads); i++ {
+			load := loads[i]
+			var b int64
 			if row != nil {
-				b = s
-				if !ok {
-					b = x.earliestBound(a, mode, limit, i)
-				}
-				row.bound[i] = b
+				b = bounds[i]
 			}
-			if ok && (best == -1 || beats(byLoad, s, load, bestStart, bestLoad)) {
-				best, bestStart, bestLoad = i, s, load
-				if load == 0 && (byLoad || s == a.TA) {
-					return best
+			if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
+				s, ok := x.cr.nodes[i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+				if row != nil {
+					b = s
+					if !ok {
+						b = x.earliestBound(a, mode, limit, i)
+					}
+					bounds[i] = b
+				}
+				if ok && (best == -1 || beats(byLoad, s, load, bestStart, bestLoad)) {
+					best, bestStart, bestLoad = i, s, load
+					if load == 0 && (byLoad || s == a.TA) {
+						return best
+					}
 				}
 			}
+			floor = min(floor, b)
 		}
-		floor = min(floor, b)
 	}
-	if row != nil {
+	if row != nil && n == len(x.load) {
 		row.floor = floor
 	}
 	return best
 }
 
-// beats reports whether a node later in id order with start s and load l
+// beats reports whether a node swept later with start s and load l
 // takes the place of the best (bestStart, bestLoad) so far: bestfit
-// orders by (start, load, id), worstfit by (load, id).
+// orders by (start, load), worstfit by load, and a tie keeps the node
+// swept first — the lowest id on a sweep from node 0.
 func beats(byLoad bool, s int64, l int, bestStart int64, bestLoad int) bool {
 	if byLoad || s == bestStart {
 		return l < bestLoad

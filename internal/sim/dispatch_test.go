@@ -28,15 +28,27 @@ func (d *recordingDispatch) Place(a Arrival) Placement {
 	return p
 }
 
-// probeallDispatch is the charged probe-every-node loop bestfit falls
-// back to where its bounds are unsound, as a dispatcher of its own: no
-// configuration selects it, so tests inject it (newTestCluster).
+// probeallDispatch is §3.1's GAC as the paper states it: it probes every
+// node's LAC, charged, on every arrival and takes the feasible node with
+// the least (start, load), ties to the lowest id. No configuration
+// selects it, so tests inject it (newTestCluster).
 type probeallDispatch struct{ cr *ClusterRunner }
 
 func (d probeallDispatch) Name() string { return "probeall" }
 
 func (d probeallDispatch) Place(a Arrival) Placement {
-	return Placement{Node: d.cr.probeRange(a, 0, len(d.cr.nodes))}
+	best, bestStart, bestLoad := -1, int64(0), 0
+	for i, n := range d.cr.nodes {
+		tw := n.twFor(a.Tmpl).tw
+		dec := n.lac.Probe(n.admitRequest(-1, n.reqWays, tw, deadlineFor(n.cfg.DeadlineFactor, a.DL, a.TA, tw), a.TA, n.modeFor(a.Tmpl.Hint)))
+		if !dec.Accepted {
+			continue
+		}
+		if load := n.liveCount(); best == -1 || dec.Start < bestStart || (dec.Start == bestStart && load < bestLoad) {
+			best, bestStart, bestLoad = i, dec.Start, load
+		}
+	}
+	return Placement{Node: best}
 }
 
 // testDispatchers is every strategy plus the injected probeall loop.
@@ -103,7 +115,7 @@ func samePlacements(t *testing.T, oracle string, repA *ClusterReport, logA []Pla
 // golden pin: bestfit must reproduce the charged probe-all loop's
 // placement sequence decision for decision — through its bounds where
 // they are sound (fault storms and controllers included, which it sees
-// through LAC.gen), and by falling back to that loop where they are not
+// through LAC.gen), and by a scan without bounds where they are not
 // (AutoDown and "latest" admission place via LatestFit; trace-engine
 // nodes each have their own tw).
 func TestBestfitMatchesProbeall(t *testing.T) {

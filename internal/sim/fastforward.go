@@ -41,7 +41,6 @@ type jobDelta struct {
 	consumed int64   // cycles consumed per epoch
 	misses   int64   // main-tag misses per epoch
 	shadow   int64   // shadow-tag misses per epoch
-	wb       int64   // write-back transfers per epoch
 	base     float64 // BaselineCycles addend per epoch
 }
 
@@ -94,7 +93,7 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 			}
 			*dst = append(*dst, jobDelta{
 				j: j, instr: instr, consumed: int64(float64(instr) * cpi),
-				misses: misses, shadow: shadow, wb: wbJ, base: base,
+				misses: misses, shadow: shadow, base: base,
 			})
 			miss += misses
 			wb += wbJ
@@ -285,41 +284,47 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	// the first crossing that acts). Runs last because it needs the
 	// per-epoch deltas and the already-minimized k.
 	for i := range r.ffDeltas {
-		d0 := &r.ffDeltas[i]
+		d0, d1 := &r.ffDeltas[i], &r.ffDeltas[i]
 		if d0.j.Stealer == nil || d0.j.State != StateRunning {
 			continue
 		}
-		if P == 1 {
-			k = r.stealHorizon(d0.j, d0, k)
-		} else {
-			k = 2 * r.stealHorizonPair(d0.j, d0, &r.ffDeltas2[i], k/2)
+		if P == 2 {
+			d1 = &r.ffDeltas2[i]
 		}
-		if k <= 0 {
+		k = r.stealHorizon(d0.j, d0, d1, k)
+		if k -= k % P; k <= 0 {
 			return 0
 		}
 	}
 	return k
 }
 
-// stealHorizon shrinks a period-1 window so that every stealing-interval
-// crossing inside it would return Hold. A crossing's verdict depends on
-// the controller state (stolen ways, way floor), the pause input (bus
-// saturation — constant at the fixed point; the table engine's
-// stealReady is constant), and the guard ratio
-// (main−shadow)/shadow. Both counters grow by constant per-epoch
-// deltas, making the ratio after i epochs a Möbius function of i —
-// monotone toward its limit — so "the verdict is Hold at every crossing
-// in [i1, k]" follows from the two endpoints, and the largest safe k is
-// a binary search on the single flip point.
-func (r *Runner) stealHorizon(j *Job, d *jobDelta, k int64) int64 {
+// stealHorizon returns how many of a window's k epochs, alternating the
+// deltas d0 and d1 (d1 == d0 for period 1), can pass with every
+// stealing-interval crossing inside them returning Hold. A crossing's
+// verdict depends on the controller state (stolen ways, way floor), the
+// pause input (bus saturation — equal across both parities, which
+// steadyAttempt checked; the table engine's stealReady is constant), and
+// the guard ratio (main−shadow)/shadow. Since the crossing epochs depend
+// on the alternation phase, the guard bounds them instead of tracking
+// them: no crossing comes before epoch e1 = ⌈(interval−instrLastSteal)/
+// max(i0,i1)⌉ (i the parities' instructions), and after e epochs the
+// job's counters lie in main ∈ MainMisses+e·[mLo, mHi] and shadow ∈
+// ShadowMisses+e·[sLo, sHi], the bounds the parities' deltas set. The
+// ratio's envelopes built from those extremes are Möbius functions of e,
+// monotone toward their limits, so "Hold at every e in [e1, k]" — a
+// superset of the true crossings — follows from the two endpoints, and
+// the largest safe window is a binary search on the single flip point.
+// With d1 == d0 the envelopes are the exact ratio.
+func (r *Runner) stealHorizon(j *Job, d0, d1 *jobDelta, k int64) int64 {
 	interval := r.cfg.StealIntervalInstr
 	if interval <= 0 {
 		return 0
 	}
-	// First window epoch (1-based) whose advance crosses an interval
-	// boundary; instrLastSteal < interval is runStealing's invariant.
-	i1 := (interval - j.instrLastSteal + d.instr - 1) / d.instr
-	if i1 > k {
+	// instrLastSteal < interval is runStealing's invariant.
+	iMax := max(d0.instr, d1.instr)
+	e1 := (interval - j.instrLastSteal + iMax - 1) / iMax
+	if e1 > k {
 		return k // no crossings inside the window
 	}
 	c := j.Stealer
@@ -333,27 +338,34 @@ func (r *Runner) stealHorizon(j *Job, d *jobDelta, k int64) int64 {
 		return k
 	case stolen && !paused && !floor:
 		// Any crossing acts: StealOne below the bound, Rollback at it.
-		return i1 - 1
+		return e1 - 1
 	}
-	// Remaining regimes Hold iff the ratio stays on one side of the
-	// slack bound: with ways stolen a ratio at/over the bound rolls
-	// back; with nothing stolen (and steals possible) a ratio under the
-	// bound steals.
+	mLo, mHi := min(d0.misses, d1.misses), max(d0.misses, d1.misses)
+	sLo, sHi := min(d0.shadow, d1.shadow), max(d0.shadow, d1.shadow)
+	if j.ShadowMisses == 0 && sLo == 0 && sHi > 0 {
+		// The shadow count may read zero at a crossing (ratio 0) or not:
+		// no envelope brackets that.
+		return e1 - 1
+	}
+	// The remaining regimes Hold iff the ratio stays on one side of the
+	// slack bound: with ways stolen a ratio at/over the bound rolls back,
+	// so even the upper envelope (most main, fewest shadow misses) must
+	// stay under it; with nothing stolen (and steals possible) a ratio
+	// under the bound steals, so even the lower envelope must reach it.
 	wantBelow := stolen
-	holdAt := func(i int64) bool {
-		over := steal.ExcessMissRatio(j.MainMisses+i*d.misses, j.ShadowMisses+i*d.shadow) >= c.Slack()
+	holdAt := func(e int64) bool {
 		if wantBelow {
-			return !over
+			return steal.ExcessMissRatio(j.MainMisses+e*mHi, j.ShadowMisses+e*sLo) < c.Slack()
 		}
-		return over
+		return steal.ExcessMissRatio(j.MainMisses+e*mLo, j.ShadowMisses+e*sHi) >= c.Slack()
 	}
-	if !holdAt(i1) {
-		return i1 - 1
+	if !holdAt(e1) {
+		return e1 - 1
 	}
 	if holdAt(k) {
 		return k
 	}
-	lo, hi := i1, k // holdAt(lo) && !holdAt(hi); monotone between
+	lo, hi := e1, k // holdAt(lo) && !holdAt(hi); monotone between
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if holdAt(mid) {
@@ -363,82 +375,6 @@ func (r *Runner) stealHorizon(j *Job, d *jobDelta, k int64) int64 {
 		}
 	}
 	return lo
-}
-
-// stealHorizonPair is the period-2 stealing guard: it returns the
-// largest m ≤ mMax such that every interval crossing inside 2m epochs
-// of alternating deltas (d0, d1) provably Holds. Because the crossing
-// epochs depend on the alternation phase, it bounds instead of tracks:
-// no crossing can occur before epoch e1 = ⌈(interval−ls)/max(i0,i1)⌉,
-// and the guard ratio after e epochs is bracketed by the envelope
-// ratios built from the per-parity extremes — main ∈ [e·mLo, e·mHi],
-// shadow ∈ [e·sLo, e·sHi] — each a Möbius function of e and therefore
-// monotone on the evaluated range. Holding on the envelope at every
-// e ∈ [e1, 2m] (a superset of the true crossings) is sufficient; the
-// result is conservative, never unsound.
-func (r *Runner) stealHorizonPair(j *Job, d0, d1 *jobDelta, mMax int64) int64 {
-	interval := r.cfg.StealIntervalInstr
-	if interval <= 0 {
-		return 0
-	}
-	iMax := d0.instr
-	if d1.instr > iMax {
-		iMax = d1.instr
-	}
-	e1 := (interval - j.instrLastSteal + iMax - 1) / iMax
-	if e1 > 2*mMax {
-		return mMax // no crossings inside the window
-	}
-	c := j.Stealer
-	// Saturation is equal across both parities (steadyWindow checked),
-	// so the pause input is constant throughout the window.
-	paused := r.bus.Saturated() || !r.model.stealReady(j)
-	stolen := c.Stolen() > 0
-	floor := c.AtFloor()
-	switch {
-	case !stolen && (paused || floor):
-		return mMax
-	case stolen && !paused && !floor:
-		return (e1 - 1) / 2
-	}
-	mLo, mHi := d0.misses, d0.misses
-	if d1.misses < mLo {
-		mLo = d1.misses
-	} else if d1.misses > mHi {
-		mHi = d1.misses
-	}
-	sLo, sHi := d0.shadow, d0.shadow
-	if d1.shadow < sLo {
-		sLo = d1.shadow
-	} else if d1.shadow > sHi {
-		sHi = d1.shadow
-	}
-	// wantBelow (rollback guard) must hold even at the ratio's upper
-	// envelope (most main misses, fewest shadow misses); wantAbove
-	// (steal guard) even at its lower envelope.
-	wantBelow := stolen
-	holdAt := func(e int64) bool {
-		if wantBelow {
-			return steal.ExcessMissRatio(j.MainMisses+e*mHi, j.ShadowMisses+e*sLo) < c.Slack()
-		}
-		return steal.ExcessMissRatio(j.MainMisses+e*mLo, j.ShadowMisses+e*sHi) >= c.Slack()
-	}
-	if !holdAt(e1) {
-		return (e1 - 1) / 2
-	}
-	if holdAt(2 * mMax) {
-		return mMax
-	}
-	lo, hi := e1, 2*mMax // holdAt(lo) && !holdAt(hi); monotone between
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if holdAt(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo / 2
 }
 
 // phaseHorizon caps the window (in periods) so the job's matched
@@ -493,59 +429,34 @@ func phaseIndexAt(j *Job, done int64) int {
 // contract, and x + k·d is not it. Per-accumulator operation sequences
 // match the stepped path's exactly; accumulators are independent, so
 // the epoch-major vs job-major interleaving difference is unobservable.
-// For a period-2 window (k even) the two parities alternate: the float
-// addends alternate in stepped order, and the bus folds m windows of
-// each parity's traffic — the second parity last, handing back the
-// cycle's starting utilization.
+// The window is m = k/ffPeriod rounds of the parities in stepped order;
+// a period-1 window's second parity is zero. The bus is left alone: the
+// window's proof made its last epoch's traffic hand back the utilization
+// it started from, and no window traffic is pending between epochs.
 func (r *Runner) applySteady(k int64) {
-	E := r.cfg.EpochCycles
-	if r.ffPeriod == 2 {
-		m := k / 2
-		var miss0, wb0, miss1, wb1 int64
-		for i := range r.ffDeltas {
-			d0, d1 := &r.ffDeltas[i], &r.ffDeltas2[i]
-			j := d0.j
-			j.InstrDone += m * (d0.instr + d1.instr)
-			j.ActualCycles += m * (d0.consumed + d1.consumed)
-			j.MainMisses += m * (d0.misses + d1.misses)
-			j.ShadowMisses += m * (d0.shadow + d1.shadow)
-			j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
-			if j.Stealer != nil && j.State == StateRunning {
-				// Every crossing in the window Held (stealHorizonPair
-				// proved it), so the interval clock just wraps.
-				j.instrLastSteal = (j.instrLastSteal + m*(d0.instr+d1.instr)) % r.cfg.StealIntervalInstr
-			}
-			miss0 += d0.misses
-			wb0 += d0.wb
-			miss1 += d1.misses
-			wb1 += d1.wb
+	m := k / r.ffPeriod
+	var none jobDelta
+	for i := range r.ffDeltas {
+		d0, d1 := &r.ffDeltas[i], &none
+		if r.ffPeriod == 2 {
+			d1 = &r.ffDeltas2[i]
 		}
-		r.bus.FastForward(miss0, wb0, E, m)
-		r.bus.FastForward(miss1, wb1, E, m)
-	} else {
-		var epochMisses, epochWB int64
-		for i := range r.ffDeltas {
-			d := &r.ffDeltas[i]
-			j := d.j
-			j.InstrDone += k * d.instr
-			j.ActualCycles += k * d.consumed
-			j.MainMisses += k * d.misses
-			j.ShadowMisses += k * d.shadow
-			j.BaselineCycles = repeatAdd(j.BaselineCycles, d.base, 0, k)
-			if j.Stealer != nil && j.State == StateRunning {
-				// Every crossing in the window Held (stealHorizon proved
-				// it), so the interval clock just wraps.
-				j.instrLastSteal = (j.instrLastSteal + k*d.instr) % r.cfg.StealIntervalInstr
-			}
-			epochMisses += d.misses
-			epochWB += d.wb
+		j := d0.j
+		j.InstrDone += m * (d0.instr + d1.instr)
+		j.ActualCycles += m * (d0.consumed + d1.consumed)
+		j.MainMisses += m * (d0.misses + d1.misses)
+		j.ShadowMisses += m * (d0.shadow + d1.shadow)
+		j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
+		if j.Stealer != nil && j.State == StateRunning {
+			// Every crossing in the window Held (stealHorizon proved it),
+			// so the interval clock just wraps.
+			j.instrLastSteal = (j.instrLastSteal + m*(d0.instr+d1.instr)) % r.cfg.StealIntervalInstr
 		}
-		r.bus.FastForward(epochMisses, epochWB, E, k)
 	}
 	r.frag.idleCores = repeatAdd(r.frag.idleCores, r.planIdleCores, 0, k)
 	r.frag.idleWays = repeatAdd(r.frag.idleWays, r.planIdleWays, 0, k)
 	r.frag.internal = repeatAdd(r.frag.internal, r.planInternal, 0, k)
-	r.now += k * E
+	r.now += k * r.cfg.EpochCycles
 	r.epochIdx += k
 	r.nSkipped += k
 }

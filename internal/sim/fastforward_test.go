@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"cmpqos/internal/fault"
+	"cmpqos/internal/mem"
+	"cmpqos/internal/steal"
 	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
@@ -256,6 +259,129 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 			internal:  repeatAddLoop(s, 3, 0, k),
 		}); got != want {
 			t.Errorf("period %d: frag pools = %+v, %d stepped epochs leave %+v", period, got, k, want)
+		}
+	}
+}
+
+// TestStealHorizonAgainstStepping holds the fast-forward's steal guard to
+// the controller it stands in for. Each case is a window of k epochs
+// alternating per-epoch deltas d0 and d1 from randomised counters,
+// instrLastSteal and interval: d1 == d0 (period 1) in half the cases,
+// unequal instruction counts in the rest. A walk applies the deltas one
+// epoch at a time, finds every interval crossing as runStealing does and
+// asks the controller for its verdict there; every crossing at or before
+// the epoch stealHorizon returns must Hold. The cases cover each regime
+// of the controller — nothing stolen and paused or at the way floor, ways
+// stolen and free to act, the guard ratio starting and heading to either
+// side of the slack — and half of them put the first possible crossing
+// exactly at the end of an epoch.
+func TestStealHorizonAgainstStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	idle, saturated := mem.NewBus(mem.PaperConfig()), mem.NewBus(mem.PaperConfig())
+	saturated.AddMisses(1 << 20)
+	saturated.Roll(1_000_000)
+	r := &Runner{nodeShared: &nodeShared{}, model: &tableModel{}}
+	type regime struct{ stolen, paused, floor bool }
+	held, cut := map[regime]int{}, map[regime]int{}
+	// near draws counts whose excess ratio lies around the slack.
+	near := func(shadow int64, slack float64) int64 {
+		return int64(float64(shadow) * (1 + slack*(2.5*rng.Float64()-0.5)))
+	}
+	for n := 0; n < 4000; n++ {
+		g := regime{rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0}
+		r.bus = idle
+		if g.paused {
+			r.bus = saturated
+		}
+		slack := 0.01 + 0.99*rng.Float64()
+		orig, floor, stolen := 3+rng.Intn(14), 1, 0
+		switch {
+		case g.stolen && g.floor:
+			stolen = 1 + rng.Intn(orig-1)
+			floor = orig - stolen
+		case g.stolen:
+			stolen = 1 + rng.Intn(orig-2)
+		case g.floor:
+			floor = orig
+		}
+		c := steal.New(slack, orig, floor)
+		for range stolen {
+			if c.OnInterval(0, 0, false) != steal.StealOne {
+				t.Fatal("a fresh controller refused to steal")
+			}
+		}
+
+		interval := 1000 + rng.Int63n(200_000)
+		r.cfg.StealIntervalInstr = interval
+		instr := func() int64 {
+			if rng.Intn(8) == 0 {
+				return interval + rng.Int63n(2*interval) // crosses every epoch
+			}
+			return 1 + rng.Int63n(interval/4)
+		}
+		shadow := func() int64 {
+			if rng.Intn(10) == 0 {
+				return 0
+			}
+			return rng.Int63n(500)
+		}
+		s0 := shadow()
+		d0 := jobDelta{instr: instr(), misses: near(s0, slack), shadow: s0}
+		d1, P := d0, int64(1)
+		if rng.Intn(2) == 0 {
+			s1 := shadow()
+			d1, P = jobDelta{instr: instr(), misses: near(s1, slack), shadow: s1}, 2
+			for d1.instr == d0.instr {
+				d1.instr = instr()
+			}
+		}
+		var S0 int64
+		if rng.Intn(10) != 0 {
+			S0 = rng.Int63n(200_000)
+		}
+		ls := rng.Int63n(interval)
+		if iMax := max(d0.instr, d1.instr); rng.Intn(2) == 0 && iMax < interval {
+			ls = interval - iMax*(1+rng.Int63n(interval/iMax))
+		}
+		j := &Job{Stealer: c, State: StateRunning, MainMisses: near(S0, slack), ShadowMisses: S0, instrLastSteal: ls}
+		k := P * (1 + rng.Int63n(1500))
+
+		got := r.stealHorizon(j, &d0, &d1, k)
+		if got < 0 || got > k {
+			t.Fatalf("case %d: stealHorizon returned %d of a %d-epoch window", n, got, k)
+		}
+		if got < k {
+			cut[g]++
+		}
+		ctrl := *c
+		main, shad := j.MainMisses, j.ShadowMisses
+		for e := int64(1); e <= got; e++ {
+			d := d0
+			if e%2 == 0 {
+				d = d1
+			}
+			main, shad, ls = main+d.misses, shad+d.shadow, ls+d.instr
+			for ; ls >= interval; ls -= interval {
+				if v := ctrl.OnInterval(main, shad, g.paused); v != steal.Hold {
+					t.Fatalf("case %d %+v, interval %d, d0 %+v, d1 %+v, start (%d, %d, %d), slack %v: the crossing in epoch %d answers %v, but stealHorizon passed %d of %d epochs",
+						n, g, interval, d0, d1, j.MainMisses, j.ShadowMisses, j.instrLastSteal, slack, e, v, got, k)
+				}
+				held[g]++
+			}
+		}
+	}
+	// Every regime must have been exercised the way it can be: a crossing
+	// that held inside a passed window, a window the guard cut short.
+	for _, stolen := range []bool{false, true} {
+		for _, paused := range []bool{false, true} {
+			for _, floor := range []bool{false, true} {
+				g := regime{stolen, paused, floor}
+				acts := stolen && !paused && !floor
+				inert := !stolen && (paused || floor)
+				if (held[g] == 0) != acts || (cut[g] == 0) != inert {
+					t.Errorf("%+v: %d crossings held, %d windows cut short", g, held[g], cut[g])
+				}
+			}
 		}
 	}
 }
