@@ -44,7 +44,9 @@ test:
 
 # race runs the full suite under the race detector. The experiment
 # fan-out (internal/parallel) is the main subject: every multi-run
-# experiment must stay data-race-free at any worker count.
+# experiment must stay data-race-free at any worker count, and so must
+# the singleflight memo (parallel.Memo) the run cache, the curve store
+# and the tapes share across its workers.
 race:
 	$(GO) test -race -timeout 20m ./...
 

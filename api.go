@@ -237,7 +237,9 @@ type ExperimentOptions = experiments.Options
 func Experiments() []experiments.Runner { return experiments.Registry() }
 
 // RunExperiment regenerates one named table or figure, writing its text
-// rendition to w.
+// rendition to w. Each call simulates every run it needs: the run cache
+// that lets qossim share runs across experiments is internal to this
+// module, so calls share nothing.
 func RunExperiment(name string, o ExperimentOptions, w io.Writer) error {
 	r, ok := experiments.Lookup(name)
 	if !ok {

@@ -27,11 +27,11 @@ import (
 )
 
 // benchOpts are the scaled experiment options used by the figure
-// benches. Every call — one per b.N iteration — gets its own empty run
-// cache, so each iteration measures real simulation work; a cache shared
-// across iterations would measure map lookups after the first.
+// benches. They carry no run cache, so each iteration measures real
+// simulation work; a cache shared across iterations would measure map
+// lookups after the first.
 func benchOpts() experiments.Options {
-	return experiments.Options{JobInstr: 20_000_000, Cache: sim.NewRunCache()}
+	return experiments.Options{JobInstr: 20_000_000}
 }
 
 func BenchmarkFig1(b *testing.B) {

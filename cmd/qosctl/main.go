@@ -191,7 +191,7 @@ func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, plan fau
 	}
 	ctx, cancel := cli.Context(timeout)
 	defer cancel()
-	reps, err := sim.RunAll(ctx, workers, cfgs)
+	reps, err := sim.RunAll(ctx, workers, nil, cfgs)
 	if err != nil {
 		cli.Fail(prog, err)
 	}

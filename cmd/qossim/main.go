@@ -81,6 +81,7 @@ func run() int {
 		JobInstr:     *instr,
 		Seed:         *seed,
 		Workers:      *parallel,
+		Cache:        sim.NewRunCache(), // fig6, fig7, frag and lac reuse fig5's runs
 		FaultRate:    *faultRate,
 		FaultSeed:    *faultSeed,
 		Scheduler:    *sched,

@@ -116,7 +116,7 @@ func TestResultsFileMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	opts := experiments.Options{Engine: sim.EngineTable, Workers: 1} // the flag defaults
+	opts := experiments.Options{Engine: sim.EngineTable, Workers: 1, Cache: sim.NewRunCache()} // what run builds from the flag defaults
 	if failed := runExperiments(experiments.Registry(), opts, &out); len(failed) > 0 {
 		t.Fatalf("experiments failed: %v", failed)
 	}

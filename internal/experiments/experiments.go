@@ -33,10 +33,9 @@ type Options struct {
 	// built in the same order as the historical serial loops, and reports
 	// are collected in submission order.
 	Workers int
-	// Cache overrides the run cache every simulation resolves through
-	// (DESIGN §7.4); nil selects sim.DefaultRunCache. Tests and benchmarks
-	// inject a private cache to observe hit counts, or a fresh one per
-	// call to make every run execute.
+	// Cache memoizes the simulations these options run (DESIGN §7.4): a
+	// sweep that reads one grid several ways passes one cache to every
+	// experiment, as qossim does. Nil runs every simulation.
 	Cache *sim.RunCache
 	// FaultRate and FaultSeed parameterize the faults experiment: events
 	// per gigacycle and the plan generator seed. Zero rate means the
@@ -73,15 +72,6 @@ func (o Options) ctx() context.Context {
 	return o.Context
 }
 
-// cache resolves the run cache these options select: the injected cache
-// when set, the process-wide default otherwise.
-func (o Options) cache() *sim.RunCache {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return sim.DefaultRunCache
-}
-
 // config builds a sim.Config for the options.
 func (o Options) config(p sim.Policy, w workload.Composition) sim.Config {
 	var cfg sim.Config
@@ -110,14 +100,14 @@ func (o Options) config(p sim.Policy, w workload.Composition) sim.Config {
 
 // run executes one configuration through the options' run cache.
 func (o Options) run(cfg sim.Config) (*sim.Report, error) {
-	return o.cache().RunContext(o.ctx(), cfg)
+	return o.Cache.Run(o.ctx(), cfg)
 }
 
 // runAll executes a grid of configurations under the option's worker
 // bound and returns the reports in input order, resolving each
 // configuration through the options' run cache.
 func (o Options) runAll(cfgs []sim.Config) ([]*sim.Report, error) {
-	return sim.RunAllCached(o.ctx(), o.Workers, o.cache(), cfgs)
+	return sim.RunAll(o.ctx(), o.Workers, o.Cache, cfgs)
 }
 
 // Runner is a named experiment entry point for the CLI.

@@ -10,8 +10,14 @@ import (
 	"cmpqos/internal/workload"
 )
 
+// fastRuns is the one run cache every fast() caller shares, on purpose:
+// the shape tests below read the same scaled grids several ways, as the
+// experiments of one qossim process do, and no test compares two
+// fast() renders.
+var fastRuns = sim.NewRunCache()
+
 // fast returns options scaled for test speed.
-func fast() Options { return Options{JobInstr: 10_000_000} }
+func fast() Options { return Options{JobInstr: 10_000_000, Cache: fastRuns} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig3", "fig4", "table1", "fig5", "fig6", "fig7",

@@ -8,11 +8,11 @@ import (
 	"cmpqos/internal/sim"
 )
 
-// faultOpts runs the faults experiment at full paper scale but with a
-// private run cache and parallel workers, so `go test -race` sweeps the
-// whole fan-out path of the experiment.
+// faultOpts runs the faults experiment at full paper scale with
+// parallel workers, so `go test -race` sweeps the whole fan-out path of
+// the experiment.
 func faultOpts() Options {
-	return Options{Workers: 4, Cache: sim.NewRunCache()}
+	return Options{Workers: 4}
 }
 
 // TestFaultsGracefulDegradation pins the experiment's robustness claim:

@@ -32,12 +32,10 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 		names = append(names, "seeds") // runs the fig5 grid five times
 	}
 	for _, name := range names {
-		// Each pass gets its own empty run cache so the workers=8 pass
-		// really recomputes every simulation instead of reading the serial
-		// pass's memoized reports (warm-cache identity is pinned by the
-		// golden sweep).
-		serial := Options{JobInstr: 5_000_000, Workers: 1, Cache: sim.NewRunCache()}
-		par := Options{JobInstr: 5_000_000, Workers: 8, Cache: sim.NewRunCache()}
+		// Neither pass has a run cache, so both simulate every run
+		// (warm-cache identity is pinned by TestGoldenTablesCacheOnVsOff).
+		serial := Options{JobInstr: 5_000_000, Workers: 1}
+		par := Options{JobInstr: 5_000_000, Workers: 8}
 		a, b := render(name, serial), render(name, par)
 		if a != b {
 			t.Errorf("%s: rendered table differs between 1 and 8 workers\n--- serial ---\n%s\n--- workers=8 ---\n%s", name, a, b)
@@ -50,31 +48,32 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 
 // TestCurveStoreSingleflightAcrossWorkers pins the memoized curve
 // store's contract under the parallel pool: eight concurrent trace-
-// engine runs that all need the same bzip2 tw-probe curve compute it
-// exactly once, and the reports are identical to a serial sweep's —
-// the curve a worker reads from the store is bit-exact with the one it
-// would have probed itself, at any -parallel value.
+// engine runs that all need the same bzip2 tw-probe curve add exactly
+// one entry to the process-wide store, and the reports are identical to
+// a serial sweep's, which reads that entry — the curve a worker reads
+// from the store is bit-exact with the one it would have probed itself,
+// at any -parallel value. The job length is one no other test in the
+// package runs the trace engine at, so the probe window is a fresh key.
 func TestCurveStoreSingleflightAcrossWorkers(t *testing.T) {
-	workload.DefaultCurveStore.Reset()
-	defer workload.DefaultCurveStore.Reset()
 	mkCfgs := func() []sim.Config {
 		cfgs := make([]sim.Config, 8)
 		for i := range cfgs {
 			cfg := sim.TraceConfig(sim.Hybrid2, workload.Single("bzip2"))
-			cfg.JobInstr = 2_000_000
+			cfg.JobInstr = 1_500_000
 			cfg.StealIntervalInstr = cfg.JobInstr / 100
 			cfgs[i] = cfg
 		}
 		return cfgs
 	}
-	par, err := sim.RunAll(context.Background(), 8, mkCfgs())
+	before := workload.DefaultCurveStore.Len()
+	par, err := sim.RunAll(context.Background(), 8, nil, mkCfgs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := workload.DefaultCurveStore.Computes(); got != 1 {
-		t.Errorf("8 concurrent identical runs computed %d curves, want 1 (singleflight)", got)
+	if got := workload.DefaultCurveStore.Len() - before; got != 1 {
+		t.Errorf("8 concurrent identical runs added %d curves to the store, want 1", got)
 	}
-	serial, err := sim.RunAll(context.Background(), 1, mkCfgs())
+	serial, err := sim.RunAll(context.Background(), 1, nil, mkCfgs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +90,19 @@ func TestCurveStoreSingleflightAcrossWorkers(t *testing.T) {
 
 // TestTraceTablesByteIdenticalAcrossWorkers extends the -parallel
 // byte-identity contract to the trace engine, whose per-run tw probes
-// now flow through the shared curve store: the engines comparison
+// flow through the process-wide curve store: the engines comparison
 // (five table + five trace runs through runAll) must render the same
-// bytes at Workers 1 and 8, with a cold store either way.
+// bytes at Workers 8 and 1. Both renders simulate every run. The curve
+// store has no reset, so the workers-8 render, which goes first, probes
+// the curves while its workers race for them, and the serial render
+// reads them back.
 func TestTraceTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace-engine sweep is slow")
 	}
 	render := func(workers int) string {
 		t.Helper()
-		workload.DefaultCurveStore.Reset()
-		r, err := Engines(Options{JobInstr: 5_000_000, Workers: workers, Cache: sim.NewRunCache()})
+		r, err := Engines(Options{JobInstr: 5_000_000, Workers: workers})
 		if err != nil {
 			t.Fatalf("engines (workers=%d): %v", workers, err)
 		}
@@ -109,8 +110,7 @@ func TestTraceTablesByteIdenticalAcrossWorkers(t *testing.T) {
 		r.Render(&buf)
 		return buf.String()
 	}
-	a, b := render(1), render(8)
-	workload.DefaultCurveStore.Reset()
+	b, a := render(8), render(1)
 	if a != b {
 		t.Errorf("engines table differs between 1 and 8 workers\n--- serial ---\n%s\n--- workers=8 ---\n%s", a, b)
 	}
@@ -121,7 +121,8 @@ func TestTraceTablesByteIdenticalAcrossWorkers(t *testing.T) {
 
 // TestWorkersZeroMeansSerial pins the backward-compatible default: a
 // zero-valued Options (every pre-existing caller) must still run and
-// match an explicit Workers: 1.
+// match an explicit Workers: 1. Neither side has a run cache, so both
+// simulate every run.
 func TestWorkersZeroMeansSerial(t *testing.T) {
 	run := func(o Options) string {
 		t.Helper()

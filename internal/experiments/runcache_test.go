@@ -45,37 +45,37 @@ func renderWith(t *testing.T, name string, o Options) string {
 
 // TestGoldenTablesCacheOnVsOff holds the run cache to its contract over
 // the whole registry: every experiment table is byte-identical computed
-// cold (a private empty cache, every simulation executed), under a
-// parallel worker pool, and served entirely from a warm cache — with
-// zero new simulations on the warm pass. (The engine's own caches are
-// pinned per config shape in internal/sim: TestPlanCacheByteIdentity,
-// TestEventSkipByteIdentity.)
+// with no cache (every simulation executed), through a cache shared
+// across experiments serially and under a parallel worker pool, and
+// served entirely from a warm cache — with no new entry on the warm
+// pass. (The engine's own caches are pinned per config shape in
+// internal/sim: TestPlanCacheByteIdentity, TestEventSkipByteIdentity.)
 func TestGoldenTablesCacheOnVsOff(t *testing.T) {
 	const instr = 2_000_000
 	warmW1 := sim.NewRunCache()
 	warmW4 := sim.NewRunCache()
 	for _, name := range goldenNames(testing.Short()) {
 		t.Run(name, func(t *testing.T) {
-			baseline := renderWith(t, name, Options{JobInstr: instr, Workers: 1, Cache: sim.NewRunCache()})
+			baseline := renderWith(t, name, Options{JobInstr: instr, Workers: 1})
 			cachedW1 := renderWith(t, name, Options{JobInstr: instr, Workers: 1, Cache: warmW1})
 			if cachedW1 != baseline {
-				t.Errorf("shared cache (workers=1) differs from a cold private cache:\n--- cold ---\n%s\n--- shared ---\n%s",
+				t.Errorf("shared cache (workers=1) differs from no cache:\n--- uncached ---\n%s\n--- shared ---\n%s",
 					baseline, cachedW1)
 			}
 			cachedW4 := renderWith(t, name, Options{JobInstr: instr, Workers: 4, Cache: warmW4})
 			if cachedW4 != baseline {
-				t.Errorf("shared cache (workers=4) differs from a cold private cache:\n--- cold ---\n%s\n--- shared ---\n%s",
+				t.Errorf("shared cache (workers=4) differs from no cache:\n--- uncached ---\n%s\n--- shared ---\n%s",
 					baseline, cachedW4)
 			}
 			// Every config is now memoized in warmW1: a re-render must hit
 			// the cache for each and still produce the same bytes.
-			before := warmW1.Computes()
+			before := warmW1.Len()
 			warm := renderWith(t, name, Options{JobInstr: instr, Workers: 1, Cache: warmW1})
 			if warm != baseline {
-				t.Errorf("warm-cache render differs from the cold one")
+				t.Errorf("warm-cache render differs from the uncached one")
 			}
-			if got := warmW1.Computes(); got != before {
-				t.Errorf("warm re-render computed %d new runs, want 0", got-before)
+			if got := warmW1.Len(); got != before {
+				t.Errorf("warm re-render memoized %d new runs, want 0", got-before)
 			}
 		})
 	}
@@ -84,21 +84,21 @@ func TestGoldenTablesCacheOnVsOff(t *testing.T) {
 // TestRunCacheDeduplicatesAcrossExperiments pins the cross-experiment
 // payoff: Figure 6 studies the same policy×bzip2 configurations Figure 5
 // already ran, so with a shared cache the whole second experiment is
-// served from memoized reports — zero new simulations.
+// served from memoized reports — no new entry in the cache.
 func TestRunCacheDeduplicatesAcrossExperiments(t *testing.T) {
 	cache := sim.NewRunCache()
 	o := Options{JobInstr: 2_000_000, Workers: 1, Cache: cache}
 	if _, err := Fig5(o); err != nil {
 		t.Fatal(err)
 	}
-	afterFig5 := cache.Computes()
+	afterFig5 := cache.Len()
 	if afterFig5 == 0 {
 		t.Fatal("Fig5 computed no runs through the cache")
 	}
 	if _, err := Fig6(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Computes(); got != afterFig5 {
+	if got := cache.Len(); got != afterFig5 {
 		t.Errorf("Fig6 computed %d extra runs, want 0 (its grid repeats Fig5 configurations)",
 			got-afterFig5)
 	}
@@ -106,7 +106,7 @@ func TestRunCacheDeduplicatesAcrossExperiments(t *testing.T) {
 	if _, err := Fig5(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Computes(); got != afterFig5 {
+	if got := cache.Len(); got != afterFig5 {
 		t.Errorf("repeated Fig5 computed %d extra runs, want 0", got-afterFig5)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -253,20 +254,20 @@ func TestRunCacheKeyIncludesFaultPlan(t *testing.T) {
 	if a.CacheKey() == b.CacheKey() {
 		t.Fatal("different fault plans share a cache key")
 	}
-	if _, err := cache.Run(a); err != nil {
+	if _, err := cache.Run(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Run(b); err != nil {
+	if _, err := cache.Run(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Computes(); got != 2 {
-		t.Errorf("computes = %d, want 2 (plans must not collide)", got)
+	if got := cache.Len(); got != 2 {
+		t.Errorf("Len() = %d, want 2 (plans must not collide)", got)
 	}
-	if _, err := cache.Run(a); err != nil {
+	if _, err := cache.Run(context.Background(), a); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Computes(); got != 2 {
-		t.Errorf("computes after repeat = %d, want 2 (identical plan must hit)", got)
+	if got := cache.Len(); got != 2 {
+		t.Errorf("Len() after repeat = %d, want 2 (identical plan must hit)", got)
 	}
 }
 

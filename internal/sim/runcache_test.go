@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -28,7 +29,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := c.Run(cfg)
+			rep, err := c.Run(context.Background(), cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -37,16 +38,13 @@ func TestRunCacheSingleflight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := c.Computes(); got != 1 {
-		t.Errorf("Computes() = %d after %d concurrent identical runs, want 1", got, goroutines)
+	if got := c.Len(); got != 1 {
+		t.Errorf("Len() = %d after %d concurrent identical runs, want 1", got, goroutines)
 	}
 	for i := 1; i < goroutines; i++ {
 		if reps[i] != reps[0] {
 			t.Errorf("goroutine %d got a distinct report object; cache did not deduplicate", i)
 		}
-	}
-	if got := c.Len(); got != 1 {
-		t.Errorf("Len() = %d, want 1", got)
 	}
 }
 
@@ -61,7 +59,7 @@ func TestRunCacheDistinguishesConfigs(t *testing.T) {
 		func(cfg *Config) { cfg.Policy = AllStrict },
 		func(cfg *Config) { cfg.L2.Ways = 32 },
 	}
-	if _, err := c.Run(base); err != nil {
+	if _, err := c.Run(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
 	for i, mut := range variants {
@@ -70,12 +68,12 @@ func TestRunCacheDistinguishesConfigs(t *testing.T) {
 		if cfg.CacheKey() == base.CacheKey() {
 			t.Fatalf("variant %d produced the same cache key as the base config", i)
 		}
-		if _, err := c.Run(cfg); err != nil {
+		if _, err := c.Run(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := c.Computes(), int64(1+len(variants)); got != want {
-		t.Errorf("Computes() = %d, want %d (every variant must run fresh)", got, want)
+	if got, want := c.Len(), 1+len(variants); got != want {
+		t.Errorf("Len() = %d, want %d (every variant must run fresh)", got, want)
 	}
 }
 
@@ -105,11 +103,11 @@ func TestConfigIsPlainValue(t *testing.T) {
 func TestRunCacheNilRunsFresh(t *testing.T) {
 	var c *RunCache
 	cfg := runCacheCfg()
-	rep1, err := c.Run(cfg)
+	rep1, err := c.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := c.Run(cfg)
+	rep2, err := c.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,40 +119,26 @@ func TestRunCacheNilRunsFresh(t *testing.T) {
 	}
 }
 
-// TestRunCacheMemoizesErrors: a config that fails validation fails
-// identically (and cheaply) on every lookup.
-func TestRunCacheMemoizesErrors(t *testing.T) {
+// TestRunCacheForgetsCancelledRun: a run cut short by its caller's
+// context says nothing about the configuration, so it is not memoized —
+// the next caller with a live context simulates and gets a report.
+func TestRunCacheForgetsCancelledRun(t *testing.T) {
 	c := NewRunCache()
 	cfg := runCacheCfg()
-	cfg.Cores = 0 // invalid
-	_, err1 := c.Run(cfg)
-	if err1 == nil {
-		t.Fatal("invalid config did not error")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rep, err := c.Run(cancelled, cfg); err == nil {
+		t.Fatalf("run under a cancelled context returned a report (%d cycles), want an error", rep.TotalCycles)
 	}
-	_, err2 := c.Run(cfg)
-	if err2 == nil || err1.Error() != err2.Error() {
-		t.Errorf("memoized error differs: %v vs %v", err1, err2)
+	rep, err := c.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("run under a live context after a cancelled one: %v", err)
 	}
-	if got := c.Computes(); got != 1 {
-		t.Errorf("Computes() = %d, want 1 (the error must be cached)", got)
+	if rep == nil || len(rep.Jobs) == 0 {
+		t.Fatal("run under a live context returned no report")
 	}
-}
-
-// TestRunCacheReset: Reset drops entries and the counter.
-func TestRunCacheReset(t *testing.T) {
-	c := NewRunCache()
-	if _, err := c.Run(runCacheCfg()); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if c.Len() != 0 || c.Computes() != 0 {
-		t.Errorf("after Reset: Len=%d Computes=%d, want 0/0", c.Len(), c.Computes())
-	}
-	if _, err := c.Run(runCacheCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if c.Computes() != 1 {
-		t.Errorf("Computes() = %d after reset and one run, want 1", c.Computes())
+	if got := c.Len(); got != 1 {
+		t.Errorf("Len() = %d, want 1", got)
 	}
 }
 

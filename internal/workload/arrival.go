@@ -59,7 +59,7 @@ type DeadlineMix struct {
 
 // NewDeadlineMix builds a deterministic deadline assigner.
 func NewDeadlineMix(seed int64) *DeadlineMix {
-	return &DeadlineMix{tape: tapes.deadline(seed)}
+	return &DeadlineMix{tape: deadlineTapeFor(seed)}
 }
 
 // Next returns the deadline class for the next job.
@@ -93,7 +93,7 @@ func NewArrivals(seed int64, probesPerTw float64, twCycles int64) *Arrivals {
 	if probesPerTw <= 0 || twCycles <= 0 {
 		panic("workload: arrivals need positive rate and window")
 	}
-	return &Arrivals{tape: tapes.arrival(seed, probesPerTw/float64(twCycles))}
+	return &Arrivals{tape: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}
 }
 
 // Next returns the cycle timestamp of the next arrival; timestamps are

@@ -1,18 +1,16 @@
 package workload
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"cmpqos/internal/cache"
+	"cmpqos/internal/parallel"
 )
 
 // CurveKey identifies one measured miss curve: the benchmark (name +
 // input set pin the profile's regions and stream shape), the cache
-// geometry, the stream seeding, the warmup/measure window, and the
-// set-sampling interval. Two probes with equal keys are guaranteed to
-// produce identical curves — the streams are deterministic in (seed,
-// jobID) — which is what makes memoizing them safe.
+// geometry, the stream seeding, and the warmup/measure window. Two
+// probes with equal keys are guaranteed to produce identical curves —
+// the streams are deterministic in (seed, jobID) — which is what makes
+// memoizing them safe.
 type CurveKey struct {
 	Bench    string
 	InputSet string
@@ -21,76 +19,15 @@ type CurveKey struct {
 	JobID    int
 	Warmup   int
 	Measure  int
-	Every    int // set-sampling interval; 1 = exact
 }
 
-// curveEntry is one store slot; the Once gives singleflight semantics.
-type curveEntry struct {
-	once  sync.Once
-	curve cache.MissCurve
-}
-
-// CurveStore memoizes measured miss curves with singleflight
-// deduplication: concurrent requests for the same key block on one
-// computation instead of racing to repeat it, so the parallel
-// experiment pool never probes the same (profile, geometry, window)
-// twice. Curves are deterministic in their key, so a hit is
-// indistinguishable from a fresh probe — experiment tables stay
-// byte-identical at any worker count.
-//
+// DefaultCurveStore memoizes the curves behind Profile.ProbeCurve and
+// Profile.ProbeRatio for the whole process: the parallel experiment pool
+// never probes the same (profile, geometry, window) twice, and a curve
+// probed for one figure is free for the next. It is process-wide because
+// its main caller is sim.New building the trace engine's tw table, and a
+// Config is a plain value with nowhere to carry an owner (DESIGN §7.3).
 // The returned curves share their backing slice across callers and must
-// be treated as read-only; every consumer in this repo reads them
-// through MissCurve.At.
-type CurveStore struct {
-	mu       sync.Mutex
-	m        map[CurveKey]*curveEntry
-	computes atomic.Int64
-}
-
-// NewCurveStore builds an empty store.
-func NewCurveStore() *CurveStore {
-	return &CurveStore{m: map[CurveKey]*curveEntry{}}
-}
-
-// Curve returns the memoized curve for key, invoking compute at most
-// once per key across all goroutines; callers with the same key block
-// until the first computation finishes.
-func (s *CurveStore) Curve(key CurveKey, compute func() cache.MissCurve) cache.MissCurve {
-	s.mu.Lock()
-	e := s.m[key]
-	if e == nil {
-		e = &curveEntry{}
-		s.m[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		s.computes.Add(1)
-		e.curve = compute()
-	})
-	return e.curve
-}
-
-// Computes returns how many curves have actually been computed (cache
-// misses) since the store was created or Reset; the singleflight and
-// determinism tests read it.
-func (s *CurveStore) Computes() int64 { return s.computes.Load() }
-
-// Len returns the number of memoized curves.
-func (s *CurveStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// Reset drops every memoized curve and zeroes the compute counter.
-func (s *CurveStore) Reset() {
-	s.mu.Lock()
-	s.m = map[CurveKey]*curveEntry{}
-	s.mu.Unlock()
-	s.computes.Store(0)
-}
-
-// DefaultCurveStore is the process-wide store behind Profile.ProbeCurve
-// and Profile.ProbeRatio. Experiments, the sim engines, and the CLIs
-// all share it, so a curve probed for one figure is free for the next.
-var DefaultCurveStore = NewCurveStore()
+// be treated as read-only; every consumer reads them through
+// MissCurve.At.
+var DefaultCurveStore parallel.Memo[CurveKey, cache.MissCurve]

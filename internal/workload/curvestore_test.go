@@ -2,9 +2,11 @@ package workload
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cmpqos/internal/cache"
+	"cmpqos/internal/parallel"
 )
 
 // replayRatio is the reference the memoized single-pass curves are held
@@ -62,24 +64,30 @@ func TestProbeRatioMatchesProbeMissRatio(t *testing.T) {
 	}
 }
 
+// curveMemo is a private memo of DefaultCurveStore's type, so the
+// key tests count their own entries.
+type curveMemo = parallel.Memo[CurveKey, cache.MissCurve]
+
 // TestCurveStoreSingleflight: concurrent requests for one key run the
 // compute function exactly once and all observe the same curve.
 func TestCurveStoreSingleflight(t *testing.T) {
-	s := NewCurveStore()
-	key := CurveKey{Bench: "x", Geometry: probeCfg(), Seed: 1, Warmup: 1, Measure: 1, Every: 1}
+	var s curveMemo
+	var computes atomic.Int64
+	key := CurveKey{Bench: "x", Geometry: probeCfg(), Seed: 1, Warmup: 1, Measure: 1}
 	var wg sync.WaitGroup
 	curves := make([]cache.MissCurve, 16)
 	for i := range curves {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			curves[i] = s.Curve(key, func() cache.MissCurve {
-				return cache.MissCurve{Ratio: []float64{1, 0.5}}
+			curves[i], _ = s.Get(key, func() (cache.MissCurve, error) {
+				computes.Add(1)
+				return cache.MissCurve{Ratio: []float64{1, 0.5}}, nil
 			})
 		}(i)
 	}
 	wg.Wait()
-	if got := s.Computes(); got != 1 {
+	if got := computes.Load(); got != 1 {
 		t.Errorf("computes = %d, want 1", got)
 	}
 	for i, c := range curves {
@@ -94,39 +102,40 @@ func TestCurveStoreSingleflight(t *testing.T) {
 
 // TestCurveStoreDistinguishesKeys: any field differing must miss.
 func TestCurveStoreDistinguishesKeys(t *testing.T) {
-	s := NewCurveStore()
+	var s curveMemo
 	base := CurveKey{Bench: "bzip2", InputSet: "ref", Geometry: probeCfg(),
-		Seed: 42, JobID: 0, Warmup: 10, Measure: 20, Every: 1}
-	variants := []CurveKey{base, base, base, base, base, base}
+		Seed: 42, JobID: 0, Warmup: 10, Measure: 20}
+	variants := []CurveKey{base, base, base, base, base}
 	variants[1].Bench = "mcf"
 	variants[2].Geometry.Ways = 8
 	variants[3].Seed = 43
 	variants[4].Measure = 21
-	variants[5].Every = 8
+	probe := func(k CurveKey) {
+		s.Get(k, func() (cache.MissCurve, error) { return cache.MissCurve{Ratio: []float64{1}}, nil })
+	}
 	for _, k := range variants {
-		s.Curve(k, func() cache.MissCurve { return cache.MissCurve{Ratio: []float64{1}} })
+		probe(k)
 	}
-	if got := s.Computes(); got != 6 {
-		t.Errorf("computes = %d, want 6 (one per distinct key)", got)
+	if got := s.Len(); got != 5 {
+		t.Errorf("Len = %d, want 5 (one per distinct key)", got)
 	}
-	s.Curve(base, func() cache.MissCurve { return cache.MissCurve{Ratio: []float64{1}} })
-	if got := s.Computes(); got != 6 {
-		t.Errorf("computes after repeat = %d, want still 6", got)
+	probe(base)
+	if got := s.Len(); got != 5 {
+		t.Errorf("Len after repeat = %d, want still 5", got)
 	}
 }
 
 // TestDefaultStoreMemoizesProbeCurve: two identical ProbeCurve calls
-// probe the stream once.
+// probe the stream once. The window is one no other test probes, so the
+// process-wide store grows by exactly one entry.
 func TestDefaultStoreMemoizesProbeCurve(t *testing.T) {
-	DefaultCurveStore.Reset()
-	defer DefaultCurveStore.Reset()
 	p := MustByName("hmmer")
 	cfg := probeCfg()
-	a := p.ProbeCurve(cfg, 5_000, 5_000)
-	before := DefaultCurveStore.Computes()
-	b := p.ProbeCurve(cfg, 5_000, 5_000)
-	if DefaultCurveStore.Computes() != before {
-		t.Error("second identical ProbeCurve recomputed the curve")
+	before := DefaultCurveStore.Len()
+	a := p.ProbeCurve(cfg, 5_001, 5_000)
+	b := p.ProbeCurve(cfg, 5_001, 5_000)
+	if got := DefaultCurveStore.Len() - before; got != 1 {
+		t.Errorf("two identical ProbeCurve calls added %d store entries, want 1", got)
 	}
 	for w := range a.Ratio {
 		if a.Ratio[w] != b.Ratio[w] {
@@ -135,15 +144,13 @@ func TestDefaultStoreMemoizesProbeCurve(t *testing.T) {
 	}
 }
 
-// TestSampledProbeCurveClose: the sampled workload curve tracks the
-// exact one within the documented bound on a real profile.
+// TestSampledProbeCurveClose: the set-sampled single pass over a real
+// profile's stream tracks the exact curve within the documented bound.
 func TestSampledProbeCurveClose(t *testing.T) {
-	DefaultCurveStore.Reset()
-	defer DefaultCurveStore.Reset()
 	p := MustByName("bzip2")
 	cfg := probeCfg()
 	exact := p.ProbeCurveSeeded(cfg, 42, 0, 80_000, 120_000)
-	sampled := p.ProbeCurveSampled(cfg, 42, 0, 80_000, 120_000, 8)
+	sampled := cache.SinglePassMissCurveSampled(cfg, p.NewStream(42, 0), 80_000, 120_000, 8)
 	for w := 1; w <= cfg.Ways; w++ {
 		d := sampled.At(w) - exact.At(w)
 		if d < -0.05 || d > 0.05 {

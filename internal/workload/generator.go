@@ -89,24 +89,14 @@ func (p Profile) ProbeCurve(cfg cache.Config, warmup, measure int) cache.MissCur
 // ProbeCurveSeeded is ProbeCurve with explicit stream seeding, for call
 // sites that derive the stream from a simulation seed.
 func (p Profile) ProbeCurveSeeded(cfg cache.Config, seed int64, jobID, warmup, measure int) cache.MissCurve {
-	return p.probeCurve(cfg, seed, jobID, warmup, measure, 1)
-}
-
-// ProbeCurveSampled is ProbeCurveSeeded restricted to every `every`-th
-// cache set (the paper's §4.3 sampling discipline; see
-// cache.SinglePassMissCurveSampled for the error bound).
-func (p Profile) ProbeCurveSampled(cfg cache.Config, seed int64, jobID, warmup, measure, every int) cache.MissCurve {
-	return p.probeCurve(cfg, seed, jobID, warmup, measure, every)
-}
-
-func (p Profile) probeCurve(cfg cache.Config, seed int64, jobID, warmup, measure, every int) cache.MissCurve {
 	key := CurveKey{
 		Bench: p.Name, InputSet: p.InputSet, Geometry: cfg,
-		Seed: seed, JobID: jobID, Warmup: warmup, Measure: measure, Every: every,
+		Seed: seed, JobID: jobID, Warmup: warmup, Measure: measure,
 	}
-	return DefaultCurveStore.Curve(key, func() cache.MissCurve {
-		return cache.SinglePassMissCurveSampled(cfg, p.NewStream(seed, jobID), warmup, measure, every)
+	c, _ := DefaultCurveStore.Get(key, func() (cache.MissCurve, error) {
+		return cache.SinglePassMissCurve(cfg, p.NewStream(seed, jobID), warmup, measure), nil
 	})
+	return c
 }
 
 // ProbeRatio measures the miss ratio at a single way allocation. It is

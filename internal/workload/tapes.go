@@ -3,18 +3,18 @@ package workload
 import (
 	"math/rand"
 	"sync"
+
+	"cmpqos/internal/parallel"
 )
 
 // This file memoizes the two pseudo-random input streams of the
 // simulator — Poisson arrival timestamps and the 50/30/20 deadline-class
-// mix — the same way curvestore.go memoizes miss curves. Both streams
-// are pure functions of their seed (and, for arrivals, the rate), yet
-// every Runner construction used to re-seed a math/rand source (~600
-// words of state) and re-draw the stream; across an experiment grid the
-// same few seeds are replayed thousands of times. A tape computes each
-// stream once, lazily extends it on demand, and hands consumers
-// read-only snapshots, so repeated runs skip both the seeding and the
-// exponential/shuffle draws while observing bit-identical sequences.
+// mix. Both are pure functions of their seed (and, for arrivals, the
+// rate), and an experiment grid replays the same few seeds thousands of
+// times. A tape draws each stream once, extends it lazily, and hands
+// consumers read-only snapshots, so a repeated run skips seeding a
+// math/rand source (~600 words of state) and the draws, and observes a
+// bit-identical sequence.
 
 // tapeChunk is how many entries a consumer faults in per refill; the
 // tape itself grows by at least this much per extension.
@@ -28,77 +28,54 @@ type arrivalKey struct {
 	rate float64
 }
 
-// arrivalTape lazily materializes one arrival stream: the timestamps
-// its ArrivalStream has drawn so far.
-type arrivalTape struct {
+// tape lazily materializes one stream: the values its generator S has
+// drawn so far. P is *S, whose Next draws the next value.
+type tape[T, S any, P interface {
+	*S
+	Next() T
+}] struct {
 	mu     sync.Mutex
-	stream ArrivalStream
-	times  []int64
+	stream S
+	vals   []T
 }
 
-// prefix returns a snapshot holding at least n timestamps. Snapshots are
+// The two tapes a simulation draws.
+type (
+	arrivalTape  = tape[int64, ArrivalStream, *ArrivalStream]
+	deadlineTape = tape[DeadlineClass, DeadlineStream, *DeadlineStream]
+)
+
+// prefix returns a snapshot holding at least n values. Snapshots are
 // immutable: extension either appends past every snapshot's length or
 // reallocates, so concurrent readers are never invalidated.
-func (t *arrivalTape) prefix(n int) []int64 {
+func (t *tape[T, S, P]) prefix(n int) []T {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.times) < n {
-		t.times = append(t.times, t.stream.Next())
+	for len(t.vals) < n {
+		t.vals = append(t.vals, P(&t.stream).Next())
 	}
-	return t.times[:len(t.times):len(t.times)]
+	return t.vals[:len(t.vals):len(t.vals)]
 }
 
-// deadlineTape lazily materializes one deadline-class stream: the classes
-// its DeadlineStream has drawn so far.
-type deadlineTape struct {
-	mu      sync.Mutex
-	stream  DeadlineStream
-	classes []DeadlineClass
-}
+// The process-wide tapes, one per distinct key. Like DefaultCurveStore
+// they are process-wide because sim.New draws them from a plain-value
+// Config. Tapes are tiny (a few hundred entries per distinct seed/rate),
+// so neither memo needs eviction.
+var (
+	arrivalTapes  parallel.Memo[arrivalKey, *arrivalTape]
+	deadlineTapes parallel.Memo[int64, *deadlineTape]
+)
 
-// prefix returns a snapshot holding at least n classes.
-func (t *deadlineTape) prefix(n int) []DeadlineClass {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.classes) < n {
-		t.classes = append(t.classes, t.stream.Next())
-	}
-	return t.classes[:len(t.classes):len(t.classes)]
-}
-
-// tapeStore holds the process-wide memoized streams. Tapes are tiny (a
-// few hundred entries per distinct seed/rate), so the store never needs
-// eviction.
-type tapeStore struct {
-	mu  sync.Mutex
-	arr map[arrivalKey]*arrivalTape
-	dl  map[int64]*deadlineTape
-}
-
-var tapes = &tapeStore{
-	arr: map[arrivalKey]*arrivalTape{},
-	dl:  map[int64]*deadlineTape{},
-}
-
-func (s *tapeStore) arrival(seed int64, rate float64) *arrivalTape {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := arrivalKey{seed: seed, rate: rate}
-	t := s.arr[k]
-	if t == nil {
-		t = &arrivalTape{stream: ArrivalStream{rng: rand.New(rand.NewSource(seed)), rate: rate}}
-		s.arr[k] = t
-	}
+func arrivalTapeFor(seed int64, rate float64) *arrivalTape {
+	t, _ := arrivalTapes.Get(arrivalKey{seed: seed, rate: rate}, func() (*arrivalTape, error) {
+		return &arrivalTape{stream: ArrivalStream{rng: rand.New(rand.NewSource(seed)), rate: rate}}, nil
+	})
 	return t
 }
 
-func (s *tapeStore) deadline(seed int64) *deadlineTape {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.dl[seed]
-	if t == nil {
-		t = &deadlineTape{stream: *NewDeadlineStream(seed)}
-		s.dl[seed] = t
-	}
+func deadlineTapeFor(seed int64) *deadlineTape {
+	t, _ := deadlineTapes.Get(seed, func() (*deadlineTape, error) {
+		return &deadlineTape{stream: *NewDeadlineStream(seed)}, nil
+	})
 	return t
 }

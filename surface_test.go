@@ -36,9 +36,7 @@ var surfaceAllow = map[string]string{
 }
 
 // knobAllow names the option fields no program writes that stay.
-var knobAllow = map[string]string{
-	"cmpqos/internal/experiments.Options.Cache": "the private-run-cache seam tests substitute",
-}
+var knobAllow = map[string]string{}
 
 // moduleTree type-checks the repository once for both gates.
 var moduleTree = sync.OnceValues(func() (*tree, error) { return loadTree(".", "cmpqos", surfaceRoots) })
