@@ -7,6 +7,11 @@
 //
 //	qosctl jobs.qos
 //	qosctl -negotiate -clock 2GHz jobs.qos
+//	qosctl -simulate -seeds 3 jobs.qos
+//
+// The simulator runs the paper's 2 GHz core, so -simulate takes no other
+// -clock, and it has no -negotiate; a "with -simulate:" flag without
+// -simulate is a usage error too.
 //
 // A job file looks like:
 //
@@ -20,9 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cmpqos/internal/cli"
+	"cmpqos/internal/cpu"
 	"cmpqos/internal/fault"
 	"cmpqos/internal/jobfile"
 	"cmpqos/internal/qos"
@@ -37,11 +44,11 @@ func main() {
 		negotiate = flag.Bool("negotiate", false, "retry rejected Strict jobs with weaker modes")
 		clock     = flag.String("clock", "2GHz", "node clock frequency (e.g. 2GHz, 1.5GHz)")
 		simulate  = flag.Bool("simulate", false, "run the jobs through the CMP simulator end to end (runs on one node)")
-		instr     = flag.Int64("instr", 20_000_000, "instructions per job when simulating")
+		instr     = flag.Int64("instr", 20_000_000, "with -simulate: instructions per job")
 		seeds     = flag.Int("seeds", 1, "with -simulate: run this many seeds of the job file")
 		parallel  = flag.Int("parallel", 1, "with -simulate: worker bound for the seed runs (0 = one per CPU)")
 		faults    = flag.String("faults", "", "with -simulate: fault plan file, or a fault rate (events per gigacycle) to generate one; merged with the job file's fault directives")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for a generated -faults rate plan")
+		faultSeed = flag.Int64("fault-seed", 1, "with -simulate: seed for a generated -faults rate plan")
 		sched     = flag.String("sched", "", "with -simulate: core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
 		alloc     = flag.String("alloc", "", "with -simulate: L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
 		admit     = flag.String("admit", "", "with -simulate: admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
@@ -56,6 +63,16 @@ func main() {
 	if *simulate && *dispatch != "" {
 		cli.Usage(prog, "-dispatch places across nodes; -simulate runs on one node")
 	}
+	if *simulate && *negotiate {
+		cli.Usage(prog, "-negotiate retries rejected jobs at admission; -simulate does not negotiate")
+	}
+	if !*simulate {
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Usage, "with -simulate:") {
+				cli.Usage(prog, "-%s needs -simulate", f.Name)
+			}
+		})
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: qosctl [-negotiate] [-clock 2GHz] <jobfile>")
 		os.Exit(cli.ExitUsage)
@@ -63,6 +80,9 @@ func main() {
 	hz, err := cli.ParseClock(*clock)
 	if err != nil {
 		cli.Usage(prog, "%v", err)
+	}
+	if *simulate && hz != cpu.ClockHz {
+		cli.Usage(prog, "-clock %s: -simulate runs the paper's %gGHz core", *clock, cpu.ClockHz/1e9)
 	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -177,8 +197,8 @@ func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, plan fau
 		if cfg.StealIntervalInstr < 1 {
 			cfg.StealIntervalInstr = 1
 		}
-		cfg.Script = spec.Script(cfg.CPU.ClockHz)
-		cfg.Faults = plan.Merge(spec.FaultPlan(cfg.CPU.ClockHz))
+		cfg.Script = spec.Script(cpu.ClockHz)
+		cfg.Faults = plan.Merge(spec.FaultPlan(cpu.ClockHz))
 		if spec.NodeCapacity.Cores > 0 && spec.NodeCapacity.Cores <= cfg.L2.Owners {
 			cfg.Cores = spec.NodeCapacity.Cores
 		}

@@ -42,7 +42,9 @@ func runMain(t *testing.T, args ...string) (string, int) {
 
 // TestDispatchWithSimulate: -simulate runs the job file on one node, so
 // a placement strategy across nodes is a usage error there rather than
-// silently ignored; without -simulate the strategy places the file.
+// silently ignored; without -simulate the strategy places the file. So
+// are the flags the simulator would ignore — a -clock other than its
+// own, -negotiate — and a simulation flag without -simulate.
 func TestDispatchWithSimulate(t *testing.T) {
 	jobs := filepath.Join(t.TempDir(), "jobs.qos")
 	spec := "node count=2 cores=4 ways=16\n" +
@@ -54,6 +56,25 @@ func TestDispatchWithSimulate(t *testing.T) {
 	out, code := runMain(t, "-simulate", "-dispatch", "worstfit", jobs)
 	if code != cli.ExitUsage || !strings.Contains(out, "qosctl: -dispatch places across nodes; -simulate runs on one node") {
 		t.Errorf("-simulate -dispatch: exit %d, want %d and the usage message:\n%s", code, cli.ExitUsage, out)
+	}
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-simulate", "-clock", "1GHz"}, "qosctl: -clock 1GHz: -simulate runs the paper's 2GHz core"},
+		{[]string{"-simulate", "-negotiate"}, "qosctl: -negotiate retries rejected jobs at admission; -simulate does not negotiate"},
+		{[]string{"-seeds", "3"}, "qosctl: -seeds needs -simulate"},
+		{[]string{"-instr", "5000000"}, "qosctl: -instr needs -simulate"},
+		{[]string{"-ctrl", "pid"}, "qosctl: -ctrl needs -simulate"},
+	} {
+		out, code := runMain(t, append(c.args, jobs)...)
+		if code != cli.ExitUsage || !strings.Contains(out, c.msg) {
+			t.Errorf("%v: exit %d, want %d and %q:\n%s", c.args, code, cli.ExitUsage, c.msg, out)
+		}
+	}
+	out, code = runMain(t, "-simulate", "-clock", "2000MHz", "-negotiate=false", "-instr", "2000000", jobs)
+	if code != cli.ExitOK || !strings.Contains(out, "accepted 1 jobs") {
+		t.Errorf("-simulate at the simulator's clock: exit %d, want %d and the report:\n%s", code, cli.ExitOK, out)
 	}
 	out, code = runMain(t, "-dispatch", "nope", jobs)
 	if code != cli.ExitUsage || !strings.Contains(out, `unknown dispatcher "nope"`) {

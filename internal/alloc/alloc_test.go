@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cmpqos/internal/cpu"
 	"cmpqos/internal/workload"
 )
 
@@ -48,14 +47,13 @@ func TestUCPFavorsSensitiveJobs(t *testing.T) {
 }
 
 func TestUCPBeatsEqualOnTotalMisses(t *testing.T) {
-	params := cpu.PaperParams()
 	for _, mix := range [][]string{
 		{"bzip2", "gobmk", "milc", "hmmer"},
 		{"mcf", "povray", "namd", "soplex"},
 	} {
 		d := demands(mix...)
-		eq := Evaluate(d, Equal(d, 16), 16, params, 300)
-		up := Evaluate(d, UCP(d, 16), 16, params, 300)
+		eq := Evaluate(d, Equal(d, 16), 16, 300)
+		up := Evaluate(d, UCP(d, 16), 16, 300)
 		if up.TotalMPI > eq.TotalMPI+1e-12 {
 			t.Errorf("%v: UCP total MPI %v worse than equal %v", mix, up.TotalMPI, eq.TotalMPI)
 		}
@@ -63,10 +61,9 @@ func TestUCPBeatsEqualOnTotalMisses(t *testing.T) {
 }
 
 func TestFairEqualizesSlowdowns(t *testing.T) {
-	params := cpu.PaperParams()
 	d := demands("bzip2", "gobmk", "milc", "hmmer")
-	fair := Evaluate(d, Fair(d, 16, params, 300), 16, params, 300)
-	eq := Evaluate(d, Equal(d, 16), 16, params, 300)
+	fair := Evaluate(d, Fair(d, 16, 300), 16, 300)
+	eq := Evaluate(d, Equal(d, 16), 16, 300)
 	if fair.Unfairness() > eq.Unfairness()+1e-9 {
 		t.Errorf("fair unfairness %v worse than equal %v", fair.Unfairness(), eq.Unfairness())
 	}
@@ -88,7 +85,6 @@ func TestNeitherOptimizerGuaranteesQoS(t *testing.T) {
 }
 
 func TestAllocationInvariants(t *testing.T) {
-	params := cpu.PaperParams()
 	names := []string{"bzip2", "hmmer", "gobmk", "mcf", "milc", "soplex", "povray", "gcc"}
 	f := func(sel uint8, waysRaw uint8) bool {
 		// Choose 2-4 demands and a total of ways that can cover them.
@@ -101,7 +97,7 @@ func TestAllocationInvariants(t *testing.T) {
 		for _, a := range []Allocation{
 			Equal(d, total),
 			UCP(d, total),
-			Fair(d, total, params, 300),
+			Fair(d, total, 300),
 		} {
 			if len(a) != n || a.Sum() > total {
 				return false
@@ -134,9 +130,8 @@ func TestValidatePanics(t *testing.T) {
 }
 
 func TestMetricsEvaluate(t *testing.T) {
-	params := cpu.PaperParams()
 	d := demands("bzip2", "gobmk")
-	m := Evaluate(d, Allocation{8, 8}, 16, params, 300)
+	m := Evaluate(d, Allocation{8, 8}, 16, 300)
 	if len(m.Slowdowns) != 2 {
 		t.Fatal("missing slowdowns")
 	}

@@ -35,8 +35,6 @@ type Fig1Result struct {
 // curve directly; the trace engine runs the synthetic stream of each
 // instance through a real equally-partitioned cache.
 func Fig1(o Options) (*Fig1Result, error) {
-	params := cpu.PaperParams()
-	memCfg := mem.PaperConfig()
 	p := workload.MustByName("bzip2")
 	l2 := cache.PaperL2()
 
@@ -44,9 +42,9 @@ func Fig1(o Options) (*Fig1Result, error) {
 		ways := l2.Ways / n
 		if o.Engine == sim.EngineTrace {
 			mr := traceSharedMissRatio(p, l2, n, o.Seed)
-			return params.IPC(p.CPIL1Inf, p.L2APA, p.L2APA*mr, float64(memCfg.BaseCycles))
+			return cpu.IPC(p.CPIL1Inf, p.L2APA, p.L2APA*mr, mem.BaseCycles)
 		}
-		return p.IPC(params, ways, float64(memCfg.BaseCycles))
+		return p.IPC(ways, mem.BaseCycles)
 	}
 	alone := ipcAt(1)
 	res := &Fig1Result{Benchmark: p.Name, AloneIPC: alone}

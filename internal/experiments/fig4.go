@@ -32,8 +32,6 @@ type Fig4Result struct {
 // calibrated curves; the trace engine probes each benchmark's synthetic
 // stream through the real partitioned cache.
 func Fig4(o Options) (*Fig4Result, error) {
-	params := cpu.PaperParams()
-	memCyc := float64(mem.PaperConfig().BaseCycles)
 	res := &Fig4Result{}
 	for _, p := range workload.Profiles() {
 		var c7, c4, c1 float64
@@ -42,13 +40,13 @@ func Fig4(o Options) (*Fig4Result, error) {
 				SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10,
 			}, 250_000, 250_000)
 			cpiAt := func(wy int) float64 {
-				return params.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*curve.At(wy), memCyc)
+				return cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*curve.At(wy), mem.BaseCycles)
 			}
 			c7, c4, c1 = cpiAt(7), cpiAt(4), cpiAt(1)
 		} else {
-			c7 = p.CPI(params, 7, memCyc)
-			c4 = p.CPI(params, 4, memCyc)
-			c1 = p.CPI(params, 1, memCyc)
+			c7 = p.CPI(7, mem.BaseCycles)
+			c4 = p.CPI(4, mem.BaseCycles)
+			c1 = p.CPI(1, mem.BaseCycles)
 		}
 		res.Rows = append(res.Rows, Fig4Row{
 			Benchmark: p.Name,

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cmpqos/internal/alloc"
-	"cmpqos/internal/cpu"
 	"cmpqos/internal/mem"
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
@@ -50,8 +49,6 @@ type RelatedResult struct {
 // Related runs the comparison. The co-schedule is one job per core:
 // three cache-hungry jobs plus gobmk, which carries a 7-way QoS request.
 func Related(o Options) (*RelatedResult, error) {
-	params := cpu.PaperParams()
-	memCyc := float64(mem.PaperConfig().BaseCycles)
 	names := []string{"bzip2", "mcf", "soplex", "gobmk"}
 	const qosJob = 3 // gobmk
 	const qosWays = 7
@@ -63,7 +60,7 @@ func Related(o Options) (*RelatedResult, error) {
 
 	res := &RelatedResult{Jobs: names}
 	add := func(policy string, ways alloc.Allocation) {
-		m := alloc.Evaluate(demands, ways, totalWays, params, memCyc)
+		m := alloc.Evaluate(demands, ways, totalWays, mem.BaseCycles)
 		res.Rows = append(res.Rows, RelatedRow{
 			Policy:        policy,
 			Ways:          ways,
@@ -75,7 +72,7 @@ func Related(o Options) (*RelatedResult, error) {
 	}
 	add("EqualPart (VPC-like)", alloc.Equal(demands, totalWays))
 	add("UCP (Qureshi)", alloc.UCP(demands, totalWays))
-	add("Fair (Kim)", alloc.Fair(demands, totalWays, params, memCyc))
+	add("Fair (Kim)", alloc.Fair(demands, totalWays, mem.BaseCycles))
 	// The paper's framework: gobmk's 7-way reservation is carved out
 	// first; the remainder is scavenged by the other (opportunistic)
 	// jobs — split evenly here, as the leftover pool is.

@@ -43,13 +43,20 @@ type Config struct {
 	Concurrency int
 	Timeout     time.Duration // per-attempt HTTP timeout
 	Retries     int           // extra attempts after a shed or transport failure
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	Seed        int64 // jitter seed — same seed, same backoff schedule
-	Cancel      bool  // cancel each admission immediately (steady-state churn)
-	JobIDBase   int
-	WaitMS      int64 // per-request queue-wait budget sent to the daemon
+	Seed        int64         // jitter seed — same seed, same backoff schedule
+	Cancel      bool          // cancel each admission immediately (steady-state churn)
+	WaitMS      int64         // per-request queue-wait budget sent to the daemon
 }
+
+const (
+	// backoffBase is the delay before the first retry; each further
+	// retry doubles it, up to backoffCap.
+	backoffBase = 5 * time.Millisecond
+	backoffCap  = 500 * time.Millisecond
+	// jobIDBase is the job id of submission 0; submission i is
+	// jobIDBase+i.
+	jobIDBase = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.Requests <= 0 {
@@ -61,17 +68,8 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 500 * time.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.JobIDBase <= 0 {
-		c.JobIDBase = 1
 	}
 	return c
 }
@@ -129,12 +127,12 @@ type Report struct {
 }
 
 // backoff computes the delay before retry `try` (0-based): exponential
-// doubling capped at BackoffCap, with half-magnitude jitter so
+// doubling capped at backoffCap, with half-magnitude jitter so
 // concurrent clients do not retry in lockstep.
-func backoff(cfg Config, try int, r *splitmix.Rand) time.Duration {
-	d := cfg.BackoffBase << uint(try)
-	if d > cfg.BackoffCap || d <= 0 {
-		d = cfg.BackoffCap
+func backoff(try int, r *splitmix.Rand) time.Duration {
+	d := backoffBase << uint(try)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	return d/2 + time.Duration(r.Float64()*float64(d/2))
 }
@@ -276,7 +274,7 @@ func runOne(ctx context.Context, client *http.Client, cases []Case, cfg Config, 
 	c := cases[i%len(cases)]
 	o := outcome{caseIdx: i % len(cases)}
 	req := submitWire{
-		JobID: cfg.JobIDBase + i, Mode: c.Mode, Slack: c.Slack,
+		JobID: jobIDBase + i, Mode: c.Mode, Slack: c.Slack,
 		Cores: c.Cores, Ways: c.Ways, TW: c.TW, DeadlineIn: c.DeadlineIn,
 		WaitMS: cfg.WaitMS, Negotiate: c.Negotiate,
 	}
@@ -287,7 +285,7 @@ func runOne(ctx context.Context, client *http.Client, cases []Case, cfg Config, 
 			select {
 			case <-ctx.Done():
 				return o
-			case <-time.After(backoff(cfg, try-1, r)):
+			case <-time.After(backoff(try-1, r)):
 			}
 		}
 		t0 := time.Now()

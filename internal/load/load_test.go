@@ -73,8 +73,7 @@ func TestRunRetriesShedThenSucceeds(t *testing.T) {
 	}))
 	defer stub.Close()
 	rep, err := Run(context.Background(), []Case{{Name: "s", Mode: "strict", Cores: 1, Ways: 1, TW: 10, DeadlineIn: 100}},
-		Config{BaseURL: stub.URL, Requests: 1, Concurrency: 1, Retries: 3,
-			BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
+		Config{BaseURL: stub.URL, Requests: 1, Concurrency: 1, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestRunRetriesShedThenSucceeds(t *testing.T) {
 func TestRunUnreachableDaemon(t *testing.T) {
 	rep, err := Run(context.Background(), []Case{{Name: "s", Mode: "strict", Cores: 1, Ways: 1, TW: 10, DeadlineIn: 100}},
 		Config{BaseURL: "http://127.0.0.1:1", Requests: 3, Concurrency: 1, Retries: 1,
-			Timeout: 200 * time.Millisecond, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond})
+			Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +100,23 @@ func TestRunUnreachableDaemon(t *testing.T) {
 // TestBackoffShape pins the retry-delay contract: capped exponential
 // with jitter in [d/2, d), deterministic per seed.
 func TestBackoffShape(t *testing.T) {
-	cfg := Config{BackoffBase: 4 * time.Millisecond, BackoffCap: 16 * time.Millisecond}
 	r1 := splitmix.New(42)
 	r2 := splitmix.New(42)
-	for try := 0; try < 6; try++ {
-		d := cfg.BackoffBase << uint(try)
-		if d > cfg.BackoffCap || d <= 0 {
-			d = cfg.BackoffCap
+	capped := false
+	for try := 0; try < 10; try++ {
+		d := backoffBase << uint(try)
+		if d > backoffCap {
+			d, capped = backoffCap, true
 		}
-		got := backoff(cfg, try, &r1)
+		got := backoff(try, &r1)
 		if got < d/2 || got >= d {
 			t.Errorf("try %d: backoff %v outside [%v, %v)", try, got, d/2, d)
 		}
-		if got != backoff(cfg, try, &r2) {
+		if got != backoff(try, &r2) {
 			t.Errorf("try %d: backoff not deterministic per seed", try)
 		}
+	}
+	if !capped {
+		t.Error("no try reached the cap")
 	}
 }

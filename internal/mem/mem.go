@@ -9,35 +9,33 @@
 // threshold and a contention-adjusted miss penalty.
 package mem
 
-import "fmt"
+import (
+	"fmt"
 
-// Config describes the memory system.
+	"cmpqos/internal/cpu"
+)
+
+// The paper's §6 memory system, at the core clock cpu.ClockHz.
+const (
+	// BaseCycles is t_m unloaded: the memory access penalty of an
+	// uncontended bus, 300 cycles.
+	BaseCycles = 300
+	// BlockBytes is the transfer size per miss: one 64 B line.
+	BlockBytes = 64
+	// SatThreshold is the utilization at which the bus counts as
+	// saturated.
+	SatThreshold = 0.85
+)
+
+// Config describes the memory system's one varied parameter.
 type Config struct {
-	BaseCycles    int64   // unloaded memory access penalty, cycles (paper: 300)
 	PeakBytesPerS float64 // peak bus bandwidth (paper: 6.4 GB/s)
-	BlockBytes    int     // transfer size per miss (64 B lines)
-	ClockHz       float64 // core clock used to convert cycles to seconds
-	SatThreshold  float64 // utilization at which the bus counts as saturated
-}
-
-// PaperConfig returns the evaluation memory parameters from paper §6.
-func PaperConfig() Config {
-	return Config{
-		BaseCycles:    300,
-		PeakBytesPerS: 6.4e9,
-		BlockBytes:    64,
-		ClockHz:       2e9,
-		SatThreshold:  0.85,
-	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BaseCycles <= 0 || c.PeakBytesPerS <= 0 || c.BlockBytes <= 0 || c.ClockHz <= 0 {
-		return fmt.Errorf("mem: non-positive parameters %+v", c)
-	}
-	if c.SatThreshold <= 0 || c.SatThreshold >= 1 {
-		return fmt.Errorf("mem: saturation threshold %v must be in (0,1)", c.SatThreshold)
+	if c.PeakBytesPerS <= 0 {
+		return fmt.Errorf("mem: non-positive peak bandwidth %v", c.PeakBytesPerS)
 	}
 	return nil
 }
@@ -59,9 +57,6 @@ func NewBus(cfg Config) *Bus {
 	}
 	return &Bus{cfg: cfg}
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
 
 // AddMisses records n L2 misses' worth of traffic in the current window.
 func (b *Bus) AddMisses(n int64) { b.windowMisses += n }
@@ -94,8 +89,8 @@ func (b *Bus) WindowUtilization(transfers, windowCycles int64) float64 {
 	if windowCycles <= 0 {
 		return b.utilization
 	}
-	seconds := float64(windowCycles) / b.cfg.ClockHz
-	demand := float64(transfers) * float64(b.cfg.BlockBytes)
+	seconds := float64(windowCycles) / cpu.ClockHz
+	demand := float64(transfers) * BlockBytes
 	u := demand / (b.cfg.PeakBytesPerS * seconds)
 	if u > 1 {
 		u = 1
@@ -104,9 +99,9 @@ func (b *Bus) WindowUtilization(transfers, windowCycles int64) float64 {
 }
 
 // Saturated reports whether the last window's utilization crossed the
-// configured saturation threshold. The resource-stealing controller
-// disables itself while this holds (paper §4.2 footnote 2).
-func (b *Bus) Saturated() bool { return b.utilization >= b.cfg.SatThreshold }
+// saturation threshold. The resource-stealing controller disables
+// itself while this holds (paper §4.2 footnote 2).
+func (b *Bus) Saturated() bool { return b.utilization >= SatThreshold }
 
 // Priority classifies memory requests for the bus scheduler. The paper
 // (§4.2 footnote 2) mitigates the t_m growth that stealing causes by
@@ -134,7 +129,7 @@ func (p Priority) String() string {
 // capped at 4× base so a fully saturated bus degrades rather than
 // deadlocks the simulation.
 func (b *Bus) queuePenaltyAt(weight, rho float64) float64 {
-	base := float64(b.cfg.BaseCycles)
+	base := float64(BaseCycles)
 	if rho <= 0 {
 		return base
 	}
@@ -160,7 +155,7 @@ func (b *Bus) MissPenalty() float64 { return b.MissPenaltyAt(b.utilization) }
 func (b *Bus) MissPenaltyAt(rho float64) float64 { return b.queuePenaltyAt(0.25, rho) }
 
 // SaturatedAt is Saturated evaluated at an explicit utilization.
-func (b *Bus) SaturatedAt(rho float64) bool { return rho >= b.cfg.SatThreshold }
+func (b *Bus) SaturatedAt(rho float64) bool { return rho >= SatThreshold }
 
 // MissPenaltyFor returns the class-specific penalty under priority
 // scheduling: reserved-class requests bypass most of the queue (their

@@ -5,34 +5,22 @@ import (
 	"testing/quick"
 )
 
-func TestPaperConfig(t *testing.T) {
-	c := PaperConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("paper config invalid: %v", err)
-	}
-	if c.BaseCycles != 300 || c.PeakBytesPerS != 6.4e9 {
-		t.Errorf("paper config wrong: %+v", c)
-	}
-}
+// paper is the §6 bus: 6.4 GB/s.
+var paper = Config{PeakBytesPerS: 6.4e9}
 
 func TestValidateRejectsBadConfig(t *testing.T) {
-	bad := []Config{
-		{BaseCycles: 0, PeakBytesPerS: 1, BlockBytes: 64, ClockHz: 1, SatThreshold: 0.5},
-		{BaseCycles: 300, PeakBytesPerS: 0, BlockBytes: 64, ClockHz: 1, SatThreshold: 0.5},
-		{BaseCycles: 300, PeakBytesPerS: 1, BlockBytes: 0, ClockHz: 1, SatThreshold: 0.5},
-		{BaseCycles: 300, PeakBytesPerS: 1, BlockBytes: 64, ClockHz: 0, SatThreshold: 0.5},
-		{BaseCycles: 300, PeakBytesPerS: 1, BlockBytes: 64, ClockHz: 1, SatThreshold: 0},
-		{BaseCycles: 300, PeakBytesPerS: 1, BlockBytes: 64, ClockHz: 1, SatThreshold: 1},
-	}
-	for i, c := range bad {
+	for _, c := range []Config{{PeakBytesPerS: 0}, {PeakBytesPerS: -1}} {
 		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, c)
+			t.Errorf("invalid config accepted: %+v", c)
 		}
+	}
+	if err := paper.Validate(); err != nil {
+		t.Errorf("paper config rejected: %v", err)
 	}
 }
 
 func TestUtilizationWindow(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	// 1 ms window at 2 GHz = 2e6 cycles. Peak traffic in 1 ms is
 	// 6.4e9 * 1e-3 = 6.4e6 bytes = 100_000 blocks of 64 B.
 	b.AddMisses(50000) // half of peak
@@ -51,7 +39,7 @@ func TestUtilizationWindow(t *testing.T) {
 }
 
 func TestSaturationDetection(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	b.AddMisses(95000) // 95% of peak in a 1 ms window
 	b.Roll(2_000_000)
 	if !b.Saturated() {
@@ -60,7 +48,7 @@ func TestSaturationDetection(t *testing.T) {
 }
 
 func TestUtilizationClamped(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	b.AddMisses(1_000_000) // 10x peak
 	b.Roll(2_000_000)
 	if b.Utilization() != 1 {
@@ -69,7 +57,7 @@ func TestUtilizationClamped(t *testing.T) {
 }
 
 func TestMissPenaltyShape(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	// Unloaded: exactly the base penalty.
 	if p := b.MissPenalty(); p != 300 {
 		t.Errorf("unloaded penalty = %v, want 300", p)
@@ -96,7 +84,7 @@ func TestMissPenaltyShape(t *testing.T) {
 
 func TestMissPenaltyMonotone(t *testing.T) {
 	// Property: the miss penalty never decreases as utilization rises.
-	cfg := PaperConfig()
+	cfg := paper
 	f := func(a, b uint16) bool {
 		ua, ub := float64(a)/65535, float64(b)/65535
 		if ua > ub {
@@ -118,7 +106,7 @@ func TestMissPenaltyMonotone(t *testing.T) {
 }
 
 func TestPriorityScheduling(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	// Unloaded: all classes see the base penalty.
 	if b.MissPenaltyFor(PrioReserved) != 300 || b.MissPenaltyFor(PrioOpportunistic) != 300 {
 		t.Error("unloaded penalties must equal base")
@@ -149,7 +137,7 @@ func TestPriorityScheduling(t *testing.T) {
 // counts toward that window's utilization, and Roll starts the next
 // window empty.
 func TestWindowAccumulatesUntilRoll(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	b.AddMisses(10)
 	b.Roll(1000)
 	b.AddMisses(5)
@@ -162,7 +150,7 @@ func TestWindowAccumulatesUntilRoll(t *testing.T) {
 }
 
 func TestZeroLengthWindowKeepsUtilization(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	b.AddMisses(50000)
 	b.Roll(2_000_000)
 	u := b.Utilization()
@@ -182,7 +170,7 @@ func TestNewBusPanicsOnBadConfig(t *testing.T) {
 }
 
 func TestWriteBackTraffic(t *testing.T) {
-	b := NewBus(PaperConfig())
+	b := NewBus(paper)
 	b.AddMisses(10)
 	b.AddWriteBacks(5)
 	// Write-backs consume bandwidth like fills: 15 of 50 blocks.

@@ -33,22 +33,31 @@ type Decision struct {
 // LACOption configures a Local Admission Controller.
 type LACOption func(*LAC)
 
-// WithAutoDowngrade enables transparent automatic mode downgrade of
-// Strict jobs that have deadline slack (the All-Strict+AutoDown
-// configuration of Table 2).
+// WithAutoDowngrade enables transparent automatic mode downgrade (§3.4):
+// a Strict job whose deadline leaves room before a latest-fit timeslot
+// runs Opportunistically until the slot begins. On its own it downgrades
+// a job with any slack; WithAutoDowngradeMinSlack sets a floor. Table 2's
+// All-Strict+AutoDown is the two together, with a floor of 0.5 (what the
+// simulator passes; qosd -autodowngrade passes no floor).
 func WithAutoDowngrade() LACOption {
 	return func(l *LAC) { l.autoDowngrade = true }
 }
 
+// OpportunisticPerCore is how many Opportunistic jobs a LAC pins per
+// core not assigned to reserved jobs unless WithOpportunisticPerCore
+// says otherwise (§5 allows several).
+const OpportunisticPerCore = 4
+
 // WithOpportunisticPerCore bounds how many Opportunistic jobs the LAC
-// will pin per core not assigned to reserved jobs (§5 allows several).
+// will pin per core not assigned to reserved jobs.
 func WithOpportunisticPerCore(n int) LACOption {
 	return func(l *LAC) { l.oppPerCore = n }
 }
 
 // WithAutoDowngradeMinSlack sets the minimum relative deadline slack
-// ((td−ta−tw)/tw) a Strict job must have before the LAC automatically
-// downgrades it. Table 2's All-Strict+AutoDown downgrades only jobs with
+// ((td−ta−tw)/tw) a Strict job must have before a LAC built
+// WithAutoDowngrade downgrades it; without WithAutoDowngrade it does
+// nothing. Table 2's All-Strict+AutoDown downgrades only jobs with
 // moderate or relaxed deadlines, i.e. slack ≥ 0.5.
 func WithAutoDowngradeMinSlack(frac float64) LACOption {
 	return func(l *LAC) { l.minAutoSlack = frac }
@@ -99,7 +108,7 @@ func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
 		timeline:         NewTimeline(capacity),
 		place:            EarliestFit{},
-		oppPerCore:       4,
+		oppPerCore:       OpportunisticPerCore,
 		resByJob:         make(map[int][]int),
 		probeBaseCycles:  2000,
 		probePerResCycle: 200,

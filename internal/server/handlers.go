@@ -394,9 +394,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.nodes[e.Node].Complete(req.JobID, e.Mode, now)
-	delete(s.jobs, req.JobID)
-	s.noteCycle(now)
+	s.cancel(&rec, e)
 	s.maybeSnapshotLocked()
 	s.mu.Unlock()
 	s.nCancelled.Add(1)

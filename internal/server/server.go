@@ -331,9 +331,7 @@ func (s *Server) applyRecord(rec qos.WALRecord) error {
 		if !ok {
 			return fmt.Errorf("server: wal replay divergence at seq %d: cancel of unknown job %d", rec.Seq, rec.JobID)
 		}
-		s.nodes[e.Node].Complete(rec.JobID, e.Mode, rec.Now)
-		delete(s.jobs, rec.JobID)
-		s.noteCycle(rec.Now)
+		s.cancel(&rec, e)
 	default:
 		return fmt.Errorf("server: wal record %d has unknown op %q", rec.Seq, rec.Op)
 	}
@@ -364,6 +362,15 @@ func (s *Server) commit(rec *qos.WALRecord, p qos.Placement) {
 		s.jobs[rec.JobID] = jobEntry{Node: rec.Node, Mode: rec.FinalMode, ResID: rec.Dec.ReservationID}
 	}
 	s.noteCycle(rec.Arrival)
+}
+
+// cancel applies a logged cancel of the admitted job e: its node
+// releases the job, the job table drops it, the clock advances. Live
+// requests and WAL replay both apply here.
+func (s *Server) cancel(rec *qos.WALRecord, e jobEntry) {
+	s.nodes[e.Node].Complete(rec.JobID, e.Mode, rec.Now)
+	delete(s.jobs, rec.JobID)
+	s.noteCycle(rec.Now)
 }
 
 // noteCycle advances the persisted clock high-water mark.

@@ -8,6 +8,8 @@ package sim
 import (
 	"fmt"
 
+	"cmpqos/internal/cpu"
+	"cmpqos/internal/mem"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
@@ -239,8 +241,7 @@ func (r *Runner) negotiate(j *Job, maxWays int) (dec qos.Decision, ways int, tw 
 func (r *Runner) refitTW(j *Job, ways int) int64 {
 	p := j.Profile
 	mr := p.MissRatio(ways)
-	cpi := r.cfg.CPU.CPI(p.CPIL1Inf, p.L2APA,
-		p.L2APA*mr*p.MaxPhaseScale(), float64(r.cfg.Mem.BaseCycles))
+	cpi := cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), mem.BaseCycles)
 	tw := int64(float64(j.Remaining()) * cpi * r.cfg.TwMargin)
 	if tw < r.cfg.EpochCycles {
 		tw = r.cfg.EpochCycles
@@ -289,7 +290,7 @@ func (sh *nodeShared) buildTwTable() {
 		}
 		// The maximum wall-clock request budgets the worst phase (§3.1's
 		// dynamic behaviour): calmer phases become internal fragmentation.
-		cpi := cfg.CPU.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), float64(cfg.Mem.BaseCycles))
+		cpi := cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), mem.BaseCycles)
 		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
 		sh.tmpl[key] = tmplEntry{tw: tw, prof: &p}
 		if tw > sh.refTW {

@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"cmpqos/internal/cpu"
 	"cmpqos/internal/mem"
 	"cmpqos/internal/steal"
 	"cmpqos/internal/trace"
@@ -50,7 +51,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 	if j.Stealer != nil {
 		// CPIF at the fixed original allocation, with the curve lookup
 		// memoized at Stealer creation (j.mpifRes).
-		j.BaselineCycles += float64(instr) * r.cfg.CPU.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
+		j.BaselineCycles += float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
 	} else {
 		j.BaselineCycles += float64(instr) * cpi
 	}
@@ -103,12 +104,13 @@ func (r *Runner) penaltyFor(j *Job) float64 {
 
 // penaltyForAt prices the penalty at an explicit bus utilization (the
 // second parity of a limit-cycle window is priced before the bus gets
-// there), honoring the reserved-over-opportunistic bus prioritization
-// when the configuration enables it (§4.2 footnote 2).
+// there). Under a QoS policy the bus serves reserved jobs' requests
+// ahead of Opportunistic ones (§4.2 footnote 2); the baselines without
+// admission control have no classes to prioritize.
 func (r *Runner) penaltyForAt(j *Job, u float64) float64 {
 	// latFactor is exactly 1.0 outside latency-spike windows, and x*1.0
 	// is the IEEE-754 identity, so fault-free runs stay bit-identical.
-	if !r.cfg.PrioritizeBus || r.cfg.Policy.noAdmission() {
+	if r.cfg.Policy.noAdmission() {
 		return r.bus.MissPenaltyAt(u) * r.latFactor
 	}
 	if j.ReservedRunning(r.now) {

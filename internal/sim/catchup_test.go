@@ -151,7 +151,7 @@ func TestCatchUpReusesProvedWindow(t *testing.T) {
 				}
 				n.catchUp(n.now + k*E)
 				for !n.idle() {
-					if n.now > n.cfg.MaxCycles {
+					if n.now > maxCycles {
 						t.Fatal("the jobs never finished")
 					}
 					n.step()

@@ -240,7 +240,7 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 		return struct{}{}, nil
 	}
 	for !cr.done() {
-		if cr.now > cr.cfg.Node.MaxCycles {
+		if cr.now > maxCycles {
 			return nil, fmt.Errorf("sim: cluster exceeded safety horizon with %d/%d accepted",
 				cr.accepted, cr.cfg.AcceptTarget)
 		}

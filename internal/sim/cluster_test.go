@@ -130,7 +130,7 @@ func runLockStep(t *testing.T, cfg ClusterConfig) (*ClusterReport, []*Report) {
 		return true
 	}
 	for cr.accepted < cfg.AcceptTarget || !allIdle() {
-		if cr.now > cfg.Node.MaxCycles {
+		if cr.now > maxCycles {
 			t.Fatalf("lock-step oracle exceeded the safety horizon with %d/%d accepted", cr.accepted, cfg.AcceptTarget)
 		}
 		epochEnd := cr.now + cfg.Node.EpochCycles

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"cmpqos/internal/cache"
-	"cmpqos/internal/cpu"
 	"cmpqos/internal/fault"
 	"cmpqos/internal/mem"
 	"cmpqos/internal/qos"
@@ -118,7 +117,6 @@ type Config struct {
 
 	Cores int
 	L2    cache.Config
-	CPU   cpu.Params
 	Mem   mem.Config
 
 	// JobInstr is the instruction count per job. The paper simulates
@@ -141,24 +139,12 @@ type Config struct {
 	ProbesPerTw float64
 	// AcceptTarget is how many accepted jobs constitute the workload.
 	AcceptTarget int
-	// SampleEvery is the duplicate-tag set-sampling interval.
-	SampleEvery int
 	// TraceAccessShift right-shifts the number of simulated L2 accesses
 	// per epoch in trace mode (access sampling); 0 = every access.
 	TraceAccessShift uint
-	// OppPerCore caps Opportunistic pins per unreserved core.
-	OppPerCore int
-	// AutoDownMinSlack is the minimum relative deadline slack for
-	// automatic downgrade (0.5 ⇒ only moderate/relaxed, per Table 2).
-	AutoDownMinSlack float64
 	// DisableStealing turns the resource-stealing controller off
 	// (ablation; Hybrid-2 then degenerates towards Hybrid-1).
 	DisableStealing bool
-	// PrioritizeBus enables the §4.2 footnote-2 mitigation: memory
-	// requests from reserved (Strict/Elastic) jobs are prioritized over
-	// Opportunistic ones, keeping the reserved miss penalty near the
-	// unloaded latency under contention.
-	PrioritizeBus bool
 	// EnforceWallClock terminates reserved jobs that exceed their
 	// reserved budget (tw for Strict, tw·(1+X) for Elastic, the deadline
 	// for auto-downgraded jobs) — the batch-system semantics embedded in
@@ -231,9 +217,20 @@ type Config struct {
 	// Seed drives all pseudo-randomness (arrivals, deadline mix,
 	// synthetic traces).
 	Seed int64
-	// MaxCycles is a safety horizon; the run aborts beyond it.
-	MaxCycles int64
 }
+
+// The paper's machine and policy constants that no run varies.
+const (
+	// sampleEvery is the duplicate-tag set-sampling interval: every 8th
+	// set (§6).
+	sampleEvery = 8
+	// autoDownMinSlack is the minimum relative deadline slack for
+	// automatic downgrade: 0.5, so only moderate and relaxed deadlines
+	// (Table 2).
+	autoDownMinSlack = 0.5
+	// maxCycles is the safety horizon; a run aborts beyond it.
+	maxCycles int64 = 1 << 40
+)
 
 // DefaultConfig returns the paper's evaluation parameters (§6) with the
 // table engine and full-length 200 M-instruction jobs.
@@ -244,8 +241,7 @@ func DefaultConfig(policy Policy, w workload.Composition) Config {
 		Engine:             EngineTable,
 		Cores:              4,
 		L2:                 cache.PaperL2(),
-		CPU:                cpu.PaperParams(),
-		Mem:                mem.PaperConfig(),
+		Mem:                mem.Config{PeakBytesPerS: 6.4e9}, // §6: 6.4 GB/s
 		JobInstr:           200_000_000,
 		EpochCycles:        250_000,
 		StealIntervalInstr: 2_000_000,
@@ -253,12 +249,7 @@ func DefaultConfig(policy Policy, w workload.Composition) Config {
 		TwMargin:           1.05,
 		ProbesPerTw:        workload.DefaultProbesPerTw,
 		AcceptTarget:       10,
-		SampleEvery:        8,
-		OppPerCore:         4,
-		AutoDownMinSlack:   0.5,
-		PrioritizeBus:      true,
 		Seed:               1,
-		MaxCycles:          1 << 40,
 	}
 }
 
@@ -287,9 +278,6 @@ func (c Config) Validate() error {
 	if c.L2.Owners < c.Cores {
 		return fmt.Errorf("sim: L2 models %d owners for %d cores", c.L2.Owners, c.Cores)
 	}
-	if err := c.CPU.Validate(); err != nil {
-		return err
-	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
@@ -307,9 +295,6 @@ func (c Config) Validate() error {
 	}
 	if c.AcceptTarget <= 0 {
 		return fmt.Errorf("sim: accept target must be positive")
-	}
-	if c.SampleEvery <= 0 || c.SampleEvery&(c.SampleEvery-1) != 0 {
-		return fmt.Errorf("sim: sample interval %d must be a power of two", c.SampleEvery)
 	}
 	if c.Policy == UCPPart && c.Engine != EngineTable {
 		return fmt.Errorf("sim: UCP-Part is a table-engine baseline")

@@ -222,13 +222,10 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	}
 
 	if !cfg.Policy.noAdmission() {
-		opts := []qos.LACOption{
-			qos.WithOpportunisticPerCore(cfg.OppPerCore),
-			qos.WithPlacement(newAdmission(cfg)),
-		}
+		opts := []qos.LACOption{qos.WithPlacement(newAdmission(cfg))}
 		if cfg.Policy == AllStrictAutoDown {
 			opts = append(opts, qos.WithAutoDowngrade(),
-				qos.WithAutoDowngradeMinSlack(cfg.AutoDownMinSlack))
+				qos.WithAutoDowngradeMinSlack(autoDownMinSlack))
 		}
 		r.lac = qos.NewLAC(qos.ResourceVector{Cores: cfg.Cores, CacheWays: cfg.L2.Ways}, opts...)
 	}
@@ -236,7 +233,7 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	case EngineTrace:
 		r.model = newTraceModel(cfg)
 	default:
-		r.model = newTableModel(cfg.CPU)
+		r.model = &tableModel{}
 	}
 	r.sc.byCore = make([][]*Job, cfg.Cores)
 	r.sc.load = make([]int, cfg.Cores)
@@ -278,9 +275,9 @@ func (r *Runner) Run() (*Report, error) {
 func (r *Runner) RunContext(ctx context.Context) (*Report, error) {
 	polls := 0
 	for !r.done() {
-		if r.now > r.cfg.MaxCycles {
+		if r.now > maxCycles {
 			return nil, fmt.Errorf("sim: exceeded safety horizon %d cycles with %d/%d accepted jobs done",
-				r.cfg.MaxCycles, r.doneCount(), len(r.accepted))
+				maxCycles, r.doneCount(), len(r.accepted))
 		}
 		if ctx != nil {
 			if polls&63 == 0 {
@@ -438,7 +435,7 @@ func (r *Runner) buildPlan(byCore [][]*Job) {
 		return
 	}
 	r.planIdleCores, r.planIdleWays, r.planInternal = r.fragDeltas(byCore)
-	wake := int64(r.cfg.MaxCycles)
+	wake := maxCycles
 	for _, j := range r.accepted {
 		switch {
 		case j.State == StateWaiting:

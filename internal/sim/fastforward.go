@@ -22,7 +22,10 @@
 // state equal across both (so pause inputs stay constant).
 package sim
 
-import "cmpqos/internal/steal"
+import (
+	"cmpqos/internal/cpu"
+	"cmpqos/internal/steal"
+)
 
 // ffChunkEpochs caps one proved window: it bounds k·E and the cluster's
 // calendar key, and it is how often cancellation (and the cluster's
@@ -89,7 +92,7 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 			if j.Stealer != nil {
 				// CPIF at the original allocation (advanceJob's stealer
 				// baseline), constant while pen is.
-				base = float64(instr) * r.cfg.CPU.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
+				base = float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
 			}
 			*dst = append(*dst, jobDelta{
 				j: j, instr: instr, consumed: int64(float64(instr) * cpi),

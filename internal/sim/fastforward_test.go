@@ -277,7 +277,8 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 // exactly at the end of an epoch.
 func TestStealHorizonAgainstStepping(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	idle, saturated := mem.NewBus(mem.PaperConfig()), mem.NewBus(mem.PaperConfig())
+	paper := DefaultConfig(AllStrict, workload.Composition{}).Mem
+	idle, saturated := mem.NewBus(paper), mem.NewBus(paper)
 	saturated.AddMisses(1 << 20)
 	saturated.Roll(1_000_000)
 	r := &Runner{nodeShared: &nodeShared{}, model: &tableModel{}}

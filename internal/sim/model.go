@@ -40,11 +40,7 @@ type model interface {
 // job's miss ratio is its curve at its current effective way allocation,
 // and the stealing guard's "shadow" count accrues at the original
 // allocation's rate.
-type tableModel struct {
-	params cpu.Params
-}
-
-func newTableModel(params cpu.Params) *tableModel { return &tableModel{params: params} }
+type tableModel struct{}
 
 func (m *tableModel) jobStarted(*Job) {}
 
@@ -66,8 +62,7 @@ func (m *tableModel) cpiFor(j *Job, memPenalty float64) float64 {
 	// j.mpifCur is the memoized MPIF(WaysF) — the exact bits of the curve
 	// interpolation, refreshed whenever the plan assigns ways.
 	scale := phaseScale(j)
-	return m.params.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA,
-		j.mpifCur*scale, memPenalty)
+	return cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifCur*scale, memPenalty)
 }
 
 // advance applies what steadyDeltas previews, so the stepped epoch and
@@ -101,7 +96,6 @@ type traceModel struct {
 	frozen  []int // per-core frozen shadow target; -1 when not frozen
 	elastic []int // applyPartition scratch, reused every epoch
 	cfg     Config
-	params  cpu.Params
 	l2      *cache.Partitioned
 	shadow  *cache.ShadowTags
 }
@@ -109,9 +103,8 @@ type traceModel struct {
 func newTraceModel(cfg Config) *traceModel {
 	m := &traceModel{
 		cfg:     cfg,
-		params:  cfg.CPU,
 		l2:      cache.NewPartitioned(cfg.L2),
-		shadow:  cache.NewShadowTags(cfg.L2, cfg.SampleEvery),
+		shadow:  cache.NewShadowTags(cfg.L2, sampleEvery),
 		frozen:  make([]int, cfg.Cores),
 		elastic: make([]int, cfg.Cores),
 	}
@@ -223,7 +216,7 @@ func (m *traceModel) applyPartition(jobsByCore [][]*Job, now int64) {
 
 func (m *traceModel) cpiFor(j *Job, memPenalty float64) float64 {
 	h2 := j.Profile.L2APA
-	return m.params.CPI(j.Profile.CPIL1Inf, h2, h2*j.tr.lastMissRatio, memPenalty)
+	return cpu.CPI(j.Profile.CPIL1Inf, h2, h2*j.tr.lastMissRatio, memPenalty)
 }
 
 func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {

@@ -137,7 +137,7 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 			// is the spill path once every free core is at the cap.
 			packed := false
 			for _, c := range freeCores {
-				if load[c] < r.cfg.OppPerCore {
+				if load[c] < qos.OpportunisticPerCore {
 					best, packed = c, true
 					break
 				}

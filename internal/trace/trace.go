@@ -4,8 +4,8 @@
 // a solid box from start to completion, a dashed tail to the deadline,
 // darker shading for periods spent automatically downgraded, and a
 // marker at the switch-back point. The simulator keeps each job's lane
-// on the job itself (sim.Report.Lanes); Recorder.Lanes, the same fold
-// over a recorded log, is the reference its tests hold that to.
+// on the job itself (sim.Report.Lanes); its tests hold that to the same
+// fold over a recorded log.
 package trace
 
 import (
@@ -177,64 +177,6 @@ type Lane struct {
 	SwitchBack int64 // 0 when never downgraded
 	Downgraded bool
 	Met        bool
-}
-
-// Lanes assembles per-job lanes for every job that both started and
-// completed, ordered by acceptance; deadlines must be supplied by the
-// caller (they are a property of the job, not an event).
-func (r *Recorder) Lanes(deadlines map[int]int64) []Lane {
-	type agg struct {
-		lane  Lane
-		seen  bool
-		order int
-	}
-	// One counting pass sizes the aggregate store to the number of
-	// distinct jobs, so long traces build lanes without per-job pointer
-	// allocations or append-grow churn.
-	idx := map[int]int{}
-	r.each(func(e Event) {
-		if _, ok := idx[e.JobID]; !ok {
-			idx[e.JobID] = len(idx)
-		}
-	})
-	aggs := make([]agg, len(idx))
-	for id, i := range idx {
-		aggs[i] = agg{lane: Lane{JobID: id}, order: 1 << 30}
-	}
-	order := 0
-	r.each(func(e Event) {
-		a := &aggs[idx[e.JobID]]
-		switch e.Kind {
-		case Accepted:
-			a.order = order
-			order++
-		case Started:
-			if !a.seen {
-				a.lane.Start = e.Cycle
-				a.seen = true
-			}
-		case Downgraded:
-			a.lane.Downgraded = true
-		case SwitchedBack:
-			a.lane.SwitchBack = e.Cycle
-		case Completed:
-			a.lane.End = e.Cycle
-			a.lane.Met = e.DeadlineMet
-		}
-	})
-	done := aggs[:0]
-	for _, a := range aggs {
-		if a.seen && a.lane.End > 0 {
-			a.lane.Deadline = deadlines[a.lane.JobID]
-			done = append(done, a)
-		}
-	}
-	sort.Slice(done, func(i, j int) bool { return done[i].order < done[j].order })
-	out := make([]Lane, len(done))
-	for i, a := range done {
-		out[i] = a.lane
-	}
-	return out
 }
 
 // Gantt renders lanes as ASCII art, `width` characters across the busy

@@ -33,40 +33,6 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
-func TestLanesAssembly(t *testing.T) {
-	var r Recorder
-	// Job 1: plain run, meets deadline.
-	record(&r, 1,
-		Event{Cycle: 0, Kind: Accepted},
-		Event{Cycle: 10, Kind: Started},
-		Event{Cycle: 110, Kind: Completed, DeadlineMet: true},
-	)
-	// Job 2: auto-downgraded, switched back, missed.
-	record(&r, 2,
-		Event{Cycle: 5, Kind: Accepted},
-		Event{Cycle: 5, Kind: Started},
-		Event{Cycle: 5, Kind: Downgraded},
-		Event{Cycle: 80, Kind: SwitchedBack},
-		Event{Cycle: 200, Kind: Completed, DeadlineMet: false},
-	)
-	// Job 3: never completed — excluded from lanes.
-	record(&r, 3, Event{Cycle: 7, Kind: Accepted}, Event{Cycle: 7, Kind: Started})
-	lanes := r.Lanes(map[int]int64{1: 150, 2: 180})
-	if len(lanes) != 2 {
-		t.Fatalf("lanes = %d, want 2", len(lanes))
-	}
-	if lanes[0].JobID != 1 || lanes[1].JobID != 2 {
-		t.Errorf("lane order wrong: %+v", lanes)
-	}
-	l2 := lanes[1]
-	if !l2.Downgraded || l2.SwitchBack != 80 || l2.Met {
-		t.Errorf("lane 2 wrong: %+v", l2)
-	}
-	if lanes[0].Deadline != 150 {
-		t.Errorf("deadline not attached: %+v", lanes[0])
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	lanes := []Lane{
 		{JobID: 1, Start: 0, End: 100, Deadline: 150, Met: true},

@@ -168,13 +168,13 @@ func (p Profile) MPIF(ways float64) float64 { return p.L2APA * p.MissRatioF(ways
 
 // CPI evaluates the paper's additive CPI model for this profile at the
 // given way allocation and (possibly contention-adjusted) memory penalty.
-func (p Profile) CPI(params cpu.Params, ways int, memCycles float64) float64 {
-	return params.CPI(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
+func (p Profile) CPI(ways int, memCycles float64) float64 {
+	return cpu.CPI(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
 }
 
 // IPC is the reciprocal of CPI at the given allocation.
-func (p Profile) IPC(params cpu.Params, ways int, memCycles float64) float64 {
-	return params.IPC(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
+func (p Profile) IPC(ways int, memCycles float64) float64 {
+	return cpu.IPC(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
 }
 
 // interpCurve builds a 17-entry miss-ratio curve (index = ways, 0..16)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmpqos/internal/cpu"
+	"cmpqos/internal/mem"
 )
 
 func TestFifteenProfiles(t *testing.T) {
@@ -99,10 +100,9 @@ func TestFig4SensitivityClassification(t *testing.T) {
 	// ΔCPI from 7→1 ways must separate the groups: every Group 1 member
 	// is more sensitive than every Group 3 member, with Group 2 between
 	// them on at least the group means (Figure 4).
-	params := cpu.PaperParams()
 	delta := func(p Profile) float64 {
-		c7 := p.CPI(params, 7, params.MemCycles)
-		c1 := p.CPI(params, 1, params.MemCycles)
+		c7 := p.CPI(7, mem.BaseCycles)
+		c1 := p.CPI(1, mem.BaseCycles)
 		return (c1 - c7) / c7
 	}
 	groupVals := map[Group][]float64{}
@@ -139,12 +139,11 @@ func TestFig1ShapeBzip2(t *testing.T) {
 	// Figure 1: with the L2 equally divided among n bzip2 instances, the
 	// QoS target (2/3 of the alone IPC) is met for n <= 2 and missed for
 	// n >= 3.
-	params := cpu.PaperParams()
 	p := MustByName("bzip2")
-	alone := p.IPC(params, 16, params.MemCycles)
+	alone := p.IPC(16, mem.BaseCycles)
 	target := alone * 2 / 3
 	for n := 1; n <= 4; n++ {
-		ipc := p.IPC(params, 16/n, params.MemCycles)
+		ipc := p.IPC(16/n, mem.BaseCycles)
 		meets := ipc >= target
 		wantMeets := n <= 2
 		if meets != wantMeets {
@@ -155,13 +154,12 @@ func TestFig1ShapeBzip2(t *testing.T) {
 }
 
 func TestCPIWeighting(t *testing.T) {
-	params := cpu.PaperParams()
 	p := MustByName("bzip2")
-	want := p.CPIL1Inf + p.L2APA*params.L2HitCycles + p.MPI(7)*params.MemCycles
-	if got := p.CPI(params, 7, params.MemCycles); math.Abs(got-want) > 1e-12 {
+	want := p.CPIL1Inf + p.L2APA*cpu.L2HitCycles + p.MPI(7)*mem.BaseCycles
+	if got := p.CPI(7, mem.BaseCycles); math.Abs(got-want) > 1e-12 {
 		t.Errorf("CPI = %v, want %v", got, want)
 	}
-	if ipc := p.IPC(params, 7, params.MemCycles); math.Abs(ipc*want-1) > 1e-9 {
+	if ipc := p.IPC(7, mem.BaseCycles); math.Abs(ipc*want-1) > 1e-9 {
 		t.Errorf("IPC·CPI = %v, want 1", ipc*want)
 	}
 }

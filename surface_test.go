@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -35,8 +36,13 @@ var surfaceAllow = map[string]string{
 	"cmpqos/internal/qos.ElasticEquivalent": "paper §3.3 definition",
 }
 
-// knobAllow names the option fields no program writes that stay.
-var knobAllow = map[string]string{}
+// knobAllow names the one-valued option fields that stay, each with its
+// reason.
+var knobAllow = map[string]string{
+	"cmpqos/internal/mem.Config.PeakBytesPerS": "bus-contention tests lower it to reach a congested bus",
+	"cmpqos/internal/cache.Config.BlockSize":   "bench/ writes it, and bench/ changes only with the benchmark",
+	"cmpqos/internal/cache.Config.HitCycles":   "read by nothing, but bench/ writes it, and bench/ changes only with the benchmark",
+}
 
 // moduleTree type-checks the repository once for both gates.
 var moduleTree = sync.OnceValues(func() (*tree, error) { return loadTree(".", "cmpqos", surfaceRoots) })
@@ -52,17 +58,17 @@ func TestInternalSurface(t *testing.T) {
 }
 
 // TestConfigKnobs is the option axis of the surface gate: an exported
-// field of a …Config, …Options or …Params struct under internal/ that no
-// non-test file writes has one value in every program, so it is a
-// constant and the branch it selects is dead.
+// field of a …Config, …Options or …Params struct under internal/ that
+// every non-test construction gives the same constant has one value in
+// every program, so it is a constant and the branch it selects is dead.
 func TestConfigKnobs(t *testing.T) {
 	tr, err := moduleTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAllowed(t, tr.unwrittenKnobs(), knobAllow,
-		"no non-test code sets it — make it a constant and delete the branch it selects",
-		"written or gone")
+	checkAllowed(t, tr.oneValuedKnobs(), knobAllow,
+		"every non-test construction gives it one value — make it a constant and delete the branch it selects",
+		"given two values or gone")
 }
 
 // TestNoShadowedBuiltins: a package-scope name that is also a predeclared
@@ -106,8 +112,8 @@ func TestInternalSurfaceFixture(t *testing.T) {
 	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead"}; !reflect.DeepEqual(dead, want) {
 		t.Errorf("unreachable declarations in the fixture = %v, want %v", dead, want)
 	}
-	if knobs, want := tr.unwrittenKnobs(), []string{"fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
-		t.Errorf("unwritten option fields in the fixture = %v, want %v", knobs, want)
+	if knobs, want := tr.oneValuedKnobs(), []string{"fixture/internal/lib.Config.Fixed", "fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
+		t.Errorf("one-valued option fields in the fixture = %v, want %v", knobs, want)
 	}
 	if shadows, want := tr.shadowedBuiltins(), []string{"fixture/cmd/app.max"}; !reflect.DeepEqual(shadows, want) {
 		t.Errorf("shadowed builtins in the fixture = %v, want %v", shadows, want)
@@ -194,29 +200,55 @@ func (tr *tree) unreachableDecls() []string {
 
 var knobStruct = regexp.MustCompile(`(Config|Options|Params)$`)
 
-// unwrittenKnobs returns, sorted as "import/path.Type.Field", every
+// oneValuedKnobs returns, sorted as "import/path.Type.Field", every
 // exported field of a struct under internal/ named …Config, …Options or
-// …Params that no file of the tree writes. A write is a key of a
-// composite literal (any element of an unkeyed one), a field on the left
-// of an assignment or under ++/--, or a field whose address is taken; a
-// field with a json tag is written by whatever decodes it. Default
-// constructors are files of the tree like any other.
-func (tr *tree) unwrittenKnobs() []string {
-	written := map[types.Object]bool{}
-	// lhs marks every field selected on the way to an assigned location:
-	// cfg.L2.Ways = 8 sets Ways and, through it, L2.
-	var lhs func(p *pkg, e ast.Expr)
-	lhs = func(p *pkg, e ast.Expr) {
+// …Params that holds one value in every program: each construction in
+// the tree gives it the same compile-time constant. A keyed or
+// positional element of a composite literal, or the right-hand side of a
+// plain `=`, contributes its constant, and a literal that omits the
+// field contributes the zero value. The field is a real knob once it
+// gets a value that is not a constant, is the target of op=, ++ or --,
+// has its address taken, is selected on the way to a written location
+// (cfg.L2.Ways = 8 makes L2 a knob and gives Ways the value 8), or has a
+// json tag (whatever decodes it sets it). A field nothing writes is the
+// case of the single zero value. Default constructors are files of the
+// tree like any other.
+func (tr *tree) oneValuedKnobs() []string {
+	knob := map[*types.Var]bool{}
+	values := map[*types.Var]map[string]bool{}
+	give := func(f *types.Var, v string) {
+		if values[f] == nil {
+			values[f] = map[string]bool{}
+		}
+		values[f][v] = true
+	}
+	// assign records what storing e into f contributes.
+	assign := func(p *pkg, f *types.Var, e ast.Expr) {
+		switch tv := p.info.Types[e]; {
+		case tv.Value != nil:
+			give(f, constKey(tv.Value))
+		case tv.IsNil():
+			give(f, zeroKey(f.Type()))
+		default:
+			knob[f] = true
+		}
+	}
+	// through makes a knob of every field selected on the way to a
+	// location written by anything but a plain store.
+	var through func(p *pkg, e ast.Expr)
+	through = func(p *pkg, e ast.Expr) {
 		switch e := e.(type) {
 		case *ast.SelectorExpr:
-			written[p.info.Uses[e.Sel]] = true
-			lhs(p, e.X)
+			if f := fieldOf(p, e); f != nil {
+				knob[f] = true
+			}
+			through(p, e.X)
 		case *ast.IndexExpr:
-			lhs(p, e.X)
+			through(p, e.X)
 		case *ast.StarExpr:
-			lhs(p, e.X)
+			through(p, e.X)
 		case *ast.ParenExpr:
-			lhs(p, e.X)
+			through(p, e.X)
 		}
 	}
 	for _, p := range tr.pkgs {
@@ -228,22 +260,35 @@ func (tr *tree) unwrittenKnobs() []string {
 					if st == nil {
 						break
 					}
+					given := map[*types.Var]bool{}
 					for i, elt := range n.Elts {
+						f, v := st.Field(i).Origin(), elt
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							written[p.info.Uses[kv.Key.(*ast.Ident)]] = true
-						} else {
-							written[st.Field(i)] = true
+							f, v = p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin(), kv.Value
+						}
+						given[f] = true
+						assign(p, f, v)
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i).Origin(); !given[f] {
+							give(f, zeroKey(f.Type()))
 						}
 					}
 				case *ast.AssignStmt:
-					for _, e := range n.Lhs {
-						lhs(p, e)
+					for i, e := range n.Lhs {
+						sel, _ := ast.Unparen(e).(*ast.SelectorExpr)
+						if f := fieldOf(p, sel); f != nil && n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+							assign(p, f, n.Rhs[i])
+							through(p, sel.X)
+						} else {
+							through(p, e)
+						}
 					}
 				case *ast.IncDecStmt:
-					lhs(p, n.X)
+					through(p, n.X)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						lhs(p, n.X)
+						through(p, n.X)
 					}
 				}
 				return true
@@ -269,7 +314,7 @@ func (tr *tree) unwrittenKnobs() []string {
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
 				_, decoded := reflect.StructTag(st.Tag(i)).Lookup("json")
-				if f.Exported() && !written[f] && !decoded {
+				if f.Exported() && !knob[f] && !decoded && len(values[f]) <= 1 {
 					knobs = append(knobs, p.types.Path()+"."+name+"."+f.Name())
 				}
 			}
@@ -277,6 +322,43 @@ func (tr *tree) unwrittenKnobs() []string {
 	}
 	sort.Strings(knobs)
 	return knobs
+}
+
+// fieldOf is the struct field a selector names; nil for a method, a
+// package-qualified name or a nil selector.
+func fieldOf(p *pkg, sel *ast.SelectorExpr) *types.Var {
+	if sel == nil {
+		return nil
+	}
+	if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
+}
+
+// constKey spells a constant so that equal values compare equal whatever
+// their kind: 2e9 and 2000000000 are one value.
+func constKey(v constant.Value) string {
+	switch v.Kind() {
+	case constant.Int, constant.Float:
+		return constant.ToFloat(v).ExactString()
+	}
+	return v.ExactString()
+}
+
+// zeroKey spells the zero value of t as constKey spells constants.
+func zeroKey(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch info := b.Info(); {
+		case info&types.IsNumeric != 0:
+			return constKey(constant.MakeInt64(0))
+		case info&types.IsString != 0:
+			return constKey(constant.MakeString(""))
+		case info&types.IsBoolean != 0:
+			return constKey(constant.MakeBool(false))
+		}
+	}
+	return "zero"
 }
 
 // shadowedBuiltins returns, sorted as "import/path.Name", every
@@ -382,7 +464,7 @@ func (l *loader) load(path string) (*pkg, error) {
 	p := &pkg{info: &types.Info{
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{}, // composite literals only are read (unwrittenKnobs)
+		Types: map[ast.Expr]types.TypeAndValue{}, // read by oneValuedKnobs
 	}}
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {

@@ -12,6 +12,7 @@ func main() {
 	grow(&cfg.Addressed)
 	_ = cfg.Unset
 	lib.NewLive(cfg, lib.Params{max(3, 1)}).Run()
+	lib.NewLive(lib.Config{Keyed: 2, Fixed: 8}, lib.Params{}).Run()
 }
 
 func grow(n *int) { *n *= 2 }

@@ -1,6 +1,6 @@
-// Package lib holds one declaration no root reaches, Dead, and one option
-// field no file writes, Config.Unset, among the shapes the gates must not
-// report.
+// Package lib holds one declaration no root reaches, Dead, and two option
+// fields that hold one value in every program, Config.Fixed and
+// Config.Unset, among the shapes the gates must not report.
 package lib
 
 import "fmt"
@@ -15,21 +15,24 @@ const first step = 1
 
 func NewLive(c Config, p Params) *Live { return &Live{n: first + step(c.Unset+p.Positional)} }
 
-// Config has one field per way of being written, and Unset, which is
-// only read.
+// Config has one field per way of holding two values, and two fields
+// that hold one: Fixed, which every literal sets to 8, and Unset, which
+// is only read.
 type Config struct {
-	Keyed     int // key of DefaultConfig's literal
-	Assigned  int
+	Keyed     int // 1 in DefaultConfig's literal, 2 in main's
+	Assigned  int // 0 where a literal omits it, 2 where main assigns it
 	Addressed int
 	Nested    struct{ Depth int } // written through: cfg.Nested.Depth++
 	Decoded   int                 `json:"decoded"`
+	Fixed     int
 	Unset     int
 	private   int // not an option: unexported
 }
 
-func DefaultConfig() Config { return Config{Keyed: 1} }
+func DefaultConfig() Config { return Config{Keyed: 1, Fixed: 8} }
 
-// Params is written by an unkeyed literal.
+// Params is written by an unkeyed literal, with a value that is not a
+// constant.
 type Params struct{ Positional int }
 
 func (l *Live) Run() { registry[l.String()]++ }
