@@ -20,9 +20,10 @@ vet:
 	cd bench && $(GO) vet ./...
 
 # surface runs the four whole-tree gates of tier-1 by one name (≈3 s,
-# DESIGN §3.1): nothing under internal/ that no program reaches, no
-# option field that every program gives one value, no document citing a
-# test that is gone, no package-scope name shadowing a predeclared one.
+# DESIGN §3.1): no declaration or method under internal/ that no
+# program reaches, no option field that every program gives one value,
+# no document citing a test that is gone, no package-scope name
+# shadowing a predeclared one.
 surface:
 	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations|TestNoShadowedBuiltins' .
 

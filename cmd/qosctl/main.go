@@ -197,8 +197,8 @@ func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, plan fau
 		if cfg.StealIntervalInstr < 1 {
 			cfg.StealIntervalInstr = 1
 		}
-		cfg.Script = spec.Script(cpu.ClockHz)
-		cfg.Faults = plan.Merge(spec.FaultPlan(cpu.ClockHz))
+		cfg.Script = spec.Script()
+		cfg.Faults = plan.Merge(spec.FaultPlan())
 		if spec.NodeCapacity.Cores > 0 && spec.NodeCapacity.Cores <= cfg.L2.Owners {
 			cfg.Cores = spec.NodeCapacity.Cores
 		}

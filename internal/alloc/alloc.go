@@ -108,9 +108,9 @@ func UCP(demands []Demand, totalWays int) Allocation {
 
 // slowdown returns job i's slowdown at an allocation relative to owning
 // all the ways (the "alone" reference of the fairness literature).
-func slowdown(d Demand, memCycles float64, ways, totalWays int) float64 {
-	alone := d.Profile.CPI(totalWays, memCycles)
-	now := d.Profile.CPI(ways, memCycles)
+func slowdown(d Demand, ways, totalWays int) float64 {
+	alone := d.Profile.CPI(totalWays)
+	now := d.Profile.CPI(ways)
 	return now / alone
 }
 
@@ -119,7 +119,7 @@ func slowdown(d Demand, memCycles float64, ways, totalWays int) float64 {
 // hand each next way to the job currently suffering the worst slowdown
 // versus running alone, which drives the allocation toward equalized
 // slowdowns.
-func Fair(demands []Demand, totalWays int, memCycles float64) Allocation {
+func Fair(demands []Demand, totalWays int) Allocation {
 	validate(demands, totalWays)
 	n := len(demands)
 	out := make(Allocation, n)
@@ -129,7 +129,7 @@ func Fair(demands []Demand, totalWays int, memCycles float64) Allocation {
 	for used := n * MinWays; used < totalWays; used++ {
 		worst, worstSlow := -1, -1.0
 		for i, d := range demands {
-			s := slowdown(d, memCycles, out[i], totalWays)
+			s := slowdown(d, out[i], totalWays)
 			if s > worstSlow {
 				worst, worstSlow = i, s
 			}
@@ -151,11 +151,11 @@ type Metrics struct {
 }
 
 // Evaluate computes the metrics of an allocation.
-func Evaluate(demands []Demand, ways Allocation, totalWays int, memCycles float64) Metrics {
+func Evaluate(demands []Demand, ways Allocation, totalWays int) Metrics {
 	m := Metrics{Ways: ways, MinSlowdown: 1e18}
 	for i, d := range demands {
 		m.TotalMPI += d.Profile.MPI(ways[i])
-		s := slowdown(d, memCycles, ways[i], totalWays)
+		s := slowdown(d, ways[i], totalWays)
 		m.Slowdowns = append(m.Slowdowns, s)
 		m.WeightedSpeed += 1 / s
 		if s > m.MaxSlowdown {

@@ -52,8 +52,8 @@ func TestUCPBeatsEqualOnTotalMisses(t *testing.T) {
 		{"mcf", "povray", "namd", "soplex"},
 	} {
 		d := demands(mix...)
-		eq := Evaluate(d, Equal(d, 16), 16, 300)
-		up := Evaluate(d, UCP(d, 16), 16, 300)
+		eq := Evaluate(d, Equal(d, 16), 16)
+		up := Evaluate(d, UCP(d, 16), 16)
 		if up.TotalMPI > eq.TotalMPI+1e-12 {
 			t.Errorf("%v: UCP total MPI %v worse than equal %v", mix, up.TotalMPI, eq.TotalMPI)
 		}
@@ -62,8 +62,8 @@ func TestUCPBeatsEqualOnTotalMisses(t *testing.T) {
 
 func TestFairEqualizesSlowdowns(t *testing.T) {
 	d := demands("bzip2", "gobmk", "milc", "hmmer")
-	fair := Evaluate(d, Fair(d, 16, 300), 16, 300)
-	eq := Evaluate(d, Equal(d, 16), 16, 300)
+	fair := Evaluate(d, Fair(d, 16), 16)
+	eq := Evaluate(d, Equal(d, 16), 16)
 	if fair.Unfairness() > eq.Unfairness()+1e-9 {
 		t.Errorf("fair unfairness %v worse than equal %v", fair.Unfairness(), eq.Unfairness())
 	}
@@ -97,7 +97,7 @@ func TestAllocationInvariants(t *testing.T) {
 		for _, a := range []Allocation{
 			Equal(d, total),
 			UCP(d, total),
-			Fair(d, total, 300),
+			Fair(d, total),
 		} {
 			if len(a) != n || a.Sum() > total {
 				return false
@@ -131,7 +131,7 @@ func TestValidatePanics(t *testing.T) {
 
 func TestMetricsEvaluate(t *testing.T) {
 	d := demands("bzip2", "gobmk")
-	m := Evaluate(d, Allocation{8, 8}, 16, 300)
+	m := Evaluate(d, Allocation{8, 8}, 16)
 	if len(m.Slowdowns) != 2 {
 		t.Fatal("missing slowdowns")
 	}

@@ -283,34 +283,6 @@ func (b *baseCache) ResetOwnerStats(owner int) {
 	b.ownerMiss[owner] = 0
 }
 
-// Flush invalidates every block owned by owner, returning the number of
-// blocks dropped and the write-backs their dirty subset generated. The
-// OS issues this when a job leaves a core (context-switch realism) or
-// completes.
-func (b *baseCache) Flush(owner int) (blocks, writeBacks int64) {
-	for s := range b.sets {
-		for w := range b.sets[s] {
-			ln := &b.sets[s][w]
-			if !ln.valid || int(ln.owner) != owner {
-				continue
-			}
-			blocks++
-			if ln.dirty {
-				writeBacks++
-			}
-			ln.valid = false
-			ln.dirty = false
-			b.occupancy[s][owner]--
-			b.freeInSet[s]++
-			if int16(w) < b.freeHint[s] {
-				b.freeHint[s] = int16(w)
-			}
-		}
-	}
-	b.globalOcc[owner] -= blocks
-	return blocks, writeBacks
-}
-
 // ResetStats zeroes all access/miss counters; contents are untouched.
 func (b *baseCache) ResetStats() {
 	for i := range b.ownerAcc {
@@ -327,11 +299,5 @@ func (b *baseCache) MissRatio(owner int) float64 {
 	return float64(b.ownerMiss[owner]) / float64(b.ownerAcc[owner])
 }
 
-// Occupancy returns the number of valid blocks owned by owner.
-func (b *baseCache) Occupancy(owner int) int64 { return b.globalOcc[owner] }
-
 // Sets returns the number of sets.
 func (b *baseCache) Sets() int { return len(b.sets) }
-
-// Config returns the cache geometry.
-func (b *baseCache) Config() Config { return b.cfg }

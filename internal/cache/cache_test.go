@@ -52,7 +52,7 @@ func TestPaperGeometries(t *testing.T) {
 
 func TestLRUHitMiss(t *testing.T) {
 	c := NewLRU(tiny())
-	a := blockAddr(c.Config(), 3, 7)
+	a := blockAddr(c.cfg, 3, 7)
 	if r := c.Access(0, a); r.Hit {
 		t.Fatal("first access should miss")
 	}
@@ -107,7 +107,7 @@ func TestPartitionedTargetEnforced(t *testing.T) {
 		c.Access(0, Addr(i*cfg.BlockSize))
 	}
 	for s := 0; s < cfg.Sets(); s++ {
-		if got := c.SetOccupancy(s, 0); got > 2 {
+		if got := int(c.occupancy[s][0]); got > 2 {
 			t.Fatalf("set %d: reserved owner occupies %d ways, target 2", s, got)
 		}
 	}
@@ -127,7 +127,7 @@ func TestPartitionedOpportunisticScavenges(t *testing.T) {
 	}
 	full := 0
 	for s := 0; s < cfg.Sets(); s++ {
-		if c.SetOccupancy(s, 0) == cfg.Ways {
+		if int(c.occupancy[s][0]) == cfg.Ways {
 			full++
 		}
 	}
@@ -157,7 +157,7 @@ func TestPartitionedConvergenceAfterRepartition(t *testing.T) {
 	c.SetTarget(1, 3)
 	work(20000)
 	for s := 0; s < cfg.Sets(); s++ {
-		if got := c.SetOccupancy(s, 0); got > 1 {
+		if got := int(c.occupancy[s][0]); got > 1 {
 			t.Fatalf("set %d: owner 0 still holds %d ways after shrink to 1", s, got)
 		}
 	}
@@ -214,7 +214,7 @@ func TestPartitionedOpportunisticVictimWhenNoOverAllocated(t *testing.T) {
 		t.Fatalf("victim owner = %d, want 1 (opportunistic)", r.VictimOwner)
 	}
 	// And the reserved within-target block must survive.
-	if got := c.SetOccupancy(0, 0); got != 1 {
+	if got := int(c.occupancy[0][0]); got != 1 {
 		t.Errorf("reserved owner 0 occupancy = %d, want 1", got)
 	}
 }
@@ -250,12 +250,12 @@ func TestGlobalPartitioningTracksTargets(t *testing.T) {
 		c.Access(owner, Addr(rng.Intn(512)*cfg.BlockSize))
 	}
 	total := int64(cfg.Sets() * cfg.Ways)
-	occ0, occ1 := c.Occupancy(0), c.Occupancy(1)
+	occ0, occ1 := c.globalOcc[0], c.globalOcc[1]
 	if occ0+occ1 > total {
 		t.Fatalf("occupancy %d+%d exceeds capacity %d", occ0, occ1, total)
 	}
 	// Global counts should be near their block targets (within 15%).
-	t0 := float64(c.TargetBlocks(0))
+	t0 := float64(c.targetBlocks[0])
 	if f := float64(occ0); f < t0*0.85 || f > t0*1.15 {
 		t.Errorf("owner 0 global occupancy %d far from target %v", occ0, t0)
 	}
@@ -280,7 +280,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		for s := 0; s < cfg.Sets(); s++ {
 			sum := 0
 			for o := 0; o < cfg.Owners; o++ {
-				sum += c.SetOccupancy(s, o)
+				sum += int(c.occupancy[s][o])
 			}
 			if sum > cfg.Ways {
 				return false
@@ -289,9 +289,9 @@ func TestOccupancyInvariant(t *testing.T) {
 		for o := 0; o < cfg.Owners; o++ {
 			var sum int64
 			for s := 0; s < cfg.Sets(); s++ {
-				sum += int64(c.SetOccupancy(s, o))
+				sum += int64(c.occupancy[s][o])
 			}
-			if sum != c.Occupancy(o) {
+			if sum != c.globalOcc[o] {
 				return false
 			}
 		}
@@ -439,7 +439,7 @@ func TestIndexDistinctBlocksCollide(t *testing.T) {
 
 // TestFreeWayPicksLowestInvalid pins the free-way hint's contract: the
 // fill path must behave exactly like a linear scan for the lowest-index
-// invalid way, including after Flush reopens arbitrary ways.
+// invalid way.
 func TestFreeWayPicksLowestInvalid(t *testing.T) {
 	cfg := tiny()
 	c := NewLRU(cfg)
@@ -468,43 +468,5 @@ func TestFreeWayPicksLowestInvalid(t *testing.T) {
 	}
 	if c.freeWay(0) != -1 {
 		t.Fatal("full set should report no free way")
-	}
-	// Flush owner 1: its ways reopen and the hint must rewind to the
-	// lowest reopened index, not keep pointing past it.
-	c.Flush(1)
-	check("after flush")
-	// Refill and re-check: install must advance the hint consistently.
-	c.Access(1, blockAddr(cfg, 0, 40))
-	check("after refill")
-}
-
-func TestFlushOwner(t *testing.T) {
-	cfg := tiny()
-	c := NewPartitioned(cfg)
-	c.SetTarget(0, 2)
-	c.SetTarget(1, 2)
-	c.SetClass(0, ClassReserved)
-	c.SetClass(1, ClassReserved)
-	c.Write(0, blockAddr(cfg, 0, 1)) // dirty
-	c.Access(0, blockAddr(cfg, 0, 2))
-	c.Access(1, blockAddr(cfg, 0, 3))
-	blocks, wbs := c.Flush(0)
-	if blocks != 2 || wbs != 1 {
-		t.Fatalf("flush = (%d,%d), want (2,1)", blocks, wbs)
-	}
-	if c.Occupancy(0) != 0 {
-		t.Errorf("owner 0 occupancy = %d after flush", c.Occupancy(0))
-	}
-	// Second flush with nothing resident is empty.
-	if b, w := c.Flush(0); b != 0 || w != 0 {
-		t.Errorf("double flush = (%d,%d)", b, w)
-	}
-	// Owner 1's block survives.
-	if r := c.Access(1, blockAddr(cfg, 0, 3)); !r.Hit {
-		t.Error("flush disturbed another owner's block")
-	}
-	// Flushed blocks miss again (and refill).
-	if r := c.Access(0, blockAddr(cfg, 0, 1)); r.Hit {
-		t.Error("flushed block still resident")
 	}
 }

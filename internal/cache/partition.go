@@ -254,12 +254,6 @@ func (c *Partitioned) lruOverAllocated(set int) int {
 	return best
 }
 
-// SetOccupancy returns owner's valid-block count within one set; it is
-// exported for tests and the convergence diagnostics.
-func (c *Partitioned) SetOccupancy(set, owner int) int {
-	return int(c.occupancy[set][owner])
-}
-
 var _ Interface = (*Partitioned)(nil)
 
 // Global is the coarse-grain "global approach" partitioning scheme the
@@ -290,9 +284,6 @@ func (c *Global) SetTargetWays(owner, ways int) {
 	}
 	c.targetBlocks[owner] = int64(ways) * int64(c.Sets())
 }
-
-// TargetBlocks returns owner's global block target.
-func (c *Global) TargetBlocks(owner int) int64 { return c.targetBlocks[owner] }
 
 // Access performs one access by owner.
 func (c *Global) Access(owner int, addr Addr) Result {

@@ -94,25 +94,6 @@ func (st *ShadowTags) ShadowMisses(owner int) int64 {
 	return m
 }
 
-// ShadowAccesses returns the cumulative shadow-tag accesses by owner.
-func (st *ShadowTags) ShadowAccesses(owner int) int64 {
-	a, _ := st.shadow.Stats(owner)
-	return a
-}
-
-// ExcessMissRatio returns (mainMisses - shadowMisses) / shadowMisses for
-// owner: the relative miss increase attributable to resource stealing.
-// Returns 0 while the shadow has seen no misses. Note the paper's
-// controller compares cumulative counts since the Elastic job started
-// (they are deliberately *not* reset each interval, §4.3).
-func (st *ShadowTags) ExcessMissRatio(owner int) float64 {
-	sm := st.ShadowMisses(owner)
-	if sm == 0 {
-		return 0
-	}
-	return float64(st.mainMiss[owner]-sm) / float64(sm)
-}
-
 // ResetOwner zeroes one owner's miss streams without disturbing other
 // owners' counters or the shadow contents; used when a new Elastic job
 // is installed on a core while another core's job is still tracked.

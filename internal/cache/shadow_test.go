@@ -3,7 +3,15 @@ package cache
 import (
 	"math/rand"
 	"testing"
+
+	"cmpqos/internal/steal"
 )
+
+// shadowAccesses is owner's cumulative shadow-tag access count.
+func shadowAccesses(st *ShadowTags, owner int) int64 {
+	a, _ := st.shadow.Stats(owner)
+	return a
+}
 
 // shadowRig wires a main partitioned cache to a shadow array and replays
 // a random access mix through both.
@@ -46,8 +54,8 @@ func TestShadowMatchesMainWhenTargetsEqual(t *testing.T) {
 		if mm != sm {
 			t.Errorf("owner %d: main sampled misses %d != shadow misses %d", o, mm, sm)
 		}
-		if rig.shadow.ExcessMissRatio(o) != 0 {
-			t.Errorf("owner %d: excess ratio = %v, want 0", o, rig.shadow.ExcessMissRatio(o))
+		if steal.ExcessMissRatio(mm, sm) != 0 {
+			t.Errorf("owner %d: excess ratio = %v, want 0", o, steal.ExcessMissRatio(mm, sm))
 		}
 	}
 }
@@ -72,7 +80,7 @@ func TestShadowDetectsStealingDamage(t *testing.T) {
 	if mm <= sm {
 		t.Fatalf("expected stolen config to miss more: main %d, shadow %d", mm, sm)
 	}
-	if r := rig.shadow.ExcessMissRatio(0); r <= 0 {
+	if r := steal.ExcessMissRatio(mm, sm); r <= 0 {
 		t.Errorf("excess ratio = %v, want > 0", r)
 	}
 }
@@ -91,16 +99,16 @@ func TestShadowSamplingOnlySampledSets(t *testing.T) {
 		a := blockAddr(cfg, 3, uint64(i)) // set 3: unsampled
 		st.Observe(0, a, main.Access(0, a))
 	}
-	if st.ShadowAccesses(0) != 0 || st.MainMisses(0) != 0 {
+	if shadowAccesses(st, 0) != 0 || st.MainMisses(0) != 0 {
 		t.Fatal("shadow observed accesses to unsampled sets")
 	}
 	// Set 8 is sampled (8 % 8 == 0): a cold miss, then a hit.
 	a := blockAddr(cfg, 8, 1)
 	st.Observe(0, a, main.Access(0, a))
 	st.Observe(0, a, main.Access(0, a))
-	if st.ShadowAccesses(0) != 2 || st.MainMisses(0) != 1 {
+	if shadowAccesses(st, 0) != 2 || st.MainMisses(0) != 1 {
 		t.Fatalf("sampled accesses not observed: shadow accesses=%d main misses=%d",
-			st.ShadowAccesses(0), st.MainMisses(0))
+			shadowAccesses(st, 0), st.MainMisses(0))
 	}
 }
 
@@ -186,7 +194,7 @@ func TestSamplingApproximatesFullCoverage(t *testing.T) {
 			a := Addr(rng.Intn(ws) * cfg.BlockSize)
 			st.Observe(0, a, main.Access(0, a))
 		}
-		return st.ExcessMissRatio(0)
+		return steal.ExcessMissRatio(st.MainMisses(0), st.ShadowMisses(0))
 	}
 	full := run(1)
 	sampled := run(8)

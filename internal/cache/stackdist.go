@@ -125,10 +125,6 @@ func (p *StackProfiler) StartMeasure() {
 	p.total = 0
 }
 
-// SampledAccesses returns the measured accesses that landed on sampled
-// sets (equal to the measure count when every == 1).
-func (p *StackProfiler) SampledAccesses() int64 { return p.total }
-
 // Curve converts the depth histogram into the miss-ratio curve: the
 // hits at allocation w are the accesses with depth < w, so one
 // cumulative sweep yields every point. The result is monotone by

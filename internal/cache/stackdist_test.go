@@ -175,7 +175,7 @@ func TestSampledProfilerSkipsUnsampledSets(t *testing.T) {
 	for s := 0; s < sets; s++ {
 		p.Record(Addr(uint64(s) * 64))
 	}
-	if got, want := p.SampledAccesses(), int64(sets/8); got != want {
+	if got, want := p.total, int64(sets/8); got != want {
 		t.Errorf("sampled accesses = %d, want %d", got, want)
 	}
 }

@@ -35,10 +35,13 @@ func Engines(o Options) (*EnginesResult, error) {
 	comp := workload.Single("bzip2")
 	res := &EnginesResult{Workload: comp.Name}
 	pols := sim.Policies()
+	// The table side runs at the table engine's own scale whatever
+	// -engine says: both engines run here, each as itself.
+	table := o
+	table.Engine = sim.EngineTable
 	var cfgs []sim.Config
 	for _, pol := range pols {
-		tcfg := o.config(pol, comp)
-		tcfg.Engine = sim.EngineTable
+		tcfg := table.config(pol, comp)
 		rcfg := sim.TraceConfig(pol, comp)
 		if o.Seed != 0 {
 			rcfg.Seed = o.Seed

@@ -493,18 +493,18 @@ func TestSeedsRobustness(t *testing.T) {
 	}
 	for _, bench := range []string{"gobmk", "hmmer", "bzip2"} {
 		for _, pol := range []sim.Policy{sim.AllStrict, sim.Hybrid1, sim.Hybrid2, sim.AllStrictAutoDown} {
-			c, _ := r.Cell(bench, pol)
+			c := seedsCell(r, bench, pol)
 			// The guarantee must be seed-invariant: 100% with zero sd.
 			if c.HitRate.Mean() != 1.0 || c.HitRate.StdDev() != 0 {
 				t.Errorf("%s/%v: hit %v ± %v, want exactly 1.0", bench, pol,
 					c.HitRate.Mean(), c.HitRate.StdDev())
 			}
 		}
-		h1, _ := r.Cell(bench, sim.Hybrid1)
+		h1 := seedsCell(r, bench, sim.Hybrid1)
 		if h1.Speedup.Mean() <= 1.05 {
 			t.Errorf("%s Hybrid-1 mean speedup %v", bench, h1.Speedup.Mean())
 		}
-		ep, _ := r.Cell(bench, sim.EqualPart)
+		ep := seedsCell(r, bench, sim.EqualPart)
 		if ep.HitRate.Mean() > 0.7 {
 			t.Errorf("%s EqualPart mean hit %v, want low", bench, ep.HitRate.Mean())
 		}
@@ -704,4 +704,14 @@ func TestFeedbackControllerBeatsStatic(t *testing.T) {
 			t.Errorf("%s: pid violation rate %.3f exceeds static %.3f", scen, pv, sv)
 		}
 	}
+}
+
+// seedsCell returns r's (workload, policy) aggregate, zero when absent.
+func seedsCell(r *SeedsResult, w string, p sim.Policy) SeedsCell {
+	for _, c := range r.Cells {
+		if c.Workload == w && c.Policy == p {
+			return c
+		}
+	}
+	return SeedsCell{}
 }

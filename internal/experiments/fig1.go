@@ -44,7 +44,7 @@ func Fig1(o Options) (*Fig1Result, error) {
 			mr := traceSharedMissRatio(p, l2, n, o.Seed)
 			return cpu.IPC(p.CPIL1Inf, p.L2APA, p.L2APA*mr, mem.BaseCycles)
 		}
-		return p.IPC(ways, mem.BaseCycles)
+		return p.IPC(ways)
 	}
 	alone := ipcAt(1)
 	res := &Fig1Result{Benchmark: p.Name, AloneIPC: alone}

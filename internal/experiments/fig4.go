@@ -28,6 +28,14 @@ type Fig4Result struct {
 	Rows []Fig4Row
 }
 
+// paperL2Alone is the paper's L2 with a single owner: one benchmark
+// probed alone.
+func paperL2Alone() cache.Config {
+	cfg := cache.PaperL2()
+	cfg.Owners = 1
+	return cfg
+}
+
 // Fig4 measures the classification. The table engine evaluates the
 // calibrated curves; the trace engine probes each benchmark's synthetic
 // stream through the real partitioned cache.
@@ -36,17 +44,15 @@ func Fig4(o Options) (*Fig4Result, error) {
 	for _, p := range workload.Profiles() {
 		var c7, c4, c1 float64
 		if o.Engine == sim.EngineTrace {
-			curve := p.ProbeCurve(cache.Config{
-				SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10,
-			}, 250_000, 250_000)
+			curve := p.ProbeCurve(paperL2Alone(), 250_000, 250_000)
 			cpiAt := func(wy int) float64 {
 				return cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*curve.At(wy), mem.BaseCycles)
 			}
 			c7, c4, c1 = cpiAt(7), cpiAt(4), cpiAt(1)
 		} else {
-			c7 = p.CPI(7, mem.BaseCycles)
-			c4 = p.CPI(4, mem.BaseCycles)
-			c1 = p.CPI(1, mem.BaseCycles)
+			c7 = p.CPI(7)
+			c4 = p.CPI(4)
+			c1 = p.CPI(1)
 		}
 		res.Rows = append(res.Rows, Fig4Row{
 			Benchmark: p.Name,
@@ -96,8 +102,7 @@ func Table1(o Options) (*Table1Result, error) {
 		p := workload.MustByName(name)
 		var mr float64
 		if o.Engine == sim.EngineTrace {
-			cfg := cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-			mr = p.ProbeRatio(cfg, o.Seed+42, 0, 7, 300_000, 300_000)
+			mr = p.ProbeRatio(paperL2Alone(), o.Seed+42, 0, 7, 300_000, 300_000)
 		} else {
 			mr = p.MissRatio(7)
 		}

@@ -81,10 +81,8 @@ func (r *Fig5Result) renderPanel(w io.Writer, f func(Fig5Cell) string) {
 	for _, pol := range sim.Policies() {
 		fmt.Fprintf(w, "%-22s", pol.String())
 		for _, bench := range []string{"gobmk", "hmmer", "bzip2"} {
-			for _, c := range r.Cells {
-				if c.Workload == bench && c.Policy == pol {
-					fmt.Fprintf(w, "%10s", f(c))
-				}
+			if c, ok := r.Cell(bench, pol); ok {
+				fmt.Fprintf(w, "%10s", f(c))
 			}
 		}
 		fmt.Fprintln(w)

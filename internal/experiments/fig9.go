@@ -75,10 +75,8 @@ func (r *Fig9Result) renderPanel(w io.Writer, f func(Fig9Cell) string) {
 	for _, pol := range sim.Policies() {
 		fmt.Fprintf(w, "%-22s", pol.String())
 		for _, mix := range []string{"Mix-1", "Mix-2"} {
-			for _, c := range r.Cells {
-				if c.Mix == mix && c.Policy == pol {
-					fmt.Fprintf(w, "%10s", f(c))
-				}
+			if c, ok := r.Cell(mix, pol); ok {
+				fmt.Fprintf(w, "%10s", f(c))
 			}
 		}
 		fmt.Fprintln(w)

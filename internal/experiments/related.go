@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cmpqos/internal/alloc"
-	"cmpqos/internal/mem"
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
 )
@@ -60,7 +59,7 @@ func Related(o Options) (*RelatedResult, error) {
 
 	res := &RelatedResult{Jobs: names}
 	add := func(policy string, ways alloc.Allocation) {
-		m := alloc.Evaluate(demands, ways, totalWays, mem.BaseCycles)
+		m := alloc.Evaluate(demands, ways, totalWays)
 		res.Rows = append(res.Rows, RelatedRow{
 			Policy:        policy,
 			Ways:          ways,
@@ -72,7 +71,7 @@ func Related(o Options) (*RelatedResult, error) {
 	}
 	add("EqualPart (VPC-like)", alloc.Equal(demands, totalWays))
 	add("UCP (Qureshi)", alloc.UCP(demands, totalWays))
-	add("Fair (Kim)", alloc.Fair(demands, totalWays, mem.BaseCycles))
+	add("Fair (Kim)", alloc.Fair(demands, totalWays))
 	// The paper's framework: gobmk's 7-way reservation is carved out
 	// first; the remainder is scavenged by the other (opportunistic)
 	// jobs — split evenly here, as the leftover pool is.

@@ -82,16 +82,6 @@ func Seeds(o Options) (*SeedsResult, error) {
 	return res, nil
 }
 
-// Cell returns the (workload, policy) aggregate.
-func (r *SeedsResult) Cell(w string, p sim.Policy) (SeedsCell, bool) {
-	for _, c := range r.Cells {
-		if c.Workload == w && c.Policy == p {
-			return c, true
-		}
-	}
-	return SeedsCell{}, false
-}
-
 // Render prints the aggregates.
 func (r *SeedsResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Robustness — Figure 5 metrics across %d seeds (mean ± sd)\n", r.Seeds)

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"cmpqos/internal/cpu"
 	"cmpqos/internal/fault"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/sim"
@@ -374,11 +375,11 @@ func Cycles(ns int64, clockHz float64) int64 {
 }
 
 // Script converts the spec's jobs into a simulator submission script at
-// the given clock frequency. Modes map to hints (the simulator resolves
-// hints through its policy; use sim.Hybrid2 to honor them all); absolute
-// deadlines become factors of the file's tw. Jobs without a tw or a
-// deadline get the relaxed default factor 3.
-func (s *Spec) Script(clockHz float64) []sim.ScriptedJob {
+// the simulated core's clock, cpu.ClockHz. Modes map to hints (the
+// simulator resolves hints through its policy; use sim.Hybrid2 to honor
+// them all); absolute deadlines become factors of the file's tw. Jobs
+// without a tw or a deadline get the relaxed default factor 3.
+func (s *Spec) Script() []sim.ScriptedJob {
 	out := make([]sim.ScriptedJob, 0, len(s.Jobs))
 	for _, j := range s.Jobs {
 		hint := workload.HintStrict
@@ -400,7 +401,7 @@ func (s *Spec) Script(clockHz float64) []sim.ScriptedJob {
 		}
 		out = append(out, sim.ScriptedJob{
 			Template:       workload.JobTemplate{Benchmark: j.Benchmark, Hint: hint},
-			Arrival:        Cycles(j.ArrivalNS, clockHz),
+			Arrival:        Cycles(j.ArrivalNS, cpu.ClockHz),
 			DeadlineFactor: factor,
 			Instr:          j.Instr,
 		})
@@ -411,19 +412,19 @@ func (s *Spec) Script(clockHz float64) []sim.ScriptedJob {
 }
 
 // FaultPlan converts the spec's fault directives into a cycle-domain
-// injection plan at the given clock frequency. A transient fault whose
-// duration rounds down to zero cycles is kept transient (one cycle)
-// rather than silently becoming permanent, since Duration 0 means
+// injection plan at the simulated core's clock, cpu.ClockHz. A transient
+// fault whose duration rounds down to zero cycles is kept transient (one
+// cycle) rather than silently becoming permanent, since Duration 0 means
 // "never recovers" in the fault package.
-func (s *Spec) FaultPlan(clockHz float64) fault.Plan {
+func (s *Spec) FaultPlan() fault.Plan {
 	if len(s.Faults) == 0 {
 		return fault.Plan{}
 	}
 	ev := make([]fault.Event, len(s.Faults))
 	for i, e := range s.Faults {
-		e.At = Cycles(e.At, clockHz)
+		e.At = Cycles(e.At, cpu.ClockHz)
 		if e.Duration > 0 {
-			if e.Duration = Cycles(e.Duration, clockHz); e.Duration == 0 {
+			if e.Duration = Cycles(e.Duration, cpu.ClockHz); e.Duration == 0 {
 				e.Duration = 1
 			}
 		}

@@ -177,7 +177,7 @@ func TestScriptConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	script := spec.Script(2e9)
+	script := spec.Script()
 	if len(script) != 4 {
 		t.Fatalf("script length = %d", len(script))
 	}

@@ -143,30 +143,25 @@ func (b *Bus) queuePenaltyAt(weight, rho float64) float64 {
 	return penalty
 }
 
-// MissPenalty returns the contention-adjusted L2 miss penalty in cycles
-// without priority scheduling: the unloaded latency plus a queueing term
-// that, per the paper's observation, stays roughly flat below saturation
-// (at ρ=0.5 it is +25%, at ρ=0.85 +142%) and grows sharply at it.
-func (b *Bus) MissPenalty() float64 { return b.MissPenaltyAt(b.utilization) }
-
-// MissPenaltyAt is MissPenalty evaluated at an explicit utilization: the
-// event-horizon fast-forward prices the epochs of a bus limit cycle with
-// it without mutating the bus.
+// MissPenaltyAt returns the contention-adjusted L2 miss penalty in
+// cycles at bus utilization rho, without priority scheduling: the
+// unloaded latency plus a queueing term that, per the paper's
+// observation, stays roughly flat below saturation (at ρ=0.5 it is +25%,
+// at ρ=0.85 +142%) and grows sharply at it. Taking rho rather than the
+// bus's own utilization lets the event-horizon fast-forward price the
+// epochs of a bus limit cycle without mutating the bus.
 func (b *Bus) MissPenaltyAt(rho float64) float64 { return b.queuePenaltyAt(0.25, rho) }
 
 // SaturatedAt is Saturated evaluated at an explicit utilization.
 func (b *Bus) SaturatedAt(rho float64) bool { return rho >= SatThreshold }
 
-// MissPenaltyFor returns the class-specific penalty under priority
-// scheduling: reserved-class requests bypass most of the queue (their
-// delay stays near the unloaded latency until true saturation), while
-// opportunistic requests absorb the queueing the reserved ones skipped.
-// The weights are chosen so the class-blended penalty roughly matches
-// the unprioritized MissPenalty at a 50/50 traffic split.
-func (b *Bus) MissPenaltyFor(p Priority) float64 { return b.MissPenaltyForAt(p, b.utilization) }
-
-// MissPenaltyForAt is MissPenaltyFor evaluated at an explicit
-// utilization.
+// MissPenaltyForAt returns the class-specific penalty at utilization rho
+// under priority scheduling: reserved-class requests bypass most of the
+// queue (their delay stays near the unloaded latency until true
+// saturation), while opportunistic requests absorb the queueing the
+// reserved ones skipped. The weights are chosen so the class-blended
+// penalty roughly matches the unprioritized MissPenaltyAt at a 50/50
+// traffic split.
 func (b *Bus) MissPenaltyForAt(p Priority, rho float64) float64 {
 	if p == PrioReserved {
 		return b.queuePenaltyAt(0.08, rho)

@@ -59,21 +59,21 @@ func TestUtilizationClamped(t *testing.T) {
 func TestMissPenaltyShape(t *testing.T) {
 	b := NewBus(paper)
 	// Unloaded: exactly the base penalty.
-	if p := b.MissPenalty(); p != 300 {
+	if p := b.MissPenaltyAt(b.Utilization()); p != 300 {
 		t.Errorf("unloaded penalty = %v, want 300", p)
 	}
 	// Below saturation the penalty stays within ~50% of base (the
 	// paper's "roughly constant before saturation").
 	b.AddMisses(50000)
 	b.Roll(2_000_000)
-	p50 := b.MissPenalty()
+	p50 := b.MissPenaltyAt(b.Utilization())
 	if p50 < 300 || p50 > 450 {
 		t.Errorf("penalty at 50%% = %v, want within [300, 450]", p50)
 	}
 	// At saturation the penalty grows sharply but stays capped at 4x.
 	b.AddMisses(100000)
 	b.Roll(2_000_000)
-	pSat := b.MissPenalty()
+	pSat := b.MissPenaltyAt(b.Utilization())
 	if pSat <= p50 {
 		t.Errorf("penalty should grow with utilization: %v <= %v", pSat, p50)
 	}
@@ -98,7 +98,7 @@ func TestMissPenaltyMonotone(t *testing.T) {
 		busA.Roll(window)
 		busB.AddMisses(int64(ub * peakBlocks))
 		busB.Roll(window)
-		return busA.MissPenalty() <= busB.MissPenalty()+1e-9
+		return busA.MissPenaltyAt(busA.Utilization()) <= busB.MissPenaltyAt(busB.Utilization())+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -108,15 +108,15 @@ func TestMissPenaltyMonotone(t *testing.T) {
 func TestPriorityScheduling(t *testing.T) {
 	b := NewBus(paper)
 	// Unloaded: all classes see the base penalty.
-	if b.MissPenaltyFor(PrioReserved) != 300 || b.MissPenaltyFor(PrioOpportunistic) != 300 {
+	if b.MissPenaltyForAt(PrioReserved, b.Utilization()) != 300 || b.MissPenaltyForAt(PrioOpportunistic, b.Utilization()) != 300 {
 		t.Error("unloaded penalties must equal base")
 	}
 	// Under load: reserved < blended < opportunistic, all ≥ base.
 	b.AddMisses(70000) // 70% utilization in a 1 ms window
 	b.Roll(2_000_000)
-	res := b.MissPenaltyFor(PrioReserved)
-	opp := b.MissPenaltyFor(PrioOpportunistic)
-	mid := b.MissPenalty()
+	res := b.MissPenaltyForAt(PrioReserved, b.Utilization())
+	opp := b.MissPenaltyForAt(PrioOpportunistic, b.Utilization())
+	mid := b.MissPenaltyAt(b.Utilization())
 	if !(res < mid && mid < opp) {
 		t.Errorf("priority ordering broken: reserved %v, blended %v, opportunistic %v", res, mid, opp)
 	}

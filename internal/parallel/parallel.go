@@ -40,10 +40,7 @@ func New(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Map runs fn(0), fn(1), …, fn(n-1) on at most p.Workers() goroutines
+// Map runs fn(0), fn(1), …, fn(n-1) on at most p.workers goroutines
 // and returns the n results in index order, regardless of completion
 // order. Error semantics mirror a serial loop as closely as concurrency
 // allows: if any job fails, Map returns the error of the lowest-index

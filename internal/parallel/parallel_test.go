@@ -12,14 +12,14 @@ import (
 )
 
 func TestNewNormalizesWorkerCount(t *testing.T) {
-	if got := New(0).Workers(); got != DefaultWorkers() {
-		t.Fatalf("New(0).Workers() = %d, want %d", got, DefaultWorkers())
+	if got := New(0).workers; got != DefaultWorkers() {
+		t.Fatalf("New(0).workers = %d, want %d", got, DefaultWorkers())
 	}
-	if got := New(-3).Workers(); got != DefaultWorkers() {
-		t.Fatalf("New(-3).Workers() = %d, want %d", got, DefaultWorkers())
+	if got := New(-3).workers; got != DefaultWorkers() {
+		t.Fatalf("New(-3).workers = %d, want %d", got, DefaultWorkers())
 	}
-	if got := New(5).Workers(); got != 5 {
-		t.Fatalf("New(5).Workers() = %d, want 5", got)
+	if got := New(5).workers; got != 5 {
+		t.Fatalf("New(5).workers = %d, want 5", got)
 	}
 	if DefaultWorkers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("DefaultWorkers() = %d, want GOMAXPROCS %d", DefaultWorkers(), runtime.GOMAXPROCS(0))

@@ -139,9 +139,6 @@ type Config struct {
 	ProbesPerTw float64
 	// AcceptTarget is how many accepted jobs constitute the workload.
 	AcceptTarget int
-	// TraceAccessShift right-shifts the number of simulated L2 accesses
-	// per epoch in trace mode (access sampling); 0 = every access.
-	TraceAccessShift uint
 	// DisableStealing turns the resource-stealing controller off
 	// (ablation; Hybrid-2 then degenerates towards Hybrid-1).
 	DisableStealing bool
@@ -254,15 +251,15 @@ func DefaultConfig(policy Policy, w workload.Composition) Config {
 }
 
 // TraceConfig returns DefaultConfig scaled for the trace engine: 8 M
-// instructions per job and 1-in-4 access sampling keep a full five-
-// configuration sweep under a second while preserving the shapes.
+// instructions per job, with the trace model's 1-in-4 access sampling
+// (traceAccessShift), keep a full five-configuration sweep under a
+// second while preserving the shapes.
 func TraceConfig(policy Policy, w workload.Composition) Config {
 	c := DefaultConfig(policy, w)
 	c.Engine = EngineTrace
 	c.JobInstr = 8_000_000
 	c.EpochCycles = 100_000
 	c.StealIntervalInstr = 250_000
-	c.TraceAccessShift = 2
 	c.TwMargin = 1.25
 	return c
 }

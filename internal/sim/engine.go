@@ -256,10 +256,6 @@ func (r *Runner) Config() Config {
 	return cfg
 }
 
-// Now returns the current simulation cycle (the start of the epoch
-// being planned or advanced).
-func (r *Runner) Now() int64 { return r.now }
-
 // Run executes the simulation and returns its report.
 func (r *Runner) Run() (*Report, error) {
 	return r.RunContext(context.Background())

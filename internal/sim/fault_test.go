@@ -91,9 +91,9 @@ func TestFaultViolation(t *testing.T) {
 		t.Errorf("14 dark ways produced no violation (evictions=%d readmitted=%d)",
 			rep.Faults.Evictions, rep.Faults.Readmitted)
 	}
-	if rec.Count(trace.QoSViolation) != rep.Faults.Violations {
+	if countEvents(rec.Events(), trace.QoSViolation) != rep.Faults.Violations {
 		t.Errorf("trace has %d QoSViolation events, stats say %d",
-			rec.Count(trace.QoSViolation), rep.Faults.Violations)
+			countEvents(rec.Events(), trace.QoSViolation), rep.Faults.Violations)
 	}
 }
 
@@ -109,9 +109,9 @@ func TestFaultCoreFailRecover(t *testing.T) {
 	if f.CoreFails != 1 || f.CoreRecovers != 1 {
 		t.Fatalf("CoreFails=%d CoreRecovers=%d, want 1/1", f.CoreFails, f.CoreRecovers)
 	}
-	if rec.Count(trace.CoreFail) != 1 || rec.Count(trace.CoreRecover) != 1 {
+	if countEvents(rec.Events(), trace.CoreFail) != 1 || countEvents(rec.Events(), trace.CoreRecover) != 1 {
 		t.Errorf("trace CoreFail/CoreRecover = %d/%d, want 1/1",
-			rec.Count(trace.CoreFail), rec.Count(trace.CoreRecover))
+			countEvents(rec.Events(), trace.CoreFail), countEvents(rec.Events(), trace.CoreRecover))
 	}
 }
 
@@ -194,12 +194,8 @@ func TestFaultPlanCacheInvalidation(t *testing.T) {
 				t.Errorf("event traces differ: %d events cached vs %d uncached",
 					len(cachedEvents), len(plainEvents))
 			}
-			rec := &trace.Recorder{}
-			for _, e := range cachedEvents {
-				rec.Record(e)
-			}
 			for _, k := range tc.events {
-				if rec.Count(k) == 0 {
+				if countEvents(cachedEvents, k) == 0 {
 					t.Errorf("scenario never produced a %v event; it does not exercise that invalidation path", k)
 				}
 			}

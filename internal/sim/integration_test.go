@@ -96,7 +96,7 @@ func TestStealingPausesUnderSaturation(t *testing.T) {
 	sat.TwMargin = 4.5
 	satRep, satLog := mustRunLogged(t, sat)
 
-	satSteals, steals := satLog.Count(trace.StealWay), normalLog.Count(trace.StealWay)
+	satSteals, steals := countEvents(satLog.Events(), trace.StealWay), countEvents(normalLog.Events(), trace.StealWay)
 	if satSteals >= steals && steals > 0 {
 		t.Errorf("saturated bus should suppress stealing: %d vs %d", satSteals, steals)
 	}

@@ -187,12 +187,6 @@ func (j *Job) budgetEnd() int64 {
 	}
 }
 
-// Opportunistic reports whether the job currently scavenges rather than
-// owns resources.
-func (j *Job) Opportunistic(now int64) bool {
-	return j.State == StateRunning && !j.ReservedRunning(now)
-}
-
 // Remaining returns instructions left to retire.
 func (j *Job) Remaining() int64 { return j.InstrTotal - j.InstrDone }
 

@@ -89,6 +89,11 @@ func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, boo
 	return misses, shadow, int64(float64(misses) * workload.WriteFraction), true
 }
 
+// traceAccessShift right-shifts the number of L2 accesses the trace
+// model simulates per epoch: it pushes one access in four through the
+// cache and scales the misses it counts back up (access sampling).
+const traceAccessShift = 2
+
 // traceModel pushes each job's synthetic address stream through the real
 // partitioned L2; Elastic jobs are additionally tracked by a duplicate
 // tag array with set sampling, exactly as the stealing hardware would.
@@ -223,7 +228,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	if j.Core < 0 {
 		return 0, 0
 	}
-	nAcc := int64(float64(instr)*j.Profile.L2APA) >> m.cfg.TraceAccessShift
+	nAcc := int64(float64(instr)*j.Profile.L2APA) >> traceAccessShift
 	if nAcc <= 0 {
 		// Too few accesses to sample this epoch; fall back to the last
 		// measured ratio for the miss estimate.
@@ -253,7 +258,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	// EWMA smoothing keeps epoch-to-epoch CPI stable against sampling
 	// noise.
 	j.tr.lastMissRatio = 0.5*j.tr.lastMissRatio + 0.5*ratio
-	misses := missCount << m.cfg.TraceAccessShift
+	misses := missCount << traceAccessShift
 	if j.Stealer != nil {
 		// The stealing guard compares the sampled-set counters, exactly
 		// like the hardware.
@@ -263,7 +268,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 		j.MainMisses += misses
 		j.ShadowMisses += misses
 	}
-	return misses, wbCount << m.cfg.TraceAccessShift
+	return misses, wbCount << traceAccessShift
 }
 
 // stealReady reports whether the duplicate tags currently track the

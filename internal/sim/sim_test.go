@@ -492,7 +492,7 @@ func TestBusPriorityProtectsReservedJobs(t *testing.T) {
 	var cheaper, dearer int
 	for !r.done() {
 		r.step()
-		flat := r.bus.MissPenalty() * r.latFactor
+		flat := r.bus.MissPenaltyAt(r.bus.Utilization()) * r.latFactor
 		for _, j := range r.accepted {
 			if j.State != StateRunning || j.Core < 0 {
 				continue

@@ -64,8 +64,6 @@ type Controller struct {
 	origWays int
 	curWays  int
 	minWays  int
-	steals   int
-	rolls    int
 }
 
 // New builds a controller for an Elastic(X) job whose reservation is
@@ -86,9 +84,6 @@ func (c *Controller) Ways() int { return c.curWays }
 
 // Stolen returns how many ways are currently reallocated away.
 func (c *Controller) Stolen() int { return c.origWays - c.curWays }
-
-// Counters returns (steal actions, rollbacks) taken so far.
-func (c *Controller) Counters() (steals, rollbacks int) { return c.steals, c.rolls }
 
 // Slack returns the controller's X bound as a fraction.
 func (c *Controller) Slack() float64 { return c.slack }
@@ -121,7 +116,6 @@ func (c *Controller) OnInterval(mainMisses, shadowMisses int64, pause bool) Acti
 			// Cancel this stealing episode: return everything. A new
 			// episode starts once the cumulative excess decays under X.
 			c.curWays = c.origWays
-			c.rolls++
 			return Rollback
 		}
 		// Nothing is stolen, so the excess is not stealing's doing
@@ -136,7 +130,6 @@ func (c *Controller) OnInterval(mainMisses, shadowMisses int64, pause bool) Acti
 		return Hold
 	}
 	c.curWays--
-	c.steals++
 	return StealOne
 }
 

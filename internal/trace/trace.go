@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -117,15 +116,6 @@ func (r *Recorder) Record(e Event) {
 	r.n++
 }
 
-// each calls fn for every event in recording order.
-func (r *Recorder) each(fn func(Event)) {
-	for _, b := range r.blocks {
-		for _, e := range b {
-			fn(e)
-		}
-	}
-}
-
 // Events returns all events in recording order.
 func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, r.n)
@@ -133,39 +123,6 @@ func (r *Recorder) Events() []Event {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// ByJob returns the events of one job in cycle order. A counting pass
-// sizes the result exactly, so one allocation serves any event count.
-func (r *Recorder) ByJob(jobID int) []Event {
-	n := 0
-	r.each(func(e Event) {
-		if e.JobID == jobID {
-			n++
-		}
-	})
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	r.each(func(e Event) {
-		if e.JobID == jobID {
-			out = append(out, e)
-		}
-	})
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
-	return out
-}
-
-// Count returns how many events of the given kind were recorded.
-func (r *Recorder) Count(kind EventKind) int {
-	n := 0
-	r.each(func(e Event) {
-		if e.Kind == kind {
-			n++
-		}
-	})
-	return n
 }
 
 // Lane is one job's rendered interval set.

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"cmpqos/internal/cpu"
+	"cmpqos/internal/mem"
 )
 
 // Group classifies cache-space sensitivity per paper Figure 4.
@@ -167,14 +168,14 @@ func (p Profile) MissRatioF(ways float64) float64 {
 func (p Profile) MPIF(ways float64) float64 { return p.L2APA * p.MissRatioF(ways) }
 
 // CPI evaluates the paper's additive CPI model for this profile at the
-// given way allocation and (possibly contention-adjusted) memory penalty.
-func (p Profile) CPI(ways int, memCycles float64) float64 {
-	return cpu.CPI(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
+// given way allocation and the unloaded memory penalty t_m.
+func (p Profile) CPI(ways int) float64 {
+	return cpu.CPI(p.CPIL1Inf, p.L2APA, p.MPI(ways), mem.BaseCycles)
 }
 
 // IPC is the reciprocal of CPI at the given allocation.
-func (p Profile) IPC(ways int, memCycles float64) float64 {
-	return cpu.IPC(p.CPIL1Inf, p.L2APA, p.MPI(ways), memCycles)
+func (p Profile) IPC(ways int) float64 {
+	return cpu.IPC(p.CPIL1Inf, p.L2APA, p.MPI(ways), mem.BaseCycles)
 }
 
 // interpCurve builds a 17-entry miss-ratio curve (index = ways, 0..16)

@@ -101,8 +101,8 @@ func TestFig4SensitivityClassification(t *testing.T) {
 	// is more sensitive than every Group 3 member, with Group 2 between
 	// them on at least the group means (Figure 4).
 	delta := func(p Profile) float64 {
-		c7 := p.CPI(7, mem.BaseCycles)
-		c1 := p.CPI(1, mem.BaseCycles)
+		c7 := p.CPI(7)
+		c1 := p.CPI(1)
 		return (c1 - c7) / c7
 	}
 	groupVals := map[Group][]float64{}
@@ -140,10 +140,10 @@ func TestFig1ShapeBzip2(t *testing.T) {
 	// QoS target (2/3 of the alone IPC) is met for n <= 2 and missed for
 	// n >= 3.
 	p := MustByName("bzip2")
-	alone := p.IPC(16, mem.BaseCycles)
+	alone := p.IPC(16)
 	target := alone * 2 / 3
 	for n := 1; n <= 4; n++ {
-		ipc := p.IPC(16/n, mem.BaseCycles)
+		ipc := p.IPC(16 / n)
 		meets := ipc >= target
 		wantMeets := n <= 2
 		if meets != wantMeets {
@@ -156,10 +156,10 @@ func TestFig1ShapeBzip2(t *testing.T) {
 func TestCPIWeighting(t *testing.T) {
 	p := MustByName("bzip2")
 	want := p.CPIL1Inf + p.L2APA*cpu.L2HitCycles + p.MPI(7)*mem.BaseCycles
-	if got := p.CPI(7, mem.BaseCycles); math.Abs(got-want) > 1e-12 {
+	if got := p.CPI(7); math.Abs(got-want) > 1e-12 {
 		t.Errorf("CPI = %v, want %v", got, want)
 	}
-	if ipc := p.IPC(7, mem.BaseCycles); math.Abs(ipc*want-1) > 1e-9 {
+	if ipc := p.IPC(7); math.Abs(ipc*want-1) > 1e-9 {
 		t.Errorf("IPC·CPI = %v, want 1", ipc*want)
 	}
 }

@@ -90,7 +90,6 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type Replay struct {
 	addrs []cache.Addr
 	pos   int
-	loops int
 }
 
 // NewReplay wraps a loaded trace. It panics on an empty trace (a caller
@@ -108,13 +107,9 @@ func (r *Replay) Next() cache.Addr {
 	r.pos++
 	if r.pos == len(r.addrs) {
 		r.pos = 0
-		r.loops++
 	}
 	return a
 }
-
-// Loops reports how many times the trace has wrapped.
-func (r *Replay) Loops() int { return r.loops }
 
 // Len returns the trace length.
 func (r *Replay) Len() int { return len(r.addrs) }

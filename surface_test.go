@@ -109,7 +109,7 @@ func TestInternalSurfaceFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead"}; !reflect.DeepEqual(dead, want) {
+	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead", "fixture/internal/lib.Dead.Run", "fixture/internal/lib.Live.Unused"}; !reflect.DeepEqual(dead, want) {
 		t.Errorf("unreachable declarations in the fixture = %v, want %v", dead, want)
 	}
 	if knobs, want := tr.oneValuedKnobs(), []string{"fixture/internal/lib.Config.Fixed", "fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
@@ -170,15 +170,22 @@ func loadTree(dir, mod string, roots []string) (*tree, error) {
 	return tr, err
 }
 
-// unreachableDecls returns, sorted, every package-level declaration
-// under internal/ that no root package reaches. Nodes are
-// package-level declarations named "import/path.Name"; a method's body
-// and a struct's fields belong to their type's node, so a live type
-// keeps everything its methods mention. Every identifier a root
-// package uses is reached, as is whatever the init functions and `var _`
-// declarations of the packages the roots link in use.
+// unreachableDecls returns, sorted, every package-level declaration and
+// every method under internal/ that no root package reaches. Nodes are
+// package-level declarations named "import/path.Name" and methods named
+// "import/path.Type.Method"; a struct's fields belong to their type's
+// node, a method's body to the method's. A method is reached when reached
+// code names it — a call, a method value, a method expression or a
+// promoted selector — and, where a call cannot be traced, together with
+// its type: when its name is a method of an interface the tree mentions
+// or one that fmt, encoding/json or errors look up at run time. A type
+// alias in a root package reaches the exported methods of the type it
+// names. Every identifier a root package uses is reached, as is whatever
+// the init functions and `var _` declarations of the packages the roots
+// link in use.
 func (tr *tree) unreachableDecls() []string {
-	g := graph{mod: tr.mod, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{}}
+	g := graph{mod: tr.mod, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{},
+		untraced: interfaceMethodNames(tr.pkgs)}
 	for i, p := range tr.pkgs {
 		if tr.isRoot[p] {
 			g.addRoot(p)
@@ -196,6 +203,67 @@ func (tr *tree) unreachableDecls() []string {
 	}
 	sort.Strings(dead)
 	return dead
+}
+
+// runtimeMethods are the method names fmt, encoding/json and errors look
+// up on a value at run time, whatever interface the tree mentions.
+var runtimeMethods = []string{"String", "Error", "Format", "GoString", "MarshalJSON", "UnmarshalJSON",
+	"MarshalText", "UnmarshalText", "Unwrap", "Is", "As"}
+
+// interfaceMethodNames is the set of method names a call the graph cannot
+// trace may reach: runtimeMethods, and the methods of every interface
+// type the tree mentions — one it declares or uses, the type of any of
+// its expressions, or one in the signature of a function it uses.
+func interfaceMethodNames(pkgs []*pkg) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range runtimeMethods {
+		names[m] = true
+	}
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := types.Unalias(t).(type) {
+		case *types.Named:
+			if _, ok := u.Underlying().(*types.Interface); ok {
+				walk(u.Underlying())
+			}
+		case *types.TypeParam:
+			walk(u.Constraint())
+		case *types.Interface:
+			for i := 0; i < u.NumMethods(); i++ {
+				names[u.Method(i).Name()] = true
+			}
+		case *types.Map:
+			walk(u.Key())
+			walk(u.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array, chan
+			walk(u.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					walk(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, objs := range []map[*ast.Ident]types.Object{p.info.Defs, p.info.Uses} {
+			for _, obj := range objs {
+				switch obj.(type) {
+				case *types.TypeName, *types.Func:
+					walk(obj.Type())
+				}
+			}
+		}
+		for _, tv := range p.info.Types {
+			walk(tv.Type)
+		}
+	}
+	return names
 }
 
 var knobStruct = regexp.MustCompile(`(Config|Options|Params)$`)
@@ -489,13 +557,14 @@ func (l *loader) load(path string) (*pkg, error) {
 	return p, nil
 }
 
-// graph is the reachability relation over declaration names.
+// graph is the reachability relation over declaration and method names.
 type graph struct {
 	mod      string
 	declared map[string]bool
 	edges    map[string][]string
 	reached  map[string]bool
 	work     []string
+	untraced map[string]bool // method names reached together with their type
 }
 
 func (g *graph) reach(name string) {
@@ -515,10 +584,28 @@ func (g *graph) flood() {
 	}
 }
 
-// addRoot reaches everything a root package mentions.
+// addRoot reaches everything a root package mentions, and through each
+// type alias it declares the exported methods of the aliased type: the
+// alias is public API, whoever imports the root may call them.
 func (g *graph) addRoot(p *pkg) {
 	for _, obj := range p.info.Uses {
 		g.reach(g.name(obj))
+	}
+	for _, obj := range p.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !tn.IsAlias() {
+			continue
+		}
+		t := types.Unalias(tn.Type())
+		if _, ok := t.Underlying().(*types.Interface); !ok {
+			t = types.NewPointer(t)
+		}
+		ms := types.NewMethodSet(t)
+		for i := 0; i < ms.Len(); i++ {
+			if m := ms.At(i).Obj(); m.Exported() {
+				g.reach(g.name(m))
+			}
+		}
 	}
 }
 
@@ -530,6 +617,11 @@ func (g *graph) addPackage(p *pkg, linked bool) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				g.addDecl(p, linked, d, d.Name)
+				if d.Recv != nil && g.untraced[d.Name.Name] {
+					fn := p.info.Defs[d.Name].(*types.Func)
+					typ := g.name(receiverType(fn).Obj())
+					g.edges[typ] = append(g.edges[typ], g.name(fn))
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
@@ -545,9 +637,8 @@ func (g *graph) addPackage(p *pkg, linked bool) {
 }
 
 // addDecl attributes what the declaration n mentions to the names it
-// declares — for a method, to its receiver's type. init functions and
-// blank declarations have no name to be reached by: in a linked package
-// what they mention is reached outright.
+// declares. init functions and blank declarations have no name to be
+// reached by: in a linked package what they mention is reached outright.
 func (g *graph) addDecl(p *pkg, linked bool, n ast.Node, ids ...*ast.Ident) {
 	var from []string
 	for _, id := range ids {
@@ -575,10 +666,12 @@ func (g *graph) addDecl(p *pkg, linked bool, n ast.Node, ids ...*ast.Ident) {
 	})
 }
 
-// name maps an object to the package-level declaration of this module
-// that owns it: itself, or for a method its receiver's type.
-// Locals, struct fields (their type is mentioned wherever a value of it
-// comes from) and anything outside the module map to "".
+// name maps an object to the node of this module that owns it: a
+// package-level declaration, or a method of a named non-interface type
+// as "import/path.Type.Method". A method of an interface is its
+// interface's: the call cannot be traced further. Locals, struct fields
+// (their type is mentioned wherever a value of it comes from) and
+// anything outside the module map to "".
 func (g *graph) name(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
@@ -587,17 +680,15 @@ func (g *graph) name(obj types.Object) string {
 	if path != g.mod && !strings.HasPrefix(path, g.mod+"/") {
 		return ""
 	}
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				return path + "." + named.Obj().Name()
-			}
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		recv := receiverType(fn)
+		if recv == nil {
 			return ""
 		}
+		if _, ok := recv.Underlying().(*types.Interface); ok {
+			return g.name(recv.Obj())
+		}
+		return path + "." + recv.Obj().Name() + "." + fn.Name()
 	}
 	// go/types parents init and blank functions to the package scope
 	// although nothing can name them.
@@ -605,6 +696,17 @@ func (g *graph) name(obj types.Object) string {
 		return ""
 	}
 	return path + "." + obj.Name()
+}
+
+// receiverType is the named type a method is declared on, nil for a
+// method of an unnamed interface.
+func receiverType(fn *types.Func) *types.Named {
+	t := fn.Origin().Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }
 
 // TestDocCitations holds README.md, DESIGN.md and EXPERIMENTS.md to

@@ -1,9 +1,12 @@
 // Command app is the only root of the reachability fixture
 // (TestInternalSurfaceFixture in the repository root). Its max is the
-// planted shadow of a predeclared identifier.
+// planted shadow of a predeclared identifier; its Public alias reaches
+// the exported methods of lib.Aliased, which nothing calls by name.
 package main
 
 import "fixture/internal/lib"
+
+type Public = lib.Aliased
 
 func main() {
 	cfg := lib.DefaultConfig()

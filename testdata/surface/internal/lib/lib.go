@@ -1,12 +1,13 @@
-// Package lib holds one declaration no root reaches, Dead, and two option
-// fields that hold one value in every program, Config.Fixed and
-// Config.Unset, among the shapes the gates must not report.
+// Package lib holds one declaration no root reaches, Dead, one method of
+// a live type no code calls, Live.Unused, and two option fields that
+// hold one value in every program, Config.Fixed and Config.Unset, among
+// the shapes the gates must not report.
 package lib
 
 import "fmt"
 
-// Live is reached through NewLive. Nothing calls String by name: a
-// method lives and dies with its type.
+// Live is reached through NewLive and Run through main. Run calls
+// String; nothing calls Unused.
 type Live struct{ n step }
 
 type step int
@@ -39,6 +40,9 @@ func (l *Live) Run() { registry[l.String()]++ }
 
 func (l *Live) String() string { return fmt.Sprint(l.n) }
 
+// Unused is the planted method: its type is live, nothing names it.
+func (l *Live) Unused() int { return int(l.n) }
+
 var registry map[string]int
 
 // init and blank declarations of a linked package are roots.
@@ -48,11 +52,20 @@ func newRegistry() map[string]int { return map[string]int{} }
 
 var _ fmt.Stringer = asserted{}
 
+// asserted is reached only from var _, and its String only through the
+// fmt.Stringer the assertion names: a method whose name is a method of an
+// interface the tree mentions is reached together with its type.
 type asserted struct{}
 
 func (asserted) String() string { return helper }
 
 const helper = "reached only from a method of a type reached only from var _"
+
+// Aliased is named by main's Public alias. An alias in a root package is
+// public API, so Exported counts as reached although nothing calls it.
+type Aliased struct{}
+
+func (Aliased) Exported() string { return "reached through the alias's method set" }
 
 // Dead is the planted declaration: its method mentions it, nothing else
 // does.
