@@ -192,11 +192,7 @@ func runSimulation(spec *jobfile.Spec, instr int64, seeds, workers int, plan fau
 	var cfgs []sim.Config
 	for s := 0; s < seeds; s++ {
 		cfg := sim.DefaultConfig(sim.Hybrid2, workload.Composition{Name: "jobfile"})
-		cfg.JobInstr = instr
-		cfg.StealIntervalInstr = instr / 100
-		if cfg.StealIntervalInstr < 1 {
-			cfg.StealIntervalInstr = 1
-		}
+		cfg.ScaleJobs(instr)
 		cfg.Script = spec.Script()
 		cfg.Faults = plan.Merge(spec.FaultPlan())
 		if spec.NodeCapacity.Cores > 0 && spec.NodeCapacity.Cores <= cfg.L2.Owners {

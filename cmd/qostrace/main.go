@@ -51,8 +51,7 @@ func main() {
 		cli.Usage(prog, "%v", err)
 	}
 	cfg := sim.DefaultConfig(pol, comp)
-	cfg.JobInstr = *instr
-	cfg.StealIntervalInstr = *instr / 100
+	cfg.ScaleJobs(*instr)
 	cfg.Seed = *seed
 	cfg.RecordSeries = *series
 	cfg.Scheduler = *sched

@@ -16,8 +16,7 @@ import (
 func main() {
 	runCfg := func(p cmpqos.Policy) *cmpqos.Report {
 		cfg := cmpqos.NewSimConfig(p, cmpqos.SingleWorkload("bzip2"))
-		cfg.JobInstr = 20_000_000
-		cfg.StealIntervalInstr = cfg.JobInstr / 100
+		cfg.ScaleJobs(20_000_000)
 		rep, err := cmpqos.Simulate(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -41,8 +41,7 @@ func main() {
 	}
 	runOne := func(w cmpqos.Workload) *cmpqos.Report {
 		cfg := cmpqos.NewSimConfig(cmpqos.Hybrid2, w)
-		cfg.JobInstr = 20_000_000
-		cfg.StealIntervalInstr = cfg.JobInstr / 100
+		cfg.ScaleJobs(20_000_000)
 		rep, err := cmpqos.Simulate(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -16,8 +16,7 @@ func main() {
 	// cores) running ten instances of bzip2: 40% Strict, 30% Elastic(5%),
 	// 30% Opportunistic.
 	cfg := cmpqos.NewSimConfig(cmpqos.Hybrid2, cmpqos.SingleWorkload("bzip2"))
-	cfg.JobInstr = 20_000_000 // scale the paper's 200 M down for a quick demo
-	cfg.StealIntervalInstr = cfg.JobInstr / 100
+	cfg.ScaleJobs(20_000_000) // scale the paper's 200 M down for a quick demo
 
 	rep, err := cmpqos.Simulate(cfg)
 	if err != nil {

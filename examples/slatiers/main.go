@@ -35,8 +35,7 @@ func main() {
 	w.Jobs = append(w.Jobs, cmpqos.JobTemplate{Benchmark: "bzip2", Hint: cmpqos.HintStrict})
 
 	cfg := cmpqos.NewSimConfig(cmpqos.Hybrid2, w)
-	cfg.JobInstr = 20_000_000
-	cfg.StealIntervalInstr = cfg.JobInstr / 100
+	cfg.ScaleJobs(20_000_000)
 
 	rep, err := cmpqos.Simulate(cfg)
 	if err != nil {

@@ -176,12 +176,3 @@ func (m Metrics) Unfairness() float64 {
 	}
 	return m.MaxSlowdown / m.MinSlowdown
 }
-
-// Sum returns the total allocated ways.
-func (a Allocation) Sum() int {
-	s := 0
-	for _, w := range a {
-		s += w
-	}
-	return s
-}

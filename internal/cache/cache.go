@@ -102,8 +102,6 @@ type Interface interface {
 	// Access performs a (read or write — the tag model does not care)
 	// access by owner to addr and returns the outcome.
 	Access(owner int, addr Addr) Result
-	// Stats returns cumulative accesses and misses for an owner.
-	Stats(owner int) (accesses, misses int64)
 	// ResetStats zeroes the per-owner counters without touching contents.
 	ResetStats()
 }

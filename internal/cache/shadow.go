@@ -84,11 +84,12 @@ func trailingZeros(n int) int {
 }
 
 // MainMisses returns the cumulative main-tag misses by owner on sampled
-// sets since the last Reset.
+// sets since the owner's last ResetOwner.
 func (st *ShadowTags) MainMisses(owner int) int64 { return st.mainMiss[owner] }
 
 // ShadowMisses returns the cumulative shadow-tag misses by owner since
-// the last Reset — the misses the job would have had without stealing.
+// the owner's last ResetOwner — the misses the job would have had
+// without stealing.
 func (st *ShadowTags) ShadowMisses(owner int) int64 {
 	_, m := st.shadow.Stats(owner)
 	return m
@@ -100,21 +101,6 @@ func (st *ShadowTags) ShadowMisses(owner int) int64 {
 func (st *ShadowTags) ResetOwner(owner int) {
 	st.mainMiss[owner] = 0
 	st.shadow.ResetOwnerStats(owner)
-}
-
-// Reset zeroes both miss streams and the shadow contents; used when a new
-// Elastic job is installed on a core.
-func (st *ShadowTags) Reset() {
-	cfg := st.shadow.cfg
-	// Preserve targets/classes across the reset.
-	targets := make([]int16, len(st.shadow.target))
-	copy(targets, st.shadow.target)
-	classes := make([]Class, len(st.shadow.class))
-	copy(classes, st.shadow.class)
-	st.shadow = NewPartitioned(cfg)
-	copy(st.shadow.target, targets)
-	copy(st.shadow.class, classes)
-	clear(st.mainMiss)
 }
 
 // accessSetTag is the low-level access path used by ShadowTags, which

@@ -139,27 +139,37 @@ func TestShadowTagUniqueness(t *testing.T) {
 	}
 }
 
+// TestShadowReset: ResetOwner, what the trace engine calls when a new
+// Elastic job is installed on a core, zeroes that owner's miss streams
+// and nothing else — other owners' counters and the shadow contents
+// survive.
 func TestShadowReset(t *testing.T) {
 	cfg := Config{SizeBytes: 16 * 4 * 64, Ways: 4, BlockSize: 64, Owners: 2, HitCycles: 10}
 	st := NewShadowTags(cfg, 8)
-	st.SetTarget(0, 2)
-	st.SetClass(0, ClassReserved)
 	main := NewPartitioned(cfg)
-	main.SetTarget(0, 2)
-	main.SetClass(0, ClassReserved)
-	a := blockAddr(cfg, 0, 1)
+	for owner := 0; owner < 2; owner++ {
+		st.SetTarget(owner, 2)
+		st.SetClass(owner, ClassReserved)
+		main.SetTarget(owner, 2)
+		main.SetClass(owner, ClassReserved)
+	}
+	a, b := blockAddr(cfg, 0, 1), blockAddr(cfg, 0, 2)
 	st.Observe(0, a, main.Access(0, a))
-	if st.ShadowMisses(0) != 1 {
-		t.Fatal("expected one shadow miss before reset")
+	st.Observe(1, b, main.Access(1, b))
+	if st.ShadowMisses(0) != 1 || st.MainMisses(0) != 1 {
+		t.Fatal("expected one main and one shadow miss before reset")
 	}
-	st.Reset()
+	st.ResetOwner(0)
 	if st.ShadowMisses(0) != 0 || st.MainMisses(0) != 0 {
-		t.Fatal("reset did not clear miss counters")
+		t.Fatal("reset did not clear the owner's miss counters")
 	}
-	// Targets must survive the reset.
-	st.Observe(0, a, Result{Hit: false, Set: 0})
-	if st.ShadowMisses(0) != 1 {
-		t.Fatal("shadow not functional after reset")
+	if st.ShadowMisses(1) != 1 || st.MainMisses(1) != 1 {
+		t.Fatal("reset disturbed another owner's miss counters")
+	}
+	// The contents survive: a re-access hits in both tag arrays.
+	st.Observe(0, a, main.Access(0, a))
+	if st.ShadowMisses(0) != 0 || st.MainMisses(0) != 0 {
+		t.Fatal("reset flushed the shadow contents")
 	}
 }
 

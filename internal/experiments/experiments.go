@@ -81,12 +81,7 @@ func (o Options) config(p sim.Policy, w workload.Composition) sim.Config {
 		cfg = sim.DefaultConfig(p, w)
 	}
 	if o.JobInstr > 0 {
-		cfg.JobInstr = o.JobInstr
-		// Keep the paper's 1% repartitioning granularity.
-		cfg.StealIntervalInstr = cfg.JobInstr / 100
-		if cfg.StealIntervalInstr < 1 {
-			cfg.StealIntervalInstr = 1
-		}
+		cfg.ScaleJobs(o.JobInstr)
 	}
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed

@@ -43,6 +43,18 @@ func WithAutoDowngrade() LACOption {
 	return func(l *LAC) { l.autoDowngrade = true }
 }
 
+// WithLatestFit makes the LAC place every reserved timeslot that has a
+// deadline latest-fit: the reservation goes into the last feasible slot
+// before the deadline, keeping the near-term timeline clear for tighter
+// future arrivals (the placement the §3.4 automatic downgrade gives its
+// reserved tail, applied to every reserved job). A job without a
+// deadline is still placed earliest-fit — there is no latest slot on an
+// unbounded horizon. Without this option placement is the paper's FCFS
+// earliest-fit (§5).
+func WithLatestFit() LACOption {
+	return func(l *LAC) { l.latestFit = true }
+}
+
 // OpportunisticPerCore is how many Opportunistic jobs a LAC pins per
 // core not assigned to reserved jobs unless WithOpportunisticPerCore
 // says otherwise (§5 allows several).
@@ -70,7 +82,7 @@ func WithAutoDowngradeMinSlack(frac float64) LACOption {
 // are accepted whenever spare, unreserved capacity exists for them now.
 type LAC struct {
 	timeline      *Timeline
-	place         AdmissionPolicy
+	latestFit     bool
 	autoDowngrade bool
 	minAutoSlack  float64
 	oppPerCore    int
@@ -107,7 +119,6 @@ type LAC struct {
 func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
 		timeline:         NewTimeline(capacity),
-		place:            EarliestFit{},
 		oppPerCore:       OpportunisticPerCore,
 		resByJob:         make(map[int][]int),
 		probeBaseCycles:  2000,
@@ -287,25 +298,21 @@ func (l *LAC) decide(req Request, commit, charge bool) Decision {
 	return reject(fmt.Sprintf("qos: unknown mode %v", req.Mode))
 }
 
-// reserveSlot places a reservation through the LAC's placement policy
-// (earliest-fit under the default FCFS policy). Jobs without a timeslot
-// resource (tw == 0) hold resources forever: the reservation is made
-// effectively unbounded (§3.2).
+// reserveSlot places a reservation earliest-fit, or latest-fit on a LAC
+// built WithLatestFit when the job has a deadline. Jobs without a
+// timeslot resource (tw == 0) hold resources forever: the reservation is
+// made effectively unbounded (§3.2).
 func (l *LAC) reserveSlot(req Request, vec ResourceVector, dur, deadline int64, commit bool) Decision {
 	if dur == 0 {
 		dur = foreverCycles
 	}
 	effVec := l.probeVec(vec)
-	// Devirtualize the default policy: admission probes hit this path
-	// hundreds of times per tw window, and the concrete EarliestFit call
-	// inlines down to Timeline.EarliestFit where the interface dispatch
-	// does not.
 	var start int64
 	var ok bool
-	if _, fcfs := l.place.(EarliestFit); fcfs {
-		start, ok = l.timeline.EarliestFit(effVec, req.Arrival, dur, deadline)
+	if l.latestFit && deadline != 0 {
+		start, ok = l.timeline.LatestFit(effVec, req.Arrival, dur, deadline)
 	} else {
-		start, ok = l.place.Place(l.timeline, effVec, req.Arrival, dur, deadline)
+		start, ok = l.timeline.EarliestFit(effVec, req.Arrival, dur, deadline)
 	}
 	if !ok {
 		if commit {
@@ -335,17 +342,15 @@ func (l *LAC) probeVec(vec ResourceVector) ResourceVector {
 	return vec
 }
 
-// earliestFit reports whether every reserved-mode placement on this node
-// is Timeline.EarliestFit — the precondition for caching lower bounds on
-// its starts. Auto-downgrading nodes place some Strict jobs latest-fit,
-// and a custom AdmissionPolicy may place anywhere.
-func (l *LAC) earliestFit() bool {
-	_, fcfs := l.place.(EarliestFit)
-	return fcfs && !l.autoDowngrade
-}
+// PlacesEarliestFit reports whether every reserved-mode placement on
+// this LAC is Timeline.EarliestFit — the precondition for caching lower
+// bounds on its starts, since admissions then never move an earliest
+// start earlier. A LAC built WithLatestFit or WithAutoDowngrade places
+// some jobs latest-fit.
+func (l *LAC) PlacesEarliestFit() bool { return !l.latestFit && !l.autoDowngrade }
 
 // earliestStart is the uncharged placement question behind a reserved
-// admission on an earliestFit node: the first start ≥ ta where vec (plus
+// admission on a PlacesEarliestFit LAC: the first start ≥ ta where vec (plus
 // headroom) fits for dur cycles, with no deadline. ok is false only when
 // vec can never fit this node.
 func (l *LAC) earliestStart(vec ResourceVector, ta, dur int64) (start int64, ok bool) {

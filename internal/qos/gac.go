@@ -324,7 +324,7 @@ func (g *GAC) scan(p *Placement, req Request, first, n int) (best int, bestDec D
 		}
 		byStart := !byLoad && best != -1
 		lb := ta
-		if row != nil && lac.earliestFit() {
+		if row != nil && lac.PlacesEarliestFit() {
 			if lac.gen != g.seen[i] {
 				// Something behind the GAC's back (a completion, a fault,
 				// a controller) may have moved this node's starts earlier.

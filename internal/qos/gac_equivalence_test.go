@@ -60,7 +60,7 @@ func newGACPair(t *testing.T, h [4]byte) *gacPair {
 			opts = append(opts, WithAutoDowngrade(), WithAutoDowngradeMinSlack(0.5))
 		}
 		if h[0]&0x08 != 0 && i%4 == 2 {
-			opts = append(opts, WithPlacement(LatestFit{}))
+			opts = append(opts, WithLatestFit())
 		}
 		fast, naive := NewLAC(capacity, opts...), NewLAC(capacity, opts...)
 		if h[0]&0x20 != 0 && i%2 == 1 {

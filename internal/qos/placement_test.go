@@ -2,48 +2,45 @@ package qos
 
 import "testing"
 
-// TestPlacementPolicies pins the two registered placement behaviours on
-// the same occupied timeline: earliest-fit starts as soon as capacity
-// allows, latest-fit procrastinates to the last slot before the
-// deadline, and both refuse an infeasible window.
+// TestPlacementPolicies pins the LAC's two placements on the same occupied
+// timeline: by default (FCFS) a reservation starts as soon as capacity
+// allows; WithLatestFit it procrastinates to the last slot before the
+// deadline, falls back to earliest-fit for a job without one, and both
+// refuse an infeasible window.
 func TestPlacementPolicies(t *testing.T) {
-	vec := ResourceVector{Cores: 1, CacheWays: 8}
-	mk := func() *Timeline {
-		tl := NewTimeline(ResourceVector{Cores: 4, CacheWays: 16})
+	for _, c := range []struct {
+		name      string
+		latest    bool
+		deadline  int64
+		wantStart int64
+		wantOK    bool
+	}{
+		{"fcfs", false, 1000, 100, true},
+		{"fcfs no deadline", false, 0, 100, true},
+		{"fcfs infeasible", false, 90, 0, false},
+		{"latest", true, 1000, 950, true},
+		// No "latest" slot exists on an unbounded horizon.
+		{"latest no deadline", true, 0, 100, true},
+		{"latest infeasible", true, 90, 0, false},
+	} {
+		var opts []LACOption
+		if c.latest {
+			opts = append(opts, WithLatestFit())
+		}
+		l := NewLAC(ResourceVector{Cores: 4, CacheWays: 16}, opts...)
 		// Occupy [0,100) heavily enough that an 8-way request can't fit.
-		tl.Reserve(1, ResourceVector{Cores: 4, CacheWays: 12}, 0, 100)
-		return tl
-	}
-
-	tl := mk()
-	start, ok := EarliestFit{}.Place(tl, vec, 0, 50, 1000)
-	if !ok || start != 100 {
-		t.Fatalf("EarliestFit.Place = (%d,%v), want (100,true)", start, ok)
-	}
-	start, ok = LatestFit{}.Place(tl, vec, 0, 50, 1000)
-	if !ok || start != 950 {
-		t.Fatalf("LatestFit.Place = (%d,%v), want (950,true)", start, ok)
-	}
-	// No deadline: latest-fit degenerates to earliest-fit (no "latest"
-	// slot exists on an unbounded horizon).
-	start, ok = LatestFit{}.Place(tl, vec, 0, 50, 0)
-	if !ok || start != 100 {
-		t.Fatalf("LatestFit.Place(no deadline) = (%d,%v), want (100,true)", start, ok)
-	}
-	// Window too tight for either: the deadline falls inside the blocked
-	// prefix.
-	if _, ok := (EarliestFit{}).Place(tl, vec, 0, 50, 90); ok {
-		t.Fatal("EarliestFit accepted an infeasible window")
-	}
-	if _, ok := (LatestFit{}).Place(tl, vec, 0, 50, 90); ok {
-		t.Fatal("LatestFit accepted an infeasible window")
-	}
-	if (EarliestFit{}).Name() != "fcfs" || (LatestFit{}).Name() != "latest" {
-		t.Fatal("placement policy names changed")
+		l.Timeline().Reserve(1, ResourceVector{Cores: 4, CacheWays: 12}, 0, 100)
+		rum := RUM{Resources: ResourceVector{Cores: 1, CacheWays: 8}, MaxWallClock: 50, Deadline: c.deadline}
+		if d := l.Peek(Request{JobID: 2, Target: &rum, Mode: Strict()}); d.Accepted != c.wantOK || d.Start != c.wantStart {
+			t.Errorf("%s: Peek = %+v, want accepted=%v at %d", c.name, d, c.wantOK, c.wantStart)
+		}
+		if l.PlacesEarliestFit() == c.latest {
+			t.Errorf("%s: PlacesEarliestFit = %v", c.name, !c.latest)
+		}
 	}
 }
 
-// TestLACPlacementOption checks WithPlacement reaches admission: under
+// TestLACPlacementOption checks WithLatestFit reaches admission: under
 // latest-fit the first reserved job of an empty LAC starts at the tail
 // of its deadline window instead of its arrival.
 func TestLACPlacementOption(t *testing.T) {
@@ -58,7 +55,7 @@ func TestLACPlacementOption(t *testing.T) {
 	if d := fcfs.Admit(req); !d.Accepted || d.Start != 0 {
 		t.Fatalf("fcfs Admit = %+v, want accepted at 0", d)
 	}
-	latest := NewLAC(ResourceVector{Cores: 4, CacheWays: 16}, WithPlacement(LatestFit{}))
+	latest := NewLAC(ResourceVector{Cores: 4, CacheWays: 16}, WithLatestFit())
 	if d := latest.Admit(req); !d.Accepted || d.Start != 4000 {
 		t.Fatalf("latest Admit = %+v, want accepted at 4000", d)
 	}

@@ -1,8 +1,8 @@
 // Admission stage of the policy pipeline: arrival processing, the
 // single probe/submit/renegotiate code path against the LAC, and the
-// tw budgeting that turns job templates into RUM requests. The actual
-// timeslot placement strategy is the configured qos.AdmissionPolicy
-// the runner's LAC was built with (fcfs earliest-fit by default).
+// tw budgeting that turns job templates into RUM requests. The LAC
+// places the timeslots: earliest-fit under the default "fcfs" admission,
+// latest-fit under "latest" (qos.WithLatestFit).
 package sim
 
 import (

@@ -10,8 +10,6 @@ import "cmpqos/internal/alloc"
 // share the unallocated pool.
 type reservedAllocator struct{}
 
-func (reservedAllocator) Name() string { return "reserved" }
-
 func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
 	reservedWays := 0
 	oppJobs := r.sc.oppJobs[:0]
@@ -46,8 +44,6 @@ func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
 // (non-faulted) cores — the EqualPart baseline's static partitioning.
 type equalAllocator struct{}
 
-func (equalAllocator) Name() string { return "equal" }
-
 func (equalAllocator) Allocate(r *Runner, byCore [][]*Job) {
 	per := float64(r.cfg.L2.Ways-r.waysDown) / float64(r.cfg.Cores-r.downCores)
 	for _, jobs := range byCore {
@@ -63,8 +59,6 @@ func (equalAllocator) Allocate(r *Runner, byCore [][]*Job) {
 // It maximizes aggregate hits and guarantees nothing — the §2 contrast
 // the paper draws with reservation-based QoS.
 type ucpAllocator struct{}
-
-func (ucpAllocator) Name() string { return "ucp" }
 
 func (ucpAllocator) Allocate(r *Runner, byCore [][]*Job) {
 	var demands []alloc.Demand

@@ -264,6 +264,14 @@ func TraceConfig(policy Policy, w workload.Composition) Config {
 	return c
 }
 
+// ScaleJobs sets the instructions per job to instr and keeps the paper's
+// 1% repartitioning granularity: StealIntervalInstr becomes instr/100,
+// but at least 1.
+func (c *Config) ScaleJobs(instr int64) {
+	c.JobInstr = instr
+	c.StealIntervalInstr = max(1, instr/100)
+}
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > 64 {

@@ -119,14 +119,13 @@ func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int
 }
 
 // indexable reports whether the start bounds are sound for this
-// cluster's reserved placements. Automatic downgrade and the "latest"
-// admission policy place via LatestFit, which is not monotone under
-// admissions; the trace engine profiles each node's tw under the node's
-// own seed, so node 0's duration and cutoff do not price the others.
-// All three are placed by a scan without bounds.
+// cluster's reserved placements: every node's LAC places earliest-fit
+// (node 0 answers for the fleet, whose nodes share one Config), and the
+// engine is not the trace engine, which profiles each node's tw under
+// the node's own seed, so node 0's duration and cutoff do not price the
+// others. Otherwise arrivals are placed by a scan without bounds.
 func (cr *ClusterRunner) indexable() bool {
-	node := &cr.cfg.Node
-	return node.Policy != AllStrictAutoDown && node.admissionName() == "fcfs" && node.Engine != EngineTrace
+	return cr.nodes[0].lac.PlacesEarliestFit() && cr.cfg.Node.Engine != EngineTrace
 }
 
 // place returns the feasible node with the least (start, load, id) —

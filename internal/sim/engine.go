@@ -222,7 +222,10 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	}
 
 	if !cfg.Policy.noAdmission() {
-		opts := []qos.LACOption{qos.WithPlacement(newAdmission(cfg))}
+		var opts []qos.LACOption
+		if admissions[cfg.admissionName()] {
+			opts = append(opts, qos.WithLatestFit())
+		}
 		if cfg.Policy == AllStrictAutoDown {
 			opts = append(opts, qos.WithAutoDowngrade(),
 				qos.WithAutoDowngradeMinSlack(autoDownMinSlack))
@@ -357,13 +360,11 @@ func (r *Runner) step() {
 		idleCores, idleWays, internal = r.fragDeltas(byCore)
 	}
 	r.bus.Roll(r.cfg.EpochCycles)
-	st := EpochState{
-		Cycle: r.now, Epoch: r.epochIdx,
-		IdleCores: idleCores, IdleWays: idleWays, InternalWays: internal,
-	}
-	r.frag.EpochEnd(st)
+	r.frag.idleCores += idleCores
+	r.frag.idleWays += idleWays
+	r.frag.internal += internal
 	if r.seriesS != nil {
-		r.seriesS.EpochEnd(st)
+		r.seriesS.sample(r.now, r.epochIdx)
 	}
 	r.now = epochEnd
 	r.epochIdx++

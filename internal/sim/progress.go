@@ -63,7 +63,6 @@ type ProgressSample struct {
 // state — ticks replay identically across the stepped and
 // fast-forwarded paths.
 type Controller interface {
-	Name() string
 	Tick(r *Runner, now int64, samples []ProgressSample)
 }
 
@@ -199,8 +198,6 @@ type pidController struct {
 	integ       float64
 }
 
-func (c *pidController) Name() string { return "pid" }
-
 func (c *pidController) Tick(r *Runner, now int64, samples []ProgressSample) {
 	var errSum float64
 	for _, s := range samples {
@@ -240,8 +237,6 @@ type aimdController struct {
 	maxHeadroom int
 	headroom    int
 }
-
-func (c *aimdController) Name() string { return "aimd" }
 
 func (c *aimdController) Tick(r *Runner, now int64, samples []ProgressSample) {
 	behind := false

@@ -9,8 +9,9 @@ import (
 
 // The policy tables turn the engine into a pluggable pipeline: a
 // Scheduler assigns running jobs to cores, a WayAllocator splits the L2
-// among them, a qos.AdmissionPolicy places reserved timeslots on the LAC
-// timeline, and a Controller closes the loop over measured progress.
+// among them, the admission name picks how the LAC places reserved
+// timeslots on its timeline, and a Controller closes the loop over
+// measured progress.
 // Each stage is selected by name through Config (empty names resolve to
 // the Policy-appropriate defaults, preserving the paper's behaviour bit
 // for bit), so a new policy — the next coordinated-management or SLO
@@ -24,7 +25,6 @@ import (
 // of the runner's job/fault state — the epoch-plan cache replays its
 // result verbatim between QoS events.
 type Scheduler interface {
-	Name() string
 	Assign(r *Runner) [][]*Job
 }
 
@@ -33,7 +33,6 @@ type Scheduler interface {
 // assign through Job.setWaysF (which refreshes the memoized curve
 // lookup) and be deterministic for the same reason as Scheduler.
 type WayAllocator interface {
-	Name() string
 	Allocate(r *Runner, byCore [][]*Job)
 }
 
@@ -48,9 +47,11 @@ var (
 		"equal":    func(Config) WayAllocator { return equalAllocator{} },
 		"ucp":      func(Config) WayAllocator { return ucpAllocator{} },
 	}
-	admissions = map[string]func(Config) qos.AdmissionPolicy{
-		"fcfs":   func(Config) qos.AdmissionPolicy { return qos.EarliestFit{} },
-		"latest": func(Config) qos.AdmissionPolicy { return qos.LatestFit{} },
+	// An admission name says whether the LAC is built qos.WithLatestFit:
+	// "fcfs" is the paper's earliest-fit placement (§5).
+	admissions = map[string]bool{
+		"fcfs":   false,
+		"latest": true,
 	}
 	// A controller constructor may return nil: "static", the open-loop
 	// default, has no controller object at all, so the engine runs no
@@ -78,7 +79,7 @@ func AdmissionNames() []string { return policyNames(admissions) }
 // ControllerNames lists the feedback controllers, sorted.
 func ControllerNames() []string { return policyNames(controllers) }
 
-func policyNames[C, T any](m map[string]func(C) T) []string {
+func policyNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
@@ -133,13 +134,11 @@ func (c Config) controllerName() string {
 	return "static"
 }
 
-// newScheduler, newAllocator, newAdmission and newController build the
-// configuration's pipeline stages; Config.Validate has checked the names.
+// newScheduler, newAllocator and newController build the configuration's
+// pipeline stages; Config.Validate has checked the names.
 func newScheduler(cfg Config) Scheduler { return schedulers[cfg.schedulerName()](cfg) }
 
 func newAllocator(cfg Config) WayAllocator { return allocators[cfg.allocatorName()](cfg) }
-
-func newAdmission(cfg Config) qos.AdmissionPolicy { return admissions[cfg.admissionName()](cfg) }
 
 func newController(cfg Config) Controller { return controllers[cfg.controllerName()](cfg) }
 

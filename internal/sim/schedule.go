@@ -57,13 +57,6 @@ type reservedScheduler struct {
 	packOpp bool
 }
 
-func (s *reservedScheduler) Name() string {
-	if s.packOpp {
-		return "packed"
-	}
-	return "reserved"
-}
-
 func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 	byCore := r.sc.byCore
 	for c := range byCore {
@@ -176,8 +169,6 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 // the default OS scheduler of the admissionless baselines (EqualPart,
 // UCP-Part).
 type sharedScheduler struct{}
-
-func (sharedScheduler) Name() string { return "shared" }
 
 func (sharedScheduler) Assign(r *Runner) [][]*Job {
 	byCore := r.sc.byCore

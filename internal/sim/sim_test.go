@@ -96,6 +96,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestScaleJobs: ScaleJobs keeps the paper's 1% repartitioning
+// granularity — DefaultConfig's 2 M at its 200 M instructions — clamped
+// to one instruction, so a 50-instruction job validates and runs too.
+func TestScaleJobs(t *testing.T) {
+	for _, c := range []struct{ instr, interval int64 }{{50, 1}, {200_000_000, 2_000_000}} {
+		cfg := DefaultConfig(Hybrid2, workload.Mix1())
+		cfg.ScaleJobs(c.instr)
+		if cfg.JobInstr != c.instr || cfg.StealIntervalInstr != c.interval {
+			t.Errorf("ScaleJobs(%d): JobInstr %d, StealIntervalInstr %d, want %d, %d",
+				c.instr, cfg.JobInstr, cfg.StealIntervalInstr, c.instr, c.interval)
+		}
+		if rep := mustRun(t, cfg); rep.AcceptedJobs == 0 {
+			t.Errorf("ScaleJobs(%d): no job accepted", c.instr)
+		}
+	}
+}
+
 func TestPolicyStringsAndModeMapping(t *testing.T) {
 	names := map[Policy]string{
 		AllStrict: "All-Strict", Hybrid1: "Hybrid-1", Hybrid2: "Hybrid-2",

@@ -8,17 +8,6 @@ package sim
 
 import "cmpqos/internal/trace"
 
-// EpochState is the end-of-epoch observation the built-in consumers
-// take: the epoch just advanced and its fragmentation deltas (§3.4), in
-// resource-epochs.
-type EpochState struct {
-	Cycle        int64 // first cycle of the epoch that just ended
-	Epoch        int64 // epoch index
-	IdleCores    float64
-	IdleWays     float64
-	InternalWays float64
-}
-
 // Sink observes a run: Event delivers every trace event at the cycle it
 // happens. Sinks must not mutate simulation state. Events only — no
 // event fires inside a fast-forwarded window (DESIGN §11), so an
@@ -103,19 +92,13 @@ func (r *Runner) fragDeltas(byCore [][]*Job) (idleCores, idleWays, internal floa
 	return idleCores, idleWays, internal
 }
 
-// fragSink accumulates the fragmentation deltas, in resource-epochs.
-// Accumulation order is the epoch order, so the float sums are
-// bit-identical to the historical inline accumulators.
+// fragSink accumulates the fragmentation deltas (§3.4), in
+// resource-epochs: step adds each stepped epoch's, applySteady and
+// fastForwardIdle a skipped window's, in epoch order either way.
 type fragSink struct {
 	idleCores float64
 	idleWays  float64
 	internal  float64
-}
-
-func (s *fragSink) EpochEnd(st EpochState) {
-	s.idleCores += st.IdleCores
-	s.idleWays += st.IdleWays
-	s.internal += st.InternalWays
 }
 
 // seriesStride is the telemetry sampling period in epochs.
@@ -130,8 +113,10 @@ type seriesSink struct {
 	series []SeriesSample
 }
 
-func (s *seriesSink) EpochEnd(st EpochState) {
-	if st.Epoch%seriesStride != 0 {
+// sample takes the sample of the epoch that starts at cycle, if its
+// index falls on the stride.
+func (s *seriesSink) sample(cycle, epoch int64) {
+	if epoch%seriesStride != 0 {
 		return
 	}
 	if s.series == nil {
@@ -140,12 +125,12 @@ func (s *seriesSink) EpochEnd(st EpochState) {
 		s.series = make([]SeriesSample, 0, 128)
 	}
 	r := s.r
-	smp := SeriesSample{Cycle: st.Cycle, BusUtil: r.bus.Utilization()}
+	smp := SeriesSample{Cycle: cycle, BusUtil: r.bus.Utilization()}
 	for _, j := range r.accepted {
 		switch j.State {
 		case StateRunning:
 			smp.Running++
-			if j.ReservedRunning(st.Cycle) {
+			if j.ReservedRunning(cycle) {
 				smp.ReservedWays += int(j.WaysF)
 			} else {
 				smp.OppJobs++

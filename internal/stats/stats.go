@@ -18,11 +18,10 @@ import (
 )
 
 // Summary accumulates a running summary of a stream of float64 samples:
-// count, sum, mean, min, max, and variance (via Welford's online
+// count, mean, min, max, and variance (via Welford's online
 // algorithm). The zero value is ready to use.
 type Summary struct {
 	n    int64
-	sum  float64
 	min  float64
 	max  float64
 	mean float64
@@ -43,7 +42,6 @@ func (s *Summary) Add(x float64) {
 		}
 	}
 	s.n++
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -69,16 +67,12 @@ func (s *Summary) Merge(o Summary) {
 		s.max = o.max
 	}
 	s.n = n
-	s.sum += o.sum
 	s.mean = mean
 	s.m2 = m2
 }
 
 // Count returns the number of samples recorded.
 func (s *Summary) Count() int64 { return s.n }
-
-// Sum returns the sum of all samples.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 if no samples were recorded.
 func (s *Summary) Mean() float64 {

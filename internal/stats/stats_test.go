@@ -31,9 +31,6 @@ func TestSummaryBasics(t *testing.T) {
 	if !almostEq(s.StdDev(), 2, 1e-12) {
 		t.Errorf("stddev = %v, want 2", s.StdDev())
 	}
-	if !almostEq(s.Sum(), 40, 1e-12) {
-		t.Errorf("sum = %v, want 40", s.Sum())
-	}
 }
 
 func TestSummarySingleSample(t *testing.T) {

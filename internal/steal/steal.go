@@ -133,17 +133,11 @@ func (c *Controller) OnInterval(mainMisses, shadowMisses int64, pause bool) Acti
 	return StealOne
 }
 
-// Reset restores the controller for a fresh Elastic job on the same
-// core (original allocation, nothing stolen).
-func (c *Controller) Reset() {
-	c.curWays = c.origWays
-}
-
 // Shed permanently surrenders up to n ways of the RESERVATION itself —
 // the fault path, where darkened cache ways force the Elastic job's
 // allocation down. Unlike stealing, shed ways are not returned by a
-// rollback: the original allocation shrinks too, so a later Rollback or
-// Reset restores only what the reservation still holds. The floor is
+// rollback: the original allocation shrinks too, so a later Rollback
+// restores only what the reservation still holds. The floor is
 // minWays. Returns how many ways were actually shed.
 func (c *Controller) Shed(n int) int {
 	if n <= 0 {

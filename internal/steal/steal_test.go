@@ -130,13 +130,18 @@ func TestExcessMissRatio(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestRollbackAfterShed: shed ways leave the reservation for good, so a
+// rollback returns the stolen ways only up to what it still holds.
+func TestRollbackAfterShed(t *testing.T) {
 	c := New(0.05, 7, 1)
-	c.OnInterval(0, 0, false)
-	c.OnInterval(0, 0, false)
-	c.Reset()
-	if c.Ways() != 7 || c.Stolen() != 0 {
-		t.Errorf("reset failed: ways=%d stolen=%d", c.Ways(), c.Stolen())
+	for i := 0; i < 3; i++ {
+		c.OnInterval(0, 0, false) // steal to 4
+	}
+	if shed := c.Shed(2); shed != 2 || c.Ways() != 4 || c.Stolen() != 1 {
+		t.Fatalf("Shed(2) = %d: ways/stolen = %d/%d, want 2: 4/1", shed, c.Ways(), c.Stolen())
+	}
+	if a := c.OnInterval(1060, 1000, false); a != Rollback || c.Ways() != 5 || c.Stolen() != 0 {
+		t.Errorf("after rollback: %v, ways/stolen = %d/%d, want Rollback, 5/0", a, c.Ways(), c.Stolen())
 	}
 }
 

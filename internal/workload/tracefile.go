@@ -111,7 +111,4 @@ func (r *Replay) Next() cache.Addr {
 	return a
 }
 
-// Len returns the trace length.
-func (r *Replay) Len() int { return len(r.addrs) }
-
 var _ cache.AddrStream = (*Replay)(nil)

@@ -92,7 +92,7 @@ func TestTraceErrors(t *testing.T) {
 
 func TestReplayLoops(t *testing.T) {
 	r := NewReplay([]cache.Addr{10, 20, 30})
-	if r.Len() != 3 {
+	if len(r.addrs) != 3 {
 		t.Fatal("length wrong")
 	}
 	seq := []cache.Addr{10, 20, 30, 10, 20}

@@ -34,6 +34,8 @@ var surfaceRoots = []string{".", "cmd/*", "examples/*", "bench"}
 var surfaceAllow = map[string]string{
 	"cmpqos/internal/qos.Interchangeable":   "paper §3.3 definition",
 	"cmpqos/internal/qos.ElasticEquivalent": "paper §3.3 definition",
+	"cmpqos/internal/parallel.Memo.Len":     "memoization tests in other packages read it (TestDefaultStoreMemoizesProbeCurve, TestCurveStoreSingleflightAcrossWorkers)",
+	"cmpqos/internal/sim.RunCache.Len":      "memoization tests in other packages read it (TestRunCacheDeduplicatesAcrossExperiments)",
 }
 
 // knobAllow names the one-valued option fields that stay, each with its
@@ -109,7 +111,8 @@ func TestInternalSurfaceFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead", "fixture/internal/lib.Dead.Run", "fixture/internal/lib.Live.Unused"}; !reflect.DeepEqual(dead, want) {
+	if dead, want := tr.unreachableDecls(), []string{"fixture/internal/lib.Dead", "fixture/internal/lib.Dead.Run",
+		"fixture/internal/lib.Live.Unused", "fixture/internal/lib.Lone.Len", "fixture/internal/lib.Stage.Label", "fixture/internal/lib.doubler.Label"}; !reflect.DeepEqual(dead, want) {
 		t.Errorf("unreachable declarations in the fixture = %v, want %v", dead, want)
 	}
 	if knobs, want := tr.oneValuedKnobs(), []string{"fixture/internal/lib.Config.Fixed", "fixture/internal/lib.Config.Unset"}; !reflect.DeepEqual(knobs, want) {
@@ -172,20 +175,26 @@ func loadTree(dir, mod string, roots []string) (*tree, error) {
 
 // unreachableDecls returns, sorted, every package-level declaration and
 // every method under internal/ that no root package reaches. Nodes are
-// package-level declarations named "import/path.Name" and methods named
-// "import/path.Type.Method"; a struct's fields belong to their type's
-// node, a method's body to the method's. A method is reached when reached
-// code names it — a call, a method value, a method expression or a
-// promoted selector — and, where a call cannot be traced, together with
-// its type: when its name is a method of an interface the tree mentions
-// or one that fmt, encoding/json or errors look up at run time. A type
-// alias in a root package reaches the exported methods of the type it
-// names. Every identifier a root package uses is reached, as is whatever
-// the init functions and `var _` declarations of the packages the roots
-// link in use.
+// package-level declarations named "import/path.Name", methods named
+// "import/path.Type.Method", and the methods of the module's interfaces,
+// "import/path.Iface.Method"; a struct's fields belong to their type's
+// node, a method's body to the method's. A method is reached when
+// reached code names it — a call, a method value, a method expression or
+// a promoted selector. A call through a module interface reaches the
+// interface's method, and through it the method of each reached type
+// that implements the interface. Where a call cannot be traced, a method
+// is reached together with its type: when its type implements an
+// interface declared outside the module that the tree mentions, when its
+// name is a method of an unnamed interface or a type-parameter
+// constraint the tree mentions, or when it is one that fmt,
+// encoding/json or errors look up at run time. A type alias in a root
+// package reaches the exported methods of the type it names. Every
+// identifier a root package uses is reached, as is whatever the init
+// functions and `var _` declarations of the packages the roots link in
+// use.
 func (tr *tree) unreachableDecls() []string {
-	g := graph{mod: tr.mod, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{},
-		untraced: interfaceMethodNames(tr.pkgs)}
+	g := graph{mod: tr.mod, declared: map[string]bool{}, edges: map[string][]string{}, reached: map[string]bool{}}
+	foreign := g.mentionedInterfaces(tr.pkgs)
 	for i, p := range tr.pkgs {
 		if tr.isRoot[p] {
 			g.addRoot(p)
@@ -193,6 +202,7 @@ func (tr *tree) unreachableDecls() []string {
 			g.addPackage(p, i < tr.linked)
 		}
 	}
+	g.addDispatch(tr, foreign)
 	g.flood()
 
 	dead := []string{}
@@ -210,14 +220,22 @@ func (tr *tree) unreachableDecls() []string {
 var runtimeMethods = []string{"String", "Error", "Format", "GoString", "MarshalJSON", "UnmarshalJSON",
 	"MarshalText", "UnmarshalText", "Unwrap", "Is", "As"}
 
-// interfaceMethodNames is the set of method names a call the graph cannot
-// trace may reach: runtimeMethods, and the methods of every interface
-// type the tree mentions — one it declares or uses, the type of any of
-// its expressions, or one in the signature of a function it uses.
-func interfaceMethodNames(pkgs []*pkg) map[string]bool {
-	names := map[string]bool{}
+// mentionedInterfaces sets g.untraced to the method names a call the
+// graph cannot trace may reach by name: runtimeMethods, and the methods
+// of every unnamed interface and type-parameter constraint the tree
+// mentions — the type of a declaration, a use or an expression, or one
+// in the signature of a function it uses. It returns the named
+// interfaces with no node of their own that the tree mentions the same
+// way: those declared outside the module (or inside a function).
+func (g *graph) mentionedInterfaces(pkgs []*pkg) (foreign []*types.Interface) {
+	g.untraced = map[string]bool{}
 	for _, m := range runtimeMethods {
-		names[m] = true
+		g.untraced[m] = true
+	}
+	byName := func(iface *types.Interface) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			g.untraced[iface.Method(i).Name()] = true
+		}
 	}
 	seen := map[types.Type]bool{}
 	var walk func(t types.Type)
@@ -228,15 +246,21 @@ func interfaceMethodNames(pkgs []*pkg) map[string]bool {
 		seen[t] = true
 		switch u := types.Unalias(t).(type) {
 		case *types.Named:
-			if _, ok := u.Underlying().(*types.Interface); ok {
-				walk(u.Underlying())
+			iface, ok := u.Underlying().(*types.Interface)
+			switch {
+			case !ok:
+			case g.name(u.Obj()) != "":
+				// A module interface dispatches. Declarations are walked
+				// before expressions, so the literal of its declaration
+				// is not taken for an unnamed interface.
+				seen[iface] = true
+			default: // declared outside the module, or in a function
+				foreign = append(foreign, iface)
 			}
 		case *types.TypeParam:
-			walk(u.Constraint())
+			byName(u.Constraint().Underlying().(*types.Interface))
 		case *types.Interface:
-			for i := 0; i < u.NumMethods(); i++ {
-				names[u.Method(i).Name()] = true
-			}
+			byName(u)
 		case *types.Map:
 			walk(u.Key())
 			walk(u.Elem())
@@ -259,11 +283,13 @@ func interfaceMethodNames(pkgs []*pkg) map[string]bool {
 				}
 			}
 		}
+	}
+	for _, p := range pkgs {
 		for _, tv := range p.info.Types {
 			walk(tv.Type)
 		}
 	}
-	return names
+	return foreign
 }
 
 var knobStruct = regexp.MustCompile(`(Config|Options|Params)$`)
@@ -565,7 +591,12 @@ type graph struct {
 	reached  map[string]bool
 	work     []string
 	untraced map[string]bool // method names reached together with their type
+	dispatch []dispatch
 }
+
+// A dispatch is a call through a module interface: once both typ and
+// iface are reached, so is method, typ's implementation of iface.
+type dispatch struct{ typ, iface, method string }
 
 func (g *graph) reach(name string) {
 	if name != "" && !g.reached[name] {
@@ -576,10 +607,17 @@ func (g *graph) reach(name string) {
 
 func (g *graph) flood() {
 	for len(g.work) > 0 {
-		name := g.work[len(g.work)-1]
-		g.work = g.work[:len(g.work)-1]
-		for _, to := range g.edges[name] {
-			g.reach(to)
+		for len(g.work) > 0 {
+			name := g.work[len(g.work)-1]
+			g.work = g.work[:len(g.work)-1]
+			for _, to := range g.edges[name] {
+				g.reach(to)
+			}
+		}
+		for _, d := range g.dispatch {
+			if g.reached[d.typ] && g.reached[d.iface] {
+				g.reach(d.method)
+			}
 		}
 	}
 }
@@ -627,9 +665,73 @@ func (g *graph) addPackage(p *pkg, linked bool) {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						g.addDecl(p, linked, spec, spec.Name)
+						g.addInterfaceMethods(p.info.Defs[spec.Name])
 					case *ast.ValueSpec:
 						g.addDecl(p, linked, spec, spec.Names...)
 					}
+				}
+			}
+		}
+	}
+}
+
+// addInterfaceMethods declares a node for each method a package-level
+// interface declares, with an edge to the interface: the method's
+// signature is part of the interface's declaration.
+func (g *graph) addInterfaceMethods(obj types.Object) {
+	iface, ok := obj.Type().Underlying().(*types.Interface)
+	if !ok || g.name(obj) == "" {
+		return
+	}
+	for i := 0; i < iface.NumExplicitMethods(); i++ {
+		m := g.name(iface.ExplicitMethod(i))
+		g.declared[m] = true
+		g.edges[m] = append(g.edges[m], g.name(obj))
+	}
+}
+
+// addDispatch links each concrete type outside the roots to the methods
+// an interface call may reach on it. For a module interface it
+// implements, the method is reached once the type and the interface's
+// method are. For a foreign interface the tree mentions and it
+// implements, foreign code may make the call, so the method is reached
+// with the type. Implementing means through *T, whose method set holds
+// T's.
+func (g *graph) addDispatch(tr *tree, foreign []*types.Interface) {
+	var ifaces []*types.Interface
+	var concrete []*types.Named
+	for _, p := range tr.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, iface)
+			} else if !tr.isRoot[p] {
+				concrete = append(concrete, tn.Type().(*types.Named))
+			}
+		}
+	}
+	for _, t := range concrete {
+		ptr, typ := types.NewPointer(t), g.name(t.Obj())
+		method := func(m *types.Func) string {
+			obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+			return g.name(obj)
+		}
+		for _, iface := range ifaces {
+			if types.Implements(ptr, iface) {
+				for i := 0; i < iface.NumMethods(); i++ {
+					m := iface.Method(i)
+					g.dispatch = append(g.dispatch, dispatch{typ, g.name(m), method(m)})
+				}
+			}
+		}
+		for _, iface := range foreign {
+			if types.Implements(ptr, iface) {
+				for i := 0; i < iface.NumMethods(); i++ {
+					g.edges[typ] = append(g.edges[typ], method(iface.Method(i)))
 				}
 			}
 		}
@@ -667,11 +769,11 @@ func (g *graph) addDecl(p *pkg, linked bool, n ast.Node, ids ...*ast.Ident) {
 }
 
 // name maps an object to the node of this module that owns it: a
-// package-level declaration, or a method of a named non-interface type
-// as "import/path.Type.Method". A method of an interface is its
-// interface's: the call cannot be traced further. Locals, struct fields
-// (their type is mentioned wherever a value of it comes from) and
-// anything outside the module map to "".
+// package-level declaration, or a method of a package-level named type,
+// interfaces included, as "import/path.Type.Method". Locals, struct
+// fields (their type is mentioned wherever a value of it comes from),
+// methods of unnamed interfaces and anything outside the module map to
+// "".
 func (g *graph) name(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
@@ -681,14 +783,12 @@ func (g *graph) name(obj types.Object) string {
 		return ""
 	}
 	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-		recv := receiverType(fn)
-		if recv == nil {
-			return ""
+		if recv := receiverType(fn); recv != nil {
+			if typ := g.name(recv.Obj()); typ != "" {
+				return typ + "." + fn.Name()
+			}
 		}
-		if _, ok := recv.Underlying().(*types.Interface); ok {
-			return g.name(recv.Obj())
-		}
-		return path + "." + recv.Obj().Name() + "." + fn.Name()
+		return ""
 	}
 	// go/types parents init and blank functions to the package scope
 	// although nothing can name them.
