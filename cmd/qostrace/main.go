@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,35 +21,50 @@ import (
 
 const prog = "qostrace"
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main on explicit arguments and streams: it returns the exit
+// code instead of exiting, so a test can drive every flag in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		policy    = flag.String("policy", "allstrict", "allstrict|hybrid1|hybrid2|autodown|equalpart")
-		wl        = flag.String("workload", "bzip2", "benchmark name, mix1, or mix2")
-		width     = flag.Int("width", 80, "gantt width in columns")
-		instr     = flag.Int64("instr", 20_000_000, "instructions per job")
-		seed      = flag.Int64("seed", 1, "random seed")
-		events    = flag.Bool("events", false, "attach the event log to the run and dump it (every probe, lifecycle and fault event)")
-		series    = flag.Bool("series", false, "also print per-epoch telemetry")
-		asJSON    = flag.Bool("json", false, "emit the full report as JSON instead of text")
-		faults    = flag.String("faults", "", "fault plan file, or a fault rate (events per gigacycle) to generate one")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for a generated -faults rate plan")
-		sched     = flag.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
-		alloc     = flag.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
-		admit     = flag.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30s; 0 = no limit)")
+		policy    = fs.String("policy", "allstrict", "allstrict|hybrid1|hybrid2|autodown|equalpart")
+		wl        = fs.String("workload", "bzip2", "benchmark name, mix1, or mix2")
+		width     = fs.Int("width", 80, "gantt width in columns")
+		instr     = fs.Int64("instr", 20_000_000, "instructions per job")
+		seed      = fs.Int64("seed", 1, "random seed")
+		events    = fs.Bool("events", false, "attach the event log to the run and dump it (every probe, lifecycle and fault event)")
+		series    = fs.Bool("series", false, "also print per-epoch telemetry")
+		asJSON    = fs.Bool("json", false, "emit the full report as JSON instead of text")
+		faults    = fs.String("faults", "", "fault plan file, or a fault rate (events per gigacycle) to generate one")
+		faultSeed = fs.Int64("fault-seed", 1, "seed for a generated -faults rate plan")
+		sched     = fs.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
+		alloc     = fs.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
+		admit     = fs.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
+		timeout   = fs.Duration("timeout", 0, "abort the run after this long (e.g. 30s; 0 = no limit)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return code
+	}
 	if err := sim.ValidateNames(*sched, *alloc, *admit, "", ""); err != nil {
-		cli.Usage(prog, "%v", err)
+		return fail(cli.ExitUsage, err)
 	}
 
 	pol, ok := parsePolicy(*policy)
 	if !ok {
-		cli.Usage(prog, "unknown policy %q", *policy)
+		return fail(cli.ExitUsage, fmt.Errorf("unknown policy %q", *policy))
 	}
 	comp, err := parseWorkload(*wl)
 	if err != nil {
-		cli.Usage(prog, "%v", err)
+		return fail(cli.ExitUsage, err)
 	}
 	cfg := sim.DefaultConfig(pol, comp)
 	cfg.ScaleJobs(*instr)
@@ -59,11 +75,11 @@ func main() {
 	cfg.Admission = *admit
 	cfg.Faults, err = cli.ParseFaultPlan(*faults, *faultSeed, cfg.Cores, cfg.L2.Ways)
 	if err != nil {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
 	r, err := sim.New(cfg)
 	if err != nil {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
 	var log sim.EventLog
 	if *events {
@@ -73,30 +89,31 @@ func main() {
 	defer cancel()
 	rep, err := r.RunContext(ctx)
 	if err != nil {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
 	if *asJSON {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			cli.Fail(prog, err)
+		if err := rep.WriteJSON(stdout); err != nil {
+			return fail(cli.ExitFailure, err)
 		}
-		return
+		return cli.ExitOK
 	}
-	fmt.Printf("%s / %s — %d accepted jobs complete in %d cycles, hit rate %.0f%%\n\n",
+	fmt.Fprintf(stdout, "%s / %s — %d accepted jobs complete in %d cycles, hit rate %.0f%%\n\n",
 		rep.Policy, rep.Workload, rep.AcceptedJobs, rep.TotalCycles, rep.DeadlineHitRate*100)
-	fmt.Print(rep.Gantt(*width))
+	fmt.Fprint(stdout, rep.Gantt(*width))
 	if *events {
-		fmt.Println("\nevent log:")
+		fmt.Fprintln(stdout, "\nevent log:")
 		for _, e := range log.Events() {
-			fmt.Printf("%14d  job %-5d %s\n", e.Cycle, e.JobID, e.Kind)
+			fmt.Fprintf(stdout, "%14d  job %-5d %s\n", e.Cycle, e.JobID, e.Kind)
 		}
 	}
 	if *series {
-		fmt.Println("\ntelemetry (cycle, running, waiting, reserved-ways, opp-jobs, bus-util):")
+		fmt.Fprintln(stdout, "\ntelemetry (cycle, running, waiting, reserved-ways, opp-jobs, bus-util):")
 		for _, p := range rep.Series {
-			fmt.Printf("%14d  %3d %3d %3d %3d  %.3f\n",
+			fmt.Fprintf(stdout, "%14d  %3d %3d %3d %3d  %.3f\n",
 				p.Cycle, p.Running, p.Waiting, p.ReservedWays, p.OppJobs, p.BusUtil)
 		}
 	}
+	return cli.ExitOK
 }
 
 func parsePolicy(s string) (sim.Policy, bool) {

@@ -8,7 +8,7 @@ import (
 
 // DeadlineClass is the tightness of a job's deadline relative to its
 // maximum wall-clock time tw (paper §6): td − ta = k·tw.
-type DeadlineClass int
+type DeadlineClass uint8
 
 const (
 	// DeadlineTight is td − ta = 1.05·tw (50% of jobs).
@@ -52,7 +52,7 @@ func (d DeadlineClass) String() string {
 // tapes.go), so repeated runs with the same seed replay the identical
 // class sequence without re-seeding a generator.
 type DeadlineMix struct {
-	tape    *deadlineTape
+	tape    *tape[DeadlineClass]
 	classes []DeadlineClass // read-only snapshot of the tape
 	pos     int
 }
@@ -78,7 +78,7 @@ func (m *DeadlineMix) Next() DeadlineClass {
 // Like DeadlineMix it is a cursor over a memoized tape keyed by
 // (seed, rate).
 type Arrivals struct {
-	tape  *arrivalTape
+	tape  *tape[int64]
 	times []int64 // read-only snapshot of the tape
 	pos   int
 }
