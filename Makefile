@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet surface lint test race fuzz bench-smoke bench-check clean
+.PHONY: all build vet surface fma lint test race fuzz bench-smoke bench-check clean
 
 all: build vet test
 
@@ -27,11 +27,35 @@ vet:
 surface:
 	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations|TestNoShadowedBuiltins' .
 
-# lint is the static-analysis gate: vet, the surface gates, canonical
-# formatting, and — when installed — staticcheck. staticcheck stays
-# optional locally so the target works in offline dev containers; CI
-# installs it and runs the full gate.
-lint: vet surface
+# fma cross-compiles the module for arm64 with -S (≈4 s, no emulator)
+# and fails on a fused multiply-add in any file outside FMA_FILES,
+# naming its file:line. The Go spec lets a compiler fuse x*y + z into
+# one rounding unless a float64(…) conversion rounds the product first;
+# amd64 never fuses, arm64 does, so a fused site can move a golden
+# byte on one architecture only. FMA_FILES are the files that still
+# hold one; a file leaves the list once its sites are rounded.
+FMA_FILES = internal/alloc/alloc.go internal/cpu/cpu.go \
+	internal/fault/gen.go internal/load/load.go \
+	internal/sim/advance.go internal/sim/model.go \
+	internal/sim/repeatadd.go internal/stats/stats.go \
+	internal/workload/arrival.go internal/workload/profile.go
+
+fma:
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='cmpqos/...=-S' ./... 2>&1)" || \
+		{ echo "arm64 build failed:"; echo "$$asm" | grep -E '^[^[:space:]]+\.go:[0-9]+:'; exit 1; }; \
+	out="$$(echo "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]' | \
+		grep -oE '\([^)]*\.go:[0-9]+\)' | tr -d '()' | sed 's|^$(CURDIR)/||' | \
+		sort -u -t: -k1,1 -k2,2n | \
+		grep -vE '^($(subst $(eval) ,|,$(strip $(FMA_FILES)))):')"; \
+	if [ -n "$$out" ]; then \
+		echo "arm64 fuses a multiply-add at (round the product with float64(…)):"; \
+		echo "$$out"; exit 1; fi
+
+# lint is the static-analysis gate: vet, the surface gates, the arm64
+# fused-op check, canonical formatting, and — when installed —
+# staticcheck. staticcheck stays optional locally so the target works in
+# offline dev containers; CI installs it and runs the full gate.
+lint: vet surface fma
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cmpqos/internal/cache"
@@ -28,63 +29,83 @@ import (
 
 const prog = "misscurve"
 
-func main() {
-	var (
-		bench   = flag.String("bench", "", "benchmark to probe (default: all)")
-		doTrace = flag.Bool("trace", false, "also measure through the real cache model")
-		warmup  = flag.Int("warmup", 250_000, "trace warmup accesses")
-		measure = flag.Int("measure", 250_000, "trace measured accesses")
-		every   = flag.Int("sample-every", 1, "profile every Nth cache set (power of two dividing the set count; 1 = all sets)")
-		dump    = flag.String("dump", "", "record the benchmark's synthetic trace to this file and exit")
-		dumpN   = flag.Int("dump-n", 1_000_000, "accesses to record with -dump")
-		replay  = flag.String("replay", "", "probe a recorded trace file instead of a benchmark")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg := cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
+// run is main on explicit arguments and streams: it returns the exit
+// code instead of exiting, so a test can drive every flag in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench   = fs.String("bench", "", "benchmark to probe (default: all)")
+		doTrace = fs.Bool("trace", false, "also measure through the real cache model")
+		warmup  = fs.Int("warmup", 250_000, "trace warmup accesses")
+		measure = fs.Int("measure", 250_000, "trace measured accesses")
+		every   = fs.Int("sample-every", 1, "profile every Nth cache set (power of two dividing the set count; 1 = all sets)")
+		dump    = fs.String("dump", "", "record the benchmark's synthetic trace to this file and exit")
+		dumpN   = fs.Int("dump-n", 1_000_000, "accesses to record with -dump")
+		replay  = fs.String("replay", "", "probe a recorded trace file instead of a benchmark")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return code
+	}
+
+	// The paper's L2 with one owner: a benchmark probed alone.
+	cfg := cache.PaperL2()
+	cfg.Owners = 1
 	probe := func(st cache.AddrStream) cache.MissCurve {
 		return cache.SinglePassMissCurveSampled(cfg, st, *warmup, *measure, *every)
 	}
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
-			cli.Fail(prog, err)
+			return fail(cli.ExitFailure, err)
 		}
 		addrs, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			cli.Fail(prog, err)
+			return fail(cli.ExitFailure, err)
 		}
 		curve := probe(workload.NewReplay(addrs))
-		fmt.Printf("replayed %s (%d accesses, single-pass profiler)\n  ways:  ", *replay, len(addrs))
+		fmt.Fprintf(stdout, "replayed %s (%d accesses, single-pass profiler)\n  ways:  ", *replay, len(addrs))
 		for w := 1; w <= 16; w++ {
-			fmt.Printf("%6d", w)
+			fmt.Fprintf(stdout, "%6d", w)
 		}
-		fmt.Printf("\n  trace: ")
+		fmt.Fprintf(stdout, "\n  trace: ")
 		for w := 1; w <= 16; w++ {
-			fmt.Printf("%6.3f", curve.At(w))
+			fmt.Fprintf(stdout, "%6.3f", curve.At(w))
 		}
-		fmt.Println()
-		return
+		fmt.Fprintln(stdout)
+		return cli.ExitOK
 	}
 	if *dump != "" {
 		if *bench == "" {
-			cli.Usage(prog, "-dump needs -bench")
+			return fail(cli.ExitUsage, fmt.Errorf("-dump needs -bench"))
 		}
 		p, ok := workload.ByName(*bench)
 		if !ok {
-			cli.Usage(prog, "unknown benchmark %q", *bench)
+			return fail(cli.ExitUsage, fmt.Errorf("unknown benchmark %q", *bench))
 		}
 		f, err := os.Create(*dump)
 		if err != nil {
-			cli.Fail(prog, err)
+			return fail(cli.ExitFailure, err)
 		}
-		defer f.Close()
-		if err := workload.WriteTrace(f, p.NewStream(42, 0), *dumpN); err != nil {
-			cli.Fail(prog, err)
+		err = workload.WriteTrace(f, p.NewStream(42, 0), *dumpN)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("recorded %d accesses of %s to %s\n", *dumpN, *bench, *dump)
-		return
+		if err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		fmt.Fprintf(stdout, "recorded %d accesses of %s to %s\n", *dumpN, *bench, *dump)
+		return cli.ExitOK
 	}
 
 	var profiles []workload.Profile
@@ -93,33 +114,34 @@ func main() {
 	} else {
 		p, ok := workload.ByName(*bench)
 		if !ok {
-			cli.Usage(prog, "unknown benchmark %q", *bench)
+			return fail(cli.ExitUsage, fmt.Errorf("unknown benchmark %q", *bench))
 		}
 		profiles = []workload.Profile{p}
 	}
 
 	for _, p := range profiles {
-		fmt.Printf("%s (%s, group %d: %s)\n", p.Name, p.InputSet, int(p.Group), p.Group)
-		fmt.Printf("  ways:       ")
+		fmt.Fprintf(stdout, "%s (%s, group %d: %s)\n", p.Name, p.InputSet, int(p.Group), p.Group)
+		fmt.Fprintf(stdout, "  ways:       ")
 		for w := 1; w <= 16; w++ {
-			fmt.Printf("%6d", w)
+			fmt.Fprintf(stdout, "%6d", w)
 		}
-		fmt.Printf("\n  calibrated: ")
+		fmt.Fprintf(stdout, "\n  calibrated: ")
 		for w := 1; w <= 16; w++ {
-			fmt.Printf("%6.3f", p.MissRatio(w))
+			fmt.Fprintf(stdout, "%6.3f", p.MissRatio(w))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if *doTrace {
 			curve := probe(p.NewStream(42, 0))
 			label := "trace:     "
 			if *every > 1 {
 				label = fmt.Sprintf("trace/%-4d", *every)
 			}
-			fmt.Printf("  %s ", label)
+			fmt.Fprintf(stdout, "  %s ", label)
 			for w := 1; w <= 16; w++ {
-				fmt.Printf("%6.3f", curve.At(w))
+				fmt.Fprintf(stdout, "%6.3f", curve.At(w))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
+	return cli.ExitOK
 }

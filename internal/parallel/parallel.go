@@ -64,6 +64,9 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) 
 	out := make([]T, n)
 	if workers == 1 {
 		// Serial fast path: no goroutines, exactly the historical loop.
+		// It allocates nothing beyond out: the state the workers share
+		// lives in mapConcurrent, so entering Map moves nothing to the
+		// heap.
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -76,7 +79,13 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) 
 		}
 		return out, nil
 	}
+	return mapConcurrent(ctx, workers, out, fn)
+}
 
+// mapConcurrent is Map's worker path: it fills out on workers
+// goroutines and returns once every one has exited.
+func mapConcurrent[T any](ctx context.Context, workers int, out []T, fn func(i int) (T, error)) ([]T, error) {
+	n := len(out)
 	var (
 		next     atomic.Int64
 		done     atomic.Int64

@@ -183,3 +183,26 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestMapSerialAllocatesNothing pins the serial path the fleet runs
+// every epoch at one worker: with a zero-size result, Map allocates
+// nothing — no goroutine state, no captured context.
+func TestMapSerialAllocatesNothing(t *testing.T) {
+	p := New(1)
+	sum := 0
+	fn := func(i int) (struct{}, error) {
+		sum += i
+		return struct{}{}, nil
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Map(context.Background(), p, 8, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("serial Map allocates %.1f objects per call, want 0", allocs)
+	}
+	if sum != 101*28 {
+		t.Fatalf("fn ran %d index-sum, want %d", sum, 101*28)
+	}
+}

@@ -431,9 +431,11 @@ func (l *LAC) ShrinkReservation(id int, vec ResourceVector) bool {
 	return l.timeline.ShrinkVec(id, vec)
 }
 
-// Complete tells the LAC a job finished at time now: its remaining
-// reservations are truncated (reclaimed) so future jobs can be accepted
-// earlier, and opportunistic bookkeeping is released.
+// Complete tells the LAC a job finished at time now: its reservations
+// are released (the §3.4 reclaim) so future jobs can be accepted
+// earlier, and opportunistic bookkeeping is released. Ending each
+// reservation at now and pruning would leave the same state: every one
+// then ends by now, and the prune drops it.
 func (l *LAC) Complete(jobID int, mode Mode, now int64) {
 	l.gen++
 	if mode.Kind == KindOpportunistic {
@@ -442,7 +444,7 @@ func (l *LAC) Complete(jobID int, mode Mode, now int64) {
 		}
 	}
 	for _, id := range l.resByJob[jobID] {
-		l.timeline.TruncateAt(id, now)
+		l.timeline.Release(id)
 	}
 	delete(l.resByJob, jobID)
 	l.timeline.Prune(now)

@@ -3,6 +3,7 @@ package qos
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func medRUM(arrival, tw int64, deadlineFactor float64) RUM {
@@ -251,4 +252,97 @@ func TestGACValidation(t *testing.T) {
 		}
 	}()
 	NewGAC()
+}
+
+// TestCompleteReleasesEveryReservation holds LAC.Complete to the naive
+// reference doing Release then Prune: the job's reservations start
+// before, at and after the completion instant and end before, at and
+// after it, and another job's overrun hold (ended before now, never
+// released) must still be pruned.
+func TestCompleteReleasesEveryReservation(t *testing.T) {
+	capacity := ResourceVector{Cores: 16, CacheWays: 32}
+	l := NewLAC(capacity)
+	naive := newNaiveTimeline(capacity)
+	const now = 500
+	one := ResourceVector{Cores: 1, CacheWays: 2}
+	reserve := func(job int, start, end int64) {
+		id := l.reserve(job, one, start, end-start)
+		if nid := naive.Reserve(job, one, start, end-start); nid != id {
+			t.Fatalf("reservation id %d != naive %d", id, nid)
+		}
+	}
+	reserve(1, 100, 300) // before, before
+	reserve(1, 200, now) // before, at
+	reserve(1, 300, 700) // before, after
+	reserve(1, now, 800) // at, after
+	reserve(1, 600, 900) // after, after
+	reserve(2, 0, 400)   // another job's overrun hold
+	reserve(3, 450, 1000)
+	reserve(3, now, 650)
+
+	l.Complete(1, Strict(), now)
+	for _, id := range []int{1, 2, 3, 4, 5} {
+		naive.Release(id)
+	}
+	naive.Prune(now)
+
+	fr, nr := l.Timeline().Reservations(), naive.Reservations()
+	if len(fr) != len(nr) || l.Timeline().Len() != naive.Len() {
+		t.Fatalf("after Complete: %+v (Len %d), naive %+v (Len %d)",
+			fr, l.Timeline().Len(), nr, naive.Len())
+	}
+	for i := range fr {
+		if fr[i] != nr[i] {
+			t.Fatalf("Reservations[%d] = %+v, naive %+v", i, fr[i], nr[i])
+		}
+	}
+	if len(fr) != 2 || fr[0].JobID != 3 || fr[1].JobID != 3 {
+		t.Fatalf("only job 3 should hold reservations, got %+v", fr)
+	}
+	fa, na := l.Timeline().Availability(-10, 1100), naive.Availability(-10, 1100)
+	if len(fa) != len(na) {
+		t.Fatalf("Availability %+v, naive %+v", fa, na)
+	}
+	for i := range fa {
+		if fa[i] != na[i] {
+			t.Fatalf("Availability[%d] = %+v, naive %+v", i, fa[i], na[i])
+		}
+	}
+	if _, held := l.resByJob[1]; held {
+		t.Error("Complete left job 1's reservation list behind")
+	}
+}
+
+// TestCompleteAllocatesNothing pins that a completion only frees: on a
+// warm timeline, releasing a job whose reservation straddles the
+// completion instant allocates no boundary node, no map entry and no
+// scratch.
+func TestCompleteAllocatesNothing(t *testing.T) {
+	const runs = 100
+	l := NewLAC(ResourceVector{Cores: 2 * runs, CacheWays: 2 * runs})
+	one := ResourceVector{Cores: 1, CacheWays: 1}
+	for job := 0; job <= runs; job++ {
+		l.reserve(job, one, int64(job), 1000)
+	}
+	job := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		// now sits strictly inside the job's own [job, job+1000) and on
+		// no other reservation's boundary.
+		l.Complete(job, Strict(), int64(job)+500)
+		job++
+	})
+	if allocs != 0 {
+		t.Fatalf("Complete allocates %.1f objects per call, want 0", allocs)
+	}
+	if l.Timeline().Len() != 0 {
+		t.Fatalf("%d reservations left after completing every job", l.Timeline().Len())
+	}
+}
+
+// TestProfNodeSize pins a usage-profile boundary node to the 160-byte
+// size class: a fleet allocates one per reservation edge.
+func TestProfNodeSize(t *testing.T) {
+	if s := unsafe.Sizeof(profNode{}); s > 160 {
+		t.Fatalf("profNode is %d B, want ≤ 160", s)
+	}
 }

@@ -124,10 +124,12 @@ func (p *tlPair) step(op []byte) int {
 		id := p.pickID(op[1])
 		p.fast.Release(id)
 		p.naive.Release(id)
-	case 4: // TruncateAt
+	case 4: // complete: LAC.Complete's release, then prune
 		id := p.pickID(op[1])
-		p.fast.TruncateAt(id, now)
-		p.naive.TruncateAt(id, now)
+		p.fast.Release(id)
+		p.fast.Prune(now)
+		p.naive.Release(id)
+		p.naive.Prune(now)
 	case 5: // ShrinkVec
 		id := p.pickID(op[1])
 		sv := ResourceVector{Cores: int(op[2] % 6), CacheWays: int(op[3] % 10)}
@@ -192,7 +194,7 @@ func FuzzTimelineEquivalence(f *testing.F) {
 	f.Add([]byte{4, 16, 0, 1, 10, 20, 0, 0, 2, 10, 10, 0})
 	f.Add([]byte{2, 20, 2, 3, 4, 9, 50, 6, 3, 1, 0, 0, 4, 2, 0, 5, 0, 0})
 	f.Add([]byte{7, 31, 6, 2, 8, 1, 0, 0, 6, 1, 1, 1, 0, 0, 7, 0, 0, 0, 0, 0})
-	// A longer mixed workload: admissions, truncations, a capacity fault,
+	// A longer mixed workload: admissions, completions, a capacity fault,
 	// shrinks, and prunes.
 	long := []byte{4, 16}
 	for i := 0; i < 40; i++ {

@@ -8,10 +8,10 @@ import (
 )
 
 // naiveTimeline is the original flat-list Timeline: every query re-scans
-// and re-sums the reservation slice. It is kept verbatim (modulo the
-// TruncateAt fix noted below) as the executable specification the
-// indexed usage-profile Timeline is differentially fuzzed against —
-// O(n²) per query, but obviously correct.
+// and re-sums the reservation slice. It is kept verbatim as the
+// executable specification the indexed usage-profile Timeline is
+// differentially fuzzed against — O(n²) per query, but obviously
+// correct.
 type naiveTimeline struct {
 	capacity ResourceVector
 	res      []Reservation
@@ -124,22 +124,6 @@ func (t *naiveTimeline) Release(id int) {
 	for i, r := range t.res {
 		if r.ID == id {
 			t.res = append(t.res[:i], t.res[i+1:]...)
-			return
-		}
-	}
-}
-
-// TruncateAt splices the removal case directly instead of calling
-// Release from inside the index loop like the original did — same
-// behavior, without re-scanning the slice it is already positioned in.
-func (t *naiveTimeline) TruncateAt(id int, x int64) {
-	for i := range t.res {
-		if t.res[i].ID == id {
-			if x <= t.res[i].Start {
-				t.res = append(t.res[:i], t.res[i+1:]...)
-			} else if x < t.res[i].End {
-				t.res[i].End = x
-			}
 			return
 		}
 	}

@@ -111,7 +111,7 @@ func overDim(u, limit uvec) int {
 type profNode struct {
 	left, right *profNode
 	key         int64  // boundary instant, unique per node
-	prio        uint64 // treap heap priority (deterministic stream)
+	prio        uint32 // treap heap priority (deterministic stream)
 	refs        int32  // reservation edges (starts + ends) at this key
 	delta       uvec   // net usage change at key
 	sum         uvec   // Σ delta over subtree
@@ -195,7 +195,9 @@ func (p *profile) upd(n *profNode, key int64, d uvec, dref int32) *profNode {
 		if dref <= 0 {
 			panic("qos: usage-profile edge underflow (release of an unknown boundary)")
 		}
-		nn := &profNode{key: key, prio: p.rng.Uint64(), refs: dref, delta: d}
+		// The high half of the draw: a 32-bit priority packs beside refs,
+		// keeping the node in the 160-byte size class.
+		nn := &profNode{key: key, prio: uint32(p.rng.Uint64() >> 32), refs: dref, delta: d}
 		nn.pull()
 		return nn
 	}

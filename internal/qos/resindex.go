@@ -18,8 +18,8 @@ import (
 //	time-ordered iteration                in-order walk      O(n)
 //
 // Node pointers are stable across rotations, so Timeline's id→node map
-// stays valid through every mutation. End and Vec are mutated via
-// detach/reattach (TruncateAt) or in place (ShrinkVec — Vec feeds no
+// stays valid through every mutation. A node's key and End never change
+// after insert; Vec changes in place (ShrinkVec — Vec feeds no
 // aggregate here).
 
 // finiteEndCeiling separates real completions from the open-ended
@@ -74,13 +74,9 @@ type resIndex struct {
 	rng  splitmix.Rand
 }
 
-// insert attaches nn (a fresh or detached node) into the treap. The
-// node's res must carry its final key; links are reset here.
+// insert attaches the fresh node nn into the treap.
 func (ix *resIndex) insert(nn *resNode) {
-	nn.left, nn.right = nil, nil
-	if nn.prio == 0 {
-		nn.prio = ix.rng.Uint64()
-	}
+	nn.prio = ix.rng.Uint64()
 	ix.root = resIns(ix.root, nn)
 }
 
@@ -120,7 +116,7 @@ func resRotLeft(n *resNode) *resNode {
 	return r
 }
 
-// remove detaches the node with key (start, id); the caller already owns
+// remove unlinks the node with key (start, id); the caller already owns
 // the node pointer via the id map, so nothing is returned.
 func (ix *resIndex) remove(key Reservation) {
 	ix.root = resDel(ix.root, key)

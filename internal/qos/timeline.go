@@ -203,30 +203,6 @@ func (t *Timeline) Release(id int) {
 	}
 }
 
-// TruncateAt shortens reservation id to end at x (early completion
-// reclaim, §3.4: "when a job completes before it meets its reserved
-// timeslot, the reserved resources can be reclaimed"). If x ≤ start the
-// reservation is removed entirely.
-func (t *Timeline) TruncateAt(id int, x int64) {
-	n, ok := t.byID[id]
-	if !ok {
-		return
-	}
-	switch {
-	case x <= n.res.Start:
-		t.drop(n)
-	case x < n.res.End:
-		// Move the end edge in the profile, then reattach the node so
-		// the index's End aggregates see the new value.
-		v := toUvec(n.res.Vec)
-		t.prof.update(n.res.End, v, -1)
-		t.prof.update(x, v.neg(), +1)
-		t.idx.remove(n.res)
-		n.res.End = x
-		t.idx.insert(n)
-	}
-}
-
 // SetCapacity changes the node's capacity from time `from` onward — the
 // fault-injection path: ways go dark or cores fail (shrink), and later
 // recover (grow). Reservation intervals before `from` already happened

@@ -111,29 +111,6 @@ func TestLatestFit(t *testing.T) {
 	}
 }
 
-func TestTruncateAndPrune(t *testing.T) {
-	tl := NewTimeline(nodeCap())
-	med := PresetMedium()
-	id := tl.Reserve(1, med, 0, 1000)
-	tl.TruncateAt(id, 400) // early completion at 400
-	if u := tl.UsageAt(500); !u.IsZero() {
-		t.Errorf("usage after truncation = %v, want zero", u)
-	}
-	if u := tl.UsageAt(300); u != med {
-		t.Errorf("usage before truncation = %v, want %v", u, med)
-	}
-	tl.Prune(400)
-	if tl.Len() != 0 {
-		t.Error("prune did not drop the ended reservation")
-	}
-	// Truncating at/before start removes entirely.
-	id2 := tl.Reserve(2, med, 1000, 500)
-	tl.TruncateAt(id2, 1000)
-	if tl.Len() != 0 {
-		t.Error("truncate at start should remove the reservation")
-	}
-}
-
 func TestGetReservations(t *testing.T) {
 	tl := NewTimeline(nodeCap())
 	id := tl.Reserve(7, PresetSmall(), 100, 50)

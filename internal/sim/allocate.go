@@ -27,7 +27,7 @@ func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
 			}
 		}
 	}
-	pool := float64(r.cfg.L2.Ways - r.waysDown - reservedWays)
+	pool := float64(r.cfg.L2.Ways - r.waysDown() - reservedWays)
 	if len(oppJobs) > 0 {
 		per := pool / float64(len(oppJobs))
 		if per < 0.25 {
@@ -45,7 +45,7 @@ func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
 type equalAllocator struct{}
 
 func (equalAllocator) Allocate(r *Runner, byCore [][]*Job) {
-	per := float64(r.cfg.L2.Ways-r.waysDown) / float64(r.cfg.Cores-r.downCores)
+	per := float64(r.cfg.L2.Ways-r.waysDown()) / float64(r.cfg.Cores-r.downCores())
 	for _, jobs := range byCore {
 		for _, j := range jobs {
 			j.setWaysF(per)
@@ -79,7 +79,7 @@ func (ucpAllocator) Allocate(r *Runner, byCore [][]*Job) {
 	if len(demands) == 0 {
 		return
 	}
-	ways := alloc.UCP(demands, r.cfg.L2.Ways-r.waysDown)
+	ways := alloc.UCP(demands, r.cfg.L2.Ways-r.waysDown())
 	for i, c := range cores {
 		for _, j := range byCore[c] {
 			j.setWaysF(float64(ways[i]))

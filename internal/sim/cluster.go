@@ -193,7 +193,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		n := newNode(sh, seed)
 		n.external = true
 		cr.nodes = append(cr.nodes, n)
-		if len(n.faultPts) > 0 {
+		if n.faults != nil {
 			// Fault transitions fire at their configured cycles even on a
 			// node that never receives a job: it starts due, and its proved
 			// windows (capped at the next fault point) carry it from there.
@@ -280,7 +280,7 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 			cr.observe(int(id))
 			n := cr.nodes[id]
 			switch {
-			case n.idle() && n.faultPos == len(n.faultPts):
+			case n.idle() && !n.faultsPending():
 				// Retire: with no live job and no fault transition left,
 				// the node's LAC, load and capacity are constant until an
 				// arrival wakes it. An idle node with fault points pending

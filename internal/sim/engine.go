@@ -40,9 +40,7 @@ type Runner struct {
 	dlmix     *workload.DeadlineMix
 	nextArr   int64
 	submitIdx int
-
-	external bool // arrivals are injected by a ClusterRunner
-	epochIdx int64
+	epochIdx  int64
 
 	// Epoch-plan cache (§7.4): the paper's framework re-evaluates
 	// admission and partitioning only at QoS events, so between events the
@@ -56,14 +54,7 @@ type Runner struct {
 	// redoes just the way split on the cached core assignment. Soundness
 	// rests on the pipeline contract that Assign/Allocate are
 	// deterministic pure functions of the runner's job/fault state.
-	planOK        bool
-	planWaysDirty bool
-	planWake      int64
-	// rebuildPlans is set only by this package's differential tests: it
-	// makes buildPlan leave planOK clear, so every epoch is stepped on a
-	// plan rebuilt from scratch — the reference the cached plan and the
-	// fast-forward (which needs planOK) are held to.
-	rebuildPlans bool
+	planWake int64
 
 	// Event-horizon fast-forward (§11): when the cached plan holds and
 	// every per-epoch quantity is provably constant until the next
@@ -87,20 +78,12 @@ type Runner struct {
 	ffDefer    int64 // steps left before the next window proof attempt
 	ffProvedAt int64
 	ffProvedK  int64
-	ffPriced   bool // last attempt reached the O(jobs) delta pricing
-	// reproveCatchUp is set only by this package's differential tests: it
-	// makes catchUp ignore the recorded window and prove it again — the
-	// reference the memo is held to.
-	reproveCatchUp bool
 
 	// Closed-loop control plane (progress.go): the configured feedback
-	// controller (nil = "static", the open-loop default), the reusable
-	// sample scratch, and the tick counter the Report exposes as
-	// CtrlRetunes (the tick cadence is nodeShared.ctrlInterval).
-	ctrl        Controller
-	ctrlSamples []ProgressSample
-	ctrlGrants  []ctrlGrant
-	ctrlTicks   int64
+	// controller (nil = "static", the open-loop default) and its state,
+	// allocated with it (the tick cadence is nodeShared.ctrlInterval).
+	ctrl      Controller
+	ctrlState *ctrlState
 
 	// Admission scratch: one reusable RUM passed by pointer so the ~400
 	// probes per tw window don't each box a fresh value into the Request
@@ -114,20 +97,32 @@ type Runner struct {
 	planIdleWays  float64
 	planInternal  float64
 
-	// Fault-injection state (internal/sim/fault.go). latFactor is 1.0
-	// whenever no spike is active, and multiplying a float64 by exactly
-	// 1.0 is the identity, so the fault-free hot path stays bit-identical.
-	faultPts  []faultPoint
-	faultPos  int
+	// Fault injection (internal/sim/fault.go): the plan's state, nil for
+	// a run without a fault plan. coreDown and latFactor stay inline —
+	// the scheduler and the miss penalty read them every epoch. latFactor
+	// is 1.0 whenever no spike is active, and multiplying a float64 by
+	// exactly 1.0 is the identity, so the fault-free hot path stays
+	// bit-identical.
+	faults    *faultState
 	coreDown  []bool
-	downCores int
-	waysDown  int
-	latActive []float64
 	latFactor float64
-	fstats    FaultStats
-	refitIDs  []int // refitReservations scratch, reused across faults
 
 	sc epochScratch
+
+	// The flags, together so they share one word.
+	external      bool // arrivals are injected by a ClusterRunner
+	planOK        bool // the cached epoch plan holds (see planWake)
+	planWaysDirty bool // the cached plan needs only its way split redone
+	ffPriced      bool // last window attempt reached the O(jobs) delta pricing
+	// rebuildPlans is set only by this package's differential tests: it
+	// makes buildPlan leave planOK clear, so every epoch is stepped on a
+	// plan rebuilt from scratch — the reference the cached plan and the
+	// fast-forward (which needs planOK) are held to.
+	rebuildPlans bool
+	// reproveCatchUp is set only by this package's differential tests: it
+	// makes catchUp ignore the recorded window and prove it again — the
+	// reference the memo is held to.
+	reproveCatchUp bool
 }
 
 // epochScratch holds the per-epoch working slices, reused across steps so
@@ -213,7 +208,9 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	cfg := r.Config()
 	r.sched = newScheduler(cfg)
 	r.wayAlloc = newAllocator(cfg)
-	r.ctrl = newController(cfg)
+	if r.ctrl = newController(cfg); r.ctrl != nil {
+		r.ctrlState = &ctrlState{}
+	}
 	if cfg.FoldCompleted {
 		// Streaming mode: per-job outcomes fold into aggregates at
 		// completion, so memory stays O(live jobs) regardless of how many
@@ -241,7 +238,9 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	r.sc.byCore = make([][]*Job, cfg.Cores)
 	r.sc.load = make([]int, cfg.Cores)
 	r.sc.reservedOn = make([]*Job, cfg.Cores)
-	r.faultPts = buildFaultPoints(cfg.Faults)
+	if pts := buildFaultPoints(cfg.Faults); pts != nil {
+		r.faults = &faultState{pts: pts}
+	}
 	r.coreDown = make([]bool, cfg.Cores)
 	r.latFactor = 1.0
 	r.frag = &fragSink{}
@@ -413,8 +412,10 @@ func (r *Runner) fastForwardIdle(to int64) {
 	if k <= 0 {
 		return
 	}
-	r.frag.idleCores += float64(k) * float64(r.cfg.Cores-r.downCores)
-	r.frag.idleWays += float64(k) * float64(r.cfg.L2.Ways-r.waysDown)
+	// float64(…) rounds each product before the sum, so no platform
+	// fuses it into a multiply-add (the Go spec allows that fusion).
+	r.frag.idleCores += float64(float64(k) * float64(r.cfg.Cores-r.downCores()))
+	r.frag.idleWays += float64(float64(k) * float64(r.cfg.L2.Ways-r.waysDown()))
 	r.bus.Roll(k * r.cfg.EpochCycles)
 	r.now += k * r.cfg.EpochCycles
 	r.epochIdx += k

@@ -175,8 +175,8 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	if maxK < k {
 		k = maxK
 	}
-	if r.faultPos < len(r.faultPts) {
-		if kf := (r.faultPts[r.faultPos].at - N) / E; kf < k {
+	if r.faultsPending() {
+		if kf := (r.faults.pts[r.faults.pos].at - N) / E; kf < k {
 			k = kf
 		}
 	}

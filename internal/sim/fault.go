@@ -16,6 +16,50 @@ type faultPoint struct {
 	ev      fault.Event
 }
 
+// faultState is a Runner's fault-plan state: the transition list and
+// its cursor, what is down, the active latency spikes, the run's
+// degradation record, and refit scratch. A run without a fault plan
+// has none; the readers below answer zero for it. (They never hand out
+// a shared zero value: the nodes of a fleet step on concurrent workers.)
+type faultState struct {
+	pts       []faultPoint
+	pos       int
+	downCores int
+	waysDown  int
+	latActive []float64
+	stats     FaultStats
+	refitIDs  []int // refitReservations scratch, reused across faults
+}
+
+// downCores returns how many cores are failed right now.
+func (r *Runner) downCores() int {
+	if r.faults == nil {
+		return 0
+	}
+	return r.faults.downCores
+}
+
+// waysDown returns how many cache ways are dark right now.
+func (r *Runner) waysDown() int {
+	if r.faults == nil {
+		return 0
+	}
+	return r.faults.waysDown
+}
+
+// faultsPending reports whether a fault transition is still to fire.
+func (r *Runner) faultsPending() bool {
+	return r.faults != nil && r.faults.pos < len(r.faults.pts)
+}
+
+// faultStats returns the run's degradation record so far.
+func (r *Runner) faultStats() FaultStats {
+	if r.faults == nil {
+		return FaultStats{}
+	}
+	return r.faults.stats
+}
+
 // buildFaultPoints expands the config's plan into the ordered transition
 // list. Events are normalized first (canonical order), then recoveries
 // are sequenced before injections at the same cycle so capacity freed by
@@ -87,9 +131,10 @@ func (s FaultStats) Faulted() bool {
 // the epoch plan see the post-fault capacity; every transition is a QoS
 // event and invalidates the cached plan.
 func (r *Runner) applyFaults(epochEnd int64) {
-	for r.faultPos < len(r.faultPts) && r.faultPts[r.faultPos].at < epochEnd {
-		pt := r.faultPts[r.faultPos]
-		r.faultPos++
+	f := r.faults
+	for r.faultsPending() && f.pts[f.pos].at < epochEnd {
+		pt := f.pts[f.pos]
+		f.pos++
 		if pt.recover {
 			r.recoverFault(pt.ev)
 		} else {
@@ -100,11 +145,12 @@ func (r *Runner) applyFaults(epochEnd int64) {
 }
 
 func (r *Runner) injectFault(ev fault.Event) {
+	f := r.faults
 	switch ev.Kind {
 	case fault.CoreFail:
-		r.fstats.CoreFails++
+		f.stats.CoreFails++
 		r.coreDown[ev.Core] = true
-		r.downCores++
+		f.downCores++
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreFail,
 			Detail: int64(ev.Core)})
 		// Displace whatever was running there; assignCores re-places
@@ -116,15 +162,15 @@ func (r *Runner) injectFault(ev fault.Event) {
 		}
 		r.refitReservations()
 	case fault.WayFault:
-		r.fstats.WayFaults++
-		r.waysDown += ev.Ways
+		f.stats.WayFaults++
+		f.waysDown += ev.Ways
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.WayFault,
-			Detail: int64(r.waysDown)})
+			Detail: int64(f.waysDown)})
 		r.shedElastic()
 		r.refitReservations()
 	case fault.LatencySpike:
-		r.fstats.LatencySpikes++
-		r.latActive = append(r.latActive, ev.Factor)
+		f.stats.LatencySpikes++
+		f.latActive = append(f.latActive, ev.Factor)
 		r.refreshLatFactor()
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.LatencySpike,
 			Detail: int64(ev.Factor * 1000)})
@@ -132,24 +178,25 @@ func (r *Runner) injectFault(ev fault.Event) {
 }
 
 func (r *Runner) recoverFault(ev fault.Event) {
+	f := r.faults
 	switch ev.Kind {
 	case fault.CoreFail:
-		r.fstats.CoreRecovers++
+		f.stats.CoreRecovers++
 		r.coreDown[ev.Core] = false
-		r.downCores--
+		f.downCores--
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreRecover,
 			Detail: int64(ev.Core)})
 		r.refitReservations() // growth: re-admits capacity, evicts nothing
 	case fault.WayFault:
-		r.fstats.WayRecovers++
-		r.waysDown -= ev.Ways
+		f.stats.WayRecovers++
+		f.waysDown -= ev.Ways
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.WayRecover,
-			Detail: int64(r.waysDown)})
+			Detail: int64(f.waysDown)})
 		r.refitReservations()
 	case fault.LatencySpike:
-		for i, f := range r.latActive {
-			if f == ev.Factor {
-				r.latActive = append(r.latActive[:i], r.latActive[i+1:]...)
+		for i, x := range f.latActive {
+			if x == ev.Factor {
+				f.latActive = append(f.latActive[:i], f.latActive[i+1:]...)
 				break
 			}
 		}
@@ -164,7 +211,7 @@ func (r *Runner) recoverFault(ev fault.Event) {
 // memory path, so they do not compound).
 func (r *Runner) refreshLatFactor() {
 	r.latFactor = 1.0
-	for _, f := range r.latActive {
+	for _, f := range r.faults.latActive {
 		if f > r.latFactor {
 			r.latFactor = f
 		}
@@ -174,8 +221,8 @@ func (r *Runner) refreshLatFactor() {
 // faultCapacity is the node's current capacity vector net of faults.
 func (r *Runner) faultCapacity() qos.ResourceVector {
 	return qos.ResourceVector{
-		Cores:     r.cfg.Cores - r.downCores,
-		CacheWays: r.cfg.L2.Ways - r.waysDown,
+		Cores:     r.cfg.Cores - r.downCores(),
+		CacheWays: r.cfg.L2.Ways - r.waysDown(),
 	}
 }
 
@@ -196,7 +243,7 @@ func (r *Runner) refitReservations() {
 	// earliest-admitted evictee gets first pick of the remaining slots.
 	// Sort-then-dedup on a reused scratch slice keeps a fault storm from
 	// allocating a fresh map per transition.
-	ids := r.refitIDs[:0]
+	ids := r.faults.refitIDs[:0]
 	for _, res := range evicted {
 		ids = append(ids, res.JobID)
 	}
@@ -212,11 +259,11 @@ func (r *Runner) refitReservations() {
 		}
 	}
 	ids = uniq
-	r.refitIDs = ids[:0]
+	r.faults.refitIDs = ids[:0]
 	for _, id := range ids {
 		for _, j := range r.accepted {
 			if j.ID == id {
-				r.fstats.Evictions++
+				r.faults.stats.Evictions++
 				r.readmit(j)
 				break
 			}
@@ -254,7 +301,7 @@ func (r *Runner) readmit(j *Job) {
 		r.violate(j)
 		return
 	}
-	r.fstats.Readmitted++
+	r.faults.stats.Readmitted++
 	j.ReservationID = dec.ReservationID
 	j.WaysReserved = ways
 	j.TW = tw // the renegotiated budget the slot was sized for
@@ -269,7 +316,7 @@ func (r *Runner) readmit(j *Job) {
 	case dec.AutoDowngraded:
 		// Forced §3.4: run opportunistically now, switch back when the
 		// latest-fit slot begins.
-		r.fstats.AutoDowngrades++
+		r.faults.stats.AutoDowngrades++
 		wasWaiting := j.State == StateWaiting
 		j.AutoDowngraded = true
 		j.SwitchBack = dec.SwitchBack
@@ -295,7 +342,7 @@ func (r *Runner) readmit(j *Job) {
 // violate terminates a job the framework cannot carry through the fault,
 // recording the QoS violation the degradation metrics count.
 func (r *Runner) violate(j *Job) {
-	r.fstats.Violations++
+	r.faults.stats.Violations++
 	r.emit(trace.Event{Cycle: r.now, JobID: j.ID, Kind: trace.QoSViolation})
 	r.emit(trace.Event{Cycle: r.now, JobID: j.ID, Kind: trace.Terminated})
 	j.State = StateTerminated
@@ -345,7 +392,7 @@ func (r *Runner) shedElastic() {
 		pick.WaysReserved--
 		r.lac.ShrinkReservation(pick.ReservationID,
 			qos.ResourceVector{Cores: 1, CacheWays: pick.WaysReserved})
-		r.fstats.WaysShed++
+		r.faults.stats.WaysShed++
 		r.planWaysDirty = true
 		r.emit(trace.Event{Cycle: r.now, JobID: pick.ID, Kind: trace.StealWay,
 			Detail: int64(pick.Stealer.Ways())})

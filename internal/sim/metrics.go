@@ -317,11 +317,13 @@ func (r *Runner) reportInto(rep *Report) *jobFold {
 		rep.LACOccupancy = r.lac.Occupancy(rep.TotalCycles)
 		rep.LACProbes, _, _ = r.lac.Counters()
 	}
-	rep.Faults = r.fstats
+	rep.Faults = r.faultStats()
 	rep.Faults.MissesInFaultWindows += f.faultMisses
 	rep.EpochsStepped = r.nStepped
 	rep.EpochsSkipped = r.nSkipped
-	rep.CtrlRetunes = r.ctrlTicks
+	if r.ctrlState != nil {
+		rep.CtrlRetunes = r.ctrlState.ticks
+	}
 	if r.seriesS != nil {
 		rep.Series = r.seriesS.series
 	}

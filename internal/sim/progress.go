@@ -88,15 +88,16 @@ func (r *Runner) ctrlDue(epochEnd int64) bool {
 // ctrlTick runs one controller tick: sample, retune, and invalidate the
 // way split so the next plan reflects the new boosts.
 func (r *Runner) ctrlTick() {
-	r.ctrlTicks++
-	r.ctrl.Tick(r, r.now, r.progressSamples())
+	cs := r.ctrlState
+	cs.ticks++
+	cs.samples = r.appendProgressSamples(cs.samples[:0])
+	r.ctrl.Tick(r, r.now, cs.samples)
 	r.planWaysDirty = true
 }
 
-// progressSamples collects the tick's samples over the reserved running
-// jobs, in acceptance order (determinism), into the reusable scratch.
-func (r *Runner) progressSamples() []ProgressSample {
-	s := r.ctrlSamples[:0]
+// appendProgressSamples appends the tick's samples over the reserved
+// running jobs to s, in acceptance order (determinism).
+func (r *Runner) appendProgressSamples(s []ProgressSample) []ProgressSample {
 	for _, j := range r.accepted {
 		if !j.ReservedRunning(r.now) {
 			continue
@@ -119,7 +120,6 @@ func (r *Runner) progressSamples() []ProgressSample {
 			Slowdown: steal.ExcessMissRatio(j.MainMisses, j.ShadowMisses),
 		})
 	}
-	r.ctrlSamples = s
 	return s
 }
 
@@ -135,7 +135,7 @@ func (r *Runner) applyCtrlBoosts(byCore [][]*Job) {
 	if r.ctrl == nil {
 		return
 	}
-	idle := float64(r.cfg.L2.Ways - r.waysDown)
+	idle := float64(r.cfg.L2.Ways - r.waysDown())
 	for _, jobs := range byCore {
 		for _, j := range jobs {
 			idle -= j.WaysF
@@ -146,7 +146,7 @@ func (r *Runner) applyCtrlBoosts(byCore [][]*Job) {
 	// two lagging jobs share a two-way pool one-and-one, not two-and-zero.
 	// The wants are copied into a reusable scratch so the controller's
 	// boosts persist unconsumed across plan rebuilds between ticks.
-	wants := r.ctrlGrants[:0]
+	wants := r.ctrlState.grants[:0]
 	for _, jobs := range byCore {
 		for _, j := range jobs {
 			if j.ctrlBoost > 0 && j.ReservedRunning(r.now) {
@@ -154,7 +154,7 @@ func (r *Runner) applyCtrlBoosts(byCore [][]*Job) {
 			}
 		}
 	}
-	r.ctrlGrants = wants
+	r.ctrlState.grants = wants
 	for granted := true; granted && idle >= 1; {
 		granted = false
 		for i := range wants {
@@ -170,6 +170,15 @@ func (r *Runner) applyCtrlBoosts(byCore [][]*Job) {
 			granted = true
 		}
 	}
+}
+
+// ctrlState is what a Runner with a feedback controller keeps for it:
+// the reusable sample and grant scratch, and the tick counter the
+// Report exposes as CtrlRetunes.
+type ctrlState struct {
+	samples []ProgressSample
+	grants  []ctrlGrant
+	ticks   int64
 }
 
 // ctrlGrant is applyCtrlBoosts' scratch: one job's remaining ungranted
@@ -209,14 +218,16 @@ func (c *pidController) Tick(r *Runner, now int64, samples []ProgressSample) {
 			e = 0
 		}
 		errSum += e
-		boost := int(pidKp*e + 0.5)
+		// float64(…) rounds each product on its own: no platform fuses
+		// it into a multiply-add here or below.
+		boost := int(float64(pidKp*e) + 0.5)
 		if boost > c.maxBoost {
 			boost = c.maxBoost
 		}
 		s.Job.SetCtrlBoost(boost)
 	}
-	c.integ = c.integ*pidIntegDecay + errSum
-	h := int(pidKp*errSum + pidKi*c.integ)
+	c.integ = float64(c.integ*pidIntegDecay) + errSum
+	h := int(float64(pidKp*errSum) + float64(pidKi*c.integ))
 	if h > c.maxHeadroom {
 		h = c.maxHeadroom
 	}

@@ -200,7 +200,7 @@ func TestShadowSlowdownUnderDarkWays(t *testing.T) {
 		if r.now <= faultAt {
 			continue
 		}
-		for _, s := range r.progressSamples() {
+		for _, s := range r.appendProgressSamples(nil) {
 			sampled++
 			if s.Job == nil {
 				t.Fatal("sample without a job")

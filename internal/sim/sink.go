@@ -82,11 +82,11 @@ func (r *Runner) fragDeltas(byCore [][]*Job) (idleCores, idleWays, internal floa
 	}
 	// Faulted resources are lost capacity, not fragmentation: they are
 	// excluded from both idle pools.
-	idleCores = float64(r.cfg.Cores - r.downCores - busyCores)
+	idleCores = float64(r.cfg.Cores - r.downCores() - busyCores)
 	if idleCores < 0 {
 		idleCores = 0
 	}
-	if idle := float64(r.cfg.L2.Ways-r.waysDown) - usedWays; idle > 0 {
+	if idle := float64(r.cfg.L2.Ways-r.waysDown()) - usedWays; idle > 0 {
 		idleWays = idle
 	}
 	return idleCores, idleWays, internal
