@@ -33,17 +33,18 @@ surface:
 # one rounding unless a float64(…) conversion rounds the product first;
 # amd64 never fuses, arm64 does, so a fused site can move a golden
 # byte on one architecture only. FMA_FILES are the files that still
-# hold one; a file leaves the list once its sites are rounded.
+# hold one; a file leaves the list once its sites are rounded. The
+# listing goes through printf, not echo: its data bytes hold sequences
+# such as \c, at which a POSIX sh echo stops printing.
 FMA_FILES = internal/alloc/alloc.go internal/cpu/cpu.go \
 	internal/fault/gen.go internal/load/load.go \
 	internal/sim/advance.go internal/sim/model.go \
-	internal/sim/repeatadd.go internal/stats/stats.go \
-	internal/workload/arrival.go internal/workload/profile.go
+	internal/sim/repeatadd.go internal/stats/stats.go
 
 fma:
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='cmpqos/...=-S' ./... 2>&1)" || \
-		{ echo "arm64 build failed:"; echo "$$asm" | grep -E '^[^[:space:]]+\.go:[0-9]+:'; exit 1; }; \
-	out="$$(echo "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]' | \
+		{ echo "arm64 build failed:"; printf '%s\n' "$$asm" | grep -E '^[^[:space:]]+\.go:[0-9]+:'; exit 1; }; \
+	out="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]' | \
 		grep -oE '\([^)]*\.go:[0-9]+\)' | tr -d '()' | sed 's|^$(CURDIR)/||' | \
 		sort -u -t: -k1,1 -k2,2n | \
 		grep -vE '^($(subst $(eval) ,|,$(strip $(FMA_FILES)))):')"; \

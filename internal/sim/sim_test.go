@@ -530,6 +530,39 @@ func TestBusPriorityProtectsReservedJobs(t *testing.T) {
 	}
 }
 
+// TestBusBreakPoint pins where the contract ends. The LAC reserves cores,
+// ways and a timeslot but not memory bandwidth: an accepted Strict job
+// keeps its deadline only while the timeslot margin (TwMargin, 1.05)
+// covers the bus contention it meets. For each benchmark, at the paper's
+// machine with no faults, every accepted deadline holds at the first
+// bandwidth and at least one is missed at the second: the two rows of
+// DESIGN §8.5's table that bracket the benchmark's break point.
+func TestBusBreakPoint(t *testing.T) {
+	for _, tc := range []struct {
+		bench      string
+		hold, miss float64 // bytes/s
+	}{
+		{"mcf", 3.2e9, 1.6e9},
+		{"milc", 3.2e9, 1.6e9},
+		{"bzip2", 1.2e9, 0.8e9},
+		{"gobmk", 1.2e9, 0.8e9},
+	} {
+		for _, bw := range []float64{tc.hold, tc.miss} {
+			cfg := DefaultConfig(AllStrict, workload.Single(tc.bench))
+			cfg.ScaleJobs(20_000_000)
+			cfg.Mem.PeakBytesPerS = bw
+			rep := mustRun(t, cfg)
+			if rep.DeadlineJobs == 0 {
+				t.Fatalf("%s at %.1f GB/s: no job accepted", tc.bench, bw/1e9)
+			}
+			if held := rep.DeadlineHits == rep.DeadlineJobs; held != (bw == tc.hold) {
+				t.Errorf("%s at %.1f GB/s: %d of %d accepted deadlines met; the break point moved",
+					tc.bench, bw/1e9, rep.DeadlineHits, rep.DeadlineJobs)
+			}
+		}
+	}
+}
+
 func TestEngineStrings(t *testing.T) {
 	if EngineTable.String() != "table" || EngineTrace.String() != "trace" {
 		t.Error("engine names wrong")

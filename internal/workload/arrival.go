@@ -51,37 +51,20 @@ func (d DeadlineClass) String() string {
 // seeded shuffle. It is a cursor over a process-wide memoized tape (see
 // tapes.go), so repeated runs with the same seed replay the identical
 // class sequence without re-seeding a generator.
-type DeadlineMix struct {
-	tape    *tape[DeadlineClass]
-	classes []DeadlineClass // read-only snapshot of the tape
-	pos     int
-}
+type DeadlineMix struct{ cursor[DeadlineClass] }
 
 // NewDeadlineMix builds a deterministic deadline assigner.
 func NewDeadlineMix(seed int64) *DeadlineMix {
-	return &DeadlineMix{tape: deadlineTapeFor(seed)}
-}
-
-// Next returns the deadline class for the next job.
-func (m *DeadlineMix) Next() DeadlineClass {
-	if m.pos == len(m.classes) {
-		m.classes = m.tape.prefix(m.pos + tapeChunk)
-	}
-	c := m.classes[m.pos]
-	m.pos++
-	return c
+	return &DeadlineMix{cursor[DeadlineClass]{t: deadlineTapeFor(seed)}}
 }
 
 // Arrivals generates Poisson job arrivals at the paper's load: in one
 // job wall-clock time tw, on average ProbesPerTw jobs arrive and probe
 // the CMP's admission controller (paper §6: 4 cores × 128 CMPs = 512).
 // Like DeadlineMix it is a cursor over a memoized tape keyed by
-// (seed, rate).
-type Arrivals struct {
-	tape  *tape[int64]
-	times []int64 // read-only snapshot of the tape
-	pos   int
-}
+// (seed, rate); its Next returns the cycle timestamp of the next
+// arrival, and timestamps are non-decreasing.
+type Arrivals struct{ cursor[int64] }
 
 // DefaultProbesPerTw is the paper's arrival pressure: 4×128 probes per
 // job wall-clock time.
@@ -93,18 +76,7 @@ func NewArrivals(seed int64, probesPerTw float64, twCycles int64) *Arrivals {
 	if probesPerTw <= 0 || twCycles <= 0 {
 		panic("workload: arrivals need positive rate and window")
 	}
-	return &Arrivals{tape: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}
-}
-
-// Next returns the cycle timestamp of the next arrival; timestamps are
-// strictly non-decreasing.
-func (a *Arrivals) Next() int64 {
-	if a.pos == len(a.times) {
-		a.times = a.tape.prefix(a.pos + tapeChunk)
-	}
-	v := a.times[a.pos]
-	a.pos++
-	return v
+	return &Arrivals{cursor[int64]{t: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}}
 }
 
 // ArrivalStream is the streaming face of Arrivals: it draws the exact
@@ -136,7 +108,7 @@ func NewArrivalStream(seed int64, probesPerTw float64, twCycles int64) *ArrivalS
 // strictly non-decreasing.
 func (s *ArrivalStream) Next() int64 {
 	// Exponential inter-arrival with mean 1/rate cycles.
-	gap := -math.Log(1-s.rng.Float64()) / s.rate
+	gap := -math.Log(1-float64(s.rng.Float64())) / s.rate
 	s.now += gap
 	return int64(s.now)
 }

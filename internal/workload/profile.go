@@ -161,7 +161,7 @@ func (p Profile) MissRatioF(ways float64) float64 {
 	}
 	lo := int(ways)
 	frac := ways - float64(lo)
-	return p.missRatio[lo]*(1-frac) + p.missRatio[lo+1]*frac
+	return float64(p.missRatio[lo]*(1-frac)) + float64(p.missRatio[lo+1]*frac)
 }
 
 // MPIF is MPI at a fractional way allocation.
@@ -197,7 +197,7 @@ func interpCurve(anchors map[int]float64) []float64 {
 		vlo, vhi := anchors[lo], anchors[hi]
 		for w := lo; w <= hi; w++ {
 			frac := float64(w-lo) / float64(hi-lo)
-			curve[w] = vlo + (vhi-vlo)*frac
+			curve[w] = vlo + float64((vhi-vlo)*frac)
 		}
 	}
 	for w := 1; w < 17; w++ {

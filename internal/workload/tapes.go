@@ -11,14 +11,14 @@ import (
 // simulator — Poisson arrival timestamps and the 50/30/20 deadline-class
 // mix. Both are pure functions of their key (seed, and for arrivals the
 // rate), and an experiment grid replays the same few keys thousands of
-// times. A tape keeps the drawn values, not the generator (≈4.9 kB of
-// rand.Source state), and hands consumers read-only snapshots, so a
-// repeated run skips seeding a source and the draws and observes a
-// bit-identical sequence.
+// times. A tape keeps the values its cursors read, rounded up to a
+// chunk, not the generator (≈4.9 kB of rand.Source state): 10.5 kB per
+// seed whose streams are read to 1,030 values. A repeated run skips
+// seeding a source and the draws and observes a bit-identical sequence.
 
-// tapeChunk is how many entries a consumer faults in per refill; the
-// tape itself grows by at least this much per extension.
-const tapeChunk = 256
+// tapeChunk is how many values a tape holds per chunk, and so how many
+// a cursor draws when it extends the tape.
+const tapeChunk = 64
 
 // arrivalKey identifies one Poisson arrival stream: the generator seed
 // and the arrival rate (arrivals per cycle). Equal keys guarantee
@@ -28,37 +28,65 @@ type arrivalKey struct {
 	rate float64
 }
 
-// tape is one stream's values, drawn by a generator that fresh starts
-// anew at the stream's first value.
+// tape is one stream's values in chunks of tapeChunk, drawn by a
+// generator that fresh starts anew at the stream's first value. A chunk
+// is never written once it is on the tape.
 type tape[T any] struct {
-	mu    sync.Mutex
-	fresh func() (next func() T)
-	vals  []T
+	mu     sync.Mutex
+	fresh  func() (next func() T)
+	chunks []*[tapeChunk]T
 }
 
-// prefix returns a snapshot of at least n values. An extension draws the
-// whole longer prefix again from a fresh generator into a new slice, so
-// no snapshot handed out is ever written; the length at least doubles,
-// so a tape of length L has cost fewer than 2L draws in all.
-func (t *tape[T]) prefix(n int) []T {
+// cursor reads a tape from its first value. The cursor that reads past
+// the tape's last chunk draws the next one with its own generator, made
+// by fresh on its first extension and dropped with the cursor; it first
+// skips the generator past the chunks other cursors drew meanwhile. So
+// each value held is drawn once, and the tape keeps no generator.
+type cursor[T any] struct {
+	t     *tape[T]
+	c     *[tapeChunk]T // the chunk of the last value read
+	pos   int
+	next  func() T
+	drawn int // values next has drawn
+}
+
+// Next returns the tape's next value.
+func (c *cursor[T]) Next() T {
+	if c.pos%tapeChunk == 0 {
+		c.load()
+	}
+	c.pos++
+	return c.c[(c.pos-1)%tapeChunk]
+}
+
+// load points c at chunk pos/tapeChunk, drawing it if the tape ends.
+func (c *cursor[T]) load() {
+	t, k := c.t, c.pos/tapeChunk
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.vals) < n {
-		n = max(n, 2*len(t.vals))
-		vals, next := make([]T, (n+tapeChunk-1)/tapeChunk*tapeChunk), t.fresh()
-		for i := range vals {
-			vals[i] = next()
+	if k == len(t.chunks) {
+		if c.next == nil {
+			c.next = t.fresh()
 		}
-		t.vals = vals
+		for ; c.drawn < k*tapeChunk; c.drawn++ {
+			c.next()
+		}
+		ch := new([tapeChunk]T)
+		for i := range ch {
+			ch[i] = c.next()
+		}
+		c.drawn += tapeChunk
+		t.chunks = append(t.chunks, ch)
 	}
-	return t.vals
+	c.c = t.chunks[k]
 }
 
 // The process-wide tapes, one per distinct key. Like DefaultCurveStore
 // they are process-wide because sim.New draws them from a plain-value
-// Config. Beside its values a tape costs ≈110 B: a seed whose streams
-// are read to 1,000 draws each retains 9.4 kB, 1,024 slots of 8 B plus
-// 1,024 of 1 B (TestTapeRetainsOnlyValues), so neither memo evicts.
+// Config. Beside its values a tape costs ≈120 B and a pointer per
+// chunk: a seed whose streams are read to 1,030 draws each retains
+// 10.5 kB, 17 chunks of 64 8-byte slots plus 17 of 64 1-byte classes
+// (TestTapeRetainsOnlyValues), so neither memo evicts.
 var (
 	arrivalTapes  parallel.Memo[arrivalKey, *tape[int64]]
 	deadlineTapes parallel.Memo[int64, *tape[DeadlineClass]]

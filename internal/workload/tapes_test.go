@@ -2,7 +2,6 @@ package workload
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -63,89 +62,100 @@ func TestTapeConcurrentCursors(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTapeRegrowthRedrawsIdenticalPrefix: a tape keeps no generator, so
-// every extension draws its longer prefix again from the key. Cursors
-// read across each extension boundary must see exactly what a fresh
-// stream draws, a snapshot taken before an extension must not change
-// after it, growth must stay geometric, and concurrent extenders must
-// agree (exercised under -race by the CI race job).
-func TestTapeRegrowthRedrawsIdenticalPrefix(t *testing.T) {
+// TestTapeDrawsEachValueOnce: a tape keeps no generator and holds what
+// its cursors read, rounded up to a chunk. The cursor that reads past the
+// tape's end draws the next chunk with its own generator, skipped forward
+// past the chunks other cursors drew. Every read must see exactly what a
+// fresh stream draws, a single cursor must seed one generator and draw
+// each value it holds once, a chunk handed out must not change after
+// later extensions, and concurrent readers must agree (exercised under
+// -race by the CI race job).
+func TestTapeDrawsEachValueOnce(t *testing.T) {
 	const tw = 1_000_000
-	seed := unusedSeeds(2)
-	lengths := []int{1, tapeChunk - 1, tapeChunk, tapeChunk + 1, 3*tapeChunk + 7, 20_000}
+	seed := unusedSeeds(1)
 	wantArr, wantDl := make([]int64, 20_000), make([]DeadlineClass, 20_000)
 	as, ds := NewArrivalStream(seed, DefaultProbesPerTw, tw), NewDeadlineStream(seed)
 	for i := range wantArr {
 		wantArr[i], wantDl[i] = as.Next(), ds.Next()
 	}
-
-	var arrSnaps [][2][]int64
-	var dlSnaps [][2][]DeadlineClass
-	for _, n := range lengths {
-		arr, dl := arrivalTapeFor(seed, DefaultProbesPerTw/tw), deadlineTapeFor(seed)
-		s := arr.prefix(1)
-		arrSnaps = append(arrSnaps, [2][]int64{s, slices.Clone(s)})
-		c := dl.prefix(1)
-		dlSnaps = append(dlSnaps, [2][]DeadlineClass{c, slices.Clone(c)})
-
-		a, m := NewArrivals(seed, DefaultProbesPerTw, tw), NewDeadlineMix(seed)
-		for i := range n {
-			if v := a.Next(); v != wantArr[i] {
-				t.Fatalf("reading %d: arrival %d = %d, fresh stream drew %d", n, i, v, wantArr[i])
-			}
-			if v := m.Next(); v != wantDl[i] {
-				t.Fatalf("reading %d: deadline %d = %v, fresh stream drew %v", n, i, v, wantDl[i])
-			}
-		}
+	var freshes, draws int
+	arrTape := func() *tape[int64] {
+		return countingTape(&freshes, &draws, func() func() int64 {
+			return NewArrivalStream(seed, DefaultProbesPerTw, tw).Next
+		})
 	}
-	for i, s := range arrSnaps {
-		if !slices.Equal(s[0], s[1]) {
-			t.Errorf("arrival snapshot %d changed after a later extension", i)
-		}
+	dlTape := func() *tape[DeadlineClass] {
+		return countingTape(&freshes, &draws, func() func() DeadlineClass { return NewDeadlineStream(seed).Next })
 	}
-	for i, s := range dlSnaps {
-		if !slices.Equal(s[0], s[1]) {
-			t.Errorf("deadline snapshot %d changed after a later extension", i)
+
+	for _, n := range []int{1, tapeChunk - 1, tapeChunk, tapeChunk + 1, 775, 20_000} {
+		want := (n + tapeChunk - 1) / tapeChunk * tapeChunk
+		freshes, draws = 0, 0
+		readTo(t, "arrivals", &cursor[int64]{t: arrTape()}, n, wantArr)
+		if freshes != 1 || draws != want {
+			t.Errorf("reading %d arrivals: %d generators, %d draws; want 1, %d", n, freshes, draws, want)
+		}
+		freshes, draws = 0, 0
+		readTo(t, "classes", &cursor[DeadlineClass]{t: dlTape()}, n, wantDl)
+		if freshes != 1 || draws != want {
+			t.Errorf("reading %d classes: %d generators, %d draws; want 1, %d", n, freshes, draws, want)
 		}
 	}
 
-	// Every extension boundary, asked for directly, counting the draws.
-	draws := 0
-	counted := &tape[int64]{fresh: func() func() int64 {
-		next := NewArrivalStream(seed, DefaultProbesPerTw, tw).Next
-		return func() int64 { draws++; return next() }
-	}}
-	for _, n := range lengths {
-		got := counted.prefix(n)
-		if len(got) < n || !slices.Equal(got[:n], wantArr[:n]) {
-			t.Fatalf("prefix(%d): %d values, or not the fresh stream's prefix", n, len(got))
-		}
-		if draws >= 2*len(got) {
-			t.Errorf("prefix(%d): %d draws for a tape of %d values; growth is not geometric", n, draws, len(got))
-		}
+	// A extends chunks 0–1, B reads them and extends 2–3, then A reads
+	// on into chunk 6 and must skip its generator past B's chunks.
+	freshes = 0
+	shared := arrTape()
+	a, b := &cursor[int64]{t: shared}, &cursor[int64]{t: shared}
+	readTo(t, "cursor A", a, 2*tapeChunk, wantArr)
+	held, clone := a.c, *a.c
+	readTo(t, "cursor B", b, 4*tapeChunk, wantArr)
+	readTo(t, "cursor A", a, 6*tapeChunk+1, wantArr)
+	if len(shared.chunks) != 7 || freshes != 2 {
+		t.Errorf("interleaved: %d chunks from %d generators, want 7 from 2", len(shared.chunks), freshes)
+	}
+	if *held != clone {
+		t.Error("a chunk handed out changed after later extensions")
 	}
 
-	// Eight goroutines extending one tape at once.
-	shared := arrivalTapeFor(seed+1, DefaultProbesPerTw/tw)
-	want := make([]int64, 5*tapeChunk+3)
-	ref := NewArrivalStream(seed+1, DefaultProbesPerTw, tw)
-	for i := range want {
-		want[i] = ref.Next()
-	}
+	// Eight goroutines reading one memoized tape at once.
 	var wg sync.WaitGroup
 	for g := range 8 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 1 + g; n <= len(want); n += 37 + g {
-				if got := shared.prefix(n); !slices.Equal(got[:n], want[:n]) {
-					t.Errorf("goroutine %d: prefix(%d) is not the fresh stream's prefix", g, n)
+			a, m := NewArrivals(seed, DefaultProbesPerTw, tw), NewDeadlineMix(seed)
+			for i := range 5*tapeChunk + 37*g {
+				if v, c := a.Next(), m.Next(); v != wantArr[i] || c != wantDl[i] {
+					t.Errorf("goroutine %d: value %d is (%d, %v), fresh streams drew (%d, %v)", g, i, v, c, wantArr[i], wantDl[i])
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// readTo reads c on to value n and fails at the first value that is not
+// the fresh stream's.
+func readTo[T comparable](t *testing.T, what string, c *cursor[T], n int, want []T) {
+	t.Helper()
+	for c.pos < n {
+		i := c.pos
+		if v := c.Next(); v != want[i] {
+			t.Fatalf("%s: value %d = %v, fresh stream drew %v", what, i, v, want[i])
+		}
+	}
+}
+
+// countingTape is a tape whose fresh counts the generators it makes and
+// the values they draw.
+func countingTape[T any](freshes, draws *int, fresh func() func() T) *tape[T] {
+	return &tape[T]{fresh: func() func() T {
+		*freshes++
+		next := fresh()
+		return func() T { *draws++; return next() }
+	}}
 }
 
 // nextSeed is the first seed no test has memoized a tape for yet.
@@ -159,13 +169,16 @@ func unusedSeeds(n int64) int64 {
 }
 
 // TestTapeRetainsOnlyValues pins what the tape memo keeps alive per
-// seed: the drawn values and a small header, not a generator's
-// rand.Source (≈4.9 kB per stream), and one byte per deadline class.
+// seed: the values read rounded up to a chunk, 1,088 of each stream for
+// 1,030 reads, and a small header, not a generator's rand.Source
+// (≈4.9 kB per stream), and one byte per deadline class. It measures
+// ≈10.5 kB; a tape that doubled its length would keep 2,048 values of
+// each stream, ≈18.7 kB.
 func TestTapeRetainsOnlyValues(t *testing.T) {
 	if s := unsafe.Sizeof(DeadlineClass(0)); s != 1 {
 		t.Errorf("a DeadlineClass takes %d bytes, want 1", s)
 	}
-	const seeds, draws, limit = 64, 1_000, 12 << 10
+	const seeds, draws, limit = 64, 1_030, 11_070
 	liveHeap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC() // twice: a sync.Pool's victim cache outlives one cycle
