@@ -36,10 +36,8 @@ surface:
 # hold one; a file leaves the list once its sites are rounded. The
 # listing goes through printf, not echo: its data bytes hold sequences
 # such as \c, at which a POSIX sh echo stops printing.
-FMA_FILES = internal/alloc/alloc.go internal/cpu/cpu.go \
-	internal/fault/gen.go internal/load/load.go \
-	internal/sim/advance.go internal/sim/model.go \
-	internal/sim/repeatadd.go internal/stats/stats.go
+FMA_FILES = internal/alloc/alloc.go internal/fault/gen.go \
+	internal/load/load.go internal/sim/advance.go internal/stats/stats.go
 
 fma:
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='cmpqos/...=-S' ./... 2>&1)" || \

@@ -182,22 +182,6 @@ func BenchmarkVictimPolicy(b *testing.B) {
 	}
 }
 
-// ---- Miss-curve profiler benches ----
-//
-// One 16-way curve at the paper L2 geometry, 50k warmup + 50k measured
-// accesses: the single-pass stack-distance profiler traverses the stream
-// once (100 k accesses; priced by bench/ as cache.misscurve_ms), and
-// the sampled variant skips 7/8 of those.
-
-func BenchmarkMissCurveSinglePassSampled(b *testing.B) {
-	p := workload.MustByName("bzip2")
-	cfg := cache.Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.SinglePassMissCurveSampled(cfg, p.NewStream(42, 0), 50_000, 50_000, 8)
-	}
-}
-
 // ---- Admission control benches ----
 
 // packedTimeline builds a timeline with n live medium reservations, two

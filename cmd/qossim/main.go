@@ -8,6 +8,7 @@
 //	qossim -exp fig7 -instr 20000000 # scaled-down jobs for quick runs
 //	qossim -exp fig9 -parallel 8     # fan independent runs across 8 workers
 //	qossim -exp all -parallel 0      # one worker per CPU
+//	qossim -exp curves -csv          # one experiment as CSV
 //	qossim -list                     # list experiments
 //
 // Multi-run experiments produce byte-identical tables at any -parallel
@@ -31,53 +32,60 @@ import (
 
 const prog = "qossim"
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main behind its deferred profile writers: it returns the exit
-// code instead of exiting, so a failed experiment still flushes them.
-func run() int {
+// run is main on explicit arguments and streams: it returns the exit
+// code instead of exiting, so a test can drive every flag in process
+// and a failed experiment still flushes the deferred profile writers.
+// Every usage error is found before a profile file is created.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "", "experiment to run (see -list), or 'all'")
-		engine    = flag.String("engine", "table", "execution engine: table or trace")
-		instr     = flag.Int64("instr", 0, "instructions per job (0 = engine default)")
-		seed      = flag.Int64("seed", 0, "random seed (0 = default)")
-		parallel  = flag.Int("parallel", 1, "worker bound for independent simulation runs (0 = one per CPU)")
-		list      = flag.Bool("list", false, "list available experiments")
-		asCSV     = flag.Bool("csv", false, "emit machine-readable CSV instead of text tables")
-		html      = flag.String("html", "", "write a single-file HTML report of ALL experiments to this path")
-		faultRate = flag.Float64("faults", 0, "fault rate in events per gigacycle for the faults experiment (0 = its default sweep)")
-		faultSeed = flag.Int64("fault-seed", 0, "fault plan generator seed for the faults experiment (0 = default)")
-		sched     = flag.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
-		alloc     = flag.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
-		admit     = flag.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
-		ctrl      = flag.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static, the open loop)")
-		nodes     = flag.Int("nodes", 0, "cluster experiment: every dispatcher at this node count (0 = bestfit at 1, 2 and 4 nodes)")
-		jobs      = flag.Int("jobs", 0, "cluster experiment: accepted jobs per fleet (0 = 10 per node)")
-		dispatch  = flag.String("dispatch", "", "cluster experiment: only this dispatch strategy: "+cli.PolicyList(qos.StrategyNames()))
-		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 2m; 0 = no limit)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this path")
-		memProf   = flag.String("memprofile", "", "write a heap profile (taken at exit) to this path")
+		exp       = fs.String("exp", "", "experiment to run (see -list), or 'all'")
+		engine    = fs.String("engine", "table", "execution engine: table or trace")
+		instr     = fs.Int64("instr", 0, "instructions per job (0 = engine default)")
+		seed      = fs.Int64("seed", 0, "random seed (0 = default)")
+		parallel  = fs.Int("parallel", 1, "worker bound for independent simulation runs (0 = one per CPU)")
+		list      = fs.Bool("list", false, "list available experiments")
+		asCSV     = fs.Bool("csv", false, "emit machine-readable CSV instead of text tables")
+		faultRate = fs.Float64("faults", 0, "fault rate in events per gigacycle for the faults experiment (0 = its default sweep)")
+		faultSeed = fs.Int64("fault-seed", 0, "fault plan generator seed for the faults experiment (0 = default)")
+		sched     = fs.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
+		alloc     = fs.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
+		admit     = fs.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
+		ctrl      = fs.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static, the open loop)")
+		nodes     = fs.Int("nodes", 0, "cluster experiment: every dispatcher at this node count (0 = bestfit at 1, 2 and 4 nodes)")
+		jobs      = fs.Int("jobs", 0, "cluster experiment: accepted jobs per fleet (0 = 10 per node)")
+		dispatch  = fs.String("dispatch", "", "cluster experiment: only this dispatch strategy: "+cli.PolicyList(qos.StrategyNames()))
+		timeout   = fs.Duration("timeout", 0, "abort the run after this long (e.g. 2m; 0 = no limit)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this path")
+		memProf   = fs.String("memprofile", "", "write a heap profile (taken at exit) to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return code
+	}
 	if err := sim.ValidateNames(*sched, *alloc, *admit, *ctrl, *dispatch); err != nil {
-		cli.Usage(prog, "%v", err)
+		return fail(cli.ExitUsage, err)
 	}
-
-	if *list || (*exp == "" && *html == "") {
-		fmt.Println("available experiments:")
+	if *list || *exp == "" {
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, r := range experiments.Registry() {
-			fmt.Printf("  %-20s %s\n", r.Name, r.Paper)
+			fmt.Fprintf(stdout, "  %-20s %s\n", r.Name, r.Paper)
 		}
-		if *exp == "" && *html == "" {
-			return cli.ExitUsage
+		if *list {
+			return cli.ExitOK
 		}
-		return cli.ExitOK
+		return cli.ExitUsage
 	}
-
-	ctx, cancel := cli.Context(*timeout)
-	defer cancel()
 	opts := experiments.Options{
-		Context:      ctx,
 		JobInstr:     *instr,
 		Seed:         *seed,
 		Workers:      *parallel,
@@ -95,80 +103,66 @@ func run() int {
 	if *parallel == 0 {
 		opts.Workers = -1 // flag value 0 means "all CPUs"
 	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			cli.Fail(prog, err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			cli.Fail(prog, err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			cli.Fail(prog, err)
-		}
-		defer func() {
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "qossim:", err)
-			}
-			f.Close()
-		}()
-	}
 	switch *engine {
 	case "table":
 		opts.Engine = sim.EngineTable
 	case "trace":
 		opts.Engine = sim.EngineTrace
 	default:
-		cli.Usage(prog, "unknown engine %q (table|trace)", *engine)
+		return fail(cli.ExitUsage, fmt.Errorf("unknown engine %q (table|trace)", *engine))
 	}
-
-	if *html != "" {
-		f, err := os.Create(*html)
-		if err != nil {
-			cli.Fail(prog, err)
-		}
-		defer f.Close()
-		if err := experiments.WriteHTML(f, opts); err != nil {
-			cli.Fail(prog, err)
-		}
-		fmt.Printf("wrote %s\n", *html)
-		return cli.ExitOK
-	}
-
-	if *asCSV {
-		if *exp == "all" {
-			cli.Usage(prog, "-csv needs a single experiment name")
-		}
-		tab, err := experiments.CSVResult(*exp, opts)
-		if err != nil {
-			cli.Fail(prog, err)
-		}
-		if err := experiments.WriteCSV(os.Stdout, tab); err != nil {
-			cli.Fail(prog, err)
-		}
-		return cli.ExitOK
-	}
-
-	var runners []experiments.Runner
-	if *exp == "all" {
-		runners = experiments.Registry()
-	} else {
+	runners := experiments.Registry()
+	if *exp != "all" {
 		r, ok := experiments.Lookup(*exp)
 		if !ok {
-			cli.Usage(prog, "unknown experiment %q; try -list", *exp)
+			return fail(cli.ExitUsage, fmt.Errorf("unknown experiment %q; try -list", *exp))
 		}
 		runners = []experiments.Runner{r}
+	} else if *asCSV {
+		return fail(cli.ExitUsage, fmt.Errorf("-csv needs a single experiment name"))
 	}
-	failed := runExperiments(runners, opts, os.Stdout)
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		defer func() {
+			runtime.GC() // settle the heap so the profile shows live objects
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(stderr, "qossim:", err)
+			}
+			f.Close()
+		}()
+	}
+	ctx, cancel := cli.Context(*timeout)
+	defer cancel()
+	opts.Context = ctx
+
+	if *asCSV {
+		tab, err := experiments.CSVResult(*exp, opts)
+		if err == nil {
+			err = experiments.WriteCSV(stdout, tab)
+		}
+		if err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		return cli.ExitOK
+	}
+	failed := runExperiments(runners, opts, stdout)
 	for _, err := range failed {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 	}
 	if len(failed) > 0 {
 		return cli.ExitFailure

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
-	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -15,49 +17,123 @@ import (
 	"cmpqos/internal/sim"
 )
 
-// TestMain lets the test binary stand in for the command: re-executed
-// with QOSSIM_AS_MAIN set it runs main on its arguments, so a test can
-// observe the exit status and stderr of a usage error.
-func TestMain(m *testing.M) {
-	if os.Getenv("QOSSIM_AS_MAIN") != "" {
-		main()
-	}
-	os.Exit(m.Run())
+// qossim runs the command in process on args and returns its two
+// streams and exit status.
+func qossim(args ...string) (stdout, stderr string, code int) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return out.String(), errOut.String(), code
 }
 
-// runMain re-executes the test binary as qossim on args and returns its
-// combined output and exit status.
-func runMain(t *testing.T, args ...string) (string, int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "QOSSIM_AS_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	switch {
-	case err == nil:
-		return string(out), cli.ExitOK
-	case errors.As(err, &exit):
-		return string(out), exit.ExitCode()
+// TestEveryFlag passes each flag once at a small job size and checks
+// what it adds to the output; the census at the end fails when a flag
+// the command defines is passed by no case.
+func TestEveryFlag(t *testing.T) {
+	dir := t.TempDir()
+	cpuProf, memProf := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	small := []string{"-instr", "1000000"}
+	cases := []struct {
+		args []string
+		want []string // substrings of stdout
+	}{
+		{[]string{"-list"}, []string{"available experiments:\n", "\n  curves "}},
+		{[]string{"-exp", "fig1"}, []string{"Figure 1 — ", "[fig1 completed in "}},
+		{append([]string{"-exp", "fig5", "-seed", "2", "-parallel", "2",
+			"-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0], "-admit", sim.AdmissionNames()[0]}, small...),
+			[]string{"Figure 5(a) — "}},
+		{append([]string{"-exp", "feedback", "-ctrl", "pid"}, small...), []string{"Feedback — "}},
+		{append([]string{"-exp", "faults", "-faults", "0.5", "-fault-seed", "3"}, small...), []string{"\n      0.5  All-Strict "}},
+		{append([]string{"-exp", "cluster", "-nodes", "2", "-jobs", "4", "-dispatch", "bestfit"}, small...),
+			[]string{"over 2 CMP nodes (Hybrid-2, bzip2, 4 jobs)", "\nbestfit             4 "}},
+		{[]string{"-exp", "table1", "-engine", "trace"}, []string{"Table 1 — "}},
+		{[]string{"-exp", "curves", "-csv"}, []string{"benchmark,group,ways,calibrated,trace\nbzip2,1,1,0.95,"}},
+		{[]string{"-exp", "fig1", "-timeout", "1m", "-cpuprofile", cpuProf, "-memprofile", memProf}, []string{"Figure 1 — "}},
 	}
-	t.Fatalf("qossim %v: %v", args, err)
-	return "", 0
+	passed := map[string]bool{}
+	for _, tc := range cases {
+		out, errOut, code := qossim(tc.args...)
+		if code != cli.ExitOK || errOut != "" {
+			t.Errorf("qossim %v: exit %d, want %d; stderr %q", tc.args, code, cli.ExitOK, errOut)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("qossim %v: stdout lacks %q:\n%s", tc.args, w, out)
+			}
+		}
+		for _, a := range tc.args {
+			if strings.HasPrefix(a, "-") {
+				passed[a] = true
+			}
+		}
+	}
+	for _, f := range []string{cpuProf, memProf} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", f, err)
+		}
+	}
+
+	_, usage, code := qossim("-h")
+	if code != cli.ExitOK {
+		t.Fatalf("qossim -h: exit %d, want %d", code, cli.ExitOK)
+	}
+	defined := regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(usage, -1)
+	if len(defined) == 0 {
+		t.Fatalf("qossim -h lists no flags:\n%s", usage)
+	}
+	for _, m := range defined {
+		if !passed[m[1]] {
+			t.Errorf("flag %s is passed by no case of this test", m[1])
+		}
+	}
+}
+
+// TestUsageErrors: a bad name or a flag combination that cannot run is
+// a usage error (exit 2, nothing on stdout), and it is found before any
+// profile file is created.
+func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	cpuProf, memProf := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	profiles := []string{"-cpuprofile", cpuProf, "-memprofile", memProf}
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-exp", "bogus"}, `qossim: unknown experiment "bogus"; try -list`},
+		{[]string{"-exp", "all", "-csv"}, "qossim: -csv needs a single experiment name"},
+		{[]string{"-exp", "fig1", "-engine", "bogus"}, `qossim: unknown engine "bogus"`},
+		{[]string{"-exp", "fig1", "-sched", "bogus"}, `unknown scheduler "bogus"`},
+		{[]string{"-exp", "fig1", "-nope"}, "flag provided but not defined: -nope"},
+	} {
+		out, errOut, code := qossim(append(tc.args, profiles...)...)
+		if code != cli.ExitUsage || out != "" || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("qossim %v: exit %d, stdout %q, stderr %q; want exit %d, no stdout, stderr naming %q",
+				tc.args, code, out, errOut, cli.ExitUsage, tc.msg)
+		}
+		for _, f := range []string{cpuProf, memProf} {
+			if _, err := os.Stat(f); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("qossim %v left %s behind (stat: %v)", tc.args, f, err)
+				os.Remove(f)
+			}
+		}
+	}
 }
 
 // TestFleetFlagsWithoutNodes: -dispatch and -jobs narrow the default
 // 1/2/4-node table as they narrow a -nodes sweep, and probeall is not a
 // dispatcher a user can select.
 func TestFleetFlagsWithoutNodes(t *testing.T) {
-	out, code := runMain(t, "-exp", "cluster", "-dispatch", "worstfit")
+	out, _, code := qossim("-exp", "cluster", "-dispatch", "worstfit")
 	if code != cli.ExitOK || strings.Count(out, "  worstfit  ") != 3 || strings.Contains(out, "bestfit") {
 		t.Errorf("-dispatch worstfit: exit %d, want %d and three worstfit rows:\n%s", code, cli.ExitOK, out)
 	}
-	out, code = runMain(t, "-exp", "cluster", "-jobs", "40")
+	out, _, code = qossim("-exp", "cluster", "-jobs", "40")
 	if code != cli.ExitOK || strings.Count(out, "  bestfit            40  ") != 3 {
 		t.Errorf("-jobs 40: exit %d, want %d and three 40-job rows:\n%s", code, cli.ExitOK, out)
 	}
-	out, code = runMain(t, "-exp", "cluster", "-nodes", "4", "-dispatch", "probeall")
-	if code != cli.ExitUsage || !strings.Contains(out, `unknown dispatcher "probeall"`) {
-		t.Errorf("-dispatch probeall: exit %d, want %d naming the dispatcher:\n%s", code, cli.ExitUsage, out)
+	_, errOut, code := qossim("-exp", "cluster", "-nodes", "4", "-dispatch", "probeall")
+	if code != cli.ExitUsage || !strings.Contains(errOut, `unknown dispatcher "probeall"`) {
+		t.Errorf("-dispatch probeall: exit %d, want %d naming the dispatcher:\n%s", code, cli.ExitUsage, errOut)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -140,43 +139,6 @@ func TestSinglePassRatioMatchesProbeMissRatio(t *testing.T) {
 		if got := curve.At(ways); got != want {
 			t.Errorf("ways=%d: single-pass %v != ProbeMissRatio %v", ways, got, want)
 		}
-	}
-}
-
-// TestSampledCurveWithinBound pins the documented set-sampling error
-// bound: every point of the every-8th-set curve sits within ±0.05
-// absolute miss ratio of the exact curve at the paper geometry (the
-// observed error is well under ±0.02; the bound leaves noise headroom,
-// mirroring the shadow-tag sampling ablation).
-func TestSampledCurveWithinBound(t *testing.T) {
-	cfg := Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-	const warmup, measure, every = 100_000, 200_000, 8
-	exact := SinglePassMissCurve(cfg, newSynthStream(5), warmup, measure)
-	sampled := SinglePassMissCurveSampled(cfg, newSynthStream(5), warmup, measure, every)
-	worst := 0.0
-	for w := 1; w <= cfg.Ways; w++ {
-		if d := math.Abs(sampled.At(w) - exact.At(w)); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.05 {
-		t.Errorf("sampled curve error %v exceeds the documented 0.05 bound", worst)
-	}
-	t.Logf("max abs sampled-curve error at every=%d: %.4f", every, worst)
-}
-
-// TestSampledProfilerSkipsUnsampledSets: the sampled profiler must count
-// only sampled-set accesses, the shadow-tag discipline.
-func TestSampledProfilerSkipsUnsampledSets(t *testing.T) {
-	cfg := Config{SizeBytes: 2 << 20, Ways: 16, BlockSize: 64, Owners: 1, HitCycles: 10}
-	p := NewSampledStackProfiler(cfg, 8)
-	p.StartMeasure()
-	sets := cfg.Sets()
-	for s := 0; s < sets; s++ {
-		p.Record(Addr(uint64(s) * 64))
-	}
-	if got, want := p.total, int64(sets/8); got != want {
-		t.Errorf("sampled accesses = %d, want %d", got, want)
 	}
 }
 

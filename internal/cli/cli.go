@@ -1,7 +1,7 @@
-// Package cli holds the conventions shared by every cmpqos command:
-// the process exit codes (documented in the README) and small helpers
-// for the flags that several commands implement identically, such as
-// -timeout and -faults.
+// Package cli holds the conventions shared by the five cmpqos commands
+// (qossim, qostrace, qosctl, qosd and qosload): the process exit codes
+// (documented in the README) and small helpers for the flags that
+// several commands implement identically, such as -timeout and -faults.
 package cli
 
 import (
@@ -15,7 +15,7 @@ import (
 	"cmpqos/internal/fault"
 )
 
-// Exit codes common to qossim, qosctl, qostrace, and misscurve.
+// Exit codes common to every command.
 const (
 	// ExitOK: the command did what was asked.
 	ExitOK = 0

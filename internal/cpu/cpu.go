@@ -26,7 +26,7 @@ const (
 // infinite-L1 CPI, L2 accesses per instruction h2, and L2 misses per
 // instruction hm, at a memory penalty of memCycles (t_m).
 func CPI(cpiL1Inf, h2, hm, memCycles float64) float64 {
-	return cpiL1Inf + h2*L2HitCycles + hm*memCycles
+	return cpiL1Inf + float64(h2*L2HitCycles) + float64(hm*memCycles)
 }
 
 // IPC is the reciprocal of CPI; it returns 0 for non-positive CPI.

@@ -59,6 +59,21 @@ func (r *Table1Result) Table() [][]string {
 	return rows
 }
 
+// Table exports the miss-ratio curves, one row per benchmark and way
+// allocation.
+func (r *CurvesResult) Table() [][]string {
+	rows := [][]string{{"benchmark", "group", "ways", "calibrated", "trace"}}
+	for _, row := range r.Rows {
+		for i := range row.Trace {
+			rows = append(rows, []string{
+				row.Benchmark, strconv.Itoa(int(row.Group)), strconv.Itoa(i + 1),
+				ftoa(row.Calibrated[i]), ftoa(row.Trace[i]),
+			})
+		}
+	}
+	return rows
+}
+
 // Table exports Figure 5 (both panels).
 func (r *Fig5Result) Table() [][]string {
 	rows := [][]string{{"workload", "policy", "hit_rate", "total_cycles", "normalized_throughput"}}

@@ -149,6 +149,7 @@ func Registry() []Runner {
 		entry("fig3", "Figure 3: manual mode downgrade illustration", Fig3),
 		entry("fig4", "Figure 4: cache sensitivity classification", Fig4),
 		entry("table1", "Table 1: representative benchmark operating points", Table1),
+		entry("curves", "Figure 4 / Table 1 input: L2 miss ratio vs ways, calibrated and traced", infallible(Curves)),
 		entry("fig5", "Figure 5: deadline hit rate and throughput (single-benchmark)", Fig5),
 		entry("fig6", "Figure 6: wall-clock time per mode (bzip2)", Fig6),
 		entry("fig7", "Figure 7: execution trace All-Strict vs AutoDown (bzip2)", Fig7),

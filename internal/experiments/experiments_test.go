@@ -20,7 +20,7 @@ var fastRuns = sim.NewRunCache()
 func fast() Options { return Options{JobInstr: 10_000_000, Cache: fastRuns} }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig3", "fig4", "table1", "fig5", "fig6", "fig7",
+	want := []string{"fig1", "fig3", "fig4", "table1", "curves", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "lac", "related", "cluster", "frag",
 		"sweep-slack", "sweep-pressure", "ablation-interval",
 		"engines", "seeds", "faults", "geometry", "policies",
@@ -121,6 +121,35 @@ func TestTable1MatchesPaper(t *testing.T) {
 		if d := (row.MPI - pp[1]) / pp[1]; d > 0.05 || d < -0.05 {
 			t.Errorf("%s MPI %v deviates from paper %v", row.Benchmark, row.MPI, pp[1])
 		}
+	}
+}
+
+// TestCurvesTraceIsTheFig4Probe: the curves experiment's trace rows
+// are the probe Fig4's trace branch reads, and its text is the same
+// under either engine — it prints both curves whatever -engine says.
+func TestCurvesTraceIsTheFig4Probe(t *testing.T) {
+	r := Curves(fast())
+	if len(r.Rows) != len(workload.Profiles()) {
+		t.Fatalf("rows = %d, want %d", len(r.Rows), len(workload.Profiles()))
+	}
+	for _, row := range r.Rows {
+		p := workload.MustByName(row.Benchmark)
+		probe := p.ProbeCurve(paperL2Alone(), 250_000, 250_000)
+		if len(row.Trace) != 16 || len(row.Calibrated) != 16 {
+			t.Fatalf("%s: %d trace and %d calibrated points, want 16 each", row.Benchmark, len(row.Trace), len(row.Calibrated))
+		}
+		for i := range row.Trace {
+			if row.Trace[i] != probe.At(i+1) || row.Calibrated[i] != p.MissRatio(i+1) {
+				t.Errorf("%s at %d ways: trace %v calibrated %v, want %v and %v",
+					row.Benchmark, i+1, row.Trace[i], row.Calibrated[i], probe.At(i+1), p.MissRatio(i+1))
+			}
+		}
+	}
+	var table, trace bytes.Buffer
+	Curves(Options{Engine: sim.EngineTable}).Render(&table)
+	Curves(Options{Engine: sim.EngineTrace}).Render(&trace)
+	if table.String() != trace.String() {
+		t.Errorf("curves text differs by engine:\n%s\nvs\n%s", table.String(), trace.String())
 	}
 }
 
@@ -595,7 +624,7 @@ func TestCSVExports(t *testing.T) {
 		t.Skip("runs every experiment")
 	}
 	tabular := map[string]bool{}
-	for _, name := range []string{"fig1", "fig4", "table1", "fig5", "fig6", "fig8", "fig9", "lac",
+	for _, name := range []string{"fig1", "fig4", "table1", "curves", "fig5", "fig6", "fig8", "fig9", "lac",
 		"cluster", "related", "frag", "sweep-slack", "sweep-pressure", "ablation-interval",
 		"engines", "seeds", "faults", "feedback", "geometry", "policies"} {
 		tabular[name] = true
@@ -608,7 +637,7 @@ func TestCSVExports(t *testing.T) {
 			continue
 		}
 		// The two cache-level ablations ignore Options and cost 3 s between
-		// them; TestWriteHTML already renders them through the same adaptor.
+		// them; TestRegistryGolden already renders them through the same adaptor.
 		if name != "ablation-partition" && name != "ablation-sampling" {
 			var text bytes.Buffer
 			if err := r.Run(fast(), &text); err != nil {
@@ -650,25 +679,6 @@ func TestCSVExports(t *testing.T) {
 	}
 	if _, err := CSVResult("nonesuch", fast()); err == nil || err.Error() != `experiments: "nonesuch" has no CSV export` {
 		t.Errorf("CSVResult(nonesuch) error = %v", err)
-	}
-}
-
-func TestWriteHTML(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	var buf bytes.Buffer
-	if err := WriteHTML(&buf, fast()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"<!DOCTYPE html>", "fig5", "Figure 8(a)", "ablation-sampling", "</html>"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	if strings.Contains(out, `class="err"`) && strings.Contains(out, "failed:") {
-		t.Error("an experiment failed inside the report")
 	}
 }
 

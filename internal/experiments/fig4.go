@@ -126,3 +126,61 @@ func (r *Table1Result) Render(w io.Writer) {
 			row.Benchmark, row.InputSet, row.MissRate*100, pp[0]*100, row.MPI, pp[1])
 	}
 }
+
+// CurvesRow is one benchmark's L2 miss ratio at 1..16 ways (index w-1
+// holds w ways): its calibrated table, and the curve its synthetic
+// stream measures through the cache model.
+type CurvesRow struct {
+	Benchmark  string
+	InputSet   string
+	Group      workload.Group
+	Calibrated []float64
+	Trace      []float64
+}
+
+// CurvesResult is the one input Figure 4 and Table 1 rest on, for all
+// fifteen benchmarks: miss ratio against way allocation.
+type CurvesResult struct {
+	Rows []CurvesRow
+}
+
+// Curves evaluates both curves of every benchmark whatever the engine,
+// as Engines runs both engines. The traced curve is the probe Fig4's
+// trace branch reads, so the two share one memoized measurement.
+func Curves(Options) *CurvesResult {
+	cfg := paperL2Alone()
+	res := &CurvesResult{}
+	for _, p := range workload.Profiles() {
+		curve := p.ProbeCurve(cfg, 250_000, 250_000)
+		row := CurvesRow{Benchmark: p.Name, InputSet: p.InputSet, Group: p.Group}
+		for w := 1; w <= cfg.Ways; w++ {
+			row.Calibrated = append(row.Calibrated, p.MissRatio(w))
+			row.Trace = append(row.Trace, curve.At(w))
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// Render prints each benchmark's two curves under a ways header.
+func (r *CurvesResult) Render(w io.Writer) {
+	fmt.Fprintln(w, "L2 miss ratio vs ways — calibrated table and cache model (the input of Figure 4 and Table 1)")
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "%s (%s, group %d: %s)\n", row.Benchmark, row.InputSet, int(row.Group), row.Group)
+		fmt.Fprintf(w, "  %-12s", "ways:")
+		for wy := range row.Trace {
+			fmt.Fprintf(w, "%6d", wy+1)
+		}
+		fmt.Fprintln(w)
+		for _, c := range []struct {
+			label string
+			ratio []float64
+		}{{"calibrated:", row.Calibrated}, {"trace:", row.Trace}} {
+			fmt.Fprintf(w, "  %-12s", c.label)
+			for _, x := range c.ratio {
+				fmt.Fprintf(w, "%6.3f", x)
+			}
+			fmt.Fprintln(w)
+		}
+	}
+}

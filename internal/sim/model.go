@@ -257,7 +257,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	ratio := float64(missCount) / float64(nAcc)
 	// EWMA smoothing keeps epoch-to-epoch CPI stable against sampling
 	// noise.
-	j.tr.lastMissRatio = 0.5*j.tr.lastMissRatio + 0.5*ratio
+	j.tr.lastMissRatio = float64(0.5*j.tr.lastMissRatio) + float64(0.5*ratio)
 	misses := missCount << traceAccessShift
 	if j.Stealer != nil {
 		// The stealing guard compares the sampled-set counters, exactly

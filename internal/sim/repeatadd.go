@@ -61,7 +61,7 @@ func repeatAdd(s, x0, x1 float64, m int64) float64 {
 				}
 				if room := top - s; room >= i {
 					n := min(int64(room/i), m)
-					s += float64(n) * i
+					s += float64(float64(n) * i)
 					m -= n
 					continue
 				}

@@ -143,19 +143,3 @@ func TestDefaultStoreMemoizesProbeCurve(t *testing.T) {
 		}
 	}
 }
-
-// TestSampledProbeCurveClose: the set-sampled single pass over a real
-// profile's stream tracks the exact curve within the documented bound.
-func TestSampledProbeCurveClose(t *testing.T) {
-	p := MustByName("bzip2")
-	cfg := probeCfg()
-	exact := p.ProbeCurveSeeded(cfg, 42, 0, 80_000, 120_000)
-	sampled := cache.SinglePassMissCurveSampled(cfg, p.NewStream(42, 0), 80_000, 120_000, 8)
-	for w := 1; w <= cfg.Ways; w++ {
-		d := sampled.At(w) - exact.At(w)
-		if d < -0.05 || d > 0.05 {
-			t.Errorf("ways=%d: sampled %v vs exact %v beyond the 0.05 bound",
-				w, sampled.At(w), exact.At(w))
-		}
-	}
-}
