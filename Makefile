@@ -28,24 +28,18 @@ surface:
 	$(GO) test -run 'TestInternalSurface|TestConfigKnobs|TestDocCitations|TestNoShadowedBuiltins' .
 
 # fma cross-compiles the module for arm64 with -S (≈4 s, no emulator)
-# and fails on a fused multiply-add in any file outside FMA_FILES,
-# naming its file:line. The Go spec lets a compiler fuse x*y + z into
-# one rounding unless a float64(…) conversion rounds the product first;
-# amd64 never fuses, arm64 does, so a fused site can move a golden
-# byte on one architecture only. FMA_FILES are the files that still
-# hold one; a file leaves the list once its sites are rounded. The
+# and fails on any fused multiply-add, naming its file:line. The Go spec
+# lets a compiler fuse x*y + z into one rounding unless a float64(…)
+# conversion rounds the product first; amd64 never fuses, arm64 does, so
+# a fused site can move a golden byte on one architecture only. The
 # listing goes through printf, not echo: its data bytes hold sequences
 # such as \c, at which a POSIX sh echo stops printing.
-FMA_FILES = internal/alloc/alloc.go internal/fault/gen.go \
-	internal/load/load.go internal/sim/advance.go internal/stats/stats.go
-
 fma:
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags='cmpqos/...=-S' ./... 2>&1)" || \
 		{ echo "arm64 build failed:"; printf '%s\n' "$$asm" | grep -E '^[^[:space:]]+\.go:[0-9]+:'; exit 1; }; \
 	out="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]' | \
 		grep -oE '\([^)]*\.go:[0-9]+\)' | tr -d '()' | sed 's|^$(CURDIR)/||' | \
-		sort -u -t: -k1,1 -k2,2n | \
-		grep -vE '^($(subst $(eval) ,|,$(strip $(FMA_FILES)))):')"; \
+		sort -u -t: -k1,1 -k2,2n)"; \
 	if [ -n "$$out" ]; then \
 		echo "arm64 fuses a multiply-add at (round the product with float64(…)):"; \
 		echo "$$out"; exit 1; fi

@@ -1,88 +1,93 @@
 package main
 
 import (
-	"errors"
+	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"cmpqos/internal/cli"
 )
 
-// TestMain lets the test binary stand in for the command: re-executed
-// with QOSCTL_AS_MAIN set it runs main on its arguments, so a test can
-// observe the exit status and stderr of a usage error.
-func TestMain(m *testing.M) {
-	if os.Getenv("QOSCTL_AS_MAIN") != "" {
-		main()
-		os.Exit(cli.ExitOK)
-	}
-	os.Exit(m.Run())
+// ctl runs qosctl in process on args and returns its two streams and
+// exit status.
+func ctl(args ...string) (stdout, stderr string, code int) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return out.String(), errOut.String(), code
 }
 
-// runMain re-executes the test binary as qosctl on args and returns its
-// combined output and exit status.
-func runMain(t *testing.T, args ...string) (string, int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "QOSCTL_AS_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	switch {
-	case err == nil:
-		return string(out), cli.ExitOK
-	case errors.As(err, &exit):
-		return string(out), exit.ExitCode()
-	}
-	t.Fatalf("qosctl %v: %v", args, err)
-	return "", 0
-}
+const jobs = "../../examples/jobs.qos"
 
-// TestDispatchWithSimulate: -simulate runs the job file on one node, so
-// a placement strategy across nodes is a usage error there rather than
-// silently ignored; without -simulate the strategy places the file. So
-// are the flags the simulator would ignore — a -clock other than its
-// own, -negotiate — and a simulation flag without -simulate.
-func TestDispatchWithSimulate(t *testing.T) {
-	jobs := filepath.Join(t.TempDir(), "jobs.qos")
-	spec := "node count=2 cores=4 ways=16\n" +
-		"job name=db bench=bzip2 mode=strict preset=medium tw=500ms deadline=2.0\n"
-	if err := os.WriteFile(jobs, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	out, code := runMain(t, "-simulate", "-dispatch", "worstfit", jobs)
-	if code != cli.ExitUsage || !strings.Contains(out, "qosctl: -dispatch places across nodes; -simulate runs on one node") {
-		t.Errorf("-simulate -dispatch: exit %d, want %d and the usage message:\n%s", code, cli.ExitUsage, out)
-	}
-	for _, c := range []struct {
+// TestEveryFlag passes each flag once on the example job file and checks
+// what it changes in the schedule; the census at the end fails when a
+// flag the command defines is passed by no case.
+func TestEveryFlag(t *testing.T) {
+	cases := []struct {
 		args []string
-		msg  string
+		want []string // substrings of stdout
 	}{
-		{[]string{"-simulate", "-clock", "1GHz"}, "qosctl: -clock 1GHz: -simulate runs the paper's 2GHz core"},
-		{[]string{"-simulate", "-negotiate"}, "qosctl: -negotiate retries rejected jobs at admission; -simulate does not negotiate"},
-		{[]string{"-seeds", "3"}, "qosctl: -seeds needs -simulate"},
-		{[]string{"-instr", "5000000"}, "qosctl: -instr needs -simulate"},
-		{[]string{"-ctrl", "pid"}, "qosctl: -ctrl needs -simulate"},
-	} {
-		out, code := runMain(t, append(c.args, jobs)...)
-		if code != cli.ExitUsage || !strings.Contains(out, c.msg) {
-			t.Errorf("%v: exit %d, want %d and %q:\n%s", c.args, code, cli.ExitUsage, c.msg, out)
+		{[]string{jobs}, []string{"cluster: 2 node(s) of {cores:4 ways:16} at 2GHz\n", "\n3 accepted, 0 rejected\n"}},
+		{[]string{"-negotiate", jobs}, []string{"\n3 accepted, 0 rejected\n"}},
+		{[]string{"-clock", "1GHz", jobs}, []string{" at 1GHz\n", "\ncycles 0 .. 500000000 "}},
+		{[]string{"-dispatch", "worstfit", jobs}, []string{"\nbatch      Elastic(5%)        1 ", "\n3 accepted, 0 rejected\n"}},
+	}
+	passed := map[string]bool{}
+	for _, tc := range cases {
+		out, errOut, code := ctl(tc.args...)
+		if code != cli.ExitOK || errOut != "" {
+			t.Errorf("qosctl %v: exit %d, want %d; stderr %q", tc.args, code, cli.ExitOK, errOut)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("qosctl %v: stdout lacks %q:\n%s", tc.args, w, out)
+			}
+		}
+		for _, a := range tc.args {
+			if strings.HasPrefix(a, "-") {
+				passed[a] = true
+			}
 		}
 	}
-	out, code = runMain(t, "-simulate", "-clock", "2000MHz", "-negotiate=false", "-instr", "2000000", jobs)
-	if code != cli.ExitOK || !strings.Contains(out, "accepted 1 jobs") {
-		t.Errorf("-simulate at the simulator's clock: exit %d, want %d and the report:\n%s", code, cli.ExitOK, out)
+
+	_, usage, code := ctl("-h")
+	if code != cli.ExitOK {
+		t.Fatalf("qosctl -h: exit %d, want %d", code, cli.ExitOK)
 	}
-	out, code = runMain(t, "-dispatch", "nope", jobs)
-	if code != cli.ExitUsage || !strings.Contains(out, `unknown dispatcher "nope"`) {
-		t.Errorf("-dispatch nope: exit %d, want %d naming the dispatcher:\n%s", code, cli.ExitUsage, out)
+	defined := regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(usage, -1)
+	if len(defined) == 0 {
+		t.Fatalf("qosctl -h lists no flags:\n%s", usage)
 	}
-	out, code = runMain(t, "-dispatch", "worstfit", jobs)
-	if code != cli.ExitOK || !strings.Contains(out, "1 accepted, 0 rejected") {
-		t.Errorf("-dispatch worstfit: exit %d, want %d and the schedule:\n%s", code, cli.ExitOK, out)
+	for _, m := range defined {
+		if !passed[m[1]] {
+			t.Errorf("flag %s is passed by no case of this test", m[1])
+		}
+	}
+}
+
+// TestUsageErrors: a bad flag value or a missing job file argument is a
+// usage error (exit 2), an unreadable job file a failure (exit 1); each
+// writes nothing to stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-dispatch", "nope", jobs}, cli.ExitUsage, `unknown dispatcher "nope"`},
+		{[]string{"-clock", "nope", jobs}, cli.ExitUsage, `qosctl: bad clock "nope"`},
+		{[]string{}, cli.ExitUsage, "usage: qosctl"},
+		{[]string{"-simulate", jobs}, cli.ExitUsage, "flag provided but not defined: -simulate"},
+		{[]string{"no-such-file.qos"}, cli.ExitFailure, "qosctl: open no-such-file.qos"},
+	} {
+		out, errOut, code := ctl(tc.args...)
+		if code != tc.code || out != "" || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("qosctl %v: exit %d, stdout %q, stderr %q; want exit %d, no stdout, stderr naming %q",
+				tc.args, code, out, errOut, tc.code, tc.msg)
+		}
 	}
 }
 
@@ -102,7 +107,7 @@ func TestOversubPrintsAdmittedMode(t *testing.T) {
 		{"-negotiate=false", "accepted (oversubscribed)"},
 		{"-negotiate", "accepted (negotiated)"},
 	} {
-		out, code := runMain(t, "-dispatch", "oversub", c.flag, jobs)
+		out, _, code := ctl("-dispatch", "oversub", c.flag, jobs)
 		var line string
 		for _, l := range strings.Split(out, "\n") {
 			if strings.HasPrefix(l, "c ") {

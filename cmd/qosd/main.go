@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -32,30 +33,46 @@ import (
 
 const prog = "qosd"
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main on explicit arguments and streams: it returns the exit
+// code instead of exiting, so a test can check a usage error in process.
+// The daemon reports on stderr only; stdout stays empty.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8723", "listen address")
-		dir       = flag.String("dir", "", "durable state directory (WAL + snapshots); required")
-		cores     = flag.Int("cores", 4, "cores per node (fresh state directories only)")
-		ways      = flag.Int("ways", 16, "L2 ways per node (fresh state directories only)")
-		nodes     = flag.Int("nodes", 1, "CMP nodes fronted by the global admission controller")
-		clock     = flag.String("clock", "2GHz", "node clock for stamping arrivals (e.g. 2GHz)")
-		queue     = flag.Int("queue", 256, "admission queue bound; requests beyond it are shed with 503")
-		wait      = flag.Duration("wait", 100*time.Millisecond, "cap on any request's queue-wait budget")
-		degrade   = flag.Float64("degrade", 0.5, "queue fraction at which the shed ladder starts")
-		maxSlack  = flag.Float64("max-slack", 0.05, "Elastic slack offered on the renegotiation rung")
-		snapEvery = flag.Int("snapshot-every", 1024, "snapshot and rotate the WAL after this many records")
-		walMax    = flag.Int64("wal-max-bytes", 0, "also snapshot and rotate once the WAL exceeds this many bytes (0 = no byte bound)")
-		noSync    = flag.Bool("nosync", false, "skip the per-record fsync (benchmarks only: acked admits may be lost to a crash)")
-		downgrade = flag.Bool("autodowngrade", false, "enable §3.4 automatic mode downgrade on the nodes")
+		addr      = fs.String("addr", "127.0.0.1:8723", "listen address")
+		dir       = fs.String("dir", "", "durable state directory (WAL + snapshots); required")
+		cores     = fs.Int("cores", 4, "cores per node (fresh state directories only)")
+		ways      = fs.Int("ways", 16, "L2 ways per node (fresh state directories only)")
+		nodes     = fs.Int("nodes", 1, "CMP nodes fronted by the global admission controller")
+		clock     = fs.String("clock", "2GHz", "node clock for stamping arrivals (e.g. 2GHz)")
+		queue     = fs.Int("queue", 256, "admission queue bound; requests beyond it are shed with 503")
+		wait      = fs.Duration("wait", 100*time.Millisecond, "cap on any request's queue-wait budget")
+		degrade   = fs.Float64("degrade", 0.5, "queue fraction at which the shed ladder starts")
+		maxSlack  = fs.Float64("max-slack", 0.05, "Elastic slack offered on the renegotiation rung")
+		snapEvery = fs.Int("snapshot-every", 1024, "snapshot and rotate the WAL after this many records")
+		walMax    = fs.Int64("wal-max-bytes", 0, "also snapshot and rotate once the WAL exceeds this many bytes (0 = no byte bound)")
+		noSync    = fs.Bool("nosync", false, "skip the per-record fsync (benchmarks only: acked admits may be lost to a crash)")
+		downgrade = fs.Bool("autodowngrade", false, "enable §3.4 automatic mode downgrade on the nodes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return code
+	}
 	if *dir == "" {
-		cli.Usage(prog, "-dir is required")
+		return fail(cli.ExitUsage, errors.New("-dir is required"))
 	}
 	hz, err := cli.ParseClock(*clock)
 	if err != nil {
-		cli.Usage(prog, "%v", err)
+		return fail(cli.ExitUsage, err)
 	}
 
 	s, err := server.New(server.Config{
@@ -73,13 +90,13 @@ func main() {
 		AutoDowngrade: *downgrade,
 	})
 	if err != nil {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "%s: serving on %s (state: %s)\n", prog, *addr, *dir)
+		fmt.Fprintf(stderr, "%s: serving on %s (state: %s)\n", prog, *addr, *dir)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -88,9 +105,9 @@ func main() {
 	select {
 	case err := <-errc:
 		s.Close()
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "%s: %v — draining\n", prog, got)
+		fmt.Fprintf(stderr, "%s: %v — draining\n", prog, got)
 	case <-s.Drained():
 		// Drained over HTTP (POST /v1/drain): just stop serving.
 	}
@@ -98,9 +115,10 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
 	if drainErr != nil {
-		cli.Fail(prog, drainErr)
+		return fail(cli.ExitFailure, drainErr)
 	}
+	return cli.ExitOK
 }

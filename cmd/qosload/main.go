@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,6 @@ import (
 	"os/exec"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cmpqos/internal/cli"
@@ -41,36 +41,51 @@ import (
 
 const prog = "qosload"
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main on explicit arguments and streams: it returns the exit
+// code instead of exiting, so a test can check a usage error in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		url       = flag.String("url", "http://127.0.0.1:8723", "base URL of the daemon")
-		n         = flag.Int("n", 1000, "total submissions")
-		conc      = flag.Int("c", 8, "concurrent workers")
-		mix       = flag.String("mix", "strict,elastic,opportunistic", "comma-separated modes to rotate through")
-		cores     = flag.Int("cores", 1, "cores per request")
-		ways      = flag.Int("ways", 4, "L2 ways per request")
-		tw        = flag.Int64("tw", 1_000_000, "cycles reserved per admission")
-		deadline  = flag.Int64("deadline-in", 4_000_000_000, "cycles from arrival to deadline")
-		cancel    = flag.Bool("cancel", true, "cancel each admission immediately (steady-state churn; required for sustained load)")
-		retries   = flag.Int("retries", 3, "extra attempts after a shed or transport failure")
-		waitMS    = flag.Int64("wait-ms", 50, "per-request queue-wait budget sent to the daemon")
-		timeout   = flag.Duration("timeout", 5*time.Second, "per-attempt HTTP timeout")
-		seed      = flag.Int64("seed", 1, "seed for backoff jitter and chaos kill times")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
-		negotiate = flag.Bool("negotiate", false, "opt submissions in to the daemon's mode ladder")
+		url       = fs.String("url", "http://127.0.0.1:8723", "base URL of the daemon")
+		n         = fs.Int("n", 1000, "total submissions")
+		conc      = fs.Int("c", 8, "concurrent workers")
+		mix       = fs.String("mix", "strict,elastic,opportunistic", "comma-separated modes to rotate through")
+		cores     = fs.Int("cores", 1, "cores per request")
+		ways      = fs.Int("ways", 4, "L2 ways per request")
+		tw        = fs.Int64("tw", 1_000_000, "cycles reserved per admission")
+		deadline  = fs.Int64("deadline-in", 4_000_000_000, "cycles from arrival to deadline")
+		cancel    = fs.Bool("cancel", true, "cancel each admission immediately (steady-state churn; required for sustained load)")
+		retries   = fs.Int("retries", 3, "extra attempts after a shed or transport failure")
+		waitMS    = fs.Int64("wait-ms", 50, "per-request queue-wait budget sent to the daemon")
+		timeout   = fs.Duration("timeout", 5*time.Second, "per-attempt HTTP timeout")
+		seed      = fs.Int64("seed", 1, "seed for backoff jitter and chaos kill times")
+		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
+		negotiate = fs.Bool("negotiate", false, "opt submissions in to the daemon's mode ladder")
 
-		chaos = flag.Bool("chaos", false, "supervise a daemon and SIGKILL it mid-load")
-		qosd  = flag.String("qosd", "", "with -chaos: path to the qosd binary")
-		dir   = flag.String("dir", "", "with -chaos: daemon state directory")
-		addr  = flag.String("addr", "127.0.0.1:8723", "with -chaos: daemon listen address")
-		kills = flag.Int("kills", 2, "with -chaos: SIGKILLs over the run")
-		dargs = flag.String("qosd-args", "", "with -chaos: extra space-separated qosd flags")
+		chaos = fs.Bool("chaos", false, "supervise a daemon and SIGKILL it mid-load")
+		qosd  = fs.String("qosd", "", "with -chaos: path to the qosd binary")
+		dir   = fs.String("dir", "", "with -chaos: daemon state directory")
+		addr  = fs.String("addr", "127.0.0.1:8723", "with -chaos: daemon listen address")
+		kills = fs.Int("kills", 2, "with -chaos: SIGKILLs over the run")
+		dargs = fs.String("qosd-args", "", "with -chaos: extra space-separated qosd flags")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return code
+	}
 
-	cases := buildCases(*mix, *cores, *ways, *tw, *deadline, *negotiate)
-	if len(cases) == 0 {
-		cli.Usage(prog, "empty -mix %q", *mix)
+	cases, err := buildCases(*mix, *cores, *ways, *tw, *deadline, *negotiate)
+	if err != nil {
+		return fail(cli.ExitUsage, err)
 	}
 	cfg := load.Config{
 		BaseURL:     *url,
@@ -84,19 +99,31 @@ func main() {
 	}
 
 	if *chaos {
-		runChaos(cases, cfg, *qosd, *dir, *addr, *kills, *seed, *dargs, *jsonOut)
-		return
+		if *qosd == "" || *dir == "" {
+			return fail(cli.ExitUsage, errors.New("-chaos needs -qosd and -dir"))
+		}
+		d := &daemon{bin: *qosd, base: "http://" + *addr, stderr: stderr,
+			args: append([]string{"-addr", *addr, "-dir", *dir}, strings.Fields(*dargs)...)}
+		defer d.kill()
+		rep, err := runChaos(d, cases, cfg, *kills, *seed, stderr)
+		if err != nil {
+			return fail(cli.ExitFailure, err)
+		}
+		printReport(stdout, rep, *jsonOut)
+		return exitFor(rep)
 	}
 
 	rep, err := load.Run(context.Background(), cases, cfg)
 	if err != nil {
-		cli.Fail(prog, err)
+		return fail(cli.ExitFailure, err)
 	}
-	printReport(rep, *jsonOut)
-	os.Exit(exitFor(rep))
+	printReport(stdout, rep, *jsonOut)
+	return exitFor(rep)
 }
 
-func buildCases(mix string, cores, ways int, tw, deadline int64, negotiate bool) []load.Case {
+// buildCases turns -mix into one case per mode; an empty mix or an
+// unknown mode is an error.
+func buildCases(mix string, cores, ways int, tw, deadline int64, negotiate bool) ([]load.Case, error) {
 	var cases []load.Case
 	for _, m := range strings.Split(mix, ",") {
 		m = strings.TrimSpace(m)
@@ -112,11 +139,14 @@ func buildCases(mix string, cores, ways int, tw, deadline int64, negotiate bool)
 		case "opportunistic":
 			// Scavenger: no reservation, no deadline.
 		default:
-			cli.Usage(prog, "unknown mode %q in -mix", m)
+			return nil, fmt.Errorf("unknown mode %q in -mix", m)
 		}
 		cases = append(cases, c)
 	}
-	return cases
+	if len(cases) == 0 {
+		return nil, fmt.Errorf("empty -mix %q", mix)
+	}
+	return cases, nil
 }
 
 // exitFor maps a report to the documented exit codes: 4 when the
@@ -128,19 +158,19 @@ func exitFor(rep *load.Report) int {
 	return cli.ExitOK
 }
 
-func printReport(rep *load.Report, asJSON bool) {
+func printReport(w io.Writer, rep *load.Report, asJSON bool) {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
 		return
 	}
-	fmt.Printf("ran %v: %d admitted (%.1f/s), %d rejected, %d shed, %d unavailable, %d conflicts\n",
+	fmt.Fprintf(w, "ran %v: %d admitted (%.1f/s), %d rejected, %d shed, %d unavailable, %d conflicts\n",
 		rep.Duration.Round(time.Millisecond), rep.Admitted, rep.AdmitPerSec,
 		rep.Rejected, rep.Shed, rep.Unavailable, rep.Conflicts)
-	fmt.Println("case            sent  admit  degr  rej   shed  unavail      p50      p99     p999")
+	fmt.Fprintln(w, "case            sent  admit  degr  rej   shed  unavail      p50      p99     p999")
 	for _, c := range rep.Cases {
-		fmt.Printf("%-15s %5d  %5d %5d %4d  %5d  %7d  %7s  %7s  %7s\n",
+		fmt.Fprintf(w, "%-15s %5d  %5d %5d %4d  %5d  %7d  %7s  %7s  %7s\n",
 			c.Name, c.Sent, c.Admitted, c.Degraded, c.Rejected, c.Shed, c.Unavailable,
 			shortDur(c.P50), shortDur(c.P99), shortDur(c.P999))
 	}
@@ -155,41 +185,35 @@ func shortDur(d time.Duration) string {
 
 // ---- chaos mode ----
 
-// daemon supervises one qosd process.
+// daemon supervises one qosd process. Only the goroutine that runs
+// the chaos schedule touches it.
 type daemon struct {
-	bin, dir, addr string
-	extra          []string
-	mu             sync.Mutex
-	cmd            *exec.Cmd
+	bin, base string // the binary and its http://addr
+	args      []string
+	stderr    io.Writer
+	cmd       *exec.Cmd
 }
 
-func (d *daemon) start() error {
-	args := append([]string{"-addr", d.addr, "-dir", d.dir}, d.extra...)
-	cmd := exec.Command(d.bin, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+// kill SIGKILLs the daemon: no drain, no flush beyond the WAL.
+func (d *daemon) kill() {
+	if d.cmd != nil && d.cmd.Process != nil {
+		d.cmd.Process.Kill()
+	}
+}
+
+// restart kills the running daemon, if any, starts a fresh one on the
+// same state directory and waits until it answers /healthz.
+func (d *daemon) restart() error {
+	d.kill()
+	d.cmd = exec.Command(d.bin, d.args...)
+	d.cmd.Stderr = d.stderr
+	if err := d.cmd.Start(); err != nil {
 		return err
 	}
-	go cmd.Wait() // reap; exit status is irrelevant (we SIGKILL it)
-	d.mu.Lock()
-	d.cmd = cmd
-	d.mu.Unlock()
-	return nil
-}
-
-func (d *daemon) kill() {
-	d.mu.Lock()
-	cmd := d.cmd
-	d.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Kill() // SIGKILL: no drain, no flush beyond the WAL
-	}
-}
-
-func waitHealthy(base string, within time.Duration) error {
-	deadline := time.Now().Add(within)
+	go d.cmd.Wait() // reap; exit status is irrelevant (we SIGKILL it)
+	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(d.base + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -198,22 +222,16 @@ func waitHealthy(base string, within time.Duration) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return fmt.Errorf("daemon at %s not healthy within %v", base, within)
+	return fmt.Errorf("daemon at %s not healthy within 10s", d.base)
 }
 
-func runChaos(cases []load.Case, cfg load.Config, bin, dir, addr string, kills int, seed int64, extraArgs string, asJSON bool) {
-	if bin == "" || dir == "" {
-		cli.Usage(prog, "-chaos needs -qosd and -dir")
-	}
-	base := "http://" + addr
-	cfg.BaseURL = base
-	d := &daemon{bin: bin, dir: dir, addr: addr, extra: strings.Fields(extraArgs)}
-	if err := d.start(); err != nil {
-		cli.Fail(prog, err)
-	}
-	defer d.kill()
-	if err := waitHealthy(base, 10*time.Second); err != nil {
-		cli.Fail(prog, err)
+// runChaos runs the load against d, SIGKILLing and restarting it at
+// seeded instants and once more at the end, then audits the recovered
+// daemon against every acked grant.
+func runChaos(d *daemon, cases []load.Case, cfg load.Config, kills int, seed int64, stderr io.Writer) (*load.Report, error) {
+	cfg.BaseURL = d.base
+	if err := d.restart(); err != nil {
+		return nil, err
 	}
 
 	// Estimate the load duration from a conservative per-request cost so
@@ -232,63 +250,40 @@ func runChaos(cases []load.Case, cfg load.Config, bin, dir, addr string, kills i
 		defer close(done)
 		rep, runErr = load.Run(context.Background(), cases, cfg)
 	}()
+killing:
 	for _, at := range schedule {
 		select {
 		case <-done:
+			break killing
 		case <-time.After(time.Until(start.Add(at))):
 		}
-		if isDone(done) {
-			break
-		}
-		fmt.Fprintf(os.Stderr, "%s: chaos: SIGKILL daemon at t=%v\n", prog, time.Since(start).Round(time.Millisecond))
-		d.kill()
-		if err := d.start(); err != nil {
-			cli.Fail(prog, err)
-		}
-		if err := waitHealthy(base, 10*time.Second); err != nil {
-			cli.Fail(prog, err)
+		fmt.Fprintf(stderr, "%s: chaos: SIGKILL daemon at t=%v\n", prog, time.Since(start).Round(time.Millisecond))
+		if err := d.restart(); err != nil {
+			return nil, err
 		}
 	}
 	<-done
 	if runErr != nil {
-		cli.Fail(prog, runErr)
+		return nil, runErr
 	}
 
 	// One final crash+recovery before the audit: whatever the daemon
 	// holds now must be exactly what the WAL can reproduce.
-	d.kill()
-	if err := d.start(); err != nil {
-		cli.Fail(prog, err)
+	if err := d.restart(); err != nil {
+		return nil, err
 	}
-	if err := waitHealthy(base, 10*time.Second); err != nil {
-		cli.Fail(prog, err)
+	if err := auditGrants(d.base, rep.Grants); err != nil {
+		return nil, fmt.Errorf("chaos audit FAILED: %w", err)
 	}
-	if err := auditGrants(base, rep.Grants); err != nil {
-		d.kill()
-		fmt.Fprintf(os.Stderr, "%s: chaos audit FAILED: %v\n", prog, err)
-		os.Exit(cli.ExitFailure)
-	}
-	// os.Exit below skips the deferred kill; stop the daemon explicitly.
-	d.kill()
 	live := 0
 	for _, g := range rep.Grants {
 		if !g.Cancelled {
 			live++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "%s: chaos audit ok: %d acked grants (%d live) all survived %d kills, no double admissions\n",
+	fmt.Fprintf(stderr, "%s: chaos audit ok: %d acked grants (%d live) all survived %d kills, no double admissions\n",
 		prog, len(rep.Grants), live, kills+1)
-	printReport(rep, asJSON)
-	os.Exit(exitFor(rep))
-}
-
-func isDone(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
+	return rep, nil
 }
 
 // auditGrants cross-checks the client's acked grants against the

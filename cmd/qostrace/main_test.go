@@ -28,16 +28,19 @@ func TestEveryFlag(t *testing.T) {
 		args []string
 		want []string // substrings of stdout
 	}{
-		{[]string{"-instr", "50"}, []string{"All-Strict / bzip2 — 10 accepted jobs"}},
-		{[]string{"-instr", "50", "-policy", "hybrid2", "-workload", "mix1"}, []string{"Hybrid-2 / Mix-1"}},
+		{[]string{"-instr", "50"}, []string{"All-Strict / bzip2 (engine=table)\n  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-policy", "hybrid2", "-workload", "mix1"}, []string{"Hybrid-2 / Mix-1 (engine=table)\n"}},
+		{[]string{"-instr", "50", "-policy", "hybrid2", "-workload", "../../examples/jobs.qos"}, []string{"Hybrid-2 / jobfile (engine=table)\n  accepted 3 jobs"}},
 		{[]string{"-instr", "50", "-json"}, []string{`"policy": "All-Strict"`}},
 		{[]string{"-instr", "50", "-events"}, []string{"\nevent log:\n", "  submitted\n"}},
 		{[]string{"-instr", "50", "-series"}, []string{"\ntelemetry (cycle, running, waiting, reserved-ways, opp-jobs, bus-util):\n"}},
-		{[]string{"-instr", "50", "-faults", "0.5", "-fault-seed", "3"}, []string{"accepted jobs"}},
-		{[]string{"-instr", "50", "-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0], "-admit", sim.AdmissionNames()[0]}, []string{"accepted jobs"}},
+		{[]string{"-instr", "50", "-faults", "0.5", "-fault-seed", "3"}, []string{"  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0], "-admit", sim.AdmissionNames()[0]}, []string{"  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-ctrl", "pid"}, []string{"  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-seeds", "2", "-parallel", "0"}, []string{"--- seed 1 ---\nAll-Strict", "\n\n--- seed 2 ---\nAll-Strict"}},
 		{[]string{"-instr", "50", "-width", "30"}, []string{"\njob    1 met  |=                             |\n"}},
-		{[]string{"-instr", "50", "-seed", "2"}, []string{"accepted jobs"}},
-		{[]string{"-instr", "50", "-timeout", "1m"}, []string{"accepted jobs"}},
+		{[]string{"-instr", "50", "-seed", "2"}, []string{"  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-timeout", "1m"}, []string{"  accepted 10 jobs"}},
 	}
 	passed := map[string]bool{}
 	for _, tc := range cases {
@@ -76,8 +79,9 @@ func TestEveryFlag(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a bad name is a usage error (exit 2, nothing on
-// stdout); a bad fault rate fails the run (exit 1).
+// TestUsageErrors: a bad name or a stray argument is a usage error
+// (exit 2, nothing on stdout); a bad fault rate or a malformed job file
+// fails the run (exit 1).
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -87,7 +91,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-policy", "bogus"}, cli.ExitUsage, `qostrace: unknown policy "bogus"`},
 		{[]string{"-workload", "bogus"}, cli.ExitUsage, `qostrace: unknown workload "bogus"`},
 		{[]string{"-sched", "bogus"}, cli.ExitUsage, `unknown scheduler "bogus"`},
+		{[]string{"-ctrl", "bogus"}, cli.ExitUsage, `unknown controller "bogus"`},
 		{[]string{"-nope"}, cli.ExitUsage, "flag provided but not defined: -nope"},
+		{[]string{"../../examples/jobs.qos"}, cli.ExitUsage, `qostrace: unexpected argument "../../examples/jobs.qos" (a job file is -workload FILE)`},
+		{[]string{"-workload", "main.go"}, cli.ExitFailure, "qostrace: jobfile: line 1: malformed field"},
 		{[]string{"-instr", "50", "-faults", "-1"}, cli.ExitFailure, "qostrace: fault rate must be >= 0"},
 	} {
 		out, errOut, code := trace(tc.args...)

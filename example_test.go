@@ -11,8 +11,7 @@ import (
 // cache ways to Opportunistic ones.
 func ExampleSimulate() {
 	cfg := cmpqos.NewSimConfig(cmpqos.Hybrid2, cmpqos.SingleWorkload("bzip2"))
-	cfg.JobInstr = 10_000_000 // scaled for the example
-	cfg.StealIntervalInstr = 100_000
+	cfg.ScaleJobs(10_000_000) // scaled for the example
 	rep, err := cmpqos.Simulate(cfg)
 	if err != nil {
 		fmt.Println(err)

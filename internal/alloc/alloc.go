@@ -88,7 +88,7 @@ func UCP(demands []Demand, totalWays int) Allocation {
 			// Lookahead: the best utility-per-way over any span that
 			// still fits in the remaining budget.
 			for span := 1; span <= remaining; span++ {
-				gain := missesAt(d, out[i]) - missesAt(d, out[i]+span)
+				gain := float64(missesAt(d, out[i])) - float64(missesAt(d, out[i]+span))
 				util := gain / float64(span)
 				if util > bestUtil {
 					best, bestUtil, bestSpan = i, util, span
@@ -154,7 +154,7 @@ type Metrics struct {
 func Evaluate(demands []Demand, ways Allocation, totalWays int) Metrics {
 	m := Metrics{Ways: ways, MinSlowdown: 1e18}
 	for i, d := range demands {
-		m.TotalMPI += d.Profile.MPI(ways[i])
+		m.TotalMPI += float64(d.Profile.MPI(ways[i]))
 		s := slowdown(d, ways[i], totalWays)
 		m.Slowdowns = append(m.Slowdowns, s)
 		m.WeightedSpeed += 1 / s

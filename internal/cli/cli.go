@@ -1,7 +1,8 @@
 // Package cli holds the conventions shared by the five cmpqos commands
 // (qossim, qostrace, qosctl, qosd and qosload): the process exit codes
-// (documented in the README) and small helpers for the flags that
-// several commands implement identically, such as -timeout and -faults.
+// (documented in the README) and small helpers for the inputs that
+// several commands take identically, such as -timeout, -faults and a
+// job file.
 package cli
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"cmpqos/internal/fault"
+	"cmpqos/internal/jobfile"
 )
 
 // Exit codes common to every command.
@@ -35,18 +37,6 @@ const (
 	// daemon said not now" from "the tool broke".
 	ExitUnavailable = 4
 )
-
-// Fail prints "prog: err" to stderr and exits with ExitFailure.
-func Fail(prog string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	os.Exit(ExitFailure)
-}
-
-// Usage prints "prog: msg" to stderr and exits with ExitUsage.
-func Usage(prog, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "%s: %s\n", prog, fmt.Sprintf(format, args...))
-	os.Exit(ExitUsage)
-}
 
 // Context resolves a -timeout flag value into a context: zero means no
 // deadline (background). The returned cancel func must be called (or
@@ -82,6 +72,17 @@ func ParseFaultPlan(val string, seed int64, cores, ways int) (fault.Plan, error)
 		return fault.Plan{}, fmt.Errorf("%s: %w", val, err)
 	}
 	return p, nil
+}
+
+// ReadJobFile parses the batch-job file at path (internal/jobfile
+// syntax), the input of qosctl and of qostrace -workload FILE.
+func ReadJobFile(path string) (*jobfile.Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return jobfile.Parse(f)
 }
 
 // ParseClock resolves a -clock flag value like "2GHz", "800MHz", or a

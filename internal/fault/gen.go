@@ -31,7 +31,7 @@ func Generate(seed int64, rate float64, horizon int64, cores, ways int) Plan {
 	lambda := rate / 1e9 // events per cycle
 	at := int64(0)
 	for {
-		gap := -math.Log(1-r.Float64()) / lambda
+		gap := -math.Log(1-float64(r.Float64())) / lambda
 		at += int64(gap) + 1
 		if at >= horizon {
 			return p
@@ -79,7 +79,7 @@ func Generate(seed int64, rate float64, horizon int64, cores, ways int) Plan {
 				Kind:     LatencySpike,
 				At:       at,
 				Duration: horizon/64 + int64(r.Float64()*float64(horizon/16)),
-				Factor:   1.5 + 2.5*r.Float64(),
+				Factor:   1.5 + float64(2.5*r.Float64()),
 			}
 		}
 		p.Events = append(p.Events, e)
@@ -101,7 +101,7 @@ func KillTimes(seed int64, n int, horizon time.Duration) []time.Duration {
 	slice := float64(horizon) / float64(n)
 	out := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		at := time.Duration((float64(i) + r.Float64()) * slice)
+		at := time.Duration((float64(i) + float64(r.Float64())) * slice)
 		if at <= 0 {
 			at = 1
 		}

@@ -51,9 +51,9 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 	if j.Stealer != nil {
 		// CPIF at the fixed original allocation, with the curve lookup
 		// memoized at Stealer creation (j.mpifRes).
-		j.BaselineCycles += float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
+		j.BaselineCycles += float64(float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen))
 	} else {
-		j.BaselineCycles += float64(instr) * cpi
+		j.BaselineCycles += float64(float64(instr) * cpi)
 	}
 	r.runStealing(j, instr)
 	if r.cfg.EnforceWallClock && r.overBudget(j) {

@@ -44,7 +44,7 @@ func (s *Summary) Add(x float64) {
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.m2 += float64(delta * (x - s.mean))
 }
 
 // Merge folds another summary into s.
