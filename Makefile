@@ -111,7 +111,11 @@ fuzz:
 # the two closed-loop gates: the feedback smoke (pid must not break
 # more promises than static under the same storms) and the -ctrl
 # static golden identity (the nil controller reproduces the open-loop
-# pipeline byte for byte).
+# pipeline byte for byte). Last come the paper-scale goldens: the
+# registry rendered once at workers 1, checked against a workers-4,
+# an uncached and a warm re-render, its CSV exports against
+# internal/experiments/testdata/csv_golden.txt, and its text, through
+# `qossim -exp all`, against RESULTS.txt.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit' -benchtime=1x -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterDispatch' -benchtime=1x -benchmem -timeout 10m .
@@ -119,7 +123,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRepeatAdd' -benchtime=1x -timeout 10m ./internal/sim
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
-	$(GO) test -run 'TestRegistryGolden' -count=1 ./internal/experiments
+	$(GO) test -run 'TestGoldenTablesCacheOnVsOff|TestCSVExports' -count=1 ./internal/experiments
+	$(GO) test -run 'TestResultsFileMatchesRun' -count=1 ./cmd/qossim
 
 # bench-check runs the smoke tests of the repository benchmark (bench/ is
 # its own module, so `make test` never sees it): every workload for a

@@ -181,8 +181,10 @@ func TestRunExperimentsRunsPastAFailure(t *testing.T) {
 // prints today, at the paper's 200M-instruction scale: the run's text is
 // byte-stable across runs, binaries and -parallel apart from the
 // `[name completed in d]` lines, so with those dropped from both sides
-// the checked-in file is a diffable golden for every number the
-// documents quote. To regenerate: go run ./cmd/qossim -exp all > RESULTS.txt
+// the checked-in file is the golden of every experiment's text and of
+// every number the documents quote. A failure names the experiment
+// whose section holds the first differing line, and that line's number
+// in RESULTS.txt.
 func TestResultsFileMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at paper scale (~5 s)")
@@ -196,26 +198,44 @@ func TestResultsFileMatchesRun(t *testing.T) {
 	if failed := runExperiments(experiments.Registry(), opts, &out); len(failed) > 0 {
 		t.Fatalf("experiments failed: %v", failed)
 	}
-	untimed := func(text []byte) []string {
-		var lines []string
-		for _, l := range strings.Split(string(text), "\n") {
-			if !(strings.HasPrefix(l, "[") && strings.Contains(l, " completed in ")) {
-				lines = append(lines, l)
+	// untimed drops the timing lines and keeps, for each other line, its
+	// number in text and the experiment whose `[name completed in d]`
+	// line closes its section.
+	type line struct {
+		text, section string
+		num           int
+	}
+	completed := regexp.MustCompile(`^\[(\S+) completed in `)
+	untimed := func(text []byte) []line {
+		var lines []line
+		open := 0 // first line of the section not yet closed
+		for i, l := range strings.Split(string(text), "\n") {
+			if m := completed.FindStringSubmatch(l); m != nil {
+				for j := open; j < len(lines); j++ {
+					lines[j].section = m[1] + "'s section"
+				}
+				open = len(lines)
+				continue
 			}
+			lines = append(lines, line{text: l, section: "the text after the last experiment", num: i + 1})
 		}
 		return lines
 	}
 	got, exp := untimed(out.Bytes()), untimed(want)
-	line := func(lines []string, i int) string {
+	at := func(lines []line, i int) line {
 		if i < len(lines) {
 			return lines[i]
 		}
-		return "<end of text>"
+		return line{text: "<end of text>", section: "past the end", num: len(strings.Split(string(want), "\n")) + 1}
 	}
 	for i := 0; i < max(len(got), len(exp)); i++ {
-		if g, e := line(got, i), line(exp, i); g != e {
-			t.Fatalf("`qossim -exp all` and RESULTS.txt part at line %d (timing lines dropped; %d vs %d lines)\nrun:  %q\nfile: %q",
-				i+1, len(got), len(exp), g, e)
+		if g, e := at(got, i), at(exp, i); g.text != e.text {
+			section := e.section
+			if i >= len(exp) {
+				section = g.section
+			}
+			t.Fatalf("RESULTS.txt line %d (%s) differs from `qossim -exp all` (timing lines dropped)\nrun:  %q\nfile: %q\nif the change means to move it, regenerate: go run ./cmd/qossim -exp all > RESULTS.txt",
+				e.num, section, g.text, e.text)
 		}
 	}
 }

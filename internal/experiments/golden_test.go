@@ -2,139 +2,287 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"cmpqos/internal/sim"
 )
 
-// updateGolden regenerates testdata/registry_golden.txt from the current
-// code. The checked-in file was produced by the pre-refactor engine, so
-// running the test without the flag proves the policy-pipeline
-// decomposition is byte-identical for the default policies.
-var updateGolden = flag.Bool("update-registry-golden", false,
-	"rewrite testdata/registry_golden.txt with the current outputs")
+// update regenerates csvGoldenPath from the current code.
+var update = flag.Bool("update", false, "rewrite "+csvGoldenPath+" with the current CSV exports")
 
-const goldenPath = "testdata/registry_golden.txt"
+// csvGoldenPath holds every CSV export of the paper-scale render, each
+// after a "# name" line, in registry order. The text of every entry is
+// pinned by RESULTS.txt at the repository root (cmd/qossim's
+// TestResultsFileMatchesRun).
+const csvGoldenPath = "testdata/csv_golden.txt"
 
-// goldenSkip lists registry entries excluded from the golden sweep.
-// (Currently empty: every experiment, including the policies sweep, is
-// deterministic at default options.)
-var goldenSkip = map[string]bool{}
+// paperRuns is the one run cache the paper-scale render and every shape
+// test share, on purpose: the shape tests read the render's grids
+// through their typed results, as the experiments of one qossim process
+// read each other's, so they simulate nothing the render did not.
+var paperRuns = sim.NewRunCache()
 
-// registryHashes renders every experiment (text, and CSV where
-// exported) with the given options and returns artifact-name -> sha256.
-func registryHashes(t *testing.T, o Options) map[string]string {
-	t.Helper()
-	hashes := map[string]string{}
+// paperOpts are the options of `qossim -exp all`: the paper's 200 M
+// instructions per job, the table engine, one worker, one shared cache.
+func paperOpts() Options { return Options{Workers: 1, Cache: paperRuns} }
+
+// cacheAblations are the two entries that drive the cache model
+// directly: they run no simulation, so no run cache serves them, and
+// they cost more than every other entry together.
+var cacheAblations = map[string]bool{"ablation-partition": true, "ablation-sampling": true}
+
+// renderedNames lists the entries the paper-scale render covers: the
+// whole registry, or in -short the five that reuse fig5's grid.
+func renderedNames() []string {
+	if testing.Short() {
+		return []string{"fig5", "fig6", "fig7", "frag", "lac"}
+	}
+	var names []string
 	for _, r := range Registry() {
-		if goldenSkip[r.Name] {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := r.Run(o, &buf); err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		hashes[r.Name] = hex.EncodeToString(sum[:])
-		if tab, err := CSVResult(r.Name, o); err == nil {
-			var cb bytes.Buffer
-			if err := WriteCSV(&cb, tab); err != nil {
-				t.Fatalf("%s csv: %v", r.Name, err)
-			}
-			csum := sha256.Sum256(cb.Bytes())
-			hashes[r.Name+".csv"] = hex.EncodeToString(csum[:])
-		}
+		names = append(names, r.Name)
 	}
-	return hashes
+	return names
 }
 
-func renderHashes(h map[string]string) []byte {
-	names := make([]string, 0, len(h))
-	for n := range h {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s  %s\n", h[n], n)
-	}
-	return []byte(b.String())
+// rendering is one entry's output: its text, and its CSV export (nil
+// when the entry has none or when it was not asked for).
+type rendering struct {
+	text, csv []byte
 }
 
-func parseGolden(t *testing.T, data []byte) map[string]string {
+// renderEntry runs one registry entry under o through Run and, when
+// withCSV is set and the entry exports one, CSVResult.
+func renderEntry(name string, o Options, withCSV bool) (rendering, error) {
+	r, ok := Lookup(name)
+	if !ok {
+		return rendering{}, fmt.Errorf("%s: not registered", name)
+	}
+	var text bytes.Buffer
+	if err := r.Run(o, &text); err != nil {
+		return rendering{}, fmt.Errorf("%s: %w", name, err)
+	}
+	if text.Len() == 0 {
+		return rendering{}, fmt.Errorf("%s produced no output", name)
+	}
+	out := rendering{text: text.Bytes()}
+	if withCSV && r.table != nil {
+		tab, err := CSVResult(name, o)
+		if err != nil {
+			return rendering{}, fmt.Errorf("%s csv: %w", name, err)
+		}
+		var csv bytes.Buffer
+		if err := WriteCSV(&csv, tab); err != nil {
+			return rendering{}, fmt.Errorf("%s csv: %w", name, err)
+		}
+		out.csv = csv.Bytes()
+	}
+	return out, nil
+}
+
+// paperAblations computes the two cache-model ablations once per test
+// binary, at workers 1: the paper-scale render prints these results and
+// TestAblations reads them, so neither computes them again.
+var paperAblations = sync.OnceValue(func() (a struct {
+	partition *AblationPartitionResult
+	sampling  *AblationSamplingResult
+}) {
+	a.partition = AblationPartition(paperOpts())
+	a.sampling = AblationSampling(paperOpts())
+	return a
+})
+
+// paperRender renders the registry once per test binary under
+// paperOpts, every entry's text and CSV bytes by name. The two cache
+// ablations print paperAblations' results.
+var paperRender = sync.OnceValues(func() (map[string]rendering, error) {
+	out := map[string]rendering{}
+	for _, name := range renderedNames() {
+		var r rendering
+		var err error
+		switch name {
+		case "ablation-partition":
+			r = textOf(paperAblations().partition)
+		case "ablation-sampling":
+			r = textOf(paperAblations().sampling)
+		default:
+			r, err = renderEntry(name, paperOpts(), true)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[name] = r
+	}
+	return out, nil
+})
+
+// textOf renders an experiment result that exports no CSV.
+func textOf(res interface{ Render(io.Writer) }) rendering {
+	var text bytes.Buffer
+	res.Render(&text)
+	return rendering{text: text.Bytes()}
+}
+
+// paperRendering returns the memoized paper-scale render, failing t if
+// any entry failed.
+func paperRendering(t *testing.T) map[string]rendering {
 	t.Helper()
-	out := map[string]string{}
-	for ln, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("golden line %d malformed: %q", ln+1, line)
-		}
-		out[fields[1]] = fields[0]
+	out, err := paperRender()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-// TestRegistryGolden runs the full experiment registry with the default
-// policy combination and asserts every rendered table and CSV is
-// byte-identical to the checked-in pre-refactor hashes, at workers 1
-// and 4. The run cache is shared across the two passes (a memoized
-// report renders identically by construction; what this test pins is
-// the simulation output itself).
-func TestRegistryGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry sweep; skipped in -short")
+// firstDiff finds the first line at which got and want part: its
+// 1-based number and the two lines, "<end of text>" past either end.
+// ok is false when they are equal.
+func firstDiff(got, want []byte) (line int, g, w string, ok bool) {
+	if bytes.Equal(got, want) {
+		return 0, "", "", false
 	}
-	cache := sim.NewRunCache()
-	got := registryHashes(t, Options{Workers: 1, Cache: cache})
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of text>"
+	}
+	for i := 0; ; i++ {
+		if g, w := at(gl, i), at(wl, i); g != w || i >= len(gl) || i >= len(wl) {
+			return i + 1, g, w, true
+		}
+	}
+}
 
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+// sameBytes reports, under label, the first line at which got parts
+// from the paper-scale render's want.
+func sameBytes(t *testing.T, label string, got, want []byte) {
+	t.Helper()
+	if n, g, w, ok := firstDiff(got, want); ok {
+		t.Errorf("%s differs from the paper-scale render at line %d:\n got  %q\n want %q", label, n, g, w)
+	}
+}
+
+// TestGoldenTablesCacheOnVsOff checks the paper-scale render three
+// ways, entry by entry: every text and CSV is byte-identical rendered
+// again at 4 workers through a fresh cache shared across the entries
+// (the mapMeasure and sim.RunAll fan-outs, and a cache filled by one
+// worker pool read by the next entry's); every text but the two cache
+// ablations' is byte-identical rendered with no cache at one worker
+// (every simulation executed); and a re-render from the warm cache
+// gives the same bytes and memoizes no new run. (The engine's own
+// caches are pinned per config shape in internal/sim:
+// TestPlanCacheByteIdentity, TestEventSkipByteIdentity.)
+func TestGoldenTablesCacheOnVsOff(t *testing.T) {
+	want := paperRendering(t)
+	shared := sim.NewRunCache()
+	for _, name := range renderedNames() {
+		t.Run(name, func(t *testing.T) {
+			w := want[name]
+			w4, err := renderEntry(name, Options{Workers: 4, Cache: shared}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBytes(t, "text at workers 4", w4.text, w.text)
+			sameBytes(t, "CSV at workers 4", w4.csv, w.csv)
+			if cacheAblations[name] {
+				return
+			}
+			uncached, err := renderEntry(name, Options{Workers: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBytes(t, "uncached text", uncached.text, w.text)
+			before := paperRuns.Len()
+			warm, err := renderEntry(name, paperOpts(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBytes(t, "warm-cache text", warm.text, w.text)
+			sameBytes(t, "warm-cache CSV", warm.csv, w.csv)
+			if got := paperRuns.Len(); got != before {
+				t.Errorf("warm re-render memoized %d new runs, want 0", got-before)
+			}
+		})
+	}
+}
+
+// csvGolden lays the paper-scale render's CSV exports out as
+// csvGoldenPath holds them.
+func csvGolden(renders map[string]rendering) []byte {
+	var b bytes.Buffer
+	for _, r := range Registry() {
+		if csv := renders[r.Name].csv; csv != nil {
+			fmt.Fprintf(&b, "# %s\n", r.Name)
+			b.Write(csv)
+		}
+	}
+	return b.Bytes()
+}
+
+// parseCSVGolden splits csvGoldenPath's bytes into one CSV per entry.
+func parseCSVGolden(data []byte) (map[string][]byte, error) {
+	out := map[string][]byte{}
+	var name string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# "); ok {
+			name = strings.TrimSuffix(rest, "\n")
+			out[name] = []byte{}
+			continue
+		}
+		if name == "" {
+			if line == "" {
+				continue
+			}
+			return nil, fmt.Errorf("%s: %q before the first # name line", csvGoldenPath, line)
+		}
+		out[name] = append(out[name], line...)
+	}
+	return out, nil
+}
+
+// checkCSVGolden holds the render's CSV exports to csvGoldenPath, or
+// rewrites the file under -update. A failure names <entry>.csv and its
+// first differing row (row 1 is the header).
+func checkCSVGolden(t *testing.T, renders map[string]rendering) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(csvGoldenPath, csvGolden(renders), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, renderHashes(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d artifacts)", goldenPath, len(got))
+		t.Logf("wrote %s", csvGoldenPath)
 		return
 	}
-
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(csvGoldenPath)
 	if err != nil {
-		t.Fatalf("missing golden (run with -update-registry-golden): %v", err)
+		t.Fatal(err)
 	}
-	want := parseGolden(t, data)
-	check := func(t *testing.T, got map[string]string) {
-		t.Helper()
-		for name, h := range want {
-			if goldenSkip[name] || goldenSkip[strings.TrimSuffix(name, ".csv")] {
-				continue
-			}
-			g, ok := got[name]
-			if !ok {
-				t.Errorf("%s: missing from current registry", name)
-				continue
-			}
-			if g != h {
-				t.Errorf("%s: output changed: got %s want %s", name, g, h)
+	want, err := parseCSVGolden(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const regen = "regenerate with go test ./internal/experiments -run TestCSVExports -update"
+	for _, r := range Registry() {
+		got, ok := renders[r.Name].csv, want[r.Name] != nil
+		switch {
+		case got == nil && ok:
+			t.Errorf("%s.csv: in %s, but the entry exports no CSV; %s", r.Name, csvGoldenPath, regen)
+		case got != nil && !ok:
+			t.Errorf("%s.csv: not in %s; %s", r.Name, csvGoldenPath, regen)
+		case got != nil:
+			if n, g, w, diff := firstDiff(got, want[r.Name]); diff {
+				t.Errorf("%s.csv row %d differs from %s:\n got  %q\n want %q\n%s", r.Name, n, csvGoldenPath, g, w, regen)
 			}
 		}
-		for name := range got {
-			if _, ok := want[name]; !ok {
-				t.Errorf("%s: not in golden; regenerate with -update-registry-golden", name)
-			}
-		}
+		delete(want, r.Name)
 	}
-	check(t, got)
-
-	t.Run("workers4", func(t *testing.T) {
-		check(t, registryHashes(t, Options{Workers: 4, Cache: cache}))
-	})
+	for name := range want {
+		t.Errorf("%s.csv: in %s, but no registry entry has that name; %s", name, csvGoldenPath, regen)
+	}
 }

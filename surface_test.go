@@ -812,11 +812,14 @@ func receiverType(fn *types.Func) *types.Named {
 // TestDocCitations holds README.md, DESIGN.md and EXPERIMENTS.md to
 // the tree: every Test / Benchmark / Fuzz / Example identifier they
 // cite is a function in some _test.go file of the repository. The CI
-// workflow and the Makefile cite names in -run / -bench patterns, which
-// go test matches unanchored, so a pattern naming a renamed test passes
-// silently: there a cited name must be a prefix of some test function.
+// workflow and the Makefile cite names in the -run / -bench / -fuzz
+// patterns of go test lines, which go test matches unanchored against
+// the packages that line names, so a pattern naming a renamed or moved
+// test passes silently: there a cited name must be a prefix of some
+// test function in a package of the same line.
 func TestDocCitations(t *testing.T) {
 	funcs := map[string]bool{}
+	inDir := map[string][]string{} // package directory -> its test functions
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -835,6 +838,7 @@ func TestDocCitations(t *testing.T) {
 		for _, d := range f.Decls {
 			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
 				funcs[fn.Name.Name] = true
+				inDir[filepath.Dir(path)] = append(inDir[filepath.Dir(path)], fn.Name.Name)
 			}
 		}
 		return nil
@@ -842,10 +846,30 @@ func TestDocCitations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixes := func(name string) bool {
-		for fn := range funcs {
-			if strings.HasPrefix(fn, name) {
-				return true
+	// onLine reports whether name prefixes a test function of a package
+	// the go test command on line names: "." and "./dir" name one
+	// directory, a trailing "/..." every directory under it.
+	goTest := regexp.MustCompile(`(?:\$\(GO\)|\bgo) test\b(.*)`)
+	onLine := func(name, line string) bool {
+		m := goTest.FindStringSubmatch(line)
+		if m == nil {
+			return false
+		}
+		for _, arg := range strings.Fields(m[1]) {
+			if arg != "." && !strings.HasPrefix(arg, "./") {
+				continue
+			}
+			dir, tree := strings.CutSuffix(arg, "/...")
+			dir = filepath.Clean(dir)
+			for d, fns := range inDir {
+				if d != dir && !(tree && (dir == "." || strings.HasPrefix(d, dir+"/"))) {
+					continue
+				}
+				for _, fn := range fns {
+					if strings.HasPrefix(fn, name) {
+						return true
+					}
+				}
 			}
 		}
 		return false
@@ -853,11 +877,11 @@ func TestDocCitations(t *testing.T) {
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z]\w*`)
 	for _, c := range []struct {
 		files  []string
-		found  func(string) bool
+		found  func(name, line string) bool
 		advice string
 	}{
-		{[]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, func(name string) bool { return funcs[name] }, "which no _test.go file defines"},
-		{[]string{".github/workflows/ci.yml", "Makefile"}, prefixes, "which is the prefix of no function in a _test.go file"},
+		{[]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, func(name, _ string) bool { return funcs[name] }, "which no _test.go file defines"},
+		{[]string{".github/workflows/ci.yml", "Makefile"}, onLine, "which is the prefix of no test function in a package that line's go test names"},
 	} {
 		for _, file := range c.files {
 			text, err := os.ReadFile(file)
@@ -866,7 +890,7 @@ func TestDocCitations(t *testing.T) {
 			}
 			for i, line := range strings.Split(string(text), "\n") {
 				for _, name := range cited.FindAllString(line, -1) {
-					if !c.found(name) {
+					if !c.found(name, line) {
 						t.Errorf("%s:%d cites %s, %s", file, i+1, name, c.advice)
 					}
 				}
