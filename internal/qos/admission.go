@@ -106,23 +106,26 @@ type LAC struct {
 	// Modeled controller occupancy (§7.5): the LAC is a user-level
 	// program whose admission tests and scheduling cost cycles
 	// proportional to the live reservation count.
-	probeBaseCycles  int64
-	probePerResCycle int64
-	overheadCycles   int64
-	probes           int64
-	admits           int64
-	rejects          int64
+	overheadCycles int64
+	probes         int64
+	admits         int64
+	rejects        int64
 }
+
+// The modeled cost of one admission test (§7.5): a fixed part plus a
+// part per live reservation the test reasons past.
+const (
+	probeBaseCycles  = 2000
+	probePerResCycle = 200
+)
 
 // NewLAC builds a Local Admission Controller for a node with the given
 // capacity (for the paper's node: 4 cores, 16 ways).
 func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
-		timeline:         NewTimeline(capacity),
-		oppPerCore:       OpportunisticPerCore,
-		resByJob:         make(map[int][]int),
-		probeBaseCycles:  2000,
-		probePerResCycle: 200,
+		timeline:   NewTimeline(capacity),
+		oppPerCore: OpportunisticPerCore,
+		resByJob:   make(map[int][]int),
 	}
 	for _, o := range opts {
 		o(l)
@@ -159,7 +162,7 @@ func (l *LAC) Headroom() int { return l.headroomWays }
 // charge accrues the modeled controller occupancy for one admission test.
 func (l *LAC) charge() {
 	l.probes++
-	l.overheadCycles += l.probeBaseCycles + l.probePerResCycle*int64(l.timeline.Len())
+	l.overheadCycles += probeBaseCycles + probePerResCycle*int64(l.timeline.Len())
 }
 
 // OverheadCycles returns the cycles the modeled LAC has spent on

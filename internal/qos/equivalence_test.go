@@ -201,6 +201,7 @@ func FuzzTimelineEquivalence(f *testing.F) {
 		long = append(long, byte(i*5), byte(i*13+128), byte(i*7), byte(i%11), byte(i*3), byte(i))
 	}
 	f.Add(long)
+	f.Add(memoStream(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			data = data[:2048]
@@ -211,7 +212,8 @@ func FuzzTimelineEquivalence(f *testing.F) {
 
 // TestTimelineEquivalenceRandom runs the same differential harness on
 // seeded pseudo-random streams in every plain `go test` invocation, so
-// coverage does not depend on running the fuzzer.
+// coverage does not depend on running the fuzzer, and on memoStream's
+// repeated-shape streams, which exercise the fit memo.
 func TestTimelineEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -220,7 +222,42 @@ func TestTimelineEquivalenceRandom(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runEquivalence(t, data)
 		})
+		t.Run(fmt.Sprintf("memo/seed=%d", seed), func(t *testing.T) {
+			runEquivalence(t, memoStream(seed))
+		})
 	}
+}
+
+// memoStream is a differential op stream that keeps returning to the
+// same fit shapes: two vectors and two durations, a shape kept for
+// several queries in a row, arrival times that mostly climb and often
+// fall back, fits far more often than releases. Random streams almost
+// never ask the same (vec, dur) twice, so they leave the Timeline's fit
+// memo — its reuse, its merging, its invalidation — nearly untested;
+// these streams hit it on most queries.
+func memoStream(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{3, 15} // 4 cores, 16 ways
+	now, cores, ways, dur := 0, 0, 3, 2
+	for i := 0; i < 150; i++ {
+		kind := byte(0) // EarliestFit
+		switch rng.Intn(12) {
+		case 0, 1, 2:
+			kind = 2 // LatestFit
+		case 3:
+			kind = byte(3 + rng.Intn(2)) // release, or complete
+		}
+		if rng.Intn(4) == 0 {
+			cores, ways, dur = rng.Intn(2), []int{3, 6}[rng.Intn(2)], []int{2, 5}[rng.Intn(2)]
+		}
+		if rng.Intn(3) == 0 {
+			now = max(now-rng.Intn(30), 0)
+		} else {
+			now = min(now+rng.Intn(8), 255)
+		}
+		data = append(data, kind, byte(cores), byte(ways), byte(now), byte(dur), byte(rng.Intn(256)))
+	}
+	return data
 }
 
 // TestSetCapacityEvictionOrder pins the §5-derived fault-eviction

@@ -176,39 +176,39 @@ func mayExceed(base uvec, sub *profNode, limit uvec) bool {
 	return false
 }
 
-// profile is the treap of boundary nodes plus the deterministic
-// priority stream (SplitMix64) that keeps its shape reproducible.
+// profile is the treap of boundary nodes. Its priorities come from the
+// Timeline's deterministic stream (SplitMix64), which keeps its shape
+// reproducible.
 type profile struct {
 	root *profNode
-	rng  splitmix.Rand
 }
 
 // update applies one edge mutation at key: delta += d, refs += dref.
-// It inserts the boundary when absent (dref > 0) and removes it when
-// the reference count drains to zero.
-func (p *profile) update(key int64, d uvec, dref int32) {
-	p.root = p.upd(p.root, key, d, dref)
+// It inserts the boundary when absent (dref > 0), drawing its priority
+// from rng, and removes it when the reference count drains to zero.
+func (p *profile) update(key int64, d uvec, dref int32, rng *splitmix.Rand) {
+	p.root = p.upd(p.root, key, d, dref, rng)
 }
 
-func (p *profile) upd(n *profNode, key int64, d uvec, dref int32) *profNode {
+func (p *profile) upd(n *profNode, key int64, d uvec, dref int32, rng *splitmix.Rand) *profNode {
 	if n == nil {
 		if dref <= 0 {
 			panic("qos: usage-profile edge underflow (release of an unknown boundary)")
 		}
 		// The high half of the draw: a 32-bit priority packs beside refs,
 		// keeping the node in the 160-byte size class.
-		nn := &profNode{key: key, prio: uint32(p.rng.Uint64() >> 32), refs: dref, delta: d}
+		nn := &profNode{key: key, prio: uint32(rng.Uint64() >> 32), refs: dref, delta: d}
 		nn.pull()
 		return nn
 	}
 	switch {
 	case key < n.key:
-		n.left = p.upd(n.left, key, d, dref)
+		n.left = p.upd(n.left, key, d, dref, rng)
 		if n.left != nil && n.left.prio > n.prio {
 			n = rotRight(n)
 		}
 	case key > n.key:
-		n.right = p.upd(n.right, key, d, dref)
+		n.right = p.upd(n.right, key, d, dref, rng)
 		if n.right != nil && n.right.prio > n.prio {
 			n = rotLeft(n)
 		}

@@ -25,8 +25,7 @@ func (t *Timeline) Render(from, to int64, width int) string {
 	// One availability walk covers the window; each bucket's peak usage
 	// is the max over the steps it intersects (usage is piecewise
 	// constant, and ends inside a bucket can only lower it).
-	steps := t.AppendAvailability(t.avScratch[:0], from, to)
-	t.avScratch = steps
+	steps := t.Availability(from, to)
 
 	type dim struct {
 		name string

@@ -68,15 +68,15 @@ func (n *resNode) pull() {
 	}
 }
 
-// resIndex is the treap plus its deterministic priority stream.
+// resIndex is the reservation treap.
 type resIndex struct {
 	root *resNode
-	rng  splitmix.Rand
 }
 
-// insert attaches the fresh node nn into the treap.
-func (ix *resIndex) insert(nn *resNode) {
-	nn.prio = ix.rng.Uint64()
+// insert attaches the fresh node nn into the treap, drawing its
+// priority from rng.
+func (ix *resIndex) insert(nn *resNode, rng *splitmix.Rand) {
+	nn.prio = rng.Uint64()
 	ix.root = resIns(ix.root, nn)
 }
 

@@ -47,19 +47,34 @@ func (r *Runner) processArrivals(epochEnd int64) {
 		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
 		r.nextArr = r.arrivals.Next()
 	}
-	for r.nextArr < epochEnd && r.acceptedN < r.cfg.AcceptTarget {
-		ta := r.nextArr
-		if ta < r.now {
-			ta = r.now
+	for {
+		if _, ok, _ := r.admitNext(epochEnd); !ok {
+			return
 		}
-		// The workload composition describes the *accepted* jobs (Table 2's
-		// percentages and Table 3's mixes are over the ten-job workload):
-		// slot k of the composition is retried on every submission until a
-		// job is accepted into it.
-		tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
-		r.submitTemplate(tmpl, r.dlmix.Next(), ta)
-		r.nextArr = r.arrivals.Next()
 	}
+}
+
+// admitNext submits the next Poisson arrival if it is stamped before
+// end and the accept target is still open. It returns the arrival's
+// instant, whether there was one to submit, and whether it was
+// accepted. The fast-forward calls it too, with a window's end, for the
+// arrivals inside a proved window (steadyAttempt).
+func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
+	if r.nextArr >= end || r.acceptedN >= r.cfg.AcceptTarget {
+		return 0, false, false
+	}
+	ta = r.nextArr
+	if ta < r.now {
+		ta = r.now
+	}
+	// The workload composition describes the *accepted* jobs (Table 2's
+	// percentages and Table 3's mixes are over the ten-job workload):
+	// slot k of the composition is retried on every submission until a
+	// job is accepted into it.
+	tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
+	accepted = r.submitTemplate(tmpl, r.dlmix.Next(), ta)
+	r.nextArr = r.arrivals.Next()
+	return ta, true, accepted
 }
 
 // admitRequest fills the runner's scratch RUM for one admission attempt

@@ -118,7 +118,9 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 //     ReservedRunning test and its bus-priority penalty constant;
 //   - the next fault instant (applyFaults fires strictly below the
 //     epoch end, so k epochs are silent iff the next point is ≥ now+kE);
-//   - the next arrival (scripted or Poisson; cluster nodes receive
+//   - the next scripted arrival, or a Poisson arrival in the current
+//     epoch (later Poisson arrivals are admitted by admitWindow and
+//     only an acceptance ends the window; cluster nodes receive
 //     arrivals externally and are horizon-capped by the cluster);
 //   - the next reservation boundary in the LAC timeline (defense in
 //     depth: the reserved-resource profile is constant inside the
@@ -191,9 +193,11 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 			if r.arrivals == nil {
 				return 0 // cursor not materialized yet; step creates it
 			}
-			if ka := (r.nextArr - N) / E; ka < k {
-				k = ka
+			if r.nextArr < N+E {
+				return 0 // this epoch's arrivals are the step's to admit
 			}
+			// Later arrivals do not cap the window: admitWindow
+			// admits them once k is fixed.
 		}
 	}
 	if r.lac != nil {
@@ -299,7 +303,51 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 			return 0
 		}
 	}
-	return k
+	return r.admitWindow(k)
+}
+
+// admitWindow admits the Poisson arrivals stamped inside a proved
+// window of k epochs, in order, and returns the window cut short by the
+// first one accepted. Under the paper's arrival pressure almost every
+// arrival is a rejection, and a rejection is not a QoS event: capping
+// the window at every arrival, as a scripted arrival still is, made
+// most of a paper-scale run's stepped epochs ones that only said no.
+//
+// Admitting an arrival at the window's start rather than at its own
+// epoch gives the answer the stepped run gives, because the window is
+// event-free: no completion, fault, controller tick or acceptance
+// inside it touches the LAC, so its reservations, headroom and live
+// counts are the ones each arrival would meet, and the request carries
+// the arrival's own instant. A rejection writes only counters and
+// cursors (probe counts, the modeled occupancy, the submit index, the
+// deadline and arrival streams, two events at the arrival's cycle) that
+// no epoch of the window reads, and in the same order as stepping. The
+// first acceptance changes the plan, so the window ends before the
+// epoch holding it, rounded down to the bus period: the accepted job
+// waits until its start, which is no earlier than its arrival, so the
+// up to P−1 epochs stepped before that epoch run the plan a rebuild
+// gives without it (the rebuildPlans reference holds every rebuild to
+// the cached plan).
+//
+// Scripted arrivals keep their cap (steadyAttempt): the script may
+// stamp an arrival before the epoch that admits it, and admission
+// clamps it to that epoch's start, which only stepping knows. A fleet
+// node's arrivals are the cluster's, so it admits none here.
+func (r *Runner) admitWindow(k int64) int64 {
+	if r.external || len(r.cfg.Script) > 0 {
+		return k
+	}
+	E := r.cfg.EpochCycles
+	for {
+		ta, ok, accepted := r.admitNext(r.now + k*E)
+		if !ok {
+			return k
+		}
+		if accepted {
+			ka := (ta - r.now) / E
+			return ka - ka%r.ffPeriod
+		}
+	}
 }
 
 // stealHorizon returns how many of a window's k epochs, alternating the

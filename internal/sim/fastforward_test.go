@@ -184,18 +184,8 @@ func TestEventSkipFaultStorm(t *testing.T) {
 func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 	check := func(name string, cfg Config, minSkipped float64) {
 		t.Helper()
-		onJSON, onEvents, onRep := runWithEventSkip(t, cfg, false)
-		offJSON, offEvents, offRep := runWithEventSkip(t, cfg, true)
-		if !bytes.Equal(onJSON, offJSON) {
-			t.Errorf("%s: report JSON differs between event skip on and off\non:  %s\noff: %s", name, onJSON, offJSON)
-		}
-		if !reflect.DeepEqual(onEvents, offEvents) {
-			t.Errorf("%s: event traces differ: %d events with skip vs %d without", name, len(onEvents), len(offEvents))
-		}
+		onRep := matchStepped(t, name, cfg)
 		total := onRep.EpochsStepped + onRep.EpochsSkipped
-		if want := offRep.EpochsStepped + offRep.EpochsSkipped; total != want {
-			t.Errorf("%s: epoch count %d with skip != %d without", name, total, want)
-		}
 		if frac := float64(onRep.EpochsSkipped) / float64(total); frac <= minSkipped {
 			t.Errorf("%s: fast-forward absorbed %d/%d epochs (%.0f%%), want over %.0f%%; the identity proves little",
 				name, onRep.EpochsSkipped, total, 100*frac, 100*minSkipped)
@@ -223,6 +213,122 @@ func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 		cfg.Controller = ctrl
 		cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
 		check(ctrl, cfg, 0)
+	}
+}
+
+// matchStepped runs cfg fast and with every epoch stepped, fails the
+// test unless the two reports and event logs are equal byte for byte
+// and the epochs add up to the stepped run's, and returns the fast run's
+// report.
+func matchStepped(t *testing.T, name string, cfg Config) *Report {
+	t.Helper()
+	fastJSON, fastEvents, fast := runWithEventSkip(t, cfg, false)
+	refJSON, refEvents, ref := runWithEventSkip(t, cfg, true)
+	if !bytes.Equal(fastJSON, refJSON) {
+		t.Errorf("%s: report differs from the stepped run\nfast:    %s\nstepped: %s", name, fastJSON, refJSON)
+	}
+	if !reflect.DeepEqual(fastEvents, refEvents) {
+		t.Errorf("%s: event log differs from the stepped run (%d events vs %d)", name, len(fastEvents), len(refEvents))
+	}
+	if got, want := fast.EpochsStepped+fast.EpochsSkipped, ref.EpochsStepped; got != want || ref.EpochsSkipped != 0 {
+		t.Errorf("%s: %d+%d epochs, the stepped run %d+%d", name, fast.EpochsStepped, fast.EpochsSkipped, ref.EpochsStepped, ref.EpochsSkipped)
+	}
+	return fast
+}
+
+// TestEngineGridMatchesStepping holds the fast paths — the plan cache,
+// the closed-form windows and the arrivals a window admits without
+// stepping to them — to the stepped engine over a generated grid: every
+// policy × bzip2, mcf, Mix-1 and Mix-2 × each admission placement × the
+// paper's scale and the event-dense one × seeds 1–3, each with no faults
+// and under a generated fault storm; then both feedback controllers at
+// seeds 1–5. Reports and event logs must be equal byte for byte, and
+// the epoch counts must add up to the stepped run's.
+func TestEngineGridMatchesStepping(t *testing.T) {
+	var runs int
+	var stepped, skipped int64
+	check := func(name string, cfg Config) {
+		t.Helper()
+		runs++
+		fast := matchStepped(t, name, cfg)
+		stepped += fast.EpochsStepped
+		skipped += fast.EpochsSkipped
+	}
+	workloads := []workload.Composition{workload.Single("bzip2"), workload.Single("mcf"), workload.Mix1(), workload.Mix2()}
+	for _, p := range Policies() {
+		for _, w := range workloads {
+			for _, adm := range AdmissionNames() {
+				for _, dense := range []bool{false, true} {
+					for seed := int64(1); seed <= 3; seed++ {
+						for _, storm := range []bool{false, true} {
+							cfg := DefaultConfig(p, w)
+							cfg.Admission = adm
+							cfg.Seed = seed
+							if dense {
+								cfg.JobInstr = 10_000_000
+								cfg.StealIntervalInstr = 100_000
+							}
+							if storm {
+								cfg.Faults = fault.Generate(seed, 4, fault.DefaultHorizon, cfg.Cores, cfg.L2.Ways)
+							}
+							check(fmt.Sprintf("%s/%s/%s/dense=%v/seed=%d/storm=%v", p, w.Name, adm, dense, seed, storm), cfg)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, ctrl := range []string{"pid", "aimd"} {
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := DefaultConfig(AllStrict, workload.Single("bzip2"))
+			cfg.JobInstr = 10_000_000
+			cfg.StealIntervalInstr = 100_000
+			cfg.EnforceWallClock = true
+			cfg.RequestWays = 6
+			cfg.Controller = ctrl
+			cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
+			cfg.Seed = seed
+			check(fmt.Sprintf("%s/seed=%d", ctrl, seed), cfg)
+		}
+	}
+	if skipped <= stepped {
+		t.Errorf("the grid skipped %d epochs and stepped %d; the identity proves little", skipped, stepped)
+	}
+	t.Logf("%d configurations: %d epochs stepped, %d skipped", runs, stepped, skipped)
+}
+
+// TestNodeEpochCountersPinned pins which windows a single node proves,
+// as TestFleetEpochCountersPinned does for fleets: the identity tests
+// compare reports, which carry no epoch counters, so without this only
+// the benchmark's digest would notice a window that closes early. With
+// every arrival capping the window, as before admitWindow, All-Strict
+// on bzip2 steps 1,003 epochs, not 60; only EqualPart, which accepts
+// every arrival, keeps its counts.
+func TestNodeEpochCountersPinned(t *testing.T) {
+	// name → {EpochsStepped, EpochsSkipped}, seed 1, paper scale.
+	want := map[string][2]int64{
+		"All-Strict/bzip2":          {60, 12123},
+		"Hybrid-1/bzip2":            {61, 10413},
+		"Hybrid-2/bzip2":            {624, 9889},
+		"All-Strict+AutoDown/bzip2": {99, 10802},
+		"EqualPart/bzip2":           {40, 10371},
+		"All-Strict/Mix-1":          {73, 9962},
+		"Hybrid-1/Mix-1":            {83, 8790},
+		"Hybrid-2/Mix-1":            {159, 7408},
+		"All-Strict+AutoDown/Mix-1": {91, 6917},
+		"EqualPart/Mix-1":           {55, 7002},
+	}
+	for _, w := range []workload.Composition{workload.Single("bzip2"), workload.Mix1()} {
+		for _, p := range Policies() {
+			name := fmt.Sprintf("%s/%s", p, w.Name)
+			t.Run(name, func(t *testing.T) {
+				_, _, rep := runWithEventSkip(t, DefaultConfig(p, w), false)
+				got := [2]int64{rep.EpochsStepped, rep.EpochsSkipped}
+				if w, ok := want[name]; !ok || got != w {
+					t.Errorf("{stepped, skipped} = %v, pinned %v", got, w)
+				}
+			})
+		}
 	}
 }
 

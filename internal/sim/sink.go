@@ -9,10 +9,11 @@ package sim
 import "cmpqos/internal/trace"
 
 // Sink observes a run: Event delivers every trace event at the cycle it
-// happens. Sinks must not mutate simulation state. Events only — no
-// event fires inside a fast-forwarded window (DESIGN §11), so an
-// attached sink sees the same stream whether or not epochs are skipped
-// and never turns the skip off.
+// happens. Sinks must not mutate simulation state. Events only — the
+// only events inside a fast-forwarded window are the rejected arrivals
+// it admits, delivered in stepped order with their own cycles (DESIGN
+// §11.1), so an attached sink sees the same stream whether or not
+// epochs are skipped and never turns the skip off.
 type Sink interface {
 	Event(ev trace.Event)
 }
