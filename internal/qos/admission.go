@@ -165,6 +165,18 @@ func (l *LAC) charge() {
 	l.overheadCycles += probeBaseCycles + probePerResCycle*int64(l.timeline.Len())
 }
 
+// BillRejection bills one admission test that its caller answered "no"
+// without running: exactly what a rejected Admit bills. A caller may do
+// that only from a lower bound on the request's earliest start learned
+// on this LAC while Gen stood still (the simulator's own arrivals); it
+// is the single-node counterpart of GAC.Commit billing the nodes its
+// bounds pruned, and keeps Counters and OverheadCycles those of
+// admitting every request.
+func (l *LAC) BillRejection() {
+	l.charge()
+	l.rejects++
+}
+
 // OverheadCycles returns the cycles the modeled LAC has spent on
 // admission tests and scheduling so far.
 func (l *LAC) OverheadCycles() int64 { return l.overheadCycles }

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"cmpqos/internal/cpu"
 	"cmpqos/internal/mem"
@@ -59,22 +60,72 @@ func (r *Runner) processArrivals(epochEnd int64) {
 // instant, whether there was one to submit, and whether it was
 // accepted. The fast-forward calls it too, with a window's end, for the
 // arrivals inside a proved window (steadyAttempt).
+//
+// A rejected reserved-mode arrival teaches the runner its slot's true
+// earliest start S (learnStart). Until the LAC's gen moves or an
+// arrival is accepted, an arrival of the slot not past S whose
+// reservation could not end by its deadline if it started at S is
+// rejected without an admission test and billed as one (DESIGN §11.6);
+// admitNext rejects such a run of arrivals in one call, and returns the
+// last when none is left before end.
 func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
 	if r.nextArr >= end || r.acceptedN >= r.cfg.AcceptTarget {
 		return 0, false, false
-	}
-	ta = r.nextArr
-	if ta < r.now {
-		ta = r.now
 	}
 	// The workload composition describes the *accepted* jobs (Table 2's
 	// percentages and Table 3's mixes are over the ten-job workload):
 	// slot k of the composition is retried on every submission until a
 	// job is accepted into it.
 	tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
-	accepted = r.submitTemplate(tmpl, r.dlmix.Next(), ta)
+	ta, dl := max(r.nextArr, r.now), r.dlmix.Next()
+	if S := r.boundStart; r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 {
+		tw := r.twFor(tmpl).tw
+		dur := r.modeFor(tmpl.Hint).ReservationLength(tw)
+		for ta <= S && deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw)-dur < S {
+			r.rejectUnasked(ta)
+			if r.nextArr = r.arrivals.Next(); r.nextArr >= end {
+				return ta, true, false
+			}
+			ta, dl = max(r.nextArr, r.now), r.dlmix.Next()
+		}
+	}
+	if accepted = r.submitTemplate(tmpl, dl, ta); accepted {
+		r.boundGen = 0 // the next slot has another shape
+	} else {
+		r.learnStart(tmpl, ta)
+	}
 	r.nextArr = r.arrivals.Next()
 	return ta, true, accepted
+}
+
+// learnStart records, after the slot's arrival at ta was rejected, the
+// slot's earliest start with the deadline lifted — "never" when even
+// that fails (a demand over the capacity dark ways left) — with the gen
+// it was learned under. An auto-downgrading LAC with headroom learns
+// nothing: it tests a Strict job's latest-fit slot at the bare vector,
+// while the lifted-deadline start is the headroom-inflated one.
+func (r *Runner) learnStart(tmpl workload.JobTemplate, ta int64) {
+	mode := r.modeFor(tmpl.Hint)
+	if r.admitEveryArrival || !mode.Reserves() ||
+		r.cfg.Policy == AllStrictAutoDown && r.lac.Headroom() > 0 {
+		return
+	}
+	start, ok := r.peekEarliestMode(tmpl, ta, mode)
+	if !ok {
+		start = math.MaxInt64
+	}
+	r.boundStart, r.boundGen = start, r.lac.Gen()+1
+}
+
+// rejectUnasked records a rejection the learned start decided: the
+// submission's id and events, as admit records them, and the LAC billed
+// for the admission test it did not run.
+func (r *Runner) rejectUnasked(ta int64) {
+	r.submitIdx++
+	r.emit(trace.Event{Cycle: ta, JobID: r.submitIdx, Kind: trace.Submitted})
+	r.lac.BillRejection()
+	r.rejected++
+	r.emit(trace.Event{Cycle: ta, JobID: r.submitIdx, Kind: trace.Rejected})
 }
 
 // admitRequest fills the runner's scratch RUM for one admission attempt

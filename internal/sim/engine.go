@@ -96,6 +96,12 @@ type Runner struct {
 	planIdleCores float64 // memoized fragDeltas of the plan's state
 	planIdleWays  float64
 	planInternal  float64
+	// The current slot's earliest start, learned when its arrival was
+	// rejected, and LAC.Gen()+1 at that moment (0: no bound). It lets
+	// admitNext reject the slot's later arrivals that cannot reach it
+	// without an admission test (learnStart).
+	boundStart int64
+	boundGen   uint64
 
 	// Fault injection (internal/sim/fault.go): the plan's state, nil for
 	// a run without a fault plan. coreDown and latFactor stay inline —
@@ -123,6 +129,10 @@ type Runner struct {
 	// makes catchUp ignore the recorded window and prove it again — the
 	// reference the memo is held to.
 	reproveCatchUp bool
+	// admitEveryArrival is set only by this package's differential tests:
+	// it makes learnStart learn nothing, so every arrival runs LAC.Admit —
+	// the reference the learned bound is held to.
+	admitEveryArrival bool
 }
 
 // epochScratch holds the per-epoch working slices, reused across steps so

@@ -205,14 +205,7 @@ func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 	storm.Faults = fault.Generate(1000, 4, fault.DefaultHorizon, storm.Cores, storm.L2.Ways)
 	check("fault-storm", storm, 0)
 	for _, ctrl := range []string{"pid", "aimd"} {
-		cfg := DefaultConfig(AllStrict, bzip2)
-		cfg.JobInstr = 10_000_000
-		cfg.StealIntervalInstr = 100_000
-		cfg.EnforceWallClock = true
-		cfg.RequestWays = 6
-		cfg.Controller = ctrl
-		cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
-		check(ctrl, cfg, 0)
+		check(ctrl, ctrlCfg(AllStrict, ctrl, 1), 0)
 	}
 }
 
@@ -238,40 +231,57 @@ func matchStepped(t *testing.T, name string, cfg Config) *Report {
 
 // TestEngineGridMatchesStepping holds the fast paths — the plan cache,
 // the closed-form windows and the arrivals a window admits without
-// stepping to them — to the stepped engine over a generated grid: every
-// policy × bzip2, mcf, Mix-1 and Mix-2 × each admission placement × the
-// paper's scale and the event-dense one × seeds 1–3, each with no faults
-// and under a generated fault storm; then both feedback controllers at
-// seeds 1–5. Reports and event logs must be equal byte for byte, and
-// the epoch counts must add up to the stepped run's.
+// stepping to them — to the stepped engine over engineGrid's
+// configurations. Reports and event logs must be equal byte for byte,
+// and the epoch counts must add up to the stepped run's.
 func TestEngineGridMatchesStepping(t *testing.T) {
 	var runs int
 	var stepped, skipped int64
-	check := func(name string, cfg Config) {
-		t.Helper()
+	engineGrid(func(name string, cfg Config) {
 		runs++
 		fast := matchStepped(t, name, cfg)
 		stepped += fast.EpochsStepped
 		skipped += fast.EpochsSkipped
+	})
+	if skipped <= stepped {
+		t.Errorf("the grid skipped %d epochs and stepped %d; the identity proves little", skipped, stepped)
 	}
+	t.Logf("%d configurations: %d epochs stepped, %d skipped", runs, stepped, skipped)
+}
+
+// engineGrid calls check with each configuration of a generated
+// single-node grid: every policy × bzip2, mcf, Mix-1 and Mix-2 × each
+// admission placement × the paper's scale and the event-dense one ×
+// seeds 1–3, each with no faults and under a generated fault storm, and
+// Hybrid-2 (the one policy that runs Elastic jobs) again at Elastic
+// slack 0.5, where an Elastic reservation outlasts the tight deadline
+// class; then both feedback controllers at seeds 1–5.
+func engineGrid(check func(name string, cfg Config)) {
 	workloads := []workload.Composition{workload.Single("bzip2"), workload.Single("mcf"), workload.Mix1(), workload.Mix2()}
 	for _, p := range Policies() {
-		for _, w := range workloads {
-			for _, adm := range AdmissionNames() {
-				for _, dense := range []bool{false, true} {
-					for seed := int64(1); seed <= 3; seed++ {
-						for _, storm := range []bool{false, true} {
-							cfg := DefaultConfig(p, w)
-							cfg.Admission = adm
-							cfg.Seed = seed
-							if dense {
-								cfg.JobInstr = 10_000_000
-								cfg.StealIntervalInstr = 100_000
+		slacks := []float64{0.05}
+		if p == Hybrid2 {
+			slacks = append(slacks, 0.5)
+		}
+		for _, slack := range slacks {
+			for _, w := range workloads {
+				for _, adm := range AdmissionNames() {
+					for _, dense := range []bool{false, true} {
+						for seed := int64(1); seed <= 3; seed++ {
+							for _, storm := range []bool{false, true} {
+								cfg := DefaultConfig(p, w)
+								cfg.ElasticSlack = slack
+								cfg.Admission = adm
+								cfg.Seed = seed
+								if dense {
+									cfg.JobInstr = 10_000_000
+									cfg.StealIntervalInstr = 100_000
+								}
+								if storm {
+									cfg.Faults = fault.Generate(seed, 4, fault.DefaultHorizon, cfg.Cores, cfg.L2.Ways)
+								}
+								check(fmt.Sprintf("%s/slack=%v/%s/%s/dense=%v/seed=%d/storm=%v", p, slack, w.Name, adm, dense, seed, storm), cfg)
 							}
-							if storm {
-								cfg.Faults = fault.Generate(seed, 4, fault.DefaultHorizon, cfg.Cores, cfg.L2.Ways)
-							}
-							check(fmt.Sprintf("%s/%s/%s/dense=%v/seed=%d/storm=%v", p, w.Name, adm, dense, seed, storm), cfg)
 						}
 					}
 				}
@@ -280,21 +290,23 @@ func TestEngineGridMatchesStepping(t *testing.T) {
 	}
 	for _, ctrl := range []string{"pid", "aimd"} {
 		for seed := int64(1); seed <= 5; seed++ {
-			cfg := DefaultConfig(AllStrict, workload.Single("bzip2"))
-			cfg.JobInstr = 10_000_000
-			cfg.StealIntervalInstr = 100_000
-			cfg.EnforceWallClock = true
-			cfg.RequestWays = 6
-			cfg.Controller = ctrl
-			cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
-			cfg.Seed = seed
-			check(fmt.Sprintf("%s/seed=%d", ctrl, seed), cfg)
+			check(fmt.Sprintf("%s/seed=%d", ctrl, seed), ctrlCfg(AllStrict, ctrl, seed))
 		}
 	}
-	if skipped <= stepped {
-		t.Errorf("the grid skipped %d epochs and stepped %d; the identity proves little", skipped, stepped)
-	}
-	t.Logf("%d configurations: %d epochs stepped, %d skipped", runs, stepped, skipped)
+}
+
+// ctrlCfg is the event-dense, wall-clock-enforcing bzip2 node the
+// controller tests run, under policy p and controller ctrl.
+func ctrlCfg(p Policy, ctrl string, seed int64) Config {
+	cfg := DefaultConfig(p, workload.Single("bzip2"))
+	cfg.JobInstr = 10_000_000
+	cfg.StealIntervalInstr = 100_000
+	cfg.EnforceWallClock = true
+	cfg.RequestWays = 6
+	cfg.Controller = ctrl
+	cfg.CtrlIntervalCycles = 8 * cfg.EpochCycles
+	cfg.Seed = seed
+	return cfg
 }
 
 // TestNodeEpochCountersPinned pins which windows a single node proves,
@@ -303,29 +315,33 @@ func TestEngineGridMatchesStepping(t *testing.T) {
 // the benchmark's digest would notice a window that closes early. With
 // every arrival capping the window, as before admitWindow, All-Strict
 // on bzip2 steps 1,003 epochs, not 60; only EqualPart, which accepts
-// every arrival, keeps its counts.
+// every arrival, keeps its counts. It pins each run's billed admission
+// tests and rejections too: a learned bound that skipped or
+// double-billed a test would fail here even where both sides of a
+// differential shared it (TestRejectBoundMatchesAdmission).
 func TestNodeEpochCountersPinned(t *testing.T) {
-	// name → {EpochsStepped, EpochsSkipped}, seed 1, paper scale.
-	want := map[string][2]int64{
-		"All-Strict/bzip2":          {60, 12123},
-		"Hybrid-1/bzip2":            {61, 10413},
-		"Hybrid-2/bzip2":            {624, 9889},
-		"All-Strict+AutoDown/bzip2": {99, 10802},
-		"EqualPart/bzip2":           {40, 10371},
-		"All-Strict/Mix-1":          {73, 9962},
-		"Hybrid-1/Mix-1":            {83, 8790},
-		"Hybrid-2/Mix-1":            {159, 7408},
-		"All-Strict+AutoDown/Mix-1": {91, 6917},
-		"EqualPart/Mix-1":           {55, 7002},
+	// name → {EpochsStepped, EpochsSkipped, LACProbes, Rejected}, seed 1,
+	// paper scale.
+	want := map[string][4]int64{
+		"All-Strict/bzip2":          {60, 12123, 1089, 1079},
+		"Hybrid-1/bzip2":            {61, 10413, 552, 542},
+		"Hybrid-2/bzip2":            {624, 9889, 552, 542},
+		"All-Strict+AutoDown/bzip2": {99, 10802, 1092, 1082},
+		"EqualPart/bzip2":           {40, 10371, 0, 0},
+		"All-Strict/Mix-1":          {73, 9962, 1130, 1120},
+		"Hybrid-1/Mix-1":            {83, 8790, 370, 360},
+		"Hybrid-2/Mix-1":            {159, 7408, 370, 360},
+		"All-Strict+AutoDown/Mix-1": {91, 6917, 919, 909},
+		"EqualPart/Mix-1":           {55, 7002, 0, 0},
 	}
 	for _, w := range []workload.Composition{workload.Single("bzip2"), workload.Mix1()} {
 		for _, p := range Policies() {
 			name := fmt.Sprintf("%s/%s", p, w.Name)
 			t.Run(name, func(t *testing.T) {
 				_, _, rep := runWithEventSkip(t, DefaultConfig(p, w), false)
-				got := [2]int64{rep.EpochsStepped, rep.EpochsSkipped}
+				got := [4]int64{rep.EpochsStepped, rep.EpochsSkipped, rep.LACProbes, int64(rep.Rejected)}
 				if w, ok := want[name]; !ok || got != w {
-					t.Errorf("{stepped, skipped} = %v, pinned %v", got, w)
+					t.Errorf("{stepped, skipped, probes, rejected} = %v, pinned %v", got, w)
 				}
 			})
 		}

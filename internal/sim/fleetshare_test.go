@@ -51,8 +51,8 @@ func TestFleetAllocBudget(t *testing.T) {
 // TestJobAndRunnerSize pins the two structs a fleet allocates by the
 // thousand to their malloc size classes: a field added to either is a
 // decision, not an accident. Go puts an 8-byte header on a pointerful
-// object above 512 B, so a Runner allocates Sizeof+8: it measures 744
-// bytes, 752 allocated, in the 768-byte class (before its fault and
+// object above 512 B, so a Runner allocates Sizeof+8: it measures 760
+// bytes, 768 allocated, filling the 768-byte class (before its fault and
 // controller state moved behind pointers: 992, in the 1024-byte class,
 // allocated as 1,152).
 func TestJobAndRunnerSize(t *testing.T) {

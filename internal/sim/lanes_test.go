@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cmpqos/internal/fault"
+	"cmpqos/internal/qos"
 	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
@@ -271,6 +272,49 @@ func TestRejectedSubmitAllocatesNothing(t *testing.T) {
 			if r.rejected < allocRounds*probes {
 				t.Errorf("%s: rejected counter %d after %d rejected probes", name, r.rejected, allocRounds*probes)
 			}
+		}
+	}
+}
+
+// TestCapacityMissRejectionAllocatesNothing pins the rejection of a
+// request wider than the capacity dark ways leave: the LAC formats that
+// reason on every Admit and Peek, so after the first rejection every
+// arrival through admitNext must be decided by the learned "never"
+// start and allocate nothing. The arrival and deadline tapes are drawn
+// ahead on twin cursors, so their growth is not counted.
+func TestCapacityMissRejectionAllocatesNothing(t *testing.T) {
+	for _, p := range []Policy{AllStrict, Hybrid2, AllStrictAutoDown} {
+		r, err := New(DefaultConfig(p, workload.Single("bzip2")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.lac.SetCapacity(qos.ResourceVector{Cores: r.cfg.Cores, CacheWays: r.reqWays - 1}, 0)
+		const probes = 10_000
+		arr := workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
+		dl := workload.NewDeadlineMix(r.seed)
+		for i := 0; i < (allocRounds+1)*probes; i++ {
+			arr.Next()
+			dl.Next()
+		}
+		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
+		r.dlmix = workload.NewDeadlineMix(r.seed)
+		r.nextArr = r.arrivals.Next()
+		submit := func() { // the arrivals stamped at the next arrival's cycle
+			if _, ok, accepted := r.admitNext(r.nextArr + 1); !ok || accepted {
+				t.Fatalf("%v: arrival on a node narrower than its request: submitted %v, accepted %v", p, ok, accepted)
+			}
+		}
+		submit()
+		quietest := quietestAlloc(func() {
+			for i := 0; i < probes; i++ {
+				submit()
+			}
+		})
+		if quietest != 0 {
+			t.Errorf("%v: %d capacity-miss rejections allocated %d bytes, want 0", p, probes, quietest)
+		}
+		if want := 1 + allocRounds*probes; r.rejected < want {
+			t.Errorf("%v: rejected counter %d after %d submissions", p, r.rejected, want)
 		}
 	}
 }
