@@ -13,9 +13,13 @@ import (
 
 // advanceAll retires one epoch of work on every core (processor-sharing
 // among the jobs pinned to a core), runs the stealing controller at its
-// repartitioning intervals, and completes jobs.
+// repartitioning intervals, and completes jobs. On a plan the last
+// window proof priced at the live bus utilization, a job takes its
+// priced delta (applyHeld) unless the completion clamp fires for it.
 func (r *Runner) advanceAll(byCore [][]*Job) {
+	held := r.heldDeltas()
 	epoch := r.cfg.EpochCycles
+	idx := 0
 	for _, jobs := range byCore {
 		if len(jobs) == 0 {
 			continue
@@ -24,15 +28,52 @@ func (r *Runner) advanceAll(byCore [][]*Job) {
 		// (the idealization of a fair scheduler).
 		share := epoch / int64(len(jobs))
 		for _, j := range jobs {
-			r.advanceJob(j, share, int64(len(jobs)))
+			if held != nil && held[idx].instr <= j.Remaining() {
+				r.applyHeld(j, &held[idx], share, int64(len(jobs)))
+			} else {
+				r.advanceJob(j, share, int64(len(jobs)))
+			}
+			idx++
 		}
 	}
+}
+
+// heldDeltas returns the deltas of a complete pricing of the current
+// plan at the live bus utilization, in plan order, or nil. The record
+// outlives no plan (buildPlan clears it), and every input of a job's
+// delta but its progress is a function of the plan and the utilization
+// (DESIGN §11.7).
+func (r *Runner) heldDeltas() []jobDelta {
+	if r.repriceEveryEpoch {
+		return nil
+	}
+	switch r.bus.Utilization() {
+	case r.ffPricedAt[0]:
+		return r.ffDeltas
+	case r.ffPricedAt[1]:
+		return r.ffDeltas2
+	}
+	return nil
+}
+
+// applyHeld is advanceJob with the job's epoch priced in advance: d
+// holds the instructions, cycles, misses and baseline addend advanceJob
+// would compute, and its count passed the completion clamp.
+func (r *Runner) applyHeld(j *Job, d *jobDelta, shareCycles, sharers int64) {
+	r.bus.AddMisses(d.misses)
+	r.bus.AddWriteBacks(writeBacks(d.misses))
+	j.MainMisses += d.misses
+	j.ShadowMisses += d.shadow
+	j.InstrDone += d.instr
+	j.ActualCycles += d.consumed
+	j.BaselineCycles += d.base
+	r.runStealing(j, d.instr)
+	r.finishJob(j, shareCycles, sharers, d.consumed)
 }
 
 // advanceJob retires up to shareCycles worth of work for one job.
 // sharers is the processor-sharing degree (wall-clock per consumed cycle).
 func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
-	epoch := r.cfg.EpochCycles
 	pen := r.penaltyFor(j)
 	cpi := r.model.cpiFor(j, pen)
 	instr := int64(float64(shareCycles) / cpi)
@@ -42,9 +83,9 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 	if instr <= 0 {
 		instr = 1
 	}
-	misses, writeBacks := r.model.advance(j, instr)
+	misses, wb := r.model.advance(j, instr)
 	r.bus.AddMisses(misses)
-	r.bus.AddWriteBacks(writeBacks)
+	r.bus.AddWriteBacks(wb)
 	consumed := int64(float64(instr) * cpi)
 	j.InstrDone += instr
 	j.ActualCycles += consumed
@@ -56,6 +97,13 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 		j.BaselineCycles += float64(float64(instr) * cpi)
 	}
 	r.runStealing(j, instr)
+	r.finishJob(j, shareCycles, sharers, consumed)
+}
+
+// finishJob ends a job whose epoch left it over its reserved wall-clock
+// budget (terminated) or out of work (done); consumed is the cycles its
+// epoch took.
+func (r *Runner) finishJob(j *Job, shareCycles, sharers, consumed int64) {
 	if r.cfg.EnforceWallClock && r.overBudget(j) {
 		j.Completed = r.now + shareCycles
 		j.State = StateTerminated
@@ -74,7 +122,7 @@ func (r *Runner) advanceJob(j *Job, shareCycles, sharers int64) {
 	}
 	if j.Remaining() == 0 {
 		wall := consumed * sharers
-		if wall > epoch {
+		if epoch := r.cfg.EpochCycles; wall > epoch {
 			wall = epoch
 		}
 		j.Completed = r.now + wall

@@ -1,13 +1,13 @@
 // calendar is the fleet's event calendar (DESIGN §11.4): the sleeping
-// nodes, filed under the absolute cycle at which the window each proved
-// expires. Nodes sharing a horizon share one bucket — a circular
-// intrusive list threaded through per-node links — and the buckets, one
-// per distinct horizon, are kept sorted latest first, so the earliest is
+// nodes, filed under the absolute cycle of their next wake. Nodes
+// sharing a horizon share one bucket — a circular intrusive list
+// threaded through per-node links — and the buckets, one per distinct
+// horizon, are kept sorted latest first, so the earliest is
 // the last entry and leaves whole. A horizon's bucket is found by binary
 // search over the open buckets; joining it and leaving it are O(1) link
 // moves, and only opening or closing a bucket shifts the sorted order.
-// Nothing orders the nodes inside a bucket: the fleet sorts its
-// due list by id anyway. All storage is sized by the node count at
+// Nothing orders the nodes inside a bucket: the fleet sorts each
+// round's nodes by id anyway. All storage is sized by the node count at
 // construction, so a warmed calendar allocates nothing.
 package sim
 
@@ -39,14 +39,6 @@ func newCalendar(n int) *calendar {
 
 // contains reports whether node id sleeps in the calendar.
 func (c *calendar) contains(id int) bool { return c.next[id] >= 0 }
-
-// top returns the earliest horizon in the calendar.
-func (c *calendar) top() (horizon int64, ok bool) {
-	if len(c.order) == 0 {
-		return 0, false
-	}
-	return c.hz[c.order[len(c.order)-1]], true
-}
 
 // find returns the position in order of the first bucket whose horizon
 // is at or before h, and whether its horizon is h.

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// top returns the earliest horizon in the calendar: the reference's
+// view of the buckets' order.
+func (c *calendar) top() (horizon int64, ok bool) {
+	if len(c.order) == 0 {
+		return 0, false
+	}
+	return c.hz[c.order[len(c.order)-1]], true
+}
+
 // TestCalendarAgainstReference drives the fleet calendar through random
 // insert / remove (a wake) / popDue / top sequences against a map of
 // node → horizon: popDue must yield exactly the nodes at or before now,

@@ -33,7 +33,7 @@ func (p *wakeProbe) Place(a Arrival) Placement {
 		return pl
 	}
 	need := (p.cr.now - n.now) / n.cfg.EpochCycles
-	if applied := min(n.ffProvedK, need) / n.ffPeriod * n.ffPeriod; applied > 0 {
+	if P := int64(n.ffPeriod); min(n.ffProvedK, need)/P*P > 0 {
 		p.hits++
 		if n.ffPeriod == 2 && need < n.ffProvedK && need%2 == 1 {
 			p.oddP2++
@@ -43,7 +43,7 @@ func (p *wakeProbe) Place(a Arrival) Placement {
 }
 
 // backoff is a node's fast-forward backoff meter.
-type backoff struct{ fails, deferred int64 }
+type backoff struct{ fails, deferred int8 }
 
 // runCatchUp runs one fleet to completion with catchUp re-proving every
 // window (reprove) or applying the one nextHorizon recorded, and returns

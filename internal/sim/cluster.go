@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"cmpqos/internal/parallel"
@@ -109,13 +110,16 @@ type ClusterReport struct {
 }
 
 // ClusterRunner simulates the GAC-fronted multi-node environment. The
-// dispatch loop and the index bookkeeping run strictly serially; only
-// the per-epoch node stepping fans out across workers (each node owns
-// all of its mutable state), and completions are observed serially in
-// ascending node order after the step barrier — so the run is
-// bit-identical at any worker count. An epoch touches only the nodes
-// that are due at it (the calendar below), which is what lets a
-// 5,000-node fleet run at the cost of its QoS events.
+// run is a sequence of rounds, one per cluster epoch that holds an
+// arrival (DESIGN §11.4): the round places that epoch's arrivals, then
+// runs every node due before the next arrival epoch, each alone from
+// its own wake to that epoch. Placement and the dispatch index run
+// strictly serially; only the node runs fan out across workers (each
+// node owns all of its mutable state), and the nodes that ran are
+// observed serially in ascending id after the round — so the run is
+// bit-identical at any worker count. A round touches only the nodes
+// that are due before its end, which is what lets a 5,000-node fleet
+// run at the cost of its QoS events.
 type ClusterRunner struct {
 	cfg      ClusterConfig
 	nodes    []*Runner
@@ -129,31 +133,30 @@ type ClusterRunner struct {
 	disp Dispatcher
 	idx  *dispatchIndex
 
-	// lastFin holds each node's finished-job count as last observed and
-	// finished is their sum: the run is over once the accept target is
-	// met and every accepted job has been seen to finish. lastGen holds
-	// each node's LAC.gen as last observed: a move resets the node's
-	// bounds in the dispatch index.
-	lastFin  []int
-	finished int
-	lastGen  []uint64
+	// lastGen holds each node's LAC.gen as last observed: a move resets
+	// the node's bounds in the dispatch index.
+	lastGen []uint64
 
-	// Event-horizon calendar (DESIGN §11.4). A node is in exactly one of
-	// three places: due (it executes the current epoch), cal (it proved
-	// its next epochs steady and sleeps in the bucket of the absolute
-	// cycle that horizon expires), or retired (neither: no live
-	// jobs and no pending fault points, so nothing can happen on it until
-	// an arrival lands). A node that cannot fast-forward — the trace
-	// engine — answers nextHorizon() == now and simply stays due while it
-	// has work. A sleeping or retired node's clock lags the
-	// cluster's; it catches up (bit-identically, via the same closed form
-	// it proved, or fastForwardIdle) before anything mutates it.
-	cal      *calendar // sleeping nodes by horizon
-	due      []int32   // nodes that must execute the current epoch
-	inDue    []bool
-	dueDirty bool    // due gained out-of-order entries since last sort
-	horizons []int64 // per-due-slot horizon scratch, reused every epoch
+	// Event-horizon calendar (DESIGN §11.4). Between rounds a node is in
+	// one of two places: cal (it sleeps in the bucket of the absolute
+	// cycle of its next wake — the end of the window it proved, or the
+	// next epoch when it proved none), or retired (neither: no live jobs
+	// and no pending fault points, so nothing can happen on it until an
+	// arrival lands). A node that cannot fast-forward — the trace engine
+	// — answers nextHorizon() == now and so wakes every epoch while it
+	// has work. A sleeping or retired node's clock lags the cluster's; it
+	// catches up (bit-identically, via the same closed form it proved, or
+	// fastForwardIdle) before anything mutates it. wakes holds each
+	// node's calendar key while it sleeps, and a node of the current
+	// round its next wake once it ran (retiredWake: none); ran holds the
+	// nodes of the current round in ascending id.
+	cal   *calendar
+	ran   []int32
+	wakes []int64
 }
+
+// retiredWake is the wake a node's run reports when the node retired.
+const retiredWake = int64(-1)
 
 // NewCluster builds the cluster runner.
 func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
@@ -161,13 +164,12 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		return nil, err
 	}
 	cr := &ClusterRunner{
-		cfg:      cfg,
-		dlmix:    workload.NewDeadlineStream(cfg.Node.Seed),
-		lastFin:  make([]int, cfg.Nodes),
-		lastGen:  make([]uint64, cfg.Nodes),
-		cal:      newCalendar(cfg.Nodes),
-		inDue:    make([]bool, cfg.Nodes),
-		horizons: make([]int64, cfg.Nodes),
+		cfg:     cfg,
+		dlmix:   workload.NewDeadlineStream(cfg.Node.Seed),
+		lastGen: make([]uint64, cfg.Nodes),
+		cal:     newCalendar(cfg.Nodes),
+		ran:     make([]int32, 0, cfg.Nodes),
+		wakes:   make([]int64, cfg.Nodes),
 	}
 	cr.nodes = make([]*Runner, 0, cfg.Nodes)
 	nodeCfg := cfg.Node
@@ -195,9 +197,10 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		cr.nodes = append(cr.nodes, n)
 		if n.faults != nil {
 			// Fault transitions fire at their configured cycles even on a
-			// node that never receives a job: it starts due, and its proved
-			// windows (capped at the next fault point) carry it from there.
-			cr.markDue(i)
+			// node that never receives a job: it wakes at cycle 0, and its
+			// proved windows (capped at the next fault point) carry it from
+			// there.
+			cr.cal.insert(i, 0)
 		}
 	}
 	// The shared arrival process scales with the node count, as the
@@ -219,132 +222,151 @@ func (cr *ClusterRunner) Run() (*ClusterReport, error) {
 	return cr.RunParallel(context.Background(), 1)
 }
 
-// RunParallel executes the cluster to completion, stepping due nodes on
-// up to `workers` goroutines per epoch. Every epoch it executes touches
-// at least one due node or arrival; between events the cluster clock
-// jumps straight to the earliest sleeping horizon or the next arrival's
-// epoch. A node popped after sleeping replays its slept epochs through
+// RunParallel executes the cluster to completion, running the nodes of
+// each round on up to `workers` goroutines. A round places the arrivals
+// of one arrival epoch, then runs every node whose wake falls before
+// the next arrival epoch, each through the sequence the calendar gives
+// it — catchUp to the wake, step, prove the next window, wake again at
+// its end — until its wake reaches that epoch or it retires. Between
+// two arrival epochs nothing couples the nodes: the dispatch index is
+// read only when an arrival is placed, and what a node's epochs change
+// in it (a LAC.gen move, its live load) is a function of the node's
+// state at the round's end, so one observation after the round leaves
+// the index as observing every epoch did. Once the accept target is
+// met the fleet drains (drain). A node's slept epochs replay through
 // the same closed form it proved before sleeping, so the run is
 // bit-identical to stepping every node every epoch (runLockStep, the
 // oracle in cluster_test.go) at any worker count.
 func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*ClusterReport, error) {
 	pool := parallel.New(workers)
 	E := cr.cfg.Node.EpochCycles
-	// One closure for the run, not one per epoch: cr.due and cr.horizons
-	// are not reassigned while a Map is in flight.
-	stepDue := func(i int) (struct{}, error) {
-		n := cr.nodes[cr.due[i]]
-		n.catchUp(cr.now)
-		n.step()
-		cr.horizons[i] = n.nextHorizon()
-		return struct{}{}, nil
-	}
-	for !cr.done() {
-		if cr.now > maxCycles {
+	for cr.accepted < cr.cfg.AcceptTarget {
+		next := cr.nextArr - cr.nextArr%E
+		if next > maxCycles {
 			return nil, fmt.Errorf("sim: cluster exceeded safety horizon with %d/%d accepted",
 				cr.accepted, cr.cfg.AcceptTarget)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := cr.runRound(ctx, pool, next); err != nil {
 			return nil, err
 		}
-		epochEnd := cr.now + E
-		cr.placeArrivals(epochEnd)
-		// Pop every sleeper whose horizon expires at this epoch. None is
-		// due already: wake takes a node out of the calendar first.
-		n0 := len(cr.due)
-		cr.due = cr.cal.popDue(cr.now, cr.due)
-		for _, id := range cr.due[n0:] {
-			cr.inDue[id] = true
-			cr.dueDirty = true
-		}
-		if cr.dueDirty {
-			slices.Sort(cr.due)
-			cr.dueDirty = false
-		}
-		due, horizons := cr.due, cr.horizons
-		if _, err := parallel.Map(ctx, pool, len(due), stepDue); err != nil {
-			return nil, err
-		}
-		// Serial observation in ascending id order — the same subsequence
-		// a scan of every node would produce, since non-due nodes cannot
-		// complete jobs or move their LAC.gen while sleeping — then re-arm
-		// each node: one due again at the very next epoch carries over in the
-		// (still sorted) due list, bypassing the calendar — event-dense
-		// fleets would otherwise file and pop every node every epoch for
-		// nothing — while a node with a further horizon goes to sleep in
-		// the calendar. The serial ascending order is what keeps
-		// the dispatch index, and so every later placement, independent of
-		// the worker count.
-		kept := cr.due[:0]
-		for i, id := range due {
-			cr.observe(int(id))
-			n := cr.nodes[id]
-			switch {
-			case n.idle() && !n.faultsPending():
-				// Retire: with no live job and no fault transition left,
-				// the node's LAC, load and capacity are constant until an
-				// arrival wakes it. An idle node with fault points pending
-				// falls through and sleeps up to the next one instead.
-				cr.inDue[id] = false
-			case horizons[i] <= epochEnd:
-				kept = append(kept, id)
-			default:
-				cr.inDue[id] = false
-				cr.cal.insert(int(id), horizons[i])
-			}
-		}
-		cr.due = kept
-		cr.now = epochEnd
-		if len(cr.due) > 0 {
-			continue // carried-over nodes are due at this very epoch
-		}
-		// Jump to the next instant anything can happen: the earliest
-		// sleeping horizon, or the epoch holding the next arrival while
-		// arrivals still count toward the target.
-		next := int64(-1)
-		if h, ok := cr.cal.top(); ok {
-			next = h
-		}
-		if cr.accepted < cr.cfg.AcceptTarget {
-			if arrEpoch := cr.nextArr - cr.nextArr%E; next < 0 || arrEpoch < next {
-				next = arrEpoch
-			}
-		}
-		if next > cr.now {
-			cr.now = next
-		}
+		cr.now = next
+		cr.placeArrivals(next + E)
+	}
+	if err := cr.drain(ctx, pool); err != nil {
+		return nil, err
 	}
 	return cr.report(), nil
 }
 
-// observe takes in what node id's last epoch changed: finished jobs
-// count toward the run's end, and a LAC.gen move — every completion
-// bumps it, as do fault capacity changes and controller retunes — resets
-// the node's start bounds in the dispatch index.
-func (cr *ClusterRunner) observe(id int) {
-	n := cr.nodes[id]
-	if fin := n.finishedCount(); fin > cr.lastFin[id] {
-		cr.finished += fin - cr.lastFin[id]
-		cr.lastFin[id] = fin
+// runRound runs every node whose wake falls before the cycle until, each
+// alone up to it, then observes them and files them for their next wake.
+func (cr *ClusterRunner) runRound(ctx context.Context, pool *parallel.Pool, until int64) error {
+	cr.popRound(until - 1)
+	if err := cr.runPopped(ctx, pool, until, false); err != nil {
+		return err
 	}
-	if gen := n.lac.Gen(); gen != cr.lastGen[id] {
+	cr.settleRound()
+	return nil
+}
+
+// drain runs the fleet to its end once every arrival is placed: the
+// epoch t_last in which the last accepted job finishes. The per-epoch
+// loop this replaces stopped there, so an idle node with fault points
+// pending processed only the points at or before t_last, and a node due
+// at or before t_last stepped there even when idle. The drain reproduces
+// that in two passes: every node runs until a wake finds it idle, which
+// fixes t_last — the latest epoch a node stepped while busy — and then
+// every node still due runs up to t_last.
+func (cr *ClusterRunner) drain(ctx context.Context, pool *parallel.Pool) error {
+	cr.popRound(math.MaxInt64)
+	if err := cr.runPopped(ctx, pool, math.MaxInt64, true); err != nil {
+		return err
+	}
+	// A node stops right after the step that idled it, so the epoch of
+	// that step is its clock less one epoch; a node idle from the start
+	// lags the last placement, which a busy node's last step never
+	// precedes.
+	last := retiredWake
+	for _, id := range cr.ran {
+		last = max(last, cr.nodes[id].now-cr.cfg.Node.EpochCycles)
+	}
+	if err := cr.runPopped(ctx, pool, last+1, false); err != nil {
+		return err
+	}
+	cr.settleRound()
+	return nil
+}
+
+// popRound takes every node whose wake is at or before the cycle `to`
+// out of the calendar into ran, in ascending id.
+func (cr *ClusterRunner) popRound(to int64) {
+	cr.ran = cr.cal.popDue(to, cr.ran[:0])
+	slices.Sort(cr.ran)
+}
+
+// runPopped runs every node of ran that has not retired from its wake
+// up to until (runNode), on the worker pool, and leaves its next wake
+// in wakes.
+func (cr *ClusterRunner) runPopped(ctx context.Context, pool *parallel.Pool, until int64, toIdle bool) error {
+	_, err := parallel.Map(ctx, pool, len(cr.ran), func(i int) (struct{}, error) {
+		id := cr.ran[i]
+		if cr.wakes[id] == retiredWake {
+			return struct{}{}, nil
+		}
+		w, err := cr.runNode(ctx, cr.nodes[id], cr.wakes[id], until, toIdle)
+		cr.wakes[id] = w
+		return struct{}{}, err
+	})
+	return err
+}
+
+// runNode runs node n alone from its wake `at`: catchUp to it, step,
+// prove the next window, and wake again where the window ends (the next
+// epoch when it proved none), while the wake is before `until`. It
+// returns the node's next wake, or retiredWake once the node has no
+// live job and no fault point pending. With toIdle set it also stops at
+// a wake that finds the node idle, without stepping it. ctx is polled
+// on entry and every 64 epochs.
+func (cr *ClusterRunner) runNode(ctx context.Context, n *Runner, at, until int64, toIdle bool) (int64, error) {
+	for steps := 0; at < until && !(toIdle && n.idle()); steps++ {
+		if steps&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return at, err
+			}
+		}
+		if at > maxCycles {
+			return at, fmt.Errorf("sim: cluster node exceeded safety horizon at cycle %d", at)
+		}
+		n.catchUp(at)
+		n.step()
+		at = n.nextHorizon()
+		if n.idle() && !n.faultsPending() {
+			return retiredWake, nil
+		}
+	}
+	return at, nil
+}
+
+// settleRound observes the nodes of the round in ascending id and files
+// the ones still due in the calendar at their next wake.
+func (cr *ClusterRunner) settleRound() {
+	for _, id := range cr.ran {
+		cr.observe(int(id))
+		if w := cr.wakes[id]; w != retiredWake {
+			cr.cal.insert(int(id), w)
+		}
+	}
+}
+
+// observe takes in what node id's last run changed: a LAC.gen move —
+// every completion bumps it, as do fault capacity changes and
+// controller retunes — resets the node's start bounds in the dispatch
+// index and records its live load.
+func (cr *ClusterRunner) observe(id int) {
+	if gen := cr.nodes[id].lac.Gen(); gen != cr.lastGen[id] {
 		cr.lastGen[id] = gen
 		cr.idx.noteGen(id)
 	}
-}
-
-// markDue queues a node for execution at the cluster's current epoch.
-func (cr *ClusterRunner) markDue(id int) {
-	if cr.inDue[id] {
-		return
-	}
-	cr.inDue[id] = true
-	cr.due = append(cr.due, int32(id))
-	cr.dueDirty = true
-}
-
-func (cr *ClusterRunner) done() bool {
-	return cr.accepted >= cr.cfg.AcceptTarget && cr.finished == cr.accepted
 }
 
 // placeArrivals runs the GAC loop for every arrival inside the epoch:
@@ -390,17 +412,17 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 // wake brings a node to the cluster clock ahead of a submission, which
 // reads and mutates admission state at that clock: a calendar sleeper
 // replays its slept epochs, a retired node fast-forwards through the
-// idle ones, and either then executes the current epoch with everyone
-// else.
+// idle ones, and either then wakes at the current epoch, to run it in
+// the round that follows the placement.
 func (cr *ClusterRunner) wake(id int) {
-	switch {
-	case cr.cal.contains(id):
+	if cr.cal.contains(id) {
 		cr.cal.remove(id)
 		cr.nodes[id].catchUp(cr.now)
-	case !cr.inDue[id]:
+	} else {
 		cr.nodes[id].fastForwardIdle(cr.now)
 	}
-	cr.markDue(id)
+	cr.wakes[id] = cr.now
+	cr.cal.insert(id, cr.now)
 }
 
 // report folds the per-node streaming reports into the fleet report,

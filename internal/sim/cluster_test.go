@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -228,12 +227,14 @@ func oracleFleets() []fleetCase {
 }
 
 // TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
-// event calendar, with fault plans as calendar entries and nodes that
-// cannot fast-forward simply staying due — to the lock-step oracle, on
-// the fleet report and on every node's report, at workers 1 and 4. The
-// oracle steps idle tails the calendar never replays, so the epoch
-// counters and the fragmentation ratios (whose denominator is the epoch
-// count) are the only fields masked.
+// rounds from arrival epoch to arrival epoch, with fault plans as
+// calendar entries, nodes that cannot fast-forward simply waking every
+// epoch, and the drain's stop at the last completion — to the lock-step
+// oracle, on the fleet report and on every node's report. The oracle
+// steps idle tails the calendar never replays, so the epoch counters
+// and the fragmentation ratios (whose denominator is the epoch count)
+// are the only fields masked. TestClusterWorkerCountInvariance holds
+// the same fleets at workers 4 to workers 1.
 func TestClusterMatchesLockStepOracle(t *testing.T) {
 	maskFleet := func(rep *ClusterReport) ClusterReport {
 		cp := *rep
@@ -255,28 +256,19 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 					break
 				}
 			}
-			var w1Fleet *ClusterReport
-			var w1Nodes []*Report
-			for _, workers := range []int{1, 4} {
-				cr := newTestCluster(t, tc.cfg)
-				fleet, err := cr.RunParallel(context.Background(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nodes := nodeReports(cr)
-				if workers == 1 {
-					w1Fleet, w1Nodes = fleet, nodes
-				} else if !reflect.DeepEqual(fleet, w1Fleet) || !reflect.DeepEqual(nodes, w1Nodes) {
-					t.Errorf("workers=%d differs from workers=1:\nw1: %+v\nw%d: %+v", workers, w1Fleet, workers, fleet)
-				}
-				if got, want := maskFleet(fleet), maskFleet(wantFleet); !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: fleet report differs from lock-step\ngot:  %+v\nwant: %+v", workers, got, want)
-				}
-				for i := range nodes {
-					if got, want := maskNode(nodes[i]), maskNode(wantNodes[i]); !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d: node %d report differs from lock-step (later nodes not shown)\ngot:  %+v\nwant: %+v", workers, i, got, want)
-						break
-					}
+			cr := newTestCluster(t, tc.cfg)
+			w1Fleet, err := cr.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w1Nodes := nodeReports(cr)
+			if got, want := maskFleet(w1Fleet), maskFleet(wantFleet); !reflect.DeepEqual(got, want) {
+				t.Errorf("fleet report differs from lock-step\ngot:  %+v\nwant: %+v", got, want)
+			}
+			for i := range w1Nodes {
+				if got, want := maskNode(w1Nodes[i]), maskNode(wantNodes[i]); !reflect.DeepEqual(got, want) {
+					t.Errorf("node %d report differs from lock-step (later nodes not shown)\ngot:  %+v\nwant: %+v", i, got, want)
+					break
 				}
 			}
 			fired, terminated := 0, 0

@@ -152,32 +152,48 @@ func (cr *ClusterRunner) place(a Arrival, byLoad bool) int {
 
 // dispatchIndex is the node summary behind every strategy: one row of
 // start bounds per reservation length, one of opportunistic bounds and
-// one of live loads, each indexed by node id. The cluster runner feeds
-// it every admission and every observed LAC.gen move, strictly serially,
-// so its state is deterministic regardless of how node stepping is
+// one of live loads, each indexed by node id, and for each row the
+// least value of every block of 64 nodes. The cluster runner feeds it
+// every admission and every observed LAC.gen move, strictly serially,
+// so its state is deterministic regardless of how node runs are
 // sharded.
 type dispatchIndex struct {
-	cr   *ClusterRunner
-	load []int      // live jobs per node
-	rows []boundRow // one per reservation length, in order of first use
-	opp  boundRow   // opportunistic feasibility (length 0)
+	cr        *ClusterRunner
+	load      []int      // live jobs per node
+	leastLoad []int      // per block: at most every load in it
+	rows      []boundRow // one per reservation length, in order of first use
+	opp       boundRow   // opportunistic feasibility (length 0)
 }
+
+// blockShift sets the block of the rows' summaries: 64 nodes.
+const blockShift = 6
 
 // boundRow holds, for one reservation length, a lower bound per node on
 // its earliest feasible start, 0 when unknown (reset by a LAC.gen move).
 // No bound in the row is below floor: a scan that visits every node
 // records their least bound there, and since bounds only rise between
-// resets it stays true until noteGen zeroes it.
+// resets it stays true until noteGen zeroes it. least holds, per block
+// of 64 nodes, a value at or below every bound in the block: noteGen
+// lowers it with the bound it zeroes, and a walk of the whole block
+// sets it to the block's least bound.
 type boundRow struct {
 	dur   int64
 	bound []int64
+	least []int64
 	floor int64
 }
 
 func newDispatchIndex(cr *ClusterRunner) *dispatchIndex {
 	n := len(cr.nodes)
-	return &dispatchIndex{cr: cr, load: make([]int, n), opp: boundRow{bound: make([]int64, n)}}
+	return &dispatchIndex{cr: cr, load: make([]int, n), leastLoad: make([]int, blocks(n)), opp: newBoundRow(0, n)}
 }
+
+func newBoundRow(dur int64, n int) boundRow {
+	return boundRow{dur: dur, bound: make([]int64, n), least: make([]int64, blocks(n))}
+}
+
+// blocks returns how many blocks n nodes fill.
+func blocks(n int) int { return (n + 1<<blockShift - 1) >> blockShift }
 
 // rowFor returns the row of one reservation length, adding it on first
 // use. The pointer is good until the next row is added.
@@ -187,7 +203,7 @@ func (x *dispatchIndex) rowFor(dur int64) *boundRow {
 			return &x.rows[r]
 		}
 	}
-	x.rows = append(x.rows, boundRow{dur: dur, bound: make([]int64, len(x.load))})
+	x.rows = append(x.rows, newBoundRow(dur, len(x.load)))
 	return &x.rows[len(x.rows)-1]
 }
 
@@ -195,18 +211,22 @@ func (x *dispatchIndex) rowFor(dur int64) *boundRow {
 // bounds stay valid: reservations only push starts later, and one more
 // live opportunistic job only raises the pin cap's demand.
 func (x *dispatchIndex) noteAdmit(id int) {
-	x.load[id] = x.cr.nodes[id].liveCount()
+	l := x.cr.nodes[id].liveCount()
+	x.load[id] = l
+	b := id >> blockShift
+	x.leastLoad[b] = min(x.leastLoad[b], l)
 }
 
 // noteGen resets node id after its LAC.gen moved: a completion, a fault
 // or a controller may have freed capacity, shrunk its live load or
 // lowered the pin cap's demand, so every bound it had learned is stale,
-// and so is every floor.
+// and so is every floor and the least bound of its block.
 func (x *dispatchIndex) noteGen(id int) {
 	x.noteAdmit(id)
-	x.opp.bound[id], x.opp.floor = 0, 0
+	b := id >> blockShift
+	x.opp.bound[id], x.opp.floor, x.opp.least[b] = 0, 0, 0
 	for r := range x.rows {
-		x.rows[r].bound[id], x.rows[r].floor = 0, 0
+		x.rows[r].bound[id], x.rows[r].floor, x.rows[r].least[b] = 0, 0, 0
 	}
 }
 
@@ -226,51 +246,83 @@ func (x *dispatchIndex) placeOpp(a Arrival, mode qos.Mode) int {
 // peek, only while its optimistic key (max(ta, bound), load) could beat
 // the best answer verified so far and its bound is at most limit, the
 // latest start the arrival accepts; row nil means no bounds at all. A
-// failed peek teaches the node's bound (earliestBound). The sweep stops
-// at the first verified node with start ta and load 0, which nothing
-// later can beat; only a sweep that visits every node records the row's
-// floor, and a floor past limit rejects without asking any node.
+// failed peek teaches the node's bound (earliestBound). A whole block
+// of 64 nodes whose summary key (max(ta, least bound), least load)
+// fails the same test is passed over without a look at its nodes: no
+// node in it would be asked, since a key no better than the summary's
+// beats nothing the summary cannot beat (beats is monotone). The sweep
+// stops at the first verified node with start ta and load 0, which
+// nothing later can beat; only a sweep that visits every node records
+// the row's floor — a passed-over block adds its least bound — and a
+// floor past limit rejects without asking any node.
 func (x *dispatchIndex) scan(a Arrival, mode qos.Mode, row *boundRow, limit int64, byLoad bool, first, n int) int {
 	if row != nil && max(a.TA, row.floor) > limit {
 		return -1
 	}
 	best, bestStart, bestLoad := -1, int64(0), 0
 	floor := neverBound
+	N := len(x.load)
 	// At most two runs of node ids: from first to the fleet's end, then
-	// the part that wraps around to 0. Indexing each run's prefix of the
-	// rows keeps the walk as tight as one range loop.
-	for lo, end := first, first+n; lo < end; lo, end = 0, end-len(x.load) {
-		loads := x.load[:min(end, len(x.load))]
-		var bounds []int64
-		if row != nil {
-			bounds = row.bound[:len(loads)]
-		}
-		for i := lo; i < len(loads); i++ {
-			load := loads[i]
-			var b int64
+	// the part that wraps around to 0, each cut at block edges. Indexing
+	// each block's slice of the rows keeps the walk as tight as one
+	// range loop.
+	for lo, end := first, first+n; lo < end; lo, end = 0, end-N {
+		for hi := min(end, N); lo < hi; {
+			blk := lo >> blockShift
+			bEnd := min((blk+1)<<blockShift, N)
+			whole := lo == blk<<blockShift && bEnd <= hi
+			if !whole {
+				bEnd = hi
+			}
+			var least int64
 			if row != nil {
-				b = bounds[i]
+				least = row.least[blk]
 			}
-			if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
-				s, ok := x.cr.nodes[i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+			if start := max(a.TA, least); whole && (start > limit || best != -1 && !beats(byLoad, start, x.leastLoad[blk], bestStart, bestLoad)) {
+				floor = min(floor, least)
+				lo = bEnd
+				continue
+			}
+			loads := x.load[lo:bEnd]
+			var bounds []int64
+			if row != nil {
+				bounds = row.bound[lo:bEnd]
+			}
+			blockBound, blockLoad := neverBound, math.MaxInt
+			for i, load := range loads {
+				var b int64
 				if row != nil {
-					b = s
-					if !ok {
-						b = x.earliestBound(a, mode, limit, i)
-					}
-					bounds[i] = b
+					b = bounds[i]
 				}
-				if ok && (best == -1 || beats(byLoad, s, load, bestStart, bestLoad)) {
-					best, bestStart, bestLoad = i, s, load
-					if load == 0 && (byLoad || s == a.TA) {
-						return best
+				if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
+					s, ok := x.cr.nodes[lo+i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+					if row != nil {
+						b = s
+						if !ok {
+							b = x.earliestBound(a, mode, limit, lo+i)
+						}
+						bounds[i] = b
+					}
+					if ok && (best == -1 || beats(byLoad, s, load, bestStart, bestLoad)) {
+						best, bestStart, bestLoad = lo+i, s, load
+						if load == 0 && (byLoad || s == a.TA) {
+							return best
+						}
 					}
 				}
+				blockBound, blockLoad = min(blockBound, b), min(blockLoad, load)
 			}
-			floor = min(floor, b)
+			if whole {
+				if row != nil {
+					row.least[blk] = blockBound
+				}
+				x.leastLoad[blk] = blockLoad
+			}
+			floor = min(floor, blockBound)
+			lo = bEnd
 		}
 	}
-	if row != nil && n == len(x.load) {
+	if row != nil && n == N {
 		row.floor = floor
 	}
 	return best

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -235,9 +236,10 @@ func (d peekallDispatch) least(a Arrival, mode qos.Mode, byLoad bool) int {
 // indexOracleFleets are the fleets whose LACs move earliest starts
 // earlier behind the dispatcher's back — fault storms, feedback
 // controllers, both — where the index stays sound only by resetting a
-// node's bounds when its LAC.gen moves, and a trace-engine fleet, whose
-// nodes' tw differ, where it stays exact only by pricing no node with
-// node 0's cutoff.
+// node's bounds when its LAC.gen moves, two fleets of several 64-node
+// blocks, where it stays exact only if a block it passes over holds no
+// node that could win, and a trace-engine fleet, whose nodes' tw differ,
+// where it stays exact only by pricing no node with node 0's cutoff.
 func indexOracleFleets() []struct {
 	name string
 	cfg  ClusterConfig
@@ -271,6 +273,13 @@ func indexOracleFleets() []struct {
 	cfg.Node.Controller = "pid"
 	cfg.Node.Faults = fault.Generate(4, 1500, 40_000_000, 4, 16)
 	fleets = append(fleets, fleet{"hybrid2-mix1-pid/faults", cfg})
+	// 200 nodes fill three 64-node blocks and part of a fourth, so the
+	// scan passes over whole blocks on the summaries alone.
+	cfg = clusterSkipCfg()
+	cfg.Nodes, cfg.AcceptTarget = 200, 600
+	fleets = append(fleets, fleet{"blocks", cfg})
+	cfg.Node.Faults = fault.Generate(5, 400, 40_000_000, 4, 16)
+	fleets = append(fleets, fleet{"blocks/faults", cfg})
 	trace := TraceConfig(Hybrid2, workload.Single("bzip2"))
 	trace.JobInstr = 1_000_000
 	trace.StealIntervalInstr = 50_000
@@ -344,18 +353,45 @@ func (d *rowCheck) Place(a Arrival) Placement {
 			d.shapes[dur] = a
 		}
 	}
+	d.checkBlocks("before")
 	d.placed++
-	return d.inner.Place(a)
+	p := d.inner.Place(a)
+	d.checkBlocks("after")
+	return p
 }
 
-// TestDispatchRowsStayLowerBounds runs bestfit, worstfit and oversub on
-// the fleets of indexOracleFleets under rowCheck. It catches a broken
+// checkBlocks holds every block summary to what a skipped block rests
+// on: its least bound at or below every bound in the block, in every
+// row, and its least load at or below every load. Between two
+// placements only noteAdmit and noteGen write the index, so the check
+// before each placement covers every noteGen since the last one.
+func (d *rowCheck) checkBlocks(when string) {
+	x := d.cr.idx
+	for i, l := range x.load {
+		if b := i >> blockShift; x.leastLoad[b] > l {
+			d.t.Fatalf("%s placement %d: block %d's least load %d is above node %d's load %d", when, d.placed, b, x.leastLoad[b], i, l)
+		}
+	}
+	for _, r := range append([]boundRow{x.opp}, x.rows...) {
+		for i, bound := range r.bound {
+			if b := i >> blockShift; r.least[b] > bound {
+				d.t.Fatalf("%s placement %d: block %d's least bound %d in the length-%d row is above node %d's bound %d", when, d.placed, b, r.least[b], r.dur, i, bound)
+			}
+		}
+	}
+}
+
+// TestDispatchRowsStayLowerBounds runs bestfit, worstfit, oversub and
+// locality — whose window walks cover part of a block — on the fleets of
+// indexOracleFleets under rowCheck. It catches a broken
 // floor rule before any placement changes: a floor recorded by a scan
 // that stopped early (its unvisited nodes may hold lower bounds), or one
-// kept across a LAC.gen move, and a bound kept across one.
+// kept across a LAC.gen move, and a bound kept across one; and a block
+// summary above a bound or load in its block — a noteGen or noteAdmit
+// that does not lower it, or a walk that sets it from part of a block.
 func TestDispatchRowsStayLowerBounds(t *testing.T) {
 	placed := 0
-	for _, s := range []qos.Strategy{qos.BestFit, qos.WorstFit, qos.Oversub} {
+	for _, s := range []qos.Strategy{qos.BestFit, qos.WorstFit, qos.Oversub, qos.Locality} {
 		for _, f := range indexOracleFleets() {
 			t.Run(s.String()+"/"+f.name, func(t *testing.T) {
 				cfg := f.cfg
@@ -366,6 +402,7 @@ func TestDispatchRowsStayLowerBounds(t *testing.T) {
 				if _, err := cr.Run(); err != nil {
 					t.Fatal(err)
 				}
+				check.checkBlocks("after the last")
 				placed += check.placed
 			})
 		}
@@ -374,8 +411,12 @@ func TestDispatchRowsStayLowerBounds(t *testing.T) {
 }
 
 // TestClusterWorkerCountInvariance pins the sharded-stepping
-// determinism contract: every dispatcher must produce an identical
-// report at any worker count.
+// determinism contract: the nodes of a round run on the worker pool and
+// are observed serially afterwards, so every dispatcher must produce an
+// identical report at any worker count — on clean 6-node fleets at
+// workers 1, 4 and 8, and on the lock-step oracle's fleets (fault
+// storms, pid/aimd, AutoDown, the trace engine) at workers 1 and 4,
+// where every node's own report must match too.
 func TestClusterWorkerCountInvariance(t *testing.T) {
 	for _, name := range testDispatchers() {
 		t.Run(name, func(t *testing.T) {
@@ -399,6 +440,80 @@ func TestClusterWorkerCountInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+	for _, tc := range oracleFleets() {
+		t.Run("oracle/"+tc.name, func(t *testing.T) {
+			var baseFleet *ClusterReport
+			var baseNodes []*Report
+			for _, workers := range []int{1, 4} {
+				cr := newTestCluster(t, tc.cfg)
+				fleet, err := cr.RunParallel(context.Background(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := nodeReports(cr)
+				if baseFleet == nil {
+					baseFleet, baseNodes = fleet, nodes
+					continue
+				}
+				if !reflect.DeepEqual(fleet, baseFleet) {
+					t.Errorf("workers=%d: fleet report differs from workers=1:\nw1: %+v\nw%d: %+v", workers, baseFleet, workers, fleet)
+				}
+				for i := range nodes {
+					if !reflect.DeepEqual(nodes[i], baseNodes[i]) {
+						t.Errorf("workers=%d: node %d report differs from workers=1 (later nodes not shown)\nw1: %+v\nw%d: %+v", workers, i, baseNodes[i], workers, nodes[i])
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
+// cancelAtTarget wraps a dispatcher and cancels a context on the
+// placement that meets the accept target, so the run is cancelled
+// while the fleet drains.
+type cancelAtTarget struct {
+	inner  Dispatcher
+	cr     *ClusterRunner
+	cancel context.CancelFunc
+}
+
+func (d cancelAtTarget) Name() string { return d.inner.Name() }
+
+func (d cancelAtTarget) Place(a Arrival) Placement {
+	p := d.inner.Place(a)
+	if p.Node >= 0 && d.cr.accepted == d.cr.cfg.AcceptTarget-1 {
+		d.cancel()
+	}
+	return p
+}
+
+// TestClusterCancelMidDrain cancels a fleet once its last arrival is
+// placed: the drain must return the context's error rather than run the
+// fleet to its end, at one worker and at four.
+func TestClusterCancelMidDrain(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cr := newTestCluster(t, clusterSkipCfg())
+		ctx, cancel := context.WithCancel(context.Background())
+		cr.disp = cancelAtTarget{inner: cr.disp, cr: cr, cancel: cancel}
+		_, err := cr.RunParallel(ctx, workers)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: a fleet cancelled mid-drain returned %v, want %v", workers, err, context.Canceled)
+		}
+		if cr.accepted != cr.cfg.AcceptTarget {
+			t.Fatalf("workers=%d: cancelled with %d of %d accepted, not in the drain", workers, cr.accepted, cr.cfg.AcceptTarget)
+		}
+		busy := 0
+		for _, n := range cr.nodes {
+			if !n.idle() {
+				busy++
+			}
+		}
+		if busy == 0 {
+			t.Errorf("workers=%d: every node ran idle; the drain was not cut short", workers)
+		}
 	}
 }
 

@@ -68,14 +68,16 @@ type Runner struct {
 	// ffProvedK is the window nextHorizon proved at cycle ffProvedAt,
 	// still priced in that scratch: catchUp applies it instead of proving
 	// it again while the node's clock still reads ffProvedAt and step or
-	// admit has not dropped it (fastforward.go).
+	// admit has not dropped it (fastforward.go). ffPricedAt holds, per
+	// parity, the bus utilization at which that scratch holds a complete
+	// pricing of the current plan (NaN: none), which epochDeltas and
+	// advanceAll reuse instead of pricing the plan again (DESIGN §11.7);
+	// buildPlan clears it.
 	nStepped   int64
 	nSkipped   int64
-	ffPeriod   int64
 	ffDeltas   []jobDelta
 	ffDeltas2  []jobDelta
-	ffFails    int64 // consecutive priced failed proofs (backoff input)
-	ffDefer    int64 // steps left before the next window proof attempt
+	ffPricedAt [2]float64
 	ffProvedAt int64
 	ffProvedK  int64
 
@@ -115,7 +117,10 @@ type Runner struct {
 
 	sc epochScratch
 
-	// The flags, together so they share one word.
+	// The one-byte fields, together so they pack into the last two words.
+	ffPeriod      int8 // the proved window's bus period, 1 or 2
+	ffFails       int8 // consecutive priced failed proofs (backoff input)
+	ffDefer       int8 // steps left before the next window proof attempt
 	external      bool // arrivals are injected by a ClusterRunner
 	planOK        bool // the cached epoch plan holds (see planWake)
 	planWaysDirty bool // the cached plan needs only its way split redone
@@ -133,6 +138,10 @@ type Runner struct {
 	// it makes learnStart learn nothing, so every arrival runs LAC.Admit —
 	// the reference the learned bound is held to.
 	admitEveryArrival bool
+	// repriceEveryEpoch is set only by this package's differential tests:
+	// it makes every epoch price its plan from scratch, never reusing
+	// ffPricedAt's record — the reference the reuse is held to.
+	repriceEveryEpoch bool
 }
 
 // epochScratch holds the per-epoch working slices, reused across steps so
@@ -214,7 +223,7 @@ func New(cfg Config) (*Runner, error) {
 // created lazily by processArrivals: cluster nodes never draw from them,
 // and each would pin a tape per node seed in the process-wide store.
 func newNode(sh *nodeShared, seed int64) *Runner {
-	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem)}
+	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem), ffPricedAt: unpriced}
 	cfg := r.Config()
 	r.sched = newScheduler(cfg)
 	r.wayAlloc = newAllocator(cfg)
@@ -405,11 +414,6 @@ func (r *Runner) compact() {
 // liveCount returns the number of accepted jobs not yet finished.
 func (r *Runner) liveCount() int { return len(r.accepted) - r.doneN }
 
-// finishedCount returns how many accepted jobs have finished over the
-// whole run — monotone even across compaction, which is what the
-// cluster layer's completion observer diffs against.
-func (r *Runner) finishedCount() int { return r.acceptedN - r.liveCount() }
-
 // fastForwardIdle advances an idle node to cycle `to` in one step: k
 // skipped epochs contribute k empty-node fragmentation deltas and one
 // rolled-up bus window (zero misses yield zero utilization for any
@@ -436,8 +440,10 @@ func (r *Runner) fastForwardIdle(to int64) {
 // deltas, and the next cycle at which a timed transition (waiting job
 // start, auto-downgrade switch-back) changes scheduling inputs and
 // forces a rebuild. Event-driven invalidation (arrival, completion,
-// steal) clears planOK at the event site.
+// steal) clears planOK at the event site. A new plan drops the record of
+// the old one's pricing.
 func (r *Runner) buildPlan(byCore [][]*Job) {
+	r.ffPricedAt = unpriced
 	if r.rebuildPlans {
 		r.planOK = false
 		return

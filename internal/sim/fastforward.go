@@ -23,6 +23,8 @@
 package sim
 
 import (
+	"math"
+
 	"cmpqos/internal/cpu"
 	"cmpqos/internal/steal"
 )
@@ -47,22 +49,62 @@ type jobDelta struct {
 	base     float64 // BaselineCycles addend per epoch
 }
 
-// epochDeltas prices one steady epoch at bus utilization u, filling dst
-// with the per-job deltas in plan order and returning the epoch's total
-// fill and write-back transfers. For the second parity of a period-2
-// window, prev holds the first parity's deltas (same plan order): the
-// completion clamp then tests the job's remaining work *after* the
-// preceding epoch. Returns ok=false when any job would hit its
+// unpriced is ffPricedAt with neither parity priced.
+var unpriced = [2]float64{math.NaN(), math.NaN()}
+
+// epochDeltas prices one steady epoch of the given bus-cycle parity at
+// bus utilization u, filling the parity's scratch (r.ffDeltas, or
+// r.ffDeltas2 for parity 1) with the per-job deltas in plan order and
+// returning the epoch's total fill and write-back transfers. For the
+// second parity of a period-2 window, the completion clamp tests the
+// job's remaining work *after* the first parity's epoch (r.ffDeltas,
+// same plan order). Returns ok=false when any job would hit its
 // Remaining clamp or the model cannot guarantee constant deltas.
-func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss, wb int64, ok bool) {
+//
+// A complete pricing is recorded in ffPricedAt: the plan has not
+// changed since (buildPlan clears the record), so at the same u every
+// delta is the same, and only the clamp, which reads progress, and the
+// totals are evaluated again (DESIGN §11.7). Parity 0 at the u the
+// other parity's scratch was priced at swaps the two, since the clamp
+// offset is the only thing parity changes. A plan with a phased job is
+// never recorded — phaseScale moves with progress inside a plan — and
+// neither is one where a job's share rounds to no instruction, the one
+// case where the clamp saw a different count than the delta holds.
+func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
+	dst, prev := &r.ffDeltas, []jobDelta(nil)
+	if parity == 1 {
+		dst, prev = &r.ffDeltas2, r.ffDeltas
+	} else if r.ffPricedAt[1] == u && r.ffPricedAt[0] != u {
+		r.ffDeltas, r.ffDeltas2 = r.ffDeltas2, r.ffDeltas
+		r.ffPricedAt[0], r.ffPricedAt[1] = r.ffPricedAt[1], r.ffPricedAt[0]
+	}
+	if r.ffPricedAt[parity] == u && !r.repriceEveryEpoch {
+		for i := range *dst {
+			d := &(*dst)[i]
+			var off int64
+			if prev != nil {
+				off = prev[i].instr
+			}
+			if d.instr > d.j.Remaining()-off {
+				return 0, 0, false
+			}
+			miss += d.misses
+			wb += writeBacks(d.misses)
+		}
+		return miss, wb, true
+	}
+	r.ffPricedAt[parity] = math.NaN()
 	if cap(*dst) == 0 {
 		// A job per core to start with, not append's 1, 2, 4: a filling
 		// node reallocated its scratch at each.
 		*dst = make([]jobDelta, 0, len(r.sc.byCore))
 	}
-	*dst = (*dst)[:0]
+	// Appending to a local and storing it once keeps the slice header
+	// writes, which a running collector barriers, out of the loop.
+	ds := (*dst)[:0]
 	E := r.cfg.EpochCycles
 	idx := 0
+	record := true
 	for _, jobs := range r.sc.byCore {
 		n := int64(len(jobs))
 		if n == 0 {
@@ -79,13 +121,16 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 			cpi := r.model.cpiFor(j, pen)
 			instr := int64(float64(share) / cpi)
 			if instr > j.Remaining()-off {
+				*dst = ds
 				return 0, 0, false // the clamp fires: the job completes
 			}
 			if instr <= 0 {
 				instr = 1
+				record = false
 			}
 			misses, shadow, wbJ, okD := r.model.steadyDeltas(j, instr)
 			if !okD {
+				*dst = ds
 				return 0, 0, false
 			}
 			base := float64(instr) * cpi
@@ -94,14 +139,21 @@ func (r *Runner) epochDeltas(u float64, prev []jobDelta, dst *[]jobDelta) (miss,
 				// baseline), constant while pen is.
 				base = float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
 			}
-			*dst = append(*dst, jobDelta{
+			ds = append(ds, jobDelta{
 				j: j, instr: instr, consumed: int64(float64(instr) * cpi),
 				misses: misses, shadow: shadow, base: base,
 			})
 			miss += misses
 			wb += wbJ
 			idx++
+			if j.InstrTotal > 0 && len(j.Profile.Phases) > 0 {
+				record = false
+			}
 		}
+	}
+	*dst = ds
+	if record {
+		r.ffPricedAt[parity] = u
 	}
 	return miss, wb, true
 }
@@ -157,7 +209,7 @@ func (r *Runner) steadyWindow(maxK int64) int64 {
 		if r.ffFails < 6 {
 			r.ffFails++
 		}
-		r.ffDefer = int64(1) << (r.ffFails - 1) // 1, 2, ... capped at 32
+		r.ffDefer = int8(1) << (r.ffFails - 1) // 1, 2, ... capped at 32
 	}
 	return k
 }
@@ -228,7 +280,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	// starting utilization back (and must not flip saturation, which
 	// would flip the stealing pause input between parities).
 	u0 := r.bus.Utilization()
-	miss0, wb0, ok := r.epochDeltas(u0, nil, &r.ffDeltas)
+	miss0, wb0, ok := r.epochDeltas(u0, 0)
 	if !ok {
 		return 0
 	}
@@ -238,7 +290,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 		if k < 2 || r.bus.SaturatedAt(u1) != r.bus.SaturatedAt(u0) {
 			return 0
 		}
-		miss1, wb1, ok := r.epochDeltas(u1, r.ffDeltas, &r.ffDeltas2)
+		miss1, wb1, ok := r.epochDeltas(u1, 1)
 		if !ok {
 			return 0
 		}
@@ -247,7 +299,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 		}
 		r.ffPeriod = 2
 	}
-	P := r.ffPeriod
+	P := int64(r.ffPeriod)
 	k -= k % P // the window must hand back the starting utilization
 
 	for i := range r.ffDeltas {
@@ -345,7 +397,7 @@ func (r *Runner) admitWindow(k int64) int64 {
 		}
 		if accepted {
 			ka := (ta - r.now) / E
-			return ka - ka%r.ffPeriod
+			return ka - ka%int64(r.ffPeriod)
 		}
 	}
 }
@@ -485,7 +537,7 @@ func phaseIndexAt(j *Job, done int64) int {
 // window's proof made its last epoch's traffic hand back the utilization
 // it started from, and no window traffic is pending between epochs.
 func (r *Runner) applySteady(k int64) {
-	m := k / r.ffPeriod
+	m := k / int64(r.ffPeriod)
 	var none jobDelta
 	for i := range r.ffDeltas {
 		d0, d1 := &r.ffDeltas[i], &none
@@ -533,7 +585,7 @@ func (r *Runner) catchUp(to int64) {
 		if need := (to - r.now) / r.cfg.EpochCycles; need < k {
 			k = need
 		}
-		if k -= k % r.ffPeriod; k > 0 {
+		if k -= k % int64(r.ffPeriod); k > 0 {
 			r.applySteady(k)
 		}
 	}

@@ -61,16 +61,7 @@ func runWithEventSkip(t *testing.T, cfg Config, disable bool) ([]byte, []trace.E
 // stepped + skipped is the same number either way — and that the skip
 // actually engages where claimed.
 func TestEventSkipByteIdentity(t *testing.T) {
-	phased := workload.Composition{Name: "phased-bzip2"}
-	for i := 0; i < 10; i++ {
-		phased.Jobs = append(phased.Jobs, workload.JobTemplate{
-			Benchmark: "bzip2",
-			Phases: []workload.Phase{
-				{Until: 0.5, MPIScale: 0.5},
-				{Until: 1.0, MPIScale: 1.0},
-			},
-		})
-	}
+	phased := phasedBzip2()
 	scripted := func() Config {
 		cfg := DefaultConfig(Hybrid2, workload.Composition{Name: "scripted"})
 		cfg.JobInstr = 5_000_000
@@ -362,7 +353,7 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 			t.Fatal(err)
 		}
 		j := &Job{BaselineCycles: s}
-		r.ffPeriod = period
+		r.ffPeriod = int8(period)
 		r.ffDeltas = []jobDelta{{j: j, base: 1}}
 		r.ffDeltas2 = []jobDelta{{j: j, base: 1.5}}
 		*r.frag = fragSink{idleCores: s, idleWays: s, internal: s}

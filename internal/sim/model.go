@@ -85,8 +85,13 @@ func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, boo
 	if j.Stealer != nil {
 		shadow = int64(float64(instr) * j.mpiRes * scale)
 	}
-	// Steady state: dirty evictions track the store fraction of fills.
-	return misses, shadow, int64(float64(misses) * workload.WriteFraction), true
+	return misses, shadow, writeBacks(misses), true
+}
+
+// writeBacks returns the dirty evictions of a steady epoch's fills: they
+// track the store fraction of fills.
+func writeBacks(misses int64) int64 {
+	return int64(float64(misses) * workload.WriteFraction)
 }
 
 // traceAccessShift right-shifts the number of L2 accesses the trace
