@@ -363,10 +363,13 @@ func BenchmarkGACSubmit(b *testing.B) {
 // and a placement sweeps the dispatcher's bound rows in node order
 // (internal/sim/dispatch.go), passing over each 64-node block whose
 // summary cannot win, so the cost per arrival grows slowly with the
-// fleet: on one CPU of a 2-vCPU VM, 3.4–3.7k ns at 64 nodes, 3.6–4.3k
-// at 1,000 and 5.6–7.0k at 5,000 (four rounds; a full walk of every row
-// took 13–20k at 5,000). Saturated rejections, which a row's floor
-// answers without a walk, dominate TestClusterDatacenterScale instead.
+// fleet: on one CPU of a 2-vCPU VM, 4.0–5.4k ns at 64 nodes, 3.9–6.5k
+// at 1,000 and 5.1–8.7k at 5,000 (four rounds, eight at 5,000, on a
+// host whose run-to-run spread was as wide as those ranges; a full walk
+// of every row took 13–20k at 5,000). At 5,000 nodes the arrivals of
+// one epoch meet the target, so the run is one round and the drain.
+// Saturated rejections, which a row's floor answers without a walk,
+// dominate TestClusterDatacenterScale instead.
 func BenchmarkClusterDispatch(b *testing.B) {
 	for _, nodes := range []int{64, 1000, 5000} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {

@@ -349,12 +349,14 @@ func TestProfNodeSize(t *testing.T) {
 
 // TestTimelineAndLACSize pins the two structs every node of a fleet owns
 // one of: a field added to either is a decision, not an accident. The
-// Timeline is 128 B with its fit memo (before it, 104 B with a Render
-// buffer and a priority stream per treap); the LAC is 96 B since the
-// modeled probe costs became constants (112 B as two fields).
+// Timeline is 72 B: it was 104 B with a Render buffer and a priority
+// stream per treap, then 128 B with a one-entry fit memo (56 B), which
+// went once a node's learned earliest start decided nearly every
+// rejection before it reached the LAC (DESIGN §7.5). The LAC is 96 B
+// since the modeled probe costs became constants (112 B as two fields).
 func TestTimelineAndLACSize(t *testing.T) {
-	if s := unsafe.Sizeof(Timeline{}); s > 128 {
-		t.Errorf("Timeline is %d B, want ≤ 128", s)
+	if s := unsafe.Sizeof(Timeline{}); s > 72 {
+		t.Errorf("Timeline is %d B, want ≤ 72", s)
 	}
 	if s := unsafe.Sizeof(LAC{}); s > 96 {
 		t.Errorf("LAC is %d B, want ≤ 96", s)

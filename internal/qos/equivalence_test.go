@@ -213,7 +213,7 @@ func FuzzTimelineEquivalence(f *testing.F) {
 // TestTimelineEquivalenceRandom runs the same differential harness on
 // seeded pseudo-random streams in every plain `go test` invocation, so
 // coverage does not depend on running the fuzzer, and on memoStream's
-// repeated-shape streams, which exercise the fit memo.
+// repeated-shape streams.
 func TestTimelineEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -232,9 +232,9 @@ func TestTimelineEquivalenceRandom(t *testing.T) {
 // same fit shapes: two vectors and two durations, a shape kept for
 // several queries in a row, arrival times that mostly climb and often
 // fall back, fits far more often than releases. Random streams almost
-// never ask the same (vec, dur) twice, so they leave the Timeline's fit
-// memo — its reuse, its merging, its invalidation — nearly untested;
-// these streams hit it on most queries.
+// never ask the same (vec, dur) twice, while an admission controller
+// asks little else. (The name is from the one-entry fit memo they were
+// written to exercise, since removed: DESIGN §7.5.)
 func memoStream(seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := []byte{3, 15} // 4 cores, 16 ways

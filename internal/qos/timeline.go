@@ -38,50 +38,7 @@ type Timeline struct {
 	// rng draws the priorities of both treaps: their shapes set only the
 	// cost of a query, never its answer, so one deterministic stream
 	// serves the two.
-	rng  splitmix.Rand
-	miss fitMemo
-}
-
-// noStart is fitMemo's bound when no start at or after its from fits:
-// some dimension never frees up again.
-const noStart = int64(math.MaxInt64)
-
-// fitMemo is the one fact a Timeline remembers between fit queries: no
-// start in [from, bound) fits vec for dur cycles. Every EarliestFit and
-// every failed LatestFit proves such a fact for its own shape on the
-// way to its answer; the next query for the same shape starts past it
-// (or rejects outright) instead of walking the same blocked runs again.
-// Adding a reservation only adds usage, so a start that did not fit
-// still does not: Reserve and restore keep the fact, and every change
-// that can free capacity (a drop, SetCapacity, ShrinkVec) clears it.
-type fitMemo struct {
-	vec         ResourceVector
-	dur         int64
-	from, bound int64
-}
-
-// past returns the first start ≥ s the fact leaves open for (vec, dur):
-// bound when s lies inside it, s otherwise.
-func (m *fitMemo) past(vec ResourceVector, dur, s int64) int64 {
-	if m.from <= s && s < m.bound && m.dur == dur && m.vec == vec {
-		return m.bound
-	}
-	return s
-}
-
-// learn records that no start in [from, bound) fits (vec, dur). A fact
-// for the remembered shape that overlaps or touches the remembered one
-// extends it; any other fact replaces it — two facts with a gap between
-// them must never merge, since a start in the gap may fit.
-func (m *fitMemo) learn(vec ResourceVector, dur, from, bound int64) {
-	if bound <= from {
-		return
-	}
-	if m.dur == dur && m.vec == vec && from <= m.bound && m.from <= bound {
-		m.from, m.bound = min(m.from, from), max(m.bound, bound)
-		return
-	}
-	*m = fitMemo{vec: vec, dur: dur, from: from, bound: bound}
+	rng splitmix.Rand
 }
 
 // NewTimeline builds a timeline for a node with the given capacity.
@@ -140,10 +97,7 @@ func (t *Timeline) fits(vec ResourceVector, start, dur int64) bool {
 // reservation end — availability only increases at ends, so no start
 // between the blockage and that boundary can fit) and re-probe. Each
 // round is O(log n) and skips an entire blocked run, so a fully packed
-// timeline resolves in a handful of descents. The remembered fact
-// (fitMemo) lets the walk jump its run in O(1), and whatever the walk
-// proves — no start in [now, its last candidate) fits — is remembered
-// for the next query of the same shape.
+// timeline resolves in a handful of descents.
 func (t *Timeline) EarliestFit(vec ResourceVector, now, dur, deadline int64) (start int64, ok bool) {
 	if !vec.Fits(t.capacity) || dur <= 0 {
 		return 0, false
@@ -151,19 +105,15 @@ func (t *Timeline) EarliestFit(vec ResourceVector, now, dur, deadline int64) (st
 	limit := limitFor(t.capacity, vec)
 	s := now
 	for {
-		s = t.miss.past(vec, dur, s)
-		if s == noStart || deadline != 0 && s > deadline-dur {
-			t.miss.learn(vec, dur, now, s)
+		if deadline != 0 && s+dur > deadline {
 			return 0, false // candidates ascend; later ones are worse
 		}
 		at, d, over := t.prof.firstOver(s, s+dur, limit)
 		if !over {
-			t.miss.learn(vec, dur, now, s)
 			return s, true
 		}
 		next, ok := fitDimAfter(t.prof.root, 0, at, d, limit[d])
 		if !ok {
-			t.miss.learn(vec, dur, now, noStart)
 			return 0, false // dimension d never frees up again
 		}
 		s = next
@@ -178,23 +128,15 @@ func (t *Timeline) EarliestFit(vec ResourceVector, now, dur, deadline int64) (st
 // The mirror of EarliestFit's walk: probe the window at s descending; if
 // it overlaps an over-limit segment, find where that segment's blocked
 // run in the offending dimension begins (a reservation start — usage
-// only rises at starts) and slide the window to end there. When the
-// remembered fact covers every candidate in [now, deadline−dur] the
-// answer is no in O(1); a walk that finds nothing remembers that no
-// start in that range fits.
+// only rises at starts) and slide the window to end there.
 func (t *Timeline) LatestFit(vec ResourceVector, now, dur, deadline int64) (start int64, ok bool) {
 	if !vec.Fits(t.capacity) || dur <= 0 || deadline == 0 || deadline-dur < now {
 		return 0, false
 	}
-	last := deadline - dur
-	if t.miss.past(vec, dur, now) > last {
-		return 0, false
-	}
 	limit := limitFor(t.capacity, vec)
-	s := last
+	s := deadline - dur
 	for {
 		if s < now {
-			t.miss.learn(vec, dur, now, last+1)
 			return 0, false
 		}
 		k, d, over := lastOverBefore(t.prof.root, uvec{}, s+dur, limit)
@@ -234,8 +176,7 @@ func (t *Timeline) Reserve(jobID int, vec ResourceVector, start, dur int64) int 
 	return id
 }
 
-// insert threads a reservation through all three structures. It only
-// adds usage, so the fit memo stays true.
+// insert threads a reservation through all three structures.
 func (t *Timeline) insert(res Reservation) {
 	v := toUvec(res.Vec)
 	t.prof.update(res.Start, v, +1, &t.rng)
@@ -245,15 +186,13 @@ func (t *Timeline) insert(res Reservation) {
 	t.byID[res.ID] = n
 }
 
-// drop is insert's inverse. Freed capacity may fit a start the memo
-// rules out, so it forgets the memo.
+// drop is insert's inverse.
 func (t *Timeline) drop(n *resNode) {
 	v := toUvec(n.res.Vec)
 	t.prof.update(n.res.Start, v.neg(), -1, &t.rng)
 	t.prof.update(n.res.End, v, -1, &t.rng)
 	t.idx.remove(n.res)
 	delete(t.byID, n.res.ID)
-	t.miss = fitMemo{}
 }
 
 // Release removes a reservation by ID; it is a no-op for unknown IDs
@@ -278,7 +217,6 @@ func (t *Timeline) SetCapacity(capacity ResourceVector, from int64) []Reservatio
 		panic(fmt.Sprintf("qos: invalid timeline capacity %v", capacity))
 	}
 	t.capacity = capacity
-	t.miss = fitMemo{}
 	limit := limitFor(capacity, ResourceVector{})
 	var evicted []Reservation
 	for {
@@ -311,7 +249,6 @@ func (t *Timeline) ShrinkVec(id int, vec ResourceVector) bool {
 	t.prof.update(n.res.Start, d, 0, &t.rng)
 	t.prof.update(n.res.End, d.neg(), 0, &t.rng)
 	n.res.Vec = vec // Vec feeds no index aggregate; in-place is safe
-	t.miss = fitMemo{}
 	return true
 }
 

@@ -56,10 +56,10 @@ func TestWALByteBoundRotation(t *testing.T) {
 // TestSnapshotAllocView checks the ?alloc=1 wrapper: the durable
 // envelope rides along verbatim (the crash-identity contract compares
 // exactly those bytes), and the derived section reports sane per-node
-// allocation state.
+// allocation state: each node's reservation count is its timeline's.
 func TestSnapshotAllocView(t *testing.T) {
 	cfg := testConfig(t.TempDir())
-	_, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, cfg)
 	submitN(t, ts.URL, 12, 1)
 
 	bare := getBytes(t, ts.URL+"/v1/snapshot")
@@ -97,6 +97,10 @@ func TestSnapshotAllocView(t *testing.T) {
 		}
 		if n.Headroom != 0 {
 			t.Errorf("node %d reports headroom %d with no controller attached", n.Node, n.Headroom)
+		}
+		tl := s.nodes[n.Node].Timeline()
+		if n.Reservations != tl.Len() || n.Reservations != len(tl.Reservations()) {
+			t.Errorf("node %d reports %d reservations, its timeline holds %d", n.Node, n.Reservations, tl.Len())
 		}
 		reservations += n.Reservations
 	}

@@ -500,7 +500,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 				Node:         i,
 				Cores:        cap.Cores,
 				Ways:         cap.CacheWays,
-				Reservations: len(tl.Reservations()),
+				Reservations: tl.Len(),
 				UsedCores:    use.Cores,
 				UsedWays:     use.CacheWays,
 				Headroom:     lac.Headroom(),

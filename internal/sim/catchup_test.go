@@ -8,27 +8,32 @@ import (
 )
 
 // wakeProbe wraps a fleet's dispatcher and inspects every node an
-// arrival is placed on just before the cluster wakes it: a sleeper
-// whose recorded window is still valid is one catchUp is about to
-// serve from the record. It counts those wakes, and separately the
-// ones the memo must cut short — woken after an odd number of epochs
-// inside a longer period-2 window, so min(k, need) is rounded down to
-// need−1 and the last epoch is left to the priced failure and the step.
+// arrival is placed on just before the cluster wakes it. It counts the
+// sleepers whose clock lags the cluster's (lagged), the ones whose
+// recorded window is still valid — catchUp is about to serve them from
+// the record (hits) — and separately the ones the memo must cut short —
+// woken after an odd number of epochs inside a longer period-2 window,
+// so min(k, need) is rounded down to need−1 and the last epoch is left
+// to the priced failure and the step.
 type wakeProbe struct {
-	inner Dispatcher
-	cr    *ClusterRunner
-	hits  int
-	oddP2 int
+	inner  Dispatcher
+	cr     *ClusterRunner
+	lagged int
+	hits   int
+	oddP2  int
 }
 
 func (p *wakeProbe) Name() string { return p.inner.Name() }
 
 func (p *wakeProbe) Place(a Arrival) Placement {
 	pl := p.inner.Place(a)
-	if pl.Node < 0 || !p.cr.cal.contains(pl.Node) {
+	if pl.Node < 0 || p.cr.wakes[pl.Node] == retiredWake {
 		return pl
 	}
 	n := p.cr.nodes[pl.Node]
+	if n.now < p.cr.now {
+		p.lagged++
+	}
 	if n.ffProvedK == 0 || n.ffProvedAt != n.now {
 		return pl
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"cmpqos/internal/parallel"
 	"cmpqos/internal/qos"
@@ -15,8 +14,8 @@ import (
 // The node cap is a memory bound, not a policy: the fleet must fit
 // comfortably in one machine's memory, so the cap is the node count that
 // fits a 16 GiB budget at 64 KiB a node. That figure is a deliberate
-// ceiling, not a measurement: a node measures 2.4 KB at construction and
-// 1.2 KB per job it accepts (TestFleetAllocBudget), and 64 KiB leaves
+// ceiling, not a measurement: a node measures 1.7 KB at construction and
+// 0.9 KB per job it accepts (TestFleetAllocBudget), and 64 KiB leaves
 // room for a loaded timeline and a few dozen live jobs. Deriving the cap
 // by division keeps the arithmetic overflow-free however it is tuned.
 const (
@@ -137,25 +136,22 @@ type ClusterRunner struct {
 	// the node's bounds in the dispatch index.
 	lastGen []uint64
 
-	// Event-horizon calendar (DESIGN §11.4). Between rounds a node is in
-	// one of two places: cal (it sleeps in the bucket of the absolute
-	// cycle of its next wake — the end of the window it proved, or the
-	// next epoch when it proved none), or retired (neither: no live jobs
-	// and no pending fault points, so nothing can happen on it until an
-	// arrival lands). A node that cannot fast-forward — the trace engine
-	// — answers nextHorizon() == now and so wakes every epoch while it
-	// has work. A sleeping or retired node's clock lags the cluster's; it
-	// catches up (bit-identically, via the same closed form it proved, or
-	// fastForwardIdle) before anything mutates it. wakes holds each
-	// node's calendar key while it sleeps, and a node of the current
-	// round its next wake once it ran (retiredWake: none); ran holds the
-	// nodes of the current round in ascending id.
-	cal   *calendar
+	// wakes is the one record of a node between rounds (DESIGN §11.4):
+	// the absolute cycle of its next wake — the end of the window it
+	// proved, or the next epoch when it proved none — or retiredWake once
+	// it has no live job and no pending fault point, so that nothing can
+	// happen on it until an arrival lands. A node that cannot
+	// fast-forward — the trace engine — answers nextHorizon() == now and
+	// so wakes every epoch while it has work. A sleeping or retired
+	// node's clock lags the cluster's; it catches up (bit-identically,
+	// via the same closed form it proved, or fastForwardIdle) before
+	// anything mutates it. ran holds the nodes of the current round in
+	// ascending id.
 	ran   []int32
 	wakes []int64
 }
 
-// retiredWake is the wake a node's run reports when the node retired.
+// retiredWake is the wake of a retired node: none, until an arrival lands.
 const retiredWake = int64(-1)
 
 // NewCluster builds the cluster runner.
@@ -167,7 +163,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		cfg:     cfg,
 		dlmix:   workload.NewDeadlineStream(cfg.Node.Seed),
 		lastGen: make([]uint64, cfg.Nodes),
-		cal:     newCalendar(cfg.Nodes),
 		ran:     make([]int32, 0, cfg.Nodes),
 		wakes:   make([]int64, cfg.Nodes),
 	}
@@ -195,12 +190,12 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		n := newNode(sh, seed)
 		n.external = true
 		cr.nodes = append(cr.nodes, n)
-		if n.faults != nil {
-			// Fault transitions fire at their configured cycles even on a
-			// node that never receives a job: it wakes at cycle 0, and its
-			// proved windows (capped at the next fault point) carry it from
-			// there.
-			cr.cal.insert(i, 0)
+		// Fault transitions fire at their configured cycles even on a
+		// node that never receives a job: it wakes at cycle 0, and its
+		// proved windows (capped at the next fault point) carry it from
+		// there. Every other node waits, retired, for its first arrival.
+		if n.faults == nil {
+			cr.wakes[i] = retiredWake
 		}
 	}
 	// The shared arrival process scales with the node count, as the
@@ -225,9 +220,9 @@ func (cr *ClusterRunner) Run() (*ClusterReport, error) {
 // RunParallel executes the cluster to completion, running the nodes of
 // each round on up to `workers` goroutines. A round places the arrivals
 // of one arrival epoch, then runs every node whose wake falls before
-// the next arrival epoch, each through the sequence the calendar gives
-// it — catchUp to the wake, step, prove the next window, wake again at
-// its end — until its wake reaches that epoch or it retires. Between
+// the next arrival epoch, each through the sequence its wakes give it —
+// catchUp to the wake, step, prove the next window, wake again at its
+// end — until its wake reaches that epoch or it retires. Between
 // two arrival epochs nothing couples the nodes: the dispatch index is
 // read only when an arrival is placed, and what a node's epochs change
 // in it (a LAC.gen move, its live load) is a function of the node's
@@ -259,7 +254,7 @@ func (cr *ClusterRunner) RunParallel(ctx context.Context, workers int) (*Cluster
 }
 
 // runRound runs every node whose wake falls before the cycle until, each
-// alone up to it, then observes them and files them for their next wake.
+// alone up to it, then observes them.
 func (cr *ClusterRunner) runRound(ctx context.Context, pool *parallel.Pool, until int64) error {
 	cr.popRound(until - 1)
 	if err := cr.runPopped(ctx, pool, until, false); err != nil {
@@ -297,11 +292,15 @@ func (cr *ClusterRunner) drain(ctx context.Context, pool *parallel.Pool) error {
 	return nil
 }
 
-// popRound takes every node whose wake is at or before the cycle `to`
-// out of the calendar into ran, in ascending id.
+// popRound lists in ran every node whose wake is at or before the cycle
+// `to`, in ascending id.
 func (cr *ClusterRunner) popRound(to int64) {
-	cr.ran = cr.cal.popDue(to, cr.ran[:0])
-	slices.Sort(cr.ran)
+	cr.ran = cr.ran[:0]
+	for id, w := range cr.wakes {
+		if w != retiredWake && w <= to {
+			cr.ran = append(cr.ran, int32(id))
+		}
+	}
 }
 
 // runPopped runs every node of ran that has not retired from its wake
@@ -347,14 +346,10 @@ func (cr *ClusterRunner) runNode(ctx context.Context, n *Runner, at, until int64
 	return at, nil
 }
 
-// settleRound observes the nodes of the round in ascending id and files
-// the ones still due in the calendar at their next wake.
+// settleRound observes the nodes of the round in ascending id.
 func (cr *ClusterRunner) settleRound() {
 	for _, id := range cr.ran {
 		cr.observe(int(id))
-		if w := cr.wakes[id]; w != retiredWake {
-			cr.cal.insert(int(id), w)
-		}
 	}
 }
 
@@ -410,19 +405,17 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 }
 
 // wake brings a node to the cluster clock ahead of a submission, which
-// reads and mutates admission state at that clock: a calendar sleeper
-// replays its slept epochs, a retired node fast-forwards through the
-// idle ones, and either then wakes at the current epoch, to run it in
-// the round that follows the placement.
+// reads and mutates admission state at that clock: a sleeper replays
+// its slept epochs, a retired node fast-forwards through the idle ones,
+// and either then wakes at the current epoch, to run it in the round
+// that follows the placement.
 func (cr *ClusterRunner) wake(id int) {
-	if cr.cal.contains(id) {
-		cr.cal.remove(id)
+	if cr.wakes[id] != retiredWake {
 		cr.nodes[id].catchUp(cr.now)
 	} else {
 		cr.nodes[id].fastForwardIdle(cr.now)
 	}
 	cr.wakes[id] = cr.now
-	cr.cal.insert(id, cr.now)
 }
 
 // report folds the per-node streaming reports into the fleet report,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cmpqos/internal/fault"
+	"cmpqos/internal/qos"
 	"cmpqos/internal/workload"
 )
 
@@ -159,13 +160,19 @@ type fleetCase struct {
 	cfg  ClusterConfig
 	// What the case must demonstrably exercise, so it cannot go
 	// vacuous: fault transitions firing inside the run, closed-form
-	// skipping on the calendar side, controller retunes.
-	faults, skips, retunes bool
+	// skipping in the rounds, controller retunes, arrivals placed on a
+	// sleeping node whose clock lags the cluster's (so wake must catch
+	// it up before the submission).
+	faults, skips, retunes, sleepers bool
 }
 
 // oracleFleets is the table TestClusterMatchesLockStepOracle runs: every
 // dispatcher clean and under seeded fault storms, pid/aimd with and
-// without faults, AutoDown on Mix-1, and a trace-engine fleet.
+// without faults, AutoDown on Mix-1, a trace-engine fleet, and one
+// paper-scale fleet per strategy. The event-dense fleets keep every
+// node busy, so an arrival almost never finds its node asleep; the
+// paper-scale ones, 16 nodes and 64 jobs of 200 M instructions, place
+// arrivals on nodes that sleep through long proved windows.
 func oracleFleets() []fleetCase {
 	var cases []fleetCase
 	storm := func(seed int64, rate float64) fault.Plan {
@@ -189,6 +196,11 @@ func oracleFleets() []fleetCase {
 				})
 			}
 		}
+	}
+	for _, disp := range qos.StrategyNames() {
+		node := DefaultConfig(Hybrid2, workload.Single("bzip2"))
+		cfg := ClusterConfig{Nodes: 16, Node: node, AcceptTarget: 64, Dispatcher: disp}
+		cases = append(cases, fleetCase{name: "paper/" + disp, cfg: cfg, skips: true, sleepers: true})
 	}
 	for _, ctrl := range []string{"pid", "aimd"} {
 		cfg := clusterSkipCfg()
@@ -228,10 +240,10 @@ func oracleFleets() []fleetCase {
 
 // TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
 // rounds from arrival epoch to arrival epoch, with fault plans as
-// calendar entries, nodes that cannot fast-forward simply waking every
-// epoch, and the drain's stop at the last completion — to the lock-step
-// oracle, on the fleet report and on every node's report. The oracle
-// steps idle tails the calendar never replays, so the epoch counters
+// wakes, nodes that cannot fast-forward simply waking every epoch, and
+// the drain's stop at the last completion — to the lock-step oracle, on
+// the fleet report and on every node's report. The oracle steps idle
+// tails the rounds never replay, so the epoch counters
 // and the fragmentation ratios (whose denominator is the epoch count)
 // are the only fields masked. TestClusterWorkerCountInvariance holds
 // the same fleets at workers 4 to workers 1.
@@ -257,6 +269,8 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 				}
 			}
 			cr := newTestCluster(t, tc.cfg)
+			probe := &wakeProbe{inner: cr.disp, cr: cr}
+			cr.disp = probe
 			w1Fleet, err := cr.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -280,26 +294,29 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 				t.Error("no fault transition fired inside the run; the case does not exercise a fault fleet")
 			}
 			if tc.skips && w1Fleet.EpochsSkipped == 0 {
-				t.Error("the calendar never fast-forwarded a node epoch; the identity proves nothing")
+				t.Error("the rounds never fast-forwarded a node epoch; the identity proves nothing")
 			}
 			if tc.skips && w1Fleet.EpochsStepped >= wantFleet.EpochsStepped {
-				t.Errorf("the calendar stepped %d node-epochs, lock-step %d; it saves nothing",
+				t.Errorf("the rounds stepped %d node-epochs, lock-step %d; they save nothing",
 					w1Fleet.EpochsStepped, wantFleet.EpochsStepped)
+			}
+			if tc.sleepers && probe.lagged == 0 {
+				t.Error("no arrival was placed on a sleeping node behind the cluster clock; wake's catch-up goes untested")
 			}
 			if tc.retunes && w1Fleet.CtrlRetunes == 0 {
 				t.Error("the controller never ticked")
 			}
-			t.Logf("accepted %d, rejected probes %d, faults fired %d, terminated %d, node-epochs stepped %d (lock-step %d) skipped %d",
+			t.Logf("accepted %d, rejected probes %d, faults fired %d, terminated %d, node-epochs stepped %d (lock-step %d) skipped %d, placed on lagging sleepers %d",
 				w1Fleet.Accepted, w1Fleet.RejectedProbes, fired, terminated,
-				w1Fleet.EpochsStepped, wantFleet.EpochsStepped, w1Fleet.EpochsSkipped)
+				w1Fleet.EpochsStepped, wantFleet.EpochsStepped, w1Fleet.EpochsSkipped, probe.lagged)
 		})
 	}
 }
 
 // TestFleetEpochCountersPinned pins which windows a fleet proves: the
 // oracle masks the epoch counters, so without this only the benchmark's
-// digest would notice a change in how many node-epochs the calendar
-// steps or skips. The literals are the counts of catchUp re-proving
+// digest would notice a change in how many node-epochs the rounds
+// step or skip. The literals are the counts of catchUp re-proving
 // every window: reusing the proved one must not change them.
 func TestFleetEpochCountersPinned(t *testing.T) {
 	// name → {EpochsStepped, EpochsSkipped, RejectedProbes, LACProbes}.
@@ -315,6 +332,9 @@ func TestFleetEpochCountersPinned(t *testing.T) {
 		"bestfit/faults-seed1-rate400": {1304, 3618, 7, 116},
 		"pid/faults":                   {2373, 3259, 29, 403},
 		"autodown-mix1":                {388, 1647, 0, 96},
+		// A node woken for an arrival catches up before it admits: a
+		// submission on a lagging clock moves these.
+		"paper/bestfit": {2348, 67889, 46, 64},
 	}
 	ran := 0
 	for _, tc := range oracleFleets() {

@@ -29,8 +29,8 @@ import (
 	"cmpqos/internal/steal"
 )
 
-// ffChunkEpochs caps one proved window: it bounds k·E and the cluster's
-// calendar key, and it is how often cancellation (and the cluster's
+// ffChunkEpochs caps one proved window: it bounds k·E and a fleet
+// node's wake, and it is how often cancellation (and the cluster's
 // catch-up loop) is polled when a steady stretch covers millions of
 // epochs. Chunking is exact because applySteady(a) followed by
 // applySteady(b) leaves every accumulator as applySteady(a+b) does —
@@ -603,7 +603,7 @@ func (r *Runner) catchUp(to int64) {
 }
 
 // nextHorizon returns the absolute cycle at which this node next needs
-// to execute an epoch — the cluster calendar key after a step — and
+// to execute an epoch — a fleet node's wake after a step — and
 // records the window it proved for catchUp.
 func (r *Runner) nextHorizon() int64 {
 	k := r.steadyWindow(ffChunkEpochs)
