@@ -81,9 +81,12 @@ race:
 # and any daemon state (internal/server), the request scanner must
 # accept only what encoding/json accepts and decode it to the same
 # request, the appended submit/cancel answers must be writeJSON's
-# bytes and header, and the fast-forward's closed-form float
+# bytes and header, the fast-forward's closed-form float
 # accumulation must leave the bits the stepped additions leave for any
-# accumulator and addends.
+# accumulator and addends, and the packed arrival and deadline tapes
+# (32-bit gaps with continuation words, 2-bit classes) must read back
+# what the full-width reference tape reads for any gaps and classes,
+# through single, interleaved and concurrent cursors.
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/jobfile
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -timeout 5m ./internal/fault
@@ -96,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -timeout 5m ./internal/server
 	$(GO) test -fuzz=FuzzResponseEncode -fuzztime=10s -timeout 5m ./internal/server
 	$(GO) test -fuzz=FuzzRepeatAdd -fuzztime=10s -timeout 5m ./internal/sim
+	$(GO) test -fuzz=FuzzTapeRoundTrip -fuzztime=10s -timeout 5m ./internal/workload
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,
 # cluster dispatch, and daemon snapshot benches once each

@@ -1,0 +1,38 @@
+package main
+
+import (
+	"os"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestOutput runs the example and checks the line that carries its
+// point: the cluster places every job, some negotiated to weaker
+// modes.
+func TestOutput(t *testing.T) {
+	const want = "negotiated to weaker modes: 11, globally rejected: 0"
+	if out := runMain(t); !slices.Contains(strings.Split(out, "\n"), want) {
+		t.Errorf("no line %q in the output:\n%s", want, out)
+	}
+}
+
+// runMain runs main with its standard output written to a file, and
+// returns what it wrote.
+func runMain(t *testing.T) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	main()
+	os.Stdout = stdout
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}

@@ -51,11 +51,24 @@ func (d DeadlineClass) String() string {
 // seeded shuffle. It is a cursor over a process-wide memoized tape (see
 // tapes.go), so repeated runs with the same seed replay the identical
 // class sequence without re-seeding a generator.
-type DeadlineMix struct{ cursor[DeadlineClass] }
+type DeadlineMix struct {
+	packedCursor[*classChunk]
+	codes *classChunk // the chunk of the last class read
+}
 
 // NewDeadlineMix builds a deterministic deadline assigner.
 func NewDeadlineMix(seed int64) *DeadlineMix {
-	return &DeadlineMix{cursor[DeadlineClass]{t: deadlineTapeFor(seed)}}
+	return &DeadlineMix{packedCursor: packedCursor[*classChunk]{t: deadlineTapeFor(seed)}}
+}
+
+// Next returns the deadline class for the next job.
+func (m *DeadlineMix) Next() DeadlineClass {
+	i := m.pos % tapeChunk
+	if i == 0 {
+		m.codes = m.load()
+	}
+	m.pos++
+	return DeadlineClass(m.codes[i/4] >> (2 * (i % 4)) & 3)
 }
 
 // Arrivals generates Poisson job arrivals at the paper's load: in one
@@ -64,7 +77,11 @@ func NewDeadlineMix(seed int64) *DeadlineMix {
 // Like DeadlineMix it is a cursor over a memoized tape keyed by
 // (seed, rate); its Next returns the cycle timestamp of the next
 // arrival, and timestamps are non-decreasing.
-type Arrivals struct{ cursor[int64] }
+type Arrivals struct {
+	packedCursor[[]uint32]
+	gaps  []uint32 // the words of the current chunk not yet read
+	stamp int64    // the last timestamp returned
+}
 
 // DefaultProbesPerTw is the paper's arrival pressure: 4×128 probes per
 // job wall-clock time.
@@ -76,7 +93,23 @@ func NewArrivals(seed int64, probesPerTw float64, twCycles int64) *Arrivals {
 	if probesPerTw <= 0 || twCycles <= 0 {
 		panic("workload: arrivals need positive rate and window")
 	}
-	return &Arrivals{cursor[int64]{t: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}}
+	return &Arrivals{packedCursor: packedCursor[[]uint32]{t: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}}
+}
+
+// Next returns the cycle timestamp of the next arrival.
+func (a *Arrivals) Next() int64 {
+	if a.pos%tapeChunk == 0 {
+		a.gaps = a.load()
+	}
+	a.pos++
+	for {
+		w := a.gaps[0]
+		a.gaps = a.gaps[1:]
+		a.stamp += int64(w)
+		if w != gapMore {
+			return a.stamp
+		}
+	}
 }
 
 // ArrivalStream is the streaming face of Arrivals: it draws the exact

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 
@@ -12,13 +13,16 @@ import (
 // mix. Both are pure functions of their key (seed, and for arrivals the
 // rate), and an experiment grid replays the same few keys thousands of
 // times. A tape keeps the values its cursors read, rounded up to a
-// chunk, not the generator (≈4.9 kB of rand.Source state): 10.5 kB per
-// seed whose streams are read to 1,030 values. A repeated run skips
-// seeding a source and the draws and observes a bit-identical sequence.
+// chunk, not the generator (≈4.9 kB of rand.Source state), and each
+// value at the width it needs: an arrival stamp as the 32-bit gap from
+// the stamp before it, a deadline class as a 2-bit code, four to a
+// byte. A seed whose streams are read to 1,030 values retains ≈5.7 kB.
+// A repeated run skips seeding a source and the draws and observes a
+// bit-identical sequence.
 
 // tapeChunk is how many values a tape holds per chunk, and so how many
 // a cursor draws when it extends the tape.
-const tapeChunk = 64
+const tapeChunk = 128
 
 // arrivalKey identifies one Poisson arrival stream: the generator seed
 // and the arrival rate (arrivals per cycle). Equal keys guarantee
@@ -28,82 +32,148 @@ type arrivalKey struct {
 	rate float64
 }
 
-// tape is one stream's values in chunks of tapeChunk, drawn by a
-// generator that fresh starts anew at the stream's first value. A chunk
-// is never written once it is on the tape.
-type tape[T any] struct {
+// packedTape is one stream's values in chunks of tapeChunk, each packed
+// by the stream's encoding into a C. A generator that fresh starts anew
+// draws the stream's values from its first, and pack encodes a chunk of
+// them. A chunk is never written once it is on the tape.
+type packedTape[C any] struct {
 	mu     sync.Mutex
-	fresh  func() (next func() T)
-	chunks []*[tapeChunk]T
+	fresh  func() (next func() int64)
+	pack   func(vals *[tapeChunk]int64) C
+	chunks []C
 }
 
-// cursor reads a tape from its first value. The cursor that reads past
-// the tape's last chunk draws the next one with its own generator, made
-// by fresh on its first extension and dropped with the cursor; it first
-// skips the generator past the chunks other cursors drew meanwhile. So
-// each value held is drawn once, and the tape keeps no generator.
-type cursor[T any] struct {
-	t     *tape[T]
-	c     *[tapeChunk]T // the chunk of the last value read
-	pos   int
-	next  func() T
-	drawn int // values next has drawn
+// packedCursor is the part of a cursor both streams share: it reads a
+// tape from its first value, and the stream's Next decodes the chunks
+// load returns. The cursor that reads past the tape's last chunk draws
+// the next one with its own generator, made by fresh on its first
+// extension and dropped with the cursor; it first skips the generator
+// past the chunks other cursors drew meanwhile. So each value held is
+// drawn once, and the tape keeps no generator.
+type packedCursor[C any] struct {
+	t   *packedTape[C]
+	pos int     // values read
+	gen *drawer // nil until the cursor first extends the tape
 }
 
-// Next returns the tape's next value.
-func (c *cursor[T]) Next() T {
-	if c.pos%tapeChunk == 0 {
-		c.load()
-	}
-	c.pos++
-	return c.c[(c.pos-1)%tapeChunk]
+// drawer is a cursor's own generator and how many values it has drawn.
+type drawer struct {
+	next  func() int64
+	drawn int
 }
 
-// load points c at chunk pos/tapeChunk, drawing it if the tape ends.
-func (c *cursor[T]) load() {
+// load returns chunk pos/tapeChunk, drawing it if the tape ends there.
+func (c *packedCursor[C]) load() C {
 	t, k := c.t, c.pos/tapeChunk
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if k == len(t.chunks) {
-		if c.next == nil {
-			c.next = t.fresh()
+		if c.gen == nil {
+			c.gen = &drawer{next: t.fresh()}
 		}
-		for ; c.drawn < k*tapeChunk; c.drawn++ {
-			c.next()
+		g := c.gen
+		for ; g.drawn < k*tapeChunk; g.drawn++ {
+			g.next()
 		}
-		ch := new([tapeChunk]T)
-		for i := range ch {
-			ch[i] = c.next()
+		var vals [tapeChunk]int64
+		for i := range vals {
+			vals[i] = g.next()
 		}
-		c.drawn += tapeChunk
-		t.chunks = append(t.chunks, ch)
+		g.drawn += tapeChunk
+		t.chunks = append(t.chunks, t.pack(&vals))
 	}
-	c.c = t.chunks[k]
+	return t.chunks[k]
+}
+
+// gapMore is the continuation word of an arrival tape: a gap of
+// gapMore or more is stored as one gapMore word per gapMore it holds,
+// then a word with the rest. A decoder adds every word to its running
+// stamp and reads on past a gapMore.
+const gapMore = math.MaxUint32
+
+// gapTape holds arrival stamps as gaps, a chunk's first gap taken from
+// the previous chunk's last stamp and the stream's first from 0.
+type gapTape = packedTape[[]uint32]
+
+func newGapTape(stamps func() (next func() int64)) *gapTape {
+	return &gapTape{
+		fresh: func() func() int64 {
+			next, last := stamps(), int64(0)
+			return func() int64 {
+				s := next()
+				gap := s - last
+				last = s
+				return gap
+			}
+		},
+		pack: packGaps,
+	}
+}
+
+// packGaps encodes a chunk's gaps, which are never negative, exactly
+// sized.
+func packGaps(gaps *[tapeChunk]int64) []uint32 {
+	n := 0
+	for _, g := range gaps {
+		n += int(g/gapMore) + 1
+	}
+	words := make([]uint32, 0, n)
+	for _, g := range gaps {
+		for ; g >= gapMore; g -= gapMore {
+			words = append(words, gapMore)
+		}
+		words = append(words, uint32(g))
+	}
+	return words
+}
+
+// classChunk holds a chunk of deadline classes as 2-bit codes, class i
+// in bits 2·(i%4) and up of byte i/4.
+type classChunk [tapeChunk / 4]byte
+
+type classTape = packedTape[*classChunk]
+
+func newClassTape(classes func() (next func() DeadlineClass)) *classTape {
+	return &classTape{
+		fresh: func() func() int64 {
+			next := classes()
+			return func() int64 { return int64(next()) }
+		},
+		pack: packClasses,
+	}
+}
+
+func packClasses(classes *[tapeChunk]int64) *classChunk {
+	ch := new(classChunk)
+	for i, c := range classes {
+		ch[i/4] |= byte(c) << (2 * (i % 4))
+	}
+	return ch
 }
 
 // The process-wide tapes, one per distinct key. Like DefaultCurveStore
 // they are process-wide because sim.New draws them from a plain-value
-// Config. Beside its values a tape costs ≈120 B and a pointer per
-// chunk: a seed whose streams are read to 1,030 draws each retains
-// 10.5 kB, 17 chunks of 64 8-byte slots plus 17 of 64 1-byte classes
-// (TestTapeRetainsOnlyValues), so neither memo evicts.
+// Config. Beside its values a tape costs ≈100 B and a slice header or
+// pointer per chunk: a seed whose streams are read to 1,030 draws each
+// retains ≈5.7 kB, 9 chunks of 128 4-byte gaps plus 9 of 32 bytes of
+// classes (TestTapeRetainsOnlyValues), so neither memo evicts.
 var (
-	arrivalTapes  parallel.Memo[arrivalKey, *tape[int64]]
-	deadlineTapes parallel.Memo[int64, *tape[DeadlineClass]]
+	arrivalTapes  parallel.Memo[arrivalKey, *gapTape]
+	deadlineTapes parallel.Memo[int64, *classTape]
 )
 
-func arrivalTapeFor(seed int64, rate float64) *tape[int64] {
-	t, _ := arrivalTapes.Get(arrivalKey{seed: seed, rate: rate}, func() (*tape[int64], error) {
-		return &tape[int64]{fresh: func() func() int64 {
+func arrivalTapeFor(seed int64, rate float64) *gapTape {
+	t, _ := arrivalTapes.Get(arrivalKey{seed: seed, rate: rate}, func() (*gapTape, error) {
+		return newGapTape(func() func() int64 {
 			return (&ArrivalStream{rng: rand.New(rand.NewSource(seed)), rate: rate}).Next
-		}}, nil
+		}), nil
 	})
 	return t
 }
 
-func deadlineTapeFor(seed int64) *tape[DeadlineClass] {
-	t, _ := deadlineTapes.Get(seed, func() (*tape[DeadlineClass], error) {
-		return &tape[DeadlineClass]{fresh: func() func() DeadlineClass { return NewDeadlineStream(seed).Next }}, nil
+func deadlineTapeFor(seed int64) *classTape {
+	t, _ := deadlineTapes.Get(seed, func() (*classTape, error) {
+		return newClassTape(func() func() DeadlineClass { return NewDeadlineStream(seed).Next }), nil
 	})
 	return t
 }

@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // TestTapeCursorsShareOneStream: independent cursors over the same
@@ -169,16 +169,40 @@ func unusedSeeds(n int64) int64 {
 }
 
 // TestTapeRetainsOnlyValues pins what the tape memo keeps alive per
-// seed: the values read rounded up to a chunk, 1,088 of each stream for
-// 1,030 reads, and a small header, not a generator's rand.Source
-// (≈4.9 kB per stream), and one byte per deadline class. It measures
-// ≈10.5 kB; a tape that doubled its length would keep 2,048 values of
-// each stream, ≈18.7 kB.
+// seed: the values read rounded up to a chunk, 1,152 of each stream for
+// 1,030 reads, at the width the tape stores them (a 4-byte gap per
+// arrival, a 2-bit code per deadline class), and a small header, not a
+// generator's rand.Source (≈4.9 kB per stream). It measures 5,661–5,745
+// B in a fresh test binary; 8-byte stamps would keep ≈4.6 kB more, a
+// byte per class ≈0.9 kB more. (Under a large -count the memo's own
+// maps grow inside some batches, which then measure up to ≈1.4 kB more
+// and can fail it.) It also pins what a run allocates for its two
+// cursors: the malloc size classes of an Arrivals (56 B, in the 64-byte
+// class) and a DeadlineMix (32 B) sum to 96 B.
 func TestTapeRetainsOnlyValues(t *testing.T) {
-	if s := unsafe.Sizeof(DeadlineClass(0)); s != 1 {
-		t.Errorf("a DeadlineClass takes %d bytes, want 1", s)
+	const pairs, cursorBudget = 1_000, 96
+	seed := unusedSeeds(1)
+	NewArrivals(seed, DefaultProbesPerTw, 1_000_000) // memoize both tapes
+	NewDeadlineMix(seed)
+	// The fewest bytes of three tries: whatever else the process
+	// allocates meanwhile only adds.
+	per := uint64(math.MaxUint64)
+	for range 3 {
+		keep := make([]any, 0, 2*pairs)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range pairs {
+			keep = append(keep, NewArrivals(seed, DefaultProbesPerTw, 1_000_000), NewDeadlineMix(seed))
+		}
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(keep)
+		per = min(per, (m1.TotalAlloc-m0.TotalAlloc)/pairs)
 	}
-	const seeds, draws, limit = 64, 1_030, 11_070
+	if per > cursorBudget {
+		t.Errorf("an Arrivals and a DeadlineMix allocate %d B, want <= %d", per, cursorBudget)
+	}
+
+	const seeds, draws, limit = 64, 1_030, 5_950
 	liveHeap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC() // twice: a sync.Pool's victim cache outlives one cycle
