@@ -176,9 +176,9 @@ func sameBytes(t *testing.T, label string, got, want []byte) {
 // worker pool read by the next entry's); every text but the two cache
 // ablations' is byte-identical rendered with no cache at one worker
 // (every simulation executed); and a re-render from the warm cache
-// gives the same bytes and memoizes no new run. (The engine's own
-// caches are pinned per config shape in internal/sim:
-// TestPlanCacheByteIdentity, TestEventSkipByteIdentity.)
+// gives the same bytes and memoizes no new run. (The engine's own fast
+// paths are held to its reference engine in internal/sim:
+// TestFastPathsMatchReference, TestPlanCacheByteIdentity.)
 func TestGoldenTablesCacheOnVsOff(t *testing.T) {
 	want := paperRendering(t)
 	shared := sim.NewRunCache()

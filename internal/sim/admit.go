@@ -106,7 +106,7 @@ func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
 // while the lifted-deadline start is the headroom-inflated one.
 func (r *Runner) learnStart(tmpl workload.JobTemplate, ta int64) {
 	mode := r.modeFor(tmpl.Hint)
-	if r.admitEveryArrival || !mode.Reserves() ||
+	if r.reference || !mode.Reserves() ||
 		r.cfg.Policy == AllStrictAutoDown && r.lac.Headroom() > 0 {
 		return
 	}

@@ -44,9 +44,6 @@ func (r *Runner) advanceAll(byCore [][]*Job) {
 // delta but its progress is a function of the plan and the utilization
 // (DESIGN §11.7).
 func (r *Runner) heldDeltas() []jobDelta {
-	if r.repriceEveryEpoch {
-		return nil
-	}
 	switch r.bus.Utilization() {
 	case r.ffPricedAt[0]:
 		return r.ffDeltas

@@ -114,13 +114,16 @@ func TestClusterSingleNodeMatchesRunnerShape(t *testing.T) {
 
 // runLockStep is the fleet oracle: the paper's environment advanced the
 // obvious way — place the epoch's arrivals, step every node, observe
-// every node in id order, move the clock one epoch — with no calendar,
-// no retirement and no closed-form window (it never calls steadyWindow,
-// so it is the event-skip-off reference too). It returns the fleet
-// report and every node's own report.
+// every node in id order, move the clock one epoch — with no rounds, no
+// retirement and every node on the reference engine, so no fast path
+// runs anywhere in the fleet. It returns the fleet report and every
+// node's own report.
 func runLockStep(t *testing.T, cfg ClusterConfig) (*ClusterReport, []*Report) {
 	t.Helper()
 	cr := newTestCluster(t, cfg)
+	for _, n := range cr.nodes {
+		n.reference = true
+	}
 	allIdle := func() bool {
 		for _, n := range cr.nodes {
 			if !n.idle() {
@@ -238,6 +241,22 @@ func oracleFleets() []fleetCase {
 	return cases
 }
 
+// maskFleet and maskNode drop what a fleet report and a node's report
+// hold of idle epochs, which the rounds and the lock-step oracle count
+// differently: the epoch counters, and the fragmentation ratios whose
+// denominator they are.
+func maskFleet(rep *ClusterReport) ClusterReport {
+	cp := *rep
+	cp.EpochsStepped, cp.EpochsSkipped = 0, 0
+	return cp
+}
+
+func maskNode(rep *Report) Report {
+	cp := *rep
+	cp.EpochsStepped, cp.EpochsSkipped, cp.Frag = 0, 0, Fragmentation{}
+	return cp
+}
+
 // TestClusterMatchesLockStepOracle holds ClusterRunner's one loop — the
 // rounds from arrival epoch to arrival epoch, with fault plans as
 // wakes, nodes that cannot fast-forward simply waking every epoch, and
@@ -246,18 +265,11 @@ func oracleFleets() []fleetCase {
 // tails the rounds never replay, so the epoch counters
 // and the fragmentation ratios (whose denominator is the epoch count)
 // are the only fields masked. TestClusterWorkerCountInvariance holds
-// the same fleets at workers 4 to workers 1.
+// the same fleets at workers 4 to workers 1. The catch-up record must
+// demonstrably serve wakes, woken-early odd-need period-2 windows among
+// them (wakeProbe); only the paper/* fleets wake sleepers.
 func TestClusterMatchesLockStepOracle(t *testing.T) {
-	maskFleet := func(rep *ClusterReport) ClusterReport {
-		cp := *rep
-		cp.EpochsStepped, cp.EpochsSkipped = 0, 0
-		return cp
-	}
-	maskNode := func(rep *Report) Report {
-		cp := *rep
-		cp.EpochsStepped, cp.EpochsSkipped, cp.Frag = 0, 0, Fragmentation{}
-		return cp
-	}
+	var hits, oddP2 int
 	for _, tc := range oracleFleets() {
 		t.Run(tc.name, func(t *testing.T) {
 			wantFleet, wantNodes := runLockStep(t, tc.cfg)
@@ -276,6 +288,8 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			w1Nodes := nodeReports(cr)
+			hits += probe.hits
+			oddP2 += probe.oddP2
 			if got, want := maskFleet(w1Fleet), maskFleet(wantFleet); !reflect.DeepEqual(got, want) {
 				t.Errorf("fleet report differs from lock-step\ngot:  %+v\nwant: %+v", got, want)
 			}
@@ -311,13 +325,19 @@ func TestClusterMatchesLockStepOracle(t *testing.T) {
 				w1Fleet.EpochsStepped, wantFleet.EpochsStepped, w1Fleet.EpochsSkipped, probe.lagged)
 		})
 	}
+	t.Logf("wakes served from the catch-up record: %d, of them woken-early odd-need period-2: %d", hits, oddP2)
+	if hits == 0 || oddP2 == 0 {
+		t.Errorf("the catch-up record served %d wakes, %d of them an odd-need period-2 window; the identity proves nothing", hits, oddP2)
+	}
 }
 
 // TestFleetEpochCountersPinned pins which windows a fleet proves: the
 // oracle masks the epoch counters, so without this only the benchmark's
 // digest would notice a change in how many node-epochs the rounds
-// step or skip. The literals are the counts of catchUp re-proving
-// every window: reusing the proved one must not change them.
+// step or skip. It is the only test that holds the catch-up record to
+// not changing those counts (the reference comparisons sum stepped and
+// skipped epochs): the literals are the counts of catchUp re-proving
+// every window.
 func TestFleetEpochCountersPinned(t *testing.T) {
 	// name → {EpochsStepped, EpochsSkipped, RejectedProbes, LACProbes}.
 	// Every dispatcher asks nodes through the uncharged Peek, so LACProbes

@@ -117,7 +117,7 @@ type Runner struct {
 
 	sc epochScratch
 
-	// The one-byte fields, together so they pack into the last two words.
+	// The one-byte fields, together so they pack into the last word.
 	ffPeriod      int8 // the proved window's bus period, 1 or 2
 	ffFails       int8 // consecutive priced failed proofs (backoff input)
 	ffDefer       int8 // steps left before the next window proof attempt
@@ -125,23 +125,13 @@ type Runner struct {
 	planOK        bool // the cached epoch plan holds (see planWake)
 	planWaysDirty bool // the cached plan needs only its way split redone
 	ffPriced      bool // last window attempt reached the O(jobs) delta pricing
-	// rebuildPlans is set only by this package's differential tests: it
-	// makes buildPlan leave planOK clear, so every epoch is stepped on a
-	// plan rebuilt from scratch — the reference the cached plan and the
-	// fast-forward (which needs planOK) are held to.
-	rebuildPlans bool
-	// reproveCatchUp is set only by this package's differential tests: it
-	// makes catchUp ignore the recorded window and prove it again — the
-	// reference the memo is held to.
-	reproveCatchUp bool
-	// admitEveryArrival is set only by this package's differential tests:
-	// it makes learnStart learn nothing, so every arrival runs LAC.Admit —
-	// the reference the learned bound is held to.
-	admitEveryArrival bool
-	// repriceEveryEpoch is set only by this package's differential tests:
-	// it makes every epoch price its plan from scratch, never reusing
-	// ffPricedAt's record — the reference the reuse is held to.
-	repriceEveryEpoch bool
+	// reference is set only by this package's differential tests: it
+	// makes buildPlan leave planOK clear and learnStart learn nothing, so
+	// every epoch is stepped on a plan rebuilt from scratch and every
+	// arrival runs LAC.Admit. A plan that never holds proves no window,
+	// keeps no pricing and leaves no catch-up record, so this is the
+	// engine with every fast path off — the run production is held to.
+	reference bool
 }
 
 // epochScratch holds the per-epoch working slices, reused across steps so
@@ -444,7 +434,7 @@ func (r *Runner) fastForwardIdle(to int64) {
 // the old one's pricing.
 func (r *Runner) buildPlan(byCore [][]*Job) {
 	r.ffPricedAt = unpriced
-	if r.rebuildPlans {
+	if r.reference {
 		r.planOK = false
 		return
 	}

@@ -58,13 +58,17 @@ var unpriced = [2]float64{math.NaN(), math.NaN()}
 // returning the epoch's total fill and write-back transfers. For the
 // second parity of a period-2 window, the completion clamp tests the
 // job's remaining work *after* the first parity's epoch (r.ffDeltas,
-// same plan order). Returns ok=false when any job would hit its
-// Remaining clamp or the model cannot guarantee constant deltas.
+// same plan order). Returns ok=false when a pricing finds a job that
+// would hit its Remaining clamp or the model cannot guarantee constant
+// deltas.
 //
 // A complete pricing is recorded in ffPricedAt: the plan has not
 // changed since (buildPlan clears the record), so at the same u every
-// delta is the same, and only the clamp, which reads progress, and the
-// totals are evaluated again (DESIGN §11.7). Parity 0 at the u the
+// delta is the same, and only the totals are summed again (DESIGN
+// §11.7). The clamp, which reads progress, is not tested again: a
+// recorded delta past its job's remaining work makes the job's progress
+// per period exceed it, and steadyAttempt's completion cap then closes
+// the window at zero, as the clamp would have. Parity 0 at the u the
 // other parity's scratch was priced at swaps the two, since the clamp
 // offset is the only thing parity changes. A plan with a phased job is
 // never recorded — phaseScale moves with progress inside a plan — and
@@ -78,18 +82,10 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 		r.ffDeltas, r.ffDeltas2 = r.ffDeltas2, r.ffDeltas
 		r.ffPricedAt[0], r.ffPricedAt[1] = r.ffPricedAt[1], r.ffPricedAt[0]
 	}
-	if r.ffPricedAt[parity] == u && !r.repriceEveryEpoch {
+	if r.ffPricedAt[parity] == u {
 		for i := range *dst {
-			d := &(*dst)[i]
-			var off int64
-			if prev != nil {
-				off = prev[i].instr
-			}
-			if d.instr > d.j.Remaining()-off {
-				return 0, 0, false
-			}
-			miss += d.misses
-			wb += writeBacks(d.misses)
+			miss += (*dst)[i].misses
+			wb += writeBacks((*dst)[i].misses)
 		}
 		return miss, wb, true
 	}
@@ -378,8 +374,8 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 // epoch holding it, rounded down to the bus period: the accepted job
 // waits until its start, which is no earlier than its arrival, so the
 // up to P−1 epochs stepped before that epoch run the plan a rebuild
-// gives without it (the rebuildPlans reference holds every rebuild to
-// the cached plan).
+// gives without it (the reference engine, which rebuilds every plan,
+// holds the cached plan to that).
 //
 // Scripted arrivals keep their cap (steadyAttempt): the script may
 // stamp an arrival before the epoch that admits it, and admission
@@ -581,7 +577,7 @@ func (r *Runner) applySteady(k int64) {
 // epochs), the loop below takes the priced failure and the step that
 // re-proving would.
 func (r *Runner) catchUp(to int64) {
-	if k := r.ffProvedK; k > 0 && r.ffProvedAt == r.now && !r.reproveCatchUp {
+	if k := r.ffProvedK; k > 0 && r.ffProvedAt == r.now {
 		if need := (to - r.now) / r.cfg.EpochCycles; need < k {
 			k = need
 		}

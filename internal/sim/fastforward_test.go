@@ -1,123 +1,43 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
 	"cmpqos/internal/fault"
 	"cmpqos/internal/mem"
 	"cmpqos/internal/steal"
-	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
 
-// runEngine executes cfg on the production path or on one of the two
-// reference paths the differential tests compare it with — stepped:
-// every epoch executed, none fast-forwarded; rebuild: additionally the
-// epoch plan rebuilt from scratch every epoch — and returns the canonical
-// JSON rendering, the full event trace, and the report.
-func runEngine(t *testing.T, cfg Config, stepped, rebuild bool) ([]byte, []trace.Event, *Report) {
-	t.Helper()
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// scriptedCfg is a Hybrid-2 node fed by a script: two Strict jobs at
+// cycle 0, an opportunistic one shortly after, and a late mcf job with
+// its own length.
+func scriptedCfg() Config {
+	cfg := DefaultConfig(Hybrid2, workload.Composition{Name: "scripted"})
+	cfg.JobInstr = 5_000_000
+	cfg.StealIntervalInstr = 250_000
+	cfg.Script = []ScriptedJob{
+		{Template: workload.JobTemplate{Benchmark: "bzip2"}, Arrival: 0, DeadlineFactor: 2},
+		{Template: workload.JobTemplate{Benchmark: "bzip2"}, Arrival: 0, DeadlineFactor: 2},
+		{Template: workload.JobTemplate{Benchmark: "gobmk", Hint: workload.HintOpportunistic}, Arrival: 2000},
+		{Template: workload.JobTemplate{Benchmark: "mcf"}, Arrival: 40_000_000, DeadlineFactor: 3, Instr: 10_000_000},
 	}
-	if stepped {
-		r.skipOK = false
-	}
-	r.rebuildPlans = rebuild
-	log := &EventLog{}
-	r.AddSink(log)
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), log.Events(), rep
+	return cfg
 }
 
-// runWithEventSkip runs cfg with the event-horizon fast-forward on or,
-// with disable set, every epoch stepped (the plan cache stays on).
-func runWithEventSkip(t *testing.T, cfg Config, disable bool) ([]byte, []trace.Event, *Report) {
-	t.Helper()
-	return runEngine(t, cfg, disable, false)
-}
-
-// TestEventSkipByteIdentity verifies the tentpole invariant: with the
-// event-horizon fast-forward enabled, every simulation is byte-for-byte
-// identical to the epoch-by-epoch run. The scenarios cover every class
-// of event a horizon must stop at: arrivals, completions, steal-crossing
+// TestEventSkipByteIdentity holds the event-horizon fast-forward to the
+// reference engine on the refCases scenarios that cover every class of
+// event a horizon must stop at: arrivals, completions, steal-crossing
 // verdicts, rollbacks, automatic downgrade and switch-back, wall-clock
 // termination, phase transitions, scripted arrivals, and the
-// no-admission policies. Each run also pins the epoch-count invariant —
-// stepped + skipped is the same number either way — and that the skip
-// actually engages where claimed.
+// no-admission policies. The skip must engage in each.
 func TestEventSkipByteIdentity(t *testing.T) {
-	phased := phasedBzip2()
-	scripted := func() Config {
-		cfg := DefaultConfig(Hybrid2, workload.Composition{Name: "scripted"})
-		cfg.JobInstr = 5_000_000
-		cfg.StealIntervalInstr = 250_000
-		cfg.Script = []ScriptedJob{
-			{Template: workload.JobTemplate{Benchmark: "bzip2"}, Arrival: 0, DeadlineFactor: 2},
-			{Template: workload.JobTemplate{Benchmark: "bzip2"}, Arrival: 0, DeadlineFactor: 2},
-			{Template: workload.JobTemplate{Benchmark: "gobmk", Hint: workload.HintOpportunistic}, Arrival: 2000},
-			{Template: workload.JobTemplate{Benchmark: "mcf"}, Arrival: 40_000_000, DeadlineFactor: 3, Instr: 10_000_000},
-		}
-		return cfg
-	}()
-	cases := []struct {
-		name     string
-		cfg      Config
-		wantSkip bool
-	}{
-		{"arrivals-completions-steals-rollbacks", planCacheCfg(Hybrid2, "bzip2"), true},
-		{"autodown-switchback", planCacheCfg(AllStrictAutoDown, "bzip2"), true},
-		{"wallclock-termination", func() Config {
-			cfg := planCacheCfg(Hybrid2, "bzip2")
-			cfg.EnforceWallClock = true
-			cfg.overrunFactor = 3
-			cfg.overrunJobSlot = 0
-			return cfg
-		}(), true},
-		{"equalpart", planCacheCfg(EqualPart, "gobmk"), true},
-		{"ucp", planCacheCfg(UCPPart, "gobmk"), true},
-		{"phased-profiles", fastConfig(AllStrict, phased), true},
-		{"scripted-arrivals", scripted, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			onJSON, onEvents, onRep := runWithEventSkip(t, tc.cfg, false)
-			offJSON, offEvents, offRep := runWithEventSkip(t, tc.cfg, true)
-			if !bytes.Equal(onJSON, offJSON) {
-				t.Errorf("report JSON differs between event skip on and off\non:  %s\noff: %s",
-					onJSON, offJSON)
-			}
-			if !reflect.DeepEqual(onEvents, offEvents) {
-				t.Errorf("event traces differ: %d events with skip vs %d without",
-					len(onEvents), len(offEvents))
-			}
-			if got, want := onRep.EpochsStepped+onRep.EpochsSkipped,
-				offRep.EpochsStepped+offRep.EpochsSkipped; got != want {
-				t.Errorf("epoch count %d with skip != %d without", got, want)
-			}
-			if offRep.EpochsSkipped != 0 {
-				t.Errorf("skip-off run reports %d skipped epochs", offRep.EpochsSkipped)
-			}
-			if tc.wantSkip && onRep.EpochsSkipped == 0 {
-				t.Errorf("fast-forward never engaged (stepped %d epochs); the identity proves nothing",
-					onRep.EpochsStepped)
-			}
-		})
-	}
+	matchCases(t, pickCases(t, "arrivals-completions-steals-rollbacks", "autodown-switchback", "wallclock-termination",
+		"equalpart", "ucp", "phased-profiles", "scripted-arrivals"))
 }
 
 // TestEventSkipEngages pins the performance claim's precondition at the
@@ -126,7 +46,7 @@ func TestEventSkipByteIdentity(t *testing.T) {
 // the epochs — including the period-2 bus limit cycle the epoch/bus
 // feedback settles into — not fire occasionally.
 func TestEventSkipEngages(t *testing.T) {
-	_, _, rep := runWithEventSkip(t, DefaultConfig(Hybrid2, workload.Single("bzip2")), false)
+	rep := mustRun(t, DefaultConfig(Hybrid2, workload.Single("bzip2")))
 	total := rep.EpochsStepped + rep.EpochsSkipped
 	if total == 0 {
 		t.Fatal("simulation made no epochs")
@@ -137,27 +57,17 @@ func TestEventSkipEngages(t *testing.T) {
 	}
 }
 
-// TestEventSkipFaultStorm runs generated fault plans (every fault kind,
-// several densities) through both paths: horizons must shrink to the
-// next fault instant — preserving byte identity — while still skipping
-// the steady stretches between faults.
+// TestEventSkipFaultStorm holds generated fault plans (every fault
+// kind, several densities) to the reference: horizons must shrink to
+// the next fault instant while still skipping the steady stretches
+// between faults.
 func TestEventSkipFaultStorm(t *testing.T) {
 	skippedSomewhere := false
 	for _, pol := range []Policy{AllStrict, AllStrictAutoDown, Hybrid2} {
 		for seed := int64(1); seed <= 3; seed++ {
 			plan := fault.Generate(seed, 4, fault.DefaultHorizon, 4, 16)
-			cfg := faultCfg(pol, plan)
-			onJSON, onEvents, onRep := runWithEventSkip(t, cfg, false)
-			offJSON, offEvents, _ := runWithEventSkip(t, cfg, true)
-			if !bytes.Equal(onJSON, offJSON) {
-				t.Errorf("%s seed %d: fault-storm reports differ between skip on and off", pol, seed)
-			}
-			if !reflect.DeepEqual(onEvents, offEvents) {
-				t.Errorf("%s seed %d: fault-storm event traces differ", pol, seed)
-			}
-			if onRep.EpochsSkipped > 0 {
-				skippedSomewhere = true
-			}
+			got := matchReference(t, fmt.Sprintf("%s seed %d", pol, seed), faultCfg(pol, plan))
+			skippedSomewhere = skippedSomewhere || got.rep.EpochsSkipped > 0
 		}
 	}
 	if !skippedSomewhere {
@@ -165,9 +75,9 @@ func TestEventSkipFaultStorm(t *testing.T) {
 	}
 }
 
-// TestEventSkipByteIdentityPaperScale is the stepped-vs-skipped identity
-// at the scale the document quotes: 200M-instruction jobs, where windows
-// run to thousands of epochs and every float accumulator goes through
+// TestEventSkipByteIdentityPaperScale is the reference identity at the
+// scale the document quotes: 200M-instruction jobs, where windows run
+// to thousands of epochs and every float accumulator goes through
 // repeatAdd's closed form instead of its short-window loop (the
 // scenarios above mostly stay under the cut-over). Every policy × the
 // three paper workloads × seeds 1–3, plus the benchmark tape's Hybrid-2
@@ -175,11 +85,11 @@ func TestEventSkipFaultStorm(t *testing.T) {
 func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 	check := func(name string, cfg Config, minSkipped float64) {
 		t.Helper()
-		onRep := matchStepped(t, name, cfg)
-		total := onRep.EpochsStepped + onRep.EpochsSkipped
-		if frac := float64(onRep.EpochsSkipped) / float64(total); frac <= minSkipped {
+		rep := matchReference(t, name, cfg).rep
+		total := rep.EpochsStepped + rep.EpochsSkipped
+		if frac := float64(rep.EpochsSkipped) / float64(total); frac <= minSkipped {
 			t.Errorf("%s: fast-forward absorbed %d/%d epochs (%.0f%%), want over %.0f%%; the identity proves little",
-				name, onRep.EpochsSkipped, total, 100*frac, 100*minSkipped)
+				name, rep.EpochsSkipped, total, 100*frac, 100*minSkipped)
 		}
 	}
 	bzip2 := workload.Single("bzip2")
@@ -198,46 +108,6 @@ func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 	for _, ctrl := range []string{"pid", "aimd"} {
 		check(ctrl, ctrlCfg(AllStrict, ctrl, 1), 0)
 	}
-}
-
-// matchStepped runs cfg fast and with every epoch stepped, fails the
-// test unless the two reports and event logs are equal byte for byte
-// and the epochs add up to the stepped run's, and returns the fast run's
-// report.
-func matchStepped(t *testing.T, name string, cfg Config) *Report {
-	t.Helper()
-	fastJSON, fastEvents, fast := runWithEventSkip(t, cfg, false)
-	refJSON, refEvents, ref := runWithEventSkip(t, cfg, true)
-	if !bytes.Equal(fastJSON, refJSON) {
-		t.Errorf("%s: report differs from the stepped run\nfast:    %s\nstepped: %s", name, fastJSON, refJSON)
-	}
-	if !reflect.DeepEqual(fastEvents, refEvents) {
-		t.Errorf("%s: event log differs from the stepped run (%d events vs %d)", name, len(fastEvents), len(refEvents))
-	}
-	if got, want := fast.EpochsStepped+fast.EpochsSkipped, ref.EpochsStepped; got != want || ref.EpochsSkipped != 0 {
-		t.Errorf("%s: %d+%d epochs, the stepped run %d+%d", name, fast.EpochsStepped, fast.EpochsSkipped, ref.EpochsStepped, ref.EpochsSkipped)
-	}
-	return fast
-}
-
-// TestEngineGridMatchesStepping holds the fast paths — the plan cache,
-// the closed-form windows and the arrivals a window admits without
-// stepping to them — to the stepped engine over engineGrid's
-// configurations. Reports and event logs must be equal byte for byte,
-// and the epoch counts must add up to the stepped run's.
-func TestEngineGridMatchesStepping(t *testing.T) {
-	var runs int
-	var stepped, skipped int64
-	engineGrid(func(name string, cfg Config) {
-		runs++
-		fast := matchStepped(t, name, cfg)
-		stepped += fast.EpochsStepped
-		skipped += fast.EpochsSkipped
-	})
-	if skipped <= stepped {
-		t.Errorf("the grid skipped %d epochs and stepped %d; the identity proves little", skipped, stepped)
-	}
-	t.Logf("%d configurations: %d epochs stepped, %d skipped", runs, stepped, skipped)
 }
 
 // engineGrid calls check with each configuration of a generated
@@ -307,9 +177,8 @@ func ctrlCfg(p Policy, ctrl string, seed int64) Config {
 // every arrival capping the window, as before admitWindow, All-Strict
 // on bzip2 steps 1,003 epochs, not 60; only EqualPart, which accepts
 // every arrival, keeps its counts. It pins each run's billed admission
-// tests and rejections too: a learned bound that skipped or
-// double-billed a test would fail here even where both sides of a
-// differential shared it (TestRejectBoundMatchesAdmission).
+// tests and rejections too: a learned start that skipped or
+// double-billed a test fails here as well as against the reference.
 func TestNodeEpochCountersPinned(t *testing.T) {
 	// name → {EpochsStepped, EpochsSkipped, LACProbes, Rejected}, seed 1,
 	// paper scale.
@@ -329,7 +198,7 @@ func TestNodeEpochCountersPinned(t *testing.T) {
 		for _, p := range Policies() {
 			name := fmt.Sprintf("%s/%s", p, w.Name)
 			t.Run(name, func(t *testing.T) {
-				_, _, rep := runWithEventSkip(t, DefaultConfig(p, w), false)
+				rep := mustRun(t, DefaultConfig(p, w))
 				got := [4]int64{rep.EpochsStepped, rep.EpochsSkipped, rep.LACProbes, int64(rep.Rejected)}
 				if w, ok := want[name]; !ok || got != w {
 					t.Errorf("{stepped, skipped, probes, rejected} = %v, pinned %v", got, w)
@@ -550,19 +419,18 @@ func TestClusterCancellation(t *testing.T) {
 }
 
 // TestRunContextCancellation covers the single-node engine: cancellation
-// must land both on the stepped path and inside the closed-form advance
-// loop.
+// must land both in production and on the reference engine.
 func TestRunContextCancellation(t *testing.T) {
-	for _, stepped := range []bool{false, true} {
+	for _, reference := range []bool{false, true} {
 		r, err := New(planCacheCfg(Hybrid2, "bzip2"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.skipOK = !stepped
+		r.reference = reference
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := r.RunContext(ctx); err == nil {
-			t.Errorf("stepped=%v: pre-canceled context did not abort the run", stepped)
+			t.Errorf("reference=%v: pre-canceled context did not abort the run", reference)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"cmpqos/internal/fault"
@@ -136,71 +135,12 @@ func TestFaultLatencySpikeSlowsRun(t *testing.T) {
 }
 
 // TestFaultPlanCacheInvalidation is the tentpole composition guarantee:
-// for every fault event kind (and its recovery), a run with the epoch
-// plan cache enabled is byte-identical to the uncached run, and the
-// scenario demonstrably fires that kind (asserted via the trace).
+// for every fault event kind (and its recovery), a refCases run
+// matches the reference engine, and the case demonstrably fires that
+// kind (asserted via the trace).
 func TestFaultPlanCacheInvalidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		plan   fault.Plan
-		events []trace.EventKind
-	}{
-		{
-			name: "core-fail-permanent",
-			plan: fault.Plan{Events: []fault.Event{
-				{Kind: fault.CoreFail, At: 200_000_000, Core: 2},
-			}},
-			events: []trace.EventKind{trace.CoreFail},
-		},
-		{
-			name: "core-fail-recover",
-			plan: fault.Plan{Events: []fault.Event{
-				{Kind: fault.CoreFail, At: 200_000_000, Duration: 300_000_000, Core: 1},
-			}},
-			events: []trace.EventKind{trace.CoreFail, trace.CoreRecover},
-		},
-		{
-			name: "way-fault-recover",
-			plan: fault.Plan{Events: []fault.Event{
-				{Kind: fault.WayFault, At: 300_000_000, Duration: 400_000_000, Ways: 6},
-			}},
-			events: []trace.EventKind{trace.WayFault, trace.WayRecover},
-		},
-		{
-			name: "latency-spike",
-			plan: fault.Plan{Events: []fault.Event{
-				{Kind: fault.LatencySpike, At: 100_000_000, Duration: 500_000_000, Factor: 3},
-			}},
-			events: []trace.EventKind{trace.LatencySpike},
-		},
-		{
-			name: "violation-terminates",
-			plan: fault.Plan{Events: []fault.Event{
-				{Kind: fault.WayFault, At: 300_000_000, Duration: 2_000_000_000, Ways: 14},
-			}},
-			events: []trace.EventKind{trace.WayFault, trace.QoSViolation, trace.Terminated},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := faultCfg(AllStrictAutoDown, tc.plan)
-			cachedJSON, cachedEvents := runWithPlanCache(t, cfg, false)
-			plainJSON, plainEvents := runWithPlanCache(t, cfg, true)
-			if !bytes.Equal(cachedJSON, plainJSON) {
-				t.Errorf("report JSON differs between plan cache on and off\non:  %s\noff: %s",
-					cachedJSON, plainJSON)
-			}
-			if !reflect.DeepEqual(cachedEvents, plainEvents) {
-				t.Errorf("event traces differ: %d events cached vs %d uncached",
-					len(cachedEvents), len(plainEvents))
-			}
-			for _, k := range tc.events {
-				if countEvents(cachedEvents, k) == 0 {
-					t.Errorf("scenario never produced a %v event; it does not exercise that invalidation path", k)
-				}
-			}
-		})
-	}
+	matchCases(t, pickCases(t, "core-fail-permanent", "core-fail-recover", "way-fault-recover", "latency-spike",
+		"violation-terminates"))
 }
 
 // TestFaultSeedByteIdentityAcrossWorkers is the reproducibility golden:

@@ -52,10 +52,11 @@ func TestFleetAllocBudget(t *testing.T) {
 // TestJobAndRunnerSize pins the two structs a fleet allocates by the
 // thousand to their malloc size classes: a field added to either is a
 // decision, not an accident. Go puts an 8-byte header on a pointerful
-// object above 512 B, so a Runner allocates Sizeof+8: it measures 760
-// bytes, 768 allocated, filling the 768-byte class (before its fault and
-// controller state moved behind pointers: 992, in the 1024-byte class,
-// allocated as 1,152).
+// object above 512 B, so a Runner allocates Sizeof+8: it measures 752
+// bytes, 760 with the header, one word free in the 768-byte class (760
+// while four test-only switches stood where the reference flag is;
+// before its fault and controller state moved behind pointers: 992, in
+// the 1024-byte class, allocated as 1,152).
 func TestJobAndRunnerSize(t *testing.T) {
 	if got := unsafe.Sizeof(Job{}); got > 288 {
 		t.Errorf("Job is %d bytes, over the 288-byte size class", got)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -70,69 +71,35 @@ func TestControllerStaticIdentity(t *testing.T) {
 			implicit.Controller = ""
 			explicit := tc.cfg
 			explicit.Controller = "static"
-			aJSON, aEvents, aRep := runWithEventSkip(t, implicit, false)
-			bJSON, bEvents, bRep := runWithEventSkip(t, explicit, false)
-			if !bytes.Equal(aJSON, bJSON) {
+			a, errA := runNode(implicit, false)
+			b, errB := runNode(explicit, false)
+			if err := errors.Join(errA, errB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.json, b.json) {
 				t.Errorf("-ctrl static is not byte-identical to the default pipeline\ndefault: %s\nstatic:  %s",
-					aJSON, bJSON)
+					a.json, b.json)
 			}
-			if !reflect.DeepEqual(aEvents, bEvents) {
+			if !reflect.DeepEqual(a.events, b.events) {
 				t.Errorf("event traces differ: %d events default vs %d static",
-					len(aEvents), len(bEvents))
+					len(a.events), len(b.events))
 			}
-			if aRep.CtrlRetunes != 0 || bRep.CtrlRetunes != 0 {
+			if a.rep.CtrlRetunes != 0 || b.rep.CtrlRetunes != 0 {
 				t.Errorf("static pipeline reports retunes: default %d, static %d",
-					aRep.CtrlRetunes, bRep.CtrlRetunes)
+					a.rep.CtrlRetunes, b.rep.CtrlRetunes)
 			}
 		})
 	}
 }
 
-// TestControllerSkipByteIdentity extends the event-skip identity to
-// closed-loop runs: controller ticks are QoS events, the fast-forward
-// caps every steady window at the next tick, so a pid/aimd run is
-// byte-identical with the skip on and off — and the identity is only
-// meaningful if the controller actually retuned and the skip actually
-// engaged, which both runs must agree on.
+// TestControllerSkipByteIdentity extends the reference identity to
+// closed-loop runs, the refCases fault storm and bursty arrivals under
+// pid and aimd: controller ticks are QoS events, the fast-forward caps
+// every steady window at the next tick, so the runs match the
+// reference — and the identity is only meaningful if the controller
+// actually retuned and the skip actually engaged.
 func TestControllerSkipByteIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"pid-fault-storm", ctrlStormCfg("pid")},
-		{"aimd-fault-storm", ctrlStormCfg("aimd")},
-		{"pid-bursty-arrivals", ctrlBurstCfg("pid")},
-		{"aimd-bursty-arrivals", ctrlBurstCfg("aimd")},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			onJSON, onEvents, onRep := runWithEventSkip(t, tc.cfg, false)
-			offJSON, offEvents, offRep := runWithEventSkip(t, tc.cfg, true)
-			if !bytes.Equal(onJSON, offJSON) {
-				t.Errorf("report JSON differs between event skip on and off\non:  %s\noff: %s",
-					onJSON, offJSON)
-			}
-			if !reflect.DeepEqual(onEvents, offEvents) {
-				t.Errorf("event traces differ: %d events with skip vs %d without",
-					len(onEvents), len(offEvents))
-			}
-			if got, want := onRep.EpochsStepped+onRep.EpochsSkipped,
-				offRep.EpochsStepped+offRep.EpochsSkipped; got != want {
-				t.Errorf("epoch count %d with skip != %d without", got, want)
-			}
-			if onRep.CtrlRetunes == 0 {
-				t.Errorf("controller never ticked (stepped %d epochs); the identity proves nothing",
-					onRep.EpochsStepped)
-			}
-			if onRep.CtrlRetunes != offRep.CtrlRetunes {
-				t.Errorf("retune count %d with skip != %d without",
-					onRep.CtrlRetunes, offRep.CtrlRetunes)
-			}
-			if onRep.EpochsSkipped == 0 {
-				t.Errorf("fast-forward never engaged under the controller cadence")
-			}
-		})
-	}
+	matchCases(t, pickCases(t, "pid-fault-storm", "pid-bursty-arrivals", "aimd-fault-storm", "aimd-bursty-arrivals"))
 }
 
 // TestFoldViolationAccounting is the regression test for the fleet

@@ -1,130 +1,39 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"cmpqos/internal/qos"
-	"cmpqos/internal/trace"
 	"cmpqos/internal/workload"
 )
 
-// boundRun is what TestRejectBoundMatchesAdmission compares of one run:
-// the report's JSON, the event log, and the LAC's counters and modeled
-// occupancy. armed counts the rejections met while a learned bound
-// stood (its gen unmoved and the arrival not past it) — an upper bound
-// on the ones it decided, zero if learning never happens.
-type boundRun struct {
-	json                    []byte
-	events                  []trace.Event
-	probes, admits, rejects int64
-	overhead                int64
-	armed                   int
-}
-
-// armedSink counts the Rejected events emitted while r's bound is armed.
-type armedSink struct {
-	r *Runner
-	n int
-}
-
-func (s *armedSink) Event(ev trace.Event) {
-	if r := s.r; ev.Kind == trace.Rejected && r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 && ev.Cycle <= r.boundStart {
-		s.n++
-	}
-}
-
-// runBound runs cfg fast, with the learned bound or, with admitAll set,
-// every arrival through LAC.Admit.
-func runBound(t *testing.T, cfg Config, admitAll bool) boundRun {
-	t.Helper()
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.admitEveryArrival = admitAll
-	log, armed := &EventLog{}, &armedSink{r: r}
-	r.AddSink(log)
-	r.AddSink(armed)
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := boundRun{json: buf.Bytes(), events: log.Events(), armed: armed.n}
-	if r.lac != nil {
-		out.probes, out.admits, out.rejects = r.lac.Counters()
-		out.overhead = r.lac.OverheadCycles()
-	}
-	return out
-}
-
-// TestRejectBoundMatchesAdmission holds the bound a node learns from its
-// own rejections (admitNext, DESIGN §11.6) to admitting every arrival:
-// over engineGrid's configurations, plus All-Strict+AutoDown under both
-// feedback controllers (headroom on an auto-downgrading LAC, where the
-// bound must stay unlearned), reports and event logs must be equal byte
-// for byte, and so must the LAC's probe, admit and reject counters and
-// its modeled occupancy. Three hand-built nodes then pin the edges the
-// grid rarely meets: the deadline exactly at the learned start, a gen
-// move that frees the start, and headroom under auto-downgrade.
+// TestRejectBoundMatchesAdmission pins the edges of the start a node
+// learns from its own rejections (admitNext, DESIGN §11.6) that
+// TestFastPathsMatchReference's grid rarely meets, each on a twin pair
+// of hand-built nodes, one of them the reference engine, which admits
+// every arrival: the deadline exactly at the learned start, a gen move
+// that frees the start, and headroom under auto-downgrade.
 func TestRejectBoundMatchesAdmission(t *testing.T) {
-	var runs, armed, rejected int
-	check := func(name string, cfg Config) {
-		t.Helper()
-		runs++
-		got, want := runBound(t, cfg, false), runBound(t, cfg, true)
-		if !bytes.Equal(got.json, want.json) {
-			t.Errorf("%s: report differs from admitting every arrival\nbound: %s\nadmit: %s", name, got.json, want.json)
-		}
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("%s: event log differs from admitting every arrival (%d events vs %d)", name, len(got.events), len(want.events))
-		}
-		if g, w := [4]int64{got.probes, got.admits, got.rejects, got.overhead}, [4]int64{want.probes, want.admits, want.rejects, want.overhead}; g != w {
-			t.Errorf("%s: LAC {probes, admits, rejects, overhead cycles} = %v, admitting every arrival %v", name, g, w)
-		}
-		if want.armed != 0 {
-			t.Errorf("%s: %d rejections met an armed bound with learning off", name, want.armed)
-		}
-		armed += got.armed
-		rejected += countEvents(got.events, trace.Rejected)
-	}
-	engineGrid(check)
-	for _, ctrl := range []string{"pid", "aimd"} {
-		for seed := int64(1); seed <= 5; seed++ {
-			check(fmt.Sprintf("autodown/%s/seed=%d", ctrl, seed), ctrlCfg(AllStrictAutoDown, ctrl, seed))
-		}
-	}
-	if armed*2 < rejected {
-		t.Errorf("a bound stood armed at %d of %d rejections; the identity proves little", armed, rejected)
-	}
-	t.Logf("%d configurations: %d of %d rejections met an armed bound", runs, armed, rejected)
-
 	t.Run("threshold", testBoundThreshold)
 	t.Run("gen", testBoundGen)
 	t.Run("autodown-headroom", testBoundAutoDownHeadroom)
 }
 
 // boundTwins builds two nodes of cfg whose Poisson arrivals the test
-// stamps itself (arrive): one learns bounds, the other admits every
-// arrival. Their own arrival stream is so sparse that its next stamp
+// stamps itself (arrive): one learns bounds, the other is the reference
+// engine, which admits every arrival. Their own arrival stream is so sparse that its next stamp
 // always lies past the one the test sets, so each arrive submits one
 // arrival.
 func boundTwins(t *testing.T, cfg Config) (bound, admitAll *Runner) {
 	t.Helper()
 	cfg.ProbesPerTw = 1e-6
-	for i, admit := range []bool{false, true} {
+	for i, reference := range []bool{false, true} {
 		r, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.admitEveryArrival = admit
+		r.reference = reference
 		r.dlmix = workload.NewDeadlineMix(r.seed)
 		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
 		if i == 0 {
