@@ -260,16 +260,6 @@ func (t *Timeline) Get(id int) (Reservation, bool) {
 	return Reservation{}, false
 }
 
-// NextBoundary returns the first reservation boundary (a start or end
-// of any live reservation) strictly after x, answered in O(log n) from
-// the usage-profile treap. The simulation engine uses it as a horizon
-// cap: between two boundaries the reserved-resource profile is constant,
-// so no reservation transition can fall inside a fast-forwarded window
-// that ends at or before the next boundary.
-func (t *Timeline) NextBoundary(x int64) (int64, bool) {
-	return t.prof.nextKey(x)
-}
-
 // Prune drops reservations that ended at or before now, keeping the
 // tree at the live working set.
 func (t *Timeline) Prune(now int64) {

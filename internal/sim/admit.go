@@ -63,9 +63,9 @@ func (r *Runner) processArrivals(epochEnd int64) {
 //
 // A rejected reserved-mode arrival teaches the runner its slot's true
 // earliest start S (learnStart). Until the LAC's gen moves or an
-// arrival is accepted, an arrival of the slot not past S whose
-// reservation could not end by its deadline if it started at S is
-// rejected without an admission test and billed as one (DESIGN §11.6);
+// arrival is accepted, an arrival of the slot whose reservation could
+// not end by its deadline if it started at S is rejected without an
+// admission test and billed as one (DESIGN §11.6);
 // admitNext rejects such a run of arrivals in one call, and returns the
 // last when none is left before end.
 func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
@@ -81,7 +81,7 @@ func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
 	if S := r.boundStart; r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 {
 		tw := r.twFor(tmpl).tw
 		dur := r.modeFor(tmpl.Hint).ReservationLength(tw)
-		for ta <= S && deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw)-dur < S {
+		for deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw)-dur < S {
 			r.rejectUnasked(ta)
 			if r.nextArr = r.arrivals.Next(); r.nextArr >= end {
 				return ta, true, false
@@ -356,8 +356,10 @@ func (sh *nodeShared) buildTwTable() {
 		}
 		// The maximum wall-clock request budgets the worst phase (§3.1's
 		// dynamic behaviour): calmer phases become internal fragmentation.
+		// A budget is at least one cycle: a tw of 0 asks the LAC to hold
+		// the reservation forever (§3.2), which no finite job means.
 		cpi := cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), mem.BaseCycles)
-		tw := int64(float64(cfg.JobInstr) * cpi * cfg.TwMargin)
+		tw := max(int64(float64(cfg.JobInstr)*cpi*cfg.TwMargin), 1)
 		sh.tmpl[key] = tmplEntry{tw: tw, prof: &p}
 		if tw > sh.refTW {
 			sh.refTW = tw

@@ -126,7 +126,7 @@ func TestCatchUpReusesProvedWindow(t *testing.T) {
 					n.catchUp(n.now + 2*E)
 				}
 				n.catchUp(n.now + k*E)
-				for !n.idle() {
+				for n.liveCount() > 0 {
 					if n.now > maxCycles {
 						t.Fatal("the jobs never finished")
 					}

@@ -327,7 +327,7 @@ func (cr *ClusterRunner) runPopped(ctx context.Context, pool *parallel.Pool, unt
 // a wake that finds the node idle, without stepping it. ctx is polled
 // on entry and every 64 epochs.
 func (cr *ClusterRunner) runNode(ctx context.Context, n *Runner, at, until int64, toIdle bool) (int64, error) {
-	for steps := 0; at < until && !(toIdle && n.idle()); steps++ {
+	for steps := 0; at < until && !(toIdle && n.liveCount() == 0); steps++ {
 		if steps&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return at, err
@@ -339,7 +339,7 @@ func (cr *ClusterRunner) runNode(ctx context.Context, n *Runner, at, until int64
 		n.catchUp(at)
 		n.step()
 		at = n.nextHorizon()
-		if n.idle() && !n.faultsPending() {
+		if n.liveCount() == 0 && !n.faultsPending() {
 			return retiredWake, nil
 		}
 	}
@@ -366,18 +366,24 @@ func (cr *ClusterRunner) observe(id int) {
 
 // placeArrivals runs the GAC loop for every arrival inside the epoch:
 // the dispatcher picks a node (or rejects), the cluster admits there
-// and feeds the admission back into the dispatch index.
+// and feeds the admission back into the dispatch index. No stamp is
+// before the cluster clock: the round's epoch holds the first stamp
+// not yet placed, and the stream's stamps never decrease.
+//
+// The node admits what the dispatcher's peek accepted, because nothing
+// between the two touches its LAC: wake replays only epochs the node
+// proved steady before it slept — no completion, termination, fault
+// point or controller tick falls in them, the only events that write a
+// LAC outside admission — or fast-forwards a retired node, which runs
+// no epoch at all. A refusal is the "a node changed between Plan and
+// Commit" of qos.GAC.Commit, and panics the same way.
 func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 	jobs := cr.cfg.Node.Workload.Jobs
 	for cr.nextArr < epochEnd && cr.accepted < cr.cfg.AcceptTarget {
-		ta := cr.nextArr
-		if ta < cr.now {
-			ta = cr.now
-		}
 		a := Arrival{
 			Tmpl: jobs[cr.accepted%len(jobs)],
 			DL:   cr.dlmix.Next(),
-			TA:   ta,
+			TA:   cr.nextArr,
 			Seq:  cr.accepted,
 		}
 		p := cr.disp.Place(a)
@@ -392,13 +398,11 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 			} else {
 				ok = n.submitTemplate(a.Tmpl, a.DL, a.TA)
 			}
-			if ok {
-				cr.accepted++
-				cr.idx.noteAdmit(p.Node)
-			} else {
-				// Probe raced completion bookkeeping; count as rejection.
-				cr.rejected++
+			if !ok {
+				panic(fmt.Sprintf("sim: node %d refused the arrival at %d its peek accepted: a node changed between the peek and the admission", p.Node, a.TA))
 			}
+			cr.accepted++
+			cr.idx.noteAdmit(p.Node)
 		}
 		cr.nextArr = cr.arrivals.Next()
 	}

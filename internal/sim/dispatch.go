@@ -5,10 +5,10 @@
 // index in qos.GAC's shape — rows of per-node lower bounds, swept in
 // node order — that asks only the nodes that could still win, and
 // bestfit's placements are exactly those of probing every node. Where
-// no bound is sound (AutoDown, "latest" admission, the trace engine, a
-// zero reservation length) and over locality's window, the same scan
-// runs without a row. Every question is an uncharged LAC.Peek, so a
-// node's probe counter counts only the admission tests it ran.
+// no bound is sound (AutoDown, "latest" admission, the trace engine)
+// and over locality's window, the same scan runs without a row. Every
+// question is an uncharged LAC.Peek, so a node's probe counter counts
+// only the admission tests it ran.
 //
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible
@@ -39,7 +39,7 @@ import (
 type Arrival struct {
 	Tmpl workload.JobTemplate
 	DL   workload.DeadlineClass
-	TA   int64 // arrival cycle, already clamped to the cluster clock
+	TA   int64 // arrival cycle, at or after the cluster clock
 	Seq  int   // cluster-wide admission slot (drives locality homes)
 }
 
@@ -132,17 +132,19 @@ func (cr *ClusterRunner) indexable() bool {
 // with byLoad the least (load, id) — or -1: what peeking every node
 // would pick. Where the start bounds are sound it scans the row of the
 // arrival's reservation length, skipping without asking the nodes whose
-// bound exceeds the cutoff. Where they are not, or for a zero length (a
-// reservation the LAC would hold forever), it scans without bounds:
-// every node that could still win is asked, and nothing is pruned by
-// node 0's cutoff.
+// bound exceeds the cutoff. Where they are not, it scans without
+// bounds: every node that could still win is asked, and nothing is
+// pruned by node 0's cutoff. A reserved length is never 0, the
+// forever-reservation whose cutoff the row would misplace: every
+// template the fleet submits has a budget of at least one cycle
+// (buildTwTable).
 func (cr *ClusterRunner) place(a Arrival, byLoad bool) int {
 	x := cr.idx
 	mode, dur, cutoff := cr.arrivalShape(a)
 	switch {
 	case mode.Kind == qos.KindOpportunistic:
 		return x.placeOpp(a, mode)
-	case !cr.indexable() || dur <= 0:
+	case !cr.indexable():
 		return x.scan(a, mode, nil, math.MaxInt64, byLoad, 0, len(x.load))
 	}
 	return x.scan(a, mode, x.rowFor(dur), cutoff, byLoad, 0, len(x.load))

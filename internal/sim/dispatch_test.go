@@ -507,7 +507,7 @@ func TestClusterCancelMidDrain(t *testing.T) {
 		}
 		busy := 0
 		for _, n := range cr.nodes {
-			if !n.idle() {
+			if n.liveCount() > 0 {
 				busy++
 			}
 		}

@@ -33,7 +33,7 @@ type Runner struct {
 	acceptedN int // total accepted ever (== len(accepted) unless compacted)
 	scriptPos int
 	rejected  int
-	doneN     int // finished (done or terminated) jobs still in accepted
+	doneN     int // finished jobs still in accepted (finishJob and violate count them)
 	fold      *jobFold
 	now       int64
 	arrivals  *workload.Arrivals
@@ -284,7 +284,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Report, error) {
 	for !r.done() {
 		if r.now > maxCycles {
 			return nil, fmt.Errorf("sim: exceeded safety horizon %d cycles with %d/%d accepted jobs done",
-				maxCycles, r.doneCount(), len(r.accepted))
+				maxCycles, r.doneN, len(r.accepted))
 		}
 		if ctx != nil {
 			if polls&63 == 0 {
@@ -454,18 +454,9 @@ func (r *Runner) buildPlan(byCore [][]*Job) {
 	r.planOK = true
 }
 
-// idle reports whether every accepted job has finished (the cluster
-// runner's per-node quiescence test).
-func (r *Runner) idle() bool { return r.doneCount() == len(r.accepted) }
-
-// doneCount returns how many accepted jobs have finished (done or
-// terminated); advanceJob maintains the counter incrementally so the
-// per-epoch termination check is O(1).
-func (r *Runner) doneCount() int { return r.doneN }
-
 func (r *Runner) done() bool {
 	if len(r.cfg.Script) > 0 {
-		return r.scriptPos == len(r.cfg.Script) && r.doneCount() == len(r.accepted)
+		return r.scriptPos == len(r.cfg.Script) && r.liveCount() == 0
 	}
-	return r.acceptedN >= r.cfg.AcceptTarget && r.doneCount() == len(r.accepted)
+	return r.acceptedN >= r.cfg.AcceptTarget && r.liveCount() == 0
 }

@@ -30,12 +30,12 @@ import (
 )
 
 // ffChunkEpochs caps one proved window: it bounds k·E and a fleet
-// node's wake, and it is how often cancellation (and the cluster's
-// catch-up loop) is polled when a steady stretch covers millions of
-// epochs. Chunking is exact because applySteady(a) followed by
-// applySteady(b) leaves every accumulator as applySteady(a+b) does —
-// integers trivially, floats because repeatAdd returns what the stepped
-// additions leave however a window is split (TestRepeatAddLargeK).
+// node's wake, and it is how often cancellation is polled when a
+// steady stretch covers millions of epochs. Chunking is exact because
+// applySteady(a) followed by applySteady(b) leaves every accumulator
+// as applySteady(a+b) does — integers trivially, floats because
+// repeatAdd returns what the stepped additions leave however a window
+// is split (TestRepeatAddLargeK).
 const ffChunkEpochs = int64(1) << 20
 
 // jobDelta is one planned job's per-epoch advance, captured by
@@ -55,29 +55,24 @@ var unpriced = [2]float64{math.NaN(), math.NaN()}
 // epochDeltas prices one steady epoch of the given bus-cycle parity at
 // bus utilization u, filling the parity's scratch (r.ffDeltas, or
 // r.ffDeltas2 for parity 1) with the per-job deltas in plan order and
-// returning the epoch's total fill and write-back transfers. For the
-// second parity of a period-2 window, the completion clamp tests the
-// job's remaining work *after* the first parity's epoch (r.ffDeltas,
-// same plan order). Returns ok=false when a pricing finds a job that
-// would hit its Remaining clamp or the model cannot guarantee constant
-// deltas.
+// returning the epoch's total fill and write-back transfers. A delta is
+// advanceJob's arithmetic without its Remaining clamp, which fires only
+// in an epoch that completes the job: a delta past its job's remaining
+// work makes the job's progress per period exceed it, steadyAttempt's
+// completion cap then closes the window at zero, and advanceAll applies
+// a held delta only within the job's remaining work.
 //
-// A complete pricing is recorded in ffPricedAt: the plan has not
-// changed since (buildPlan clears the record), so at the same u every
-// delta is the same, and only the totals are summed again (DESIGN
-// §11.7). The clamp, which reads progress, is not tested again: a
-// recorded delta past its job's remaining work makes the job's progress
-// per period exceed it, and steadyAttempt's completion cap then closes
-// the window at zero, as the clamp would have. Parity 0 at the u the
-// other parity's scratch was priced at swaps the two, since the clamp
-// offset is the only thing parity changes. A plan with a phased job is
-// never recorded — phaseScale moves with progress inside a plan — and
-// neither is one where a job's share rounds to no instruction, the one
-// case where the clamp saw a different count than the delta holds.
-func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
-	dst, prev := &r.ffDeltas, []jobDelta(nil)
+// A pricing is recorded in ffPricedAt: the plan has not changed since
+// (buildPlan clears the record), so at the same u every delta is the
+// same, and only the totals are summed again (DESIGN §11.7). Parity 0
+// at the u the other parity's scratch was priced at swaps the two,
+// since a pricing depends on its parity only through u. A plan with a
+// phased job is never recorded: phaseScale moves with progress inside
+// a plan.
+func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
+	dst := &r.ffDeltas
 	if parity == 1 {
-		dst, prev = &r.ffDeltas2, r.ffDeltas
+		dst = &r.ffDeltas2
 	} else if r.ffPricedAt[1] == u && r.ffPricedAt[0] != u {
 		r.ffDeltas, r.ffDeltas2 = r.ffDeltas2, r.ffDeltas
 		r.ffPricedAt[0], r.ffPricedAt[1] = r.ffPricedAt[1], r.ffPricedAt[0]
@@ -87,19 +82,19 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 			miss += (*dst)[i].misses
 			wb += writeBacks((*dst)[i].misses)
 		}
-		return miss, wb, true
+		return miss, wb
 	}
 	r.ffPricedAt[parity] = math.NaN()
 	if cap(*dst) == 0 {
 		// A job per core to start with, not append's 1, 2, 4: a filling
-		// node reallocated its scratch at each.
-		*dst = make([]jobDelta, 0, len(r.sc.byCore))
+		// node reallocated its scratch at each. The second parity prices
+		// the plan the first just did, so it starts at the first's size.
+		*dst = make([]jobDelta, 0, max(len(r.sc.byCore), cap(r.ffDeltas)))
 	}
 	// Appending to a local and storing it once keeps the slice header
 	// writes, which a running collector barriers, out of the loop.
 	ds := (*dst)[:0]
 	E := r.cfg.EpochCycles
-	idx := 0
 	record := true
 	for _, jobs := range r.sc.byCore {
 		n := int64(len(jobs))
@@ -109,26 +104,13 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 		// Processor sharing, exactly as advanceAll splits the epoch.
 		share := E / n
 		for _, j := range jobs {
-			var off int64
-			if prev != nil {
-				off = prev[idx].instr
-			}
 			pen := r.penaltyForAt(j, u)
 			cpi := r.model.cpiFor(j, pen)
 			instr := int64(float64(share) / cpi)
-			if instr > j.Remaining()-off {
-				*dst = ds
-				return 0, 0, false // the clamp fires: the job completes
-			}
 			if instr <= 0 {
 				instr = 1
-				record = false
 			}
-			misses, shadow, wbJ, okD := r.model.steadyDeltas(j, instr)
-			if !okD {
-				*dst = ds
-				return 0, 0, false
-			}
+			misses, shadow, wbJ := r.model.steadyDeltas(j, instr)
 			base := float64(instr) * cpi
 			if j.Stealer != nil {
 				// CPIF at the original allocation (advanceJob's stealer
@@ -141,7 +123,6 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 			})
 			miss += misses
 			wb += wbJ
-			idx++
 			if j.InstrTotal > 0 && len(j.Profile.Phases) > 0 {
 				record = false
 			}
@@ -151,7 +132,7 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 	if record {
 		r.ffPricedAt[parity] = u
 	}
-	return miss, wb, true
+	return miss, wb
 }
 
 // steadyWindow returns how many upcoming epochs (at most maxK) can be
@@ -170,9 +151,7 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 //     epoch (later Poisson arrivals are admitted by admitWindow and
 //     only an acceptance ends the window; cluster nodes receive
 //     arrivals externally and are horizon-capped by the cluster);
-//   - the next reservation boundary in the LAC timeline (defense in
-//     depth: the reserved-resource profile is constant inside the
-//     window, answered in O(log n) by the PR 6 profile treap);
+//   - the next controller tick, while jobs are live;
 //   - per job: completion (no Remaining clamp may fire mid-window),
 //     the reserved wall-clock budget, the next workload phase change,
 //     and the resource-stealing interval guard (stealHorizon);
@@ -182,6 +161,11 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64, ok bool) {
 //     utilization, with equal saturation state), which makes every
 //     penalty and Saturated() test inside the window exact by
 //     induction.
+//
+// A reservation edge is no horizon: LAC queries take the arrival's
+// cycle, never the node's clock, and the LAC's one time-driven change,
+// Timeline.Prune inside LAC.Complete, runs at a completion, where the
+// completion cap already ends the window.
 func (r *Runner) steadyWindow(maxK int64) int64 {
 	if r.ffDefer > 0 {
 		// Backing off after recent failed proofs (see below): stepping is
@@ -213,7 +197,7 @@ func (r *Runner) steadyWindow(maxK int64) int64 {
 // steadyAttempt is steadyWindow's proof body, separated so the backoff
 // above can meter how often it runs.
 func (r *Runner) steadyAttempt(maxK int64) int64 {
-	if !r.skipOK || !r.planOK || r.planWaysDirty || r.seriesS != nil {
+	if !r.skipOK || !r.planOK || r.planWaysDirty {
 		return 0
 	}
 	E := r.cfg.EpochCycles
@@ -238,21 +222,11 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 				}
 			}
 		} else if r.acceptedN < r.cfg.AcceptTarget {
-			if r.arrivals == nil {
-				return 0 // cursor not materialized yet; step creates it
-			}
 			if r.nextArr < N+E {
 				return 0 // this epoch's arrivals are the step's to admit
 			}
 			// Later arrivals do not cap the window: admitWindow
 			// admits them once k is fixed.
-		}
-	}
-	if r.lac != nil {
-		if b, ok := r.lac.Timeline().NextBoundary(N); ok {
-			if kb := (b - N) / E; kb < k {
-				k = kb
-			}
 		}
 	}
 	if r.ctrl != nil && r.liveCount() > 0 {
@@ -276,20 +250,23 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	// starting utilization back (and must not flip saturation, which
 	// would flip the stealing pause input between parities).
 	u0 := r.bus.Utilization()
-	miss0, wb0, ok := r.epochDeltas(u0, 0)
-	if !ok {
-		return 0
-	}
+	miss0, wb0 := r.epochDeltas(u0, 0)
 	u1 := r.bus.WindowUtilization(miss0+wb0, E)
 	r.ffPeriod = 1
 	if u1 != u0 {
-		if k < 2 || r.bus.SaturatedAt(u1) != r.bus.SaturatedAt(u0) {
+		if r.bus.SaturatedAt(u1) != r.bus.SaturatedAt(u0) {
 			return 0
 		}
-		miss1, wb1, ok := r.epochDeltas(u1, 1)
-		if !ok {
-			return 0
+		// For speed only: a job the first parity's epoch leaves at most
+		// one instruction has no period-2 window (its period retires
+		// all of it, and the completion cap below closes the window at
+		// zero), so the second parity goes unpriced.
+		for i := range r.ffDeltas {
+			if d := &r.ffDeltas[i]; d.instr >= d.j.Remaining()-1 {
+				return 0
+			}
 		}
+		miss1, wb1 := r.epochDeltas(u1, 1)
 		if r.bus.WindowUtilization(miss1+wb1, E) != u0 {
 			return 0
 		}
@@ -340,7 +317,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	// per-epoch deltas and the already-minimized k.
 	for i := range r.ffDeltas {
 		d0, d1 := &r.ffDeltas[i], &r.ffDeltas[i]
-		if d0.j.Stealer == nil || d0.j.State != StateRunning {
+		if d0.j.Stealer == nil {
 			continue
 		}
 		if P == 2 {
@@ -417,9 +394,6 @@ func (r *Runner) admitWindow(k int64) int64 {
 // With d1 == d0 the envelopes are the exact ratio.
 func (r *Runner) stealHorizon(j *Job, d0, d1 *jobDelta, k int64) int64 {
 	interval := r.cfg.StealIntervalInstr
-	if interval <= 0 {
-		return 0
-	}
 	// instrLastSteal < interval is runStealing's invariant.
 	iMax := max(d0.instr, d1.instr)
 	e1 := (interval - j.instrLastSteal + iMax - 1) / iMax
@@ -546,7 +520,7 @@ func (r *Runner) applySteady(k int64) {
 		j.MainMisses += m * (d0.misses + d1.misses)
 		j.ShadowMisses += m * (d0.shadow + d1.shadow)
 		j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
-		if j.Stealer != nil && j.State == StateRunning {
+		if j.Stealer != nil {
 			// Every crossing in the window Held (stealHorizon proved it),
 			// so the interval clock just wraps.
 			j.instrLastSteal = (j.instrLastSteal + m*(d0.instr+d1.instr)) % r.cfg.StealIntervalInstr
@@ -575,7 +549,9 @@ func (r *Runner) applySteady(k int64) {
 // succeeded ran with ffDefer 0 and left ffFails 0). When the rounding
 // leaves nothing (a period-2 window woken after an odd number of
 // epochs), the loop below takes the priced failure and the step that
-// re-proving would.
+// re-proving would. The loop asks for the whole distance: a node is
+// caught up to at most its wake, the end of a window nextHorizon
+// capped at ffChunkEpochs, and a longer window would be exact anyway.
 func (r *Runner) catchUp(to int64) {
 	if k := r.ffProvedK; k > 0 && r.ffProvedAt == r.now {
 		if need := (to - r.now) / r.cfg.EpochCycles; need < k {
@@ -586,11 +562,7 @@ func (r *Runner) catchUp(to int64) {
 		}
 	}
 	for r.now < to {
-		need := (to - r.now) / r.cfg.EpochCycles
-		if need > ffChunkEpochs {
-			need = ffChunkEpochs
-		}
-		if k := r.steadyWindow(need); k > 0 {
+		if k := r.steadyWindow((to - r.now) / r.cfg.EpochCycles); k > 0 {
 			r.applySteady(k)
 		} else {
 			r.step()

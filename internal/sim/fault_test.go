@@ -19,20 +19,6 @@ func faultCfg(pol Policy, plan fault.Plan) Config {
 	return cfg
 }
 
-// runFaulted executes one faulted config and returns the report.
-func runFaulted(t *testing.T, cfg Config) *Report {
-	t.Helper()
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
 // TestFaultEvictReadmit drives the graceful path: a permanent way fault
 // shrinks the cache under the standing reservations, the timeline evicts,
 // and the LAC re-places the evicted jobs (at the original or a narrower
@@ -41,7 +27,7 @@ func TestFaultEvictReadmit(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.WayFault, At: 300_000_000, Ways: 6},
 	}}
-	rep := runFaulted(t, faultCfg(AllStrict, plan))
+	rep := mustRun(t, faultCfg(AllStrict, plan))
 	f := rep.Faults
 	if f.WayFaults != 1 {
 		t.Fatalf("WayFaults = %d, want 1", f.WayFaults)
@@ -61,7 +47,7 @@ func TestFaultEvictionAccounting(t *testing.T) {
 	for _, pol := range []Policy{AllStrict, AllStrictAutoDown, Hybrid1, Hybrid2} {
 		for seed := int64(1); seed <= 3; seed++ {
 			plan := fault.Generate(seed, 4, fault.DefaultHorizon, 4, 16)
-			rep := runFaulted(t, faultCfg(pol, plan))
+			rep := mustRun(t, faultCfg(pol, plan))
 			f := rep.Faults
 			if f.Evictions != f.Readmitted+f.Violations {
 				t.Errorf("%s seed %d: evictions %d != readmitted %d + violations %d",
@@ -117,14 +103,14 @@ func TestFaultCoreFailRecover(t *testing.T) {
 // TestFaultLatencySpikeSlowsRun checks the spike path: while active, the
 // miss penalty scales, so the run takes strictly longer than fault-free.
 func TestFaultLatencySpikeSlowsRun(t *testing.T) {
-	base := runFaulted(t, faultCfg(AllStrict, fault.Plan{}))
+	base := mustRun(t, faultCfg(AllStrict, fault.Plan{}))
 	// The spike must cover the final job's reserved slot: reservation
 	// start times are fixed at admission, so a spike that ends earlier
 	// only slows jobs whose completions the last slot already hides.
 	plan := fault.Plan{Events: []fault.Event{
 		{Kind: fault.LatencySpike, At: 100_000_000, Duration: 3_500_000_000, Factor: 4},
 	}}
-	spiked := runFaulted(t, faultCfg(AllStrict, plan))
+	spiked := mustRun(t, faultCfg(AllStrict, plan))
 	if spiked.Faults.LatencySpikes != 1 {
 		t.Fatalf("LatencySpikes = %d, want 1", spiked.Faults.LatencySpikes)
 	}

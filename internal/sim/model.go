@@ -31,9 +31,8 @@ type model interface {
 	// steadyDeltas previews what advance(j, instr) would add to the
 	// job's miss counters and the bus, without mutating anything — the
 	// per-epoch deltas the event-horizon fast-forward multiplies out.
-	// ok is false when the engine cannot predict them (the trace engine
-	// draws from per-job RNG streams, so it never fast-forwards).
-	steadyDeltas(j *Job, instr int64) (misses, shadow, writeBacks int64, ok bool)
+	// Only an engine that skipOK lets fast-forward is asked.
+	steadyDeltas(j *Job, instr int64) (misses, shadow, writeBacks int64)
 }
 
 // tableModel drives everything from the calibrated miss curves: the
@@ -68,7 +67,7 @@ func (m *tableModel) cpiFor(j *Job, memPenalty float64) float64 {
 // advance applies what steadyDeltas previews, so the stepped epoch and
 // the fast-forward that multiplies it out share one arithmetic.
 func (m *tableModel) advance(j *Job, instr int64) (int64, int64) {
-	misses, shadow, writeBacks, _ := m.steadyDeltas(j, instr)
+	misses, shadow, writeBacks := m.steadyDeltas(j, instr)
 	j.MainMisses += misses
 	j.ShadowMisses += shadow
 	return misses, writeBacks
@@ -78,14 +77,14 @@ func (m *tableModel) advance(j *Job, instr int64) (int64, int64) {
 // all fixed, so the quantities are the same every epoch. The shadow
 // count of a job that may have ways stolen accrues at its reserved
 // allocation's rate.
-func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, bool) {
+func (m *tableModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64) {
 	scale := phaseScale(j)
 	misses := int64(float64(instr) * j.mpifCur * scale)
 	shadow := misses
 	if j.Stealer != nil {
 		shadow = int64(float64(instr) * j.mpiRes * scale)
 	}
-	return misses, shadow, writeBacks(misses), true
+	return misses, shadow, writeBacks(misses)
 }
 
 // writeBacks returns the dirty evictions of a steady epoch's fills: they
@@ -283,8 +282,8 @@ func (m *traceModel) stealReady(j *Job) bool {
 }
 
 // steadyDeltas: the trace engine's misses come from simulated address
-// streams drawn per epoch, so no closed form exists and the engine
-// never fast-forwards (the skipOK gate also excludes it statically).
-func (m *traceModel) steadyDeltas(*Job, int64) (int64, int64, int64, bool) {
-	return 0, 0, 0, false
+// streams drawn per epoch, so no closed form exists, and skipOK keeps
+// the engine from ever asking.
+func (m *traceModel) steadyDeltas(*Job, int64) (int64, int64, int64) {
+	panic("sim: the trace engine has no steady deltas (skipOK is false for it)")
 }

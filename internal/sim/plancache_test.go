@@ -43,7 +43,12 @@ func wallClockCfg() Config {
 // case. The rest are the configuration shapes the experiment registry
 // runs: the geometry sweep's other L2 sizes, the policies sweep's
 // scheduler×allocator pairs on Mix-1, series sampling and the trace
-// engine.
+// engine. The last three are window proofs the other cases never
+// reach, each the one case that fails without a test of the proof: a
+// bus whose period-2 cycle straddles saturation (1.6 GB/s, against
+// every other case's 6.4), a phased job that crosses its phase between
+// the two epochs of a period-2 cycle, and 64-cycle epochs in which a
+// job's share rounds to no instruction.
 func refCases() []refCase {
 	done := []trace.EventKind{trace.Accepted, trace.Completed}
 	cases := []refCase{
@@ -55,7 +60,7 @@ func refCases() []refCase {
 			events: []trace.EventKind{trace.Terminated, trace.Completed}},
 		{name: "equalpart", cfg: planCacheCfg(EqualPart, "gobmk"), events: done, skips: true},
 		{name: "ucp", cfg: planCacheCfg(UCPPart, "gobmk"), events: done, skips: true},
-		{name: "phased-profiles", cfg: fastConfig(AllStrict, phasedBzip2()), skips: true},
+		{name: "phased-profiles", cfg: fastConfig(AllStrict, phased("bzip2")), skips: true},
 		{name: "scripted-arrivals", cfg: scriptedCfg(), skips: true},
 	}
 	series := planCacheCfg(Hybrid2, "bzip2")
@@ -85,7 +90,7 @@ func refCases() []refCase {
 	faulted := func(name string, ev fault.Event, kinds ...trace.EventKind) refCase {
 		return refCase{name: name, cfg: faultCfg(AllStrictAutoDown, fault.Plan{Events: []fault.Event{ev}}), events: kinds}
 	}
-	return append(cases,
+	cases = append(cases,
 		faulted("core-fail-permanent", fault.Event{Kind: fault.CoreFail, At: 200_000_000, Core: 2}, trace.CoreFail),
 		faulted("core-fail-recover", fault.Event{Kind: fault.CoreFail, At: 200_000_000, Duration: 300_000_000, Core: 1},
 			trace.CoreFail, trace.CoreRecover),
@@ -95,6 +100,16 @@ func refCases() []refCase {
 			trace.LatencySpike),
 		faulted("violation-terminates", fault.Event{Kind: fault.WayFault, At: 300_000_000, Duration: 2_000_000_000, Ways: 14},
 			trace.WayFault, trace.QoSViolation, trace.Terminated))
+	straddle := planCacheCfg(Hybrid2, "mcf")
+	straddle.Mem.PeakBytesPerS = 1.6e9
+	phasedP2 := DefaultConfig(AllStrictAutoDown, phased("libquantum"))
+	phasedP2.Seed = 3
+	tiny := DefaultConfig(Hybrid2, workload.Single("mcf"))
+	tiny.EpochCycles, tiny.JobInstr, tiny.StealIntervalInstr = 64, 20_000, 10_000
+	return append(cases,
+		refCase{name: "saturated-straddle", cfg: straddle, events: done, skips: true, straddles: true},
+		refCase{name: "phased-period-2", cfg: phasedP2, events: done, skips: true, phaseP2: true},
+		refCase{name: "zero-share", cfg: tiny, events: done, skips: true, zeroShare: true})
 }
 
 // TestPlanCacheByteIdentity holds every refCases case to the reference

@@ -47,21 +47,21 @@ func (m countingModel) advance(j *Job, instr int64) (int64, int64) {
 	return m.model.advance(j, instr)
 }
 
-func (m countingModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64, bool) {
+func (m countingModel) steadyDeltas(j *Job, instr int64) (int64, int64, int64) {
 	m.c.deltas++
 	return m.model.steadyDeltas(j, instr)
 }
 
 // armedSink counts the Rejected events emitted while r's learned start
-// is armed (its gen unmoved and the arrival not past it): an upper bound
-// on the rejections it decided, zero if learning never happens.
+// is armed (its gen unmoved): an upper bound on the rejections it
+// decided, zero if learning never happens.
 type armedSink struct {
 	r *Runner
 	n int
 }
 
 func (s *armedSink) Event(ev trace.Event) {
-	if r := s.r; ev.Kind == trace.Rejected && r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 && ev.Cycle <= r.boundStart {
+	if r := s.r; ev.Kind == trace.Rejected && r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 {
 		s.n++
 	}
 }
@@ -152,14 +152,23 @@ func matchRuns(t *testing.T, name string, runs [2]nodeRun) {
 	}
 }
 
-// servedProofs runs cfg in production, attempting each window proof as
-// RunContext does, and counts the proofs the pricing record served:
-// ones that reached the pricing with a job in the plan and priced no
-// delta (a fresh pricing prices its first job's delta, or the clamp
-// stops it there and leaves no delta held). Only
-// TestFastPathsMatchReference's aggregate reads it, for a configuration
-// that has already matched the reference within pricedDeadline.
-func servedProofs(t *testing.T, cfg Config) (served int) {
+// proofCounts counts the window proofs of a run that reached the
+// pricing, by what they met: served ones the pricing record served
+// (a job in the plan and no delta priced — a fresh pricing prices its
+// first job's); straddles ones whose first parity's traffic moves the
+// bus across saturation, which the period-2 test must refuse; phaseP2
+// ones that closed a period-2 cycle with a phased job whose second
+// epoch starts in a later phase than its first, which phaseHorizon's
+// match(0) exit must refuse; zeroShare ones that met a job whose
+// processor share rounds to no instruction, which the pricing must
+// round up to one as advanceJob does.
+type proofCounts struct{ served, straddles, phaseP2, zeroShare int }
+
+// countProofs runs cfg in production, attempting each window proof as
+// RunContext does, and counts its proofs (proofCounts). It reads a
+// configuration that has already matched the reference within
+// pricedDeadline.
+func countProofs(t *testing.T, cfg Config) (n proofCounts) {
 	t.Helper()
 	r, err := New(cfg)
 	if err != nil {
@@ -170,10 +179,31 @@ func servedProofs(t *testing.T, cfg Config) (served int) {
 	for !r.done() {
 		r.step()
 		for r.skipOK {
-			deferred, deltas := r.ffDefer > 0, c.deltas
+			deferred, deltas, u0 := r.ffDefer > 0, c.deltas, r.bus.Utilization()
 			k := r.steadyWindow(ffChunkEpochs)
-			if !deferred && r.ffPriced && c.deltas == deltas && len(r.ffDeltas) > 0 {
-				served++
+			if !deferred && r.ffPriced {
+				var traffic int64
+				for _, d := range r.ffDeltas {
+					traffic += d.misses + writeBacks(d.misses)
+					phased := d.j.InstrTotal > 0 && len(d.j.Profile.Phases) > 0
+					if r.ffPeriod == 2 && phased && phaseIndexAt(d.j, d.j.InstrDone+d.instr) != phaseIndexAt(d.j, d.j.InstrDone) {
+						n.phaseP2++
+					}
+				}
+				if c.deltas == deltas && len(r.ffDeltas) > 0 {
+					n.served++
+				}
+				if r.bus.SaturatedAt(r.bus.WindowUtilization(traffic, r.cfg.EpochCycles)) != r.bus.SaturatedAt(u0) {
+					n.straddles++
+				}
+				for _, jobs := range r.sc.byCore {
+					for _, j := range jobs {
+						share := r.cfg.EpochCycles / int64(len(jobs))
+						if int64(float64(share)/r.model.cpiFor(j, r.penaltyForAt(j, u0))) <= 0 {
+							n.zeroShare++
+						}
+					}
+				}
 			}
 			if k <= 0 {
 				break
@@ -181,17 +211,20 @@ func servedProofs(t *testing.T, cfg Config) (served int) {
 			r.applySteady(k)
 		}
 	}
-	return served
+	return n
 }
 
 // refCase is a hand-built configuration held to the reference, with
 // what it must demonstrably exercise: the event kinds that must occur,
-// controller retunes, and skipped epochs.
+// controller retunes, skipped epochs, and the window proofs of
+// proofCounts: ones that straddle bus saturation, cross a phase on a
+// period-2 cycle, or price a share that rounds to no instruction.
 type refCase struct {
-	name           string
-	cfg            Config
-	events         []trace.EventKind
-	retunes, skips bool
+	name                          string
+	cfg                           Config
+	events                        []trace.EventKind
+	retunes, skips                bool
+	straddles, phaseP2, zeroShare bool
 }
 
 // caseRuns holds each refCases case's production and reference runs,
@@ -221,6 +254,18 @@ func matchCases(t *testing.T, cases []refCase) {
 			if tc.skips && got.rep.EpochsSkipped == 0 {
 				t.Errorf("the fast-forward never engaged (%d epochs stepped)", got.rep.EpochsStepped)
 			}
+			if tc.straddles || tc.phaseP2 || tc.zeroShare {
+				n := countProofs(t, tc.cfg)
+				if tc.straddles && n.straddles == 0 {
+					t.Error("no window proof straddled bus saturation")
+				}
+				if tc.phaseP2 && n.phaseP2 == 0 {
+					t.Error("no period-2 window proof met a phased job crossing a phase")
+				}
+				if tc.zeroShare && n.zeroShare == 0 {
+					t.Error("no window proof priced a share that rounds to no instruction")
+				}
+			}
 		})
 	}
 }
@@ -240,13 +285,13 @@ func pickCases(t *testing.T, names ...string) []refCase {
 	return cases
 }
 
-// phasedBzip2 is ten bzip2 jobs in two phases, the miss rate doubling
-// halfway.
-func phasedBzip2() workload.Composition {
-	c := workload.Composition{Name: "phased-bzip2"}
+// phased is ten jobs of the benchmark in two phases, the miss rate
+// doubling halfway.
+func phased(bench string) workload.Composition {
+	c := workload.Composition{Name: "phased-" + bench}
 	for i := 0; i < 10; i++ {
 		c.Jobs = append(c.Jobs, workload.JobTemplate{
-			Benchmark: "bzip2",
+			Benchmark: bench,
 			Phases:    []workload.Phase{{Until: 0.5, MPIScale: 0.5}, {Until: 1.0, MPIScale: 1.0}},
 		})
 	}
@@ -277,7 +322,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 				if t.Failed() {
 					return
 				}
-				s := servedProofs(t, cfg)
+				s := countProofs(t, cfg).served
 				mu.Lock()
 				defer mu.Unlock()
 				runs++
@@ -299,7 +344,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 		for _, p := range Policies() {
 			for _, dense := range []bool{false, true} {
 				for seed := int64(1); seed <= 3; seed++ {
-					cfg := DefaultConfig(p, phasedBzip2())
+					cfg := DefaultConfig(p, phased("bzip2"))
 					cfg.Seed = seed
 					if dense {
 						cfg.JobInstr = 10_000_000
