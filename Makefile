@@ -84,7 +84,7 @@ race:
 # bytes and header, the fast-forward's closed-form float
 # accumulation must leave the bits the stepped additions leave for any
 # accumulator and addends, and the packed arrival and deadline tapes
-# (32-bit gaps with continuation words, 2-bit classes) must read back
+# (Rice-coded gaps, 2-bit classes) must read back
 # what the full-width reference tape reads for any gaps and classes,
 # through single, interleaved and concurrent cursors.
 fuzz:
@@ -102,11 +102,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzTapeRoundTrip -fuzztime=10s -timeout 5m ./internal/workload
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,
-# cluster dispatch, and daemon snapshot benches once each
-# (-benchtime=1x): a CI guard that the O(log n) timeline, the bound rows
-# the GAC and the fleet dispatcher scan, the streaming snapshot writer,
-# and their benchmarks keep building and running — timings are
-# meaningless here; the cluster line's B/op
+# cluster dispatch, daemon snapshot and arrival tape decode benches once
+# each (-benchtime=1x): a CI guard that the O(log n) timeline, the bound
+# rows the GAC and the fleet dispatcher scan, the streaming snapshot
+# writer, the Rice decoder and their benchmarks keep building and
+# running — timings are meaningless here; the cluster line's B/op
 # (-benchmem) is not: it puts fleet dispatch's allocation in the CI
 # log. (The fast-forward path and
 # the control plane are run by bench-check: sim-node's paper and pid
@@ -125,6 +125,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterDispatch' -benchtime=1x -benchmem -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotPersist' -benchtime=1x -benchmem -timeout 10m ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRepeatAdd' -benchtime=1x -timeout 10m ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkArrivalsNext' -benchtime=1x -timeout 10m ./internal/workload
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
 	$(GO) test -run 'TestGoldenTablesCacheOnVsOff|TestCSVExports' -count=1 ./internal/experiments

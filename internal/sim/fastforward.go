@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"cmpqos/internal/cpu"
+	"cmpqos/internal/qos"
 	"cmpqos/internal/steal"
 )
 
@@ -86,10 +87,12 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 	}
 	r.ffPricedAt[parity] = math.NaN()
 	if cap(*dst) == 0 {
-		// A job per core to start with, not append's 1, 2, 4: a filling
-		// node reallocated its scratch at each. The second parity prices
-		// the plan the first just did, so it starts at the first's size.
-		*dst = make([]jobDelta, 0, max(len(r.sc.byCore), cap(r.ffDeltas)))
+		// Both parities in one allocation, each sized for the most jobs
+		// a plan of this run holds (deltaJobs). Started at a job per
+		// core, a filling node regrew its scratch about twice a run.
+		n := r.deltaJobs()
+		both := make([]jobDelta, 0, 2*n)
+		r.ffDeltas, r.ffDeltas2 = both[:0:n], both[n:n:2*n]
 	}
 	// Appending to a local and storing it once keeps the slice header
 	// writes, which a running collector barriers, out of the loop.
@@ -133,6 +136,24 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 		r.ffPricedAt[parity] = u
 	}
 	return miss, wb
+}
+
+// deltaJobs is how many jobs the delta scratch is sized for: the jobs
+// the run accepts (its accept target, or its script's length), at most
+// cores·OpportunisticPerCore — what an admission-controlled node runs at
+// once, and a bound on a run whose target is far above it — and at
+// least a job per core. A fleet node's target is the fleet's, so it
+// starts at a job per core. A plan that holds more grows the scratch.
+func (r *Runner) deltaJobs() int {
+	cores := len(r.sc.byCore)
+	n := r.cfg.AcceptTarget
+	if len(r.cfg.Script) > 0 {
+		n = len(r.cfg.Script)
+	}
+	if r.external {
+		n = cores
+	}
+	return max(cores, min(n, cores*qos.OpportunisticPerCore))
 }
 
 // steadyWindow returns how many upcoming epochs (at most maxK) can be

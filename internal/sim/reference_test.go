@@ -66,16 +66,51 @@ func (s *armedSink) Event(ev trace.Event) {
 	}
 }
 
+// arrivalClock holds a Poisson run's arrivals to the stream they come
+// from, which a comparison of two runs cannot: both runs read it
+// through the same cursor and admitNext. The i-th Submitted event must
+// carry the i-th stamp an independent ArrivalStream(seed+1, …) draws,
+// and the epoch that admits it must hold that stamp: r.now ≤ stamp,
+// and on the reference engine, which steps every epoch, stamp <
+// r.now+EpochCycles. (A production window admits the arrivals inside
+// it at its start; matchRuns holds its events to the reference's.)
+// err keeps the first arrival that breaks either.
+type arrivalClock struct {
+	r      *Runner
+	stream *workload.ArrivalStream
+	n      int
+	err    error
+}
+
+func (c *arrivalClock) Event(ev trace.Event) {
+	r := c.r
+	if ev.Kind != trace.Submitted || len(r.cfg.Script) > 0 || c.err != nil {
+		return
+	}
+	if c.stream == nil {
+		c.stream = workload.NewArrivalStream(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
+	}
+	stamp := c.stream.Next()
+	c.n++
+	switch {
+	case ev.Cycle != stamp:
+		c.err = fmt.Errorf("arrival %d submitted at cycle %d, its stamp is %d", c.n, ev.Cycle, stamp)
+	case stamp < r.now || r.reference && stamp >= r.now+r.cfg.EpochCycles:
+		c.err = fmt.Errorf("arrival %d, stamped %d, admitted in the epoch at cycle %d", c.n, stamp, r.now)
+	}
+}
+
 // nodeRun is what matchReference compares of one run: the report, its
 // JSON and event log, and the LAC's {probes, admits, rejects, overhead
-// cycles}; plus what countingModel and armedSink counted.
+// cycles}; plus what countingModel, armedSink and arrivalClock found.
 type nodeRun struct {
-	rep    *Report
-	json   []byte
-	events []trace.Event
-	lac    [4]int64
-	priced pricingCounts
-	armed  int
+	rep      *Report
+	json     []byte
+	events   []trace.Event
+	lac      [4]int64
+	priced   pricingCounts
+	armed    int
+	arrivals error
 }
 
 // runNode runs cfg through RunContext within pricedDeadline, in
@@ -88,9 +123,10 @@ func runNode(cfg Config, reference bool) (nodeRun, error) {
 	}
 	r.reference = reference
 	r.model = countingModel{model: r.model, c: &out.priced}
-	log, armed := &EventLog{}, &armedSink{r: r}
+	log, armed, clock := &EventLog{}, &armedSink{r: r}, &arrivalClock{r: r}
 	r.AddSink(log)
 	r.AddSink(armed)
+	r.AddSink(clock)
 	ctx, cancel := context.WithTimeout(context.Background(), pricedDeadline)
 	defer cancel()
 	if out.rep, err = r.RunContext(ctx); err != nil {
@@ -100,7 +136,7 @@ func runNode(cfg Config, reference bool) (nodeRun, error) {
 	if err := out.rep.WriteJSON(&buf); err != nil {
 		return out, err
 	}
-	out.json, out.events, out.armed = buf.Bytes(), log.Events(), armed.n
+	out.json, out.events, out.armed, out.arrivals = buf.Bytes(), log.Events(), armed.n, clock.err
 	if r.lac != nil {
 		out.lac[0], out.lac[1], out.lac[2] = r.lac.Counters()
 		out.lac[3] = r.lac.OverheadCycles()
@@ -133,11 +169,17 @@ func matchReference(t *testing.T, name string, cfg Config) nodeRun {
 
 // matchRuns fails the test unless the production run runs[0] and the
 // reference run runs[1] have equal report JSON, event logs and LAC
-// counters, and production's stepped and skipped epochs add up to the
-// reference's stepped ones.
+// counters, production's stepped and skipped epochs add up to the
+// reference's stepped ones, and each run admitted its arrivals at their
+// stamps (arrivalClock).
 func matchRuns(t *testing.T, name string, runs [2]nodeRun) {
 	t.Helper()
 	got, want := runs[0], runs[1]
+	for i, run := range runs {
+		if run.arrivals != nil {
+			t.Errorf("%s: %s run: %v", name, [...]string{"production", "reference"}[i], run.arrivals)
+		}
+	}
 	if !bytes.Equal(got.json, want.json) {
 		t.Errorf("%s: report differs from the reference\nproduction: %s\nreference:  %s", name, got.json, want.json)
 	}

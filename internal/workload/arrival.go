@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -78,9 +80,10 @@ func (m *DeadlineMix) Next() DeadlineClass {
 // (seed, rate); its Next returns the cycle timestamp of the next
 // arrival, and timestamps are non-decreasing.
 type Arrivals struct {
-	packedCursor[[]uint32]
-	gaps  []uint32 // the words of the current chunk not yet read
-	stamp int64    // the last timestamp returned
+	packedCursor[[]byte]
+	code  []byte // the Rice chunk of the last timestamp read
+	bit   int    // the bit offset in code of the next gap's code
+	stamp int64  // the last timestamp returned
 }
 
 // DefaultProbesPerTw is the paper's arrival pressure: 4×128 probes per
@@ -93,23 +96,64 @@ func NewArrivals(seed int64, probesPerTw float64, twCycles int64) *Arrivals {
 	if probesPerTw <= 0 || twCycles <= 0 {
 		panic("workload: arrivals need positive rate and window")
 	}
-	return &Arrivals{packedCursor: packedCursor[[]uint32]{t: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}}
+	return &Arrivals{packedCursor: packedCursor[[]byte]{t: arrivalTapeFor(seed, probesPerTw/float64(twCycles))}}
 }
 
-// Next returns the cycle timestamp of the next arrival.
+// Next returns the cycle timestamp of the next arrival. The code of
+// a gap whose 64 bits from a.bit lie in the chunk and hold it whole is
+// read from one load; nextSlow reads any other. (The shift counts are
+// masked to 63, which they never exceed, so the compiler adds no guard
+// for wider ones.)
 func (a *Arrivals) Next() int64 {
 	if a.pos%tapeChunk == 0 {
-		a.gaps = a.load()
+		a.code, a.bit = a.load(), 8
 	}
 	a.pos++
-	for {
-		w := a.gaps[0]
-		a.gaps = a.gaps[1:]
-		a.stamp += int64(w)
-		if w != gapMore {
+	k := uint(a.code[0]) & 63
+	if i := a.bit >> 3; i+8 <= len(a.code) {
+		s := uint(a.bit & 7)
+		w := binary.LittleEndian.Uint64(a.code[i:]) >> s
+		if z := uint(bits.TrailingZeros64(w)); z+1+k <= 64-s { // 64 zeros fail it
+			a.bit += int(z + 1 + k)
+			a.stamp += int64(uint64(z)<<k | w>>(z&63)>>1&(1<<k-1))
 			return a.stamp
 		}
 	}
+	return a.nextSlow(k)
+}
+
+// nextSlow is Next for a code that one load from a.bit does not hold:
+// its quotient's zeros run past the word, its remainder does, or the
+// chunk ends within the word.
+func (a *Arrivals) nextSlow(k uint) int64 {
+	w, n := riceWord(a.code, a.bit)
+	var q uint
+	for w == 0 { // the quotient's zeros run past the word
+		q += n
+		a.bit += int(n)
+		w, n = riceWord(a.code, a.bit)
+	}
+	z := uint(bits.TrailingZeros64(w))
+	a.bit += int(z) + 1
+	r, _ := riceWord(a.code, a.bit)
+	a.bit += int(k)
+	a.stamp += int64((q+z)<<k | uint(r)&(1<<k-1))
+	return a.stamp
+}
+
+// riceWord returns the bits of code from bit on, and how many of them
+// one load holds: 64 less bit's offset in its byte. Past the chunk's
+// last byte they read 0.
+func riceWord(code []byte, bit int) (w uint64, n uint) {
+	i, s := bit>>3, uint(bit&7)
+	if i+8 <= len(code) {
+		w = binary.LittleEndian.Uint64(code[i:])
+	} else {
+		for j := len(code) - 1; j >= i; j-- { // the tail load
+			w = w<<8 | uint64(code[j])
+		}
+	}
+	return w >> s, 64 - s
 }
 
 // ArrivalStream is the streaming face of Arrivals: it draws the exact

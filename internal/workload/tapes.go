@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 
@@ -14,11 +13,11 @@ import (
 // rate), and an experiment grid replays the same few keys thousands of
 // times. A tape keeps the values its cursors read, rounded up to a
 // chunk, not the generator (≈4.9 kB of rand.Source state), and each
-// value at the width it needs: an arrival stamp as the 32-bit gap from
-// the stamp before it, a deadline class as a 2-bit code, four to a
-// byte. A seed whose streams are read to 1,030 values retains ≈5.7 kB.
-// A repeated run skips seeding a source and the draws and observes a
-// bit-identical sequence.
+// value in the bits it needs: an arrival stamp as the gap from the stamp
+// before it, Rice-coded with a parameter per chunk, a deadline class as
+// a 2-bit code, four to a byte. A seed whose streams are read to 1,030
+// values retains ≈2.7 kB. A repeated run skips seeding a source and the
+// draws and observes a bit-identical sequence.
 
 // tapeChunk is how many values a tape holds per chunk, and so how many
 // a cursor draws when it extends the tape.
@@ -85,15 +84,14 @@ func (c *packedCursor[C]) load() C {
 	return t.chunks[k]
 }
 
-// gapMore is the continuation word of an arrival tape: a gap of
-// gapMore or more is stored as one gapMore word per gapMore it holds,
-// then a word with the rest. A decoder adds every word to its running
-// stamp and reads on past a gapMore.
-const gapMore = math.MaxUint32
+// riceMaxK caps a chunk's Rice parameter: a 64-bit load from any bit
+// offset holds at least 57 bits, so a remainder always fits one.
+const riceMaxK = 57
 
 // gapTape holds arrival stamps as gaps, a chunk's first gap taken from
-// the previous chunk's last stamp and the stream's first from 0.
-type gapTape = packedTape[[]uint32]
+// the previous chunk's last stamp and the stream's first from 0, each
+// chunk Rice-coded by packGaps.
+type gapTape = packedTape[[]byte]
 
 func newGapTape(stamps func() (next func() int64)) *gapTape {
 	return &gapTape{
@@ -110,21 +108,51 @@ func newGapTape(stamps func() (next func() int64)) *gapTape {
 	}
 }
 
-// packGaps encodes a chunk's gaps, which are never negative, exactly
-// sized.
-func packGaps(gaps *[tapeChunk]int64) []uint32 {
+// packGaps Rice-codes a chunk's gaps, which are never negative, into an
+// exactly sized chunk: byte 0 holds the parameter k, and from byte 1 on
+// each gap g is g>>k zero bits, a one bit and g's low k bits, least
+// significant bit first.
+func packGaps(gaps *[tapeChunk]int64) []byte {
+	k := riceK(gaps)
 	n := 0
 	for _, g := range gaps {
-		n += int(g/gapMore) + 1
+		n += int(g>>k) + 1 + int(k)
 	}
-	words := make([]uint32, 0, n)
+	code := make([]byte, 1+(n+7)/8)
+	code[0] = byte(k)
+	bit := 8
 	for _, g := range gaps {
-		for ; g >= gapMore; g -= gapMore {
-			words = append(words, gapMore)
+		bit += int(g >> k) // the quotient's zeros are already there
+		// The one bit, then the remainder above it.
+		for b, v := bit, (uint64(g)&(1<<k-1))<<1|1; v != 0; {
+			code[b>>3] |= byte(v << (b & 7))
+			v >>= 8 - b&7
+			b += 8 - b&7
 		}
-		words = append(words, uint32(g))
+		bit += 1 + int(k)
 	}
-	return words
+	return code
+}
+
+// riceK returns the k up to riceMaxK that codes gaps in the fewest bits,
+// the least such k on a tie. Raising k by one adds a bit to each of the
+// tapeChunk remainders and takes ⌈q/2⌉ from each quotient q = g>>k; the
+// quotients' saving only falls as k grows, so the first k at which it
+// no longer beats tapeChunk is the best.
+func riceK(gaps *[tapeChunk]int64) uint {
+	k := uint(0)
+	for ; k < riceMaxK; k++ {
+		saved := int64(0)
+		for _, g := range gaps {
+			if saved += (g>>k + 1) >> 1; saved > tapeChunk {
+				break
+			}
+		}
+		if saved <= tapeChunk {
+			break
+		}
+	}
+	return k
 }
 
 // classChunk holds a chunk of deadline classes as 2-bit codes, class i
@@ -155,7 +183,7 @@ func packClasses(classes *[tapeChunk]int64) *classChunk {
 // they are process-wide because sim.New draws them from a plain-value
 // Config. Beside its values a tape costs ≈100 B and a slice header or
 // pointer per chunk: a seed whose streams are read to 1,030 draws each
-// retains ≈5.7 kB, 9 chunks of 128 4-byte gaps plus 9 of 32 bytes of
+// retains ≈2.7 kB, 9 Rice chunks of ≈200 bytes plus 9 of 32 bytes of
 // classes (TestTapeRetainsOnlyValues), so neither memo evicts.
 var (
 	arrivalTapes  parallel.Memo[arrivalKey, *gapTape]

@@ -60,15 +60,16 @@ func (c *cursor[T]) load() {
 }
 
 // FuzzTapeRoundTrip holds the packed tapes to the reference: gaps (a
-// run of uvarints, each below 2^41) and classes (one per byte, modulo
+// run of uvarints, each below 2^63) and classes (one per byte, modulo
 // 3) repeat to form two endless streams, and real Arrivals and
 // DeadlineMix cursors must read the values a reference cursor reads —
 // one cursor alone, two interleaved on one tape (the first stops after
 // split values, the second reads halfway on from there, the first reads
 // to the end past the second's chunks, then the second does), and four
 // goroutines on one tape at once. Every read is of n values, up to five
-// chunks. The seed corpus holds gaps at and around the continuation
-// word and each class at each position of a byte.
+// chunks. Gaps are differences, so a stream whose stamps wrap past
+// 2^63 reads back the same wrapped stamps. The seed corpus holds each
+// case of the Rice decoder and each class at each position of a byte.
 func FuzzTapeRoundTrip(f *testing.F) {
 	uvarints := func(gs ...uint64) []byte {
 		var b []byte
@@ -77,15 +78,24 @@ func FuzzTapeRoundTrip(f *testing.F) {
 		}
 		return b
 	}
-	const m32 = 1<<32 - 1
+	// outlier is a chunk of tapeChunk-1 gaps of small, then one of big.
+	outlier := func(small, big uint64) []byte {
+		gs := make([]uint64, tapeChunk)
+		for i := range gs {
+			gs[i] = small
+		}
+		gs[tapeChunk-1] = big
+		return uvarints(gs...)
+	}
 	everyPosition := []byte{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2} // class c at byte position i%4, every c and i
 	for _, gs := range [][]byte{
-		uvarints(0),
-		uvarints(m32 - 1),
-		uvarints(m32),
-		uvarints(m32 + 1),
-		uvarints(1 << 40),
-		uvarints(5, 0, m32-1, m32, m32+1, 1<<40, 2*m32, 2*m32+1),
+		uvarints(0),                     // k = 0: each gap a lone one bit, 16 bytes of codes
+		uvarints(100),                   // k = 6: 8-bit codes, the last ending on the chunk's last bit
+		outlier(1, 1_000),               // k = 2: a 250-bit zero run past a whole word
+		outlier(1<<55, 1<<59),           // k = 56: a 56-bit remainder after 8 zeros, past the word
+		uvarints(3<<61-1, 1<<62-1),      // k at riceMaxK, 61 uncapped; the stamps wrap
+		uvarints(1<<63 - 1),             // the largest gap
+		uvarints(5, 0, 1<<20, 1<<40, 3), // mixed
 	} {
 		f.Add(gs, everyPosition, uint16(3*tapeChunk+5), uint16(tapeChunk+1))
 	}
@@ -99,7 +109,7 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			if w <= 0 {
 				break
 			}
-			gaps, b = append(gaps, int64(g&(1<<41-1))), b[w:]
+			gaps, b = append(gaps, int64(g&(1<<63-1))), b[w:]
 		}
 		if len(gaps) == 0 {
 			gaps = []int64{0}
@@ -136,7 +146,7 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			m *DeadlineMix
 		}
 		newPair := func(at *gapTape, ct *classTape) pair {
-			return pair{&Arrivals{packedCursor: packedCursor[[]uint32]{t: at}}, &DeadlineMix{packedCursor: packedCursor[*classChunk]{t: ct}}}
+			return pair{&Arrivals{packedCursor: packedCursor[[]byte]{t: at}}, &DeadlineMix{packedCursor: packedCursor[*classChunk]{t: ct}}}
 		}
 		// read reads p on to value to and reports whether every value
 		// was the reference's.

@@ -174,11 +174,11 @@ func unusedSeeds(n int64) int64 {
 // which the memo's maps split a table measures up to ≈1.1 kB more.
 // Reading them keeps the values read: 1,152 of each stream for 1,030
 // reads (rounded up to a chunk), at the width the tape stores them (a
-// 4-byte gap per arrival, a 2-bit code per deadline class), 5,408 B;
-// 8-byte stamps would keep ≈4.6 kB more, a byte per class ≈0.9 kB
-// more. It also pins what a run allocates for its two cursors: the
-// malloc size classes of an Arrivals (56 B, in the 64-byte class) and a
-// DeadlineMix (32 B) sum to 96 B.
+// Rice-coded gap per arrival, ≈1.6 bytes at this rate, a 2-bit code per
+// deadline class), 2,672 B; 4-byte gaps would keep ≈2.7 kB more, 8-byte
+// stamps ≈7.3 kB more, a byte per class ≈0.9 kB more. It also pins what
+// a run allocates for its two cursors: the malloc size classes of an
+// Arrivals (64 B) and a DeadlineMix (32 B) sum to 96 B.
 func TestTapeRetainsOnlyValues(t *testing.T) {
 	const pairs, cursorBudget = 1_000, 96
 	seed := unusedSeeds(1)
@@ -202,7 +202,7 @@ func TestTapeRetainsOnlyValues(t *testing.T) {
 		t.Errorf("an Arrivals and a DeadlineMix allocate %d B, want <= %d", per, cursorBudget)
 	}
 
-	const seeds, draws, madeLimit, limit = 64, 1_030, 1_500, 5_680
+	const seeds, draws, madeLimit, limit = 64, 1_030, 1_500, 2_800
 	liveHeap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC() // twice: a sync.Pool's victim cache outlives one cycle
@@ -242,4 +242,28 @@ func TestTapeRetainsOnlyValues(t *testing.T) {
 		t.Errorf("the tape memo retains %d B per seed for %d arrivals + %d classes, want <= %d", retained, draws, draws, limit)
 	}
 	t.Logf("%d B per seed made, %d B read", made, retained)
+}
+
+// lastStamp keeps BenchmarkArrivalsNext's reads observable.
+var lastStamp int64
+
+// BenchmarkArrivalsNext prices decoding an arrival tape: an op is a new
+// cursor reading the first 1,024 stamps of a tape already drawn that
+// far, so it reads every chunk and draws none.
+func BenchmarkArrivalsNext(b *testing.B) {
+	const tw, reads = 1_000_000, 1_024
+	seed := unusedSeeds(1)
+	a := NewArrivals(seed, DefaultProbesPerTw, tw)
+	for range reads {
+		a.Next()
+	}
+	b.ResetTimer()
+	for range b.N {
+		a := NewArrivals(seed, DefaultProbesPerTw, tw)
+		for range reads {
+			a.Next()
+		}
+		lastStamp = a.stamp
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reads), "ns/value")
 }
