@@ -118,8 +118,9 @@ fuzz:
 # pipeline byte for byte). Last come the paper-scale goldens: the
 # registry rendered once at workers 1, checked against a workers-4,
 # an uncached and a warm re-render, its CSV exports against
-# internal/experiments/testdata/csv_golden.txt, and its text, through
-# `qossim -exp all`, against RESULTS.txt.
+# internal/experiments/testdata/csv_golden.txt and its text against
+# RESULTS.txt, and `qossim -exp NAME`'s output against the file on the
+# five entries that reuse fig5's grid.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTimeline|BenchmarkGACSubmit' -benchtime=1x -timeout 10m .
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterDispatch' -benchtime=1x -benchmem -timeout 10m .
@@ -128,7 +129,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkArrivalsNext' -benchtime=1x -timeout 10m ./internal/workload
 	$(GO) test -run 'TestFeedbackControllerBeatsStatic' -count=1 ./internal/experiments
 	$(GO) test -run 'TestControllerStaticIdentity' -count=1 ./internal/sim
-	$(GO) test -run 'TestGoldenTablesCacheOnVsOff|TestCSVExports' -count=1 ./internal/experiments
+	$(GO) test -run 'TestGoldenTablesCacheOnVsOff|TestCSVExports|TestResultsFileMatchesRender' -count=1 ./internal/experiments
 	$(GO) test -run 'TestResultsFileMatchesRun' -count=1 ./cmd/qossim
 
 # bench-check runs the smoke tests of the repository benchmark (bench/ is

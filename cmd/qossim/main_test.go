@@ -177,65 +177,49 @@ func TestRunExperimentsRunsPastAFailure(t *testing.T) {
 	}
 }
 
-// TestResultsFileMatchesRun pins RESULTS.txt to what `qossim -exp all`
-// prints today, at the paper's 200M-instruction scale: the run's text is
-// byte-stable across runs, binaries and -parallel apart from the
-// `[name completed in d]` lines, so with those dropped from both sides
-// the checked-in file is the golden of every experiment's text and of
-// every number the documents quote. A failure names the experiment
-// whose section holds the first differing line, and that line's number
-// in RESULTS.txt.
+// TestResultsFileMatchesRun holds what `qossim -exp NAME` prints at its
+// flag defaults to NAME's section of RESULTS.txt, for the five entries
+// that reuse fig5's grid (≈20 ms at paper scale); the `[NAME completed
+// in d]` line that closes a section is its only text that varies
+// between runs, and is not compared. internal/experiments'
+// TestResultsFileMatchesRender holds every section to the paper-scale
+// render, and TestRunExperimentsRunsPastAFailure the `-exp all` loop
+// that joins the sections with dividers.
 func TestResultsFileMatchesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment at paper scale (~5 s)")
-	}
-	want, err := os.ReadFile("../../RESULTS.txt")
+	data, err := os.ReadFile("../../RESULTS.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	opts := experiments.Options{Engine: sim.EngineTable, Workers: 1, Cache: sim.NewRunCache()} // what run builds from the flag defaults
-	if failed := runExperiments(experiments.Registry(), opts, &out); len(failed) > 0 {
-		t.Fatalf("experiments failed: %v", failed)
-	}
-	// untimed drops the timing lines and keeps, for each other line, its
-	// number in text and the experiment whose `[name completed in d]`
-	// line closes its section.
-	type line struct {
-		text, section string
-		num           int
-	}
-	completed := regexp.MustCompile(`^\[(\S+) completed in `)
-	untimed := func(text []byte) []line {
-		var lines []line
-		open := 0 // first line of the section not yet closed
-		for i, l := range strings.Split(string(text), "\n") {
-			if m := completed.FindStringSubmatch(l); m != nil {
-				for j := open; j < len(lines); j++ {
-					lines[j].section = m[1] + "'s section"
-				}
-				open = len(lines)
-				continue
+	file := string(data)
+	for _, name := range []string{"fig5", "fig6", "fig7", "frag", "lac"} {
+		out, errOut, code := qossim("-exp", name)
+		closing := "[" + name + " completed in "
+		at := strings.LastIndex(out, closing)
+		if code != cli.ExitOK || errOut != "" || at < 0 {
+			t.Fatalf("qossim -exp %s: exit %d, stderr %q, stdout %q", name, code, errOut, out)
+		}
+		end := strings.Index(file, "\n"+closing) + 1
+		if end == 0 {
+			t.Fatalf("RESULTS.txt has no %s section", name)
+		}
+		start := strings.LastIndex(file[:end], divider+"\n") + 1
+		if start > 0 {
+			start += len(divider)
+		}
+		got, want := strings.Split(out[:at], "\n"), strings.Split(file[start:end], "\n")
+		for i := range max(len(got), len(want)) {
+			if g, w := lineAt(got, i), lineAt(want, i); g != w {
+				t.Fatalf("RESULTS.txt line %d (%s's section) differs from `qossim -exp %s`\nrun:  %q\nfile: %q\nif the change means to move it, regenerate: go run ./cmd/qossim -exp all > RESULTS.txt",
+					strings.Count(file[:start], "\n")+i+1, name, name, g, w)
 			}
-			lines = append(lines, line{text: l, section: "the text after the last experiment", num: i + 1})
-		}
-		return lines
-	}
-	got, exp := untimed(out.Bytes()), untimed(want)
-	at := func(lines []line, i int) line {
-		if i < len(lines) {
-			return lines[i]
-		}
-		return line{text: "<end of text>", section: "past the end", num: len(strings.Split(string(want), "\n")) + 1}
-	}
-	for i := 0; i < max(len(got), len(exp)); i++ {
-		if g, e := at(got, i), at(exp, i); g.text != e.text {
-			section := e.section
-			if i >= len(exp) {
-				section = g.section
-			}
-			t.Fatalf("RESULTS.txt line %d (%s) differs from `qossim -exp all` (timing lines dropped)\nrun:  %q\nfile: %q\nif the change means to move it, regenerate: go run ./cmd/qossim -exp all > RESULTS.txt",
-				e.num, section, g.text, e.text)
 		}
 	}
+}
+
+// lineAt is lines[i], or "<end of text>" past the last line.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of text>"
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite "+csvGoldenPath+" with the curr
 
 // csvGoldenPath holds every CSV export of the paper-scale render, each
 // after a "# name" line, in registry order. The text of every entry is
-// pinned by RESULTS.txt at the repository root (cmd/qossim's
-// TestResultsFileMatchesRun).
+// pinned by RESULTS.txt at the repository root
+// (TestResultsFileMatchesRender).
 const csvGoldenPath = "testdata/csv_golden.txt"
 
 // paperRuns is the one run cache the paper-scale render and every shape
@@ -137,6 +139,81 @@ func paperRendering(t *testing.T) map[string]rendering {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// resultsSection is one experiment's text in RESULTS.txt and the line
+// of the file it starts on.
+type resultsSection struct {
+	name, text string
+	line       int
+}
+
+// resultsSections splits RESULTS.txt, `qossim -exp all`'s output, into
+// its experiments' sections in file order: qossim prints an experiment's
+// text, then a `[name completed in d]` line, and between two
+// experiments a blank line and a divider.
+func resultsSections(t *testing.T) []resultsSection {
+	t.Helper()
+	data, err := os.ReadFile("../../RESULTS.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := regexp.MustCompile(`^\[(\S+) completed in [^\]]*\]\n$`)
+	lines := strings.SplitAfter(string(data), "\n")
+	var out []resultsSection
+	start := 0
+	for i, l := range lines {
+		m := completed.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		out = append(out, resultsSection{name: m[1], text: strings.Join(lines[start:i], ""), line: start + 1})
+		start = i + 3
+		if start > len(lines) {
+			break
+		}
+		if lines[i+1] != "\n" || strings.Trim(lines[i+2], "─\n") != "" {
+			t.Fatalf("RESULTS.txt line %d: %s's section is not followed by a blank line and a divider", i+2, m[1])
+		}
+	}
+	if start < len(lines) && strings.Join(lines[start:], "") != "" {
+		t.Fatalf("RESULTS.txt line %d: text after the last experiment", start+1)
+	}
+	return out
+}
+
+// TestResultsFileMatchesRender pins RESULTS.txt, `qossim -exp all`'s
+// output at the paper's 200 M instructions, to the paper-scale render:
+// the file holds one section per registry entry, in registry order, and
+// each section is its entry's text byte for byte (the `[name completed
+// in d]` lines, the only text that varies between runs, are not
+// compared). So the checked-in file is the golden of every experiment's
+// text and of every number the documents quote. In -short it checks the
+// five entries the render covers. cmd/qossim's TestResultsFileMatchesRun
+// holds the command's own output to the file on those five.
+func TestResultsFileMatchesRender(t *testing.T) {
+	sections := resultsSections(t)
+	byName := map[string]resultsSection{}
+	var names []string
+	for _, s := range sections {
+		byName[s.name] = s
+		names = append(names, s.name)
+	}
+	if want := renderedNames(); !testing.Short() && !slices.Equal(names, want) {
+		t.Fatalf("RESULTS.txt sections %v, want the registry's %v", names, want)
+	}
+	render := paperRendering(t)
+	for _, name := range renderedNames() {
+		s, ok := byName[name]
+		if !ok {
+			t.Errorf("RESULTS.txt has no %s section", name)
+			continue
+		}
+		if n, g, w, ok := firstDiff(render[name].text, []byte(s.text)); ok {
+			t.Errorf("RESULTS.txt line %d (%s's section) differs from the paper-scale render\nrender: %q\nfile:   %q\nif the change means to move it, regenerate: go run ./cmd/qossim -exp all > RESULTS.txt",
+				s.line+n-1, name, g, w)
+		}
+	}
 }
 
 // firstDiff finds the first line at which got and want part: its

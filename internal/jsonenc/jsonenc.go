@@ -158,9 +158,6 @@ func (e *Encoder) IntField(name string, v int64) {
 	e.Int(v)
 }
 
-// Null writes null (a nil slice or map).
-func (e *Encoder) Null() { e.buf = append(e.buf, "null"...) }
-
 // Float writes v as AppendFloat does. NaN and ±Inf fail the document
 // with encoding/json's own error.
 func (e *Encoder) Float(v float64) {

@@ -87,7 +87,11 @@ type LAC struct {
 	minAutoSlack  float64
 	oppPerCore    int
 	oppLive       int
-	resByJob      map[int][]int
+	// resByJob maps a job to the one reservation it holds here: reserve
+	// runs once per committed admission, SetCapacity drops an evicted id
+	// before the job is re-admitted, and Complete drops the entry. An id
+	// whose reservation was pruned stays until the job completes.
+	resByJob map[int]int
 	// headroomWays is the admission headroom a feedback controller can
 	// set: extra cache ways a reserved-mode probe must find free on top
 	// of its own demand, a brake on new work when the node is behind on
@@ -125,7 +129,7 @@ func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
 		timeline:   NewTimeline(capacity),
 		oppPerCore: OpportunisticPerCore,
-		resByJob:   make(map[int][]int),
+		resByJob:   make(map[int]int),
 	}
 	for _, o := range opts {
 		o(l)
@@ -212,7 +216,9 @@ func (l *LAC) Peek(req Request) Decision {
 }
 
 // Admit runs the admission test and, on acceptance, commits the
-// reservation (reserved modes) or registers the job (Opportunistic).
+// reservation (reserved modes) or registers the job (Opportunistic). A
+// job holds one reservation per node: admitting a job again before
+// Complete releases its reservation is a caller's fault and panics.
 func (l *LAC) Admit(req Request) Decision {
 	return l.decide(req, true, true)
 }
@@ -380,8 +386,11 @@ func (l *LAC) earliestStart(vec ResourceVector, ta, dur int64) (start int64, ok 
 const foreverCycles = int64(1) << 53
 
 func (l *LAC) reserve(jobID int, vec ResourceVector, start, dur int64) int {
+	if held, ok := l.resByJob[jobID]; ok {
+		panic(fmt.Sprintf("qos: job %d reserves again while it holds reservation %d", jobID, held))
+	}
 	id := l.timeline.Reserve(jobID, vec, start, dur)
-	l.resByJob[jobID] = append(l.resByJob[jobID], id)
+	l.resByJob[jobID] = id
 	l.admits++
 	return id
 }
@@ -395,17 +404,8 @@ func (l *LAC) SetCapacity(capacity ResourceVector, now int64) []Reservation {
 	l.gen++
 	evicted := l.timeline.SetCapacity(capacity, now)
 	for _, ev := range evicted {
-		ids := l.resByJob[ev.JobID]
-		for i, id := range ids {
-			if id == ev.ID {
-				ids = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-		if len(ids) == 0 {
+		if id, ok := l.resByJob[ev.JobID]; ok && id == ev.ID {
 			delete(l.resByJob, ev.JobID)
-		} else {
-			l.resByJob[ev.JobID] = ids
 		}
 	}
 	return evicted
@@ -458,9 +458,9 @@ func (l *LAC) Complete(jobID int, mode Mode, now int64) {
 			l.oppLive--
 		}
 	}
-	for _, id := range l.resByJob[jobID] {
+	if id, ok := l.resByJob[jobID]; ok {
 		l.timeline.Release(id)
+		delete(l.resByJob, jobID)
 	}
-	delete(l.resByJob, jobID)
 	l.timeline.Prune(now)
 }

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -255,10 +256,10 @@ func TestGACValidation(t *testing.T) {
 }
 
 // TestCompleteReleasesEveryReservation holds LAC.Complete to the naive
-// reference doing Release then Prune: the job's reservations start
-// before, at and after the completion instant and end before, at and
-// after it, and another job's overrun hold (ended before now, never
-// released) must still be pruned.
+// reference doing Release then Prune: jobs 1–5 complete at one instant,
+// their reservations starting before, at and after it and ending before,
+// at and after it, and another job's overrun hold (ended before now,
+// never released) must still be pruned.
 func TestCompleteReleasesEveryReservation(t *testing.T) {
 	capacity := ResourceVector{Cores: 16, CacheWays: 32}
 	l := NewLAC(capacity)
@@ -272,19 +273,19 @@ func TestCompleteReleasesEveryReservation(t *testing.T) {
 		}
 	}
 	reserve(1, 100, 300) // before, before
-	reserve(1, 200, now) // before, at
-	reserve(1, 300, 700) // before, after
-	reserve(1, now, 800) // at, after
-	reserve(1, 600, 900) // after, after
-	reserve(2, 0, 400)   // another job's overrun hold
-	reserve(3, 450, 1000)
-	reserve(3, now, 650)
+	reserve(2, 200, now) // before, at
+	reserve(3, 300, 700) // before, after
+	reserve(4, now, 800) // at, after
+	reserve(5, 600, 900) // after, after
+	reserve(6, 0, 400)   // another job's overrun hold
+	reserve(7, 450, 1000)
+	reserve(8, now, 650)
 
-	l.Complete(1, Strict(), now)
-	for _, id := range []int{1, 2, 3, 4, 5} {
-		naive.Release(id)
+	for job := 1; job <= 5; job++ {
+		l.Complete(job, Strict(), now)
+		naive.Release(job) // job i holds reservation i
+		naive.Prune(now)
 	}
-	naive.Prune(now)
 
 	fr, nr := l.Timeline().Reservations(), naive.Reservations()
 	if len(fr) != len(nr) || l.Timeline().Len() != naive.Len() {
@@ -296,8 +297,8 @@ func TestCompleteReleasesEveryReservation(t *testing.T) {
 			t.Fatalf("Reservations[%d] = %+v, naive %+v", i, fr[i], nr[i])
 		}
 	}
-	if len(fr) != 2 || fr[0].JobID != 3 || fr[1].JobID != 3 {
-		t.Fatalf("only job 3 should hold reservations, got %+v", fr)
+	if len(fr) != 2 || fr[0].JobID != 7 || fr[1].JobID != 8 {
+		t.Fatalf("only jobs 7 and 8 should hold reservations, got %+v", fr)
 	}
 	fa, na := l.Timeline().Availability(-10, 1100), naive.Availability(-10, 1100)
 	if len(fa) != len(na) {
@@ -308,8 +309,51 @@ func TestCompleteReleasesEveryReservation(t *testing.T) {
 			t.Fatalf("Availability[%d] = %+v, naive %+v", i, fa[i], na[i])
 		}
 	}
-	if _, held := l.resByJob[1]; held {
-		t.Error("Complete left job 1's reservation list behind")
+	for job := 1; job <= 6; job++ {
+		if _, held := l.resByJob[job]; held != (job == 6) {
+			t.Errorf("job %d: reservation entry held %v after the completions", job, held)
+		}
+	}
+}
+
+// TestReserveRefusesASecondReservation: a job holds one reservation per
+// node, so reserving for a job that holds one is a caller's fault and
+// panics, naming the job (the daemon answers 409 to a duplicate id
+// before it gets here). Once the job completes, its id is free again.
+func TestReserveRefusesASecondReservation(t *testing.T) {
+	l := NewLAC(ResourceVector{Cores: 4, CacheWays: 16})
+	one := ResourceVector{Cores: 1, CacheWays: 1}
+	l.reserve(7, one, 0, 100)
+	l.Complete(7, Strict(), 50)
+	l.reserve(7, one, 100, 100)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "job 7 ") {
+			t.Errorf("second reservation for job 7: recovered %v, want a panic naming the job", r)
+		}
+	}()
+	l.reserve(7, one, 300, 100)
+}
+
+// TestSetCapacityDropsOnlyTheEvictedReservation: SetCapacity forgets a
+// job's reservation id only when the evicted reservation is that one. A
+// hold placed on the timeline outside admission can carry an admitted
+// job's id; evicting it must leave the job's own reservation where
+// Complete releases it.
+func TestSetCapacityDropsOnlyTheEvictedReservation(t *testing.T) {
+	l := NewLAC(ResourceVector{Cores: 4, CacheWays: 16})
+	rum := RUM{Resources: ResourceVector{Cores: 1, CacheWays: 4}, MaxWallClock: 100}
+	d := l.Admit(Request{JobID: 7, Target: rum, Mode: Strict()})
+	if !d.Accepted {
+		t.Fatalf("Admit = %+v", d)
+	}
+	// The later of two holds starting together is the one evicted.
+	hold := l.Timeline().Reserve(7, ResourceVector{Cores: 2, CacheWays: 8}, 0, 100)
+	if ev := l.SetCapacity(ResourceVector{Cores: 2, CacheWays: 16}, 0); len(ev) != 1 || ev[0].ID != hold {
+		t.Fatalf("SetCapacity evicted %+v, want the hold %d alone", ev, hold)
+	}
+	l.Complete(7, Strict(), 50)
+	if n := l.Timeline().Len(); n != 0 {
+		t.Fatalf("%d reservations left after job 7 completed: %+v", n, l.Timeline().Reservations())
 	}
 }
 
@@ -339,11 +383,13 @@ func TestCompleteAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestProfNodeSize pins a usage-profile boundary node to the 160-byte
-// size class: a fleet allocates one per reservation edge.
+// TestProfNodeSize pins a usage-profile boundary node to the 128-byte
+// size class: a fleet allocates one per reservation edge. It was 160 B
+// while the node stored its own delta, which its sum and its children's
+// already determine.
 func TestProfNodeSize(t *testing.T) {
-	if s := unsafe.Sizeof(profNode{}); s > 160 {
-		t.Fatalf("profNode is %d B, want ≤ 160", s)
+	if s := unsafe.Sizeof(profNode{}); s > 128 {
+		t.Fatalf("profNode is %d B, want ≤ 128", s)
 	}
 }
 

@@ -110,17 +110,21 @@ func (p *gacPair) request(op []byte) Request {
 }
 
 // jobID issues the next job id: 1, 2, 3, … or, on sparse fleets, ids of
-// both signs and one to seven digits with every fourth submission reusing
-// its predecessor's — a job holding several reservations, and map keys
-// whose string order is not their numeric order.
+// both signs and one to eight digits — map keys whose string order is not
+// their numeric order. No id repeats (every factor is 1 mod 4, so an
+// id's magnitude mod 4 names its factor): a job holds one reservation
+// per node, and the daemon refuses a duplicate id.
 func (p *gacPair) jobID() int {
 	n := p.nextJob
 	p.nextJob++
 	if !p.sparseIDs {
 		return n
 	}
-	n -= n % 4 / 3
-	return (n%7 - 3) * [4]int{1, 13, 977, 40009}[n%4] * (1 + n/28)
+	id := n * [4]int{1, 13, 977, 40009}[n%4]
+	if n%3 == 1 {
+		id = -id
+	}
+	return id
 }
 
 // plan plans a submission on the fast fleet, through the negotiation

@@ -107,25 +107,50 @@ func overDim(u, limit uvec) int {
 	return -1
 }
 
-// profNode is one time boundary in the usage profile.
+// profNode is one time boundary in the usage profile. It stores no
+// delta of its own: the net usage change at key is its subtree's sum
+// less its children's (delta), which keeps the node at 128 bytes.
 type profNode struct {
 	left, right *profNode
 	key         int64  // boundary instant, unique per node
 	prio        uint32 // treap heap priority (deterministic stream)
 	refs        int32  // reservation edges (starts + ends) at this key
-	delta       uvec   // net usage change at key
 	sum         uvec   // Σ delta over subtree
 	maxP        uvec   // max in-subtree prefix sum (per dim, key order)
 	minP        uvec   // min in-subtree prefix sum
 }
 
-func (n *profNode) pull() {
+// delta is the net usage change at n's key. Read it before relinking
+// a child of n: it is derived from the children n's sum was pulled with.
+func (n *profNode) delta() uvec {
+	u := n.sum
+	for d := range u {
+		u[d] -= profSumD(n.left, d) + profSumD(n.right, d)
+	}
+	return u
+}
+
+// through is the prefix sum through n within its subtree: the sum of
+// its left subtree and its own delta.
+func through(n *profNode) uvec {
+	u := n.sum
+	if n.right != nil {
+		for d := range u {
+			u[d] -= n.right.sum[d]
+		}
+	}
+	return u
+}
+
+// pull recomputes n's subtree aggregates from its children and its own
+// delta.
+func (n *profNode) pull(delta uvec) {
 	var ls uvec
 	if n.left != nil {
 		ls = n.left.sum
 	}
 	for d := 0; d < nDims; d++ {
-		pn := ls[d] + n.delta[d] // prefix through n within this subtree
+		pn := ls[d] + delta[d] // prefix through n within this subtree
 		sum, mx, mn := pn, pn, pn
 		if n.left != nil {
 			if n.left.maxP[d] > mx {
@@ -146,13 +171,6 @@ func (n *profNode) pull() {
 		}
 		n.sum[d], n.maxP[d], n.minP[d] = sum, mx, mn
 	}
-}
-
-func profSum(n *profNode) uvec {
-	if n == nil {
-		return uvec{}
-	}
-	return n.sum
 }
 
 func profSumD(n *profNode, d int) int64 {
@@ -196,47 +214,54 @@ func (p *profile) upd(n *profNode, key int64, d uvec, dref int32, rng *splitmix.
 			panic("qos: usage-profile edge underflow (release of an unknown boundary)")
 		}
 		// The high half of the draw: a 32-bit priority packs beside refs,
-		// keeping the node in the 160-byte size class.
-		nn := &profNode{key: key, prio: uint32(rng.Uint64() >> 32), refs: dref, delta: d}
-		nn.pull()
+		// keeping the node in the 128-byte size class.
+		nn := &profNode{key: key, prio: uint32(rng.Uint64() >> 32), refs: dref}
+		nn.pull(d)
 		return nn
 	}
+	// The edge lands somewhere in n's subtree, so its sum moves by d. A
+	// boundary is dropped only when its last edge leaves, and that edge
+	// cancels the boundary's whole delta: the sum moves by d then too.
+	n.sum = n.sum.add(d)
 	switch {
 	case key < n.key:
 		n.left = p.upd(n.left, key, d, dref, rng)
 		if n.left != nil && n.left.prio > n.prio {
-			n = rotRight(n)
+			return rotRight(n)
 		}
 	case key > n.key:
 		n.right = p.upd(n.right, key, d, dref, rng)
 		if n.right != nil && n.right.prio > n.prio {
-			n = rotLeft(n)
+			return rotLeft(n)
 		}
 	default:
 		n.refs += dref
 		if n.refs <= 0 {
 			return profMerge(n.left, n.right)
 		}
-		n.delta = n.delta.add(d)
 	}
-	n.pull()
+	n.pull(n.delta())
 	return n
 }
 
-// rotRight lifts n.left above n; the caller pulls the returned node.
+// rotRight lifts n.left above n.
 func rotRight(n *profNode) *profNode {
 	l := n.left
+	dn, dl := n.delta(), l.delta()
 	n.left = l.right
+	n.pull(dn)
 	l.right = n
-	n.pull()
+	l.pull(dl)
 	return l
 }
 
 func rotLeft(n *profNode) *profNode {
 	r := n.right
+	dn, dr := n.delta(), r.delta()
 	n.right = r.left
+	n.pull(dn)
 	r.left = n
-	n.pull()
+	r.pull(dr)
 	return r
 }
 
@@ -249,12 +274,14 @@ func profMerge(a, b *profNode) *profNode {
 		return a
 	}
 	if a.prio > b.prio {
+		da := a.delta()
 		a.right = profMerge(a.right, b)
-		a.pull()
+		a.pull(da)
 		return a
 	}
+	db := b.delta()
 	b.left = profMerge(a, b.left)
-	b.pull()
+	b.pull(db)
 	return b
 }
 
@@ -265,7 +292,7 @@ func (p *profile) prefixAt(x int64) uvec {
 	n := p.root
 	for n != nil {
 		if n.key <= x {
-			u = u.add(profSum(n.left)).add(n.delta)
+			u = u.add(through(n))
 			n = n.right
 		} else {
 			n = n.left
@@ -293,7 +320,7 @@ func (p *profile) firstOver(lo, hi int64, limit uvec) (at int64, dim int, over b
 func overAfter(n *profNode, base uvec, lo, hi int64, limit uvec) (int64, int, bool) {
 	for n != nil {
 		if n.key <= lo {
-			base = base.add(profSum(n.left)).add(n.delta)
+			base = base.add(through(n))
 			n = n.right
 			continue
 		}
@@ -302,7 +329,7 @@ func overAfter(n *profNode, base uvec, lo, hi int64, limit uvec) (int64, int, bo
 				return k, d, ok
 			}
 		}
-		base = base.add(profSum(n.left)).add(n.delta)
+		base = base.add(through(n))
 		if n.key >= hi {
 			return 0, -1, false // keys only grow to the right
 		}
@@ -322,7 +349,7 @@ func lastOverBefore(n *profNode, base uvec, hi int64, limit uvec) (int64, int, b
 		return 0, -1, false
 	}
 	if n.key < hi {
-		baseR := base.add(profSum(n.left)).add(n.delta)
+		baseR := base.add(through(n))
 		if k, d, ok := lastOverBefore(n.right, baseR, hi, limit); ok {
 			return k, d, ok
 		}
@@ -340,7 +367,7 @@ func lastOverBefore(n *profNode, base uvec, hi int64, limit uvec) (int64, int, b
 func fitDimAfter(n *profNode, base, x int64, d int, limit int64) (int64, bool) {
 	for n != nil {
 		if n.key <= x {
-			base += profSumD(n.left, d) + n.delta[d]
+			base += n.sum[d] - profSumD(n.right, d)
 			n = n.right
 			continue
 		}
@@ -349,7 +376,7 @@ func fitDimAfter(n *profNode, base, x int64, d int, limit int64) (int64, bool) {
 				return k, ok
 			}
 		}
-		base += profSumD(n.left, d) + n.delta[d]
+		base += n.sum[d] - profSumD(n.right, d)
 		if base <= limit {
 			return n.key, true
 		}
@@ -366,7 +393,7 @@ func lastFitDimBefore(n *profNode, base, x int64, d int, limit int64) (int64, bo
 		return 0, false
 	}
 	if n.key < x {
-		baseR := base + profSumD(n.left, d) + n.delta[d]
+		baseR := base + n.sum[d] - profSumD(n.right, d)
 		if k, ok := lastFitDimBefore(n.right, baseR, x, d, limit); ok {
 			return k, ok
 		}
@@ -422,13 +449,13 @@ func walkAvail(n *profNode, st *walkState, lo, hi int64) bool {
 		return true
 	}
 	if n.key <= lo {
-		st.run = st.run.add(profSum(n.left)).add(n.delta)
+		st.run = st.run.add(through(n))
 		return walkAvail(n.right, st, lo, hi)
 	}
 	if !walkAvail(n.left, st, lo, hi) {
 		return false
 	}
-	st.run = st.run.add(n.delta)
+	st.run = st.run.add(n.delta())
 	if n.key >= hi {
 		return false
 	}

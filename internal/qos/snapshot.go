@@ -20,7 +20,9 @@ const snapshotVersion = 1
 // lacSnapshot is the wire layout, and what RestoreLAC decodes into.
 // EncodeSnapshot writes the same fields in the same order by hand;
 // snapshot_oracle_test.go holds it to encoding/json's rendering of this
-// struct.
+// struct. A job holds one reservation per node, but its entry stays a
+// one-element list, so the bytes are the ones every earlier snapshot
+// carried.
 type lacSnapshot struct {
 	Version  int            `json:"version"`
 	Capacity ResourceVector `json:"capacity"`
@@ -60,16 +62,9 @@ func (l *LAC) EncodeSnapshot(e *jsonenc.Encoder) {
 	e.Object()
 	for _, job := range jsonenc.IntKeys(e, l.resByJob) {
 		e.IntKey(job)
-		ids := l.resByJob[job]
-		if ids == nil { // only a hand-edited snapshot restores one
-			e.Null()
-			continue
-		}
 		e.Array()
-		for _, id := range ids {
-			e.Elem()
-			e.Int(int64(id))
-		}
+		e.Elem()
+		e.Int(int64(l.resByJob[job]))
 		e.EndArray()
 	}
 	e.EndObject()
@@ -132,8 +127,11 @@ func RestoreLAC(r io.Reader, opts ...LACOption) (*LAC, error) {
 		}
 	}
 	l.timeline.nextID = snap.NextID
-	if snap.ResByJob != nil {
-		l.resByJob = snap.ResByJob
+	for job, ids := range snap.ResByJob {
+		if len(ids) != 1 {
+			return nil, fmt.Errorf("qos: snapshot job %d lists %d reservation ids, want one", job, len(ids))
+		}
+		l.resByJob[job] = ids[0]
 	}
 	l.oppLive = snap.OppLive
 	l.probes = snap.Probes

@@ -15,12 +15,16 @@ import (
 // let encoding/json render it. It survives only as the oracle the
 // encoder is held to, the way naiveTimeline and naiveGAC do.
 func (l *LAC) naiveSnapshot(w io.Writer) error {
+	resByJob := make(map[int][]int, len(l.resByJob))
+	for job, id := range l.resByJob {
+		resByJob[job] = []int{id}
+	}
 	snap := lacSnapshot{
 		Version:  snapshotVersion,
 		Capacity: l.timeline.capacity,
 		NextID:   l.timeline.nextID,
 		Res:      l.timeline.Reservations(),
-		ResByJob: l.resByJob,
+		ResByJob: resByJob,
 		OppLive:  l.oppLive,
 		Probes:   l.probes,
 		Admits:   l.admits,
@@ -140,12 +144,23 @@ func TestSnapshotEncodeEquivalenceStreams(t *testing.T) {
 	}
 }
 
-// TestSnapshotNilReservationList pins the one shape only a hand-edited
-// snapshot can restore: a job mapped to null stays null, as it did
-// through encoding/json.
+// TestSnapshotNilReservationList: a job holds one reservation per
+// node, so RestoreLAC refuses an entry that lists none (null or []) or
+// more than one, naming the job, and restores a one-id entry whose
+// reservation is gone (pruned before its job completed) as it was.
 func TestSnapshotNilReservationList(t *testing.T) {
-	l, err := RestoreLAC(strings.NewReader(`{"version":1,"capacity":{"Cores":4,"CacheWays":16},
-		"reservations_by_job":{"10":null,"9":[],"-1":null}}`))
+	const head = `{"version":1,"capacity":{"Cores":4,"CacheWays":16},"reservations_by_job":`
+	for _, c := range []struct{ byJob, job string }{
+		{`{"10":null}`, "job 10 "},
+		{`{"9":[]}`, "job 9 "},
+		{`{"-1":[3,4]}`, "job -1 "},
+	} {
+		_, err := RestoreLAC(strings.NewReader(head + c.byJob + "}"))
+		if err == nil || !strings.Contains(err.Error(), c.job) {
+			t.Errorf("%s: RestoreLAC error %v, want one naming %q", c.byJob, err, c.job)
+		}
+	}
+	l, err := RestoreLAC(strings.NewReader(head + `{"10":[12],"9":[3],"-1":[7]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,9 +199,10 @@ type Config struct {
 	// FoldCompleted streams finished jobs into the report aggregates at
 	// completion time and periodically compacts them out of the live job
 	// slice, keeping the runner's memory independent of how many jobs the
-	// run admits. The Report then carries aggregates only (Jobs and Lanes
-	// stay empty), which is what the cluster layer needs to simulate
-	// million-job fleets. Incompatible with RecordSeries
+	// run admits. The Report then carries the fold's scalar aggregates
+	// only — Jobs, Lanes and WallClockByMode stay empty, OppWallClock and
+	// the Elastic means zero — which is what the cluster layer needs to
+	// simulate million-job fleets. Incompatible with RecordSeries
 	// (the series sink censuses the retained job slice).
 	FoldCompleted bool
 	// Faults is the deterministic fault-injection plan applied during

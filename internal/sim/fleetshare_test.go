@@ -15,12 +15,15 @@ import (
 // fatter fails here, not in a benchmark ledger three PRs later.
 func TestFleetAllocBudget(t *testing.T) {
 	const nodes, jobs = 64, 256
-	// Measured 342,272 B: 1,672 per node at construction, 918 per
-	// accepted job for everything after it (1,754 per node while the
-	// fleet kept a bucketed wake calendar beside its wakes and a Timeline
-	// carried a fit memo; before a completion released its reservations
-	// and a Runner fit the 768-byte class: 429,184 B = 2,015 and 1,172).
-	const perNodeBudget, perJobBudget = 1756, 961
+	// Measured 294,016 B: 1,576 per node at construction, 754 per
+	// accepted job for everything after it (342,272 B = 1,672 and 918
+	// while a node's fold kept per-mode summaries, a job's reservation
+	// ids were a slice and a profile boundary stored its delta; 1,754 per
+	// node while the fleet kept a bucketed wake calendar beside its wakes
+	// and a Timeline carried a fit memo; before a completion released its
+	// reservations and a Runner fit the 768-byte class: 429,184 B = 2,015
+	// and 1,172).
+	const perNodeBudget, perJobBudget = 1655, 792
 	// The sim-fleet benchmark's cluster, smaller.
 	cfg := ClusterConfig{Nodes: nodes, Node: DefaultConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: jobs}
 	if _, err := NewCluster(cfg); err != nil { // warm the tape store
@@ -49,8 +52,8 @@ func TestFleetAllocBudget(t *testing.T) {
 	}
 }
 
-// TestJobAndRunnerSize pins the two structs a fleet allocates by the
-// thousand to their malloc size classes: a field added to either is a
+// TestJobAndRunnerSize pins the structs a fleet allocates by the
+// thousand to their malloc size classes: a field added to any is a
 // decision, not an accident. Go puts an 8-byte header on a pointerful
 // object above 512 B, so a Runner allocates Sizeof+8: it measures 752
 // bytes, 760 with the header, one word free in the 768-byte class (760
@@ -64,6 +67,12 @@ func TestJobAndRunnerSize(t *testing.T) {
 	const mallocHeader = 8
 	if got := unsafe.Sizeof(Runner{}) + mallocHeader; got > 768 {
 		t.Errorf("Runner allocates %d bytes with its malloc header, over the 768-byte size class", got)
+	}
+	// A fleet node's fold is its ten counters (168 B, in the 176-byte
+	// class, while it also kept per-mode wall-clock summaries and the
+	// Elastic sums no fleet report reads).
+	if got := unsafe.Sizeof(jobFold{}); got > 80 {
+		t.Errorf("jobFold is %d bytes, over the 80-byte size class", got)
 	}
 }
 

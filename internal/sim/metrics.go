@@ -80,7 +80,9 @@ type Report struct {
 	// DeadlineHitRate is over Strict/Elastic jobs for QoS policies (as
 	// the paper computes it) and over all jobs for EqualPart.
 	DeadlineHitRate float64
-	// WallClock summaries per mode (Figure 6's candles).
+	// WallClock summaries per mode (Figure 6's candles). This and the
+	// two aggregates below are batch-report only: a FoldCompleted run
+	// leaves them empty.
 	WallClockByMode map[string]*stats.Summary
 	// Elastic-job averages (Figure 8a).
 	ElasticMissIncrease float64
@@ -158,11 +160,12 @@ func (r *Runner) jobResult(j *Job) JobResult {
 	return res
 }
 
-// jobFold accumulates per-job outcomes into the Report's aggregates.
-// It is the single accumulation path for both report modes: the batch
-// report feeds it in acceptance order at the end, the streaming
+// jobFold counts per-job outcomes into the Report's scalar aggregates:
+// what a fleet node keeps of its finished jobs. The streaming
 // (FoldCompleted) runner feeds it at each completion and discards the
-// job, keeping memory independent of how many jobs the run admits.
+// job, keeping memory independent of how many jobs the run admits; the
+// batch report feeds it in acceptance order at the end, beside the
+// aggregates only a batch report carries (reportInto).
 type jobFold struct {
 	jobs        int
 	terminated  int
@@ -171,21 +174,7 @@ type jobFold struct {
 	cpuCycles   int64
 	hits, den   int // policy-aware (the paper's hit rate)
 	gHits, gDen int // reserved-mode only (fleet aggregation)
-	elasticMiss float64
-	elasticCPI  float64
-	elasticN    int
-	// wcByMode is Report.WallClockByMode before report renders its keys:
-	// one class per (mode, auto-downgraded) the run met — a handful,
-	// scanned — so folding a job formats and hashes nothing.
-	wcByMode    []wcClass
-	oppWC       stats.Summary
 	faultMisses int
-}
-
-type wcClass struct {
-	mode     qos.Mode // zero when autoDown, and without admission control
-	autoDown bool
-	s        stats.Summary
 }
 
 // add folds one finished job's outcome.
@@ -197,32 +186,11 @@ func (f *jobFold) add(r *Runner, j *Job, res JobResult) {
 	if res.AutoDowngraded {
 		f.autoDown++
 	}
-	if j.Stealer != nil {
-		f.elasticMiss += res.MissIncrease
-		f.elasticCPI += res.CPIIncrease
-		f.elasticN++
-	}
 	if res.Completed > f.totalCycles {
 		f.totalCycles = res.Completed
 	}
 	f.cpuCycles += j.ActualCycles
-	mode, autoDown := res.Mode, false
-	if r.cfg.Policy.noAdmission() {
-		mode = qos.Mode{} // one class, named after the policy
-	} else if res.AutoDowngraded {
-		mode, autoDown = qos.Mode{}, true
-	}
-	c := 0
-	for c < len(f.wcByMode) && (f.wcByMode[c].mode != mode || f.wcByMode[c].autoDown != autoDown) {
-		c++
-	}
-	if c == len(f.wcByMode) {
-		f.wcByMode = append(f.wcByMode, wcClass{mode: mode, autoDown: autoDown})
-	}
-	f.wcByMode[c].s.Add(float64(res.WallClock))
-	if res.Mode.Kind == qos.KindOpportunistic {
-		f.oppWC.Add(float64(res.WallClock))
-	} else {
+	if res.Mode.Kind != qos.KindOpportunistic {
 		f.gDen++
 		if res.Met {
 			f.gHits++
@@ -248,47 +216,98 @@ func (r *Runner) foldJob(j *Job) {
 	r.fold.add(r, j, r.jobResult(j))
 }
 
-// report assembles the Report after the run loop terminates.
-func (r *Runner) report() *Report {
-	rep := &Report{}
-	f := r.reportInto(rep)
-	rep.WallClockByMode = make(map[string]*stats.Summary, len(f.wcByMode))
-	for _, c := range f.wcByMode {
+// wallClocks gathers a batch report's wall-clock summaries: one class
+// per (mode, auto-downgraded) the run met — a handful, scanned — so a
+// job formats and hashes nothing, and the Opportunistic jobs' summary.
+type wallClocks struct {
+	classes []wcClass
+	opp     stats.Summary
+}
+
+type wcClass struct {
+	mode     qos.Mode // zero when autoDown, and without admission control
+	autoDown bool
+	s        stats.Summary
+}
+
+func (w *wallClocks) add(r *Runner, res JobResult) {
+	mode, autoDown := res.Mode, false
+	if r.cfg.Policy.noAdmission() {
+		mode = qos.Mode{} // one class, named after the policy
+	} else if res.AutoDowngraded {
+		mode, autoDown = qos.Mode{}, true
+	}
+	c := 0
+	for c < len(w.classes) && (w.classes[c].mode != mode || w.classes[c].autoDown != autoDown) {
+		c++
+	}
+	if c == len(w.classes) {
+		w.classes = append(w.classes, wcClass{mode: mode, autoDown: autoDown})
+	}
+	w.classes[c].s.Add(float64(res.WallClock))
+	if res.Mode.Kind == qos.KindOpportunistic {
+		w.opp.Add(float64(res.WallClock))
+	}
+}
+
+// byMode renders Report.WallClockByMode from the classes.
+func (w *wallClocks) byMode(r *Runner) map[string]*stats.Summary {
+	m := make(map[string]*stats.Summary, len(w.classes))
+	for _, c := range w.classes {
 		key := c.mode.String()
 		if r.cfg.Policy.noAdmission() {
 			key = r.cfg.Policy.String()
 		} else if c.autoDown {
 			key = "AutoDown"
 		}
-		if rep.WallClockByMode[key] == nil {
-			rep.WallClockByMode[key] = &stats.Summary{}
+		if m[key] == nil {
+			m[key] = &stats.Summary{}
 		}
-		rep.WallClockByMode[key].Merge(c.s) // a copy, unless two Elastic slacks print alike
+		m[key].Merge(c.s) // a copy, unless two Elastic slacks print alike
 	}
+	return m
+}
+
+// report assembles the Report after the run loop terminates.
+func (r *Runner) report() *Report {
+	rep := &Report{}
+	r.reportInto(rep)
 	return rep
 }
 
-// reportInto overwrites *rep with everything of the run's report but
-// WallClockByMode and returns the fold it read, from which report
-// renders that map; the fleet fold passes one Report for every node.
-func (r *Runner) reportInto(rep *Report) *jobFold {
+// reportInto overwrites *rep with the run's report; the fleet fold
+// passes one Report for every node. A streaming (FoldCompleted) run's
+// report carries the fold's scalars only: its Jobs, Lanes and
+// WallClockByMode are empty, and its OppWallClock and Elastic means zero.
+func (r *Runner) reportInto(rep *Report) {
 	*rep = Report{
 		Policy:   r.cfg.Policy,
 		Engine:   r.cfg.Engine,
 		Workload: r.cfg.Workload.Name,
 		Rejected: r.rejected,
 	}
+	var batch jobFold
 	f := r.fold
 	if f == nil {
 		// Batch mode: every accepted job is still in the slice; fold them
 		// in acceptance order (the historical accumulation order) while
-		// materializing the per-job rows and lanes.
-		f = &jobFold{}
+		// materializing the per-job rows, the lanes and the aggregates a
+		// fold does not keep.
+		f = &batch
+		var wc wallClocks
+		var elasticMiss, elasticCPI float64
+		elasticN := 0
 		rep.Jobs = make([]JobResult, 0, len(r.accepted))
 		rep.Lanes = make([]trace.Lane, 0, len(r.accepted))
 		for _, j := range r.accepted {
 			res := r.jobResult(j)
 			f.add(r, j, res)
+			wc.add(r, res)
+			if j.Stealer != nil {
+				elasticMiss += res.MissIncrease
+				elasticCPI += res.CPIIncrease
+				elasticN++
+			}
 			rep.Jobs = append(rep.Jobs, res)
 			if j.State == StateDone {
 				rep.Lanes = append(rep.Lanes, trace.Lane{
@@ -297,21 +316,22 @@ func (r *Runner) reportInto(rep *Report) *jobFold {
 				})
 			}
 		}
+		rep.WallClockByMode = wc.byMode(r)
+		rep.OppWallClock = wc.opp
+		if elasticN > 0 {
+			rep.ElasticMissIncrease = elasticMiss / float64(elasticN)
+			rep.ElasticCPIIncrease = elasticCPI / float64(elasticN)
+		}
 	}
 	rep.AcceptedJobs = f.jobs
 	rep.AutoDowngradedJobs = f.autoDown
 	rep.Terminated = f.terminated
 	rep.TotalCycles = f.totalCycles
 	rep.CPUCycles = f.cpuCycles
-	rep.OppWallClock = f.oppWC
 	rep.DeadlineHits, rep.DeadlineJobs = f.hits, f.den
 	rep.GuaranteedHits, rep.GuaranteedJobs = f.gHits, f.gDen
 	if f.den > 0 {
 		rep.DeadlineHitRate = float64(f.hits) / float64(f.den)
-	}
-	if f.elasticN > 0 {
-		rep.ElasticMissIncrease = f.elasticMiss / float64(f.elasticN)
-		rep.ElasticCPIIncrease = f.elasticCPI / float64(f.elasticN)
 	}
 	if r.lac != nil {
 		rep.LACOccupancy = r.lac.Occupancy(rep.TotalCycles)
@@ -335,7 +355,6 @@ func (r *Runner) reportInto(rep *Report) *jobFold {
 			InternalWays:  r.frag.internal / (den * float64(r.cfg.L2.Ways)),
 		}
 	}
-	return f
 }
 
 // Gantt renders the run as a Figure 7 style execution trace.

@@ -124,11 +124,14 @@ func (a *Arrivals) Next() int64 {
 
 // nextSlow is Next for a code that one load from a.bit does not hold:
 // its quotient's zeros run past the word, its remainder does, or the
-// chunk ends within the word.
+// chunk ends within the word. A code that runs past the chunk's last
+// bit (a packing fault, or a read past the last code) panics: the
+// zeros there would otherwise be read as a quotient without end.
 func (a *Arrivals) nextSlow(k uint) int64 {
+	end := 8 * len(a.code)
 	w, n := riceWord(a.code, a.bit)
 	var q uint
-	for w == 0 { // the quotient's zeros run past the word
+	for w == 0 && a.bit < end { // the quotient's zeros run past the word
 		q += n
 		a.bit += int(n)
 		w, n = riceWord(a.code, a.bit)
@@ -136,7 +139,9 @@ func (a *Arrivals) nextSlow(k uint) int64 {
 	z := uint(bits.TrailingZeros64(w))
 	a.bit += int(z) + 1
 	r, _ := riceWord(a.code, a.bit)
-	a.bit += int(k)
+	if a.bit += int(k); a.bit > end {
+		panic(fmt.Sprintf("workload: arrival %d's code runs past its chunk's last bit", a.pos))
+	}
 	a.stamp += int64((q+z)<<k | uint(r)&(1<<k-1))
 	return a.stamp
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,4 +121,36 @@ func TestSingleValidatesBenchmark(t *testing.T) {
 		}
 	}()
 	Single("nonesuch")
+}
+
+// TestArrivalsPanicPastChunkEnd: a chunk whose bits after the cursor read
+// zero (a packing fault, or a read past the last code) makes Next panic
+// at the read, naming the arrival, where the quotient loop would
+// otherwise run without end. The whole chunk decodes.
+func TestArrivalsPanicPastChunkEnd(t *testing.T) {
+	var gaps [tapeChunk]int64
+	for i := range gaps {
+		gaps[i] = 100 + int64(i%5)<<40 // quotients past a word, and short ones
+	}
+	read := func(code []byte) (stamps []int64, panicked any) {
+		a := &Arrivals{packedCursor: packedCursor[[]byte]{t: &gapTape{chunks: [][]byte{code}}}}
+		defer func() { panicked = recover() }()
+		for range tapeChunk {
+			stamps = append(stamps, a.Next())
+		}
+		return stamps, nil
+	}
+	whole := packGaps(&gaps)
+	stamps, p := read(whole)
+	if p != nil || len(stamps) != tapeChunk || stamps[tapeChunk-1] != stamps[tapeChunk-2]+gaps[tapeChunk-1] {
+		t.Fatalf("the whole chunk: %d stamps, panic %v", len(stamps), p)
+	}
+	for _, cut := range []int{1, len(whole) / 2} {
+		code := append([]byte(nil), whole...)
+		clear(code[cut:])
+		stamps, p := read(code)
+		if msg, _ := p.(string); !strings.Contains(msg, "past its chunk's last bit") {
+			t.Errorf("zeros from byte %d of %d: %d stamps read, then %v", cut, len(code), len(stamps), p)
+		}
+	}
 }

@@ -125,15 +125,22 @@ func TestCurveStoreDistinguishesKeys(t *testing.T) {
 	}
 }
 
+// nextProbeWarmup is the first warm-up length no run of
+// TestDefaultStoreMemoizesProbeCurve has probed yet in this process.
+var nextProbeWarmup = 5_001
+
 // TestDefaultStoreMemoizesProbeCurve: two identical ProbeCurve calls
-// probe the stream once. The window is one no other test probes, so the
-// process-wide store grows by exactly one entry.
+// probe the stream once. The window is one no other test, and no earlier
+// run of this one under go test -count, probes, so the process-wide
+// store grows by exactly one entry.
 func TestDefaultStoreMemoizesProbeCurve(t *testing.T) {
 	p := MustByName("hmmer")
 	cfg := probeCfg()
+	warmup := nextProbeWarmup
+	nextProbeWarmup++
 	before := DefaultCurveStore.Len()
-	a := p.ProbeCurve(cfg, 5_001, 5_000)
-	b := p.ProbeCurve(cfg, 5_001, 5_000)
+	a := p.ProbeCurve(cfg, warmup, 5_000)
+	b := p.ProbeCurve(cfg, warmup, 5_000)
 	if got := DefaultCurveStore.Len() - before; got != 1 {
 		t.Errorf("two identical ProbeCurve calls added %d store entries, want 1", got)
 	}
