@@ -20,13 +20,16 @@ import (
 // workload's accept target is reached (Poisson mode) or the script is
 // exhausted (scripted mode).
 func (r *Runner) processArrivals(epochEnd int64) {
-	if r.dlmix == nil {
-		r.dlmix = workload.NewDeadlineMix(r.seed)
+	s := r.src
+	if s == nil {
+		s = &arrivalSource{dlmix: workload.NewDeadlineMix(r.seed)}
+		r.src = s
 	}
 	if len(r.cfg.Script) > 0 {
-		for r.scriptPos < len(r.cfg.Script) && r.cfg.Script[r.scriptPos].Arrival < epochEnd {
-			sj := r.cfg.Script[r.scriptPos]
-			r.scriptPos++
+		for s.scriptPos < len(r.cfg.Script) && r.cfg.Script[s.scriptPos].Arrival < epochEnd {
+			sj := r.cfg.Script[s.scriptPos]
+			e := r.tmpl[len(r.cfg.Workload.Jobs)+s.scriptPos]
+			s.scriptPos++
 			ta := sj.Arrival
 			if ta < r.now {
 				ta = r.now
@@ -40,13 +43,13 @@ func (r *Runner) processArrivals(epochEnd int64) {
 			if sj.DeadlineFactor > 0 {
 				factor = sj.DeadlineFactor
 			}
-			r.admit(sj.Template, r.dlmix.Next(), ta, r.modeFor(sj.Template.Hint), instr, factor)
+			r.admit(e, s.dlmix.Next(), ta, e.mode, instr, factor)
 		}
 		return
 	}
-	if r.arrivals == nil {
-		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
-		r.nextArr = r.arrivals.Next()
+	if s.arrivals == nil {
+		s.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
+		s.nextArr = s.arrivals.Next()
 	}
 	for {
 		if _, ok, _ := r.admitNext(epochEnd); !ok {
@@ -69,32 +72,33 @@ func (r *Runner) processArrivals(epochEnd int64) {
 // admitNext rejects such a run of arrivals in one call, and returns the
 // last when none is left before end.
 func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
-	if r.nextArr >= end || r.acceptedN >= r.cfg.AcceptTarget {
+	s := r.src
+	if s.nextArr >= end || r.acceptedN >= r.cfg.AcceptTarget {
 		return 0, false, false
 	}
 	// The workload composition describes the *accepted* jobs (Table 2's
 	// percentages and Table 3's mixes are over the ten-job workload):
 	// slot k of the composition is retried on every submission until a
 	// job is accepted into it.
-	tmpl := r.cfg.Workload.Jobs[r.acceptedN%len(r.cfg.Workload.Jobs)]
-	ta, dl := max(r.nextArr, r.now), r.dlmix.Next()
-	if S := r.boundStart; r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 {
-		tw := r.twFor(tmpl).tw
-		dur := r.modeFor(tmpl.Hint).ReservationLength(tw)
-		for deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw)-dur < S {
+	slot := r.acceptedN % len(r.cfg.Workload.Jobs)
+	ta, dl := max(s.nextArr, r.now), s.dlmix.Next()
+	if S := s.boundStart; s.boundGen != 0 && s.boundGen == r.lac.Gen()+1 {
+		e := &r.tmpl[slot]
+		dur := e.mode.ReservationLength(e.tw)
+		for deadlineFor(r.cfg.DeadlineFactor, dl, ta, e.tw)-dur < S {
 			r.rejectUnasked(ta)
-			if r.nextArr = r.arrivals.Next(); r.nextArr >= end {
+			if s.nextArr = s.arrivals.Next(); s.nextArr >= end {
 				return ta, true, false
 			}
-			ta, dl = max(r.nextArr, r.now), r.dlmix.Next()
+			ta, dl = max(s.nextArr, r.now), s.dlmix.Next()
 		}
 	}
-	if accepted = r.submitTemplate(tmpl, dl, ta); accepted {
-		r.boundGen = 0 // the next slot has another shape
+	if accepted = r.submitTemplate(slot, dl, ta); accepted {
+		s.boundGen = 0 // the next slot has another shape
 	} else {
-		r.learnStart(tmpl, ta)
+		r.learnStart(slot, ta)
 	}
-	r.nextArr = r.arrivals.Next()
+	s.nextArr = s.arrivals.Next()
 	return ta, true, accepted
 }
 
@@ -104,17 +108,17 @@ func (r *Runner) admitNext(end int64) (ta int64, ok, accepted bool) {
 // it was learned under. An auto-downgrading LAC with headroom learns
 // nothing: it tests a Strict job's latest-fit slot at the bare vector,
 // while the lifted-deadline start is the headroom-inflated one.
-func (r *Runner) learnStart(tmpl workload.JobTemplate, ta int64) {
-	mode := r.modeFor(tmpl.Hint)
+func (r *Runner) learnStart(slot int, ta int64) {
+	mode := r.tmpl[slot].mode
 	if r.reference || !mode.Reserves() ||
 		r.cfg.Policy == AllStrictAutoDown && r.lac.Headroom() > 0 {
 		return
 	}
-	start, ok := r.peekEarliestMode(tmpl, ta, mode)
+	start, ok := r.peekEarliestMode(slot, ta, mode)
 	if !ok {
 		start = math.MaxInt64
 	}
-	r.boundStart, r.boundGen = start, r.lac.Gen()+1
+	r.src.boundStart, r.src.boundGen = start, r.lac.Gen()+1
 }
 
 // rejectUnasked records a rejection the learned start decided: the
@@ -155,13 +159,13 @@ func deadlineFor(override float64, dl workload.DeadlineClass, ta, tw int64) int6
 }
 
 // peekTemplateMode asks this node's LAC, without side effects, whether
-// it could accept the job in the given mode and when it would start:
-// every question the cluster's dispatcher asks a node. It goes through
-// the uncharged Peek — the dispatcher's lookups are bookkeeping, not
-// admission tests, so they must not inflate the §7.5 occupancy model —
-// and only the admitting node's Admit is billed.
-func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) (start int64, ok bool) {
-	tw := r.twFor(tmpl).tw
+// it could accept a job of the template at slot in the given mode and
+// when it would start: every question the cluster's dispatcher asks a
+// node. It goes through the uncharged Peek — the dispatcher's lookups
+// are bookkeeping, not admission tests, so they must not inflate the
+// §7.5 occupancy model — and only the admitting node's Admit is billed.
+func (r *Runner) peekTemplateMode(slot int, dl workload.DeadlineClass, ta int64, mode qos.Mode) (start int64, ok bool) {
+	tw := r.tmpl[slot].tw
 	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, tw, deadlineFor(r.cfg.DeadlineFactor, dl, ta, tw), ta, mode))
 	return d.Start, d.Accepted
 }
@@ -176,35 +180,36 @@ func (r *Runner) peekTemplateMode(tmpl workload.JobTemplate, dl workload.Deadlin
 // With the true start on file a node stays filed under it until either
 // a later deadline reaches it or a LAC.gen move resets it, so fleet-wide
 // rejections cost O(1).
-func (r *Runner) peekEarliestMode(tmpl workload.JobTemplate, ta int64, mode qos.Mode) (start int64, ok bool) {
-	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, r.twFor(tmpl).tw, 0, ta, mode))
+func (r *Runner) peekEarliestMode(slot int, ta int64, mode qos.Mode) (start int64, ok bool) {
+	d := r.lac.Peek(r.admitRequest(-1, r.reqWays, r.tmpl[slot].tw, 0, ta, mode))
 	return d.Start, d.Accepted
 }
 
-// submitTemplate runs one admission attempt under the template's hinted
-// mode and returns whether the job was accepted.
-func (r *Runner) submitTemplate(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64) bool {
-	return r.submitTemplateAs(tmpl, dl, ta, r.modeFor(tmpl.Hint))
+// submitTemplate runs one admission attempt for the template at slot of
+// the workload, under its hinted mode, and returns whether the job was
+// accepted.
+func (r *Runner) submitTemplate(slot int, dl workload.DeadlineClass, ta int64) bool {
+	return r.submitTemplateAs(slot, dl, ta, r.tmpl[slot].mode)
 }
 
 // submitTemplateAs is submitTemplate with an explicit mode (the oversub
 // dispatcher re-submits rejected reserved work Opportunistically).
-func (r *Runner) submitTemplateAs(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode) bool {
-	return r.admit(tmpl, dl, ta, mode, r.cfg.JobInstr, r.cfg.DeadlineFactor)
+func (r *Runner) submitTemplateAs(slot int, dl workload.DeadlineClass, ta int64, mode qos.Mode) bool {
+	return r.admit(r.tmpl[slot], dl, ta, mode, r.cfg.JobInstr, r.cfg.DeadlineFactor)
 }
 
-// admit runs one admission attempt for a job of instr instructions whose
-// deadline factor is dlFactor when positive (the configured values, or a
-// scripted job's overrides) and returns whether it was accepted. Under
+// admit runs one admission attempt for a job of template e with instr
+// instructions whose deadline factor is dlFactor when positive (the
+// configured values, or a scripted job's overrides) and returns whether
+// it was accepted. Under
 // the paper's arrival pressure (4×128 probes per tw) rejections
 // outnumber acceptances ~80:1, so the rejection path records its two
 // events and touches nothing else: the Job object and the deadline
 // bookkeeping are built only after acceptance.
-func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta int64, mode qos.Mode, instr int64, dlFactor float64) bool {
+func (r *Runner) admit(e tmplEntry, dl workload.DeadlineClass, ta int64, mode qos.Mode, instr int64, dlFactor float64) bool {
 	r.ffProvedK = 0 // an acceptance changes the plan the window was priced on
 	r.submitIdx++
 	id := r.submitIdx
-	e := r.twFor(tmpl)
 	tw := e.tw
 	if instr != r.cfg.JobInstr {
 		// Scripted per-job instruction override: tw scales with length.
@@ -230,7 +235,6 @@ func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta 
 	j := &Job{
 		ID:           id,
 		Profile:      e.prof,
-		Hint:         tmpl.Hint,
 		Mode:         mode,
 		DlClass:      dl,
 		Arrival:      ta,
@@ -238,7 +242,7 @@ func (r *Runner) admit(tmpl workload.JobTemplate, dl workload.DeadlineClass, ta 
 		Deadline:     td,
 		InstrTotal:   instr,
 		Core:         -1,
-		WaysReserved: r.reqWays,
+		WaysReserved: int32(r.reqWays),
 	}
 	r.planOK = false // an accepted arrival changes the epoch plan
 
@@ -315,23 +319,30 @@ func (r *Runner) refitTW(j *Job, ways int) int64 {
 	return tw
 }
 
-// buildTwTable fills the per-benchmark tw budgets: execution time at
-// the requested ways with an unloaded memory system, inflated by the
-// overspecification margin. The table engine reads the calibrated
-// curve; the trace engine profiles the benchmark through the real cache
-// first (the paper likewise derives requests from profiled behaviour).
+// buildTwTable fills the template table: per slot, the tw budget —
+// execution time at the requested ways with an unloaded memory system,
+// inflated by the overspecification margin — the resolved profile and
+// the hinted mode. The table engine reads the calibrated curve; the
+// trace engine profiles the benchmark through the real cache first (the
+// paper likewise derives requests from profiled behaviour). Slots of one
+// tw key share their budget and profile.
 func (sh *nodeShared) buildTwTable() {
 	cfg, reqWays := sh.cfg, sh.reqWays
 	twJobs := cfg.Workload.Jobs
 	for _, sj := range cfg.Script {
 		twJobs = append(twJobs[:len(twJobs):len(twJobs)], sj.Template)
 	}
-	for _, jt := range twJobs {
+	sh.tmpl = make([]tmplEntry, len(twJobs))
+	byKey := make(map[string]int, 8) // a tw key's first slot
+	for i, jt := range twJobs {
+		mode := cfg.ModeForHint(jt.Hint)
 		key := twKey(jt)
-		if _, ok := sh.tmpl[key]; ok {
+		if first, ok := byKey[key]; ok {
+			sh.tmpl[i] = tmplEntry{tw: sh.tmpl[first].tw, prof: sh.tmpl[first].prof, mode: mode}
 			continue
 		}
-		p := resolveProfile(jt) // one per iteration: the table keeps &p
+		byKey[key] = i
+		p := resolveProfile(jt)
 		var mr float64
 		if cfg.Engine == EngineTrace {
 			// Cold-start profile over the job's own access count: short
@@ -360,20 +371,11 @@ func (sh *nodeShared) buildTwTable() {
 		// the reservation forever (§3.2), which no finite job means.
 		cpi := cpu.CPI(p.CPIL1Inf, p.L2APA, p.L2APA*mr*p.MaxPhaseScale(), mem.BaseCycles)
 		tw := max(int64(float64(cfg.JobInstr)*cpi*cfg.TwMargin), 1)
-		sh.tmpl[key] = tmplEntry{tw: tw, prof: &p}
+		sh.tmpl[i] = tmplEntry{tw: tw, prof: &jobProfile{Profile: p, usefulW: usefulWays(p)}, mode: mode}
 		if tw > sh.refTW {
 			sh.refTW = tw
 		}
 	}
-}
-
-// modeFor resolves a hint through the per-run memo table, falling back
-// to the Config method for out-of-range hints.
-func (r *Runner) modeFor(h workload.ModeHint) qos.Mode {
-	if h >= 0 && h < workload.NumModeHints {
-		return r.modeByHint[h]
-	}
-	return r.cfg.ModeForHint(h)
 }
 
 // twKey identifies a template's wall-clock budget: phased variants of
@@ -393,25 +395,4 @@ func resolveProfile(jt workload.JobTemplate) workload.Profile {
 		p = p.WithPhases(jt.Phases...)
 	}
 	return p
-}
-
-// twFor returns the template's tw budget and profile with a single-entry
-// memo in front of the table: successive arrivals overwhelmingly draw
-// the same template, and recognizing it by benchmark and phase-slice
-// identity spares a phased template the key formatting on every
-// submission, rejected probes included. A template New did not budget
-// (none of the configuration's) has no budget to scale: tw 0.
-func (r *Runner) twFor(jt workload.JobTemplate) tmplEntry {
-	last := &r.lastTmpl
-	if jt.Benchmark == last.Benchmark && len(jt.Phases) == len(last.Phases) &&
-		(len(jt.Phases) == 0 || &jt.Phases[0] == &last.Phases[0]) && r.lastEntry.prof != nil {
-		return r.lastEntry
-	}
-	e, ok := r.tmpl[twKey(jt)]
-	if !ok {
-		p := resolveProfile(jt)
-		e.prof = &p
-	}
-	r.lastTmpl, r.lastEntry = jt, e
-	return e
 }

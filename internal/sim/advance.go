@@ -46,9 +46,9 @@ func (r *Runner) advanceAll(byCore [][]*Job) {
 func (r *Runner) heldDeltas() []jobDelta {
 	switch r.bus.Utilization() {
 	case r.ffPricedAt[0]:
-		return r.ffDeltas
+		return r.parityDeltas(0)
 	case r.ffPricedAt[1]:
-		return r.ffDeltas2
+		return r.parityDeltas(1)
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
 	for _, jobs := range byCore {
 		for _, j := range jobs {
 			if j.ReservedRunning(r.now) {
-				w := j.WaysReserved
+				w := int(j.WaysReserved)
 				if j.Stealer != nil {
 					w = j.Stealer.Ways()
 				}
@@ -73,7 +73,7 @@ func (ucpAllocator) Allocate(r *Runner, byCore [][]*Job) {
 				best = j.Profile
 			}
 		}
-		demands = append(demands, alloc.Demand{Profile: *best})
+		demands = append(demands, alloc.Demand{Profile: best.Profile})
 		cores = append(cores, c)
 	}
 	if len(demands) == 0 {

@@ -108,7 +108,7 @@ func TestCatchUpReusesProvedWindow(t *testing.T) {
 			node := func(reference bool) *Runner {
 				n := newTestCluster(t, clusterSkipCfg()).nodes[0]
 				n.reference = reference
-				if !n.submitTemplate(n.cfg.Workload.Jobs[0], workload.DeadlineRelaxed, 0) {
+				if !n.submitTemplate(0, workload.DeadlineRelaxed, 0) {
 					t.Fatal("first job rejected")
 				}
 				return n
@@ -116,7 +116,7 @@ func TestCatchUpReusesProvedWindow(t *testing.T) {
 			finish := func(n *Runner, k int64) Report {
 				E := n.cfg.EpochCycles
 				if tc.admit {
-					if !n.submitTemplate(n.cfg.Workload.Jobs[0], workload.DeadlineRelaxed, n.now) {
+					if !n.submitTemplate(0, workload.DeadlineRelaxed, n.now) {
 						t.Fatal("second job rejected")
 					}
 					if n.ffProvedK != 0 {
@@ -150,5 +150,43 @@ func TestCatchUpReusesProvedWindow(t *testing.T) {
 				t.Errorf("node report differs from the reference\ngot:  %+v\nwant: %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestWakeServedFromCatchUpRecord: a wake that finds the window
+// nextHorizon proved still valid applies the recorded deltas rather than
+// proving the window again. The test proves a window on a fleet node,
+// adds a shadow miss to its job's recorded delta in both parities and
+// drops the pricing record, so that a second proof would price the true
+// deltas, then catches the node up across the window: the job must carry
+// the altered count, which only the record holds.
+func TestWakeServedFromCatchUpRecord(t *testing.T) {
+	n := newTestCluster(t, clusterSkipCfg()).nodes[0]
+	if !n.submitTemplate(0, workload.DeadlineRelaxed, 0) {
+		t.Fatal("job rejected")
+	}
+	E := n.cfg.EpochCycles
+	var k int64
+	for tries := 0; k < 4 && tries < 1000; tries++ {
+		n.step()
+		k = (n.nextHorizon() - n.now) / E
+	}
+	if k < 4 {
+		t.Fatal("no window of four or more epochs was proved")
+	}
+	j := n.accepted[0]
+	n.parityDeltas(0)[0].shadow++
+	n.parityDeltas(1)[0].shadow++
+	n.ffPricedAt = unpriced
+	P := int64(n.ffPeriod)
+	perPeriod := n.parityDeltas(0)[0].shadow
+	if P == 2 {
+		perPeriod += n.parityDeltas(1)[0].shadow
+	}
+	want, skipped := j.ShadowMisses+k/P*perPeriod, n.nSkipped+k
+	n.catchUp(n.now + k*E)
+	if j.ShadowMisses != want || n.nSkipped != skipped {
+		t.Errorf("catching up a %d-epoch period-%d window left %d shadow misses and %d skipped epochs; the record gives %d and %d",
+			k, P, j.ShadowMisses, n.nSkipped, want, skipped)
 	}
 }

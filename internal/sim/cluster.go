@@ -381,7 +381,7 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 	jobs := cr.cfg.Node.Workload.Jobs
 	for cr.nextArr < epochEnd && cr.accepted < cr.cfg.AcceptTarget {
 		a := Arrival{
-			Tmpl: jobs[cr.accepted%len(jobs)],
+			Slot: cr.accepted % len(jobs),
 			DL:   cr.dlmix.Next(),
 			TA:   cr.nextArr,
 			Seq:  cr.accepted,
@@ -394,9 +394,9 @@ func (cr *ClusterRunner) placeArrivals(epochEnd int64) {
 			n := cr.nodes[p.Node]
 			var ok bool
 			if p.Opportunistic {
-				ok = n.submitTemplateAs(a.Tmpl, a.DL, a.TA, qos.Opportunistic())
+				ok = n.submitTemplateAs(a.Slot, a.DL, a.TA, qos.Opportunistic())
 			} else {
-				ok = n.submitTemplate(a.Tmpl, a.DL, a.TA)
+				ok = n.submitTemplate(a.Slot, a.DL, a.TA)
 			}
 			if !ok {
 				panic(fmt.Sprintf("sim: node %d refused the arrival at %d its peek accepted: a node changed between the peek and the admission", p.Node, a.TA))

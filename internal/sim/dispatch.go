@@ -37,7 +37,7 @@ import (
 
 // Arrival is one job arrival presented to a cluster dispatcher.
 type Arrival struct {
-	Tmpl workload.JobTemplate
+	Slot int // the template's slot in the node workload (nodeShared.tmpl)
 	DL   workload.DeadlineClass
 	TA   int64 // arrival cycle, at or after the cluster clock
 	Seq  int   // cluster-wide admission slot (drives locality homes)
@@ -80,7 +80,7 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 		// Opportunistic jobs per core): the fleet trades the guarantee for
 		// utilization instead of bouncing the job.
 		node := cr.place(a, false)
-		if node >= 0 || cr.nodes[0].modeFor(a.Tmpl.Hint).Kind == qos.KindOpportunistic {
+		if node >= 0 || cr.nodes[0].tmpl[a.Slot].mode.Kind == qos.KindOpportunistic {
 			return Placement{Node: node}
 		}
 		node = cr.idx.placeOpp(a, qos.Opportunistic())
@@ -92,7 +92,7 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 		// placement. When nothing near home is feasible it falls back to
 		// bestfit, so its rejection set is bestfit's.
 		first, size := qos.LocalityWindow(a.Seq, len(cr.nodes))
-		mode := cr.nodes[0].modeFor(a.Tmpl.Hint)
+		mode := cr.nodes[0].tmpl[a.Slot].mode
 		if node := cr.idx.scan(a, mode, nil, math.MaxInt64, false, first, size); node >= 0 {
 			return Placement{Node: node}
 		}
@@ -108,11 +108,12 @@ func (d strategyDispatch) Place(a Arrival) Placement {
 // where indexable() holds, i.e. where every node shares that tw.
 func (cr *ClusterRunner) arrivalShape(a Arrival) (mode qos.Mode, dur, cutoff int64) {
 	n := cr.nodes[0]
-	mode = n.modeFor(a.Tmpl.Hint)
+	e := &n.tmpl[a.Slot]
+	mode = e.mode
 	if mode.Kind == qos.KindOpportunistic {
 		return mode, 0, 0
 	}
-	tw := n.twFor(a.Tmpl).tw
+	tw := e.tw
 	dur = mode.ReservationLength(tw)
 	cutoff = deadlineFor(n.cfg.DeadlineFactor, a.DL, a.TA, tw) - dur
 	return mode, dur, cutoff
@@ -297,7 +298,7 @@ func (x *dispatchIndex) scan(a Arrival, mode qos.Mode, row *boundRow, limit int6
 					b = bounds[i]
 				}
 				if start := max(a.TA, b); start <= limit && (best == -1 || beats(byLoad, start, load, bestStart, bestLoad)) {
-					s, ok := x.cr.nodes[lo+i].peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+					s, ok := x.cr.nodes[lo+i].peekTemplateMode(a.Slot, a.DL, a.TA, mode)
 					if row != nil {
 						b = s
 						if !ok {
@@ -361,7 +362,7 @@ func (x *dispatchIndex) earliestBound(a Arrival, mode qos.Mode, limit int64, id 
 	if mode.Kind == qos.KindOpportunistic {
 		s, ok = n.lac.EarliestOpportunistic(a.TA)
 	} else {
-		s, ok = n.peekEarliestMode(a.Tmpl, a.TA, mode)
+		s, ok = n.peekEarliestMode(a.Slot, a.TA, mode)
 	}
 	if !ok {
 		return neverBound

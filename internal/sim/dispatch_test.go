@@ -40,8 +40,8 @@ func (d probeallDispatch) Name() string { return "probeall" }
 func (d probeallDispatch) Place(a Arrival) Placement {
 	best, bestStart, bestLoad := -1, int64(0), 0
 	for i, n := range d.cr.nodes {
-		tw := n.twFor(a.Tmpl).tw
-		dec := n.lac.Probe(n.admitRequest(-1, n.reqWays, tw, deadlineFor(n.cfg.DeadlineFactor, a.DL, a.TA, tw), a.TA, n.modeFor(a.Tmpl.Hint)))
+		e := n.tmpl[a.Slot]
+		dec := n.lac.Probe(n.admitRequest(-1, n.reqWays, e.tw, deadlineFor(n.cfg.DeadlineFactor, a.DL, a.TA, e.tw), a.TA, e.mode))
 		if !dec.Accepted {
 			continue
 		}
@@ -187,7 +187,7 @@ type peekallDispatch struct {
 func (d peekallDispatch) Name() string { return "peekall-" + d.strategy.String() }
 
 func (d peekallDispatch) Place(a Arrival) Placement {
-	mode := d.cr.nodes[0].modeFor(a.Tmpl.Hint)
+	mode := d.cr.nodes[0].tmpl[a.Slot].mode
 	if d.strategy == qos.WorstFit {
 		return Placement{Node: d.least(a, mode, true)}
 	}
@@ -218,7 +218,7 @@ func keyLess(a, b nodeKey) bool {
 func (d peekallDispatch) least(a Arrival, mode qos.Mode, byLoad bool) int {
 	best, bestKey := -1, nodeKey{}
 	for i, n := range d.cr.nodes {
-		start, ok := n.peekTemplateMode(a.Tmpl, a.DL, a.TA, mode)
+		start, ok := n.peekTemplateMode(a.Slot, a.DL, a.TA, mode)
 		if !ok {
 			continue
 		}
@@ -336,14 +336,14 @@ func (d *rowCheck) Place(a Arrival) Placement {
 			}
 			n := d.cr.nodes[i]
 			if r.dur == 0 {
-				if _, ok := n.peekTemplateMode(a.Tmpl, a.DL, a.TA, qos.Opportunistic()); ok && b > a.TA {
+				if _, ok := n.peekTemplateMode(a.Slot, a.DL, a.TA, qos.Opportunistic()); ok && b > a.TA {
 					d.t.Fatalf("placement %d: node %d takes opportunistic work at %d, its bound says not before %d", d.placed, i, a.TA, b)
 				}
 				continue
 			}
 			shape := d.shapes[r.dur]
 			mode, _, _ := d.cr.arrivalShape(shape)
-			if s, ok := n.peekEarliestMode(shape.Tmpl, a.TA, mode); ok && b > s {
+			if s, ok := n.peekEarliestMode(shape.Slot, a.TA, mode); ok && b > s {
 				d.t.Fatalf("placement %d: node %d's bound %d in the length-%d row is past its earliest start %d", d.placed, i, b, r.dur, s)
 			}
 		}

@@ -31,14 +31,11 @@ type Runner struct {
 
 	accepted  []*Job
 	acceptedN int // total accepted ever (== len(accepted) unless compacted)
-	scriptPos int
 	rejected  int
 	doneN     int // finished jobs still in accepted (finishJob and violate count them)
 	fold      *jobFold
 	now       int64
-	arrivals  *workload.Arrivals
-	dlmix     *workload.DeadlineMix
-	nextArr   int64
+	src       *arrivalSource // nil until processArrivals runs: a fleet node's stays nil
 	submitIdx int
 	epochIdx  int64
 
@@ -62,9 +59,10 @@ type Runner struct {
 	// closed form and applySteady advances them (fastforward.go), behind
 	// the static gate nodeShared.skipOK; nStepped and
 	// nSkipped are the observable epoch counters (Report.EpochsStepped
-	// / EpochsSkipped); ffDeltas/ffDeltas2 are steadyWindow's per-job
-	// delta scratch — one slice per parity of the bus cycle it proved
-	// (ffPeriod 1 or 2) — consumed by the applySteady that follows it.
+	// / EpochsSkipped); ffDeltas is steadyWindow's per-job delta scratch
+	// — one half per parity of the bus cycle it proved (ffPeriod 1 or 2),
+	// which half is which flipped by ffSwapped (parityDeltas) — consumed
+	// by the applySteady that follows it.
 	// ffProvedK is the window nextHorizon proved at cycle ffProvedAt,
 	// still priced in that scratch: catchUp applies it instead of proving
 	// it again while the node's clock still reads ffProvedAt and step or
@@ -76,7 +74,6 @@ type Runner struct {
 	nStepped   int64
 	nSkipped   int64
 	ffDeltas   []jobDelta
-	ffDeltas2  []jobDelta
 	ffPricedAt [2]float64
 	ffProvedAt int64
 	ffProvedK  int64
@@ -90,20 +87,11 @@ type Runner struct {
 	// Admission scratch: one reusable RUM passed by pointer so the ~400
 	// probes per tw window don't each box a fresh value into the Request
 	// interface (the LAC copies what it needs and never retains the
-	// pointer), plus a single-entry template memo for the common case of
-	// every arrival drawing the same template (twFor).
+	// pointer).
 	rum           qos.RUM
-	lastTmpl      workload.JobTemplate
-	lastEntry     tmplEntry
 	planIdleCores float64 // memoized fragDeltas of the plan's state
 	planIdleWays  float64
 	planInternal  float64
-	// The current slot's earliest start, learned when its arrival was
-	// rejected, and LAC.Gen()+1 at that moment (0: no bound). It lets
-	// admitNext reject the slot's later arrivals that cannot reach it
-	// without an admission test (learnStart).
-	boundStart int64
-	boundGen   uint64
 
 	// Fault injection (internal/sim/fault.go): the plan's state, nil for
 	// a run without a fault plan. coreDown and latFactor stay inline —
@@ -117,8 +105,9 @@ type Runner struct {
 
 	sc epochScratch
 
-	// The one-byte fields, together so they pack into the last word.
+	// The one-byte fields, together so they pack into the last words.
 	ffPeriod      int8 // the proved window's bus period, 1 or 2
+	ffSwapped     bool // ffDeltas' second half holds parity 0 (parityDeltas)
 	ffFails       int8 // consecutive priced failed proofs (backoff input)
 	ffDefer       int8 // steps left before the next window proof attempt
 	external      bool // arrivals are injected by a ClusterRunner
@@ -132,6 +121,23 @@ type Runner struct {
 	// keeps no pricing and leaves no catch-up record, so this is the
 	// engine with every fast path off — the run production is held to.
 	reference bool
+}
+
+// arrivalSource is a node's own arrivals: the Poisson stream's cursor
+// and next stamp, or the script's position, the deadline classes, and
+// what the last rejection taught. A fleet node takes the cluster's
+// arrivals and has none.
+type arrivalSource struct {
+	arrivals  *workload.Arrivals
+	dlmix     *workload.DeadlineMix
+	nextArr   int64
+	scriptPos int
+	// The current slot's earliest start, learned when its arrival was
+	// rejected, and LAC.Gen()+1 at that moment (0: no bound). It lets
+	// admitNext reject the slot's later arrivals that cannot reach it
+	// without an admission test (learnStart).
+	boundStart int64
+	boundGen   uint64
 }
 
 // epochScratch holds the per-epoch working slices, reused across steps so
@@ -156,14 +162,12 @@ type epochScratch struct {
 // tw table under that seed, so its nodes each build their own.
 type nodeShared struct {
 	cfg Config
-	// tmpl is the tw budget and resolved profile of every template the
-	// configuration can submit, by twKey; refTW is the largest budget.
-	tmpl    map[string]tmplEntry
-	refTW   int64
-	reqWays int
-	// modeByHint memoizes Config.ModeForHint per hint: recomputing it per
-	// arrival copies the whole Config (value receiver) on the hottest path.
-	modeByHint   [workload.NumModeHints]qos.Mode
+	// tmpl is what the node derives from every template the
+	// configuration can submit, by slot: the workload's jobs in order,
+	// then the script's. refTW is the largest budget.
+	tmpl         []tmplEntry
+	refTW        int64
+	reqWays      int
 	ctrlInterval int64 // feedback-controller tick cadence in cycles
 	// skipOK gates the fast-forward statically: closed-form per-epoch
 	// deltas need the table model (the trace engine draws fresh RNG per
@@ -171,9 +175,13 @@ type nodeShared struct {
 	skipOK bool
 }
 
+// tmplEntry is one template's tw budget, resolved profile and mode
+// (Config.ModeForHint of its hint: computing that per arrival copied the
+// whole Config on the hottest path).
 type tmplEntry struct {
 	tw   int64
-	prof *workload.Profile
+	prof *jobProfile
+	mode qos.Mode
 }
 
 func newShared(cfg Config) (*nodeShared, error) {
@@ -182,16 +190,12 @@ func newShared(cfg Config) (*nodeShared, error) {
 	}
 	sh := &nodeShared{
 		cfg:          cfg,
-		tmpl:         map[string]tmplEntry{},
 		reqWays:      cfg.RequestWays,
 		ctrlInterval: cfg.CtrlIntervalCycles,
 		skipOK:       cfg.Engine != EngineTrace && !cfg.RecordSeries,
 	}
 	if sh.ctrlInterval == 0 {
 		sh.ctrlInterval = ctrlDefaultIntervalEpochs * cfg.EpochCycles
-	}
-	for h := workload.ModeHint(0); h < workload.NumModeHints; h++ {
-		sh.modeByHint[h] = cfg.ModeForHint(h)
 	}
 	if sh.reqWays == 0 {
 		sh.reqWays = qos.PresetMedium().CacheWays
@@ -209,9 +213,10 @@ func New(cfg Config) (*Runner, error) {
 	return newNode(sh, cfg.Seed), nil
 }
 
-// newNode builds the mutable half. The arrival and deadline cursors are
-// created lazily by processArrivals: cluster nodes never draw from them,
-// and each would pin a tape per node seed in the process-wide store.
+// newNode builds the mutable half. The arrival source, with its arrival
+// and deadline cursors, is created lazily by processArrivals: cluster
+// nodes never draw from it, and each cursor would pin a tape per node
+// seed in the process-wide store.
 func newNode(sh *nodeShared, seed int64) *Runner {
 	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem), ffPricedAt: unpriced}
 	cfg := r.Config()
@@ -456,7 +461,7 @@ func (r *Runner) buildPlan(byCore [][]*Job) {
 
 func (r *Runner) done() bool {
 	if len(r.cfg.Script) > 0 {
-		return r.scriptPos == len(r.cfg.Script) && r.liveCount() == 0
+		return r.src != nil && r.src.scriptPos == len(r.cfg.Script) && r.liveCount() == 0
 	}
 	return r.acceptedN >= r.cfg.AcceptTarget && r.liveCount() == 0
 }

@@ -40,9 +40,10 @@ import (
 const ffChunkEpochs = int64(1) << 20
 
 // jobDelta is one planned job's per-epoch advance, captured by
-// steadyWindow and applied k-fold by applySteady.
+// steadyWindow and applied k-fold by applySteady. It names no job: a
+// parity's deltas are in plan order, and their readers walk the plan
+// (r.sc.byCore) beside them.
 type jobDelta struct {
-	j        *Job
 	instr    int64   // instructions retired per epoch
 	consumed int64   // cycles consumed per epoch
 	misses   int64   // main-tag misses per epoch
@@ -54,59 +55,60 @@ type jobDelta struct {
 var unpriced = [2]float64{math.NaN(), math.NaN()}
 
 // epochDeltas prices one steady epoch of the given bus-cycle parity at
-// bus utilization u, filling the parity's scratch (r.ffDeltas, or
-// r.ffDeltas2 for parity 1) with the per-job deltas in plan order and
-// returning the epoch's total fill and write-back transfers. A delta is
-// advanceJob's arithmetic without its Remaining clamp, which fires only
-// in an epoch that completes the job: a delta past its job's remaining
-// work makes the job's progress per period exceed it, steadyAttempt's
-// completion cap then closes the window at zero, and advanceAll applies
-// a held delta only within the job's remaining work.
+// bus utilization u, filling the parity's half of the scratch
+// (parityDeltas) with the per-job deltas in plan order and returning the
+// epoch's total fill and write-back transfers. A delta is advanceJob's
+// arithmetic without its Remaining clamp, which fires only in an epoch
+// that completes the job: a delta past its job's remaining work makes
+// the job's progress per period exceed it, steadyAttempt's completion
+// cap then closes the window at zero, and advanceAll applies a held
+// delta only within the job's remaining work.
 //
 // A pricing is recorded in ffPricedAt: the plan has not changed since
 // (buildPlan clears the record), so at the same u every delta is the
 // same, and only the totals are summed again (DESIGN §11.7). Parity 0
-// at the u the other parity's scratch was priced at swaps the two,
+// at the u the other parity's half was priced at swaps the halves,
 // since a pricing depends on its parity only through u. A plan with a
 // phased job is never recorded: phaseScale moves with progress inside
 // a plan.
 func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
-	dst := &r.ffDeltas
-	if parity == 1 {
-		dst = &r.ffDeltas2
-	} else if r.ffPricedAt[1] == u && r.ffPricedAt[0] != u {
-		r.ffDeltas, r.ffDeltas2 = r.ffDeltas2, r.ffDeltas
+	if parity == 0 && r.ffPricedAt[1] == u && r.ffPricedAt[0] != u {
+		r.ffSwapped = !r.ffSwapped
 		r.ffPricedAt[0], r.ffPricedAt[1] = r.ffPricedAt[1], r.ffPricedAt[0]
 	}
+	jobs := 0
+	for _, onCore := range r.sc.byCore {
+		jobs += len(onCore)
+	}
 	if r.ffPricedAt[parity] == u {
-		for i := range *dst {
-			miss += (*dst)[i].misses
-			wb += writeBacks((*dst)[i].misses)
+		for _, d := range r.parityDeltas(parity)[:jobs] {
+			miss += d.misses
+			wb += writeBacks(d.misses)
 		}
 		return miss, wb
 	}
 	r.ffPricedAt[parity] = math.NaN()
-	if cap(*dst) == 0 {
-		// Both parities in one allocation, each sized for the most jobs
-		// a plan of this run holds (deltaJobs). Started at a job per
-		// core, a filling node regrew its scratch about twice a run.
-		n := r.deltaJobs()
-		both := make([]jobDelta, 0, 2*n)
-		r.ffDeltas, r.ffDeltas2 = both[:0:n], both[n:n:2*n]
+	if n := len(r.ffDeltas) / 2; n < jobs {
+		// Both parities in one allocation, each half sized for the most
+		// jobs a plan of this run holds (deltaJobs). Started at a job per
+		// core, a filling node regrew its scratch about twice a run. The
+		// old halves hold no pricing of this plan to keep: it has more
+		// jobs than they do.
+		n = max(jobs, 2*n, r.deltaJobs())
+		r.ffDeltas = make([]jobDelta, 2*n)
 	}
-	// Appending to a local and storing it once keeps the slice header
-	// writes, which a running collector barriers, out of the loop.
-	ds := (*dst)[:0]
+	ds := r.parityDeltas(parity)
 	E := r.cfg.EpochCycles
 	record := true
-	for _, jobs := range r.sc.byCore {
-		n := int64(len(jobs))
+	i := 0
+	for _, onCore := range r.sc.byCore {
+		n := int64(len(onCore))
 		if n == 0 {
 			continue
 		}
 		// Processor sharing, exactly as advanceAll splits the epoch.
 		share := E / n
-		for _, j := range jobs {
+		for _, j := range onCore {
 			pen := r.penaltyForAt(j, u)
 			cpi := r.model.cpiFor(j, pen)
 			instr := int64(float64(share) / cpi)
@@ -120,10 +122,11 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 				// baseline), constant while pen is.
 				base = float64(instr) * cpu.CPI(j.Profile.CPIL1Inf, j.Profile.L2APA, j.mpifRes, pen)
 			}
-			ds = append(ds, jobDelta{
-				j: j, instr: instr, consumed: int64(float64(instr) * cpi),
+			ds[i] = jobDelta{
+				instr: instr, consumed: int64(float64(instr) * cpi),
 				misses: misses, shadow: shadow, base: base,
-			})
+			}
+			i++
 			miss += misses
 			wb += wbJ
 			if j.InstrTotal > 0 && len(j.Profile.Phases) > 0 {
@@ -131,11 +134,21 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 			}
 		}
 	}
-	*dst = ds
 	if record {
 		r.ffPricedAt[parity] = u
 	}
 	return miss, wb
+}
+
+// parityDeltas is the half of the delta scratch that holds the given
+// parity's pricing, one entry per job of the plan it priced, in plan
+// order, and room to spare.
+func (r *Runner) parityDeltas(parity int) []jobDelta {
+	if r.ffSwapped {
+		parity ^= 1
+	}
+	n := len(r.ffDeltas) / 2
+	return r.ffDeltas[parity*n : (parity+1)*n]
 }
 
 // deltaJobs is how many jobs the delta scratch is sized for: the jobs
@@ -143,7 +156,7 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 // cores·OpportunisticPerCore — what an admission-controlled node runs at
 // once, and a bound on a run whose target is far above it — and at
 // least a job per core. A fleet node's target is the fleet's, so it
-// starts at a job per core. A plan that holds more grows the scratch.
+// starts at a job per core. A plan that holds more regrows the scratch.
 func (r *Runner) deltaJobs() int {
 	cores := len(r.sc.byCore)
 	n := r.cfg.AcceptTarget
@@ -157,10 +170,10 @@ func (r *Runner) deltaJobs() int {
 }
 
 // steadyWindow returns how many upcoming epochs (at most maxK) can be
-// advanced in closed form, filling r.ffDeltas (and, for a period-2 bus
-// cycle, r.ffDeltas2 with r.ffPeriod=2) with the per-job deltas the
-// caller must apply via applySteady immediately (any intervening
-// mutation invalidates the scratch). Zero means "step normally".
+// advanced in closed form, filling the first parity's deltas (and, for
+// a period-2 bus cycle, the second's, with r.ffPeriod=2) that the caller
+// must apply via applySteady immediately (any intervening mutation
+// invalidates the scratch). Zero means "step normally".
 //
 // The window is the minimum of every event horizon:
 //   - planWake: the next timed scheduling transition (job start,
@@ -237,13 +250,13 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	}
 	if !r.external {
 		if len(r.cfg.Script) > 0 {
-			if r.scriptPos < len(r.cfg.Script) {
-				if ka := (r.cfg.Script[r.scriptPos].Arrival - N) / E; ka < k {
+			if pos := r.src.scriptPos; pos < len(r.cfg.Script) {
+				if ka := (r.cfg.Script[pos].Arrival - N) / E; ka < k {
 					k = ka
 				}
 			}
 		} else if r.acceptedN < r.cfg.AcceptTarget {
-			if r.nextArr < N+E {
+			if r.src.nextArr < N+E {
 				return 0 // this epoch's arrivals are the step's to admit
 			}
 			// Later arrivals do not cap the window: admitWindow
@@ -273,6 +286,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	u0 := r.bus.Utilization()
 	miss0, wb0 := r.epochDeltas(u0, 0)
 	u1 := r.bus.WindowUtilization(miss0+wb0, E)
+	d0s := r.parityDeltas(0)
 	r.ffPeriod = 1
 	if u1 != u0 {
 		if r.bus.SaturatedAt(u1) != r.bus.SaturatedAt(u0) {
@@ -282,9 +296,13 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 		// one instruction has no period-2 window (its period retires
 		// all of it, and the completion cap below closes the window at
 		// zero), so the second parity goes unpriced.
-		for i := range r.ffDeltas {
-			if d := &r.ffDeltas[i]; d.instr >= d.j.Remaining()-1 {
-				return 0
+		i := -1
+		for _, jobs := range r.sc.byCore {
+			for _, j := range jobs {
+				i++
+				if d0s[i].instr >= j.Remaining()-1 {
+					return 0
+				}
 			}
 		}
 		miss1, wb1 := r.epochDeltas(u1, 1)
@@ -296,57 +314,65 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	P := int64(r.ffPeriod)
 	k -= k % P // the window must hand back the starting utilization
 
-	for i := range r.ffDeltas {
-		d0 := &r.ffDeltas[i]
-		j := d0.j
-		// iSum is the job's progress per period; extra the offset of the
-		// period's second epoch (its start is t·iSum+extra).
-		iSum, extra := d0.instr, int64(0)
-		if P == 2 {
-			iSum += r.ffDeltas2[i].instr
-			extra = d0.instr
-		}
-		// The job must keep ≥1 remaining instruction after every skipped
-		// epoch, so neither the clamp nor the completion path can fire
-		// inside the window (progress peaks at the window's end).
-		if kc := P * ((j.Remaining() - 1) / iSum); kc < k {
-			k = kc
-		}
-		if r.cfg.EnforceWallClock && j.ReservedRunning(N) {
-			// The window must close before the first epoch whose start
-			// reaches the budget end overBudget terminates at.
-			budgetEnd := j.budgetEnd()
-			if budgetEnd <= N {
-				return 0 // terminates this epoch
+	d1s := r.parityDeltas(1)
+	i := -1
+	for _, jobs := range r.sc.byCore {
+		for _, j := range jobs {
+			i++
+			// iSum is the job's progress per period; extra the offset of
+			// the period's second epoch (its start is t·iSum+extra).
+			iSum, extra := d0s[i].instr, int64(0)
+			if P == 2 {
+				iSum += d1s[i].instr
+				extra = d0s[i].instr
 			}
-			if kb := (budgetEnd-1-N)/E + 1; kb-kb%P < k {
-				k = kb - kb%P
+			// The job must keep ≥1 remaining instruction after every
+			// skipped epoch, so neither the clamp nor the completion path
+			// can fire inside the window (progress peaks at the window's
+			// end).
+			if kc := P * ((j.Remaining() - 1) / iSum); kc < k {
+				k = kc
 			}
-		}
-		if j.InstrTotal > 0 && len(j.Profile.Phases) > 0 && k > 0 {
-			if kp := P * phaseHorizon(j, iSum, extra, k/P); kp < k {
-				k = kp
+			if r.cfg.EnforceWallClock && j.ReservedRunning(N) {
+				// The window must close before the first epoch whose start
+				// reaches the budget end overBudget terminates at.
+				budgetEnd := j.budgetEnd()
+				if budgetEnd <= N {
+					return 0 // terminates this epoch
+				}
+				if kb := (budgetEnd-1-N)/E + 1; kb-kb%P < k {
+					k = kb - kb%P
+				}
 			}
-		}
-		if k <= 0 {
-			return 0
+			if j.InstrTotal > 0 && len(j.Profile.Phases) > 0 && k > 0 {
+				if kp := P * phaseHorizon(j, iSum, extra, k/P); kp < k {
+					k = kp
+				}
+			}
+			if k <= 0 {
+				return 0
+			}
 		}
 	}
 	// Stealing guard: every repartitioning interval crossed inside the
 	// window must provably return Hold (or the window must end before
 	// the first crossing that acts). Runs last because it needs the
 	// per-epoch deltas and the already-minimized k.
-	for i := range r.ffDeltas {
-		d0, d1 := &r.ffDeltas[i], &r.ffDeltas[i]
-		if d0.j.Stealer == nil {
-			continue
-		}
-		if P == 2 {
-			d1 = &r.ffDeltas2[i]
-		}
-		k = r.stealHorizon(d0.j, d0, d1, k)
-		if k -= k % P; k <= 0 {
-			return 0
+	i = -1
+	for _, jobs := range r.sc.byCore {
+		for _, j := range jobs {
+			i++
+			if j.Stealer == nil {
+				continue
+			}
+			d0, d1 := &d0s[i], &d0s[i]
+			if P == 2 {
+				d1 = &d1s[i]
+			}
+			k = r.stealHorizon(j, d0, d1, k)
+			if k -= k % P; k <= 0 {
+				return 0
+			}
 		}
 	}
 	return r.admitWindow(k)
@@ -524,27 +550,33 @@ func phaseIndexAt(j *Job, done int64) int {
 // match the stepped path's exactly; accumulators are independent, so
 // the epoch-major vs job-major interleaving difference is unobservable.
 // The window is m = k/ffPeriod rounds of the parities in stepped order;
-// a period-1 window's second parity is zero. The bus is left alone: the
-// window's proof made its last epoch's traffic hand back the utilization
-// it started from, and no window traffic is pending between epochs.
+// a period-1 window's second parity is zero. The deltas are in plan
+// order, so the plan's jobs are walked beside them. The bus is left
+// alone: the window's proof made its last epoch's traffic hand back the
+// utilization it started from, and no window traffic is pending between
+// epochs.
 func (r *Runner) applySteady(k int64) {
 	m := k / int64(r.ffPeriod)
+	d0s, d1s := r.parityDeltas(0), r.parityDeltas(1)
 	var none jobDelta
-	for i := range r.ffDeltas {
-		d0, d1 := &r.ffDeltas[i], &none
-		if r.ffPeriod == 2 {
-			d1 = &r.ffDeltas2[i]
-		}
-		j := d0.j
-		j.InstrDone += m * (d0.instr + d1.instr)
-		j.ActualCycles += m * (d0.consumed + d1.consumed)
-		j.MainMisses += m * (d0.misses + d1.misses)
-		j.ShadowMisses += m * (d0.shadow + d1.shadow)
-		j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
-		if j.Stealer != nil {
-			// Every crossing in the window Held (stealHorizon proved it),
-			// so the interval clock just wraps.
-			j.instrLastSteal = (j.instrLastSteal + m*(d0.instr+d1.instr)) % r.cfg.StealIntervalInstr
+	i := -1
+	for _, jobs := range r.sc.byCore {
+		for _, j := range jobs {
+			i++
+			d0, d1 := &d0s[i], &none
+			if r.ffPeriod == 2 {
+				d1 = &d1s[i]
+			}
+			j.InstrDone += m * (d0.instr + d1.instr)
+			j.ActualCycles += m * (d0.consumed + d1.consumed)
+			j.MainMisses += m * (d0.misses + d1.misses)
+			j.ShadowMisses += m * (d0.shadow + d1.shadow)
+			j.BaselineCycles = repeatAdd(j.BaselineCycles, d0.base, d1.base, m)
+			if j.Stealer != nil {
+				// Every crossing in the window Held (stealHorizon proved
+				// it), so the interval clock just wraps.
+				j.instrLastSteal = (j.instrLastSteal + m*(d0.instr+d1.instr)) % r.cfg.StealIntervalInstr
+			}
 		}
 	}
 	r.frag.idleCores = repeatAdd(r.frag.idleCores, r.planIdleCores, 0, k)

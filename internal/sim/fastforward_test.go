@@ -225,8 +225,8 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 		}
 		j := &Job{BaselineCycles: s}
 		r.ffPeriod = int8(period)
-		r.ffDeltas = []jobDelta{{j: j, base: 1}}
-		r.ffDeltas2 = []jobDelta{{j: j, base: 1.5}}
+		r.sc.byCore[0] = []*Job{j}
+		r.ffDeltas = []jobDelta{{base: 1}, {base: 1.5}} // a half per parity
 		*r.frag = fragSink{idleCores: s, idleWays: s, internal: s}
 		r.planIdleCores, r.planIdleWays, r.planInternal = 1.5, 2.5, 3
 		r.applySteady(k)

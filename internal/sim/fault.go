@@ -156,7 +156,7 @@ func (r *Runner) injectFault(ev fault.Event) {
 		// Displace whatever was running there; assignCores re-places
 		// reserved jobs on surviving cores and stalls the rest.
 		for _, j := range r.accepted {
-			if j.State == StateRunning && j.Core == ev.Core {
+			if j.State == StateRunning && int(j.Core) == ev.Core {
 				j.Core = -1
 			}
 		}
@@ -281,7 +281,7 @@ func (r *Runner) readmit(j *Job) {
 		return
 	}
 	j.ReservationID = 0
-	maxWays := j.WaysReserved
+	maxWays := int(j.WaysReserved)
 	if c := r.faultCapacity().CacheWays; maxWays > c {
 		maxWays = c
 	}
@@ -303,7 +303,7 @@ func (r *Runner) readmit(j *Job) {
 	}
 	r.faults.stats.Readmitted++
 	j.ReservationID = dec.ReservationID
-	j.WaysReserved = ways
+	j.WaysReserved = int32(ways)
 	j.TW = tw // the renegotiated budget the slot was sized for
 	if j.Stealer != nil {
 		// The reservation shrank (or moved); rebase the controller and
@@ -391,7 +391,7 @@ func (r *Runner) shedElastic() {
 		}
 		pick.WaysReserved--
 		r.lac.ShrinkReservation(pick.ReservationID,
-			qos.ResourceVector{Cores: 1, CacheWays: pick.WaysReserved})
+			qos.ResourceVector{Cores: 1, CacheWays: int(pick.WaysReserved)})
 		r.faults.stats.WaysShed++
 		r.planWaysDirty = true
 		r.emit(trace.Event{Cycle: r.now, JobID: pick.ID, Kind: trace.StealWay,

@@ -15,15 +15,17 @@ import (
 // fatter fails here, not in a benchmark ledger three PRs later.
 func TestFleetAllocBudget(t *testing.T) {
 	const nodes, jobs = 64, 256
-	// Measured 294,016 B: 1,576 per node at construction, 754 per
-	// accepted job for everything after it (342,272 B = 1,672 and 918
-	// while a node's fold kept per-mode summaries, a job's reservation
-	// ids were a slice and a profile boundary stored its delta; 1,754 per
+	// Measured 269,392 B: 1,447 per node at construction, 690 per
+	// accepted job for everything after it (294,016 B = 1,576 and 754
+	// while a Job took the 288-byte class, a Runner the 768-byte one and
+	// a job's delta 48 bytes; 342,272 B = 1,672 and 918 while a node's
+	// fold kept per-mode summaries, a job's reservation ids were a slice
+	// and a profile boundary stored its delta; 1,754 per
 	// node while the fleet kept a bucketed wake calendar beside its wakes
 	// and a Timeline carried a fit memo; before a completion released its
 	// reservations and a Runner fit the 768-byte class: 429,184 B = 2,015
 	// and 1,172).
-	const perNodeBudget, perJobBudget = 1655, 792
+	const perNodeBudget, perJobBudget = 1520, 725
 	// The sim-fleet benchmark's cluster, smaller.
 	cfg := ClusterConfig{Nodes: nodes, Node: DefaultConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: jobs}
 	if _, err := NewCluster(cfg); err != nil { // warm the tape store
@@ -54,19 +56,28 @@ func TestFleetAllocBudget(t *testing.T) {
 
 // TestJobAndRunnerSize pins the structs a fleet allocates by the
 // thousand to their malloc size classes: a field added to any is a
-// decision, not an accident. Go puts an 8-byte header on a pointerful
-// object above 512 B, so a Runner allocates Sizeof+8: it measures 752
-// bytes, 760 with the header, one word free in the 768-byte class (760
-// while four test-only switches stood where the reference flag is;
-// before its fault and controller state moved behind pointers: 992, in
-// the 1024-byte class, allocated as 1,152).
+// decision, not an accident. A Job measures 240 bytes, the 240-byte
+// class (280 in the 288-byte class while it kept its mode hint, a
+// memoized useful-ways figure and a word apiece for its state, deadline
+// class, core, reserved ways and controller boost). Go puts an 8-byte
+// header on a pointerful object above 512 B, so a Runner allocates
+// Sizeof+8: it measures 632 bytes, 640 with the header, the 640-byte
+// class with no word free (752 in the 768-byte class while it kept a
+// one-template memo, its own arrival source inline and a second slice
+// header for the delta scratch's other parity; before its fault and
+// controller state moved behind pointers: 992, in the 1024-byte class,
+// allocated as 1,152). A jobDelta names no job: 40 bytes, so a fleet
+// node's two parities of four fit the 320-byte class (384 at 48 bytes).
 func TestJobAndRunnerSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got > 288 {
-		t.Errorf("Job is %d bytes, over the 288-byte size class", got)
+	if got := unsafe.Sizeof(Job{}); got > 240 {
+		t.Errorf("Job is %d bytes, over the 240-byte size class", got)
 	}
 	const mallocHeader = 8
-	if got := unsafe.Sizeof(Runner{}) + mallocHeader; got > 768 {
-		t.Errorf("Runner allocates %d bytes with its malloc header, over the 768-byte size class", got)
+	if got := unsafe.Sizeof(Runner{}) + mallocHeader; got > 640 {
+		t.Errorf("Runner allocates %d bytes with its malloc header, over the 640-byte size class", got)
+	}
+	if got := unsafe.Sizeof(jobDelta{}); got > 40 {
+		t.Errorf("jobDelta is %d bytes, over 40", got)
 	}
 	// A fleet node's fold is its ten counters (168 B, in the 176-byte
 	// class, while it also kept per-mode wall-clock summaries and the
@@ -123,8 +134,8 @@ func TestFleetNodesDrawNoTapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range cr.nodes {
-		if n.dlmix != nil || n.arrivals != nil {
-			t.Fatalf("node %d of a finished fleet holds its own cursors: dlmix %v, arrivals %v", i, n.dlmix != nil, n.arrivals != nil)
+		if n.src != nil {
+			t.Fatalf("node %d of a finished fleet holds its own arrival source", i)
 		}
 	}
 }

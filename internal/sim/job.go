@@ -9,7 +9,7 @@ import (
 )
 
 // JobState is the lifecycle stage of a job inside the simulator.
-type JobState int
+type JobState uint8
 
 const (
 	// StateWaiting: accepted, waiting for its reserved timeslot.
@@ -44,15 +44,14 @@ func (s JobState) String() string {
 
 // Job is one unit of aperiodic computation with its own QoS target
 // (§3.1): here, one instance of a single-threaded benchmark. One is
-// allocated per accepted job: 280 bytes, inside the 288-byte size class
-// (TestJobAndRunnerSize).
+// allocated per accepted job: 240 bytes, the 240-byte size class
+// (TestJobAndRunnerSize). What depends only on the template (the
+// profile's useful ways, the mode a hint asks for) lives in the node's
+// template table, and the narrow fields share the last three words.
 type Job struct {
 	ID      int
-	Profile *workload.Profile // into the runner's template table: shared, read-only
-	Hint    workload.ModeHint
+	Profile *jobProfile // into the node's template table: shared, read-only
 	Mode    qos.Mode
-	DlClass workload.DeadlineClass
-	State   JobState
 
 	// Timeslot parameters (cycles).
 	Arrival  int64
@@ -72,23 +71,12 @@ type Job struct {
 	// Execution progress.
 	InstrTotal int64
 	InstrDone  int64
-	Core       int // -1 when unassigned
 
-	// Resource allocation.
-	WaysReserved int     // the RUM request (0 for opportunistic)
-	WaysF        float64 // effective ways this epoch (fractional for shared pools)
-	// ctrlBoost is the feedback controller's standing way grant on top
-	// of the negotiated envelope, satisfied from the epoch's idle way
-	// pool (applyCtrlBoosts). Always ≥ 0: the controller can only add
-	// ways above the reservation, never shrink below it.
-	ctrlBoost int
+	WaysF float64 // effective ways this epoch (fractional for shared pools)
 
-	// Automatic downgrade state (§3.4). The flags share one word.
-	AutoDowngraded bool
-	switched       bool  // auto-downgraded job has reverted to Strict
-	started        bool  // the job has run: firstStart is set
-	SwitchBack     int64 // cycle at which the job reverts to Strict
-	ReservationID  int
+	// Automatic downgrade state (§3.4); the flags are below.
+	SwitchBack    int64 // cycle at which the job reverts to Strict
+	ReservationID int
 
 	// Resource stealing (Elastic jobs only).
 	Stealer        *steal.Controller
@@ -102,8 +90,6 @@ type Job struct {
 	ActualCycles   int64
 	BaselineCycles float64
 
-	usefulW float64 // memoized usefulWays(Profile); 0 = not yet computed
-
 	// Memoized miss-curve lookups for the per-epoch advance: the curve is
 	// fixed per job and WaysF changes only when the epoch plan is rebuilt,
 	// so the table engine reuses the exact bits of one MPIF/MPI call
@@ -113,6 +99,28 @@ type Job struct {
 	mpiRes  float64 // Profile.MPI(WaysReserved), set at Stealer creation
 
 	tr *traceState // allocated by the trace engine when the job first runs
+
+	// The narrow fields, together so they pack into the last three words.
+	Core         int32 // -1 when unassigned
+	WaysReserved int32 // the RUM request (0 for opportunistic)
+	// ctrlBoost is the feedback controller's standing way grant on top
+	// of the negotiated envelope, satisfied from the epoch's idle way
+	// pool (applyCtrlBoosts). Always ≥ 0: the controller can only add
+	// ways above the reservation, never shrink below it.
+	ctrlBoost      int32
+	DlClass        workload.DeadlineClass
+	State          JobState
+	AutoDowngraded bool
+	switched       bool // auto-downgraded job has reverted to Strict
+	started        bool // the job has run: firstStart is set
+}
+
+// jobProfile is a template's resolved profile with what the node
+// derives from the profile alone, computed once when the template table
+// is built (buildTwTable) and read-only after.
+type jobProfile struct {
+	workload.Profile
+	usefulW float64 // usefulWays(Profile), for internal fragmentation
 }
 
 // traceState is a job's trace-engine state.
@@ -150,11 +158,11 @@ func (j *Job) SetCtrlBoost(ways int) {
 	if ways < 0 {
 		ways = 0
 	}
-	j.ctrlBoost = ways
+	j.ctrlBoost = int32(ways)
 }
 
 // CtrlBoost returns the controller's current way grant for this job.
-func (j *Job) CtrlBoost() int { return j.ctrlBoost }
+func (j *Job) CtrlBoost() int { return int(j.ctrlBoost) }
 
 // ReservedRunning reports whether the job currently executes with
 // reserved resources (Strict/Elastic, or an auto-downgraded job after

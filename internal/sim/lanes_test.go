@@ -234,8 +234,7 @@ const allocRounds = 5
 // mallocs that testing.AllocsPerRun's integer division reads zero.
 func TestRejectedSubmitAllocatesNothing(t *testing.T) {
 	// Strict under every policy; the phased one (as examples/phases builds
-	// it) has a formatted tw key, which a probe must not format again.
-	plain := workload.JobTemplate{Benchmark: "bzip2"}
+	// it) has a formatted tw key, which only the template table formats.
 	phased := workload.JobTemplate{Benchmark: "bzip2", Phases: []workload.Phase{
 		{Until: 0.5, MPIScale: 0.5}, {Until: 1.0, MPIScale: 1.0},
 	}}
@@ -243,17 +242,13 @@ func TestRejectedSubmitAllocatesNothing(t *testing.T) {
 		workload.Single("bzip2"),
 		{Name: "phased", Jobs: []workload.JobTemplate{phased}},
 	} {
-		tmpl := plain
-		if w.Name == "phased" {
-			tmpl = phased
-		}
 		for _, p := range []Policy{AllStrict, Hybrid2, AllStrictAutoDown} {
 			name := fmt.Sprintf("%v/%s", p, w.Name)
 			r, err := New(DefaultConfig(p, w))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+			for r.submitTemplate(0, workload.DeadlineTight, 0) {
 				if r.acceptedN > 64 {
 					t.Fatalf("%s: node never fills", name)
 				}
@@ -261,7 +256,7 @@ func TestRejectedSubmitAllocatesNothing(t *testing.T) {
 			const probes = 10_000
 			quietest := quietestAlloc(func() {
 				for i := 0; i < probes; i++ {
-					if r.submitTemplate(tmpl, workload.DeadlineTight, 0) {
+					if r.submitTemplate(0, workload.DeadlineTight, 0) {
 						t.Fatalf("%s: a full node accepted probe %d", name, i)
 					}
 				}
@@ -296,11 +291,14 @@ func TestCapacityMissRejectionAllocatesNothing(t *testing.T) {
 			arr.Next()
 			dl.Next()
 		}
-		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
-		r.dlmix = workload.NewDeadlineMix(r.seed)
-		r.nextArr = r.arrivals.Next()
+		src := &arrivalSource{
+			arrivals: workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW),
+			dlmix:    workload.NewDeadlineMix(r.seed),
+		}
+		src.nextArr = src.arrivals.Next()
+		r.src = src
 		submit := func() { // the arrivals stamped at the next arrival's cycle
-			if _, ok, accepted := r.admitNext(r.nextArr + 1); !ok || accepted {
+			if _, ok, accepted := r.admitNext(src.nextArr + 1); !ok || accepted {
 				t.Fatalf("%v: arrival on a node narrower than its request: submitted %v, accepted %v", p, ok, accepted)
 			}
 		}

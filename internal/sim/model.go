@@ -134,7 +134,7 @@ func (m *traceModel) jobStarted(j *Job) {
 		// Fresh Elastic job on this core: clear its duplicate-tag miss
 		// streams; the frozen shadow target is (re)established by the
 		// next applyPartition.
-		m.shadow.ResetOwner(j.Core)
+		m.shadow.ResetOwner(int(j.Core))
 		m.frozen[j.Core] = -1
 	}
 }
@@ -152,7 +152,7 @@ func (m *traceModel) applyPartition(jobsByCore [][]*Job, now int64) {
 	for c, jobs := range jobsByCore {
 		for _, j := range jobs {
 			if j.Stealer != nil && j.ReservedRunning(now) {
-				elasticWays[c] = j.WaysReserved
+				elasticWays[c] = int(j.WaysReserved)
 			}
 		}
 	}
@@ -229,7 +229,8 @@ func (m *traceModel) cpiFor(j *Job, memPenalty float64) float64 {
 }
 
 func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
-	if j.Core < 0 {
+	core := int(j.Core)
+	if core < 0 {
 		return 0, 0
 	}
 	nAcc := int64(float64(instr)*j.Profile.L2APA) >> traceAccessShift
@@ -246,11 +247,11 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 		addr := j.tr.stream.Next()
 		var res cache.Result
 		if j.nextWrite() {
-			res = m.l2.Write(j.Core, addr)
+			res = m.l2.Write(core, addr)
 		} else {
-			res = m.l2.Access(j.Core, addr)
+			res = m.l2.Access(core, addr)
 		}
-		m.shadow.Observe(j.Core, addr, res)
+		m.shadow.Observe(core, addr, res)
 		if !res.Hit {
 			missCount++
 		}
@@ -266,8 +267,8 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 	if j.Stealer != nil {
 		// The stealing guard compares the sampled-set counters, exactly
 		// like the hardware.
-		j.MainMisses = m.shadow.MainMisses(j.Core)
-		j.ShadowMisses = m.shadow.ShadowMisses(j.Core)
+		j.MainMisses = m.shadow.MainMisses(core)
+		j.ShadowMisses = m.shadow.ShadowMisses(core)
 	} else {
 		j.MainMisses += misses
 		j.ShadowMisses += misses
@@ -278,7 +279,7 @@ func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
 // stealReady reports whether the duplicate tags currently track the
 // job's true no-stealing baseline.
 func (m *traceModel) stealReady(j *Job) bool {
-	return j.Core >= 0 && m.frozen[j.Core] == j.WaysReserved
+	return j.Core >= 0 && m.frozen[j.Core] == int(j.WaysReserved)
 }
 
 // steadyDeltas: the trace engine's misses come from simulated address

@@ -150,7 +150,7 @@ func (r *Runner) applyCtrlBoosts(byCore [][]*Job) {
 	for _, jobs := range byCore {
 		for _, j := range jobs {
 			if j.ctrlBoost > 0 && j.ReservedRunning(r.now) {
-				wants = append(wants, ctrlGrant{j, j.ctrlBoost})
+				wants = append(wants, ctrlGrant{j, int(j.ctrlBoost)})
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmpqos/internal/fault"
+	"cmpqos/internal/stats"
 	"cmpqos/internal/steal"
 	"cmpqos/internal/workload"
 )
@@ -142,6 +143,69 @@ func TestFoldViolationAccounting(t *testing.T) {
 	if b, f := get(batch), get(fr); b != f {
 		t.Errorf("FoldCompleted aggregates diverge from batch mode\nbatch: %+v\nfold:  %+v", b, f)
 	}
+}
+
+// TestFoldCompaction runs one FoldCompleted node long enough that
+// compaction (Runner.compact) fires several times, driving the loop Run
+// drives so that it sees each compaction when the step that ran it
+// returns. After each one the accepted slice must hold only live jobs:
+// the job the overrun terminates is among the first finished, so a
+// compaction that keeps a terminated (or done) job fails here. A
+// compaction that drops a live job leaves that job unfolded, so the
+// report's scalars must equal the batch run's, which keeps every job.
+func TestFoldCompaction(t *testing.T) {
+	cfg := wallClockCfg()
+	cfg.JobInstr = 1_000_000
+	cfg.AcceptTarget = 1_200
+	batch := mustRun(t, cfg)
+	if batch.Terminated == 0 {
+		t.Fatal("the batch run terminated no job; the case needs one")
+	}
+	cfg.FoldCompleted = true
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactions, most := 0, 0
+	for !r.done() {
+		if r.now > maxCycles {
+			t.Fatal("the run never finished")
+		}
+		n := len(r.accepted)
+		r.step()
+		most = max(most, len(r.accepted))
+		if len(r.accepted) < n {
+			compactions++
+			if r.doneN != 0 {
+				t.Fatalf("cycle %d: compaction left doneN %d", r.now, r.doneN)
+			}
+			for _, j := range r.accepted {
+				if j.State == StateDone || j.State == StateTerminated {
+					t.Fatalf("cycle %d: compaction kept job %d, %v", r.now, j.ID, j.State)
+				}
+			}
+		}
+		for r.skipOK {
+			k := r.steadyWindow(ffChunkEpochs)
+			if k <= 0 {
+				break
+			}
+			r.applySteady(k)
+		}
+	}
+	if compactions < 2 || most >= cfg.AcceptTarget {
+		t.Fatalf("%d compactions, at most %d jobs held of %d accepted; the case must compact more than once", compactions, most, cfg.AcceptTarget)
+	}
+	scalars := func(rep *Report) Report {
+		cp := *rep
+		cp.Jobs, cp.Lanes, cp.WallClockByMode, cp.OppWallClock = nil, nil, nil, stats.Summary{}
+		cp.ElasticMissIncrease, cp.ElasticCPIIncrease = 0, 0
+		return cp
+	}
+	if got, want := scalars(r.report()), scalars(batch); !reflect.DeepEqual(got, want) {
+		t.Errorf("the compacted run's report differs from the batch run's\ngot:  %+v\nwant: %+v", got, want)
+	}
+	t.Logf("%d compactions, at most %d of %d jobs held", compactions, most, cfg.AcceptTarget)
 }
 
 // TestShadowSlowdownUnderDarkWays drives the runner epoch by epoch

@@ -61,7 +61,7 @@ type armedSink struct {
 }
 
 func (s *armedSink) Event(ev trace.Event) {
-	if r := s.r; ev.Kind == trace.Rejected && r.boundGen != 0 && r.boundGen == r.lac.Gen()+1 {
+	if src := s.r.src; ev.Kind == trace.Rejected && src.boundGen != 0 && src.boundGen == s.r.lac.Gen()+1 {
 		s.n++
 	}
 }
@@ -225,14 +225,19 @@ func countProofs(t *testing.T, cfg Config) (n proofCounts) {
 			k := r.steadyWindow(ffChunkEpochs)
 			if !deferred && r.ffPriced {
 				var traffic int64
-				for _, d := range r.ffDeltas {
-					traffic += d.misses + writeBacks(d.misses)
-					phased := d.j.InstrTotal > 0 && len(d.j.Profile.Phases) > 0
-					if r.ffPeriod == 2 && phased && phaseIndexAt(d.j, d.j.InstrDone+d.instr) != phaseIndexAt(d.j, d.j.InstrDone) {
-						n.phaseP2++
+				planned := 0
+				for _, jobs := range r.sc.byCore {
+					for _, j := range jobs {
+						d := r.parityDeltas(0)[planned]
+						planned++
+						traffic += d.misses + writeBacks(d.misses)
+						phased := j.InstrTotal > 0 && len(j.Profile.Phases) > 0
+						if r.ffPeriod == 2 && phased && phaseIndexAt(j, j.InstrDone+d.instr) != phaseIndexAt(j, j.InstrDone) {
+							n.phaseP2++
+						}
 					}
 				}
-				if c.deltas == deltas && len(r.ffDeltas) > 0 {
+				if c.deltas == deltas && planned > 0 {
 					n.served++
 				}
 				if r.bus.SaturatedAt(r.bus.WindowUtilization(traffic, r.cfg.EpochCycles)) != r.bus.SaturatedAt(u0) {
@@ -429,9 +434,9 @@ func TestReferenceKeepsNoFastPathState(t *testing.T) {
 		if wake := r.nextHorizon(); wake != r.now {
 			t.Fatalf("cycle %d: a window to %d was proved", r.now, wake)
 		}
-		if r.planOK || r.nSkipped != 0 || !math.IsNaN(r.ffPricedAt[0]) || !math.IsNaN(r.ffPricedAt[1]) || r.ffProvedK != 0 || r.boundGen != 0 {
+		if r.planOK || r.nSkipped != 0 || !math.IsNaN(r.ffPricedAt[0]) || !math.IsNaN(r.ffPricedAt[1]) || r.ffProvedK != 0 || r.src.boundGen != 0 {
 			t.Fatalf("cycle %d: planOK %v, %d epochs skipped, priced at %v, catch-up record %d, start gen %d",
-				r.now, r.planOK, r.nSkipped, r.ffPricedAt, r.ffProvedK, r.boundGen)
+				r.now, r.planOK, r.nSkipped, r.ffPricedAt, r.ffProvedK, r.src.boundGen)
 		}
 	}
 	for _, k := range []trace.EventKind{trace.StealWay, trace.Accepted, trace.Rejected} {

@@ -34,8 +34,10 @@ func boundTwins(t *testing.T, cfg Config) (bound, admitAll *Runner) {
 			t.Fatal(err)
 		}
 		r.reference = reference
-		r.dlmix = workload.NewDeadlineMix(r.seed)
-		r.arrivals = workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW)
+		r.src = &arrivalSource{
+			dlmix:    workload.NewDeadlineMix(r.seed),
+			arrivals: workload.NewArrivals(r.seed+1, r.cfg.ProbesPerTw, r.refTW),
+		}
 		if i == 0 {
 			bound = r
 		} else {
@@ -51,7 +53,7 @@ func arrive(t *testing.T, bound, admitAll *Runner, ta int64) bool {
 	t.Helper()
 	var got [2]bool
 	for i, r := range []*Runner{bound, admitAll} {
-		r.nextArr = ta
+		r.src.nextArr = ta
 		_, ok, accepted := r.admitNext(ta + 1)
 		if !ok {
 			t.Fatalf("arrival at %d not submitted", ta)
@@ -79,11 +81,10 @@ func fillAtZero(t *testing.T, bound, admitAll *Runner) (start, tw int64) {
 			t.Fatal("node never fills")
 		}
 	}
-	if bound.boundGen == 0 || bound.boundStart <= 0 || bound.boundStart == math.MaxInt64 {
-		t.Fatalf("rejection learned gen %d, start %d; want a finite start", bound.boundGen, bound.boundStart)
+	if s := bound.src; s.boundGen == 0 || s.boundStart <= 0 || s.boundStart == math.MaxInt64 {
+		t.Fatalf("rejection learned gen %d, start %d; want a finite start", s.boundGen, s.boundStart)
 	}
-	tmpl := bound.cfg.Workload.Jobs[bound.acceptedN%len(bound.cfg.Workload.Jobs)]
-	return bound.boundStart, bound.twFor(tmpl).tw
+	return bound.src.boundStart, bound.tmpl[bound.acceptedN%len(bound.cfg.Workload.Jobs)].tw
 }
 
 // testBoundThreshold: with a fixed deadline factor f, an All-Strict
@@ -110,7 +111,7 @@ func testBoundThreshold(t *testing.T) {
 	if !arrive(t, bound, admitAll, at) {
 		t.Error("td − dur = S: rejected, but the reservation fits at S")
 	}
-	if bound.boundGen != 0 {
+	if bound.src.boundGen != 0 {
 		t.Error("an acceptance left the slot's bound standing")
 	}
 }
@@ -145,7 +146,7 @@ func testBoundAutoDownHeadroom(t *testing.T) {
 	cfg := DefaultConfig(AllStrictAutoDown, workload.Single("bzip2"))
 	cfg.DeadlineFactor = 3
 	bound, admitAll := boundTwins(t, cfg)
-	tw := bound.twFor(cfg.Workload.Jobs[0]).tw
+	tw := bound.tmpl[0].tw
 	A, B := 4*tw, 20*tw
 	hold := func(r *Runner, id, ways int, at, dur int64) {
 		rum := qos.RUM{Resources: qos.ResourceVector{Cores: 1, CacheWays: ways}, MaxWallClock: dur}

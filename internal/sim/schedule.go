@@ -22,11 +22,12 @@ func (r *Runner) startJobs() {
 			j.started, j.firstStart = true, r.now
 		}
 		if j.Mode.Kind == qos.KindElastic && !r.cfg.DisableStealing {
-			j.Stealer = steal.New(j.Mode.Slack, j.WaysReserved, 1)
+			ways := int(j.WaysReserved)
+			j.Stealer = steal.New(j.Mode.Slack, ways, 1)
 			// Curve lookups at the fixed original allocation, reused by
 			// the shadow-baseline accounting every epoch.
-			j.mpifRes = j.Profile.MPIF(float64(j.WaysReserved))
-			j.mpiRes = j.Profile.MPI(j.WaysReserved)
+			j.mpifRes = j.Profile.MPIF(float64(ways))
+			j.mpiRes = j.Profile.MPI(ways)
 		}
 		r.emit(trace.Event{Cycle: r.now, JobID: j.ID, Kind: trace.Started})
 		if j.AutoDowngraded {
@@ -88,7 +89,7 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 		for c := 0; c < r.cfg.Cores; c++ {
 			if reservedOn[c] == nil && !r.coreDown[c] {
 				reservedOn[c] = j
-				j.Core = c
+				j.Core = int32(c)
 				placed = true
 				r.model.jobStarted(j)
 				break
@@ -149,7 +150,7 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 				}
 			}
 		}
-		j.Core = best
+		j.Core = int32(best)
 		load[best]++
 		r.model.jobStarted(j)
 	}
@@ -197,7 +198,7 @@ func (sharedScheduler) Assign(r *Runner) [][]*Job {
 	}
 	for _, j := range unplaced {
 		c := minIndex(load)
-		j.Core = c
+		j.Core = int32(c)
 		load[c]++
 		r.model.jobStarted(j)
 	}

@@ -64,13 +64,8 @@ func (r *Runner) fragDeltas(byCore [][]*Job) (idleCores, idleWays, internal floa
 			if j.WaysF > coreWays {
 				coreWays = j.WaysF
 			}
-			if j.usefulW == 0 {
-				// Lazily memoized: the profile is fixed at submission and
-				// usefulWays is never below 1, so 0 means "not computed".
-				j.usefulW = usefulWays(*j.Profile)
-			}
-			if j.usefulW > coreUseful {
-				coreUseful = j.usefulW
+			if u := j.Profile.usefulW; u > coreUseful {
+				coreUseful = u
 			}
 			if j.ReservedRunning(r.now) {
 				reserved = true

@@ -16,8 +16,6 @@ const (
 	HintElastic
 	// HintOpportunistic prefers Opportunistic.
 	HintOpportunistic
-	// NumModeHints bounds the enum for table-driven lookups.
-	NumModeHints
 )
 
 // String names the hint.
