@@ -72,6 +72,9 @@ race:
 # invocation, as the go tool requires): the job-file and fault-plan
 # parsers must never crash on arbitrary input, and the indexed Timeline
 # must stay bit-identical to its naive reference on any op sequence,
+# the simulator's scheduler and reserved allocator, which keep no list
+# between passes, must place, start and size every job as the
+# list-based ones they replaced,
 # the GAC's bounded scan must answer and bill exactly as probing every
 # node does (and a plan that is never committed bills nothing), the WAL
 # decoder must recover an intact prefix from any bytes, the WAL record
@@ -99,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -timeout 5m ./internal/server
 	$(GO) test -fuzz=FuzzResponseEncode -fuzztime=10s -timeout 5m ./internal/server
 	$(GO) test -fuzz=FuzzRepeatAdd -fuzztime=10s -timeout 5m ./internal/sim
+	$(GO) test -fuzz=FuzzAssignMatchesListScheduler -fuzztime=10s -timeout 5m ./internal/sim
 	$(GO) test -fuzz=FuzzTapeRoundTrip -fuzztime=10s -timeout 5m ./internal/workload
 
 # bench-smoke compiles and runs the timeline admission, GAC submit,

@@ -87,11 +87,14 @@ type LAC struct {
 	minAutoSlack  float64
 	oppPerCore    int
 	oppLive       int
-	// resByJob maps a job to the one reservation it holds here: reserve
-	// runs once per committed admission, SetCapacity drops an evicted id
-	// before the job is re-admitted, and Complete drops the entry. An id
-	// whose reservation was pruned stays until the job completes.
-	resByJob map[int]int
+	// resByJob maps a job to the node of the one reservation it holds
+	// here: reserve runs once per committed admission, SetCapacity drops
+	// an evicted node before the job is re-admitted, and Complete drops
+	// the entry. It is the only map from a job or an id to a reservation
+	// on the node. A node that Prune dropped stays, detached from the
+	// timeline, until the job completes: the snapshot still writes its id,
+	// and Complete and ShrinkReservation find it gone from the index.
+	resByJob map[int]*resNode
 	// headroomWays is the admission headroom a feedback controller can
 	// set: extra cache ways a reserved-mode probe must find free on top
 	// of its own demand, a brake on new work when the node is behind on
@@ -129,7 +132,7 @@ func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
 		timeline:   NewTimeline(capacity),
 		oppPerCore: OpportunisticPerCore,
-		resByJob:   make(map[int]int),
+		resByJob:   make(map[int]*resNode),
 	}
 	for _, o := range opts {
 		o(l)
@@ -387,12 +390,21 @@ const foreverCycles = int64(1) << 53
 
 func (l *LAC) reserve(jobID int, vec ResourceVector, start, dur int64) int {
 	if held, ok := l.resByJob[jobID]; ok {
-		panic(fmt.Sprintf("qos: job %d reserves again while it holds reservation %d", jobID, held))
+		panic(fmt.Sprintf("qos: job %d reserves again while it holds reservation %d", jobID, held.res.ID))
 	}
-	id := l.timeline.Reserve(jobID, vec, start, dur)
-	l.resByJob[jobID] = id
+	n := l.timeline.reserve(jobID, vec, start, dur)
+	l.resByJob[jobID] = n
 	l.admits++
-	return id
+	return n.res.ID
+}
+
+// held returns the live node of the job's reservation, nil when the job
+// holds none or Prune has dropped it.
+func (l *LAC) held(jobID int) *resNode {
+	if n, ok := l.resByJob[jobID]; ok && l.timeline.idx.has(n) {
+		return n
+	}
+	return nil
 }
 
 // SetCapacity tells the LAC its node's capacity changed at time now —
@@ -404,7 +416,7 @@ func (l *LAC) SetCapacity(capacity ResourceVector, now int64) []Reservation {
 	l.gen++
 	evicted := l.timeline.SetCapacity(capacity, now)
 	for _, ev := range evicted {
-		if id, ok := l.resByJob[ev.JobID]; ok && id == ev.ID {
+		if n, ok := l.resByJob[ev.JobID]; ok && n.res.ID == ev.ID {
 			delete(l.resByJob, ev.JobID)
 		}
 	}
@@ -438,12 +450,14 @@ func (l *LAC) AdmitAutoDowngrade(req Request) Decision {
 	return d
 }
 
-// ShrinkReservation shrinks a live reservation's vector in place (elastic
-// way-shedding under cache faults). It reports whether the reservation
-// exists and the new vector is no larger than the old.
-func (l *LAC) ShrinkReservation(id int, vec ResourceVector) bool {
+// ShrinkReservation shrinks the vector of the job's live reservation in
+// place (elastic way-shedding under cache faults). It reports whether
+// the job holds a live reservation here and the new vector is no larger
+// than the old.
+func (l *LAC) ShrinkReservation(jobID int, vec ResourceVector) bool {
 	l.gen++
-	return l.timeline.ShrinkVec(id, vec)
+	n := l.held(jobID)
+	return n != nil && l.timeline.shrink(n, vec)
 }
 
 // Complete tells the LAC a job finished at time now: its reservations
@@ -458,9 +472,9 @@ func (l *LAC) Complete(jobID int, mode Mode, now int64) {
 			l.oppLive--
 		}
 	}
-	if id, ok := l.resByJob[jobID]; ok {
-		l.timeline.Release(id)
-		delete(l.resByJob, jobID)
+	if n := l.held(jobID); n != nil {
+		l.timeline.drop(n)
 	}
+	delete(l.resByJob, jobID)
 	l.timeline.Prune(now)
 }

@@ -395,7 +395,9 @@ func TestProfNodeSize(t *testing.T) {
 
 // TestTimelineAndLACSize pins the two structs every node of a fleet owns
 // one of: a field added to either is a decision, not an accident. The
-// Timeline is 72 B: it was 104 B with a Render buffer and a priority
+// Timeline is 72 B, a live count where it kept an id→node map beside
+// the LAC's job map (the same size, and a map less per node): it was
+// 104 B with a Render buffer and a priority
 // stream per treap, then 128 B with a one-entry fit memo (56 B), which
 // went once a node's learned earliest start decided nearly every
 // rejection before it reached the LAC (DESIGN §7.5). The LAC is 96 B

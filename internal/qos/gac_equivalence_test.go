@@ -17,8 +17,8 @@ import (
 // lock-step, and fails on the first divergence.
 
 type gacJob struct {
-	id, node, resID int
-	mode            Mode
+	id, node int
+	mode     Mode
 }
 
 type gacPair struct {
@@ -138,7 +138,7 @@ func (p *gacPair) plan(req Request, negotiate bool) Placement {
 
 func (p *gacPair) admitted(req Request, node int, mode Mode, dec Decision) {
 	if dec.Accepted {
-		p.jobs = append(p.jobs, gacJob{id: req.JobID, node: node, resID: dec.ReservationID, mode: mode})
+		p.jobs = append(p.jobs, gacJob{id: req.JobID, node: node, mode: mode})
 	}
 }
 
@@ -205,8 +205,8 @@ func (p *gacPair) step(op []byte) {
 		}
 		j := p.jobs[int(op[1])%len(p.jobs)]
 		vec := ResourceVector{Cores: 1, CacheWays: 1 + int(op[2]%3)}
-		if f, nv := p.fastNodes[j.node].ShrinkReservation(j.resID, vec), p.naiveNodes[j.node].ShrinkReservation(j.resID, vec); f != nv {
-			p.t.Fatalf("ShrinkReservation(%d,%v) %v != %v", j.resID, vec, f, nv)
+		if f, nv := p.fastNodes[j.node].ShrinkReservation(j.id, vec), p.naiveNodes[j.node].ShrinkReservation(j.id, vec); f != nv {
+			p.t.Fatalf("ShrinkReservation(%d,%v) %v != %v", j.id, vec, f, nv)
 		}
 	default: // the next arrival stamps run backwards (at times below zero)
 		p.clock = max(p.clock-int64(op[1])<<p.stepShift>>4, -8)

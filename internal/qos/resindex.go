@@ -16,8 +16,10 @@ import (
 //	any reservation ended by now (Prune)  minEnd descent     O(log n)
 //	render horizon (last finite end)      maxFin aggregate   O(1)
 //	time-ordered iteration                in-order walk      O(n)
+//	node still live (LAC.Complete)        key descent        O(log n)
+//	reservation by id alone (Release)     whole walk         O(n)
 //
-// Node pointers are stable across rotations, so Timeline's id→node map
+// Node pointers are stable across rotations, so the LAC's job→node map
 // stays valid through every mutation. A node's key and End never change
 // after insert; Vec changes in place (ShrinkVec — Vec feeds no
 // aggregate here).
@@ -117,7 +119,7 @@ func resRotLeft(n *resNode) *resNode {
 }
 
 // remove unlinks the node with key (start, id); the caller already owns
-// the node pointer via the id map, so nothing is returned.
+// the node pointer, so nothing is returned.
 func (ix *resIndex) remove(key Reservation) {
 	ix.root = resDel(ix.root, key)
 }
@@ -153,6 +155,38 @@ func resMerge(a, b *resNode) *resNode {
 	b.left = resMerge(a, b.left)
 	b.pull()
 	return b
+}
+
+// has reports whether n is in the index: a descent by its (Start, ID)
+// key. IDs are unique, so a node that Prune or an eviction dropped, or
+// one that was never inserted, is not found.
+func (ix *resIndex) has(n *resNode) bool {
+	for c := ix.root; c != nil; {
+		if c == n {
+			return true
+		}
+		if resKeyLess(n.res, c.res) {
+			c = c.left
+		} else {
+			c = c.right
+		}
+	}
+	return false
+}
+
+// resFind returns the node holding reservation id, or nil: a walk of the
+// whole index, for callers that know the id alone.
+func resFind(n *resNode, id int) *resNode {
+	for n != nil {
+		if n.res.ID == id {
+			return n
+		}
+		if f := resFind(n.left, id); f != nil {
+			return f
+		}
+		n = n.right
+	}
+	return nil
 }
 
 // victim returns the reservation covering instant at (Start ≤ at < End)

@@ -64,7 +64,7 @@ func (l *LAC) EncodeSnapshot(e *jsonenc.Encoder) {
 		e.IntKey(job)
 		e.Array()
 		e.Elem()
-		e.Int(int64(l.resByJob[job]))
+		e.Int(int64(l.resByJob[job].res.ID))
 		e.EndArray()
 	}
 	e.EndObject()
@@ -122,8 +122,12 @@ func RestoreLAC(r io.Reader, opts ...LACOption) (*LAC, error) {
 		}
 		// Re-reserve through the timeline so capacity invariants are
 		// re-verified; a corrupted snapshot fails loudly here.
-		if !l.timeline.restore(res) {
+		n := l.timeline.restore(res)
+		if n == nil {
 			return nil, fmt.Errorf("qos: snapshot reservations exceed capacity at %d", res.Start)
+		}
+		if ids := snap.ResByJob[res.JobID]; len(ids) > 0 && ids[0] == res.ID {
+			l.resByJob[res.JobID] = n
 		}
 	}
 	l.timeline.nextID = snap.NextID
@@ -131,7 +135,11 @@ func RestoreLAC(r io.Reader, opts ...LACOption) (*LAC, error) {
 		if len(ids) != 1 {
 			return nil, fmt.Errorf("qos: snapshot job %d lists %d reservation ids, want one", job, len(ids))
 		}
-		l.resByJob[job] = ids[0]
+		if _, ok := l.resByJob[job]; !ok {
+			// Pruned before the job completed: a detached node keeps
+			// the id for the next snapshot, and is in no index.
+			l.resByJob[job] = &resNode{res: Reservation{ID: ids[0], JobID: job}}
+		}
 	}
 	l.oppLive = snap.OppLive
 	l.probes = snap.Probes

@@ -16,8 +16,8 @@ import (
 // encoder is held to, the way naiveTimeline and naiveGAC do.
 func (l *LAC) naiveSnapshot(w io.Writer) error {
 	resByJob := make(map[int][]int, len(l.resByJob))
-	for job, id := range l.resByJob {
-		resByJob[job] = []int{id}
+	for job, n := range l.resByJob {
+		resByJob[job] = []int{n.res.ID}
 	}
 	snap := lacSnapshot{
 		Version:  snapshotVersion,

@@ -24,16 +24,22 @@ type Reservation struct {
 // indexed usage profile: a balanced tree of time boundaries carrying
 // usage deltas and prefix-sum aggregates (profile.go), a companion tree
 // of reservations keyed by (Start, ID) with end aggregates
-// (resindex.go), and an id→node map. Every admission query and mutation
-// is O(log n) in live reservations; behavior is bit-identical to the
-// naive reservation-list scan it replaced, which survives as the
-// test-only naiveTimeline reference (naive_timeline_test.go) that the
-// differential fuzzer checks this implementation against.
+// (resindex.go), and a count of the live ones. Every admission query
+// and every mutation through a reservation's node is O(log n) in live
+// reservations; behavior is bit-identical to the naive reservation-list
+// scan it replaced, which survives as the test-only naiveTimeline
+// reference (naive_timeline_test.go) that the differential fuzzer checks
+// this implementation against.
+//
+// The Timeline keeps no id index: its owner, the LAC, holds each job's
+// reservation node (LAC.resByJob) and releases, shrinks and tests it
+// through that. Release, ShrinkVec and Get, which name a reservation by
+// id alone, find it by a walk of the index, O(n).
 type Timeline struct {
 	capacity ResourceVector
 	prof     profile
 	idx      resIndex
-	byID     map[int]*resNode
+	live     int // reservations in idx
 	nextID   int
 	// rng draws the priorities of both treaps: their shapes set only the
 	// cost of a query, never its answer, so one deterministic stream
@@ -48,7 +54,6 @@ func NewTimeline(capacity ResourceVector) *Timeline {
 	}
 	return &Timeline{
 		capacity: capacity,
-		byID:     map[int]*resNode{},
 		nextID:   1,
 		rng:      splitmix.New(0x9e3779b97f4a7c15),
 	}
@@ -58,7 +63,7 @@ func NewTimeline(capacity ResourceVector) *Timeline {
 func (t *Timeline) Capacity() ResourceVector { return t.capacity }
 
 // Len returns the number of live reservations.
-func (t *Timeline) Len() int { return len(t.byID) }
+func (t *Timeline) Len() int { return t.live }
 
 // UsageAt returns the summed reservation vector at time x: the profile
 // prefix sum over boundaries ≤ x.
@@ -167,23 +172,28 @@ func (t *Timeline) LatestFit(vec ResourceVector, now, dur, deadline int64) (star
 // window does not actually fit — callers must have verified fit, so a
 // violation is a scheduler bug, not a runtime condition.
 func (t *Timeline) Reserve(jobID int, vec ResourceVector, start, dur int64) int {
+	return t.reserve(jobID, vec, start, dur).res.ID
+}
+
+// reserve is Reserve returning the reservation's node.
+func (t *Timeline) reserve(jobID int, vec ResourceVector, start, dur int64) *resNode {
 	if !t.fits(vec, start, dur) {
 		panic(fmt.Sprintf("qos: reservation %v @[%d,%d) does not fit", vec, start, start+dur))
 	}
 	id := t.nextID
 	t.nextID++
-	t.insert(Reservation{ID: id, JobID: jobID, Vec: vec, Start: start, End: start + dur})
-	return id
+	return t.insert(Reservation{ID: id, JobID: jobID, Vec: vec, Start: start, End: start + dur})
 }
 
-// insert threads a reservation through all three structures.
-func (t *Timeline) insert(res Reservation) {
+// insert threads a reservation through the profile and the index.
+func (t *Timeline) insert(res Reservation) *resNode {
 	v := toUvec(res.Vec)
 	t.prof.update(res.Start, v, +1, &t.rng)
 	t.prof.update(res.End, v.neg(), +1, &t.rng)
 	n := &resNode{res: res}
 	t.idx.insert(n, &t.rng)
-	t.byID[res.ID] = n
+	t.live++
+	return n
 }
 
 // drop is insert's inverse.
@@ -192,13 +202,13 @@ func (t *Timeline) drop(n *resNode) {
 	t.prof.update(n.res.Start, v.neg(), -1, &t.rng)
 	t.prof.update(n.res.End, v, -1, &t.rng)
 	t.idx.remove(n.res)
-	delete(t.byID, n.res.ID)
+	t.live--
 }
 
 // Release removes a reservation by ID; it is a no-op for unknown IDs
-// (already released).
+// (already released). It finds the reservation by a walk, O(n).
 func (t *Timeline) Release(id int) {
-	if n, ok := t.byID[id]; ok {
+	if n := resFind(t.idx.root, id); n != nil {
 		t.drop(n)
 	}
 }
@@ -236,12 +246,14 @@ func (t *Timeline) SetCapacity(capacity ResourceVector, from int64) []Reservatio
 // ShrinkVec replaces reservation id's vector with a smaller one — the
 // elastic way-shedding path under cache faults. It refuses to grow any
 // component (growth would need a fresh fit check) and reports whether
-// the reservation was found and shrunk.
+// the reservation was found, by a walk, O(n), and shrunk.
 func (t *Timeline) ShrinkVec(id int, vec ResourceVector) bool {
-	n, ok := t.byID[id]
-	if !ok {
-		return false
-	}
+	n := resFind(t.idx.root, id)
+	return n != nil && t.shrink(n, vec)
+}
+
+// shrink is ShrinkVec on a live reservation's node.
+func (t *Timeline) shrink(n *resNode, vec ResourceVector) bool {
 	if !vec.Fits(n.res.Vec) {
 		return false
 	}
@@ -252,9 +264,9 @@ func (t *Timeline) ShrinkVec(id int, vec ResourceVector) bool {
 	return true
 }
 
-// Get returns a reservation by ID.
+// Get returns a reservation by ID, found by a walk, O(n).
 func (t *Timeline) Get(id int) (Reservation, bool) {
-	if n, ok := t.byID[id]; ok {
+	if n := resFind(t.idx.root, id); n != nil {
 		return n.res, true
 	}
 	return Reservation{}, false
@@ -275,17 +287,17 @@ func (t *Timeline) Prune(now int64) {
 // Reservations returns a copy of the live reservations, sorted by start
 // time (ID on ties), for diagnostics and trace rendering.
 func (t *Timeline) Reservations() []Reservation {
-	return resAppend(t.idx.root, make([]Reservation, 0, len(t.byID)))
+	return resAppend(t.idx.root, make([]Reservation, 0, t.live))
 }
 
 // restore re-inserts a snapshot reservation, preserving its ID, after
-// re-verifying the capacity invariant. Reports whether it fit.
-func (t *Timeline) restore(res Reservation) bool {
+// re-verifying the capacity invariant. It returns the reservation's
+// node, nil when it did not fit.
+func (t *Timeline) restore(res Reservation) *resNode {
 	if !t.fits(res.Vec, res.Start, res.End-res.Start) {
-		return false
+		return nil
 	}
-	t.insert(res)
-	return true
+	return t.insert(res)
 }
 
 // AvailabilityStep is one segment of the piecewise-constant availability

@@ -7,37 +7,42 @@ import "cmpqos/internal/alloc"
 
 // reservedAllocator honors the admission-time reservations: reserved
 // jobs get their (possibly stolen-from) reservation; Opportunistic jobs
-// share the unallocated pool.
+// share the unallocated pool. A first pass sets the reserved shares and
+// sums them into the pool, a second splits the pool; both walk byCore in
+// the same order, so the shares are set in the order a list of the
+// opportunistic jobs would set them.
 type reservedAllocator struct{}
 
 func (reservedAllocator) Allocate(r *Runner, byCore [][]*Job) {
-	reservedWays := 0
-	oppJobs := r.sc.oppJobs[:0]
+	reservedWays, opps := 0, 0
 	for _, jobs := range byCore {
 		for _, j := range jobs {
-			if j.ReservedRunning(r.now) {
-				w := int(j.WaysReserved)
-				if j.Stealer != nil {
-					w = j.Stealer.Ways()
-				}
-				j.setWaysF(float64(w))
-				reservedWays += w
-			} else {
-				oppJobs = append(oppJobs, j)
+			if !j.ReservedRunning(r.now) {
+				opps++
+				continue
+			}
+			w := int(j.WaysReserved)
+			if j.Stealer != nil {
+				w = j.Stealer.Ways()
+			}
+			j.setWaysF(float64(w))
+			reservedWays += w
+		}
+	}
+	if opps == 0 {
+		return
+	}
+	per := float64(r.cfg.L2.Ways-r.waysDown()-reservedWays) / float64(opps)
+	if per < 0.25 {
+		per = 0.25 // a thrashing minimum; opportunistic jobs never stop
+	}
+	for _, jobs := range byCore {
+		for _, j := range jobs {
+			if !j.ReservedRunning(r.now) {
+				j.setWaysF(per)
 			}
 		}
 	}
-	pool := float64(r.cfg.L2.Ways - r.waysDown() - reservedWays)
-	if len(oppJobs) > 0 {
-		per := pool / float64(len(oppJobs))
-		if per < 0.25 {
-			per = 0.25 // a thrashing minimum; opportunistic jobs never stop
-		}
-		for _, j := range oppJobs {
-			j.setWaysF(per)
-		}
-	}
-	r.sc.oppJobs = oppJobs
 }
 
 // equalAllocator splits the (non-faulted) cache evenly across the

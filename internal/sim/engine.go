@@ -95,15 +95,20 @@ type Runner struct {
 
 	// Fault injection (internal/sim/fault.go): the plan's state, nil for
 	// a run without a fault plan. coreDown and latFactor stay inline —
-	// the scheduler and the miss penalty read them every epoch. latFactor
-	// is 1.0 whenever no spike is active, and multiplying a float64 by
-	// exactly 1.0 is the identity, so the fault-free hot path stays
-	// bit-identical.
+	// the scheduler and the miss penalty read them every epoch. coreDown
+	// has bit c set while core c is failed (Config.Validate caps Cores
+	// at 64; read it through isDown). latFactor is 1.0 whenever no spike
+	// is active, and multiplying a float64 by exactly 1.0 is the
+	// identity, so the fault-free hot path stays bit-identical.
 	faults    *faultState
-	coreDown  []bool
+	coreDown  uint64
 	latFactor float64
 
-	sc epochScratch
+	// byCore is the epoch plan's core assignment, Assign's result: the
+	// running jobs on each core. The plan cache replays it between QoS
+	// events, so it is the one per-epoch list that lives across epochs;
+	// the scheduler and allocator keep nothing else.
+	byCore [][]*Job
 
 	// The one-byte fields, together so they pack into the last words.
 	ffPeriod      int8 // the proved window's bus period, 1 or 2
@@ -138,20 +143,6 @@ type arrivalSource struct {
 	// without an admission test (learnStart).
 	boundStart int64
 	boundGen   uint64
-}
-
-// epochScratch holds the per-epoch working slices, reused across steps so
-// the steady-state epoch loop allocates nothing. Nothing may retain these
-// slices past the epoch that filled them.
-type epochScratch struct {
-	byCore     [][]*Job
-	load       []int
-	reservedOn []*Job
-	needCore   []*Job
-	opps       []*Job
-	unplaced   []*Job
-	oppJobs    []*Job
-	freeCores  []int
 }
 
 // nodeShared is the immutable half of a Runner: what New derives from the
@@ -249,13 +240,10 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 	default:
 		r.model = &tableModel{}
 	}
-	r.sc.byCore = make([][]*Job, cfg.Cores)
-	r.sc.load = make([]int, cfg.Cores)
-	r.sc.reservedOn = make([]*Job, cfg.Cores)
+	r.byCore = make([][]*Job, cfg.Cores)
 	if pts := buildFaultPoints(cfg.Faults); pts != nil {
 		r.faults = &faultState{pts: pts}
 	}
-	r.coreDown = make([]bool, cfg.Cores)
 	r.latFactor = 1.0
 	r.frag = &fragSink{}
 	if cfg.RecordSeries {
@@ -338,7 +326,7 @@ func (r *Runner) step() {
 		// observe identical tick sequences.
 		r.ctrlTick()
 	}
-	byCore := r.sc.byCore
+	byCore := r.byCore
 	switch {
 	case r.planOK && r.now < r.planWake && !r.planWaysDirty:
 		// Steady state: reuse the plan verbatim.

@@ -42,7 +42,7 @@ const ffChunkEpochs = int64(1) << 20
 // jobDelta is one planned job's per-epoch advance, captured by
 // steadyWindow and applied k-fold by applySteady. It names no job: a
 // parity's deltas are in plan order, and their readers walk the plan
-// (r.sc.byCore) beside them.
+// (r.byCore) beside them.
 type jobDelta struct {
 	instr    int64   // instructions retired per epoch
 	consumed int64   // cycles consumed per epoch
@@ -77,7 +77,7 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 		r.ffPricedAt[0], r.ffPricedAt[1] = r.ffPricedAt[1], r.ffPricedAt[0]
 	}
 	jobs := 0
-	for _, onCore := range r.sc.byCore {
+	for _, onCore := range r.byCore {
 		jobs += len(onCore)
 	}
 	if r.ffPricedAt[parity] == u {
@@ -101,7 +101,7 @@ func (r *Runner) epochDeltas(u float64, parity int) (miss, wb int64) {
 	E := r.cfg.EpochCycles
 	record := true
 	i := 0
-	for _, onCore := range r.sc.byCore {
+	for _, onCore := range r.byCore {
 		n := int64(len(onCore))
 		if n == 0 {
 			continue
@@ -158,7 +158,7 @@ func (r *Runner) parityDeltas(parity int) []jobDelta {
 // least a job per core. A fleet node's target is the fleet's, so it
 // starts at a job per core. A plan that holds more regrows the scratch.
 func (r *Runner) deltaJobs() int {
-	cores := len(r.sc.byCore)
+	cores := len(r.byCore)
 	n := r.cfg.AcceptTarget
 	if len(r.cfg.Script) > 0 {
 		n = len(r.cfg.Script)
@@ -297,7 +297,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 		// all of it, and the completion cap below closes the window at
 		// zero), so the second parity goes unpriced.
 		i := -1
-		for _, jobs := range r.sc.byCore {
+		for _, jobs := range r.byCore {
 			for _, j := range jobs {
 				i++
 				if d0s[i].instr >= j.Remaining()-1 {
@@ -316,7 +316,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 
 	d1s := r.parityDeltas(1)
 	i := -1
-	for _, jobs := range r.sc.byCore {
+	for _, jobs := range r.byCore {
 		for _, j := range jobs {
 			i++
 			// iSum is the job's progress per period; extra the offset of
@@ -359,7 +359,7 @@ func (r *Runner) steadyAttempt(maxK int64) int64 {
 	// the first crossing that acts). Runs last because it needs the
 	// per-epoch deltas and the already-minimized k.
 	i = -1
-	for _, jobs := range r.sc.byCore {
+	for _, jobs := range r.byCore {
 		for _, j := range jobs {
 			i++
 			if j.Stealer == nil {
@@ -560,7 +560,7 @@ func (r *Runner) applySteady(k int64) {
 	d0s, d1s := r.parityDeltas(0), r.parityDeltas(1)
 	var none jobDelta
 	i := -1
-	for _, jobs := range r.sc.byCore {
+	for _, jobs := range r.byCore {
 		for _, j := range jobs {
 			i++
 			d0, d1 := &d0s[i], &none

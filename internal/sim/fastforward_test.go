@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 		}
 		j := &Job{BaselineCycles: s}
 		r.ffPeriod = int8(period)
-		r.sc.byCore[0] = []*Job{j}
+		r.byCore[0] = []*Job{j}
 		r.ffDeltas = []jobDelta{{base: 1}, {base: 1.5}} // a half per parity
 		*r.frag = fragSink{idleCores: s, idleWays: s, internal: s}
 		r.planIdleCores, r.planIdleWays, r.planInternal = 1.5, 2.5, 3
@@ -245,6 +246,74 @@ func TestApplySteadyFloatAccumulators(t *testing.T) {
 			t.Errorf("period %d: frag pools = %+v, %d stepped epochs leave %+v", period, got, k, want)
 		}
 	}
+}
+
+// TestPricingRecordFollowsItsHalf: epochDeltas keeps a pricing per
+// parity and, asked for parity 0 at the u parity 1 was priced at, swaps
+// the halves instead of pricing again. A swap must carry each half's
+// ffPricedAt record with it, or a record names the other half's deltas:
+// the flip without the records passed every other test, because no
+// later held epoch read the stale record. Here parity 1 is priced at u₁
+// and parity 0 at u₀, epochDeltas(u₁, 0) swaps, and then every record
+// must still price its half, and epochDeltas(u₀, 0) and
+// epochDeltas(u₁, 1) must return a fresh pricing's totals.
+func TestPricingRecordFollowsItsHalf(t *testing.T) {
+	r, err := New(DefaultConfig(Hybrid2, workload.Single("bzip2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for i := 0; i < 10_000 && (jobs < 2 || !r.planOK); i++ {
+		r.step()
+		jobs = 0
+		for _, onCore := range r.byCore {
+			jobs += len(onCore)
+		}
+	}
+	if jobs < 2 || !r.planOK {
+		t.Fatalf("no held plan with two jobs: %d jobs, planOK %v", jobs, r.planOK)
+	}
+	const u0, u1 = 0.15, 0.85
+	type totals struct{ miss, wb int64 }
+	fresh := func(u float64) totals {
+		r.ffPricedAt = unpriced
+		m, w := r.epochDeltas(u, 0)
+		r.ffPricedAt = unpriced
+		return totals{m, w}
+	}
+	want := map[float64]totals{u0: fresh(u0), u1: fresh(u1)}
+	if want[u0] == want[u1] {
+		t.Fatalf("u %v and %v price the plan alike (%+v): the test cannot tell the halves apart", u0, u1, want[u0])
+	}
+	ask := func(u float64, parity int) {
+		t.Helper()
+		if m, w := r.epochDeltas(u, parity); (totals{m, w}) != want[u] {
+			t.Fatalf("epochDeltas(%v, %d) = %d misses, %d write-backs; a fresh pricing gives %+v", u, parity, m, w, want[u])
+		}
+		for p, at := range r.ffPricedAt {
+			var got totals
+			for _, d := range r.parityDeltas(p)[:jobs] {
+				got.miss += d.misses
+				got.wb += writeBacks(d.misses)
+			}
+			if !math.IsNaN(at) && got != want[at] {
+				t.Fatalf("after epochDeltas(%v, %d): parity %d's record says u = %v, its half sums to %+v, want %+v",
+					u, parity, p, at, got, want[at])
+			}
+		}
+	}
+	ask(u1, 1)
+	ask(u0, 0)
+	if r.ffPricedAt != [2]float64{u0, u1} {
+		t.Fatalf("records %v after pricing both parities, want [%v %v]", r.ffPricedAt, u0, u1)
+	}
+	swapped := r.ffSwapped
+	ask(u1, 0)
+	if r.ffSwapped == swapped || r.ffPricedAt != [2]float64{u1, u0} {
+		t.Fatalf("epochDeltas(%v, 0) did not swap the halves: swapped %v, records %v", u1, r.ffSwapped, r.ffPricedAt)
+	}
+	ask(u0, 0)
+	ask(u1, 1)
 }
 
 // TestStealHorizonAgainstStepping holds the fast-forward's steal guard to

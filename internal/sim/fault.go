@@ -39,6 +39,9 @@ func (r *Runner) downCores() int {
 	return r.faults.downCores
 }
 
+// isDown reports whether core c is failed right now.
+func (r *Runner) isDown(c int) bool { return r.coreDown&(1<<c) != 0 }
+
 // waysDown returns how many cache ways are dark right now.
 func (r *Runner) waysDown() int {
 	if r.faults == nil {
@@ -149,7 +152,7 @@ func (r *Runner) injectFault(ev fault.Event) {
 	switch ev.Kind {
 	case fault.CoreFail:
 		f.stats.CoreFails++
-		r.coreDown[ev.Core] = true
+		r.coreDown |= 1 << ev.Core
 		f.downCores++
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreFail,
 			Detail: int64(ev.Core)})
@@ -182,7 +185,7 @@ func (r *Runner) recoverFault(ev fault.Event) {
 	switch ev.Kind {
 	case fault.CoreFail:
 		f.stats.CoreRecovers++
-		r.coreDown[ev.Core] = false
+		r.coreDown &^= 1 << ev.Core
 		f.downCores--
 		r.emit(trace.Event{Cycle: r.now, JobID: -1, Kind: trace.CoreRecover,
 			Detail: int64(ev.Core)})
@@ -390,7 +393,7 @@ func (r *Runner) shedElastic() {
 			return
 		}
 		pick.WaysReserved--
-		r.lac.ShrinkReservation(pick.ReservationID,
+		r.lac.ShrinkReservation(pick.ID,
 			qos.ResourceVector{Cores: 1, CacheWays: int(pick.WaysReserved)})
 		r.faults.stats.WaysShed++
 		r.planWaysDirty = true

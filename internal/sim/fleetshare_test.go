@@ -15,9 +15,12 @@ import (
 // fatter fails here, not in a benchmark ledger three PRs later.
 func TestFleetAllocBudget(t *testing.T) {
 	const nodes, jobs = 64, 256
-	// Measured 269,392 B: 1,447 per node at construction, 690 per
-	// accepted job for everything after it (294,016 B = 1,576 and 754
-	// while a Job took the 288-byte class, a Runner the 768-byte one and
+	// Measured 234,192 B: 1,136 per node at construction, 630 per
+	// accepted job for everything after it (269,392 B = 1,447 and 690
+	// while a Runner took the 640-byte class with seven scheduler
+	// scratch slices and a []bool of failed cores, and a node kept a
+	// second id map in its Timeline beside its LAC's; 294,016 B = 1,576
+	// and 754 while a Job took the 288-byte class, a Runner the 768-byte one and
 	// a job's delta 48 bytes; 342,272 B = 1,672 and 918 while a node's
 	// fold kept per-mode summaries, a job's reservation ids were a slice
 	// and a profile boundary stored its delta; 1,754 per
@@ -25,7 +28,7 @@ func TestFleetAllocBudget(t *testing.T) {
 	// and a Timeline carried a fit memo; before a completion released its
 	// reservations and a Runner fit the 768-byte class: 429,184 B = 2,015
 	// and 1,172).
-	const perNodeBudget, perJobBudget = 1520, 725
+	const perNodeBudget, perJobBudget = 1193, 662
 	// The sim-fleet benchmark's cluster, smaller.
 	cfg := ClusterConfig{Nodes: nodes, Node: DefaultConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: jobs}
 	if _, err := NewCluster(cfg); err != nil { // warm the tape store
@@ -59,10 +62,12 @@ func TestFleetAllocBudget(t *testing.T) {
 // decision, not an accident. A Job measures 240 bytes, the 240-byte
 // class (280 in the 288-byte class while it kept its mode hint, a
 // memoized useful-ways figure and a word apiece for its state, deadline
-// class, core, reserved ways and controller boost). Go puts an 8-byte
-// header on a pointerful object above 512 B, so a Runner allocates
-// Sizeof+8: it measures 632 bytes, 640 with the header, the 640-byte
-// class with no word free (752 in the 768-byte class while it kept a
+// class, core, reserved ways and controller boost). A Runner measures
+// 448 bytes, the 448-byte class with no word free. Go puts an 8-byte
+// malloc header only on a pointerful object above 512 B, so a Runner
+// at or under 512 pays none: it was 632 bytes, 640 with the header,
+// while it kept seven scheduler scratch slices beside its plan and a
+// []bool of failed cores (752 in the 768-byte class while it kept a
 // one-template memo, its own arrival source inline and a second slice
 // header for the delta scratch's other parity; before its fault and
 // controller state moved behind pointers: 992, in the 1024-byte class,
@@ -72,9 +77,8 @@ func TestJobAndRunnerSize(t *testing.T) {
 	if got := unsafe.Sizeof(Job{}); got > 240 {
 		t.Errorf("Job is %d bytes, over the 240-byte size class", got)
 	}
-	const mallocHeader = 8
-	if got := unsafe.Sizeof(Runner{}) + mallocHeader; got > 640 {
-		t.Errorf("Runner allocates %d bytes with its malloc header, over the 640-byte size class", got)
+	if got := unsafe.Sizeof(Runner{}); got > 448 {
+		t.Errorf("Runner is %d bytes, over the 448-byte size class", got)
 	}
 	if got := unsafe.Sizeof(jobDelta{}); got > 40 {
 		t.Errorf("jobDelta is %d bytes, over 40", got)

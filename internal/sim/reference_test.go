@@ -226,7 +226,7 @@ func countProofs(t *testing.T, cfg Config) (n proofCounts) {
 			if !deferred && r.ffPriced {
 				var traffic int64
 				planned := 0
-				for _, jobs := range r.sc.byCore {
+				for _, jobs := range r.byCore {
 					for _, j := range jobs {
 						d := r.parityDeltas(0)[planned]
 						planned++
@@ -243,7 +243,7 @@ func countProofs(t *testing.T, cfg Config) (n proofCounts) {
 				if r.bus.SaturatedAt(r.bus.WindowUtilization(traffic, r.cfg.EpochCycles)) != r.bus.SaturatedAt(u0) {
 					n.straddles++
 				}
-				for _, jobs := range r.sc.byCore {
+				for _, jobs := range r.byCore {
 					for _, j := range jobs {
 						share := r.cfg.EpochCycles / int64(len(jobs))
 						if int64(float64(share)/r.model.cpiFor(j, r.penaltyForAt(j, u0))) <= 0 {

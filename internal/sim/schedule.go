@@ -4,6 +4,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"cmpqos/internal/qos"
 	"cmpqos/internal/steal"
 	"cmpqos/internal/trace"
@@ -54,116 +56,98 @@ func (r *Runner) switchBacks() {
 // the lowest-indexed free core up to the per-core pin cap, keeping the
 // remaining free cores idle (and their L2 pressure low) for the next
 // reserved arrival.
+//
+// It keeps no list between its passes: each job list of the placement
+// (reserved jobs needing a core, opportunistic jobs needing one) is a
+// later pass over r.accepted, in acceptance order, picking the jobs an
+// earlier pass marked with Core = -1; per-core state lives on the stack
+// (Config.Validate caps Cores at 64). The list-based scheduler it
+// replaced is its test oracle (schedule_oracle_test.go).
 type reservedScheduler struct {
 	packOpp bool
 }
 
 func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
-	byCore := r.sc.byCore
-	for c := range byCore {
-		byCore[c] = byCore[c][:0]
-	}
-	reservedOn := r.sc.reservedOn
-	for i := range reservedOn {
-		reservedOn[i] = nil
-	}
-	needCore := r.sc.needCore[:0]
-	opps := r.sc.opps[:0]
+	cores := r.cfg.Cores
+	var reservedOn [64]*Job
+	// Reserved jobs keep a healthy core of their own; the rest need one.
 	for _, j := range r.accepted {
-		if j.State != StateRunning {
+		if !j.ReservedRunning(r.now) {
 			continue
 		}
-		if j.ReservedRunning(r.now) {
-			if j.Core >= 0 && !r.coreDown[j.Core] && reservedOn[j.Core] == nil {
-				reservedOn[j.Core] = j
-			} else {
-				j.Core = -1
-				needCore = append(needCore, j)
-			}
+		if j.Core >= 0 && !r.isDown(int(j.Core)) && reservedOn[j.Core] == nil {
+			reservedOn[j.Core] = j
 		} else {
-			opps = append(opps, j)
+			j.Core = -1
 		}
 	}
-	for _, j := range needCore {
-		placed := false
-		for c := 0; c < r.cfg.Cores; c++ {
-			if reservedOn[c] == nil && !r.coreDown[c] {
+	for _, j := range r.accepted {
+		if j.Core >= 0 || !j.ReservedRunning(r.now) {
+			continue
+		}
+		for c := 0; c < cores; c++ {
+			if reservedOn[c] == nil && !r.isDown(c) {
 				reservedOn[c] = j
 				j.Core = int32(c)
-				placed = true
 				r.model.jobStarted(j)
 				break
 			}
 		}
-		if !placed {
-			// The LAC's reservation accounting should make this
-			// impossible; stall the job for an epoch if it happens.
-			j.Core = -1
-		}
+		// Not placed: the LAC's reservation accounting should make this
+		// impossible; the job stalls for the epoch with Core -1.
 	}
 	// Opportunistic jobs: only on cores without reserved jobs.
-	load := r.sc.load
-	for i := range load {
-		load[i] = 0
-	}
-	freeCores := r.sc.freeCores[:0]
-	for c := 0; c < r.cfg.Cores; c++ {
-		if reservedOn[c] == nil && !r.coreDown[c] {
-			freeCores = append(freeCores, c)
+	var free uint64
+	for c := 0; c < cores; c++ {
+		if reservedOn[c] == nil && !r.isDown(c) {
+			free |= 1 << c
 		}
 	}
-	oppUnplaced := r.sc.unplaced[:0]
-	for _, j := range opps {
-		if j.Core >= 0 && !r.coreDown[j.Core] && reservedOn[j.Core] == nil {
+	var load [64]int
+	for _, j := range r.accepted {
+		if j.State != StateRunning || j.ReservedRunning(r.now) {
+			continue
+		}
+		if j.Core >= 0 && free&(1<<j.Core) != 0 {
 			load[j.Core]++
 		} else {
 			j.Core = -1
-			oppUnplaced = append(oppUnplaced, j)
 		}
 	}
-	for _, j := range oppUnplaced {
-		if len(freeCores) == 0 {
-			continue // stall: every core hosts a reserved job
-		}
-		best := freeCores[0]
-		if s.packOpp {
-			// First free core with pin-cap room; the min-load pick below
-			// is the spill path once every free core is at the cap.
-			packed := false
-			for _, c := range freeCores {
-				if load[c] < qos.OpportunisticPerCore {
-					best, packed = c, true
-					break
-				}
+	if free != 0 {
+		for _, j := range r.accepted {
+			if j.State != StateRunning || j.Core >= 0 || j.ReservedRunning(r.now) {
+				continue
 			}
-			if !packed {
-				for _, c := range freeCores {
-					if load[c] < load[best] {
-						best = c
-					}
-				}
-			}
-		} else {
-			for _, c := range freeCores {
-				if load[c] < load[best] {
-					best = c
-				}
-			}
-		}
-		j.Core = int32(best)
-		load[best]++
-		r.model.jobStarted(j)
-	}
-	r.sc.needCore = needCore
-	r.sc.opps = opps
-	r.sc.freeCores = freeCores
-	r.sc.unplaced = oppUnplaced
-	for _, j := range r.accepted {
-		if j.State == StateRunning && j.Core >= 0 {
-			byCore[j.Core] = append(byCore[j.Core], j)
+			best := s.pick(free, &load)
+			j.Core = int32(best)
+			load[best]++
+			r.model.jobStarted(j)
 		}
 	}
-	return byCore
+	// With no free core every unplaced opportunistic job stalls: every
+	// healthy core hosts a reserved job.
+	return r.fillByCore()
+}
+
+// pick chooses a free core for one opportunistic job: the least loaded
+// (lowest index on ties), or with packOpp the first below the pin cap,
+// spilling to the least loaded once every free core is at the cap.
+func (s *reservedScheduler) pick(free uint64, load *[64]int) int {
+	if s.packOpp {
+		for m := free; m != 0; m &= m - 1 {
+			if c := bits.TrailingZeros64(m); load[c] < qos.OpportunisticPerCore {
+				return c
+			}
+		}
+	}
+	best := bits.TrailingZeros64(free)
+	for m := free; m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros64(m); load[c] < load[best] {
+			best = c
+		}
+	}
+	return best
 }
 
 // sharedScheduler balances all running jobs across all cores, modelling
@@ -172,39 +156,40 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 type sharedScheduler struct{}
 
 func (sharedScheduler) Assign(r *Runner) [][]*Job {
-	byCore := r.sc.byCore
-	for c := range byCore {
-		byCore[c] = byCore[c][:0]
-	}
-	load := r.sc.load
-	for i := range load {
-		load[i] = 0
-		if r.coreDown[i] {
+	var load [64]int
+	for c := 0; c < r.cfg.Cores; c++ {
+		if r.isDown(c) {
 			// A failed core never wins the min-load pick; injection
 			// displaced whatever ran there.
-			load[i] = 1 << 30
+			load[c] = 1 << 30
 		}
 	}
-	unplaced := r.sc.unplaced[:0]
 	for _, j := range r.accepted {
-		if j.State != StateRunning {
+		if j.State == StateRunning && j.Core >= 0 {
+			load[j.Core]++
+		}
+	}
+	for _, j := range r.accepted {
+		if j.State != StateRunning || j.Core >= 0 {
 			continue
 		}
-		if j.Core >= 0 {
-			load[j.Core]++
-		} else {
-			unplaced = append(unplaced, j)
-		}
-	}
-	for _, j := range unplaced {
-		c := minIndex(load)
+		c := minIndex(load[:r.cfg.Cores])
 		j.Core = int32(c)
 		load[c]++
 		r.model.jobStarted(j)
 	}
-	r.sc.unplaced = unplaced
+	return r.fillByCore()
+}
+
+// fillByCore rebuilds the plan's per-core lists from the running jobs'
+// cores, in acceptance order; a stalled job (Core -1) is in none.
+func (r *Runner) fillByCore() [][]*Job {
+	byCore := r.byCore
+	for c := range byCore {
+		byCore[c] = byCore[c][:0]
+	}
 	for _, j := range r.accepted {
-		if j.State == StateRunning {
+		if j.State == StateRunning && j.Core >= 0 {
 			byCore[j.Core] = append(byCore[j.Core], j)
 		}
 	}
