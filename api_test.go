@@ -61,6 +61,17 @@ func TestFacadeSimulate(t *testing.T) {
 	if len(rep.Jobs) != 10 || rep.DeadlineHitRate != 1.0 {
 		t.Errorf("jobs=%d hit=%v", len(rep.Jobs), rep.DeadlineHitRate)
 	}
+	trace := NewTraceSimConfig(Hybrid2, SingleWorkload("bzip2"))
+	if trace.Engine != EngineTrace {
+		t.Errorf("NewTraceSimConfig engine = %v, want the trace engine", trace.Engine)
+	}
+	trace.Cores = 0
+	if _, err := Simulate(trace); err == nil {
+		t.Error("Simulate ran an invalid configuration")
+	}
+	if _, err := SimulateCluster(ClusterSimConfig{Nodes: 1, Node: trace, AcceptTarget: 1}); err == nil {
+		t.Error("SimulateCluster ran invalid nodes")
+	}
 }
 
 func TestFacadeWorkloads(t *testing.T) {
@@ -86,8 +97,8 @@ func TestFacadeExperiments(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 1") {
 		t.Error("fig1 output missing title")
 	}
-	if err := RunExperiment("nonesuch", ExperimentOptions{}, &buf); err == nil {
-		t.Error("unknown experiment should error")
+	if err := RunExperiment("nonesuch", ExperimentOptions{}, &buf); err == nil || err.Error() != "cmpqos: unknown experiment nonesuch" {
+		t.Errorf("unknown experiment: %v, want an error naming it", err)
 	}
 }
 

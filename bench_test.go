@@ -139,7 +139,10 @@ func BenchmarkLAC(b *testing.B) {
 
 func BenchmarkPartitionVariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationPartition(experiments.Options{})
+		r, err := experiments.AblationPartition(experiments.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.ReportMetric(r.GlobalCoV, "global-CoV")
 			b.ReportMetric(r.PerSetCoV, "per-set-CoV")
@@ -149,7 +152,10 @@ func BenchmarkPartitionVariance(b *testing.B) {
 
 func BenchmarkShadowSampling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationSampling(experiments.Options{})
+		r, err := experiments.AblationSampling(experiments.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == b.N-1 {
 			b.ReportMetric(r.Full, "full-excess-ratio")
 		}

@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	gac := qos.NewGAC(nodes...)
 	if err := gac.SetStrategy(*dispatch); err != nil {
-		return fail(cli.ExitUsage, err)
+		panic(err) // ValidateNames accepted the name above
 	}
 
 	fmt.Fprintf(stdout, "cluster: %d node(s) of %v at %s\n\n", spec.NodeCount, spec.NodeCapacity, *clock)
@@ -109,10 +109,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if mode.Reserves() {
 			resv = fmt.Sprintf("%.1f", float64(mode.ReservationLength(rum.MaxWallClock))/hz*1e3)
 		}
+		// The nodes are built without qos.WithAutoDowngrade, so no
+		// decision is auto-downgraded: a weaker mode is the ladder's or
+		// oversub's.
 		outcome := "accepted"
-		if dec.AutoDowngraded {
-			outcome = "accepted (auto-downgraded)"
-		} else if mode != req.Mode && *negotiate {
+		if mode != req.Mode && *negotiate {
 			outcome = "accepted (negotiated)"
 		} else if mode != req.Mode {
 			outcome = "accepted (oversubscribed)"

@@ -121,3 +121,25 @@ func TestOversubPrintsAdmittedMode(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectionsExitThree: a job file whose jobs do not all fit exits
+// ExitRejected after printing every line, and a job without a name is
+// listed by its id.
+func TestRejectionsExitThree(t *testing.T) {
+	jobs := filepath.Join(t.TempDir(), "jobs.qos")
+	spec := "node count=1 cores=2 ways=16\n" +
+		"job bench=bzip2 mode=strict preset=large tw=500ms deadline=1.1\n" +
+		"job name=late bench=bzip2 mode=strict preset=medium tw=500ms deadline=1.05\n"
+	if err := os.WriteFile(jobs, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := ctl(jobs)
+	if code != cli.ExitRejected || errOut != "" {
+		t.Fatalf("exit %d, stderr %q; want %d", code, errOut, cli.ExitRejected)
+	}
+	for _, want := range []string{"\njob-1      Strict             0 ", "\nlate       Strict             -", "\n1 accepted, 1 rejected\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"io/fs"
@@ -222,4 +223,68 @@ func lineAt(lines []string, i int) string {
 		return lines[i]
 	}
 	return "<end of text>"
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/trace_*.txt with the current trace-engine figures")
+
+// TestTraceEngineFigures pins the figures whose trace-engine branch runs
+// a cache model of its own: `qossim -engine trace -exp fig1` (shared-L2
+// miss ratios measured through the cache) and `-exp fig4` (CPI at 7, 4
+// and 1 ways from probed curves), against testdata/trace_NAME.txt, the
+// closing timing line aside. Regenerate with -update.
+func TestTraceEngineFigures(t *testing.T) {
+	for _, name := range []string{"fig1", "fig4"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out, errOut, code := qossim("-engine", "trace", "-exp", name)
+			at := strings.LastIndex(out, "["+name+" completed in ")
+			if code != cli.ExitOK || errOut != "" || at < 0 {
+				t.Fatalf("qossim -engine trace -exp %s: exit %d, stderr %q, stdout %q", name, code, errOut, out)
+			}
+			path := filepath.Join("testdata", "trace_"+name+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(out[:at]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, wantLines := strings.Split(out[:at], "\n"), strings.Split(string(want), "\n")
+			for i := range max(len(got), len(wantLines)) {
+				if g, w := lineAt(got, i), lineAt(wantLines, i); g != w {
+					t.Fatalf("%s line %d differs from `qossim -engine trace -exp %s`\nrun:  %q\nfile: %q\nif the change means to move it, regenerate: go test ./cmd/qossim -run TestTraceEngineFigures -update",
+						path, i+1, name, g, w)
+				}
+			}
+		})
+	}
+}
+
+// TestFailuresExitOne: a run that cannot finish — an experiment that
+// fails, a table without a CSV form, a profile that cannot be written —
+// exits ExitFailure naming why; no -exp at all is a usage error that
+// lists the experiments.
+func TestFailuresExitOne(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "x.prof")
+	for _, c := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-exp", "geometry", "-instr", "1000", "-parallel", "0"}, cli.ExitFailure, "guarantee broken"},
+		{[]string{"-exp", "fig3", "-csv"}, cli.ExitFailure, `"fig3" has no CSV export`},
+		{[]string{"-exp", "fig1", "-cpuprofile", missing}, cli.ExitFailure, "no-such-dir"},
+		{[]string{"-exp", "fig1", "-memprofile", missing}, cli.ExitFailure, "no-such-dir"},
+		{nil, cli.ExitUsage, ""},
+	} {
+		out, errOut, code := qossim(c.args...)
+		if code != c.code || !strings.Contains(errOut, c.msg) {
+			t.Errorf("qossim %v: exit %d, stderr %q; want exit %d naming %q", c.args, code, errOut, c.code, c.msg)
+		}
+		if c.args == nil && !strings.Contains(out, "available experiments:\n") {
+			t.Errorf("qossim with no -exp printed no list:\n%s", out)
+		}
+	}
 }

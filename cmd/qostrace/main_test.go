@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"cmpqos/internal/cli"
 	"cmpqos/internal/sim"
+	"cmpqos/internal/workload"
 )
 
 // trace runs qostrace in process on args and returns its two streams
@@ -102,5 +106,56 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("qostrace %v: exit %d, stdout %q, stderr %q; want exit %d, no stdout, stderr naming %q",
 				tc.args, code, out, errOut, tc.code, tc.msg)
 		}
+	}
+}
+
+// TestPolicyAndWorkloadNames: every spelling the flags document names
+// its policy or composition.
+func TestPolicyAndWorkloadNames(t *testing.T) {
+	for name, want := range map[string]sim.Policy{
+		"all-strict": sim.AllStrict, "Hybrid-1": sim.Hybrid1, "hybrid2": sim.Hybrid2,
+		"all-strict+autodown": sim.AllStrictAutoDown, "EqualPart": sim.EqualPart,
+	} {
+		if got, ok := parsePolicy(name); !ok || got != want {
+			t.Errorf("parsePolicy(%q) = %v, %v; want %v", name, got, ok, want)
+		}
+	}
+	if _, ok := parsePolicy("ucp"); ok {
+		t.Error("parsePolicy accepted a policy qostrace does not draw")
+	}
+	if w, ok := parseWorkload("MIX-2"); !ok || w.Name != workload.Mix2().Name {
+		t.Errorf("parseWorkload(MIX-2) = %v, %v; want Mix-2", w.Name, ok)
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestRunFailuresExitOne: a run that cannot finish — an invalid
+// configuration, a malformed fault rate or job file, a timeout, an
+// output that cannot be written — exits ExitFailure naming why.
+func TestRunFailuresExitOne(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.qos")
+	if err := os.WriteFile(bad, []byte("job bench=nope\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-instr", "-1"}, "non-positive instruction"},
+		{[]string{"-faults", "-1"}, "fault rate must be >= 0"},
+		{[]string{"-timeout", "1ns"}, "context deadline exceeded"},
+		{[]string{"-workload", bad}, `unknown benchmark "nope"`},
+	} {
+		if _, errOut, code := trace(c.args...); code != cli.ExitFailure || !strings.Contains(errOut, c.msg) {
+			t.Errorf("qostrace %v: exit %d, stderr %q; want exit %d naming %q", c.args, code, errOut, cli.ExitFailure, c.msg)
+		}
+	}
+	var errOut bytes.Buffer
+	if code := run([]string{"-json", "-instr", "1000000"}, failWriter{}, &errOut); code != cli.ExitFailure || !strings.Contains(errOut.String(), "disk full") {
+		t.Errorf("qostrace -json to a failing writer: exit %d, stderr %q", code, errOut.String())
 	}
 }

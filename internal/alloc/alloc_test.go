@@ -184,3 +184,22 @@ func TestUCPNearOptimalForTwoJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestUCPLeavesUselessWaysIdle: when no job's misses fall with another
+// way, UCP stops and leaves the rest of the cache unassigned.
+func TestUCPLeavesUselessWaysIdle(t *testing.T) {
+	p := workload.MustByName("bzip2")
+	p.L2APA = 0 // a job that never reaches the L2 gains nothing from it
+	a := UCP([]Demand{{Profile: p}, {Profile: p}}, 16)
+	if a[0] != MinWays || a[1] != MinWays {
+		t.Errorf("UCP gave ways to jobs that miss nothing: %v", a)
+	}
+}
+
+// TestUnfairnessOfNoSlowdown: metrics with no measured slowdown report
+// 0, not a division by zero.
+func TestUnfairnessOfNoSlowdown(t *testing.T) {
+	if got := (Metrics{}).Unfairness(); got != 0 {
+		t.Errorf("Unfairness() = %v, want 0", got)
+	}
+}

@@ -204,19 +204,17 @@ func (b *baseCache) freeWay(set int) int {
 			return w
 		}
 	}
-	return -1
+	panic(fmt.Sprintf("cache: set %d counts %d invalid lines above way %d and holds none", set, b.freeInSet[set], b.freeHint[set]))
 }
 
 // lruWay returns the least-recently-used way among those for which keep
-// returns true, or -1 when no way qualifies. A nil keep considers all
-// valid ways.
+// returns true, or -1 when no way qualifies. A nil keep considers every
+// way: every caller asks once freeWay found none free, so every line of
+// the set is valid.
 func (b *baseCache) lruWay(set int, keep func(line) bool) int {
 	best := -1
 	var bestStamp uint64
 	for w, ln := range b.sets[set] {
-		if !ln.valid {
-			continue
-		}
 		if keep != nil && !keep(ln) {
 			continue
 		}

@@ -470,3 +470,19 @@ func TestFreeWayPicksLowestInvalid(t *testing.T) {
 		t.Fatal("full set should report no free way")
 	}
 }
+
+// TestEmptyMeasurementsReadAsNoMisses: a curve with no points reads 1
+// (no cache) everywhere, and a profiler that measured nothing reports
+// no misses at any allocation, as MissRatio does for an owner with no
+// accesses.
+func TestEmptyMeasurementsReadAsNoMisses(t *testing.T) {
+	if got := (MissCurve{}).At(4); got != 1 {
+		t.Errorf("empty curve At(4) = %v, want 1", got)
+	}
+	curve := NewStackProfiler(tiny()).Curve()
+	for w, r := range curve.Ratio[1:] {
+		if r != 0 {
+			t.Errorf("unmeasured curve at %d ways = %v, want 0", w+1, r)
+		}
+	}
+}

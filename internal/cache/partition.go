@@ -116,8 +116,10 @@ func (c *Partitioned) victim(set, owner int) int {
 		// owner. Reserved-class over-allocated owners first (paper
 		// §4.1, so shrunk reserved partitions converge fast and stolen
 		// capacity flows to Opportunistic jobs), then the LRU block
-		// among Opportunistic owners, then any over-allocated owner,
-		// then global LRU as a last resort.
+		// among Opportunistic owners, then any over-allocated owner —
+		// one exists: the set is full and SetTarget keeps the targets
+		// within the ways, so the requester's shortfall is someone's
+		// excess.
 		if w := c.lruOverReserved(set); w >= 0 {
 			return w
 		}
@@ -127,7 +129,7 @@ func (c *Partitioned) victim(set, owner int) int {
 		if w := c.lruOverAllocated(set); w >= 0 {
 			return w
 		}
-		return c.lruWay(set, nil)
+		panic(fmt.Sprintf("cache: owner %d under target in full set %d with no owner over its target", owner, set))
 	}
 	// An Opportunistic requester reclaims over-allocated reserved
 	// owners' blocks before recycling its own: that is how capacity

@@ -13,21 +13,16 @@ import (
 
 // mapMeasure fans infallible measurement jobs across the option's worker
 // bound (these ablations drive the cache model directly rather than
-// through sim.Config, so they cannot use sim.RunAll). An error can only
-// be a captured panic; re-panicking preserves the historical contract
-// that these experiments do not return errors.
-func mapMeasure(o Options, n int, fn func(i int) float64) []float64 {
+// through sim.Config, so they cannot use sim.RunAll). It fails when the
+// options' context ends the sweep, or with a measurement's panic.
+func mapMeasure(o Options, n int, fn func(i int) float64) ([]float64, error) {
 	workers := o.Workers
 	if workers == 0 {
 		workers = 1 // same default as sim.RunAll: serial unless asked
 	}
-	vals, err := parallel.Map(o.ctx(), parallel.New(workers), n, func(i int) (float64, error) {
+	return parallel.Map(o.ctx(), parallel.New(workers), n, func(i int) (float64, error) {
 		return fn(i), nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return vals
 }
 
 // AblationPartitionResult quantifies §4.1's argument for per-set over
@@ -44,7 +39,7 @@ type AblationPartitionResult struct {
 
 // AblationPartition runs a bzip2 job at a fixed 7-way allocation against
 // co-runners whose access patterns vary run to run, under both schemes.
-func AblationPartition(o Options) *AblationPartitionResult {
+func AblationPartition(o Options) (*AblationPartitionResult, error) {
 	const runs = 8
 	cfg := cache.PaperL2()
 	target := workload.MustByName("bzip2")
@@ -86,16 +81,19 @@ func AblationPartition(o Options) *AblationPartitionResult {
 	res := &AblationPartitionResult{Runs: runs}
 	// Even indices are per-set runs, odd are global; the summaries are
 	// filled in the historical serial order afterwards.
-	vals := mapMeasure(o, 2*runs, func(i int) float64 {
+	vals, err := mapMeasure(o, 2*runs, func(i int) float64 {
 		return measure(i%2 == 1, int64(i/2)+o.Seed)
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation-partition: %w", err)
+	}
 	for s := 0; s < runs; s++ {
 		res.PerSet.Add(vals[2*s])
 		res.Global.Add(vals[2*s+1])
 	}
 	res.PerSetCoV = res.PerSet.CoV()
 	res.GlobalCoV = res.Global.CoV()
-	return res
+	return res, nil
 }
 
 // Render prints the comparison.
@@ -137,7 +135,7 @@ type AblationSamplingResult struct {
 
 // AblationSampling measures the estimate across sampling ratios for a
 // bzip2 job stolen from 7 ways down to 3.
-func AblationSampling(o Options) *AblationSamplingResult {
+func AblationSampling(o Options) (*AblationSamplingResult, error) {
 	cfg := cache.PaperL2()
 	p := workload.MustByName("bzip2")
 	measure := func(every int) float64 {
@@ -156,9 +154,12 @@ func AblationSampling(o Options) *AblationSamplingResult {
 		return steal.ExcessMissRatio(st.MainMisses(0), st.ShadowMisses(0))
 	}
 	everies := []int{1, 2, 4, 8, 16, 32}
-	vals := mapMeasure(o, len(everies), func(i int) float64 {
+	vals, err := mapMeasure(o, len(everies), func(i int) float64 {
 		return measure(everies[i])
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation-sampling: %w", err)
+	}
 	res := &AblationSamplingResult{Full: vals[0]}
 	for i, every := range everies[1:] {
 		est := vals[i+1]
@@ -168,7 +169,7 @@ func AblationSampling(o Options) *AblationSamplingResult {
 			Error:    safeDiv(est-res.Full, res.Full),
 		})
 	}
-	return res
+	return res, nil
 }
 
 // Render prints the sweep.

@@ -167,8 +167,8 @@ func Registry() []Runner {
 		entry("sweep-pressure", "Extension: arrival-pressure robustness sweep", SweepPressure),
 		entry("policies", "Extension: pluggable pipeline scheduler×allocator sweep", PoliciesExp),
 		entry("ablation-interval", "Ablation: resource-stealing repartitioning interval", Interval),
-		entry("ablation-partition", "Ablation: per-set vs global partitioning variance (§4.1)", infallible(AblationPartition)),
-		entry("ablation-sampling", "Ablation: shadow-tag set-sampling accuracy (§4.3)", infallible(AblationSampling)),
+		entry("ablation-partition", "Ablation: per-set vs global partitioning variance (§4.1)", AblationPartition),
+		entry("ablation-sampling", "Ablation: shadow-tag set-sampling accuracy (§4.3)", AblationSampling),
 		entry("feedback", "Extension: closed-loop SLO control vs the static pipeline", Feedback),
 	}
 }

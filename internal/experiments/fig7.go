@@ -26,14 +26,14 @@ type Fig7Result struct {
 
 // Fig7 runs both configurations.
 func Fig7(o Options) (*Fig7Result, error) {
-	strict, err := o.run(o.config(sim.AllStrict, workload.Single("bzip2")))
+	reps, err := o.runAll([]sim.Config{
+		o.config(sim.AllStrict, workload.Single("bzip2")),
+		o.config(sim.AllStrictAutoDown, workload.Single("bzip2")),
+	})
 	if err != nil {
 		return nil, err
 	}
-	auto, err := o.run(o.config(sim.AllStrictAutoDown, workload.Single("bzip2")))
-	if err != nil {
-		return nil, err
-	}
+	strict, auto := reps[0], reps[1]
 	res := &Fig7Result{
 		StrictTotal:   strict.TotalCycles,
 		AutoTotal:     auto.TotalCycles,

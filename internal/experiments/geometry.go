@@ -44,9 +44,6 @@ func Geometry(o Options) (*GeometryResult, error) {
 			cfg.L2.SizeBytes = g.sizeMB << 20
 			cfg.L2.Ways = g.ways
 			cfg.RequestWays = g.ways * 7 / 16
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -94,8 +94,13 @@ var paperAblations = sync.OnceValue(func() (a struct {
 	partition *AblationPartitionResult
 	sampling  *AblationSamplingResult
 }) {
-	a.partition = AblationPartition(paperOpts())
-	a.sampling = AblationSampling(paperOpts())
+	var err error
+	if a.partition, err = AblationPartition(paperOpts()); err != nil {
+		panic(err)
+	}
+	if a.sampling, err = AblationSampling(paperOpts()); err != nil {
+		panic(err)
+	}
 	return a
 })
 

@@ -25,6 +25,8 @@ func TestValidateFieldRules(t *testing.T) {
 		{"spike with core", Event{Kind: LatencySpike, At: 7, Factor: 2, Core: 1}, false},
 		{"negative at", Event{Kind: CoreFail, At: -1, Core: 0}, false},
 		{"negative duration", Event{Kind: CoreFail, At: 1, Duration: -2, Core: 0}, false},
+		{"ways with core", Event{Kind: WayFault, At: 0, Ways: 2, Core: 1}, false},
+		{"unknown kind", Event{Kind: Kind(9), At: 0}, false},
 	}
 	for _, tc := range cases {
 		err := Plan{Events: []Event{tc.ev}}.Validate(4, 16)
@@ -81,13 +83,25 @@ func TestNormalizedOrderAndStability(t *testing.T) {
 		{Kind: CoreFail, At: 10, Core: 2},
 		{Kind: CoreFail, At: 10, Core: 0},
 		{Kind: WayFault, At: 10, Ways: 1},
+		// Ties on (At, Kind, Core) order by ways, then factor, then
+		// duration.
+		{Kind: WayFault, At: 20, Ways: 2},
+		{Kind: WayFault, At: 20, Ways: 1},
+		{Kind: LatencySpike, At: 60, Factor: 3, Duration: 9},
+		{Kind: LatencySpike, At: 60, Factor: 2, Duration: 9},
+		{Kind: LatencySpike, At: 60, Factor: 2, Duration: 5},
 	}}
 	n := p.Normalized()
 	want := []Event{
 		{Kind: CoreFail, At: 10, Core: 0},
 		{Kind: CoreFail, At: 10, Core: 2},
 		{Kind: WayFault, At: 10, Ways: 1},
+		{Kind: WayFault, At: 20, Ways: 1},
+		{Kind: WayFault, At: 20, Ways: 2},
 		{Kind: LatencySpike, At: 50, Factor: 2},
+		{Kind: LatencySpike, At: 60, Factor: 2, Duration: 5},
+		{Kind: LatencySpike, At: 60, Factor: 2, Duration: 9},
+		{Kind: LatencySpike, At: 60, Factor: 3, Duration: 9},
 	}
 	if !reflect.DeepEqual(n.Events, want) {
 		t.Fatalf("Normalized = %+v, want %+v", n.Events, want)
@@ -138,6 +152,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"core-fail core=1",            // missing at
 		"core-fail at=x core=1",       // bad number
 		"core-fail at=5 ways=2",       // wrong field for kind
+		"way-fault at=5 core=1",       // wrong field for kind
+		"core-fail at=5 factor=2",     // wrong field for kind
+		"core-fail at=5 colour=red",   // unknown key
 		"way-fault at=5 ways=0",       // zero ways
 		"latency-spike at=5 factor=1", // factor must exceed 1
 		"core-fail at=-3 core=0",
@@ -232,7 +249,29 @@ func TestKillTimes(t *testing.T) {
 			t.Errorf("kill %d at %v escaped its slice [%v, %v)", i, at, lo, lo+2*time.Second)
 		}
 	}
+	// One nanosecond a slice: the first kill's draw truncates to 0, and
+	// a kill at 0 would precede the run it is meant to interrupt.
+	if first := KillTimes(7, 3, 3)[0]; first != 1 {
+		t.Errorf("first kill of 1 ns slices at %v, want 1ns", first)
+	}
 	if KillTimes(7, 0, time.Second) != nil || KillTimes(7, 3, 0) != nil {
 		t.Fatal("degenerate inputs must yield no kills")
+	}
+}
+
+// TestParseEventRejectsForeignFields: a field that belongs to another
+// kind is refused by the decoder itself, before any plan is validated.
+func TestParseEventRejectsForeignFields(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		kvs  []string
+	}{
+		{"way-fault", []string{"at=5", "core=1"}},
+		{"core-fail", []string{"at=5", "ways=2"}},
+		{"way-fault", []string{"at=5", "factor=2"}},
+	} {
+		if e, err := ParseEvent(c.kind, c.kvs); err == nil || !strings.Contains(err.Error(), "is only valid for") {
+			t.Errorf("ParseEvent(%s, %v) = %+v, %v; want a foreign-field error", c.kind, c.kvs, e, err)
+		}
 	}
 }

@@ -14,6 +14,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("# only comments\n")
 	f.Add("job bench=bzip2 tw=9223372036854775807\n")
 	f.Add("job bench=bzip2 deadline=1e309 tw=1ms\n")
+	f.Add(faultSample)
+	f.Add("job bench=bzip2\nfault way-fault at=1ms for=1 ways=15\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		spec, err := Parse(strings.NewReader(input))
 		if err != nil {

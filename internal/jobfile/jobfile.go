@@ -413,21 +413,16 @@ func (s *Spec) Script() []sim.ScriptedJob {
 
 // FaultPlan converts the spec's fault directives into a cycle-domain
 // injection plan at the simulated core's clock, cpu.ClockHz. A transient
-// fault whose duration rounds down to zero cycles is kept transient (one
-// cycle) rather than silently becoming permanent, since Duration 0 means
-// "never recovers" in the fault package.
+// fault stays transient: durations are whole nanoseconds, and one is two
+// cycles at that clock, while Duration 0 ("never recovers" in the fault
+// package) stays 0.
 func (s *Spec) FaultPlan() fault.Plan {
 	if len(s.Faults) == 0 {
 		return fault.Plan{}
 	}
 	ev := make([]fault.Event, len(s.Faults))
 	for i, e := range s.Faults {
-		e.At = Cycles(e.At, cpu.ClockHz)
-		if e.Duration > 0 {
-			if e.Duration = Cycles(e.Duration, cpu.ClockHz); e.Duration == 0 {
-				e.Duration = 1
-			}
-		}
+		e.At, e.Duration = Cycles(e.At, cpu.ClockHz), Cycles(e.Duration, cpu.ClockHz)
 		ev[i] = e
 	}
 	return fault.Plan{Events: ev}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"cmpqos/internal/cpu"
+	"cmpqos/internal/fault"
 	"cmpqos/internal/qos"
 	"cmpqos/internal/sim"
 	"cmpqos/internal/workload"
@@ -61,6 +63,63 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// faultSample schedules one fault of each kind; the permanent one has a
+// zero duration.
+const faultSample = `
+job bench=bzip2 preset=small tw=1ms
+job bench=gobmk preset=large tw=1ms
+fault core-fail at=2ms for=500us core=1
+fault way-fault at=1ms for=0 ways=4
+fault latency-spike at=3000 for=1ms factor=2.5
+`
+
+// TestParseFaults: each fault line parses to the event fault.ParseEvent
+// decodes from the same fields with at= and for= in nanoseconds, and the
+// plan carries them to cycles at the simulated clock, a zero duration
+// staying permanent.
+func TestParseFaults(t *testing.T) {
+	spec, err := Parse(strings.NewReader(faultSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Jobs) != 2 || spec.Jobs[0].Resources != qos.PresetSmall() || spec.Jobs[1].Resources != qos.PresetLarge() {
+		t.Fatalf("jobs = %+v, want a small and a large job", spec.Jobs)
+	}
+	fields := []struct {
+		kind string
+		kvs  []string
+	}{
+		{"core-fail", []string{"at=2000000", "for=500000", "core=1"}},
+		{"way-fault", []string{"at=1000000", "for=0", "ways=4"}},
+		{"latency-spike", []string{"at=3000", "for=1000000", "factor=2.5"}},
+	}
+	if len(spec.Faults) != len(fields) {
+		t.Fatalf("faults = %+v, want %d", spec.Faults, len(fields))
+	}
+	for i, f := range fields {
+		want, err := fault.ParseEvent(f.kind, f.kvs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Faults[i] != want {
+			t.Errorf("fault %d = %+v, want %+v", i, spec.Faults[i], want)
+		}
+	}
+	plan := spec.FaultPlan()
+	cycles := func(ns int64) int64 { return int64(float64(ns) / 1e9 * cpu.ClockHz) }
+	for i, e := range plan.Events {
+		if f := spec.Faults[i]; e.At != cycles(f.At) || e.Duration != cycles(f.Duration) {
+			t.Errorf("plan event %d = [%d +%d), want [%d +%d)", i, e.At, e.Duration, cycles(f.At), cycles(f.Duration))
+		}
+	}
+	if plan.Events[1].Duration != 0 {
+		t.Error("a permanent fault became transient")
+	}
+	if err := plan.Validate(4, 16); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	spec, err := Parse(strings.NewReader("job bench=bzip2 tw=1ms\n"))
 	if err != nil {
@@ -96,6 +155,24 @@ func TestParseErrors(t *testing.T) {
 		{"unknown node key", "node flavor=blue\njob bench=bzip2\n", 1},
 		{"unknown job key", "job bench=bzip2 priority=9\n", 1},
 		{"negative arrival", "job bench=bzip2 arrival=-5ms\n", 1},
+		{"negative bare arrival", "job bench=bzip2 arrival=-5\n", 1},
+		{"bad job cores", "job bench=bzip2 cores=two\n", 1},
+		{"bad job ways", "job bench=bzip2 ways=many\n", 1},
+		{"bad job mem", "job bench=bzip2 mem=lots\n", 1},
+		{"bad instr", "job bench=bzip2 instr=0\n", 1},
+		{"bad arrival", "job bench=bzip2 arrival=later\n", 1},
+		{"bad deadline", "job bench=bzip2 tw=1ms deadline=never\n", 1},
+		{"bad slack percent", "job bench=bzip2 mode=elastic slack=x%\n", 1},
+		{"negative resources", "job bench=bzip2 cores=-1\n", 1},
+		{"bad node cores", "node cores=0\njob bench=bzip2\n", 1},
+		{"bad node ways", "node ways=-2\njob bench=bzip2\n", 1},
+		{"bad node mem", "node mem=4TB\njob bench=bzip2\n", 1},
+		{"fault without kind", "job bench=bzip2\nfault\n", 2},
+		{"malformed fault field", "job bench=bzip2\nfault core-fail at\n", 2},
+		{"bad fault at", "job bench=bzip2\nfault core-fail at=soon core=1\n", 2},
+		{"bad fault for", "job bench=bzip2\nfault core-fail at=1ms for=-2ms core=1\n", 2},
+		{"fault field of another kind", "job bench=bzip2\nfault core-fail at=1ms ways=2\n", 2},
+		{"line too long", "job bench=bzip2 name=" + strings.Repeat("x", 70_000) + "\n", 0},
 	}
 	for _, tc := range cases {
 		_, err := Parse(strings.NewReader(tc.input))
@@ -213,5 +290,14 @@ func TestScriptConversion(t *testing.T) {
 	}
 	if rep.DeadlineHitRate != 1.0 {
 		t.Errorf("scripted run hit rate = %v", rep.DeadlineHitRate)
+	}
+	// An absolute deadline no later than tw leaves the job its 1% of
+	// slack: the simulator's deadlines come from the factor alone.
+	tight, err := Parse(strings.NewReader("job bench=bzip2 tw=100ms deadline=100ms\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := tight.Script()[0].DeadlineFactor; f != 1.01 {
+		t.Errorf("factor of a deadline at tw = %v, want 1.01", f)
 	}
 }

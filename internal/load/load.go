@@ -364,12 +364,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(float64(p*float64(len(sorted)))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	// Run reads p in [0.5, 1): then 0 ≤ idx < len(sorted).
+	return sorted[int(float64(p*float64(len(sorted)))+0.5)-1]
 }

@@ -120,3 +120,76 @@ func TestBackoffShape(t *testing.T) {
 		t.Error("no try reached the cap")
 	}
 }
+
+// TestRunCountsEveryAnswer: each kind of answer lands in its counter — a
+// degraded grant, a reject, a conflict, an answer that does not decode,
+// a server error — and a cancel whose answer is lost leaves the grant's
+// liveness unknown.
+func TestRunCountsEveryAnswer(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cancel" {
+			conn, _, _ := w.(http.Hijacker).Hijack()
+			conn.Close() // the cancel's answer is lost
+			return
+		}
+		var req submitWire
+		json.NewDecoder(r.Body).Decode(&req)
+		switch req.JobID {
+		case jobIDBase:
+			json.NewEncoder(w).Encode(map[string]any{"accepted": true, "mode": "elastic", "degraded": true, "seq": 1})
+		case jobIDBase + 1:
+			json.NewEncoder(w).Encode(map[string]any{"accepted": false, "reason": "full"})
+		case jobIDBase + 2:
+			w.WriteHeader(http.StatusConflict)
+		case jobIDBase + 3:
+			w.Write([]byte("{not json"))
+		default:
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+	}))
+	defer stub.Close()
+	rep, err := Run(context.Background(), []Case{{Name: "s", Mode: "strict", Cores: 1, Ways: 1, TW: 10, DeadlineIn: 100}},
+		Config{BaseURL: stub.URL, Requests: 5, Concurrency: 1, Cancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Cases[0]
+	if c.Admitted != 1 || c.Degraded != 1 || c.Rejected != 1 || c.Conflicts != 1 || c.Unavailable != 2 {
+		t.Errorf("case report %+v, want 1 admitted (degraded), 1 rejected, 1 conflict, 2 unavailable", c)
+	}
+	if len(rep.Grants) != 1 || rep.Grants[0].Cancelled || !rep.Grants[0].CancelUnknown {
+		t.Errorf("grants %+v, want one whose cancel is unknown", rep.Grants)
+	}
+}
+
+// TestRunRefusesAndStops: Run refuses a load with no cases or no daemon,
+// sends nothing under a canceled context, and stops retrying when it is
+// canceled mid-backoff.
+func TestRunRefusesAndStops(t *testing.T) {
+	cases := []Case{{Name: "s", Mode: "strict", Cores: 1, Ways: 1, TW: 10, DeadlineIn: 100}}
+	if _, err := Run(context.Background(), nil, Config{BaseURL: "http://127.0.0.1:1"}); err == nil {
+		t.Error("Run with no cases started")
+	}
+	if _, err := Run(context.Background(), cases, Config{}); err == nil {
+		t.Error("Run with no daemon address started")
+	}
+	if _, err := Run(context.Background(), cases, Config{BaseURL: "http://[::1"}); err != nil {
+		t.Errorf("a malformed address is the daemon's unavailability, not Run's error: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := Run(ctx, cases, Config{BaseURL: "http://127.0.0.1:1"})
+	if err != nil || rep.Cases[0].Sent != 0 {
+		t.Errorf("canceled before the first request: %+v, %v; want nothing sent", rep, err)
+	}
+	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer shed.Close()
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rep, err = Run(ctx, cases, Config{BaseURL: shed.URL, Requests: 1, Concurrency: 1, Retries: 100})
+	if err != nil || rep.Cases[0].Retries == 100 {
+		t.Errorf("canceled mid-backoff: %+v, %v; want the retries cut short", rep, err)
+	}
+}

@@ -51,6 +51,15 @@ func TestMapOrdersResults(t *testing.T) {
 	}
 }
 
+// TestMapNilContext: a nil context never cancels.
+func TestMapNilContext(t *testing.T) {
+	//lint:ignore SA1012 a nil ctx is Map's documented "no cancellation"
+	out, err := Map(nil, New(2), 3, func(i int) (int, error) { return i, nil })
+	if err != nil || len(out) != 3 || out[2] != 2 {
+		t.Fatalf("Map(nil ctx) = (%v, %v), want ([0 1 2], nil)", out, err)
+	}
+}
+
 func TestMapEmpty(t *testing.T) {
 	out, err := Map(context.Background(), New(4), 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {

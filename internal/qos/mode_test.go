@@ -128,6 +128,7 @@ func TestInterchangeable(t *testing.T) {
 		{Elastic(0.5), Strict(), false}, // upgrades are not downgrades
 		{Opportunistic(), Strict(), false},
 		{Elastic(0.5), Elastic(0.5), true},
+		{Strict(), Mode{Kind: Kind(7)}, false}, // no mode the paper names
 	}
 	for i, tc := range cases {
 		if got := Interchangeable(tc.a, tc.b, ta, tw, td); got != tc.want {

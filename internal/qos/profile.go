@@ -304,11 +304,9 @@ func (p *profile) prefixAt(x int64) uvec {
 // firstOver returns the earliest instant t in [lo, hi) where usage
 // exceeds limit in some dimension, with the lowest offending dimension.
 // Usage is right-continuous, so the answer is either lo itself or a
-// boundary key in (lo, hi).
+// boundary key in (lo, hi). The instant lo is checked even when the
+// window is empty: a zero-length reservation needs its start instant.
 func (p *profile) firstOver(lo, hi int64, limit uvec) (at int64, dim int, over bool) {
-	if hi <= lo {
-		return 0, -1, false
-	}
 	if d := overDim(p.prefixAt(lo), limit); d >= 0 {
 		return lo, d, true
 	}
@@ -419,16 +417,13 @@ func (p *profile) nextKey(x int64) (int64, bool) {
 	return best, found
 }
 
-// minKey returns the smallest boundary key.
-func (p *profile) minKey() (int64, bool) {
+// minKey returns the smallest boundary key of a profile that has one.
+func (p *profile) minKey() int64 {
 	n := p.root
-	if n == nil {
-		return 0, false
-	}
 	for n.left != nil {
 		n = n.left
 	}
-	return n.key, true
+	return n.key
 }
 
 // walkState threads an in-order range walk without allocating: run is
@@ -452,13 +447,11 @@ func walkAvail(n *profNode, st *walkState, lo, hi int64) bool {
 		st.run = st.run.add(through(n))
 		return walkAvail(n.right, st, lo, hi)
 	}
-	if !walkAvail(n.left, st, lo, hi) {
+	// A key ≥ hi in the left subtree means n.key ≥ hi too.
+	if !walkAvail(n.left, st, lo, hi) || n.key >= hi {
 		return false
 	}
 	st.run = st.run.add(n.delta())
-	if n.key >= hi {
-		return false
-	}
 	st.steps = append(st.steps, AvailabilityStep{Start: st.prev, End: n.key, Free: st.free})
 	st.prev = n.key
 	st.free = st.cap.Sub(st.run.vec())

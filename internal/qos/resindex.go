@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"fmt"
 	"math"
 
 	"cmpqos/internal/splitmix"
@@ -126,7 +127,7 @@ func (ix *resIndex) remove(key Reservation) {
 
 func resDel(n *resNode, key Reservation) *resNode {
 	if n == nil {
-		return nil
+		panic(fmt.Sprintf("qos: reservation %d is not in the index", key.ID))
 	}
 	if n.res.ID == key.ID && n.res.Start == key.Start {
 		return resMerge(n.left, n.right)

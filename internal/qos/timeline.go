@@ -79,15 +79,11 @@ func (t *Timeline) AvailableAt(x int64) ResourceVector {
 // fits reports whether adding vec over [start, start+dur) stays within
 // capacity at every instant — no over-limit instant inside the window.
 // Usage is piecewise constant, so the profile checks the window start
-// and prunes to boundaries whose prefix could exceed the headroom.
+// and prunes to boundaries whose prefix could exceed the headroom. A
+// degenerate window (dur ≤ 0) checks its start instant, as the naive
+// reference does.
 func (t *Timeline) fits(vec ResourceVector, start, dur int64) bool {
-	hi := start + dur
-	if hi <= start {
-		// Degenerate window: the naive reference still checks the start
-		// instant, and no boundary can sit strictly inside one cycle.
-		hi = start + 1
-	}
-	_, _, over := t.prof.firstOver(start, hi, limitFor(t.capacity, vec))
+	_, _, over := t.prof.firstOver(start, start+dur, limitFor(t.capacity, vec))
 	return !over
 }
 
@@ -119,7 +115,9 @@ func (t *Timeline) EarliestFit(vec ResourceVector, now, dur, deadline int64) (st
 		}
 		next, ok := fitDimAfter(t.prof.root, 0, at, d, limit[d])
 		if !ok {
-			return 0, false // dimension d never frees up again
+			// vec fits the capacity, so a reservation covers at and its
+			// end is a later boundary where d frees up.
+			panic(fmt.Sprintf("qos: dimension %d never frees up after %d", d, at))
 		}
 		s = next
 	}
@@ -162,7 +160,7 @@ func (t *Timeline) LatestFit(vec ResourceVector, now, dur, deadline int64) (star
 		if z, ok := lastFitDimBefore(t.prof.root, 0, k, d, limit[d]); ok {
 			w, _ = t.prof.nextKey(z)
 		} else {
-			w, _ = t.prof.minKey()
+			w = t.prof.minKey() // an over segment has boundaries
 		}
 		s = w - dur
 	}
@@ -236,7 +234,8 @@ func (t *Timeline) SetCapacity(capacity ResourceVector, from int64) []Reservatio
 		}
 		v := t.idx.victim(at)
 		if v == nil {
-			return evicted // capacity itself is overcommitted by nothing
+			// Usage over the capacity at at is some reservation's.
+			panic(fmt.Sprintf("qos: usage over capacity %v at %d with no reservation covering it", capacity, at))
 		}
 		evicted = append(evicted, v.res)
 		t.drop(v)

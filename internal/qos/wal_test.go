@@ -78,6 +78,9 @@ func TestWALVersionMismatchTyped(t *testing.T) {
 	if ve.What != "wal" || ve.Got != 99 || ve.Want != walVersion {
 		t.Errorf("unexpected VersionError %+v", ve)
 	}
+	if want := fmt.Sprintf("qos: wal version 99, want %d", walVersion); err.Error() != want {
+		t.Errorf("error text %q, want %q", err, want)
+	}
 }
 
 func TestSnapshotVersionMismatchTyped(t *testing.T) {
@@ -92,12 +95,41 @@ func TestSnapshotVersionMismatchTyped(t *testing.T) {
 }
 
 func TestWALForeignFileRejected(t *testing.T) {
+	// A foreign file, and one shorter than the header that is no prefix
+	// of it: neither is a torn creation.
+	for _, data := range []string{"PK\x03\x04 this is a zip, not a wal", "PK\x03\x04"} {
+		if _, _, err := DecodeWAL([]byte(data)); err == nil {
+			t.Errorf("foreign file %q accepted as WAL", data)
+		}
+	}
+}
+
+// TestWALUndecodableRecordEndsTheLog: a frame whose checksum holds but
+// whose payload is no record ends the decode at the frame before it.
+func TestWALUndecodableRecordEndsTheLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	if err := os.WriteFile(path, []byte("PK\x03\x04 this is a zip, not a wal"), 0o644); err != nil {
+	w, err := CreateWAL(path, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadWAL(path); err == nil {
-		t.Fatal("foreign file accepted as WAL")
+	if err := w.Append(WALRecord{Seq: 1, Op: WALAdmit, JobID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := int64(len(data))
+	payload := []byte("not json")
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	data = append(append(data, frame...), payload...)
+	recs, goodSize, err := DecodeWAL(data)
+	if err != nil || len(recs) != 1 || goodSize != good {
+		t.Errorf("decoded %d records to %d (err %v), want 1 record to %d", len(recs), goodSize, err, good)
 	}
 }
 

@@ -56,6 +56,8 @@ func TestRequestBodiesAtTheHandler(t *testing.T) {
 		{"int64 overflow", "/v1/submit", `{"job_id":7,"mode":"strict","cores":1,"ways":2,"tw":9223372036854775808}`, http.StatusBadRequest},
 		{"fraction for an int", "/v1/submit", `{"job_id":8,"mode":"strict","cores":1.5,"ways":2}`, http.StatusBadRequest},
 		{"unknown mode", "/v1/submit", `{"job_id":9,"mode":"lenient","cores":1,"ways":2}`, http.StatusBadRequest},
+		{"elastic slack above 1", "/v1/submit", `{"job_id":9,"mode":"elastic","slack":1.5,"cores":1,"ways":2,"tw":1000}`, http.StatusBadRequest},
+		{"deadline and deadline_in", "/v1/submit", `{"job_id":9,"mode":"strict","cores":1,"ways":2,"tw":1000,"deadline":60000,"deadline_in":50000}`, http.StatusBadRequest},
 		{"empty body", "/v1/submit", ``, http.StatusBadRequest},
 		{"oversized", "/v1/submit", submit(10) + strings.Repeat(" ", maxBody), http.StatusRequestEntityTooLarge},
 		{"padded past the pooled buffer", "/v1/submit", submit(11) + strings.Repeat("\n", 3*pooledBuf), http.StatusOK},

@@ -579,14 +579,8 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"drained": true, "wal_seq": seq})
 }
 
-func modeName(m qos.Mode) string {
-	switch m.Kind {
-	case qos.KindStrict:
-		return "strict"
-	case qos.KindElastic:
-		return "elastic"
-	case qos.KindOpportunistic:
-		return "opportunistic"
-	}
-	return "unknown"
-}
+// modeNames are the wire names of the modes parseMode accepts, by kind:
+// every mode the daemon answers with came through it.
+var modeNames = [...]string{qos.KindStrict: "strict", qos.KindElastic: "elastic", qos.KindOpportunistic: "opportunistic"}
+
+func modeName(m qos.Mode) string { return modeNames[m.Kind] }

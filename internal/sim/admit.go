@@ -30,10 +30,9 @@ func (r *Runner) processArrivals(epochEnd int64) {
 			sj := r.cfg.Script[s.scriptPos]
 			e := r.tmpl[len(r.cfg.Workload.Jobs)+s.scriptPos]
 			s.scriptPos++
+			// No scripted arrival is late: Validate orders the script and
+			// a window never skips past the next one (steadyWindow).
 			ta := sj.Arrival
-			if ta < r.now {
-				ta = r.now
-			}
 			// Scripted per-job overrides ride down the submit path as
 			// arguments: the (possibly fleet-shared) Config is never written.
 			instr, factor := r.cfg.JobInstr, r.cfg.DeadlineFactor

@@ -178,14 +178,13 @@ func NewCluster(cfg ClusterConfig) (*ClusterRunner, error) {
 		seed := cfg.nodeSeed(i)
 		if trace := nodeCfg.Engine == EngineTrace; i == 0 || trace {
 			// Identical nodes share their immutable half; the trace engine
-			// profiles its tw table under the node's seed.
+			// profiles its tw table under the node's seed. Validate has
+			// checked cfg.Node; what nodeCfg changes (a positive accept
+			// target, folding without series, a seed) keeps it valid.
 			if trace {
 				nodeCfg.Seed = seed
 			}
-			var err error
-			if sh, err = newShared(nodeCfg); err != nil {
-				return nil, err
-			}
+			sh = newShared(nodeCfg)
 		}
 		n := newNode(sh, seed)
 		n.external = true

@@ -175,10 +175,8 @@ type tmplEntry struct {
 	mode qos.Mode
 }
 
-func newShared(cfg Config) (*nodeShared, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newShared derives the immutable half of a valid configuration.
+func newShared(cfg Config) *nodeShared {
 	sh := &nodeShared{
 		cfg:          cfg,
 		reqWays:      cfg.RequestWays,
@@ -192,16 +190,15 @@ func newShared(cfg Config) (*nodeShared, error) {
 		sh.reqWays = qos.PresetMedium().CacheWays
 	}
 	sh.buildTwTable()
-	return sh, nil
+	return sh
 }
 
 // New builds a runner for the configuration.
 func New(cfg Config) (*Runner, error) {
-	sh, err := newShared(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newNode(sh, cfg.Seed), nil
+	return newNode(newShared(cfg), cfg.Seed), nil
 }
 
 // newNode builds the mutable half. The arrival source, with its arrival
@@ -211,8 +208,8 @@ func New(cfg Config) (*Runner, error) {
 func newNode(sh *nodeShared, seed int64) *Runner {
 	r := &Runner{nodeShared: sh, seed: seed, bus: mem.NewBus(sh.cfg.Mem), ffPricedAt: unpriced}
 	cfg := r.Config()
-	r.sched = newScheduler(cfg)
-	r.wayAlloc = newAllocator(cfg)
+	r.sched = schedulers[cfg.schedulerName()]
+	r.wayAlloc = allocators[cfg.allocatorName()]
 	if r.ctrl = newController(cfg); r.ctrl != nil {
 		r.ctrlState = &ctrlState{}
 	}

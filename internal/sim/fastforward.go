@@ -529,16 +529,15 @@ func phaseHorizon(j *Job, iSum, extra, m int64) int64 {
 }
 
 // phaseIndexAt evaluates Profile.PhaseScale's phase match (the first
-// phase whose Until bound covers the progress fraction; −1 when none)
-// with the exact float arithmetic the model uses.
+// phase whose Until bound covers the progress fraction; the phase count
+// when none) with the exact float arithmetic the model uses.
 func phaseIndexAt(j *Job, done int64) int {
 	progress := float64(done) / float64(j.InstrTotal)
-	for i := range j.Profile.Phases {
-		if progress <= j.Profile.Phases[i].Until {
-			return i
-		}
+	i := 0
+	for i < len(j.Profile.Phases) && progress > j.Profile.Phases[i].Until {
+		i++
 	}
-	return -1
+	return i
 }
 
 // applySteady advances the run by k provably-steady epochs using the

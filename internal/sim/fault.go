@@ -279,18 +279,13 @@ func (r *Runner) refitReservations() {
 // job's pre-fault width first, then progressively narrower widths, then
 // the forced §3.4 auto-downgrade over the same widths, and finally
 // terminates with a recorded QoS violation.
+//
+// The evicted job is live (a finished job's reservation left the
+// timeline at LAC.Complete) and maxWays is at least 1: a reservation
+// holds a way, and Plan.Validate keeps one way lit.
 func (r *Runner) readmit(j *Job) {
-	if j.State == StateDone || j.State == StateTerminated || j.State == StateRejected {
-		return
-	}
 	j.ReservationID = 0
-	maxWays := int(j.WaysReserved)
-	if c := r.faultCapacity().CacheWays; maxWays > c {
-		maxWays = c
-	}
-	if maxWays < 1 {
-		maxWays = 1
-	}
+	maxWays := min(int(j.WaysReserved), r.faultCapacity().CacheWays)
 	// Admission headroom is a brake on new work, not on rescue: suspend
 	// it for the refit ladder, or a controller tightening admission
 	// during a storm would turn renegotiations into violations.
@@ -389,9 +384,9 @@ func (r *Runner) shedElastic() {
 		if pick == nil {
 			return
 		}
-		if pick.Stealer.Shed(1) == 0 {
-			return
-		}
+		// pick holds more than one way and never more than its original
+		// allocation, whose floor is 1: Shed(1) sheds one.
+		pick.Stealer.Shed(1)
 		pick.WaysReserved--
 		r.lac.ShrinkReservation(pick.ID,
 			qos.ResourceVector{Cores: 1, CacheWays: int(pick.WaysReserved)})

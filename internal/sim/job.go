@@ -151,13 +151,10 @@ func (j *Job) setWaysF(w float64) {
 }
 
 // SetCtrlBoost sets the controller's standing way grant for this job
-// (clamped to ≥ 0 — boosts only ever add ways above the negotiated
-// envelope). Controllers call it from Tick; the grant applies from the
-// next way split until retuned or the job finishes.
+// (≥ 0 — boosts only ever add ways above the negotiated envelope).
+// Controllers call it from Tick; the grant applies from the next way
+// split until retuned or the job finishes.
 func (j *Job) SetCtrlBoost(ways int) {
-	if ways < 0 {
-		ways = 0
-	}
 	j.ctrlBoost = int32(ways)
 }
 

@@ -229,10 +229,7 @@ func (m *traceModel) cpiFor(j *Job, memPenalty float64) float64 {
 }
 
 func (m *traceModel) advance(j *Job, instr int64) (int64, int64) {
-	core := int(j.Core)
-	if core < 0 {
-		return 0, 0
-	}
+	core := int(j.Core) // advanceAll advances only the plan's jobs, each on a core
 	nAcc := int64(float64(instr)*j.Profile.L2APA) >> traceAccessShift
 	if nAcc <= 0 {
 		// Too few accesses to sample this epoch; fall back to the last

@@ -103,12 +103,12 @@ func (r *Runner) appendProgressSamples(s []ProgressSample) []ProgressSample {
 			continue
 		}
 		// Promised progress is budget burn-down over the same reserved
-		// wall-clock budget overBudget enforces.
+		// wall-clock budget overBudget enforces. Both spans are positive:
+		// a tick runs before the epoch's plan starts jobs, so a running
+		// job started an epoch or more ago, and its budget ends after its
+		// start (a tw, or a deadline its opportunistic start preceded).
 		elapsed := r.now - j.Started
 		budget := j.budgetEnd() - j.Started
-		if elapsed <= 0 || budget <= 0 || j.InstrTotal <= 0 {
-			continue
-		}
 		promised := float64(elapsed) / float64(budget)
 		if promised > 1 {
 			promised = 1
@@ -228,13 +228,8 @@ func (c *pidController) Tick(r *Runner, now int64, samples []ProgressSample) {
 	}
 	c.integ = float64(c.integ*pidIntegDecay) + errSum
 	h := int(float64(pidKp*errSum) + float64(pidKi*c.integ))
-	if h > c.maxHeadroom {
-		h = c.maxHeadroom
-	}
-	if h < 0 {
-		h = 0
-	}
-	r.SetAdmissionHeadroom(h)
+	// Every error term is ≥ 0, so is the integral, and h.
+	r.SetAdmissionHeadroom(min(h, c.maxHeadroom))
 }
 
 // aimdController is additive-increase/multiplicative-decrease on both

@@ -37,15 +37,17 @@ type WayAllocator interface {
 }
 
 var (
-	schedulers = map[string]func(Config) Scheduler{
-		"reserved": func(Config) Scheduler { return &reservedScheduler{} },
-		"packed":   func(Config) Scheduler { return &reservedScheduler{packOpp: true} },
-		"shared":   func(Config) Scheduler { return sharedScheduler{} },
+	// Schedulers and allocators are stateless values every node shares;
+	// only a controller reads the Config and keeps state of its own.
+	schedulers = map[string]Scheduler{
+		"reserved": reservedScheduler{},
+		"packed":   reservedScheduler{packOpp: true},
+		"shared":   sharedScheduler{},
 	}
-	allocators = map[string]func(Config) WayAllocator{
-		"reserved": func(Config) WayAllocator { return reservedAllocator{} },
-		"equal":    func(Config) WayAllocator { return equalAllocator{} },
-		"ucp":      func(Config) WayAllocator { return ucpAllocator{} },
+	allocators = map[string]WayAllocator{
+		"reserved": reservedAllocator{},
+		"equal":    equalAllocator{},
+		"ucp":      ucpAllocator{},
 	}
 	// An admission name says whether the LAC is built qos.WithLatestFit:
 	// "fcfs" is the paper's earliest-fit placement (§5).
@@ -134,12 +136,8 @@ func (c Config) controllerName() string {
 	return "static"
 }
 
-// newScheduler, newAllocator and newController build the configuration's
-// pipeline stages; Config.Validate has checked the names.
-func newScheduler(cfg Config) Scheduler { return schedulers[cfg.schedulerName()](cfg) }
-
-func newAllocator(cfg Config) WayAllocator { return allocators[cfg.allocatorName()](cfg) }
-
+// newController builds the configuration's controller; Config.Validate
+// has checked the name.
 func newController(cfg Config) Controller { return controllers[cfg.controllerName()](cfg) }
 
 // PipelineNames returns the resolved (scheduler, allocator, admission)

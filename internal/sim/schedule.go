@@ -67,7 +67,7 @@ type reservedScheduler struct {
 	packOpp bool
 }
 
-func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
+func (s reservedScheduler) Assign(r *Runner) [][]*Job {
 	cores := r.cfg.Cores
 	var reservedOn [64]*Job
 	// Reserved jobs keep a healthy core of their own; the rest need one.
@@ -133,7 +133,7 @@ func (s *reservedScheduler) Assign(r *Runner) [][]*Job {
 // pick chooses a free core for one opportunistic job: the least loaded
 // (lowest index on ties), or with packOpp the first below the pin cap,
 // spilling to the least loaded once every free core is at the cap.
-func (s *reservedScheduler) pick(free uint64, load *[64]int) int {
+func (s reservedScheduler) pick(free uint64, load *[64]int) int {
 	if s.packOpp {
 		for m := free; m != 0; m &= m - 1 {
 			if c := bits.TrailingZeros64(m); load[c] < qos.OpportunisticPerCore {

@@ -415,7 +415,7 @@ func FuzzAssignMatchesListScheduler(f *testing.F) {
 			got = runAssign(c, prof, sharedScheduler{}, reservedAllocator{})
 			want = runAssign(c, prof, listSharedScheduler{}, listReservedAllocator{})
 		default:
-			got = runAssign(c, prof, &reservedScheduler{packOpp: c.sched == 1}, reservedAllocator{})
+			got = runAssign(c, prof, reservedScheduler{packOpp: c.sched == 1}, reservedAllocator{})
 			want = runAssign(c, prof, &listReservedScheduler{packOpp: c.sched == 1}, listReservedAllocator{})
 		}
 		if msg := assignMismatch(got, want); msg != "" {

@@ -78,10 +78,9 @@ func (r *Runner) fragDeltas(byCore [][]*Job) (idleCores, idleWays, internal floa
 	}
 	// Faulted resources are lost capacity, not fragmentation: they are
 	// excluded from both idle pools.
+	// No scheduler places a job on a down core while a live one exists,
+	// and Plan.Validate keeps one core live: busyCores ≤ live cores.
 	idleCores = float64(r.cfg.Cores - r.downCores() - busyCores)
-	if idleCores < 0 {
-		idleCores = 0
-	}
 	if idle := float64(r.cfg.L2.Ways-r.waysDown()) - usedWays; idle > 0 {
 		idleWays = idle
 	}

@@ -14,13 +14,13 @@ func minIndex(xs []int) int {
 }
 
 // usefulWays is the smallest allocation beyond which the profile's miss
-// curve is nearly flat.
+// curve is nearly flat (16 if it never flattens; no built-in profile is
+// that steep).
 func usefulWays(p workload.Profile) float64 {
 	eps := p.MissRatio(1) * 0.01
-	for w := 1; w < 16; w++ {
-		if p.MissRatio(w)-p.MissRatio(w+1) < eps {
-			return float64(w)
-		}
+	w := 1
+	for w < 16 && p.MissRatio(w)-p.MissRatio(w+1) >= eps {
+		w++
 	}
-	return 16
+	return float64(w)
 }

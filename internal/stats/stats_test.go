@@ -84,6 +84,12 @@ func TestSummaryMergeEmpty(t *testing.T) {
 	if b.Count() != 2 || b.Mean() != 1.5 {
 		t.Errorf("merge into empty: %v", b.String())
 	}
+	var c Summary
+	c.Add(0)
+	c.Merge(a) // a's max is the merged max
+	if c.Max() != 2 || c.Min() != 0 {
+		t.Errorf("merged min/max = %v/%v, want 0/2", c.Min(), c.Max())
+	}
 }
 
 func TestSummaryMeanWithinBounds(t *testing.T) {

@@ -143,13 +143,9 @@ func (c *Controller) Shed(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	shed := c.origWays - c.minWays
-	if shed > n {
-		shed = n
-	}
-	if shed <= 0 {
-		return 0
-	}
+	// New and every Shed keep origWays ≥ minWays, so shed ≥ 0, and
+	// shedding 0 changes nothing.
+	shed := min(c.origWays-c.minWays, n)
 	c.origWays -= shed
 	if c.curWays > c.origWays {
 		c.curWays = c.origWays

@@ -132,6 +132,15 @@ func TestExcessMissRatio(t *testing.T) {
 
 // TestRollbackAfterShed: shed ways leave the reservation for good, so a
 // rollback returns the stolen ways only up to what it still holds.
+// TestShedStopsAtTheFloor: a controller already at its minimum sheds
+// nothing, whatever it is asked.
+func TestShedStopsAtTheFloor(t *testing.T) {
+	c := New(0.05, 1, 1)
+	if shed := c.Shed(1); shed != 0 || c.Ways() != 1 {
+		t.Errorf("Shed(1) at the floor = %d, ways %d; want 0, 1", shed, c.Ways())
+	}
+}
+
 func TestRollbackAfterShed(t *testing.T) {
 	c := New(0.05, 7, 1)
 	for i := 0; i < 3; i++ {

@@ -164,16 +164,10 @@ func Gantt(lanes []Lane, width int) string {
 	if span <= 0 {
 		span = 1
 	}
-	col := func(c int64) int {
-		p := int(float64(c-lo) / float64(span) * float64(width-1))
-		if p < 0 {
-			p = 0
-		}
-		if p > width-1 {
-			p = width - 1
-		}
-		return p
-	}
+	// Every instant drawn lies in [lo, hi]: lo is the earliest start,
+	// hi the latest end or deadline, and a switch-back precedes its
+	// job's deadline. So every column is in [0, width-1].
+	col := func(c int64) int { return int(float64(c-lo) / float64(span) * float64(width-1)) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycles %d .. %d  (one column = %.3g cycles)\n", lo, hi, float64(span)/float64(width))
 	for _, l := range lanes {

@@ -60,6 +60,15 @@ func TestGanttEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestGanttSpansTheEarliestStart: lanes in job order need not start in
+// order; the chart spans from the earliest start.
+func TestGanttSpansTheEarliestStart(t *testing.T) {
+	g := Gantt([]Lane{{JobID: 1, Start: 50, End: 100, Met: true}, {JobID: 2, Start: 0, End: 40, Met: true}}, 20)
+	if !strings.HasPrefix(g, "cycles 0 .. 100 ") {
+		t.Errorf("gantt does not span from the earliest start:\n%s", g)
+	}
+}
+
 func TestEventKindStrings(t *testing.T) {
 	if Submitted.String() != "submitted" || Completed.String() != "completed" {
 		t.Error("event kind names wrong")

@@ -50,6 +50,18 @@ func TestStreamsDisjointAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestSubBlockRegionIsOneBlock: a region smaller than a cache block is
+// one block, every access to the same address.
+func TestSubBlockRegionIsOneBlock(t *testing.T) {
+	s := Profile{Regions: []Region{{SizeBytes: 10, Weight: 1}}}.NewStream(1, 0)
+	first := s.Next()
+	for i := 0; i < 100; i++ {
+		if a := s.Next(); a != first {
+			t.Fatalf("access %d to %#x, want the region's one block %#x", i, uint64(a), uint64(first))
+		}
+	}
+}
+
 func TestStreamBlockAligned(t *testing.T) {
 	p := MustByName("milc")
 	s := p.NewStream(3, 0)

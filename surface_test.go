@@ -128,6 +128,8 @@ func TestInternalSurfaceFixture(t *testing.T) {
 // internal/.
 type tree struct {
 	mod    string
+	dir    string // absolute
+	fset   *token.FileSet
 	pkgs   []*pkg // in import order
 	isRoot map[*pkg]bool
 	linked int // pkgs[:linked] are in some root's import closure
@@ -142,7 +144,7 @@ func loadTree(dir, mod string, roots []string) (*tree, error) {
 	}
 	defer l.close()
 
-	tr := &tree{mod: mod, isRoot: map[*pkg]bool{}}
+	tr := &tree{mod: mod, dir: l.dir, fset: l.fset, isRoot: map[*pkg]bool{}}
 	for _, pat := range roots {
 		dirs, err := filepath.Glob(filepath.Join(dir, pat))
 		if err != nil {
