@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -112,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logs := make([]sim.EventLog, n)
 	ctx, cancel := cli.Context(*timeout)
 	defer cancel()
-	reps, err := parallel.Map(ctx, parallel.New(*workers), n, func(i int) (*sim.Report, error) {
+	reps, err := parallel.Map(ctx, parallel.New(cmp.Or(*workers, -1)), n, func(i int) (*sim.Report, error) {
 		c := cfg
 		c.Seed += int64(i)
 		r, err := sim.New(c)

@@ -16,11 +16,7 @@ import (
 // through sim.Config, so they cannot use sim.RunAll). It fails when the
 // options' context ends the sweep, or with a measurement's panic.
 func mapMeasure(o Options, n int, fn func(i int) float64) ([]float64, error) {
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1 // same default as sim.RunAll: serial unless asked
-	}
-	return parallel.Map(o.ctx(), parallel.New(workers), n, func(i int) (float64, error) {
+	return parallel.Map(o.ctx(), parallel.New(o.Workers), n, func(i int) (float64, error) {
 		return fn(i), nil
 	})
 }

@@ -56,10 +56,6 @@ func Cluster(o Options) (*ClusterResult, error) {
 	if o.Dispatch != "" {
 		names = []string{o.Dispatch}
 	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1
-	}
 	res := &ClusterResult{}
 	for _, nodes := range sizes {
 		jobs := o.ClusterJobs
@@ -77,7 +73,7 @@ func Cluster(o Options) (*ClusterResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := cr.RunParallel(o.ctx(), workers)
+			rep, err := cr.RunParallel(o.ctx(), o.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("fleet %s on %d nodes: %w", name, nodes, err)
 			}

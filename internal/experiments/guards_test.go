@@ -44,7 +44,17 @@ func TestClusterRefusesAnUnknownDispatcher(t *testing.T) {
 
 // TestGeometryReportsABrokenGuarantee: at a thousand instructions a job
 // is shorter than the engine's epoch, and the geometry sweep says the
-// guarantee broke instead of printing a table.
+// guarantee broke instead of printing a table. The cause is the epoch,
+// not the tw fit or the deadline class (DESIGN §8.5): the engine starts
+// a reserved job at the first epoch boundary at or after its
+// reservation's start, up to one epoch (250,000 cycles) late, and the
+// run ends that much past the reservation the LAC granted, while the
+// tw margin covers 5% of tw. At a thousand instructions tw is ≈3,000
+// cycles; at a million (qostrace -policy allstrict -workload bzip2
+// -instr 1000000) it is 3,071,250 and an epoch is 8% of it, so six of
+// the ten jobs overrun their reservations and the three whose
+// deadlines lie less than the overrun past their reservation's end
+// miss.
 func TestGeometryReportsABrokenGuarantee(t *testing.T) {
 	if _, err := Geometry(Options{JobInstr: 1000}); err == nil || !strings.Contains(err.Error(), "guarantee broken") {
 		t.Errorf("Geometry at 1000 instructions = %v, want a broken-guarantee error", err)

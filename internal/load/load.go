@@ -329,16 +329,19 @@ func runOne(ctx context.Context, client *http.Client, cases []Case, cfg Config, 
 }
 
 // cancelJob cancels a granted admission. acked means the daemon
-// confirmed the release; unknown means the answer was lost in flight
-// (the cancel may have been logged before a crash), so the job's
-// post-recovery liveness is legitimately ambiguous.
+// confirmed the release; unknown means the answer was lost in flight, or
+// was a 500 whose body says the outcome is unknown (the cancel may have
+// been logged before a crash), so the job's post-recovery liveness is
+// legitimately ambiguous.
 func cancelJob(ctx context.Context, client *http.Client, cfg Config, jobID int) (acked, unknown bool) {
 	body, _ := json.Marshal(map[string]int{"job_id": jobID})
-	status, _, err := post(ctx, client, cfg.BaseURL+"/v1/cancel", body)
+	status, ans, err := post(ctx, client, cfg.BaseURL+"/v1/cancel", body)
 	if err != nil {
 		return false, true
 	}
-	return status == http.StatusOK, false
+	var failed struct{ Outcome string }
+	json.Unmarshal(ans, &failed)
+	return status == http.StatusOK, status == http.StatusInternalServerError && failed.Outcome == "unknown"
 }
 
 func post(ctx context.Context, client *http.Client, url string, body []byte) (int, []byte, error) {

@@ -162,6 +162,49 @@ func TestRunCountsEveryAnswer(t *testing.T) {
 	}
 }
 
+// TestCancelOutcomes: a cancel's answer decides what the audit may
+// expect of its grant — acked (gone), refused with a definite 500 or a
+// 404 (still live), or refused with a 500 whose outcome is unknown
+// (either way, like a lost answer).
+func TestCancelOutcomes(t *testing.T) {
+	answers := []struct {
+		status            int
+		body              string
+		cancelled, unsure bool
+	}{
+		{http.StatusOK, `{"cancelled":true}`, true, false},
+		{http.StatusInternalServerError, `{"error":"write wal.log: input/output error"}`, false, false},
+		{http.StatusInternalServerError, `{"error":"write wal.log: input/output error (outcome unknown: …)","outcome":"unknown"}`, false, true},
+		{http.StatusNotFound, `{"error":"job 3 is not admitted"}`, false, false},
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req submitWire
+		json.NewDecoder(r.Body).Decode(&req)
+		if r.URL.Path == "/v1/cancel" {
+			a := answers[req.JobID-jobIDBase]
+			w.WriteHeader(a.status)
+			w.Write([]byte(a.body))
+			return
+		}
+		json.NewEncoder(w).Encode(map[string]any{"accepted": true, "mode": "strict", "seq": 1})
+	}))
+	defer stub.Close()
+	rep, err := Run(context.Background(), []Case{{Name: "s", Mode: "strict", Cores: 1, Ways: 1, TW: 10, DeadlineIn: 100}},
+		Config{BaseURL: stub.URL, Requests: len(answers), Concurrency: 1, Cancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Grants) != len(answers) {
+		t.Fatalf("%d grants, want %d", len(rep.Grants), len(answers))
+	}
+	for _, g := range rep.Grants {
+		a := answers[g.JobID-jobIDBase]
+		if g.Cancelled != a.cancelled || g.CancelUnknown != a.unsure {
+			t.Errorf("cancel answered %d %s: grant %+v, want cancelled %v, unknown %v", a.status, a.body, g, a.cancelled, a.unsure)
+		}
+	}
+}
+
 // TestRunRefusesAndStops: Run refuses a load with no cases or no daemon,
 // sends nothing under a canceled context, and stops retrying when it is
 // canceled mid-backoff.

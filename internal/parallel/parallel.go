@@ -31,11 +31,15 @@ type Pool struct {
 // positive: one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// New returns a pool bounded to n concurrent workers. n <= 0 selects
-// DefaultWorkers; 1 yields strictly serial execution.
+// New returns a pool bounded to n concurrent workers, in the convention
+// of experiments.Options.Workers: 0 or 1 yields strictly serial
+// execution, and a negative n selects DefaultWorkers.
 func New(n int) *Pool {
-	if n <= 0 {
+	switch {
+	case n < 0:
 		n = DefaultWorkers()
+	case n == 0:
+		n = 1
 	}
 	return &Pool{workers: n}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 func TestNewNormalizesWorkerCount(t *testing.T) {
-	if got := New(0).workers; got != DefaultWorkers() {
-		t.Fatalf("New(0).workers = %d, want %d", got, DefaultWorkers())
+	if got := New(0).workers; got != 1 {
+		t.Fatalf("New(0).workers = %d, want 1 (serial)", got)
 	}
 	if got := New(-3).workers; got != DefaultWorkers() {
 		t.Fatalf("New(-3).workers = %d, want %d", got, DefaultWorkers())

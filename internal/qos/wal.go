@@ -174,11 +174,60 @@ func appendMode(dst []byte, m Mode) ([]byte, bool) {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// FS is the filesystem under the daemon's durable state: the WAL
+// writer's writes, syncs and closes, recovery's read, truncate and open,
+// and the snapshot writer's create, rename, remove and directory sync
+// all go through it, and through nothing else. OS is its one
+// production implementation; tests put an in-memory disk behind it that
+// fails and crashes on a schedule.
+type FS interface {
+	// Create creates or truncates a file for writing.
+	Create(name string) (File, error)
+	// Append opens an existing file for writing at its end.
+	Append(name string) (File, error)
+	ReadFile(name string) ([]byte, error)
+	Truncate(name string, size int64) error
+	Rename(from, to string) error
+	Remove(name string) error
+	// SyncDir makes the creates, renames and removes in dir durable.
+	SyncDir(dir string) error
+}
+
+// File is a file of an FS opened for writing.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// OS is the operating system's filesystem.
+var OS FS = osFS{}
+
+type osFS struct{}
+
+func (osFS) Create(name string) (File, error) {
+	return os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+}
+func (osFS) Append(name string) (File, error)       { return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0) }
+func (osFS) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
+func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+func (osFS) Rename(from, to string) error           { return os.Rename(from, to) }
+func (osFS) Remove(name string) error               { return os.Remove(name) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 // WALWriter appends records to a log file. With syncEach set, every
 // append is fsynced before returning, so an acknowledged record
-// survives kill -9; without it, durability is best-effort until Sync.
+// survives kill -9; without it, durability is best-effort until Close.
 type WALWriter struct {
-	f        *os.File
+	f        File
 	syncEach bool
 	buf      []byte
 	size     int64
@@ -188,40 +237,43 @@ type WALWriter struct {
 // appended so far) — the compaction trigger for byte-bounded logs.
 func (w *WALWriter) Size() int64 { return w.size }
 
-// CreateWAL creates (truncating) a log at path and writes the versioned
-// header.
+// CreateWAL creates (truncating) a log at path on the OS filesystem; see
+// CreateWALOn.
 func CreateWAL(path string, syncEach bool) (*WALWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	return CreateWALOn(OS, path, syncEach)
+}
+
+// CreateWALOn creates (truncating) a log at path and writes the
+// versioned header, durably whatever syncEach says: a log renamed into
+// place must never be one that a crash can leave headerless.
+func CreateWALOn(fsys FS, path string, syncEach bool) (*WALWriter, error) {
+	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(walHeader); err != nil {
+	if _, err := f.Write([]byte(walHeader)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if syncEach {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &WALWriter{f: f, syncEach: syncEach, size: int64(len(walHeader))}, nil
 }
 
-// AppendWAL opens an existing log for appending. The caller is expected
-// to have validated (and, after a torn tail, truncated) the file with
-// ReadWAL first.
-func AppendWAL(path string, syncEach bool) (*WALWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenWALOn reopens the log at path for appending after its first size
+// bytes — the goodSize ReadWALOn reported — cutting the torn tail a
+// crash may have left past them.
+func OpenWALOn(fsys FS, path string, size int64, syncEach bool) (*WALWriter, error) {
+	if err := fsys.Truncate(path, size); err != nil {
+		return nil, err
+	}
+	f, err := fsys.Append(path)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &WALWriter{f: f, syncEach: syncEach, size: fi.Size()}, nil
+	return &WALWriter{f: f, syncEach: syncEach, size: size}, nil
 }
 
 // Append frames and writes one record. The frame is assembled into one
@@ -249,9 +301,6 @@ func (w *WALWriter) Append(rec WALRecord) error {
 	}
 	return nil
 }
-
-// Sync flushes the log to stable storage.
-func (w *WALWriter) Sync() error { return w.f.Sync() }
 
 // Close syncs and closes the log.
 func (w *WALWriter) Close() error {
@@ -311,10 +360,13 @@ func DecodeWAL(data []byte) (recs []WALRecord, goodSize int64, err error) {
 	}
 }
 
-// ReadWAL decodes the log at path (see DecodeWAL). A missing file is an
-// error the caller can test with os.IsNotExist.
-func ReadWAL(path string) (recs []WALRecord, goodSize int64, err error) {
-	data, err := os.ReadFile(path)
+// ReadWAL decodes the log at path on the OS filesystem; see ReadWALOn.
+func ReadWAL(path string) (recs []WALRecord, goodSize int64, err error) { return ReadWALOn(OS, path) }
+
+// ReadWALOn decodes the log at path (see DecodeWAL). A missing file is
+// an error that matches fs.ErrNotExist.
+func ReadWALOn(fsys FS, path string) (recs []WALRecord, goodSize int64, err error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -196,10 +197,7 @@ func TestWALTornTailRecovers(t *testing.T) {
 			if err := os.WriteFile(tp, whole[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Truncate(tp, goodSize); err != nil {
-				t.Fatal(err)
-			}
-			aw, err := AppendWAL(tp, false)
+			aw, err := OpenWALOn(OS, tp, goodSize, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,6 +225,42 @@ func TestWALTornTailRecovers(t *testing.T) {
 	recs, _, err := DecodeWAL(mut)
 	if err != nil || len(recs) != n-1 {
 		t.Fatalf("corrupted tail: %d recs, err %v", len(recs), err)
+	}
+}
+
+// TestWALAppendAllocatesNothing: after warm-up, an append through the
+// OS filesystem allocates nothing — the seam is an interface call on a
+// pointer, and the frame buffer is reused — with and without the
+// per-record fsync.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	for _, syncEach := range []bool{false, true} {
+		w, err := CreateWAL(filepath.Join(t.TempDir(), "wal.log"), syncEach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := walRec(1, 1)
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			rec.Seq++
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("syncEach %v: an append allocated %.1f times", syncEach, allocs)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOSSyncDirOfNoDirectory: the OS seam's directory sync reports a
+// directory it cannot open.
+func TestOSSyncDirOfNoDirectory(t *testing.T) {
+	if err := OS.SyncDir(filepath.Join(t.TempDir(), "gone")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("SyncDir of a missing directory = %v, want fs.ErrNotExist", err)
 	}
 }
 

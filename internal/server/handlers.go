@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -17,7 +18,9 @@ import (
 // answer, not a failure), 503 means the daemon refused to answer
 // (overload shed, draining or drained, or the WAL poisoned by an append
 // error; retryable), 500 that the answer could not be logged and so was
-// never applied, 409 a duplicate job id, 404 an unknown job, 413 a body
+// never applied — unless its body says "outcome":"unknown", when the
+// record may still be on disk and a restart may apply it — 409 a
+// duplicate job id, 404 an unknown job, 413 a body
 // over the cap, 400 a malformed request — one that is not exactly one
 // JSON object of the request's declared fields (codec.go).
 
@@ -158,7 +161,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	body := map[string]string{"error": err.Error()}
+	if errors.Is(err, errOutcomeUnknown) {
+		body["outcome"] = "unknown"
+	}
+	writeJSON(w, status, body)
 }
 
 func shed(w http.ResponseWriter, reason string) {

@@ -28,8 +28,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -130,7 +132,8 @@ type jobEntry struct {
 // order (replay relies on this) and a record the log refused was never
 // applied.
 type Server struct {
-	cfg Config
+	cfg  Config
+	disk qos.FS // every file operation on cfg.Dir
 
 	mu    sync.Mutex
 	nodes []*qos.LAC
@@ -149,9 +152,10 @@ type Server struct {
 	snapshots     int64
 	lastSnapDur   time.Duration
 	lastSnapBytes int64
-	// walDegraded is set by any append error and cleared by the next
-	// snapshot + rotation that lands; while it is set nothing may be
-	// logged, so nothing may be decided (lockForDecision). lastWALErr
+	// walDegraded is set by any append error, and by a rotation whose
+	// final directory sync failed, and cleared by the next snapshot +
+	// rotation that lands through that sync; while it is set nothing may
+	// be logged, so nothing may be decided (lockForDecision). lastWALErr
 	// keeps the error's text for healthz.
 	walDegraded bool
 	lastWALErr  string
@@ -179,24 +183,26 @@ type Server struct {
 	// holdAdmission, when set (tests only), runs while an admission
 	// slot is held, letting tests create real queue pressure.
 	holdAdmission func()
-	// failStep, when set (tests only), is asked before each step of
-	// persistSnapshotLocked and before each WAL append, and fails the
-	// step by returning an error.
-	failStep func(step string) error
 }
 
 // New opens (creating or recovering) a daemon over the state directory
 // in cfg.Dir.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Config.Dir is required")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	return newServer(cfg, qos.OS)
+}
+
+// newServer is New over the existing directory cfg.Dir of disk.
+func newServer(cfg Config, disk qos.FS) (*Server, error) {
+	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
+		disk:    disk,
 		jobs:    map[int]jobEntry{},
 		started: time.Now(),
 		enc:     jsonenc.New(nil),
@@ -238,7 +244,7 @@ func (s *Server) recover() error {
 	walPath := filepath.Join(s.cfg.Dir, walName)
 
 	walSeq := int64(0)
-	if data, err := os.ReadFile(snapPath); err == nil {
+	if data, err := s.disk.ReadFile(snapPath); err == nil {
 		var env snapEnvelope
 		if err := json.Unmarshal(data, &env); err != nil {
 			return fmt.Errorf("server: decoding %s: %w", snapName, err)
@@ -262,7 +268,7 @@ func (s *Server) recover() error {
 		walSeq = env.WALSeq
 		s.clockBase = env.Clock
 		s.maxCycle.Store(env.Clock)
-	} else if !os.IsNotExist(err) {
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return err
 	} else {
 		for i := 0; i < s.cfg.Nodes; i++ {
@@ -271,16 +277,11 @@ func (s *Server) recover() error {
 	}
 	s.gac = qos.NewGAC(s.nodes...)
 
-	recs, goodSize, err := qos.ReadWAL(walPath)
+	recs, goodSize, err := qos.ReadWALOn(s.disk, walPath)
 	switch {
-	case os.IsNotExist(err):
-		w, err := qos.CreateWAL(walPath, !s.cfg.NoSync)
-		if err != nil {
-			return err
-		}
-		s.wal = w
+	case errors.Is(err, fs.ErrNotExist):
 		s.seq = walSeq
-		return nil
+		return s.rotateWALLocked()
 	case err != nil:
 		return err
 	}
@@ -298,12 +299,7 @@ func (s *Server) recover() error {
 	}
 	// A torn tail is the expected crash shape: cut it so appends resume
 	// after the last intact record.
-	if fi, err := os.Stat(walPath); err == nil && fi.Size() > goodSize {
-		if err := os.Truncate(walPath, goodSize); err != nil {
-			return err
-		}
-	}
-	w, err := qos.AppendWAL(walPath, !s.cfg.NoSync)
+	w, err := qos.OpenWALOn(s.disk, walPath, goodSize, !s.cfg.NoSync)
 	if err != nil {
 		return err
 	}
@@ -389,26 +385,26 @@ func (s *Server) now() int64 {
 	return c
 }
 
+// errOutcomeUnknown marks an append error whose record may yet be
+// replayed: the re-anchor that would have erased it did not land.
+var errOutcomeUnknown = errors.New("outcome unknown")
+
 // appendLocked logs one record (mu held) before its change is applied.
 // On failure the caller applies nothing and answers 500, and memory is
-// still the state before the request. The file is not: it may end in a
-// torn frame, or hold a frame for the failed sequence number that did
-// land, and a later record appended after it would replay on top of it.
-// So the error poisons the log (walDegraded) until a snapshot of memory
-// and a fresh log re-anchor disk to it, tried here at once and again by
-// every request lockForDecision refuses.
+// still the state before the request. The file is not: a short write
+// leaves a torn frame, and a write whose fsync failed may have landed
+// the whole frame, which a crash would replay. So any error poisons the
+// log (walDegraded) until a snapshot of memory and a fresh log re-anchor
+// disk to it, tried here at once and again by every request
+// lockForDecision refuses. The failure is definite only if this first
+// re-anchor landed; otherwise the error wraps errOutcomeUnknown.
 func (s *Server) appendLocked(rec *qos.WALRecord) error {
 	rec.Seq = s.seq + 1
-	var err error
-	if s.failStep != nil {
-		err = s.failStep(stepWALAppend)
-	}
-	if err == nil {
-		err = s.wal.Append(*rec)
-	}
-	if err != nil {
+	if err := s.wal.Append(*rec); err != nil {
 		s.walDegraded, s.lastWALErr = true, err.Error()
-		s.snapshotLocked()
+		if rerr := s.snapshotLocked(); rerr != nil {
+			return fmt.Errorf("%w (%w: the log was not re-anchored: %v)", err, errOutcomeUnknown, rerr)
+		}
 		return err
 	}
 	s.seq = rec.Seq
@@ -435,12 +431,14 @@ func (s *Server) maybeSnapshotLocked() {
 }
 
 // snapshotLocked snapshots and rotates on the daemon's own initiative
-// (mu held), counting a failure for healthz instead of returning it.
-func (s *Server) snapshotLocked() {
-	if err := s.persistSnapshotLocked(nil); err != nil {
+// (mu held), counting a failure for healthz.
+func (s *Server) snapshotLocked() error {
+	err := s.persistSnapshotLocked(nil)
+	if err != nil {
 		s.snapFailures++
 		s.lastSnapErr = err.Error()
 	}
+	return err
 }
 
 // encodeLocked renders the full durable state deterministically into w
@@ -494,96 +492,78 @@ func (s *Server) encodeStateLocked() ([]byte, error) {
 	return img.Bytes(), nil
 }
 
-// The steps of persistSnapshotLocked, as failStep names them.
-const (
-	stepSnapWrite  = "snapshot-write"
-	stepSnapRename = "snapshot-rename"
-	stepSnapSync   = "snapshot-dirsync"
-	stepWALCreate  = "wal-create"
-	stepWALRename  = "wal-rename"
-	stepWALSync    = "wal-dirsync"
-	// stepWALAppend is not one of them: appendLocked asks before every
-	// record.
-	stepWALAppend = "wal-append"
-)
-
-// step runs one step of persistSnapshotLocked, unless a test fails it
-// first.
-func (s *Server) step(name string, do func() error) error {
-	if s.failStep != nil {
-		if err := s.failStep(name); err != nil {
-			return err
-		}
-	}
-	return do()
-}
-
 // persistSnapshotLocked streams the state into snapshot.json atomically
 // (tmp + fsync + rename + dir sync) and then rotates the WAL so its
 // records begin after the snapshot's high-water mark; tee, when non-nil,
-// receives the same bytes. The live WAL writer is replaced only once its
-// successor is open, durable and renamed into place, and is closed last:
-// a failure at any step leaves s.wal open on the file named wal.log, so
-// admissions carry on and the next record retries. Every crash window is
-// safe (DESIGN §12.2): until the snapshot rename lands, the old snapshot
-// and the full WAL recover; from then on the new snapshot skips, by
-// sequence number, whatever the log still holds.
+// receives the same bytes. Every crash window is safe (DESIGN §12.2):
+// until the snapshot rename lands, the old snapshot and the full WAL
+// recover; from then on the new snapshot skips, by sequence number,
+// whatever the log still holds.
 func (s *Server) persistSnapshotLocked(tee io.Writer) error {
 	start := time.Now()
-	dir := s.cfg.Dir
-	snapPath := filepath.Join(dir, snapName)
+	snapPath := filepath.Join(s.cfg.Dir, snapName)
 	snapTmp := snapPath + ".tmp"
-	err := s.step(stepSnapWrite, func() error { return s.writeSnapshotLocked(snapTmp, tee) })
+	err := s.writeSnapshotLocked(snapTmp, tee)
 	if err == nil {
-		err = s.step(stepSnapRename, func() error { return os.Rename(snapTmp, snapPath) })
+		err = s.disk.Rename(snapTmp, snapPath)
 	}
 	if err != nil {
-		os.Remove(snapTmp)
+		s.disk.Remove(snapTmp)
 		return err
 	}
-	if err := s.step(stepSnapSync, func() error { return syncDir(dir) }); err != nil {
+	if err := s.disk.SyncDir(s.cfg.Dir); err != nil {
 		return err
 	}
-
-	walPath := filepath.Join(dir, walName)
-	walTmp := walPath + ".tmp"
-	var nw *qos.WALWriter
-	err = s.step(stepWALCreate, func() (err error) {
-		nw, err = createWALSynced(walTmp, !s.cfg.NoSync)
-		return err
-	})
-	if err == nil {
-		if err = s.step(stepWALRename, func() error { return os.Rename(walTmp, walPath) }); err != nil {
-			nw.Close()
-		}
-	}
-	if err != nil {
-		os.Remove(walTmp)
-		return err
-	}
-	// wal.log now names the new file — the log a restart will read — so
-	// it takes every record from here on, whatever happens below.
-	old := s.wal
-	s.wal = nw
-	err = s.step(stepWALSync, func() error { return syncDir(dir) })
-	// The old log is unlinked and every record in it is covered by the
-	// snapshot made durable above; nothing depends on how it closes.
-	_ = old.Close()
-	if err != nil {
+	if err := s.rotateWALLocked(); err != nil {
 		return err
 	}
 	s.since = 0
-	s.walDegraded = false // disk is memory again, on a log with no failed append in it
 	s.snapshots++
 	s.lastSnapDur = time.Since(start)
 	s.lastSnapBytes = s.enc.Written()
 	return nil
 }
 
+// rotateWALLocked puts a fresh log with a durable header under wal.log
+// and makes it the live one (mu held; a fresh state directory gets its
+// first log here too). The live writer is replaced only once its
+// successor is renamed into place, and a failure before that leaves
+// s.wal open on the file wal.log durably names, so admissions carry on.
+// After the rename, a crash may keep either name until the directory
+// sync lands, and would lose what the new log took: a failed sync
+// poisons the log, and one that lands clears the poison — disk is
+// memory again, on a log with no failed append in it.
+func (s *Server) rotateWALLocked() error {
+	walPath := filepath.Join(s.cfg.Dir, walName)
+	walTmp := walPath + ".tmp"
+	nw, err := qos.CreateWALOn(s.disk, walTmp, !s.cfg.NoSync)
+	if err == nil {
+		if err = s.disk.Rename(walTmp, walPath); err != nil {
+			nw.Close()
+		}
+	}
+	if err != nil {
+		s.disk.Remove(walTmp)
+		return err
+	}
+	old := s.wal
+	s.wal = nw
+	err = s.disk.SyncDir(s.cfg.Dir)
+	// The old log, if any, is unlinked and every record in it is covered
+	// by the durable snapshot; nothing depends on how it closes.
+	if old != nil {
+		_ = old.Close()
+	}
+	if s.walDegraded = err != nil; err != nil {
+		s.lastWALErr = err.Error()
+	}
+	return err
+}
+
 // writeSnapshotLocked streams the state into a fresh file at path (and
 // into tee) and makes the file durable.
 func (s *Server) writeSnapshotLocked(path string, tee io.Writer) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := s.disk.Create(path)
 	if err != nil {
 		return err
 	}
@@ -600,35 +580,6 @@ func (s *Server) writeSnapshotLocked(path string, tee io.Writer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// createWALSynced creates a log at path whose header is durable even
-// when per-record syncing is off, and leaves it open: a rotation must
-// never rename a log into place that a crash could leave headerless.
-func createWALSynced(path string, syncEach bool) (*qos.WALWriter, error) {
-	w, err := qos.CreateWAL(path, syncEach)
-	if err != nil {
-		return nil, err
-	}
-	if !syncEach {
-		if err := w.Sync(); err != nil {
-			w.Close()
-			return nil, err
-		}
-	}
-	return w, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Drained is closed once a drain has completed: state flushed, safe to

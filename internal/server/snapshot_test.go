@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"cmpqos/internal/jsonenc"
@@ -231,70 +232,98 @@ func TestSnapshotNaNSlackFails(t *testing.T) {
 	}
 }
 
-// TestRotationFailureKeepsAdmitting injects a failure at every step of
-// the snapshot-and-rotate sequence in turn, and then fails every later
-// snapshot before it starts, so that nothing acked afterwards is rescued
-// by a retry: whichever step failed, the daemon must keep acking
-// admissions into the log that wal.log names, report the failures, leave
-// no temporary file behind, and recover every acked operation after a
-// crash from that log alone.
+// TestRotationFailureKeepsAdmitting fails each step of the
+// snapshot-and-rotate sequence in turn on the fake disk, and then every
+// later snapshot before it starts, so that nothing acked afterwards is
+// rescued by a retry. Whichever step before the final directory sync
+// failed, the daemon must keep acking admissions into the log that
+// wal.log durably names, report the failures, leave no temporary file
+// behind, and recover every acked operation from that log alone, under
+// both crash models and every landing of what no directory sync
+// covered. A failed final directory sync leaves wal.log naming the new
+// log only in memory, so the daemon fails closed instead: 503 while the
+// re-anchor keeps failing — a crash then recovers the acked state — and
+// acks again once the disk heals.
 func TestRotationFailureKeepsAdmitting(t *testing.T) {
-	for _, step := range []string{stepSnapWrite, stepSnapRename, stepSnapSync, stepWALCreate, stepWALRename, stepWALSync} {
-		t.Run(step, func(t *testing.T) {
-			cfg := testConfig(t.TempDir())
+	tmp := func(name string) string { return name + ".tmp" }
+	for _, step := range []struct {
+		name  string
+		fault diskFault
+	}{
+		{"snapshot-create", diskFault{op: opCreate, name: tmp(snapName)}},
+		{"snapshot-write", diskFault{op: opWrite, name: tmp(snapName)}},
+		{"snapshot-sync", diskFault{op: opSync, name: tmp(snapName)}},
+		{"snapshot-rename", diskFault{op: opRename, name: tmp(snapName)}},
+		{"snapshot-dirsync", diskFault{op: opSyncDir}},
+		{"wal-create", diskFault{op: opCreate, name: tmp(walName)}},
+		{"wal-header-write", diskFault{op: opWrite, name: tmp(walName), short: true}},
+		{"wal-header-sync", diskFault{op: opSync, name: tmp(walName)}},
+		{"wal-rename", diskFault{op: opRename, name: tmp(walName)}},
+		{"wal-dirsync", diskFault{op: opSyncDir, n: 1}},
+	} {
+		t.Run(step.name, func(t *testing.T) {
+			cfg := fakeConfig()
 			cfg.SnapshotEvery = 6
-			s, ts := newTestServer(t, cfg)
+			disk := newFakeDisk()
+			s := newFakeServer(t, cfg, disk)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 			submitN(t, ts.URL, 8, 1) // one clean snapshot and rotation first
 			if h := getHealth(t, ts.URL); h.Snapshots != 1 || h.SnapshotFailures != 0 {
 				t.Fatalf("before the fault: %+v", h)
 			}
-			fired := false
-			s.mu.Lock()
-			s.failStep = func(at string) error {
-				if at == step && !fired {
-					fired = true
-					return fmt.Errorf("injected failure at %s", at)
-				}
-				if fired && at == stepSnapWrite {
-					return fmt.Errorf("injected failure at %s, after the one at %s", at, step)
-				}
-				return nil
-			}
-			s.mu.Unlock()
+			step.fault.err = syscall.EIO
+			disk.schedule(step.fault, diskFault{op: opCreate, name: tmp(snapName), n: 1, err: syscall.ENOSPC, sticky: true})
 
+			// crash requires every crash image of the disk to recover to
+			// the acked state and sequence number.
+			crash := func() {
+				t.Helper()
+				h := getHealth(t, ts.URL)
+				acked := stateOf(t, s)
+				img := imageOf(disk)
+				for model := 0; model < img.models(); model++ {
+					for pat := 0; pat < img.landings(); pat++ {
+						s2 := newFakeServer(t, cfg, img.restore(model, pat, nil))
+						if got := stateOf(t, s2); !bytes.Equal(acked, got) || s2.seq != h.WALSeq {
+							t.Fatalf("crash model %d, landing %d: recovered seq %d (acked %d), state equal %v",
+								model, pat, s2.seq, h.WALSeq, bytes.Equal(acked, got))
+						}
+					}
+				}
+			}
+
+			if step.fault.op == opSyncDir && step.fault.n == 1 {
+				// The submit whose record triggers the failing rotation is
+				// acked; the next one is refused.
+				for id := 100; ; id++ {
+					code := postJSON(t, ts.URL+"/v1/submit", SubmitRequest{JobID: id, Mode: "opportunistic", Cores: 1, Ways: 1, Arrival: int64(5000 + id)}, nil)
+					if code == http.StatusServiceUnavailable {
+						break
+					}
+					if code != http.StatusOK || id > 110 {
+						t.Fatalf("submit %d before the log is poisoned: status %d", id, code)
+					}
+				}
+				if h := getHealth(t, ts.URL); !h.WALDegraded || h.Snapshots != 1 || h.SnapshotFailures < 2 {
+					t.Fatalf("after the failed directory sync: %+v", h)
+				}
+				crash()
+				disk.heal()
+			}
 			// Every op from the next trigger on retries the snapshot and
 			// fails again; submitN fails the test on any non-200.
-			submitN(t, ts.URL, 12, 100)
+			submitN(t, ts.URL, 12, 300)
 			h := getHealth(t, ts.URL)
-			if h.SnapshotFailures < 2 || !strings.Contains(h.LastSnapshotError, step) || h.Snapshots != 1 || h.Status != "ok" {
+			if h.SnapshotFailures < 2 || h.Snapshots != 1 && step.fault.n == 0 || h.Status != "ok" {
 				t.Fatalf("after the fault: %+v", h)
 			}
-			for _, name := range []string{snapName + ".tmp", walName + ".tmp"} {
-				if _, err := os.Stat(filepath.Join(cfg.Dir, name)); !os.IsNotExist(err) {
-					t.Errorf("%s left behind (stat: %v)", name, err)
+			for name := range disk.names {
+				if strings.HasSuffix(name, ".tmp") {
+					t.Errorf("%s left behind", name)
 				}
 			}
-			before := getBytes(t, ts.URL+"/v1/snapshot")
-			ts.Close() // crash: no drain
-
-			s2, err := New(cfg)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			defer s2.Close()
-			s2.mu.Lock()
-			after, err := s2.encodeStateLocked()
-			seq := s2.seq
-			s2.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq != h.WALSeq {
-				t.Errorf("recovered to seq %d, daemon had acked through %d", seq, h.WALSeq)
-			}
-			if !bytes.Equal(before, after) {
-				t.Fatalf("state recovered after failing %s differs from the acked state", step)
-			}
+			crash()
 		})
 	}
 }

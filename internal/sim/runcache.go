@@ -58,11 +58,11 @@ func run(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // RunAll executes every configuration and returns the reports in the
-// same order, fanning out across at most workers goroutines (workers <= 1
-// runs serially in the calling goroutine; workers < 0 selects one worker
-// per CPU). Each run builds its own Runner, which owns all of its mutable
-// state; the ordered collection makes a parallel sweep indistinguishable
-// from a serial one to the caller. Each configuration resolves through
+// same order, fanning out across at most workers goroutines (0 or 1
+// runs serially in the calling goroutine, a negative count one worker
+// per CPU: parallel.New's convention). Each run builds its own Runner,
+// which owns all of its mutable state; the ordered collection makes a
+// parallel sweep indistinguishable from a serial one to the caller. Each configuration resolves through
 // cache, so one repeated within the grid, or already run by an earlier
 // grid sharing the cache, reuses the memoized report; a nil cache runs
 // every configuration. On failure RunAll returns the error of the
@@ -70,9 +70,6 @@ func run(ctx context.Context, cfg Config) (*Report, error) {
 // have reported first. Cancelling ctx stops claiming new configurations
 // and interrupts in-flight simulations at their next cancellation check.
 func RunAll(ctx context.Context, workers int, cache *RunCache, cfgs []Config) ([]*Report, error) {
-	if workers == 0 {
-		workers = 1
-	}
 	return parallel.Map(ctx, parallel.New(workers), len(cfgs), func(i int) (*Report, error) {
 		return cache.Run(ctx, cfgs[i])
 	})
