@@ -90,8 +90,6 @@ var (
 	WithAutoDowngrade = qos.WithAutoDowngrade
 	// WithAutoDowngradeMinSlack gates downgrades on deadline slack.
 	WithAutoDowngradeMinSlack = qos.WithAutoDowngradeMinSlack
-	// WithOpportunisticPerCore caps opportunistic pins per free core.
-	WithOpportunisticPerCore = qos.WithOpportunisticPerCore
 )
 
 // NewCluster builds a Global Admission Controller over CMP nodes.

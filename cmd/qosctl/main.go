@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return code
 	}
-	if err := sim.ValidateNames("", "", "", "", *dispatch); err != nil {
+	if err := sim.ValidateNames("", "", "", *dispatch); err != nil {
 		return fail(cli.ExitUsage, err)
 	}
 	if fs.NArg() != 1 {

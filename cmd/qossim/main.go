@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultSeed = fs.Int64("fault-seed", 0, "fault plan generator seed for the faults experiment (0 = default)")
 		sched     = fs.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
 		alloc     = fs.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
-		admit     = fs.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
 		ctrl      = fs.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static, the open loop)")
 		nodes     = fs.Int("nodes", 0, "cluster experiment: every dispatcher at this node count (0 = bestfit at 1, 2 and 4 nodes)")
 		jobs      = fs.Int("jobs", 0, "cluster experiment: accepted jobs per fleet (0 = 10 per node)")
@@ -72,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return code
 	}
-	if err := sim.ValidateNames(*sched, *alloc, *admit, *ctrl, *dispatch); err != nil {
+	if err := sim.ValidateNames(*sched, *alloc, *ctrl, *dispatch); err != nil {
 		return fail(cli.ExitUsage, err)
 	}
 	if *list || *exp == "" {
@@ -94,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FaultSeed:    *faultSeed,
 		Scheduler:    *sched,
 		Allocator:    *alloc,
-		Admission:    *admit,
 		Controller:   *ctrl,
 		ClusterNodes: *nodes,
 		ClusterJobs:  *jobs,

@@ -40,7 +40,7 @@ func TestEveryFlag(t *testing.T) {
 		{[]string{"-list"}, []string{"available experiments:\n", "\n  curves "}},
 		{[]string{"-exp", "fig1"}, []string{"Figure 1 — ", "[fig1 completed in "}},
 		{append([]string{"-exp", "fig5", "-seed", "2", "-parallel", "2",
-			"-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0], "-admit", sim.AdmissionNames()[0]}, small...),
+			"-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0]}, small...),
 			[]string{"Figure 5(a) — "}},
 		{append([]string{"-exp", "feedback", "-ctrl", "pid"}, small...), []string{"Feedback — "}},
 		{append([]string{"-exp", "faults", "-faults", "0.5", "-fault-seed", "3"}, small...), []string{"\n      0.5  All-Strict "}},

@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultSeed = fs.Int64("fault-seed", 1, "seed for a generated -faults rate plan")
 		sched     = fs.String("sched", "", "core scheduler policy: "+cli.PolicyList(sim.SchedulerNames())+" (empty = policy default)")
 		alloc     = fs.String("alloc", "", "L2 way allocator policy: "+cli.PolicyList(sim.AllocatorNames())+" (empty = policy default)")
-		admit     = fs.String("admit", "", "admission placement policy: "+cli.PolicyList(sim.AdmissionNames())+" (empty = fcfs)")
 		ctrl      = fs.String("ctrl", "", "feedback controller: "+cli.PolicyList(sim.ControllerNames())+" (empty = static)")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this long (e.g. 30s; 0 = no limit)")
 	)
@@ -67,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return fail(cli.ExitUsage, fmt.Errorf("unexpected argument %q (a job file is -workload FILE)", fs.Arg(0)))
 	}
-	if err := sim.ValidateNames(*sched, *alloc, *admit, *ctrl, ""); err != nil {
+	if err := sim.ValidateNames(*sched, *alloc, *ctrl, ""); err != nil {
 		return fail(cli.ExitUsage, err)
 	}
 
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.RecordSeries = *series
 	cfg.Scheduler = *sched
 	cfg.Allocator = *alloc
-	cfg.Admission = *admit
 	cfg.Controller = *ctrl
 	if spec != nil {
 		cfg.Script = spec.Script()

@@ -39,7 +39,7 @@ func TestEveryFlag(t *testing.T) {
 		{[]string{"-instr", "50", "-events"}, []string{"\nevent log:\n", "  submitted\n"}},
 		{[]string{"-instr", "50", "-series"}, []string{"\ntelemetry (cycle, running, waiting, reserved-ways, opp-jobs, bus-util):\n"}},
 		{[]string{"-instr", "50", "-faults", "0.5", "-fault-seed", "3"}, []string{"  accepted 10 jobs"}},
-		{[]string{"-instr", "50", "-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0], "-admit", sim.AdmissionNames()[0]}, []string{"  accepted 10 jobs"}},
+		{[]string{"-instr", "50", "-sched", sim.SchedulerNames()[0], "-alloc", sim.AllocatorNames()[0]}, []string{"  accepted 10 jobs"}},
 		{[]string{"-instr", "50", "-ctrl", "pid"}, []string{"  accepted 10 jobs"}},
 		{[]string{"-instr", "50", "-seeds", "2", "-parallel", "0"}, []string{"--- seed 1 ---\nAll-Strict", "\n\n--- seed 2 ---\nAll-Strict"}},
 		{[]string{"-instr", "50", "-width", "30"}, []string{"\njob    1 met  |=                             |\n"}},

@@ -42,14 +42,13 @@ type Options struct {
 	// experiment sweeps its default rate grid.
 	FaultRate float64
 	FaultSeed int64
-	// Scheduler, Allocator, and Admission select sim pipeline policies by
-	// name for every configuration the experiments build (empty strings
-	// keep the policy-appropriate defaults). The CLIs wire their
-	// -sched/-alloc/-admit flags here; sim.SchedulerNames,
-	// sim.AllocatorNames, and sim.AdmissionNames list the names.
+	// Scheduler and Allocator select sim pipeline policies by name for
+	// every configuration the experiments build (empty strings keep the
+	// policy-appropriate defaults). The CLIs wire their -sched/-alloc
+	// flags here; sim.SchedulerNames and sim.AllocatorNames list the
+	// names.
 	Scheduler string
 	Allocator string
-	Admission string
 	// Controller selects the feedback controller (sim.ControllerNames)
 	// closing the loop over measured progress; empty keeps the static
 	// open-loop default. The CLIs wire their -ctrl flags here.
@@ -88,7 +87,6 @@ func (o Options) config(p sim.Policy, w workload.Composition) sim.Config {
 	}
 	cfg.Scheduler = o.Scheduler
 	cfg.Allocator = o.Allocator
-	cfg.Admission = o.Admission
 	cfg.Controller = o.Controller
 	return cfg
 }

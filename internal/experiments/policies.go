@@ -13,7 +13,6 @@ import (
 type PoliciesRow struct {
 	Scheduler string
 	Allocator string
-	Admission string
 	HitRate   float64
 	Total     int64
 	// Normalized is throughput relative to the default pipeline
@@ -37,10 +36,7 @@ type PoliciesResult struct {
 	Rows     []PoliciesRow
 }
 
-// policyGrid is the scheduler×allocator sweep the experiment runs. The
-// admission dimension stays on the options' choice (default fcfs):
-// placement changes admission decisions, not the epoch plan, so it is a
-// separate axis from this comparison.
+// policyGrid is the scheduler×allocator sweep the experiment runs.
 var policyGrid = []struct{ sched, alloc string }{
 	{"reserved", "reserved"},
 	{"reserved", "ucp"},
@@ -66,11 +62,9 @@ func PoliciesExp(o Options) (*PoliciesResult, error) {
 	}
 	base := reps[0].TotalCycles
 	for i, rep := range reps {
-		sched, alloc, admit := cfgs[i].PipelineNames()
 		res.Rows = append(res.Rows, PoliciesRow{
-			Scheduler:  sched,
-			Allocator:  alloc,
-			Admission:  admit,
+			Scheduler:  policyGrid[i].sched,
+			Allocator:  policyGrid[i].alloc,
 			HitRate:    rep.DeadlineHitRate,
 			Total:      rep.TotalCycles,
 			Normalized: float64(base) / float64(rep.TotalCycles),
@@ -84,10 +78,10 @@ func PoliciesExp(o Options) (*PoliciesResult, error) {
 // Render prints the comparison table.
 func (r *PoliciesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Policy pipeline — scheduler×allocator sweep (%v, %s workload)\n", r.Policy, r.Workload)
-	fmt.Fprintln(w, "scheduler  allocator  admission   hit-rate  total(Mcyc)  norm-tput  int-ways")
+	fmt.Fprintln(w, "scheduler  allocator   hit-rate  total(Mcyc)  norm-tput  int-ways")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %-10s %-10s %8s %12s %9.2f %8.1f%%\n",
-			row.Scheduler, row.Allocator, row.Admission, pct(row.HitRate),
+		fmt.Fprintf(w, "%-10s %-10s %8s %12s %9.2f %8.1f%%\n",
+			row.Scheduler, row.Allocator, pct(row.HitRate),
 			mcycles(row.Total), row.Normalized, row.Frag.InternalWays*100)
 	}
 	fmt.Fprintln(w, "\nreading: reserved/reserved is the paper's pipeline. The ucp allocator")
@@ -98,10 +92,10 @@ func (r *PoliciesResult) Render(w io.Writer) {
 
 // Table exports the sweep.
 func (r *PoliciesResult) Table() [][]string {
-	rows := [][]string{{"scheduler", "allocator", "admission", "hit_rate", "total_cycles", "normalized_throughput", "internal_ways", "terminated"}}
+	rows := [][]string{{"scheduler", "allocator", "hit_rate", "total_cycles", "normalized_throughput", "internal_ways", "terminated"}}
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
-			row.Scheduler, row.Allocator, row.Admission, ftoa(row.HitRate),
+			row.Scheduler, row.Allocator, ftoa(row.HitRate),
 			itoa(row.Total), ftoa(row.Normalized), ftoa(row.Frag.InternalWays),
 			strconv.Itoa(row.Terminated),
 		})

@@ -43,28 +43,9 @@ func WithAutoDowngrade() LACOption {
 	return func(l *LAC) { l.autoDowngrade = true }
 }
 
-// WithLatestFit makes the LAC place every reserved timeslot that has a
-// deadline latest-fit: the reservation goes into the last feasible slot
-// before the deadline, keeping the near-term timeline clear for tighter
-// future arrivals (the placement the §3.4 automatic downgrade gives its
-// reserved tail, applied to every reserved job). A job without a
-// deadline is still placed earliest-fit — there is no latest slot on an
-// unbounded horizon. Without this option placement is the paper's FCFS
-// earliest-fit (§5).
-func WithLatestFit() LACOption {
-	return func(l *LAC) { l.latestFit = true }
-}
-
 // OpportunisticPerCore is how many Opportunistic jobs a LAC pins per
-// core not assigned to reserved jobs unless WithOpportunisticPerCore
-// says otherwise (§5 allows several).
+// core not assigned to reserved jobs (§5 allows several).
 const OpportunisticPerCore = 4
-
-// WithOpportunisticPerCore bounds how many Opportunistic jobs the LAC
-// will pin per core not assigned to reserved jobs.
-func WithOpportunisticPerCore(n int) LACOption {
-	return func(l *LAC) { l.oppPerCore = n }
-}
 
 // WithAutoDowngradeMinSlack sets the minimum relative deadline slack
 // ((td−ta−tw)/tw) a Strict job must have before a LAC built
@@ -82,10 +63,8 @@ func WithAutoDowngradeMinSlack(frac float64) LACOption {
 // are accepted whenever spare, unreserved capacity exists for them now.
 type LAC struct {
 	timeline      *Timeline
-	latestFit     bool
 	autoDowngrade bool
 	minAutoSlack  float64
-	oppPerCore    int
 	oppLive       int
 	// resByJob maps a job to the node of the one reservation it holds
 	// here: reserve runs once per committed admission, SetCapacity drops
@@ -130,9 +109,8 @@ const (
 // capacity (for the paper's node: 4 cores, 16 ways).
 func NewLAC(capacity ResourceVector, opts ...LACOption) *LAC {
 	l := &LAC{
-		timeline:   NewTimeline(capacity),
-		oppPerCore: OpportunisticPerCore,
-		resByJob:   make(map[int]*resNode),
+		timeline: NewTimeline(capacity),
+		resByJob: make(map[int]*resNode),
 	}
 	for _, o := range opts {
 		o(l)
@@ -237,10 +215,7 @@ func (l *LAC) Admit(req Request) Decision {
 // an opportunistic job finishes or a reservation is evicted early, so
 // callers caching it must invalidate on those events.
 func (l *LAC) EarliestOpportunistic(ta int64) (start int64, ok bool) {
-	if l.oppPerCore <= 0 {
-		return 0, false
-	}
-	need := l.oppLive/l.oppPerCore + 1
+	need := l.oppLive/OpportunisticPerCore + 1
 	if need > l.timeline.Capacity().Cores {
 		return 0, false
 	}
@@ -284,7 +259,7 @@ func (l *LAC) decide(req Request, commit, charge bool) Decision {
 		if avail.Cores < 1 {
 			return reject("qos: no core free of reserved jobs for opportunistic work")
 		}
-		if l.oppLive >= avail.Cores*l.oppPerCore {
+		if l.oppLive >= avail.Cores*OpportunisticPerCore {
 			return reject("qos: opportunistic pin cap reached")
 		}
 		if commit {
@@ -322,22 +297,14 @@ func (l *LAC) decide(req Request, commit, charge bool) Decision {
 	return reject(fmt.Sprintf("qos: unknown mode %v", req.Mode))
 }
 
-// reserveSlot places a reservation earliest-fit, or latest-fit on a LAC
-// built WithLatestFit when the job has a deadline. Jobs without a
+// reserveSlot places a reservation earliest-fit (§5). Jobs without a
 // timeslot resource (tw == 0) hold resources forever: the reservation is
 // made effectively unbounded (§3.2).
 func (l *LAC) reserveSlot(req Request, vec ResourceVector, dur, deadline int64, commit bool) Decision {
 	if dur == 0 {
 		dur = foreverCycles
 	}
-	effVec := l.probeVec(vec)
-	var start int64
-	var ok bool
-	if l.latestFit && deadline != 0 {
-		start, ok = l.timeline.LatestFit(effVec, req.Arrival, dur, deadline)
-	} else {
-		start, ok = l.timeline.EarliestFit(effVec, req.Arrival, dur, deadline)
-	}
+	start, ok := l.timeline.EarliestFit(l.probeVec(vec), req.Arrival, dur, deadline)
 	if !ok {
 		if commit {
 			l.rejects++
@@ -369,9 +336,9 @@ func (l *LAC) probeVec(vec ResourceVector) ResourceVector {
 // PlacesEarliestFit reports whether every reserved-mode placement on
 // this LAC is Timeline.EarliestFit — the precondition for caching lower
 // bounds on its starts, since admissions then never move an earliest
-// start earlier. A LAC built WithLatestFit or WithAutoDowngrade places
-// some jobs latest-fit.
-func (l *LAC) PlacesEarliestFit() bool { return !l.latestFit && !l.autoDowngrade }
+// start earlier. A LAC built WithAutoDowngrade places some jobs
+// latest-fit.
+func (l *LAC) PlacesEarliestFit() bool { return !l.autoDowngrade }
 
 // earliestStart is the uncharged placement question behind a reserved
 // admission on a PlacesEarliestFit LAC: the first start ≥ ta where vec (plus

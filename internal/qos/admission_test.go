@@ -76,12 +76,13 @@ func TestLACElasticReservesLonger(t *testing.T) {
 }
 
 func TestLACOpportunisticAdmission(t *testing.T) {
-	l := NewLAC(nodeCap(), WithOpportunisticPerCore(2))
+	l := NewLAC(nodeCap())
 	tw := int64(1000)
-	// Two reserved jobs leave two cores free: up to 4 opportunistic jobs.
+	// Two reserved jobs leave two cores free: up to 2·OpportunisticPerCore
+	// opportunistic jobs.
 	l.Admit(Request{JobID: 1, Target: medRUM(0, tw, 3), Mode: Strict(), Arrival: 0})
 	l.Admit(Request{JobID: 2, Target: medRUM(0, tw, 3), Mode: Strict(), Arrival: 0})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*OpportunisticPerCore; i++ {
 		d := l.Admit(Request{JobID: 10 + i, Target: RUM{Resources: PresetMedium(), MaxWallClock: tw}, Mode: Opportunistic(), Arrival: 0})
 		if !d.Accepted {
 			t.Fatalf("opportunistic job %d rejected: %s", i, d.Reason)
@@ -89,7 +90,7 @@ func TestLACOpportunisticAdmission(t *testing.T) {
 	}
 	d := l.Admit(Request{JobID: 20, Target: RUM{Resources: PresetMedium(), MaxWallClock: tw}, Mode: Opportunistic(), Arrival: 0})
 	if d.Accepted {
-		t.Error("opportunistic pin cap must reject the fifth job")
+		t.Error("opportunistic pin cap must reject the job past it")
 	}
 	// Completion frees a pin slot.
 	l.Complete(10, Opportunistic(), 500)

@@ -60,7 +60,7 @@ func newGACPair(t *testing.T, h [4]byte) *gacPair {
 			opts = append(opts, WithAutoDowngrade(), WithAutoDowngradeMinSlack(0.5))
 		}
 		if h[0]&0x08 != 0 && i%4 == 2 {
-			opts = append(opts, WithLatestFit())
+			opts = append(opts, WithAutoDowngrade()) // no slack floor, as qosd -autodowngrade
 		}
 		fast, naive := NewLAC(capacity, opts...), NewLAC(capacity, opts...)
 		if h[0]&0x20 != 0 && i%2 == 1 {
@@ -285,7 +285,7 @@ func TestGACEquivalenceStreams(t *testing.T) {
 	}{
 		{"plain", 0, 0x1a, submit},
 		{"autodowngrade", 0x04, 0x1a, submit},
-		{"latestfit-policy", 0x08, 0x1a, submit},
+		{"autodowngrade-nofloor", 0x08, 0x1a, submit},
 		// No completions in the next three: reservations expire as the
 		// clock advances, so the op under test is the only thing that can
 		// move a start earlier.

@@ -19,12 +19,18 @@ func TestAutoDowngradeNeedsAnOpportunisticWindow(t *testing.T) {
 	}
 }
 
-// TestNoOpportunisticPins: a LAC that pins no opportunistic job per core
-// has no earliest opportunistic start.
-func TestNoOpportunisticPins(t *testing.T) {
-	l := NewLAC(nodeCap(), WithOpportunisticPerCore(0))
+// TestOpportunisticPinsFull: a LAC whose every core holds
+// OpportunisticPerCore opportunistic jobs has no earliest opportunistic
+// start.
+func TestOpportunisticPinsFull(t *testing.T) {
+	l := NewLAC(nodeCap())
+	for i := 0; i < nodeCap().Cores*OpportunisticPerCore; i++ {
+		if d := l.Admit(Request{JobID: 1 + i, Target: RUM{Resources: PresetSmall()}, Mode: Opportunistic()}); !d.Accepted {
+			t.Fatalf("opportunistic job %d rejected: %s", i, d.Reason)
+		}
+	}
 	if at, ok := l.EarliestOpportunistic(0); ok {
-		t.Errorf("EarliestOpportunistic with no pins per core = %d, true; want none", at)
+		t.Errorf("EarliestOpportunistic with every pin taken = %d, true; want none", at)
 	}
 }
 

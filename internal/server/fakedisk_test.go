@@ -85,6 +85,8 @@ type fakeDisk struct {
 	// onOp, when set, runs before every operation, with mu held: a test
 	// follows the operations and takes crash images from it.
 	onOp func(op diskOp, name string)
+	// syncGate, when set, holds every File.Sync until it is closed.
+	syncGate chan struct{}
 }
 
 func newFakeDisk(faults ...diskFault) *fakeDisk {
@@ -100,6 +102,17 @@ func (d *fakeDisk) schedule(faults ...diskFault) {
 	for _, f := range faults {
 		d.faults = append(d.faults, &f)
 	}
+}
+
+// holdSyncs makes every File.Sync from now on wait, mu not held, until
+// release is called: a test stalls an appending request, the daemon's
+// lock taken, for as long as it likes.
+func (d *fakeDisk) holdSyncs() (release func()) {
+	gate := make(chan struct{})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.syncGate = gate
+	return sync.OnceFunc(func() { close(gate) })
 }
 
 // heal clears the fault schedule.
@@ -299,6 +312,11 @@ func (f *fakeFile) Write(p []byte) (int, error) {
 
 func (f *fakeFile) Sync() error {
 	f.d.mu.Lock()
+	if gate := f.d.syncGate; gate != nil {
+		f.d.mu.Unlock()
+		<-gate
+		f.d.mu.Lock()
+	}
 	defer f.d.mu.Unlock()
 	if fault := f.d.do(opSync, f.nameNow()); fault != nil {
 		f.ino.wedged = true

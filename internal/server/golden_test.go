@@ -187,6 +187,47 @@ func TestGoldenStateDirs(t *testing.T) {
 	}
 }
 
+// TestGoldenOpStream pins the daemon's answers: the op stream of
+// testdata/golden/ops.txt, driven through Handler().ServeHTTP into a
+// fresh daemon, answers each op with exactly the status, Content-Type
+// and body of its line in testdata/golden/ops.answers.txt. -update
+// rewrites that file from the current daemon.
+func TestGoldenOpStream(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(goldenDir, "ops.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	s, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var got bytes.Buffer
+	for _, op := range ops {
+		path, body, _ := strings.Cut(op, " ")
+		rec := serve(s, "POST", path, []byte(body))
+		fmt.Fprintf(&got, "%d %s %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+	answersPath := filepath.Join(goldenDir, "ops.answers.txt")
+	if *update {
+		writeGolden(t, answersPath, got.Bytes())
+	}
+	want, err := os.ReadFile(answersPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(string(want), "\n")
+	for i := 0; i < len(ops) && i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("op %d (%s) answers %q, %s has %q", i+1, ops[i], g[i], answersPath, w[i])
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("%d ops answer %d bytes, %s has %d", len(ops), got.Len(), answersPath, len(want))
+	}
+}
+
 func writeGolden(t *testing.T, path string, b []byte) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -289,9 +289,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.sem }()
-	if hold := s.holdAdmission; hold != nil {
-		hold()
-	}
 
 	// The overload degradation ladder (the daemon-side analog of the
 	// fault pipeline's shed → renegotiate rungs): past the degrade

@@ -179,10 +179,6 @@ type Server struct {
 
 	// Counters for healthz and the load harness.
 	nSubmit, nAccepted, nRejected, nShed, nDegraded, nCancelled atomic.Int64
-
-	// holdAdmission, when set (tests only), runs while an admission
-	// slot is held, letting tests create real queue pressure.
-	holdAdmission func()
 }
 
 // New opens (creating or recovering) a daemon over the state directory
@@ -279,7 +275,10 @@ func (s *Server) recover() error {
 
 	recs, goodSize, err := qos.ReadWALOn(s.disk, walPath)
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, fs.ErrNotExist) || err == nil && goodSize == 0:
+		// No log, or one whose intact prefix is shorter than its header
+		// (an empty file, a torn creation): reopening it would append
+		// records under no header, so start a fresh log instead.
 		s.seq = walSeq
 		return s.rotateWALLocked()
 	case err != nil:

@@ -318,19 +318,20 @@ func TestSnapshotEnvelopeVersionMismatch(t *testing.T) {
 
 // TestOverloadShedsBounded pins the overload contract: with the
 // admission queue saturated, excess submissions get 503 within their
-// wait budget instead of queueing without bound.
+// wait budget instead of queueing without bound. The queue saturates
+// through the real append path: the fake disk holds the first record's
+// fsync, so its request keeps the daemon's lock, and the other slot
+// holders wait on that lock with their slots taken.
 func TestOverloadShedsBounded(t *testing.T) {
-	cfg := testConfig(t.TempDir())
+	cfg := fakeConfig()
 	cfg.MaxInflight = 4
 	cfg.DegradeAt = 1.0 // isolate the queue-shed rung
 	cfg.MaxWait = 50 * time.Millisecond
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := newFakeDisk()
+	s := newFakeServer(t, cfg, disk)
 	defer s.Close()
-	release := make(chan struct{})
-	s.holdAdmission = func() { <-release }
+	release := disk.holdSyncs()
+	defer release()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -354,40 +355,32 @@ func TestOverloadShedsBounded(t *testing.T) {
 			codes <- resp.StatusCode
 		}(i)
 	}
-	// Let the shed wave resolve, confirm the queue never grew past its
-	// bound, then release the held slots.
-	time.Sleep(200 * time.Millisecond)
-	var h Health
-	hb := getBytes(t, ts.URL+"/healthz")
-	if err := json.Unmarshal(hb, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.QueueDepth > h.QueueCap {
-		t.Fatalf("queue depth %d exceeds cap %d", h.QueueDepth, h.QueueCap)
-	}
-	close(release)
-	wg.Wait()
-	close(codes)
-
-	shed, ok2 := 0, 0
-	for c := range codes {
-		switch c {
-		case http.StatusServiceUnavailable:
-			shed++
-		case http.StatusOK:
-			ok2++
-		default:
-			t.Errorf("unexpected status %d", c)
+	// No slot comes free while the fsync is held, so every request past
+	// the slots sheds within its wait budget: wait for those answers,
+	// confirm the queue stands full at its bound, then release the fsync.
+	for i := 0; i < clients-cfg.MaxInflight; i++ {
+		select {
+		case c := <-codes:
+			if c != http.StatusServiceUnavailable {
+				t.Fatalf("answer %d with the queue full: status %d, want 503", i, c)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d requests shed; the rest still wait", i, clients-cfg.MaxInflight)
 		}
 	}
-	if shed < clients-cfg.MaxInflight {
-		t.Errorf("only %d/%d shed with a %d-slot queue", shed, clients, cfg.MaxInflight)
+	if depth := len(s.sem); depth != cap(s.sem) {
+		t.Fatalf("queue depth %d with the fsync held, want its cap %d", depth, cap(s.sem))
 	}
-	if ok2 == 0 || ok2 > cfg.MaxInflight {
-		t.Errorf("%d accepted, want 1..%d", ok2, cfg.MaxInflight)
+	if got := s.nShed.Load(); got != clients-int64(cfg.MaxInflight) {
+		t.Errorf("shed counter %d, want %d", got, clients-cfg.MaxInflight)
 	}
-	if s.nShed.Load() == 0 {
-		t.Error("shed counter did not move")
+	release()
+	wg.Wait()
+	close(codes)
+	for c := range codes {
+		if c != http.StatusOK {
+			t.Errorf("a slot holder answered %d after the fsync landed, want 200", c)
+		}
 	}
 }
 

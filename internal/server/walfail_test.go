@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -261,6 +262,54 @@ func TestRecoverDiskErrors(t *testing.T) {
 	}
 	if _, err := New(testConfig(filepath.Join(file, "state"))); err == nil {
 		t.Error("New made a state directory under a regular file")
+	}
+}
+
+// TestRecoverShortLog: a wal.log whose intact prefix is shorter than
+// its header — an empty file, or a crash that tore the header's
+// creation — recovers to a fresh log, not to records appended under no
+// header. A submit acked on it is found after a crash, under every
+// crash model and namespace landing.
+func TestRecoverShortLog(t *testing.T) {
+	fresh := newFakeDisk()
+	newFakeServer(t, fakeConfig(), fresh)
+	header, err := fresh.ReadFile(filepath.Join(fakeDir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		log  []byte
+	}{
+		{"empty", nil},
+		{"torn header", header[:len(header)/2]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			disk := newFakeDisk()
+			ino := &inode{data: slices.Clone(c.log), synced: slices.Clone(c.log)}
+			disk.names[filepath.Join(fakeDir, walName)] = ino
+			disk.durable[filepath.Join(fakeDir, walName)] = ino
+			s := newFakeServer(t, fakeConfig(), disk)
+			if rec := serve(s, "POST", "/v1/submit", []byte(`{"job_id":7,"mode":"opportunistic","cores":1,"ways":2,"arrival":5}`)); rec.Code != http.StatusOK {
+				t.Fatalf("submit: status %d %s", rec.Code, rec.Body)
+			}
+			img := imageOf(disk)
+			for model := 0; model < img.models(); model++ {
+				for pat := 0; pat < img.landings(); pat++ {
+					s2, err := newServer(fakeConfig(), img.restore(model, pat, nil))
+					if err != nil {
+						t.Fatalf("model %d, landing %d: recovery failed: %v", model, pat, err)
+					}
+					var env snapEnvelope
+					if err := json.Unmarshal(serve(s2, "GET", "/v1/snapshot", nil).Body.Bytes(), &env); err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := env.Jobs[7]; !ok {
+						t.Errorf("model %d, landing %d: GET /v1/snapshot lacks the acked job 7: %+v", model, pat, env.Jobs)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Admission stage of the policy pipeline: arrival processing, the
 // single probe/submit/renegotiate code path against the LAC, and the
 // tw budgeting that turns job templates into RUM requests. The LAC
-// places the timeslots: earliest-fit under the default "fcfs" admission,
-// latest-fit under "latest" (qos.WithLatestFit).
+// places the timeslots FCFS earliest-fit (§5), latest-fit only for an
+// All-Strict+AutoDown downgrade.
 package sim
 
 import (

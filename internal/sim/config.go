@@ -167,17 +167,15 @@ type Config struct {
 	// scripted job has been resolved and all accepted ones finished.
 	// This is how jobfile-described workloads run end to end.
 	Script []ScriptedJob
-	// Scheduler, Allocator, and Admission select pipeline policies by
-	// name (see registry.go): the core-assignment scheduler,
-	// the L2 way allocator, and the reservation placement policy of the
-	// admission controller. Empty strings resolve to the
-	// Policy-appropriate defaults ("reserved"/"shared",
-	// "reserved"/"equal"/"ucp", "fcfs"), which reproduce the paper's
-	// behaviour bit for bit. The names are plain Config fields, so policy
-	// choices participate in the RunCache memo key automatically.
+	// Scheduler and Allocator select pipeline policies by name (see
+	// registry.go): the core-assignment scheduler and the L2 way
+	// allocator. Empty strings resolve to the Policy-appropriate defaults
+	// ("reserved"/"shared", "reserved"/"equal"/"ucp"), which reproduce
+	// the paper's behaviour bit for bit. The names are plain Config
+	// fields, so policy choices participate in the RunCache memo key
+	// automatically.
 	Scheduler string
 	Allocator string
-	Admission string
 	// Controller selects the feedback controller that closes
 	// the loop between measured progress and the allocation/admission
 	// knobs (progress.go): "static" (the default) is the open-loop
@@ -327,7 +325,7 @@ func (c Config) Validate() error {
 	if c.FoldCompleted && c.RecordSeries {
 		return fmt.Errorf("sim: FoldCompleted is incompatible with RecordSeries")
 	}
-	if err := ValidateNames(c.Scheduler, c.Allocator, c.Admission, c.Controller, ""); err != nil {
+	if err := ValidateNames(c.Scheduler, c.Allocator, c.Controller, ""); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if c.CtrlIntervalCycles < 0 {

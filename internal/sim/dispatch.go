@@ -5,10 +5,10 @@
 // index in qos.GAC's shape — rows of per-node lower bounds, swept in
 // node order — that asks only the nodes that could still win, and
 // bestfit's placements are exactly those of probing every node. Where
-// no bound is sound (AutoDown, "latest" admission, the trace engine)
-// and over locality's window, the same scan runs without a row. Every
-// question is an uncharged LAC.Peek, so a node's probe counter counts
-// only the admission tests it ran.
+// no bound is sound (AutoDown, the trace engine) and over locality's
+// window, the same scan runs without a row. Every question is an
+// uncharged LAC.Peek, so a node's probe counter counts only the
+// admission tests it ran.
 //
 // The index rests on two facts about FCFS earliest-fit placement:
 // admitting a reservation can only push a node's earliest feasible

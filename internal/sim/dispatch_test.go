@@ -115,10 +115,10 @@ func samePlacements(t *testing.T, oracle string, repA *ClusterReport, logA []Pla
 // TestBestfitMatchesProbeall is the differential check behind the
 // golden pin: bestfit must reproduce the charged probe-all loop's
 // placement sequence decision for decision — through its bounds where
-// they are sound (fault storms and controllers included, which it sees
-// through LAC.gen), and by a scan without bounds where they are not
-// (AutoDown and "latest" admission place via LatestFit; trace-engine
-// nodes each have their own tw).
+// they are sound (fault storms, controllers and a saturated 1.6 GB/s
+// bus included; it sees the first two through LAC.gen), and by a scan
+// without bounds where they are not (AutoDown places via LatestFit;
+// trace-engine nodes each have their own tw).
 func TestBestfitMatchesProbeall(t *testing.T) {
 	storm := clusterCfg(4, 40)
 	storm.Node.Faults = fault.Generate(3, 400, 40_000_000, 4, 16)
@@ -132,8 +132,8 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 		cfg.Node.Faults = fault.Generate(2, 400, 40_000_000, 4, 16)
 		return cfg
 	}
-	latest := ClusterConfig{Nodes: 3, Node: fastConfig(Hybrid2, workload.Mix1()), AcceptTarget: 24}
-	latest.Node.Admission = "latest"
+	bus := ClusterConfig{Nodes: 3, Node: fastConfig(Hybrid2, workload.Mix1()), AcceptTarget: 24}
+	bus.Node.Mem.PeakBytesPerS = 1.6e9
 	trace := ClusterConfig{Nodes: 4, Node: TraceConfig(Hybrid2, workload.Single("bzip2")), AcceptTarget: 32}
 	trace.Node.Seed = 2
 	cases := []struct {
@@ -153,10 +153,10 @@ func TestBestfitMatchesProbeall(t *testing.T) {
 		{"fault-storm", storm},
 		{"pid", ctrl("pid")},
 		{"aimd", ctrl("aimd")},
+		{"bus-1.6GBps", bus},
 		{"autodown-fallback", ClusterConfig{
 			Nodes: 3, Node: fastConfig(AllStrictAutoDown, workload.Single("bzip2")), AcceptTarget: 24,
 		}},
-		{"latest-fallback", latest},
 		// Each trace-engine node profiles its tw under its own seed, so
 		// node 0's cutoff prices no other node: pruning by it rejects
 		// placement 113, which node 1 takes.

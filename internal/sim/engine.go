@@ -222,9 +222,6 @@ func newNode(sh *nodeShared, seed int64) *Runner {
 
 	if !cfg.Policy.noAdmission() {
 		var opts []qos.LACOption
-		if admissions[cfg.admissionName()] {
-			opts = append(opts, qos.WithLatestFit())
-		}
 		if cfg.Policy == AllStrictAutoDown {
 			opts = append(opts, qos.WithAutoDowngrade(),
 				qos.WithAutoDowngradeMinSlack(autoDownMinSlack))

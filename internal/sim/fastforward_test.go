@@ -112,12 +112,13 @@ func TestEventSkipByteIdentityPaperScale(t *testing.T) {
 }
 
 // engineGrid calls check with each configuration of a generated
-// single-node grid: every policy × bzip2, mcf, Mix-1 and Mix-2 × each
-// admission placement × the paper's scale and the event-dense one ×
-// seeds 1–3, each with no faults and under a generated fault storm, and
-// Hybrid-2 (the one policy that runs Elastic jobs) again at Elastic
-// slack 0.5, where an Elastic reservation outlasts the tight deadline
-// class; then both feedback controllers at seeds 1–5.
+// single-node grid: every policy × bzip2, mcf, Mix-1 and Mix-2 × the
+// paper's 6.4 GB/s bus and a 1.6 GB/s one that saturates (DESIGN §8.5)
+// × the paper's scale and the event-dense one × seeds 1–3, each with no
+// faults and under a generated fault storm, and Hybrid-2 (the one
+// policy that runs Elastic jobs) again at Elastic slack 0.5, where an
+// Elastic reservation outlasts the tight deadline class; then both
+// feedback controllers at seeds 1–5.
 func engineGrid(check func(name string, cfg Config)) {
 	workloads := []workload.Composition{workload.Single("bzip2"), workload.Single("mcf"), workload.Mix1(), workload.Mix2()}
 	for _, p := range Policies() {
@@ -127,13 +128,13 @@ func engineGrid(check func(name string, cfg Config)) {
 		}
 		for _, slack := range slacks {
 			for _, w := range workloads {
-				for _, adm := range AdmissionNames() {
+				for _, bus := range []float64{6.4, 1.6} {
 					for _, dense := range []bool{false, true} {
 						for seed := int64(1); seed <= 3; seed++ {
 							for _, storm := range []bool{false, true} {
 								cfg := DefaultConfig(p, w)
 								cfg.ElasticSlack = slack
-								cfg.Admission = adm
+								cfg.Mem.PeakBytesPerS = bus * 1e9
 								cfg.Seed = seed
 								if dense {
 									cfg.JobInstr = 10_000_000
@@ -142,7 +143,7 @@ func engineGrid(check func(name string, cfg Config)) {
 								if storm {
 									cfg.Faults = fault.Generate(seed, 4, fault.DefaultHorizon, cfg.Cores, cfg.L2.Ways)
 								}
-								check(fmt.Sprintf("%s/slack=%v/%s/%s/dense=%v/seed=%d/storm=%v", p, slack, w.Name, adm, dense, seed, storm), cfg)
+								check(fmt.Sprintf("%s/slack=%v/%s/bus=%vGBps/dense=%v/seed=%d/storm=%v", p, slack, w.Name, bus, dense, seed, storm), cfg)
 							}
 						}
 					}

@@ -13,12 +13,10 @@ func TestRegistryContents(t *testing.T) {
 	want := map[string][]string{
 		"scheduler": SchedulerNames(),
 		"allocator": AllocatorNames(),
-		"admission": AdmissionNames(),
 	}
 	expect := map[string][]string{
 		"scheduler": {"packed", "reserved", "shared"},
 		"allocator": {"equal", "reserved", "ucp"},
-		"admission": {"fcfs", "latest"},
 	}
 	for kind, got := range want {
 		if fmt.Sprint(got) != fmt.Sprint(expect[kind]) {
@@ -27,26 +25,24 @@ func TestRegistryContents(t *testing.T) {
 	}
 
 	defaults := []struct {
-		policy                  Policy
-		sched, alloc, admission string
+		policy       Policy
+		sched, alloc string
 	}{
-		{AllStrict, "reserved", "reserved", "fcfs"},
-		{Hybrid2, "reserved", "reserved", "fcfs"},
-		{EqualPart, "shared", "equal", "fcfs"},
-		{UCPPart, "shared", "ucp", "fcfs"},
+		{AllStrict, "reserved", "reserved"},
+		{Hybrid2, "reserved", "reserved"},
+		{EqualPart, "shared", "equal"},
+		{UCPPart, "shared", "ucp"},
 	}
 	for _, d := range defaults {
 		cfg := Config{Policy: d.policy}
-		s, a, ad := cfg.PipelineNames()
-		if s != d.sched || a != d.alloc || ad != d.admission {
-			t.Errorf("%v pipeline = %s/%s/%s, want %s/%s/%s",
-				d.policy, s, a, ad, d.sched, d.alloc, d.admission)
+		if s, a := cfg.schedulerName(), cfg.allocatorName(); s != d.sched || a != d.alloc {
+			t.Errorf("%v pipeline = %s/%s, want %s/%s", d.policy, s, a, d.sched, d.alloc)
 		}
 	}
 	// Explicit names win over the policy defaults.
-	cfg := Config{Policy: AllStrict, Scheduler: "packed", Allocator: "ucp", Admission: "latest"}
-	if s, a, ad := cfg.PipelineNames(); s != "packed" || a != "ucp" || ad != "latest" {
-		t.Errorf("explicit pipeline = %s/%s/%s", s, a, ad)
+	cfg := Config{Policy: AllStrict, Scheduler: "packed", Allocator: "ucp"}
+	if s, a := cfg.schedulerName(), cfg.allocatorName(); s != "packed" || a != "ucp" {
+		t.Errorf("explicit pipeline = %s/%s", s, a)
 	}
 }
 
@@ -54,20 +50,17 @@ func TestUnknownPolicyNamesRejected(t *testing.T) {
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.Scheduler = "nope" },
 		func(c *Config) { c.Allocator = "nope" },
-		func(c *Config) { c.Admission = "nope" },
 	} {
 		cfg := fastConfig(Hybrid2, workload.Single("bzip2"))
 		mut(&cfg)
 		if _, err := New(cfg); err == nil {
-			s, a, ad := cfg.PipelineNames()
-			t.Errorf("unknown policy name accepted: %s/%s/%s", s, a, ad)
+			t.Errorf("unknown policy name accepted: %s/%s", cfg.Scheduler, cfg.Allocator)
 		}
 	}
 }
 
 // pipelineGrid builds one configuration per registered scheduler ×
-// allocator pair (admission stays fcfs; placement changes admission
-// decisions, not plan determinism).
+// allocator pair.
 func pipelineGrid() []Config {
 	var cfgs []Config
 	for _, sched := range SchedulerNames() {
@@ -98,8 +91,7 @@ func TestPipelineCombinationsDeterministic(t *testing.T) {
 	serial2, log2 := runAllLogged(t, 1, cfgs)
 	workers4, log4 := runAllLogged(t, 4, cfgs)
 	for i, cfg := range cfgs {
-		s, a, _ := cfg.PipelineNames()
-		name := s + "/" + a
+		name := cfg.Scheduler + "/" + cfg.Allocator
 		f1, f2, f4 := fingerprint(serial1[i], log1[i]), fingerprint(serial2[i], log2[i]), fingerprint(workers4[i], log4[i])
 		if f1 != f2 {
 			t.Errorf("%s: serial reruns differ:\n%s\n%s", name, f1, f2)

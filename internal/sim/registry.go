@@ -9,9 +9,7 @@ import (
 
 // The policy tables turn the engine into a pluggable pipeline: a
 // Scheduler assigns running jobs to cores, a WayAllocator splits the L2
-// among them, the admission name picks how the LAC places reserved
-// timeslots on its timeline, and a Controller closes the loop over
-// measured progress.
+// among them, and a Controller closes the loop over measured progress.
 // Each stage is selected by name through Config (empty names resolve to
 // the Policy-appropriate defaults, preserving the paper's behaviour bit
 // for bit), so a new policy — the next coordinated-management or SLO
@@ -49,12 +47,6 @@ var (
 		"equal":    equalAllocator{},
 		"ucp":      ucpAllocator{},
 	}
-	// An admission name says whether the LAC is built qos.WithLatestFit:
-	// "fcfs" is the paper's earliest-fit placement (§5).
-	admissions = map[string]bool{
-		"fcfs":   false,
-		"latest": true,
-	}
 	// A controller constructor may return nil: "static", the open-loop
 	// default, has no controller object at all, so the engine runs no
 	// controller code.
@@ -74,9 +66,6 @@ func SchedulerNames() []string { return policyNames(schedulers) }
 
 // AllocatorNames lists the way allocators, sorted.
 func AllocatorNames() []string { return policyNames(allocators) }
-
-// AdmissionNames lists the admission policies, sorted.
-func AdmissionNames() []string { return policyNames(admissions) }
 
 // ControllerNames lists the feedback controllers, sorted.
 func ControllerNames() []string { return policyNames(controllers) }
@@ -119,14 +108,6 @@ func (c Config) allocatorName() string {
 	return "reserved"
 }
 
-// admissionName resolves the configured admission placement policy.
-func (c Config) admissionName() string {
-	if c.Admission != "" {
-		return c.Admission
-	}
-	return "fcfs"
-}
-
 // controllerName resolves the configured feedback controller; the
 // default "static" is the open-loop pipeline.
 func (c Config) controllerName() string {
@@ -140,26 +121,16 @@ func (c Config) controllerName() string {
 // has checked the name.
 func newController(cfg Config) Controller { return controllers[cfg.controllerName()](cfg) }
 
-// PipelineNames returns the resolved (scheduler, allocator, admission)
-// names this configuration will run — the policy triple the run-cache
-// key and reports identify a run by.
-func (c Config) PipelineNames() (scheduler, allocator, admission string) {
-	return c.schedulerName(), c.allocatorName(), c.admissionName()
-}
-
 // ValidateNames checks explicitly selected names — the pipeline stages,
 // the feedback controller and the cluster dispatcher — against their
 // tables (empty selects the default and is always valid). CLIs call it
 // at flag-parse time so a typo is a usage error, not a mid-run failure.
-func ValidateNames(scheduler, allocator, admission, controller, dispatcher string) error {
+func ValidateNames(scheduler, allocator, controller, dispatcher string) error {
 	if _, ok := schedulers[scheduler]; scheduler != "" && !ok {
 		return fmt.Errorf("unknown scheduler %q (have %v)", scheduler, SchedulerNames())
 	}
 	if _, ok := allocators[allocator]; allocator != "" && !ok {
 		return fmt.Errorf("unknown allocator %q (have %v)", allocator, AllocatorNames())
-	}
-	if _, ok := admissions[admission]; admission != "" && !ok {
-		return fmt.Errorf("unknown admission policy %q (have %v)", admission, AdmissionNames())
 	}
 	if _, ok := controllers[controller]; controller != "" && !ok {
 		return fmt.Errorf("unknown controller %q (have %v)", controller, ControllerNames())
