@@ -185,6 +185,9 @@ func parseNode(line int, kv map[string]string, spec *Spec) error {
 			return errf(line, "unknown node key %q", k)
 		}
 	}
+	if err := qos.CheckCapacity(spec.NodeCapacity); err != nil {
+		return errf(line, "%v", err)
+	}
 	return nil
 }
 

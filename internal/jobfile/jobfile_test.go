@@ -167,6 +167,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad node cores", "node cores=0\njob bench=bzip2\n", 1},
 		{"bad node ways", "node ways=-2\njob bench=bzip2\n", 1},
 		{"bad node mem", "node mem=4TB\njob bench=bzip2\n", 1},
+		{"negative node mem", "node mem=-1\njob bench=bzip2\n", 1},
+		{"node cores above the bound", "node cores=1073741824\njob bench=bzip2\n", 1},
+		{"node mem above the bound", "node mem=1048576GB\njob bench=bzip2\n", 1},
 		{"fault without kind", "job bench=bzip2\nfault\n", 2},
 		{"malformed fault field", "job bench=bzip2\nfault core-fail at\n", 2},
 		{"bad fault at", "job bench=bzip2\nfault core-fail at=soon core=1\n", 2},

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -51,6 +52,27 @@ func TestLACStrictAdmission(t *testing.T) {
 	_, admits, rejects := l.Counters()
 	if admits != 3 || rejects != 1 {
 		t.Errorf("admits/rejects = %d/%d, want 3/1", admits, rejects)
+	}
+}
+
+// TestUndeclaredDimensionNeverBinds: a node that declares no memory
+// takes any request's memory field, however large — Fits' rule — so
+// two Strict jobs of {1 core, 7 ways, math.MaxInt MB} both start at 0
+// on {4 cores, 16 ways}. While the profile summed undeclared dimensions
+// against a finite sentinel, the first one's memory blocked the second
+// until 1000.
+func TestUndeclaredDimensionNeverBinds(t *testing.T) {
+	l := NewLAC(nodeCap())
+	for job := 1; job <= 2; job++ {
+		rum := medRUM(0, 1000, 3)
+		rum.Resources.MemoryMB = math.MaxInt
+		rum.Resources.BandwidthMBps = math.MaxInt
+		if d := l.Admit(Request{JobID: job, Target: rum, Mode: Strict()}); !d.Accepted || d.Start != 0 {
+			t.Fatalf("job %d: %+v, want accepted at 0", job, d)
+		}
+	}
+	if u := l.Timeline().UsageAt(0); u != (ResourceVector{Cores: 2, CacheWays: 14}) {
+		t.Errorf("usage at 0 = %v, want the declared dimensions only", u)
 	}
 }
 
@@ -384,28 +406,40 @@ func TestCompleteAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestProfNodeSize pins a usage-profile boundary node to the 128-byte
+// TestProfNodeSize pins a usage-profile boundary node to the 80-byte
 // size class: a fleet allocates one per reservation edge. It was 160 B
 // while the node stored its own delta, which its sum and its children's
-// already determine.
+// already determine, and 128 B while its aggregates were int64 in all
+// four dimensions and it stored a priority its key now hashes to.
 func TestProfNodeSize(t *testing.T) {
-	if s := unsafe.Sizeof(profNode{}); s > 128 {
-		t.Fatalf("profNode is %d B, want ≤ 128", s)
+	if s := unsafe.Sizeof(profNode{}); s > 80 {
+		t.Fatalf("profNode is %d B, want ≤ 80", s)
+	}
+}
+
+// TestResNodeSize pins a reservation node to the 96-byte size class:
+// a fleet allocates one per reservation. It was 112 B while it stored
+// a priority its id now hashes to and a finite-end aggregate for
+// Horizon, which walks instead.
+func TestResNodeSize(t *testing.T) {
+	if s := unsafe.Sizeof(resNode{}); s > 96 {
+		t.Fatalf("resNode is %d B, want ≤ 96", s)
 	}
 }
 
 // TestTimelineAndLACSize pins the two structs every node of a fleet owns
 // one of: a field added to either is a decision, not an accident. The
-// Timeline is 72 B, a live count where it kept an id→node map beside
-// the LAC's job map (the same size, and a map less per node): it was
-// 104 B with a Render buffer and a priority
+// Timeline is 64 B, the 64-byte class, since its treaps hash their
+// keys for priorities (72 B in the 80-byte class with a priority
+// stream). It was 72 B with a live count where it kept an id→node map
+// beside the LAC's job map, 104 B with a Render buffer and a priority
 // stream per treap, then 128 B with a one-entry fit memo (56 B), which
 // went once a node's learned earliest start decided nearly every
 // rejection before it reached the LAC (DESIGN §7.5). The LAC is 96 B
 // since the modeled probe costs became constants (112 B as two fields).
 func TestTimelineAndLACSize(t *testing.T) {
-	if s := unsafe.Sizeof(Timeline{}); s > 72 {
-		t.Errorf("Timeline is %d B, want ≤ 72", s)
+	if s := unsafe.Sizeof(Timeline{}); s > 64 {
+		t.Errorf("Timeline is %d B, want ≤ 64", s)
 	}
 	if s := unsafe.Sizeof(LAC{}); s > 96 {
 		t.Errorf("LAC is %d B, want ≤ 96", s)

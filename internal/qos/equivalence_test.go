@@ -2,6 +2,7 @@ package qos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -18,11 +19,37 @@ type tlPair struct {
 	fast  *Timeline
 	naive *naiveTimeline
 	ids   []int // every ID ever issued, live or not
+	// bound sizes every drawn amount in ninths of MaxCapacity, at most
+	// nine: the capacity sits at the bound and reservations fill it.
+	bound     bool
+	transient int64 // see reserve
 }
 
 func newTLPair(t *testing.T, capacity ResourceVector) *tlPair {
 	return &tlPair{t: t, fast: NewTimeline(capacity), naive: newNaiveTimeline(capacity)}
 }
+
+// amt scales a drawn amount: as drawn, or at the bound in ninths of
+// MaxCapacity (which nine divides), at most nine of them.
+func (p *tlPair) amt(n int) int {
+	if !p.bound {
+		return n
+	}
+	return min(n, 9) * (MaxCapacity / 9)
+}
+
+// declared is v in the dimensions capacity declares, zero elsewhere:
+// the indexed timeline tracks only those, so its usage and availability
+// are compared with the naive one's there. The naive one sums every
+// dimension and decides by Fits, which ignores the others.
+func declared(capacity, v ResourceVector) ResourceVector {
+	return tracked(capacity, v).vec()
+}
+
+// wide draws an amount from the whole non-negative int range, for a
+// dimension the capacity does not declare: math.MaxInt, half of it, …, 1,
+// 0.
+func wide(b byte) int { return math.MaxInt >> (b % 64) }
 
 func (p *tlPair) pickID(b byte) int {
 	if len(p.ids) == 0 {
@@ -53,8 +80,9 @@ func (p *tlPair) checkState(tag string) {
 	if fh := p.fast.Horizon(0); fh != p.naive.Horizon(0) {
 		p.t.Fatalf("%s: Horizon %d != naive %d", tag, fh, p.naive.Horizon(0))
 	}
+	c := p.fast.Capacity()
 	for x := lo; x <= hi; x += (hi - lo) / 17 {
-		if fu, nu := p.fast.UsageAt(x), p.naive.UsageAt(x); fu != nu {
+		if fu, nu := p.fast.UsageAt(x), declared(c, p.naive.UsageAt(x)); fu != nu {
 			p.t.Fatalf("%s: UsageAt(%d) %v != naive %v", tag, x, fu, nu)
 		}
 	}
@@ -64,7 +92,7 @@ func (p *tlPair) checkState(tag string) {
 			tag, len(fa), len(na), fa, na)
 	}
 	for i := range fa {
-		if fa[i] != na[i] {
+		if na[i].Free = declared(c, na[i].Free); fa[i] != na[i] {
 			p.t.Fatalf("%s: Availability[%d] %+v != naive %+v", tag, i, fa[i], na[i])
 		}
 	}
@@ -73,15 +101,51 @@ func (p *tlPair) checkState(tag string) {
 	}
 }
 
+// reserve reserves vec at start on both timelines. At the bound it
+// first records the largest usage the fast one's start edge lifts an
+// instant at or after the window's end to before the end edge goes in
+// (p.transient): that instant's usage plus vec, in any declared
+// dimension. Usage only rises at a start, so the instants to check are
+// the end and every later start.
+func (p *tlPair) reserve(jobID int, vec ResourceVector, start, dur int64) {
+	p.t.Helper()
+	if p.bound {
+		c, end := p.fast.Capacity(), start+dur
+		for _, r := range append(p.fast.Reservations(), Reservation{Start: end}) {
+			if r.Start >= end {
+				u := tracked(c, p.fast.UsageAt(r.Start)).add(tracked(c, vec))
+				p.transient = max(p.transient, u[dimCores], u[dimWays], u[dimMem], u[dimBW])
+			}
+		}
+	}
+	fid := p.fast.Reserve(jobID, vec, start, dur)
+	if nid := p.naive.Reserve(jobID, vec, start, dur); fid != nid {
+		p.t.Fatalf("Reserve ID %d != naive %d", fid, nid)
+	}
+	p.ids = append(p.ids, fid)
+}
+
 // step decodes and applies one operation; returns bytes consumed.
 func (p *tlPair) step(op []byte) int {
 	p.t.Helper()
 	if len(op) < 6 {
 		return len(op)
 	}
-	vec := ResourceVector{Cores: int(op[1]%5) + 1, CacheWays: int(op[2]%9) + 1}
-	if op[1]&0x80 != 0 {
-		vec.MemoryMB = int(op[1] % 64)
+	c := p.fast.Capacity()
+	vec := ResourceVector{Cores: p.amt(int(op[1]%5) + 1), CacheWays: p.amt(int(op[2]%9) + 1)}
+	switch {
+	case op[1]&0x80 == 0:
+	case c.MemoryMB > 0:
+		vec.MemoryMB = p.amt(int(op[1] % 64))
+	default:
+		vec.MemoryMB = wide(op[3])
+	}
+	switch {
+	case op[2]&0x80 == 0:
+	case c.BandwidthMBps > 0:
+		vec.BandwidthMBps = p.amt(int(op[4] % 64))
+	default:
+		vec.BandwidthMBps = wide(op[4])
 	}
 	now := int64(op[3]) * 37
 	dur := int64(op[4])*31 + 1
@@ -98,12 +162,7 @@ func (p *tlPair) step(op []byte) int {
 				vec, now, dur, deadline, fs, fok, ns, nok)
 		}
 		if fok {
-			fid := p.fast.Reserve(int(op[1]), vec, fs, dur)
-			nid := p.naive.Reserve(int(op[1]), vec, ns, dur)
-			if fid != nid {
-				p.t.Fatalf("Reserve ID %d != naive %d", fid, nid)
-			}
-			p.ids = append(p.ids, fid)
+			p.reserve(int(op[1]), vec, fs, dur)
 		}
 	case 2: // LatestFit, then reserve on success
 		fs, fok := p.fast.LatestFit(vec, now, dur, deadline)
@@ -113,12 +172,7 @@ func (p *tlPair) step(op []byte) int {
 				vec, now, dur, deadline, fs, fok, ns, nok)
 		}
 		if fok {
-			fid := p.fast.Reserve(int(op[1]), vec, fs, dur)
-			nid := p.naive.Reserve(int(op[1]), vec, ns, dur)
-			if fid != nid {
-				p.t.Fatalf("Reserve ID %d != naive %d", fid, nid)
-			}
-			p.ids = append(p.ids, fid)
+			p.reserve(int(op[1]), vec, fs, dur)
 		}
 	case 3: // Release
 		id := p.pickID(op[1])
@@ -132,14 +186,19 @@ func (p *tlPair) step(op []byte) int {
 		p.naive.Prune(now)
 	case 5: // ShrinkVec
 		id := p.pickID(op[1])
-		sv := ResourceVector{Cores: int(op[2] % 6), CacheWays: int(op[3] % 10)}
+		sv := ResourceVector{Cores: p.amt(int(op[2] % 6)), CacheWays: p.amt(int(op[3] % 10))}
 		if fok, nok := p.fast.ShrinkVec(id, sv), p.naive.ShrinkVec(id, sv); fok != nok {
 			p.t.Fatalf("ShrinkVec(%d,%v) %v != naive %v", id, sv, fok, nok)
 		}
 	case 6: // SetCapacity — evicted slices must match element-for-element
-		nc := ResourceVector{Cores: int(op[1]%6) + 1, CacheWays: int(op[2]%17) + 1}
-		if op[3]&1 != 0 {
-			nc.MemoryMB = int(op[3] % 64)
+		// The declared dimensions stay those of the first capacity:
+		// SetCapacity refuses to change them.
+		nc := ResourceVector{Cores: p.amt(int(op[1]%6) + 1), CacheWays: p.amt(int(op[2]%17) + 1)}
+		if c.MemoryMB > 0 {
+			nc.MemoryMB = p.amt(int(op[3]%64) + 1)
+		}
+		if c.BandwidthMBps > 0 {
+			nc.BandwidthMBps = p.amt(int(op[4]%64) + 1)
 		}
 		fe := p.fast.SetCapacity(nc, now)
 		ne := p.naive.SetCapacity(nc, now)
@@ -165,16 +224,27 @@ func (p *tlPair) step(op []byte) int {
 	return 6
 }
 
-func runEquivalence(t *testing.T, data []byte) {
+// runEquivalence decodes a two-byte header, then 6-byte ops. Header
+// byte 0's bit 0x40 declares memory, 0x20 bandwidth, and 0x80 puts the
+// capacity at MaxCapacity in every declared dimension (p.bound).
+func runEquivalence(t *testing.T, data []byte) *tlPair {
 	capacity := ResourceVector{Cores: 4, CacheWays: 16}
+	bound := false
 	if len(data) >= 2 {
 		capacity = ResourceVector{Cores: int(data[0]%8) + 1, CacheWays: int(data[1]%32) + 1}
 		if data[0]&0x40 != 0 {
 			capacity.MemoryMB = 128
 		}
+		if data[0]&0x20 != 0 {
+			capacity.BandwidthMBps = 96
+		}
+		if bound = data[0]&0x80 != 0; bound {
+			capacity = tracked(capacity, ResourceVector{MaxCapacity, MaxCapacity, MaxCapacity, MaxCapacity}).vec()
+		}
 		data = data[2:]
 	}
 	p := newTLPair(t, capacity)
+	p.bound = bound
 	steps := 0
 	for len(data) >= 6 {
 		n := p.step(data)
@@ -185,6 +255,7 @@ func runEquivalence(t *testing.T, data []byte) {
 		}
 	}
 	p.checkState("final")
+	return p
 }
 
 // FuzzTimelineEquivalence drives random operation sequences against both
@@ -202,6 +273,10 @@ func FuzzTimelineEquivalence(f *testing.F) {
 	}
 	f.Add(long)
 	f.Add(memoStream(1))
+	// Two Strict holds with an undeclared memory component of
+	// math.MaxInt on {4 cores, 16 ways}: both start at 0.
+	f.Add([]byte{3, 15, 0, 0x82, 6, 0, 10, 0, 0, 0x82, 6, 0, 10, 0})
+	f.Add(boundStream(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			data = data[:2048]
@@ -226,6 +301,50 @@ func TestTimelineEquivalenceRandom(t *testing.T) {
 			runEquivalence(t, memoStream(seed))
 		})
 	}
+}
+
+// TestTimelineEquivalenceAtBound runs the differential harness with the
+// capacity at MaxCapacity in cores, ways and memory, on streams that
+// fill ways and memory and place full holds ahead of later ones: each
+// such start edge lifts the profile to 2·MaxCapacity until its end
+// edge goes in, the largest value its int32 aggregates must hold.
+func TestTimelineEquivalenceAtBound(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			if p := runEquivalence(t, boundStream(seed)); p.transient != 2*MaxCapacity {
+				t.Fatalf("the largest insert transient was %d, want 2·MaxCapacity = %d", p.transient, 2*MaxCapacity)
+			}
+		})
+	}
+}
+
+// boundStream is a differential op stream at the bound (header bits
+// 0x80 and 0x40): holds that take every way and all memory, with
+// arrival times that often fall back, so a full hold lands before a
+// full one already placed.
+func boundStream(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{0xc0, 0}
+	now := 0
+	for i := 0; i < 120; i++ {
+		kind := byte(0) // EarliestFit
+		switch rng.Intn(8) {
+		case 0:
+			kind = 2 // LatestFit
+		case 1:
+			kind = byte(3 + rng.Intn(2)) // release, or complete
+		}
+		if rng.Intn(3) == 0 {
+			now = max(now-rng.Intn(60), 0)
+		} else {
+			now = min(now+rng.Intn(8), 255)
+		}
+		// Ways are nine ninths (byte%9 == 8), memory 0x80|9..63 ninths
+		// clipped to nine, cores one to five ninths.
+		data = append(data, kind, byte(0x80|(9+rng.Intn(50))), byte(8+9*rng.Intn(13)),
+			byte(now), byte(rng.Intn(4)), byte(rng.Intn(256)))
+	}
+	return data
 }
 
 // memoStream is a differential op stream that keeps returning to the

@@ -177,7 +177,7 @@ func (t *naiveTimeline) overcommittedAt(from int64) (int64, bool) {
 func (t *naiveTimeline) ShrinkVec(id int, vec ResourceVector) bool {
 	for i := range t.res {
 		if t.res[i].ID == id {
-			if !vec.Fits(t.res[i].Vec) {
+			if !vec.within(t.res[i].Vec) {
 				return false
 			}
 			t.res[i].Vec = vec

@@ -1,10 +1,6 @@
 package qos
 
-import (
-	"math"
-
-	"cmpqos/internal/splitmix"
-)
+import "cmpqos/internal/splitmix"
 
 // The usage profile: the incrementally-maintained dual of the
 // reservation list. Instead of re-summing every reservation per query
@@ -12,8 +8,9 @@ import (
 // profile keeps one node per distinct time boundary holding the *net
 // usage change* at that instant, ordered by time in a treap. Usage at
 // any instant is then a prefix sum of deltas, and every subtree carries
-// (sum, max-prefix, min-prefix) per resource dimension so the admission
-// queries become tree descents:
+// (sum, max-prefix, min-prefix) per resource dimension the capacity
+// declares — an undeclared one is zero in every edge, so it never binds
+// — so the admission queries become tree descents:
 //
 //	usage at x                      prefix sum of keys ≤ x      O(log n)
 //	first over-limit instant ≥ x    max-prefix descent          O(log n)
@@ -29,8 +26,11 @@ import (
 // any edge references it — even when coinciding edges cancel to a zero
 // delta — because the availability profile reports a (degenerate) step
 // at every live boundary, exactly like the naive reference.
+//
+// A node stores its aggregates as int32 (ivec, which says why every
+// value fits) and the descents add them up in int64 (uvec).
 
-// nDims is the number of managed resource dimensions.
+// nDims is the number of resource dimensions a profile can track.
 const nDims = 4
 
 // Dimension order inside a uvec.
@@ -41,16 +41,36 @@ const (
 	dimBW    = 3
 )
 
-// uvec is the profile's internal usage vector: one int64 per dimension
-// so prefix sums and sentinel arithmetic never overflow int ranges.
+// uvec is a usage vector in the profile's running arithmetic: one int64
+// per dimension, so a prefix, a base plus an aggregate or a limit never
+// overflows.
 type uvec [nDims]int64
 
-// unconstrained is the limit of a dimension the node does not bound.
-// Quarter-range keeps base+aggregate arithmetic overflow-free.
-const unconstrained = int64(math.MaxInt64) / 4
+// ivec is a usage vector as a boundary node stores it. Only the
+// dimensions the capacity declares are tracked (an undeclared one is
+// zero in every edge), and each declared component is at most
+// MaxCapacity = 2^30 − 1. At rest every prefix lies in [0, capacity];
+// mid-insert (the start edge in, the end edge not yet) one lies in
+// [0, 2·capacity], and mid-drop or mid-shrink in [−capacity,
+// capacity]. A subtree sum
+// or in-subtree prefix is a difference of two prefixes, so it lies in
+// [−2·MaxCapacity, 2·MaxCapacity] = [−(2^31 − 2), 2^31 − 2]: int32
+// holds every value a node stores.
+type ivec [nDims]int32
 
-func toUvec(v ResourceVector) uvec {
-	return uvec{int64(v.Cores), int64(v.CacheWays), int64(v.MemoryMB), int64(v.BandwidthMBps)}
+// tracked returns v in the dimensions capacity declares — cores and ways
+// always, memory and bandwidth when non-zero, the rule ResourceVector.Fits
+// applies (§3.2's treatment of not-yet-managed resources) — and zero in
+// the others: the vector a reservation's edges carry.
+func tracked(capacity, v ResourceVector) uvec {
+	u := uvec{dimCores: int64(v.Cores), dimWays: int64(v.CacheWays)}
+	if capacity.MemoryMB > 0 {
+		u[dimMem] = int64(v.MemoryMB)
+	}
+	if capacity.BandwidthMBps > 0 {
+		u[dimBW] = int64(v.BandwidthMBps)
+	}
+	return u
 }
 
 func (u uvec) vec() ResourceVector {
@@ -77,24 +97,11 @@ func (u uvec) neg() uvec {
 }
 
 // limitFor returns the per-dimension usage ceiling other reservations
-// may occupy while vec still fits under capacity: capacity − vec, with
-// the optional dimensions (memory, bandwidth) unconstrained when the
-// capacity does not declare them — the same rule ResourceVector.Fits
-// applies (§3.2's treatment of not-yet-managed resources).
+// may occupy while vec still fits under capacity: capacity − vec in
+// every dimension. An undeclared dimension is 0 − 0: no edge carries
+// it, so it never binds, exactly as Fits ignores it.
 func limitFor(capacity, vec ResourceVector) uvec {
-	l := uvec{
-		int64(capacity.Cores - vec.Cores),
-		int64(capacity.CacheWays - vec.CacheWays),
-		unconstrained,
-		unconstrained,
-	}
-	if capacity.MemoryMB > 0 {
-		l[dimMem] = int64(capacity.MemoryMB - vec.MemoryMB)
-	}
-	if capacity.BandwidthMBps > 0 {
-		l[dimBW] = int64(capacity.BandwidthMBps - vec.BandwidthMBps)
-	}
-	return l
+	return tracked(capacity, capacity).add(tracked(capacity, vec).neg())
 }
 
 // overDim returns the lowest dimension where u exceeds limit, or -1.
@@ -107,25 +114,31 @@ func overDim(u, limit uvec) int {
 	return -1
 }
 
-// profNode is one time boundary in the usage profile. It stores no
-// delta of its own: the net usage change at key is its subtree's sum
-// less its children's (delta), which keeps the node at 128 bytes.
+// profNode is one time boundary in the usage profile: 80 bytes. It
+// stores no delta of its own (the net usage change at key is its
+// subtree's sum less its children's, delta) and no priority (prio
+// hashes the key).
 type profNode struct {
 	left, right *profNode
-	key         int64  // boundary instant, unique per node
-	prio        uint32 // treap heap priority (deterministic stream)
-	refs        int32  // reservation edges (starts + ends) at this key
-	sum         uvec   // Σ delta over subtree
-	maxP        uvec   // max in-subtree prefix sum (per dim, key order)
-	minP        uvec   // min in-subtree prefix sum
+	key         int64 // boundary instant, unique per node
+	refs        int32 // reservation edges (starts + ends) at this key
+	sum         ivec  // Σ delta over subtree
+	maxP        ivec  // max in-subtree prefix sum (per dim, key order)
+	minP        ivec  // min in-subtree prefix sum
 }
+
+// prio is n's treap heap priority, a hash of its key. Mix is a
+// bijection, so distinct keys never tie, and the treap's shape is a
+// function of its key set alone: the same boundaries give the same tree
+// whatever the order of the edges that made them.
+func (n *profNode) prio() uint64 { return splitmix.Mix(uint64(n.key)) }
 
 // delta is the net usage change at n's key. Read it before relinking
 // a child of n: it is derived from the children n's sum was pulled with.
 func (n *profNode) delta() uvec {
-	u := n.sum
+	var u uvec
 	for d := range u {
-		u[d] -= profSumD(n.left, d) + profSumD(n.right, d)
+		u[d] = int64(n.sum[d]) - profSumD(n.left, d) - profSumD(n.right, d)
 	}
 	return u
 }
@@ -133,43 +146,29 @@ func (n *profNode) delta() uvec {
 // through is the prefix sum through n within its subtree: the sum of
 // its left subtree and its own delta.
 func through(n *profNode) uvec {
-	u := n.sum
-	if n.right != nil {
-		for d := range u {
-			u[d] -= n.right.sum[d]
-		}
+	var u uvec
+	for d := range u {
+		u[d] = int64(n.sum[d]) - profSumD(n.right, d)
 	}
 	return u
 }
 
 // pull recomputes n's subtree aggregates from its children and its own
-// delta.
+// delta, in int64, storing each in its int32 slot (ivec's bound).
 func (n *profNode) pull(delta uvec) {
-	var ls uvec
-	if n.left != nil {
-		ls = n.left.sum
-	}
 	for d := 0; d < nDims; d++ {
-		pn := ls[d] + delta[d] // prefix through n within this subtree
+		pn := profSumD(n.left, d) + delta[d] // prefix through n within this subtree
 		sum, mx, mn := pn, pn, pn
 		if n.left != nil {
-			if n.left.maxP[d] > mx {
-				mx = n.left.maxP[d]
-			}
-			if n.left.minP[d] < mn {
-				mn = n.left.minP[d]
-			}
+			mx = max(mx, int64(n.left.maxP[d]))
+			mn = min(mn, int64(n.left.minP[d]))
 		}
 		if n.right != nil {
-			sum += n.right.sum[d]
-			if v := pn + n.right.maxP[d]; v > mx {
-				mx = v
-			}
-			if v := pn + n.right.minP[d]; v < mn {
-				mn = v
-			}
+			sum += int64(n.right.sum[d])
+			mx = max(mx, pn+int64(n.right.maxP[d]))
+			mn = min(mn, pn+int64(n.right.minP[d]))
 		}
-		n.sum[d], n.maxP[d], n.minP[d] = sum, mx, mn
+		n.sum[d], n.maxP[d], n.minP[d] = int32(sum), int32(mx), int32(mn)
 	}
 }
 
@@ -177,7 +176,7 @@ func profSumD(n *profNode, d int) int64 {
 	if n == nil {
 		return 0
 	}
-	return n.sum[d]
+	return int64(n.sum[d])
 }
 
 // mayExceed reports whether some prefix inside sub, offset by base, can
@@ -187,51 +186,50 @@ func mayExceed(base uvec, sub *profNode, limit uvec) bool {
 		return false
 	}
 	for d := 0; d < nDims; d++ {
-		if base[d]+sub.maxP[d] > limit[d] {
+		if base[d]+int64(sub.maxP[d]) > limit[d] {
 			return true
 		}
 	}
 	return false
 }
 
-// profile is the treap of boundary nodes. Its priorities come from the
-// Timeline's deterministic stream (SplitMix64), which keeps its shape
-// reproducible.
+// profile is the treap of boundary nodes, each node's priority a hash
+// of its key (profNode.prio).
 type profile struct {
 	root *profNode
 }
 
 // update applies one edge mutation at key: delta += d, refs += dref.
-// It inserts the boundary when absent (dref > 0), drawing its priority
-// from rng, and removes it when the reference count drains to zero.
-func (p *profile) update(key int64, d uvec, dref int32, rng *splitmix.Rand) {
-	p.root = p.upd(p.root, key, d, dref, rng)
+// It inserts the boundary when absent (dref > 0) and removes it when the
+// reference count drains to zero.
+func (p *profile) update(key int64, d uvec, dref int32) {
+	p.root = p.upd(p.root, key, d, dref)
 }
 
-func (p *profile) upd(n *profNode, key int64, d uvec, dref int32, rng *splitmix.Rand) *profNode {
+func (p *profile) upd(n *profNode, key int64, d uvec, dref int32) *profNode {
 	if n == nil {
 		if dref <= 0 {
 			panic("qos: usage-profile edge underflow (release of an unknown boundary)")
 		}
-		// The high half of the draw: a 32-bit priority packs beside refs,
-		// keeping the node in the 128-byte size class.
-		nn := &profNode{key: key, prio: uint32(rng.Uint64() >> 32), refs: dref}
+		nn := &profNode{key: key, refs: dref}
 		nn.pull(d)
 		return nn
 	}
 	// The edge lands somewhere in n's subtree, so its sum moves by d. A
 	// boundary is dropped only when its last edge leaves, and that edge
 	// cancels the boundary's whole delta: the sum moves by d then too.
-	n.sum = n.sum.add(d)
+	for i := range n.sum {
+		n.sum[i] += int32(d[i])
+	}
 	switch {
 	case key < n.key:
-		n.left = p.upd(n.left, key, d, dref, rng)
-		if n.left != nil && n.left.prio > n.prio {
+		n.left = p.upd(n.left, key, d, dref)
+		if n.left != nil && n.left.prio() > n.prio() {
 			return rotRight(n)
 		}
 	case key > n.key:
-		n.right = p.upd(n.right, key, d, dref, rng)
-		if n.right != nil && n.right.prio > n.prio {
+		n.right = p.upd(n.right, key, d, dref)
+		if n.right != nil && n.right.prio() > n.prio() {
 			return rotLeft(n)
 		}
 	default:
@@ -273,7 +271,7 @@ func profMerge(a, b *profNode) *profNode {
 	if b == nil {
 		return a
 	}
-	if a.prio > b.prio {
+	if a.prio() > b.prio() {
 		da := a.delta()
 		a.right = profMerge(a.right, b)
 		a.pull(da)
@@ -365,16 +363,16 @@ func lastOverBefore(n *profNode, base uvec, hi int64, limit uvec) (int64, int, b
 func fitDimAfter(n *profNode, base, x int64, d int, limit int64) (int64, bool) {
 	for n != nil {
 		if n.key <= x {
-			base += n.sum[d] - profSumD(n.right, d)
+			base += profSumD(n, d) - profSumD(n.right, d)
 			n = n.right
 			continue
 		}
-		if n.left != nil && base+n.left.minP[d] <= limit {
+		if n.left != nil && base+int64(n.left.minP[d]) <= limit {
 			if k, ok := fitDimAfter(n.left, base, x, d, limit); ok {
 				return k, ok
 			}
 		}
-		base += n.sum[d] - profSumD(n.right, d)
+		base += profSumD(n, d) - profSumD(n.right, d)
 		if base <= limit {
 			return n.key, true
 		}
@@ -387,11 +385,11 @@ func fitDimAfter(n *profNode, base, x int64, d int, limit int64) (int64, bool) {
 // d is within limit — the boundary just before a blocked run in d
 // begins. Not found means every boundary below x is over in d.
 func lastFitDimBefore(n *profNode, base, x int64, d int, limit int64) (int64, bool) {
-	if n == nil || base+n.minP[d] > limit {
+	if n == nil || base+int64(n.minP[d]) > limit {
 		return 0, false
 	}
 	if n.key < x {
-		baseR := base + n.sum[d] - profSumD(n.right, d)
+		baseR := base + profSumD(n, d) - profSumD(n.right, d)
 		if k, ok := lastFitDimBefore(n.right, baseR, x, d, limit); ok {
 			return k, ok
 		}

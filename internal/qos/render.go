@@ -91,10 +91,8 @@ func (t *Timeline) Render(from, to int64, width int) string {
 
 // Horizon returns the end of the last reservation (or from when none),
 // a convenient upper bound for Render windows. Open-ended opportunistic
-// holds parked at foreverCycles are ignored.
+// holds parked at foreverCycles are ignored. It walks every
+// reservation, O(n).
 func (t *Timeline) Horizon(from int64) int64 {
-	if h := t.idx.maxFiniteEnd(); h > from {
-		return h
-	}
-	return from
+	return resMaxFiniteEnd(t.idx.root, from)
 }

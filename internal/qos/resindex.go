@@ -2,7 +2,6 @@ package qos
 
 import (
 	"fmt"
-	"math"
 
 	"cmpqos/internal/splitmix"
 )
@@ -15,10 +14,13 @@ import (
 //
 //	eviction victim covering instant x    maxEnd descent     O(log² n)
 //	any reservation ended by now (Prune)  minEnd descent     O(log n)
-//	render horizon (last finite end)      maxFin aggregate   O(1)
+//	render horizon (last finite end)      whole walk         O(n)
 //	time-ordered iteration                in-order walk      O(n)
 //	node still live (LAC.Complete)        key descent        O(log n)
 //	reservation by id alone (Release)     whole walk         O(n)
+//
+// The render horizon is asked once per rendered node (qosctl's chart),
+// so it walks rather than keep a third aggregate in every node.
 //
 // Node pointers are stable across rotations, so the LAC's job→node map
 // stays valid through every mutation. A node's key and End never change
@@ -30,14 +32,20 @@ import (
 // invisible to the render horizon, exactly like the naive scan's filter.
 const finiteEndCeiling = foreverCycles / 2
 
+// resNode is one live reservation: 96 bytes, with no stored priority
+// (prio hashes the id).
 type resNode struct {
 	left, right *resNode
-	prio        uint64
 	res         Reservation
 	maxEnd      int64 // max End over subtree
 	minEnd      int64 // min End over subtree
-	maxFin      int64 // max End over subtree among End < finiteEndCeiling
 }
+
+// prio is n's treap heap priority, a hash of its reservation id. Ids
+// are unique within a timeline and Mix is a bijection, so priorities
+// never tie and the index's shape is a function of its reservations
+// alone, whatever order they came in.
+func (n *resNode) prio() uint64 { return splitmix.Mix(uint64(n.res.ID)) }
 
 // resKeyLess orders reservations by (Start, ID) — admission order within
 // a start instant, since IDs are issued monotonically.
@@ -51,10 +59,6 @@ func resKeyLess(a, b Reservation) bool {
 func (n *resNode) pull() {
 	n.maxEnd = n.res.End
 	n.minEnd = n.res.End
-	n.maxFin = math.MinInt64
-	if n.res.End < finiteEndCeiling {
-		n.maxFin = n.res.End
-	}
 	for _, c := range [2]*resNode{n.left, n.right} {
 		if c == nil {
 			continue
@@ -65,9 +69,6 @@ func (n *resNode) pull() {
 		if c.minEnd < n.minEnd {
 			n.minEnd = c.minEnd
 		}
-		if c.maxFin > n.maxFin {
-			n.maxFin = c.maxFin
-		}
 	}
 }
 
@@ -76,10 +77,8 @@ type resIndex struct {
 	root *resNode
 }
 
-// insert attaches the fresh node nn into the treap, drawing its
-// priority from rng.
-func (ix *resIndex) insert(nn *resNode, rng *splitmix.Rand) {
-	nn.prio = rng.Uint64()
+// insert attaches the fresh node nn into the treap.
+func (ix *resIndex) insert(nn *resNode) {
 	ix.root = resIns(ix.root, nn)
 }
 
@@ -90,12 +89,12 @@ func resIns(n, nn *resNode) *resNode {
 	}
 	if resKeyLess(nn.res, n.res) {
 		n.left = resIns(n.left, nn)
-		if n.left.prio > n.prio {
+		if n.left.prio() > n.prio() {
 			n = resRotRight(n)
 		}
 	} else {
 		n.right = resIns(n.right, nn)
-		if n.right.prio > n.prio {
+		if n.right.prio() > n.prio() {
 			n = resRotLeft(n)
 		}
 	}
@@ -148,7 +147,7 @@ func resMerge(a, b *resNode) *resNode {
 	if b == nil {
 		return a
 	}
-	if a.prio > b.prio {
+	if a.prio() > b.prio() {
 		a.right = resMerge(a.right, b)
 		a.pull()
 		return a
@@ -232,13 +231,16 @@ func (ix *resIndex) endedBy(now int64) *resNode {
 	return nil
 }
 
-// maxFiniteEnd returns the largest End below finiteEndCeiling, or
-// math.MinInt64 when no reservation has a finite end.
-func (ix *resIndex) maxFiniteEnd() int64 {
-	if ix.root == nil {
-		return math.MinInt64
+// resMaxFiniteEnd returns the largest End below finiteEndCeiling in n's
+// subtree that exceeds h, or h: an in-order walk of the subtree.
+func resMaxFiniteEnd(n *resNode, h int64) int64 {
+	for ; n != nil; n = n.right {
+		h = resMaxFiniteEnd(n.left, h)
+		if e := n.res.End; e > h && e < finiteEndCeiling {
+			h = e
+		}
 	}
-	return ix.root.maxFin
+	return h
 }
 
 // appendAll appends every reservation in (Start, ID) order.

@@ -112,8 +112,8 @@ func RestoreLAC(r io.Reader, opts ...LACOption) (*LAC, error) {
 	if snap.Version != snapshotVersion {
 		return nil, &VersionError{What: "snapshot", Got: snap.Version, Want: snapshotVersion}
 	}
-	if !snap.Capacity.Valid() || snap.Capacity.IsZero() {
-		return nil, fmt.Errorf("qos: snapshot has invalid capacity %v", snap.Capacity)
+	if err := CheckCapacity(snap.Capacity); err != nil {
+		return nil, fmt.Errorf("qos: snapshot capacity: %w", err)
 	}
 	l := NewLAC(snap.Capacity, opts...)
 	for _, res := range snap.Res {

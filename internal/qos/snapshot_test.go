@@ -56,6 +56,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		{"garbage", "not json"},
 		{"wrong version", `{"version": 99, "capacity": {"Cores":4,"CacheWays":16}}`},
 		{"zero capacity", `{"version": 1, "capacity": {}}`},
+		{"capacity above the bound", `{"version": 1, "capacity": {"Cores":4,"CacheWays":1073741824}}`},
 		{"malformed reservation", `{"version":1,"capacity":{"Cores":4,"CacheWays":16},
 			"reservations":[{"ID":1,"JobID":1,"Vec":{"Cores":1,"CacheWays":7},"Start":10,"End":5}]}`},
 		{"overcommitted", `{"version":1,"capacity":{"Cores":1,"CacheWays":7},
@@ -67,6 +68,10 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if _, err := RestoreLAC(strings.NewReader(tc.body)); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", tc.name)
 		}
+	}
+	// The bound itself restores.
+	if _, err := RestoreLAC(strings.NewReader(`{"version": 1, "capacity": {"Cores":4,"CacheWays":1073741823}}`)); err != nil {
+		t.Errorf("capacity at the bound: %v", err)
 	}
 }
 

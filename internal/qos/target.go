@@ -68,6 +68,13 @@ func (v ResourceVector) Fits(c ResourceVector) bool {
 	return true
 }
 
+// within reports whether every component of v lies in [0, o]'s: v
+// takes nothing o did not, in any dimension, declared or not.
+func (v ResourceVector) within(o ResourceVector) bool {
+	return v.Valid() && v.Cores <= o.Cores && v.CacheWays <= o.CacheWays &&
+		v.MemoryMB <= o.MemoryMB && v.BandwidthMBps <= o.BandwidthMBps
+}
+
 // IsZero reports whether the vector requests nothing.
 func (v ResourceVector) IsZero() bool {
 	return v.Cores == 0 && v.CacheWays == 0 && v.MemoryMB == 0 && v.BandwidthMBps == 0

@@ -3,8 +3,6 @@ package qos
 import (
 	"fmt"
 	"math"
-
-	"cmpqos/internal/splitmix"
 )
 
 // Reservation is one job's hold on resources over a time interval
@@ -24,7 +22,9 @@ type Reservation struct {
 // indexed usage profile: a balanced tree of time boundaries carrying
 // usage deltas and prefix-sum aggregates (profile.go), a companion tree
 // of reservations keyed by (Start, ID) with end aggregates
-// (resindex.go), and a count of the live ones. Every admission query
+// (resindex.go), and a count of the live ones. Both trees are treaps
+// whose priorities hash their keys, so a timeline's shape is a function
+// of its contents, not of the order they came in. Every admission query
 // and every mutation through a reservation's node is O(log n) in live
 // reservations; behavior is bit-identical to the naive reservation-list
 // scan it replaced, which survives as the test-only naiveTimeline
@@ -41,22 +41,34 @@ type Timeline struct {
 	idx      resIndex
 	live     int // reservations in idx
 	nextID   int
-	// rng draws the priorities of both treaps: their shapes set only the
-	// cost of a query, never its answer, so one deterministic stream
-	// serves the two.
-	rng splitmix.Rand
 }
 
-// NewTimeline builds a timeline for a node with the given capacity.
+// MaxCapacity bounds every component of a capacity a Timeline accepts:
+// 2^30 − 1. A declared dimension's usage then lies in [0, capacity]
+// and, while one edge of a reservation is in and the other not yet, in
+// [−capacity, 2·capacity], so every value a profile node stores fits in
+// int32 (ivec).
+const MaxCapacity = 1<<30 - 1
+
+// CheckCapacity reports whether c can be a node's capacity: non-negative,
+// not zero, and no component above MaxCapacity.
+func CheckCapacity(c ResourceVector) error {
+	if !c.Valid() || c.IsZero() {
+		return fmt.Errorf("qos: invalid timeline capacity %v", c)
+	}
+	if max(c.Cores, c.CacheWays, c.MemoryMB, c.BandwidthMBps) > MaxCapacity {
+		return fmt.Errorf("qos: timeline capacity %v has a component above %d", c, MaxCapacity)
+	}
+	return nil
+}
+
+// NewTimeline builds a timeline for a node with the given capacity. It
+// panics on a capacity CheckCapacity refuses.
 func NewTimeline(capacity ResourceVector) *Timeline {
-	if !capacity.Valid() || capacity.IsZero() {
-		panic(fmt.Sprintf("qos: invalid timeline capacity %v", capacity))
+	if err := CheckCapacity(capacity); err != nil {
+		panic(err.Error())
 	}
-	return &Timeline{
-		capacity: capacity,
-		nextID:   1,
-		rng:      splitmix.New(0x9e3779b97f4a7c15),
-	}
+	return &Timeline{capacity: capacity, nextID: 1}
 }
 
 // Capacity returns the node's total capacity vector.
@@ -66,7 +78,8 @@ func (t *Timeline) Capacity() ResourceVector { return t.capacity }
 func (t *Timeline) Len() int { return t.live }
 
 // UsageAt returns the summed reservation vector at time x: the profile
-// prefix sum over boundaries ≤ x.
+// prefix sum over boundaries ≤ x. A dimension the capacity does not
+// declare is not tracked and reads 0.
 func (t *Timeline) UsageAt(x int64) ResourceVector {
 	return t.prof.prefixAt(x).vec()
 }
@@ -175,7 +188,7 @@ func (t *Timeline) Reserve(jobID int, vec ResourceVector, start, dur int64) int 
 
 // reserve is Reserve returning the reservation's node.
 func (t *Timeline) reserve(jobID int, vec ResourceVector, start, dur int64) *resNode {
-	if !t.fits(vec, start, dur) {
+	if !vec.Valid() || !t.fits(vec, start, dur) {
 		panic(fmt.Sprintf("qos: reservation %v @[%d,%d) does not fit", vec, start, start+dur))
 	}
 	id := t.nextID
@@ -183,22 +196,24 @@ func (t *Timeline) reserve(jobID int, vec ResourceVector, start, dur int64) *res
 	return t.insert(Reservation{ID: id, JobID: jobID, Vec: vec, Start: start, End: start + dur})
 }
 
-// insert threads a reservation through the profile and the index.
+// insert threads a reservation through the profile, in the dimensions
+// the capacity declares, and the index.
 func (t *Timeline) insert(res Reservation) *resNode {
-	v := toUvec(res.Vec)
-	t.prof.update(res.Start, v, +1, &t.rng)
-	t.prof.update(res.End, v.neg(), +1, &t.rng)
+	v := tracked(t.capacity, res.Vec)
+	t.prof.update(res.Start, v, +1)
+	t.prof.update(res.End, v.neg(), +1)
 	n := &resNode{res: res}
-	t.idx.insert(n, &t.rng)
+	t.idx.insert(n)
 	t.live++
 	return n
 }
 
-// drop is insert's inverse.
+// drop is insert's inverse. The declared dimensions never change
+// (SetCapacity), so the edges it takes out are the ones insert put in.
 func (t *Timeline) drop(n *resNode) {
-	v := toUvec(n.res.Vec)
-	t.prof.update(n.res.Start, v.neg(), -1, &t.rng)
-	t.prof.update(n.res.End, v, -1, &t.rng)
+	v := tracked(t.capacity, n.res.Vec)
+	t.prof.update(n.res.Start, v.neg(), -1)
+	t.prof.update(n.res.End, v, -1)
 	t.idx.remove(n.res)
 	t.live--
 }
@@ -220,9 +235,17 @@ func (t *Timeline) Release(id int) {
 // (latest start, then largest ID), matching the FCFS contract — the jobs
 // admitted first keep their slots. Evicted reservations are returned so
 // the caller can re-negotiate or record violations for their jobs.
+//
+// It panics on a capacity CheckCapacity refuses, and on one that would
+// change which of memory and bandwidth the node declares: the profile
+// tracks exactly the declared dimensions, so it could not account for a
+// newly declared one.
 func (t *Timeline) SetCapacity(capacity ResourceVector, from int64) []Reservation {
-	if !capacity.Valid() || capacity.IsZero() {
-		panic(fmt.Sprintf("qos: invalid timeline capacity %v", capacity))
+	if err := CheckCapacity(capacity); err != nil {
+		panic(err.Error())
+	}
+	if (capacity.MemoryMB > 0) != (t.capacity.MemoryMB > 0) || (capacity.BandwidthMBps > 0) != (t.capacity.BandwidthMBps > 0) {
+		panic(fmt.Sprintf("qos: capacity %v declares other dimensions than %v", capacity, t.capacity))
 	}
 	t.capacity = capacity
 	limit := limitFor(capacity, ResourceVector{})
@@ -243,9 +266,10 @@ func (t *Timeline) SetCapacity(capacity ResourceVector, from int64) []Reservatio
 }
 
 // ShrinkVec replaces reservation id's vector with a smaller one — the
-// elastic way-shedding path under cache faults. It refuses to grow any
-// component (growth would need a fresh fit check) and reports whether
-// the reservation was found, by a walk, O(n), and shrunk.
+// elastic way-shedding path under cache faults. It refuses a negative
+// component and the growth of any component (growth would need a fresh
+// fit check), and reports whether the reservation was found, by a
+// walk, O(n), and shrunk.
 func (t *Timeline) ShrinkVec(id int, vec ResourceVector) bool {
 	n := resFind(t.idx.root, id)
 	return n != nil && t.shrink(n, vec)
@@ -253,12 +277,12 @@ func (t *Timeline) ShrinkVec(id int, vec ResourceVector) bool {
 
 // shrink is ShrinkVec on a live reservation's node.
 func (t *Timeline) shrink(n *resNode, vec ResourceVector) bool {
-	if !vec.Fits(n.res.Vec) {
+	if !vec.within(n.res.Vec) {
 		return false
 	}
-	d := toUvec(vec).add(toUvec(n.res.Vec).neg())
-	t.prof.update(n.res.Start, d, 0, &t.rng)
-	t.prof.update(n.res.End, d.neg(), 0, &t.rng)
+	d := tracked(t.capacity, vec).add(tracked(t.capacity, n.res.Vec).neg())
+	t.prof.update(n.res.Start, d, 0)
+	t.prof.update(n.res.End, d.neg(), 0)
 	n.res.Vec = vec // Vec feeds no index aggregate; in-place is safe
 	return true
 }

@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,17 +141,106 @@ func TestReservePanicsWhenOverCommitted(t *testing.T) {
 	tl.Reserve(2, PresetMedium(), 50, 100)
 }
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 func TestNewTimelineValidation(t *testing.T) {
-	for _, cap := range []ResourceVector{{}, {Cores: -1, CacheWays: 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewTimeline(%v) did not panic", cap)
-				}
-			}()
-			NewTimeline(cap)
-		}()
+	for _, cap := range []ResourceVector{{}, {Cores: -1, CacheWays: 4},
+		{Cores: MaxCapacity + 1, CacheWays: 4}, {Cores: 4, CacheWays: 16, BandwidthMBps: MaxCapacity + 1}} {
+		mustPanic(t, fmt.Sprintf("NewTimeline(%v)", cap), func() { NewTimeline(cap) })
 	}
+	// The bound itself is a capacity.
+	NewTimeline(ResourceVector{Cores: MaxCapacity, CacheWays: MaxCapacity, MemoryMB: MaxCapacity, BandwidthMBps: MaxCapacity})
+}
+
+// TestSetCapacityValidation: SetCapacity refuses what NewTimeline
+// refuses, and a capacity that would declare memory or bandwidth the
+// node did not, or stop declaring one it did — the profile tracks
+// exactly the declared dimensions.
+func TestSetCapacityValidation(t *testing.T) {
+	tl := NewTimeline(ResourceVector{Cores: 4, CacheWays: 16, MemoryMB: 128})
+	for _, cap := range []ResourceVector{{}, {Cores: MaxCapacity + 1, CacheWays: 16, MemoryMB: 128},
+		{Cores: 4, CacheWays: 16}, {Cores: 4, CacheWays: 16, MemoryMB: 128, BandwidthMBps: 100}} {
+		mustPanic(t, fmt.Sprintf("SetCapacity(%v)", cap), func() { tl.SetCapacity(cap, 0) })
+	}
+	if ev := tl.SetCapacity(ResourceVector{Cores: 2, CacheWays: MaxCapacity, MemoryMB: 64}, 0); len(ev) != 0 {
+		t.Errorf("an empty timeline evicted %+v", ev)
+	}
+}
+
+// TestShapeIsAFunctionOfContents: both treaps hash their keys for
+// priorities, so the same reservations give the same trees whatever
+// order they were inserted in, and a restored LAC's timeline has its
+// original's shape.
+func TestShapeIsAFunctionOfContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var rs []Reservation
+	for id := 1; id <= 64; id++ {
+		start := int64(rng.Intn(40)) * 100
+		rs = append(rs, Reservation{ID: id, JobID: id, Vec: ResourceVector{Cores: 1, CacheWays: 1},
+			Start: start, End: start + int64(1+rng.Intn(8))*100})
+	}
+	big := ResourceVector{Cores: 1000, CacheWays: 1000}
+	a, b := NewTimeline(big), NewTimeline(big)
+	for i := range rs {
+		a.insert(rs[i])
+		b.insert(rs[len(rs)-1-i])
+	}
+	// Churn b: drop and re-insert a third of it.
+	for i := 0; i < len(rs); i += 3 {
+		b.Release(rs[i].ID)
+	}
+	for i := 0; i < len(rs); i += 3 {
+		b.insert(rs[i])
+	}
+	if sa, sb := profShape(a.prof.root), profShape(b.prof.root); sa != sb {
+		t.Errorf("profile shapes differ:\n%s\n%s", sa, sb)
+	}
+	if sa, sb := resShape(a.idx.root), resShape(b.idx.root); sa != sb {
+		t.Errorf("index shapes differ:\n%s\n%s", sa, sb)
+	}
+
+	l := NewLAC(big)
+	for _, r := range rs {
+		l.Admit(Request{JobID: r.ID, Target: RUM{Resources: r.Vec, MaxWallClock: r.End - r.Start}, Mode: Strict(), Arrival: r.Start})
+	}
+	var snap bytes.Buffer
+	if err := l.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	c, err := RestoreLAC(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa, sc := profShape(l.timeline.prof.root), profShape(c.timeline.prof.root); sa != sc {
+		t.Errorf("restored profile shape differs:\n%s\n%s", sa, sc)
+	}
+	if sa, sc := resShape(l.timeline.idx.root), resShape(c.timeline.idx.root); sa != sc {
+		t.Errorf("restored index shape differs:\n%s\n%s", sa, sc)
+	}
+}
+
+// profShape and resShape render a treap as nested (left key right).
+func profShape(n *profNode) string {
+	if n == nil {
+		return "."
+	}
+	return fmt.Sprintf("(%s %d %s)", profShape(n.left), n.key, profShape(n.right))
+}
+
+func resShape(n *resNode) string {
+	if n == nil {
+		return "."
+	}
+	return fmt.Sprintf("(%s %d %s)", resShape(n.left), n.res.ID, resShape(n.right))
 }
 
 func TestTimelineNeverOverCapacity(t *testing.T) {

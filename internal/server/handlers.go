@@ -185,7 +185,7 @@ func (s *Server) lockForDecision(w http.ResponseWriter) bool {
 	s.mu.Lock()
 	select {
 	case <-s.drained:
-		s.mu.Unlock()
+		s.unlock()
 		shed(w, "drained")
 		return false
 	default:
@@ -196,7 +196,7 @@ func (s *Server) lockForDecision(w http.ResponseWriter) bool {
 	if !s.walDegraded {
 		return true
 	}
-	s.mu.Unlock()
+	s.unlock()
 	shed(w, "write-ahead log degraded: refusing to decide what cannot be logged")
 	return false
 }
@@ -319,7 +319,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, live := s.jobs[req.JobID]; live {
-		s.mu.Unlock()
+		s.unlock()
 		writeError(w, http.StatusConflict, fmt.Errorf("job %d is already admitted", req.JobID))
 		return
 	}
@@ -336,13 +336,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	p := s.plan(&rec)
 	if err := s.appendLocked(&rec); err != nil {
-		s.mu.Unlock()
+		s.unlock()
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.commit(&rec, p)
 	s.maybeSnapshotLocked()
-	s.mu.Unlock()
+	s.unlock()
 
 	dec := rec.Dec
 	if dec.Accepted {
@@ -388,19 +388,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	e, ok := s.jobs[req.JobID]
 	if !ok {
-		s.mu.Unlock()
+		s.unlock()
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %d is not admitted", req.JobID))
 		return
 	}
 	rec := qos.WALRecord{Op: qos.WALCancel, JobID: req.JobID, Now: now}
 	if err := s.appendLocked(&rec); err != nil {
-		s.mu.Unlock()
+		s.unlock()
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.cancel(&rec, e)
 	s.maybeSnapshotLocked()
-	s.mu.Unlock()
+	s.unlock()
 	s.nCancelled.Add(1)
 	bp := getBuf()
 	*bp = CancelResponse{Cancelled: true, JobID: req.JobID, Node: e.Node, Seq: rec.Seq}.appendJSON((*bp)[:0])
@@ -445,7 +445,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 	// Best offer first, in the qos package's preference order; a tie
 	// keeps node order.
 	slices.SortStableFunc(offers, func(a, b OfferJSON) int { return qos.CompareOffers(a.offer, b.offer) })
@@ -511,7 +511,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -528,21 +528,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	seq := s.seq
-	jobs := len(s.jobs)
-	snapFailures, lastSnapErr := s.snapFailures, s.lastSnapErr
-	snapshots, lastSnapDur, lastSnapBytes := s.snapshots, s.lastSnapDur, s.lastSnapBytes
-	walDegraded, lastWALErr := s.walDegraded, s.lastWALErr
-	placement := s.gac.Stats()
-	s.mu.Unlock()
+	p := s.published()
 	h := Health{
 		Status:     "ok",
 		Draining:   s.draining.Load(),
 		QueueDepth: len(s.sem),
 		QueueCap:   cap(s.sem),
-		WALSeq:     seq,
-		Jobs:       jobs,
+		WALSeq:     p.seq,
+		Jobs:       p.jobs,
 		Nodes:      len(s.nodes),
 		Submits:    s.nSubmit.Load(),
 		Accepted:   s.nAccepted.Load(),
@@ -551,14 +544,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Degraded:   s.nDegraded.Load(),
 		Cancelled:  s.nCancelled.Load(),
 
-		SnapshotFailures:  snapFailures,
-		LastSnapshotError: lastSnapErr,
-		Snapshots:         snapshots,
-		LastSnapshotMS:    float64(lastSnapDur.Microseconds()) / 1e3,
-		LastSnapshotBytes: lastSnapBytes,
-		WALDegraded:       walDegraded,
-		LastWALError:      lastWALErr,
-		Placement:         placement,
+		SnapshotFailures:  p.snapFailures,
+		LastSnapshotError: p.lastSnapErr,
+		Snapshots:         p.snapshots,
+		LastSnapshotMS:    float64(p.lastSnapDur.Microseconds()) / 1e3,
+		LastSnapshotBytes: p.lastSnapBytes,
+		WALDegraded:       p.walDegraded,
+		LastWALError:      p.lastWALErr,
+		Placement:         p.placement,
 	}
 	status := http.StatusOK
 	switch {
@@ -577,10 +570,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.mu.Lock()
-	seq := s.seq
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"drained": true, "wal_seq": seq})
+	writeJSON(w, http.StatusOK, map[string]any{"drained": true, "wal_seq": s.published().seq})
 }
 
 // modeNames are the wire names of the modes parseMode accepts, by kind:

@@ -179,6 +179,60 @@ type Server struct {
 
 	// Counters for healthz and the load harness.
 	nSubmit, nAccepted, nRejected, nShed, nDegraded, nCancelled atomic.Int64
+
+	// pub is what healthz reports of the state mu guards, as the last
+	// section that held mu left it (unlock publishes it). pubMu guards
+	// it and is never held across I/O, so healthz answers while a
+	// request holds mu through a WAL fsync.
+	pubMu sync.Mutex
+	pub   healthState
+}
+
+// healthState is the part of Health that lives under mu.
+type healthState struct {
+	seq           int64
+	jobs          int
+	snapFailures  int64
+	lastSnapErr   string
+	snapshots     int64
+	lastSnapDur   time.Duration
+	lastSnapBytes int64
+	walDegraded   bool
+	lastWALErr    string
+	placement     qos.GACStats
+}
+
+// unlock publishes what healthz reads of the state and releases mu:
+// every section that takes mu ends here.
+func (s *Server) unlock() {
+	s.publishLocked()
+	s.mu.Unlock()
+}
+
+// publishLocked copies the healthz fields out from under mu.
+func (s *Server) publishLocked() {
+	p := healthState{
+		seq:           s.seq,
+		jobs:          len(s.jobs),
+		snapFailures:  s.snapFailures,
+		lastSnapErr:   s.lastSnapErr,
+		snapshots:     s.snapshots,
+		lastSnapDur:   s.lastSnapDur,
+		lastSnapBytes: s.lastSnapBytes,
+		walDegraded:   s.walDegraded,
+		lastWALErr:    s.lastWALErr,
+		placement:     s.gac.Stats(),
+	}
+	s.pubMu.Lock()
+	s.pub = p
+	s.pubMu.Unlock()
+}
+
+// published returns the last published healthz fields.
+func (s *Server) published() healthState {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.pub
 }
 
 // New opens (creating or recovering) a daemon over the state directory
@@ -186,6 +240,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Config.Dir is required")
+	}
+	if err := qos.CheckCapacity(cfg.withDefaults().Capacity); err != nil {
+		return nil, fmt.Errorf("server: node capacity: %w", err)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -208,6 +265,7 @@ func newServer(cfg Config, disk qos.FS) (*Server, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	s.publishLocked() // no request can hold mu yet
 	return s, nil
 }
 
@@ -603,7 +661,7 @@ func (s *Server) beginDrain() error {
 			}
 		}()
 		s.mu.Lock()
-		defer s.mu.Unlock()
+		defer s.unlock()
 		if err := s.persistSnapshotLocked(nil); err != nil {
 			ferr = err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -313,6 +314,83 @@ func TestSnapshotEnvelopeVersionMismatch(t *testing.T) {
 	var ve *qos.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want *qos.VersionError, got %v", err)
+	}
+}
+
+// TestHealthzAnswersDuringFsync: healthz reads the copy the last locked
+// section published, not the state under mu, so it answers while a
+// submit holds mu through a stalled WAL fsync, and it reports the state
+// as it stood before that submit.
+func TestHealthzAnswersDuringFsync(t *testing.T) {
+	disk := newFakeDisk()
+	s := newFakeServer(t, fakeConfig(), disk)
+	defer s.Close()
+	release := disk.holdSyncs()
+	defer release()
+	submitted := make(chan int, 1)
+	go func() {
+		submitted <- serve(s, "POST", "/v1/submit", []byte(`{"job_id":1,"mode":"strict","cores":1,"ways":2,"tw":1000,"deadline_in":50000,"arrival":1}`)).Code
+	}()
+	// Wait until the submit holds mu, stalled in its fsync.
+	for deadline := time.Now().Add(5 * time.Second); s.mu.TryLock(); {
+		s.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the submit never took the daemon's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	healthz := make(chan *httptest.ResponseRecorder, 1)
+	go func() { healthz <- serve(s, "GET", "/healthz", nil) }()
+	select {
+	case rec := <-healthz:
+		var h Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || rec.Code != http.StatusOK || h.WALSeq != 0 || h.Jobs != 0 {
+			t.Errorf("healthz during the fsync: status %d, %+v, %v; want 200 with wal_seq 0 and no jobs", rec.Code, h, err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("healthz did not answer within 1 s while a WAL fsync was held")
+	}
+	release()
+	if code := <-submitted; code != http.StatusOK {
+		t.Fatalf("submit: status %d", code)
+	}
+	if seq := walSeq(t, s); seq != 1 {
+		t.Errorf("healthz after the submit: wal_seq %d, want 1", seq)
+	}
+}
+
+// TestUndeclaredMemoryNeverBlocks: a default daemon's nodes declare no
+// memory, so a request's mem_mb — here math.MaxInt64 — constrains
+// nothing: two Strict {1 core, 7 ways} jobs both start at their
+// arrival on the one node. While the profile summed undeclared
+// dimensions, the first one's memory serialized the second behind it.
+func TestUndeclaredMemoryNeverBlocks(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for id := 1; id <= 2; id++ {
+		body := fmt.Sprintf(`{"job_id":%d,"mode":"strict","cores":1,"ways":7,"mem_mb":%d,"tw":1000,"deadline_in":3000,"arrival":1}`, id, math.MaxInt64)
+		rec := serve(s, "POST", "/v1/submit", []byte(body))
+		var resp SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || !resp.Accepted || resp.Start != 1 {
+			t.Fatalf("job %d: status %d, %s; want accepted at its arrival, 1", id, rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestNewRefusesCapacityAboveBound: a node capacity above
+// qos.MaxCapacity, or a negative one, is an error from New, not a
+// panic in the first NewLAC.
+func TestNewRefusesCapacityAboveBound(t *testing.T) {
+	for _, c := range []qos.ResourceVector{{Cores: 4, CacheWays: qos.MaxCapacity + 1}, {Cores: -1, CacheWays: 16}} {
+		cfg := testConfig(t.TempDir())
+		cfg.Capacity = c
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("New accepted capacity %v", c)
+		}
 	}
 }
 

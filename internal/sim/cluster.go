@@ -14,8 +14,8 @@ import (
 // The node cap is a memory bound, not a policy: the fleet must fit
 // comfortably in one machine's memory, so the cap is the node count that
 // fits a 16 GiB budget at 64 KiB a node. That figure is a deliberate
-// ceiling, not a measurement: a node measures 1.7 KB at construction and
-// 0.9 KB per job it accepts (TestFleetAllocBudget), and 64 KiB leaves
+// ceiling, not a measurement: a node measures 1.1 KB at construction and
+// 0.6 KB per job it accepts (TestFleetAllocBudget), and 64 KiB leaves
 // room for a loaded timeline and a few dozen live jobs. Deriving the cap
 // by division keeps the arithmetic overflow-free however it is tuned.
 const (
